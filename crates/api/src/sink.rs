@@ -283,21 +283,24 @@ pub fn emit_tuples(sink: &mut dyn Sink, arity: usize, tuples: &[Vec<Value>]) -> 
     rows
 }
 
-/// Accumulates signed row deltas — the sink behind incremental view
-/// maintenance.
+/// Accumulates signed deltas of arity-2 rows — the sink behind
+/// incremental view maintenance.
 ///
 /// Each emitted row contributes `sign × max(count, 1)` to that row's
-/// entry; entries that cancel to zero are dropped on read. Running the
-/// delta joins of the maintenance identity
+/// delta. Running the delta joins of the maintenance identity
 /// `Δ(R ⋈ S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS` into one `DeltaSink` (flipping
 /// [`set_sign`](DeltaSink::set_sign) between the `+`/`−` delta parts)
 /// yields exactly the per-row support-count adjustments to apply to a
-/// cached result. A `BTreeMap` keeps iteration deterministic, so
-/// maintained results have a canonical (sorted) row order.
+/// cached result.
+///
+/// Emissions are appended to one flat buffer — no allocation per row —
+/// and sorted and coalesced once, by
+/// [`into_deltas`](DeltaSink::into_deltas); the sorted order is what
+/// gives maintained results their canonical row order.
 #[derive(Debug, Clone)]
 pub struct DeltaSink {
     sign: i64,
-    deltas: std::collections::BTreeMap<Vec<Value>, i64>,
+    deltas: Vec<((Value, Value), i64)>,
 }
 
 impl Default for DeltaSink {
@@ -311,7 +314,7 @@ impl DeltaSink {
     pub fn new() -> Self {
         Self {
             sign: 1,
-            deltas: std::collections::BTreeMap::new(),
+            deltas: Vec::new(),
         }
     }
 
@@ -324,32 +327,45 @@ impl DeltaSink {
     /// Adds `delta` to `row` directly, without going through the engine
     /// emission path (used for hand-computed join terms).
     pub fn add(&mut self, row: &[Value], delta: i64) {
+        assert_eq!(row.len(), 2, "DeltaSink requires arity-2 rows");
         if delta != 0 {
-            *self.deltas.entry(row.to_vec()).or_insert(0) += delta;
+            self.deltas.push(((row[0], row[1]), delta));
         }
     }
 
-    /// Consumes the sink, returning the accumulated non-zero deltas in
-    /// row-sorted order.
-    pub fn into_deltas(self) -> std::collections::BTreeMap<Vec<Value>, i64> {
+    /// Consumes the sink: the distinct rows in ascending order, each with
+    /// the sum of its deltas, without the rows that cancelled to zero.
+    pub fn into_deltas(self) -> Vec<((Value, Value), i64)> {
         let mut deltas = self.deltas;
-        deltas.retain(|_, d| *d != 0);
+        deltas.sort_unstable_by_key(|&(row, _)| row);
+        deltas.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        deltas.retain(|&(_, delta)| delta != 0);
         deltas
     }
 
-    /// Number of rows currently tracked (including cancelled ones not yet
-    /// compacted).
+    /// Number of emissions buffered so far (equal rows are not merged
+    /// until [`into_deltas`](DeltaSink::into_deltas)).
     pub fn len(&self) -> usize {
         self.deltas.len()
     }
 
-    /// True when no deltas have accumulated.
+    /// True when nothing has been emitted.
     pub fn is_empty(&self) -> bool {
         self.deltas.is_empty()
     }
 }
 
 impl Sink for DeltaSink {
+    fn begin(&mut self, arity: usize) {
+        assert_eq!(arity, 2, "DeltaSink requires arity-2 output, got {arity}");
+    }
+
     fn row(&mut self, row: &[Value]) {
         self.add(row, self.sign);
     }
@@ -444,24 +460,31 @@ mod tests {
     #[test]
     fn delta_sink_accumulates_signed_counts() {
         let mut s = DeltaSink::new();
+        s.row(&[0, 3]); // emitted out of order: the drain sorts
+        s.set_sign(-1);
+        s.row(&[0, 3]);
+        s.row(&[0, 3]); // net -1
+        s.set_sign(1);
         s.counted_row(&[0, 1], 2); // +2
         s.row(&[0, 2]); // +1
         s.set_sign(-1);
         s.counted_row(&[0, 1], 1); // net +1
-        s.row(&[0, 3]); // -1
-        let deltas = s.into_deltas();
-        assert_eq!(deltas.get(&vec![0, 1]), Some(&1));
-        assert_eq!(deltas.get(&vec![0, 2]), Some(&1));
-        assert_eq!(deltas.get(&vec![0, 3]), Some(&-1));
+        assert_eq!(s.len(), 6, "emissions are buffered, not merged");
+        assert_eq!(
+            s.into_deltas(),
+            vec![((0, 1), 1), ((0, 2), 1), ((0, 3), -1)]
+        );
     }
 
     #[test]
     fn delta_sink_drops_cancelled_rows() {
         let mut s = DeltaSink::new();
         s.counted_row(&[7, 7], 3);
+        s.row(&[1, 1]);
         s.set_sign(-1);
         s.counted_row(&[7, 7], 3);
-        assert!(s.into_deltas().is_empty());
+        assert_eq!(s.into_deltas(), vec![((1, 1), 1)]);
+        assert!(DeltaSink::new().into_deltas().is_empty());
     }
 
     #[test]
@@ -473,5 +496,12 @@ mod tests {
         let mut b = DeltaSink::new();
         b.counted_row(&[1, 2], 1);
         assert_eq!(a.into_deltas(), b.into_deltas());
+    }
+
+    #[test]
+    #[should_panic(expected = "arity-2")]
+    fn delta_sink_rejects_wrong_arity() {
+        let mut s = DeltaSink::new();
+        s.begin(3);
     }
 }

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 /// Directories scanned, relative to the workspace root. `shims/` is
 /// excluded on purpose: it vendors stand-ins for *external* crates and
 /// is not governed by this repo's internal contracts.
-pub const SCAN_DIRS: &[&str] = &["crates", "tests", "examples"];
+pub const SCAN_DIRS: &[&str] = &["crates", "tests", "examples", "benchmark"];
 
 /// Recursively collects `.rs` files under `root`'s scan dirs, skipping
 /// build output. Paths come back sorted for deterministic reports.

@@ -5,14 +5,15 @@
 
 use crate::frame;
 use crate::wire::{WireRequest, WireResponse};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A connected protocol client.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Reads are buffered; frames are written straight to the socket
+    /// (`get_ref`), each in one `write` — see [`frame`].
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -44,12 +45,18 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        let write_half = stream.try_clone()?;
+        // A request is one small segment the server is waiting for:
+        // never hold it back for coalescing.
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
+            stream: BufReader::new(stream),
             next_id: 1,
         })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn socket(&self) -> &TcpStream {
+        self.stream.get_ref()
     }
 
     /// Sends one command line, returning its correlation id without
@@ -61,13 +68,13 @@ impl Client {
             id,
             line: line.to_string(),
         };
-        frame::write_frame(&mut self.writer, &req.encode())?;
+        frame::write_frame(&mut self.stream.get_ref(), &req.encode())?;
         Ok(id)
     }
 
     /// Receives the next response frame (in server-send order).
     pub fn recv(&mut self) -> io::Result<WireResponse> {
-        let payload = frame::read_frame(&mut self.reader)?.ok_or_else(|| {
+        let payload = frame::read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
         WireResponse::decode(&payload)

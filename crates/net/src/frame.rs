@@ -5,6 +5,13 @@
 //! payloads may contain anything) and lets the reader pre-size its
 //! buffer; [`MAX_FRAME`] caps that allocation so a corrupt or hostile
 //! prefix cannot balloon memory.
+//!
+//! A frame leaves in **one** `write`: prefix and payload written
+//! separately reach a socket as two segments, and with Nagle's algorithm
+//! on, the second waits for the peer's delayed ACK of the first — a
+//! measured 40 ms per frame (DESIGN.md "Wire protocol"). The sockets
+//! also run with `TCP_NODELAY` (see `server`/`client`), so a frame is on
+//! the wire when `write_frame` returns.
 
 use std::io::{self, Read, Write};
 
@@ -13,7 +20,8 @@ use std::io::{self, Read, Write};
 /// beyond this is treated as a protocol error, not an allocation.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) with a single `write_all`
+/// and flushes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
@@ -27,8 +35,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
                 ),
             )
         })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -69,6 +79,39 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accepts whatever it is handed, counting the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Including the sizes around 8 KiB, the default capacity of a
+        // `BufWriter`: wrapped in one, a frame that does not fit splits.
+        for len in [0, 5, 8191, 8192, 8193, 1 << 20] {
+            let payload = vec![0xA5u8; len];
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            let back = read_frame(&mut w.bytes.as_slice()).unwrap().unwrap();
+            assert_eq!(back, payload);
+        }
+    }
 
     #[test]
     fn round_trip_and_boundary_eof() {

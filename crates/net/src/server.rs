@@ -32,7 +32,7 @@ use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_service::command::{self, Command, Frontend};
 use mmjoin_service::Service;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -467,9 +467,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         // must observe drain mode and be refused, not served.
         if shared.shutdown.load(Ordering::SeqCst) {
             // The wake-up poke, or a late client: refuse politely.
-            let mut w = BufWriter::new(stream);
             let _ = frame::write_frame(
-                &mut w,
+                &mut &stream,
                 &WireResponse {
                     id: 0,
                     status: Status::ShuttingDown,
@@ -479,6 +478,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             );
             return;
         }
+        // Replies are whole frames in one write each; sending them at once
+        // is all there is to gain. A socket that refuses the option still
+        // works, only slower.
+        let _ = stream.set_nodelay(true);
         let client = next_client;
         next_client += 1;
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
@@ -508,7 +511,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
     };
     let (tx, rx) = mpsc::channel::<WireResponse>();
     let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(write_half);
+        let mut w = write_half;
         while let Ok(resp) = rx.recv() {
             if frame::write_frame(&mut w, &resp.encode()).is_err() {
                 break;
@@ -760,5 +763,33 @@ mod tests {
 
         let m = 0; // server consumed; metrics checked in integration tests
         let _ = m;
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_run_without_nagle() {
+        use crate::client::Client;
+
+        let service = Arc::new(Service::with_default_registry(1));
+        let server = serve(service, NetConfig::default()).unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert!(c.socket().nodelay().unwrap(), "connecting socket");
+        assert_eq!(c.call("stats").unwrap().status, Status::Ok);
+        // The accept loop tracks a connection just after handing it to its
+        // thread, which may have answered already.
+        loop {
+            let conns = server
+                .shared
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some((accepted, _)) = conns.first() {
+                assert!(accepted.nodelay().unwrap(), "accepted socket");
+                break;
+            }
+            drop(conns);
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        server.wait();
     }
 }

@@ -633,6 +633,18 @@ struct ActiveSpan {
 #[must_use = "a span guard records its span when dropped"]
 pub struct SpanGuard(Option<ActiveSpan>);
 
+impl SpanGuard {
+    /// Replaces the label of a span that is still open — for what is only
+    /// known once the work is done (rows touched, the branch taken). The
+    /// closure runs only when the span is being recorded.
+    #[inline]
+    pub fn relabel(&mut self, label: impl FnOnce() -> String) {
+        if let Some(active) = &mut self.0 {
+            active.label = Cow::Owned(label());
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(active) = self.0.take() {
@@ -770,6 +782,28 @@ mod tests {
             assert!(plan.dur_ns <= root.dur_ns);
             // Sibling durations sum to at most the root duration.
             assert!(plan.dur_ns + ser.dur_ns <= root.dur_ns);
+        });
+    }
+
+    #[test]
+    fn relabel_names_an_open_span_and_is_lazy() {
+        with_global(|| {
+            let tracer = Tracer::global();
+            {
+                let _root = tracer.begin("update R").unwrap();
+                let mut entry = span(Stage::Maintain, "refresh-entry");
+                let _child = span(Stage::Exec, "");
+                entry.relabel(|| "maintain: entered=3".to_string());
+            }
+            let t = tracer.last(1).pop().unwrap();
+            let entry = t.spans.iter().find(|s| s.stage == Stage::Maintain).unwrap();
+            assert_eq!(entry.label, "maintain: entered=3");
+            let child = t.spans.iter().find(|s| s.stage == Stage::Exec).unwrap();
+            assert_eq!(child.parent, entry.id, "relabelling keeps the id");
+
+            // An inert guard (no trace in flight) never builds the label.
+            let mut inert = span(Stage::Maintain, "refresh-entry");
+            inert.relabel(|| unreachable!("label built for an unrecorded span"));
         });
     }
 

@@ -105,30 +105,41 @@ impl ResultCache {
     }
 
     /// Inserts `value` under `key`, evicting the least-recently-used
-    /// entry if at capacity.
-    pub fn insert(&mut self, key: u64, request: Request, epochs: Vec<u64>, value: CachedResult) {
+    /// entry if at capacity. Returns the result this displaced — the LRU
+    /// victim, or the previous holder of `key` — so that a caller holding
+    /// a lock around the cache can release it before freeing what may be
+    /// tens of thousands of rows.
+    pub fn insert(
+        &mut self,
+        key: u64,
+        request: Request,
+        epochs: Vec<u64>,
+        value: CachedResult,
+    ) -> Option<CachedResult> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
         self.tick += 1;
+        let mut displaced = None;
         if !self.slots.contains_key(&key) && self.slots.len() >= self.capacity {
             // O(n) victim scan: capacities are small (hundreds), and this
             // only runs on insert-at-capacity. Swap for a list-based LRU
             // if profiles ever show it.
             if let Some((&victim, _)) = self.slots.iter().min_by_key(|(_, s)| s.stamp) {
-                self.slots.remove(&victim);
+                displaced = self.slots.remove(&victim);
                 self.evictions += 1;
             }
         }
-        self.slots.insert(
-            key,
-            Slot {
-                request,
-                epochs,
-                value,
-                stamp: self.tick,
-            },
-        );
+        let slot = Slot {
+            request,
+            epochs,
+            value,
+            stamp: self.tick,
+        };
+        self.slots
+            .insert(key, slot)
+            .or(displaced)
+            .map(|slot| slot.value)
     }
 
     /// Removes and returns every entry whose request references relation
@@ -254,6 +265,18 @@ mod tests {
         assert!(probe(&mut c, 3, 3).is_some());
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().2, 1);
+    }
+
+    #[test]
+    fn insert_hands_back_what_it_displaced() {
+        let mut c = ResultCache::new(2);
+        assert!(c.insert(1, req(1), vec![1], result(1)).is_none());
+        assert!(c.insert(2, req(2), vec![1], result(2)).is_none());
+        let victim = c.insert(3, req(3), vec![1], result(3)).expect("LRU victim");
+        assert_eq!(victim.rows[0], vec![1, 1]);
+        let replaced = c.insert(3, req(3), vec![1], result(9)).expect("old holder");
+        assert_eq!(replaced.rows[0], vec![3, 3]);
+        assert_eq!(c.counters().2, 1, "replacing a key is not an eviction");
     }
 
     #[test]

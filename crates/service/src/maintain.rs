@@ -96,54 +96,61 @@ impl MaintenanceReport {
     }
 }
 
-/// A support-counted two-path result: every output pair `(x, z)` mapped to
-/// its number of join witnesses `|{y : R(x,y) ∧ S(z,y)}|`.
+/// A support-counted two-path result: every output pair `(x, z)` with its
+/// number of join witnesses `|{y : R(x,y) ∧ S(z,y)}|`, as two parallel
+/// arrays sorted by pair.
 ///
 /// The support counts are what make deletion maintainable — a pair
-/// survives exactly while its support is positive — and the sorted map
+/// survives exactly while its support is positive — and the sorted order
 /// gives maintained results a canonical row order independent of which
 /// engine originally produced them.
+///
+/// A cache entry serves the pairs whose support reaches its `min_count`
+/// as `rows`/`counts`; [`DeltaResult::rows`] builds those from scratch and
+/// [`DeltaResult::patch`] keeps them in step with the supports under an
+/// update, touching only what the delta touches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaResult {
-    support: BTreeMap<(Value, Value), u32>,
+    /// Pairs with positive support, ascending.
+    pairs: Vec<(Value, Value)>,
+    /// `support[i]` is the witness count of `pairs[i]`.
+    support: Vec<u32>,
+}
+
+/// How many rows one [`DeltaResult::patch`] moved across the entry's
+/// `min_count` visibility threshold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crossings {
+    /// Rows that became visible.
+    pub entered: usize,
+    /// Rows that stopped being visible.
+    pub left: usize,
+}
+
+/// One delta row located against the arrays it will change. Positions
+/// refer to the arrays as they were before the patch.
+struct Edit {
+    pair: (Value, Value),
+    /// Index in `pairs` (insertion point when the pair is new).
+    at: usize,
+    /// Support before and after.
+    old: u32,
+    new: u32,
+    /// Index in `rows` (insertion point when the row is not visible).
+    row_at: usize,
 }
 
 impl DeltaResult {
     /// Builds from the signed accumulation of a full counting execution
-    /// (all deltas must be positive — they are absolute witness counts).
-    pub fn from_signed(deltas: BTreeMap<Vec<Value>, i64>) -> Self {
-        let support = deltas
-            .into_iter()
-            .filter(|&(_, c)| c > 0)
-            .map(|(row, c)| {
-                debug_assert_eq!(row.len(), 2, "DeltaResult is binary");
-                ((row[0], row[1]), c as u32)
-            })
-            .collect();
-        Self { support }
-    }
-
-    /// Applies signed support adjustments. Returns `false` if any support
-    /// would go negative — a corrupt entry the caller must discard (it
-    /// cannot happen for deltas normalized against the true base, but the
-    /// cache must degrade to a recompute rather than serve wrong rows).
-    #[must_use]
-    pub fn apply(&mut self, deltas: BTreeMap<Vec<Value>, i64>) -> bool {
-        for (row, d) in deltas {
-            debug_assert_eq!(row.len(), 2, "DeltaResult is binary");
-            let key = (row[0], row[1]);
-            let current = self.support.get(&key).copied().unwrap_or(0) as i64;
-            let next = current + d;
-            if next < 0 {
-                return false;
-            }
-            if next == 0 {
-                self.support.remove(&key);
-            } else {
-                self.support.insert(key, next as u32);
-            }
-        }
-        true
+    /// ([`DeltaSink::into_deltas`]: ascending, distinct; all deltas must be
+    /// positive — they are absolute witness counts).
+    pub fn from_signed(deltas: &[((Value, Value), i64)]) -> Self {
+        let (pairs, support) = deltas
+            .iter()
+            .filter(|&&(_, c)| c > 0)
+            .map(|&(pair, c)| (pair, c as u32))
+            .unzip();
+        Self { pairs, support }
     }
 
     /// Materialises the rows with support `≥ min_count`, in sorted order.
@@ -153,7 +160,7 @@ impl DeltaResult {
         let min = min_count.max(1);
         let mut rows = Vec::new();
         let mut counts = Vec::new();
-        for (&(x, z), &c) in &self.support {
+        for (&(x, z), &c) in self.pairs.iter().zip(&self.support) {
             if c >= min {
                 rows.push(vec![x, z]);
                 counts.push(if with_counts { c } else { 0 });
@@ -162,20 +169,189 @@ impl DeltaResult {
         (rows, counts)
     }
 
+    /// Applies signed support adjustments (ascending, distinct — what
+    /// [`DeltaSink::into_deltas`] returns) in place, to the supports and
+    /// to the `rows`/`counts` an entry serves from them, which must be
+    /// what [`rows`](DeltaResult::rows) returns for the same `min_count`
+    /// and `with_counts`. Afterwards all three are what a from-scratch
+    /// build over the updated relations would hold.
+    ///
+    /// Costs a search per delta row — `O(log distance)` from the row
+    /// before it — plus one move of the array tails behind the first row
+    /// that enters or leaves; only entering rows allocate.
+    ///
+    /// Returns `None`, having changed nothing, if a support would go
+    /// negative or `rows` disagrees with the supports — a corrupt entry
+    /// the caller must discard (it cannot happen for deltas normalized
+    /// against the true base, but the cache must degrade to a recompute
+    /// rather than serve wrong rows).
+    #[must_use]
+    pub fn patch(
+        &mut self,
+        rows: &mut Vec<Vec<Value>>,
+        counts: &mut Vec<u32>,
+        deltas: &[((Value, Value), i64)],
+        min_count: u32,
+        with_counts: bool,
+    ) -> Option<Crossings> {
+        let min = min_count.max(1);
+        let edits = self.locate(rows, counts, deltas, min)?;
+
+        let (mut gone, mut entering_pairs, mut entering_support) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let (mut rows_gone, mut entering_rows, mut entering_counts) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for e in &edits {
+            match (e.old > 0, e.new > 0) {
+                (true, true) => self.support[e.at] = e.new,
+                (true, false) => gone.push(e.at),
+                (false, _) => {
+                    entering_pairs.push((e.at, e.pair));
+                    entering_support.push((e.at, e.new));
+                }
+            }
+            let count = if with_counts { e.new } else { 0 };
+            match (e.old >= min, e.new >= min) {
+                (true, true) => counts[e.row_at] = count,
+                (true, false) => rows_gone.push(e.row_at),
+                (false, true) => {
+                    entering_rows.push((e.row_at, vec![e.pair.0, e.pair.1]));
+                    entering_counts.push((e.row_at, count));
+                }
+                (false, false) => {}
+            }
+        }
+        let crossed = Crossings {
+            entered: entering_rows.len(),
+            left: rows_gone.len(),
+        };
+        splice_sorted(&mut self.pairs, &gone, entering_pairs);
+        splice_sorted(&mut self.support, &gone, entering_support);
+        splice_sorted(rows, &rows_gone, entering_rows);
+        splice_sorted(counts, &rows_gone, entering_counts);
+        Some(crossed)
+    }
+
+    /// Finds every delta row in `pairs` and in `rows` and works out its
+    /// new support, changing nothing.
+    fn locate(
+        &self,
+        rows: &[Vec<Value>],
+        counts: &[u32],
+        deltas: &[((Value, Value), i64)],
+        min: u32,
+    ) -> Option<Vec<Edit>> {
+        // With nothing hidden the rows are the pairs, position for position,
+        // which spares a search through `rows` — a pointer chase per probe.
+        let all_visible = min == 1;
+        if counts.len() != rows.len() || (all_visible && rows.len() != self.pairs.len()) {
+            return None;
+        }
+        let mut edits = Vec::with_capacity(deltas.len());
+        let (mut at, mut row_at) = (0, 0);
+        for &(pair, d) in deltas {
+            at = gallop(&self.pairs, at, |&p| p < pair);
+            let old = match self.pairs.get(at) {
+                Some(&p) if p == pair => self.support[at],
+                _ => 0,
+            };
+            let new = u32::try_from(old as i64 + d).ok()?;
+            if all_visible {
+                row_at = at;
+            } else {
+                row_at = gallop(rows, row_at, |r| (r[0], r[1]) < pair);
+                let visible = rows.get(row_at).is_some_and(|r| (r[0], r[1]) == pair);
+                if visible != (old >= min) {
+                    return None;
+                }
+            }
+            edits.push(Edit {
+                pair,
+                at,
+                old,
+                new,
+                row_at,
+            });
+        }
+        Some(edits)
+    }
+
     /// Support count of one pair (0 when absent) — test/introspection
     /// helper.
     pub fn support_of(&self, x: Value, z: Value) -> u32 {
-        self.support.get(&(x, z)).copied().unwrap_or(0)
+        self.pairs
+            .binary_search(&(x, z))
+            .map_or(0, |i| self.support[i])
     }
 
     /// Distinct pairs with positive support.
     pub fn len(&self) -> usize {
-        self.support.len()
+        self.pairs.len()
     }
 
     /// True when no pair has positive support.
     pub fn is_empty(&self) -> bool {
-        self.support.is_empty()
+        self.pairs.is_empty()
+    }
+}
+
+/// The first position at or after `from` whose element is not `below` the
+/// target, for a sorted `v` with everything before `from` below it. Steps
+/// double from `from`, so a target `d` places on costs `O(log d)` probes,
+/// all of them near each other.
+fn gallop<T>(v: &[T], from: usize, mut below: impl FnMut(&T) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < v.len() && below(&v[hi]) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    lo + v[lo..hi.min(v.len())].partition_point(below)
+}
+
+/// Edits a sorted vector in place: drops the elements at the ascending
+/// positions `gone` and inserts each `(at, item)` of `entering`
+/// (ascending `at`) before the element that stood at `at`. Every position
+/// refers to `v` as passed in. Only the tail behind the first edit moves,
+/// block by block between edits (`move_block`), so a handful of edits
+/// costs about one `memmove` of that tail.
+fn splice_sorted<T: Default>(v: &mut Vec<T>, gone: &[usize], entering: Vec<(usize, T)>) {
+    // Close the gaps front to back: the elements dropped so far ride
+    // behind each block, and end up at the back ...
+    for (dropped, &at) in gone.iter().enumerate() {
+        let next = gone.get(dropped + 1).copied().unwrap_or(v.len());
+        move_block(&mut v[at - dropped..next], dropped + 1, false);
+    }
+    v.truncate(v.len() - gone.len());
+    // ... then open the new gaps back to front: the free slots start at
+    // the back and ride ahead of each block, one filled at every stop.
+    let mut end = v.len();
+    let mut free = entering.len();
+    v.resize_with(end + free, T::default);
+    for (at, item) in entering.into_iter().rev() {
+        let at = at - gone.partition_point(|&g| g < at);
+        move_block(&mut v[at..end + free], free, true);
+        free -= 1;
+        v[at + free] = item;
+        end = at;
+    }
+}
+
+/// `v` is a block of elements and `spare` slots whose order does not
+/// matter — behind the block when it goes `to_back`, ahead of it
+/// otherwise. Moves the block to the other end, in order. A block shorter
+/// than the spare slots is swapped across rather than rotated, so moving
+/// it never costs more than twice its length however many spares ride
+/// along.
+fn move_block<T>(v: &mut [T], spare: usize, to_back: bool) {
+    let block = v.len() - spare;
+    if block < spare {
+        let (head, tail) = v.split_at_mut(spare);
+        head[..block].swap_with_slice(tail);
+    } else if to_back {
+        v.rotate_right(spare);
+    } else {
+        v.rotate_left(spare);
     }
 }
 
@@ -331,20 +507,60 @@ mod tests {
         out
     }
 
-    fn maintained_equals_recompute(base: &[Edge], delta: &RelationDelta) {
+    /// What a counting engine run into a `DeltaSink` drains to.
+    fn deltas_of(support: &BTreeMap<(Value, Value), u32>) -> Vec<((Value, Value), i64)> {
+        support.iter().map(|(&pair, &c)| (pair, c as i64)).collect()
+    }
+
+    fn result_of(support: &BTreeMap<(Value, Value), u32>) -> DeltaResult {
+        DeltaResult {
+            pairs: support.keys().copied().collect(),
+            support: support.values().copied().collect(),
+        }
+    }
+
+    /// Patches the result of `r_old ⋈ s_old` with `norm` at every
+    /// `min_count` × `with_counts`, checking supports, rows and counts
+    /// against a from-scratch build over `r_new ⋈ s_new`. Returns the
+    /// patched supports.
+    fn patched(
+        norm: &NormalizedDelta,
+        (r_old, s_old): (&Relation, &Relation),
+        (r_new, s_new): (&Relation, &Relation),
+        (delta_on_r, delta_on_s): (bool, bool),
+    ) -> DeltaResult {
+        let mut sink = DeltaSink::new();
+        accumulate_two_path_delta(&mut sink, norm, r_old, s_old, delta_on_r, delta_on_s);
+        let deltas = sink.into_deltas();
+        let expected = result_of(&brute_force(r_new, s_new));
+        assert_eq!(
+            DeltaResult::from_signed(&deltas_of(&brute_force(r_new, s_new))),
+            expected
+        );
+        for min_count in 1..=3 {
+            for with_counts in [false, true] {
+                let mut result = result_of(&brute_force(r_old, s_old));
+                let (mut rows, mut counts) = result.rows(min_count, with_counts);
+                let before = rows.len();
+                let crossed = result
+                    .patch(&mut rows, &mut counts, &deltas, min_count, with_counts)
+                    .expect("support went negative");
+                assert_eq!(result, expected, "delta {norm:?}");
+                assert_eq!((rows, counts), expected.rows(min_count, with_counts));
+                assert_eq!(
+                    before + crossed.entered - crossed.left,
+                    expected.rows(min_count, with_counts).0.len()
+                );
+            }
+        }
+        expected
+    }
+
+    fn maintained_equals_recompute(base: &[Edge], delta: &RelationDelta) -> DeltaResult {
         let old = rel(base);
         let norm = delta.normalize(&old);
         let new = old.apply_normalized(&norm);
-
-        let mut result = DeltaResult {
-            support: brute_force(&old, &old),
-        };
-        let mut sink = DeltaSink::new();
-        accumulate_two_path_delta(&mut sink, &norm, &old, &old, true, true);
-        assert!(result.apply(sink.into_deltas()), "support went negative");
-
-        let expected = brute_force(&new, &new);
-        assert_eq!(result.support, expected, "delta {delta:?} over {base:?}");
+        patched(&norm, (&old, &old), (&new, &new), (true, true))
     }
 
     #[test]
@@ -365,16 +581,10 @@ mod tests {
         // (0,1) has two witnesses (y=0, y=1); deleting one keeps the pair
         // at support 1.
         let base = &[(0, 0), (0, 1), (1, 0), (1, 1)];
-        maintained_equals_recompute(base, RelationDelta::new().delete(1, 1));
-        let old = rel(base);
-        let norm = RelationDelta::new().delete(1, 1).normalize(&old);
-        let mut result = DeltaResult {
-            support: brute_force(&old, &old),
-        };
-        let mut sink = DeltaSink::new();
-        accumulate_two_path_delta(&mut sink, &norm, &old, &old, true, true);
-        assert!(result.apply(sink.into_deltas()));
+        let result = maintained_equals_recompute(base, RelationDelta::new().delete(1, 1));
         assert_eq!(result.support_of(0, 1), 1);
+        assert_eq!(result.support_of(1, 1), 1);
+        assert_eq!(result.support_of(5, 5), 0);
     }
 
     #[test]
@@ -398,22 +608,15 @@ mod tests {
         delta.insert(2, 0).delete(1, 1);
         let norm = delta.normalize(&r_old);
         let r_new = r_old.apply_normalized(&norm);
-
-        let mut result = DeltaResult {
-            support: brute_force(&r_old, &s),
-        };
-        let mut sink = DeltaSink::new();
-        accumulate_two_path_delta(&mut sink, &norm, &r_old, &s, true, false);
-        assert!(result.apply(sink.into_deltas()));
-        assert_eq!(result.support, brute_force(&r_new, &s));
+        patched(&norm, (&r_old, &s), (&r_new, &s), (true, false));
     }
 
     #[test]
     fn rows_filter_by_min_count_and_zero_counts() {
-        let mut support = BTreeMap::new();
-        support.insert((0, 1), 3);
-        support.insert((2, 2), 1);
-        let result = DeltaResult { support };
+        let result = DeltaResult {
+            pairs: vec![(0, 1), (2, 2)],
+            support: vec![3, 1],
+        };
         let (rows, counts) = result.rows(2, true);
         assert_eq!(rows, vec![vec![0, 1]]);
         assert_eq!(counts, vec![3]);
@@ -423,11 +626,112 @@ mod tests {
     }
 
     #[test]
-    fn apply_rejects_negative_support() {
-        let mut result = DeltaResult::default();
-        let mut deltas = BTreeMap::new();
-        deltas.insert(vec![0, 0], -1);
-        assert!(!result.apply(deltas), "negative support must be rejected");
+    fn patch_rejects_a_corrupt_entry_untouched() {
+        let original = DeltaResult {
+            pairs: vec![(0, 0), (0, 1)],
+            support: vec![2, 1],
+        };
+        let (rows, counts) = original.rows(1, true);
+
+        // The second delta row would take a support below zero: the first
+        // must not have been applied either.
+        let mut result = original.clone();
+        let (mut r, mut c) = (rows.clone(), counts.clone());
+        let negative = [((0, 0), -1), ((0, 1), -2)];
+        assert!(result.patch(&mut r, &mut c, &negative, 1, true).is_none());
+        assert_eq!((&result, &r, &c), (&original, &rows, &counts));
+
+        // Rows that are not the supports' visible subset are refused too.
+        let mut r = vec![vec![0, 0]];
+        let mut c = vec![2];
+        let fine = [((0, 1), 1)];
+        assert!(result.patch(&mut r, &mut c, &fine, 1, true).is_none());
+        assert_eq!(result, original);
+    }
+
+    #[test]
+    fn support_crosses_the_threshold_both_ways() {
+        // min_count 2: (0,1) is served at support 2, hidden at 1, served
+        // again at 2 — while it never leaves the supports.
+        let mut result = DeltaResult {
+            pairs: vec![(0, 0), (0, 1), (1, 1)],
+            support: vec![3, 2, 2],
+        };
+        let (mut rows, mut counts) = result.rows(2, true);
+        let down = [((0, 1), -1)];
+        let crossed = result.patch(&mut rows, &mut counts, &down, 2, true);
+        assert_eq!(
+            crossed,
+            Some(Crossings {
+                entered: 0,
+                left: 1
+            })
+        );
+        assert_eq!(rows, vec![vec![0, 0], vec![1, 1]]);
+        assert_eq!(result.support_of(0, 1), 1);
+
+        let up = [((0, 0), 1), ((0, 1), 1)];
+        let crossed = result.patch(&mut rows, &mut counts, &up, 2, true);
+        assert_eq!(
+            crossed,
+            Some(Crossings {
+                entered: 1,
+                left: 0
+            })
+        );
+        assert_eq!(rows, vec![vec![0, 0], vec![0, 1], vec![1, 1]]);
+        assert_eq!(counts, vec![4, 2, 2]);
+    }
+
+    #[test]
+    fn gallop_finds_the_lower_bound_from_any_start() {
+        let v: Vec<u32> = (0..100).map(|i| i * 2).collect();
+        for from in [0, 1, 7, 50, 99, 100] {
+            for target in [0, 1, 2, 15, 99, 198, 199, 500] {
+                let expected = v.partition_point(|&x| x < target).max(from);
+                assert_eq!(gallop(&v, from, |&x| x < target), expected);
+            }
+        }
+        assert_eq!(gallop(&[] as &[u32], 0, |&x| x < 5), 0);
+    }
+
+    #[test]
+    fn splice_sorted_edits_in_place() {
+        let mut v = vec![10, 20, 30, 40, 50];
+        splice_sorted(&mut v, &[1, 3], vec![(0, 5), (1, 15), (1, 16), (5, 60)]);
+        assert_eq!(v, vec![5, 10, 15, 16, 30, 50, 60]);
+        let mut v: Vec<u32> = Vec::new();
+        splice_sorted(&mut v, &[], vec![(0, 1), (0, 2)]);
+        assert_eq!(v, vec![1, 2]);
+        splice_sorted(&mut v, &[0, 1], Vec::new());
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn splice_sorted_matches_a_rebuild() {
+        // Dense and sparse edits, so blocks both longer and shorter than
+        // the slots riding along with them.
+        for (n, stride) in [(40usize, 1usize), (40, 2), (200, 7), (200, 61)] {
+            let old: Vec<usize> = (0..n).map(|i| i * 10).collect();
+            let gone: Vec<usize> = (0..n).filter(|i| i % stride == 0).collect();
+            let entering: Vec<(usize, usize)> = (0..=n)
+                .filter(|i| (i + 1) % stride == 0)
+                .flat_map(|i| [(i, 10_000 + 2 * i), (i, 10_001 + 2 * i)])
+                .collect();
+
+            let mut expected = Vec::new();
+            for (i, &x) in old.iter().enumerate() {
+                expected.extend(entering.iter().filter(|e| e.0 == i).map(|e| e.1));
+                if !gone.contains(&i) {
+                    expected.push(x);
+                }
+            }
+            expected.extend(entering.iter().filter(|e| e.0 == n).map(|e| e.1));
+
+            let mut v = old.clone();
+            splice_sorted(&mut v, &gone, entering);
+            assert_eq!(v, expected, "n {n} stride {stride}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@ use crate::cache::{CachedResult, ResultCache};
 use crate::catalog::{RelationProfile, ShardedCatalog, StagedUpdate};
 use crate::error::ServiceError;
 use crate::maintain::{
-    accumulate_two_path_delta, decide, delta_cost, Decision, DeltaResult, MaintenancePolicy,
-    MaintenanceReport,
+    accumulate_two_path_delta, decide, delta_cost, Crossings, Decision, DeltaResult,
+    MaintenancePolicy, MaintenanceReport,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::planner::{Planner, Selection, SelectionReason};
@@ -836,6 +836,7 @@ fn refresh_entry(
         return Decision::Invalidate;
     }
     let (r_name, s_name, with_counts, min_count) = (r.clone(), s.clone(), *with_counts, *min_count);
+    let mut span = trace::span(Stage::Maintain, "refresh-entry");
 
     // Resolve the post-update state, verifying (a) the entry was current
     // *before* this update — a slot left over from older epochs must not
@@ -879,9 +880,10 @@ fn refresh_entry(
         recompute_cost,
         &inner.policy,
     );
-    let refreshed = match decision {
+    let out_before = value.rows.len();
+    let (refreshed, patched) = match decision {
         Decision::Maintain => maintain_entry(
-            &value,
+            value,
             staged,
             r_old,
             s_old,
@@ -889,28 +891,58 @@ fn refresh_entry(
             delta_on_s,
             with_counts,
             min_count,
+        )
+        .unzip(),
+        Decision::Recompute => (
+            recompute_entry(inner, &r_new, &s_new, with_counts, min_count),
+            None,
         ),
-        Decision::Recompute => recompute_entry(inner, &r_new, &s_new, with_counts, min_count),
-        Decision::Invalidate => None,
+        Decision::Invalidate => (None, None),
     };
-    match refreshed {
+    let out = refreshed.as_ref().map_or(out_before, |r| r.rows.len());
+    let outcome = match refreshed {
         Some(result) => {
             let key = cache_key(request.fingerprint_assuming_canonical(), &new_epochs);
-            inner
+            let displaced = inner
                 .cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(key, request, new_epochs, result);
+            // Freed here, with the cache lock released.
+            drop(displaced);
             decision
         }
         None => Decision::Invalidate,
-    }
+    };
+    // Predicted work beside what was done, for `trace tree`.
+    span.relabel(|| {
+        let mut label = format!(
+            "{outcome:?} {r_name}⋈{s_name}: delta_cost={d_cost} \
+             recompute_cost={recompute_cost} out={out}"
+        );
+        if outcome != decision {
+            label.push_str(&format!(" ({decision:?} failed)"));
+        }
+        if let Some((delta_rows, crossed)) = patched {
+            label.push_str(&format!(
+                " delta_rows={delta_rows} entered={} left={}",
+                crossed.entered, crossed.left
+            ));
+        }
+        label
+    });
+    outcome
 }
 
-/// Patches a support-carrying entry with the signed delta joins.
+/// Patches a support-carrying entry with the signed delta joins, in place:
+/// `value` is the drained entry itself, so when the cache held the only
+/// reference to its arrays nothing is copied, and when a [`Response`]
+/// still shares them `Arc::make_mut` copies first and the response keeps
+/// reading the rows it was given. Returns the entry and, for its span,
+/// the number of delta rows applied and the rows that entered/left.
 #[allow(clippy::too_many_arguments)]
 fn maintain_entry(
-    value: &CachedResult,
+    mut value: CachedResult,
     staged: &StagedUpdate,
     r_old: &Relation,
     s_old: &Relation,
@@ -918,9 +950,7 @@ fn maintain_entry(
     delta_on_s: bool,
     with_counts: bool,
     min_count: u32,
-) -> Option<CachedResult> {
-    let support = value.support.as_ref()?;
-    let mut support = (**support).clone();
+) -> Option<(CachedResult, (usize, Crossings))> {
     let mut sink = DeltaSink::new();
     accumulate_two_path_delta(
         &mut sink,
@@ -930,19 +960,17 @@ fn maintain_entry(
         delta_on_r,
         delta_on_s,
     );
-    if !support.apply(sink.into_deltas()) {
-        return None;
-    }
-    let (rows, counts) = support.rows(min_count, with_counts);
-    Some(CachedResult {
-        arity: 2,
-        stats: ExecStats::new(MAINTAINED_ENGINE, rows.len() as u64),
-        rows: Arc::new(rows),
-        counts: Arc::new(counts),
-        truncated: false,
-        support: Some(Arc::new(support)),
-        maintained: true,
-    })
+    let deltas = sink.into_deltas();
+    let crossed = Arc::make_mut(value.support.as_mut()?).patch(
+        Arc::make_mut(&mut value.rows),
+        Arc::make_mut(&mut value.counts),
+        &deltas,
+        min_count,
+        with_counts,
+    )?;
+    value.stats = ExecStats::new(MAINTAINED_ENGINE, value.rows.len() as u64);
+    value.maintained = true;
+    Some((value, (deltas.len(), crossed)))
 }
 
 /// Eagerly re-executes a two-path entry as a counting join, building the
@@ -967,7 +995,7 @@ fn recompute_entry(
         .registry
         .execute(&selection.engine, &query, &mut sink)
         .ok()?;
-    let support = DeltaResult::from_signed(sink.into_deltas());
+    let support = DeltaResult::from_signed(&sink.into_deltas());
     let (rows, counts) = support.rows(min_count, with_counts);
     Some(CachedResult {
         arity: 2,
@@ -1200,11 +1228,14 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
         support: None,
         maintained: false,
     };
-    inner
+    let displaced = inner
         .cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(cache_key, request, epochs, result.clone());
+    // The LRU victim is freed here, with the cache lock released: its
+    // rows must not stall the other worker's probe.
+    drop(displaced);
 
     Ok(Response {
         rows: result.rows,

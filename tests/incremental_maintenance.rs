@@ -6,14 +6,20 @@
 //! the pair itself.
 //!
 //! Maintained entries serve rows in canonical sorted order while a fresh
-//! engine execution uses its own emission order, so rows are compared as
-//! sorted sequences (the multiset-of-rows contract both sides promise).
+//! engine execution uses its own emission order, so against a cold service
+//! rows are compared as sorted sequences (the multiset-of-rows contract
+//! both sides promise). Against a from-scratch *refresh* — the counting
+//! execution an eager recompute runs — the patched entry must be equal
+//! outright: rows, counts, row order and supports.
 
 use mmjoin::{
-    MaintenancePolicy, Relation, RelationDelta, Request, Response, Service, ServiceConfig, Value,
+    default_registry, DeltaResult, DeltaSink, MaintenancePolicy, Query, Relation, RelationDelta,
+    Request, Response, Service, ServiceConfig, Value,
 };
+use mmjoin_service::maintain::accumulate_two_path_delta;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 type Edge = (Value, Value);
 
@@ -71,8 +77,128 @@ fn apply_to_model(model: &mut BTreeSet<Edge>, batch: &[Op]) {
     }
 }
 
+/// The rows a refreshed `π(R ⋈ S)` entry must serve for `request`-style
+/// parameters, from the edge sets alone: supports by nested loops, the
+/// visible pairs in ascending order, counts or placeholder zeros.
+fn expected_entry(
+    r: &BTreeSet<Edge>,
+    s: &BTreeSet<Edge>,
+    min_count: u32,
+    with_counts: bool,
+) -> (Vec<Vec<Value>>, Vec<u32>) {
+    let mut support: BTreeMap<(Value, Value), u32> = BTreeMap::new();
+    for &(x, y1) in r {
+        for &(z, y2) in s {
+            if y1 == y2 {
+                *support.entry((x, z)).or_insert(0) += 1;
+            }
+        }
+    }
+    support
+        .into_iter()
+        .filter(|&(_, c)| c >= min_count)
+        .map(|((x, z), c)| (vec![x, z], if with_counts { c } else { 0 }))
+        .unzip()
+}
+
+/// What `recompute_entry` builds: the counting join run into a
+/// `DeltaSink`, sorted and coalesced into supports.
+fn recomputed(r: &Relation, s: &Relation) -> DeltaResult {
+    let query = Query::TwoPath {
+        r,
+        s,
+        with_counts: true,
+        min_count: 1,
+    };
+    let mut sink = DeltaSink::new();
+    default_registry(1)
+        .execute("MMJoin", &query, &mut sink)
+        .expect("counting two-path");
+    DeltaResult::from_signed(&sink.into_deltas())
+}
+
+/// One cache entry's maintained state, patched in place step by step.
+struct Entry {
+    min_count: u32,
+    with_counts: bool,
+    support: DeltaResult,
+    rows: Vec<Vec<Value>>,
+    counts: Vec<u32>,
+}
+
+/// Every `min_count` × `with_counts` entry over `r ⋈ s`, freshly built.
+fn entries(r: &Relation, s: &Relation) -> Vec<Entry> {
+    let support = recomputed(r, s);
+    let mut all = Vec::new();
+    for min_count in 1..=3 {
+        for with_counts in [false, true] {
+            let (rows, counts) = support.rows(min_count, with_counts);
+            all.push(Entry {
+                min_count,
+                with_counts,
+                support: support.clone(),
+                rows,
+                counts,
+            });
+        }
+    }
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The patch itself, below the service: after every step of a random
+    /// interleaving of updates to `R` and to `S`, each in-place entry —
+    /// `π(R ⋈ S)`, and the self join `π(R ⋈ R)` whose updates hit both
+    /// sides and need the `ΔR ⋈ ΔS` cross term — equals a from-scratch
+    /// recompute in supports, rows, counts and row order, at every
+    /// `min_count` × `with_counts`. Small domains keep supports crossing
+    /// the thresholds in both directions.
+    #[test]
+    fn patched_entry_equals_recompute(
+        r_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
+        s_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
+        steps in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((0u32..7, 0u32..5, 0u32..2), 1..6)),
+            1..8,
+        ),
+    ) {
+        let mut r = Relation::from_edges(r_base);
+        let mut s = Relation::from_edges(s_base);
+        let mut cross = entries(&r, &s);
+        let mut selfjoin = entries(&r, &r);
+        for (on_r, batch) in &steps {
+            let old = if *on_r { r.clone() } else { s.clone() };
+            let norm = delta_of(batch).normalize(&old);
+            let new = old.apply_normalized(&norm);
+            let (r_old, s_old) = (r.clone(), s.clone());
+            if *on_r { r = new } else { s = new }
+
+            let mut sink = DeltaSink::new();
+            accumulate_two_path_delta(&mut sink, &norm, &r_old, &s_old, *on_r, !*on_r);
+            let mut patches = vec![(&mut cross, sink.into_deltas(), recomputed(&r, &s))];
+            if *on_r {
+                let mut sink = DeltaSink::new();
+                accumulate_two_path_delta(&mut sink, &norm, &r_old, &r_old, true, true);
+                patches.push((&mut selfjoin, sink.into_deltas(), recomputed(&r, &r)));
+            }
+            for (entries, deltas, fresh) in patches {
+                for e in entries.iter_mut() {
+                    let before = e.rows.len();
+                    let crossed = e
+                        .support
+                        .patch(&mut e.rows, &mut e.counts, &deltas, e.min_count, e.with_counts);
+                    let crossed = crossed.expect("normalized deltas never go negative");
+                    prop_assert_eq!(&e.support, &fresh);
+                    let (rows, counts) = fresh.rows(e.min_count, e.with_counts);
+                    prop_assert_eq!(before + crossed.entered - crossed.left, rows.len());
+                    prop_assert_eq!(&e.rows, &rows, "min {} counts {}", e.min_count, e.with_counts);
+                    prop_assert_eq!(&e.counts, &counts);
+                }
+            }
+        }
+    }
 
     /// The storage layer alone: applying random delta batches yields
     /// exactly the model set, independent of merge-vs-rebuild path.
@@ -138,6 +264,54 @@ proptest! {
                 sorted_counted_rows(&want_counts),
                 "witness counts must survive maintenance"
             );
+        }
+    }
+
+    /// The served entry, at every reachable `min_count` × `with_counts`:
+    /// once an update has refreshed it (first touch recomputes, later ones
+    /// patch in place), the response is exactly the canonical entry over
+    /// the model — same rows in the same order, same counts.
+    #[test]
+    fn served_entries_are_canonical_after_every_update(
+        base in prop::collection::vec((0u32..6, 0u32..4), 1..20),
+        batches in prop::collection::vec(
+            prop::collection::vec((0u32..7, 0u32..5, 0u32..2), 1..6),
+            1..6,
+        ),
+    ) {
+        let service = maintaining_service();
+        service.register("R", Relation::from_edges(base.iter().copied()));
+        let requests = [
+            (Request::two_path("R", "R"), 1, false),
+            (Request::two_path_counts("R", "R", 1), 1, true),
+            (Request::two_path_counts("R", "R", 2), 2, true),
+            (Request::two_path_counts("R", "R", 3), 3, true),
+        ];
+        for (request, _, _) in &requests {
+            service.query(request.clone()).unwrap();
+        }
+        let mut model: BTreeSet<Edge> = base.into_iter().collect();
+        let mut refreshed = false;
+        for batch in &batches {
+            let report = service.apply_delta("R", &delta_of(batch)).unwrap();
+            apply_to_model(&mut model, batch);
+            if report.is_noop() {
+                continue;
+            }
+            prop_assert_eq!(
+                report.maintained + report.recomputed,
+                requests.len(),
+                "{:?}", report
+            );
+            prop_assert_eq!(report.maintained > 0, refreshed, "first touch recomputes");
+            refreshed = true;
+            for (request, min_count, with_counts) in &requests {
+                let got = service.query(request.clone()).unwrap();
+                prop_assert!(got.cached);
+                let (rows, counts) = expected_entry(&model, &model, *min_count, *with_counts);
+                prop_assert_eq!(&*got.rows, &rows, "min {}", min_count);
+                prop_assert_eq!(&*got.counts, &counts, "min {}", min_count);
+            }
         }
     }
 
@@ -210,5 +384,48 @@ fn delete_below_support_edge_case() {
     assert_eq!(
         sorted_counted_rows(&after_two),
         sorted_counted_rows(&expected)
+    );
+}
+
+/// Copy-on-write: a `Response` taken before an update shares the entry's
+/// buffers, so patching must leave it reading the rows it was given; with
+/// no response alive the entry's own buffers are patched where they are.
+#[test]
+fn patching_copies_only_what_a_response_still_reads() {
+    let service = maintaining_service();
+    service.register("R", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
+    let request = Request::two_path_counts("R", "R", 1);
+    service.query(request.clone()).unwrap();
+    // First touch builds the supports; from here on updates patch.
+    assert_eq!(service.insert("R", [(3, 1)]).unwrap().recomputed, 1);
+
+    let before = service.query(request.clone()).unwrap();
+    let (rows_before, counts_before) = ((*before.rows).clone(), (*before.counts).clone());
+    // (0,1) gives set 0 a second element shared with set 2 and a second
+    // witness for (0,0): rows enter and a count changes.
+    assert_eq!(service.insert("R", [(0, 1)]).unwrap().maintained, 1);
+    assert_eq!(*before.rows, rows_before, "the response's rows moved");
+    assert_eq!(*before.counts, counts_before, "the response's counts moved");
+
+    let after = service.query(request.clone()).unwrap();
+    assert!(after.maintained);
+    assert!(!Arc::ptr_eq(&before.rows, &after.rows));
+    let model: BTreeSet<Edge> = [(0, 0), (0, 1), (1, 0), (2, 1), (3, 1)].into();
+    let (rows, counts) = expected_entry(&model, &model, 1, true);
+    assert_eq!((&*after.rows, &*after.counts), (&rows, &counts));
+    assert!(rows.len() > rows_before.len());
+
+    // Nothing but the cache holds the entry now: the next patch reuses the
+    // allocations instead of copying them.
+    let (rows_at, counts_at) = (Arc::as_ptr(&after.rows), Arc::as_ptr(&after.counts));
+    drop((before, after));
+    assert_eq!(service.delete("R", [(0, 1)]).unwrap().maintained, 1);
+    let patched = service.query(request).unwrap();
+    assert_eq!(*patched.rows, rows_before, "the delete undoes the insert");
+    assert_eq!(Arc::as_ptr(&patched.rows), rows_at, "rows were copied");
+    assert_eq!(
+        Arc::as_ptr(&patched.counts),
+        counts_at,
+        "counts were copied"
     );
 }

@@ -127,6 +127,59 @@ fn composed_chain_query_trace_covers_every_stage() {
     teardown();
 }
 
+/// An update's trace says, per refreshed cache entry, what the maintenance
+/// rule predicted and what the refresh then did.
+#[test]
+fn maintain_spans_name_predicted_and_actual_work() {
+    let _guard = with_tracer();
+    let tracer = Tracer::global();
+    let service = chain_service();
+    command::run_line(&service, "query twopath R R").unwrap();
+
+    // First touch recomputes (no supports yet), the second update patches.
+    let mut labels = Vec::new();
+    for line in ["insert R 9,0", "insert R 10,1"] {
+        let root = tracer.begin(line).expect("tracing is on");
+        let answer = command::run_line(&service, line).expect("update applies");
+        assert!(answer.contains("invalidated 0"), "{answer}");
+        drop(root);
+        let trace = tracer.last(1).pop().expect("one finished trace");
+        let update = trace
+            .spans
+            .iter()
+            .find(|s| s.stage == Stage::Maintain && s.label == "update R")
+            .expect("the update's own span");
+        let entry = trace
+            .spans
+            .iter()
+            .find(|s| s.stage == Stage::Maintain && s.parent == update.id)
+            .expect("one span per refreshed entry");
+        assert!(entry.dur_ns <= update.dur_ns);
+        labels.push(entry.label.to_string());
+    }
+    let [recompute, maintain] = &labels[..] else {
+        panic!("two updates, two labels: {labels:?}");
+    };
+    for label in [recompute, maintain] {
+        for field in ["R⋈R", "delta_cost=", "recompute_cost=", "out="] {
+            assert!(label.contains(field), "missing {field}: {label}");
+        }
+    }
+    assert!(recompute.starts_with("Recompute "), "{recompute}");
+    assert!(!recompute.contains("delta_rows="), "{recompute}");
+    assert!(maintain.starts_with("Maintain "), "{maintain}");
+    // The new set 10 pairs with the eight sets that hold element 1, both
+    // ways round, and with itself: seventeen delta rows, all entering.
+    assert!(
+        maintain.ends_with("delta_rows=17 entered=17 left=0"),
+        "{maintain}"
+    );
+    assert!(command::run_line(&service, "trace tree")
+        .unwrap()
+        .contains("entered=17"));
+    teardown();
+}
+
 #[test]
 fn trace_commands_export_chrome_json() {
     let _guard = with_tracer();
