@@ -105,7 +105,6 @@ struct SaturationOutcome {
 /// transcript against its serial replay.
 fn run_saturation() -> SaturationOutcome {
     let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 4,
         catalog_shards: 8,
         ..ServiceConfig::default()
     }));
@@ -187,7 +186,6 @@ fn run_saturation() -> SaturationOutcome {
     let mut wrong = 0u64;
     for (i, transcript) in transcripts.iter().enumerate() {
         let serial = Service::with_config(ServiceConfig {
-            workers: 1,
             thread_budget: 1,
             ..ServiceConfig::default()
         });
@@ -234,7 +232,6 @@ fn run_isolation(shards: usize, scale: f64) -> IsolationOutcome {
     const READS_PER_READER: usize = 200;
 
     let service = Service::with_config(ServiceConfig {
-        workers: READERS + 1,
         catalog_shards: shards,
         ..ServiceConfig::default()
     });

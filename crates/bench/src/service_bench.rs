@@ -31,10 +31,7 @@ fn workload() -> Vec<Request> {
 /// Runs the workload: one cold pass, then `CLIENTS` threads × `ROUNDS`
 /// replays, and reports per-phase throughput plus the service metrics.
 pub fn service_experiment(scale: f64) -> Table {
-    let service = Service::with_config(ServiceConfig {
-        workers: CLIENTS,
-        ..ServiceConfig::default()
-    });
+    let service = Service::with_default_registry();
     // Registration profiles stats once; time it to show it is a
     // pay-once cost.
     let (_, reg_secs) = timed(|| {
@@ -87,9 +84,8 @@ pub fn service_experiment(scale: f64) -> Table {
 
     let mut table = Table::new(
         format!(
-            "service: mixed workload, {} relations, {} workers, {} clients x {} rounds (scale {scale})",
+            "service: mixed workload, {} relations, {} clients x {} rounds (scale {scale})",
             service.relation_names().len(),
-            service.workers(),
             CLIENTS,
             ROUNDS
         ),
@@ -156,7 +152,6 @@ pub fn service_experiment(scale: f64) -> Table {
     // hit rate is not meaningful here).
     for budget in [1usize, 4] {
         let svc = Service::with_config(ServiceConfig {
-            workers: 2,
             thread_budget: budget,
             join_config: mmjoin::JoinConfig {
                 threads: 0, // auto: use the whole budget per query
@@ -219,9 +214,9 @@ pub fn service_experiment(scale: f64) -> Table {
         }
     });
     let probe_ns = probe_secs * 1e9 / PROBES as f64;
-    // Span sites a served query crosses end to end (root, queue-wait,
-    // cache-probe, plan, exec, ~2 steps, serialize).
-    const SPAN_SITES: f64 = 8.0;
+    // Span sites a served query crosses end to end (root, cache-probe,
+    // plan, exec, ~2 steps, serialize).
+    const SPAN_SITES: f64 = 7.0;
     let per_query_ns = off_secs.max(1e-9) * 1e9 / queries.len() as f64;
     let overhead_pct = probe_ns * SPAN_SITES / per_query_ns * 100.0;
     for (phase, secs) in [("trace off", off_secs), ("trace on", on_secs)] {

@@ -43,7 +43,6 @@ struct Outcome {
 /// the relation stays bounded). A final query pass closes the trace.
 fn replay(policy: MaintenancePolicy, scale: f64) -> Outcome {
     let service = Service::with_config(ServiceConfig {
-        workers: 2,
         maintenance: policy,
         ..ServiceConfig::default()
     });

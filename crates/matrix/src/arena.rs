@@ -4,8 +4,8 @@
 //! product; allocating (and faulting in) that slab per call costs more
 //! than the packing itself for mid-sized products. [`with_scratch`]
 //! leases a buffer from a small per-thread pool instead: repeat products
-//! on the same caller thread — the common shape for both the service's
-//! worker threads and the executor's pool — reuse warm, already-faulted
+//! on the same caller thread — the common shape for both the net
+//! dispatchers and the executor's pool — reuse warm, already-faulted
 //! memory with zero synchronization.
 //!
 //! The pool is deliberately tiny and bounded: at most [`POOL_SLOTS`]

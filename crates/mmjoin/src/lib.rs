@@ -51,7 +51,7 @@
 //! ```
 //! use mmjoin::{Relation, Request, Service};
 //!
-//! let service = Service::with_default_registry(2);
+//! let service = Service::with_default_registry();
 //! service.register("r", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
 //! let response = service.query(Request::two_path("r", "r"))?;
 //! assert_eq!(response.rows.len(), 5);
@@ -74,7 +74,7 @@ pub use mmjoin_obs as obs;
 pub use mmjoin_service::{
     default_registry, registry_with_config, AtomSpec, DeltaResult, MaintenancePolicy,
     MaintenanceReport, MetricsSnapshot, QuerySpec, RelationProfile, Request, Response,
-    SelectionReason, Service, ServiceConfig, ServiceError, Ticket,
+    SelectionReason, Service, ServiceConfig, ServiceError,
 };
 pub use mmjoin_storage::{NormalizedDelta, Relation, RelationBuilder, RelationDelta, Value};
 

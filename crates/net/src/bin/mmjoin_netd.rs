@@ -1,9 +1,16 @@
 //! `mmjoin-netd` — the join service behind a concurrent TCP front end.
 //!
 //! ```text
-//! $ mmjoin-netd --addr 127.0.0.1:7878 --workers 4 --queue 64
-//! mmjoin-netd listening on 127.0.0.1:7878 (4 workers, queue 64, quota 16, 8 shards)
+//! $ mmjoin-netd --addr 127.0.0.1:7878 --dispatchers 4 --queue 64
+//! mmjoin-netd listening on 127.0.0.1:7878 (4 dispatchers, queue 64, quota 16, 8 shards)
 //! ```
+//!
+//! `--dispatchers <n>` is how many requests run at once (each runs on
+//! the dispatcher thread that took it off the admission queue),
+//! `--queue <n>` how many may wait, `--quota <n>` how many of those one
+//! connection may hold, `--shards <n>` the catalog's lock stripes. An
+//! unknown flag or a value that does not parse prints the usage line and
+//! exits with status 2.
 //!
 //! Drive it with `mmjoin-cli` (same command grammar as `mmjoin-serve`).
 //! Send the `shutdown` command to stop it gracefully: admitted queries
@@ -29,57 +36,35 @@
 
 use mmjoin_net::{serve, NetConfig};
 use mmjoin_obs::trace::{chrome_json, Tracer};
-use mmjoin_service::{Service, ServiceConfig};
+use mmjoin_service::{flags, Service};
 use std::sync::Arc;
 
-fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    std::env::args()
-        .skip_while(|a| a != flag)
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let addr: String = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
-    let workers: usize = arg_value("--workers").unwrap_or(4);
-    let queue: usize = arg_value("--queue").unwrap_or(64);
-    let quota: usize = arg_value("--quota").unwrap_or(0);
-    let dispatchers: usize = arg_value("--dispatchers").unwrap_or(workers);
-    let shards: usize = arg_value("--shards").unwrap_or(8);
-    let trace_out: Option<String> = arg_value("--trace-out");
-    let trace_sample: Option<u64> = arg_value("--trace-sample");
-    let slow_query_us: u64 = arg_value("--slow-query").unwrap_or(0);
-    let threads: Option<usize> = arg_value("--threads");
-    let calibration_path: Option<std::path::PathBuf> = arg_value("--calibration");
-    let calibrate_cost = calibration_path.is_some() || std::env::args().any(|a| a == "--calibrate");
+    let flags = flags::NETD.parse_env();
+    let defaults = NetConfig::default();
+    let queue = flags.count("--queue").unwrap_or(defaults.queue_capacity);
+    let quota = flags.count("--quota").unwrap_or(defaults.per_client_quota);
+    let dispatchers = flags.count("--dispatchers").unwrap_or(defaults.dispatchers);
+    let trace_out = flags.text("--trace-out");
+    let trace_sample = flags.count("--trace-sample");
+
+    let mut config = flags.service_config();
+    if let Some(shards) = flags.count("--shards") {
+        config.catalog_shards = shards;
+    }
+    let shards = config.catalog_shards;
 
     let tracer = Tracer::global();
-    if trace_out.is_some() || trace_sample.is_some() || slow_query_us > 0 {
-        tracer.set_sample_every(trace_sample.unwrap_or(1));
+    if trace_out.is_some() || trace_sample.is_some() || config.slow_query_us > 0 {
+        tracer.set_sample_every(trace_sample.unwrap_or(1) as u64);
         tracer.set_enabled(true);
-    }
-
-    let mut config = ServiceConfig {
-        workers,
-        catalog_shards: shards,
-        slow_query_us,
-        calibrate_cost,
-        calibration_path,
-        ..ServiceConfig::default()
-    };
-    if let Some(budget) = threads {
-        // Same contract as mmjoin-serve: grant the budget and let the
-        // engines request all of it per query; calibration sweeps its
-        // cores axis up to this budget.
-        config.thread_budget = budget;
-        config.join_config.threads = 0;
     }
     let service = Arc::new(Service::with_config(config));
 
     let server = match serve(
         service,
         NetConfig {
-            addr,
+            addr: flags.text("--addr").unwrap_or("127.0.0.1:7878").into(),
             queue_capacity: queue,
             per_client_quota: quota,
             dispatchers,
@@ -93,7 +78,7 @@ fn main() {
     };
     // The "listening" line is the readiness signal scripts wait for.
     println!(
-        "mmjoin-netd listening on {} ({workers} workers, queue {queue}, quota {}, {shards} shards)",
+        "mmjoin-netd listening on {} ({dispatchers} dispatchers, queue {queue}, quota {}, {shards} shards)",
         server.addr(),
         if quota == 0 {
             (queue / 4).max(1)
@@ -104,7 +89,7 @@ fn main() {
     server.wait();
     if let Some(path) = trace_out {
         let traces = tracer.last(usize::MAX);
-        match std::fs::write(&path, chrome_json(&traces)) {
+        match std::fs::write(path, chrome_json(&traces)) {
             Ok(()) => println!("mmjoin-netd: wrote {} trace(s) to {path}", traces.len()),
             Err(e) => eprintln!("mmjoin-netd: write {path}: {e}"),
         }

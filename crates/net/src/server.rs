@@ -1,7 +1,9 @@
 //! The concurrent TCP server: thread-per-connection readers feeding a
 //! bounded, per-client fair admission queue, drained by a dispatcher
 //! pool that executes commands through the shared grammar
-//! ([`mmjoin_service::command`]).
+//! ([`mmjoin_service::command`]). This is the process's only admission
+//! queue and the dispatchers are its only request-running threads: the
+//! service runs a query on the dispatcher that popped it.
 //!
 //! # Admission control
 //!
@@ -50,7 +52,8 @@ pub struct NetConfig {
     /// global capacity (min 1). This is what keeps one chatty client
     /// from monopolising admission.
     pub per_client_quota: usize,
-    /// Dispatcher threads draining the queue into the service.
+    /// Dispatcher threads. Each pops one request and runs it to its
+    /// answer, so this is the number of requests in flight.
     pub dispatchers: usize,
 }
 
@@ -618,8 +621,8 @@ impl Frontend for NetFrontend<'_> {
     }
 }
 
-/// Dispatcher: drain the fair queue into the service until the queue is
-/// closed *and* empty (the graceful-shutdown drain).
+/// Dispatcher: pop a request, run it on this thread, reply; until the
+/// queue is closed *and* empty (the graceful-shutdown drain).
 fn dispatch_loop(shared: &Arc<Shared>) {
     while let Some((client, job)) = shared.queue.pop() {
         // Rejoin the trace minted at the wire: the time since admission
@@ -733,7 +736,7 @@ mod tests {
         use crate::client::Client;
         use mmjoin_storage::Relation;
 
-        let service = Arc::new(Service::with_default_registry(2));
+        let service = Arc::new(Service::with_default_registry());
         service.register("R", Relation::from_edges([(0, 1), (1, 1), (2, 0)]));
         let server = serve(
             service,
@@ -769,7 +772,7 @@ mod tests {
     fn both_ends_of_a_connection_run_without_nagle() {
         use crate::client::Client;
 
-        let service = Arc::new(Service::with_default_registry(1));
+        let service = Arc::new(Service::with_default_registry());
         let server = serve(service, NetConfig::default()).unwrap();
         let mut c = Client::connect(server.addr()).unwrap();
         assert!(c.socket().nodelay().unwrap(), "connecting socket");

@@ -5,7 +5,7 @@
 //!
 //! - [`trace`]: per-request span trees. A trace id is minted at the
 //!   wire/REPL boundary ([`Tracer::begin`] / [`Tracer::start`]) and
-//!   propagated through the admission queue, the service worker pool,
+//!   propagated through the net admission queue, its dispatchers,
 //!   plan-compose wavefronts, and executor task grants via a
 //!   thread-local [`Ctx`]. Finished traces export as Chrome trace-event
 //!   JSON (load in `chrome://tracing` or Perfetto).

@@ -30,7 +30,7 @@ pub enum Stage {
     Request,
     /// Command-line / wire-frame parsing.
     Parse,
-    /// Time spent queued (net fair queue or service admission queue).
+    /// Time spent queued (the net fair queue; in process nothing queues).
     QueueWait,
     /// Result-cache lookup (including catalog handle resolution).
     CacheProbe,
@@ -563,7 +563,7 @@ pub fn set_current(ctx: Option<Ctx>) -> Option<Ctx> {
 
 /// `current()`, but gated on the global tracer being enabled so the
 /// disabled path skips the thread-local read entirely. This is what
-/// queue producers call to decide whether a job should carry a ctx.
+/// the executor calls to decide whether a batch should carry a ctx.
 #[inline]
 pub fn current_if_enabled() -> Option<Ctx> {
     if Tracer::global().enabled() {

@@ -17,15 +17,16 @@
 //! ok served 2 (cache hits 1, 50.0%), …
 //! ```
 //!
-//! Run with `--workers <n>` to size the inter-query pool (default 4),
+//! Commands run one at a time on the main thread. Run with
 //! `--threads <n>` to grant an intra-query thread budget (engines then
 //! request the whole budget per query; default keeps engines serial),
 //! `--calibrate` to measure the dispatched GEMM kernel at startup —
 //! sweeping the cores axis up to the thread budget — and re-derive the
 //! planner's strategy crossover from it, and `--calibration <path>` to
 //! cache that measurement across restarts (stale kernel tags, or a
-//! cores axis short of the configured budget, force a re-measure). Type
-//! `help` for the full command list.
+//! cores axis short of the configured budget, force a re-measure). An
+//! unknown flag or a value that does not parse prints the usage line and
+//! exits with status 2. Type `help` for the full command list.
 //!
 //! The grammar and the interpreter live in
 //! [`mmjoin_service::command`] — the exact same layer `mmjoin-netd`
@@ -35,49 +36,23 @@
 
 use mmjoin_obs::trace::{chrome_json, span, Stage, Tracer};
 use mmjoin_service::command::{self, Command};
-use mmjoin_service::{Service, ServiceConfig};
+use mmjoin_service::{flags, Service};
 use std::io::BufRead;
 
-fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    std::env::args()
-        .skip_while(|a| a != flag)
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let workers: usize = arg_value("--workers").unwrap_or(4);
-    let threads: Option<usize> = arg_value("--threads");
-    let trace_out: Option<String> = arg_value("--trace-out");
-    let slow_query_us: u64 = arg_value("--slow-query").unwrap_or(0);
-    let calibration_path: Option<std::path::PathBuf> = arg_value("--calibration");
-    let calibrate_cost = calibration_path.is_some() || std::env::args().any(|a| a == "--calibrate");
+    let flags = flags::SERVE.parse_env();
+    let trace_out = flags.text("--trace-out");
+    let config = flags.service_config();
+    let calibrate_cost = config.calibrate_cost;
 
     let tracer = Tracer::global();
-    if trace_out.is_some() || slow_query_us > 0 {
+    if trace_out.is_some() || config.slow_query_us > 0 {
         tracer.set_enabled(true);
-    }
-
-    let mut config = ServiceConfig {
-        workers,
-        slow_query_us,
-        calibrate_cost,
-        calibration_path,
-        ..ServiceConfig::default()
-    };
-    if let Some(budget) = threads {
-        // `--threads n` grants an intra-query budget of n and asks the
-        // engines to use all of it (`join_config.threads = 0` means "the
-        // executor's full budget"); 0 means machine parallelism. The
-        // startup calibration sweeps its cores axis up to this budget.
-        config.thread_budget = budget;
-        config.join_config.threads = 0;
     }
     let service = Service::with_config(config);
 
     println!(
-        "mmjoin-serve ready: {} workers, {} engines, {} kernel{} (type `help`)",
-        service.workers(),
+        "mmjoin-serve ready: {} engines, {} kernel{} (type `help`)",
         service.registry().len(),
         mmjoin_matrix::active_kernel(),
         if calibrate_cost { ", calibrated" } else { "" }
@@ -118,7 +93,7 @@ fn main() {
     }
     if let Some(path) = trace_out {
         let traces = tracer.last(usize::MAX);
-        match std::fs::write(&path, chrome_json(&traces)) {
+        match std::fs::write(path, chrome_json(&traces)) {
             Ok(()) => println!("wrote {} trace(s) to {path}", traces.len()),
             Err(e) => eprintln!("mmjoin-serve: write {path}: {e}"),
         }

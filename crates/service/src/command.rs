@@ -580,18 +580,15 @@ fn run_stats(
 fn service_json(m: &MetricsSnapshot) -> String {
     format!(
         "{{\"queries_served\":{},\"cache_hits\":{},\"cache_hit_rate\":{:.4},\"errors\":{},\
-         \"rejected\":{},\"slow_queries\":{},\"queue_depth\":{},\"max_queue_depth\":{},\
-         \"updates\":{},\"maintained\":{},\"recomputed\":{},\"invalidated\":{},\
+         \"slow_queries\":{},\"updates\":{},\"maintained\":{},\"recomputed\":{},\
+         \"invalidated\":{},\
          \"cache_invalidations\":{},\"mean_latency_us\":{},\"p50_latency_us\":{},\
          \"p99_latency_us\":{},\"max_latency_us\":{}}}",
         m.queries_served,
         m.cache_hits,
         m.cache_hit_rate,
         m.errors,
-        m.rejected,
         m.slow_queries,
-        m.queue_depth,
-        m.max_queue_depth,
         m.updates,
         m.maintained,
         m.recomputed,
@@ -937,7 +934,7 @@ mod tests {
     use super::*;
 
     fn service() -> Service {
-        let s = Service::with_default_registry(1);
+        let s = Service::with_default_registry();
         s.register(
             "R",
             Relation::from_edges((0..30u32).map(|i| (i % 6, i % 5))),

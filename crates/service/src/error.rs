@@ -17,15 +17,8 @@ pub enum ServiceError {
     InvalidQuery(QueryError),
     /// The selected engine failed.
     Engine(EngineError),
-    /// The admission queue is full — back off and retry.
-    Overloaded {
-        /// Queue capacity at the time of rejection.
-        capacity: usize,
-    },
-    /// The service is shutting down; the query was not executed.
-    ShuttingDown,
-    /// A worker panicked while executing the query (engine bug); the
-    /// worker survived and the service keeps serving.
+    /// The query panicked while executing (engine bug); the calling
+    /// thread survived and the service keeps serving.
     Internal(String),
 }
 
@@ -43,10 +36,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::InvalidQuery(e) => write!(f, "invalid query: {e}"),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
-            ServiceError::Overloaded { capacity } => {
-                write!(f, "admission queue full ({capacity} queued); retry later")
-            }
-            ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

@@ -21,10 +21,11 @@
 //!   via signed delta joins over per-tuple support counts
 //!   ([`DeltaResult`]), with a cost-driven maintain / recompute /
 //!   invalidate decision per entry ([`MaintenancePolicy`]).
-//! * [`Service`] — a `std::thread` worker pool behind a bounded
-//!   admission queue, reporting per-query [`ExecStats`](mmjoin_api::ExecStats)
-//!   and service-level [metrics](MetricsSnapshot) (queries served, cache
-//!   hit rate, p50/p99 latency).
+//! * [`Service`] — the query path over all of the above, run on the
+//!   calling thread (the service owns no request thread and no queue),
+//!   reporting per-query [`ExecStats`](mmjoin_api::ExecStats) and
+//!   service-level [metrics](MetricsSnapshot) (queries served, cache hit
+//!   rate, p50/p99 service time).
 //!
 //! The `mmjoin-serve` binary wraps a [`Service`] in a line-oriented
 //! REPL; the `mmjoin` facade re-exports everything here.
@@ -33,7 +34,7 @@
 //! use mmjoin_service::{Request, Service};
 //! use mmjoin_storage::Relation;
 //!
-//! let service = Service::with_default_registry(2);
+//! let service = Service::with_default_registry();
 //! service.register("R", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
 //!
 //! let response = service.query(Request::two_path("R", "R").limit(3))?;
@@ -46,6 +47,7 @@ pub mod cache;
 pub mod catalog;
 pub mod command;
 pub mod error;
+pub mod flags;
 pub mod maintain;
 pub mod metrics;
 pub mod planner;
@@ -62,4 +64,4 @@ pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use planner::{Planner, Selection, SelectionReason};
 pub use request::{AtomSpec, QuerySpec, Request};
 pub use roster::{default_registry, registry_with_config};
-pub use service::{Response, Service, ServiceConfig, Ticket};
+pub use service::{Response, Service, ServiceConfig};

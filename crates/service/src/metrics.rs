@@ -11,7 +11,7 @@
 //! count, sum/mean and max are exact.
 
 use crate::maintain::MaintenanceReport;
-use mmjoin_obs::{Counter, Gauge, Histogram, Registry};
+use mmjoin_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 /// Lock-free metrics recorder backed by a shared [`Registry`] (the
@@ -23,9 +23,7 @@ pub struct ServiceMetrics {
     queries: Arc<Counter>,
     cache_hits: Arc<Counter>,
     errors: Arc<Counter>,
-    rejected: Arc<Counter>,
     slow: Arc<Counter>,
-    max_queue_depth: Arc<Gauge>,
     updates: Arc<Counter>,
     maintained: Arc<Counter>,
     recomputed: Arc<Counter>,
@@ -47,9 +45,7 @@ impl ServiceMetrics {
             queries: registry.counter("service.queries_served"),
             cache_hits: registry.counter("service.cache_hits"),
             errors: registry.counter("service.errors"),
-            rejected: registry.counter("service.rejected"),
             slow: registry.counter("service.slow_queries"),
-            max_queue_depth: registry.gauge("service.max_queue_depth"),
             updates: registry.counter("service.updates"),
             maintained: registry.counter("service.maintained"),
             recomputed: registry.counter("service.recomputed"),
@@ -64,8 +60,9 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// Records one served query (`latency_secs` = queue wait + service
-    /// time as observed by the worker).
+    /// Records one served query (`latency_secs` = service time, from
+    /// entering [`Service::query`](crate::Service::query) to its answer;
+    /// time queued at a front end is that front end's to report).
     pub fn record_query(&self, latency_secs: f64, cached: bool) {
         self.queries.inc();
         if cached {
@@ -79,20 +76,9 @@ impl ServiceMetrics {
         self.errors.inc();
     }
 
-    /// Records an admission-queue rejection.
-    pub fn record_rejected(&self) {
-        self.rejected.inc();
-    }
-
     /// Records a query that crossed the slow-query threshold.
     pub fn record_slow(&self) {
         self.slow.inc();
-    }
-
-    /// Records the queue depth observed after an admission, keeping the
-    /// high-water mark (the bounded queue's proof of boundedness).
-    pub fn record_depth(&self, depth: usize) {
-        self.max_queue_depth.record_max(depth as u64);
     }
 
     /// Records the maintenance outcome of one effective relation update.
@@ -104,17 +90,15 @@ impl ServiceMetrics {
     }
 
     /// Zeroes every instrument (`stats reset`) while keeping all
-    /// registrations and handles valid. The high-water queue depth is
-    /// included — this is its reset path for before/after experiments.
+    /// registrations and handles valid.
     pub fn reset(&self) {
         self.registry.reset();
     }
 
     /// An immutable snapshot for reporting. The recorder cannot see the
-    /// result cache or the live admission queue, so the churn counter
-    /// and current queue depth are passed in by the caller (the
+    /// result cache, so the churn counter is passed in by the caller (the
     /// `Service::metrics` seam) rather than patched up afterwards.
-    pub fn snapshot(&self, cache_invalidations: u64, queue_depth: usize) -> MetricsSnapshot {
+    pub fn snapshot(&self, cache_invalidations: u64) -> MetricsSnapshot {
         let queries = self.queries.get();
         let cache_hits = self.cache_hits.get();
         let latency = self.latency_us.snapshot();
@@ -122,10 +106,7 @@ impl ServiceMetrics {
             queries_served: queries,
             cache_hits,
             errors: self.errors.get(),
-            rejected: self.rejected.get(),
             slow_queries: self.slow.get(),
-            queue_depth: queue_depth as u64,
-            max_queue_depth: self.max_queue_depth.get(),
             updates: self.updates.get(),
             maintained: self.maintained.get(),
             recomputed: self.recomputed.get(),
@@ -153,16 +134,9 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Failed queries.
     pub errors: u64,
-    /// Requests bounced by the admission queue.
-    pub rejected: u64,
     /// Queries whose latency crossed the configured slow-query
     /// threshold (0 when no threshold is set).
     pub slow_queries: u64,
-    /// Jobs sitting in the admission queue at snapshot time.
-    pub queue_depth: u64,
-    /// Largest queue depth ever observed at admission — must never
-    /// exceed the configured queue capacity. Zeroed by `stats reset`.
-    pub max_queue_depth: u64,
     /// Effective (non-no-op) relation updates applied.
     pub updates: u64,
     /// Cache entries patched in place by delta maintenance.
@@ -179,8 +153,9 @@ pub struct MetricsSnapshot {
     pub cache_invalidations: u64,
     /// `cache_hits / queries_served` (0 when idle).
     pub cache_hit_rate: f64,
-    /// Mean service latency in microseconds — exact, over **all**
-    /// samples (same histogram as the percentiles).
+    /// Mean service time in microseconds — exact, over **all** samples
+    /// (same histogram as the percentiles). Service time only: a wire
+    /// request's queue wait is the net front end's to report.
     pub mean_latency_us: u64,
     /// All-time median latency in microseconds (log-bucket midpoint,
     /// relative error ≤ 6.25%).
@@ -195,14 +170,13 @@ impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "served {} (cache hits {}, {:.1}%), errors {}, rejected {}, \
+            "served {} (cache hits {}, {:.1}%), errors {}, \
              updates {} (maintained {}, recomputed {}, invalidated {}), \
              cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}",
             self.queries_served,
             self.cache_hits,
             self.cache_hit_rate * 100.0,
             self.errors,
-            self.rejected,
             self.updates,
             self.maintained,
             self.recomputed,
@@ -227,7 +201,7 @@ mod tests {
         for i in 1..=100u64 {
             m.record_query(i as f64 * 1e-6, i % 4 == 0);
         }
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot(0);
         assert_eq!(s.queries_served, 100);
         assert_eq!(s.cache_hits, 25);
         assert!((s.cache_hit_rate - 0.25).abs() < 1e-9);
@@ -250,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_zeroed() {
-        let s = ServiceMetrics::new().snapshot(0, 0);
+        let s = ServiceMetrics::new().snapshot(0);
         assert_eq!(s.queries_served, 0);
         assert_eq!(s.p99_latency_us, 0);
         assert_eq!(s.cache_hit_rate, 0.0);
@@ -267,7 +241,7 @@ mod tests {
             recomputed: 1,
             invalidated: 3,
         });
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot(0);
         assert_eq!(
             (s.updates, s.maintained, s.recomputed, s.invalidated),
             (1, 2, 1, 3)
@@ -285,31 +259,28 @@ mod tests {
         for _ in 0..10_000 {
             m.record_query(10e-6, false);
         }
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot(0);
         assert_eq!(s.queries_served, 10_001);
         assert_eq!(s.max_latency_us, 500_000, "all-time max survives");
         assert!(s.p50_latency_us <= 11, "bulk of the mass is small");
     }
 
     #[test]
-    fn reset_zeroes_counters_and_high_water() {
+    fn reset_zeroes_counters_and_latency() {
         let m = ServiceMetrics::new();
         m.record_query(1e-3, true);
         m.record_error();
-        m.record_rejected();
-        m.record_depth(42);
         m.record_slow();
-        assert_eq!(m.snapshot(0, 0).max_queue_depth, 42);
+        assert_eq!(m.snapshot(0).max_latency_us, 1000);
         m.reset();
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot(0);
         assert_eq!(s.queries_served, 0);
         assert_eq!(s.errors, 0);
-        assert_eq!(s.rejected, 0);
         assert_eq!(s.slow_queries, 0);
-        assert_eq!(s.max_queue_depth, 0, "high-water mark has a reset path");
+        assert_eq!(s.max_latency_us, 0, "the all-time max has a reset path");
         assert_eq!(s.p99_latency_us, 0);
         // Instruments still record after the reset.
         m.record_query(1e-6, false);
-        assert_eq!(m.snapshot(0, 0).queries_served, 1);
+        assert_eq!(m.snapshot(0).queries_served, 1);
     }
 }

@@ -1,5 +1,8 @@
-//! The concurrent join service: admission queue, worker pool, and the
-//! query path tying catalog + planner + cache + registry together.
+//! The join service: the query path tying catalog + planner + cache +
+//! registry together. It owns no request thread and no queue — a query
+//! runs on the thread that calls [`Service::query`]; how many run at once
+//! is the caller's business (the TCP front end's dispatcher count, or
+//! however many threads an in-process caller brings).
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::catalog::{RelationProfile, ShardedCatalog, StagedUpdate};
@@ -18,18 +21,19 @@ use mmjoin_core::{choose_thresholds, plan_general, JoinConfig, PlanChoice};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Construction-time service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads draining the admission queue (min 1). These are
-    /// the *inter*-query threads; intra-query parallelism comes out of
-    /// [`ServiceConfig::thread_budget`].
+    // Nothing reads this. The service had a worker pool of this size
+    // until PR 13; `benchmark/trajectory/src/harness.rs` still sets the
+    // field by name and a change to the service may not edit the
+    // benchmark. A `benchmark`-only PR drops that line, then this goes
+    // (see ROADMAP).
+    #[doc(hidden)]
     pub workers: usize,
     /// Global intra-query thread budget: the service builds one shared
     /// [`Executor`] of this size and every engine's parallel work
@@ -53,9 +57,6 @@ pub struct ServiceConfig {
     /// another. `1` degenerates to the old single-lock catalog — the
     /// baseline the saturation benchmark compares against.
     pub catalog_shards: usize,
-    /// Admission-queue capacity; submissions beyond it are rejected with
-    /// [`ServiceError::Overloaded`].
-    pub queue_capacity: usize,
     /// Configuration shared by the planner's cost model (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
@@ -65,12 +66,12 @@ pub struct ServiceConfig {
     /// [`Service::apply_delta`] updates.
     pub maintenance: MaintenancePolicy,
     /// Slow-query threshold in microseconds; `0` disables the slow-query
-    /// log. A query whose total latency (queue wait + service) crosses
-    /// the threshold bumps the `slow_queries` counter and, when the
-    /// global tracer is enabled, dumps its span tree to stderr with
-    /// per-stage durations. When no trace context arrived with the
-    /// request, workers mint one themselves (bypassing sampling) so the
-    /// tree is available if the query turns out slow.
+    /// log. A query whose latency crosses the threshold bumps the
+    /// `slow_queries` counter and, when the global tracer is enabled,
+    /// dumps its span tree to stderr with per-stage durations. When the
+    /// calling thread carries no trace context, [`Service::query`] mints
+    /// one itself (bypassing sampling) so the tree is available if the
+    /// query turns out slow.
     pub slow_query_us: u64,
     /// Calibrate the matmul cost model against the dispatched GEMM kernel
     /// at startup (`CostModel::calibrate_quick`) and re-derive the
@@ -87,14 +88,10 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .clamp(1, 8),
+            workers: 0,
             thread_budget: 0,
             cache_capacity: 256,
             catalog_shards: 8,
-            queue_capacity: 1024,
             join_config: JoinConfig::default(),
             engine_overrides: HashMap::new(),
             maintenance: MaintenancePolicy::default(),
@@ -133,64 +130,21 @@ pub struct Response {
     pub cache_key: u64,
 }
 
-struct Job {
-    request: Request,
-    enqueued: Instant,
-    /// Trace context captured at submission — the worker thread re-joins
-    /// the submitter's trace across the queue hop, so queue wait and all
-    /// downstream stages land under the request's root span.
-    ctx: Option<trace::Ctx>,
-    tx: mpsc::Sender<Result<Response, ServiceError>>,
-}
-
-/// Handle to an in-flight submission.
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<Response, ServiceError>>,
-}
-
-impl Ticket {
-    /// Blocks until the response is ready.
-    pub fn wait(self) -> Result<Response, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
-    }
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// Shared service state. Every mutex/rwlock acquisition recovers from
-/// poisoning via `unwrap_or_else(PoisonError::into_inner)`: a panicking
-/// engine already fails its own query (see `worker_loop`), and the
-/// guarded state stays valid across a panic — the cache is epoch-keyed
-/// (a half-finished refresh is merely unreachable), metrics are plain
-/// counters, and the catalog commits entries atomically — so abandoning
-/// the whole service over a poisoned lock would turn one bad query into
-/// a permanent outage.
-struct Inner {
-    registry: EngineRegistry,
-    planner: Planner,
-    policy: MaintenancePolicy,
-    catalog: ShardedCatalog,
-    cache: Mutex<ResultCache>,
-    queue: Mutex<QueueState>,
-    available: Condvar,
-    /// Lock-free since PR 7: every instrument is atomic, so recording
-    /// needs no mutex (and can never poison).
-    metrics: ServiceMetrics,
-    queue_capacity: usize,
-    slow_query_us: u64,
-    shutting_down: AtomicBool,
-}
-
 /// A long-lived, thread-safe join service.
+///
+/// Every mutex/rwlock acquisition recovers from poisoning via
+/// `unwrap_or_else(PoisonError::into_inner)`: a panicking engine already
+/// fails its own query (see [`Service::query`]), and the guarded state
+/// stays valid across a panic — the cache is epoch-keyed (a half-finished
+/// refresh is merely unreachable), metrics are plain counters, and the
+/// catalog commits entries atomically — so abandoning the whole service
+/// over a poisoned lock would turn one bad query into a permanent outage.
 ///
 /// ```
 /// use mmjoin_service::{Request, Service, ServiceConfig};
 /// use mmjoin_storage::Relation;
 ///
-/// let service = Service::with_default_registry(2);
+/// let service = Service::with_default_registry();
 /// service.register("friends", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
 ///
 /// let cold = service.query(Request::two_path("friends", "friends"))?;
@@ -200,8 +154,15 @@ struct Inner {
 /// # Ok::<(), mmjoin_service::ServiceError>(())
 /// ```
 pub struct Service {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    registry: EngineRegistry,
+    planner: Planner,
+    policy: MaintenancePolicy,
+    catalog: ShardedCatalog,
+    cache: Mutex<ResultCache>,
+    /// Lock-free since PR 7: every instrument is atomic, so recording
+    /// needs no mutex (and can never poison).
+    metrics: ServiceMetrics,
+    slow_query_us: u64,
 }
 
 /// The core count the startup calibration should sweep up to: the
@@ -260,47 +221,23 @@ impl Service {
             overrides: config.engine_overrides.clone(),
             config: config.join_config.clone(),
         };
-        let inner = Arc::new(Inner {
+        Self {
             registry,
             planner,
             policy: config.maintenance.clone(),
             catalog: ShardedCatalog::new(config.catalog_shards),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
             metrics: ServiceMetrics::new(),
-            queue_capacity: config.queue_capacity.max(1),
             slow_query_us: config.slow_query_us,
-            shutting_down: AtomicBool::new(false),
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                // lint:allow(thread-spawn): the service's long-lived,
-                // named worker pool is the sanctioned entry point that
-                // feeds the shared executor; per-query compute still
-                // routes through its token arbitration.
-                std::thread::Builder::new()
-                    .name(format!("mmjoin-worker-{i}"))
-                    .spawn(move || worker_loop(inner))
-                    .expect("spawn service worker")
-            })
-            .collect();
-        Self { inner, workers }
+        }
     }
 
-    /// A service with the full default engine roster and `workers` pool
-    /// threads. Engines run serially; the service parallelises *across*
-    /// queries. For intra-query parallelism use [`Service::with_config`]
-    /// with a multi-threaded [`JoinConfig`].
-    pub fn with_default_registry(workers: usize) -> Self {
-        Self::with_config(ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        })
+    /// A service with the full default engine roster and the default
+    /// configuration: engines run serially, so queries run in parallel
+    /// only across the threads that call in. For intra-query parallelism
+    /// use [`Service::with_config`] with a multi-threaded [`JoinConfig`].
+    pub fn with_default_registry() -> Self {
+        Self::with_config(ServiceConfig::default())
     }
 
     /// A service with the full default engine roster, all knobs explicit.
@@ -327,19 +264,19 @@ impl Service {
     /// service's engines (the process-global pool's budget when no
     /// per-service executor is installed).
     pub fn thread_budget(&self) -> usize {
-        self.inner.planner.config.exec().budget()
+        self.planner.config.exec().budget()
     }
 
     /// Registers (or replaces) a named relation, profiling it once.
     /// Returns the shard epoch of the new entry.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> u64 {
-        self.inner.catalog.register(name, relation)
+        self.catalog.register(name, relation)
     }
 
     /// Replaces an existing relation (bumping its epoch, which makes all
     /// cached results over it unreachable).
     pub fn update(&self, name: &str, relation: Relation) -> Result<u64, ServiceError> {
-        self.inner.catalog.update(name, relation)
+        self.catalog.update(name, relation)
     }
 
     /// Stages a batch of tuple inserts, maintaining affected cached
@@ -377,7 +314,7 @@ impl Service {
         name: &str,
         delta: &RelationDelta,
     ) -> Result<MaintenanceReport, ServiceError> {
-        let staged = self.inner.catalog.apply_delta(name, delta)?;
+        let staged = self.catalog.apply_delta(name, delta)?;
         let mut report = MaintenanceReport {
             epoch: staged.new_epoch,
             inserted: staged.delta.inserts.len(),
@@ -391,104 +328,113 @@ impl Service {
         let name = name.trim();
         let _span = trace::span_dyn(Stage::Maintain, || format!("update {name}"));
         let drained = self
-            .inner
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .drain_referencing(name);
         for (_, request, epochs, value) in drained {
-            match refresh_entry(&self.inner, name, &staged, request, epochs, value) {
+            match refresh_entry(self, name, &staged, request, epochs, value) {
                 Decision::Maintain => report.maintained += 1,
                 Decision::Recompute => report.recomputed += 1,
                 Decision::Invalidate => report.invalidated += 1,
             }
         }
-        self.inner.metrics.record_update(&report);
+        self.metrics.record_update(&report);
         Ok(report)
     }
 
     /// Removes a relation from the catalog.
     pub fn remove(&self, name: &str) -> bool {
-        self.inner.catalog.remove(name)
+        self.catalog.remove(name)
     }
 
     /// Current catalog-wide epoch (the sum of the per-shard counters).
     pub fn catalog_epoch(&self) -> u64 {
-        self.inner.catalog.epoch()
+        self.catalog.epoch()
     }
 
     /// Number of catalog lock stripes.
     pub fn catalog_shards(&self) -> usize {
-        self.inner.catalog.shard_count()
+        self.catalog.shard_count()
     }
 
     /// The shard index `name` hashes to (stable across runs — tests and
     /// benches use it to place relations on distinct shards).
     pub fn shard_of(&self, name: &str) -> usize {
-        self.inner.catalog.shard_of(name)
+        self.catalog.shard_of(name)
     }
 
     /// The current epoch of a relation's catalog entry, if registered.
     /// Updates to relations on *other* shards never change it.
     pub fn relation_epoch(&self, name: &str) -> Option<u64> {
-        self.inner.catalog.entry_epoch(name)
+        self.catalog.entry_epoch(name)
     }
 
     /// Registered relation names, sorted.
     pub fn relation_names(&self) -> Vec<String> {
-        self.inner.catalog.names()
+        self.catalog.names()
     }
 
     /// The cached statistics profile of a relation, if registered.
     pub fn relation_profile(&self, name: &str) -> Option<Arc<RelationProfile>> {
-        self.inner.catalog.profile(name)
+        self.catalog.profile(name)
     }
 
     /// A snapshot of a relation's current tuples (for read-modify-write
     /// updates, e.g. the REPL's `update … add`).
     pub fn relation_edges(&self, name: &str) -> Option<Vec<(Value, Value)>> {
-        self.inner.catalog.edges(name)
+        self.catalog.edges(name)
     }
 
-    /// Enqueues a request; returns immediately with a [`Ticket`].
-    /// Rejected submissions (queue full, shutting down) resolve the
-    /// ticket with the corresponding error.
-    pub fn submit(&self, request: Request) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let mut q = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // lint:allow(seqcst): the shutdown latch must be globally
-        // ordered with the queue mutex so no submission slips between
-        // the latch flip and the queue's shutdown flag.
-        if q.shutdown || self.inner.shutting_down.load(Ordering::SeqCst) {
-            let _ = tx.send(Err(ServiceError::ShuttingDown));
-        } else if q.jobs.len() >= self.inner.queue_capacity {
-            drop(q);
-            self.inner.metrics.record_rejected();
-            let _ = tx.send(Err(ServiceError::Overloaded {
-                capacity: self.inner.queue_capacity,
-            }));
-        } else {
-            q.jobs.push_back(Job {
-                request,
-                enqueued: Instant::now(),
-                ctx: trace::current_if_enabled(),
-                tx,
-            });
-            let depth = q.jobs.len();
-            drop(q);
-            self.inner.metrics.record_depth(depth);
-            self.inner.available.notify_one();
-        }
-        Ticket { rx }
-    }
-
-    /// Submits and blocks for the answer — the synchronous front door.
+    /// Answers `request` on the calling thread: canonicalize → resolve →
+    /// cache probe → plan → execute → cache fill.
+    ///
+    /// A panicking engine fails this query with
+    /// [`ServiceError::Internal`] and nothing else: the caller's thread —
+    /// a net dispatcher, say — survives to serve the next one.
     pub fn query(&self, request: Request) -> Result<Response, ServiceError> {
-        self.submit(request).wait()
+        let started = Instant::now();
+        // With a slow-query threshold armed and no trace on this thread,
+        // mint one — bypassing sampling — so the span tree exists if this
+        // query turns out slow.
+        let minted = if self.slow_query_us > 0 && trace::current_if_enabled().is_none() {
+            request
+                .relation_names()
+                .first()
+                .map(|n| format!("query {n}"))
+                .and_then(|label| Tracer::global().begin_forced(&label))
+        } else {
+            None
+        };
+        let traced = trace::current_if_enabled();
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(self, request)))
+                .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))));
+        drop(minted);
+        let latency = started.elapsed().as_secs_f64();
+        match &result {
+            Ok(response) => self.metrics.record_query(latency, response.cached),
+            Err(_) => self.metrics.record_error(),
+        }
+        let latency_us = (latency * 1e6).round() as u64;
+        if self.slow_query_us > 0 && latency_us >= self.slow_query_us {
+            self.metrics.record_slow();
+            // A trace minted here is finished and carries the full tree;
+            // an inbound one is still open at the front end, so we render
+            // what has landed so far.
+            match traced.and_then(|c| Tracer::global().spans_of(c.trace)) {
+                Some(t) => eprintln!(
+                    "[mmjoin] slow query: {latency_us}us >= {}us\n{}",
+                    self.slow_query_us,
+                    t.render()
+                ),
+                None => eprintln!(
+                    "[mmjoin] slow query: {latency_us}us >= {}us (enable tracing for a span tree)",
+                    self.slow_query_us
+                ),
+            }
+        }
+        result
     }
 
     /// Explains how `request` would run — the chosen engine, cache
@@ -497,20 +443,18 @@ impl Service {
     /// executing any join. Returns display-ready lines.
     pub fn explain(&self, request: Request) -> Result<Vec<String>, ServiceError> {
         let request = request.canonical();
-        let (handles, epochs) = resolve_handles(&self.inner, &request)?;
+        let (handles, epochs) = resolve_handles(self, &request)?;
         let fingerprint = request.fingerprint_assuming_canonical();
         let key = cache_key(fingerprint, &epochs);
         let cached = self
-            .inner
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .peek(key, &request, &epochs);
         let query = build_query(&request.spec, &handles)?;
-        let selection =
-            self.inner
-                .planner
-                .select(&self.inner.registry, &query, request.engine.as_deref())?;
+        let selection = self
+            .planner
+            .select(&self.registry, &query, request.engine.as_deref())?;
 
         let mut lines = Vec::new();
         lines.push(format!(
@@ -553,22 +497,22 @@ impl Service {
                     &plan,
                     graph,
                     &request.spec,
-                    &self.inner.planner.config,
+                    &self.planner.config,
                     &mut lines,
                 );
             }
             Query::TwoPath { r, s, .. } => {
-                lines.push(explain_thresholds(r, s, &self.inner.planner.config));
+                lines.push(explain_thresholds(r, s, &self.planner.config));
             }
             Query::SimilarityJoin { r, .. } | Query::ContainmentJoin { r } => {
-                lines.push(explain_thresholds(r, r, &self.inner.planner.config));
+                lines.push(explain_thresholds(r, r, &self.planner.config));
             }
             Query::Star { relations } => {
                 if relations.len() >= 2 {
                     lines.push(explain_thresholds(
                         relations[0],
                         relations[1],
-                        &self.inner.planner.config,
+                        &self.planner.config,
                     ));
                 }
             }
@@ -579,34 +523,22 @@ impl Service {
     /// Service-level metrics snapshot, including the result cache's
     /// update-driven invalidation churn.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let cache_invalidations = self.cache_counters().3;
-        let queue_depth = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .jobs
-            .len();
-        self.inner
-            .metrics
-            .snapshot(cache_invalidations, queue_depth)
+        self.metrics.snapshot(self.cache_counters().3)
     }
 
     /// Snapshot of the shared intra-query executor's counters (batches,
     /// tasks, steals, token grants, inline degradations).
     pub fn executor_stats(&self) -> ExecutorStats {
-        self.inner.planner.config.exec().stats()
+        self.planner.config.exec().stats()
     }
 
     /// Zeroes the service metrics, the executor counters, and the result
     /// cache's hit/miss/eviction/invalidation counters, keeping every
-    /// registration and cached entry (`stats reset`). The queue-depth
-    /// high-water mark restarts from the current depth's next admission.
+    /// registration and cached entry (`stats reset`).
     pub fn reset_metrics(&self) {
-        self.inner.metrics.reset();
-        self.inner.planner.config.exec().reset_stats();
-        self.inner
-            .cache
+        self.metrics.reset();
+        self.planner.config.exec().reset_stats();
+        self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .reset_counters();
@@ -614,8 +546,7 @@ impl Service {
 
     /// `(hits, misses, evictions, invalidations)` of the result cache.
     pub fn cache_counters(&self) -> (u64, u64, u64, u64) {
-        self.inner
-            .cache
+        self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .counters()
@@ -623,8 +554,7 @@ impl Service {
 
     /// Results currently cached.
     pub fn cache_len(&self) -> usize {
-        self.inner
-            .cache
+        self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
@@ -632,36 +562,7 @@ impl Service {
 
     /// The engine registry this service executes on.
     pub fn registry(&self) -> &EngineRegistry {
-        &self.inner.registry
-    }
-
-    /// Worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // lint:allow(seqcst): pairs with the SeqCst load in `submit`;
-        // after this store no new job may enter the queue being drained.
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        {
-            let mut q = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            q.shutdown = true;
-            // Fail any still-queued jobs instead of silently dropping them.
-            for job in q.jobs.drain(..) {
-                let _ = job.tx.send(Err(ServiceError::ShuttingDown));
-            }
-        }
-        self.inner.available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        &self.registry
     }
 }
 
@@ -813,7 +714,7 @@ fn explain_plan(
 /// actually happened (a failed maintain or recompute degrades to
 /// invalidation — the cache must never serve doubtful rows).
 fn refresh_entry(
-    inner: &Inner,
+    service: &Service,
     name: &str,
     staged: &StagedUpdate,
     request: Request,
@@ -848,7 +749,7 @@ fn refresh_entry(
     // unreachable; this check prevents one keyed at the *latest* epochs
     // from carrying stale data.)
     let (r_new, s_new, new_epochs) = {
-        let snap = inner.catalog.snapshot(&[&r_name, &s_name]);
+        let snap = service.catalog.snapshot(&[&r_name, &s_name]);
         let (Some((r_rel, r_epoch)), Some((s_rel, s_epoch))) = (snap[0].clone(), snap[1].clone())
         else {
             return Decision::Invalidate;
@@ -871,14 +772,14 @@ fn refresh_entry(
     let s_old: &Relation = if delta_on_s { &staged.old } else { &s_new };
 
     let d_cost = delta_cost(&staged.delta, r_old, s_old, delta_on_r, delta_on_s);
-    let plan = choose_thresholds(&r_new, &s_new, &inner.planner.config);
+    let plan = choose_thresholds(&r_new, &s_new, &service.planner.config);
     let recompute_cost = plan.estimate.full_join + (r_new.len() + s_new.len()) as u64;
 
     let decision = decide(
         value.support.is_some(),
         d_cost,
         recompute_cost,
-        &inner.policy,
+        &service.policy,
     );
     let out_before = value.rows.len();
     let (refreshed, patched) = match decision {
@@ -894,7 +795,7 @@ fn refresh_entry(
         )
         .unzip(),
         Decision::Recompute => (
-            recompute_entry(inner, &r_new, &s_new, with_counts, min_count),
+            recompute_entry(service, &r_new, &s_new, with_counts, min_count),
             None,
         ),
         Decision::Invalidate => (None, None),
@@ -903,7 +804,7 @@ fn refresh_entry(
     let outcome = match refreshed {
         Some(result) => {
             let key = cache_key(request.fingerprint_assuming_canonical(), &new_epochs);
-            let displaced = inner
+            let displaced = service
                 .cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -976,7 +877,7 @@ fn maintain_entry(
 /// Eagerly re-executes a two-path entry as a counting join, building the
 /// support structure that makes *future* updates maintainable.
 fn recompute_entry(
-    inner: &Inner,
+    service: &Service,
     r_new: &Relation,
     s_new: &Relation,
     with_counts: bool,
@@ -989,9 +890,12 @@ fn recompute_entry(
         min_count: 1,
     };
     query.validate().ok()?;
-    let selection = inner.planner.select(&inner.registry, &query, None).ok()?;
+    let selection = service
+        .planner
+        .select(&service.registry, &query, None)
+        .ok()?;
     let mut sink = DeltaSink::new();
-    let stats = inner
+    let stats = service
         .registry
         .execute(&selection.engine, &query, &mut sink)
         .ok()?;
@@ -1018,80 +922,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "worker panicked".to_string()
-    }
-}
-
-fn worker_loop(inner: Arc<Inner>) {
-    loop {
-        let job = {
-            let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break Some(job);
-                }
-                if q.shutdown {
-                    break None;
-                }
-                q = inner
-                    .available
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some(job) = job else { return };
-        // Re-join the submitter's trace (if any) across the queue hop.
-        // When a slow-query threshold is armed and no context arrived,
-        // mint one here — bypassing sampling — so the span tree exists
-        // if this query turns out slow. Either way the queue wait is
-        // recorded retroactively: the span's clock started at submit.
-        let minted = if job.ctx.is_none() && inner.slow_query_us > 0 {
-            job.request
-                .relation_names()
-                .first()
-                .map(|n| format!("query {n}"))
-                .and_then(|label| Tracer::global().start_forced(&label))
-        } else {
-            None
-        };
-        let ctx = job.ctx.or(minted);
-        trace::span_at(ctx, Stage::QueueWait, "service-queue", job.enqueued);
-        let installed = trace::install(ctx);
-        // A panicking engine must not take the worker (and with it the
-        // whole queue) down: catch it, fail this query, keep serving.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(&inner, job.request)
-        }))
-        .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))));
-        drop(installed);
-        if let Some(ctx) = minted {
-            Tracer::global().finish(ctx);
-        }
-        let latency = job.enqueued.elapsed().as_secs_f64();
-        match &result {
-            Ok(response) => inner.metrics.record_query(latency, response.cached),
-            Err(_) => inner.metrics.record_error(),
-        }
-        let latency_us = (latency * 1e6).round() as u64;
-        if inner.slow_query_us > 0 && latency_us >= inner.slow_query_us {
-            inner.metrics.record_slow();
-            // For worker-minted traces the root is finished and carries
-            // the full tree; for inbound contexts the root is still open
-            // at the front end, so we render what has landed so far.
-            match ctx.and_then(|c| Tracer::global().spans_of(c.trace)) {
-                Some(t) => eprintln!(
-                    "[mmjoin] slow query: {latency_us}us >= {}us\n{}",
-                    inner.slow_query_us,
-                    t.render()
-                ),
-                None => eprintln!(
-                    "[mmjoin] slow query: {latency_us}us >= {}us (enable tracing for a span tree)",
-                    inner.slow_query_us
-                ),
-            }
-        }
-        // A dropped ticket just means the caller stopped waiting.
-        let _ = job.tx.send(result);
+        "query panicked".to_string()
     }
 }
 
@@ -1100,10 +931,10 @@ fn worker_loop(inner: Arc<Inner>) {
 /// read-locking the touched catalog shards (see [`ShardedCatalog::pin`]),
 /// then releases them: execution must not block catalog writers.
 fn resolve_handles(
-    inner: &Inner,
+    service: &Service,
     request: &Request,
 ) -> Result<(Vec<Arc<Relation>>, Vec<u64>), ServiceError> {
-    inner.catalog.pin(&request.relation_names())
+    service.catalog.pin(&request.relation_names())
 }
 
 /// Builds the borrowed [`Query`] over the resolved handles (`handles`
@@ -1154,11 +985,11 @@ fn build_query<'a>(
     Ok(query)
 }
 
-/// The full query path: canonicalize → resolve → cache probe → plan →
-/// execute → cache fill.
-fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
+/// The query path proper; [`Service::query`] wraps it in panic isolation,
+/// the latency histogram and the slow-query log.
+fn process(service: &Service, request: Request) -> Result<Response, ServiceError> {
     let request = request.canonical();
-    let (handles, epochs) = resolve_handles(inner, &request)?;
+    let (handles, epochs) = resolve_handles(service, &request)?;
 
     // Cache key: canonical fingerprint ⊕ the epochs of every referenced
     // relation (names are already inside the fingerprint). Any update
@@ -1169,7 +1000,7 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
     let cache_key = cache_key(fingerprint, &epochs);
 
     let probe_span = trace::span(Stage::CacheProbe, "result-cache");
-    if let Some(hit) = inner
+    if let Some(hit) = service
         .cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -1194,16 +1025,16 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
     let query = build_query(&request.spec, &handles)?;
 
     let selection: Selection =
-        inner
+        service
             .planner
-            .select(&inner.registry, &query, request.engine.as_deref())?;
+            .select(&service.registry, &query, request.engine.as_deref())?;
     drop(plan_span);
 
     let exec_span = trace::span_dyn(Stage::Exec, || selection.engine.clone());
     let (sink, stats, truncated) = match request.limit {
         Some(limit) => {
             let mut sink = LimitSink::new(VecSink::new(), limit);
-            let stats = inner
+            let stats = service
                 .registry
                 .execute(&selection.engine, &query, &mut sink)?;
             let truncated = sink.limit_reached();
@@ -1211,7 +1042,7 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
         }
         None => {
             let mut sink = VecSink::new();
-            let stats = inner
+            let stats = service
                 .registry
                 .execute(&selection.engine, &query, &mut sink)?;
             (sink, stats, false)
@@ -1228,13 +1059,13 @@ fn process(inner: &Inner, request: Request) -> Result<Response, ServiceError> {
         support: None,
         maintained: false,
     };
-    let displaced = inner
+    let displaced = service
         .cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(cache_key, request, epochs, result.clone());
     // The LRU victim is freed here, with the cache lock released: its
-    // rows must not stall the other worker's probe.
+    // rows must not stall another query's probe.
     drop(displaced);
 
     Ok(Response {
@@ -1255,10 +1086,7 @@ mod tests {
     use super::*;
 
     fn service() -> Service {
-        Service::with_config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
+        Service::with_default_registry()
     }
 
     fn tiny() -> Relation {
@@ -1288,14 +1116,13 @@ mod tests {
             std::env::temp_dir().join(format!("mmjoin-svc-calibration-{}.txt", std::process::id()));
         std::fs::remove_file(&path).ok();
         let s = Service::with_config(ServiceConfig {
-            workers: 1,
             calibrate_cost: true,
             calibration_path: Some(path.clone()),
             ..ServiceConfig::default()
         });
         // The planner's config now carries a measured model tagged with
         // the dispatched kernel, and the manifest was persisted.
-        let cfg = &s.inner.planner.config;
+        let cfg = &s.planner.config;
         assert_eq!(
             cfg.cost_model.kernel(),
             mmjoin_matrix::active_kernel().name()
@@ -1307,15 +1134,11 @@ mod tests {
         // A second service reuses the manifest (same kernel tag) rather
         // than re-measuring: loaded samples match the saved ones.
         let s2 = Service::with_config(ServiceConfig {
-            workers: 1,
             calibrate_cost: true,
             calibration_path: Some(path.clone()),
             ..ServiceConfig::default()
         });
-        assert_eq!(
-            s2.inner.planner.config.cost_model.samples(),
-            saved.samples()
-        );
+        assert_eq!(s2.planner.config.cost_model.samples(), saved.samples());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1351,13 +1174,12 @@ mod tests {
         assert_eq!(legacy.max_cores(), 1);
 
         let s = Service::with_config(ServiceConfig {
-            workers: 1,
             thread_budget: 2,
             calibrate_cost: true,
             calibration_path: Some(path.clone()),
             ..ServiceConfig::default()
         });
-        let model = &s.inner.planner.config.cost_model;
+        let model = &s.planner.config.cost_model;
         assert!(
             model.max_cores() >= 2,
             "budget 2 must force a cores sweep, got max_cores {}",
@@ -1437,79 +1259,6 @@ mod tests {
         assert_eq!(r.selection, Some(SelectionReason::Pinned));
     }
 
-    #[test]
-    fn overload_rejects_gracefully() {
-        // 1 worker, queue of 1: the third concurrent submission while the
-        // worker sleeps on the first may be rejected; all tickets resolve.
-        let s = Service::with_config(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            ..ServiceConfig::default()
-        });
-        s.register("R", tiny());
-        let tickets: Vec<Ticket> = (0..20)
-            .map(|_| s.submit(Request::two_path("R", "R")))
-            .collect();
-        let mut ok = 0;
-        let mut overloaded = 0;
-        for t in tickets {
-            match t.wait() {
-                Ok(_) => ok += 1,
-                Err(ServiceError::Overloaded { .. }) => overloaded += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(ok + overloaded, 20);
-        assert!(ok >= 1);
-    }
-
-    #[test]
-    fn worker_survives_engine_panic() {
-        use mmjoin_api::{Engine, EngineError, EngineRegistry, ExecStats, Query, Sink};
-
-        /// Engine that panics on 2-path queries (stand-in for an engine
-        /// bug on adversarial input).
-        struct Grenade;
-        impl Engine for Grenade {
-            fn name(&self) -> &str {
-                "Grenade"
-            }
-            fn supports(&self, query: &Query<'_>) -> bool {
-                query.family() == mmjoin_api::QueryFamily::TwoPath
-            }
-            fn execute(
-                &self,
-                _query: &Query<'_>,
-                _sink: &mut dyn Sink,
-            ) -> Result<ExecStats, EngineError> {
-                panic!("boom");
-            }
-        }
-
-        let mut registry = EngineRegistry::new();
-        registry.register(Box::new(Grenade));
-        let s = Service::new(
-            registry,
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        s.register("R", tiny());
-        // The panicking query fails cleanly…
-        match s.query(Request::two_path("R", "R").on_engine("Grenade")) {
-            Err(ServiceError::Internal(msg)) => assert!(msg.contains("boom"), "{msg}"),
-            other => panic!("expected Internal, got {other:?}"),
-        }
-        // …and the single worker is still alive to serve the next query
-        // (an error response, but a response — not a hang).
-        match s.query(Request::two_path("R", "R").on_engine("nope")) {
-            Err(ServiceError::UnknownEngine(_)) => {}
-            other => panic!("worker died: {other:?}"),
-        }
-        assert_eq!(s.metrics().errors, 2);
-    }
-
     /// Engine that panics on 2-path queries (stand-in for an engine bug
     /// on adversarial input).
     struct Grenade;
@@ -1530,19 +1279,33 @@ mod tests {
     }
 
     #[test]
+    fn caller_survives_engine_panic() {
+        let mut registry = EngineRegistry::new();
+        registry.register(Box::new(Grenade));
+        let s = Service::new(registry, ServiceConfig::default());
+        s.register("R", tiny());
+        // The panicking query fails cleanly…
+        match s.query(Request::two_path("R", "R").on_engine("Grenade")) {
+            Err(ServiceError::Internal(msg)) => assert!(msg.contains("boom"), "{msg}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        // …and this thread, which ran it, is still here to ask the next
+        // one (an error response, but a response).
+        match s.query(Request::two_path("R", "R").on_engine("nope")) {
+            Err(ServiceError::UnknownEngine(_)) => {}
+            other => panic!("expected UnknownEngine, got {other:?}"),
+        }
+        assert_eq!(s.metrics().errors, 2);
+    }
+
+    #[test]
     fn panicking_query_leaves_service_fully_functional() {
         // The full roster plus a grenade: one query panics mid-execution,
         // and afterwards the service must keep serving — warm cache hits,
         // cold executions, updates, and metrics alike.
         let mut registry = crate::roster::registry_with_config(&JoinConfig::default());
         registry.register(Box::new(Grenade));
-        let s = Service::new(
-            registry,
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
+        let s = Service::new(registry, ServiceConfig::default());
         s.register("R", tiny());
         s.register("S", Relation::from_edges([(5, 0), (6, 1)]));
         let cached = s.query(Request::two_path("R", "R")).unwrap();
@@ -1575,15 +1338,14 @@ mod tests {
         let s = service();
         s.register("R", tiny());
         let warm = s.query(Request::two_path("R", "R")).unwrap();
-        for _ in 0..2 {
-            let inner = Arc::clone(&s.inner);
-            let _ = std::thread::spawn(move || {
-                let _cache = inner.cache.lock().unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _cache = s.cache.lock().unwrap();
                 panic!("poison the cache");
-            })
-            .join();
-        }
-        assert!(s.inner.cache.lock().is_err(), "cache mutex is poisoned");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(s.cache.lock().is_err(), "cache mutex is poisoned");
         let hit = s.query(Request::two_path("R", "R")).unwrap();
         assert!(hit.cached, "poisoned cache still serves its entries");
         assert_eq!(hit.rows, warm.rows);
@@ -1718,7 +1480,6 @@ mod tests {
     #[test]
     fn disabled_maintenance_invalidates() {
         let s = Service::with_config(ServiceConfig {
-            workers: 1,
             maintenance: MaintenancePolicy::disabled(),
             ..ServiceConfig::default()
         });
@@ -1908,23 +1669,5 @@ mod tests {
         let direct =
             mmjoin_core::star_join_project_mm(&[&r, &r, &r], &mmjoin_core::JoinConfig::default());
         assert_eq!(*via_service.rows, direct);
-    }
-
-    #[test]
-    fn drop_resolves_pending_tickets() {
-        let s = service();
-        s.register("R", tiny());
-        let ticket = {
-            let _answered = s.query(Request::two_path("R", "R")).unwrap();
-            let t = s.submit(Request::two_path("R", "R"));
-            drop(s);
-            t
-        };
-        // Either it ran before shutdown or was failed with ShuttingDown —
-        // it must not hang.
-        match ticket.wait() {
-            Ok(_) | Err(ServiceError::ShuttingDown) => {}
-            Err(e) => panic!("unexpected error: {e}"),
-        }
     }
 }

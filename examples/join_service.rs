@@ -9,7 +9,7 @@
 use mmjoin::{Relation, Request, Service, ServiceError};
 
 fn main() -> Result<(), ServiceError> {
-    let service = Service::with_default_registry(4);
+    let service = Service::with_default_registry();
 
     // Register once: statistics (degree histograms, duplication mass) are
     // profiled here, not per query.

@@ -212,7 +212,7 @@ fn four_chain_end_to_end_through_facade_and_service() {
     assert_eq!(composed(&graph), expected);
 
     // Service: same rows, cached on repeat, invalidated by updates.
-    let service = Service::with_default_registry(2);
+    let service = Service::with_default_registry();
     for (i, r) in chain_rels.iter().enumerate() {
         service.register(format!("C{i}"), r.clone());
     }

@@ -24,10 +24,7 @@ use std::sync::Arc;
 type Edge = (Value, Value);
 
 fn maintaining_service() -> Service {
-    Service::with_config(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    })
+    Service::with_default_registry()
 }
 
 fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
@@ -324,7 +321,6 @@ proptest! {
     ) {
         let maintained = maintaining_service();
         let baseline = Service::with_config(ServiceConfig {
-            workers: 1,
             maintenance: MaintenancePolicy::disabled(),
             ..ServiceConfig::default()
         });

@@ -5,12 +5,21 @@
 //! modest client must keep completing while a chatty one floods
 //! (per-client fairness floor), and `shutdown` must drain admitted
 //! jobs before the server stops.
+//!
+//! The admission queue is the only queue and its dispatchers the only
+//! threads that run requests, so the second half pins that down with a
+//! probe engine: a query runs on the thread that took it off the queue,
+//! `dispatchers` is exactly the number in flight, and an engine panic
+//! costs one request, not a dispatcher.
 
-use mmjoin_net::{serve, Client, NetConfig, Status};
-use mmjoin_service::{command, Service, ServiceConfig};
+use mmjoin::{Engine, EngineError, EngineRegistry, ExecStats, Query, QueryFamily, Sink};
+use mmjoin_net::{serve, Client, NetConfig, Server, Status};
+use mmjoin_service::{command, Request, Service, ServiceConfig};
+use mmjoin_storage::Relation;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// `ok rows <n> …` → n.
@@ -32,10 +41,7 @@ const GEN: &str = "gen R Jokes 0.15";
 
 #[test]
 fn overloaded_is_prompt_and_accepted_queries_complete_correctly() {
-    let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(Service::with_default_registry());
     let server = serve(
         service,
         NetConfig {
@@ -102,7 +108,7 @@ fn overloaded_is_prompt_and_accepted_queries_complete_correctly() {
     }
 
     // Correctness: every accepted answer matches a serial replay.
-    let serial = Service::with_default_registry(1);
+    let serial = Service::with_default_registry();
     command::run_line(&serial, GEN).unwrap();
     for line in &lines {
         let body = command::run_line(&serial, line).unwrap();
@@ -130,10 +136,7 @@ fn chatty_client_cannot_starve_a_modest_one() {
     const CHATTY_TOTAL: u64 = 30;
     const MODEST_TOTAL: u64 = 6;
 
-    let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(Service::with_default_registry());
     // Quota 4 < capacity 8: the chatty client can never fill admission,
     // so the modest client is never bounced — fairness at admission.
     let server = serve(
@@ -226,10 +229,7 @@ fn chatty_client_cannot_starve_a_modest_one() {
 
 #[test]
 fn shutdown_drains_admitted_work_then_refuses_new_work() {
-    let service = Arc::new(Service::with_config(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(Service::with_default_registry());
     let server = serve(
         service,
         NetConfig {
@@ -281,5 +281,161 @@ fn shutdown_drains_admitted_work_then_refuses_new_work() {
 
     let m = server.metrics();
     assert!(m.rejected_shutting_down >= 1);
+    server.wait();
+}
+
+/// What the probe engine saw of how it was run.
+#[derive(Default)]
+struct ProbeLog {
+    /// The thread of each execution, in order.
+    threads: Mutex<Vec<ThreadId>>,
+    in_flight: AtomicUsize,
+    /// Most executions ever running at the same time.
+    high_water: AtomicUsize,
+}
+
+/// A two-path engine that emits nothing, holds its thread for `hold`
+/// and logs how it was run; `min 99` makes it panic instead.
+struct Probe {
+    log: Arc<ProbeLog>,
+    hold: Duration,
+}
+
+const PROBE: &str = "query twopath R R engine Probe";
+const PROBE_PANIC: &str = "query twopath R R min 99 engine Probe";
+
+impl Engine for Probe {
+    fn name(&self) -> &str {
+        "Probe"
+    }
+    fn supports(&self, query: &Query<'_>) -> bool {
+        query.family() == QueryFamily::TwoPath
+    }
+    fn execute(&self, query: &Query<'_>, _sink: &mut dyn Sink) -> Result<ExecStats, EngineError> {
+        if matches!(query, Query::TwoPath { min_count: 99, .. }) {
+            panic!("probe told to panic");
+        }
+        self.log
+            .threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        let running = self.log.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.log.high_water.fetch_max(running, Ordering::Relaxed);
+        std::thread::sleep(self.hold);
+        self.log.in_flight.fetch_sub(1, Ordering::Relaxed);
+        Ok(ExecStats::new("Probe", 0))
+    }
+}
+
+/// A service whose only engine is the probe, uncached so that every
+/// request executes, behind a server with `dispatchers` dispatchers.
+fn probe_server(dispatchers: usize, hold: Duration) -> (Arc<Service>, Server, Arc<ProbeLog>) {
+    let log = Arc::new(ProbeLog::default());
+    let mut registry = EngineRegistry::new();
+    registry.register(Box::new(Probe {
+        log: Arc::clone(&log),
+        hold,
+    }));
+    let service = Arc::new(Service::new(
+        registry,
+        ServiceConfig {
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        },
+    ));
+    service.register("R", Relation::from_edges([(0, 0), (1, 0)]));
+    let server = serve(
+        Arc::clone(&service),
+        NetConfig {
+            dispatchers,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    (service, server, log)
+}
+
+#[test]
+fn a_query_runs_on_the_thread_that_admitted_it() {
+    let (service, server, log) = probe_server(1, Duration::ZERO);
+
+    // In process the admitting thread is the caller's.
+    service
+        .query(Request::two_path("R", "R").on_engine("Probe"))
+        .unwrap();
+    let here = std::thread::current().id();
+    assert_eq!(*log.threads.lock().unwrap(), [here]);
+
+    // Over the wire it is the dispatcher: with one dispatcher, requests of
+    // two connections run on one and the same thread — so that thread is
+    // neither connection's reader — and it is not this one. (That the
+    // service spawned no thread of its own is mmjoin-lint's to check: the
+    // `thread-spawn` rule has no allowance left under `crates/service`.)
+    for _ in 0..2 {
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert_eq!(c.call(PROBE).unwrap().status, Status::Ok);
+    }
+    let threads = log.threads.lock().unwrap().clone();
+    assert_eq!(threads.len(), 3);
+    assert_eq!(threads[1], threads[2], "one dispatcher, one thread");
+    assert_ne!(threads[1], here);
+    server.shutdown();
+    server.wait();
+}
+
+/// Pipelines `each` probe requests on each of `clients` connections and
+/// waits for every answer.
+fn flood(server: &Server, clients: usize, each: usize) {
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        for _ in 0..clients {
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for _ in 0..each {
+                    c.send(PROBE).unwrap();
+                }
+                for _ in 0..each {
+                    let resp = c.recv().unwrap();
+                    assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn dispatchers_is_the_number_of_requests_in_flight() {
+    let (_service, server, log) = probe_server(2, Duration::from_millis(10));
+    // 32 requests are waiting or running at once; two run.
+    flood(&server, 8, 4);
+    assert_eq!(log.threads.lock().unwrap().len(), 32);
+    assert_eq!(log.high_water.load(Ordering::Relaxed), 2);
+    assert_eq!(server.metrics().rejected_overloaded, 0);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn an_engine_panic_over_the_wire_costs_one_request() {
+    let (service, server, log) = probe_server(2, Duration::from_millis(10));
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    let boom = c.call(PROBE_PANIC).unwrap();
+    assert_eq!(boom.status, Status::Err, "{}", boom.body);
+    assert!(
+        boom.body.starts_with("internal error: ") && boom.body.contains("probe told to panic"),
+        "{}",
+        boom.body
+    );
+    assert_eq!(service.metrics().errors, 1);
+
+    // The connection is still served…
+    assert_eq!(c.call(PROBE).unwrap().status, Status::Ok);
+    assert_eq!(log.high_water.load(Ordering::Relaxed), 1);
+    // …and no dispatcher died: two requests still run at once.
+    flood(&server, 4, 4);
+    assert_eq!(log.high_water.load(Ordering::Relaxed), 2);
+    server.shutdown();
     server.wait();
 }

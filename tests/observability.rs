@@ -1,11 +1,12 @@
 //! End-to-end observability: per-request traces spanning the command
-//! layer → service queue → planner → executor, and the `stats` / `trace`
-//! command surface both transports share.
+//! layer → planner → executor (and, over the wire, the one admission
+//! queue in front of them), and the `stats` / `trace` command surface
+//! both transports share.
 //!
 //! The tracer is process-global, so every test serializes on one lock
 //! and leaves the tracer disabled and empty behind itself.
 
-use mmjoin::{Relation, Service, ServiceConfig};
+use mmjoin::{Relation, Service};
 use mmjoin_obs::trace::{Stage, Tracer};
 use mmjoin_service::command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -30,10 +31,7 @@ fn teardown() {
 }
 
 fn chain_service() -> Service {
-    let service = Service::with_config(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::with_default_registry();
     service.register(
         "R",
         Relation::from_edges((0..40u32).map(|i| (i % 8, i % 5))),
@@ -70,7 +68,6 @@ fn composed_chain_query_trace_covers_every_stage() {
 
     let stages: Vec<Stage> = trace.spans.iter().map(|s| s.stage).collect();
     for want in [
-        Stage::QueueWait,
         Stage::CacheProbe,
         Stage::Plan,
         Stage::Exec,
@@ -79,6 +76,8 @@ fn composed_chain_query_trace_covers_every_stage() {
     ] {
         assert!(stages.contains(&want), "missing {want:?} in {stages:?}");
     }
+    // In process nothing queues: the query ran on this thread.
+    assert!(!stages.contains(&Stage::QueueWait), "{stages:?}");
     // A 3-relation chain decomposes into two joins: both plan steps (and
     // the final stage) must appear as Step spans.
     let steps = trace
@@ -118,7 +117,7 @@ fn composed_chain_query_trace_covers_every_stage() {
 
     // The rendered tree carries every stage name with durations.
     let rendered = trace.render();
-    for name in ["queue-wait", "cache-probe", "plan", "step", "serialize"] {
+    for name in ["cache-probe", "plan", "step", "serialize"] {
         assert!(
             rendered.contains(name),
             "render missing {name}:\n{rendered}"
@@ -194,14 +193,14 @@ fn trace_commands_export_chrome_json() {
     let json = out.strip_prefix("ok ").expect("ok-prefixed");
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
     assert!(json.contains("\"traceEvents\""), "{json}");
-    for name in ["queue-wait", "plan", "serialize"] {
+    for name in ["cache-probe", "plan", "serialize"] {
         assert!(json.contains(name), "chrome export missing {name}");
     }
     // Chrome trace events are complete (X-phase) with µs timestamps.
     assert!(json.contains("\"ph\":\"X\""), "{json}");
 
     let tree = command::run_line(&service, "trace tree").unwrap();
-    assert!(tree.contains("queue-wait"), "{tree}");
+    assert!(tree.contains("cache-probe"), "{tree}");
 
     // `trace off` flips the gate; a new request mints no trace.
     assert_eq!(
@@ -252,6 +251,10 @@ fn stats_scopes_and_reset_over_the_grammar() {
     ] {
         assert!(json.contains(key), "stats --json missing {key}: {json}");
     }
+    // Queue depth and rejections are the net front end's to report.
+    for key in ["rejected", "queue_depth"] {
+        assert!(!json.contains(key), "service scope reports {key}: {json}");
+    }
     assert!(
         !json.contains("\"net\""),
         "no net scope without a front end"
@@ -262,7 +265,7 @@ fn stats_scopes_and_reset_over_the_grammar() {
     command::run_line(&service, "stats reset").unwrap();
     let m = service.metrics();
     assert_eq!(m.queries_served, 0);
-    assert_eq!(m.max_queue_depth, 0, "high-water mark resets");
+    assert_eq!(m.max_latency_us, 0, "the all-time max resets");
     let warm = service
         .query(mmjoin::Request::chain(["R", "S", "T"]))
         .unwrap();
@@ -292,13 +295,22 @@ fn net_transport_traces_and_answers_stats_net() {
     assert!(json.body.contains("\"per_client_served\""), "{}", json.body);
 
     // `trace last <n>` over the wire exports every retained trace —
-    // including the chain query's, which crossed the net queue and the
-    // service queue. (`trace last` alone would return only the most
-    // recent finished trace: the `stats` command right before it.)
+    // including the chain query's, which crossed the net queue.
+    // (`trace last` alone would return only the most recent finished
+    // trace: the `stats` command right before it.)
     let last = client.call("trace last 10").unwrap();
     assert!(last.body.contains("net-queue"), "{}", last.body);
-    assert!(last.body.contains("service-queue"), "{}", last.body);
     assert!(last.body.contains("\"traceEvents\""), "{}", last.body);
+    // One admission queue, so exactly one queue-wait span per request.
+    for trace in tracer.last(usize::MAX) {
+        let waits: Vec<&str> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::QueueWait)
+            .map(|s| s.label.as_ref())
+            .collect();
+        assert_eq!(waits, ["net-queue"], "{}", trace.render());
+    }
 
     let reset = client.call("stats reset").unwrap();
     assert!(reset.body.starts_with("ok stats reset"), "{}", reset.body);

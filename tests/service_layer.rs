@@ -3,17 +3,14 @@
 //! fingerprint canonicalization properties, and byte-identical cache
 //! semantics.
 
-use mmjoin::{QuerySpec, Relation, Request, Service, ServiceConfig, Value};
+use mmjoin::{QuerySpec, Relation, Request, Service, Value};
 use mmjoin_datagen::DatasetKind;
 use proptest::prelude::*;
 
 const SEED: u64 = 2020;
 
 fn smoke_service() -> Service {
-    let service = Service::with_config(ServiceConfig {
-        workers: 4,
-        ..ServiceConfig::default()
-    });
+    let service = Service::with_default_registry();
     service.register(
         "jokes",
         mmjoin_datagen::generate(DatasetKind::Jokes, 0.02, SEED),
@@ -232,10 +229,7 @@ proptest! {
     /// entry in a live service.
     #[test]
     fn equal_fingerprints_share_cache_entry(min_count in 0u32..5) {
-        let service = Service::with_config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        });
+        let service = Service::with_default_registry();
         service.register("R", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
         let sloppy = Request {
             spec: QuerySpec::TwoPath {

@@ -68,7 +68,6 @@ fn concurrent_clients_match_serial_replay() {
     let expected: Vec<Vec<Vec<Vec<u32>>>> = (0..CLIENTS)
         .map(|i| {
             let serial = Service::with_config(ServiceConfig {
-                workers: 1,
                 thread_budget: 1,
                 ..ServiceConfig::default()
             });
@@ -79,7 +78,6 @@ fn concurrent_clients_match_serial_replay() {
 
     for threads in [1usize, 2, 8] {
         let service = Service::with_config(ServiceConfig {
-            workers: 4,
             thread_budget: 8,
             join_config: JoinConfig {
                 threads,
@@ -129,7 +127,6 @@ fn concurrent_clients_match_serial_replay() {
 #[test]
 fn readers_see_consistent_epochs_under_updates() {
     let service = Service::with_config(ServiceConfig {
-        workers: 4,
         thread_budget: 4,
         join_config: JoinConfig {
             threads: 2,
@@ -143,7 +140,6 @@ fn readers_see_consistent_epochs_under_updates() {
     let mut snapshots: Vec<Vec<Vec<u32>>> = Vec::new();
     {
         let serial = Service::with_config(ServiceConfig {
-            workers: 1,
             thread_budget: 1,
             ..ServiceConfig::default()
         });
@@ -197,7 +193,6 @@ fn readers_see_consistent_epochs_under_updates() {
 #[test]
 fn updates_to_one_shard_never_touch_another() {
     let service = Service::with_config(ServiceConfig {
-        workers: 4,
         thread_budget: 4,
         catalog_shards: 8,
         ..ServiceConfig::default()
