@@ -36,6 +36,32 @@ pub struct StepStats {
     pub delta2: Option<u32>,
 }
 
+/// Measured wall-clock seconds of the five phases of a matrix-partitioned
+/// two-path, in execution order — the terms of the paper's cost formula,
+/// and the labels of the `step` spans a traced run records under `exec`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PhaseSecs {
+    /// Degree partition: the heavy index.
+    pub partition: f64,
+    /// Light expansion passes (0 when every tuple is heavy and they are
+    /// skipped).
+    pub light: f64,
+    /// Heavy operand construction.
+    pub build: f64,
+    /// Heavy product (or the combinatorial fallback over the memory cap).
+    pub product: f64,
+    /// Heavy pair extraction plus the final sort and dedup.
+    pub extract: f64,
+}
+
+impl PhaseSecs {
+    /// What [`PlanStats::predicted_heavy_secs`] predicted: build, product
+    /// and extraction.
+    pub fn heavy(&self) -> f64 {
+        self.build + self.product + self.extract
+    }
+}
+
 /// Plan details reported by engines that run Algorithm 1/3 (others leave
 /// [`ExecStats::plan`] as `None`).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +80,10 @@ pub struct PlanStats {
     /// (`false`: the partition was degenerate or over the memory cap, so
     /// the heavy core fell back to combinatorial expansion).
     pub heavy_core_matrix: Option<bool>,
+    /// The kernel of the heavy core: `"bit row-or"` or `"bit and-any"`
+    /// (Boolean product in the orientation that ran — existence queries) or
+    /// `"f32"` (SGEMM — counting queries, or pinned).
+    pub heavy_backend: Option<&'static str>,
     /// Tuples handled by the light (expansion) passes per input relation:
     /// `(input size − heavy tuple mass)` for `(R, S)`.
     pub light_tuples: Option<(u64, u64)>,
@@ -63,6 +93,9 @@ pub struct PlanStats {
     pub predicted_light_secs: Option<f64>,
     /// Predicted heavy-part seconds at the chosen thresholds.
     pub predicted_heavy_secs: Option<f64>,
+    /// Measured seconds per phase, beside the two predictions
+    /// (matrix-partitioned two-paths only).
+    pub measured_phase_secs: Option<PhaseSecs>,
     /// For composed (general-query) executions: one record per plan
     /// step, in execution order. Empty for single-primitive plans.
     pub steps: Vec<StepStats>,
@@ -77,10 +110,12 @@ impl PlanStats {
             delta2: None,
             heavy_dims: None,
             heavy_core_matrix: None,
+            heavy_backend: None,
             light_tuples: None,
             estimated_out: None,
             predicted_light_secs: None,
             predicted_heavy_secs: None,
+            measured_phase_secs: None,
             steps: Vec::new(),
         }
     }
@@ -93,10 +128,12 @@ impl PlanStats {
             delta2: Some(delta2),
             heavy_dims: None,
             heavy_core_matrix: None,
+            heavy_backend: None,
             light_tuples: None,
             estimated_out: None,
             predicted_light_secs: None,
             predicted_heavy_secs: None,
+            measured_phase_secs: None,
             steps: Vec::new(),
         }
     }

@@ -46,21 +46,16 @@ fn heavy_backend_ablation(c: &mut Criterion) {
     let r = mmjoin_datagen::generate(DatasetKind::Protein, SCALE, SEED);
     let mut g = c.benchmark_group("heavy_backend_protein");
     g.bench_function("f32_gemm", |b| {
-        let cfg = JoinConfig::default();
+        // The paper's prototype: SGEMM pinned for an existence query.
+        let cfg = JoinConfig {
+            heavy_backend: HeavyBackend::DenseF32,
+            ..JoinConfig::default()
+        };
         b.iter(|| two_path_join_project(&r, &r, &cfg));
     });
     g.bench_function("bitmatrix", |b| {
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::BitMatrix,
-            ..JoinConfig::default()
-        };
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
-    });
-    g.bench_function("spgemm", |b| {
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::Sparse,
-            ..JoinConfig::default()
-        };
+        // The default: an existence query multiplies bits.
+        let cfg = JoinConfig::default();
         b.iter(|| two_path_join_project(&r, &r, &cfg));
     });
     g.bench_function("combinatorial_cap", |b| {

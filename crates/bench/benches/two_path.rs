@@ -6,11 +6,21 @@ use mmjoin_api::{Engine, PairSink, Query};
 use mmjoin_baseline::fulljoin::{HashJoinEngine, SortMergeEngine};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_baseline::setintersect::SetIntersectEngine;
-use mmjoin_core::MmJoinEngine;
+use mmjoin_core::{HeavyBackend, JoinConfig, MmJoinEngine};
 use mmjoin_datagen::DatasetKind;
 
 const SCALE: f64 = 0.08;
 const SEED: u64 = 2020;
+
+/// MMJoin as the paper's prototype ran it: SGEMM for the heavy core of
+/// these existence queries too (the default would be the bit product).
+fn paper_mmjoin(threads: usize) -> MmJoinEngine {
+    MmJoinEngine::new(JoinConfig {
+        threads,
+        heavy_backend: HeavyBackend::DenseF32,
+        ..JoinConfig::default()
+    })
+}
 
 fn fig4a_engines(c: &mut Criterion) {
     for kind in [
@@ -22,7 +32,7 @@ fn fig4a_engines(c: &mut Criterion) {
         let r = mmjoin_datagen::generate(kind, SCALE, SEED);
         let mut g = c.benchmark_group(format!("fig4a_{}", kind.name()));
         let engines: Vec<Box<dyn Engine>> = vec![
-            Box::new(MmJoinEngine::serial()),
+            Box::new(paper_mmjoin(1)),
             Box::new(ExpandDedupEngine::serial()),
             Box::new(HashJoinEngine),
             Box::new(SortMergeEngine),
@@ -53,7 +63,7 @@ fn fig4de_multicore(c: &mut Criterion) {
     for cores in [1usize, 2, max] {
         let q = Query::two_path(&r, &r).build().unwrap();
         g.bench_with_input(BenchmarkId::new("MMJoin", cores), &cores, |b, &cores| {
-            let e = MmJoinEngine::parallel(cores);
+            let e = paper_mmjoin(cores);
             b.iter(|| {
                 let mut sink = PairSink::new();
                 e.execute(&q, &mut sink).unwrap();

@@ -119,12 +119,11 @@ pub fn crossover_experiment(scale: f64, trials: usize, threads: usize) -> Table 
 /// the build machine happens to be.
 pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: usize) -> Table {
     let kernel = active_kernel();
+    // The sweep runs existence queries: the factor line 2 reads for them.
+    let derived = config.fallback_factor(false);
 
     let mut t = Table::new(
-        format!(
-            "Crossover misprediction sweep (kernel {kernel}, derived factor {:.1})",
-            config.wcoj_fallback_factor
-        ),
+        format!("Crossover misprediction sweep (kernel {kernel}, derived factor {derived:.1})"),
         vec![
             "point".into(),
             "N".into(),
@@ -156,7 +155,7 @@ pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: u
     };
     let mut prev_factor = f64::NAN;
     for mult in FACTOR_MULTIPLIERS {
-        let factor = (config.wcoj_fallback_factor * mult).min(saturation_cap);
+        let factor = (derived * mult).min(saturation_cap);
         if factor == prev_factor {
             continue;
         }

@@ -7,15 +7,30 @@
 //! engines show up in the experiment tables automatically.
 
 use crate::report::{fmt_secs, Table};
-use crate::{core_grid, dataset, star_dataset, timed, SEED};
+use crate::{core_grid, dataset, star_dataset, timed, timed_median, SEED};
 use mmjoin::{
-    default_registry, CountSink, Engine, EngineRegistry, ExecStats, HeavyBackend, JoinConfig,
-    MmJoinEngine, PlanKind, Query, Relation,
+    default_registry, registry_with_config, CountSink, Engine, EngineRegistry, ExecStats,
+    HeavyBackend, JoinConfig, MmJoinEngine, PlanKind, Query, Relation,
 };
+use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
-use mmjoin_matrix::{matmul_parallel, DenseMatrix};
+use mmjoin_matrix::{matmul_parallel, BitMatrix, CsrMatrix, DenseMatrix};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
+
+/// The roster the paper's figures are reproduced with: the serving roster
+/// on `cores` threads, but with MMJoin's heavy core pinned to f32 SGEMM —
+/// the paper's prototype multiplies with SGEMM (Eigen/MKL) for every query,
+/// and its numbers are what these tables are compared against. (Without the
+/// pin an existence query would run the Boolean bit product; counting
+/// queries run SGEMM either way.)
+fn paper_registry(cores: usize) -> EngineRegistry {
+    registry_with_config(&JoinConfig {
+        threads: cores,
+        heavy_backend: HeavyBackend::DenseF32,
+        ..JoinConfig::default()
+    })
+}
 
 /// Runs `query` on `engine`, returning `(stats, seconds)` without
 /// materialising the output (a [`CountSink`] absorbs the rows).
@@ -127,7 +142,7 @@ pub fn fig3b() -> Table {
 /// Figure 4a: 2-path join-project across datasets, every registered
 /// 2-path engine, single core.
 pub fn fig4a(scale: f64) -> Table {
-    let registry = default_registry(1);
+    let registry = paper_registry(1);
     let probe = probe_relation();
     let probe_q = Query::two_path(&probe, &probe).build().unwrap();
     let mut headers = engine_headers(&registry, &probe_q, "Dataset");
@@ -145,7 +160,7 @@ pub fn fig4a(scale: f64) -> Table {
 
 /// Figure 4b: star query (k = 3), MMJoin vs Non-MMJoin, single core.
 pub fn fig4b(scale: f64) -> Table {
-    let registry = default_registry(1);
+    let registry = paper_registry(1);
     let mut t = Table::new(
         "Figure 4b: three-relation star query, single core",
         vec![
@@ -176,7 +191,7 @@ pub fn fig4b(scale: f64) -> Table {
 /// Figure 4c: set-containment join across datasets, every registered
 /// containment engine, single core.
 pub fn fig4c(scale: f64) -> Table {
-    let registry = default_registry(1);
+    let registry = paper_registry(1);
     let probe = probe_relation();
     let probe_q = Query::containment(&probe).build().unwrap();
     let mut headers = engine_headers(&registry, &probe_q, "Dataset");
@@ -207,7 +222,7 @@ pub fn fig4de(scale: f64) -> Table {
     let jokes = dataset(DatasetKind::Jokes, scale);
     let words = dataset(DatasetKind::Words, scale);
     for cores in core_grid() {
-        let registry = default_registry(cores);
+        let registry = paper_registry(cores);
         let mut cells = Vec::new();
         for r in [&jokes, &words] {
             let q = Query::two_path(r, r).build().unwrap();
@@ -236,7 +251,7 @@ pub fn fig4fg(scale: f64) -> Table {
     let jokes = star_dataset(DatasetKind::Jokes, scale, 3);
     let words = star_dataset(DatasetKind::Words, scale, 3);
     for cores in core_grid() {
-        let registry = default_registry(cores);
+        let registry = paper_registry(cores);
         let mut cells = Vec::new();
         for rels in [&jokes, &words] {
             let q = Query::star(rels).build().unwrap();
@@ -253,7 +268,7 @@ pub fn fig4fg(scale: f64) -> Table {
 /// Figures 5a/5b/5c: unordered SSJ vs overlap threshold `c`, every
 /// registered similarity engine.
 pub fn fig5_unordered(kind: DatasetKind, scale: f64) -> Table {
-    let registry = default_registry(1);
+    let registry = paper_registry(1);
     let r = dataset(kind, scale);
     let probe_q = Query::similarity(&r, 2).build().unwrap();
     let mut headers = engine_headers(&registry, &probe_q, "c");
@@ -275,13 +290,13 @@ pub fn fig5_unordered(kind: DatasetKind, scale: f64) -> Table {
 pub fn fig5_parallel(kind: DatasetKind, scale: f64) -> Table {
     let r = dataset(kind, scale);
     let probe_q = Query::similarity(&r, 2).build().unwrap();
-    let headers = engine_headers(&default_registry(1), &probe_q, "cores");
+    let headers = engine_headers(&paper_registry(1), &probe_q, "cores");
     let mut t = Table::new(
         format!("Figure 5 (parallel unordered SSJ c=2, {})", kind.name()),
         headers,
     );
     for cores in core_grid() {
-        let registry = default_registry(cores);
+        let registry = paper_registry(cores);
         let (cells, _) = sweep_engines(&registry, &probe_q);
         t.push_row(cores.to_string(), cells);
     }
@@ -290,7 +305,7 @@ pub fn fig5_parallel(kind: DatasetKind, scale: f64) -> Table {
 
 /// Figures 5e/5f/6a: ordered SSJ vs overlap threshold.
 pub fn fig_ordered_ssj(kind: DatasetKind, scale: f64) -> Table {
-    let registry = default_registry(1);
+    let registry = paper_registry(1);
     let r = dataset(kind, scale);
     let probe_q = Query::similarity(&r, 2).ordered().build().unwrap();
     let headers = engine_headers(&registry, &probe_q, "c");
@@ -356,7 +371,7 @@ pub fn fig7(scale: f64) -> Table {
     let mut t = Table::new("Figure 7: parallel SCJ", headers);
     let datasets: Vec<_> = kinds.iter().map(|&k| dataset(k, scale)).collect();
     for cores in core_grid() {
-        let registry = default_registry(cores);
+        let registry = paper_registry(cores);
         let mut cells = Vec::new();
         for r in &datasets {
             let q = Query::containment(r).build().unwrap();
@@ -416,11 +431,19 @@ pub fn fig8(scale: f64) -> Table {
     t
 }
 
-/// Ablation (beyond the paper): f32 GEMM vs bit-matrix boolean product vs
-/// SpGEMM for the heavy core of the 2-path join on a dense dataset.
+/// Ablation (beyond the paper): the heavy core of the 2-path join on a
+/// dense dataset with SGEMM pinned (the paper's prototype) and with the
+/// default, which multiplies this existence query over the Boolean
+/// semiring — then, at the matrix level, Gustavson SpGEMM against
+/// the row-OR bit product and plain expansion on sparse square blocks, the
+/// regime SpGEMM was kept for. From 0.5% density up the bit product wins by
+/// an order of magnitude (row-OR is itself sparse in its left operand);
+/// below that SpGEMM overtakes it, but expansion — which is what the
+/// optimizer picks for such a block — overtakes SpGEMM. It is the best of
+/// the three nowhere, which is why no engine path uses it.
 pub fn ablation_matrix_backends(scale: f64) -> Table {
     let mut t = Table::new(
-        "Ablation: heavy-core backend (Jokes dataset)",
+        "Ablation: heavy-core backend (Jokes dataset; sparse 2048³ blocks)",
         vec!["backend".into(), "time".into(), "|OUT|".into()],
     );
     let r = dataset(DatasetKind::Jokes, scale);
@@ -430,14 +453,57 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
         ..JoinConfig::default()
     };
     for (name, cfg) in [
-        ("f32 GEMM", backend_cfg(HeavyBackend::DenseF32)),
-        ("bit-matrix", backend_cfg(HeavyBackend::BitMatrix)),
-        ("spgemm", backend_cfg(HeavyBackend::Sparse)),
-        ("auto", backend_cfg(HeavyBackend::Auto)),
+        ("f32 GEMM (pinned)", backend_cfg(HeavyBackend::DenseF32)),
+        ("bit product (default)", backend_cfg(HeavyBackend::Auto)),
     ] {
         let engine = MmJoinEngine::new(cfg);
         let (stats, secs) = run_counted(&engine, &q);
         t.push_row(name, vec![fmt_secs(secs), stats.rows.to_string()]);
+    }
+    let p = 2048usize;
+    for per_mille in [1u64, 5, 20] {
+        // A multiplicative hash as the coin: the same block on every run.
+        let pairs: Vec<(u32, u32)> = (0..(p * p) as u64)
+            .filter(|c| c.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & 1023 < per_mille)
+            .map(|c| ((c / p as u64) as u32, (c % p as u64) as u32))
+            .collect();
+        let csr = CsrMatrix::from_pairs(p, p, &pairs);
+        let mut bits = BitMatrix::zeros(p, p);
+        for &(i, j) in &pairs {
+            bits.set(i as usize, j as usize);
+        }
+        // The same product as a join: C[i][j] = ⋁ₖ A[i][k] ∧ A[k][j].
+        let left = Relation::from_edges(pairs.iter().copied());
+        let right = Relation::from_edges(pairs.iter().map(|&(k, j)| (j, k)));
+        // Each to the sorted pair list a join returns (median of three).
+        let ids: Vec<u32> = (0..p as u32).collect();
+        let (sparse, sparse_secs) = timed_median(1, 3, || {
+            let product = csr.spgemm(&csr);
+            let pairs: Vec<(u32, u32)> = product
+                .entries_at_least(0.5)
+                .map(|(i, j, _)| (i as u32, j as u32))
+                .collect();
+            pairs
+        });
+        let (boolean, bit_secs) =
+            timed_median(1, 3, || bits.bool_product(&bits).mapped_ones(&ids, &ids));
+        let (expanded, expand_secs) = timed_median(1, 3, || {
+            ExpandDedupEngine::serial().join_project(&left, &right)
+        });
+        let out = boolean.len();
+        assert_eq!(sparse, boolean);
+        assert_eq!(expanded, boolean);
+        let density = format!("{:.1}%", per_mille as f64 * 100.0 / 1024.0);
+        for (name, secs) in [
+            ("spgemm", sparse_secs),
+            ("bit row-OR", bit_secs),
+            ("expansion", expand_secs),
+        ] {
+            t.push_row(
+                format!("{name}, {density} dense"),
+                vec![fmt_secs(secs), out.to_string()],
+            );
+        }
     }
     t
 }
@@ -456,6 +522,8 @@ pub fn plan_report(scale: f64) -> Table {
             "Δ2".into(),
             "heavy (u×v×w)".into(),
             "matrix core".into(),
+            "predicted l+h".into(),
+            "measured l+h".into(),
             "light tuples".into(),
             "est |OUT|".into(),
             "|OUT|".into(),
@@ -478,8 +546,20 @@ pub fn plan_report(scale: f64) -> Table {
                 fmt_opt(plan.delta2),
                 plan.heavy_dims
                     .map_or("-".to_string(), |(u, v, w)| format!("{u}x{v}x{w}")),
-                plan.heavy_core_matrix.map_or("-".to_string(), |m| {
-                    if m { "yes" } else { "no" }.to_string()
+                // Which kernel multiplied the heavy core, if one did.
+                match (plan.heavy_core_matrix, plan.heavy_backend) {
+                    (Some(true), Some(kernel)) => kernel.to_string(),
+                    (Some(false), _) => "no".to_string(),
+                    _ => "-".to_string(),
+                },
+                // The optimizer's two predictions beside what the phases
+                // then took: light, and build + product + extract.
+                match (plan.predicted_light_secs, plan.predicted_heavy_secs) {
+                    (Some(l), Some(h)) => format!("{}+{}", fmt_secs(l), fmt_secs(h)),
+                    _ => "-".to_string(),
+                },
+                plan.measured_phase_secs.map_or("-".to_string(), |m| {
+                    format!("{}+{}", fmt_secs(m.light), fmt_secs(m.heavy()))
                 }),
                 plan.light_tuples
                     .map_or("-".to_string(), |(lr, _)| lr.to_string()),

@@ -1,23 +1,30 @@
 //! Execution configuration for the MMJoin engine.
 
 use mmjoin_executor::Executor;
-use mmjoin_matrix::CostModel;
+use mmjoin_matrix::{CostModel, REFERENCE_BIT_WORD_SECS};
 use std::sync::Arc;
 
 /// Which kernel evaluates the heavy-core product of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HeavyBackend {
-    /// Cache-blocked dense f32 GEMM (the paper's SGEMM path).
+    /// The semiring the query needs: the Boolean bit product when only the
+    /// existence of a witness is read (plain join-project, chain steps),
+    /// f32 SGEMM when witness counts are (counting, similarity,
+    /// containment, the maintenance recompute).
     #[default]
-    DenseF32,
-    /// Bit-packed boolean product — existence only, no counts (extension).
-    BitMatrix,
-    /// Row-wise Gustavson SpGEMM over CSR operands — wins when the heavy
-    /// block is very sparse (Amossen–Pagh's regime; extension).
-    Sparse,
-    /// Pick [`HeavyBackend::Sparse`] when the heavy block density is below
-    /// 2%, [`HeavyBackend::DenseF32`] otherwise.
     Auto,
+    /// Pin f32 SGEMM for existence queries too — the paper's prototype;
+    /// the figure reproductions and the ablation bench use it.
+    DenseF32,
+}
+
+impl HeavyBackend {
+    /// Whether the heavy core of a query that does (`counting`) or does not
+    /// read witness counts multiplies over the Boolean semiring; it is f32
+    /// SGEMM otherwise.
+    pub fn is_boolean(self, counting: bool) -> bool {
+        !counting && self == HeavyBackend::Auto
+    }
 }
 
 /// Configuration shared by the 2-path and star MMJoin evaluators.
@@ -44,11 +51,15 @@ pub struct JoinConfig {
     /// times the input size, skip partitioning entirely and run the plain
     /// WCOJ + dedup plan. The paper uses 20.
     pub wcoj_fallback_factor: f64,
-    /// Heavy-core multiplication kernel (ablated in `bench/ablation`).
+    /// Heavy-core multiplication kernel; leave it on
+    /// [`HeavyBackend::Auto`] outside ablations and paper reproductions.
     pub heavy_backend: HeavyBackend,
-    /// Safety cap on total dense-matrix cells (`u·v + v·w + u·w`); above it
-    /// the heavy part falls back to combinatorial expansion instead of
-    /// allocating matrices that would not fit in memory.
+    /// Memory cap on the heavy core, in f32 cells: the two operands and the
+    /// product may take `4 · matrix_cell_cap` bytes *in the representation
+    /// that runs* (`u·v + v·w + u·w` cells of 4 bytes for SGEMM, 1 bit per
+    /// cell for the Boolean product, which therefore fits 32× the shape).
+    /// The optimizer does not pick a partition over it, and a forced one
+    /// evaluates its heavy core combinatorially instead of allocating.
     pub matrix_cell_cap: usize,
 }
 
@@ -121,20 +132,60 @@ impl JoinConfig {
     /// gets no parallel shift, and a model without multi-core samples
     /// contributes the analytic curve only until a cores sweep is
     /// installed.
+    ///
+    /// The stored factor is the one for queries whose heavy core is SGEMM;
+    /// [`Self::fallback_factor`] is what line 2 reads, and moves it for the
+    /// Boolean core.
     pub fn install_measured_model(&mut self, model: CostModel) {
-        let speed = model.speed_vs_reference();
-        if speed.is_finite() && speed > 0.0 {
-            let cores = self.effective_threads();
-            let par = if cores > 1 {
-                model.speedup(cores).max(1.0)
-            } else {
-                1.0
-            };
-            let r = speed * par;
-            let effective = 1.0 / (Self::MM_GEMM_FRACTION / r + (1.0 - Self::MM_GEMM_FRACTION));
-            self.wcoj_fallback_factor = (Self::MEASURED_CROSSOVER_F / effective).clamp(2.0, 200.0);
+        if let Some(factor) = self.sgemm_crossover(&model) {
+            self.wcoj_fallback_factor = factor;
         }
         self.cost_model = model;
+    }
+
+    /// Algorithm 3 line 2's factor for a query that does (`counting`) or
+    /// does not read witness counts.
+    ///
+    /// A query whose heavy core is SGEMM reads `wcoj_fallback_factor` as it
+    /// stands. The Boolean core makes the matrix path several times cheaper,
+    /// so an existence query crosses over earlier — but only a *measured*
+    /// model says by how much: the factor is then scaled by the ratio of the
+    /// two crossovers derived from that model (Boolean: base
+    /// [`Self::BOOLEAN_CROSSOVER_F`], shifted by the measured bit-product
+    /// rate and damped by [`Self::BOOLEAN_PRODUCT_FRACTION`]; no thread term,
+    /// the bit product runs on the calling thread). Scaling keeps a factor
+    /// forced to `0` or `∞` forced. Under the analytic default model both
+    /// kinds of query read the paper's factor unchanged.
+    pub fn fallback_factor(&self, counting: bool) -> f64 {
+        let factor = self.wcoj_fallback_factor;
+        if !self.heavy_backend.is_boolean(counting) || self.cost_model.kernel() == "analytic" {
+            return factor;
+        }
+        let boolean = damped_crossover(
+            Self::BOOLEAN_CROSSOVER_F,
+            Self::BOOLEAN_PRODUCT_FRACTION,
+            REFERENCE_BIT_WORD_SECS / self.cost_model.bit_word_secs(),
+        );
+        match (boolean, self.sgemm_crossover(&self.cost_model)) {
+            (Some(boolean), Some(sgemm)) => factor * boolean / sgemm,
+            _ => factor,
+        }
+    }
+
+    /// The SGEMM path's crossover under `model` at this configuration's
+    /// thread count (see [`Self::install_measured_model`]).
+    fn sgemm_crossover(&self, model: &CostModel) -> Option<f64> {
+        let cores = self.effective_threads();
+        let par = if cores > 1 {
+            model.speedup(cores).max(1.0)
+        } else {
+            1.0
+        };
+        damped_crossover(
+            Self::MEASURED_CROSSOVER_F,
+            Self::MM_GEMM_FRACTION,
+            model.speed_vs_reference() * par,
+        )
     }
 
     /// Fraction of the matrix-path runtime that is GEMM kernel time at
@@ -155,6 +206,28 @@ impl JoinConfig {
     /// tuple, so the matrix plan only pays off once the heavy core
     /// dominates outright.
     pub const MEASURED_CROSSOVER_F: f64 = 62.0;
+
+    /// Fraction of the existence matrix path's runtime that is Boolean
+    /// product time at crossover-scale inputs (the rest is operand
+    /// construction and pair extraction): 0.28–0.30 on the dense-hub family
+    /// at `N` from 19 k to 77 k.
+    pub const BOOLEAN_PRODUCT_FRACTION: f64 = 0.3;
+
+    /// [`Self::MEASURED_CROSSOVER_F`] for the Boolean core, at the reference
+    /// bit-product rate: the two forced strategies of an existence query tie
+    /// near `full join / N ≈ 7` at `N = 19 k` and near `13` at `N = 77 k`
+    /// (the everything-heavy product grows with the square of the domain,
+    /// expansion with the full join, so the tie drifts up with `√N`); 10
+    /// keeps the misprediction gate inside its 25 % at both sizes.
+    pub const BOOLEAN_CROSSOVER_F: f64 = 10.0;
+}
+
+/// A base crossover factor moved by a kernel running `speed`× its reference
+/// rate, when only `kernel_fraction` of the matrix path is kernel time
+/// (Amdahl); `None` for a speed that is not a positive finite number.
+fn damped_crossover(base: f64, kernel_fraction: f64, speed: f64) -> Option<f64> {
+    (speed.is_finite() && speed > 0.0)
+        .then(|| (base * (kernel_fraction / speed + 1.0 - kernel_fraction)).clamp(2.0, 200.0))
 }
 
 #[cfg(test)]
@@ -167,7 +240,16 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert_eq!(c.wcoj_fallback_factor, 20.0);
         assert!(c.delta_override.is_none());
-        assert_eq!(c.heavy_backend, HeavyBackend::DenseF32);
+        assert_eq!(c.heavy_backend, HeavyBackend::Auto);
+    }
+
+    #[test]
+    fn auto_means_bit_for_existence_and_f32_for_counts() {
+        assert!(HeavyBackend::Auto.is_boolean(false));
+        assert!(!HeavyBackend::DenseF32.is_boolean(false));
+        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+            assert!(!backend.is_boolean(true), "{backend:?}: counts need SGEMM");
+        }
     }
 
     #[test]
@@ -267,6 +349,51 @@ mod tests {
             par.wcoj_fallback_factor
         );
         assert!(par.wcoj_fallback_factor < serial.wcoj_fallback_factor);
+    }
+
+    /// Line 2 reads the stored factor for an SGEMM-cored query and, under a
+    /// measured model only, a lower one for the Boolean core — derived from
+    /// the bit rate, blind to the thread count, and still forced when the
+    /// stored factor is.
+    #[test]
+    fn fallback_factor_moves_only_the_boolean_core_and_only_when_measured() {
+        use mmjoin_matrix::cost::{Sample, SystemConstants};
+        let mut c = JoinConfig::default();
+        assert_eq!(c.fallback_factor(false), 20.0);
+        assert_eq!(c.fallback_factor(true), 20.0);
+
+        // Reference GEMM speed, 3× at 8 cores, bit product 4× the reference.
+        let p = 512usize;
+        let reference = 2.0 * (p as f64).powi(3) / 20.0e9;
+        let sample = |cores, seconds| Sample { p, cores, seconds };
+        let model = CostModel::from_samples(
+            vec![sample(1, reference), sample(8, reference / 3.0)],
+            SystemConstants::default(),
+        )
+        .with_bit_word_secs(REFERENCE_BIT_WORD_SECS / 4.0);
+        let boolean = JoinConfig::BOOLEAN_CROSSOVER_F
+            * (JoinConfig::BOOLEAN_PRODUCT_FRACTION / 4.0 + 1.0
+                - JoinConfig::BOOLEAN_PRODUCT_FRACTION);
+        let mut sgemm = Vec::new();
+        for threads in [1, 8] {
+            c = JoinConfig {
+                threads,
+                ..JoinConfig::default()
+            };
+            c.install_measured_model(model.clone());
+            assert_eq!(c.fallback_factor(true), c.wcoj_fallback_factor);
+            assert!((c.fallback_factor(false) - boolean).abs() < 1e-9);
+            sgemm.push(c.wcoj_fallback_factor);
+            // Pinning SGEMM for existence queries pins its crossover too.
+            c.heavy_backend = HeavyBackend::DenseF32;
+            assert_eq!(c.fallback_factor(false), c.wcoj_fallback_factor);
+            c.heavy_backend = HeavyBackend::Auto;
+        }
+        assert!(sgemm[1] < sgemm[0], "threads move the SGEMM crossover only");
+        for forced in [0.0, f64::INFINITY] {
+            c.wcoj_fallback_factor = forced;
+            assert_eq!(c.fallback_factor(false), forced);
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!
 //! * [`two_path`] — Algorithm 1 for the 2-path query
 //!   `Q(x, z) = R(x, y), S(z, y)`: degree-based partitioning into light and
-//!   heavy parts, worst-case-optimal expansion for the light parts, dense
-//!   matrix multiplication for the heavy core. Includes the counting variant
-//!   that reports `|ys(x) ∩ ys(z)|` per output pair (the similarity joins
-//!   build on it).
+//!   heavy parts, worst-case-optimal expansion for the light parts, matrix
+//!   multiplication for the heavy core — over the Boolean semiring
+//!   (bit-packed) when only existence is read, f32 SGEMM for the counting
+//!   variant that reports `|ys(x) ∩ ys(z)|` per output pair (the similarity
+//!   joins build on it).
 //! * [`star`] — the §3.2 generalisation to star queries `Q*_k`.
 //! * [`plan`] / [`compose`] — the decomposing planner and executor for
 //!   general acyclic join-project queries (`Query::General`): a
@@ -73,7 +74,9 @@ pub mod two_path;
 pub use compose::execute_general;
 pub use config::{HeavyBackend, JoinConfig};
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
-pub use optimizer::{choose_thresholds, ExecutionPlan, PlanChoice};
+pub use optimizer::{
+    choose_thresholds, choose_thresholds_for, prefers_wcoj, ExecutionPlan, PlanChoice,
+};
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};
 pub use star::{star_join_project_mm, star_join_project_mm_with_stats};
 pub use two_path::{

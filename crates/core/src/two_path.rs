@@ -11,26 +11,36 @@
 //!   epoch-stamped dense buffer of §6.
 //! * **Heavy core** (step 2): `x`, `z` values heavier than `Δ2` joined
 //!   through `y` values heavier than `Δ1` *in both relations* are packed
-//!   into rectangular 0/1 matrices and multiplied; entries `> 0` are heavy
-//!   output pairs (with their witness counts for free).
+//!   into rectangular 0/1 matrices and multiplied — over the Boolean
+//!   semiring (bit-packed operands, [`BitMatrix`]) when only the existence
+//!   of a witness is read, as f32 SGEMM when the witness counts are.
 //!
 //! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
 //! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
 //! otherwise all of `a`, `c`, `b` are heavy → matrix. The three part outputs
-//! may overlap, so assembly sorts and deduplicates (output-sized work).
+//! may overlap, so assembly sorts and deduplicates (output-sized work) —
+//! except at `Δ1 = Δ2 = 0`, where nothing is light: the passes are skipped
+//! and the heavy pairs leave the extractor sorted and distinct.
 //!
 //! The counting variant ([`two_path_with_counts`]) rearranges the passes so
 //! that every pair's witnesses are counted against *disjoint* witness sets,
 //! yielding exact `|ys(x) ∩ ys(z)|` multiplicities — the quantity the
 //! similarity joins (§4) threshold and sort on.
+//!
+//! A matrix-partitioned existence run records its five phases —
+//! `partition`, `light`, `build`, `product`, `extract` — as `step` spans
+//! and as [`PlanStats::measured_phase_secs`], beside the optimizer's two
+//! predictions.
 
-use crate::config::{HeavyBackend, JoinConfig};
-use crate::optimizer::{choose_thresholds, PlanChoice};
-use mmjoin_api::PlanStats;
+use crate::config::JoinConfig;
+use crate::optimizer::{choose_thresholds_for, PlanChoice, F32_KERNEL};
+use mmjoin_api::{PhaseSecs, PlanStats};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
-use mmjoin_matrix::{matmul_parallel_on, BitMatrix, CsrMatrix, DenseMatrix};
+use mmjoin_matrix::{matmul_parallel_on, BitMatrix, BitProductPlan, DenseMatrix, Orientation};
+use mmjoin_obs::trace::{self, Stage};
 use mmjoin_storage::{DedupBuffer, Relation, Value};
+use std::time::Instant;
 
 /// Evaluates `π_{x,z}(R ⋈ S)` returning sorted distinct pairs.
 pub fn two_path_join_project(
@@ -39,6 +49,17 @@ pub fn two_path_join_project(
     config: &JoinConfig,
 ) -> Vec<(Value, Value)> {
     two_path_join_project_with_stats(r, s, config).0
+}
+
+/// Runs one engine phase under a `step` span named `label`, adding its
+/// wall-clock seconds to `secs` — the trace and the plan record show the
+/// same interval.
+fn phase<T>(label: &'static str, secs: &mut f64, f: impl FnOnce() -> T) -> T {
+    let _span = trace::span(Stage::Step, label);
+    let start = Instant::now();
+    let out = f();
+    *secs += start.elapsed().as_secs_f64();
+    out
 }
 
 /// [`two_path_join_project`] plus the plan record of the run — a single
@@ -54,53 +75,93 @@ pub fn two_path_join_project_with_stats(
         return (Vec::new(), None);
     }
     let (threads, exec) = (config.effective_threads(), config.exec());
-    let (delta1, delta2, mut stats) = match resolve_plan(r, s, config) {
-        Resolved::Wcoj(stats) => {
-            let out = ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec);
-            return (out, Some(stats));
-        }
+    let expand = || ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec);
+    let (delta1, delta2, mut stats) = match resolve_plan(r, s, config, false) {
+        Resolved::Wcoj(stats) => return (expand(), Some(stats)),
         Resolved::Mm(d1, d2, stats) => (d1, d2, stats),
     };
+    let boolean = config.heavy_backend.is_boolean(false);
+    let mut secs = PhaseSecs::default();
 
-    let heavy = HeavyIndex::build(r, s, delta1, delta2);
-    record_partition(&mut stats, r, s, &heavy);
-    let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
-    stats.heavy_core_matrix = Some(use_matrix);
-    let mut out = light_passes(r, s, delta1, delta2, threads, exec);
-
-    if heavy.is_degenerate() {
-        // No heavy core: light passes already cover everything.
-    } else if !use_matrix {
-        // Memory guard: heavy core evaluated combinatorially.
-        heavy_expansion_fallback(r, s, &heavy, &mut out);
-    } else {
-        match heavy.resolve_backend(r, config.heavy_backend) {
-            HeavyBackend::BitMatrix => {
-                let (m1, m2) = heavy.build_bit_matrices(r, s);
-                let prod = m1.bool_product(&m2);
-                for (i, j) in prod.iter_ones() {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
-            }
-            HeavyBackend::Sparse => {
-                let (m1, m2) = heavy.build_sparse_matrices(r, s);
-                let prod = m1.spgemm(&m2);
-                for (i, j, _) in prod.entries_at_least(0.5) {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
-            }
-            _ => {
-                let (m1, m2) = heavy.build_dense_matrices(r, s);
-                let prod = matmul_parallel_on(exec, &m1, &m2, threads);
-                for (i, j, _) in prod.entries_at_least(0.5) {
-                    out.push((heavy.heavy_x[i], heavy.heavy_z[j]));
-                }
-            }
-        }
+    let heavy = phase("partition", &mut secs.partition, || {
+        HeavyIndex::build(r, s, delta1, delta2)
+    });
+    if heavy.is_degenerate() && config.delta_override.is_none() {
+        // The indexes bound the heavy sides from above; the exact partition
+        // came out with an empty one. It would run as pure expansion, so
+        // run — and report — the expansion plan.
+        let mut wcoj = PlanStats::wcoj();
+        wcoj.estimated_out = stats.estimated_out;
+        return (expand(), Some(wcoj));
     }
+    record_partition(&mut stats, r, s, &heavy);
+    let bit_plan = heavy.bit_plan();
+    let (bytes, kernel) = if boolean {
+        (bit_plan.bytes, bit_plan.orientation.name())
+    } else {
+        (4 * heavy.cells(), F32_KERNEL)
+    };
+    let use_matrix = !heavy.is_degenerate() && bytes <= config.matrix_cell_cap.saturating_mul(4);
+    stats.heavy_core_matrix = Some(use_matrix);
+    stats.heavy_backend = Some(kernel);
 
-    out.sort_unstable();
-    out.dedup();
+    // Nothing is light at Δ1 = Δ2 = 0: no pass has anything to expand.
+    let all_heavy = delta1 == 0 && delta2 == 0;
+    let mut out = phase("light", &mut secs.light, || {
+        if all_heavy {
+            Vec::new()
+        } else {
+            light_passes(r, s, delta1, delta2, threads, exec)
+        }
+    });
+
+    // Every matrix plan records all five phases, whichever of them run.
+    let operands = phase("build", &mut secs.build, || {
+        use_matrix.then(|| {
+            if boolean {
+                let (m1, m2) = heavy.build_bit_matrices(r, s, bit_plan.orientation);
+                Operands::Bit(m1, m2)
+            } else {
+                let (m1, m2) = heavy.build_dense_matrices(r, s);
+                Operands::F32(m1, m2)
+            }
+        })
+    });
+    let product = phase("product", &mut secs.product, || match operands {
+        Some(Operands::Bit(m1, m2)) => Some(Product::Bit(m1.product(&m2, bit_plan.orientation))),
+        Some(Operands::F32(m1, m2)) => {
+            Some(Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)))
+        }
+        None => {
+            // Memory guard: the heavy core, if there is one, is evaluated
+            // combinatorially.
+            if !heavy.is_degenerate() {
+                heavy_expansion_fallback(r, s, &heavy, &mut out);
+            }
+            None
+        }
+    });
+    phase("extract", &mut secs.extract, || {
+        match product {
+            Some(Product::Bit(prod)) => {
+                // Ascending ids, row-major bits: sorted, distinct pairs.
+                let pairs = prod.mapped_ones(&heavy.heavy_x, &heavy.heavy_z);
+                if out.is_empty() {
+                    out = pairs;
+                    return;
+                }
+                out.extend(pairs);
+            }
+            Some(Product::F32(prod)) => out.extend(
+                prod.entries_at_least(0.5)
+                    .map(|(i, j, _)| (heavy.heavy_x[i], heavy.heavy_z[j])),
+            ),
+            None => {}
+        }
+        out.sort_unstable();
+        out.dedup();
+    });
+    stats.measured_phase_secs = Some(secs);
     (out, Some(stats))
 }
 
@@ -126,22 +187,31 @@ pub fn two_path_with_counts_stats(
     if r.is_empty() || s.is_empty() {
         return (Vec::new(), None);
     }
-    let (delta1, delta2, mut stats) = match resolve_plan(r, s, config) {
+    let (mut delta1, mut delta2, mut stats) = match resolve_plan(r, s, config, true) {
         // Everything light: pure expansion.
         Resolved::Wcoj(stats) => (u32::MAX, u32::MAX, stats),
         Resolved::Mm(d1, d2, stats) => (d1, d2, stats),
     };
 
-    let heavy = if delta1 == u32::MAX {
+    let mut heavy = if delta1 == u32::MAX {
         HeavyIndex::empty()
     } else {
         HeavyIndex::build(r, s, delta1, delta2)
     };
+    if delta1 != u32::MAX && heavy.is_degenerate() && config.delta_override.is_none() {
+        // As in the existence path: an optimizer-chosen partition whose
+        // exact heavy side is empty is the expansion plan, and says so.
+        let estimated_out = stats.estimated_out;
+        (delta1, delta2, heavy) = (u32::MAX, u32::MAX, HeavyIndex::empty());
+        stats = PlanStats::wcoj();
+        stats.estimated_out = estimated_out;
+    }
 
     let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
     if delta1 != u32::MAX {
         record_partition(&mut stats, r, s, &heavy);
         stats.heavy_core_matrix = Some(use_matrix);
+        stats.heavy_backend = Some(F32_KERNEL);
     }
     let prod = if use_matrix {
         let (m1, m2) = heavy.build_dense_matrices(r, s);
@@ -160,6 +230,18 @@ pub fn two_path_with_counts_stats(
     (out, Some(stats))
 }
 
+/// The heavy operands in the representation that multiplies them.
+enum Operands {
+    Bit(BitMatrix, BitMatrix),
+    F32(DenseMatrix, DenseMatrix),
+}
+
+/// The heavy product, before extraction.
+enum Product {
+    Bit(BitMatrix),
+    F32(DenseMatrix),
+}
+
 enum Resolved {
     Wcoj(PlanStats),
     Mm(u32, u32, PlanStats),
@@ -168,11 +250,11 @@ enum Resolved {
 /// One planning pass: threshold override, or Algorithm 3 — whose decision
 /// record is folded into the nascent [`PlanStats`] so nothing is computed
 /// twice.
-fn resolve_plan(r: &Relation, s: &Relation, config: &JoinConfig) -> Resolved {
+fn resolve_plan(r: &Relation, s: &Relation, config: &JoinConfig, counting: bool) -> Resolved {
     if let Some((d1, d2)) = config.delta_override {
         return Resolved::Mm(d1, d2, PlanStats::partitioned(d1, d2));
     }
-    let plan = choose_thresholds(r, s, config);
+    let plan = choose_thresholds_for(r, s, config, counting);
     match plan.choice {
         PlanChoice::Wcoj => {
             let mut stats = PlanStats::wcoj();
@@ -197,8 +279,7 @@ fn record_partition(stats: &mut PlanStats, r: &Relation, s: &Relation, heavy: &H
         heavy.heavy_y.len(),
         heavy.heavy_z.len(),
     ));
-    let heavy_r: u64 = heavy.heavy_x.iter().map(|&x| r.x_degree(x) as u64).sum();
-    let heavy_s: u64 = heavy.heavy_z.iter().map(|&z| s.x_degree(z) as u64).sum();
+    let (heavy_r, heavy_s) = heavy.tuple_mass;
     stats.light_tuples = Some((r.len() as u64 - heavy_r, s.len() as u64 - heavy_s));
 }
 
@@ -217,6 +298,9 @@ pub(crate) struct HeavyIndex {
     y_col: Vec<i32>,
     /// `z value → column`, `-1` when not heavy.
     z_col: Vec<i32>,
+    /// Tuples of `(R, S)` whose head value is heavy — an upper bound on the
+    /// set bits of the two heavy operands.
+    tuple_mass: (u64, u64),
 }
 
 impl HeavyIndex {
@@ -228,6 +312,7 @@ impl HeavyIndex {
             x_row: Vec::new(),
             y_col: Vec::new(),
             z_col: Vec::new(),
+            tuple_mass: (0, 0),
         }
     }
 
@@ -243,6 +328,7 @@ impl HeavyIndex {
         }
         // Heavy x: degree above Δ2 *and* adjacent to ≥1 heavy-in-both y
         // (rows with no heavy y are all-zero; dropping them shrinks M1).
+        let mut tuple_mass = (0u64, 0u64);
         let mut x_row = vec![-1i32; r.x_domain()];
         let mut heavy_x = Vec::new();
         for (x, ys) in r.by_x().iter_nonempty() {
@@ -253,6 +339,7 @@ impl HeavyIndex {
             {
                 x_row[x as usize] = heavy_x.len() as i32;
                 heavy_x.push(x);
+                tuple_mass.0 += ys.len() as u64;
             }
         }
         let mut z_col = vec![-1i32; s.x_domain()];
@@ -265,6 +352,7 @@ impl HeavyIndex {
             {
                 z_col[z as usize] = heavy_z.len() as i32;
                 heavy_z.push(z);
+                tuple_mass.1 += ys.len() as u64;
             }
         }
         Self {
@@ -274,6 +362,7 @@ impl HeavyIndex {
             x_row,
             y_col,
             z_col,
+            tuple_mass,
         }
     }
 
@@ -285,6 +374,20 @@ impl HeavyIndex {
     fn cells(&self) -> usize {
         let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
         u * v + v * w + u * w
+    }
+
+    /// How the Boolean heavy product should run: the function the optimizer
+    /// priced it with, on the exact partition instead of the indexes' bounds.
+    fn bit_plan(&self) -> BitProductPlan {
+        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
+        let (nnz1, nnz2) = self.tuple_mass;
+        BitProductPlan::choose(
+            u,
+            v,
+            w,
+            (nnz1 as f64).min((u * v) as f64),
+            (nnz2 as f64).min((v * w) as f64),
+        )
     }
 
     #[inline]
@@ -328,77 +431,26 @@ impl HeavyIndex {
         (m1, m2)
     }
 
-    /// Density-based backend selection for [`HeavyBackend::Auto`]:
-    /// estimated nnz(M1) over u·v cells below 2% picks the SpGEMM path.
-    fn resolve_backend(&self, r: &Relation, requested: HeavyBackend) -> HeavyBackend {
-        match requested {
-            HeavyBackend::Auto => {
-                let cells = (self.heavy_x.len() * self.heavy_y.len()).max(1);
-                let nnz: usize = self
-                    .heavy_x
-                    .iter()
-                    .map(|&x| r.ys_of(x).iter().filter(|&&y| self.y_is_heavy(y)).count())
-                    .sum();
-                if (nnz as f64) / (cells as f64) < 0.02 {
-                    HeavyBackend::Sparse
-                } else {
-                    HeavyBackend::DenseF32
-                }
-            }
-            other => other,
-        }
-    }
-
-    fn build_sparse_matrices(&self, r: &Relation, s: &Relation) -> (CsrMatrix, CsrMatrix) {
+    /// The Boolean operands, a word at a time straight from the CSR rows:
+    /// `M1` (`x`-major over heavy `y`) and `M2` in the layout `orientation`
+    /// multiplies — `y`-major over heavy `z` from `S`'s inverted lists for
+    /// row-OR, `z`-major over heavy `y` (the transpose) for AND-any.
+    fn build_bit_matrices(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        orientation: Orientation,
+    ) -> (BitMatrix, BitMatrix) {
         let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let mut pairs_a = Vec::new();
-        for (row, &x) in self.heavy_x.iter().enumerate() {
-            for &y in r.ys_of(x) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        pairs_a.push((row as u32, c as u32));
-                    }
-                }
+        let m1 = BitMatrix::from_adjacency(u, v, &self.y_col, |i| r.ys_of(self.heavy_x[i]));
+        let m2 = match orientation {
+            Orientation::RowOr => {
+                BitMatrix::from_adjacency(v, w, &self.z_col, |k| s.xs_of(self.heavy_y[k]))
             }
-        }
-        let mut pairs_b = Vec::new();
-        for (col, &z) in self.heavy_z.iter().enumerate() {
-            for &y in s.ys_of(z) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        pairs_b.push((c as u32, col as u32));
-                    }
-                }
+            Orientation::AndAny => {
+                BitMatrix::from_adjacency(w, v, &self.y_col, |j| s.ys_of(self.heavy_z[j]))
             }
-        }
-        (
-            CsrMatrix::from_pairs(u, v, &pairs_a),
-            CsrMatrix::from_pairs(v, w, &pairs_b),
-        )
-    }
-
-    fn build_bit_matrices(&self, r: &Relation, s: &Relation) -> (BitMatrix, BitMatrix) {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let mut m1 = BitMatrix::zeros(u, v);
-        for (row, &x) in self.heavy_x.iter().enumerate() {
-            for &y in r.ys_of(x) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m1.set(row, c as usize);
-                    }
-                }
-            }
-        }
-        let mut m2 = BitMatrix::zeros(v, w);
-        for (col, &z) in self.heavy_z.iter().enumerate() {
-            for &y in s.ys_of(z) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m2.set(c as usize, col);
-                    }
-                }
-            }
-        }
+        };
         (m1, m2)
     }
 }
@@ -689,6 +741,7 @@ fn count_passes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HeavyBackend;
     use mmjoin_baseline::fulljoin::SortMergeEngine;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -748,32 +801,81 @@ mod tests {
         );
     }
 
+    /// Every back end, at a mixed partition and with everything heavy
+    /// (where the Boolean core skips the light passes and the sort).
     #[test]
-    fn sparse_and_auto_backends_match() {
+    fn every_backend_matches_at_mixed_and_all_heavy_partitions() {
         let r = clique_relation(10, 5);
         let expected = SortMergeEngine.join_project(&r, &r);
-        for backend in [HeavyBackend::Sparse, HeavyBackend::Auto] {
-            let cfg = JoinConfig {
-                heavy_backend: backend,
-                delta_override: Some((2, 2)),
-                ..JoinConfig::default()
-            };
-            assert_eq!(two_path_join_project(&r, &r, &cfg), expected, "{backend:?}");
+        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+            for deltas in [(2, 2), (0, 0)] {
+                let cfg = JoinConfig {
+                    heavy_backend: backend,
+                    delta_override: Some(deltas),
+                    ..JoinConfig::default()
+                };
+                let (out, stats) = two_path_join_project_with_stats(&r, &r, &cfg);
+                assert_eq!(out, expected, "{backend:?} {deltas:?}");
+                let stats = stats.unwrap();
+                assert_eq!(stats.heavy_core_matrix, Some(true));
+                let kernel = stats.heavy_backend.unwrap();
+                assert_eq!(kernel.starts_with("bit "), backend.is_boolean(false));
+                assert_eq!(kernel == F32_KERNEL, !backend.is_boolean(false));
+                assert!(stats.measured_phase_secs.is_some());
+            }
         }
     }
 
+    /// The degenerate-partition regression: every `z` degree is 300 and
+    /// `N/|OUT| = 20`, so the coupled `Δ2 = 20·Δ1` used to pass every `z`
+    /// degree, `heavy_dims` came out `(40, 1000, 0)` and a "matrix plan" ran
+    /// as pure expansion. Whatever the optimizer picks now, a plan that
+    /// calls itself matrix-partitioned multiplies matrices.
     #[test]
-    fn bitmat_path_matches() {
-        let r = clique_relation(10, 5);
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::BitMatrix,
-            delta_override: Some((2, 2)),
-            ..JoinConfig::default()
+    fn dense_s_instance_never_reports_an_empty_heavy_side() {
+        let mut r_edges = Vec::new();
+        for x in 0..40u32 {
+            for y in 0..1000u32 {
+                if (x * 31 + y * 17) % 5 < 3 {
+                    r_edges.push((x, y));
+                }
+            }
+        }
+        let mut s_edges = Vec::new();
+        for z in 0..30u32 {
+            for y in 0..1000u32 {
+                if (z * 13 + y * 29) % 10 < 3 {
+                    s_edges.push((z, y));
+                }
+            }
+        }
+        let (r, s) = (rel(&r_edges), rel(&s_edges));
+        assert_eq!((r.len(), s.len()), (24_000, 9_000));
+        let check = |stats: Option<PlanStats>, label: &str| {
+            let stats = stats.expect("non-empty inputs plan");
+            if stats.kind == mmjoin_api::PlanKind::MatrixPartitioned {
+                let (u, v, w) = stats.heavy_dims.expect("partitioned plans report dims");
+                assert!(u > 0 && v > 0 && w > 0, "{label}: {stats:?}");
+                assert_eq!(stats.heavy_core_matrix, Some(true), "{label}");
+            } else {
+                assert_eq!(stats.heavy_dims, None, "{label}");
+            }
         };
-        assert_eq!(
-            two_path_join_project(&r, &r, &cfg),
-            SortMergeEngine.join_project(&r, &r)
-        );
+        // The full join is 9× the input: factors 5, 1 and 0 all plan.
+        for factor in [5.0, 1.0, 0.0] {
+            let cfg = JoinConfig {
+                wcoj_fallback_factor: factor,
+                ..JoinConfig::default()
+            };
+            for (a, b, label) in [(&r, &s, "R⋈S"), (&s, &r, "S⋈R")] {
+                let (out, stats) = two_path_join_project_with_stats(a, b, &cfg);
+                assert_eq!(out.len(), 1200, "{label}");
+                check(stats, label);
+                let (out, stats) = two_path_with_counts_stats(a, b, 1, &cfg);
+                assert_eq!(out.len(), 1200, "{label} counting");
+                check(stats, label);
+            }
+        }
     }
 
     #[test]

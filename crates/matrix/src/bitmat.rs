@@ -1,117 +1,111 @@
-//! Bit-packed boolean matrices.
+//! Bit-packed boolean matrices and their product over the Boolean semiring.
 //!
 //! When the consumer only needs *existence* of a join witness (plain
-//! join-project output, boolean set intersection) the counts that SGEMM
-//! produces are wasted work. A bit-matrix product over the boolean semiring
-//! (`C[i][j] = ⋁_k A[i][k] ∧ B[k][j]`) does 64 columns per word operation:
-//! for every set bit `A[i][k]`, OR row `k` of `B` into row `i` of `C`.
+//! join-project output) the counts that SGEMM produces are wasted work.
+//! `C[i][j] = ⋁_k A[i][k] ∧ B[k][j]` handles 64 cells per word operation,
+//! and its operands are 32× smaller than the f32 ones.
 //!
-//! This is an extension over the paper's prototype (which always used SGEMM)
-//! and is ablated in `bench/ablation`.
+//! The product has two orientations, chosen by [`BitProductPlan::choose`]
+//! from the operand counts before the right operand is built (its layout
+//! differs between them):
 //!
-//! The row-OR hot loop is *widened*: words are OR-ed in unrolled blocks of
-//! [`OR_BLOCK`] (vectorizable to two 256-bit or one 512-bit operation per
-//! step), and under the `simd` feature the block runs as explicit AVX2 /
-//! AVX-512F vector ORs picked by the same runtime detection as the GEMM
-//! dispatch ladder.
+//! * **row-OR** — for every set bit `A[i][k]`, OR row `k` of `B` (`k × n`)
+//!   into row `i` of `C`: `nnz(A) · ⌈n/64⌉` word operations, sparse in `A`.
+//! * **AND-any** — for every `(i, j)`, AND row `i` of `A` with row `j` of
+//!   `Bᵀ` (`n × k`) until a word intersects: at most `m · n · ⌈k/64⌉`, but
+//!   one or two words per pair once the operands are dense enough that
+//!   almost every pair has a witness.
+//!
+//! Both are plain portable loops on the calling thread. The products the
+//! serving workloads run are a few thousand to a few tens of thousands of
+//! word operations — microseconds — so neither explicit SIMD nor a fork pays
+//! for itself there (measured; see CHANGES.md, PR 14).
+//!
+//! Padding bits past `cols` in the last word of a row are always zero —
+//! every constructor and kernel keeps that, and AND-any relies on it.
 
-/// Words OR-ed per unrolled step of the widened row-OR loop.
-pub const OR_BLOCK: usize = 8;
+/// Words tested per early-exit step of AND-any.
+const AND_BLOCK: usize = 8;
 
-/// `dst[i] |= src[i]` over whole rows — the inner operation of
-/// [`BitMatrix::bool_product`], widened to [`OR_BLOCK`]-word blocks.
-#[inline]
-fn or_words(dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static LEVEL: OnceLock<u8> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                2
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                1
-            } else {
-                0
-            }
-        });
-        if level == 2 {
-            // SAFETY: AVX-512F confirmed at runtime above.
-            unsafe { or_words_avx512(dst, src) };
-            return;
-        }
-        if level == 1 {
-            // SAFETY: AVX2 confirmed at runtime above.
-            unsafe { or_words_avx2(dst, src) };
-            return;
-        }
-    }
-    or_words_scalar(dst, src);
+/// AND-any is picked on an *expected* cost that assumes independent bits;
+/// clustered operands can make every pair scan its whole row instead. It is
+/// only picked while that worst case stays within this factor of row-OR,
+/// whose cost does not depend on where the bits are.
+const AND_ANY_MAX_REGRET: f64 = 8.0;
+
+/// Which loop evaluates a Boolean product, and therefore how the right
+/// operand is laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Orientation {
+    /// Right operand `k × n`; OR its rows into `C` per set bit of `A`.
+    RowOr,
+    /// Right operand transposed, `n × k`; AND row pairs until one intersects.
+    AndAny,
 }
 
-/// Unrolled scalar fallback: [`OR_BLOCK`] independent ORs per step give
-/// the auto-vectorizer a full vector's worth of work.
-#[inline]
-fn or_words_scalar(dst: &mut [u64], src: &[u64]) {
-    let mut dc = dst.chunks_exact_mut(OR_BLOCK);
-    let mut sc = src.chunks_exact(OR_BLOCK);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        for i in 0..OR_BLOCK {
-            d[i] |= s[i];
+impl Orientation {
+    /// Stable name of the Boolean kernel in this orientation, for plan
+    /// reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Orientation::RowOr => "bit row-or",
+            Orientation::AndAny => "bit and-any",
         }
-    }
-    for (d, s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *d |= *s;
     }
 }
 
-/// # Safety
-/// Requires AVX2 at runtime.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn or_words_avx2(dst: &mut [u64], src: &[u64]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    let mut i = 0;
-    // Two 256-bit ORs per step = one OR_BLOCK.
-    while i + OR_BLOCK <= n {
-        let d0 = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-        let s0 = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-        let d1 = _mm256_loadu_si256(dp.add(i + 4) as *const __m256i);
-        let s1 = _mm256_loadu_si256(sp.add(i + 4) as *const __m256i);
-        _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_or_si256(d0, s0));
-        _mm256_storeu_si256(dp.add(i + 4) as *mut __m256i, _mm256_or_si256(d1, s1));
-        i += OR_BLOCK;
-    }
-    while i < n {
-        *dp.add(i) |= *sp.add(i);
-        i += 1;
-    }
+/// The orientation a Boolean product `m×k · k×n` should run in, with the
+/// work and memory that choice implies. The optimizer prices a candidate
+/// with this function on the threshold indexes' *estimated* counts; the
+/// engine calls it again on the exact partition, and runs what that says.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BitProductPlan {
+    /// The cheaper orientation.
+    pub orientation: Orientation,
+    /// Estimated word operations of the product in that orientation.
+    pub words: f64,
+    /// Bytes of both operands and the result in that orientation.
+    pub bytes: usize,
 }
 
-/// # Safety
-/// Requires AVX-512F at runtime.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn or_words_avx512(dst: &mut [u64], src: &[u64]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    let mut i = 0;
-    // One 512-bit OR per OR_BLOCK.
-    while i + OR_BLOCK <= n {
-        let d = _mm512_loadu_si512(dp.add(i) as *const __m512i);
-        let s = _mm512_loadu_si512(sp.add(i) as *const __m512i);
-        _mm512_storeu_si512(dp.add(i) as *mut __m512i, _mm512_or_si512(d, s));
-        i += OR_BLOCK;
-    }
-    while i < n {
-        *dp.add(i) |= *sp.add(i);
-        i += 1;
+impl BitProductPlan {
+    /// Picks the orientation from the shape and the operands' set-bit counts
+    /// (`nnz_a` of the `m×k` left operand, `nnz_b` of the right one; upper
+    /// bounds are fine).
+    pub fn choose(m: usize, k: usize, n: usize, nnz_a: f64, nnz_b: f64) -> Self {
+        let (mf, nf) = (m as f64, n as f64);
+        let (kw, nw) = (k.div_ceil(64), n.div_ceil(64));
+        let row_or = nnz_a * nw as f64 + mf * kw as f64;
+        // Under independent bits a word pair intersects with probability
+        // `p`; a pair scans a truncated-geometric number of words.
+        let cells_a = (mf * k as f64).max(1.0);
+        let cells_b = (k as f64 * nf).max(1.0);
+        let hit = ((nnz_a / cells_a) * (nnz_b / cells_b)).clamp(0.0, 1.0);
+        let p = 1.0 - (1.0 - hit).powi(64);
+        let scanned = if p > 0.0 {
+            ((1.0 - (1.0 - p).powi(kw as i32)) / p).max(1.0)
+        } else {
+            kw as f64
+        };
+        let and_any = mf * nf * scanned;
+        let worst = mf * nf * kw as f64;
+        let orientation = if and_any < row_or && worst <= AND_ANY_MAX_REGRET * row_or {
+            Orientation::AndAny
+        } else {
+            Orientation::RowOr
+        };
+        let right_words = match orientation {
+            Orientation::RowOr => k * nw,
+            Orientation::AndAny => n * kw,
+        };
+        Self {
+            orientation,
+            words: match orientation {
+                Orientation::RowOr => row_or,
+                Orientation::AndAny => and_any,
+            },
+            bytes: 8 * (m * kw + right_words + m * nw),
+        }
     }
 }
 
@@ -137,6 +131,53 @@ impl BitMatrix {
         }
     }
 
+    /// Builds a matrix a word at a time straight from CSR adjacency rows:
+    /// row `i` gets a bit at column `col_of[v]` for every value `v` of
+    /// `adjacency(i)` that has one (a negative or missing entry has none).
+    /// With sorted rows and a monotone map — heavy values numbered in
+    /// ascending order — the columns of a row ascend, so each word is
+    /// assembled in a register and stored whole: no branch on where words
+    /// change, no read of the matrix.
+    ///
+    /// # Panics
+    /// Panics if `col_of` names a column `>= cols`, or if a row's columns
+    /// step back into an earlier word.
+    pub fn from_adjacency<'a>(
+        rows: usize,
+        cols: usize,
+        col_of: &[i32],
+        adjacency: impl Fn(usize) -> &'a [u32],
+    ) -> Self {
+        assert!(
+            col_of.iter().all(|&c| c < 0 || (c as usize) < cols),
+            "column map exceeds {cols} columns"
+        );
+        let mut m = Self::zeros(rows, cols);
+        if m.stride == 0 {
+            return m;
+        }
+        for (i, out) in m.words.chunks_exact_mut(m.stride).enumerate() {
+            let (mut at, mut acc, mut ascending) = (0usize, 0u64, true);
+            for &v in adjacency(i) {
+                let Some(c) = col_of
+                    .get(v as usize)
+                    .and_then(|&c| usize::try_from(c).ok())
+                else {
+                    continue;
+                };
+                let word = c / 64;
+                // Checked once per row: a panic path here costs the loop
+                // half its speed.
+                ascending &= word >= at;
+                acc = if word == at { acc } else { 0 } | 1u64 << (c % 64);
+                at = word;
+                out[at] = acc;
+            }
+            assert!(ascending, "row {i}: columns step back into a stored word");
+        }
+        m
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -150,9 +191,15 @@ impl BitMatrix {
     }
 
     /// Sets bit `(i, j)` to true.
+    ///
+    /// # Panics
+    /// Panics if `(i, j)` is out of range.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize) {
-        debug_assert!(i < self.rows && j < self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "bit ({i}, {j}) out of range"
+        );
         self.words[i * self.stride + j / 64] |= 1u64 << (j % 64);
     }
 
@@ -169,24 +216,43 @@ impl BitMatrix {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Boolean product `self · other` (dimensions `m×k` by `k×n`).
+    /// Row-OR Boolean product `self · other` (`m×k` by `k×n`).
     ///
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn bool_product(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut c = BitMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = &self.words[i * self.stride..(i + 1) * self.stride];
-            let c_row = &mut c.words[i * c.stride..(i + 1) * c.stride];
-            for (wk, &aw) in a_row.iter().enumerate() {
-                let mut bits = aw;
-                while bits != 0 {
-                    let k = wk * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let b_row = &other.words[k * other.stride..(k + 1) * other.stride];
-                    or_words(c_row, b_row);
+        self.product(other, Orientation::RowOr)
+    }
+
+    /// Boolean product on the calling thread. `other` is `k×n` for
+    /// [`Orientation::RowOr`] and the transposed `n×k` for
+    /// [`Orientation::AndAny`]; the result is `m×n` either way.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
+    pub fn product(&self, other: &BitMatrix, orientation: Orientation) -> BitMatrix {
+        let (inner, n) = match orientation {
+            Orientation::RowOr => (other.rows, other.cols),
+            Orientation::AndAny => (other.cols, other.rows),
+        };
+        assert_eq!(self.cols, inner, "inner dimensions must agree");
+        let mut c = BitMatrix::zeros(self.rows, n);
+        if c.stride == 0 {
+            return c;
+        }
+        for (i, c_row) in c.words.chunks_exact_mut(c.stride).enumerate() {
+            let a_row = self.row_words(i);
+            match orientation {
+                Orientation::RowOr => {
+                    for (wk, &aw) in a_row.iter().enumerate() {
+                        for bit in BitIter(aw) {
+                            for (d, s) in c_row.iter_mut().zip(other.row_words(wk * 64 + bit)) {
+                                *d |= *s;
+                            }
+                        }
+                    }
                 }
+                Orientation::AndAny => and_any_row(a_row, other, c_row),
             }
         }
         c
@@ -197,7 +263,7 @@ impl BitMatrix {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterator over set bit coordinates `(row, col)`.
+    /// Iterator over set bit coordinates `(row, col)`, row-major.
     pub fn iter_ones(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.rows).flat_map(move |i| {
             self.row_words(i)
@@ -207,15 +273,23 @@ impl BitMatrix {
         })
     }
 
-    /// Popcount of the AND of two rows — the intersection size of the sets
-    /// the rows encode. Used by bit-parallel SSJ verification.
-    pub fn row_and_popcount(&self, i: usize, other: &BitMatrix, j: usize) -> usize {
-        assert_eq!(self.cols, other.cols, "row widths must agree");
-        self.row_words(i)
-            .iter()
-            .zip(other.row_words(j))
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum()
+    /// The set bits as `(row_ids[i], col_ids[j])` pairs, row-major — so
+    /// with both id lists ascending the pairs come out sorted and distinct,
+    /// and a join's heavy output needs no sort.
+    ///
+    /// # Panics
+    /// Panics if the id lists do not match the matrix shape.
+    pub fn mapped_ones(&self, row_ids: &[u32], col_ids: &[u32]) -> Vec<(u32, u32)> {
+        assert_eq!(row_ids.len(), self.rows, "one id per row");
+        assert_eq!(col_ids.len(), self.cols, "one id per column");
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (i, &x) in row_ids.iter().enumerate() {
+            for (wk, &w) in self.row_words(i).iter().enumerate() {
+                let ids = &col_ids[wk * 64..];
+                out.extend(BitIter(w).map(|b| (x, ids[b])));
+            }
+        }
+        out
     }
 }
 
@@ -235,6 +309,33 @@ impl Iterator for BitIter {
     }
 }
 
+/// AND-any for one row of `A` against every row of `Bᵀ`: bit `j` of the
+/// result is set when the two rows share a set bit. Only `A`'s nonzero word
+/// range is scanned, and a pair stops at its first intersecting
+/// [`AND_BLOCK`]-word block.
+fn and_any_row(a_row: &[u64], bt: &BitMatrix, c_row: &mut [u64]) {
+    let Some(lo) = a_row.iter().position(|&w| w != 0) else {
+        return;
+    };
+    let hi = a_row.iter().rposition(|&w| w != 0).map_or(lo, |h| h + 1);
+    let (a_blocks, a_tail) = a_row[lo..hi].as_chunks::<AND_BLOCK>();
+    for (jw, c_word) in c_row.iter_mut().enumerate() {
+        let mut word = 0u64;
+        for j in jw * 64..((jw + 1) * 64).min(bt.rows) {
+            let (b_blocks, b_tail) = bt.row_words(j)[lo..hi].as_chunks::<AND_BLOCK>();
+            let hit = a_blocks.iter().zip(b_blocks).any(|(x, y)| {
+                let mut acc = 0u64;
+                for i in 0..AND_BLOCK {
+                    acc |= x[i] & y[i];
+                }
+                acc != 0
+            }) || a_tail.iter().zip(b_tail).any(|(x, y)| x & y != 0);
+            word |= (hit as u64) << (j % 64);
+        }
+        *c_word = word;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +343,39 @@ mod tests {
     use crate::gemm::matmul;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn random(rng: &mut StdRng, rows: usize, cols: usize, density: f64) -> BitMatrix {
+        let mut m = BitMatrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                if rng.gen_bool(density) {
+                    m.set(i, j);
+                }
+            }
+        }
+        m
+    }
+
+    fn transposed(m: &BitMatrix) -> BitMatrix {
+        let mut t = BitMatrix::zeros(m.cols(), m.rows());
+        for (i, j) in m.iter_ones() {
+            t.set(j, i);
+        }
+        t
+    }
+
+    /// The product one bit at a time.
+    fn per_bit(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
+        let mut c = BitMatrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                if (0..a.cols()).any(|k| a.get(i, k) && b.get(k, j)) {
+                    c.set(i, j);
+                }
+            }
+        }
+        c
+    }
 
     #[test]
     fn set_and_get() {
@@ -270,29 +404,61 @@ mod tests {
     }
 
     #[test]
+    fn from_adjacency_equals_per_bit_set() {
+        // Values 0..8 map to columns spread over three words; 3 and 9 have
+        // no column.
+        let col_of = [0, 63, 64, -1, 65, 70, 128, 129];
+        let lists: [&[u32]; 4] = [&[0, 1, 2, 7], &[], &[1, 3, 4, 4, 5, 9], &[6]];
+        let built = BitMatrix::from_adjacency(4, 130, &col_of, |i| lists[i]);
+        let mut want = BitMatrix::zeros(4, 130);
+        for (i, list) in lists.iter().enumerate() {
+            for &v in *list {
+                if let Some(&c) = col_of.get(v as usize).filter(|&&c| c >= 0) {
+                    want.set(i, c as usize);
+                }
+            }
+        }
+        assert_eq!(built, want);
+        assert_eq!(built.count_ones(), 8);
+        let none = BitMatrix::from_adjacency(3, 0, &[], |_| &[1, 2]);
+        assert_eq!(none.count_ones(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "column map exceeds")]
+    fn from_adjacency_rejects_a_column_in_the_padding() {
+        let _ = BitMatrix::from_adjacency(1, 70, &[70], |_| &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step back")]
+    fn from_adjacency_rejects_a_step_back_into_a_stored_word() {
+        let _ = BitMatrix::from_adjacency(1, 130, &[64, 3], |_| &[0, 1]);
+    }
+
+    #[test]
+    fn mapped_ones_are_sorted_pairs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let m = random(&mut rng, 9, 150, 0.3);
+        let row_ids: Vec<u32> = (0..9).map(|i| 10 + 3 * i).collect();
+        let col_ids: Vec<u32> = (0..150).map(|j| 7 * j).collect();
+        let got = m.mapped_ones(&row_ids, &col_ids);
+        let want: Vec<(u32, u32)> = m
+            .iter_ones()
+            .map(|(i, j)| (row_ids[i], col_ids[j]))
+            .collect();
+        assert_eq!(got, want);
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+    }
+
+    #[test]
     fn bool_product_matches_float_gemm_thresholded() {
         let mut rng = StdRng::seed_from_u64(9);
         let (m, k, n) = (37, 53, 71);
-        let mut a_bit = BitMatrix::zeros(m, k);
-        let mut b_bit = BitMatrix::zeros(k, n);
-        let mut a = DenseMatrix::zeros(m, k);
-        let mut b = DenseMatrix::zeros(k, n);
-        for i in 0..m {
-            for j in 0..k {
-                if rng.gen_bool(0.2) {
-                    a_bit.set(i, j);
-                    a.set(i, j, 1.0);
-                }
-            }
-        }
-        for i in 0..k {
-            for j in 0..n {
-                if rng.gen_bool(0.2) {
-                    b_bit.set(i, j);
-                    b.set(i, j, 1.0);
-                }
-            }
-        }
+        let a_bit = random(&mut rng, m, k, 0.2);
+        let b_bit = random(&mut rng, k, n, 0.2);
+        let a = DenseMatrix::from_fn(m, k, |i, j| a_bit.get(i, j) as u8 as f32);
+        let b = DenseMatrix::from_fn(k, n, |i, j| b_bit.get(i, j) as u8 as f32);
         let c_bit = a_bit.bool_product(&b_bit);
         let c = matmul(&a, &b);
         for i in 0..m {
@@ -302,51 +468,71 @@ mod tests {
         }
     }
 
+    /// Both orientations agree with the per-bit product across widths that
+    /// straddle word (64) and early-exit block (512) boundaries in the
+    /// inner and the output dimension.
     #[test]
-    fn row_and_popcount_counts_intersection() {
-        let mut a = BitMatrix::zeros(1, 130);
-        let mut b = BitMatrix::zeros(1, 130);
-        for j in [0, 64, 100, 129] {
-            a.set(0, j);
+    fn both_orientations_match_per_bit_reference_on_edge_widths() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let widths = [1usize, 63, 64, 65, 255, 257, 511, 512, 513, 1025];
+        for (t, &wide) in widths.iter().enumerate() {
+            // Sparse enough that some pairs have no witness at every width.
+            let density = (1.5 / (wide as f64).sqrt()).min(0.4);
+            for (m, k, n) in [(5, 9 + t, wide), (5, wide, 9 + t)] {
+                let a = random(&mut rng, m, k, density);
+                let b = random(&mut rng, k, n, density);
+                let want = per_bit(&a, &b);
+                let bt = transposed(&b);
+                assert_eq!(
+                    a.product(&b, Orientation::RowOr),
+                    want,
+                    "row-or ({m},{k},{n})"
+                );
+                assert_eq!(
+                    a.product(&bt, Orientation::AndAny),
+                    want,
+                    "and-any ({m},{k},{n})"
+                );
+            }
         }
-        for j in [0, 64, 101, 129] {
-            b.set(0, j);
-        }
-        assert_eq!(a.row_and_popcount(0, &b, 0), 3);
     }
 
-    /// The widened OR loop (full blocks + word remainder) agrees with a
-    /// per-bit reference across widths straddling word and block
-    /// boundaries.
+    /// AND-any exits early on a hit and scans everything on a miss: rows
+    /// that meet only in the first or only in the last word, and rows that
+    /// never meet.
     #[test]
-    fn widened_or_matches_per_bit_reference_on_edge_widths() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for cols in [1usize, 63, 64, 65, 511, 512, 513, 1025] {
-            let (m, k) = (5, 9);
-            let mut a = BitMatrix::zeros(m, k);
-            let mut b = BitMatrix::zeros(k, cols);
-            for i in 0..m {
-                for j in 0..k {
-                    if rng.gen_bool(0.4) {
-                        a.set(i, j);
-                    }
-                }
-            }
-            for i in 0..k {
-                for j in 0..cols {
-                    if rng.gen_bool(0.1) {
-                        b.set(i, j);
-                    }
-                }
-            }
-            let c = a.bool_product(&b);
-            for i in 0..m {
-                for j in 0..cols {
-                    let want = (0..k).any(|x| a.get(i, x) && b.get(x, j));
-                    assert_eq!(c.get(i, j), want, "cols={cols} ({i},{j})");
-                }
-            }
-        }
+    fn and_any_finds_first_and_last_word_witnesses() {
+        let k = 64 * 19 + 3;
+        let mut a = BitMatrix::zeros(3, k);
+        let mut bt = BitMatrix::zeros(3, k);
+        a.set(0, 0);
+        a.set(1, k - 1);
+        a.set(2, 700);
+        bt.set(0, 0);
+        bt.set(1, k - 1);
+        bt.set(2, 701);
+        let c = a.product(&bt, Orientation::AndAny);
+        assert_eq!(c.iter_ones().collect::<Vec<_>>(), [(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn plan_prefers_and_any_only_when_dense_and_bounded() {
+        // Dense operands, short result rows: a pair hits in its first word.
+        let dense = BitProductPlan::choose(176, 3500, 176, 100_000.0, 100_000.0);
+        assert_eq!(dense.orientation, Orientation::AndAny);
+        assert!(dense.words < 2.0 * 176.0 * 176.0, "{dense:?}");
+        // Sparse operands: row-OR is sparse in A, AND-any would scan it all.
+        let sparse = BitProductPlan::choose(5000, 5000, 5000, 20_000.0, 20_000.0);
+        assert_eq!(sparse.orientation, Orientation::RowOr);
+        assert_eq!(sparse.words, 20_000.0 * 79.0 + 5000.0 * 79.0);
+        // Cheaper in expectation, but a pair that misses scans 1000 words:
+        // the regret bound keeps row-OR.
+        let risky = BitProductPlan::choose(200, 64_000, 200, 640_000.0, 640_000.0);
+        assert_eq!(risky.orientation, Orientation::RowOr);
+        assert_eq!(risky.words, 640_000.0 * 4.0 + 200.0 * 1000.0);
+        // Bytes follow the layout: 8·(m·⌈k/64⌉ + right operand + m·⌈n/64⌉).
+        assert_eq!(dense.bytes, 8 * (176 * 55 + 176 * 55 + 176 * 3));
+        assert_eq!(sparse.bytes, 8 * 3 * 5000 * 79);
     }
 
     #[test]
@@ -358,10 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_product() {
+    fn empty_products() {
         let a = BitMatrix::zeros(0, 0);
         let c = a.bool_product(&BitMatrix::zeros(0, 5));
-        assert_eq!(c.rows(), 0);
-        assert_eq!(c.cols(), 5);
+        assert_eq!((c.rows(), c.cols()), (0, 5));
+        let c = BitMatrix::zeros(3, 4).product(&BitMatrix::zeros(0, 4), Orientation::AndAny);
+        assert_eq!((c.rows(), c.cols(), c.count_ones()), (3, 0, 0));
+        let c = BitMatrix::zeros(3, 0).product(&BitMatrix::zeros(2, 0), Orientation::AndAny);
+        assert_eq!((c.rows(), c.cols(), c.count_ones()), (3, 2, 0));
     }
 }

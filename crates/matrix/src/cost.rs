@@ -14,6 +14,7 @@
 //! light-part cost formula (Algorithm 3 lines 10–11) multiplies against the
 //! threshold-index sums.
 
+use crate::bitmat::{BitMatrix, BitProductPlan, Orientation};
 use crate::dense::DenseMatrix;
 use crate::gemm::matmul_parallel;
 use crate::kernel::active_kernel;
@@ -27,6 +28,11 @@ use std::time::Instant;
 /// `JoinConfig::install_measured_model` uses to re-derive the
 /// combinatorial/matrix crossover.
 pub const REFERENCE_GFLOPS: f64 = 20.0;
+
+/// Seconds per word operation of the Boolean product that
+/// [`CostModel::analytic_default`] assumes, and that a model without a
+/// measured rate falls back to: about one cycle per word at 2 GHz.
+pub const REFERENCE_BIT_WORD_SECS: f64 = 0.5e-9;
 
 /// Runs `f` once as warmup, then three times, and returns the median
 /// wall-clock seconds. Mirrors `bench::timed_median(1, 3, …)` — single-shot
@@ -144,6 +150,9 @@ pub struct CostModel {
     /// samples cover fewer than two core counts (then [`CostModel::speedup`]
     /// falls back to the analytic 80%-efficiency guess).
     curve: Vec<(usize, f64)>,
+    /// Seconds per word operation of the Boolean product
+    /// ([`BitProductPlan::words`]), single core.
+    bit_word_secs: f64,
 }
 
 /// Derives the measured per-core speedup curve from calibration samples:
@@ -183,6 +192,38 @@ fn efficiency_curve(samples: &[Sample]) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Times the Boolean product of two `p × p` operands with the calibration
+/// patterns of the GEMM samples, in the orientation the planner would pick
+/// for them, and returns seconds per planned word operation.
+fn measure_bit_word_secs(p: usize) -> f64 {
+    let a_bit = |i: usize, j: usize| (i * 31 + j * 17).is_multiple_of(7);
+    let b_bit = |i: usize, j: usize| (i * 13 + j * 29).is_multiple_of(5);
+    let ones = |bit: &dyn Fn(usize, usize) -> bool| {
+        (0..p * p).filter(|&c| bit(c / p, c % p)).count() as f64
+    };
+    let plan = BitProductPlan::choose(p, p, p, ones(&a_bit), ones(&b_bit));
+    let fill = |transposed: bool, bit: &dyn Fn(usize, usize) -> bool| {
+        let mut m = BitMatrix::zeros(p, p);
+        for (i, j) in (0..p * p)
+            .map(|c| (c / p, c % p))
+            .filter(|&(i, j)| bit(i, j))
+        {
+            if transposed {
+                m.set(j, i);
+            } else {
+                m.set(i, j);
+            }
+        }
+        m
+    };
+    let a = fill(false, &a_bit);
+    let b = fill(plan.orientation == Orientation::AndAny, &b_bit);
+    let seconds = median_of_3(|| {
+        std::hint::black_box(a.product(&b, plan.orientation));
+    });
+    (seconds / plan.words.max(1.0)).max(1e-12)
+}
+
 impl CostModel {
     /// The one true constructor: derives the parallel-speedup curve from
     /// the samples so every model — measured, injected or loaded — prices
@@ -195,6 +236,7 @@ impl CostModel {
             constants,
             kernel,
             curve,
+            bit_word_secs: REFERENCE_BIT_WORD_SECS,
         }
     }
 
@@ -255,11 +297,16 @@ impl CostModel {
             .max(1e-9);
             samples.push(Sample { p, cores, seconds });
         }
-        Self::finish(
+        let mut model = Self::finish(
             samples,
             SystemConstants::measure(),
             active_kernel().name().to_string(),
-        )
+        );
+        // The Boolean product beside the GEMM samples, at the largest
+        // single-core size swept.
+        let p = points.iter().map(|&(p, _)| p).max().unwrap_or(256);
+        model.bit_word_secs = measure_bit_word_secs(p);
+        model
     }
 
     /// A fast calibration pass suitable for service startup: square sizes
@@ -277,6 +324,31 @@ impl CostModel {
         cores.dedup();
         points.extend(cores.into_iter().map(|c| (512, c)));
         Self::calibrate_points(&points)
+    }
+
+    /// Seconds per word operation of the Boolean product, single core:
+    /// measured by [`CostModel::calibrate`], [`REFERENCE_BIT_WORD_SECS`]
+    /// otherwise.
+    pub fn bit_word_secs(&self) -> f64 {
+        self.bit_word_secs
+    }
+
+    /// The same model with an injected Boolean-product rate (tests, and
+    /// callers that measured it themselves).
+    ///
+    /// # Panics
+    /// Panics unless `secs` is finite and positive.
+    pub fn with_bit_word_secs(mut self, secs: f64) -> Self {
+        assert!(secs.is_finite() && secs > 0.0, "bit-product rate {secs}");
+        self.bit_word_secs = secs;
+        self
+    }
+
+    /// Predicted seconds for a Boolean product of `words` word operations
+    /// ([`BitProductPlan::words`]); it runs on the calling thread whatever
+    /// the budget.
+    pub fn estimate_bit_product(&self, words: f64) -> f64 {
+        words.max(0.0) * self.bit_word_secs
     }
 
     /// Kernel name the samples were measured under (`"analytic"` or
@@ -374,6 +446,7 @@ impl CostModel {
             "constants {:e} {:e} {:e}",
             self.constants.t_seq, self.constants.t_alloc, self.constants.t_insert
         )?;
+        writeln!(out, "bitword {:e}", self.bit_word_secs)?;
         for s in &self.samples {
             writeln!(out, "sample {} {} {:e}", s.p, s.cores, s.seconds)?;
         }
@@ -393,6 +466,8 @@ impl CostModel {
         }
         let mut kernel = "injected".to_string();
         let mut constants = SystemConstants::default();
+        // Manifests written before the Boolean core carry no rate.
+        let mut bit_word_secs = REFERENCE_BIT_WORD_SECS;
         let mut samples = Vec::new();
         for line in lines {
             let line = line?;
@@ -427,6 +502,13 @@ impl CostModel {
                         t_insert: next()?,
                     };
                 }
+                Some("bitword") => {
+                    bit_word_secs = parts
+                        .next()
+                        .and_then(|t| t.parse().ok())
+                        .filter(|&r: &f64| r.is_finite() && r > 0.0)
+                        .ok_or_else(|| bad("bitword line"))?;
+                }
                 Some("sample") => {
                     let p = parts
                         .next()
@@ -448,7 +530,9 @@ impl CostModel {
         if samples.is_empty() {
             return Err(bad("manifest has no samples"));
         }
-        Ok(Self::finish(samples, constants, kernel))
+        let mut model = Self::finish(samples, constants, kernel);
+        model.bit_word_secs = bit_word_secs;
+        Ok(model)
     }
 
     /// `M̂(u, v, w, co)` — predicted seconds to multiply `u×v` by `v×w` on
@@ -614,6 +698,39 @@ mod tests {
         assert_eq!(m.samples().len(), 2);
         assert!(m.estimate(64, 64, 64, 1) > 0.0);
         assert_eq!(m.kernel(), active_kernel().name());
+    }
+
+    #[test]
+    fn bit_rate_defaults_is_measured_and_survives_the_manifest() {
+        assert_eq!(flat_model().bit_word_secs(), REFERENCE_BIT_WORD_SECS);
+        assert_eq!(
+            CostModel::analytic_default().bit_word_secs(),
+            REFERENCE_BIT_WORD_SECS
+        );
+        let measured = CostModel::calibrate(&[64], &[1]);
+        let rate = measured.bit_word_secs();
+        assert!(rate > 0.0 && rate < 1e-6, "implausible rate {rate}");
+        // Linear in words.
+        assert!((measured.estimate_bit_product(1000.0) - 1000.0 * rate).abs() < 1e-18);
+
+        let path =
+            std::env::temp_dir().join(format!("mmjoin-cost-bitword-{}.txt", std::process::id()));
+        measured.save(&path).unwrap();
+        assert_eq!(CostModel::load(&path).unwrap().bit_word_secs(), rate);
+        // A manifest from before the Boolean core loads with the default
+        // rate; a malformed rate is rejected like any other bad line.
+        std::fs::write(&path, "mmjoin-cost-model v1\nsample 100 1 1.0\n").unwrap();
+        assert_eq!(
+            CostModel::load(&path).unwrap().bit_word_secs(),
+            REFERENCE_BIT_WORD_SECS
+        );
+        std::fs::write(
+            &path,
+            "mmjoin-cost-model v1\nbitword -1\nsample 100 1 1.0\n",
+        )
+        .unwrap();
+        assert!(CostModel::load(&path).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   under the global thread budget).
 //! * [`arena`] — reusable thread-local scratch buffers backing the
 //!   scheduler's packing slabs.
-//! * [`bitmat`] — bit-packed boolean matrices with word-parallel OR-AND
-//!   products, an extension ablated in the benchmarks (boolean output needs
-//!   no counts, e.g. plain join-project and BSI).
+//! * [`bitmat`] — bit-packed boolean matrices and their product over the
+//!   Boolean semiring, in two orientations picked from the operand counts:
+//!   the heavy core of every existence-only join-project (an extension over the paper's prototype,
+//!   which always ran SGEMM; counting queries still do).
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.
@@ -37,8 +38,8 @@ pub mod kernel;
 pub mod sparse;
 pub mod strassen;
 
-pub use bitmat::BitMatrix;
-pub use cost::{CostModel, SystemConstants, REFERENCE_GFLOPS};
+pub use bitmat::{BitMatrix, BitProductPlan, Orientation};
+pub use cost::{CostModel, SystemConstants, REFERENCE_BIT_WORD_SECS, REFERENCE_GFLOPS};
 pub use dense::DenseMatrix;
 pub use gemm::{
     matmul, matmul_into, matmul_naive, matmul_parallel, matmul_parallel_on,

@@ -60,8 +60,8 @@
 
 pub use mmjoin_api::{
     Atom, CountSink, DeltaSink, Engine, EngineError, EngineRegistry, ExecStats, ForEachSink,
-    LimitSink, PairSink, PlanKind, PlanStats, Query, QueryError, QueryFamily, QueryGraph, Sink,
-    StepStats, Var, VecSink,
+    LimitSink, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError, QueryFamily,
+    QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
     execute_general, plan_general, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine, PlanError,

@@ -14,7 +14,7 @@
 
 use crate::error::ServiceError;
 use mmjoin_api::{Engine, EngineError, EngineRegistry, Query, QueryFamily};
-use mmjoin_core::{choose_thresholds, plan_general, JoinConfig, PlanChoice, PlanStep};
+use mmjoin_core::{plan_general, prefers_wcoj, JoinConfig, PlanStep};
 use std::collections::HashMap;
 
 /// Why the planner picked the engine it picked (reported per response).
@@ -144,8 +144,17 @@ impl Planner {
             Query::Star { relations } => (relations[0], *relations.get(1).unwrap_or(&relations[0])),
             Query::General { .. } => unreachable!("handled above"),
         };
-        let plan = choose_thresholds(r, s, &self.config);
-        let combinatorial = plan.choice == PlanChoice::Wcoj;
+        // Algorithm 3's line-2 test alone: which engine runs needs neither
+        // threshold indexes nor the Δ grid — the engine plans for itself.
+        // Only a plain two-path multiplies over the Boolean semiring.
+        let counting = !matches!(
+            query,
+            Query::TwoPath {
+                with_counts: false,
+                ..
+            }
+        );
+        let (combinatorial, estimate) = prefers_wcoj(r, s, &self.config, counting);
         let preferred = match (query.family(), combinatorial) {
             // General queries returned above; unreachable here.
             (QueryFamily::TwoPath | QueryFamily::Star | QueryFamily::General, true) => "Non-MMJoin",
@@ -165,8 +174,8 @@ impl Planner {
                     let reason = if candidate == preferred {
                         SelectionReason::CostBased {
                             combinatorial,
-                            full_join: plan.estimate.full_join,
-                            estimated_out: plan.estimate.estimate,
+                            full_join: estimate.full_join,
+                            estimated_out: estimate.estimate,
                         }
                     } else {
                         SelectionReason::Fallback

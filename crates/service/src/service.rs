@@ -17,7 +17,7 @@ use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
 use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, QueryFamily, VecSink};
 use mmjoin_core::plan::{FinalStage, GeneralPlan, NodeSource, PlanStep, ProjCols};
-use mmjoin_core::{choose_thresholds, plan_general, JoinConfig, PlanChoice};
+use mmjoin_core::{choose_thresholds, choose_thresholds_for, plan_general, JoinConfig, PlanChoice};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
@@ -501,11 +501,13 @@ impl Service {
                     &mut lines,
                 );
             }
-            Query::TwoPath { r, s, .. } => {
-                lines.push(explain_thresholds(r, s, &self.planner.config));
+            Query::TwoPath {
+                r, s, with_counts, ..
+            } => {
+                lines.push(explain_thresholds(r, s, &self.planner.config, *with_counts));
             }
             Query::SimilarityJoin { r, .. } | Query::ContainmentJoin { r } => {
-                lines.push(explain_thresholds(r, r, &self.planner.config));
+                lines.push(explain_thresholds(r, r, &self.planner.config, true));
             }
             Query::Star { relations } => {
                 if relations.len() >= 2 {
@@ -513,6 +515,7 @@ impl Service {
                         relations[0],
                         relations[1],
                         &self.planner.config,
+                        false,
                     ));
                 }
             }
@@ -581,17 +584,24 @@ fn cache_key(fingerprint: u64, epochs: &[u64]) -> u64 {
     h.finish()
 }
 
-/// One line describing the classic-family threshold decision.
-fn explain_thresholds(r: &Relation, s: &Relation, config: &JoinConfig) -> String {
-    let plan = choose_thresholds(r, s, config);
+/// One line describing the classic-family threshold decision: the
+/// thresholds, the heavy-core kernel they were priced for (`counting`
+/// queries read witness counts and need SGEMM) and the two predictions.
+fn explain_thresholds(r: &Relation, s: &Relation, config: &JoinConfig, counting: bool) -> String {
+    let plan = choose_thresholds_for(r, s, config, counting);
     match plan.choice {
         PlanChoice::Wcoj => format!(
             "plan: expand (WCOJ) — full join {} is output-like (est out {})",
             plan.estimate.full_join, plan.estimate.estimate
         ),
         PlanChoice::Mm { delta1, delta2 } => format!(
-            "plan: matrix-partitioned Δ1={delta1} Δ2={delta2} — full join {}, est out {}",
-            plan.estimate.full_join, plan.estimate.estimate
+            "plan: matrix-partitioned Δ1={delta1} Δ2={delta2}, heavy core {} \
+             (predicted light {:.0}us, heavy {:.0}us) — full join {}, est out {}",
+            plan.heavy_kernel.unwrap_or("none"),
+            plan.predicted_light * 1e6,
+            plan.predicted_heavy * 1e6,
+            plan.estimate.full_join,
+            plan.estimate.estimate
         ),
     }
 }
@@ -772,8 +782,7 @@ fn refresh_entry(
     let s_old: &Relation = if delta_on_s { &staged.old } else { &s_new };
 
     let d_cost = delta_cost(&staged.delta, r_old, s_old, delta_on_r, delta_on_s);
-    let plan = choose_thresholds(&r_new, &s_new, &service.planner.config);
-    let recompute_cost = plan.estimate.full_join + (r_new.len() + s_new.len()) as u64;
+    let recompute_cost = r_new.full_join_size(&s_new) + (r_new.len() + s_new.len()) as u64;
 
     let decision = decide(
         value.support.is_some(),

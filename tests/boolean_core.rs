@@ -1,0 +1,199 @@
+//! The Boolean heavy core against the two things it must equal: the f32
+//! core it replaces for existence queries, and plain expansion.
+//!
+//! Every case forces the partition (`delta_override`), so the three
+//! evaluations see the same `(Δ1, Δ2)` and differ only in how the heavy
+//! block is multiplied: bit product, SGEMM, or — with the memory cap at
+//! zero — the combinatorial fallback. CI runs this suite on both feature
+//! legs: the bit kernel is the same portable code on each, the SGEMM it is
+//! compared with is not.
+
+use mmjoin_baseline::nonmm::ExpandDedupEngine;
+use mmjoin_core::{two_path_join_project_with_stats, HeavyBackend, JoinConfig};
+use mmjoin_executor::Executor;
+use mmjoin_storage::{Relation, Value};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+fn forced(backend: HeavyBackend, deltas: (u32, u32)) -> JoinConfig {
+    JoinConfig {
+        heavy_backend: backend,
+        delta_override: Some(deltas),
+        ..JoinConfig::default()
+    }
+}
+
+/// Asserts bit core == f32 core == capped fallback == expansion on `(r, s)`
+/// at `deltas`; returns the heavy dims the bit run reported.
+fn assert_cores_agree(r: &Relation, s: &Relation, deltas: (u32, u32)) -> (usize, usize, usize) {
+    let expected = ExpandDedupEngine::serial().join_project(r, s);
+    let (bit, bit_stats) =
+        two_path_join_project_with_stats(r, s, &forced(HeavyBackend::Auto, deltas));
+    let (f32_out, f32_stats) =
+        two_path_join_project_with_stats(r, s, &forced(HeavyBackend::DenseF32, deltas));
+    let capped = JoinConfig {
+        matrix_cell_cap: 0,
+        ..forced(HeavyBackend::Auto, deltas)
+    };
+    let (fallback, capped_stats) = two_path_join_project_with_stats(r, s, &capped);
+    assert_eq!(bit, expected, "bit core at {deltas:?}");
+    assert_eq!(f32_out, expected, "f32 core at {deltas:?}");
+    assert_eq!(fallback, expected, "capped fallback at {deltas:?}");
+    if r.is_empty() || s.is_empty() {
+        assert!(bit_stats.is_none());
+        return (0, 0, 0);
+    }
+    let (bit_stats, f32_stats) = (bit_stats.unwrap(), f32_stats.unwrap());
+    assert!(bit_stats.heavy_backend.unwrap().starts_with("bit "));
+    assert_eq!(f32_stats.heavy_backend, Some("f32"));
+    // Same partition, and the same verdict on whether a matrix ran — except
+    // that nothing fits under a zero cap.
+    assert_eq!(bit_stats.heavy_dims, f32_stats.heavy_dims);
+    assert_eq!(bit_stats.heavy_core_matrix, f32_stats.heavy_core_matrix);
+    assert_eq!(capped_stats.unwrap().heavy_core_matrix, Some(false));
+    bit_stats.heavy_dims.unwrap()
+}
+
+/// `sets` sets over `elems` elements, element `y` in set `x` when the
+/// seeded coin says so.
+fn coin_relation(sets: u32, elems: u32, keep_of_16: u32, seed: u32) -> Relation {
+    let mut edges = Vec::new();
+    for x in 0..sets {
+        for y in 0..elems {
+            let coin = (x.wrapping_mul(2_654_435_761) ^ y.wrapping_mul(40_503) ^ seed)
+                .wrapping_mul(2_246_822_519)
+                >> 28;
+            if coin < keep_of_16 {
+                edges.push((x, y));
+            }
+        }
+    }
+    Relation::from_edges(edges)
+}
+
+/// Heavy widths on both sides of the 64-bit word and the 512-bit early-exit
+/// block boundaries, in the inner (`y`) and the output (`z`) dimension.
+#[test]
+fn cores_agree_across_word_and_block_width_boundaries() {
+    for width in [1u32, 63, 64, 65, 255, 256, 257, 511, 512, 513, 700] {
+        // Wide output, narrow inner: row-OR over `⌈width/64⌉`-word rows.
+        let r = coin_relation(9, 24, 6, width);
+        let s = coin_relation(width, 24, 5, width + 1);
+        let (u, v, w) = assert_cores_agree(&r, &s, (0, 0));
+        assert!(u > 0 && v > 0 && w as u32 >= width * 9 / 10, "{width}");
+        assert_cores_agree(&r, &s, (2, 3));
+        // Wide inner, narrow output: AND-any over `⌈width/64⌉`-word rows,
+        // sparse enough that some pairs scan to the end without a witness.
+        let r = coin_relation(9, width, 2, width + 2);
+        let s = coin_relation(11, width, 2, width + 3);
+        assert_cores_agree(&r, &s, (0, 0));
+        assert_cores_agree(&r, &s, (1, 1));
+    }
+}
+
+#[test]
+fn cores_agree_on_mismatched_domains_and_empty_heavy_sides() {
+    // R's elements run past S's and the other way round; x and z domains
+    // differ too.
+    let r = Relation::from_edges((0..300u32).map(|i| (i % 7, i % 90)));
+    let s = Relation::from_edges((0..200u32).map(|i| (i % 23, (i * 3) % 40)));
+    for deltas in [(0, 0), (1, 1), (3, 2), (2, 9)] {
+        assert_cores_agree(&r, &s, deltas);
+        assert_cores_agree(&s, &r, deltas);
+    }
+    // Thresholds above every degree: each heavy side in turn is empty.
+    for deltas in [(1000, 0), (0, 1000), (1000, 1000)] {
+        let (u, v, w) = assert_cores_agree(&r, &s, deltas);
+        assert!(u == 0 || v == 0 || w == 0, "{deltas:?}");
+    }
+    // Disjoint elements: nothing joins, and nothing is heavy in both.
+    let far = Relation::from_edges((0..50u32).map(|i| (i % 5, 500 + i)));
+    assert_eq!(assert_cores_agree(&r, &far, (0, 0)), (0, 0, 0));
+    let empty = Relation::from_edges(std::iter::empty());
+    assert_cores_agree(&r, &empty, (0, 0));
+}
+
+/// The cap counts bytes of the representation that runs: one budget lets
+/// the bit core multiply where the f32 core must fall back.
+#[test]
+fn byte_cap_trips_per_representation() {
+    let r = coin_relation(40, 200, 8, 7);
+    let expected = ExpandDedupEngine::serial().join_project(&r, &r);
+    // 40×200×40: 17.6 k f32 cells = 70 k bytes; as bits, 3.2 k bytes.
+    let budget = |backend| JoinConfig {
+        matrix_cell_cap: 2_000,
+        ..forced(backend, (0, 0))
+    };
+    let (bit, bit_stats) = two_path_join_project_with_stats(&r, &r, &budget(HeavyBackend::Auto));
+    let (f32_out, f32_stats) =
+        two_path_join_project_with_stats(&r, &r, &budget(HeavyBackend::DenseF32));
+    assert_eq!(bit, expected);
+    assert_eq!(f32_out, expected);
+    assert_eq!(bit_stats.unwrap().heavy_core_matrix, Some(true));
+    assert_eq!(f32_stats.unwrap().heavy_core_matrix, Some(false));
+}
+
+/// The rows do not depend on the thread count: the Boolean core runs on the
+/// calling thread whatever the budget, and at a mixed partition the light
+/// passes around it are chunked over the executor.
+#[test]
+fn bit_core_is_identical_at_every_thread_count() {
+    let r = coin_relation(700, 900, 3, 11);
+    let s = coin_relation(650, 900, 3, 12);
+    let budget = Executor::global().budget();
+    for deltas in [(0, 0), (40, 60)] {
+        let serial = two_path_join_project_with_stats(&r, &s, &forced(HeavyBackend::Auto, deltas));
+        assert_eq!(serial.1.as_ref().unwrap().heavy_core_matrix, Some(true));
+        for threads in [1, 2, budget, 7] {
+            let config = JoinConfig {
+                threads,
+                executor: Some(Arc::new(Executor::new(threads))),
+                ..forced(HeavyBackend::Auto, deltas)
+            };
+            let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
+            assert_eq!(rows, serial.0, "{deltas:?} threads={threads}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random relations, random forced thresholds (everything-heavy
+    /// included): bit core == f32 core == capped fallback == expansion.
+    #[test]
+    fn cores_agree_on_random_relations(
+        r_edges in proptest::collection::vec((0u32..40, 0u32..150), 0..400),
+        s_edges in proptest::collection::vec((0u32..90, 0u32..130), 0..400),
+        d1 in 0u32..6,
+        d2 in 0u32..8,
+    ) {
+        let r: Relation = Relation::from_edges(r_edges);
+        let s: Relation = Relation::from_edges(s_edges);
+        assert_cores_agree(&r, &s, (d1, d2));
+        assert_cores_agree(&r, &s, (0, 0));
+    }
+
+    /// Whatever the optimizer picks by itself, with either kernel priced,
+    /// the answer is the expansion's.
+    #[test]
+    fn optimizer_chosen_plans_agree(
+        sets in 2u32..40,
+        elems in 4u32..120,
+        keep in 1u32..12,
+        seed in any::<u32>(),
+    ) {
+        let r = coin_relation(sets, elems, keep, seed);
+        let s = coin_relation(sets + 3, elems, keep, seed ^ 0x5bd1);
+        let expected: Vec<(Value, Value)> = ExpandDedupEngine::serial().join_project(&r, &s);
+        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+            let config = JoinConfig {
+                heavy_backend: backend,
+                wcoj_fallback_factor: 1.0,
+                ..JoinConfig::default()
+            };
+            let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
+            prop_assert_eq!(&rows, &expected);
+        }
+    }
+}

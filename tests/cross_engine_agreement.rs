@@ -39,10 +39,6 @@ fn registry_under_test() -> EngineRegistry {
             self.inner.execute(q, sink)
         }
     }
-    let backend_cfg = |backend| JoinConfig {
-        heavy_backend: backend,
-        ..JoinConfig::default()
-    };
     let threads_cfg = |threads| JoinConfig {
         threads,
         ..JoinConfig::default()
@@ -53,9 +49,15 @@ fn registry_under_test() -> EngineRegistry {
         ("MMJoin(2 threads)", threads_cfg(2)),
         ("MMJoin(3 threads)", threads_cfg(3)),
         ("MMJoin(8 threads)", threads_cfg(8)),
-        ("MMJoin(bitmatrix)", backend_cfg(HeavyBackend::BitMatrix)),
-        ("MMJoin(spgemm)", backend_cfg(HeavyBackend::Sparse)),
-        ("MMJoin(auto)", backend_cfg(HeavyBackend::Auto)),
+        // The roster default multiplies existence queries as bits; pin
+        // SGEMM too so each kernel is compared with every other engine.
+        (
+            "MMJoin(f32)",
+            JoinConfig {
+                heavy_backend: HeavyBackend::DenseF32,
+                ..JoinConfig::default()
+            },
+        ),
     ] {
         registry.register(Box::new(Renamed {
             name,

@@ -126,6 +126,76 @@ fn composed_chain_query_trace_covers_every_stage() {
     teardown();
 }
 
+/// The `exec` box is open: a matrix-plan two-path records its five engine
+/// phases — the terms of the paper's cost formula — as labelled `step`
+/// spans under `exec`, once each and in order; an expansion plan records
+/// none of them. The same run's `PlanStats` carry the phases as seconds
+/// beside the optimizer's predictions, and `explain` names the kernel.
+#[test]
+fn matrix_plan_two_path_opens_exec_into_its_five_phases() {
+    const PHASES: [&str; 5] = ["partition", "light", "build", "product", "extract"];
+    let _guard = with_tracer();
+    let tracer = Tracer::global();
+    let service = Service::with_default_registry();
+    // 60 sets sharing 8 elements: full join 8·60² ≫ 20·N, a matrix plan.
+    service.register(
+        "Dense",
+        Relation::from_edges((0..60u32).flat_map(|x| (0..8u32).map(move |y| (x, y)))),
+    );
+    // A perfect matching: output-like, the expansion plan.
+    service.register("Sparse", Relation::from_edges((0..200u32).map(|i| (i, i))));
+
+    let phases_of = |line: &str, engine: &str| -> Vec<String> {
+        let root = tracer.begin(line).expect("tracing is on");
+        let answer = command::run_line(&service, line).expect("query runs");
+        assert!(answer.contains(&format!("engine {engine} ")), "{answer}");
+        drop(root);
+        let trace = tracer.last(1).pop().expect("one finished trace");
+        let exec = trace
+            .spans
+            .iter()
+            .find(|s| s.stage == Stage::Exec)
+            .expect("an exec span");
+        let under_exec: Vec<String> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::Step && s.parent == exec.id)
+            .map(|s| s.label.to_string())
+            .collect();
+        // `trace tree` renders them with their measured durations.
+        let rendered = trace.render();
+        for label in &under_exec {
+            assert!(rendered.contains(&format!("step {label}")), "{rendered}");
+        }
+        under_exec
+    };
+    assert_eq!(phases_of("query twopath Dense Dense", "MMJoin"), PHASES);
+    // Pinned onto MMJoin, so that the engine's own optimizer — not the
+    // service's engine choice — is what declines to partition.
+    assert_eq!(
+        phases_of("query twopath Sparse Sparse engine MMJoin", "MMJoin"),
+        [""; 0]
+    );
+
+    let response = service
+        .query(mmjoin::Request::two_path("Dense", "Dense"))
+        .expect("query runs");
+    let plan = response
+        .stats
+        .plan
+        .as_ref()
+        .expect("MMJoin reports its plan");
+    assert_eq!(plan.heavy_backend, Some("bit row-or"));
+    let measured = plan.measured_phase_secs.expect("phases measured");
+    assert!(measured.build > 0.0 && measured.product > 0.0 && measured.extract > 0.0);
+    assert!(plan.predicted_heavy_secs.is_some());
+
+    let explained = command::run_line(&service, "explain twopath Dense Dense").unwrap();
+    assert!(explained.contains("heavy core bit"), "{explained}");
+    assert!(explained.contains("predicted light"), "{explained}");
+    teardown();
+}
+
 /// An update's trace says, per refreshed cache entry, what the maintenance
 /// rule predicted and what the refresh then did.
 #[test]
