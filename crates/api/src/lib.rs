@@ -44,6 +44,6 @@ pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;
 pub use sink::{
-    emit_counted_pairs, emit_pairs, emit_tuples, CountSink, DeltaSink, ForEachSink, LimitSink,
-    PairSink, Sink, VecSink,
+    emit_counted_pairs, emit_flat, emit_pairs, rows_of, CountSink, DeltaSink, ForEachSink,
+    LimitSink, PairSink, Sink, VecSink,
 };

@@ -268,19 +268,35 @@ pub fn emit_counted_pairs(
     rows
 }
 
-/// Streams arity-`arity` tuples into `sink`, stopping early when the
-/// sink stops wanting rows; returns the emitted row count.
-pub fn emit_tuples(sink: &mut dyn Sink, arity: usize, tuples: &[Vec<Value>]) -> u64 {
+/// Streams a flat row buffer — `arity` values per row, rows back to back —
+/// into `sink`, stopping early when the sink stops wanting rows; returns the
+/// emitted row count. The engine allocates nothing per row: what a sink
+/// keeps, it copies out of the buffer itself.
+///
+/// # Panics
+/// Panics if `arity` is 0 or does not divide the buffer.
+pub fn emit_flat(sink: &mut dyn Sink, arity: usize, flat: &[Value]) -> u64 {
+    assert!(
+        arity > 0 && flat.len().is_multiple_of(arity),
+        "{} values are not rows of arity {arity}",
+        flat.len()
+    );
     sink.begin(arity);
     let mut rows = 0u64;
-    for t in tuples {
+    for row in flat.chunks_exact(arity) {
         if !sink.wants_more() {
             break;
         }
-        sink.row(t);
+        sink.row(row);
         rows += 1;
     }
     rows
+}
+
+/// A flat row buffer (see [`emit_flat`]) as one `Vec` per row — the adapter
+/// behind the `Vec<Vec<Value>>`-returning wrappers.
+pub fn rows_of(arity: usize, flat: &[Value]) -> Vec<Vec<Value>> {
+    flat.chunks_exact(arity).map(<[Value]>::to_vec).collect()
 }
 
 /// Accumulates signed deltas of arity-2 rows — the sink behind
@@ -449,6 +465,26 @@ mod tests {
         let inner = s.into_inner();
         assert_eq!(inner.pairs(), vec![(0, 0), (0, 1)]);
         assert_eq!(inner.counts, vec![0, 3]);
+    }
+
+    #[test]
+    fn emit_flat_streams_rows_until_the_sink_has_enough() {
+        let flat = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+        let mut all = VecSink::new();
+        assert_eq!(emit_flat(&mut all, 3, &flat), 3);
+        assert_eq!(all.arity, 3);
+        assert_eq!(all.rows, rows_of(3, &flat));
+        assert_eq!(all.rows[2], [7, 8, 9]);
+        let mut two = LimitSink::new(VecSink::new(), 2);
+        assert_eq!(emit_flat(&mut two, 3, &flat), 2);
+        assert_eq!(two.into_inner().rows, all.rows[..2]);
+        assert_eq!(emit_flat(&mut CountSink::new(), 5, &[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not rows of arity 2")]
+    fn emit_flat_rejects_a_ragged_buffer() {
+        emit_flat(&mut CountSink::new(), 2, &[1, 2, 3]);
     }
 
     #[test]

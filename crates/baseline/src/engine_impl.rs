@@ -8,7 +8,7 @@ use crate::fulljoin::{HashJoinEngine, SortMergeEngine, SystemXEngine};
 use crate::nonmm::ExpandDedupEngine;
 use crate::setintersect::SetIntersectEngine;
 use crate::star::{HashDedupStarEngine, SortDedupStarEngine};
-use mmjoin_api::{emit_pairs, emit_tuples, Engine, EngineError, ExecStats, Query, Sink};
+use mmjoin_api::{emit_flat, emit_pairs, Engine, EngineError, ExecStats, Query, Sink};
 
 /// Implements [`Engine`] for a 2-path-only baseline in terms of its
 /// inherent `join_project` method.
@@ -54,7 +54,7 @@ macro_rules! two_path_engine {
 }
 
 /// Implements [`Engine`] for a star-only baseline in terms of its inherent
-/// `star_join_project` method.
+/// `star_join_project_flat` method.
 macro_rules! star_engine {
     ($ty:ty, $name:literal) => {
         impl Engine for $ty {
@@ -74,8 +74,8 @@ macro_rules! star_engine {
                 query.validate()?;
                 match query {
                     Query::Star { relations } => {
-                        let tuples = self.star_join_project(relations);
-                        let rows = emit_tuples(sink, relations.len(), &tuples);
+                        let flat = self.star_join_project_flat(relations);
+                        let rows = emit_flat(sink, relations.len(), &flat);
                         Ok(ExecStats::new($name, rows))
                     }
                     _ => Err(self.unsupported(query)),
@@ -123,8 +123,8 @@ impl Engine for ExpandDedupEngine {
                 Ok(ExecStats::new(Engine::name(self), rows))
             }
             Query::Star { relations } => {
-                let tuples = self.star_join_project(relations);
-                let rows = emit_tuples(sink, relations.len(), &tuples);
+                let flat = self.star_join_project_flat(relations);
+                let rows = emit_flat(sink, relations.len(), &flat);
                 Ok(ExecStats::new(Engine::name(self), rows))
             }
             _ => Err(self.unsupported(query)),

@@ -21,7 +21,6 @@
 use mmjoin_executor::Executor;
 use mmjoin_storage::dedup::sort_dedup;
 use mmjoin_storage::{DedupBuffer, Relation, Value};
-use mmjoin_wcoj::{star_full_join_for_each, ProjectionAccumulator};
 
 /// The Lemma-2 combinatorial output-sensitive engine (`Non-MMJoin`).
 #[derive(Debug, Clone)]
@@ -173,9 +172,13 @@ impl ExpandDedupEngine {
     /// bound memory; this matches the combinatorial `O(|D|·|OUT|^{1-1/k})`
     /// behaviour in practice.
     pub fn star_join_project<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Vec<Value>> {
-        let mut acc = ProjectionAccumulator::new(relations.len());
-        star_full_join_for_each(relations, |_, tuple| acc.push(tuple));
-        acc.finish()
+        mmjoin_wcoj::star_join_project(relations)
+    }
+
+    /// [`Self::star_join_project`] as one flat buffer, `relations.len()`
+    /// values per row.
+    pub fn star_join_project_flat<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Value> {
+        mmjoin_wcoj::star_join_project_flat(relations)
     }
 }
 

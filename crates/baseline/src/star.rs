@@ -26,6 +26,12 @@ impl HashDedupStarEngine {
         out.sort_unstable();
         out
     }
+
+    /// [`Self::star_join_project`] as one flat buffer, `relations.len()`
+    /// values per row.
+    pub fn star_join_project_flat<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Value> {
+        self.star_join_project(relations).concat()
+    }
 }
 
 /// Reference star engine: the WCOJ enumeration followed by sort+dedup.
@@ -38,6 +44,12 @@ impl SortDedupStarEngine {
     /// tuples.
     pub fn star_join_project<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Vec<Value>> {
         mmjoin_wcoj::star_join_project(relations)
+    }
+
+    /// [`Self::star_join_project`] as one flat buffer, `relations.len()`
+    /// values per row.
+    pub fn star_join_project_flat<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Value> {
+        mmjoin_wcoj::star_join_project_flat(relations)
     }
 }
 

@@ -509,8 +509,9 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
 }
 
 /// Plan report (beyond the paper): what MMJoin's optimizer decided per
-/// dataset — plan kind, chosen `(Δ1, Δ2)`, heavy-core shape and light
-/// tuple mass — straight out of [`ExecStats`].
+/// dataset, for the self two-path and for two stars — plan kind, chosen
+/// `(Δ1, Δ2)`, heavy-core shape and light tuple mass — straight out of
+/// [`ExecStats`].
 pub fn plan_report(scale: f64) -> Table {
     let registry = default_registry(1);
     let mut t = Table::new(
@@ -529,14 +530,12 @@ pub fn plan_report(scale: f64) -> Table {
             "|OUT|".into(),
         ],
     );
-    for kind in DatasetKind::ALL {
-        let r = dataset(kind, scale);
-        let q = Query::two_path(&r, &r).build().unwrap();
-        let (stats, _) = run_counted(registry.get("MMJoin").unwrap(), &q);
+    let mut row = |name: String, q: &Query<'_>| {
+        let (stats, _) = run_counted(registry.get("MMJoin").unwrap(), q);
         let plan = stats.plan.expect("MMJoin reports a plan");
         let fmt_opt = |v: Option<u32>| v.map_or("-".to_string(), |x| x.to_string());
         t.push_row(
-            kind.name(),
+            name,
             vec![
                 match plan.kind {
                     PlanKind::Wcoj => "wcoj".to_string(),
@@ -567,6 +566,22 @@ pub fn plan_report(scale: f64) -> Table {
                     .map_or("-".to_string(), |e| e.to_string()),
                 stats.rows.to_string(),
             ],
+        );
+    };
+    for kind in DatasetKind::ALL {
+        let r = dataset(kind, scale);
+        row(
+            kind.name().to_string(),
+            &Query::two_path(&r, &r).build().unwrap(),
+        );
+    }
+    // Stars report the same record: a dense instance (everything heavy)
+    // and a skewed one.
+    for kind in [DatasetKind::Jokes, DatasetKind::Words] {
+        let rels = star_dataset(kind, scale, 3);
+        row(
+            format!("{} star k=3", kind.name()),
+            &Query::star(&rels).build().unwrap(),
         );
     }
     t
@@ -620,14 +635,21 @@ mod tests {
     #[test]
     fn plan_report_reports_thresholds_for_dense_data() {
         let t = plan_report(TINY);
-        assert_eq!(t.rows.len(), DatasetKind::ALL.len());
+        // One two-path per dataset, then the two stars.
+        assert_eq!(t.rows.len(), DatasetKind::ALL.len() + 2);
+        let (two_paths, stars) = t.rows.split_at(DatasetKind::ALL.len());
         // At least one dense dataset must take the matrix plan and report
         // concrete thresholds.
         assert!(
-            t.rows
+            two_paths
                 .iter()
                 .any(|(_, cells)| cells[0] == "matrix" && cells[1] != "-"),
             "{t:?}"
         );
+        // The dense star does, and shows a prediction beside a measurement.
+        let (name, cells) = &stars[0];
+        assert!(name.contains("star"), "{name}");
+        assert_eq!(cells[0], "matrix", "{t:?}");
+        assert!(cells[5].contains('+') && cells[6].contains('+'), "{t:?}");
     }
 }

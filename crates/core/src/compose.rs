@@ -18,10 +18,10 @@
 
 use crate::config::JoinConfig;
 use crate::plan::{plan_general, FinalStage, GeneralPlan, PlanStep, ProjCols};
-use crate::star::star_join_project_mm_with_stats;
+use crate::star::star_join_project_mm_flat;
 use crate::two_path::two_path_join_project_with_stats;
 use mmjoin_api::ir::QueryGraph;
-use mmjoin_api::{emit_pairs, emit_tuples, EngineError, PlanStats, Sink, StepStats};
+use mmjoin_api::{emit_flat, emit_pairs, EngineError, PlanStats, Sink, StepStats};
 use mmjoin_obs::trace::{self, Stage};
 use mmjoin_storage::{Relation, RelationBuilder, Value};
 use std::borrow::Cow;
@@ -297,8 +297,8 @@ fn run_final_stage(
                 })
                 .collect();
             let refs: Vec<&Relation> = oriented_legs.iter().map(|c| c.as_ref()).collect();
-            let (tuples, prim) = star_join_project_mm_with_stats(&refs, config);
-            let rows = emit_tuples(sink, graph.output_arity(), &tuples);
+            let (flat, prim) = star_join_project_mm_flat(&refs, config);
+            let rows = emit_flat(sink, graph.output_arity(), &flat);
             Ok((rows, prim))
         }
     }

@@ -13,11 +13,11 @@
 
 use crate::compose::execute_general;
 use crate::plan::plan_general;
-use crate::star::star_join_project_mm_with_stats;
+use crate::star::star_join_project_mm_flat;
 use crate::two_path::{two_path_join_project_with_stats, two_path_with_counts_stats};
 use crate::MmJoinEngine;
 use mmjoin_api::{
-    emit_counted_pairs, emit_pairs, emit_tuples, Engine, EngineError, ExecStats, Query, Sink,
+    emit_counted_pairs, emit_flat, emit_pairs, Engine, EngineError, ExecStats, Query, Sink,
 };
 
 impl Engine for MmJoinEngine {
@@ -66,10 +66,10 @@ impl Engine for MmJoinEngine {
                 })
             }
             Query::Star { ref relations } => {
-                let (tuples, plan) = star_join_project_mm_with_stats(relations, config);
+                let (flat, plan) = star_join_project_mm_flat(relations, config);
                 Ok(ExecStats {
                     engine: Engine::name(self).to_string(),
-                    rows: emit_tuples(sink, relations.len(), &tuples),
+                    rows: emit_flat(sink, relations.len(), &flat),
                     plan,
                 })
             }

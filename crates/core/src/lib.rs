@@ -78,7 +78,10 @@ pub use optimizer::{
     choose_thresholds, choose_thresholds_for, prefers_wcoj, ExecutionPlan, PlanChoice,
 };
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};
-pub use star::{star_join_project_mm, star_join_project_mm_with_stats};
+pub use star::{
+    plan_star, star_join_project_mm, star_join_project_mm_flat, star_join_project_mm_with_stats,
+    StarPlan,
+};
 pub use two_path::{
     two_path_join_project, two_path_join_project_with_stats, two_path_with_counts,
     two_path_with_counts_stats,

@@ -136,50 +136,8 @@ pub fn choose_thresholds_for(
     let consts = config.cost_model.constants;
     let n = r.len().max(s.len()).max(1) as f64;
     let out_est = estimate.estimate.max(1) as f64;
-    let cap_bytes = config.matrix_cell_cap.saturating_mul(4);
-
-    // Lines 12–13: cost of the heavy core over `u × v × w` with `nnz1` /
-    // `nnz2` heavy tuples on the two sides, and the kernel it is the cost
-    // of — or `None` when the core would be empty or over the memory cap
-    // (such a partition runs no matrix).
-    let heavy_cost = |(u, v, w): (usize, usize, usize), nnz1: f64, nnz2: f64| {
-        if u == 0 || v == 0 || w == 0 {
-            return None;
-        }
-        let (uf, vf, wf) = (u as f64, v as f64, w as f64);
-        let (nnz1, nnz2) = (nnz1.min(uf * vf), nnz2.min(vf * wf));
-        let emit = consts.t_insert * (uf * wf).min(out_est);
-        if boolean {
-            // One pass over the heavy CSR rows builds the operands a word
-            // at a time; every word is allocated zeroed (`Tm` is per 32
-            // bytes) and the product's words are scanned once.
-            let bit = BitProductPlan::choose(u, v, w, nnz1, nnz2);
-            (bit.bytes <= cap_bytes).then(|| {
-                let cost = config.cost_model.estimate_bit_product(bit.words)
-                    + consts.t_seq * (nnz1 + nnz2)
-                    + consts.t_alloc * bit.bytes as f64 / 32.0
-                    + consts.t_seq * uf * (wf / 64.0).ceil()
-                    + emit;
-                (cost, bit.orientation.name())
-            })
-        } else {
-            // The GEMM term is priced by its *effective* work — the kernel
-            // skips zero rows of M1, so the madds executed are ≈ nnz(M1)·w
-            // — plus the zero-branch scan of M1, the (calloc-cheap) matrix
-            // allocations, and the extraction scan of all u·w cells (the
-            // paper's `Tm·(u·v + u·w)`).
-            let cells = uf * vf + vf * wf + uf * wf;
-            (4.0 * cells <= cap_bytes as f64).then(|| {
-                let cost = config
-                    .cost_model
-                    .estimate_effective(nnz1 * wf, config.effective_threads())
-                    + consts.t_seq * (uf * vf + uf * wf)
-                    + 0.1e-9 * cells
-                    + emit;
-                (cost, F32_KERNEL)
-            })
-        }
-    };
+    let heavy_cost =
+        |dims, nnz1: f64, nnz2: f64| heavy_core_cost(config, boolean, dims, nnz1, nnz2, out_est);
 
     // The boundary candidate "everything heavy" needs no index: every
     // active value is heavy and every tuple is in an operand. An existence
@@ -267,6 +225,58 @@ pub fn choose_thresholds_for(
     consider(all_heavy);
     // No candidate with a non-empty heavy core under the cap: expansion.
     plan(best, iterations)
+}
+
+/// Lines 12–13: cost of a heavy core over `u × v × w` with `nnz1` / `nnz2`
+/// set cells in the two operands, and the kernel it is the cost of — or
+/// `None` when the core would be empty or over the memory cap (such a
+/// partition runs no matrix). Shared by the two-path and star planners.
+pub(crate) fn heavy_core_cost(
+    config: &JoinConfig,
+    boolean: bool,
+    (u, v, w): (usize, usize, usize),
+    nnz1: f64,
+    nnz2: f64,
+    out_est: f64,
+) -> Option<(f64, &'static str)> {
+    if u == 0 || v == 0 || w == 0 {
+        return None;
+    }
+    let consts = config.cost_model.constants;
+    let cap_bytes = config.matrix_cell_cap.saturating_mul(4);
+    let (uf, vf, wf) = (u as f64, v as f64, w as f64);
+    let (nnz1, nnz2) = (nnz1.min(uf * vf), nnz2.min(vf * wf));
+    let emit = consts.t_insert * (uf * wf).min(out_est);
+    if boolean {
+        // One pass over the heavy tuples builds the operands; every word is
+        // allocated zeroed (`Tm` is per 32 bytes) and the product's words
+        // are scanned once.
+        let bit = BitProductPlan::choose(u, v, w, nnz1, nnz2);
+        (bit.bytes <= cap_bytes).then(|| {
+            let cost = config.cost_model.estimate_bit_product(bit.words)
+                + consts.t_seq * (nnz1 + nnz2)
+                + consts.t_alloc * bit.bytes as f64 / 32.0
+                + consts.t_seq * uf * (wf / 64.0).ceil()
+                + emit;
+            (cost, bit.orientation.name())
+        })
+    } else {
+        // The GEMM term is priced by its *effective* work — the kernel
+        // skips zero rows of M1, so the madds executed are ≈ nnz(M1)·w
+        // — plus the zero-branch scan of M1, the (calloc-cheap) matrix
+        // allocations, and the extraction scan of all u·w cells (the
+        // paper's `Tm·(u·v + u·w)`).
+        let cells = uf * vf + vf * wf + uf * wf;
+        (4.0 * cells <= cap_bytes as f64).then(|| {
+            let cost = config
+                .cost_model
+                .estimate_effective(nnz1 * wf, config.effective_threads())
+                + consts.t_seq * (uf * vf + uf * wf)
+                + 0.1e-9 * cells
+                + emit;
+            (cost, F32_KERNEL)
+        })
+    }
 }
 
 /// One priced `(Δ1, Δ2)`.

@@ -13,20 +13,37 @@
 //! distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W` over the remaining
 //! variables, columns are the `y` values heavy in ≥ 2 relations (those are
 //! exactly the witnesses steps 1–2 can miss); `V · Wᵀ` enumerates the heavy
-//! output with witness counts.
+//! output.
 //!
 //! Correctness: an output tuple with witness `y` is found in step 1 if some
 //! head is light, in step 2 if `y` is light in all-but-one relation, and
 //! otherwise every head is heavy and `y` is heavy in ≥ 2 relations — step 3.
+//!
+//! The heavy core is the two-path's (see [`crate::two_path`]): a star only
+//! reads whether a witness exists, so [`HeavyBackend::Auto`] multiplies
+//! bit-packed operands over the Boolean semiring and the `DenseF32` pin runs
+//! SGEMM on the same cells. Half-tuples are numbered in ascending
+//! lexicographic order, so the product's set cells, walked row-major, *are*
+//! the heavy output sorted and distinct. At `Δ1 = Δ2 = 0` nothing is light:
+//! no substitute is built, no light step runs, and the heavy output is the
+//! answer as it leaves the extractor — no accumulator, no sort. Rows leave
+//! as one flat buffer, `k` values per row.
+//!
+//! A matrix-partitioned run records the two-path's five phases —
+//! `partition`, `light`, `build`, `product`, `extract` — as `step` spans and
+//! as [`PlanStats::measured_phase_secs`], beside [`plan_star`]'s predictions.
+//!
+//! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 
 use crate::config::JoinConfig;
-use mmjoin_api::PlanStats;
-use mmjoin_matrix::{matmul_parallel_on, DenseMatrix};
+use crate::optimizer::{heavy_core_cost, PlanChoice, F32_KERNEL};
+use crate::two_path::{phase, Operands, Product};
+use mmjoin_api::{rows_of, PhaseSecs, PlanStats};
+use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, RelationBuilder, Value};
 use mmjoin_wcoj::{
-    full_join_count, star_full_join_for_each, star_join_project, ProjectionAccumulator,
+    full_join_count, star_full_join_for_each, star_join_project_flat, ProjectionAccumulator,
 };
-use std::collections::HashMap;
 
 /// Evaluates `π_{x1..xk}(R1 ⋈ … ⋈ Rk)` with the §3.2 algorithm, returning
 /// sorted distinct tuples.
@@ -37,14 +54,25 @@ pub fn star_join_project_mm<R: AsRef<Relation>>(
     star_join_project_mm_with_stats(relations, config).0
 }
 
-/// [`star_join_project_mm`] plus the plan record of the run — the same
-/// single decision sequence feeds both execution and the statistics, so
-/// the reported thresholds are exactly the ones used (degenerate inputs
-/// report no plan).
+/// [`star_join_project_mm`] plus the plan record of the run (see
+/// [`star_join_project_mm_flat`], which this adapts to one `Vec` per row).
 pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
     relations: &[R],
     config: &JoinConfig,
 ) -> (Vec<Vec<Value>>, Option<PlanStats>) {
+    let (flat, stats) = star_join_project_mm_flat(relations, config);
+    (rows_of(relations.len(), &flat), stats)
+}
+
+/// The star engine: the sorted distinct tuples as one flat buffer,
+/// `relations.len()` values per row, plus the plan record of the run — the
+/// same single decision sequence feeds both execution and the statistics,
+/// so the reported thresholds are exactly the ones used (degenerate inputs
+/// report no plan).
+pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
+    relations: &[R],
+    config: &JoinConfig,
+) -> (Vec<Value>, Option<PlanStats>) {
     assert!(
         !relations.is_empty(),
         "star query needs at least one relation"
@@ -57,7 +85,7 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
             .as_ref()
             .by_x()
             .iter_nonempty()
-            .map(|(x, _)| vec![x])
+            .map(|(x, _)| x)
             .collect();
         return (out, Some(PlanStats::wcoj()));
     }
@@ -67,7 +95,7 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
             relations[1].as_ref(),
             config,
         );
-        let out = pairs.into_iter().map(|(x, z)| vec![x, z]).collect();
+        let out = pairs.into_iter().flat_map(|(x, z)| [x, z]).collect();
         return (out, stats);
     }
 
@@ -75,22 +103,276 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
     if reduced.iter().any(|r| r.is_empty()) {
         return (Vec::new(), None);
     }
-    let n = reduced.iter().map(|r| r.len()).max().unwrap() as u64;
-    let full = full_join_count(&reduced);
-    // Algorithm 3 line 2, star flavour: join already output-like.
-    if config.delta_override.is_none() && full <= (config.wcoj_fallback_factor * n as f64) as u64 {
-        return (star_join_project(&reduced), Some(PlanStats::wcoj()));
-    }
-
-    let (delta1, delta2) = match config.delta_override {
-        Some(d) => d,
-        None => choose_star_thresholds(&reduced, config),
+    let plan = plan_reduced(&reduced, config);
+    let PlanChoice::Mm { delta1, delta2 } = plan.choice else {
+        let mut stats = PlanStats::wcoj();
+        stats.estimated_out = Some(plan.estimated_out);
+        return (star_join_project_flat(&reduced), Some(stats));
     };
+    let mut stats = PlanStats::partitioned(delta1, delta2);
+    stats.estimated_out = Some(plan.estimated_out);
+    stats.predicted_light_secs = Some(plan.predicted_light);
+    stats.predicted_heavy_secs = Some(plan.predicted_heavy);
 
-    let mut acc = ProjectionAccumulator::new(reduced.len());
-    light_steps(&reduced, delta1, delta2, config, &mut acc);
-    heavy_step(&reduced, delta1, delta2, config, &mut acc);
-    (acc.finish(), Some(PlanStats::partitioned(delta1, delta2)))
+    let k = reduced.len();
+    let split = k.div_ceil(2);
+    let boolean = config.heavy_backend.is_boolean(false);
+    let (threads, exec) = (config.effective_threads(), config.exec());
+    let mut secs = PhaseSecs::default();
+    let mut acc = ProjectionAccumulator::new(k);
+
+    let core = phase("partition", &mut secs.partition, || {
+        HeavyCore::partition(&reduced, delta1, delta2)
+    });
+    // Nothing is light at Δ1 = Δ2 = 0: every substitute would be empty.
+    phase("light", &mut secs.light, || {
+        if (delta1, delta2) != (0, 0) {
+            light_steps(&reduced, delta1, delta2, config, &mut acc);
+        }
+    });
+    // Every matrix plan records all five phases, whichever of them run.
+    let built = phase("build", &mut secs.build, || {
+        core.build(split, boolean, config.matrix_cell_cap)
+    });
+    stats.heavy_core_matrix = Some(built.is_some());
+    if let Some(built) = &built {
+        stats.heavy_dims = Some((built.a.rows(), core.cols, built.b.rows()));
+        stats.heavy_backend = Some(if boolean {
+            built.orientation.name()
+        } else {
+            F32_KERNEL
+        });
+    }
+    let product = phase("product", &mut secs.product, || {
+        let Some(built) = built else {
+            // Memory guard: cross products per heavy y, deduplicated by
+            // the accumulator. Correct at any size, no dense allocation.
+            core.enumerate(&mut |tuple| acc.push(tuple));
+            return None;
+        };
+        let product = built.operands.multiply(built.orientation, exec, threads);
+        Some((built.a, built.b, product))
+    });
+    let out = phase("extract", &mut secs.extract, || {
+        let heavy = product.map_or_else(Vec::new, |(a, b, product)| heavy_rows(&product, &a, &b));
+        // Nothing from the light steps or the guard: the heavy rows are the
+        // answer, already sorted and distinct.
+        if acc.is_empty() {
+            return heavy;
+        }
+        for tuple in heavy.chunks_exact(k) {
+            acc.push(tuple);
+        }
+        acc.finish()
+    });
+    stats.measured_phase_secs = Some(secs);
+    (out, Some(stats))
+}
+
+/// The star planner's decision record: what [`star_join_project_mm_flat`]
+/// will run on these relations, and what `explain` prints.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StarPlan {
+    /// Plain WCOJ + dedup (Algorithm 3 line 2), or the §3.2 partition.
+    pub choice: PlanChoice,
+    /// Exact full-join (pre-projection) size `Σ_y Π_i deg_i(y)`.
+    pub full_join: u64,
+    /// Estimate of the projected output size.
+    pub estimated_out: u64,
+    /// The heavy core `(rows of V, heavy y columns, rows of W)` at the
+    /// chosen thresholds; the row counts are upper bounds from the degree
+    /// counts (the run reports the interned ones).
+    pub heavy_dims: (usize, usize, usize),
+    /// The kernel the heavy core was priced for — `"bit row-or"` /
+    /// `"bit and-any"` / `"f32"`; `None` when no matrix would be built
+    /// (WCOJ, an empty core, or one over the memory cap).
+    pub heavy_kernel: Option<&'static str>,
+    /// Predicted seconds of steps 1–2 (0 for WCOJ).
+    pub predicted_light: f64,
+    /// Predicted seconds of step 3 (0 for WCOJ).
+    pub predicted_heavy: f64,
+}
+
+/// Plans the star query over `relations` without running it — the function
+/// the engine itself decides with, after the same semi-join reduction.
+/// `None` for what the star engine does not plan: fewer than three
+/// relations (delegated) or an empty join.
+pub fn plan_star<R: AsRef<Relation>>(relations: &[R], config: &JoinConfig) -> Option<StarPlan> {
+    if relations.len() < 3 {
+        return None;
+    }
+    let reduced = Relation::reduce_star(relations);
+    (!reduced.iter().any(|r| r.is_empty())).then(|| plan_reduced(&reduced, config))
+}
+
+/// Algorithm 3 for a semi-join-reduced star: line 2, then the cheapest of
+/// everything-heavy (`Δ1 = Δ2 = 0`, priced from the degree counts alone)
+/// and a geometric grid of `Δ = Δ1 = Δ2` candidates (the boundary regime of
+/// §3.1 case 2). Each candidate costs `O(k·(N + |dom(y)|))` to price.
+fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> StarPlan {
+    let n = relations.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
+    let full_join = full_join_count(relations);
+    let estimated_out = estimate_star_output(relations, full_join, n);
+    let plan = |choice, priced: Option<Priced>| StarPlan {
+        choice,
+        full_join,
+        estimated_out,
+        heavy_dims: priced.map_or((0, 0, 0), |p| p.dims),
+        heavy_kernel: priced.and_then(|p| p.kernel),
+        predicted_light: priced.map_or(0.0, |p| p.light),
+        predicted_heavy: priced.map_or(0.0, |p| p.heavy),
+    };
+    if let Some((delta1, delta2)) = config.delta_override {
+        let priced = price(relations, delta1, delta2, estimated_out, config);
+        return plan(PlanChoice::Mm { delta1, delta2 }, Some(priced));
+    }
+    // Line 2, star flavour: join already output-like.
+    if full_join as f64 <= config.fallback_factor(false) * n as f64 {
+        return plan(PlanChoice::Wcoj, None);
+    }
+    let max_deg = relations
+        .iter()
+        .flat_map(|r| r.by_y().iter_nonempty().map(|(_, l)| l.len()))
+        .max()
+        .unwrap_or(1) as u32;
+    // Everything-heavy first: it wins ties.
+    let mut best = (0u32, price(relations, 0, 0, estimated_out, config));
+    let mut delta = 1u32;
+    while delta <= max_deg.saturating_mul(2) {
+        let priced = price(relations, delta, delta, estimated_out, config);
+        if priced.total() < best.1.total() {
+            best = (delta, priced);
+        }
+        delta = delta.saturating_mul(2);
+    }
+    let (delta, priced) = best;
+    plan(
+        PlanChoice::Mm {
+            delta1: delta,
+            delta2: delta,
+        },
+        Some(priced),
+    )
+}
+
+/// `|OUT|` of a star, as §5 estimates a two-path's: the geometric mean of
+/// the tightest bounds the counts give. Below, every head value occurs in
+/// some output tuple and `|OUT⋈| ≤ N·|OUT|^{1−1/k}` (Proposition 1); above,
+/// the output is a subset of the head domains' product and of the full join.
+fn estimate_star_output(relations: &[Relation], full_join: u64, n: u64) -> u64 {
+    let k = relations.len() as f64;
+    let heads = relations.iter().map(|r| r.active_x_count() as f64);
+    let lower = (full_join as f64 / n as f64)
+        .powf(k / (k - 1.0))
+        .max(heads.clone().fold(1.0, f64::max));
+    let upper = heads.product::<f64>().min(full_join as f64).max(lower);
+    (lower * upper).sqrt().round() as u64
+}
+
+/// One priced `(Δ1, Δ2)`.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    light: f64,
+    heavy: f64,
+    dims: (usize, usize, usize),
+    kernel: Option<&'static str>,
+}
+
+impl Priced {
+    fn total(&self) -> f64 {
+        self.light + self.heavy
+    }
+}
+
+/// A light-step or fallback witness costs far more than one dense insert:
+/// leapfrog advancement, the product odometer and the accumulator's
+/// amortised sort add up to roughly an order of magnitude over `TI`.
+const WITNESS_FACTOR: f64 = 12.0;
+
+/// Predicted work at `(Δ1, Δ2)`: the exact sizes of the `2k`
+/// light-substituted joins of steps 1–2, and step 3 priced as the two-path
+/// prices its heavy core ([`heavy_core_cost`]: product, operand fill,
+/// allocation, scan, emit) plus one insert per cell for numbering the
+/// half-tuples. A core that is over the memory cap is priced as the
+/// enumeration that replaces it.
+fn price(
+    relations: &[Relation],
+    delta1: u32,
+    delta2: u32,
+    estimated_out: u64,
+    config: &JoinConfig,
+) -> Priced {
+    let k = relations.len();
+    let split = k.div_ceil(2);
+    let consts = config.cost_model.constants;
+    let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
+    let (mut light_join, mut heavy_join) = (0f64, 0f64);
+    let (mut nnz_a, mut nnz_b, mut cols) = (0f64, 0f64, 0usize);
+    // Per relation under one y: degree and heavy-head degree.
+    let (mut degs, mut heavy_degs) = (vec![0f64; k], vec![0f64; k]);
+    for y in 0..ydom as Value {
+        for (i, r) in relations.iter().enumerate() {
+            let xs = r.xs_of(y);
+            degs[i] = xs.len() as f64;
+            heavy_degs[i] = if delta2 == 0 {
+                degs[i]
+            } else {
+                xs.iter()
+                    .filter(|&&x| r.x_degree(x) > delta2 as usize)
+                    .count() as f64
+            };
+        }
+        if degs.contains(&0.0) {
+            continue;
+        }
+        let product: f64 = degs.iter().product();
+        for j in 0..k {
+            // Step 1: the R⁻j-substituted join.
+            light_join += product / degs[j] * (degs[j] - heavy_degs[j]);
+            // Step 2: the R⋄j one — y must be light in all i ≠ j.
+            if (0..k).all(|i| i == j || degs[i] <= delta1 as f64) {
+                light_join += product;
+            }
+        }
+        // Step 3: y heavy in ≥ 2 relations, under a heavy head in each.
+        if degs.iter().filter(|&&d| d > delta1 as f64).count() >= 2 && !heavy_degs.contains(&0.0) {
+            cols += 1;
+            let (a, b) = heavy_degs.split_at(split);
+            nnz_a += a.iter().product::<f64>();
+            nnz_b += b.iter().product::<f64>();
+            heavy_join += heavy_degs.iter().product::<f64>();
+        }
+    }
+    // Rows are distinct half-tuples: no more than the cells, nor than the
+    // head domains allow.
+    let rows = |nnz: f64, group: &[Relation]| {
+        let domains: f64 = group.iter().map(|r| r.active_x_count() as f64).product();
+        nnz.min(domains) as usize
+    };
+    let dims = (
+        rows(nnz_a, &relations[..split]),
+        cols,
+        rows(nnz_b, &relations[split..]),
+    );
+    let boolean = config.heavy_backend.is_boolean(false);
+    let matrix = heavy_core_cost(config, boolean, dims, nnz_a, nnz_b, estimated_out as f64);
+    let (heavy, kernel) = match matrix {
+        Some((cost, kernel)) => (cost + consts.t_insert * (nnz_a + nnz_b), Some(kernel)),
+        None => (consts.t_insert * WITNESS_FACTOR * heavy_join, None),
+    };
+    // The 2k substitutes are each built from one relation's tuples.
+    let tuples: usize = relations.iter().map(|r| r.len()).sum();
+    let substitutes = if (delta1, delta2) == (0, 0) {
+        0.0
+    } else {
+        consts.t_insert * 2.0 * tuples as f64
+    };
+    Priced {
+        light: consts.t_insert * WITNESS_FACTOR * light_join + substitutes,
+        heavy,
+        dims,
+        kernel,
+    }
 }
 
 /// Builds the `R⁻j` substitute: tuples with a light head.
@@ -132,22 +414,27 @@ fn light_steps(
     acc: &mut ProjectionAccumulator,
 ) {
     let k = relations.len();
+    let substitute = |t: usize| {
+        if t.is_multiple_of(2) {
+            build_minus(relations, t / 2, delta2)
+        } else {
+            build_diamond(relations, t / 2, delta1)
+        }
+    };
     let threads = config.effective_threads();
     if threads <= 1 {
-        for j in 0..k {
-            run_substituted(relations, j, build_minus(relations, j, delta2), acc);
-            run_substituted(relations, j, build_diamond(relations, j, delta1), acc);
+        for t in 0..2 * k {
+            join_substituted(relations, t / 2, &substitute(t), |tuple| acc.push(tuple));
         }
         return;
     }
+    // The executor tasks can't share the accumulator.
     let flats = config.exec().map(threads, 2 * k, |t| {
-        let j = t / 2;
-        let substitute = if t % 2 == 0 {
-            build_minus(relations, j, delta2)
-        } else {
-            build_diamond(relations, j, delta1)
-        };
-        collect_substituted(relations, j, substitute, k)
+        let mut flat: Vec<Value> = Vec::new();
+        join_substituted(relations, t / 2, &substitute(t), |tuple| {
+            flat.extend_from_slice(tuple)
+        });
+        flat
     });
     for flat in flats {
         for tuple in flat.chunks_exact(k) {
@@ -156,175 +443,309 @@ fn light_steps(
     }
 }
 
-fn run_substituted(
+/// The full star join with `substitute` in place of relation `j`.
+fn join_substituted(
     relations: &[Relation],
     j: usize,
-    substitute: Relation,
-    acc: &mut ProjectionAccumulator,
+    substitute: &Relation,
+    mut f: impl FnMut(&[Value]),
 ) {
     if substitute.is_empty() {
         return;
     }
-    let mut working: Vec<Relation> = relations.to_vec();
+    let mut working: Vec<&Relation> = relations.iter().collect();
     working[j] = substitute;
-    star_full_join_for_each(&working, |_, tuple| acc.push(tuple));
+    star_full_join_for_each(&working, |_, tuple| f(tuple));
 }
 
-/// [`run_substituted`] into a flat arity-`k` tuple buffer (the executor
-/// tasks can't share the accumulator).
-fn collect_substituted(
-    relations: &[Relation],
-    j: usize,
-    substitute: Relation,
-    k: usize,
-) -> Vec<Value> {
-    let mut flat: Vec<Value> = Vec::new();
-    if substitute.is_empty() {
-        return flat;
+/// Step 3's partition: the heavy `y` columns and, per relation, the
+/// heavy-head sublist under each of them — computed once.
+struct HeavyCore {
+    /// Heavy columns: `y` heavier than `Δ1` in ≥ 2 relations and under a
+    /// heavy head in every relation (any other column is all zero).
+    cols: usize,
+    /// One per relation.
+    lists: Vec<HeavyLists>,
+}
+
+/// The heads heavier than `Δ2` of one relation under each heavy column, in
+/// CSR form; a column's heads ascend.
+struct HeavyLists {
+    offsets: Vec<usize>,
+    heads: Vec<Value>,
+}
+
+impl HeavyLists {
+    fn of(&self, col: usize) -> &[Value] {
+        &self.heads[self.offsets[col]..self.offsets[col + 1]]
     }
-    let mut working: Vec<Relation> = relations.to_vec();
-    working[j] = substitute;
-    star_full_join_for_each(&working, |_, tuple| {
-        debug_assert_eq!(tuple.len(), k);
-        flat.extend_from_slice(tuple);
-    });
+}
+
+impl HeavyCore {
+    fn partition(relations: &[Relation], delta1: u32, delta2: u32) -> Self {
+        let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
+        let mut lists: Vec<HeavyLists> = relations
+            .iter()
+            .map(|_| HeavyLists {
+                offsets: vec![0],
+                heads: Vec::new(),
+            })
+            .collect();
+        let mut cols = 0;
+        for y in 0..ydom as Value {
+            let heavy_in = relations
+                .iter()
+                .filter(|r| r.y_degree(y) > delta1 as usize)
+                .count();
+            if heavy_in < 2 {
+                continue;
+            }
+            for (r, l) in relations.iter().zip(&mut lists) {
+                let heads = r.xs_of(y).iter();
+                l.heads
+                    .extend(heads.filter(|&&x| r.x_degree(x) > delta2 as usize));
+            }
+            let empty = lists.iter().any(|l| l.heads.len() == l.offsets[cols]);
+            for l in &mut lists {
+                if empty {
+                    l.heads.truncate(l.offsets[cols]);
+                } else {
+                    l.offsets.push(l.heads.len());
+                }
+            }
+            cols += usize::from(!empty);
+        }
+        Self { cols, lists }
+    }
+
+    /// The heavy output by cross products per heavy column, duplicates
+    /// included — what runs when no matrix is built.
+    fn enumerate(&self, f: &mut impl FnMut(&[Value])) {
+        for col in 0..self.cols {
+            let lists: Vec<&[Value]> = self.lists.iter().map(|l| l.of(col)).collect();
+            cross_product_emit(&lists, f);
+        }
+    }
+
+    /// The operands of `V · Wᵀ` over `lists[..split]` and `lists[split..]`.
+    /// `None` when there is no core, when a group's half-tuples cannot be
+    /// numbered in 64 bits, or when the cells plus the matrices of the
+    /// representation that runs would take more than `4 · cell_cap` bytes.
+    fn build(&self, split: usize, boolean: bool, cell_cap: usize) -> Option<Built> {
+        if self.cols == 0 {
+            return None;
+        }
+        let (group_a, group_b) = self.lists.split_at(split);
+        let cells = |group: &[HeavyLists]| {
+            (0..self.cols).fold(0u64, |sum, col| {
+                let product = group
+                    .iter()
+                    .fold(1u64, |p, l| p.saturating_mul(l.of(col).len() as u64));
+                sum.saturating_add(product)
+            })
+        };
+        // Checked before anything sized by the cells is allocated: 24 bytes
+        // a cell (its key, its coordinates) while the half-tuples are
+        // numbered, then the matrices, with a group's cell count standing
+        // in for its (no larger) row count.
+        let (u, v, w) = (cells(group_a), self.cols, cells(group_b));
+        let cap_bytes = 4.0 * cell_cap as f64;
+        let numbering = 24.0 * (u as f64 + w as f64);
+        if numbering > cap_bytes {
+            return None;
+        }
+        let (u, w) = (u as usize, w as usize);
+        let matrices = if boolean {
+            BitProductPlan::choose(u, v, w, u as f64, w as f64).bytes as f64
+        } else {
+            let (u, v, w) = (u as f64, v as f64, w as f64);
+            4.0 * (u * v + v * w + u * w)
+        };
+        if numbering + matrices > cap_bytes {
+            return None;
+        }
+        let (a, b) = (intern(group_a, self.cols)?, intern(group_b, self.cols)?);
+        let orientation = BitProductPlan::choose(
+            a.rows(),
+            self.cols,
+            b.rows(),
+            a.cells.len() as f64,
+            b.cells.len() as f64,
+        )
+        .orientation;
+        // Both kinds are filled from the same cells; `W` is stored as the
+        // product reads it: transposed, except for AND-any.
+        let (v_cells, w_cells) = (a.cells.iter().copied(), b.cells.iter().copied());
+        let wt_cells = b.cells.iter().map(|&(row, col)| (col, row));
+        let (u, v, w) = (a.rows(), self.cols, b.rows());
+        let operands = if boolean {
+            let m2 = match orientation {
+                Orientation::RowOr => bit_matrix(v, w, wt_cells),
+                Orientation::AndAny => bit_matrix(w, v, w_cells),
+            };
+            Operands::Bit(bit_matrix(u, v, v_cells), m2)
+        } else {
+            Operands::F32(f32_matrix(u, v, v_cells), f32_matrix(v, w, wt_cells))
+        };
+        Some(Built {
+            a,
+            b,
+            operands,
+            orientation,
+        })
+    }
+}
+
+fn bit_matrix(rows: usize, cols: usize, cells: impl Iterator<Item = (usize, usize)>) -> BitMatrix {
+    let mut m = BitMatrix::zeros(rows, cols);
+    cells.for_each(|(i, j)| m.set(i, j));
+    m
+}
+
+fn f32_matrix(
+    rows: usize,
+    cols: usize,
+    cells: impl Iterator<Item = (usize, usize)>,
+) -> DenseMatrix {
+    let mut m = DenseMatrix::zeros(rows, cols);
+    cells.for_each(|(i, j)| m.set(i, j, 1.0));
+    m
+}
+
+/// What the build phase hands to the product and the extraction.
+struct Built {
+    a: Side,
+    b: Side,
+    operands: Operands,
+    /// How a Boolean product runs (unread by SGEMM).
+    orientation: Orientation,
+}
+
+/// One operand's worth of the heavy core: the distinct half-tuples of a
+/// group of relations in ascending lexicographic order — the operand's
+/// rows — and the cells they occupy.
+struct Side {
+    /// Relations in the group: values per half-tuple.
+    arity: usize,
+    /// The half-tuples, row after row.
+    tuples: Vec<Value>,
+    /// `(row, heavy column)` of every set cell, each once, row-major.
+    cells: Vec<(usize, usize)>,
+}
+
+impl Side {
+    fn rows(&self) -> usize {
+        self.tuples.len() / self.arity
+    }
+
+    fn tuple(&self, row: usize) -> &[Value] {
+        &self.tuples[row * self.arity..(row + 1) * self.arity]
+    }
+}
+
+/// Numbers the distinct half-tuples of `group` in ascending lexicographic
+/// order without hashing: every head becomes its rank among its relation's
+/// distinct heavy heads, a cell becomes the integer `rank₁ ‖ … ‖ rank_g ‖
+/// column` (bit fields, most significant first), and sorting those integers
+/// puts the cells row-major with equal half-tuples adjacent. `None` when
+/// the fields do not fit 64 bits.
+fn intern(group: &[HeavyLists], cols: usize) -> Option<Side> {
+    let bits_for = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
+    // Per relation: distinct heavy heads ascending, `head → rank` by direct
+    // address, and the width of a rank.
+    let ranked: Vec<(Vec<Value>, Vec<u32>, u32)> = group
+        .iter()
+        .map(|l| {
+            let domain = l.heads.iter().max().map_or(0, |&x| x as usize + 1);
+            let mut rank_of = vec![u32::MAX; domain];
+            for &x in &l.heads {
+                rank_of[x as usize] = 0;
+            }
+            let mut distinct = Vec::new();
+            for (x, rank) in rank_of.iter_mut().enumerate() {
+                if *rank == 0 {
+                    *rank = distinct.len() as u32;
+                    distinct.push(x as Value);
+                }
+            }
+            let bits = bits_for(distinct.len());
+            (distinct, rank_of, bits)
+        })
+        .collect();
+    let col_bits = bits_for(cols);
+    if ranked.iter().map(|r| r.2).sum::<u32>() + col_bits > u64::BITS {
+        return None;
+    }
+
+    // Column by column the odometer runs the first relation slowest, so a
+    // column's keys ascend: the sort below merges `cols` sorted runs.
+    let mut keys: Vec<u64> = Vec::new();
+    let (mut prefixes, mut next) = (Vec::new(), Vec::new());
+    for col in 0..cols {
+        prefixes.clear();
+        prefixes.push(0u64);
+        for (l, (_, rank_of, bits)) in group.iter().zip(&ranked) {
+            next.clear();
+            for &p in &prefixes {
+                let ranks = l.of(col).iter().map(|&x| rank_of[x as usize] as u64);
+                next.extend(ranks.map(|rank| p << bits | rank));
+            }
+            std::mem::swap(&mut prefixes, &mut next);
+        }
+        keys.extend(prefixes.iter().map(|&p| p << col_bits | col as u64));
+    }
+    keys.sort();
+
+    let arity = group.len();
+    let (mut tuples, mut cells) = (Vec::new(), Vec::with_capacity(keys.len()));
+    let mut last = None;
+    for &key in &keys {
+        let (mut half, col) = (key >> col_bits, key & ((1 << col_bits) - 1));
+        if last != Some(half) {
+            last = Some(half);
+            // A new row: decode the ranks back into heads.
+            let at = tuples.len();
+            tuples.resize(at + arity, 0);
+            for (slot, (distinct, _, bits)) in tuples[at..].iter_mut().zip(&ranked).rev() {
+                *slot = distinct[(half & ((1 << bits) - 1)) as usize];
+                half >>= bits;
+            }
+        }
+        cells.push((tuples.len() / arity - 1, col as usize));
+    }
+    Some(Side {
+        arity,
+        tuples,
+        cells,
+    })
+}
+
+/// The heavy output from the product's set cells, row-major: ascending
+/// half-tuples on both sides, so sorted and distinct — one flat buffer.
+fn heavy_rows(product: &Product, a: &Side, b: &Side) -> Vec<Value> {
+    let rows = match product {
+        Product::Bit(c) => c.count_ones(),
+        Product::F32(c) => c.entries_at_least(0.5).count(),
+    };
+    let mut flat = vec![0 as Value; rows * (a.arity + b.arity)];
+    let mut slots = flat.chunks_exact_mut(a.arity + b.arity);
+    // Value by value: a row is a handful of them, too short for memcpy.
+    let mut emit = |i: usize, j: usize| {
+        let slot = slots.next().expect("one slot per set cell");
+        let values = a.tuple(i).iter().chain(b.tuple(j));
+        slot.iter_mut()
+            .zip(values)
+            .for_each(|(to, &from)| *to = from);
+    };
+    match product {
+        Product::Bit(c) => c.iter_ones().for_each(|(i, j)| emit(i, j)),
+        Product::F32(c) => c.entries_at_least(0.5).for_each(|(i, j, _)| emit(i, j)),
+    }
     flat
 }
 
-/// Step 3: grouped-variable matrices over the all-heavy core.
-fn heavy_step(
-    relations: &[Relation],
-    delta1: u32,
-    delta2: u32,
-    config: &JoinConfig,
-    acc: &mut ProjectionAccumulator,
-) {
-    let k = relations.len();
-    let split = k.div_ceil(2);
-    // Columns: y heavy (> Δ1) in at least two relations.
-    let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap();
-    let mut heavy_y = Vec::new();
-    for y in 0..ydom as Value {
-        let heavy_in = relations
-            .iter()
-            .filter(|r| r.y_degree(y) > delta1 as usize)
-            .count();
-        if heavy_in >= 2 {
-            heavy_y.push(y);
-        }
-    }
-    if heavy_y.is_empty() {
-        return;
-    }
-
-    // Per heavy y and relation: the heavy-head sublist.
-    let heavy_list = |r: &Relation, y: Value| -> Vec<Value> {
-        r.xs_of(y)
-            .iter()
-            .copied()
-            .filter(|&x| r.x_degree(x) > delta2 as usize)
-            .collect()
-    };
-
-    // Estimate row counts: Σ_y Π |H_i[y]| per group; bail to direct
-    // enumeration when the cross products are too large for matrices.
-    let mut row_est_a = 0u64;
-    let mut row_est_b = 0u64;
-    for &y in &heavy_y {
-        let mut pa = 1u64;
-        for r in &relations[..split] {
-            pa = pa.saturating_mul(heavy_list(r, y).len() as u64);
-        }
-        let mut pb = 1u64;
-        for r in &relations[split..] {
-            pb = pb.saturating_mul(heavy_list(r, y).len() as u64);
-        }
-        row_est_a = row_est_a.saturating_add(pa);
-        row_est_b = row_est_b.saturating_add(pb);
-    }
-    if row_est_a == 0 || row_est_b == 0 {
-        return;
-    }
-    let cap = config.matrix_cell_cap as u64;
-    if row_est_a.saturating_mul(heavy_y.len() as u64) > cap
-        || row_est_b.saturating_mul(heavy_y.len() as u64) > cap
-        || row_est_a.saturating_mul(row_est_b) > cap
-    {
-        // Direct heavy enumeration: cross products per heavy y, deduped by
-        // the accumulator. Correct at any size, no dense allocation.
-        for &y in &heavy_y {
-            let lists: Vec<Vec<Value>> = relations.iter().map(|r| heavy_list(r, y)).collect();
-            if lists.iter().any(|l| l.is_empty()) {
-                continue;
-            }
-            cross_product_emit(&lists, &mut |tuple| acc.push(tuple));
-        }
-        return;
-    }
-
-    // Build row maps and matrices.
-    let mut rows_a: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut rows_b: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut entries_a: Vec<(usize, usize)> = Vec::new(); // (row, y-col)
-    let mut entries_b: Vec<(usize, usize)> = Vec::new();
-    for (col, &y) in heavy_y.iter().enumerate() {
-        let lists_a: Vec<Vec<Value>> = relations[..split]
-            .iter()
-            .map(|r| heavy_list(r, y))
-            .collect();
-        let lists_b: Vec<Vec<Value>> = relations[split..]
-            .iter()
-            .map(|r| heavy_list(r, y))
-            .collect();
-        if lists_a.iter().any(|l| l.is_empty()) || lists_b.iter().any(|l| l.is_empty()) {
-            continue;
-        }
-        cross_product_emit(&lists_a, &mut |tuple| {
-            let next = rows_a.len();
-            let row = *rows_a.entry(tuple.to_vec()).or_insert(next);
-            entries_a.push((row, col));
-        });
-        cross_product_emit(&lists_b, &mut |tuple| {
-            let next = rows_b.len();
-            let row = *rows_b.entry(tuple.to_vec()).or_insert(next);
-            entries_b.push((row, col));
-        });
-    }
-    if rows_a.is_empty() || rows_b.is_empty() {
-        return;
-    }
-    let mut v = DenseMatrix::zeros(rows_a.len(), heavy_y.len());
-    for (row, col) in entries_a {
-        v.set(row, col, 1.0);
-    }
-    // W is built transposed (y rows × B-tuple columns) so the product is
-    // V (A×y) · Wᵀ (y×B) directly.
-    let mut wt = DenseMatrix::zeros(heavy_y.len(), rows_b.len());
-    for (row, col) in entries_b {
-        wt.set(col, row, 1.0);
-    }
-    let prod = matmul_parallel_on(config.exec(), &v, &wt, config.effective_threads());
-
-    // Reverse row maps for tuple reconstruction.
-    let mut tuple_a: Vec<Vec<Value>> = vec![Vec::new(); rows_a.len()];
-    for (t, i) in rows_a {
-        tuple_a[i] = t;
-    }
-    let mut tuple_b: Vec<Vec<Value>> = vec![Vec::new(); rows_b.len()];
-    for (t, i) in rows_b {
-        tuple_b[i] = t;
-    }
-    let mut tuple = vec![0 as Value; k];
-    for (i, j, _) in prod.entries_at_least(0.5) {
-        let (a, b) = (&tuple_a[i], &tuple_b[j]);
-        tuple[..a.len()].copy_from_slice(a);
-        tuple[a.len()..].copy_from_slice(b);
-        acc.push(&tuple);
-    }
-}
-
 /// Emits every tuple of the Cartesian product of `lists` via an odometer.
-fn cross_product_emit(lists: &[Vec<Value>], f: &mut impl FnMut(&[Value])) {
+fn cross_product_emit(lists: &[&[Value]], f: &mut impl FnMut(&[Value])) {
     let k = lists.len();
     if lists.iter().any(|l| l.is_empty()) {
         return;
@@ -351,113 +772,10 @@ fn cross_product_emit(lists: &[Vec<Value>], f: &mut impl FnMut(&[Value])) {
     }
 }
 
-/// Threshold search for the star query: evaluate a geometric grid of
-/// `Δ = Δ1 = Δ2` candidates (the boundary regime of §3.1 case 2) by the
-/// *exact* light-join sizes plus the modelled matrix cost, keeping the
-/// cheapest. Each candidate costs `O(k·(N + |dom(y)|))` to evaluate.
-fn choose_star_thresholds(relations: &[Relation], config: &JoinConfig) -> (u32, u32) {
-    let max_deg = relations
-        .iter()
-        .map(|r| {
-            r.by_y()
-                .iter_nonempty()
-                .map(|(_, l)| l.len())
-                .max()
-                .unwrap_or(1)
-        })
-        .max()
-        .unwrap_or(1) as u32;
-    let cores = config.effective_threads();
-    let mut best = (1u32, 1u32);
-    let mut best_cost = f64::INFINITY;
-    let mut delta = 1u32;
-    while delta <= max_deg.saturating_mul(2) {
-        let cost = star_plan_cost(relations, delta, cores, config);
-        if cost < best_cost {
-            best_cost = cost;
-            best = (delta, delta);
-        }
-        delta = delta.saturating_mul(2);
-    }
-    best
-}
-
-/// Predicted work at `Δ1 = Δ2 = Δ`: exact sizes of the 2k light-substituted
-/// joins of steps 1–2, plus nnz-aware matrix construction / multiplication /
-/// extraction costs for step 3.
-fn star_plan_cost(relations: &[Relation], delta: u32, cores: usize, config: &JoinConfig) -> f64 {
-    let k = relations.len();
-    let split = k.div_ceil(2);
-    let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
-    // Per relation, per y: total degree and light-head degree.
-    let mut deg = vec![vec![0f64; ydom]; k];
-    let mut light_deg = vec![vec![0f64; ydom]; k];
-    for (i, r) in relations.iter().enumerate() {
-        for y in 0..ydom as Value {
-            let d = r.y_degree(y);
-            deg[i][y as usize] = d as f64;
-            if d > 0 {
-                let light = r
-                    .xs_of(y)
-                    .iter()
-                    .filter(|&&x| r.x_degree(x) <= delta as usize)
-                    .count();
-                light_deg[i][y as usize] = light as f64;
-            }
-        }
-    }
-    let mut light_join = 0f64;
-    let mut nnz_a = 0f64; // Σ_y Π_{i∈A} heavy-head degree
-    let mut nnz_b = 0f64;
-    let mut heavy_cols = 0usize;
-    for y in 0..ydom {
-        let degs: Vec<f64> = (0..k).map(|i| deg[i][y]).collect();
-        if degs.contains(&0.0) {
-            continue;
-        }
-        let product: f64 = degs.iter().product();
-        // Step 1: R⁻j-substituted joins.
-        for j in 0..k {
-            if degs[j] > 0.0 {
-                light_join += product / degs[j] * light_deg[j][y];
-            }
-        }
-        // Step 2: R⋄j joins — y must be light in all i ≠ j.
-        for j in 0..k {
-            let light_elsewhere = (0..k).all(|i| i == j || degs[i] <= delta as f64);
-            if light_elsewhere {
-                light_join += product;
-            }
-        }
-        // Step 3: heavy columns are y heavy in ≥ 2 relations.
-        let heavy_in = degs.iter().filter(|&&d| d > delta as f64).count();
-        if heavy_in >= 2 {
-            heavy_cols += 1;
-            let pa: f64 = (0..split).map(|i| degs[i] - light_deg[i][y]).product();
-            let pb: f64 = (split..k).map(|i| degs[i] - light_deg[i][y]).product();
-            nnz_a += pa.max(0.0);
-            nnz_b += pb.max(0.0);
-        }
-    }
-    let consts = config.cost_model.constants;
-    // Row counts bounded by the nonzero masses.
-    let rows_a = nnz_a.max(1.0).min(nnz_a);
-    let rows_b = nnz_b.max(1.0).min(nnz_b);
-    let gemm = config.cost_model.estimate_effective(nnz_a * rows_b, cores);
-    // Hash-keyed row interning is ~10 inserts worth per nonzero.
-    let construction = consts.t_insert * 10.0 * (nnz_a + nnz_b)
-        + consts.t_seq * rows_a * rows_b
-        + 0.1e-9 * (rows_a + rows_b) * heavy_cols as f64;
-    // A light-step witness costs far more than one dense insert: leapfrog
-    // advancement, the product odometer and the accumulator's amortised
-    // sort add up to roughly an order of magnitude over `TI`.
-    const WITNESS_FACTOR: f64 = 12.0;
-    light_join * consts.t_insert * WITNESS_FACTOR + gemm + construction
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_wcoj::star_join_project;
     use proptest::prelude::*;
 
     fn rel(edges: &[(Value, Value)]) -> Relation {
@@ -509,6 +827,82 @@ mod tests {
         let expected = star_join_project(&rels);
         let cfg = JoinConfig::with_deltas(1, 1);
         assert_eq!(star_join_project_mm(&rels, &cfg), expected);
+    }
+
+    /// Past line 2 a dense star is everything-heavy: priced from the degree
+    /// counts with no light term, and run with nothing but the heavy core.
+    #[test]
+    fn dense_star_plans_and_runs_everything_heavy() {
+        let rels = vec![clique(30, 8, 0), clique(20, 8, 0), clique(10, 8, 0)];
+        let config = JoinConfig::default();
+        let plan = plan_star(&rels, &config).unwrap();
+        assert_eq!(
+            plan.choice,
+            PlanChoice::Mm {
+                delta1: 0,
+                delta2: 0
+            }
+        );
+        // |OUT| = 6000: between (|OUT⋈|/N)^{3/2} = 2828 and the domains' product.
+        assert_eq!((plan.full_join, plan.estimated_out), (48_000, 4_120));
+        assert_eq!(plan.heavy_dims, (600, 8, 10));
+        assert!(plan.heavy_kernel.unwrap().starts_with("bit "));
+        assert_eq!(plan.predicted_light, 0.0);
+        assert!(plan.predicted_heavy > 0.0);
+
+        let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+        assert_eq!(rows, star_join_project(&rels));
+        let stats = stats.unwrap();
+        assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
+        assert_eq!(stats.heavy_dims, Some(plan.heavy_dims));
+        assert_eq!(stats.heavy_core_matrix, Some(true));
+        assert_eq!(stats.predicted_heavy_secs, Some(plan.predicted_heavy));
+        assert!(stats.measured_phase_secs.is_some());
+
+        // The pin prices and runs SGEMM on the same cells.
+        let pinned = JoinConfig {
+            heavy_backend: crate::config::HeavyBackend::DenseF32,
+            ..JoinConfig::default()
+        };
+        assert_eq!(plan_star(&rels, &pinned).unwrap().heavy_kernel, Some("f32"));
+        assert_eq!(star_join_project_mm(&rels, &pinned), rows);
+    }
+
+    /// Line 2 and the degenerate shapes the star engine does not plan.
+    #[test]
+    fn output_like_and_degenerate_stars() {
+        let matching = rel(&(0..50).map(|i| (i, i)).collect::<Vec<_>>());
+        let rels = vec![matching.clone(), matching.clone(), matching.clone()];
+        let plan = plan_star(&rels, &JoinConfig::default()).unwrap();
+        assert_eq!((plan.choice, plan.full_join), (PlanChoice::Wcoj, 50));
+        assert_eq!(plan.heavy_kernel, None);
+        assert!(plan_star(&rels[..2], &JoinConfig::default()).is_none());
+        let disjoint = vec![matching.clone(), matching, rel(&[(0, 99)])];
+        assert!(plan_star(&disjoint, &JoinConfig::default()).is_none());
+    }
+
+    /// Half-tuples are numbered in lexicographic order whatever order the
+    /// columns list them in, and every cell is kept once.
+    #[test]
+    fn interning_numbers_half_tuples_in_ascending_order() {
+        let lists = |columns: &[&[Value]]| HeavyLists {
+            offsets: columns
+                .iter()
+                .scan(0, |end, c| {
+                    *end += c.len();
+                    Some(*end)
+                })
+                .fold(vec![0], |mut offsets, end| {
+                    offsets.push(end);
+                    offsets
+                }),
+            heads: columns.concat(),
+        };
+        // Two columns; the second repeats (9, 4) and adds smaller tuples.
+        let group = [lists(&[&[9, 70], &[2, 9]]), lists(&[&[4], &[1, 4]])];
+        let side = intern(&group, 2).unwrap();
+        assert_eq!(side.tuples, [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
+        assert_eq!(side.cells, [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]);
     }
 
     #[test]

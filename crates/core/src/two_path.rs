@@ -54,7 +54,7 @@ pub fn two_path_join_project(
 /// Runs one engine phase under a `step` span named `label`, adding its
 /// wall-clock seconds to `secs` — the trace and the plan record show the
 /// same interval.
-fn phase<T>(label: &'static str, secs: &mut f64, f: impl FnOnce() -> T) -> T {
+pub(crate) fn phase<T>(label: &'static str, secs: &mut f64, f: impl FnOnce() -> T) -> T {
     let _span = trace::span(Stage::Step, label);
     let start = Instant::now();
     let out = f();
@@ -127,19 +127,12 @@ pub fn two_path_join_project_with_stats(
             }
         })
     });
-    let product = phase("product", &mut secs.product, || match operands {
-        Some(Operands::Bit(m1, m2)) => Some(Product::Bit(m1.product(&m2, bit_plan.orientation))),
-        Some(Operands::F32(m1, m2)) => {
-            Some(Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)))
+    let product = phase("product", &mut secs.product, || {
+        if operands.is_none() && !heavy.is_degenerate() {
+            // Memory guard: the heavy core is evaluated combinatorially.
+            heavy_expansion_fallback(r, s, &heavy, &mut out);
         }
-        None => {
-            // Memory guard: the heavy core, if there is one, is evaluated
-            // combinatorially.
-            if !heavy.is_degenerate() {
-                heavy_expansion_fallback(r, s, &heavy, &mut out);
-            }
-            None
-        }
+        operands.map(|operands| operands.multiply(bit_plan.orientation, exec, threads))
     });
     phase("extract", &mut secs.extract, || {
         match product {
@@ -231,13 +224,31 @@ pub fn two_path_with_counts_stats(
 }
 
 /// The heavy operands in the representation that multiplies them.
-enum Operands {
+pub(crate) enum Operands {
+    /// Bit-packed; the right operand in the layout of the orientation that
+    /// will multiply it.
     Bit(BitMatrix, BitMatrix),
     F32(DenseMatrix, DenseMatrix),
 }
 
+impl Operands {
+    /// The heavy product: the Boolean one on the calling thread in
+    /// `orientation`, SGEMM over the executor.
+    pub(crate) fn multiply(
+        self,
+        orientation: Orientation,
+        exec: &Executor,
+        threads: usize,
+    ) -> Product {
+        match self {
+            Operands::Bit(m1, m2) => Product::Bit(m1.product(&m2, orientation)),
+            Operands::F32(m1, m2) => Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)),
+        }
+    }
+}
+
 /// The heavy product, before extraction.
-enum Product {
+pub(crate) enum Product {
     Bit(BitMatrix),
     F32(DenseMatrix),
 }

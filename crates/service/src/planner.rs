@@ -146,13 +146,13 @@ impl Planner {
         };
         // Algorithm 3's line-2 test alone: which engine runs needs neither
         // threshold indexes nor the Δ grid — the engine plans for itself.
-        // Only a plain two-path multiplies over the Boolean semiring.
+        // A plain two-path and a star multiply over the Boolean semiring.
         let counting = !matches!(
             query,
             Query::TwoPath {
                 with_counts: false,
                 ..
-            }
+            } | Query::Star { .. }
         );
         let (combinatorial, estimate) = prefers_wcoj(r, s, &self.config, counting);
         let preferred = match (query.family(), combinatorial) {
@@ -283,6 +283,44 @@ mod tests {
             sel.reason,
             SelectionReason::Fallback,
             "the combinatorial preference did not actually run"
+        );
+    }
+
+    /// A star only reads whether a witness exists: line 2 uses the Boolean
+    /// core's factor for it, which a measured model puts well below the
+    /// SGEMM one that a counting query over the same relation reads.
+    #[test]
+    fn a_star_crosses_over_where_the_boolean_core_does() {
+        use mmjoin_matrix::cost::{Sample, SystemConstants};
+        use mmjoin_matrix::{CostModel, REFERENCE_GFLOPS};
+        let p = 512usize;
+        let seconds = 2.0 * (p as f64).powi(3) / (REFERENCE_GFLOPS * 1e9);
+        let model = CostModel::from_samples(
+            vec![Sample {
+                p,
+                cores: 1,
+                seconds,
+            }],
+            SystemConstants::default(),
+        );
+        let mut config = JoinConfig::default();
+        config.install_measured_model(model);
+        let (boolean, sgemm) = (config.fallback_factor(false), config.fallback_factor(true));
+        assert!(boolean < 20.0 && 20.0 < sgemm, "{boolean} / {sgemm}");
+        let planner = Planner::new(config);
+        // 20 sets over 3 elements: the full join is exactly 20× the input.
+        let r = Relation::from_edges((0..20u32).flat_map(|x| (0..3u32).map(move |y| (x, y))));
+        let registry = default_registry(1);
+        let rels = [&r, &r, &r];
+        let star = Query::star(&rels).build().unwrap();
+        assert_eq!(
+            planner.select(&registry, &star, None).unwrap().engine,
+            "MMJoin"
+        );
+        let similarity = Query::similarity(&r, 2).build().unwrap();
+        assert_eq!(
+            planner.select(&registry, &similarity, None).unwrap().engine,
+            "SizeAware++"
         );
     }
 

@@ -17,7 +17,10 @@ use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
 use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, QueryFamily, VecSink};
 use mmjoin_core::plan::{FinalStage, GeneralPlan, NodeSource, PlanStep, ProjCols};
-use mmjoin_core::{choose_thresholds, choose_thresholds_for, plan_general, JoinConfig, PlanChoice};
+use mmjoin_core::{
+    choose_thresholds, choose_thresholds_for, plan_general, plan_star, JoinConfig, PlanChoice,
+    StarPlan,
+};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
@@ -509,16 +512,18 @@ impl Service {
             Query::SimilarityJoin { r, .. } | Query::ContainmentJoin { r } => {
                 lines.push(explain_thresholds(r, r, &self.planner.config, true));
             }
-            Query::Star { relations } => {
-                if relations.len() >= 2 {
-                    lines.push(explain_thresholds(
-                        relations[0],
-                        relations[1],
-                        &self.planner.config,
-                        false,
-                    ));
-                }
-            }
+            // A star of two relations runs as their two-path; one relation
+            // (or an empty join) has nothing to plan.
+            Query::Star { relations } => match plan_star(relations, &self.planner.config) {
+                Some(plan) => lines.push(explain_star(&plan)),
+                None if relations.len() == 2 => lines.push(explain_thresholds(
+                    relations[0],
+                    relations[1],
+                    &self.planner.config,
+                    false,
+                )),
+                None => {}
+            },
         }
         Ok(lines)
     }
@@ -603,6 +608,33 @@ fn explain_thresholds(r: &Relation, s: &Relation, config: &JoinConfig, counting:
             plan.estimate.full_join,
             plan.estimate.estimate
         ),
+    }
+}
+
+/// One line describing the star engine's own decision: the thresholds,
+/// the grouped-variable heavy core `rows of V × heavy y × rows of W` (row
+/// counts are the planner's bounds) with the kernel it was priced for, and
+/// the two predictions.
+fn explain_star(plan: &StarPlan) -> String {
+    let estimates = format!(
+        "full join {}, est out {}",
+        plan.full_join, plan.estimated_out
+    );
+    match plan.choice {
+        PlanChoice::Wcoj => {
+            format!("plan: expand (WCOJ) — full join is output-like ({estimates})")
+        }
+        PlanChoice::Mm { delta1, delta2 } => {
+            let (rows_a, heavy_y, rows_b) = plan.heavy_dims;
+            format!(
+                "plan: matrix-partitioned Δ1={delta1} Δ2={delta2}, heavy core {} \
+                 {rows_a} × {heavy_y} × {rows_b} (predicted light {:.0}us, heavy {:.0}us) — \
+                 {estimates}",
+                plan.heavy_kernel.unwrap_or("enumerated"),
+                plan.predicted_light * 1e6,
+                plan.predicted_heavy * 1e6,
+            )
+        }
     }
 }
 
@@ -1637,6 +1669,46 @@ mod tests {
         s.query(Request::chain(["R", "S", "T"])).unwrap();
         let lines = s.explain(Request::chain(["R", "S", "T"])).unwrap();
         assert!(lines.join("\n").contains("cache hit"));
+    }
+
+    /// `explain star` prints the star engine's own decision — the record
+    /// the run then reports — not the two-path plan of its first two legs.
+    #[test]
+    fn explain_star_reports_what_the_star_engine_runs() {
+        let s = service();
+        s.register(
+            "D",
+            Relation::from_edges((0..30u32).flat_map(|x| (0..8u32).map(move |y| (x, y)))),
+        );
+        s.register("R", tiny());
+        let text = s
+            .explain(Request::star(["D", "D", "D"]))
+            .unwrap()
+            .join("\n");
+        assert!(
+            text.contains("plan: matrix-partitioned Δ1=0 Δ2=0, heavy core bit"),
+            "{text}"
+        );
+        assert!(
+            text.contains(" 900 × 8 × 30 (predicted light 0us"),
+            "{text}"
+        );
+        assert!(text.contains("full join 216000, est out 27000"), "{text}");
+        let plan = s.query(Request::star(["D", "D", "D"])).unwrap();
+        let plan = plan.stats.plan.as_ref().unwrap();
+        assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
+        assert_eq!(plan.heavy_dims, Some((900, 8, 30)));
+
+        // Output-like: line 2. Two legs: the two-path they run as.
+        let text = s
+            .explain(Request::star(["R", "R", "R"]))
+            .unwrap()
+            .join("\n");
+        assert!(text.contains("plan: expand (WCOJ)"), "{text}");
+        assert!(text.contains("full join 28"), "{text}");
+        let text = s.explain(Request::star(["D", "D"])).unwrap().join("\n");
+        assert!(text.contains("plan: matrix-partitioned"), "{text}");
+        assert!(!text.contains('×'), "{text}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! `O(Σ N_i + |OUT⋈|)` plan of Proposition 1. It is the ground-truth
 //! engine agreement tests compare everything else against.
 
-use crate::star::{star_full_join_for_each, two_path_for_each, ProjectionAccumulator};
-use mmjoin_api::{Engine, EngineError, ExecStats, PlanKind, PlanStats, Query, Sink};
+use crate::star::{star_join_project_flat, two_path_for_each, ProjectionAccumulator};
+use mmjoin_api::{emit_flat, Engine, EngineError, ExecStats, PlanKind, PlanStats, Query, Sink};
 
 /// The worst-case-optimal reference engine (2-path and star).
 #[derive(Debug, Default, Clone, Copy)]
@@ -29,7 +29,7 @@ impl Engine for WcojEngine {
 
     fn execute(&self, query: &Query<'_>, sink: &mut dyn Sink) -> Result<ExecStats, EngineError> {
         query.validate()?;
-        let tuples = match query {
+        let flat = match query {
             Query::TwoPath {
                 r,
                 s,
@@ -40,22 +40,10 @@ impl Engine for WcojEngine {
                 two_path_for_each(r, s, |x, _, z| acc.push(&[x, z]));
                 acc.finish()
             }
-            Query::Star { relations } => {
-                let mut acc = ProjectionAccumulator::new(relations.len());
-                star_full_join_for_each(relations, |_, tuple| acc.push(tuple));
-                acc.finish()
-            }
+            Query::Star { relations } => star_join_project_flat(relations),
             _ => return Err(self.unsupported(query)),
         };
-        sink.begin(query.output_arity());
-        let mut rows = 0u64;
-        for t in &tuples {
-            if !sink.wants_more() {
-                break;
-            }
-            sink.row(t);
-            rows += 1;
-        }
+        let rows = emit_flat(sink, query.output_arity(), &flat);
         Ok(ExecStats::new(self.name(), rows).with_plan(PlanStats {
             kind: PlanKind::Wcoj,
             ..PlanStats::wcoj()

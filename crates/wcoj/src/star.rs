@@ -1,6 +1,7 @@
 //! Worst-case optimal evaluation of star queries.
 
 use crate::leapfrog::LeapfrogIter;
+use mmjoin_api::rows_of;
 use mmjoin_storage::{Relation, Value};
 
 /// Enumerates the *full* (pre-projection) result of the 2-path query
@@ -103,6 +104,12 @@ pub fn full_join_count<R: AsRef<Relation>>(relations: &[R]) -> u64 {
 /// This is the reference semantics every optimized engine in the workspace
 /// is validated against.
 pub fn star_join_project<R: AsRef<Relation>>(relations: &[R]) -> Vec<Vec<Value>> {
+    rows_of(relations.len(), &star_join_project_flat(relations))
+}
+
+/// [`star_join_project`] as one flat buffer, `relations.len()` values per
+/// row — what the engines emit from.
+pub fn star_join_project_flat<R: AsRef<Relation>>(relations: &[R]) -> Vec<Value> {
     let mut acc = ProjectionAccumulator::new(relations.len());
     star_full_join_for_each(relations, |_, tuple| acc.push(tuple));
     acc.finish()
@@ -114,27 +121,31 @@ pub fn star_join_project<R: AsRef<Relation>>(relations: &[R]) -> Vec<Vec<Value>>
 /// Tuples of arity ≤ 4 are bit-packed into `u128` keys, so pushing a tuple
 /// is allocation-free and deduplication is a plain integer sort — the
 /// difference between ~3 ns and ~50 ns per enumerated witness, which
-/// dominates the light steps of the star algorithms. Wider tuples fall back
-/// to `Vec<Value>` rows.
+/// dominates the light steps of the star algorithms. Wider tuples are kept
+/// back to back in one buffer and sorted through an index. Either way the
+/// result is one flat buffer: no allocation per row, pushed or returned.
 pub struct ProjectionAccumulator {
     k: usize,
     packed: Vec<u128>,
-    general: Vec<Vec<Value>>,
     packed_out: Vec<u128>,
-    general_out: Vec<Vec<Value>>,
+    wide: Vec<Value>,
+    wide_out: Vec<Value>,
 }
 
 impl ProjectionAccumulator {
+    /// Tuples buffered between flushes.
     const CHUNK: usize = 1 << 21;
+    /// Widest tuple a `u128` key holds.
+    const PACKED_ARITY: usize = 4;
 
     /// New accumulator for arity-`k` tuples.
     pub fn new(k: usize) -> Self {
         Self {
             k,
             packed: Vec::new(),
-            general: Vec::new(),
             packed_out: Vec::new(),
-            general_out: Vec::new(),
+            wide: Vec::new(),
+            wide_out: Vec::new(),
         }
     }
 
@@ -147,62 +158,68 @@ impl ProjectionAccumulator {
         key
     }
 
-    fn unpack(k: usize, key: u128) -> Vec<Value> {
-        let mut t = vec![0 as Value; k];
-        let mut key = key;
-        for slot in t.iter_mut().rev() {
-            *slot = (key & 0xffff_ffff) as Value;
-            key >>= 32;
-        }
-        t
+    /// Whether nothing has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.packed.is_empty()
+            && self.packed_out.is_empty()
+            && self.wide.is_empty()
+            && self.wide_out.is_empty()
     }
 
     /// Appends one tuple (duplicates welcome).
     #[inline]
     pub fn push(&mut self, tuple: &[Value]) {
         debug_assert_eq!(tuple.len(), self.k);
-        if self.k <= 4 {
+        if self.k <= Self::PACKED_ARITY {
             self.packed.push(Self::pack(tuple));
             if self.packed.len() >= Self::CHUNK {
                 self.flush();
             }
         } else {
-            self.general.push(tuple.to_vec());
-            if self.general.len() >= Self::CHUNK {
+            self.wide.extend_from_slice(tuple);
+            if self.wide.len() >= Self::CHUNK * self.k {
                 self.flush();
             }
         }
     }
 
     fn flush(&mut self) {
-        if self.k <= 4 {
+        if self.k <= Self::PACKED_ARITY {
             self.packed.sort_unstable();
             self.packed.dedup();
             self.packed_out.append(&mut self.packed);
         } else {
-            self.general.sort_unstable();
-            self.general.dedup();
-            self.general_out.append(&mut self.general);
+            sort_dedup_rows(self.k, &mut self.wide);
+            self.wide_out.append(&mut self.wide);
         }
     }
 
-    /// Sorts, deduplicates and returns the distinct tuples.
-    pub fn finish(mut self) -> Vec<Vec<Value>> {
+    /// Sorts, deduplicates and returns the distinct tuples in ascending
+    /// order, `k` values per tuple, back to back.
+    pub fn finish(mut self) -> Vec<Value> {
         self.flush();
-        if self.k <= 4 {
-            self.packed_out.sort_unstable();
-            self.packed_out.dedup();
-            let k = self.k;
-            self.packed_out
-                .iter()
-                .map(|&key| Self::unpack(k, key))
-                .collect()
-        } else {
-            self.general_out.sort_unstable();
-            self.general_out.dedup();
-            self.general_out
+        if self.k > Self::PACKED_ARITY {
+            sort_dedup_rows(self.k, &mut self.wide_out);
+            return self.wide_out;
         }
+        self.packed_out.sort_unstable();
+        self.packed_out.dedup();
+        let mut flat = Vec::with_capacity(self.packed_out.len() * self.k);
+        for &key in &self.packed_out {
+            flat.extend((0..self.k).rev().map(|slot| (key >> (32 * slot)) as Value));
+        }
+        flat
     }
+}
+
+/// Sorts the arity-`k` rows of a flat buffer lexicographically and drops
+/// duplicates, through a row index (the rows themselves move once).
+fn sort_dedup_rows(k: usize, flat: &mut Vec<Value>) {
+    let row = |i: usize| &flat[i * k..(i + 1) * k];
+    let mut order: Vec<usize> = (0..flat.len() / k).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|next, kept| row(*next) == row(*kept));
+    *flat = order.iter().flat_map(|&i| row(i)).copied().collect();
 }
 
 #[cfg(test)]
@@ -286,6 +303,24 @@ mod tests {
     }
 
     proptest! {
+        /// Packed (arity ≤ 4) and wide tuples alike finish as the sorted
+        /// distinct rows, back to back in one buffer.
+        #[test]
+        fn accumulator_finishes_flat_sorted_distinct(
+            arity in 1usize..7,
+            values in proptest::collection::vec(0u32..6, 0..90),
+        ) {
+            let mut acc = ProjectionAccumulator::new(arity);
+            prop_assert!(acc.is_empty());
+            let mut expected = BTreeSet::new();
+            for tuple in values.chunks_exact(arity) {
+                acc.push(tuple);
+                expected.insert(tuple.to_vec());
+            }
+            prop_assert_eq!(acc.is_empty(), expected.is_empty());
+            prop_assert_eq!(acc.finish(), expected.into_iter().flatten().collect::<Vec<_>>());
+        }
+
         /// star_join_project for k=2 must equal the brute-force nested-loop
         /// join-project.
         #[test]

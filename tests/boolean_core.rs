@@ -7,11 +7,20 @@
 //! zero — the combinatorial fallback. CI runs this suite on both feature
 //! legs: the bit kernel is the same portable code on each, the SGEMM it is
 //! compared with is not.
+//!
+//! The star section does the same for the grouped-variable core of §3.2 —
+//! same kernels, fed by one interning routine — and for how a star's rows
+//! leave the engine: one flat buffer through `emit_flat`, in order.
 
+use mmjoin_api::{emit_flat, Engine, ForEachSink, LimitSink, Query, Sink, VecSink};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
-use mmjoin_core::{two_path_join_project_with_stats, HeavyBackend, JoinConfig};
+use mmjoin_core::{
+    star_join_project_mm_with_stats, two_path_join_project_with_stats, HeavyBackend, JoinConfig,
+    MmJoinEngine,
+};
 use mmjoin_executor::Executor;
 use mmjoin_storage::{Relation, Value};
+use mmjoin_wcoj::star_join_project;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -156,6 +165,153 @@ fn bit_core_is_identical_at_every_thread_count() {
     }
 }
 
+/// `k` relations over one element domain, a different coin each.
+fn coin_star(k: u32, sets: u32, elems: u32, keep_of_16: u32, seed: u32) -> Vec<Relation> {
+    (0..k)
+        .map(|i| coin_relation(sets + i, elems, keep_of_16, seed.wrapping_add(i * 7919)))
+        .collect()
+}
+
+/// Asserts bit core == f32 core == capped fallback == the WCOJ reference on
+/// the star over `rels` at `deltas`, rows and order; returns the Boolean
+/// kernel that ran, if a matrix did.
+fn assert_star_cores_agree(rels: &[Relation], deltas: (u32, u32)) -> Option<&'static str> {
+    let expected = star_join_project(rels);
+    let (bit, bit_stats) =
+        star_join_project_mm_with_stats(rels, &forced(HeavyBackend::Auto, deltas));
+    let (f32_out, f32_stats) =
+        star_join_project_mm_with_stats(rels, &forced(HeavyBackend::DenseF32, deltas));
+    let capped = JoinConfig {
+        matrix_cell_cap: 0,
+        ..forced(HeavyBackend::Auto, deltas)
+    };
+    let (fallback, capped_stats) = star_join_project_mm_with_stats(rels, &capped);
+    assert_eq!(bit, expected, "bit core at {deltas:?}");
+    assert_eq!(f32_out, expected, "f32 core at {deltas:?}");
+    assert_eq!(fallback, expected, "capped fallback at {deltas:?}");
+    if expected.is_empty() {
+        return None;
+    }
+    let (bit_stats, f32_stats) = (bit_stats.unwrap(), f32_stats.unwrap());
+    // One interning routine feeds both kinds of operand: same shape, same
+    // verdict on whether a matrix ran — except that nothing fits a zero cap.
+    assert_eq!(bit_stats.heavy_dims, f32_stats.heavy_dims);
+    assert_eq!(bit_stats.heavy_core_matrix, f32_stats.heavy_core_matrix);
+    assert_eq!(capped_stats.unwrap().heavy_core_matrix, Some(false));
+    assert!(bit_stats.measured_phase_secs.is_some());
+    if bit_stats.heavy_core_matrix != Some(true) {
+        return None;
+    }
+    assert!(bit_stats.heavy_backend.unwrap().starts_with("bit "));
+    assert_eq!(f32_stats.heavy_backend, Some("f32"));
+    bit_stats.heavy_backend
+}
+
+/// k = 3, 4 (packed tuples) and 5 (the wide-tuple path of the accumulator),
+/// sparse and dense enough for either orientation of the Boolean product,
+/// with everything heavy, mixed partitions, and everything light.
+#[test]
+fn star_cores_agree_for_three_to_five_relations() {
+    let mut kernels = std::collections::BTreeSet::new();
+    for (k, sets, elems, keep) in [
+        (3, 14, 40, 5),
+        (4, 9, 40, 5),
+        (5, 6, 40, 5),
+        (3, 10, 130, 13),
+    ] {
+        let rels = coin_star(k, sets, elems, keep, 100 + k);
+        assert!(!star_join_project(&rels).is_empty());
+        for deltas in [(0, 0), (2, 3), (1, 1), (4, 2), (500, 500)] {
+            kernels.extend(assert_star_cores_agree(&rels, deltas));
+        }
+    }
+    assert_eq!(
+        kernels.into_iter().collect::<Vec<_>>(),
+        ["bit and-any", "bit row-or"]
+    );
+}
+
+/// A star's rows do not depend on the thread count: the light steps fan out
+/// over the executor, the heavy core does not.
+#[test]
+fn star_is_identical_at_every_thread_count() {
+    let rels = coin_star(3, 20, 60, 4, 31);
+    for deltas in [(0, 0), (3, 3)] {
+        let (serial, _) =
+            star_join_project_mm_with_stats(&rels, &forced(HeavyBackend::Auto, deltas));
+        assert!(!serial.is_empty());
+        for threads in [1, 2, 4] {
+            let config = JoinConfig {
+                threads,
+                executor: Some(Arc::new(Executor::new(threads))),
+                ..forced(HeavyBackend::Auto, deltas)
+            };
+            let (rows, _) = star_join_project_mm_with_stats(&rels, &config);
+            assert_eq!(rows, serial, "{deltas:?} threads={threads}");
+        }
+    }
+}
+
+/// With everything heavy the rows go from the extractor to the sink: each
+/// one arrives strictly above the one before it, for either kernel.
+#[test]
+fn everything_heavy_star_emits_in_ascending_order() {
+    let rels = coin_star(4, 8, 30, 6, 77);
+    let query = Query::star(&rels).build().unwrap();
+    for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+        let engine = MmJoinEngine::new(forced(backend, (0, 0)));
+        let mut last: Option<Vec<Value>> = None;
+        let mut seen = 0u64;
+        let mut sink = ForEachSink(|row: &[Value], _| {
+            assert!(
+                last.as_deref().is_none_or(|l| l < row),
+                "{row:?} after {last:?}"
+            );
+            last = Some(row.to_vec());
+            seen += 1;
+        });
+        let stats = engine.execute(&query, &mut sink).unwrap();
+        assert_eq!(seen, star_join_project(&rels).len() as u64);
+        assert_eq!(stats.rows, seen);
+        let plan = stats.plan.unwrap();
+        assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
+        assert_eq!(plan.heavy_core_matrix, Some(true));
+    }
+}
+
+/// A limit stops the emission, and what got through is the head of the
+/// unlimited answer.
+#[test]
+fn a_limited_star_gets_the_first_rows_and_no_more() {
+    let rels = coin_star(3, 12, 40, 6, 5);
+    let query = Query::star(&rels).build().unwrap();
+    let engine = MmJoinEngine::serial();
+    let mut all = VecSink::new();
+    engine.execute(&query, &mut all).unwrap();
+    assert!(all.len() > 20);
+    // Counts what the engine offered, not what the limit kept.
+    struct Offered(LimitSink<VecSink>, u64);
+    impl Sink for Offered {
+        fn begin(&mut self, arity: usize) {
+            self.0.begin(arity);
+        }
+        fn row(&mut self, row: &[Value]) {
+            self.1 += 1;
+            self.0.row(row);
+        }
+        fn wants_more(&self) -> bool {
+            self.0.wants_more()
+        }
+    }
+    for limit in [0, 1, 17] {
+        let mut sink = Offered(LimitSink::new(VecSink::new(), limit), 0);
+        let stats = engine.execute(&query, &mut sink).unwrap();
+        assert_eq!(stats.rows, limit);
+        assert_eq!(sink.1, limit, "emission went on past the limit");
+        assert_eq!(sink.0.into_inner().rows, all.rows[..limit as usize]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -195,5 +351,74 @@ proptest! {
             let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
             prop_assert_eq!(&rows, &expected);
         }
+    }
+
+    /// Random stars, random forced thresholds (everything-heavy included):
+    /// bit core == f32 core == capped fallback == the WCOJ reference.
+    #[test]
+    fn star_cores_agree_on_random_relations(
+        e1 in proptest::collection::vec((0u32..9, 0u32..12), 1..50),
+        e2 in proptest::collection::vec((0u32..11, 0u32..12), 1..50),
+        e3 in proptest::collection::vec((0u32..7, 0u32..12), 1..50),
+        e4 in proptest::collection::vec((0u32..5, 0u32..12), 1..40),
+        d1 in 0u32..5,
+        d2 in 0u32..5,
+    ) {
+        let rels: Vec<Relation> = [e1, e2, e3, e4].into_iter().map(Relation::from_edges).collect();
+        assert_star_cores_agree(&rels[..3], (d1, d2));
+        assert_star_cores_agree(&rels, (d1, d2));
+        assert_star_cores_agree(&rels, (0, 0));
+    }
+
+    /// Whatever the star planner picks by itself, with either kernel priced,
+    /// the answer is the reference's.
+    #[test]
+    fn optimizer_chosen_star_plans_agree(
+        sets in 2u32..14,
+        elems in 4u32..40,
+        keep in 1u32..12,
+        seed in any::<u32>(),
+    ) {
+        let rels = coin_star(3, sets, elems, keep, seed);
+        let expected = star_join_project(&rels);
+        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+            let config = JoinConfig {
+                heavy_backend: backend,
+                wcoj_fallback_factor: 1.0,
+                ..JoinConfig::default()
+            };
+            let (rows, _) = star_join_project_mm_with_stats(&rels, &config);
+            prop_assert_eq!(&rows, &expected);
+        }
+    }
+
+    /// `emit_flat` is the per-row emission loop it replaced: same rows, same
+    /// count, same early stop — for any arity, any rows, any limit.
+    #[test]
+    fn emit_flat_equals_row_by_row_emission(
+        arity in 1usize..7,
+        values in proptest::collection::vec(0u32..50, 0..120),
+        limit in 0u64..30,
+    ) {
+        let rows: Vec<Vec<Value>> = values.chunks_exact(arity).map(<[Value]>::to_vec).collect();
+        let flat: Vec<Value> = rows.concat();
+        let mut by_row = LimitSink::new(VecSink::new(), limit);
+        by_row.begin(arity);
+        let mut emitted = 0u64;
+        for row in &rows {
+            if !by_row.wants_more() {
+                break;
+            }
+            by_row.row(row);
+            emitted += 1;
+        }
+        let mut by_flat = LimitSink::new(VecSink::new(), limit);
+        prop_assert_eq!(emit_flat(&mut by_flat, arity, &flat), emitted);
+        let (by_row, by_flat) = (by_row.into_inner(), by_flat.into_inner());
+        prop_assert_eq!(by_flat.arity, arity);
+        prop_assert_eq!(by_flat.rows, by_row.rows);
+        let mut unlimited = VecSink::new();
+        prop_assert_eq!(emit_flat(&mut unlimited, arity, &flat), rows.len() as u64);
+        prop_assert_eq!(unlimited.rows, rows);
     }
 }

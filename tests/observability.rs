@@ -126,13 +126,14 @@ fn composed_chain_query_trace_covers_every_stage() {
     teardown();
 }
 
-/// The `exec` box is open: a matrix-plan two-path records its five engine
-/// phases — the terms of the paper's cost formula — as labelled `step`
-/// spans under `exec`, once each and in order; an expansion plan records
-/// none of them. The same run's `PlanStats` carry the phases as seconds
-/// beside the optimizer's predictions, and `explain` names the kernel.
+/// The `exec` box is open: a matrix-plan two-path or star records its five
+/// engine phases — the terms of the paper's cost formula — as labelled
+/// `step` spans under `exec`, once each and in order; an expansion plan
+/// records none of them. The same run's `PlanStats` carry the phases as
+/// seconds beside the optimizer's predictions, and `explain` names the
+/// kernel (and, for a star, the grouped-variable shape it multiplies).
 #[test]
-fn matrix_plan_two_path_opens_exec_into_its_five_phases() {
+fn matrix_plans_open_exec_into_their_five_phases() {
     const PHASES: [&str; 5] = ["partition", "light", "build", "product", "extract"];
     let _guard = with_tracer();
     let tracer = Tracer::global();
@@ -144,6 +145,11 @@ fn matrix_plan_two_path_opens_exec_into_its_five_phases() {
     );
     // A perfect matching: output-like, the expansion plan.
     service.register("Sparse", Relation::from_edges((0..200u32).map(|i| (i, i))));
+    // 30 sets sharing 8 elements: a star of three has 30³ answers.
+    service.register(
+        "Leg",
+        Relation::from_edges((0..30u32).flat_map(|x| (0..8u32).map(move |y| (x, y)))),
+    );
 
     let phases_of = |line: &str, engine: &str| -> Vec<String> {
         let root = tracer.begin(line).expect("tracing is on");
@@ -170,6 +176,7 @@ fn matrix_plan_two_path_opens_exec_into_its_five_phases() {
         under_exec
     };
     assert_eq!(phases_of("query twopath Dense Dense", "MMJoin"), PHASES);
+    assert_eq!(phases_of("query star Leg Leg Leg", "MMJoin"), PHASES);
     // Pinned onto MMJoin, so that the engine's own optimizer — not the
     // service's engine choice — is what declines to partition.
     assert_eq!(
@@ -193,6 +200,26 @@ fn matrix_plan_two_path_opens_exec_into_its_five_phases() {
     let explained = command::run_line(&service, "explain twopath Dense Dense").unwrap();
     assert!(explained.contains("heavy core bit"), "{explained}");
     assert!(explained.contains("predicted light"), "{explained}");
+
+    // The star reports the same record, and `explain` the star's own plan.
+    let response = service
+        .query(mmjoin::Request::star(["Leg", "Leg", "Leg"]))
+        .expect("query runs");
+    let plan = response.stats.plan.as_ref().expect("a star plan");
+    assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
+    assert_eq!(plan.heavy_dims, Some((900, 8, 30)));
+    assert_eq!(plan.heavy_core_matrix, Some(true));
+    assert!(plan.heavy_backend.unwrap().starts_with("bit "));
+    assert_eq!(plan.estimated_out, Some(27_000));
+    assert!(plan.predicted_heavy_secs.unwrap() > 0.0);
+    let measured = plan.measured_phase_secs.expect("phases measured");
+    assert!(measured.build > 0.0 && measured.product > 0.0 && measured.extract > 0.0);
+    let explained = command::run_line(&service, "explain star Leg Leg Leg").unwrap();
+    assert!(
+        explained.contains("Δ1=0 Δ2=0, heavy core bit"),
+        "{explained}"
+    );
+    assert!(explained.contains("900 × 8 × 30"), "{explained}");
     teardown();
 }
 
