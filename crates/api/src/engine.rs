@@ -14,26 +14,67 @@ pub enum PlanKind {
     MatrixPartitioned,
 }
 
-/// One step of a composed (decomposed general-query) plan, as reported
-/// after execution — the per-step counterpart of [`PlanStats`].
+/// Where an operand of a composed-plan step comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeSource {
+    /// The `i`-th atom of the query graph (a base relation).
+    Atom(usize),
+    /// The output of the `i`-th plan step.
+    Step(usize),
+}
+
+/// One binary operand of a composed-plan step: a relation over the
+/// variable pair `(a, b)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepNode {
+    /// Where the relation comes from.
+    pub source: NodeSource,
+    /// Variable bound to the relation's first column.
+    pub a: u32,
+    /// Variable bound to the relation's second column.
+    pub b: u32,
+}
+
+/// One step of a composed (decomposed general-query) plan — the per-step
+/// counterpart of [`PlanStats`]: what the planner laid out, the strategy
+/// the step's primitive chose, and, after a run, the rows it produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepStats {
-    /// What the step did: `"semijoin"`, `"join"`, `"star"`, `"project"`.
+    /// What the step does: `"semijoin"`, `"join"`, `"star"`, `"project"`.
     pub op: &'static str,
-    /// The variable the step joined (or filtered) on, if any.
+    /// The variable the step joins (or filters) on, if any.
     pub on_var: Option<u32>,
+    /// The step's operands: target and filter of a semijoin, left and
+    /// right of a join, the legs of a star, the one node a projection
+    /// reads.
+    pub inputs: Vec<StepNode>,
+    /// The variables of the step's result, in column order (for the final
+    /// step: the query's projection).
+    pub out_vars: Vec<u32>,
+    /// The planner's §5 full-join estimate for this step (joins only).
+    pub full_join: Option<u64>,
     /// The planner's §5 output-size estimate for this step.
     pub estimated_rows: Option<u64>,
     /// Rows the step actually materialised (or streamed, for the final
-    /// step).
+    /// step); `None` before the run.
     pub actual_rows: Option<u64>,
-    /// Strategy the underlying primitive chose, when it planned.
+    /// Strategy the underlying primitive chose, once it has planned: at
+    /// plan time that is known where both inputs are base relations.
     pub kind: Option<PlanKind>,
-    /// Degree thresholds `(Δ1, Δ2)` the primitive ran with, when
+    /// Degree thresholds `(Δ1, Δ2)` of the primitive, when
     /// matrix-partitioned.
     pub delta1: Option<u32>,
     /// See [`StepStats::delta1`].
     pub delta2: Option<u32>,
+}
+
+impl StepStats {
+    /// Copies the decision of the primitive that evaluates this step.
+    pub fn decided_by(&mut self, primitive: &PlanStats) {
+        self.kind = Some(primitive.kind);
+        self.delta1 = primitive.delta1;
+        self.delta2 = primitive.delta2;
+    }
 }
 
 /// Measured wall-clock seconds of the five phases of a matrix-partitioned
@@ -62,8 +103,10 @@ impl PhaseSecs {
     }
 }
 
-/// Plan details reported by engines that run Algorithm 1/3 (others leave
-/// [`ExecStats::plan`] as `None`).
+/// The one record of a cost-based decision: what Algorithm 3 chose and
+/// predicted (the half `explain` prints, filled by planning) and what the
+/// run then built and measured (filled by execution). Engines that do not
+/// plan leave [`ExecStats::plan`] as `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStats {
     /// Chosen strategy.
@@ -72,21 +115,28 @@ pub struct PlanStats {
     pub delta1: Option<u32>,
     /// Head-variable degree threshold `Δ2` (matrix plans only).
     pub delta2: Option<u32>,
-    /// Heavy partition dimensions `(|heavy x|, |heavy y|, |heavy z|)` —
-    /// the factor-matrix shape of the heavy core, after pruning rows with
-    /// no heavy-in-both join values (the shape actually built).
+    /// Heavy core dimensions `(|heavy x|, |heavy y|, |heavy z|)` — after a
+    /// run, the factor-matrix shape actually built (rows with no
+    /// heavy-in-both join value pruned); from planning alone, the star
+    /// planner's upper bounds (a two-path plans without them).
     pub heavy_dims: Option<(usize, usize, usize)>,
-    /// Whether the heavy core was evaluated by matrix multiplication
-    /// (`false`: the partition was degenerate or over the memory cap, so
-    /// the heavy core fell back to combinatorial expansion).
+    /// Whether the heavy core is evaluated by matrix multiplication
+    /// (`false`: the partition is degenerate or over the memory cap, so
+    /// the heavy core is enumerated combinatorially).
     pub heavy_core_matrix: Option<bool>,
     /// The kernel of the heavy core: `"bit row-or"` or `"bit and-any"`
-    /// (Boolean product in the orientation that ran — existence queries) or
-    /// `"f32"` (SGEMM — counting queries, or pinned).
+    /// (Boolean product — existence queries) or `"f32"` (SGEMM — counting
+    /// queries, or pinned). Planning names the one the thresholds were
+    /// priced for; the run decides the orientation again on the exact
+    /// partition and records the one that ran.
     pub heavy_backend: Option<&'static str>,
     /// Tuples handled by the light (expansion) passes per input relation:
     /// `(input size − heavy tuple mass)` for `(R, S)`.
     pub light_tuples: Option<(u64, u64)>,
+    /// Exact full-join (pre-projection) size the decision rests on — for a
+    /// star `Σ_y Π_i deg_i(y)` over all its legs, for a composed plan the
+    /// sum of its steps' estimates.
+    pub full_join: Option<u64>,
     /// The optimizer's output-size estimate, when one was computed.
     pub estimated_out: Option<u64>,
     /// Predicted light-part seconds at the chosen thresholds.
@@ -94,10 +144,12 @@ pub struct PlanStats {
     /// Predicted heavy-part seconds at the chosen thresholds.
     pub predicted_heavy_secs: Option<f64>,
     /// Measured seconds per phase, beside the two predictions
-    /// (matrix-partitioned two-paths only).
+    /// (matrix-partitioned runs only).
     pub measured_phase_secs: Option<PhaseSecs>,
-    /// For composed (general-query) executions: one record per plan
-    /// step, in execution order. Empty for single-primitive plans.
+    /// For composed (general-query) plans: one record per plan step, in
+    /// plan order, the output-producing stage last. Empty for
+    /// single-primitive plans. The primitive fields above then describe
+    /// the final primitive and are filled by the run.
     pub steps: Vec<StepStats>,
 }
 
@@ -112,6 +164,7 @@ impl PlanStats {
             heavy_core_matrix: None,
             heavy_backend: None,
             light_tuples: None,
+            full_join: None,
             estimated_out: None,
             predicted_light_secs: None,
             predicted_heavy_secs: None,
@@ -126,16 +179,128 @@ impl PlanStats {
             kind: PlanKind::MatrixPartitioned,
             delta1: Some(delta1),
             delta2: Some(delta2),
-            heavy_dims: None,
-            heavy_core_matrix: None,
-            heavy_backend: None,
-            light_tuples: None,
-            estimated_out: None,
-            predicted_light_secs: None,
-            predicted_heavy_secs: None,
-            measured_phase_secs: None,
-            steps: Vec::new(),
+            ..Self::wcoj()
         }
+    }
+
+    /// The record as [`Display`](fmt::Display) renders it, with the
+    /// operands of a composed plan that are base relations called by
+    /// `atoms[i]` (the `i`-th atom of the query; `atom{i}` past the end).
+    pub fn named<'a>(&'a self, atoms: &'a [&'a str]) -> NamedPlan<'a> {
+        NamedPlan { plan: self, atoms }
+    }
+}
+
+/// [`PlanStats`] being displayed under the relation names of a request
+/// (see [`PlanStats::named`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NamedPlan<'a> {
+    plan: &'a PlanStats,
+    atoms: &'a [&'a str],
+}
+
+/// What `explain` prints: one `plan:` line for a single primitive, the
+/// decomposition with one line per step for a composed plan.
+impl fmt::Display for PlanStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.named(&[]).fmt(f)
+    }
+}
+
+impl fmt::Display for NamedPlan<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let plan = self.plan;
+        if plan.steps.is_empty() {
+            return plan.fmt_primitive(f);
+        }
+        let node = |n: &StepNode| {
+            let name = match n.source {
+                NodeSource::Atom(i) => self
+                    .atoms
+                    .get(i)
+                    .map_or_else(|| format!("atom{i}"), |name| name.to_string()),
+                NodeSource::Step(j) => format!("t{j}"),
+            };
+            format!("{name}(v{}, v{})", n.a, n.b)
+        };
+        write!(
+            f,
+            "decomposition: {} step(s), estimated output {} row(s)",
+            plan.steps.len(),
+            plan.estimated_out.unwrap_or(0)
+        )?;
+        for (i, step) in plan.steps.iter().enumerate() {
+            let operands: Vec<String> = step.inputs.iter().map(node).collect();
+            let out: Vec<String> = step.out_vars.iter().map(|v| format!("v{v}")).collect();
+            let (on, out) = (step.on_var.unwrap_or(0), out.join(", "));
+            match step.op {
+                "semijoin" => {
+                    let operands = operands.join(" ⋉ ");
+                    write!(
+                        f,
+                        "\n  step {i}: semijoin {operands} on v{on} -> t{i}({out})"
+                    )?
+                }
+                "join" => {
+                    write!(
+                        f,
+                        "\n  step {i}: join {} on v{on} -> t{i}({out}) [est rows {}, full join {}]",
+                        operands.join(" ⋈ "),
+                        step.estimated_rows.unwrap_or(0),
+                        step.full_join.unwrap_or(0),
+                    )?;
+                    match (step.kind, step.delta1.zip(step.delta2)) {
+                        (Some(PlanKind::Wcoj), _) => write!(f, " [expand]")?,
+                        (Some(PlanKind::MatrixPartitioned), Some((d1, d2))) => {
+                            write!(f, " [matrix Δ1={d1} Δ2={d2}]")?
+                        }
+                        // A derived input: the primitive plans when it exists.
+                        _ => write!(f, " [strategy decided at runtime]")?,
+                    }
+                }
+                "star" => {
+                    let legs = operands.join(", ");
+                    write!(f, "\n  final: star around v{on} over [{legs}] -> ({out})")?
+                }
+                _ => write!(f, "\n  final: project {} -> ({out})", operands.join(", "))?,
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PlanStats {
+    /// The `plan:` line of a single primitive: the choice, the heavy core
+    /// it was priced for (with its shape, where planning bounds it), the
+    /// two predictions and the estimates they rest on.
+    fn fmt_primitive(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let estimates = self.full_join.zip(self.estimated_out);
+        if self.kind == PlanKind::Wcoj {
+            write!(f, "plan: expand (WCOJ)")?;
+            return estimates.map_or(Ok(()), |(full_join, out)| {
+                write!(f, " — full join {full_join} is output-like (est out {out})")
+            });
+        }
+        write!(f, "plan: matrix-partitioned")?;
+        if let Some((d1, d2)) = self.delta1.zip(self.delta2) {
+            write!(f, " Δ1={d1} Δ2={d2}")?;
+        }
+        match (self.heavy_backend, self.heavy_core_matrix) {
+            (Some(kernel), _) => write!(f, ", heavy core {kernel}")?,
+            (None, Some(false)) => write!(f, ", heavy core enumerated")?,
+            (None, _) => {}
+        }
+        if let Some((rows_a, heavy_y, rows_b)) = self.heavy_dims {
+            write!(f, " {rows_a} × {heavy_y} × {rows_b}")?;
+        }
+        if let Some((light, heavy)) = self.predicted_light_secs.zip(self.predicted_heavy_secs) {
+            let (light, heavy) = (light * 1e6, heavy * 1e6);
+            write!(f, " (predicted light {light:.0}us, heavy {heavy:.0}us)")?;
+        }
+        if let Some((full_join, out)) = estimates {
+            write!(f, " — full join {full_join}, est out {out}")?;
+        }
+        Ok(())
     }
 }
 

@@ -39,7 +39,10 @@ pub mod query;
 pub mod registry;
 pub mod sink;
 
-pub use engine::{Engine, EngineError, ExecStats, PhaseSecs, PlanKind, PlanStats, StepStats};
+pub use engine::{
+    Engine, EngineError, ExecStats, NamedPlan, NodeSource, PhaseSecs, PlanKind, PlanStats,
+    StepNode, StepStats,
+};
 pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;

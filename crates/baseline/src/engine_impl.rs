@@ -7,7 +7,7 @@
 use crate::fulljoin::{HashJoinEngine, SortMergeEngine, SystemXEngine};
 use crate::nonmm::ExpandDedupEngine;
 use crate::setintersect::SetIntersectEngine;
-use crate::star::{HashDedupStarEngine, SortDedupStarEngine};
+use crate::star::HashDedupStarEngine;
 use mmjoin_api::{emit_flat, emit_pairs, Engine, EngineError, ExecStats, Query, Sink};
 
 /// Implements [`Engine`] for a 2-path-only baseline in terms of its
@@ -53,44 +53,32 @@ macro_rules! two_path_engine {
     };
 }
 
-/// Implements [`Engine`] for a star-only baseline in terms of its inherent
-/// `star_join_project_flat` method.
-macro_rules! star_engine {
-    ($ty:ty, $name:literal) => {
-        impl Engine for $ty {
-            fn name(&self) -> &str {
-                $name
-            }
-
-            fn supports(&self, query: &Query<'_>) -> bool {
-                matches!(query, Query::Star { .. })
-            }
-
-            fn execute(
-                &self,
-                query: &Query<'_>,
-                sink: &mut dyn Sink,
-            ) -> Result<ExecStats, EngineError> {
-                query.validate()?;
-                match query {
-                    Query::Star { relations } => {
-                        let flat = self.star_join_project_flat(relations);
-                        let rows = emit_flat(sink, relations.len(), &flat);
-                        Ok(ExecStats::new($name, rows))
-                    }
-                    _ => Err(self.unsupported(query)),
-                }
-            }
-        }
-    };
-}
-
 two_path_engine!(HashJoinEngine, "HashJoin(Postgres)");
 two_path_engine!(SortMergeEngine, "MergeJoin(MySQL)");
 two_path_engine!(SystemXEngine, "SystemX");
 two_path_engine!(SetIntersectEngine, "SetIntersect(EmptyHeaded)");
-star_engine!(HashDedupStarEngine, "HashJoin(DBMS)");
-star_engine!(SortDedupStarEngine, "SortDedup(reference)");
+
+impl Engine for HashDedupStarEngine {
+    fn name(&self) -> &str {
+        "HashJoin(DBMS)"
+    }
+
+    fn supports(&self, query: &Query<'_>) -> bool {
+        matches!(query, Query::Star { .. })
+    }
+
+    fn execute(&self, query: &Query<'_>, sink: &mut dyn Sink) -> Result<ExecStats, EngineError> {
+        query.validate()?;
+        match query {
+            Query::Star { relations } => {
+                let flat = self.star_join_project_flat(relations);
+                let rows = emit_flat(sink, relations.len(), &flat);
+                Ok(ExecStats::new(Engine::name(self), rows))
+            }
+            _ => Err(self.unsupported(query)),
+        }
+    }
+}
 
 /// `ExpandDedupEngine` serves both families, so it gets a hand-written
 /// impl instead of the macros.
@@ -199,9 +187,8 @@ mod tests {
             rel(&[(8, 0), (9, 0), (9, 1)]),
         ];
         let q = Query::star(&rels).build().unwrap();
-        let reference = SortDedupStarEngine.star_join_project(&rels);
+        let reference = mmjoin_wcoj::star_join_project(&rels);
         let engines: Vec<Box<dyn Engine>> = vec![
-            Box::new(SortDedupStarEngine),
             Box::new(HashDedupStarEngine),
             Box::new(ExpandDedupEngine::serial()),
         ];

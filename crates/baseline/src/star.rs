@@ -34,25 +34,6 @@ impl HashDedupStarEngine {
     }
 }
 
-/// Reference star engine: the WCOJ enumeration followed by sort+dedup.
-/// Used as ground truth in cross-engine tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SortDedupStarEngine;
-
-impl SortDedupStarEngine {
-    /// Evaluates `π_{x1..xk}(R1 ⋈ … ⋈ Rk)`, returning sorted distinct
-    /// tuples.
-    pub fn star_join_project<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Vec<Value>> {
-        mmjoin_wcoj::star_join_project(relations)
-    }
-
-    /// [`Self::star_join_project`] as one flat buffer, `relations.len()`
-    /// values per row.
-    pub fn star_join_project_flat<R: AsRef<Relation>>(&self, relations: &[R]) -> Vec<Value> {
-        mmjoin_wcoj::star_join_project_flat(relations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +50,7 @@ mod tests {
         let rels = [r1, r2, r3];
         assert_eq!(
             HashDedupStarEngine.star_join_project(&rels),
-            SortDedupStarEngine.star_join_project(&rels)
+            mmjoin_wcoj::star_join_project(&rels)
         );
     }
 

@@ -2,10 +2,8 @@
 //! (single-core vs dimension, and vs core count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmjoin_matrix::strassen::strassen;
 use mmjoin_matrix::{
-    available_kernels, matmul_parallel, matmul_with_kernel, strassen_parallel, BitMatrix,
-    DenseMatrix,
+    available_kernels, matmul_parallel, matmul_with_kernel, BitMatrix, DenseMatrix,
 };
 
 fn adjacency(n: usize, phase: usize) -> DenseMatrix {
@@ -73,16 +71,6 @@ fn backend_ablation(c: &mut Criterion) {
     let b = adjacency(n, 1);
     g.bench_function("f32_blocked", |bench| {
         bench.iter(|| matmul_parallel(&a, &b, 1))
-    });
-    g.bench_function("strassen_cutoff128", |bench| {
-        bench.iter(|| strassen(&a, &b, 128))
-    });
-    let cores = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4)
-        .min(7); // seven Strassen leaves cap the useful parallelism
-    g.bench_function("strassen_parallel_leaves", |bench| {
-        bench.iter(|| strassen_parallel(&a, &b, 128, cores))
     });
     let mut ab = BitMatrix::zeros(n, n);
     let mut bb = BitMatrix::zeros(n, n);

@@ -15,7 +15,7 @@ use mmjoin::{
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
-use mmjoin_matrix::{matmul_parallel, BitMatrix, CsrMatrix, DenseMatrix};
+use mmjoin_matrix::{matmul_parallel, BitMatrix, DenseMatrix};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 
 /// The roster the paper's figures are reproduced with: the serving roster
@@ -434,13 +434,11 @@ pub fn fig8(scale: f64) -> Table {
 /// Ablation (beyond the paper): the heavy core of the 2-path join on a
 /// dense dataset with SGEMM pinned (the paper's prototype) and with the
 /// default, which multiplies this existence query over the Boolean
-/// semiring — then, at the matrix level, Gustavson SpGEMM against
-/// the row-OR bit product and plain expansion on sparse square blocks, the
-/// regime SpGEMM was kept for. From 0.5% density up the bit product wins by
-/// an order of magnitude (row-OR is itself sparse in its left operand);
-/// below that SpGEMM overtakes it, but expansion — which is what the
-/// optimizer picks for such a block — overtakes SpGEMM. It is the best of
-/// the three nowhere, which is why no engine path uses it.
+/// semiring — then, at the matrix level, the row-OR bit product against
+/// plain expansion on sparse square blocks. From 0.5% density up the bit
+/// product wins by an order of magnitude (row-OR is itself sparse in its
+/// left operand); below that expansion — which is what the optimizer picks
+/// for such a block — overtakes it.
 pub fn ablation_matrix_backends(scale: f64) -> Table {
     let mut t = Table::new(
         "Ablation: heavy-core backend (Jokes dataset; sparse 2048³ blocks)",
@@ -467,7 +465,6 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
             .filter(|c| c.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & 1023 < per_mille)
             .map(|c| ((c / p as u64) as u32, (c % p as u64) as u32))
             .collect();
-        let csr = CsrMatrix::from_pairs(p, p, &pairs);
         let mut bits = BitMatrix::zeros(p, p);
         for &(i, j) in &pairs {
             bits.set(i as usize, j as usize);
@@ -477,28 +474,15 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
         let right = Relation::from_edges(pairs.iter().map(|&(k, j)| (j, k)));
         // Each to the sorted pair list a join returns (median of three).
         let ids: Vec<u32> = (0..p as u32).collect();
-        let (sparse, sparse_secs) = timed_median(1, 3, || {
-            let product = csr.spgemm(&csr);
-            let pairs: Vec<(u32, u32)> = product
-                .entries_at_least(0.5)
-                .map(|(i, j, _)| (i as u32, j as u32))
-                .collect();
-            pairs
-        });
         let (boolean, bit_secs) =
             timed_median(1, 3, || bits.bool_product(&bits).mapped_ones(&ids, &ids));
         let (expanded, expand_secs) = timed_median(1, 3, || {
             ExpandDedupEngine::serial().join_project(&left, &right)
         });
         let out = boolean.len();
-        assert_eq!(sparse, boolean);
         assert_eq!(expanded, boolean);
         let density = format!("{:.1}%", per_mille as f64 * 100.0 / 1024.0);
-        for (name, secs) in [
-            ("spgemm", sparse_secs),
-            ("bit row-OR", bit_secs),
-            ("expansion", expand_secs),
-        ] {
+        for (name, secs) in [("bit row-OR", bit_secs), ("expansion", expand_secs)] {
             t.push_row(
                 format!("{name}, {density} dense"),
                 vec![fmt_secs(secs), out.to_string()],

@@ -19,9 +19,11 @@
 use crate::config::JoinConfig;
 use crate::plan::{plan_general, FinalStage, GeneralPlan, PlanStep, ProjCols};
 use crate::star::star_join_project_mm_flat;
-use crate::two_path::two_path_join_project_with_stats;
-use mmjoin_api::ir::QueryGraph;
-use mmjoin_api::{emit_flat, emit_pairs, EngineError, PlanStats, Sink, StepStats};
+use crate::two_path::{plan_two_path, two_path_join_project_with_stats};
+use mmjoin_api::ir::{QueryGraph, Var};
+use mmjoin_api::{
+    emit_flat, emit_pairs, EngineError, NodeSource, PlanStats, Sink, StepNode, StepStats,
+};
 use mmjoin_obs::trace::{self, Stage};
 use mmjoin_storage::{Relation, RelationBuilder, Value};
 use std::borrow::Cow;
@@ -35,8 +37,131 @@ pub fn execute_general(
     config: &JoinConfig,
     sink: &mut dyn Sink,
 ) -> Result<(u64, PlanStats), EngineError> {
-    let plan = plan_general(graph).map_err(|e| EngineError::Plan(e.to_string()))?;
+    plan_then_run(graph, config, Some(sink))
+}
 
+/// Lowers `graph` into the decision record `explain` prints and — given a
+/// `sink` — runs the lowering, filling that record in. Without one, the
+/// join steps over two base relations are decided ahead of time instead
+/// (see [`decide_base_steps`]).
+pub(crate) fn plan_then_run(
+    graph: &QueryGraph<'_>,
+    config: &JoinConfig,
+    sink: Option<&mut dyn Sink>,
+) -> Result<(u64, PlanStats), EngineError> {
+    let plan = plan_general(graph).map_err(|e| EngineError::Plan(e.to_string()))?;
+    let mut stats = planned_record(&plan, graph);
+    let Some(sink) = sink else {
+        decide_base_steps(&mut stats, &plan, graph, config);
+        return Ok((0, stats));
+    };
+    execute_composed(graph, &plan, stats, config, sink)
+}
+
+/// `plan` laid out as the record a run starts from: one [`StepStats`] per
+/// step with its operands and §5 estimates, the output-producing stage
+/// last. Which strategy a join step takes is its two-path primitive's
+/// decision, made when its inputs exist.
+fn planned_record(plan: &GeneralPlan, graph: &QueryGraph<'_>) -> PlanStats {
+    let node = |id: usize| {
+        let n = &plan.nodes[id];
+        StepNode {
+            source: n.source,
+            a: n.a,
+            b: n.b,
+        }
+    };
+    let record = |op, on_var, inputs: &[usize], out_vars: Vec<Var>| StepStats {
+        op,
+        on_var,
+        inputs: inputs.iter().map(|&id| node(id)).collect(),
+        out_vars,
+        full_join: None,
+        estimated_rows: None,
+        actual_rows: None,
+        kind: None,
+        delta1: None,
+        delta2: None,
+    };
+    let result_vars = |id: usize| vec![plan.nodes[id].a, plan.nodes[id].b];
+    let mut steps: Vec<StepStats> = plan
+        .steps
+        .iter()
+        .map(|step| match *step {
+            PlanStep::Semijoin {
+                target,
+                filter,
+                on,
+                result,
+            } => record("semijoin", Some(on), &[target, filter], result_vars(result)),
+            PlanStep::Join {
+                left,
+                right,
+                on,
+                result,
+                estimate,
+            } => StepStats {
+                full_join: Some(estimate.full_join),
+                estimated_rows: Some(estimate.rows),
+                ..record("join", Some(on), &[left, right], result_vars(result))
+            },
+        })
+        .collect();
+    let full_join = steps.iter().filter_map(|s| s.full_join).sum();
+    let projection = graph.projection().to_vec();
+    steps.push(StepStats {
+        estimated_rows: Some(plan.estimated_rows),
+        ..match &plan.final_stage {
+            FinalStage::Project { node, .. } => record("project", None, &[*node], projection),
+            FinalStage::Star { center, legs } => record("star", Some(*center), legs, projection),
+        }
+    });
+    PlanStats {
+        full_join: Some(full_join),
+        estimated_out: Some(plan.estimated_rows),
+        steps,
+        ..PlanStats::wcoj()
+    }
+}
+
+/// Decides, ahead of the run, the join steps whose inputs are both base
+/// relations — the only ones whose primitive can plan before anything is
+/// materialised — with the function the step itself plans with, on the
+/// inputs oriented as it will see them.
+fn decide_base_steps(
+    stats: &mut PlanStats,
+    plan: &GeneralPlan,
+    graph: &QueryGraph<'_>,
+    config: &JoinConfig,
+) {
+    for (stat, step) in stats.steps.iter_mut().zip(&plan.steps) {
+        let PlanStep::Join {
+            left, right, on, ..
+        } = *step
+        else {
+            continue;
+        };
+        let (l, r) = (&plan.nodes[left], &plan.nodes[right]);
+        if let (NodeSource::Atom(i), NodeSource::Atom(j)) = (l.source, r.source) {
+            let atoms = graph.atoms();
+            let (lr, rr) = (
+                oriented(atoms[i].relation, l.b == on),
+                oriented(atoms[j].relation, r.b == on),
+            );
+            stat.decided_by(&plan_two_path(&lr, &rr, config, false));
+        }
+    }
+}
+
+/// Runs `plan`, the lowering of `graph`, filling `planned` — its
+/// [`planned_record`] — with what each step chose and produced.
+fn execute_composed(
+    graph: &QueryGraph<'_>,
+    plan: &GeneralPlan,
+    planned: PlanStats,
+    config: &JoinConfig,
+    sink: &mut dyn Sink,
+) -> Result<(u64, PlanStats), EngineError> {
     // Per-node materialised relation: atoms borrow, steps own.
     let mut mats: Vec<Option<Cow<'_, Relation>>> = vec![None; plan.nodes.len()];
     for (i, atom) in graph.atoms().iter().enumerate() {
@@ -44,7 +169,7 @@ pub fn execute_general(
     }
 
     let nsteps = plan.steps.len();
-    let mut step_stats: Vec<Option<StepStats>> = vec![None; nsteps];
+    let mut step_stats = planned.steps;
     let mut done = vec![false; nsteps];
     let mut remaining = nsteps;
     let mut final_primitive: Option<PlanStats> = None;
@@ -79,7 +204,7 @@ pub fn execute_general(
                 right,
                 on,
                 result,
-                estimate,
+                ..
             } = plan.steps[nsteps - 1]
             {
                 if matches!(
@@ -101,8 +226,7 @@ pub fn execute_general(
                     drop((l, r));
                     mats[left] = None;
                     mats[right] = None;
-                    step_stats[nsteps - 1] =
-                        Some(join_step_stat(on, estimate.rows, pairs.len() as u64, &prim));
+                    record_step(&mut step_stats[nsteps - 1], pairs.len(), &prim);
                     rows = emit_pairs(sink, &pairs);
                     final_primitive = prim;
                     streamed = true;
@@ -117,53 +241,43 @@ pub fn execute_general(
         let ran: Vec<StepResult> = if ready.len() == 1 || threads <= 1 {
             ready
                 .iter()
-                .map(|&i| run_step(&plan, i, &mats, config))
+                .map(|&i| run_step(plan, i, &mats, config))
                 .collect()
         } else {
             config
                 .exec()
                 .map(threads.min(ready.len()), ready.len(), |t| {
-                    run_step(&plan, ready[t], &mats, config)
+                    run_step(plan, ready[t], &mats, config)
                 })
         };
         for (idx, result) in ready.into_iter().zip(ran) {
             for input in step_inputs(&plan.steps[idx]) {
                 mats[input] = None;
             }
+            record_step(
+                &mut step_stats[idx],
+                result.relation.len(),
+                &result.primitive,
+            );
             mats[result.node] = Some(Cow::Owned(result.relation));
-            step_stats[idx] = Some(result.stat);
             done[idx] = true;
             remaining -= 1;
         }
     }
 
     if !streamed {
-        let (emitted, prim) = run_final_stage(&plan, &mats, graph, config, sink)?;
+        let (emitted, prim) = run_final_stage(plan, &mats, graph, config, sink)?;
         rows = emitted;
         final_primitive = prim;
     }
 
+    // The final primitive's record, under the plan's own totals.
     let mut stats = final_primitive.unwrap_or_else(PlanStats::wcoj);
-    stats.estimated_out = Some(plan.estimated_rows);
-    let mut step_stats: Vec<StepStats> = step_stats
-        .into_iter()
-        .map(|s| s.expect("every step executed"))
-        .collect();
-    step_stats.push(StepStats {
-        op: match plan.final_stage {
-            FinalStage::Project { .. } => "project",
-            FinalStage::Star { .. } => "star",
-        },
-        on_var: match plan.final_stage {
-            FinalStage::Star { center, .. } => Some(center),
-            FinalStage::Project { .. } => None,
-        },
-        estimated_rows: Some(plan.estimated_rows),
-        actual_rows: Some(rows),
-        kind: Some(stats.kind),
-        delta1: stats.delta1,
-        delta2: stats.delta2,
-    });
+    stats.full_join = planned.full_join;
+    stats.estimated_out = planned.estimated_out;
+    let last = &mut step_stats[nsteps];
+    last.actual_rows = Some(rows);
+    last.decided_by(&stats);
     stats.steps = step_stats;
     Ok((rows, stats))
 }
@@ -177,30 +291,20 @@ fn step_inputs(step: &PlanStep) -> [usize; 2] {
 }
 
 /// A wavefront task's outcome: the materialised result relation for
-/// `node`, plus the step's statistics record.
+/// `node`, plus the record of the primitive that produced it (joins).
 struct StepResult {
     node: usize,
     relation: Relation,
-    stat: StepStats,
+    primitive: Option<PlanStats>,
 }
 
-/// The [`StepStats`] record of one executed join step.
-fn join_step_stat(on: u32, estimated: u64, actual: u64, prim: &Option<PlanStats>) -> StepStats {
-    let mut stat = StepStats {
-        op: "join",
-        on_var: Some(on),
-        estimated_rows: Some(estimated),
-        actual_rows: Some(actual),
-        kind: None,
-        delta1: None,
-        delta2: None,
-    };
-    if let Some(p) = prim {
-        stat.kind = Some(p.kind);
-        stat.delta1 = p.delta1;
-        stat.delta2 = p.delta2;
+/// Fills an executed step's record: the rows it produced and, for a join,
+/// what its primitive chose.
+fn record_step(stat: &mut StepStats, rows: usize, primitive: &Option<PlanStats>) {
+    stat.actual_rows = Some(rows as u64);
+    if let Some(primitive) = primitive {
+        stat.decided_by(primitive);
     }
-    stat
 }
 
 /// Executes one plan step against the current materialisation table
@@ -234,16 +338,8 @@ fn run_step(
             );
             StepResult {
                 node: result,
-                stat: StepStats {
-                    op: "semijoin",
-                    on_var: Some(on),
-                    estimated_rows: None,
-                    actual_rows: Some(filtered.len() as u64),
-                    kind: None,
-                    delta1: None,
-                    delta2: None,
-                },
                 relation: filtered,
+                primitive: None,
             }
         }
         PlanStep::Join {
@@ -251,7 +347,7 @@ fn run_step(
             right,
             on,
             result,
-            estimate,
+            ..
         } => {
             let l = oriented(
                 mats[left].as_ref().expect("left materialised"),
@@ -261,12 +357,12 @@ fn run_step(
                 mats[right].as_ref().expect("right materialised"),
                 plan.nodes[right].b == on,
             );
-            let (pairs, prim) = two_path_join_project_with_stats(&l, &r, config);
+            let (pairs, primitive) = two_path_join_project_with_stats(&l, &r, config);
             drop((l, r));
             StepResult {
                 node: result,
-                stat: join_step_stat(on, estimate.rows, pairs.len() as u64, &prim),
                 relation: Relation::from_edges(pairs),
+                primitive,
             }
         }
     }

@@ -11,14 +11,88 @@
 //! partition dimensions and the light tuple masses, plus the output
 //! estimate and predicted costs when the optimizer ran.
 
-use crate::compose::execute_general;
+use crate::compose;
+use crate::config::JoinConfig;
 use crate::plan::plan_general;
-use crate::star::star_join_project_mm_flat;
-use crate::two_path::{two_path_join_project_with_stats, two_path_with_counts_stats};
 use crate::MmJoinEngine;
+use crate::{star, two_path};
 use mmjoin_api::{
-    emit_counted_pairs, emit_flat, emit_pairs, Engine, EngineError, ExecStats, Query, Sink,
+    emit_counted_pairs, emit_flat, emit_pairs, Engine, EngineError, ExecStats, PlanStats, Query,
+    Sink,
 };
+
+/// Plans `query` as [`MmJoinEngine`] would run it under `config`, without
+/// running it: the cost-based decision of Algorithm 3 — strategy,
+/// thresholds, heavy-core kernel, the estimates it rests on and the two
+/// predictions — in the record the run itself starts from and returns
+/// with its measured half filled in ([`ExecStats::plan`]). A composed plan
+/// lists one record per step; the join steps over two base relations are
+/// decided here, the others when their inputs exist.
+pub fn plan_query(query: &Query<'_>, config: &JoinConfig) -> Result<PlanStats, EngineError> {
+    plan_then_run(query, config, None).map(|(_, plan)| plan)
+}
+
+/// The one planning pass behind [`plan_query`] and
+/// [`MmJoinEngine::execute`]: Algorithm 3 for the query's family and — given
+/// a `sink` — the run that continues from that plan, reusing what planning
+/// computed (a star's reduced legs, a general query's lowering). Returns the
+/// rows emitted and the record.
+fn plan_then_run(
+    query: &Query<'_>,
+    config: &JoinConfig,
+    sink: Option<&mut dyn Sink>,
+) -> Result<(u64, PlanStats), EngineError> {
+    query.validate()?;
+    let run = sink.is_some();
+    // Similarity and containment threshold the witness counts of the self
+    // two-path.
+    let counts = |r, s, min_count| two_path::plan_then_run_counts(r, s, min_count, config, run);
+    Ok(match *query {
+        Query::TwoPath {
+            r,
+            s,
+            with_counts: false,
+            ..
+        } => {
+            let (pairs, plan) = two_path::plan_then_run(r, s, config, run);
+            (sink.map_or(0, |sink| emit_pairs(sink, &pairs)), plan)
+        }
+        Query::TwoPath {
+            r, s, min_count, ..
+        } => {
+            let (triples, plan) = counts(r, s, min_count);
+            let rows = sink.map_or(0, |sink| emit_counted_pairs(sink, &triples, true));
+            (rows, plan)
+        }
+        Query::Star { ref relations } => {
+            let (flat, plan) = star::plan_then_run(relations, config, run);
+            let rows = sink.map_or(0, |sink| emit_flat(sink, relations.len(), &flat));
+            (rows, plan)
+        }
+        Query::General { ref graph } => compose::plan_then_run(graph, config, sink)?,
+        Query::SimilarityJoin { r, c, ordered } => {
+            let (triples, plan) = counts(r, r, c);
+            let mut pairs: Vec<(u32, u32, u32)> =
+                triples.into_iter().filter(|&(a, b, _)| a < b).collect();
+            if ordered {
+                pairs.sort_unstable_by(|p, q| {
+                    q.2.cmp(&p.2).then_with(|| (p.0, p.1).cmp(&(q.0, q.1)))
+                });
+            }
+            let rows = sink.map_or(0, |sink| emit_counted_pairs(sink, &pairs, ordered));
+            (rows, plan)
+        }
+        Query::ContainmentJoin { r } => {
+            let (triples, plan) = counts(r, r, 1);
+            let pairs: Vec<(u32, u32)> = triples
+                .into_iter()
+                .filter(|&(a, b, count)| a != b && count as usize == r.x_degree(a))
+                .map(|(a, b, _)| (a, b))
+                .collect();
+            (sink.map_or(0, |sink| emit_pairs(sink, &pairs)), plan)
+        }
+    })
+}
 
 impl Engine for MmJoinEngine {
     fn name(&self) -> &str {
@@ -36,87 +110,18 @@ impl Engine for MmJoinEngine {
     }
 
     fn execute(&self, query: &Query<'_>, sink: &mut dyn Sink) -> Result<ExecStats, EngineError> {
-        query.validate()?;
-        let config = &self.config;
-        match *query {
-            Query::TwoPath {
-                r,
-                s,
-                with_counts: false,
-                ..
-            } => {
-                let (pairs, plan) = two_path_join_project_with_stats(r, s, config);
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows: emit_pairs(sink, &pairs),
-                    plan,
-                })
-            }
-            Query::TwoPath {
-                r,
-                s,
-                with_counts: true,
-                min_count,
-            } => {
-                let (triples, plan) = two_path_with_counts_stats(r, s, min_count, config);
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows: emit_counted_pairs(sink, &triples, true),
-                    plan,
-                })
-            }
-            Query::Star { ref relations } => {
-                let (flat, plan) = star_join_project_mm_flat(relations, config);
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows: emit_flat(sink, relations.len(), &flat),
-                    plan,
-                })
-            }
-            Query::General { ref graph } => {
-                let (rows, plan) = execute_general(graph, config, sink)?;
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows,
-                    plan: Some(plan),
-                })
-            }
-            Query::SimilarityJoin { r, c, ordered } => {
-                let (triples, plan) = two_path_with_counts_stats(r, r, c, config);
-                let mut pairs: Vec<(u32, u32, u32)> =
-                    triples.into_iter().filter(|&(a, b, _)| a < b).collect();
-                if ordered {
-                    pairs.sort_unstable_by(|p, q| {
-                        q.2.cmp(&p.2).then_with(|| (p.0, p.1).cmp(&(q.0, q.1)))
-                    });
-                }
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows: emit_counted_pairs(sink, &pairs, ordered),
-                    plan,
-                })
-            }
-            Query::ContainmentJoin { r } => {
-                let (triples, plan) = two_path_with_counts_stats(r, r, 1, config);
-                let pairs: Vec<(u32, u32)> = triples
-                    .into_iter()
-                    .filter(|&(a, b, count)| a != b && count as usize == r.x_degree(a))
-                    .map(|(a, b, _)| (a, b))
-                    .collect();
-                Ok(ExecStats {
-                    engine: Engine::name(self).to_string(),
-                    rows: emit_pairs(sink, &pairs),
-                    plan,
-                })
-            }
-        }
+        let (rows, plan) = plan_then_run(query, &self.config, Some(sink))?;
+        Ok(ExecStats {
+            engine: Engine::name(self).to_string(),
+            rows,
+            plan: Some(plan),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JoinConfig;
     use crate::star::star_join_project_mm;
     use crate::two_path::{two_path_join_project, two_path_with_counts};
     use mmjoin_api::{CountSink, PairSink, PlanKind, VecSink};

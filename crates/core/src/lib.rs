@@ -26,7 +26,9 @@
 //!   thresholds `Δ1, Δ2` driven by the calibrated matmul cost model.
 //! * [`engine_impl`] — the [`Engine`](mmjoin_api::Engine) implementation
 //!   covering all four workload families (2-path, star, similarity join,
-//!   containment join).
+//!   containment join), and [`plan_query`]: its planning half on its own,
+//!   the one decision record (`PlanStats`) that `explain` prints and a run
+//!   returns.
 //!
 //! # Quick example
 //!
@@ -73,15 +75,13 @@ pub mod two_path;
 
 pub use compose::execute_general;
 pub use config::{HeavyBackend, JoinConfig};
+pub use engine_impl::plan_query;
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
 pub use optimizer::{
     choose_thresholds, choose_thresholds_for, prefers_wcoj, ExecutionPlan, PlanChoice,
 };
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};
-pub use star::{
-    plan_star, star_join_project_mm, star_join_project_mm_flat, star_join_project_mm_with_stats,
-    StarPlan,
-};
+pub use star::{star_join_project_mm, star_join_project_mm_flat, star_join_project_mm_with_stats};
 pub use two_path::{
     two_path_join_project, two_path_join_project_with_stats, two_path_with_counts,
     two_path_with_counts_stats,

@@ -39,14 +39,7 @@ use std::fmt;
 /// Index into [`GeneralPlan::nodes`].
 pub type NodeId = usize;
 
-/// Where a plan node's relation comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSource {
-    /// The `i`-th atom of the query graph (a base relation).
-    Atom(usize),
-    /// The output of the `i`-th plan step.
-    Step(usize),
-}
+pub use mmjoin_api::NodeSource;
 
 /// Propagated size statistics for a plan node, used to order
 /// eliminations. Exact for atoms, §5-estimated for step outputs.

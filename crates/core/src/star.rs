@@ -31,13 +31,13 @@
 //!
 //! A matrix-partitioned run records the two-path's five phases —
 //! `partition`, `light`, `build`, `product`, `extract` — as `step` spans and
-//! as [`PlanStats::measured_phase_secs`], beside [`plan_star`]'s predictions.
+//! as [`PlanStats::measured_phase_secs`], beside the planner's predictions.
 //!
 //! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 
 use crate::config::JoinConfig;
-use crate::optimizer::{heavy_core_cost, PlanChoice, F32_KERNEL};
-use crate::two_path::{phase, Operands, Product};
+use crate::optimizer::{heavy_core_cost, F32_KERNEL};
+use crate::two_path::{self, phase, Operands, Product};
 use mmjoin_api::{rows_of, PhaseSecs, PlanStats};
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, RelationBuilder, Value};
@@ -65,54 +65,55 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
 }
 
 /// The star engine: the sorted distinct tuples as one flat buffer,
-/// `relations.len()` values per row, plus the plan record of the run — the
-/// same single decision sequence feeds both execution and the statistics,
-/// so the reported thresholds are exactly the ones used (degenerate inputs
-/// report no plan).
+/// `relations.len()` values per row, plus the plan record of the run — one
+/// planning pass whose record the run then fills in, so the reported
+/// thresholds are exactly the ones used.
 pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
     relations: &[R],
     config: &JoinConfig,
 ) -> (Vec<Value>, Option<PlanStats>) {
+    let (flat, stats) = plan_then_run(relations, config, true);
+    (flat, Some(stats))
+}
+
+/// Plans the star over `relations` — the decision record `explain` prints —
+/// and, if `run`, evaluates it as planned, on the semi-join-reduced legs the
+/// plan was priced on, returning the rows and the record with the run's half
+/// filled in. One leg has nothing to decide, two are their two-path, and a
+/// join that is empty (an empty leg, or no `y` common to all) is the
+/// expansion of nothing.
+pub(crate) fn plan_then_run<R: AsRef<Relation>>(
+    relations: &[R],
+    config: &JoinConfig,
+    run: bool,
+) -> (Vec<Value>, PlanStats) {
     assert!(
         !relations.is_empty(),
         "star query needs at least one relation"
     );
     if relations.iter().any(|r| r.as_ref().is_empty()) {
-        return (Vec::new(), None);
+        return (Vec::new(), PlanStats::wcoj());
     }
-    if relations.len() == 1 {
-        let out = relations[0]
-            .as_ref()
-            .by_x()
-            .iter_nonempty()
-            .map(|(x, _)| x)
-            .collect();
-        return (out, Some(PlanStats::wcoj()));
+    if let [r] = relations {
+        // Nothing to decide, and nothing worth skipping.
+        let heads = r.as_ref().by_x().iter_nonempty().map(|(x, _)| x);
+        return (heads.collect(), PlanStats::wcoj());
     }
-    if relations.len() == 2 {
-        let (pairs, stats) = crate::two_path::two_path_join_project_with_stats(
-            relations[0].as_ref(),
-            relations[1].as_ref(),
-            config,
-        );
-        let out = pairs.into_iter().flat_map(|(x, z)| [x, z]).collect();
-        return (out, stats);
+    if let [r, s] = relations {
+        let (pairs, stats) = two_path::plan_then_run(r.as_ref(), s.as_ref(), config, run);
+        return (pairs.into_iter().flat_map(|(x, z)| [x, z]).collect(), stats);
     }
-
-    let reduced = Relation::reduce_star(relations);
+    let reduced = &Relation::reduce_star(relations);
     if reduced.iter().any(|r| r.is_empty()) {
-        return (Vec::new(), None);
+        return (Vec::new(), PlanStats::wcoj());
     }
-    let plan = plan_reduced(&reduced, config);
-    let PlanChoice::Mm { delta1, delta2 } = plan.choice else {
-        let mut stats = PlanStats::wcoj();
-        stats.estimated_out = Some(plan.estimated_out);
-        return (star_join_project_flat(&reduced), Some(stats));
+    let mut stats = plan_reduced(reduced, config);
+    if !run {
+        return (Vec::new(), stats);
+    }
+    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
+        return (star_join_project_flat(reduced), stats);
     };
-    let mut stats = PlanStats::partitioned(delta1, delta2);
-    stats.estimated_out = Some(plan.estimated_out);
-    stats.predicted_light_secs = Some(plan.predicted_light);
-    stats.predicted_heavy_secs = Some(plan.predicted_heavy);
 
     let k = reduced.len();
     let split = k.div_ceil(2);
@@ -122,27 +123,30 @@ pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
     let mut acc = ProjectionAccumulator::new(k);
 
     let core = phase("partition", &mut secs.partition, || {
-        HeavyCore::partition(&reduced, delta1, delta2)
+        HeavyCore::partition(reduced, delta1, delta2)
     });
     // Nothing is light at Δ1 = Δ2 = 0: every substitute would be empty.
     phase("light", &mut secs.light, || {
         if (delta1, delta2) != (0, 0) {
-            light_steps(&reduced, delta1, delta2, config, &mut acc);
+            light_steps(reduced, delta1, delta2, config, &mut acc);
         }
     });
     // Every matrix plan records all five phases, whichever of them run.
     let built = phase("build", &mut secs.build, || {
         core.build(split, boolean, config.matrix_cell_cap)
     });
+    // The planner's bounds give way to what was built.
     stats.heavy_core_matrix = Some(built.is_some());
-    if let Some(built) = &built {
-        stats.heavy_dims = Some((built.a.rows(), core.cols, built.b.rows()));
-        stats.heavy_backend = Some(if boolean {
+    stats.heavy_dims = built
+        .as_ref()
+        .map(|built| (built.a.rows(), core.cols, built.b.rows()));
+    stats.heavy_backend = built.as_ref().map(|built| {
+        if boolean {
             built.orientation.name()
         } else {
             F32_KERNEL
-        });
-    }
+        }
+    });
     let product = phase("product", &mut secs.product, || {
         let Some(built) = built else {
             // Memory guard: cross products per heavy y, deduplicated by
@@ -166,69 +170,44 @@ pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
         acc.finish()
     });
     stats.measured_phase_secs = Some(secs);
-    (out, Some(stats))
-}
-
-/// The star planner's decision record: what [`star_join_project_mm_flat`]
-/// will run on these relations, and what `explain` prints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StarPlan {
-    /// Plain WCOJ + dedup (Algorithm 3 line 2), or the §3.2 partition.
-    pub choice: PlanChoice,
-    /// Exact full-join (pre-projection) size `Σ_y Π_i deg_i(y)`.
-    pub full_join: u64,
-    /// Estimate of the projected output size.
-    pub estimated_out: u64,
-    /// The heavy core `(rows of V, heavy y columns, rows of W)` at the
-    /// chosen thresholds; the row counts are upper bounds from the degree
-    /// counts (the run reports the interned ones).
-    pub heavy_dims: (usize, usize, usize),
-    /// The kernel the heavy core was priced for — `"bit row-or"` /
-    /// `"bit and-any"` / `"f32"`; `None` when no matrix would be built
-    /// (WCOJ, an empty core, or one over the memory cap).
-    pub heavy_kernel: Option<&'static str>,
-    /// Predicted seconds of steps 1–2 (0 for WCOJ).
-    pub predicted_light: f64,
-    /// Predicted seconds of step 3 (0 for WCOJ).
-    pub predicted_heavy: f64,
-}
-
-/// Plans the star query over `relations` without running it — the function
-/// the engine itself decides with, after the same semi-join reduction.
-/// `None` for what the star engine does not plan: fewer than three
-/// relations (delegated) or an empty join.
-pub fn plan_star<R: AsRef<Relation>>(relations: &[R], config: &JoinConfig) -> Option<StarPlan> {
-    if relations.len() < 3 {
-        return None;
-    }
-    let reduced = Relation::reduce_star(relations);
-    (!reduced.iter().any(|r| r.is_empty())).then(|| plan_reduced(&reduced, config))
+    (out, stats)
 }
 
 /// Algorithm 3 for a semi-join-reduced star: line 2, then the cheapest of
 /// everything-heavy (`Δ1 = Δ2 = 0`, priced from the degree counts alone)
 /// and a geometric grid of `Δ = Δ1 = Δ2` candidates (the boundary regime of
-/// §3.1 case 2). Each candidate costs `O(k·(N + |dom(y)|))` to price.
-fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> StarPlan {
+/// §3.1 case 2). Each candidate costs `O(k·(N + |dom(y)|))` to price. The
+/// record's heavy core `(rows of V, heavy y columns, rows of W)` carries
+/// upper bounds on the row counts from the degree counts (the run reports
+/// the interned ones), and no kernel when no matrix would be built (an empty
+/// core, or one over the memory cap).
+fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
     let n = relations.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
     let full_join = full_join_count(relations);
     let estimated_out = estimate_star_output(relations, full_join, n);
-    let plan = |choice, priced: Option<Priced>| StarPlan {
-        choice,
-        full_join,
-        estimated_out,
-        heavy_dims: priced.map_or((0, 0, 0), |p| p.dims),
-        heavy_kernel: priced.and_then(|p| p.kernel),
-        predicted_light: priced.map_or(0.0, |p| p.light),
-        predicted_heavy: priced.map_or(0.0, |p| p.heavy),
+    let plan = |partition: Option<(u32, u32, Priced)>| {
+        let mut stats = match partition {
+            None => PlanStats::wcoj(),
+            Some((delta1, delta2, priced)) => PlanStats {
+                heavy_dims: Some(priced.dims),
+                heavy_core_matrix: Some(priced.kernel.is_some()),
+                heavy_backend: priced.kernel,
+                predicted_light_secs: Some(priced.light),
+                predicted_heavy_secs: Some(priced.heavy),
+                ..PlanStats::partitioned(delta1, delta2)
+            },
+        };
+        stats.full_join = Some(full_join);
+        stats.estimated_out = Some(estimated_out);
+        stats
     };
     if let Some((delta1, delta2)) = config.delta_override {
         let priced = price(relations, delta1, delta2, estimated_out, config);
-        return plan(PlanChoice::Mm { delta1, delta2 }, Some(priced));
+        return plan(Some((delta1, delta2, priced)));
     }
     // Line 2, star flavour: join already output-like.
     if full_join as f64 <= config.fallback_factor(false) * n as f64 {
-        return plan(PlanChoice::Wcoj, None);
+        return plan(None);
     }
     let max_deg = relations
         .iter()
@@ -246,13 +225,7 @@ fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> StarPlan {
         delta = delta.saturating_mul(2);
     }
     let (delta, priced) = best;
-    plan(
-        PlanChoice::Mm {
-            delta1: delta,
-            delta2: delta,
-        },
-        Some(priced),
-    )
+    plan(Some((delta, delta, priced)))
 }
 
 /// `|OUT|` of a star, as §5 estimates a two-path's: the geometric mean of
@@ -775,6 +748,7 @@ fn cross_product_emit(lists: &[&[Value]], f: &mut impl FnMut(&[Value])) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_api::PlanKind;
     use mmjoin_wcoj::star_join_project;
     use proptest::prelude::*;
 
@@ -830,55 +804,68 @@ mod tests {
     }
 
     /// Past line 2 a dense star is everything-heavy: priced from the degree
-    /// counts with no light term, and run with nothing but the heavy core.
+    /// counts with no light term, and run with nothing but the heavy core —
+    /// the run's record is the plan's, with the exact dimensions.
     #[test]
     fn dense_star_plans_and_runs_everything_heavy() {
         let rels = vec![clique(30, 8, 0), clique(20, 8, 0), clique(10, 8, 0)];
         let config = JoinConfig::default();
-        let plan = plan_star(&rels, &config).unwrap();
-        assert_eq!(
-            plan.choice,
-            PlanChoice::Mm {
-                delta1: 0,
-                delta2: 0
-            }
-        );
+        let (_, plan) = plan_then_run(&rels, &config, false);
+        assert_eq!(plan.kind, PlanKind::MatrixPartitioned);
+        assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
         // |OUT| = 6000: between (|OUT⋈|/N)^{3/2} = 2828 and the domains' product.
-        assert_eq!((plan.full_join, plan.estimated_out), (48_000, 4_120));
-        assert_eq!(plan.heavy_dims, (600, 8, 10));
-        assert!(plan.heavy_kernel.unwrap().starts_with("bit "));
-        assert_eq!(plan.predicted_light, 0.0);
-        assert!(plan.predicted_heavy > 0.0);
+        assert_eq!(
+            (plan.full_join, plan.estimated_out),
+            (Some(48_000), Some(4_120))
+        );
+        assert_eq!(plan.heavy_dims, Some((600, 8, 10)));
+        assert!(plan.heavy_backend.unwrap().starts_with("bit "));
+        assert_eq!(plan.predicted_light_secs, Some(0.0));
+        assert!(plan.predicted_heavy_secs.unwrap() > 0.0);
 
         let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
         assert_eq!(rows, star_join_project(&rels));
         let stats = stats.unwrap();
-        assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
-        assert_eq!(stats.heavy_dims, Some(plan.heavy_dims));
         assert_eq!(stats.heavy_core_matrix, Some(true));
-        assert_eq!(stats.predicted_heavy_secs, Some(plan.predicted_heavy));
         assert!(stats.measured_phase_secs.is_some());
+        let planned_half = PlanStats {
+            measured_phase_secs: None,
+            heavy_backend: plan.heavy_backend,
+            ..stats
+        };
+        assert_eq!(planned_half, plan);
 
         // The pin prices and runs SGEMM on the same cells.
         let pinned = JoinConfig {
             heavy_backend: crate::config::HeavyBackend::DenseF32,
             ..JoinConfig::default()
         };
-        assert_eq!(plan_star(&rels, &pinned).unwrap().heavy_kernel, Some("f32"));
+        assert_eq!(
+            plan_then_run(&rels, &pinned, false).1.heavy_backend,
+            Some("f32")
+        );
         assert_eq!(star_join_project_mm(&rels, &pinned), rows);
     }
 
-    /// Line 2 and the degenerate shapes the star engine does not plan.
+    /// Line 2, and the degenerate shapes with nothing of their own to decide.
     #[test]
     fn output_like_and_degenerate_stars() {
         let matching = rel(&(0..50).map(|i| (i, i)).collect::<Vec<_>>());
         let rels = vec![matching.clone(), matching.clone(), matching.clone()];
-        let plan = plan_star(&rels, &JoinConfig::default()).unwrap();
-        assert_eq!((plan.choice, plan.full_join), (PlanChoice::Wcoj, 50));
-        assert_eq!(plan.heavy_kernel, None);
-        assert!(plan_star(&rels[..2], &JoinConfig::default()).is_none());
+        let config = JoinConfig::default();
+        let (_, plan) = plan_then_run(&rels, &config, false);
+        assert_eq!((plan.kind, plan.full_join), (PlanKind::Wcoj, Some(50)));
+        assert_eq!(plan.heavy_backend, None);
+        // Two legs are planned as their two-path.
+        let pair = two_path::plan_two_path(&matching, &matching, &config, false);
+        assert_eq!(plan_then_run(&rels[..2], &config, false).1, pair);
+        // No `y` common to all: the expansion of nothing.
         let disjoint = vec![matching.clone(), matching, rel(&[(0, 99)])];
-        assert!(plan_star(&disjoint, &JoinConfig::default()).is_none());
+        assert_eq!(
+            plan_then_run(&disjoint, &config, false).1,
+            PlanStats::wcoj()
+        );
+        assert!(star_join_project_mm(&disjoint, &config).is_empty());
     }
 
     /// Half-tuples are numbered in lexicographic order whatever order the

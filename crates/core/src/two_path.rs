@@ -62,10 +62,9 @@ pub(crate) fn phase<T>(label: &'static str, secs: &mut f64, f: impl FnOnce() -> 
     out
 }
 
-/// [`two_path_join_project`] plus the plan record of the run — a single
-/// planning pass feeds both execution and the returned
-/// [`PlanStats`], so the statistics describe exactly what ran (empty
-/// inputs report no plan).
+/// [`two_path_join_project`] plus the plan record of the run: one planning
+/// pass ([`plan_two_path`]) whose record the run then fills in, so the
+/// statistics describe exactly what ran (empty inputs report no plan).
 pub fn two_path_join_project_with_stats(
     r: &Relation,
     s: &Relation,
@@ -74,11 +73,27 @@ pub fn two_path_join_project_with_stats(
     if r.is_empty() || s.is_empty() {
         return (Vec::new(), None);
     }
+    let (pairs, stats) = plan_then_run(r, s, config, true);
+    (pairs, Some(stats))
+}
+
+/// Plans the existence two-path ([`plan_two_path`]) and, if `run`,
+/// evaluates it as planned, returning the pairs and the record with the
+/// run's half filled in.
+pub(crate) fn plan_then_run(
+    r: &Relation,
+    s: &Relation,
+    config: &JoinConfig,
+    run: bool,
+) -> (Vec<(Value, Value)>, PlanStats) {
+    let mut stats = plan_two_path(r, s, config, false);
+    if !run {
+        return (Vec::new(), stats);
+    }
     let (threads, exec) = (config.effective_threads(), config.exec());
     let expand = || ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec);
-    let (delta1, delta2, mut stats) = match resolve_plan(r, s, config, false) {
-        Resolved::Wcoj(stats) => return (expand(), Some(stats)),
-        Resolved::Mm(d1, d2, stats) => (d1, d2, stats),
+    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
+        return (expand(), stats);
     };
     let boolean = config.heavy_backend.is_boolean(false);
     let mut secs = PhaseSecs::default();
@@ -90,9 +105,7 @@ pub fn two_path_join_project_with_stats(
         // The indexes bound the heavy sides from above; the exact partition
         // came out with an empty one. It would run as pure expansion, so
         // run — and report — the expansion plan.
-        let mut wcoj = PlanStats::wcoj();
-        wcoj.estimated_out = stats.estimated_out;
-        return (expand(), Some(wcoj));
+        return (expand(), expansion_instead(&stats));
     }
     record_partition(&mut stats, r, s, &heavy);
     let bit_plan = heavy.bit_plan();
@@ -155,7 +168,7 @@ pub fn two_path_join_project_with_stats(
         out.dedup();
     });
     stats.measured_phase_secs = Some(secs);
-    (out, Some(stats))
+    (out, stats)
 }
 
 /// Evaluates the 2-path query with exact per-pair witness counts,
@@ -180,12 +193,27 @@ pub fn two_path_with_counts_stats(
     if r.is_empty() || s.is_empty() {
         return (Vec::new(), None);
     }
-    let (mut delta1, mut delta2, mut stats) = match resolve_plan(r, s, config, true) {
-        // Everything light: pure expansion.
-        Resolved::Wcoj(stats) => (u32::MAX, u32::MAX, stats),
-        Resolved::Mm(d1, d2, stats) => (d1, d2, stats),
-    };
+    let (triples, stats) = plan_then_run_counts(r, s, min_count, config, true);
+    (triples, Some(stats))
+}
 
+/// The counting counterpart of [`plan_then_run`].
+pub(crate) fn plan_then_run_counts(
+    r: &Relation,
+    s: &Relation,
+    min_count: u32,
+    config: &JoinConfig,
+    run: bool,
+) -> (Vec<(Value, Value, u32)>, PlanStats) {
+    let mut stats = plan_two_path(r, s, config, true);
+    if !run {
+        return (Vec::new(), stats);
+    }
+    // Expansion is the partition with everything light.
+    let (mut delta1, mut delta2) = (
+        stats.delta1.unwrap_or(u32::MAX),
+        stats.delta2.unwrap_or(u32::MAX),
+    );
     let mut heavy = if delta1 == u32::MAX {
         HeavyIndex::empty()
     } else {
@@ -194,10 +222,8 @@ pub fn two_path_with_counts_stats(
     if delta1 != u32::MAX && heavy.is_degenerate() && config.delta_override.is_none() {
         // As in the existence path: an optimizer-chosen partition whose
         // exact heavy side is empty is the expansion plan, and says so.
-        let estimated_out = stats.estimated_out;
         (delta1, delta2, heavy) = (u32::MAX, u32::MAX, HeavyIndex::empty());
-        stats = PlanStats::wcoj();
-        stats.estimated_out = estimated_out;
+        stats = expansion_instead(&stats);
     }
 
     let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
@@ -220,7 +246,7 @@ pub fn two_path_with_counts_stats(
 
     let mut out = count_passes(r, s, delta2, min_count, &heavy, prod.as_ref(), config);
     out.sort_unstable();
-    (out, Some(stats))
+    (out, stats)
 }
 
 /// The heavy operands in the representation that multiplies them.
@@ -253,32 +279,46 @@ pub(crate) enum Product {
     F32(DenseMatrix),
 }
 
-enum Resolved {
-    Wcoj(PlanStats),
-    Mm(u32, u32, PlanStats),
-}
-
-/// One planning pass: threshold override, or Algorithm 3 — whose decision
-/// record is folded into the nascent [`PlanStats`] so nothing is computed
-/// twice.
-fn resolve_plan(r: &Relation, s: &Relation, config: &JoinConfig, counting: bool) -> Resolved {
+/// One planning pass for the two-path over `r`, `s` — the threshold
+/// override, or Algorithm 3 — as the decision record the run starts from
+/// and `explain` prints. `counting` says whether witness counts are read,
+/// which decides the heavy-core kernel and therefore its price.
+pub(crate) fn plan_two_path(
+    r: &Relation,
+    s: &Relation,
+    config: &JoinConfig,
+    counting: bool,
+) -> PlanStats {
+    if r.is_empty() || s.is_empty() {
+        // Nothing joins: expansion of nothing, whatever the override says.
+        return PlanStats::wcoj();
+    }
     if let Some((d1, d2)) = config.delta_override {
-        return Resolved::Mm(d1, d2, PlanStats::partitioned(d1, d2));
+        return PlanStats::partitioned(d1, d2);
     }
     let plan = choose_thresholds_for(r, s, config, counting);
-    match plan.choice {
-        PlanChoice::Wcoj => {
-            let mut stats = PlanStats::wcoj();
-            stats.estimated_out = Some(plan.estimate.estimate);
-            Resolved::Wcoj(stats)
-        }
-        PlanChoice::Mm { delta1, delta2 } => {
-            let mut stats = PlanStats::partitioned(delta1, delta2);
-            stats.estimated_out = Some(plan.estimate.estimate);
-            stats.predicted_light_secs = Some(plan.predicted_light);
-            stats.predicted_heavy_secs = Some(plan.predicted_heavy);
-            Resolved::Mm(delta1, delta2, stats)
-        }
+    let mut stats = match plan.choice {
+        PlanChoice::Wcoj => PlanStats::wcoj(),
+        PlanChoice::Mm { delta1, delta2 } => PlanStats {
+            heavy_backend: plan.heavy_kernel,
+            predicted_light_secs: Some(plan.predicted_light),
+            predicted_heavy_secs: Some(plan.predicted_heavy),
+            ..PlanStats::partitioned(delta1, delta2)
+        },
+    };
+    stats.full_join = Some(plan.estimate.full_join);
+    stats.estimated_out = Some(plan.estimate.estimate);
+    stats
+}
+
+/// The record of a run whose optimizer-chosen partition came out with an
+/// empty heavy side on the exact index (the threshold indexes bound it from
+/// above): it runs as pure expansion, and says so.
+fn expansion_instead(planned: &PlanStats) -> PlanStats {
+    PlanStats {
+        full_join: planned.full_join,
+        estimated_out: planned.estimated_out,
+        ..PlanStats::wcoj()
     }
 }
 

@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 
 /// Buffers retained per thread; two covers the deepest practical nesting
-/// (a Strassen leaf's GEMM inside an engine's product).
+/// (a parallel GEMM inside another product's tile).
 const POOL_SLOTS: usize = 2;
 
 /// Largest buffer (in `f32` elements) worth pinning to a thread between

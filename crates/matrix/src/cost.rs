@@ -537,9 +537,9 @@ impl CostModel {
 
     /// `M̂(u, v, w, co)` — predicted seconds to multiply `u×v` by `v×w` on
     /// `co` cores: pick the sample nearest in per-core work and scale by the
-    /// work ratio (our kernel is cubic with no Strassen in the calibrated
-    /// path, so the scaling is linear in `u·v·w`, matching the paper's
-    /// observation that Eigen's runtime is predictable).
+    /// work ratio (our kernel is cubic, so the scaling is linear in
+    /// `u·v·w`, matching the paper's observation that Eigen's runtime is
+    /// predictable).
     pub fn estimate(&self, u: usize, v: usize, w: usize, cores: usize) -> f64 {
         if u == 0 || v == 0 || w == 0 {
             return 0.0;

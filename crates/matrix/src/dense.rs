@@ -89,12 +89,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Entry accessor without bounds re-derivation (debug-checked).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f32 {

@@ -20,8 +20,8 @@
 //!
 //! [`active_kernel`] picks once per process (override with the
 //! `MMJOIN_KERNEL` environment variable); every public matmul entry point
-//! routes through it, so engines, Strassen leaves and the parallel tile
-//! scheduler's bands all hit the same microkernel. All kernels skip zero entries of
+//! routes through it, so engines and the parallel tile scheduler's bands
+//! all hit the same microkernel. All kernels skip zero entries of
 //! `A` per register-tile row — adjacency matrices are sparse-ish 0/1 and
 //! the skip is a large practical win the cost model prices via
 //! `estimate_effective`.

@@ -26,8 +26,6 @@
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.
-//! * [`strassen`] — Strassen recursion above a cutoff (future-work
-//!   extension; ablated in `bench/ablation`).
 
 pub mod arena;
 pub mod bitmat;
@@ -35,8 +33,6 @@ pub mod cost;
 pub mod dense;
 pub mod gemm;
 pub mod kernel;
-pub mod sparse;
-pub mod strassen;
 
 pub use bitmat::{BitMatrix, BitProductPlan, Orientation};
 pub use cost::{CostModel, SystemConstants, REFERENCE_BIT_WORD_SECS, REFERENCE_GFLOPS};
@@ -46,5 +42,3 @@ pub use gemm::{
     matmul_parallel_with_kernel, matmul_with_kernel,
 };
 pub use kernel::{active_kernel, available_kernels, Kernel};
-pub use sparse::CsrMatrix;
-pub use strassen::{strassen, strassen_parallel, strassen_parallel_on};

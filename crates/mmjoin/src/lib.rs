@@ -16,7 +16,6 @@
 //! | `SystemX` | 2-path |
 //! | `SetIntersect(EmptyHeaded)` | 2-path |
 //! | `HashJoin(DBMS)` | star |
-//! | `SortDedup(reference)` | star |
 //! | `SizeAware` | similarity |
 //! | `SizeAware++` | similarity |
 //! | `PRETTI` | containment |
@@ -46,7 +45,7 @@
 //!
 //! For a long-lived process serving many queries, use the service layer
 //! instead of the raw registry — it caches relation statistics and query
-//! results and auto-selects engines per query:
+//! results and routes each query to its engine:
 //!
 //! ```
 //! use mmjoin::{Relation, Request, Service};
@@ -64,7 +63,8 @@ pub use mmjoin_api::{
     QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
-    execute_general, plan_general, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine, PlanError,
+    execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,
+    PlanError,
 };
 pub use mmjoin_executor::{Executor, ExecutorStats};
 /// Observability: the process-global [`obs::Tracer`](mmjoin_obs::trace::Tracer)
@@ -138,7 +138,6 @@ mod tests {
             "SystemX",
             "SetIntersect(EmptyHeaded)",
             "HashJoin(DBMS)",
-            "SortDedup(reference)",
             "SizeAware",
             "SizeAware++",
             "PRETTI",
@@ -147,6 +146,6 @@ mod tests {
         ] {
             assert!(registry.get(name).is_some(), "missing engine {name}");
         }
-        assert_eq!(registry.len(), 14);
+        assert_eq!(registry.len(), 13);
     }
 }

@@ -10,10 +10,10 @@
 //!   every update.
 //! * [`Request`] — an owned query over catalog *names*, canonicalized so
 //!   semantically equal requests share one 64-bit fingerprint.
-//! * [`Planner`] — cost-based engine auto-selection: the paper's
-//!   combinatorial-vs-matrix estimate applied one level up, choosing
-//!   *which registered engine* runs each query, with per-family
-//!   overrides and per-request pins.
+//! * [`Planner`] — engine routing: a per-request pin, else `MMJoin`,
+//!   which makes the paper's combinatorial-vs-matrix choice itself
+//!   (similarity and containment joins alone are still routed here, by
+//!   Algorithm 3's line 2, between `MMJoin` and their specialists).
 //! * [`ResultCache`] — an LRU keyed by `(fingerprint, relation epochs)`,
 //!   so repeats are O(1) and updates can never serve stale rows.
 //! * [`maintain`] — incremental view maintenance: staged relation deltas

@@ -77,7 +77,7 @@ pub struct Request {
     /// [`LimitSink`](mmjoin_api::LimitSink)). Part of the fingerprint: a
     /// truncated result is only reusable at the same limit.
     pub limit: Option<u64>,
-    /// Pin a specific engine by registry name, bypassing auto-selection.
+    /// Pin a specific engine by registry name, bypassing the routing.
     /// Part of the fingerprint (engines agree on rows, but pinning also
     /// pins plan stats and ordering guarantees the caller may rely on).
     pub engine: Option<String>,

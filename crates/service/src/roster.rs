@@ -9,7 +9,7 @@ use mmjoin_api::EngineRegistry;
 use mmjoin_baseline::fulljoin::{HashJoinEngine, SortMergeEngine, SystemXEngine};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_baseline::setintersect::SetIntersectEngine;
-use mmjoin_baseline::star::{HashDedupStarEngine, SortDedupStarEngine};
+use mmjoin_baseline::star::HashDedupStarEngine;
 use mmjoin_core::{JoinConfig, MmJoinEngine};
 use mmjoin_scj::{ContainmentEngine, ScjAlgorithm};
 use mmjoin_ssj::{SimilarityEngine, SsjAlgorithm};
@@ -45,7 +45,6 @@ pub fn registry_with_config(config: &JoinConfig) -> EngineRegistry {
         .register(Box::new(SystemXEngine))
         .register(Box::new(SetIntersectEngine))
         .register(Box::new(HashDedupStarEngine))
-        .register(Box::new(SortDedupStarEngine))
         .register(Box::new(SimilarityEngine::new(
             SsjAlgorithm::SizeAware,
             config.clone(),

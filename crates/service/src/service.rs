@@ -12,19 +12,14 @@ use crate::maintain::{
     MaintenancePolicy, MaintenanceReport,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::planner::{Planner, Selection, SelectionReason};
+use crate::planner::{Planner, SelectionReason, PLANNING_ENGINE};
 use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
-use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, QueryFamily, VecSink};
-use mmjoin_core::plan::{FinalStage, GeneralPlan, NodeSource, PlanStep, ProjCols};
-use mmjoin_core::{
-    choose_thresholds, choose_thresholds_for, plan_general, plan_star, JoinConfig, PlanChoice,
-    StarPlan,
-};
+use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, VecSink};
+use mmjoin_core::{plan_query, JoinConfig};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -60,11 +55,9 @@ pub struct ServiceConfig {
     /// another. `1` degenerates to the old single-lock catalog — the
     /// baseline the saturation benchmark compares against.
     pub catalog_shards: usize,
-    /// Configuration shared by the planner's cost model (and by
+    /// Configuration shared by the router, `explain` (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
-    /// Per-family engine overrides for the planner.
-    pub engine_overrides: HashMap<QueryFamily, String>,
     /// Incremental-maintenance policy for the result cache under
     /// [`Service::apply_delta`] updates.
     pub maintenance: MaintenancePolicy,
@@ -96,7 +89,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             catalog_shards: 8,
             join_config: JoinConfig::default(),
-            engine_overrides: HashMap::new(),
             maintenance: MaintenancePolicy::default(),
             slow_query_us: 0,
             calibrate_cost: false,
@@ -118,9 +110,6 @@ pub struct Response {
     /// The stats of the execution that produced these rows (for a cache
     /// hit: the original cold execution).
     pub stats: ExecStats,
-    /// How the engine was selected (`None` on cache hits — no planning
-    /// ran; the engine name is still in [`ExecStats::engine`]).
-    pub selection: Option<SelectionReason>,
     /// Whether this response came from the result cache.
     pub cached: bool,
     /// Whether the serving cache entry was last refreshed by in-place
@@ -220,13 +209,9 @@ impl Service {
     /// A service over `registry` with the given configuration.
     pub fn new(registry: EngineRegistry, mut config: ServiceConfig) -> Self {
         apply_calibration(&mut config);
-        let planner = Planner {
-            overrides: config.engine_overrides.clone(),
-            config: config.join_config.clone(),
-        };
         Self {
             registry,
-            planner,
+            planner: Planner::new(config.join_config.clone()),
             policy: config.maintenance.clone(),
             catalog: ShardedCatalog::new(config.catalog_shards),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
@@ -440,10 +425,11 @@ impl Service {
         result
     }
 
-    /// Explains how `request` would run — the chosen engine, cache
-    /// status, and (for general queries) the full decomposition with
-    /// per-step strategies, thresholds and §5 size estimates — without
-    /// executing any join. Returns display-ready lines.
+    /// Explains how `request` would run, without executing any join: the
+    /// routed engine, the cache status and — when that engine is `MMJoin`,
+    /// the one that plans — [`plan_query`]'s record rendered by its
+    /// `Display`, which is the record a run then returns in
+    /// [`ExecStats::plan`]. Returns display-ready lines.
     pub fn explain(&self, request: Request) -> Result<Vec<String>, ServiceError> {
         let request = request.canonical();
         let (handles, epochs) = resolve_handles(self, &request)?;
@@ -459,71 +445,30 @@ impl Service {
             .planner
             .select(&self.registry, &query, request.engine.as_deref())?;
 
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "engine {} ({})",
-            selection.engine,
-            match &selection.reason {
-                SelectionReason::Pinned => "pinned".to_string(),
-                SelectionReason::FamilyOverride => "family override".to_string(),
-                SelectionReason::CostBased {
-                    combinatorial,
-                    full_join,
-                    estimated_out,
-                } => {
-                    // Composed plans decide expand-vs-matrix per step
-                    // (shown below); a single path label would lie.
-                    let path = if matches!(request.spec, QuerySpec::General { .. }) {
-                        "composed"
-                    } else if *combinatorial {
-                        "combinatorial"
-                    } else {
-                        "matrix"
-                    };
-                    format!(
-                        "cost-based: {path} path, full join {full_join}, est out {estimated_out}"
-                    )
+        let mut lines = vec![
+            format!(
+                "engine {} ({})",
+                selection.engine,
+                match selection.reason {
+                    SelectionReason::Pinned => "pinned",
+                    SelectionReason::Routed => "routed",
+                    SelectionReason::Fallback => "fallback",
                 }
-                SelectionReason::Fallback => "fallback".to_string(),
-            }
-        ));
-        lines.push(format!(
-            "fingerprint {fingerprint:016x}, cache {}",
-            if cached { "hit" } else { "miss" }
-        ));
-        match &query {
-            Query::General { graph } => {
-                let plan = plan_general(graph).map_err(|e| {
-                    ServiceError::Engine(mmjoin_api::EngineError::Plan(e.to_string()))
-                })?;
-                explain_plan(
-                    &plan,
-                    graph,
-                    &request.spec,
-                    &self.planner.config,
-                    &mut lines,
-                );
-            }
-            Query::TwoPath {
-                r, s, with_counts, ..
-            } => {
-                lines.push(explain_thresholds(r, s, &self.planner.config, *with_counts));
-            }
-            Query::SimilarityJoin { r, .. } | Query::ContainmentJoin { r } => {
-                lines.push(explain_thresholds(r, r, &self.planner.config, true));
-            }
-            // A star of two relations runs as their two-path; one relation
-            // (or an empty join) has nothing to plan.
-            Query::Star { relations } => match plan_star(relations, &self.planner.config) {
-                Some(plan) => lines.push(explain_star(&plan)),
-                None if relations.len() == 2 => lines.push(explain_thresholds(
-                    relations[0],
-                    relations[1],
-                    &self.planner.config,
-                    false,
-                )),
-                None => {}
-            },
+            ),
+            format!(
+                "fingerprint {fingerprint:016x}, cache {}",
+                if cached { "hit" } else { "miss" }
+            ),
+        ];
+        if selection.engine == PLANNING_ENGINE {
+            let plan = plan_query(&query, &self.planner.config)?;
+            let atoms: Vec<&str> = match &request.spec {
+                QuerySpec::General { atoms, .. } => {
+                    atoms.iter().map(|a| a.relation.as_str()).collect()
+                }
+                _ => Vec::new(),
+            };
+            lines.extend(plan.named(&atoms).to_string().lines().map(String::from));
         }
         Ok(lines)
     }
@@ -587,167 +532,6 @@ fn cache_key(fingerprint: u64, epochs: &[u64]) -> u64 {
         h.u64(epoch);
     }
     h.finish()
-}
-
-/// One line describing the classic-family threshold decision: the
-/// thresholds, the heavy-core kernel they were priced for (`counting`
-/// queries read witness counts and need SGEMM) and the two predictions.
-fn explain_thresholds(r: &Relation, s: &Relation, config: &JoinConfig, counting: bool) -> String {
-    let plan = choose_thresholds_for(r, s, config, counting);
-    match plan.choice {
-        PlanChoice::Wcoj => format!(
-            "plan: expand (WCOJ) — full join {} is output-like (est out {})",
-            plan.estimate.full_join, plan.estimate.estimate
-        ),
-        PlanChoice::Mm { delta1, delta2 } => format!(
-            "plan: matrix-partitioned Δ1={delta1} Δ2={delta2}, heavy core {} \
-             (predicted light {:.0}us, heavy {:.0}us) — full join {}, est out {}",
-            plan.heavy_kernel.unwrap_or("none"),
-            plan.predicted_light * 1e6,
-            plan.predicted_heavy * 1e6,
-            plan.estimate.full_join,
-            plan.estimate.estimate
-        ),
-    }
-}
-
-/// One line describing the star engine's own decision: the thresholds,
-/// the grouped-variable heavy core `rows of V × heavy y × rows of W` (row
-/// counts are the planner's bounds) with the kernel it was priced for, and
-/// the two predictions.
-fn explain_star(plan: &StarPlan) -> String {
-    let estimates = format!(
-        "full join {}, est out {}",
-        plan.full_join, plan.estimated_out
-    );
-    match plan.choice {
-        PlanChoice::Wcoj => {
-            format!("plan: expand (WCOJ) — full join is output-like ({estimates})")
-        }
-        PlanChoice::Mm { delta1, delta2 } => {
-            let (rows_a, heavy_y, rows_b) = plan.heavy_dims;
-            format!(
-                "plan: matrix-partitioned Δ1={delta1} Δ2={delta2}, heavy core {} \
-                 {rows_a} × {heavy_y} × {rows_b} (predicted light {:.0}us, heavy {:.0}us) — \
-                 {estimates}",
-                plan.heavy_kernel.unwrap_or("enumerated"),
-                plan.predicted_light * 1e6,
-                plan.predicted_heavy * 1e6,
-            )
-        }
-    }
-}
-
-/// Renders a composed plan's step DAG into display lines, resolving
-/// node names from the request's atoms and computing per-step `(Δ1, Δ2)`
-/// where both inputs are base relations (derived inputs decide at
-/// runtime).
-fn explain_plan(
-    plan: &GeneralPlan,
-    graph: &QueryGraph<'_>,
-    spec: &QuerySpec,
-    config: &JoinConfig,
-    lines: &mut Vec<String>,
-) {
-    use std::borrow::Cow;
-    let QuerySpec::General { atoms, projection } = spec else {
-        return;
-    };
-    let node_name = |id: usize| -> String {
-        match plan.nodes[id].source {
-            NodeSource::Atom(i) => atoms[i].relation.clone(),
-            NodeSource::Step(j) => format!("t{j}"),
-        }
-    };
-    let node_desc = |id: usize| -> String {
-        let n = &plan.nodes[id];
-        format!("{}(v{}, v{})", node_name(id), n.a, n.b)
-    };
-    lines.push(format!(
-        "decomposition: {} step(s), estimated output {} row(s)",
-        plan.steps.len() + 1,
-        plan.estimated_rows
-    ));
-    for (i, step) in plan.steps.iter().enumerate() {
-        match *step {
-            PlanStep::Semijoin {
-                target,
-                filter,
-                on,
-                result,
-            } => lines.push(format!(
-                "  step {i}: semijoin {} ⋉ {} on v{on} -> {}",
-                node_desc(target),
-                node_desc(filter),
-                node_desc(result),
-            )),
-            PlanStep::Join {
-                left,
-                right,
-                on,
-                result,
-                estimate,
-            } => {
-                // Both inputs materialised base atoms: the 2-path
-                // primitive's threshold choice is known now. Transposing
-                // to the primitive's orientation is linear and
-                // explain-only — no join runs.
-                let strategy = match (plan.nodes[left].source, plan.nodes[right].source) {
-                    (NodeSource::Atom(l), NodeSource::Atom(r)) => {
-                        let oriented = |id: usize, i: usize| -> Cow<'_, Relation> {
-                            let rel = graph.atoms()[i].relation;
-                            if plan.nodes[id].b == on {
-                                Cow::Borrowed(rel)
-                            } else {
-                                Cow::Owned(rel.transposed())
-                            }
-                        };
-                        let (lr, rr) = (oriented(left, l), oriented(right, r));
-                        match choose_thresholds(&lr, &rr, config).choice {
-                            PlanChoice::Wcoj => " [expand]".to_string(),
-                            PlanChoice::Mm { delta1, delta2 } => {
-                                format!(" [matrix Δ1={delta1} Δ2={delta2}]")
-                            }
-                        }
-                    }
-                    _ => " [strategy decided at runtime]".to_string(),
-                };
-                lines.push(format!(
-                    "  step {i}: join {} ⋈ {} on v{on} -> {} [est rows {}, full join {}]{}",
-                    node_desc(left),
-                    node_desc(right),
-                    node_desc(result),
-                    estimate.rows,
-                    estimate.full_join,
-                    strategy,
-                ));
-            }
-        }
-    }
-    match &plan.final_stage {
-        FinalStage::Project { node, cols } => {
-            let n = &plan.nodes[*node];
-            let out = match cols {
-                ProjCols::Ab => format!("(v{}, v{})", n.a, n.b),
-                ProjCols::Ba => format!("(v{}, v{})", n.b, n.a),
-                ProjCols::A => format!("(v{})", n.a),
-                ProjCols::B => format!("(v{})", n.b),
-            };
-            lines.push(format!("  final: project {} -> {out}", node_desc(*node)));
-        }
-        FinalStage::Star { center, legs } => {
-            let legs: Vec<String> = legs.iter().map(|&id| node_desc(id)).collect();
-            lines.push(format!(
-                "  final: star around v{center} over [{}] -> ({})",
-                legs.join(", "),
-                projection
-                    .iter()
-                    .map(|v| format!("v{v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-    }
 }
 
 /// Refreshes one drained cache entry after `name` was updated: decides
@@ -1052,7 +836,6 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
             counts: hit.counts,
             arity: hit.arity,
             stats: hit.stats,
-            selection: None,
             cached: true,
             maintained: hit.maintained,
             truncated: hit.truncated,
@@ -1065,10 +848,9 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
     let plan_span = trace::span(Stage::Plan, "select-engine");
     let query = build_query(&request.spec, &handles)?;
 
-    let selection: Selection =
-        service
-            .planner
-            .select(&service.registry, &query, request.engine.as_deref())?;
+    let selection = service
+        .planner
+        .select(&service.registry, &query, request.engine.as_deref())?;
     drop(plan_span);
 
     let exec_span = trace::span_dyn(Stage::Exec, || selection.engine.clone());
@@ -1114,7 +896,6 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
         counts: result.counts,
         arity: result.arity,
         stats,
-        selection: Some(selection.reason),
         cached: false,
         maintained: false,
         truncated,
@@ -1140,7 +921,6 @@ mod tests {
         s.register("R", tiny());
         let cold = s.query(Request::two_path("R", "R")).unwrap();
         assert!(!cold.cached);
-        assert!(cold.selection.is_some());
         let warm = s.query(Request::two_path("R", "R")).unwrap();
         assert!(warm.cached);
         assert_eq!(cold.rows, warm.rows);
@@ -1297,7 +1077,6 @@ mod tests {
             .query(Request::two_path("R", "R").on_engine("MergeJoin(MySQL)"))
             .unwrap();
         assert_eq!(r.stats.engine, "MergeJoin(MySQL)");
-        assert_eq!(r.selection, Some(SelectionReason::Pinned));
     }
 
     /// Engine that panics on 2-path queries (stand-in for an engine bug
@@ -1308,7 +1087,7 @@ mod tests {
             "Grenade"
         }
         fn supports(&self, query: &Query<'_>) -> bool {
-            query.family() == QueryFamily::TwoPath
+            query.family() == mmjoin_api::QueryFamily::TwoPath
         }
         fn execute(
             &self,
@@ -1584,10 +1363,6 @@ mod tests {
         assert!(!cold.cached);
         assert_eq!(cold.arity, 2);
         assert_eq!(cold.stats.engine, "MMJoin");
-        assert!(matches!(
-            cold.selection,
-            Some(SelectionReason::CostBased { .. })
-        ));
 
         // Isomorphic rewrite (different variable numbering) hits the
         // same cache entry.

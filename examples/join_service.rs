@@ -1,6 +1,6 @@
 //! The service layer in one file: register relations once, fire mixed
 //! workloads from several client threads, watch the cache and the
-//! auto-selection planner do their jobs.
+//! engine routing do their jobs.
 //!
 //! ```sh
 //! cargo run --release -p mmjoin-integration --example join_service
@@ -22,8 +22,10 @@ fn main() -> Result<(), ServiceError> {
         Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]),
     );
 
-    // Four query families through one door. The planner picks the engine
-    // per query from the cost estimate (combinatorial vs matrix path).
+    // Four query families through one door. The service routes each to
+    // MMJoin, which picks the combinatorial or the matrix path from its
+    // cost estimate (a sparse similarity / containment join goes to its
+    // combinatorial specialist instead).
     let requests = vec![
         Request::two_path("follows", "follows"),
         Request::two_path_counts("follows", "tags", 1),

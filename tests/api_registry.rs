@@ -89,7 +89,7 @@ fn star_query_through_registry() {
     let registry = default_registry(2);
     let q = Query::star(&rels).build().unwrap();
     let engines = registry.engines_for(&q);
-    assert!(engines.len() >= 4, "star roster: {:?}", registry.names());
+    assert_eq!(engines.len(), 4, "star roster: {:?}", registry.names());
     let mut reference: Option<Vec<Vec<Value>>> = None;
     for e in engines {
         let mut sink = VecSink::new();
