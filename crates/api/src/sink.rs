@@ -33,17 +33,72 @@ pub trait Sink {
     fn wants_more(&self) -> bool {
         true
     }
+
+    /// Many uncounted rows at once: `flat` holds whole rows of `arity`
+    /// values back to back. Takes them in order until the sink stops
+    /// wanting rows and returns how many it took. The default is the
+    /// per-row loop; [`VecSink`] overrides it with one copy, so a buffer
+    /// handed to [`emit_flat`] reaches it without a call or an allocation
+    /// per row.
+    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
+        let mut rows = 0;
+        for row in flat.chunks_exact(arity) {
+            if !self.wants_more() {
+                break;
+            }
+            self.row(row);
+            rows += 1;
+        }
+        rows
+    }
 }
 
-/// Materialises every row (and count) — the adapter that recovers the old
-/// `Vec`-returning API.
+/// Rows stored as one flat array — `arity` values per row, rows back to
+/// back. What [`VecSink`] collects, and what the service caches and serves
+/// without ever taking it apart.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct FlatRows {
+    /// Values per row, as announced by the engine.
+    pub arity: usize,
+    /// The rows' values, in emission order.
+    pub values: Vec<Value>,
+}
+
+impl FlatRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.values.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[Value] {
+        &self.values[i * self.arity..][..self.arity]
+    }
+
+    /// The rows in order, each a slice of the flat array.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
+        self.values.chunks_exact(self.arity.max(1))
+    }
+
+    /// One `Vec` per row — for callers that compare against the
+    /// row-of-rows reference functions.
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        self.iter().map(<[Value]>::to_vec).collect()
+    }
+}
+
+/// Materialises every row (and count).
 #[derive(Debug, Default, Clone)]
 pub struct VecSink {
-    /// Output arity announced by the engine.
-    pub arity: usize,
     /// The rows, in emission order.
-    pub rows: Vec<Vec<Value>>,
-    /// Per-row witness counts; 0 for rows emitted without a count.
+    pub rows: FlatRows,
+    /// Per-row witness counts, 0 for a row emitted without one; left empty
+    /// when no row carried a count.
     pub counts: Vec<u32>,
 }
 
@@ -55,48 +110,40 @@ impl VecSink {
 
     /// The rows as `(a, b)` pairs (output arity must be 2).
     pub fn pairs(&self) -> Vec<(Value, Value)> {
-        self.rows
-            .iter()
-            .map(|r| {
-                debug_assert_eq!(r.len(), 2, "pairs() on arity-{} output", r.len());
-                (r[0], r[1])
-            })
-            .collect()
+        self.rows.iter().map(|r| (r[0], r[1])).collect()
     }
 
     /// The rows as `(a, b, count)` triples (arity must be 2).
     pub fn counted_pairs(&self) -> Vec<(Value, Value, u32)> {
-        self.rows
-            .iter()
-            .zip(&self.counts)
-            .map(|(r, &c)| (r[0], r[1], c))
-            .collect()
-    }
-
-    /// Number of rows collected.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no rows were collected.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        let counts = self.counts.iter().copied().chain(std::iter::repeat(0));
+        let rows = self.rows.iter().zip(counts);
+        rows.map(|(r, c)| (r[0], r[1], c)).collect()
     }
 }
 
 impl Sink for VecSink {
     fn begin(&mut self, arity: usize) {
-        self.arity = arity;
+        self.rows.arity = arity;
     }
 
     fn row(&mut self, row: &[Value]) {
-        self.rows.push(row.to_vec());
-        self.counts.push(0);
+        self.flat_rows(row.len(), row);
     }
 
     fn counted_row(&mut self, row: &[Value], count: u32) {
-        self.rows.push(row.to_vec());
+        // Rows that came without a count before this one read as 0.
+        let uncounted = self.rows.len().saturating_sub(self.counts.len());
+        self.counts.extend(std::iter::repeat_n(0, uncounted));
+        self.rows.values.extend_from_slice(row);
         self.counts.push(count);
+    }
+
+    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
+        self.rows.values.extend_from_slice(flat);
+        if !self.counts.is_empty() {
+            self.counts.resize(self.rows.len(), 0);
+        }
+        (flat.len() / arity) as u64
     }
 }
 
@@ -223,21 +270,36 @@ impl<S: Sink> Sink for LimitSink<S> {
     fn wants_more(&self) -> bool {
         self.emitted < self.limit && self.inner.wants_more()
     }
+
+    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
+        let room = usize::try_from(self.limit - self.emitted).unwrap_or(usize::MAX);
+        let fits = room.min(flat.len() / arity);
+        let taken = self.inner.flat_rows(arity, &flat[..fits * arity]);
+        self.emitted += taken;
+        taken
+    }
 }
 
 /// Streams materialised pairs into `sink` (calling [`Sink::begin`] with
 /// arity 2 first), stopping as soon as the sink stops wanting rows.
 /// Returns the number of rows emitted — the shared emission loop every
-/// pair-producing engine uses.
+/// pair-producing engine uses. The pairs go through [`Sink::flat_rows`] a
+/// stack buffer at a time, so a flat store takes them without a call per
+/// row.
 pub fn emit_pairs(sink: &mut dyn Sink, pairs: &[(Value, Value)]) -> u64 {
+    const CHUNK: usize = 512;
     sink.begin(2);
+    let mut flat = [0; 2 * CHUNK];
     let mut rows = 0u64;
-    for &(a, b) in pairs {
-        if !sink.wants_more() {
+    for chunk in pairs.chunks(CHUNK) {
+        for (cell, &(a, b)) in flat.chunks_exact_mut(2).zip(chunk) {
+            cell.copy_from_slice(&[a, b]);
+        }
+        let taken = sink.flat_rows(2, &flat[..2 * chunk.len()]);
+        rows += taken;
+        if taken < chunk.len() as u64 {
             break;
         }
-        sink.row(&[a, b]);
-        rows += 1;
     }
     rows
 }
@@ -270,8 +332,8 @@ pub fn emit_counted_pairs(
 
 /// Streams a flat row buffer — `arity` values per row, rows back to back —
 /// into `sink`, stopping early when the sink stops wanting rows; returns the
-/// emitted row count. The engine allocates nothing per row: what a sink
-/// keeps, it copies out of the buffer itself.
+/// emitted row count. The whole buffer goes to [`Sink::flat_rows`] in one
+/// call: what a sink keeps, it copies out of the buffer itself.
 ///
 /// # Panics
 /// Panics if `arity` is 0 or does not divide the buffer.
@@ -282,21 +344,7 @@ pub fn emit_flat(sink: &mut dyn Sink, arity: usize, flat: &[Value]) -> u64 {
         flat.len()
     );
     sink.begin(arity);
-    let mut rows = 0u64;
-    for row in flat.chunks_exact(arity) {
-        if !sink.wants_more() {
-            break;
-        }
-        sink.row(row);
-        rows += 1;
-    }
-    rows
-}
-
-/// A flat row buffer (see [`emit_flat`]) as one `Vec` per row — the adapter
-/// behind the `Vec<Vec<Value>>`-returning wrappers.
-pub fn rows_of(arity: usize, flat: &[Value]) -> Vec<Vec<Value>> {
-    flat.chunks_exact(arity).map(<[Value]>::to_vec).collect()
+    sink.flat_rows(arity, flat)
 }
 
 /// Accumulates signed deltas of arity-2 rows — the sink behind
@@ -415,11 +463,28 @@ mod tests {
         s.begin(2);
         s.row(&[1, 2]);
         s.counted_row(&[3, 4], 7);
-        assert_eq!(s.arity, 2);
+        assert_eq!(s.rows.arity, 2);
         assert_eq!(s.pairs(), vec![(1, 2), (3, 4)]);
         assert_eq!(s.counted_pairs(), vec![(1, 2, 0), (3, 4, 7)]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.rows.len(), 2);
+        assert!(!s.rows.is_empty());
+        assert_eq!(s.rows.values, [1, 2, 3, 4], "one flat array, no row boxes");
+        assert_eq!(s.rows.row(1), [3, 4]);
+        assert_eq!(s.rows.to_rows(), vec![vec![1, 2], vec![3, 4]]);
+    }
+
+    #[test]
+    fn vec_sink_leaves_counts_empty_until_a_row_carries_one() {
+        let mut s = VecSink::new();
+        s.begin(2);
+        s.row(&[1, 2]);
+        assert_eq!(s.flat_rows(2, &[3, 4, 5, 6]), 2);
+        assert!(s.counts.is_empty());
+        assert_eq!(s.counted_pairs(), vec![(1, 2, 0), (3, 4, 0), (5, 6, 0)]);
+        s.counted_row(&[7, 8], 2);
+        s.flat_rows(2, &[9, 9]);
+        assert_eq!(s.counts, vec![0, 0, 0, 2, 0]);
+        assert_eq!(VecSink::new().rows.len(), 0, "arity unknown before `begin`");
     }
 
     #[test]
@@ -472,13 +537,34 @@ mod tests {
         let flat = [1, 2, 3, 4, 5, 6, 7, 8, 9];
         let mut all = VecSink::new();
         assert_eq!(emit_flat(&mut all, 3, &flat), 3);
-        assert_eq!(all.arity, 3);
-        assert_eq!(all.rows, rows_of(3, &flat));
-        assert_eq!(all.rows[2], [7, 8, 9]);
+        assert_eq!(all.rows.arity, 3);
+        assert_eq!(all.rows.values, flat);
+        assert_eq!(all.rows.iter().nth(2), Some(&[7, 8, 9][..]));
         let mut two = LimitSink::new(VecSink::new(), 2);
         assert_eq!(emit_flat(&mut two, 3, &flat), 2);
-        assert_eq!(two.into_inner().rows, all.rows[..2]);
+        assert!(two.limit_reached());
+        assert_eq!(two.into_inner().rows.values, flat[..6]);
         assert_eq!(emit_flat(&mut CountSink::new(), 5, &[]), 0);
+    }
+
+    #[test]
+    fn emit_pairs_cuts_through_chunks_at_the_limit() {
+        // More pairs than one stack buffer holds, limits inside the first
+        // chunk, on its edge and inside the second.
+        let pairs: Vec<(Value, Value)> = (0..1300).map(|i| (i, i + 1)).collect();
+        let mut all = VecSink::new();
+        assert_eq!(emit_pairs(&mut all, &pairs), 1300);
+        assert_eq!(all.pairs(), pairs);
+        for limit in [0usize, 7, 512, 513, 1300, 5000] {
+            let mut cut = LimitSink::new(VecSink::new(), limit as u64);
+            let want = limit.min(pairs.len());
+            assert_eq!(emit_pairs(&mut cut, &pairs), want as u64);
+            assert_eq!(cut.limit_reached(), limit <= pairs.len());
+            assert_eq!(cut.into_inner().pairs(), pairs[..want]);
+        }
+        let mut counted = CountSink::new();
+        assert_eq!(emit_pairs(&mut counted, &pairs), 1300);
+        assert_eq!(counted.rows, 1300);
     }
 
     #[test]

@@ -195,8 +195,8 @@ mod tests {
         for e in engines {
             let mut sink = VecSink::new();
             e.execute(&q, &mut sink).unwrap();
-            assert_eq!(sink.rows, reference, "{}", e.name());
-            assert_eq!(sink.arity, 3);
+            assert_eq!(sink.rows.to_rows(), reference, "{}", e.name());
+            assert_eq!(sink.rows.arity, 3);
         }
     }
 

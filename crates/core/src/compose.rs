@@ -25,7 +25,7 @@ use mmjoin_api::{
     emit_flat, emit_pairs, EngineError, NodeSource, PlanStats, Sink, StepNode, StepStats,
 };
 use mmjoin_obs::trace::{self, Stage};
-use mmjoin_storage::{Relation, RelationBuilder, Value};
+use mmjoin_storage::{CsrIndex, Relation, RelationBuilder, Value};
 use std::borrow::Cow;
 
 /// Evaluates a general acyclic query, streaming distinct rows into
@@ -434,57 +434,24 @@ fn semijoin(
     b.build()
 }
 
-/// Streams a column selection of `rel` into `sink` in sorted output
-/// order, honouring `wants_more`.
+/// Emits a column selection of `rel` into `sink` in sorted output order.
 fn project_stream(rel: &Relation, cols: ProjCols, sink: &mut dyn Sink) -> u64 {
-    let arity = match cols {
-        ProjCols::Ab | ProjCols::Ba => 2,
-        ProjCols::A | ProjCols::B => 1,
-    };
-    sink.begin(arity);
-    let mut rows = 0u64;
-    let mut emit = |sink: &mut dyn Sink, row: &[Value]| -> bool {
-        if !sink.wants_more() {
-            return false;
-        }
-        sink.row(row);
-        rows += 1;
-        true
-    };
-    match cols {
-        ProjCols::Ab => {
-            for &(a, b) in rel.edges() {
-                if !emit(sink, &[a, b]) {
-                    break;
-                }
-            }
-        }
+    let heads = |index: &CsrIndex| index.iter_nonempty().map(|(v, _)| v).collect();
+    let (arity, flat): (usize, Vec<Value>) = match cols {
+        ProjCols::Ab => return emit_pairs(sink, rel.edges()),
+        // Sorted by (b, a): walk the inverted index.
         ProjCols::Ba => {
-            // Sorted by (b, a): walk the inverted index.
-            'outer: for (b, xs) in rel.by_y().iter_nonempty() {
-                for &a in xs {
-                    if !emit(sink, &[b, a]) {
-                        break 'outer;
-                    }
-                }
-            }
+            let by_b = rel.by_y().iter_nonempty();
+            (
+                2,
+                by_b.flat_map(|(b, xs)| xs.iter().flat_map(move |&a| [b, a]))
+                    .collect(),
+            )
         }
-        ProjCols::A => {
-            for (a, _) in rel.by_x().iter_nonempty() {
-                if !emit(sink, &[a]) {
-                    break;
-                }
-            }
-        }
-        ProjCols::B => {
-            for (b, _) in rel.by_y().iter_nonempty() {
-                if !emit(sink, &[b]) {
-                    break;
-                }
-            }
-        }
-    }
-    rows
+        ProjCols::A => (1, heads(rel.by_x())),
+        ProjCols::B => (1, heads(rel.by_y())),
+    };
+    emit_flat(sink, arity, &flat)
 }
 
 #[cfg(test)]
@@ -570,7 +537,7 @@ mod tests {
     fn run(graph: &QueryGraph<'_>) -> Vec<Vec<Value>> {
         let mut sink = VecSink::new();
         execute_general(graph, &JoinConfig::default(), &mut sink).unwrap();
-        sink.rows
+        sink.rows.to_rows()
     }
 
     #[test]

@@ -206,8 +206,8 @@ mod tests {
         let mut sink = VecSink::new();
         let stats = engine.execute(&q, &mut sink).unwrap();
         let expected = star_join_project_mm(&rels, &JoinConfig::default());
-        assert_eq!(sink.rows, expected);
-        assert_eq!(sink.arity, 3);
+        assert_eq!(sink.rows.to_rows(), expected);
+        assert_eq!(sink.rows.arity, 3);
         assert!(stats.plan.is_some());
     }
 

@@ -38,7 +38,7 @@
 use crate::config::JoinConfig;
 use crate::optimizer::{heavy_core_cost, F32_KERNEL};
 use crate::two_path::{self, phase, Operands, Product};
-use mmjoin_api::{rows_of, PhaseSecs, PlanStats};
+use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, RelationBuilder, Value};
 use mmjoin_wcoj::{
@@ -60,8 +60,9 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
     relations: &[R],
     config: &JoinConfig,
 ) -> (Vec<Vec<Value>>, Option<PlanStats>) {
-    let (flat, stats) = star_join_project_mm_flat(relations, config);
-    (rows_of(relations.len(), &flat), stats)
+    let (values, stats) = star_join_project_mm_flat(relations, config);
+    let arity = relations.len();
+    (FlatRows { arity, values }.to_rows(), stats)
 }
 
 /// The star engine: the sorted distinct tuples as one flat buffer,

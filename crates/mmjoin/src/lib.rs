@@ -58,9 +58,9 @@
 //! ```
 
 pub use mmjoin_api::{
-    Atom, CountSink, DeltaSink, Engine, EngineError, EngineRegistry, ExecStats, ForEachSink,
-    LimitSink, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError, QueryFamily,
-    QueryGraph, Sink, StepStats, Var, VecSink,
+    Atom, CountSink, DeltaSink, Engine, EngineError, EngineRegistry, ExecStats, FlatRows,
+    ForEachSink, LimitSink, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError,
+    QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
     execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,

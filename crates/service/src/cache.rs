@@ -11,20 +11,20 @@
 
 use crate::maintain::DeltaResult;
 use crate::request::Request;
-use mmjoin_api::ExecStats;
+use mmjoin_api::{ExecStats, FlatRows};
 use mmjoin_storage::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A materialised query result, shared between the cache and responses.
+/// A materialised query result as the cache stores it and responses share
+/// it: two flat arrays, so holding or dropping one costs the same however
+/// many rows it has.
 #[derive(Debug, Clone)]
-pub struct CachedResult {
-    /// Output arity.
-    pub arity: usize,
+pub struct CacheEntry {
     /// The rows, in the engine's emission order (maintained entries:
-    /// sorted canonical order).
-    pub rows: Arc<Vec<Vec<Value>>>,
-    /// Per-row witness counts (0 where the query family emits none).
+    /// sorted canonical order) — the buffer the engine's sink filled.
+    pub rows: Arc<FlatRows>,
+    /// Per-row witness counts; empty where the query family emits none.
     pub counts: Arc<Vec<u32>>,
     /// The stats of the execution that produced this result.
     pub stats: ExecStats,
@@ -38,6 +38,49 @@ pub struct CachedResult {
     pub maintained: bool,
 }
 
+impl CacheEntry {
+    /// Heap bytes of the result arrays — values, counts, and a pair plus a
+    /// count per supported tuple — from their lengths alone.
+    pub fn bytes(&self) -> usize {
+        let support = self.support.as_ref().map_or(0, |s| s.len());
+        let words = self.rows.values.len() + self.counts.len() + 3 * support;
+        words * std::mem::size_of::<Value>()
+    }
+}
+
+/// The per-row shape of a cache entry. Pinned by the harness: the external
+/// benchmark (`benchmark/trajectory`, which a change to the system may not
+/// edit) fills a probe cache with this literal; goes with ROADMAP 1(a).
+/// Nothing in `crates/` constructs it — [`ResultCache::insert`] takes
+/// anything that converts into a [`CacheEntry`].
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct CachedResult {
+    pub arity: usize,
+    pub rows: Arc<Vec<Vec<Value>>>,
+    pub counts: Arc<Vec<u32>>,
+    pub stats: ExecStats,
+    pub truncated: bool,
+    pub support: Option<Arc<DeltaResult>>,
+    pub maintained: bool,
+}
+
+impl From<CachedResult> for CacheEntry {
+    fn from(old: CachedResult) -> Self {
+        Self {
+            rows: Arc::new(FlatRows {
+                arity: old.arity,
+                values: old.rows.concat(),
+            }),
+            counts: old.counts,
+            stats: old.stats,
+            truncated: old.truncated,
+            support: old.support,
+            maintained: old.maintained,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Slot {
     /// The canonical request (+ relation epochs) this result answers.
@@ -45,7 +88,7 @@ struct Slot {
     /// collision must degrade to a miss, never to serving foreign rows.
     request: Request,
     epochs: Vec<u64>,
-    value: CachedResult,
+    value: CacheEntry,
     /// Last-touch tick for LRU ordering.
     stamp: u64,
 }
@@ -79,7 +122,7 @@ impl ResultCache {
     /// Looks `key` up, refreshing its recency on a hit. The canonical
     /// `request` and `epochs` must match what the slot was filled with —
     /// a key collision between distinct requests is answered as a miss.
-    pub fn get(&mut self, key: u64, request: &Request, epochs: &[u64]) -> Option<CachedResult> {
+    pub fn get(&mut self, key: u64, request: &Request, epochs: &[u64]) -> Option<CacheEntry> {
         self.tick += 1;
         match self.slots.get_mut(&key) {
             Some(slot) if slot.request == *request && slot.epochs == epochs => {
@@ -107,15 +150,15 @@ impl ResultCache {
     /// Inserts `value` under `key`, evicting the least-recently-used
     /// entry if at capacity. Returns the result this displaced — the LRU
     /// victim, or the previous holder of `key` — so that a caller holding
-    /// a lock around the cache can release it before freeing what may be
-    /// tens of thousands of rows.
+    /// a lock around the cache can release it before freeing megabytes
+    /// of rows.
     pub fn insert(
         &mut self,
         key: u64,
         request: Request,
         epochs: Vec<u64>,
-        value: CachedResult,
-    ) -> Option<CachedResult> {
+        value: impl Into<CacheEntry>,
+    ) -> Option<CacheEntry> {
         if self.capacity == 0 {
             return None;
         }
@@ -133,7 +176,7 @@ impl ResultCache {
         let slot = Slot {
             request,
             epochs,
-            value,
+            value: value.into(),
             stamp: self.tick,
         };
         self.slots
@@ -149,7 +192,7 @@ impl ResultCache {
     /// invalidated. Every drained slot counts as update-driven
     /// `invalidations` churn (a re-inserted survivor is a *new* entry
     /// under a new key) — distinct from capacity `evictions`.
-    pub fn drain_referencing(&mut self, name: &str) -> Vec<(u64, Request, Vec<u64>, CachedResult)> {
+    pub fn drain_referencing(&mut self, name: &str) -> Vec<(u64, Request, Vec<u64>, CacheEntry)> {
         let keys: Vec<u64> = self
             .slots
             .iter()
@@ -183,6 +226,12 @@ impl ResultCache {
         self.slots.is_empty()
     }
 
+    /// Heap bytes of the held entries' result arrays: two lengths per
+    /// entry ([`CacheEntry::bytes`]), summed when `stats` asks.
+    pub fn bytes(&self) -> usize {
+        self.slots.values().map(|slot| slot.value.bytes()).sum()
+    }
+
     /// `(hits, misses, evictions, invalidations)` counters since
     /// construction. `evictions` is capacity pressure (LRU victims);
     /// `invalidations` is update-driven churn (drained or cleared
@@ -205,11 +254,13 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn result(tag: u32) -> CachedResult {
-        CachedResult {
-            arity: 2,
-            rows: Arc::new(vec![vec![tag, tag]]),
-            counts: Arc::new(vec![0]),
+    fn result(tag: u32) -> CacheEntry {
+        CacheEntry {
+            rows: Arc::new(FlatRows {
+                arity: 2,
+                values: vec![tag, tag],
+            }),
+            counts: Arc::default(),
             stats: ExecStats::new("test", 1),
             truncated: false,
             support: None,
@@ -225,7 +276,7 @@ mod tests {
         c.insert(key, req(tag), vec![1], result(tag));
     }
 
-    fn probe(c: &mut ResultCache, key: u64, tag: u32) -> Option<CachedResult> {
+    fn probe(c: &mut ResultCache, key: u64, tag: u32) -> Option<CacheEntry> {
         c.get(key, &req(tag), &[1])
     }
 
@@ -235,7 +286,7 @@ mod tests {
         assert!(probe(&mut c, 1, 1).is_none());
         put(&mut c, 1, 1);
         let hit = probe(&mut c, 1, 1).unwrap();
-        assert_eq!(hit.rows[0], vec![1, 1]);
+        assert_eq!(hit.rows.row(0), [1, 1]);
         assert_eq!(c.counters(), (1, 1, 0, 0));
     }
 
@@ -273,9 +324,9 @@ mod tests {
         assert!(c.insert(1, req(1), vec![1], result(1)).is_none());
         assert!(c.insert(2, req(2), vec![1], result(2)).is_none());
         let victim = c.insert(3, req(3), vec![1], result(3)).expect("LRU victim");
-        assert_eq!(victim.rows[0], vec![1, 1]);
+        assert_eq!(victim.rows.row(0), [1, 1]);
         let replaced = c.insert(3, req(3), vec![1], result(9)).expect("old holder");
-        assert_eq!(replaced.rows[0], vec![3, 3]);
+        assert_eq!(replaced.rows.row(0), [3, 3]);
         assert_eq!(c.counters().2, 1, "replacing a key is not an eviction");
     }
 
@@ -321,7 +372,37 @@ mod tests {
         put(&mut c, 2, 2);
         c.insert(1, req(1), vec![1], result(9));
         assert_eq!(c.len(), 2);
-        assert_eq!(probe(&mut c, 1, 1).unwrap().rows[0], vec![9, 9]);
+        assert_eq!(probe(&mut c, 1, 1).unwrap().rows.row(0), [9, 9]);
         assert!(probe(&mut c, 2, 2).is_some());
+    }
+
+    #[test]
+    fn bytes_follow_inserts_evictions_and_drains() {
+        let entry = |rows: u32, counted: bool| CacheEntry {
+            rows: Arc::new(FlatRows {
+                arity: 2,
+                values: (0..2 * rows).collect(),
+            }),
+            counts: Arc::new(if counted {
+                vec![1; rows as usize]
+            } else {
+                Vec::new()
+            }),
+            ..result(0)
+        };
+        let mut c = ResultCache::new(2);
+        c.insert(1, Request::similarity("R", 1), vec![1], entry(10, false));
+        assert_eq!(c.bytes(), 80);
+        c.insert(2, Request::similarity("S", 1), vec![1], entry(5, true));
+        assert_eq!(c.bytes(), 80 + 60);
+        c.insert(2, Request::similarity("S", 1), vec![1], entry(1, false));
+        assert_eq!(c.bytes(), 80 + 8, "the replaced holder's bytes leave");
+        c.insert(3, Request::similarity("S", 2), vec![1], entry(2, false));
+        assert_eq!(c.bytes(), 8 + 16, "and so do the LRU victim's");
+        assert_eq!(c.drain_referencing("S").len(), 2);
+        assert_eq!((c.bytes(), c.len()), (0, 0));
+        c.insert(4, req(4), vec![1], entry(3, true));
+        c.clear();
+        assert_eq!(c.bytes(), 0);
     }
 }

@@ -15,6 +15,8 @@ use mmjoin_executor::ExecutorStats;
 use mmjoin_obs::trace::{self, chrome_json, Stage, Tracer};
 use mmjoin_storage::io::read_edge_list;
 use mmjoin_storage::{Edge, Relation, RelationBuilder};
+use std::fmt::Write as _;
+use std::iter;
 use std::time::Instant;
 
 /// A parse failure carrying the token that caused it, so transports can
@@ -531,10 +533,7 @@ fn run_stats(
     json: bool,
     frontend: &dyn Frontend,
 ) -> Result<String, String> {
-    let cache = || {
-        let (hits, misses, evictions, invalidations) = service.cache_counters();
-        (hits, misses, evictions, invalidations, service.cache_len())
-    };
+    let cache = || (service.cache_counters(), service.cache_size());
     if json {
         let body = match scope {
             StatsScope::Service => service_json(&service.metrics()),
@@ -567,10 +566,10 @@ fn run_stats(
             .ok_or_else(|| "no network front end attached (stats net needs mmjoin-netd)".into()),
         StatsScope::Executor => Ok(format!("ok {}", service.executor_stats())),
         StatsScope::Cache => {
-            let (hits, misses, evictions, invalidations, entries) = cache();
+            let ((hits, misses, evictions, invalidations), (entries, bytes)) = cache();
             Ok(format!(
                 "ok cache hits {hits}, misses {misses}, evictions {evictions}, \
-                 invalidations {invalidations}, entries {entries}"
+                 invalidations {invalidations}, entries {entries}, bytes {bytes}"
             ))
         }
     }
@@ -616,13 +615,17 @@ fn executor_json(e: &ExecutorStats) -> String {
     )
 }
 
-/// The result-cache counters as a JSON object.
+/// The result-cache counters and what it holds — entries, and the bytes
+/// of their result arrays — as a JSON object.
 fn cache_json(
-    (hits, misses, evictions, invalidations, entries): (u64, u64, u64, u64, usize),
+    ((hits, misses, evictions, invalidations), (entries, bytes)): (
+        (u64, u64, u64, u64),
+        (usize, usize),
+    ),
 ) -> String {
     format!(
         "{{\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
-         \"invalidations\":{invalidations},\"entries\":{entries}}}"
+         \"invalidations\":{invalidations},\"entries\":{entries},\"bytes\":{bytes}}}"
     )
 }
 
@@ -684,21 +687,22 @@ fn run_query(service: &Service, request: Request, show: Option<usize>) -> Result
         }
     );
     if let Some(max_rows) = show {
-        for (row, count) in response
-            .rows
-            .iter()
-            .zip(response.counts.iter())
-            .take(max_rows)
-        {
-            let cells: Vec<String> = row.iter().map(u32::to_string).collect();
-            if *count > 0 {
-                out.push_str(&format!("\n  ({}) x{count}", cells.join(", ")));
-            } else {
-                out.push_str(&format!("\n  ({})", cells.join(", ")));
+        // Cells go straight into `out`; a family that emits no counts
+        // stores none, which reads as 0 for every row.
+        let counts = response.counts.iter().copied().chain(iter::repeat(0));
+        for (row, count) in response.rows.iter().zip(counts).take(max_rows) {
+            out.push_str("\n  (");
+            for (i, cell) in row.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}{cell}");
+            }
+            out.push(')');
+            if count > 0 {
+                let _ = write!(out, " x{count}");
             }
         }
         if response.rows.len() > max_rows {
-            out.push_str(&format!("\n  … {} more", response.rows.len() - max_rows));
+            let _ = write!(out, "\n  … {} more", response.rows.len() - max_rows);
         }
     }
     Ok(out)

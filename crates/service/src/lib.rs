@@ -55,7 +55,7 @@ pub mod request;
 pub mod roster;
 pub mod service;
 
-pub use cache::{CachedResult, ResultCache};
+pub use cache::{CacheEntry, CachedResult, ResultCache};
 pub use catalog::{Catalog, CatalogEntry, RelationProfile, ShardedCatalog, StagedUpdate};
 pub use command::{Command, ParseError};
 pub use error::ServiceError;

@@ -106,9 +106,10 @@ impl MaintenanceReport {
 /// engine originally produced them.
 ///
 /// A cache entry serves the pairs whose support reaches its `min_count`
-/// as `rows`/`counts`; [`DeltaResult::rows`] builds those from scratch and
-/// [`DeltaResult::patch`] keeps them in step with the supports under an
-/// update, touching only what the delta touches.
+/// as flat `rows` (two values per row) and `counts`; [`DeltaResult::rows`]
+/// builds those from scratch and [`DeltaResult::patch`] keeps them in
+/// step with the supports under an update, touching only what the delta
+/// touches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaResult {
     /// Pairs with positive support, ascending.
@@ -153,17 +154,19 @@ impl DeltaResult {
         Self { pairs, support }
     }
 
-    /// Materialises the rows with support `≥ min_count`, in sorted order.
-    /// `with_counts` controls whether the per-row counts column carries
-    /// the supports or the uncounted-family placeholder zeros.
-    pub fn rows(&self, min_count: u32, with_counts: bool) -> (Vec<Vec<Value>>, Vec<u32>) {
+    /// Materialises the rows with support `≥ min_count`, in sorted order,
+    /// as one flat array (`x, z` per row). With `with_counts` the second
+    /// array carries each row's support; uncounted families leave it empty.
+    pub fn rows(&self, min_count: u32, with_counts: bool) -> (Vec<Value>, Vec<u32>) {
         let min = min_count.max(1);
         let mut rows = Vec::new();
         let mut counts = Vec::new();
         for (&(x, z), &c) in self.pairs.iter().zip(&self.support) {
             if c >= min {
-                rows.push(vec![x, z]);
-                counts.push(if with_counts { c } else { 0 });
+                rows.extend([x, z]);
+                if with_counts {
+                    counts.push(c);
+                }
             }
         }
         (rows, counts)
@@ -178,7 +181,7 @@ impl DeltaResult {
     ///
     /// Costs a search per delta row — `O(log distance)` from the row
     /// before it — plus one move of the array tails behind the first row
-    /// that enters or leaves; only entering rows allocate.
+    /// that enters or leaves; nothing is allocated per row.
     ///
     /// Returns `None`, having changed nothing, if a support would go
     /// negative or `rows` disagrees with the supports — a corrupt entry
@@ -188,14 +191,14 @@ impl DeltaResult {
     #[must_use]
     pub fn patch(
         &mut self,
-        rows: &mut Vec<Vec<Value>>,
+        rows: &mut Vec<Value>,
         counts: &mut Vec<u32>,
         deltas: &[((Value, Value), i64)],
         min_count: u32,
         with_counts: bool,
     ) -> Option<Crossings> {
         let min = min_count.max(1);
-        let edits = self.locate(rows, counts, deltas, min)?;
+        let edits = self.locate(rows, counts, deltas, min, with_counts)?;
 
         let (mut gone, mut entering_pairs, mut entering_support) =
             (Vec::new(), Vec::new(), Vec::new());
@@ -206,29 +209,30 @@ impl DeltaResult {
                 (true, true) => self.support[e.at] = e.new,
                 (true, false) => gone.push(e.at),
                 (false, _) => {
-                    entering_pairs.push((e.at, e.pair));
-                    entering_support.push((e.at, e.new));
+                    entering_pairs.push((e.at, [e.pair]));
+                    entering_support.push((e.at, [e.new]));
                 }
             }
-            let count = if with_counts { e.new } else { 0 };
             match (e.old >= min, e.new >= min) {
-                (true, true) => counts[e.row_at] = count,
+                (true, true) if with_counts => counts[e.row_at] = e.new,
                 (true, false) => rows_gone.push(e.row_at),
                 (false, true) => {
-                    entering_rows.push((e.row_at, vec![e.pair.0, e.pair.1]));
-                    entering_counts.push((e.row_at, count));
+                    entering_rows.push((e.row_at, [e.pair.0, e.pair.1]));
+                    entering_counts.push((e.row_at, [e.new]));
                 }
-                (false, false) => {}
+                _ => {}
             }
         }
         let crossed = Crossings {
             entered: entering_rows.len(),
             left: rows_gone.len(),
         };
-        splice_sorted(&mut self.pairs, &gone, entering_pairs);
-        splice_sorted(&mut self.support, &gone, entering_support);
-        splice_sorted(rows, &rows_gone, entering_rows);
-        splice_sorted(counts, &rows_gone, entering_counts);
+        splice_sorted(&mut self.pairs, &gone, &entering_pairs);
+        splice_sorted(&mut self.support, &gone, &entering_support);
+        splice_sorted(rows, &rows_gone, &entering_rows);
+        if with_counts {
+            splice_sorted(counts, &rows_gone, &entering_counts);
+        }
         Some(crossed)
     }
 
@@ -236,15 +240,20 @@ impl DeltaResult {
     /// new support, changing nothing.
     fn locate(
         &self,
-        rows: &[Vec<Value>],
+        rows: &[Value],
         counts: &[u32],
         deltas: &[((Value, Value), i64)],
         min: u32,
+        with_counts: bool,
     ) -> Option<Vec<Edit>> {
+        let (rows, ragged) = rows.as_chunks::<2>();
         // With nothing hidden the rows are the pairs, position for position,
-        // which spares a search through `rows` — a pointer chase per probe.
+        // which spares a search through `rows`.
         let all_visible = min == 1;
-        if counts.len() != rows.len() || (all_visible && rows.len() != self.pairs.len()) {
+        if !ragged.is_empty()
+            || counts.len() != if with_counts { rows.len() } else { 0 }
+            || (all_visible && rows.len() != self.pairs.len())
+        {
             return None;
         }
         let mut edits = Vec::with_capacity(deltas.len());
@@ -259,8 +268,8 @@ impl DeltaResult {
             if all_visible {
                 row_at = at;
             } else {
-                row_at = gallop(rows, row_at, |r| (r[0], r[1]) < pair);
-                let visible = rows.get(row_at).is_some_and(|r| (r[0], r[1]) == pair);
+                row_at = gallop(rows, row_at, |&[x, z]| (x, z) < pair);
+                let visible = rows.get(row_at).is_some_and(|&[x, z]| (x, z) == pair);
                 if visible != (old >= min) {
                     return None;
                 }
@@ -309,49 +318,32 @@ fn gallop<T>(v: &[T], from: usize, mut below: impl FnMut(&T) -> bool) -> usize {
     lo + v[lo..hi.min(v.len())].partition_point(below)
 }
 
-/// Edits a sorted vector in place: drops the elements at the ascending
-/// positions `gone` and inserts each `(at, item)` of `entering`
-/// (ascending `at`) before the element that stood at `at`. Every position
-/// refers to `v` as passed in. Only the tail behind the first edit moves,
-/// block by block between edits (`move_block`), so a handful of edits
-/// costs about one `memmove` of that tail.
-fn splice_sorted<T: Default>(v: &mut Vec<T>, gone: &[usize], entering: Vec<(usize, T)>) {
-    // Close the gaps front to back: the elements dropped so far ride
-    // behind each block, and end up at the back ...
-    for (dropped, &at) in gone.iter().enumerate() {
-        let next = gone.get(dropped + 1).copied().unwrap_or(v.len());
-        move_block(&mut v[at - dropped..next], dropped + 1, false);
+/// Edits a sorted vector of `N`-wide rows in place: drops the rows at the
+/// ascending positions `gone` and inserts each `(at, row)` of `entering`
+/// (ascending `at`) before the row that stood at `at`. Every position
+/// counts rows of `v` as passed in. Only the tail behind the first edit
+/// moves — the blocks between edits slide down over the dropped rows, then
+/// up to open the new gaps — so a handful of edits costs about one
+/// `memmove` of that tail.
+fn splice_sorted<T: Copy + Default, const N: usize>(
+    v: &mut Vec<T>,
+    gone: &[usize],
+    entering: &[(usize, [T; N])],
+) {
+    let mut kept = gone.first().map_or(v.len(), |&at| at * N);
+    for (i, &at) in gone.iter().enumerate() {
+        let block = (at + 1) * N..gone.get(i + 1).map_or(v.len(), |&next| next * N);
+        v.copy_within(block.clone(), kept);
+        kept += block.len();
     }
-    v.truncate(v.len() - gone.len());
-    // ... then open the new gaps back to front: the free slots start at
-    // the back and ride ahead of each block, one filled at every stop.
-    let mut end = v.len();
-    let mut free = entering.len();
-    v.resize_with(end + free, T::default);
-    for (at, item) in entering.into_iter().rev() {
-        let at = at - gone.partition_point(|&g| g < at);
-        move_block(&mut v[at..end + free], free, true);
-        free -= 1;
-        v[at + free] = item;
+    v.truncate(kept);
+    v.resize(kept + entering.len() * N, T::default());
+    let mut end = kept;
+    for (before, &(at, row)) in entering.iter().enumerate().rev() {
+        let at = (at - gone.partition_point(|&g| g < at)) * N;
+        v.copy_within(at..end, at + (before + 1) * N);
+        v[at + before * N..][..N].copy_from_slice(&row);
         end = at;
-    }
-}
-
-/// `v` is a block of elements and `spare` slots whose order does not
-/// matter — behind the block when it goes `to_back`, ahead of it
-/// otherwise. Moves the block to the other end, in order. A block shorter
-/// than the spare slots is swapped across rather than rotated, so moving
-/// it never costs more than twice its length however many spares ride
-/// along.
-fn move_block<T>(v: &mut [T], spare: usize, to_back: bool) {
-    let block = v.len() - spare;
-    if block < spare {
-        let (head, tail) = v.split_at_mut(spare);
-        head[..block].swap_with_slice(tail);
-    } else if to_back {
-        v.rotate_right(spare);
-    } else {
-        v.rotate_left(spare);
     }
 }
 
@@ -541,7 +533,7 @@ mod tests {
             for with_counts in [false, true] {
                 let mut result = result_of(&brute_force(r_old, s_old));
                 let (mut rows, mut counts) = result.rows(min_count, with_counts);
-                let before = rows.len();
+                let before = rows.len() / 2;
                 let crossed = result
                     .patch(&mut rows, &mut counts, &deltas, min_count, with_counts)
                     .expect("support went negative");
@@ -549,7 +541,7 @@ mod tests {
                 assert_eq!((rows, counts), expected.rows(min_count, with_counts));
                 assert_eq!(
                     before + crossed.entered - crossed.left,
-                    expected.rows(min_count, with_counts).0.len()
+                    expected.rows(min_count, with_counts).0.len() / 2
                 );
             }
         }
@@ -618,11 +610,11 @@ mod tests {
             support: vec![3, 1],
         };
         let (rows, counts) = result.rows(2, true);
-        assert_eq!(rows, vec![vec![0, 1]]);
+        assert_eq!(rows, [0, 1]);
         assert_eq!(counts, vec![3]);
         let (rows, counts) = result.rows(1, false);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(counts, vec![0, 0], "uncounted families serve zeros");
+        assert_eq!(rows, [0, 1, 2, 2]);
+        assert!(counts.is_empty(), "uncounted families store no counts");
     }
 
     #[test]
@@ -641,12 +633,27 @@ mod tests {
         assert!(result.patch(&mut r, &mut c, &negative, 1, true).is_none());
         assert_eq!((&result, &r, &c), (&original, &rows, &counts));
 
-        // Rows that are not the supports' visible subset are refused too.
-        let mut r = vec![vec![0, 0]];
-        let mut c = vec![2];
+        // Rows that are not the supports' visible subset are refused too:
+        // a row short, half a row, a visible row the supports hide, or
+        // counts that do not line up with the rows.
         let fine = [((0, 1), 1)];
-        assert!(result.patch(&mut r, &mut c, &fine, 1, true).is_none());
-        assert_eq!(result, original);
+        for (bad_rows, bad_counts, min) in [
+            (vec![0, 0], vec![2], 1),
+            (vec![0, 0, 0], vec![2, 1], 1),
+            (vec![0, 0, 0, 1], vec![2, 1], 2),
+            (vec![0, 0, 0, 1], vec![2], 1),
+            (vec![0, 0, 0, 1], vec![], 1),
+        ] {
+            let (mut r, mut c) = (bad_rows.clone(), bad_counts.clone());
+            assert!(result.patch(&mut r, &mut c, &fine, min, true).is_none());
+            assert_eq!((&result, &r, &c), (&original, &bad_rows, &bad_counts));
+        }
+        // An uncounted entry carries no counts; one that does is corrupt.
+        let mut c = counts.clone();
+        assert!(result
+            .patch(&mut rows.clone(), &mut c, &fine, 1, false)
+            .is_none());
+        assert_eq!((&result, &c), (&original, &counts));
     }
 
     #[test]
@@ -667,7 +674,7 @@ mod tests {
                 left: 1
             })
         );
-        assert_eq!(rows, vec![vec![0, 0], vec![1, 1]]);
+        assert_eq!(rows, [0, 0, 1, 1]);
         assert_eq!(result.support_of(0, 1), 1);
 
         let up = [((0, 0), 1), ((0, 1), 1)];
@@ -679,8 +686,19 @@ mod tests {
                 left: 0
             })
         );
-        assert_eq!(rows, vec![vec![0, 0], vec![0, 1], vec![1, 1]]);
+        assert_eq!(rows, [0, 0, 0, 1, 1, 1]);
         assert_eq!(counts, vec![4, 2, 2]);
+
+        // The same two crossings on an uncounted entry: rows move, the
+        // counts stay empty.
+        let (mut rows, mut counts) = result.rows(2, false);
+        assert!(result
+            .patch(&mut rows, &mut counts, &down, 2, false)
+            .is_some());
+        assert!(result
+            .patch(&mut rows, &mut counts, &[((0, 1), 1)], 2, false)
+            .is_some());
+        assert_eq!((rows, counts), result.rows(2, false));
     }
 
     #[test]
@@ -698,19 +716,24 @@ mod tests {
     #[test]
     fn splice_sorted_edits_in_place() {
         let mut v = vec![10, 20, 30, 40, 50];
-        splice_sorted(&mut v, &[1, 3], vec![(0, 5), (1, 15), (1, 16), (5, 60)]);
+        splice_sorted(
+            &mut v,
+            &[1, 3],
+            &[(0, [5]), (1, [15]), (1, [16]), (5, [60])],
+        );
         assert_eq!(v, vec![5, 10, 15, 16, 30, 50, 60]);
         let mut v: Vec<u32> = Vec::new();
-        splice_sorted(&mut v, &[], vec![(0, 1), (0, 2)]);
-        assert_eq!(v, vec![1, 2]);
-        splice_sorted(&mut v, &[0, 1], Vec::new());
+        splice_sorted(&mut v, &[], &[(0, [1, 1]), (0, [2, 2])]);
+        assert_eq!(v, vec![1, 1, 2, 2]);
+        splice_sorted::<_, 2>(&mut v, &[0, 1], &[]);
         assert!(v.is_empty());
     }
 
     #[test]
     fn splice_sorted_matches_a_rebuild() {
         // Dense and sparse edits, so blocks both longer and shorter than
-        // the slots riding along with them.
+        // the slots riding along with them; the same edits on one-wide rows
+        // and on stride-2 rows of a flat array.
         for (n, stride) in [(40usize, 1usize), (40, 2), (200, 7), (200, 61)] {
             let old: Vec<usize> = (0..n).map(|i| i * 10).collect();
             let gone: Vec<usize> = (0..n).filter(|i| i % stride == 0).collect();
@@ -729,8 +752,16 @@ mod tests {
             expected.extend(entering.iter().filter(|e| e.0 == n).map(|e| e.1));
 
             let mut v = old.clone();
-            splice_sorted(&mut v, &gone, entering);
+            let one_wide: Vec<_> = entering.iter().map(|&(at, x)| (at, [x])).collect();
+            splice_sorted(&mut v, &gone, &one_wide);
             assert_eq!(v, expected, "n {n} stride {stride}");
+
+            let pair = |x: usize| [x, x + 1];
+            let mut flat: Vec<usize> = old.iter().flat_map(|&x| pair(x)).collect();
+            let two_wide: Vec<_> = entering.iter().map(|&(at, x)| (at, pair(x))).collect();
+            splice_sorted(&mut flat, &gone, &two_wide);
+            let rebuilt: Vec<usize> = expected.iter().flat_map(|&x| pair(x)).collect();
+            assert_eq!(flat, rebuilt, "flat rows, n {n} stride {stride}");
         }
     }
 

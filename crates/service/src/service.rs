@@ -4,7 +4,7 @@
 //! is the caller's business (the TCP front end's dispatcher count, or
 //! however many threads an in-process caller brings).
 
-use crate::cache::{CachedResult, ResultCache};
+use crate::cache::{CacheEntry, ResultCache};
 use crate::catalog::{RelationProfile, ShardedCatalog, StagedUpdate};
 use crate::error::ServiceError;
 use crate::maintain::{
@@ -15,7 +15,7 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::planner::{Planner, SelectionReason, PLANNING_ENGINE};
 use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
-use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, LimitSink, Query, VecSink};
+use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, FlatRows, LimitSink, Query, VecSink};
 use mmjoin_core::{plan_query, JoinConfig};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
@@ -100,13 +100,12 @@ impl Default for ServiceConfig {
 /// One answered query.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Output rows, in the engine's emission order. Shared with the
-    /// cache, so a hit returns the *same* buffer the cold run produced.
-    pub rows: Arc<Vec<Vec<Value>>>,
-    /// Per-row witness counts (0 where the family emits none).
+    /// Output rows, in the engine's emission order, as one flat array
+    /// (`rows.arity` values per row). Shared with the cache, so a hit
+    /// returns the *same* buffer the cold run's sink filled.
+    pub rows: Arc<FlatRows>,
+    /// Per-row witness counts; empty where the family emits none.
     pub counts: Arc<Vec<u32>>,
-    /// Output arity.
-    pub arity: usize,
     /// The stats of the execution that produced these rows (for a cache
     /// hit: the original cold execution).
     pub stats: ExecStats,
@@ -120,6 +119,21 @@ pub struct Response {
     pub truncated: bool,
     /// The cache key this result is stored under (fingerprint ⊕ epochs).
     pub cache_key: u64,
+}
+
+impl Response {
+    /// The answer a cache entry gives, sharing its arrays.
+    fn of(entry: CacheEntry, cached: bool, cache_key: u64) -> Self {
+        Self {
+            rows: entry.rows,
+            counts: entry.counts,
+            stats: entry.stats,
+            cached,
+            maintained: entry.maintained,
+            truncated: entry.truncated,
+            cache_key,
+        }
+    }
 }
 
 /// A long-lived, thread-safe join service.
@@ -505,12 +519,11 @@ impl Service {
             .counters()
     }
 
-    /// Results currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+    /// `(entries, bytes)` the result cache holds: how many results, and
+    /// the heap bytes of their result arrays ([`CacheEntry::bytes`]).
+    pub fn cache_size(&self) -> (usize, usize) {
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        (cache.len(), cache.bytes())
     }
 
     /// The engine registry this service executes on.
@@ -545,7 +558,7 @@ fn refresh_entry(
     staged: &StagedUpdate,
     request: Request,
     old_epochs: Vec<u64>,
-    value: CachedResult,
+    value: CacheEntry,
 ) -> Decision {
     // Only two-path entries are maintainable: their output pairs have
     // well-defined per-tuple supports. Limits truncate the support set
@@ -663,12 +676,12 @@ fn refresh_entry(
 /// Patches a support-carrying entry with the signed delta joins, in place:
 /// `value` is the drained entry itself, so when the cache held the only
 /// reference to its arrays nothing is copied, and when a [`Response`]
-/// still shares them `Arc::make_mut` copies first and the response keeps
-/// reading the rows it was given. Returns the entry and, for its span,
+/// still shares them `Arc::make_mut` copies the flat array first and the
+/// response keeps reading the rows it was given. Returns the entry and, for its span,
 /// the number of delta rows applied and the rows that entered/left.
 #[allow(clippy::too_many_arguments)]
 fn maintain_entry(
-    mut value: CachedResult,
+    mut value: CacheEntry,
     staged: &StagedUpdate,
     r_old: &Relation,
     s_old: &Relation,
@@ -676,7 +689,7 @@ fn maintain_entry(
     delta_on_s: bool,
     with_counts: bool,
     min_count: u32,
-) -> Option<(CachedResult, (usize, Crossings))> {
+) -> Option<(CacheEntry, (usize, Crossings))> {
     let mut sink = DeltaSink::new();
     accumulate_two_path_delta(
         &mut sink,
@@ -688,7 +701,7 @@ fn maintain_entry(
     );
     let deltas = sink.into_deltas();
     let crossed = Arc::make_mut(value.support.as_mut()?).patch(
-        Arc::make_mut(&mut value.rows),
+        &mut Arc::make_mut(&mut value.rows).values,
         Arc::make_mut(&mut value.counts),
         &deltas,
         min_count,
@@ -707,7 +720,7 @@ fn recompute_entry(
     s_new: &Relation,
     with_counts: bool,
     min_count: u32,
-) -> Option<CachedResult> {
+) -> Option<CacheEntry> {
     let query = Query::TwoPath {
         r: r_new,
         s: s_new,
@@ -725,9 +738,9 @@ fn recompute_entry(
         .execute(&selection.engine, &query, &mut sink)
         .ok()?;
     let support = DeltaResult::from_signed(&sink.into_deltas());
-    let (rows, counts) = support.rows(min_count, with_counts);
-    Some(CachedResult {
-        arity: 2,
+    let (values, counts) = support.rows(min_count, with_counts);
+    let rows = FlatRows { arity: 2, values };
+    Some(CacheEntry {
         stats: ExecStats {
             rows: rows.len() as u64,
             ..stats
@@ -831,16 +844,7 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
         .unwrap_or_else(PoisonError::into_inner)
         .get(cache_key, &request, &epochs)
     {
-        return Ok(Response {
-            rows: hit.rows,
-            counts: hit.counts,
-            arity: hit.arity,
-            stats: hit.stats,
-            cached: true,
-            maintained: hit.maintained,
-            truncated: hit.truncated,
-            cache_key,
-        });
+        return Ok(Response::of(hit, true, cache_key));
     }
 
     drop(probe_span);
@@ -854,53 +858,37 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
     drop(plan_span);
 
     let exec_span = trace::span_dyn(Stage::Exec, || selection.engine.clone());
-    let (sink, stats, truncated) = match request.limit {
-        Some(limit) => {
-            let mut sink = LimitSink::new(VecSink::new(), limit);
-            let stats = service
-                .registry
-                .execute(&selection.engine, &query, &mut sink)?;
-            let truncated = sink.limit_reached();
-            (sink.into_inner(), stats, truncated)
-        }
-        None => {
-            let mut sink = VecSink::new();
-            let stats = service
-                .registry
-                .execute(&selection.engine, &query, &mut sink)?;
-            (sink, stats, false)
-        }
-    };
+    let mut sink = LimitSink::new(VecSink::new(), request.limit.unwrap_or(u64::MAX));
+    let stats = service
+        .registry
+        .execute(&selection.engine, &query, &mut sink)?;
+    let truncated = request.limit.is_some() && sink.limit_reached();
+    let mut sink = sink.into_inner();
     drop(exec_span);
 
-    let result = CachedResult {
-        arity: query.output_arity(),
+    // Pairs arrive a chunk at a time: give back what doubling over-reserved
+    // rather than cache it.
+    sink.rows.values.shrink_to_fit();
+    let entry = CacheEntry {
         rows: Arc::new(sink.rows),
         counts: Arc::new(sink.counts),
-        stats: stats.clone(),
+        stats,
         truncated,
         support: None,
         maintained: false,
     };
+    // The one copy of the entry a miss makes: a bump of each array's
+    // reference count and the stats.
+    let response = Response::of(entry.clone(), false, cache_key);
     let displaced = service
         .cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(cache_key, request, epochs, result.clone());
+        .insert(cache_key, request, epochs, entry);
     // The LRU victim is freed here, with the cache lock released: its
     // rows must not stall another query's probe.
     drop(displaced);
-
-    Ok(Response {
-        rows: result.rows,
-        counts: result.counts,
-        arity: result.arity,
-        stats,
-        cached: false,
-        maintained: false,
-        truncated,
-        cache_key,
-    })
+    Ok(response)
 }
 
 #[cfg(test)]
@@ -1049,7 +1037,7 @@ mod tests {
         assert!(!limited.cached, "different fingerprint, no false hit");
         assert!(limited.truncated);
         assert_eq!(limited.rows.len(), 2);
-        assert_eq!(&limited.rows[..], &full.rows[..2]);
+        assert_eq!(limited.rows.values, full.rows.values[..4]);
         // The limited entry is cached under its own key.
         let again = s.query(Request::two_path("R", "R").limit(2)).unwrap();
         assert!(again.cached);
@@ -1061,12 +1049,12 @@ mod tests {
         let s = service();
         s.register("R", tiny());
         let star = s.query(Request::star(["R", "R", "R"])).unwrap();
-        assert_eq!(star.arity, 3);
+        assert_eq!(star.rows.arity, 3);
         assert!(!star.rows.is_empty());
         let sim = s.query(Request::similarity("R", 1)).unwrap();
-        assert_eq!(sim.arity, 2);
+        assert_eq!(sim.rows.arity, 2);
         let scj = s.query(Request::containment("R")).unwrap();
-        assert_eq!(scj.arity, 2);
+        assert_eq!(scj.rows.arity, 2);
     }
 
     #[test]
@@ -1194,8 +1182,8 @@ mod tests {
 
     /// Sorted copy of response rows (maintained entries serve canonical
     /// sorted order; engines serve emission order).
-    fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
-        let mut rows = (*response.rows).clone();
+    fn sorted_rows(response: &Response) -> Vec<&[Value]> {
+        let mut rows: Vec<&[Value]> = response.rows.iter().collect();
         rows.sort();
         rows
     }
@@ -1268,16 +1256,11 @@ mod tests {
         let expected = fresh.query(Request::two_path_counts("R", "R", 2)).unwrap();
         assert_eq!(sorted_rows(&maintained), sorted_rows(&expected));
         // Counts travel with the rows: compare as (row, count) multisets.
-        let pair_counts = |r: &Response| {
-            let mut v: Vec<(Vec<Value>, u32)> = r
-                .rows
-                .iter()
-                .cloned()
-                .zip(r.counts.iter().copied())
-                .collect();
+        fn pair_counts(r: &Response) -> Vec<(&[Value], u32)> {
+            let mut v: Vec<_> = r.rows.iter().zip(r.counts.iter().copied()).collect();
             v.sort();
             v
-        };
+        }
         assert_eq!(pair_counts(&maintained), pair_counts(&expected));
     }
 
@@ -1361,7 +1344,7 @@ mod tests {
 
         let cold = s.query(Request::chain(["R", "S", "T"])).unwrap();
         assert!(!cold.cached);
-        assert_eq!(cold.arity, 2);
+        assert_eq!(cold.rows.arity, 2);
         assert_eq!(cold.stats.engine, "MMJoin");
 
         // Isomorphic rewrite (different variable numbering) hits the
@@ -1416,12 +1399,7 @@ mod tests {
         s.register("St", t.transposed());
         let chain = s.query(Request::chain(["R", "S"])).unwrap();
         let classic = s.query(Request::two_path("R", "St")).unwrap();
-        let sorted = |resp: &Response| {
-            let mut rows = (*resp.rows).clone();
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted(&chain), sorted(&classic));
+        assert_eq!(sorted_rows(&chain), sorted_rows(&classic));
     }
 
     #[test]
@@ -1437,7 +1415,7 @@ mod tests {
         assert!(text.contains("join"), "{text}");
         assert!(text.contains("final: project"), "{text}");
         // Nothing executed or cached.
-        assert_eq!(s.cache_len(), 0);
+        assert_eq!(s.cache_size(), (0, 0));
         assert_eq!(s.metrics().queries_served, 0);
 
         // After a real query the same explain reports a hit.
@@ -1524,6 +1502,6 @@ mod tests {
         let r = tiny();
         let direct =
             mmjoin_core::star_join_project_mm(&[&r, &r, &r], &mmjoin_core::JoinConfig::default());
-        assert_eq!(*via_service.rows, direct);
+        assert!(via_service.rows.iter().eq(direct.iter().map(Vec::as_slice)));
     }
 }

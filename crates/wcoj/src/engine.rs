@@ -87,7 +87,7 @@ mod tests {
         let q = Query::star(&rels).build().unwrap();
         let mut sink = VecSink::new();
         WcojEngine.execute(&q, &mut sink).unwrap();
-        assert_eq!(sink.rows, star_join_project(&rels));
+        assert_eq!(sink.rows.to_rows(), star_join_project(&rels));
     }
 
     #[test]

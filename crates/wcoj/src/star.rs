@@ -1,7 +1,7 @@
 //! Worst-case optimal evaluation of star queries.
 
 use crate::leapfrog::LeapfrogIter;
-use mmjoin_api::rows_of;
+use mmjoin_api::FlatRows;
 use mmjoin_storage::{Relation, Value};
 
 /// Enumerates the *full* (pre-projection) result of the 2-path query
@@ -104,7 +104,8 @@ pub fn full_join_count<R: AsRef<Relation>>(relations: &[R]) -> u64 {
 /// This is the reference semantics every optimized engine in the workspace
 /// is validated against.
 pub fn star_join_project<R: AsRef<Relation>>(relations: &[R]) -> Vec<Vec<Value>> {
-    rows_of(relations.len(), &star_join_project_flat(relations))
+    let (arity, values) = (relations.len(), star_join_project_flat(relations));
+    FlatRows { arity, values }.to_rows()
 }
 
 /// [`star_join_project`] as one flat buffer, `relations.len()` values per

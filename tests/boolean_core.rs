@@ -288,7 +288,7 @@ fn a_limited_star_gets_the_first_rows_and_no_more() {
     let engine = MmJoinEngine::serial();
     let mut all = VecSink::new();
     engine.execute(&query, &mut all).unwrap();
-    assert!(all.len() > 20);
+    assert!(all.rows.len() > 20);
     // Counts what the engine offered, not what the limit kept.
     struct Offered(LimitSink<VecSink>, u64);
     impl Sink for Offered {
@@ -308,7 +308,10 @@ fn a_limited_star_gets_the_first_rows_and_no_more() {
         let stats = engine.execute(&query, &mut sink).unwrap();
         assert_eq!(stats.rows, limit);
         assert_eq!(sink.1, limit, "emission went on past the limit");
-        assert_eq!(sink.0.into_inner().rows, all.rows[..limit as usize]);
+        assert_eq!(
+            sink.0.into_inner().rows.values,
+            all.rows.values[..3 * limit as usize]
+        );
     }
 }
 
@@ -415,10 +418,10 @@ proptest! {
         let mut by_flat = LimitSink::new(VecSink::new(), limit);
         prop_assert_eq!(emit_flat(&mut by_flat, arity, &flat), emitted);
         let (by_row, by_flat) = (by_row.into_inner(), by_flat.into_inner());
-        prop_assert_eq!(by_flat.arity, arity);
+        prop_assert_eq!(by_flat.rows.arity, arity);
         prop_assert_eq!(by_flat.rows, by_row.rows);
         let mut unlimited = VecSink::new();
         prop_assert_eq!(emit_flat(&mut unlimited, arity, &flat), rows.len() as u64);
-        prop_assert_eq!(unlimited.rows, rows);
+        prop_assert_eq!(unlimited.rows.to_rows(), rows);
     }
 }

@@ -89,9 +89,9 @@ fn assert_engines_agree(
             engine.name()
         );
         match &reference {
-            None => reference = Some((engine.name().to_string(), sink.rows)),
+            None => reference = Some((engine.name().to_string(), sink.rows.to_rows())),
             Some((ref_name, ref_rows)) => assert_eq!(
-                &sink.rows,
+                &sink.rows.to_rows(),
                 ref_rows,
                 "{label}: {} disagrees with {ref_name}",
                 engine.name()

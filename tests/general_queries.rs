@@ -96,7 +96,7 @@ fn composed(graph: &QueryGraph<'_>) -> Vec<Vec<Value>> {
     MmJoinEngine::new(JoinConfig::default())
         .execute(&query, &mut sink)
         .expect("composed execution");
-    sink.rows
+    sink.rows.to_rows()
 }
 
 proptest! {
@@ -219,7 +219,7 @@ fn four_chain_end_to_end_through_facade_and_service() {
     let names = ["C0", "C1", "C2", "C3"];
     let cold = service.query(Request::chain(names)).unwrap();
     assert!(!cold.cached);
-    let mut rows = (*cold.rows).clone();
+    let mut rows = cold.rows.to_rows();
     rows.sort();
     assert_eq!(rows, expected);
 

@@ -28,7 +28,7 @@ fn maintaining_service() -> Service {
 }
 
 fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
-    let mut rows = (*response.rows).clone();
+    let mut rows = response.rows.to_rows();
     rows.sort();
     rows
 }
@@ -37,9 +37,10 @@ fn sorted_counted_rows(response: &Response) -> Vec<(Vec<Value>, u32)> {
     let mut rows: Vec<(Vec<Value>, u32)> = response
         .rows
         .iter()
-        .cloned()
+        .map(<[Value]>::to_vec)
         .zip(response.counts.iter().copied())
         .collect();
+    assert_eq!(rows.len(), response.rows.len(), "a count for every row");
     rows.sort();
     rows
 }
@@ -76,13 +77,14 @@ fn apply_to_model(model: &mut BTreeSet<Edge>, batch: &[Op]) {
 
 /// The rows a refreshed `π(R ⋈ S)` entry must serve for `request`-style
 /// parameters, from the edge sets alone: supports by nested loops, the
-/// visible pairs in ascending order, counts or placeholder zeros.
+/// visible pairs in ascending order as one flat array, and their counts
+/// (none for an uncounted request).
 fn expected_entry(
     r: &BTreeSet<Edge>,
     s: &BTreeSet<Edge>,
     min_count: u32,
     with_counts: bool,
-) -> (Vec<Vec<Value>>, Vec<u32>) {
+) -> (Vec<Value>, Vec<u32>) {
     let mut support: BTreeMap<(Value, Value), u32> = BTreeMap::new();
     for &(x, y1) in r {
         for &(z, y2) in s {
@@ -91,11 +93,11 @@ fn expected_entry(
             }
         }
     }
-    support
-        .into_iter()
-        .filter(|&(_, c)| c >= min_count)
-        .map(|((x, z), c)| (vec![x, z], if with_counts { c } else { 0 }))
-        .unzip()
+    let visible = || support.iter().filter(|&(_, &c)| c >= min_count);
+    (
+        visible().flat_map(|(&(x, z), _)| [x, z]).collect(),
+        visible().filter(|_| with_counts).map(|(_, &c)| c).collect(),
+    )
 }
 
 /// What `recompute_entry` builds: the counting join run into a
@@ -119,7 +121,7 @@ struct Entry {
     min_count: u32,
     with_counts: bool,
     support: DeltaResult,
-    rows: Vec<Vec<Value>>,
+    rows: Vec<Value>,
     counts: Vec<u32>,
 }
 
@@ -182,14 +184,14 @@ proptest! {
             }
             for (entries, deltas, fresh) in patches {
                 for e in entries.iter_mut() {
-                    let before = e.rows.len();
+                    let before = e.rows.len() / 2;
                     let crossed = e
                         .support
                         .patch(&mut e.rows, &mut e.counts, &deltas, e.min_count, e.with_counts);
                     let crossed = crossed.expect("normalized deltas never go negative");
                     prop_assert_eq!(&e.support, &fresh);
                     let (rows, counts) = fresh.rows(e.min_count, e.with_counts);
-                    prop_assert_eq!(before + crossed.entered - crossed.left, rows.len());
+                    prop_assert_eq!(before + crossed.entered - crossed.left, rows.len() / 2);
                     prop_assert_eq!(&e.rows, &rows, "min {} counts {}", e.min_count, e.with_counts);
                     prop_assert_eq!(&e.counts, &counts);
                 }
@@ -306,7 +308,7 @@ proptest! {
                 let got = service.query(request.clone()).unwrap();
                 prop_assert!(got.cached);
                 let (rows, counts) = expected_entry(&model, &model, *min_count, *with_counts);
-                prop_assert_eq!(&*got.rows, &rows, "min {}", min_count);
+                prop_assert_eq!(&got.rows.values, &rows, "min {}", min_count);
                 prop_assert_eq!(&*got.counts, &counts, "min {}", min_count);
             }
         }
@@ -396,11 +398,11 @@ fn patching_copies_only_what_a_response_still_reads() {
     assert_eq!(service.insert("R", [(3, 1)]).unwrap().recomputed, 1);
 
     let before = service.query(request.clone()).unwrap();
-    let (rows_before, counts_before) = ((*before.rows).clone(), (*before.counts).clone());
+    let (rows_before, counts_before) = (before.rows.values.clone(), (*before.counts).clone());
     // (0,1) gives set 0 a second element shared with set 2 and a second
     // witness for (0,0): rows enter and a count changes.
     assert_eq!(service.insert("R", [(0, 1)]).unwrap().maintained, 1);
-    assert_eq!(*before.rows, rows_before, "the response's rows moved");
+    assert_eq!(before.rows.values, rows_before, "the response's rows moved");
     assert_eq!(*before.counts, counts_before, "the response's counts moved");
 
     let after = service.query(request.clone()).unwrap();
@@ -408,7 +410,7 @@ fn patching_copies_only_what_a_response_still_reads() {
     assert!(!Arc::ptr_eq(&before.rows, &after.rows));
     let model: BTreeSet<Edge> = [(0, 0), (0, 1), (1, 0), (2, 1), (3, 1)].into();
     let (rows, counts) = expected_entry(&model, &model, 1, true);
-    assert_eq!((&*after.rows, &*after.counts), (&rows, &counts));
+    assert_eq!((&after.rows.values, &*after.counts), (&rows, &counts));
     assert!(rows.len() > rows_before.len());
 
     // Nothing but the cache holds the entry now: the next patch reuses the
@@ -417,7 +419,10 @@ fn patching_copies_only_what_a_response_still_reads() {
     drop((before, after));
     assert_eq!(service.delete("R", [(0, 1)]).unwrap().maintained, 1);
     let patched = service.query(request).unwrap();
-    assert_eq!(*patched.rows, rows_before, "the delete undoes the insert");
+    assert_eq!(
+        patched.rows.values, rows_before,
+        "the delete undoes the insert"
+    );
     assert_eq!(Arc::as_ptr(&patched.rows), rows_at, "rows were copied");
     assert_eq!(
         Arc::as_ptr(&patched.counts),

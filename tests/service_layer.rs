@@ -54,7 +54,7 @@ fn concurrent_smoke_all_families() {
                     let got = service.query(request.clone()).expect("warm query");
                     assert_eq!(got.rows, expected.rows, "{request:?}");
                     assert_eq!(got.counts, expected.counts, "{request:?}");
-                    assert_eq!(got.arity, expected.arity);
+                    assert_eq!(got.rows.arity, expected.rows.arity);
                 }
             });
         }

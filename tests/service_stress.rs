@@ -22,8 +22,8 @@ fn shared_relation() -> Relation {
     Relation::from_edges((0..400u32).map(|j| ((j * 13) % 60, (j * 5) % 30)))
 }
 
-fn sorted(rows: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let mut rows = rows.to_vec();
+fn sorted(rows: &mmjoin::FlatRows) -> Vec<Vec<u32>> {
+    let mut rows = rows.to_rows();
     rows.sort();
     rows
 }
