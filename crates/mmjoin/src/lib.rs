@@ -73,8 +73,8 @@ pub use mmjoin_executor::{Executor, ExecutorStats};
 pub use mmjoin_obs as obs;
 pub use mmjoin_service::{
     default_registry, registry_with_config, AtomSpec, DeltaResult, MaintenancePolicy,
-    MaintenanceReport, MetricsSnapshot, QuerySpec, RelationProfile, Request, Response,
-    SelectionReason, Service, ServiceConfig, ServiceError,
+    MaintenanceReport, MetricsSnapshot, QuerySpec, Request, Response, SelectionReason, Service,
+    ServiceConfig, ServiceError,
 };
 pub use mmjoin_storage::{NormalizedDelta, Relation, RelationBuilder, RelationDelta, Value};
 

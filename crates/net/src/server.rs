@@ -34,12 +34,21 @@ use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_service::command::{self, Command, Frontend};
 use mmjoin_service::Service;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long writing one reply frame may take before the connection is
+/// given up: what a client that stops reading can cost the thread writing
+/// to it.
+const REPLY_WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Pause before retrying a failed `accept`: a persistent error (`EMFILE`
+/// under many live connections) must not spin the accept thread.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -328,6 +337,60 @@ impl std::fmt::Display for NetMetricsSnapshot {
     }
 }
 
+/// One connection, shared by its reader thread and by every queued
+/// [`Job`] it admitted: whoever produced a response writes it.
+struct Conn {
+    client: u64,
+    write_deadline: Duration,
+    /// The write half, `None` once a write has failed or timed out.
+    writer: Mutex<Option<TcpStream>>,
+}
+
+/// A socket under one deadline for a whole frame: `write_all` would
+/// restart a standing socket timeout at every partial write.
+struct Until<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Write for Until<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Conn {
+    /// Writes `resp` as one whole frame under the lock, so a dispatcher's
+    /// reply and the reader's bounce never interleave mid-frame. A write
+    /// that fails or outlasts the deadline kills the connection — both
+    /// directions, which ends the reader — and every later reply for it is
+    /// dropped: a client that pipelines and never reads holds no reply
+    /// backlog and blocks a writer at most once.
+    fn reply(&self, resp: &WireResponse) {
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(stream) = writer.as_ref() else {
+            return;
+        };
+        let mut until = Until {
+            stream,
+            deadline: Instant::now() + self.write_deadline,
+        };
+        if frame::write_frame(&mut until, &resp.encode()).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            *writer = None;
+        }
+    }
+}
+
 struct Job {
     id: u64,
     line: String,
@@ -339,7 +402,7 @@ struct Job {
     /// When the reader admitted the request (start of the net queue
     /// wait).
     enqueued: Instant,
-    reply: mpsc::Sender<WireResponse>,
+    conn: Arc<Conn>,
 }
 
 struct Shared {
@@ -348,10 +411,16 @@ struct Shared {
     shutdown: AtomicBool,
     addr: SocketAddr,
     metrics: NetMetrics,
-    /// Live connection threads plus a stream clone to unblock each
-    /// reader at shutdown; joined by [`Server::wait`] so every in-flight
-    /// reply is flushed before the process may exit.
-    conns: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
+    /// The live connections by client id, each with its reader thread. A
+    /// reader that ends removes its own entry; [`Server::wait`] unblocks
+    /// and joins the ones still parked on an idle socket.
+    conns: Mutex<HashMap<u64, Live>>,
+}
+
+/// A registry entry: a live connection and the thread reading it.
+struct Live {
+    conn: Arc<Conn>,
+    reader: JoinHandle<()>,
 }
 
 impl Shared {
@@ -402,15 +471,15 @@ impl Server {
 
     /// Joins the accept loop and dispatcher pool, then the connection
     /// threads. Returns only after every admitted job has been executed
-    /// and its answer *flushed to the socket* — a caller may exit the
-    /// process immediately afterwards without cutting off replies.
+    /// and its answer *written to the socket* — the dispatchers joined
+    /// first did the writing — so a caller may exit the process
+    /// immediately afterwards without cutting off replies.
     pub fn wait(self) {
         for t in self.threads {
             let _ = t.join();
         }
-        // Dispatchers have answered everything; unblock readers still
-        // parked on idle connections (read side only, so writers keep
-        // flushing) and wait for each writer to drain.
+        // Unblock the readers still parked on idle connections. The map is
+        // taken out first: an ending reader locks it to remove itself.
         let conns = std::mem::take(
             &mut *self
                 .shared
@@ -418,9 +487,11 @@ impl Server {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
         );
-        for (stream, handle) in conns {
-            let _ = stream.shutdown(Shutdown::Read);
-            let _ = handle.join();
+        for Live { conn, reader } in conns.into_values() {
+            if let Some(stream) = &*conn.writer.lock().unwrap_or_else(PoisonError::into_inner) {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            let _ = reader.join();
         }
     }
 }
@@ -428,6 +499,14 @@ impl Server {
 /// Binds, spawns the accept loop and `config.dispatchers` dispatcher
 /// threads, and returns immediately.
 pub fn serve(service: Arc<Service>, config: NetConfig) -> io::Result<Server> {
+    serve_with_deadline(service, config, REPLY_WRITE_DEADLINE)
+}
+
+fn serve_with_deadline(
+    service: Arc<Service>,
+    config: NetConfig,
+    write_deadline: Duration,
+) -> io::Result<Server> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
@@ -436,7 +515,7 @@ pub fn serve(service: Arc<Service>, config: NetConfig) -> io::Result<Server> {
         shutdown: AtomicBool::new(false),
         addr,
         metrics: NetMetrics::default(),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
     });
 
     let mut threads = Vec::new();
@@ -446,12 +525,14 @@ pub fn serve(service: Arc<Service>, config: NetConfig) -> io::Result<Server> {
     }
     {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || accept_loop(&listener, &shared)));
+        threads.push(std::thread::spawn(move || {
+            accept_loop(&listener, &shared, write_deadline)
+        }));
     }
     Ok(Server { shared, threads })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Duration) {
     let mut next_client: u64 = 0;
     loop {
         let stream = match listener.accept() {
@@ -463,6 +544,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
                 continue;
             }
         };
@@ -485,43 +567,32 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         // is all there is to gain. A socket that refuses the option still
         // works, only slower.
         let _ = stream.set_nodelay(true);
-        let client = next_client;
+        // Without a write half there is nobody to answer: hang up.
+        let Ok(write_half) = stream.try_clone() else {
+            continue;
+        };
+        let conn = Arc::new(Conn {
+            client: next_client,
+            write_deadline,
+            writer: Mutex::new(Some(write_half)),
+        });
         next_client += 1;
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let unblock = stream.try_clone();
-        let conn_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || connection_loop(&conn_shared, stream, client));
-        match unblock {
-            // Tracked: `Server::wait` unblocks the reader and joins.
-            Ok(clone) => shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push((clone, handle)),
-            // No clone to poke it with — leave it detached; the thread
-            // still ends at client EOF or stream error.
-            Err(_) => drop(handle),
-        }
+        // Registered under the lock the reader takes to remove itself, so
+        // even a connection that ends at once is removed after it is added.
+        let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        let reader = {
+            let (shared, conn) = (Arc::clone(shared), Arc::clone(&conn));
+            std::thread::spawn(move || connection_loop(&shared, stream, &conn))
+        };
+        conns.insert(conn.client, Live { conn, reader });
     }
 }
 
-/// Reader half of one connection: decode frames, admit or bounce.
-/// Responses travel through an mpsc channel to a writer thread so
-/// dispatcher replies and reader bounces never interleave mid-frame.
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<WireResponse>();
-    let writer = std::thread::spawn(move || {
-        let mut w = write_half;
-        while let Ok(resp) = rx.recv() {
-            if frame::write_frame(&mut w, &resp.encode()).is_err() {
-                break;
-            }
-        }
-    });
-
+/// The one thread of a connection: decode frames, admit or bounce. A
+/// bounce is written here, an admitted job's reply by its dispatcher,
+/// both through [`Conn::reply`].
+fn connection_loop(shared: &Shared, stream: TcpStream, conn: &Arc<Conn>) {
     let mut r = BufReader::new(stream);
     // Clean EOF, mid-frame EOF and I/O errors all end the connection.
     while let Ok(Some(payload)) = frame::read_frame(&mut r) {
@@ -529,7 +600,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
             Ok(req) => req,
             Err(e) => {
                 // Framing is broken; answer once and hang up.
-                let _ = tx.send(WireResponse {
+                conn.reply(&WireResponse {
                     id: 0,
                     status: Status::Err,
                     body: format!("protocol error: {e}"),
@@ -545,7 +616,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
                 .metrics
                 .rejected_shutting_down
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(WireResponse {
+            conn.reply(&WireResponse {
                 id: req.id,
                 status: Status::ShuttingDown,
                 body: "server is draining; no new work accepted".into(),
@@ -560,9 +631,9 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
             line: req.line,
             ctx,
             enqueued: Instant::now(),
-            reply: tx.clone(),
+            conn: Arc::clone(conn),
         };
-        match shared.queue.push(client, job) {
+        match shared.queue.push(conn.client, job) {
             Ok(depth) => shared.metrics.record_depth(depth),
             Err(Admission::Overloaded) => {
                 if let Some(ctx) = ctx {
@@ -572,7 +643,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
                     .metrics
                     .rejected_overloaded
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(WireResponse {
+                conn.reply(&WireResponse {
                     id: req.id,
                     status: Status::Overloaded,
                     body: format!(
@@ -590,7 +661,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
                     .metrics
                     .rejected_shutting_down
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(WireResponse {
+                conn.reply(&WireResponse {
                     id: req.id,
                     status: Status::ShuttingDown,
                     body: "server is draining; no new work accepted".into(),
@@ -598,8 +669,13 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
             }
         }
     }
-    drop(tx); // Writer exits once queued jobs (tx clones) are answered.
-    let _ = writer.join();
+    // Dropping the entry drops this thread's own handle; jobs still queued
+    // keep the `Conn`, and with it the socket, until they are answered.
+    shared
+        .conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(&conn.client);
 }
 
 /// The TCP server's transport counters, surfaced to the shared command
@@ -663,7 +739,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             Tracer::global().finish(ctx);
         }
         shared.metrics.record_served(client);
-        let _ = job.reply.send(resp);
+        job.conn.reply(&resp);
     }
 }
 
@@ -777,21 +853,99 @@ mod tests {
         let mut c = Client::connect(server.addr()).unwrap();
         assert!(c.socket().nodelay().unwrap(), "connecting socket");
         assert_eq!(c.call("stats").unwrap().status, Status::Ok);
-        // The accept loop tracks a connection just after handing it to its
-        // thread, which may have answered already.
-        loop {
-            let conns = server
-                .shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some((accepted, _)) = conns.first() {
-                assert!(accepted.nodelay().unwrap(), "accepted socket");
-                break;
-            }
-            drop(conns);
+        let conns = server
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let live = conns.values().next().expect("the live connection");
+        let writer = live.conn.writer.lock().unwrap();
+        assert!(
+            writer.as_ref().unwrap().nodelay().unwrap(),
+            "accepted socket"
+        );
+        drop(writer);
+        drop(conns);
+        server.shutdown();
+        server.wait();
+    }
+
+    /// Resident set size of this process in KiB.
+    fn rss_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_and_costs_no_reply_backlog() {
+        use crate::client::Client;
+
+        const DEADLINE: Duration = Duration::from_millis(500);
+        const UNREAD: usize = 48;
+        const BIG: &str = "query twopath R R show 300000";
+
+        let service = Arc::new(Service::with_default_registry());
+        let server = serve_with_deadline(
+            service,
+            NetConfig {
+                queue_capacity: 2 * UNREAD,
+                per_client_quota: UNREAD,
+                dispatchers: 2,
+                ..NetConfig::default()
+            },
+            DEADLINE,
+        )
+        .unwrap();
+        let live = || {
+            let conns = server.shared.conns.lock().unwrap();
+            conns.len()
+        };
+
+        let mut reads = Client::connect(server.addr()).unwrap();
+        assert_eq!(reads.call("gen R Jokes 0.3").unwrap().status, Status::Ok);
+        // Cached from here on: every later answer costs only its rendering.
+        let big = reads.call(BIG).unwrap();
+        assert!(big.body.len() > 2 << 20, "{} bytes", big.body.len());
+        drop(big);
+        let before = rss_kib();
+
+        let mut never_reads = Client::connect(server.addr()).unwrap();
+        for _ in 0..UNREAD {
+            never_reads.send(BIG).unwrap();
+        }
+        let sent = Instant::now();
+
+        // Meanwhile the other client is answered, every time.
+        let mut latencies = Vec::new();
+        while live() == 2 || latencies.len() < 200 {
+            assert!(
+                live() == 1 || sent.elapsed() < 2 * DEADLINE,
+                "the client that never reads is still connected"
+            );
+            let asked = Instant::now();
+            let resp = reads.call("query twopath R R").unwrap();
+            assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+            latencies.push(asked.elapsed());
+        }
+        latencies.sort();
+        let p99 = latencies[latencies.len() * 99 / 100];
+        assert!(p99 < DEADLINE, "{} calls, p99 {p99:?}", latencies.len());
+
+        // Its queued jobs still run; their replies go nowhere and are kept
+        // nowhere. At 3 MiB a reply, a backlog would be 144 MiB.
+        while server.metrics().served < 2 + UNREAD as u64 + latencies.len() as u64 {
             std::thread::yield_now();
         }
+        let grown = rss_kib().saturating_sub(before);
+        assert!(grown < 32 << 10, "resident memory grew by {grown} KiB");
+
+        // A reader that ends takes its connection out of the registry.
+        drop(reads);
+        while live() != 0 {
+            std::thread::yield_now();
+        }
+
         server.shutdown();
         server.wait();
     }

@@ -1,10 +1,10 @@
-//! The relation catalog: named, immutable, stat-profiled relations with
-//! an epoch per entry — plus the sharded, lock-striped wrapper the
-//! concurrent service reads through.
+//! The relation catalog: named, immutable relations with an epoch per
+//! entry — plus the sharded, lock-striped wrapper the concurrent service
+//! reads through.
 //!
-//! Registration pays the indexing and profiling cost **once** — the
-//! degree histograms the §5 threshold machinery needs are computed here,
-//! not per query — and every update replaces the whole entry under a new
+//! Registration pays the indexing cost **once** (the CSR indexes inside
+//! [`Relation`]; the statistics a plan needs, the engine reads off them
+//! per query) and every update replaces the whole entry under a new
 //! epoch. Epochs make cache invalidation free: the result cache keys on
 //! `(fingerprint, epochs of referenced relations)`, so a stale entry is
 //! simply never looked up again and ages out of the LRU.
@@ -23,58 +23,15 @@
 
 use crate::error::ServiceError;
 use crate::request::Fnv1a;
-use mmjoin_storage::{DegreeHistogram, Edge, NormalizedDelta, Relation, RelationDelta};
+use mmjoin_storage::{NormalizedDelta, Relation, RelationDelta};
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-/// The per-relation statistics profile, computed once at registration.
-#[derive(Debug, Clone)]
-pub struct RelationProfile {
-    /// Tuples `N` (after deduplication).
-    pub tuples: usize,
-    /// Distinct active `x` values (sets).
-    pub active_x: usize,
-    /// Distinct active `y` values (elements).
-    pub active_y: usize,
-    /// Largest `x` degree (biggest set).
-    pub max_x_degree: u32,
-    /// Largest `y` degree (most popular element).
-    pub max_y_degree: u32,
-    /// Full self-join size `Σ_y deg(y)²` — the duplication mass that
-    /// drives the combinatorial-vs-matrix plan choice on self joins.
-    pub self_join_size: u64,
-    /// Degree histogram over `x` (unit metric).
-    pub x_degrees: DegreeHistogram,
-    /// Degree histogram over `y` (unit metric).
-    pub y_degrees: DegreeHistogram,
-}
-
-impl RelationProfile {
-    /// Profiles `relation` in `O(N log N)`.
-    pub fn compute(relation: &Relation) -> Self {
-        let x_degrees = DegreeHistogram::build(relation.by_x(), |_| 1);
-        let y_degrees = DegreeHistogram::build(relation.by_y(), |_| 1);
-        Self {
-            tuples: relation.len(),
-            active_x: x_degrees.active(),
-            active_y: y_degrees.active(),
-            max_x_degree: x_degrees.max_degree(),
-            max_y_degree: y_degrees.max_degree(),
-            self_join_size: relation.full_join_size(relation),
-            x_degrees,
-            y_degrees,
-        }
-    }
-}
-
-/// One catalog slot: the relation, its cached profile, and the epoch it
-/// was installed at.
+/// One catalog slot: the relation and the epoch it was installed at.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// The relation itself (shared with in-flight queries).
     pub relation: Arc<Relation>,
-    /// Statistics computed at registration.
-    pub profile: Arc<RelationProfile>,
     /// Monotonically increasing install epoch (catalog-wide counter).
     pub epoch: u64,
 }
@@ -109,8 +66,8 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers (or replaces) `name`, profiling the relation and bumping
-    /// the catalog epoch. Returns the entry's new epoch.
+    /// Registers (or replaces) `name`, bumping the catalog epoch. Returns
+    /// the entry's new epoch.
     ///
     /// The name is trimmed of surrounding whitespace — request
     /// canonicalization trims names before lookup, so an untrimmed
@@ -119,7 +76,6 @@ impl Catalog {
         let name = name.into().trim().to_string();
         self.epoch += 1;
         let entry = CatalogEntry {
-            profile: Arc::new(RelationProfile::compute(&relation)),
             relation: Arc::new(relation),
             epoch: self.epoch,
         };
@@ -346,18 +302,11 @@ impl ShardedCatalog {
         self.len() == 0
     }
 
-    /// The cached statistics profile of `name`, if registered.
-    pub fn profile(&self, name: &str) -> Option<Arc<RelationProfile>> {
+    /// `name`'s current relation, if registered.
+    pub fn relation(&self, name: &str) -> Option<Arc<Relation>> {
         self.read_shard(name)
             .get(name)
-            .map(|e| Arc::clone(&e.profile))
-    }
-
-    /// A snapshot of `name`'s current tuples, if registered.
-    pub fn edges(&self, name: &str) -> Option<Vec<Edge>> {
-        self.read_shard(name)
-            .get(name)
-            .map(|e| e.relation.edges().to_vec())
+            .map(|e| Arc::clone(&e.relation))
     }
 
     /// The current epoch of `name`'s entry, if registered.
@@ -433,18 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn register_profiles_and_bumps_epoch() {
+    fn register_installs_and_bumps_epoch() {
         let mut c = Catalog::new();
         assert_eq!(c.epoch(), 0);
         let e1 = c.register("R", rel(&[(0, 0), (1, 0), (2, 1)]));
         assert_eq!(e1, 1);
         let entry = c.get("R").unwrap();
-        assert_eq!(entry.profile.tuples, 3);
-        assert_eq!(entry.profile.active_x, 3);
-        assert_eq!(entry.profile.active_y, 2);
-        assert_eq!(entry.profile.max_y_degree, 2);
-        // self_join_size = 2² + 1² = 5
-        assert_eq!(entry.profile.self_join_size, 5);
+        assert_eq!(entry.relation.len(), 3);
+        assert_eq!(entry.epoch, 1);
     }
 
     #[test]
@@ -458,7 +403,7 @@ mod tests {
         let old_epoch = c.get("R").unwrap().epoch;
         let new_epoch = c.update("R", rel(&[(0, 0), (1, 0)])).unwrap();
         assert!(new_epoch > old_epoch);
-        assert_eq!(c.get("R").unwrap().profile.tuples, 2);
+        assert_eq!(c.get("R").unwrap().relation.len(), 2);
     }
 
     #[test]
@@ -485,7 +430,6 @@ mod tests {
         let entry = c.get("R").unwrap();
         assert_eq!(entry.relation.edges(), &[(0, 0), (2, 1)]);
         assert_eq!(entry.epoch, staged.new_epoch);
-        assert_eq!(entry.profile.tuples, 2, "profile recomputed");
     }
 
     #[test]
@@ -558,8 +502,8 @@ mod tests {
         assert!(e1 >= 1 && e2 >= 1);
         assert_eq!(c.len(), 2);
         assert_eq!(c.names(), vec!["R", "S"]);
-        assert_eq!(c.profile("R").unwrap().tuples, 2);
-        assert_eq!(c.edges("S").unwrap(), vec![(2, 1)]);
+        assert_eq!(c.relation("R").unwrap().len(), 2);
+        assert_eq!(c.relation("S").unwrap().edges(), &[(2, 1)]);
         let (handles, epochs) = c.pin(&["R", "S", "R"]).unwrap();
         assert_eq!(handles.len(), 3);
         assert_eq!(epochs[0], epochs[2], "same entry pins the same epoch");

@@ -14,7 +14,7 @@ use crate::{AtomSpec, MaintenanceReport, Request, Service};
 use mmjoin_executor::ExecutorStats;
 use mmjoin_obs::trace::{self, chrome_json, Stage, Tracer};
 use mmjoin_storage::io::read_edge_list;
-use mmjoin_storage::{Edge, Relation, RelationBuilder};
+use mmjoin_storage::{CsrIndex, Edge, Relation, RelationBuilder};
 use std::fmt::Write as _;
 use std::iter;
 use std::time::Instant;
@@ -75,8 +75,6 @@ pub enum Command {
         dataset: mmjoin_datagen::DatasetKind,
         scale: f64,
     },
-    /// `update <name> add <x,y> …` (full re-registration)
-    Update { name: String, edges: Vec<Edge> },
     /// `insert <name> <x,y> …` (staged delta)
     Insert { name: String, edges: Vec<Edge> },
     /// `delete <name> <x,y> …` (staged delta)
@@ -199,22 +197,6 @@ impl Command {
                     scale,
                 })
             }
-            "update" => {
-                let name = *tokens
-                    .get(1)
-                    .ok_or(ParseError::new("usage: update <name> add <x,y> …"))?;
-                match tokens.get(2) {
-                    Some(&"add") => {}
-                    Some(&other) => {
-                        return Err(ParseError::at(other, "usage: update <name> add <x,y> …"))
-                    }
-                    None => return Err(ParseError::new("usage: update <name> add <x,y> …")),
-                }
-                Ok(Command::Update {
-                    name: name.to_string(),
-                    edges: parse_edge_pairs(&tokens[3..])?,
-                })
-            }
             "insert" => {
                 let name = *tokens
                     .get(1)
@@ -305,24 +287,6 @@ pub fn execute_with(
             let rel = mmjoin_datagen::generate(dataset, scale, 2020);
             register_report(service, &name, rel)
         }
-        Command::Update { name, edges } => {
-            let old = service
-                .relation_edges(&name)
-                .ok_or_else(|| format!("no relation `{name}`"))?;
-            let tuples_before = old.len();
-            let mut b = RelationBuilder::new();
-            for (x, y) in old.into_iter().chain(edges) {
-                b.push(x, y);
-            }
-            let epoch = service
-                .update(&name, b.build())
-                .map_err(|e| e.to_string())?;
-            let profile = service.relation_profile(&name).unwrap();
-            Ok(format!(
-                "ok relation {name}: {} tuples (was {tuples_before}), epoch {epoch}",
-                profile.tuples
-            ))
-        }
         Command::Insert { name, edges } => {
             let report = service.insert(&name, edges).map_err(|e| e.to_string())?;
             Ok(delta_report(service, &name, &report))
@@ -342,11 +306,17 @@ pub fn execute_with(
                 service.catalog_epoch()
             );
             for name in names {
-                let p = service.relation_profile(&name).unwrap();
-                out.push_str(&format!(
-                    "\n  {name}: {} tuples, {} sets, {} elements, max set {} / max element degree {}",
-                    p.tuples, p.active_x, p.active_y, p.max_x_degree, p.max_y_degree
-                ));
+                // Unregistered since the listing: nothing to report.
+                let Some(rel) = service.relation(&name) else {
+                    continue;
+                };
+                let _ = write!(
+                    out,
+                    "\n  {name}: {}, max set {} / max element degree {}",
+                    sizes(&rel),
+                    max_degree(rel.by_x()),
+                    max_degree(rel.by_y())
+                );
             }
             Ok(out)
         }
@@ -709,12 +679,27 @@ fn run_query(service: &Service, request: Request, show: Option<usize>) -> Result
 }
 
 fn register_report(service: &Service, name: &str, rel: Relation) -> Result<String, String> {
+    let sizes = sizes(&rel);
     let epoch = service.register(name, rel);
-    let p = service.relation_profile(name).unwrap();
-    Ok(format!(
-        "ok relation {name}: {} tuples, {} sets, {} elements (epoch {epoch})",
-        p.tuples, p.active_x, p.active_y
-    ))
+    Ok(format!("ok relation {name}: {sizes} (epoch {epoch})"))
+}
+
+/// `N tuples, X sets, Y elements`, counted off the relation's indexes.
+fn sizes(rel: &Relation) -> String {
+    format!(
+        "{} tuples, {} sets, {} elements",
+        rel.len(),
+        rel.active_x_count(),
+        rel.active_y_count()
+    )
+}
+
+fn max_degree(index: &CsrIndex) -> usize {
+    index
+        .iter_nonempty()
+        .map(|(_, n)| n.len())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Parses `Q(x, w) :- R(x, y), S(y, z)` into a general request. The head
@@ -822,11 +807,11 @@ fn parse_edge_pairs(tokens: &[&str]) -> Result<Vec<Edge>, ParseError> {
 /// Renders the outcome of an insert/delete batch: what changed and how
 /// each affected cached result was refreshed.
 fn delta_report(service: &Service, name: &str, report: &MaintenanceReport) -> String {
-    let profile = service.relation_profile(name).expect("relation exists");
+    let tuples = service.relation(name).expect("relation exists").len();
     if report.is_noop() {
         return format!(
-            "ok relation {name}: unchanged ({} tuples, epoch {}), cache untouched",
-            profile.tuples, report.epoch
+            "ok relation {name}: unchanged ({tuples} tuples, epoch {}), cache untouched",
+            report.epoch
         );
     }
     format!(
@@ -834,7 +819,7 @@ fn delta_report(service: &Service, name: &str, report: &MaintenanceReport) -> St
          cache maintained {} recomputed {} invalidated {}",
         report.inserted,
         report.deleted,
-        profile.tuples,
+        tuples,
         report.epoch,
         report.maintained,
         report.recomputed,
@@ -914,7 +899,6 @@ pub const HELP: &str = "ok commands:
   register <name> <x,y> [<x,y> …]     inline edge list
   load <name> <path>                  whitespace edge-list file
   gen <name> <dataset> <scale>        synthetic Table-2 dataset (DBLP, RoadNet, Jokes, Words, Protein, Image)
-  update <name> add <x,y> [<x,y> …]   add tuples by full re-registration (bumps epoch, invalidates cache)
   insert <name> <x,y> [<x,y> …]       staged delta: cached results are maintained in place
   delete <name> <x,y> [<x,y> …]       staged delta: deletions tracked via support counts
   query twopath <R> <S> [counts] [min <c>] [limit <n>] [engine <E>] [show [n]]

@@ -4,10 +4,9 @@
 //! already holds its relations; this crate is the layer that makes the
 //! reproduction look like a *system*:
 //!
-//! * [`Catalog`] — named relations, profiled **once** at registration
-//!   (degree histograms, duplication mass, CSR already inside
-//!   [`Relation`](mmjoin_storage::Relation)), with an epoch bumped on
-//!   every update.
+//! * [`Catalog`] — named relations, indexed **once** at registration
+//!   (CSR inside [`Relation`](mmjoin_storage::Relation)), with an epoch
+//!   bumped on every update.
 //! * [`Request`] — an owned query over catalog *names*, canonicalized so
 //!   semantically equal requests share one 64-bit fingerprint.
 //! * [`Planner`] — engine routing: a per-request pin, else `MMJoin`,
@@ -56,7 +55,7 @@ pub mod roster;
 pub mod service;
 
 pub use cache::{CacheEntry, CachedResult, ResultCache};
-pub use catalog::{Catalog, CatalogEntry, RelationProfile, ShardedCatalog, StagedUpdate};
+pub use catalog::{Catalog, CatalogEntry, ShardedCatalog, StagedUpdate};
 pub use command::{Command, ParseError};
 pub use error::ServiceError;
 pub use maintain::{DeltaResult, MaintenancePolicy, MaintenanceReport};

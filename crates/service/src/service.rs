@@ -5,7 +5,7 @@
 //! however many threads an in-process caller brings).
 
 use crate::cache::{CacheEntry, ResultCache};
-use crate::catalog::{RelationProfile, ShardedCatalog, StagedUpdate};
+use crate::catalog::{ShardedCatalog, StagedUpdate};
 use crate::error::ServiceError;
 use crate::maintain::{
     accumulate_two_path_delta, decide, delta_cost, Crossings, Decision, DeltaResult,
@@ -269,8 +269,8 @@ impl Service {
         self.planner.config.exec().budget()
     }
 
-    /// Registers (or replaces) a named relation, profiling it once.
-    /// Returns the shard epoch of the new entry.
+    /// Registers (or replaces) a named relation. Returns the shard epoch
+    /// of the new entry.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> u64 {
         self.catalog.register(name, relation)
     }
@@ -377,15 +377,15 @@ impl Service {
         self.catalog.names()
     }
 
-    /// The cached statistics profile of a relation, if registered.
-    pub fn relation_profile(&self, name: &str) -> Option<Arc<RelationProfile>> {
-        self.catalog.profile(name)
+    /// A relation as currently registered.
+    pub fn relation(&self, name: &str) -> Option<Arc<Relation>> {
+        self.catalog.relation(name)
     }
 
     /// A snapshot of a relation's current tuples (for read-modify-write
-    /// updates, e.g. the REPL's `update … add`).
+    /// updates).
     pub fn relation_edges(&self, name: &str) -> Option<Vec<(Value, Value)>> {
-        self.catalog.edges(name)
+        self.relation(name).map(|r| r.edges().to_vec())
     }
 
     /// Answers `request` on the calling thread: canonicalize → resolve →

@@ -11,6 +11,11 @@
 //! probe engine: a query runs on the thread that took it off the queue,
 //! `dispatchers` is exactly the number in flight, and an engine panic
 //! costs one request, not a dispatcher.
+//!
+//! The last three tests are the census of what a connection costs the
+//! server: one thread while it lives, no thread and no descriptor after
+//! it ends, and one lock under which whoever produced a response writes
+//! its frame whole.
 
 use mmjoin::{Engine, EngineError, EngineRegistry, ExecStats, Query, QueryFamily, Sink};
 use mmjoin_net::{serve, Client, NetConfig, Server, Status};
@@ -20,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `ok rows <n> …` → n.
 fn rows_of(body: &str) -> u64 {
@@ -436,6 +441,150 @@ fn an_engine_panic_over_the_wire_costs_one_request() {
     // …and no dispatcher died: two requests still run at once.
     flood(&server, 4, 4);
     assert_eq!(log.high_water.load(Ordering::Relaxed), 2);
+    server.shutdown();
+    server.wait();
+}
+
+fn open_descriptors() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+#[test]
+fn an_ended_connection_leaves_no_descriptor_behind() {
+    // The other tests of this file run in this process at the same time:
+    // at their busiest they hold some 200 descriptors between them. The
+    // leak this guards against is one per connection, 2000 by the end.
+    const SLACK: usize = 400;
+
+    let service = Arc::new(Service::with_default_registry());
+    let server = serve(service, NetConfig::default()).unwrap();
+    let before = open_descriptors();
+    for cycle in 0..2000 {
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert_eq!(c.call("help").unwrap().status, Status::Ok);
+        drop(c);
+        // Checked every cycle, so that a leak fails here and not at the
+        // process's descriptor limit, where `accept` stops answering. An
+        // entry in the server's registry of live connections owns a
+        // descriptor: none left behind means the registry is empty too.
+        let now = open_descriptors();
+        assert!(
+            now <= before + SLACK,
+            "{now} descriptors open after {cycle} connections, {before} before the first"
+        );
+    }
+    server.shutdown();
+    server.wait();
+}
+
+/// The threads this test's thread started, directly or through one it
+/// started. On Linux a thread is born with its creator's name and the
+/// harness names a test's thread after the test, which keeps the threads
+/// of the tests running beside this one out of the count; the executor
+/// names its own.
+fn threads_started_here() -> usize {
+    let name = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter(|task| {
+            let comm = task.as_ref().unwrap().path().join("comm");
+            // A thread may end between the listing and the read.
+            std::fs::read_to_string(comm).is_ok_and(|c| c == name)
+        })
+        .count()
+}
+
+#[test]
+fn a_connection_costs_one_thread() {
+    const DISPATCHERS: usize = 3;
+    const CONNECTIONS: usize = 24;
+
+    let service = Arc::new(Service::with_default_registry());
+    let before = threads_started_here();
+    let server = serve(
+        service,
+        NetConfig {
+            dispatchers: DISPATCHERS,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut clients: Vec<Client> = (0..CONNECTIONS)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    // One answer each: every connection is accepted and fully set up.
+    for c in &mut clients {
+        assert_eq!(c.call("help").unwrap().status, Status::Ok);
+    }
+    // The accept loop, the dispatchers, and a reader per connection.
+    assert_eq!(
+        threads_started_here() - before,
+        1 + DISPATCHERS + CONNECTIONS
+    );
+    drop(clients);
+    server.shutdown();
+    server.wait();
+    // All gone again (a joined thread stays listed for a moment).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while threads_started_here() != before {
+        assert!(Instant::now() < deadline, "threads outlive the server");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The rows a `show` answer prints, without its timing line.
+fn shown(body: &str) -> Option<&str> {
+    body.split_once('\n').map(|(_, rows)| rows)
+}
+
+#[test]
+fn replies_and_bounces_on_one_connection_never_interleave() {
+    const CLIENTS: usize = 8;
+    const PIPELINED: usize = 40;
+    // ~40 KiB a reply: far more than one segment, so two writers on one
+    // socket without the lock would cut into each other's frames.
+    const LINE: &str = "query twopath R R show 4000";
+
+    let service = Arc::new(Service::with_default_registry());
+    let server = serve(
+        service,
+        NetConfig {
+            queue_capacity: 8,
+            per_client_quota: 2,
+            dispatchers: 2,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    assert_eq!(setup.call(GEN).unwrap().status, Status::Ok);
+    let first = setup.call(LINE).unwrap().body;
+    let expected = shown(&first).expect("rows shown");
+
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let mut waiting: Vec<u64> = (0..PIPELINED).map(|_| c.send(LINE).unwrap()).collect();
+                while !waiting.is_empty() {
+                    // A frame cut into by another would fail to decode, or
+                    // decode into an id never sent or rows never computed.
+                    let resp = c.recv().expect("every frame decodes");
+                    let at = waiting.iter().position(|&id| id == resp.id);
+                    waiting.swap_remove(at.expect("an id sent and not yet answered"));
+                    match resp.status {
+                        Status::Ok => assert_eq!(shown(&resp.body), Some(expected)),
+                        Status::Overloaded => {}
+                        other => panic!("unexpected status {other} ({})", resp.body),
+                    }
+                }
+            });
+        }
+    });
+    // Both kinds of writer were at work on the same connections.
+    let m = server.metrics();
+    assert!(m.rejected_overloaded > 0 && m.served > 2, "{m:?}");
     server.shutdown();
     server.wait();
 }
