@@ -103,6 +103,25 @@ impl PhaseSecs {
     }
 }
 
+/// Where a Boolean heavy core found one of its operands — a relation's
+/// packed rows, which outlive the query (`mmjoin_storage::packed`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandSource {
+    /// This query packs (planning) or packed (a run) the relation.
+    Built,
+    /// An earlier query over the same relation value left it packed.
+    Reused,
+}
+
+impl fmt::Display for OperandSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            OperandSource::Built => "built",
+            OperandSource::Reused => "reused",
+        })
+    }
+}
+
 /// The one record of a cost-based decision: what Algorithm 3 chose and
 /// predicted (the half `explain` prints, filled by planning) and what the
 /// run then built and measured (filled by execution). Engines that do not
@@ -130,6 +149,13 @@ pub struct PlanStats {
     /// priced for; the run decides the orientation again on the exact
     /// partition and records the one that ran.
     pub heavy_backend: Option<&'static str>,
+    /// For a heavy core multiplied from the relations' memoised packed rows
+    /// (an optimizer-chosen existence two-path): whether the left and the
+    /// right operand are packed by this query or reused — as found when
+    /// planning, as it happened after a run. It explains a predicted (and
+    /// measured) heavy cost that differs between two runs of one query; it
+    /// decides nothing. `None` for operands built per query.
+    pub heavy_operands: Option<[OperandSource; 2]>,
     /// Tuples handled by the light (expansion) passes per input relation:
     /// `(input size − heavy tuple mass)` for `(R, S)`.
     pub light_tuples: Option<(u64, u64)>,
@@ -163,6 +189,7 @@ impl PlanStats {
             heavy_dims: None,
             heavy_core_matrix: None,
             heavy_backend: None,
+            heavy_operands: None,
             light_tuples: None,
             full_join: None,
             estimated_out: None,
@@ -271,8 +298,9 @@ impl fmt::Display for NamedPlan<'_> {
 
 impl PlanStats {
     /// The `plan:` line of a single primitive: the choice, the heavy core
-    /// it was priced for (with its shape, where planning bounds it), the
-    /// two predictions and the estimates they rest on.
+    /// it was priced for (with its shape, where planning bounds it, and
+    /// whether its operands are packed already, where they are memoised),
+    /// the two predictions and the estimates they rest on.
     fn fmt_primitive(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let estimates = self.full_join.zip(self.estimated_out);
         if self.kind == PlanKind::Wcoj {
@@ -292,6 +320,9 @@ impl PlanStats {
         }
         if let Some((rows_a, heavy_y, rows_b)) = self.heavy_dims {
             write!(f, " {rows_a} × {heavy_y} × {rows_b}")?;
+        }
+        if let Some([left, right]) = self.heavy_operands {
+            write!(f, ", operands {left}/{right}")?;
         }
         if let Some((light, heavy)) = self.predicted_light_secs.zip(self.predicted_heavy_secs) {
             let (light, heavy) = (light * 1e6, heavy * 1e6);

@@ -40,8 +40,8 @@ pub mod registry;
 pub mod sink;
 
 pub use engine::{
-    Engine, EngineError, ExecStats, NamedPlan, NodeSource, PhaseSecs, PlanKind, PlanStats,
-    StepNode, StepStats,
+    Engine, EngineError, ExecStats, NamedPlan, NodeSource, OperandSource, PhaseSecs, PlanKind,
+    PlanStats, StepNode, StepStats,
 };
 pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};

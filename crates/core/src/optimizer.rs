@@ -19,16 +19,20 @@
 //! only partition considered: past line 2 the Boolean core takes everything
 //! that fits the memory cap, and expansion takes the rest (a mixed Boolean
 //! partition lost to the better of those two on every instance measured —
-//! DESIGN.md, "Algorithm 3"). A candidate whose heavy side
-//! would be empty, or whose matrices would not fit the cap, is never
-//! returned.
+//! DESIGN.md, "Algorithm 3"). Its operands are the relations' memoised
+//! packed rows ([`PackedCore`]): the cap is checked against their real size
+//! before anything is packed, and the build term is charged only for a
+//! relation not packed yet — which moves the prediction, never the choice.
+//! A candidate whose heavy side would be empty, or whose matrices would not
+//! fit the cap, is never returned.
 //!
 //! [`HeavyBackend::is_boolean`]: crate::config::HeavyBackend::is_boolean
 
 use crate::config::JoinConfig;
 use crate::estimate::{estimate_output_size, OutputEstimate};
-use mmjoin_matrix::BitProductPlan;
-use mmjoin_storage::{Relation, ThresholdIndexes};
+use mmjoin_api::OperandSource;
+use mmjoin_matrix::{BitProductPlan, Orientation};
+use mmjoin_storage::{PackedForm, Relation, ThresholdIndexes};
 
 /// Which execution strategy the optimizer picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +73,10 @@ pub struct ExecutionPlan {
     ///
     /// [`Orientation::name`]: mmjoin_matrix::Orientation::name
     pub heavy_kernel: Option<&'static str>,
+    /// For a Boolean core over the relations' memoised packed rows: whether
+    /// each operand is packed already ([`PackedCore::sources`]); `None`
+    /// otherwise.
+    pub heavy_operands: Option<[OperandSource; 2]>,
 }
 
 /// [`ExecutionPlan::heavy_kernel`] of a heavy core multiplied by SGEMM.
@@ -127,6 +135,7 @@ pub fn choose_thresholds_for(
         iterations,
         kernel: mmjoin_matrix::active_kernel().name(),
         heavy_kernel: best.map(|c| c.kernel),
+        heavy_operands: None,
     };
     // Line 2: small full join ⇒ plain WCOJ plan.
     if wcoj {
@@ -136,13 +145,32 @@ pub fn choose_thresholds_for(
     let consts = config.cost_model.constants;
     let n = r.len().max(s.len()).max(1) as f64;
     let out_est = estimate.estimate.max(1) as f64;
+    // The Boolean core searches no further: everything heavy, multiplied
+    // from the relations' packed rows, if that fits the cap; expansion if
+    // not.
+    if boolean {
+        let core = PackedCore::of(r, s);
+        let sources = core.sources(r, s);
+        let all_heavy =
+            core.cost(config, sources, [r.len(), s.len()], out_est)
+                .map(|(heavy, kernel)| Candidate {
+                    delta1: 0,
+                    delta2: 0,
+                    light: 0.0,
+                    heavy,
+                    kernel,
+                });
+        return ExecutionPlan {
+            heavy_operands: all_heavy.map(|_| sources),
+            ..plan(all_heavy, 1)
+        };
+    }
+    // SGEMM from here on.
     let heavy_cost =
-        |dims, nnz1: f64, nnz2: f64| heavy_core_cost(config, boolean, dims, nnz1, nnz2, out_est);
+        |dims, nnz1: f64, nnz2: f64| heavy_core_cost(config, false, dims, nnz1, nnz2, out_est);
 
     // The boundary candidate "everything heavy" needs no index: every
-    // active value is heavy and every tuple is in an operand. An existence
-    // query then skips the light passes and gets its output sorted out of
-    // the extractor; a counting one still walks its (empty) passes.
+    // active value is heavy and every tuple is in an operand.
     let dom_x = r.active_x_count().max(1);
     let all_heavy = heavy_cost(
         (
@@ -156,19 +184,10 @@ pub fn choose_thresholds_for(
     .map(|(heavy, kernel)| Candidate {
         delta1: 0,
         delta2: 0,
-        light: if boolean {
-            0.0
-        } else {
-            consts.t_alloc * dom_x as f64
-        },
+        light: consts.t_alloc * dom_x as f64,
         heavy,
         kernel,
     });
-    // The Boolean core searches no further: everything heavy if it fits
-    // the cap, expansion if not.
-    if boolean {
-        return plan(all_heavy, 1);
-    }
 
     let ti = ThresholdIndexes::build(r, s);
     let eval = |d1: u32, d2: u32| -> Option<Candidate> {
@@ -248,18 +267,18 @@ pub(crate) fn heavy_core_cost(
     let (nnz1, nnz2) = (nnz1.min(uf * vf), nnz2.min(vf * wf));
     let emit = consts.t_insert * (uf * wf).min(out_est);
     if boolean {
-        // One pass over the heavy tuples builds the operands; every word is
-        // allocated zeroed (`Tm` is per 32 bytes) and the product's words
-        // are scanned once.
+        // Operands built for this query alone: every tuple is walked and
+        // every byte allocated.
         let bit = BitProductPlan::choose(u, v, w, nnz1, nnz2);
-        (bit.bytes <= cap_bytes).then(|| {
-            let cost = config.cost_model.estimate_bit_product(bit.words)
-                + consts.t_seq * (nnz1 + nnz2)
-                + consts.t_alloc * bit.bytes as f64 / 32.0
-                + consts.t_seq * uf * (wf / 64.0).ceil()
-                + emit;
-            (cost, bit.orientation.name())
-        })
+        bit_core_cost(
+            config,
+            &bit,
+            (uf, wf),
+            bit.bytes,
+            bit.bytes,
+            nnz1 + nnz2,
+            emit,
+        )
     } else {
         // The GEMM term is priced by its *effective* work — the kernel
         // skips zero rows of M1, so the madds executed are ≈ nnz(M1)·w
@@ -276,6 +295,132 @@ pub(crate) fn heavy_core_cost(
                 + emit;
             (cost, F32_KERNEL)
         })
+    }
+}
+
+/// The Boolean branch of [`heavy_core_cost`] once the product is planned:
+/// `None` when `bytes` — both operands and the product — are over the cap,
+/// else the product's word operations, one pass over the `build_nnz` tuples
+/// of the operands this query fills, `fresh_bytes` allocated zeroed (`Tm` is
+/// per 32 bytes), one scan of the product's `u · ⌈w/64⌉` words, and `emit`.
+fn bit_core_cost(
+    config: &JoinConfig,
+    bit: &BitProductPlan,
+    (uf, wf): (f64, f64),
+    bytes: usize,
+    fresh_bytes: usize,
+    build_nnz: f64,
+    emit: f64,
+) -> Option<(f64, &'static str)> {
+    let consts = config.cost_model.constants;
+    (bytes <= config.matrix_cell_cap.saturating_mul(4)).then(|| {
+        let cost = config.cost_model.estimate_bit_product(bit.words)
+            + consts.t_seq * build_nnz
+            + consts.t_alloc * fresh_bytes as f64 / 32.0
+            + consts.t_seq * uf * (wf / 64.0).ceil()
+            + emit;
+        (cost, bit.orientation.name())
+    })
+}
+
+/// An operand that was `packed` before the query needed it is reused.
+pub(crate) fn operand_source(packed: bool) -> OperandSource {
+    if packed {
+        OperandSource::Reused
+    } else {
+        OperandSource::Built
+    }
+}
+
+/// The everything-heavy Boolean core of `R(x, y) ⋈ S(z, y)` over the
+/// relations' memoised packed rows (`mmjoin_storage::packed`), from O(1)
+/// counts: planning and the run both derive it, so they agree on the
+/// orientation, and nothing is packed to find out whether it fits.
+pub(crate) struct PackedCore {
+    /// `(active x of R, y ids both relations have, active x of S)`: the
+    /// inner dimension is the raw-id prefix the kernel scans, not the count
+    /// of `y`s active in both.
+    pub dims: (usize, usize, usize),
+    /// The product over those dimensions with every tuple a set bit.
+    pub bit: BitProductPlan,
+    /// The form of `S` that orientation multiplies (`R` is always `x`-major).
+    pub right: PackedForm,
+    /// Bytes of `R`'s and of `S`'s form as packed — each over its own
+    /// relation's `y` domain, so not what `bit.bytes` assumes.
+    operand_bytes: [usize; 2],
+}
+
+impl PackedCore {
+    pub(crate) fn of(r: &Relation, s: &Relation) -> Self {
+        let (u, v, w) = (
+            r.active_x_count(),
+            r.y_domain().min(s.y_domain()),
+            s.active_x_count(),
+        );
+        let (nnz1, nnz2) = (
+            (r.len() as f64).min((u * v) as f64),
+            (s.len() as f64).min((v * w) as f64),
+        );
+        let bit = BitProductPlan::choose(u, v, w, nnz1, nnz2);
+        let right = match bit.orientation {
+            Orientation::RowOr => PackedForm::YMajor,
+            Orientation::AndAny => PackedForm::XMajor,
+        };
+        Self {
+            dims: (u, v, w),
+            bit,
+            right,
+            operand_bytes: [
+                8 * r.packed_words(PackedForm::XMajor),
+                8 * s.packed_words(right),
+            ],
+        }
+    }
+
+    fn product_bytes(&self) -> usize {
+        let (u, _, w) = self.dims;
+        8 * u * w.div_ceil(64)
+    }
+
+    /// Bytes of both operands and the product: what the memory cap admits.
+    pub(crate) fn bytes(&self) -> usize {
+        self.operand_bytes[0] + self.operand_bytes[1] + self.product_bytes()
+    }
+
+    /// Whether each operand is packed already, as of now.
+    pub(crate) fn sources(&self, r: &Relation, s: &Relation) -> [OperandSource; 2] {
+        [(r, PackedForm::XMajor), (s, self.right)]
+            .map(|(rel, form)| operand_source(rel.is_packed(form)))
+    }
+
+    /// [`heavy_core_cost`] for this core: only an operand that `sources`
+    /// says is still to be built is charged its tuples and its bytes.
+    fn cost(
+        &self,
+        config: &JoinConfig,
+        sources: [OperandSource; 2],
+        tuples: [usize; 2],
+        out_est: f64,
+    ) -> Option<(f64, &'static str)> {
+        let (uf, wf) = (self.dims.0 as f64, self.dims.2 as f64);
+        let (mut build_nnz, mut fresh_bytes) = (0.0, self.product_bytes());
+        for i in 0..2 {
+            if sources[i] == OperandSource::Built {
+                build_nnz += tuples[i] as f64;
+                fresh_bytes += self.operand_bytes[i];
+            }
+        }
+        let emit = config.cost_model.constants.t_insert * (uf * wf).min(out_est);
+        let bytes = self.bytes();
+        bit_core_cost(
+            config,
+            &self.bit,
+            (uf, wf),
+            bytes,
+            fresh_bytes,
+            build_nnz,
+            emit,
+        )
     }
 }
 

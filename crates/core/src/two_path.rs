@@ -15,6 +15,15 @@
 //!   semiring (bit-packed operands, [`BitMatrix`]) when only the existence
 //!   of a witness is read, as f32 SGEMM when the witness counts are.
 //!
+//! An existence plan the optimizer chose is always `Δ1 = Δ2 = 0`, and then
+//! each operand is one relation's adjacency and nothing else: it is not
+//! built here but read from the relation's memoised packed rows
+//! (`mmjoin_storage::packed`, packed by the first query that needs them) in
+//! raw `y` coordinates — no partition, no light pass, no per-pair operand
+//! ([`packed_core`]). The compact per-pair builder ([`HeavyIndex`]) serves
+//! forced partitions (`delta_override`, the test and ablation pin that runs
+//! the bit and f32 cores on identical cells) and SGEMM.
+//!
 //! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
 //! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
 //! otherwise all of `a`, `c`, `b` are heavy → matrix. The three part outputs
@@ -33,13 +42,15 @@
 //! predictions.
 
 use crate::config::JoinConfig;
-use crate::optimizer::{choose_thresholds_for, PlanChoice, F32_KERNEL};
+use crate::optimizer::{choose_thresholds_for, operand_source, PackedCore, PlanChoice, F32_KERNEL};
 use mmjoin_api::{PhaseSecs, PlanStats};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
-use mmjoin_matrix::{matmul_parallel_on, BitMatrix, BitProductPlan, DenseMatrix, Orientation};
+use mmjoin_matrix::{
+    matmul_parallel_on, BitMatrix, BitProductPlan, BitRows, DenseMatrix, Orientation,
+};
 use mmjoin_obs::trace::{self, Stage};
-use mmjoin_storage::{DedupBuffer, Relation, Value};
+use mmjoin_storage::{DedupBuffer, PackedForm, PackedRows, Relation, Value};
 use std::time::Instant;
 
 /// Evaluates `π_{x,z}(R ⋈ S)` returning sorted distinct pairs.
@@ -96,6 +107,10 @@ pub(crate) fn plan_then_run(
         return (expand(), stats);
     };
     let boolean = config.heavy_backend.is_boolean(false);
+    if boolean && config.delta_override.is_none() {
+        let pairs = packed_core(r, s, &mut stats);
+        return (pairs, stats);
+    }
     let mut secs = PhaseSecs::default();
 
     let heavy = phase("partition", &mut secs.partition, || {
@@ -169,6 +184,39 @@ pub(crate) fn plan_then_run(
     });
     stats.measured_phase_secs = Some(secs);
     (out, stats)
+}
+
+/// The optimizer-chosen existence plan — every value heavy — multiplied
+/// from the relations' memoised packed rows ([`PackedCore`]): `R` `x`-major
+/// on the left, `S` in the form the orientation reads on the right, joined
+/// on raw `y` ids. Whichever query first reads a form packs it (the `build`
+/// phase); every later one over the same relation value finds it there.
+/// The pairs leave the extractor sorted and distinct. Fills in the run's
+/// half of `stats`; all five phases are recorded, the first two empty.
+fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value, Value)> {
+    let core = PackedCore::of(r, s);
+    let mut secs = PhaseSecs::default();
+    phase("partition", &mut secs.partition, || ());
+    phase("light", &mut secs.light, || ());
+    let ((left, built_left), (right, built_right)) = phase("build", &mut secs.build, || {
+        (r.packed(PackedForm::XMajor), s.packed(core.right))
+    });
+    fn view(p: &PackedRows) -> BitRows<'_> {
+        BitRows::new(p.rows(), p.cols(), p.words())
+    }
+    let product = phase("product", &mut secs.product, || {
+        view(left).product(view(right), core.bit.orientation)
+    });
+    let pairs = phase("extract", &mut secs.extract, || {
+        product.mapped_ones(left.ids(), right.ids())
+    });
+    stats.heavy_dims = Some(core.dims);
+    stats.light_tuples = Some((0, 0));
+    stats.heavy_core_matrix = Some(true);
+    stats.heavy_backend = Some(core.bit.orientation.name());
+    stats.heavy_operands = Some([built_left, built_right].map(|built| operand_source(!built)));
+    stats.measured_phase_secs = Some(secs);
+    pairs
 }
 
 /// Evaluates the 2-path query with exact per-pair witness counts,
@@ -301,6 +349,7 @@ pub(crate) fn plan_two_path(
         PlanChoice::Wcoj => PlanStats::wcoj(),
         PlanChoice::Mm { delta1, delta2 } => PlanStats {
             heavy_backend: plan.heavy_kernel,
+            heavy_operands: plan.heavy_operands,
             predicted_light_secs: Some(plan.predicted_light),
             predicted_heavy_secs: Some(plan.predicted_heavy),
             ..PlanStats::partitioned(delta1, delta2)
@@ -334,7 +383,9 @@ fn record_partition(stats: &mut PlanStats, r: &Relation, s: &Relation, heavy: &H
     stats.light_tuples = Some((r.len() as u64 - heavy_r, s.len() as u64 - heavy_s));
 }
 
-/// Index of heavy values and their dense matrix coordinates.
+/// Index of heavy values and their dense matrix coordinates: the compact
+/// operands of one `(R, S, Δ1, Δ2)`, built per query — for SGEMM, and for a
+/// Boolean core at a forced partition.
 pub(crate) struct HeavyIndex {
     /// Heavy `x` values (rows of `M1`), ascending.
     pub heavy_x: Vec<Value>,
@@ -427,8 +478,7 @@ impl HeavyIndex {
         u * v + v * w + u * w
     }
 
-    /// How the Boolean heavy product should run: the function the optimizer
-    /// priced it with, on the exact partition instead of the indexes' bounds.
+    /// How the Boolean heavy product should run on the exact partition.
     fn bit_plan(&self) -> BitProductPlan {
         let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
         let (nnz1, nnz2) = self.tuple_mass;

@@ -23,6 +23,14 @@
 //!
 //! Padding bits past `cols` in the last word of a row are always zero —
 //! every constructor and kernel keeps that, and AND-any relies on it.
+//!
+//! The kernels read their operands through [`BitRows`], a borrowed view, so
+//! an operand that outlives the query — a relation's memoised packed rows —
+//! is multiplied where it lies. Two such operands need not agree on the
+//! inner dimension: each is packed over its own relation's raw `y` ids, and
+//! the product joins them on the ids both have — AND-any over the common
+//! word prefix of the two rows, row-OR skipping a set bit of `A` past the
+//! last row of `B`. Zero padding makes the wider side's extra words inert.
 
 /// Words tested per early-exit step of AND-any.
 const AND_BLOCK: usize = 8;
@@ -55,9 +63,10 @@ impl Orientation {
 }
 
 /// The orientation a Boolean product `m×k · k×n` should run in, with the
-/// work and memory that choice implies. The optimizer prices a candidate
-/// with this function on the threshold indexes' *estimated* counts; the
-/// engine calls it again on the exact partition, and runs what that says.
+/// work and memory that choice implies. A planner prices a candidate with
+/// this function on the counts it has — exact ones for a two-path over the
+/// relations' memoised rows, bounds for a star or a forced partition, where
+/// the engine calls it again on the exact cells and runs what that says.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitProductPlan {
     /// The cheaper orientation.
@@ -216,6 +225,16 @@ impl BitMatrix {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
+    /// The matrix as the borrowed view the product kernels read.
+    pub fn view(&self) -> BitRows<'_> {
+        BitRows {
+            rows: self.rows,
+            cols: self.cols,
+            stride: self.stride,
+            words: &self.words,
+        }
+    }
+
     /// Row-OR Boolean product `self · other` (`m×k` by `k×n`).
     ///
     /// # Panics
@@ -229,33 +248,15 @@ impl BitMatrix {
     /// [`Orientation::AndAny`]; the result is `m×n` either way.
     ///
     /// # Panics
-    /// Panics if the inner dimensions disagree.
+    /// Panics if the inner dimensions disagree ([`BitRows::product`] is the
+    /// kernel without that requirement).
     pub fn product(&self, other: &BitMatrix, orientation: Orientation) -> BitMatrix {
-        let (inner, n) = match orientation {
-            Orientation::RowOr => (other.rows, other.cols),
-            Orientation::AndAny => (other.cols, other.rows),
+        let inner = match orientation {
+            Orientation::RowOr => other.rows,
+            Orientation::AndAny => other.cols,
         };
         assert_eq!(self.cols, inner, "inner dimensions must agree");
-        let mut c = BitMatrix::zeros(self.rows, n);
-        if c.stride == 0 {
-            return c;
-        }
-        for (i, c_row) in c.words.chunks_exact_mut(c.stride).enumerate() {
-            let a_row = self.row_words(i);
-            match orientation {
-                Orientation::RowOr => {
-                    for (wk, &aw) in a_row.iter().enumerate() {
-                        for bit in BitIter(aw) {
-                            for (d, s) in c_row.iter_mut().zip(other.row_words(wk * 64 + bit)) {
-                                *d |= *s;
-                            }
-                        }
-                    }
-                }
-                Orientation::AndAny => and_any_row(a_row, other, c_row),
-            }
-        }
-        c
+        self.view().product(other.view(), orientation)
     }
 
     /// Number of set bits in the whole matrix.
@@ -293,6 +294,89 @@ impl BitMatrix {
     }
 }
 
+/// A borrowed row-major bit matrix: `rows` rows of `⌈cols/64⌉` words each,
+/// every bit past `cols` zero. What the product kernels read — a
+/// [`BitMatrix`] through [`BitMatrix::view`], or words owned elsewhere.
+#[derive(Debug, Clone, Copy)]
+pub struct BitRows<'a> {
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    words: &'a [u64],
+}
+
+impl<'a> BitRows<'a> {
+    /// A view of `words` as `rows × cols` bits. The caller keeps the
+    /// padding bits of each row zero.
+    ///
+    /// # Panics
+    /// Panics if `words` is not `rows · ⌈cols/64⌉` long.
+    pub fn new(rows: usize, cols: usize, words: &'a [u64]) -> Self {
+        let stride = cols.div_ceil(64);
+        assert_eq!(words.len(), rows * stride, "{rows} rows of {stride} words");
+        let view = Self {
+            rows,
+            cols,
+            stride,
+            words,
+        };
+        debug_assert!(
+            cols.is_multiple_of(64)
+                || (0..rows).all(|i| view.row_words(i)[stride - 1] >> (cols % 64) == 0),
+            "set padding bits"
+        );
+        view
+    }
+
+    #[inline]
+    fn row_words(&self, i: usize) -> &'a [u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Boolean product on the calling thread, over the inner coordinates
+    /// both operands have. `self` is `m×k`; `other` is `k'×n` for
+    /// [`Orientation::RowOr`] — bit `j < min(k, k')` of a row of `self`
+    /// selects row `j` of `other` — and the transposed `n×k'` for
+    /// [`Orientation::AndAny`]. The result is `m×n` either way.
+    pub fn product(self, other: BitRows<'_>, orientation: Orientation) -> BitMatrix {
+        let n = match orientation {
+            Orientation::RowOr => other.cols,
+            Orientation::AndAny => other.rows,
+        };
+        let mut c = BitMatrix::zeros(self.rows, n);
+        if c.stride == 0 {
+            return c;
+        }
+        // Row-OR: the words of a row of `A` that hold a bit `< inner`, the
+        // last of them masked down to it.
+        let inner = self.cols.min(other.rows);
+        let (a_words, last_mask) = (inner.div_ceil(64), !0u64 >> ((64 - inner % 64) % 64));
+        // AND-any: the words both rows have.
+        let common = self.stride.min(other.stride);
+        for (i, c_row) in c.words.chunks_exact_mut(c.stride).enumerate() {
+            let a_row = self.row_words(i);
+            match orientation {
+                Orientation::RowOr => {
+                    for (wk, &aw) in a_row[..a_words].iter().enumerate() {
+                        let aw = if wk + 1 == a_words {
+                            aw & last_mask
+                        } else {
+                            aw
+                        };
+                        for bit in BitIter(aw) {
+                            for (d, s) in c_row.iter_mut().zip(other.row_words(wk * 64 + bit)) {
+                                *d |= *s;
+                            }
+                        }
+                    }
+                }
+                Orientation::AndAny => and_any_row(&a_row[..common], other, c_row),
+            }
+        }
+        c
+    }
+}
+
 /// Iterates set-bit positions of one word.
 struct BitIter(u64);
 
@@ -309,11 +393,11 @@ impl Iterator for BitIter {
     }
 }
 
-/// AND-any for one row of `A` against every row of `Bᵀ`: bit `j` of the
-/// result is set when the two rows share a set bit. Only `A`'s nonzero word
-/// range is scanned, and a pair stops at its first intersecting
-/// [`AND_BLOCK`]-word block.
-fn and_any_row(a_row: &[u64], bt: &BitMatrix, c_row: &mut [u64]) {
+/// AND-any for one row of `A` — cut to the words `Bᵀ`'s rows have too —
+/// against every row of `Bᵀ`: bit `j` of the result is set when the two rows
+/// share a set bit. Only `A`'s nonzero word range is scanned, and a pair
+/// stops at its first intersecting [`AND_BLOCK`]-word block.
+fn and_any_row(a_row: &[u64], bt: BitRows<'_>, c_row: &mut [u64]) {
     let Some(lo) = a_row.iter().position(|&w| w != 0) else {
         return;
     };
@@ -513,6 +597,90 @@ mod tests {
         bt.set(2, 701);
         let c = a.product(&bt, Orientation::AndAny);
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), [(0, 0), (1, 1)]);
+    }
+
+    /// Operands packed over different inner domains (`ka ≠ kb`, different
+    /// strides, neither a multiple of 64) join on the ids both have: a
+    /// witness in the first word or in the last common word counts, one
+    /// past the narrower side's domain does not — in either orientation,
+    /// whichever side is the wider.
+    #[test]
+    fn unequal_inner_widths_join_on_the_common_prefix() {
+        for (ka, kb) in [(200usize, 70usize), (70, 200), (130, 129), (64, 65)] {
+            let common = ka.min(kb);
+            let (mut a, mut b) = (BitMatrix::zeros(4, ka), BitMatrix::zeros(kb, 3));
+            // Row 0 / column 0 meet in the first word, row 1 / column 1 at
+            // the last common id; row 2 / column 2 never meet, and the wider
+            // of them has a bit past the other's domain.
+            a.set(0, 3);
+            b.set(3, 0);
+            a.set(1, common - 1);
+            b.set(common - 1, 1);
+            a.set(2, 0);
+            b.set(1, 2);
+            if ka > kb {
+                a.set(2, ka - 1);
+            } else {
+                b.set(kb - 1, 2);
+            }
+            // Row 3 is dense: it meets every column with a bit below `common`.
+            (0..ka).for_each(|k| a.set(3, k));
+            let mut want = BitMatrix::zeros(4, 3);
+            for i in 0..4 {
+                for j in 0..3 {
+                    if (0..common).any(|k| a.get(i, k) && b.get(k, j)) {
+                        want.set(i, j);
+                    }
+                }
+            }
+            assert_eq!(
+                want.iter_ones().collect::<Vec<_>>(),
+                [(0, 0), (1, 1), (3, 0), (3, 1), (3, 2)]
+            );
+            let bt = transposed(&b);
+            assert_eq!(
+                a.view().product(b.view(), Orientation::RowOr),
+                want,
+                "row-or {ka}/{kb}"
+            );
+            assert_eq!(
+                a.view().product(bt.view(), Orientation::AndAny),
+                want,
+                "and-any {ka}/{kb}"
+            );
+        }
+    }
+
+    /// Random operands over unequal inner widths, both orientations against
+    /// the per-bit product over the common ids; a borrowed view over foreign
+    /// words multiplies like the matrix it was copied from.
+    #[test]
+    fn unequal_inner_widths_match_per_bit_reference_on_random_operands() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (ka, kb, n) in [(150, 90, 70), (90, 150, 70), (65, 1, 130), (513, 700, 9)] {
+            let a = random(&mut rng, 6, ka, 0.05);
+            let b = random(&mut rng, kb, n, 0.05);
+            let common = ka.min(kb);
+            let mut want = BitMatrix::zeros(6, n);
+            for i in 0..6 {
+                for j in 0..n {
+                    if (0..common).any(|k| a.get(i, k) && b.get(k, j)) {
+                        want.set(i, j);
+                    }
+                }
+            }
+            let bt = transposed(&b);
+            let foreign: Vec<u64> = (0..6).flat_map(|i| a.row_words(i).to_vec()).collect();
+            let a_view = BitRows::new(6, ka, &foreign);
+            assert_eq!(a_view.product(b.view(), Orientation::RowOr), want);
+            assert_eq!(a_view.product(bt.view(), Orientation::AndAny), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows of")]
+    fn a_view_rejects_words_of_the_wrong_length() {
+        let _ = BitRows::new(3, 70, &[0u64; 5]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod dense;
 pub mod gemm;
 pub mod kernel;
 
-pub use bitmat::{BitMatrix, BitProductPlan, Orientation};
+pub use bitmat::{BitMatrix, BitProductPlan, BitRows, Orientation};
 pub use cost::{CostModel, SystemConstants, REFERENCE_BIT_WORD_SECS, REFERENCE_GFLOPS};
 pub use dense::DenseMatrix;
 pub use gemm::{

@@ -59,8 +59,8 @@
 
 pub use mmjoin_api::{
     Atom, CountSink, DeltaSink, Engine, EngineError, EngineRegistry, ExecStats, FlatRows,
-    ForEachSink, LimitSink, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError,
-    QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
+    ForEachSink, LimitSink, OperandSource, PairSink, PhaseSecs, PlanKind, PlanStats, Query,
+    QueryError, QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
     execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,
@@ -76,7 +76,9 @@ pub use mmjoin_service::{
     MaintenanceReport, MetricsSnapshot, QuerySpec, Request, Response, SelectionReason, Service,
     ServiceConfig, ServiceError,
 };
-pub use mmjoin_storage::{NormalizedDelta, Relation, RelationBuilder, RelationDelta, Value};
+pub use mmjoin_storage::{
+    NormalizedDelta, PackedForm, Relation, RelationBuilder, RelationDelta, Value,
+};
 
 #[cfg(test)]
 mod tests {

@@ -312,10 +312,11 @@ pub fn execute_with(
                 };
                 let _ = write!(
                     out,
-                    "\n  {name}: {}, max set {} / max element degree {}",
+                    "\n  {name}: {}, max set {} / max element degree {}, packed {} bytes",
                     sizes(&rel),
                     max_degree(rel.by_x()),
-                    max_degree(rel.by_y())
+                    max_degree(rel.by_y()),
+                    rel.packed_bytes()
                 );
             }
             Ok(out)
@@ -550,7 +551,7 @@ fn service_json(m: &MetricsSnapshot) -> String {
     format!(
         "{{\"queries_served\":{},\"cache_hits\":{},\"cache_hit_rate\":{:.4},\"errors\":{},\
          \"slow_queries\":{},\"updates\":{},\"maintained\":{},\"recomputed\":{},\
-         \"invalidated\":{},\
+         \"invalidated\":{},\"operand_packs\":{},\"operand_reuses\":{},\
          \"cache_invalidations\":{},\"mean_latency_us\":{},\"p50_latency_us\":{},\
          \"p99_latency_us\":{},\"max_latency_us\":{}}}",
         m.queries_served,
@@ -562,6 +563,8 @@ fn service_json(m: &MetricsSnapshot) -> String {
         m.maintained,
         m.recomputed,
         m.invalidated,
+        m.operand_packs,
+        m.operand_reuses,
         m.cache_invalidations,
         m.mean_latency_us,
         m.p50_latency_us,

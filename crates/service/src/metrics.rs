@@ -11,6 +11,7 @@
 //! count, sum/mean and max are exact.
 
 use crate::maintain::MaintenanceReport;
+use mmjoin_api::{OperandSource, PlanStats};
 use mmjoin_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
@@ -28,6 +29,8 @@ pub struct ServiceMetrics {
     maintained: Arc<Counter>,
     recomputed: Arc<Counter>,
     invalidated: Arc<Counter>,
+    operand_packs: Arc<Counter>,
+    operand_reuses: Arc<Counter>,
     latency_us: Arc<Histogram>,
 }
 
@@ -50,6 +53,8 @@ impl ServiceMetrics {
             maintained: registry.counter("service.maintained"),
             recomputed: registry.counter("service.recomputed"),
             invalidated: registry.counter("service.invalidated"),
+            operand_packs: registry.counter("service.operand_packs"),
+            operand_reuses: registry.counter("service.operand_reuses"),
             latency_us: registry.histogram("service.latency_us"),
             registry,
         }
@@ -89,6 +94,18 @@ impl ServiceMetrics {
         self.invalidated.add(report.invalidated as u64);
     }
 
+    /// Records where an executed plan's memoised heavy-core operands came
+    /// from ([`PlanStats::heavy_operands`]): a relation packed by this query,
+    /// or one an earlier query left packed.
+    pub fn record_operands(&self, plan: &PlanStats) {
+        for source in plan.heavy_operands.into_iter().flatten() {
+            match source {
+                OperandSource::Built => self.operand_packs.inc(),
+                OperandSource::Reused => self.operand_reuses.inc(),
+            }
+        }
+    }
+
     /// Zeroes every instrument (`stats reset`) while keeping all
     /// registrations and handles valid.
     pub fn reset(&self) {
@@ -111,6 +128,8 @@ impl ServiceMetrics {
             maintained: self.maintained.get(),
             recomputed: self.recomputed.get(),
             invalidated: self.invalidated.get(),
+            operand_packs: self.operand_packs.get(),
+            operand_reuses: self.operand_reuses.get(),
             cache_invalidations,
             cache_hit_rate: if queries == 0 {
                 0.0
@@ -145,6 +164,11 @@ pub struct MetricsSnapshot {
     pub recomputed: u64,
     /// Cache entries dropped by updates.
     pub invalidated: u64,
+    /// Heavy-core operands packed by the query that read them (once per
+    /// relation value and form).
+    pub operand_packs: u64,
+    /// Heavy-core operands found packed by an earlier query.
+    pub operand_reuses: u64,
     /// Cache slots displaced by update-driven draining or `clear()` —
     /// the result cache's own churn counter (supplied to
     /// [`ServiceMetrics::snapshot`] by the caller holding the cache).
@@ -172,7 +196,8 @@ impl std::fmt::Display for MetricsSnapshot {
             f,
             "served {} (cache hits {}, {:.1}%), errors {}, \
              updates {} (maintained {}, recomputed {}, invalidated {}), \
-             cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}",
+             cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}, \
+             operands packed {} reused {}",
             self.queries_served,
             self.cache_hits,
             self.cache_hit_rate * 100.0,
@@ -187,6 +212,8 @@ impl std::fmt::Display for MetricsSnapshot {
             self.p99_latency_us,
             self.max_latency_us,
             self.slow_queries,
+            self.operand_packs,
+            self.operand_reuses,
         )
     }
 }

@@ -865,6 +865,9 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
     let truncated = request.limit.is_some() && sink.limit_reached();
     let mut sink = sink.into_inner();
     drop(exec_span);
+    if let Some(plan) = &stats.plan {
+        service.metrics.record_operands(plan);
+    }
 
     // Pairs arrive a chunk at a time: give back what doubling over-reserved
     // rather than cache it.

@@ -16,6 +16,8 @@ pub struct CsrIndex {
     offsets: Vec<usize>,
     /// Concatenated, per-key-sorted neighbor lists.
     neighbors: Vec<Value>,
+    /// Keys with a non-empty row, counted while the rows are built.
+    nonempty: usize,
 }
 
 impl CsrIndex {
@@ -51,7 +53,7 @@ impl CsrIndex {
         }
         // Sort and dedup each row in place.
         let mut offsets = vec![0usize; num_keys + 1];
-        let mut write = 0usize;
+        let (mut write, mut nonempty) = (0usize, 0usize);
         for k in 0..num_keys {
             let (start, end) = (counts[k], counts[k + 1]);
             let row = &mut neighbors[start..end];
@@ -68,12 +70,17 @@ impl CsrIndex {
                 }
             }
             offsets[k] = row_start_write;
+            nonempty += usize::from(end > start);
         }
         offsets[num_keys] = write;
         // `offsets[k]` currently stores row starts; convert into standard
         // prefix form (start of row k == offsets[k], end == offsets[k+1]).
         neighbors.truncate(write);
-        Self { offsets, neighbors }
+        Self {
+            offsets,
+            neighbors,
+            nonempty,
+        }
     }
 
     /// Number of keys in the (dense) domain.
@@ -86,6 +93,13 @@ impl CsrIndex {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.neighbors.len()
+    }
+
+    /// Number of keys with at least one neighbor, in O(1): what
+    /// [`CsrIndex::iter_nonempty`] would count.
+    #[inline]
+    pub fn num_nonempty(&self) -> usize {
+        self.nonempty
     }
 
     /// The sorted neighbor list of `key`.
@@ -284,6 +298,10 @@ mod tests {
         let idx = CsrIndex::from_pairs(5, &[(0, 1), (4, 2)]);
         let keys: Vec<Value> = idx.iter_nonempty().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![0, 4]);
+        assert_eq!(idx.num_nonempty(), 2);
+        // Duplicates collapse into one non-empty row.
+        let idx = CsrIndex::from_pairs(3, &[(1, 7), (1, 7), (1, 2)]);
+        assert_eq!(idx.num_nonempty(), idx.iter_nonempty().count());
     }
 
     #[test]

@@ -288,6 +288,10 @@ mod tests {
         assert_eq!(next.edges(), &[(0, 0), (2, 1), (3, 1)]);
         assert_eq!(next.xs_of(1), &[2, 3]);
         assert_eq!(next.ys_of(1), &[] as &[Value]);
+        // x = 1 lost its only tuple: the O(1) counts follow the rebuild.
+        assert_eq!((base.active_x_count(), next.active_x_count()), (3, 3));
+        assert_eq!(next.active_x_count(), next.by_x().iter_nonempty().count());
+        assert_eq!(next.active_y_count(), next.by_y().iter_nonempty().count());
         // The base is untouched.
         assert_eq!(base.len(), 3);
     }

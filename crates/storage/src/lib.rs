@@ -16,6 +16,8 @@
 //! * [`dedup`] — the epoch-stamped dense deduplication scratch buffer used by
 //!   all light-part join implementations (§6's `dedup` vector, improved with
 //!   epoch counters so it never needs an O(N) clear between groups).
+//! * [`packed`] — a relation's adjacency as bit-packed rows, built once per
+//!   relation value by the first Boolean heavy core that reads it.
 //! * [`delta`] — the mutable data path: batched [`RelationDelta`]
 //!   inserts/deletes, normalized against a base relation and applied via a
 //!   merge-or-rebuild compaction producing a fresh indexed [`Relation`].
@@ -27,12 +29,14 @@ pub mod csr;
 pub mod dedup;
 pub mod delta;
 pub mod io;
+pub mod packed;
 pub mod relation;
 pub mod stats;
 
 pub use csr::CsrIndex;
 pub use dedup::DedupBuffer;
 pub use delta::{NormalizedDelta, RelationDelta};
+pub use packed::{PackedForm, PackedRows};
 pub use relation::{Relation, RelationBuilder};
 pub use stats::{DegreeHistogram, ThresholdIndexes};
 

@@ -1,14 +1,22 @@
-//! Binary relations with two-directional CSR indexes.
+//! Binary relations with two-directional CSR indexes and — built by the
+//! first query that multiplies them — their bit-packed rows ([`crate::packed`]).
 
 use crate::csr::CsrIndex;
+use crate::packed::PackedForms;
 use crate::{Edge, Value};
+use std::sync::Arc;
 
 /// An immutable binary relation `R(x, y)`, fully indexed.
 ///
 /// Construction deduplicates tuples and builds two CSR indexes (`x → [y]`
 /// and `y → [x]`) with sorted neighbor lists, satisfying the paper's §5
 /// requirement that relations be "indexed over the variables" before any
-/// worst-case-optimal join runs. All per-value degree lookups are O(1).
+/// worst-case-optimal join runs. All per-value degree lookups are O(1), and
+/// so are the active-value counts.
+///
+/// A relation value also owns its packed forms ([`Relation::packed`]):
+/// empty until a Boolean heavy core reads them, shared by clones, and never
+/// carried over to a relation derived from this one.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// Deduplicated tuples, sorted by `(x, y)`.
@@ -17,6 +25,8 @@ pub struct Relation {
     by_x: CsrIndex,
     /// `y → sorted [x]`.
     by_y: CsrIndex,
+    /// Bit-packed rows, built on first use.
+    packed: Arc<PackedForms>,
 }
 
 impl Relation {
@@ -41,7 +51,16 @@ impl Relation {
     }
 
     pub(crate) fn from_parts(edges: Vec<Edge>, by_x: CsrIndex, by_y: CsrIndex) -> Self {
-        Self { edges, by_x, by_y }
+        Self {
+            edges,
+            by_x,
+            by_y,
+            packed: Arc::default(),
+        }
+    }
+
+    pub(crate) fn packed_forms(&self) -> &PackedForms {
+        &self.packed
     }
 
     /// Number of tuples `N` (after deduplication).
@@ -117,13 +136,15 @@ impl Relation {
     }
 
     /// Number of distinct `x` values that occur in at least one tuple.
+    #[inline]
     pub fn active_x_count(&self) -> usize {
-        self.by_x.iter_nonempty().count()
+        self.by_x.num_nonempty()
     }
 
     /// Number of distinct `y` values that occur in at least one tuple.
+    #[inline]
     pub fn active_y_count(&self) -> usize {
-        self.by_y.iter_nonempty().count()
+        self.by_y.num_nonempty()
     }
 
     /// The size of the *full join* `R(x,y) ⋈ S(z,y)` before projection:

@@ -4,94 +4,19 @@
 //! allocations that does not depend on `|OUT|` — when the answer is
 //! stored, when its entry is evicted, and when an update patches it.
 //!
-//! The counters are per thread (every service here runs its queries on the
-//! calling thread with serial engines), so the tests do not disturb each
-//! other under the parallel test runner.
+//! The allocator's counters (`support/counting_alloc.rs`) are per thread, and
+//! every service here runs its queries on the calling thread with serial
+//! engines, so the tests do not disturb each other under the parallel test
+//! runner.
 
 use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig, Value};
 use mmjoin_api::{CountSink, ExecStats};
 use mmjoin_service::{CachedResult, ResultCache};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-/// What one thread asked of the allocator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    /// `alloc` + `realloc` calls.
-    allocs: u64,
-    /// `dealloc` calls.
-    frees: u64,
-    /// Fresh blocks (`alloc`, not `realloc`) of at least `BIG` bytes.
-    big: u64,
-}
-
-thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocs: 0, frees: 0, big: 0 }) };
-    static BIG: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-struct Counting;
-
-fn bump(f: impl FnOnce(&mut Tally)) {
-    // `try_with`: the allocator is still called while a thread tears its
-    // locals down.
-    let _ = TALLY.try_with(|t| {
-        let mut tally = t.get();
-        f(&mut tally);
-        t.set(tally);
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters are
-// plain `Cell`s with constant initialisers, so touching them allocates
-// nothing and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: `GlobalAlloc::alloc`'s contract is the caller's to keep.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let big = BIG.try_with(Cell::get).unwrap_or(usize::MAX);
-        bump(|t| {
-            t.allocs += 1;
-            t.big += (layout.size() >= big) as u64;
-        });
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `GlobalAlloc::dealloc`'s contract is the caller's to keep.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(|t| t.frees += 1);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `GlobalAlloc::realloc`'s contract is the caller's to keep.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(|t| t.allocs += 1);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f`, returning its value and what this thread asked of the
-/// allocator meanwhile. Fresh blocks of at least `big` bytes are counted
-/// apart.
-fn tallied<T>(big: usize, f: impl FnOnce() -> T) -> (T, Tally) {
-    BIG.with(|b| b.set(big));
-    let before = TALLY.with(Cell::get);
-    let value = f();
-    let after = TALLY.with(Cell::get);
-    BIG.with(|b| b.set(usize::MAX));
-    let tally = Tally {
-        allocs: after.allocs - before.allocs,
-        frees: after.frees - before.frees,
-        big: after.big - before.big,
-    };
-    (value, tally)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tallied;
 
 /// `sets` sets that all hold elements 0 and 1: any two of them join.
 fn overlapping(sets: u32) -> Relation {
@@ -126,7 +51,10 @@ fn a_cold_two_path_allocates_the_same_at_any_output_size() {
     let mut costs = Vec::new();
     for (name, sets) in [("small", 150u32), ("large", 300)] {
         let r = overlapping(sets);
-        service.register(name, r.clone());
+        // An equal relation, not a clone: a clone would share the packed
+        // rows the served query leaves behind, and the baseline run must be
+        // as cold as the served one.
+        service.register(name, overlapping(sets));
         let query = Query::two_path(&r, &r).build().unwrap();
         let (response, allocs) = serving_allocs(&service, Request::two_path(name, name), &query);
         assert_eq!(response.rows.len(), (sets * sets) as usize);
