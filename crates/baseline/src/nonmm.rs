@@ -14,13 +14,26 @@
 //!   each `x` pays `Σ_heavy |L_S[y]|`, bounded by `N/Δ · √|OUT|` overall.
 //!
 //! Both phases share the per-`x` grouping, so the practical implementation
-//! below is one pass per active `x` over all its `y` lists with the
-//! epoch-stamped dedup buffer — what the paper's prototype actually runs —
-//! plus an explicit sort-based alternative chosen by the §6 heuristic.
+//! below is one pass per active `x` over all its `y` lists, deduplicated per
+//! group by the cheaper of §6's two strategies — sort the appended values,
+//! or mark them in a dense buffer (here a bitmap over `dom z`).
+//!
+//! **Order.** `x` groups ascend and each group leaves in ascending `z`, so
+//! the output is sorted and distinct as it is written: nothing sorts it
+//! afterwards, and parallel workers, who own contiguous `x` ranges, are
+//! simply concatenated.
 
 use mmjoin_executor::Executor;
 use mmjoin_storage::dedup::sort_dedup;
-use mmjoin_storage::{DedupBuffer, Relation, Value};
+use mmjoin_storage::{Relation, Value};
+
+/// A group expanding to more than `dom z / BITMAP_FRACTION` values marks
+/// them in the bitmap: walking its `dom z / 64` words then costs less than
+/// sorting the values would. Below it, a group pays nothing per domain.
+const BITMAP_FRACTION: usize = 32;
+
+/// One active `x` of `R` with its sorted `y` list.
+type Group<'a> = (Value, &'a [Value]);
 
 /// The Lemma-2 combinatorial output-sensitive engine (`Non-MMJoin`).
 #[derive(Debug, Clone)]
@@ -72,54 +85,77 @@ impl ExpandDedupEngine {
         }
     }
 
-    /// Expands one `x` group through `S`'s inverted lists, appending fresh
-    /// `(x, z)` pairs to `out`.
+    /// `Σ_y |L_S[y]|` over one group's `ys`: the values it expands to
+    /// before deduplication.
+    fn expansion(ys: &[Value], s: &Relation) -> usize {
+        Self::lists(ys, s).map(<[Value]>::len).sum()
+    }
+
+    /// `S`'s inverted lists for `ys` (none past `S`'s `y` domain).
+    fn lists<'a>(ys: &'a [Value], s: &'a Relation) -> impl Iterator<Item = &'a [Value]> {
+        let known = ys.iter().filter(|&&y| (y as usize) < s.y_domain());
+        known.map(|&y| s.xs_of(y))
+    }
+
+    /// Expands one `x` group of `expansion` values through `S`'s inverted
+    /// lists, appending its distinct `(x, z)` pairs to `out` in ascending
+    /// `z`. `bitmap` covers `dom z` and is all zero between calls.
     fn expand_group(
-        x: Value,
-        ys: &[Value],
+        (x, ys): Group<'_>,
+        expansion: usize,
         s: &Relation,
-        dedup: &mut DedupBuffer,
+        bitmap: &mut [u64],
         scratch: &mut Vec<Value>,
         out: &mut Vec<(Value, Value)>,
     ) {
-        // §6 strategy choice: dense random-access buffer vs append+sort.
-        let expansion: usize = ys
-            .iter()
-            .map(|&y| {
-                if (y as usize) < s.y_domain() {
-                    s.xs_of(y).len()
-                } else {
-                    0
-                }
-            })
-            .sum();
-        if expansion == 0 {
-            return;
-        }
-        if expansion <= dedup.sort_strategy_threshold() / 4 {
-            // Sort strategy: cheap when the group is small relative to the
-            // domain (avoids cold random access into the big buffer).
+        if expansion <= s.x_domain() / BITMAP_FRACTION {
             scratch.clear();
-            for &y in ys {
-                if (y as usize) < s.y_domain() {
-                    scratch.extend_from_slice(s.xs_of(y));
-                }
-            }
+            Self::lists(ys, s).for_each(|zs| scratch.extend_from_slice(zs));
             sort_dedup(scratch);
             out.extend(scratch.iter().map(|&z| (x, z)));
-        } else {
-            dedup.clear();
-            for &y in ys {
-                if (y as usize) >= s.y_domain() {
-                    continue;
+            return;
+        }
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for zs in Self::lists(ys, s) {
+            // Lists are sorted: their ends bound the words they touch.
+            let (Some(&first), Some(&last)) = (zs.first(), zs.last()) else {
+                continue;
+            };
+            lo = lo.min(first as usize / 64);
+            hi = hi.max(last as usize / 64);
+            // A dense list sets many bits of one word in a row: gather them
+            // in a register, not through a load and a store per bit.
+            let (mut at, mut bits) = (first as usize / 64, 0u64);
+            for &z in zs {
+                let word = z as usize / 64;
+                if word != at {
+                    bitmap[at] |= bits;
+                    (at, bits) = (word, 0);
                 }
-                for &z in s.xs_of(y) {
-                    if dedup.insert(z) {
-                        out.push((x, z));
-                    }
-                }
+                bits |= 1 << (z % 64);
+            }
+            bitmap[at] |= bits;
+        }
+        for (i, word) in bitmap.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push((x, i as Value * 64 + bits.trailing_zeros()));
+                bits &= bits - 1;
             }
         }
+    }
+
+    /// Expands consecutive `groups`, each with its expansion size, on one
+    /// thread, with one bitmap and one scratch list for all of them.
+    fn expand_groups(groups: &[(Group<'_>, usize)], s: &Relation) -> Vec<(Value, Value)> {
+        let mut bitmap = vec![0u64; s.x_domain().div_ceil(64)];
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        for &(group, size) in groups {
+            Self::expand_group(group, size, s, &mut bitmap, &mut scratch, &mut out);
+        }
+        debug_assert!(bitmap.iter().all(|&word| word == 0), "emission clears");
+        out
     }
 }
 
@@ -137,31 +173,35 @@ impl ExpandDedupEngine {
         s: &Relation,
         exec: &Executor,
     ) -> Vec<(Value, Value)> {
-        let groups: Vec<(Value, &[Value])> = r.by_x().iter_nonempty().collect();
-        let mut out = if self.threads <= 1 {
-            let mut dedup = DedupBuffer::new(s.x_domain());
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            for (x, ys) in groups {
-                Self::expand_group(x, ys, s, &mut dedup, &mut scratch, &mut out);
-            }
-            out
+        let groups = r.by_x().iter_nonempty();
+        let groups: Vec<(Group<'_>, usize)> = groups
+            .map(|group| (group, Self::expansion(group.1, s)))
+            .collect();
+        let out = if self.threads <= 1 {
+            Self::expand_groups(&groups, s)
         } else {
-            // Static partition of x-groups into contiguous chunks; merge
-            // worker outputs at the end (disjoint x ⇒ no dedup across
-            // workers needed).
-            let results = exec.map_chunks(self.threads, &groups, |part| {
-                let mut dedup = DedupBuffer::new(s.x_domain());
-                let mut scratch = Vec::new();
-                let mut out = Vec::new();
-                for &(x, ys) in part {
-                    Self::expand_group(x, ys, s, &mut dedup, &mut scratch, &mut out);
+            // One contiguous range of `x` groups per worker — disjoint, so
+            // no dedup across workers, and ascending, so their outputs
+            // concatenate into the answer — cut where the expansion sizes
+            // sum to equal shares: a few prolific heads do not make one
+            // range the straggler.
+            let total: usize = groups.iter().map(|&(_, size)| size).sum();
+            let share = total.div_ceil(self.threads).max(1);
+            let mut cuts = vec![0];
+            let mut done = 0;
+            for (i, &(_, size)) in groups.iter().enumerate() {
+                if done >= cuts.len() * share {
+                    cuts.push(i);
                 }
-                out
+                done += size;
+            }
+            cuts.push(groups.len());
+            let parts = exec.map(self.threads, cuts.len() - 1, |i| {
+                Self::expand_groups(&groups[cuts[i]..cuts[i + 1]], s)
             });
-            results.concat()
+            parts.concat()
         };
-        out.sort_unstable();
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
         out
     }
 }
@@ -248,6 +288,36 @@ mod tests {
                 ExpandDedupEngine::parallel(threads).join_project(&r, &s),
                 SortMergeEngine.join_project(&r, &s)
             );
+        }
+
+        /// One relation whose groups take both dedup branches — a hub `x`
+        /// over every shared `y` marks the bitmap, a one-`z` `x` sorts —
+        /// with `z` values on the bitmap's word boundaries: the output is
+        /// strictly ascending as emitted, whatever the number of workers.
+        #[test]
+        fn ascending_on_both_branches_and_word_boundaries(
+            r_edges in proptest::collection::vec((0u32..40, 0u32..12), 0..120),
+            s_edges in proptest::collection::vec((0u32..130, 0u32..12), 0..400),
+            z_domain in 129u32..200,
+        ) {
+            let ends = [0, 1, 62, 63, 64, 127, 128, z_domain - 1];
+            // `y = 12` is read by `x = 41` alone and lists one `z`.
+            let s_edges = s_edges.into_iter().chain(ends.map(|z| (z, z % 12)));
+            let s = rel(&s_edges.chain([(z_domain - 1, 12)]).collect::<Vec<_>>());
+            let hub = (0..12).map(|y| (40, y));
+            let r = rel(&r_edges.into_iter().chain(hub).chain([(41, 12)]).collect::<Vec<_>>());
+            let sorts = |x: Value| {
+                ExpandDedupEngine::expansion(r.ys_of(x), &s) <= s.x_domain() / BITMAP_FRACTION
+            };
+            prop_assert!(sorts(41) && !sorts(40));
+
+            let expected = SortMergeEngine.join_project(&r, &s);
+            prop_assert!(ends.iter().all(|&z| expected.contains(&(40, z))));
+            for threads in [1, 2, 3, 8] {
+                let got = ExpandDedupEngine::parallel(threads).join_project(&r, &s);
+                prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "threads={}", threads);
+                prop_assert_eq!(&got, &expected, "threads={}", threads);
+            }
         }
     }
 }

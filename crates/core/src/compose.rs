@@ -25,7 +25,7 @@ use mmjoin_api::{
     emit_flat, emit_pairs, EngineError, NodeSource, PlanStats, Sink, StepNode, StepStats,
 };
 use mmjoin_obs::trace::{self, Stage};
-use mmjoin_storage::{CsrIndex, Relation, RelationBuilder, Value};
+use mmjoin_storage::{CsrIndex, Relation, Value};
 use std::borrow::Cow;
 
 /// Evaluates a general acyclic query, streaming distinct rows into
@@ -148,7 +148,7 @@ fn decide_base_steps(
                 oriented(atoms[i].relation, l.b == on),
                 oriented(atoms[j].relation, r.b == on),
             );
-            stat.decided_by(&plan_two_path(&lr, &rr, config, false));
+            stat.decided_by(&plan_two_path(lr, rr, config, false));
         }
     }
 }
@@ -221,9 +221,8 @@ fn execute_composed(
                     );
                     let step_span =
                         trace::span_dyn(Stage::Step, || format!("join v{on} (final, streamed)"));
-                    let (pairs, prim) = two_path_join_project_with_stats(&l, &r, config);
+                    let (pairs, prim) = two_path_join_project_with_stats(l, r, config);
                     drop(step_span);
-                    drop((l, r));
                     mats[left] = None;
                     mats[right] = None;
                     record_step(&mut step_stats[nsteps - 1], pairs.len(), &prim);
@@ -357,11 +356,11 @@ fn run_step(
                 mats[right].as_ref().expect("right materialised"),
                 plan.nodes[right].b == on,
             );
-            let (pairs, primitive) = two_path_join_project_with_stats(&l, &r, config);
-            drop((l, r));
+            let (pairs, primitive) = two_path_join_project_with_stats(l, r, config);
+            // The step's pairs are sorted and distinct as they stand.
             StepResult {
                 node: result,
-                relation: Relation::from_edges(pairs),
+                relation: Relation::from_sorted_edges(l.x_domain(), r.x_domain(), pairs),
                 primitive,
             }
         }
@@ -383,7 +382,7 @@ fn run_final_stage(
         }
         FinalStage::Star { center, legs } => {
             let _span = trace::span_dyn(Stage::Step, || format!("star v{center} (final)"));
-            let oriented_legs: Vec<Cow<'_, Relation>> = legs
+            let oriented_legs: Vec<&Relation> = legs
                 .iter()
                 .map(|&id| {
                     oriented(
@@ -392,21 +391,22 @@ fn run_final_stage(
                     )
                 })
                 .collect();
-            let refs: Vec<&Relation> = oriented_legs.iter().map(|c| c.as_ref()).collect();
-            let (flat, prim) = star_join_project_mm_flat(&refs, config);
+            let (flat, prim) = star_join_project_mm_flat(&oriented_legs, config);
             let rows = emit_flat(sink, graph.output_arity(), &flat);
             Ok((rows, prim))
         }
     }
 }
 
-/// Reorients `rel` so the join variable sits in the `y` column: identity
-/// when it already does (`on_is_y`), transposed otherwise.
-fn oriented(rel: &Relation, on_is_y: bool) -> Cow<'_, Relation> {
+/// `rel` with the join variable in the `y` column: itself when it already
+/// is (`on_is_y`), otherwise its transpose — which the relation keeps, so a
+/// base relation is transposed by the first query that needs it and never
+/// again.
+fn oriented(rel: &Relation, on_is_y: bool) -> &Relation {
     if on_is_y {
-        Cow::Borrowed(rel)
+        rel
     } else {
-        Cow::Owned(rel.transposed())
+        rel.as_transposed()
     }
 }
 
@@ -425,13 +425,9 @@ fn semijoin(
             (v as usize) < filter.y_domain() && filter.y_degree(v) > 0
         }
     };
-    let mut b = RelationBuilder::with_domains(target.x_domain(), target.y_domain());
-    for &(x, y) in target.edges() {
-        if occurs(if target_on_x { x } else { y }) {
-            b.push(x, y);
-        }
-    }
-    b.build()
+    let edges = target.edges().iter().copied();
+    let kept = edges.filter(|&(x, y)| occurs(if target_on_x { x } else { y }));
+    Relation::from_sorted_edges(target.x_domain(), target.y_domain(), kept.collect())
 }
 
 /// Emits a column selection of `rel` into `sink` in sorted output order.
@@ -549,6 +545,38 @@ mod tests {
         ];
         let graph = QueryGraph::chain(&rels).unwrap();
         assert_eq!(run(&graph), naive(&graph));
+    }
+
+    #[test]
+    fn chains_match_naive_in_every_orientation_of_their_middle_atoms() {
+        // A middle atom written `R(v_i, v_{i+1})` joins its predecessor on
+        // its `x` column, written `R(v_{i+1}, v_i)` on its `y` column: a
+        // step reads the relation's transpose, the relation, or one of each.
+        let rels: Vec<Relation> = (0..4u32)
+            .map(|r| {
+                Relation::from_edges((0..70u32).map(|i| ((i * (7 + r)) % 13, (i * (5 + r)) % 11)))
+            })
+            .collect();
+        for hops in [3u32, 4] {
+            for flips in 0..1u32 << (hops - 2) {
+                let atoms = (0..hops).map(|i| {
+                    let flipped = i > 0 && i + 1 < hops && flips >> (i - 1) & 1 == 1;
+                    let (x, y) = if flipped { (i + 1, i) } else { (i, i + 1) };
+                    let relation = &rels[i as usize];
+                    Atom { relation, x, y }
+                });
+                let graph = QueryGraph::new(atoms.collect(), vec![0, hops]).unwrap();
+                let expected = naive(&graph);
+                assert!(!expected.is_empty());
+                assert_eq!(run(&graph), expected, "{hops} hops, flips {flips:#b}");
+                // The memoised transposes serve the second run.
+                assert_eq!(
+                    run(&graph),
+                    expected,
+                    "{hops} hops, flips {flips:#b}, again"
+                );
+            }
+        }
     }
 
     #[test]

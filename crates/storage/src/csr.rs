@@ -1,6 +1,6 @@
 //! Compressed-sparse-row adjacency index with sorted neighbor lists.
 
-use crate::Value;
+use crate::{Edge, Value};
 
 /// A CSR (compressed sparse row) index mapping each key in a dense domain
 /// `0..num_keys` to a sorted slice of neighbor values.
@@ -21,66 +21,66 @@ pub struct CsrIndex {
 }
 
 impl CsrIndex {
-    /// Builds a CSR index from unsorted `(key, neighbor)` pairs.
+    /// Builds both indexes of a relation — `x → [y]` and `y → [x]` — from
+    /// its edges, which must be strictly ascending (sorted by `(x, y)`, no
+    /// duplicates) and inside `x_domain × y_domain`; a larger domain is
+    /// allowed and yields empty rows for the unused keys.
     ///
-    /// Duplicate pairs are collapsed. `num_keys` must be at least
-    /// `max(key) + 1`; passing a larger domain is allowed and yields empty
-    /// rows for the unused keys.
-    ///
-    /// Runs in `O(E log E)` due to the sort (the paper's `O(|D| log |D|)`
-    /// preprocessing budget).
+    /// `O(E + domains)`: the `x` rows are the edges' `y` column as it
+    /// stands, the `y` rows a stable counting scatter of the `x` column, so
+    /// every row comes out sorted and distinct with no per-row sort.
     ///
     /// # Panics
-    /// Panics if any key is `>= num_keys`.
-    pub fn from_pairs(num_keys: usize, pairs: &[(Value, Value)]) -> Self {
-        let mut counts = vec![0usize; num_keys + 1];
-        for &(k, _) in pairs {
+    /// Panics on an edge out of order, repeated, or outside the domains.
+    pub(crate) fn pair_from_sorted_edges(
+        x_domain: usize,
+        y_domain: usize,
+        edges: &[Edge],
+    ) -> (CsrIndex, CsrIndex) {
+        let mut x_offsets = vec![0usize; x_domain + 1];
+        let mut y_offsets = vec![0usize; y_domain + 1];
+        let mut prev = None;
+        for &(x, y) in edges {
             assert!(
-                (k as usize) < num_keys,
-                "key {k} out of bounds for domain of size {num_keys}"
+                prev < Some((x, y)),
+                "edge ({x}, {y}) is not strictly after {prev:?}"
             );
-            counts[k as usize + 1] += 1;
+            assert!(
+                (x as usize) < x_domain && (y as usize) < y_domain,
+                "edge ({x}, {y}) out of bounds for domains ({x_domain}, {y_domain})"
+            );
+            x_offsets[x as usize + 1] += 1;
+            y_offsets[y as usize + 1] += 1;
+            prev = Some((x, y));
         }
-        for i in 0..num_keys {
-            counts[i + 1] += counts[i];
-        }
-        let mut neighbors = vec![0 as Value; pairs.len()];
-        let mut cursor = counts.clone();
-        for &(k, v) in pairs {
-            let slot = cursor[k as usize];
-            neighbors[slot] = v;
-            cursor[k as usize] += 1;
-        }
-        // Sort and dedup each row in place.
-        let mut offsets = vec![0usize; num_keys + 1];
-        let (mut write, mut nonempty) = (0usize, 0usize);
-        for k in 0..num_keys {
-            let (start, end) = (counts[k], counts[k + 1]);
-            let row = &mut neighbors[start..end];
-            row.sort_unstable();
-            // Dedup the row while compacting the whole buffer.
-            let row_start_write = write;
-            let mut prev: Option<Value> = None;
-            for i in start..end {
-                let v = neighbors[i];
-                if prev != Some(v) {
-                    neighbors[write] = v;
-                    write += 1;
-                    prev = Some(v);
-                }
+        // Row lengths → row starts, counting the non-empty rows on the way.
+        let prefix_sums = |offsets: &mut [usize]| {
+            let mut nonempty = 0;
+            for k in 1..offsets.len() {
+                nonempty += usize::from(offsets[k] > 0);
+                offsets[k] += offsets[k - 1];
             }
-            offsets[k] = row_start_write;
-            nonempty += usize::from(end > start);
+            nonempty
+        };
+        let x_nonempty = prefix_sums(&mut x_offsets);
+        let y_nonempty = prefix_sums(&mut y_offsets);
+        let mut xs = vec![0 as Value; edges.len()];
+        let mut cursor = y_offsets[..y_domain].to_vec();
+        for &(x, y) in edges {
+            xs[cursor[y as usize]] = x;
+            cursor[y as usize] += 1;
         }
-        offsets[num_keys] = write;
-        // `offsets[k]` currently stores row starts; convert into standard
-        // prefix form (start of row k == offsets[k], end == offsets[k+1]).
-        neighbors.truncate(write);
-        Self {
-            offsets,
-            neighbors,
-            nonempty,
-        }
+        let by_x = CsrIndex {
+            offsets: x_offsets,
+            neighbors: edges.iter().map(|&(_, y)| y).collect(),
+            nonempty: x_nonempty,
+        };
+        let by_y = CsrIndex {
+            offsets: y_offsets,
+            neighbors: xs,
+            nonempty: y_nonempty,
+        };
+        (by_x, by_y)
     }
 
     /// Number of keys in the (dense) domain.
@@ -145,6 +145,34 @@ impl CsrIndex {
     #[inline]
     pub fn raw_offsets(&self) -> &[usize] {
         &self.offsets
+    }
+}
+
+#[cfg(test)]
+impl CsrIndex {
+    /// The construction this file had before edges arrived sorted: scatter
+    /// arbitrary `(key, neighbor)` pairs, then sort and dedup every row. Kept
+    /// as the reference [`CsrIndex::pair_from_sorted_edges`] must equal.
+    pub(crate) fn from_pairs(num_keys: usize, pairs: &[(Value, Value)]) -> Self {
+        let mut rows: Vec<Vec<Value>> = vec![Vec::new(); num_keys];
+        for &(k, v) in pairs {
+            rows[k as usize].push(v);
+        }
+        let mut offsets = vec![0usize];
+        let mut neighbors = Vec::new();
+        let mut nonempty = 0;
+        for row in &mut rows {
+            row.sort_unstable();
+            row.dedup();
+            nonempty += usize::from(!row.is_empty());
+            neighbors.extend_from_slice(row);
+            offsets.push(neighbors.len());
+        }
+        Self {
+            offsets,
+            neighbors,
+            nonempty,
+        }
     }
 }
 
@@ -251,27 +279,52 @@ pub fn is_subset(sub: &[Value], sup: &[Value]) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn builds_sorted_rows() {
-        let idx = CsrIndex::from_pairs(4, &[(2, 5), (0, 3), (2, 1), (0, 7), (2, 9)]);
-        assert_eq!(idx.neighbors(0), &[3, 7]);
-        assert_eq!(idx.neighbors(1), &[] as &[Value]);
-        assert_eq!(idx.neighbors(2), &[1, 5, 9]);
-        assert_eq!(idx.neighbors(3), &[] as &[Value]);
-        assert_eq!(idx.num_edges(), 5);
+    fn by_x(num_keys: usize, edges: &[Edge]) -> CsrIndex {
+        CsrIndex::pair_from_sorted_edges(num_keys, 16, edges).0
     }
 
     #[test]
-    fn dedups_pairs() {
-        let idx = CsrIndex::from_pairs(2, &[(0, 1), (0, 1), (1, 0), (0, 1)]);
-        assert_eq!(idx.neighbors(0), &[1]);
-        assert_eq!(idx.neighbors(1), &[0]);
-        assert_eq!(idx.num_edges(), 2);
+    fn builds_sorted_rows() {
+        let edges = [(0, 3), (0, 7), (2, 1), (2, 5), (2, 9), (3, 5)];
+        let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(5, 10, &edges);
+        assert_eq!(by_x.neighbors(0), &[3, 7]);
+        assert_eq!(by_x.neighbors(1), &[] as &[Value]);
+        assert_eq!(by_x.neighbors(2), &[1, 5, 9]);
+        assert_eq!(by_x.neighbors(4), &[] as &[Value]);
+        assert_eq!((by_x.num_keys(), by_x.num_edges()), (5, 6));
+        assert_eq!(by_y.neighbors(5), &[2, 3]);
+        assert_eq!(by_y.neighbors(9), &[2]);
+        assert_eq!(by_y.neighbors(0), &[] as &[Value]);
+        assert_eq!((by_y.num_keys(), by_y.num_edges()), (10, 6));
+        assert_eq!((by_x.num_nonempty(), by_y.num_nonempty()), (3, 5));
+    }
+
+    #[test]
+    fn equals_the_sort_per_row_construction() {
+        // Sorted distinct edges of every density, domains from tight to
+        // loose, from a fixed linear-congruential stream.
+        let mut state = 0x2545_f491u32;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) % bound
+        };
+        for case in 0..200 {
+            let (xd, yd) = (1 + next(40), 1 + next(70));
+            let mut edges: Vec<Edge> = (0..next(300)).map(|_| (next(xd), next(yd))).collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let slack = (case % 3) as usize;
+            let (xd, yd) = (xd as usize + slack, yd as usize + 2 * slack);
+            let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(xd, yd, &edges);
+            let swapped: Vec<Edge> = edges.iter().map(|&(x, y)| (y, x)).collect();
+            assert_eq!(by_x, CsrIndex::from_pairs(xd, &edges), "case {case}");
+            assert_eq!(by_y, CsrIndex::from_pairs(yd, &swapped), "case {case}");
+        }
     }
 
     #[test]
     fn degree_and_contains() {
-        let idx = CsrIndex::from_pairs(3, &[(1, 4), (1, 2), (1, 8)]);
+        let idx = by_x(3, &[(1, 2), (1, 4), (1, 8)]);
         assert_eq!(idx.degree(1), 3);
         assert_eq!(idx.degree(0), 0);
         assert!(idx.contains(1, 4));
@@ -281,26 +334,50 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let idx = CsrIndex::from_pairs(0, &[]);
+        let (idx, by_y) = CsrIndex::pair_from_sorted_edges(0, 0, &[]);
         assert_eq!(idx.num_keys(), 0);
         assert_eq!(idx.num_edges(), 0);
         assert_eq!(idx.iter_nonempty().count(), 0);
+        assert_eq!(by_y, idx);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn rejects_out_of_domain_keys() {
-        let _ = CsrIndex::from_pairs(2, &[(2, 0)]);
+        let _ = by_x(2, &[(2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn rejects_out_of_domain_neighbors() {
+        let _ = CsrIndex::pair_from_sorted_edges(2, 3, &[(1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly after")]
+    fn rejects_unsorted_edges() {
+        let _ = by_x(4, &[(2, 5), (0, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly after")]
+    fn rejects_unsorted_rows() {
+        let _ = by_x(4, &[(2, 5), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly after")]
+    fn rejects_duplicate_edges() {
+        let _ = by_x(2, &[(0, 1), (0, 1)]);
     }
 
     #[test]
     fn iter_nonempty_skips_empty_rows() {
-        let idx = CsrIndex::from_pairs(5, &[(0, 1), (4, 2)]);
+        let idx = by_x(5, &[(0, 1), (4, 2)]);
         let keys: Vec<Value> = idx.iter_nonempty().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![0, 4]);
         assert_eq!(idx.num_nonempty(), 2);
-        // Duplicates collapse into one non-empty row.
-        let idx = CsrIndex::from_pairs(3, &[(1, 7), (1, 7), (1, 2)]);
+        let idx = by_x(3, &[(1, 2), (1, 7)]);
         assert_eq!(idx.num_nonempty(), idx.iter_nonempty().count());
     }
 

@@ -6,10 +6,9 @@
 //! O(N) clear with an epoch counter: bumping the epoch invalidates every slot
 //! at once, so a group whose output is tiny pays nothing for the reset.
 //!
-//! The buffer also supports the paper's *alternative* strategy — append all
-//! reachable values then sort-dedup — via [`DedupBuffer::sort_strategy_threshold`],
-//! letting callers pick whichever is cheaper for the group at hand (§6: "we
-//! choose the best of the two strategies").
+//! The paper's *alternative* strategy — append all reachable values, then
+//! sort and deduplicate — is [`sort_dedup`] (§6: "we choose the best of the
+//! two strategies"; `mmjoin_baseline::nonmm` makes that choice per group).
 
 use crate::Value;
 
@@ -33,11 +32,6 @@ impl DedupBuffer {
             count: vec![0; n],
             epoch: 1,
         }
-    }
-
-    /// Domain size.
-    pub fn domain(&self) -> usize {
-        self.stamp.len()
     }
 
     /// Clears the set in O(1) by bumping the epoch. On (rare) epoch wrap the
@@ -81,14 +75,6 @@ impl DedupBuffer {
         } else {
             0
         }
-    }
-
-    /// Heuristic from §6: when the expected number of insertions for a group
-    /// is below this fraction of the domain, the sort-based strategy tends to
-    /// beat random access (cache effects). Callers compare their workload
-    /// estimate against `domain() / 8`.
-    pub fn sort_strategy_threshold(&self) -> usize {
-        self.domain() / 8
     }
 }
 

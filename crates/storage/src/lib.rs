@@ -9,13 +9,14 @@
 //!   *both* directions (`x → [y]` and `y → [x]`). This is the paper's
 //!   requirement (§5, "Indexing relations") that every relation be stored
 //!   once per index order with sorted neighbor lists.
-//! * [`CsrIndex`] — the compressed-sparse-row index itself, usable standalone.
+//! * [`CsrIndex`] — the compressed-sparse-row index itself.
 //! * [`stats`] — the degree-threshold indexes `sum(xδ)`, `sum(yδ)`,
 //!   `cdfx(yδ)` and `count(wδ)` that the cost-based optimizer (Algorithm 3)
 //!   queries by binary search.
-//! * [`dedup`] — the epoch-stamped dense deduplication scratch buffer used by
-//!   all light-part join implementations (§6's `dedup` vector, improved with
-//!   epoch counters so it never needs an O(N) clear between groups).
+//! * [`dedup`] — the epoch-stamped dense deduplication scratch buffer of the
+//!   partitioned light passes and the counting joins (§6's `dedup` vector,
+//!   improved with epoch counters so it never needs an O(N) clear between
+//!   groups), and the sort-based alternative.
 //! * [`packed`] — a relation's adjacency as bit-packed rows, built once per
 //!   relation value by the first Boolean heavy core that reads it.
 //! * [`delta`] — the mutable data path: batched [`RelationDelta`]

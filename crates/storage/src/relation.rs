@@ -4,7 +4,7 @@
 use crate::csr::CsrIndex;
 use crate::packed::PackedForms;
 use crate::{Edge, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable binary relation `R(x, y)`, fully indexed.
 ///
@@ -14,19 +14,22 @@ use std::sync::Arc;
 /// worst-case-optimal join runs. All per-value degree lookups are O(1), and
 /// so are the active-value counts.
 ///
-/// A relation value also owns its packed forms ([`Relation::packed`]):
-/// empty until a Boolean heavy core reads them, shared by clones, and never
-/// carried over to a relation derived from this one.
+/// A relation value also owns its packed forms ([`Relation::packed`]) and
+/// its transpose ([`Relation::as_transposed`]): empty until a query reads
+/// them, shared by clones, and never carried over to a relation derived from
+/// this one.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// Deduplicated tuples, sorted by `(x, y)`.
     edges: Vec<Edge>,
-    /// `x → sorted [y]`.
-    by_x: CsrIndex,
+    /// `x → sorted [y]`; shared with the transpose, whose `y` index it is.
+    by_x: Arc<CsrIndex>,
     /// `y → sorted [x]`.
-    by_y: CsrIndex,
+    by_y: Arc<CsrIndex>,
     /// Bit-packed rows, built on first use.
     packed: Arc<PackedForms>,
+    /// `Rᵀ`, built on first use.
+    transpose: Arc<OnceLock<Relation>>,
 }
 
 impl Relation {
@@ -50,12 +53,25 @@ impl Relation {
         b.build()
     }
 
-    pub(crate) fn from_parts(edges: Vec<Edge>, by_x: CsrIndex, by_y: CsrIndex) -> Self {
+    /// Builds a relation over `x_domain × y_domain` from edges that are
+    /// already sorted by `(x, y)` and distinct — what a join step, a merge
+    /// or a filter of a relation's own edges leaves behind — in
+    /// `O(N + domains)`: no sort, both indexes in one pass over the edges.
+    ///
+    /// # Panics
+    /// Panics on an edge out of order, repeated, or outside the domains.
+    pub fn from_sorted_edges(x_domain: usize, y_domain: usize, edges: Vec<Edge>) -> Self {
+        let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(x_domain, y_domain, &edges);
+        Self::from_parts(edges, Arc::new(by_x), Arc::new(by_y))
+    }
+
+    fn from_parts(edges: Vec<Edge>, by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>) -> Self {
         Self {
             edges,
             by_x,
             by_y,
             packed: Arc::default(),
+            transpose: Arc::default(),
         }
     }
 
@@ -163,7 +179,7 @@ impl Relation {
     ///
     /// O(N) with no re-sorting or re-indexing — the transposed edge list
     /// falls out of the `y → [x]` index in sorted order, and the two CSR
-    /// indexes simply trade places.
+    /// indexes, shared with `self`, simply trade places.
     pub fn transposed(&self) -> Relation {
         let mut edges = Vec::with_capacity(self.len());
         for (y, xs) in self.by_y.iter_nonempty() {
@@ -171,7 +187,16 @@ impl Relation {
                 edges.push((y, x));
             }
         }
-        Relation::from_parts(edges, self.by_y.clone(), self.by_x.clone())
+        Relation::from_parts(edges, Arc::clone(&self.by_y), Arc::clone(&self.by_x))
+    }
+
+    /// [`Relation::transposed`], built by the first call and kept as long
+    /// as this relation value (a clone shares it): a chain step that joins
+    /// on this relation's `x` column reads it instead of copying the
+    /// relation per query. It packs its own forms, and a relation derived
+    /// from this one starts without it.
+    pub fn as_transposed(&self) -> &Relation {
+        self.transpose.get_or_init(|| self.transposed())
     }
 
     /// Semi-join reduction for the 2-path query `R(x,y) ⋈ S(z,y)`: returns
@@ -179,27 +204,13 @@ impl Relation {
     /// other side) are removed. The paper assumes this linear-time
     /// preprocessing before Algorithm 1 runs.
     pub fn reduce_pair(r: &Relation, s: &Relation) -> (Relation, Relation) {
-        let r_edges: Vec<Edge> = r
-            .edges
-            .iter()
-            .copied()
-            .filter(|&(_, y)| (y as usize) < s.y_domain() && s.y_degree(y) > 0)
-            .collect();
-        let s_edges: Vec<Edge> = s
-            .edges
-            .iter()
-            .copied()
-            .filter(|&(_, y)| (y as usize) < r.y_domain() && r.y_degree(y) > 0)
-            .collect();
-        let mut rb = RelationBuilder::with_domains(r.x_domain(), r.y_domain());
-        for (x, y) in r_edges {
-            rb.push(x, y);
-        }
-        let mut sb = RelationBuilder::with_domains(s.x_domain(), s.y_domain());
-        for (x, y) in s_edges {
-            sb.push(x, y);
-        }
-        (rb.build(), sb.build())
+        let keep = |of: &Relation, other: &Relation| {
+            let edges = of.edges.iter().copied();
+            let kept =
+                edges.filter(|&(_, y)| (y as usize) < other.y_domain() && other.y_degree(y) > 0);
+            Relation::from_sorted_edges(of.x_domain(), of.y_domain(), kept.collect())
+        };
+        (keep(r, s), keep(s, r))
     }
 
     /// Semi-join reduction for a star query over `k` relations joined on `y`:
@@ -226,13 +237,9 @@ impl Relation {
             .iter()
             .map(|r| {
                 let r = r.as_ref();
-                let mut b = RelationBuilder::with_domains(r.x_domain(), r.y_domain());
-                for &(x, y) in r.edges() {
-                    if (y as usize) < dom && alive[y as usize] {
-                        b.push(x, y);
-                    }
-                }
-                b.build()
+                let kept = r.edges().iter().copied();
+                let kept = kept.filter(|&(_, y)| (y as usize) < dom && alive[y as usize]);
+                Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
             })
             .collect()
     }
@@ -309,16 +316,14 @@ impl RelationBuilder {
     pub fn build(mut self) -> Relation {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let by_x = CsrIndex::from_pairs(self.x_domain, &self.edges);
-        let swapped: Vec<Edge> = self.edges.iter().map(|&(x, y)| (y, x)).collect();
-        let by_y = CsrIndex::from_pairs(self.y_domain, &swapped);
-        Relation::from_parts(self.edges, by_x, by_y)
+        Relation::from_sorted_edges(self.x_domain, self.y_domain, self.edges)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::RelationDelta;
 
     fn rel(edges: &[Edge]) -> Relation {
         Relation::from_edges(edges.iter().copied())
@@ -334,6 +339,38 @@ mod tests {
         assert_eq!(r.y_degree(2), 2);
         assert!(r.contains(1, 2));
         assert!(!r.contains(1, 1));
+    }
+
+    /// Both indexes of `r` equal the sort-every-row construction over the
+    /// same tuples, in whatever order and multiplicity they are given.
+    pub(crate) fn assert_indexed_like(r: &Relation, tuples: &[Edge]) {
+        let swapped: Vec<Edge> = tuples.iter().map(|&(x, y)| (y, x)).collect();
+        assert_eq!(r.by_x(), &CsrIndex::from_pairs(r.x_domain(), tuples));
+        assert_eq!(r.by_y(), &CsrIndex::from_pairs(r.y_domain(), &swapped));
+        assert_eq!(r.len(), r.by_x().num_edges());
+    }
+
+    #[test]
+    fn build_equals_the_sort_per_row_construction() {
+        // Unsorted, repeated input; inferred and loose explicit domains.
+        let tuples: Vec<Edge> = (0..500u32)
+            .map(|i| ((i * 37) % 23, (i * 101) % 67))
+            .chain([(22, 63), (22, 64), (0, 64), (22, 63)])
+            .collect();
+        assert_indexed_like(&rel(&tuples), &tuples);
+        let mut b = RelationBuilder::with_domains(40, 130);
+        tuples.iter().for_each(|&(x, y)| b.push(x, y));
+        let r = b.build();
+        assert_eq!((r.x_domain(), r.y_domain()), (40, 130));
+        assert_indexed_like(&r, &tuples);
+        let t = r.transposed();
+        assert_indexed_like(&t, t.edges());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly after")]
+    fn from_sorted_edges_rejects_unsorted_input() {
+        let _ = Relation::from_sorted_edges(3, 3, vec![(1, 0), (0, 2)]);
     }
 
     #[test]
@@ -405,8 +442,23 @@ mod tests {
         assert_eq!(t.y_domain(), r.x_domain());
         assert_eq!(t.ys_of(5), r.xs_of(5));
         assert_eq!(t.xs_of(0), r.ys_of(0));
+        // The indexes trade places without being copied.
+        assert!(std::ptr::eq(t.by_x(), r.by_y()) && std::ptr::eq(t.by_y(), r.by_x()));
         // Involution: transposing twice restores the original.
         assert_eq!(t.transposed().edges(), r.edges());
+    }
+
+    #[test]
+    fn as_transposed_is_built_once_and_shared_by_clones() {
+        let r = rel(&[(0, 5), (0, 7), (1, 5), (3, 2)]);
+        let t = r.as_transposed();
+        assert_eq!(t.edges(), r.transposed().edges());
+        assert!(std::ptr::eq(t, r.as_transposed()));
+        assert!(std::ptr::eq(t, r.clone().as_transposed()));
+        // A derived relation starts without one.
+        let next = r.apply_delta(RelationDelta::new().insert(4, 4));
+        assert_eq!(next.as_transposed().len(), 5);
+        assert_eq!(t.len(), 4);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! memory cap is checked before anything is packed; (e) a query over packed
 //! relations allocates its product, its output and O(1) more — which is
 //! also how the suite holds that the per-pair builder (`HeavyIndex`, whose
-//! vectors are sized by the domains) does not run on the served path.
+//! vectors are sized by the domains) does not run on the served path; (f) the
+//! transpose a chain step reads is memoised by the same rule.
 
 use mmjoin::{
     plan_query, HeavyBackend, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query,
@@ -433,4 +434,54 @@ fn a_reuse_query_allocates_the_product_the_output_and_a_constant() {
         assert!(per_pair.big >= reuse.big + 3, "{per_pair:?}");
     }
     assert_eq!(reuse_costs[0], reuse_costs[1], "independent of |R| + |S|");
+}
+
+/// (f) The transpose is memoised the same way. A chain step that joins on a
+/// relation's `x` column reads `Relation::as_transposed`: the first chain
+/// over a registered relation copies its edges once, the second — the
+/// result cache is off, the engine runs again — makes no block the size of
+/// a base relation, and an effective update (a new relation value) is what
+/// brings the copy back.
+#[test]
+fn a_chain_transposes_a_registered_relation_once() {
+    const N: u32 = 1 << 14;
+    /// A base relation's edge array, the first thing a transpose allocates;
+    /// every intermediate, index and bitmap of this chain is smaller.
+    const BIG: usize = 8 * N as usize;
+    let service = Service::with_config(ServiceConfig {
+        cache_capacity: 0,
+        join_config: served(20.0, 1),
+        ..ServiceConfig::default()
+    });
+    let head = Relation::from_edges((0..8).map(|i| (i, i)));
+    let mid = Relation::from_edges((0..N).map(|e| (e % 64, e / 2)));
+    let tail = Relation::from_edges((0..N).map(|e| (e / 2, e % 64)));
+    let expand = ExpandDedupEngine::serial();
+    let two_hops = Relation::from_edges(expand.join_project(&head, &mid.transposed()));
+    let expected = expand.join_project(&two_hops, &tail.transposed());
+    for (name, relation) in [("Head", head), ("Mid", mid), ("Tail", tail)] {
+        service.register(name, relation);
+    }
+    let chain = || {
+        let response = service.query(Request::chain(["Head", "Mid", "Tail"]));
+        response.expect("the chain runs")
+    };
+
+    let (first, cold) = tallied(BIG, chain);
+    let rows: Vec<(Value, Value)> = first.rows.iter().map(|row| (row[0], row[1])).collect();
+    assert_eq!(rows, expected);
+    assert!(!rows.is_empty());
+    assert!(cold.big >= 1, "something was transposed: {cold:?}");
+    let (again, warm) = tallied(BIG, chain);
+    assert!(!again.cached);
+    assert_eq!(again.rows, first.rows);
+    assert_eq!(warm.big, 0, "no copy of a base relation: {warm:?}");
+
+    for name in ["Mid", "Tail"] {
+        service.insert(name, [(70, 70)]).expect("registered");
+    }
+    let (after, rebuilt) = tallied(BIG, chain);
+    assert_eq!(after.rows, first.rows, "(70, 70) joins nothing");
+    assert_eq!(rebuilt.big, cold.big, "new relation values: {rebuilt:?}");
+    assert_eq!(tallied(BIG, chain).1.big, 0);
 }
