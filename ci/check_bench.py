@@ -15,6 +15,13 @@ objects, one per target, with the target name and scale spliced in:
       ...
     ]
 
+A snapshot that is a JSON *object* is a `trajectory` result file
+(BENCH_22.json on): a ``header`` naming the commits, ``host_cores`` and the
+per-seed ``script_hash`` of every workload, and per seed a ``parent`` and
+a ``change`` set as ``benchmark/compare.py collect`` writes them. Those
+are checked for that shape, for both sets of a seed having measured the
+same scripts, and for zero failed operations.
+
 The check fails if any snapshot is malformed, or if the trajectory is
 missing a required snapshot (BENCH_8.json must exist and carry the
 ``crossover`` target with both its sweep and kernel-speedup rows — the
@@ -111,6 +118,33 @@ def check_crossover(path: str, entry, require_par: bool) -> None:
             fail(f"{path}: {key} has malformed thread budget {budget!r}")
 
 
+def check_trajectory(path: str, doc: dict) -> None:
+    """A `compare.py collect` pair file: header + {seed: {parent, change}}."""
+    header = doc.get("header")
+    if not isinstance(header, dict):
+        fail(f"{path}: trajectory file has no header object")
+    for key in ("parent_commit", "change_commit", "host_cores", "script_hash"):
+        if key not in header:
+            fail(f"{path}: header lacks {key!r}")
+    seeds = [key for key in doc if key != "header"]
+    if not seeds:
+        fail(f"{path}: no result sets")
+    for seed in seeds:
+        hashes = header["script_hash"].get(seed)
+        if not isinstance(hashes, dict):
+            fail(f"{path}: header has no script_hash for {seed}")
+        for side in ("parent", "change"):
+            runs = doc[seed].get(side, {}).get("runs")
+            if not runs:
+                fail(f"{path}: {seed}.{side} has no runs")
+            for run in runs:
+                head = run.get("header", {})
+                if "metrics" not in run or hashes.get(head.get("workload")) != head.get("script_hash"):
+                    fail(f"{path}: {seed}.{side} holds a run of another script")
+                if run.get("failed"):
+                    fail(f"{path}: {seed}.{side} {head['workload']} has failed operations")
+
+
 def main() -> None:
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
@@ -123,6 +157,9 @@ def main() -> None:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             fail(f"{path}: {exc}")
+        if isinstance(doc, dict):
+            check_trajectory(path, doc)
+            continue
         if not isinstance(doc, list) or not doc:
             fail(f"{path}: expected a non-empty JSON array of table objects")
         targets = [check_entry(path, i, entry) for i, entry in enumerate(doc)]

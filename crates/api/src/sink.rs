@@ -347,49 +347,31 @@ pub fn emit_flat(sink: &mut dyn Sink, arity: usize, flat: &[Value]) -> u64 {
     sink.flat_rows(arity, flat)
 }
 
-/// Accumulates signed deltas of arity-2 rows — the sink behind
+/// Accumulates signed deltas of arity-2 rows: the support counts behind
 /// incremental view maintenance.
 ///
-/// Each emitted row contributes `sign × max(count, 1)` to that row's
-/// delta. Running the delta joins of the maintenance identity
-/// `Δ(R ⋈ S) = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS` into one `DeltaSink` (flipping
-/// [`set_sign`](DeltaSink::set_sign) between the `+`/`−` delta parts)
-/// yields exactly the per-row support-count adjustments to apply to a
-/// cached result.
+/// Each emitted row contributes `max(count, 1)` to that row's delta, so a
+/// counting execution run into a `DeltaSink` drains to every output pair
+/// with its witness count — the supports a cached result is maintained
+/// from. (The *update* deltas are not accumulated here: the service's
+/// `two_path_delta` emits them coalesced and in order.)
 ///
 /// Emissions are appended to one flat buffer — no allocation per row —
 /// and sorted and coalesced once, by
-/// [`into_deltas`](DeltaSink::into_deltas); the sorted order is what
-/// gives maintained results their canonical row order.
-#[derive(Debug, Clone)]
+/// [`into_deltas`](DeltaSink::into_deltas).
+#[derive(Debug, Clone, Default)]
 pub struct DeltaSink {
-    sign: i64,
     deltas: Vec<((Value, Value), i64)>,
 }
 
-impl Default for DeltaSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DeltaSink {
-    /// An empty accumulator with sign `+1`.
+    /// An empty accumulator.
     pub fn new() -> Self {
-        Self {
-            sign: 1,
-            deltas: Vec::new(),
-        }
-    }
-
-    /// Sets the sign applied to subsequently emitted rows (`+1` for an
-    /// inserted-side join term, `−1` for a deleted-side one).
-    pub fn set_sign(&mut self, sign: i64) {
-        self.sign = sign;
+        Self::default()
     }
 
     /// Adds `delta` to `row` directly, without going through the engine
-    /// emission path (used for hand-computed join terms).
+    /// emission path (hand-computed, possibly negative, join terms).
     pub fn add(&mut self, row: &[Value], delta: i64) {
         assert_eq!(row.len(), 2, "DeltaSink requires arity-2 rows");
         if delta != 0 {
@@ -431,11 +413,11 @@ impl Sink for DeltaSink {
     }
 
     fn row(&mut self, row: &[Value]) {
-        self.add(row, self.sign);
+        self.add(row, 1);
     }
 
     fn counted_row(&mut self, row: &[Value], count: u32) {
-        self.add(row, self.sign * count.max(1) as i64);
+        self.add(row, count.max(1) as i64);
     }
 }
 
@@ -583,14 +565,11 @@ mod tests {
     fn delta_sink_accumulates_signed_counts() {
         let mut s = DeltaSink::new();
         s.row(&[0, 3]); // emitted out of order: the drain sorts
-        s.set_sign(-1);
-        s.row(&[0, 3]);
-        s.row(&[0, 3]); // net -1
-        s.set_sign(1);
+        s.add(&[0, 3], -1);
+        s.add(&[0, 3], -1); // net -1
         s.counted_row(&[0, 1], 2); // +2
         s.row(&[0, 2]); // +1
-        s.set_sign(-1);
-        s.counted_row(&[0, 1], 1); // net +1
+        s.add(&[0, 1], -1); // net +1
         assert_eq!(s.len(), 6, "emissions are buffered, not merged");
         assert_eq!(
             s.into_deltas(),
@@ -603,8 +582,7 @@ mod tests {
         let mut s = DeltaSink::new();
         s.counted_row(&[7, 7], 3);
         s.row(&[1, 1]);
-        s.set_sign(-1);
-        s.counted_row(&[7, 7], 3);
+        s.add(&[7, 7], -3);
         assert_eq!(s.into_deltas(), vec![((1, 1), 1)]);
         assert!(DeltaSink::new().into_deltas().is_empty());
     }

@@ -9,7 +9,7 @@
 //! result size and hits are byte-identical to the cold execution that
 //! populated them.
 
-use crate::maintain::DeltaResult;
+use crate::maintain::Supports;
 use crate::request::Request;
 use mmjoin_api::{ExecStats, FlatRows};
 use mmjoin_storage::Value;
@@ -30,9 +30,10 @@ pub struct CacheEntry {
     pub stats: ExecStats,
     /// Whether a row limit cut the stream short.
     pub truncated: bool,
-    /// Per-tuple support counts, present once the entry has been through
-    /// the maintenance path — what makes future updates patchable.
-    pub support: Option<Arc<DeltaResult>>,
+    /// Per-tuple support counts and the measured cost of building them,
+    /// present once the entry has been through the maintenance path — what
+    /// makes future updates patchable, and priceable.
+    pub support: Option<Supports>,
     /// Whether this entry was last refreshed by an in-place delta patch
     /// (as opposed to an execution, cold or eager).
     pub maintained: bool,
@@ -42,7 +43,7 @@ impl CacheEntry {
     /// Heap bytes of the result arrays — values, counts, and a pair plus a
     /// count per supported tuple — from their lengths alone.
     pub fn bytes(&self) -> usize {
-        let support = self.support.as_ref().map_or(0, |s| s.len());
+        let support = self.support.as_ref().map_or(0, |s| s.result.len());
         let words = self.rows.values.len() + self.counts.len() + 3 * support;
         words * std::mem::size_of::<Value>()
     }
@@ -61,7 +62,7 @@ pub struct CachedResult {
     pub counts: Arc<Vec<u32>>,
     pub stats: ExecStats,
     pub truncated: bool,
-    pub support: Option<Arc<DeltaResult>>,
+    pub support: Option<Supports>,
     pub maintained: bool,
 }
 

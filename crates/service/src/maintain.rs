@@ -7,13 +7,19 @@
 //! identity
 //!
 //! ```text
-//! Δ(R ⋈ S) = ΔR ⋈ S  ∪  R ⋈ ΔS  ∪  ΔR ⋈ ΔS      (signed)
+//! Δ(R ⋈ S) = ΔR ⋈ S_after  +  R_before ⋈ ΔS      (signed)
 //! ```
 //!
-//! where `ΔR`/`ΔS` are the normalized signed deltas of an update batch.
-//! Because `|Δ|` is small, the delta joins live in the light/combinatorial
-//! regime of the paper's cost model and cost `Σ_{(x,y)∈Δ} deg(y)` — far
-//! below the `full_join` mass a recompute would pay.
+//! where `ΔR`/`ΔS` are the normalized signed deltas of an update batch and
+//! `S_after` absorbs `ΔR ⋈ ΔS`. [`two_path_delta`] sums the `±1` witnesses
+//! one `x` group at a time and emits each group in ascending `z`: sorted
+//! and coalesced as written, no row per witness, no sort of the whole.
+//!
+//! The joins cost `Σ_{(x,y)∈Δ} deg(y)` witnesses ([`delta_cost`]) — not
+//! small because `|Δ|` is: a 2048-edge batch against a dense relation has
+//! more witnesses than the entry has rows — so the choice below compares
+//! seconds: witnesses at the cost model's prices against the *measured*
+//! time of the execution that built the entry's supports.
 //!
 //! Deletion is the hard part: removing the last witness `y` of an output
 //! pair `(x, z)` must remove the pair. [`DeltaResult`] therefore keeps a
@@ -21,23 +27,23 @@
 //! row; signed delta contributions are added to the supports and rows
 //! whose support reaches zero disappear.
 //!
-//! Per affected entry the service picks one of three actions from the
-//! paper's output estimate (see [`decide`]):
+//! Per affected entry the service picks one of three actions (see
+//! [`decide`]):
 //!
 //! * **maintain** — patch the support counts with the delta joins; chosen
-//!   when the entry already carries supports and the delta work is below
-//!   the recompute estimate;
+//!   when the entry already carries supports and the predicted delta work
+//!   undercuts the predicted recompute;
 //! * **recompute** — eagerly re-execute (as a counting join) to build the
 //!   support structure, keeping the cache warm; chosen on first touch or
 //!   when the delta is too large, as long as the estimate fits the
 //!   recompute budget;
 //! * **invalidate** — drop the entry and let the next query pay; the
 //!   fallback for non-maintainable shapes (star/similarity/containment,
-//!   limits, pinned engines) and over-budget recomputes.
+//!   limits, pinned engines) and over-budget recomputes ([`DropReason`]).
 
-use mmjoin_api::{DeltaSink, Sink};
 use mmjoin_storage::{NormalizedDelta, Relation, Value};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Tuning knobs for the maintenance path.
 #[derive(Debug, Clone)]
@@ -87,6 +93,8 @@ pub struct MaintenanceReport {
     pub recomputed: usize,
     /// Cache entries dropped.
     pub invalidated: usize,
+    /// `invalidated` by rule, indexed by [`DropReason`] (`as usize`).
+    pub dropped: [usize; DropReason::ALL.len()],
 }
 
 impl MaintenanceReport {
@@ -94,6 +102,52 @@ impl MaintenanceReport {
     pub fn is_noop(&self) -> bool {
         self.inserted == 0 && self.deleted == 0
     }
+}
+
+/// The rule that made a refresh drop its entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// Not a two-path: no per-tuple supports to patch.
+    Family,
+    /// A row limit truncates the support set.
+    Limit,
+    /// A pinned engine promises that engine's stats and row order.
+    Pinned,
+    /// Not current before this update, or superseded by a later one.
+    Stale,
+    /// Maintenance is switched off ([`MaintenancePolicy::disabled`]).
+    Disabled,
+    /// The recompute estimate exceeds `recompute_budget`.
+    OverBudget,
+    /// The chosen maintain or recompute failed (corrupt entry, engine error).
+    Failed,
+}
+
+impl DropReason {
+    /// Every reason, in `as usize` order.
+    pub const ALL: [DropReason; 7] = {
+        use DropReason::*;
+        [Family, Limit, Pinned, Stale, Disabled, OverBudget, Failed]
+    };
+
+    /// The name `stats` prints and the metrics registry files it under.
+    pub fn name(self) -> String {
+        format!("{self:?}").to_lowercase()
+    }
+}
+
+/// What makes a cache entry patchable, and what a recompute of it costs.
+#[derive(Debug, Clone)]
+pub struct Supports {
+    /// The per-tuple support counts.
+    pub result: Arc<DeltaResult>,
+    /// Measured seconds of the counting execution that built them — or the
+    /// previous price at this mass, when that was lower: timing noise only
+    /// ever inflates a sample.
+    pub built_secs: f64,
+    /// The `full_join + |R| + |S|` mass that execution ran over: a
+    /// recompute now is priced at `built_secs` × today's mass / this one.
+    pub built_cost: u64,
 }
 
 /// A support-counted two-path result: every output pair `(x, z)` with its
@@ -143,7 +197,7 @@ struct Edit {
 
 impl DeltaResult {
     /// Builds from the signed accumulation of a full counting execution
-    /// ([`DeltaSink::into_deltas`]: ascending, distinct; all deltas must be
+    /// (`DeltaSink::into_deltas`: ascending, distinct; all deltas must be
     /// positive — they are absolute witness counts).
     pub fn from_signed(deltas: &[((Value, Value), i64)]) -> Self {
         let (pairs, support) = deltas
@@ -172,8 +226,8 @@ impl DeltaResult {
         (rows, counts)
     }
 
-    /// Applies signed support adjustments (ascending, distinct — what
-    /// [`DeltaSink::into_deltas`] returns) in place, to the supports and
+    /// Applies signed support adjustments (ascending, distinct, none zero
+    /// — what [`two_path_delta`] returns) in place, to the supports and
     /// to the `rows`/`counts` an entry serves from them, which must be
     /// what [`rows`](DeltaResult::rows) returns for the same `min_count`
     /// and `with_counts`. Afterwards all three are what a from-scratch
@@ -355,135 +409,248 @@ pub enum Decision {
     /// Eagerly re-execute the (counting) query and refresh the entry.
     Recompute,
     /// Drop the entry; the next query recomputes lazily.
-    Invalidate,
+    Invalidate(DropReason),
 }
 
-/// The decision rule, driven by the paper's output estimate: maintain when
-/// the delta work undercuts the recompute estimate (and supports exist to
-/// patch), recompute when refreshing is affordable, invalidate otherwise.
+/// The decision rule. `predicted` is `(maintain, recompute)` in seconds:
+/// the delta joins' exact witness count at the cost model's prices plus a
+/// pass over the entry, against the measured time of the execution that
+/// built the entry's supports scaled to today's relations ([`Supports`]).
+/// An entry without supports has no prices and no choice: it recomputes.
+/// `recompute_cost` is the `full_join + |R| + |S|` tuple mass the budget
+/// bounds — a count, so the budget means the same on any machine.
 pub fn decide(
-    has_support: bool,
-    delta_cost: u64,
+    predicted: Option<(f64, f64)>,
     recompute_cost: u64,
     policy: &MaintenancePolicy,
 ) -> Decision {
     if !policy.enabled {
-        return Decision::Invalidate;
+        return Decision::Invalidate(DropReason::Disabled);
     }
-    if has_support && delta_cost <= recompute_cost {
-        Decision::Maintain
-    } else if recompute_cost <= policy.recompute_budget {
-        Decision::Recompute
-    } else {
-        Decision::Invalidate
+    match predicted {
+        Some((maintain, recompute)) if maintain <= recompute => Decision::Maintain,
+        _ if recompute_cost <= policy.recompute_budget => Decision::Recompute,
+        _ => Decision::Invalidate(DropReason::OverBudget),
     }
 }
 
-/// Exact work of the delta joins for a two-path entry: every delta tuple
-/// scans its join value's inverted list on the *old* other side, plus the
-/// (tiny) `ΔR ⋈ ΔS` cross term when the update hits both sides of a self
-/// join.
+/// Exact witness count of [`two_path_delta`]'s two terms: every delta
+/// tuple scans its join value's inverted list in `S` *after* the update
+/// when it plays `ΔR`, and in `R` *before* it when it plays `ΔS`.
 pub fn delta_cost(
     delta: &NormalizedDelta,
-    r_old: &Relation,
-    s_old: &Relation,
+    r_before: &Relation,
+    s_after: &Relation,
     delta_on_r: bool,
     delta_on_s: bool,
 ) -> u64 {
     let side = |other: &Relation| -> u64 {
         delta
             .signed()
-            .map(|(_, y, _)| {
-                if (y as usize) < other.y_domain() {
-                    other.y_degree(y) as u64
-                } else {
-                    0
-                }
-            })
+            .filter(|&(_, y, _)| (y as usize) < other.y_domain())
+            .map(|(_, y, _)| other.y_degree(y) as u64)
             .sum()
     };
-    let mut cost = 0u64;
-    if delta_on_r {
-        cost += side(s_old);
-    }
-    if delta_on_s {
-        cost += side(r_old);
-    }
-    if delta_on_r && delta_on_s {
-        // Cross term: Σ_y |Δ_y|² ≤ |Δ|², but computed exactly.
-        let mut per_y: BTreeMap<Value, u64> = BTreeMap::new();
-        for (_, y, _) in delta.signed() {
-            *per_y.entry(y).or_insert(0) += 1;
-        }
-        cost += per_y.values().map(|&c| c * c).sum::<u64>();
-    }
-    cost.max(delta.len() as u64)
+    let on_r = if delta_on_r { side(s_after) } else { 0 };
+    on_r + if delta_on_s { side(r_before) } else { 0 }
 }
 
-/// Streams the signed delta-join terms of `Δ(π_{x,z}(R ⋈ S))` into
-/// `sink`. `delta` is the update of the relation that changed;
-/// `delta_on_r`/`delta_on_s` say which side(s) of the entry's query that
-/// relation occupies (both, for a self join). `r_old`/`s_old` are the
-/// relations *before* the update — the identity is expressed over the old
-/// state plus the cross term.
-pub fn accumulate_two_path_delta(
-    sink: &mut DeltaSink,
+/// Past one witness (or row) per `DENSE_FRACTION` values of a domain, an
+/// array over the domain costs less than sorting; below, nothing is paid
+/// per domain value.
+const DENSE_FRACTION: usize = 32;
+
+/// One row of a signed delta: an output pair and its support change.
+type DeltaRow = ((Value, Value), i64);
+
+/// The signed delta of `π_{x,z}(R ⋈ S)` under one update, as ascending
+/// `((x, z), Δsupport)` with no zero rows: `ΔR ⋈ S_after + R_before ⋈ ΔS`.
+/// `delta` is the update of the relation that changed; `delta_on_r` /
+/// `delta_on_s` say which side(s) of the query it occupies (both, for a
+/// self join). Work and memory are `O(witnesses + |Δ|)`.
+pub fn two_path_delta(
     delta: &NormalizedDelta,
-    r_old: &Relation,
-    s_old: &Relation,
+    r_before: &Relation,
+    s_after: &Relation,
     delta_on_r: bool,
     delta_on_s: bool,
-) {
+) -> Vec<DeltaRow> {
+    let mut signed: Vec<_> = delta.signed().collect();
+    // Inserts then deletes, each ascending: two runs for the stable sort.
+    signed.sort_by_key(|&(x, ..)| x);
+    let mut by_r = Vec::new();
     if delta_on_r {
-        // π(ΔR ⋈ S): each delta tuple (x, y) pairs with S's inverted list
-        // of y.
-        for (x, y, sign) in delta.signed() {
-            if (y as usize) >= s_old.y_domain() {
-                continue;
-            }
-            sink.set_sign(sign);
-            for &z in s_old.xs_of(y) {
-                sink.row(&[x, z]);
-            }
-        }
+        delta_term(&signed, s_after, &mut by_r);
     }
-    if delta_on_s {
-        // π(R ⋈ ΔS), symmetric.
-        for (z, y, sign) in delta.signed() {
-            if (y as usize) >= r_old.y_domain() {
-                continue;
-            }
-            sink.set_sign(sign);
-            for &x in r_old.xs_of(y) {
-                sink.row(&[x, z]);
-            }
-        }
+    if !delta_on_s {
+        return by_r;
     }
-    if delta_on_r && delta_on_s {
-        // π(ΔR ⋈ ΔS): only reachable for self joins, where the one delta
-        // plays both roles; group one side by join value.
-        let mut by_y: BTreeMap<Value, Vec<(Value, i64)>> = BTreeMap::new();
-        for (z, y, sign) in delta.signed() {
-            by_y.entry(y).or_default().push((z, sign));
+    // `R_before ⋈ ΔS` grouped by the delta's value is `z`-major.
+    let mut by_s = Vec::new();
+    delta_term(&signed, r_before, &mut by_s);
+    merge_summing(&by_r, &x_major(by_s, r_before.x_domain()))
+}
+
+/// `π(Δ ⋈ other)` grouped by the delta's first column: every `(g, y, ±1)`
+/// of `signed` (ascending `g`) adds its sign to `(g, p)` for each `p` in
+/// `other`'s inverted list of `y`; `((g, p), Σ ≠ 0)` is appended to `out`,
+/// ascending. A small group sorts the list of its witnesses; a large one
+/// ([`DENSE_FRACTION`]) adds them into an `i32` per partner, marks a bitmap
+/// and walks the marked words in order, clearing both — array and bitmap
+/// allocated by the first group that needs them.
+fn delta_term(signed: &[(Value, Value, i64)], other: &Relation, out: &mut Vec<DeltaRow>) {
+    let mut listed: Vec<(Value, i64)> = Vec::new();
+    let (mut sums, mut marked): (Vec<i32>, Vec<u64>) = (Vec::new(), Vec::new());
+    for group in signed.chunk_by(|a, b| a.0 == b.0) {
+        let g = group[0].0;
+        let partners = || {
+            group
+                .iter()
+                .filter(|&&(_, y, _)| (y as usize) < other.y_domain())
+                .map(|&(_, y, sign)| (other.xs_of(y), sign))
+        };
+        let witnesses: usize = partners().map(|(ps, _)| ps.len()).sum();
+        if witnesses <= other.x_domain() / DENSE_FRACTION {
+            listed.clear();
+            for (ps, sign) in partners() {
+                listed.extend(ps.iter().map(|&p| (p, sign)));
+            }
+            listed.sort_unstable_by_key(|&(p, _)| p);
+            for same in listed.chunk_by(|a, b| a.0 == b.0) {
+                let sum: i64 = same.iter().map(|&(_, sign)| sign).sum();
+                if sum != 0 {
+                    out.push(((g, same[0].0), sum));
+                }
+            }
+            continue;
         }
-        for (x, y, sign_r) in delta.signed() {
-            if let Some(partners) = by_y.get(&y) {
-                for &(z, sign_s) in partners {
-                    sink.set_sign(sign_r * sign_s);
-                    sink.row(&[x, z]);
+        if sums.is_empty() {
+            sums = vec![0; other.x_domain()];
+            marked = vec![0; other.x_domain().div_ceil(64)];
+        }
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for (ps, sign) in partners() {
+            let (Some(&first), Some(&last)) = (ps.first(), ps.last()) else {
+                continue;
+            };
+            (lo, hi) = (lo.min(first as usize / 64), hi.max(last as usize / 64));
+            for &p in ps {
+                sums[p as usize] += sign as i32;
+                marked[p as usize / 64] |= 1 << (p % 64);
+            }
+        }
+        for (at, word) in marked.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let p = at * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let sum = std::mem::take(&mut sums[p]);
+                if sum != 0 {
+                    out.push(((g, p as Value), sum as i64));
                 }
             }
         }
     }
+}
+
+/// Turns `((z, x), Δ)` rows ascending by `(z, x)` into `((x, z), Δ)`
+/// ascending by `(x, z)`, every `x` below `x_domain`: a stable counting
+/// scatter on `x`, or a sort when the rows are few beside the domain.
+fn x_major(rows: Vec<DeltaRow>, x_domain: usize) -> Vec<DeltaRow> {
+    if rows.len() <= x_domain / DENSE_FRACTION {
+        let mut out: Vec<DeltaRow> = rows.iter().map(|&((z, x), d)| ((x, z), d)).collect();
+        out.sort_unstable_by_key(|&(pair, _)| pair);
+        return out;
+    }
+    let mut next = vec![0usize; x_domain + 1];
+    for &((_, x), _) in &rows {
+        next[x as usize + 1] += 1;
+    }
+    for x in 0..x_domain {
+        next[x + 1] += next[x];
+    }
+    let mut out = vec![((0, 0), 0); rows.len()];
+    for ((z, x), d) in rows {
+        out[next[x as usize]] = ((x, z), d);
+        next[x as usize] += 1;
+    }
+    out
+}
+
+/// Two-way merge of ascending delta rows, adding the changes of a pair
+/// both sides carry and dropping it when they cancel.
+fn merge_summing(a: &[DeltaRow], b: &[DeltaRow]) -> Vec<DeltaRow> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                if a[i].1 + b[j].1 != 0 {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                }
+                (i, j) = (i + 1, j + 1);
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_api::DeltaSink;
     use mmjoin_storage::{Edge, RelationDelta};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rel(edges: &[Edge]) -> Relation {
         Relation::from_edges(edges.iter().copied())
+    }
+
+    /// The reference [`two_path_delta`] replaced: the three-term identity
+    /// over the relations *before* the update, `ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS`,
+    /// one buffered row per witness, sorted and coalesced at the end.
+    fn accumulate_two_path_delta(
+        delta: &NormalizedDelta,
+        r_old: &Relation,
+        s_old: &Relation,
+        delta_on_r: bool,
+        delta_on_s: bool,
+    ) -> Vec<DeltaRow> {
+        let mut sink = DeltaSink::new();
+        let in_domain = |y: Value, other: &Relation| (y as usize) < other.y_domain();
+        if delta_on_r {
+            for (x, y, sign) in delta.signed().filter(|t| in_domain(t.1, s_old)) {
+                for &z in s_old.xs_of(y) {
+                    sink.add(&[x, z], sign);
+                }
+            }
+        }
+        if delta_on_s {
+            for (z, y, sign) in delta.signed().filter(|t| in_domain(t.1, r_old)) {
+                for &x in r_old.xs_of(y) {
+                    sink.add(&[x, z], sign);
+                }
+            }
+        }
+        if delta_on_r && delta_on_s {
+            for (x, y, sign_r) in delta.signed() {
+                for (z, _, sign_s) in delta.signed().filter(|t| t.1 == y) {
+                    sink.add(&[x, z], sign_r * sign_s);
+                }
+            }
+        }
+        sink.into_deltas()
     }
 
     /// Reference: counting self-two-path via nested loops.
@@ -511,39 +678,40 @@ mod tests {
         }
     }
 
-    /// Patches the result of `r_old ⋈ s_old` with `norm` at every
-    /// `min_count` × `with_counts`, checking supports, rows and counts
-    /// against a from-scratch build over `r_new ⋈ s_new`. Returns the
-    /// patched supports.
+    /// Patches the result of `r_old ⋈ s_old` with `norm`'s delta — which
+    /// must be the reference's — at every `min_count` × `with_counts`,
+    /// checking supports, rows and counts against a from-scratch build
+    /// over `r_new ⋈ s_new`. Returns the patched supports.
     fn patched(
         norm: &NormalizedDelta,
         (r_old, s_old): (&Relation, &Relation),
         (r_new, s_new): (&Relation, &Relation),
         (delta_on_r, delta_on_s): (bool, bool),
     ) -> DeltaResult {
-        let mut sink = DeltaSink::new();
-        accumulate_two_path_delta(&mut sink, norm, r_old, s_old, delta_on_r, delta_on_s);
-        let deltas = sink.into_deltas();
+        let deltas = two_path_delta(norm, r_old, s_new, delta_on_r, delta_on_s);
+        assert_eq!(
+            deltas,
+            accumulate_two_path_delta(norm, r_old, s_old, delta_on_r, delta_on_s),
+            "delta {norm:?}"
+        );
         let expected = result_of(&brute_force(r_new, s_new));
         assert_eq!(
             DeltaResult::from_signed(&deltas_of(&brute_force(r_new, s_new))),
             expected
         );
-        for min_count in 1..=3 {
-            for with_counts in [false, true] {
-                let mut result = result_of(&brute_force(r_old, s_old));
-                let (mut rows, mut counts) = result.rows(min_count, with_counts);
-                let before = rows.len() / 2;
-                let crossed = result
-                    .patch(&mut rows, &mut counts, &deltas, min_count, with_counts)
-                    .expect("support went negative");
-                assert_eq!(result, expected, "delta {norm:?}");
-                assert_eq!((rows, counts), expected.rows(min_count, with_counts));
-                assert_eq!(
-                    before + crossed.entered - crossed.left,
-                    expected.rows(min_count, with_counts).0.len() / 2
-                );
-            }
+        for (min_count, with_counts) in (1..=3).flat_map(|m| [(m, false), (m, true)]) {
+            let mut result = result_of(&brute_force(r_old, s_old));
+            let (mut rows, mut counts) = result.rows(min_count, with_counts);
+            let before = rows.len() / 2;
+            let crossed = result
+                .patch(&mut rows, &mut counts, &deltas, min_count, with_counts)
+                .expect("support went negative");
+            assert_eq!(result, expected, "delta {norm:?}");
+            assert_eq!((rows, counts), expected.rows(min_count, with_counts));
+            assert_eq!(
+                before + crossed.entered - crossed.left,
+                expected.rows(min_count, with_counts).0.len() / 2
+            );
         }
         expected
     }
@@ -771,23 +939,143 @@ mod tests {
             enabled: true,
             recompute_budget: 1000,
         };
-        assert_eq!(decide(true, 10, 100, &policy), Decision::Maintain);
-        assert_eq!(decide(false, 10, 100, &policy), Decision::Recompute);
-        assert_eq!(decide(true, 500, 100, &policy), Decision::Recompute);
-        assert_eq!(decide(true, 5000, 2000, &policy), Decision::Invalidate);
+        // Seconds against seconds; the budget bounds the tuple mass.
+        assert_eq!(decide(Some((1e-6, 1e-5)), 100, &policy), Decision::Maintain);
+        assert_eq!(decide(None, 100, &policy), Decision::Recompute);
         assert_eq!(
-            decide(true, 10, 100, &MaintenancePolicy::disabled()),
-            Decision::Invalidate
+            decide(Some((5e-5, 1e-5)), 100, &policy),
+            Decision::Recompute
         );
+        assert_eq!(
+            decide(Some((5e-5, 1e-5)), 2000, &policy),
+            Decision::Invalidate(DropReason::OverBudget)
+        );
+        assert_eq!(
+            decide(Some((1e-6, 1e-5)), 2000, &policy),
+            Decision::Maintain
+        );
+        assert_eq!(
+            decide(Some((1e-6, 1e-5)), 100, &MaintenancePolicy::disabled()),
+            Decision::Invalidate(DropReason::Disabled)
+        );
+        for (at, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, at, "{}", reason.name());
+        }
     }
 
     #[test]
     fn delta_cost_counts_partner_degrees() {
         let r = rel(&[(0, 0), (1, 0), (2, 1)]); // deg(y=0)=2, deg(y=1)=1
         let delta = RelationDelta::new().insert(9, 0).normalize(&r);
-        // One delta tuple on y=0 against both sides of a self join:
-        // 2 (ΔR⋈S) + 2 (R⋈ΔS) + 1 (cross) = 5.
-        assert_eq!(delta_cost(&delta, &r, &r, true, true), 5);
+        let after = r.apply_normalized(&delta);
+        // One delta tuple on y=0 against both sides of a self join: 3
+        // (ΔR ⋈ S_after, the new tuple included) + 2 (R_before ⋈ ΔS).
+        assert_eq!(delta_cost(&delta, &r, &after, true, true), 5);
         assert_eq!(delta_cost(&delta, &r, &r, true, false), 2);
+        assert_eq!(delta_cost(&delta, &r, &after, false, true), 2);
+        // A join value the other side has never seen has no partners.
+        let fresh = RelationDelta::new().insert(9, 7).normalize(&r);
+        assert_eq!(delta_cost(&fresh, &r, &r, true, false), 0);
+    }
+
+    /// A relation over `dom` × `ys` with a few hubs: `x` values holding
+    /// every `y` in a range, so some delta groups expand past
+    /// `dom / DENSE_FRACTION` witnesses and most stay under it.
+    fn skewed(dom: Value, ys: Value, sparse: &[Edge], hubs: &[Value]) -> Relation {
+        let hub_edges = hubs
+            .iter()
+            .flat_map(|&x| (0..ys).map(move |y| (x % dom, y)));
+        rel(&sparse
+            .iter()
+            .map(|&(x, y)| (x % dom, y % ys))
+            .chain(hub_edges)
+            .collect::<Vec<_>>())
+    }
+
+    /// One group over the dense switch and one under it, partners on the
+    /// bitmap's word boundaries (63, 64, `dom − 1`), inserted and deleted.
+    #[test]
+    fn both_group_branches_on_word_boundaries() {
+        let dom = 256;
+        let edges = [0, 63, 64, 127, 128, dom - 1];
+        // y = 0: the boundary values and 20 more (dense); y = 1: three.
+        let base: Vec<Edge> = edges
+            .iter()
+            .map(|&x| (x, 0))
+            .chain((1..=20).map(|x| (x, 0)))
+            .chain([(63, 1), (64, 1), (dom - 1, 1)])
+            .collect();
+        let r = rel(&base);
+        let witnesses = |x, y| {
+            let one = RelationDelta::new().insert(x, y).normalize(&r);
+            delta_cost(&one, &r, &r, true, false) as usize
+        };
+        assert!(witnesses(300, 0) > r.x_domain() / DENSE_FRACTION);
+        assert!(witnesses(301, 1) <= r.x_domain() / DENSE_FRACTION);
+        let mut delta = RelationDelta::new();
+        delta
+            .insert(300, 0)
+            .insert(301, 1)
+            .delete(63, 0)
+            .delete(64, 1);
+        delta.insert(dom - 1, 2).insert(64, 2);
+        let result = maintained_equals_recompute(&base, &delta);
+        assert_eq!(result.support_of(300, dom - 1), 1);
+        assert_eq!(result.support_of(63, 64), 0, "63 kept y=1, 64 kept y=0");
+        assert_eq!(result.support_of(64, dom - 1), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `two_path_delta` against the reference it replaced, and the
+        /// patched entry against a from-scratch one: a self join, an `R`-only and an `S`-only update, mixed
+        /// inserts and deletes that grow either domain (`x` up to
+        /// `dom + 3`, `y` up to `ys + 2`), empty a support (the hubs'
+        /// tuples are deleted wholesale) and touch `z` on the bitmap's
+        /// word boundaries. With domains of 64–200 the dense switch sits
+        /// at 2–6 witnesses, so groups fall on both sides of it
+        /// (`both_group_branches_on_word_boundaries` pins that).
+        #[test]
+        fn delta_equals_the_buffered_reference(
+            dom in prop::sample::select(vec![64u32, 65, 128, 200]),
+            r_sparse in prop::collection::vec((0u32..200, 0u32..12), 1..60),
+            s_sparse in prop::collection::vec((0u32..200, 0u32..12), 1..60),
+            hubs in prop::collection::vec(0u32..200, 0..4),
+            batch in prop::collection::vec((0u32..203, 0u32..14, any::<bool>()), 1..40),
+            wipe in any::<bool>(),
+        ) {
+            let ys = 12;
+            // Partners on word boundaries, always present.
+            let edge_xs = [63, 64 % dom, dom - 1];
+            let boundary: Vec<Edge> = edge_xs.iter().map(|&x| (x, 0)).collect();
+            let r = skewed(dom, ys, &[r_sparse, boundary.clone()].concat(), &hubs);
+            let s = skewed(dom, ys, &[s_sparse, boundary].concat(), &hubs);
+            for (updated, on_r, on_s) in [(&r, true, true), (&r, true, false), (&s, false, true)] {
+                let mut delta = RelationDelta::new();
+                for &(x, y, insert) in &batch {
+                    if insert {
+                        delta.insert(x % (dom + 3), y);
+                    } else {
+                        delta.delete(x % dom, y % ys);
+                    }
+                }
+                if wipe {
+                    // Every tuple of the first hub (or of x = 63) goes: its
+                    // pairs' supports reach zero.
+                    let x = hubs.first().map_or(63, |&h| h % dom);
+                    for &y in updated.ys_of(x) {
+                        delta.delete(x, y);
+                    }
+                }
+                let norm = delta.normalize(updated);
+                let new = updated.apply_normalized(&norm);
+                let r_old = if on_r { updated } else { &r };
+                let s_old = if on_s { updated } else { &s };
+                let r_new = if on_r { &new } else { r_old };
+                let s_new = if on_s { &new } else { s_old };
+                patched(&norm, (r_old, s_old), (r_new, s_new), (on_r, on_s));
+            }
+        }
     }
 }

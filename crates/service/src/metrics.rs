@@ -10,9 +10,9 @@
 //! bucket-midpoint approximations with relative error ≤ 1/16 (6.25%);
 //! count, sum/mean and max are exact.
 
-use crate::maintain::MaintenanceReport;
+use crate::maintain::{DropReason, MaintenanceReport};
 use mmjoin_api::{OperandSource, PlanStats};
-use mmjoin_obs::{Counter, Histogram, Registry};
+use mmjoin_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use std::sync::Arc;
 
 /// Lock-free metrics recorder backed by a shared [`Registry`] (the
@@ -29,6 +29,10 @@ pub struct ServiceMetrics {
     maintained: Arc<Counter>,
     recomputed: Arc<Counter>,
     invalidated: Arc<Counter>,
+    /// `service.invalidated.<reason>`, indexed by [`DropReason`].
+    dropped: [Arc<Counter>; DropReason::ALL.len()],
+    /// `service.refresh_mispredict_x`, in hundredths.
+    refresh_mispredict: Arc<Histogram>,
     operand_packs: Arc<Counter>,
     operand_reuses: Arc<Counter>,
     latency_us: Arc<Histogram>,
@@ -53,6 +57,9 @@ impl ServiceMetrics {
             maintained: registry.counter("service.maintained"),
             recomputed: registry.counter("service.recomputed"),
             invalidated: registry.counter("service.invalidated"),
+            dropped: DropReason::ALL
+                .map(|reason| registry.counter(&format!("service.invalidated.{}", reason.name()))),
+            refresh_mispredict: registry.histogram("service.refresh_mispredict_x"),
             operand_packs: registry.counter("service.operand_packs"),
             operand_reuses: registry.counter("service.operand_reuses"),
             latency_us: registry.histogram("service.latency_us"),
@@ -92,6 +99,16 @@ impl ServiceMetrics {
         self.maintained.add(report.maintained as u64);
         self.recomputed.add(report.recomputed as u64);
         self.invalidated.add(report.invalidated as u64);
+        for (counter, &dropped) in self.dropped.iter().zip(&report.dropped) {
+            counter.add(dropped as u64);
+        }
+    }
+
+    /// Records one refresh that carried a prediction: the seconds the side
+    /// that ran took over the seconds it was priced at.
+    pub fn record_refresh(&self, measured_secs: f64, predicted_secs: f64) {
+        let ratio = measured_secs / predicted_secs.max(1e-9);
+        self.refresh_mispredict.record((ratio * 100.0) as u64);
     }
 
     /// Records where an executed plan's memoised heavy-core operands came
@@ -128,6 +145,8 @@ impl ServiceMetrics {
             maintained: self.maintained.get(),
             recomputed: self.recomputed.get(),
             invalidated: self.invalidated.get(),
+            invalidated_by: std::array::from_fn(|reason| self.dropped[reason].get()),
+            refresh_mispredict: self.refresh_mispredict.snapshot(),
             operand_packs: self.operand_packs.get(),
             operand_reuses: self.operand_reuses.get(),
             cache_invalidations,
@@ -164,6 +183,13 @@ pub struct MetricsSnapshot {
     pub recomputed: u64,
     /// Cache entries dropped by updates.
     pub invalidated: u64,
+    /// `invalidated` by rule, indexed by [`DropReason`] (`as usize`).
+    pub invalidated_by: [u64; DropReason::ALL.len()],
+    /// `service.refresh_mispredict_x`: measured / predicted seconds, in
+    /// hundredths, of every refresh that ran with a prediction. The maintain
+    /// price has no fixed term, so a small delta against a small entry
+    /// reads far above 1 whatever the decision was worth.
+    pub refresh_mispredict: HistogramSnapshot,
     /// Heavy-core operands packed by the query that read them (once per
     /// relation value and form).
     pub operand_packs: u64,
@@ -192,10 +218,18 @@ pub struct MetricsSnapshot {
 
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The rules that dropped entries, e.g. `[limit 46]`.
+        let by: Vec<String> = DropReason::ALL
+            .iter()
+            .zip(self.invalidated_by)
+            .filter(|&(_, n)| n > 0)
+            .map(|(reason, n)| format!("{} {n}", reason.name()))
+            .collect();
         write!(
             f,
             "served {} (cache hits {}, {:.1}%), errors {}, \
-             updates {} (maintained {}, recomputed {}, invalidated {}), \
+             updates {} (maintained {}, recomputed {}, invalidated {} [{}]), \
+             refresh mispredict p50 {:.2}x p99 {:.2}x over {}, \
              cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}, \
              operands packed {} reused {}",
             self.queries_served,
@@ -206,6 +240,10 @@ impl std::fmt::Display for MetricsSnapshot {
             self.maintained,
             self.recomputed,
             self.invalidated,
+            by.join(", "),
+            self.refresh_mispredict.p50 as f64 / 100.0,
+            self.refresh_mispredict.p99 as f64 / 100.0,
+            self.refresh_mispredict.count,
             self.cache_invalidations,
             self.mean_latency_us,
             self.p50_latency_us,
@@ -267,13 +305,22 @@ mod tests {
             maintained: 2,
             recomputed: 1,
             invalidated: 3,
+            dropped: [0, 2, 0, 0, 0, 0, 1],
         });
+        m.record_refresh(3e-3, 2e-3);
         let s = m.snapshot(0);
         assert_eq!(
             (s.updates, s.maintained, s.recomputed, s.invalidated),
             (1, 2, 1, 3)
         );
         assert!(format!("{s}").contains("maintained 2"));
+        assert!(
+            format!("{s}").contains("invalidated 3 [limit 2, failed 1])"),
+            "{s}"
+        );
+        assert_eq!(s.invalidated_by[DropReason::Limit as usize], 2);
+        assert_eq!(s.refresh_mispredict.count, 1);
+        assert!(format!("{s}").contains("mispredict p50 1.50x"), "{s}");
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::cache::{CacheEntry, ResultCache};
 use crate::catalog::{ShardedCatalog, StagedUpdate};
 use crate::error::ServiceError;
 use crate::maintain::{
-    accumulate_two_path_delta, decide, delta_cost, Crossings, Decision, DeltaResult,
-    MaintenancePolicy, MaintenanceReport,
+    decide, delta_cost, two_path_delta, Crossings, Decision, DeltaResult, DropReason,
+    MaintenancePolicy, MaintenanceReport, Supports,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::planner::{Planner, SelectionReason, PLANNING_ENGINE};
@@ -338,7 +338,10 @@ impl Service {
             match refresh_entry(self, name, &staged, request, epochs, value) {
                 Decision::Maintain => report.maintained += 1,
                 Decision::Recompute => report.recomputed += 1,
-                Decision::Invalidate => report.invalidated += 1,
+                Decision::Invalidate(reason) => {
+                    report.invalidated += 1;
+                    report.dropped[reason as usize] += 1;
+                }
             }
         }
         self.metrics.record_update(&report);
@@ -570,10 +573,13 @@ fn refresh_entry(
         min_count,
     } = &request.spec
     else {
-        return Decision::Invalidate;
+        return Decision::Invalidate(DropReason::Family);
     };
-    if request.limit.is_some() || request.engine.is_some() {
-        return Decision::Invalidate;
+    if request.limit.is_some() {
+        return Decision::Invalidate(DropReason::Limit);
+    }
+    if request.engine.is_some() {
+        return Decision::Invalidate(DropReason::Pinned);
     }
     let (r_name, s_name, with_counts, min_count) = (r.clone(), s.clone(), *with_counts, *min_count);
     let mut span = trace::span(Stage::Maintain, "refresh-entry");
@@ -591,53 +597,65 @@ fn refresh_entry(
         let snap = service.catalog.snapshot(&[&r_name, &s_name]);
         let (Some((r_rel, r_epoch)), Some((s_rel, s_epoch))) = (snap[0].clone(), snap[1].clone())
         else {
-            return Decision::Invalidate;
+            return Decision::Invalidate(DropReason::Stale);
         };
         for (entry_epoch, n) in [(r_epoch, r_name.as_str()), (s_epoch, s_name.as_str())] {
             if n == name && entry_epoch != staged.new_epoch {
-                return Decision::Invalidate;
+                return Decision::Invalidate(DropReason::Stale);
             }
         }
         let pre = |epoch: u64, n: &str| if n == name { staged.old_epoch } else { epoch };
         let expected_pre = vec![pre(r_epoch, &r_name), pre(s_epoch, &s_name)];
         if old_epochs != expected_pre {
-            return Decision::Invalidate;
+            return Decision::Invalidate(DropReason::Stale);
         }
         (r_rel, s_rel, vec![r_epoch, s_epoch])
     };
     let delta_on_r = r_name == name;
     let delta_on_s = s_name == name;
     let r_old: &Relation = if delta_on_r { &staged.old } else { &r_new };
-    let s_old: &Relation = if delta_on_s { &staged.old } else { &s_new };
 
-    let d_cost = delta_cost(&staged.delta, r_old, s_old, delta_on_r, delta_on_s);
+    // Both refreshes priced in seconds. Maintain: every witness of the
+    // delta joins is an insert into its group's sums and at worst one
+    // emitted row, and the patch passes over the entry. Recompute: what
+    // building this entry's supports took, scaled to the relations as
+    // they are now.
+    let d_cost = delta_cost(&staged.delta, r_old, &s_new, delta_on_r, delta_on_s);
     let recompute_cost = r_new.full_join_size(&s_new) + (r_new.len() + s_new.len()) as u64;
+    let constants = &service.planner.config.cost_model.constants;
+    let predicted = value.support.as_ref().map(|support| {
+        let per_witness = constants.t_insert + constants.t_alloc;
+        (
+            per_witness * d_cost as f64 + constants.t_seq * support.result.len() as f64,
+            support.built_secs * recompute_cost as f64 / support.built_cost.max(1) as f64,
+        )
+    });
 
-    let decision = decide(
-        value.support.is_some(),
-        d_cost,
-        recompute_cost,
-        &service.policy,
-    );
+    let decision = decide(predicted, recompute_cost, &service.policy);
     let out_before = value.rows.len();
+    let started = Instant::now();
     let (refreshed, patched) = match decision {
         Decision::Maintain => maintain_entry(
             value,
-            staged,
-            r_old,
-            s_old,
-            delta_on_r,
-            delta_on_s,
+            &two_path_delta(&staged.delta, r_old, &s_new, delta_on_r, delta_on_s),
             with_counts,
             min_count,
         )
         .unzip(),
         Decision::Recompute => (
-            recompute_entry(service, &r_new, &s_new, with_counts, min_count),
+            recompute_entry(
+                service,
+                &r_new,
+                &s_new,
+                (recompute_cost, predicted.map(|(_, recompute)| recompute)),
+                with_counts,
+                min_count,
+            ),
             None,
         ),
-        Decision::Invalidate => (None, None),
+        Decision::Invalidate(_) => (None, None),
     };
+    let measured = started.elapsed().as_secs_f64();
     let out = refreshed.as_ref().map_or(out_before, |r| r.rows.len());
     let outcome = match refreshed {
         Some(result) => {
@@ -651,13 +669,27 @@ fn refresh_entry(
             drop(displaced);
             decision
         }
-        None => Decision::Invalidate,
+        None if matches!(decision, Decision::Invalidate(_)) => decision,
+        None => Decision::Invalidate(DropReason::Failed),
     };
-    // Predicted work beside what was done, for `trace tree`.
+    let ran = predicted.and_then(|(maintain, recompute)| match outcome {
+        Decision::Maintain => Some(maintain),
+        Decision::Recompute => Some(recompute),
+        Decision::Invalidate(_) => None,
+    });
+    if let Some(predicted) = ran {
+        service.metrics.record_refresh(measured, predicted);
+    }
+    // Predicted work and time beside what was done, for `trace tree`.
     span.relabel(|| {
+        let micros = |secs: f64| format!("{:.0}", secs * 1e6);
+        let (maintain, recompute) =
+            predicted.map_or(("-".into(), "-".into()), |(m, r)| (micros(m), micros(r)));
         let mut label = format!(
             "{outcome:?} {r_name}⋈{s_name}: delta_cost={d_cost} \
-             recompute_cost={recompute_cost} out={out}"
+             recompute_cost={recompute_cost} maintain_pred_us={maintain} \
+             recompute_pred_us={recompute} measured_us={} out={out}",
+            micros(measured),
         );
         if outcome != decision {
             label.push_str(&format!(" ({decision:?} failed)"));
@@ -673,37 +705,23 @@ fn refresh_entry(
     outcome
 }
 
-/// Patches a support-carrying entry with the signed delta joins, in place:
-/// `value` is the drained entry itself, so when the cache held the only
-/// reference to its arrays nothing is copied, and when a [`Response`]
-/// still shares them `Arc::make_mut` copies the flat array first and the
-/// response keeps reading the rows it was given. Returns the entry and, for its span,
-/// the number of delta rows applied and the rows that entered/left.
-#[allow(clippy::too_many_arguments)]
+/// Patches a support-carrying entry with the signed delta of its join
+/// ([`two_path_delta`]: ascending, coalesced), in place: `value` is the
+/// drained entry itself, so when the cache held the only reference to its
+/// arrays nothing is copied, and when a [`Response`] still shares them
+/// `Arc::make_mut` copies the flat array first and the response keeps
+/// reading the rows it was given. Returns the entry and, for its span, the
+/// number of delta rows applied and the rows that entered/left.
 fn maintain_entry(
     mut value: CacheEntry,
-    staged: &StagedUpdate,
-    r_old: &Relation,
-    s_old: &Relation,
-    delta_on_r: bool,
-    delta_on_s: bool,
+    deltas: &[((Value, Value), i64)],
     with_counts: bool,
     min_count: u32,
 ) -> Option<(CacheEntry, (usize, Crossings))> {
-    let mut sink = DeltaSink::new();
-    accumulate_two_path_delta(
-        &mut sink,
-        &staged.delta,
-        r_old,
-        s_old,
-        delta_on_r,
-        delta_on_s,
-    );
-    let deltas = sink.into_deltas();
-    let crossed = Arc::make_mut(value.support.as_mut()?).patch(
+    let crossed = Arc::make_mut(&mut value.support.as_mut()?.result).patch(
         &mut Arc::make_mut(&mut value.rows).values,
         Arc::make_mut(&mut value.counts),
-        &deltas,
+        deltas,
         min_count,
         with_counts,
     )?;
@@ -713,14 +731,20 @@ fn maintain_entry(
 }
 
 /// Eagerly re-executes a two-path entry as a counting join, building the
-/// support structure that makes *future* updates maintainable.
+/// support structure that makes *future* updates maintainable, and times
+/// itself: that measurement, with the `recompute_cost` it was taken at, is
+/// what the next update prices a recompute of this entry from. One sample
+/// can only be inflated (a cold first touch, a preempted thread), so when
+/// the entry had a price — `previous`, at today's mass — the lower stands.
 fn recompute_entry(
     service: &Service,
     r_new: &Relation,
     s_new: &Relation,
+    (recompute_cost, previous): (u64, Option<f64>),
     with_counts: bool,
     min_count: u32,
 ) -> Option<CacheEntry> {
+    let started = Instant::now();
     let query = Query::TwoPath {
         r: r_new,
         s: s_new,
@@ -748,7 +772,14 @@ fn recompute_entry(
         rows: Arc::new(rows),
         counts: Arc::new(counts),
         truncated: false,
-        support: Some(Arc::new(support)),
+        support: Some(Supports {
+            result: Arc::new(support),
+            built_secs: started
+                .elapsed()
+                .as_secs_f64()
+                .min(previous.unwrap_or(f64::INFINITY)),
+            built_cost: recompute_cost,
+        }),
         maintained: false,
     })
 }
@@ -1293,9 +1324,31 @@ mod tests {
         s.query(Request::two_path("R", "R")).unwrap();
         let report = s.insert("R", [(7, 1)]).unwrap();
         assert_eq!(report.invalidated, 1);
+        assert_eq!(report.dropped[DropReason::Disabled as usize], 1);
         assert_eq!(report.maintained + report.recomputed, 0);
         let next = s.query(Request::two_path("R", "R")).unwrap();
         assert!(!next.cached, "baseline policy must recompute from scratch");
+    }
+
+    #[test]
+    fn over_budget_recompute_invalidates_and_says_so() {
+        let s = Service::with_config(ServiceConfig {
+            maintenance: MaintenancePolicy {
+                recompute_budget: 1,
+                ..MaintenancePolicy::default()
+            },
+            ..ServiceConfig::default()
+        });
+        s.register("R", tiny());
+        s.query(Request::two_path("R", "R")).unwrap();
+        // No supports yet, so the only refresh is a recompute — which the
+        // budget forbids.
+        let report = s.insert("R", [(7, 1)]).unwrap();
+        assert_eq!(report.dropped[DropReason::OverBudget as usize], 1);
+        assert_eq!(
+            s.metrics().invalidated_by[DropReason::OverBudget as usize],
+            1
+        );
     }
 
     #[test]
@@ -1310,6 +1363,18 @@ mod tests {
         let report = s.insert("R", [(9, 0)]).unwrap();
         assert_eq!(report.invalidated, 3);
         assert_eq!(report.recomputed + report.maintained, 0);
+        // Each drop names its rule, in the report and in `stats`.
+        for reason in [DropReason::Family, DropReason::Limit, DropReason::Pinned] {
+            assert_eq!(report.dropped[reason as usize], 1, "{reason:?}");
+        }
+        assert_eq!(report.dropped.iter().sum::<usize>(), report.invalidated);
+        assert!(
+            s.metrics()
+                .to_string()
+                .contains("invalidated 3 [family 1, limit 1, pinned 1]"),
+            "{}",
+            s.metrics()
+        );
         assert!(!s.query(Request::star(["R", "R"])).unwrap().cached);
     }
 

@@ -16,10 +16,15 @@ use mmjoin::{
     default_registry, DeltaResult, DeltaSink, MaintenancePolicy, Query, Relation, RelationDelta,
     Request, Response, Service, ServiceConfig, Value,
 };
-use mmjoin_service::maintain::accumulate_two_path_delta;
+use mmjoin_datagen::{generate, DatasetKind};
+use mmjoin_service::maintain::two_path_delta;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tallied;
 
 type Edge = (Value, Value);
 
@@ -93,6 +98,37 @@ fn expected_entry(
             }
         }
     }
+    visible_rows(&support, min_count, with_counts)
+}
+
+/// [`expected_entry`] for relations too large for nested loops: `S` grouped
+/// by `y` first. The same shape as the code under test, so only
+/// `every_batch_class_agrees_with_recompute_and_reference` uses it, after
+/// checking it against the nested loops.
+fn expected_entry_grouped(
+    r: &BTreeSet<Edge>,
+    s: &BTreeSet<Edge>,
+    min_count: u32,
+    with_counts: bool,
+) -> (Vec<Value>, Vec<u32>) {
+    let mut by_y: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
+    for &(z, y) in s {
+        by_y.entry(y).or_default().push(z);
+    }
+    let mut support: BTreeMap<(Value, Value), u32> = BTreeMap::new();
+    for &(x, y) in r {
+        for &z in by_y.get(&y).into_iter().flatten() {
+            *support.entry((x, z)).or_insert(0) += 1;
+        }
+    }
+    visible_rows(&support, min_count, with_counts)
+}
+
+fn visible_rows(
+    support: &BTreeMap<(Value, Value), u32>,
+    min_count: u32,
+    with_counts: bool,
+) -> (Vec<Value>, Vec<u32>) {
     let visible = || support.iter().filter(|&(_, &c)| c >= min_count);
     (
         visible().flat_map(|(&(x, z), _)| [x, z]).collect(),
@@ -150,7 +186,8 @@ proptest! {
     /// The patch itself, below the service: after every step of a random
     /// interleaving of updates to `R` and to `S`, each in-place entry —
     /// `π(R ⋈ S)`, and the self join `π(R ⋈ R)` whose updates hit both
-    /// sides and need the `ΔR ⋈ ΔS` cross term — equals a from-scratch
+    /// sides, the `ΔR ⋈ ΔS` cross term inside `ΔR ⋈ R_after` — equals a
+    /// from-scratch
     /// recompute in supports, rows, counts and row order, at every
     /// `min_count` × `with_counts`. Small domains keep supports crossing
     /// the thresholds in both directions.
@@ -171,16 +208,14 @@ proptest! {
             let old = if *on_r { r.clone() } else { s.clone() };
             let norm = delta_of(batch).normalize(&old);
             let new = old.apply_normalized(&norm);
-            let (r_old, s_old) = (r.clone(), s.clone());
             if *on_r { r = new } else { s = new }
 
-            let mut sink = DeltaSink::new();
-            accumulate_two_path_delta(&mut sink, &norm, &r_old, &s_old, *on_r, !*on_r);
-            let mut patches = vec![(&mut cross, sink.into_deltas(), recomputed(&r, &s))];
+            let r_old = if *on_r { old } else { r.clone() };
+            let deltas = two_path_delta(&norm, &r_old, &s, *on_r, !*on_r);
+            let mut patches = vec![(&mut cross, deltas, recomputed(&r, &s))];
             if *on_r {
-                let mut sink = DeltaSink::new();
-                accumulate_two_path_delta(&mut sink, &norm, &r_old, &r_old, true, true);
-                patches.push((&mut selfjoin, sink.into_deltas(), recomputed(&r, &r)));
+                let deltas = two_path_delta(&norm, &r_old, &r, true, true);
+                patches.push((&mut selfjoin, deltas, recomputed(&r, &r)));
             }
             for (entries, deltas, fresh) in patches {
                 for e in entries.iter_mut() {
@@ -429,4 +464,136 @@ fn patching_copies_only_what_a_response_still_reads() {
         counts_at,
         "counts were copied"
     );
+}
+
+/// Every batch class of the served benchmark — one edge, a handful, a bulk
+/// delta and one the size of the relation — inserted and then deleted
+/// again on a dense and on a skewed generated relation. After every batch
+/// the maintained answer, a from-scratch counting execution and the
+/// witness-by-witness reference agree row for row and count for count.
+/// The first touch recomputes for want of supports, and the closing batch —
+/// which deletes all but a few tuples, so its delta joins are the whole old
+/// result while a recompute has almost nothing to read — must recompute on
+/// price, supports and all.
+#[test]
+fn every_batch_class_agrees_with_recompute_and_reference() {
+    for (kind, scale) in [(DatasetKind::Jokes, 0.05), (DatasetKind::Words, 0.03)] {
+        let base = generate(kind, scale, 22);
+        let (x_dom, y_dom) = (base.x_domain() as u64, base.y_domain() as u64);
+        let service = maintaining_service();
+        service.register("R", base.clone());
+        let requests = [
+            (Request::two_path("R", "R"), 1, false),
+            (Request::two_path_counts("R", "R", 2), 2, true),
+        ];
+        for (request, _, _) in &requests {
+            service.query(request.clone()).unwrap();
+        }
+        let mut model: BTreeSet<Edge> = base.edges().iter().copied().collect();
+        // The grouped reference is the nested loops, on a sample they can afford.
+        let sample: BTreeSet<Edge> = model.iter().copied().step_by(7).take(300).collect();
+        for (_, min_count, with_counts) in &requests {
+            assert_eq!(
+                expected_entry_grouped(&sample, &sample, *min_count, *with_counts),
+                expected_entry(&sample, &sample, *min_count, *with_counts)
+            );
+        }
+        let check = |model: &BTreeSet<Edge>, what: &str| {
+            let current = service.relation("R").unwrap();
+            let fresh = recomputed(&current, &current);
+            for (request, min_count, with_counts) in &requests {
+                let got = service.query(request.clone()).unwrap();
+                assert!(got.cached, "{kind:?} {what}: the update kept the entry");
+                let want = expected_entry_grouped(model, model, *min_count, *with_counts);
+                assert_eq!(
+                    fresh.rows(*min_count, *with_counts),
+                    want,
+                    "{kind:?} {what}"
+                );
+                assert_eq!(
+                    (&got.rows.values, &*got.counts),
+                    (&want.0, &want.1),
+                    "{kind:?} {what}"
+                );
+            }
+        };
+
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let (mut maintained, mut recomputed_entries) = (0, 0);
+        for class in [1usize, 8, 64, 2048] {
+            // Absent tuples, some of them past either domain.
+            let mut batch = BTreeSet::new();
+            while batch.len() < class {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let edge = (
+                    ((state >> 33) % (x_dom + 2)) as Value,
+                    ((state >> 13) % (y_dom + 2)) as Value,
+                );
+                if !model.contains(&edge) {
+                    batch.insert(edge);
+                }
+            }
+            for insert in [true, false] {
+                let report = if insert {
+                    model.extend(&batch);
+                    service.insert("R", batch.iter().copied())
+                } else {
+                    model.retain(|edge| !batch.contains(edge));
+                    service.delete("R", batch.iter().copied())
+                }
+                .unwrap();
+                assert_eq!(report.inserted + report.deleted, class);
+                assert_eq!(report.maintained + report.recomputed, requests.len());
+                maintained += report.maintained;
+                recomputed_entries += report.recomputed;
+                check(&model, &format!("batch of {class}, insert {insert}"));
+            }
+        }
+        // The first touch recomputes for want of supports. Which of the
+        // later refreshes patch compares a prediction with a measurement, so
+        // only the one with orders of magnitude to spare is asserted: the
+        // 1-edge delete that follows (tens of witnesses, under a microsecond
+        // at the model's prices, against the milliseconds the first touch
+        // just measured for the whole join).
+        assert!(recomputed_entries >= requests.len(), "{kind:?}");
+        assert!(maintained >= requests.len(), "{kind:?}: {maintained}");
+
+        let doomed: Vec<Edge> = model.iter().copied().skip(3).collect();
+        model.retain(|edge| !doomed.contains(edge));
+        let report = service.delete("R", doomed).unwrap();
+        // The same margin the other way: every witness of the old result
+        // against a recompute over three tuples.
+        assert_eq!(report.recomputed, requests.len(), "{kind:?}: {report:?}");
+        check(&model, "all but three tuples deleted");
+    }
+}
+
+/// One edge against a relation whose domains hold a million values: the
+/// refresh — delta joins and patch — makes no block that grows with a
+/// domain (the dense sums would be 4 MB, the scatter's counters 8 MB).
+#[test]
+fn a_one_edge_refresh_allocates_nothing_per_domain_value() {
+    const DOMAIN: usize = 1_000_000;
+    // 500 sets spread over the domain, five to an element.
+    let edges: Vec<Edge> = (0..500).map(|i| (i * 1999, (i % 100) * 9973)).collect();
+    let r = Relation::from_sorted_edges(DOMAIN, DOMAIN, edges);
+    let mut entry = recomputed(&r, &r);
+    let (mut rows, mut counts) = entry.rows(1, true);
+
+    let norm = RelationDelta::inserting([(777_777, 9973)]).normalize(&r);
+    let after = r.apply_normalized(&norm);
+    let ((deltas, crossed), tally) = tallied(64 << 10, || {
+        let deltas = two_path_delta(&norm, &r, &after, true, true);
+        let crossed = entry.patch(&mut rows, &mut counts, &deltas, 1, true);
+        (deltas, crossed)
+    });
+    // The new set joins the five that hold its element, both ways round,
+    // and itself.
+    assert_eq!(deltas.len(), 11);
+    assert_eq!(crossed.map(|c| (c.entered, c.left)), Some((11, 0)));
+    assert_eq!(entry, recomputed(&after, &after));
+    assert_eq!(tally.big, 0, "{tally:?}");
+    assert!(tally.allocs <= 24, "{tally:?}");
 }

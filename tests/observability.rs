@@ -257,11 +257,33 @@ fn maintain_spans_name_predicted_and_actual_work() {
         panic!("two updates, two labels: {labels:?}");
     };
     for label in [recompute, maintain] {
-        for field in ["R⋈R", "delta_cost=", "recompute_cost=", "out="] {
+        for field in [
+            "R⋈R",
+            "delta_cost=",
+            "recompute_cost=",
+            "maintain_pred_us=",
+            "recompute_pred_us=",
+            "measured_us=",
+            "out=",
+        ] {
             assert!(label.contains(field), "missing {field}: {label}");
         }
     }
+    // No supports, no prices: the first touch had no choice to make. The
+    // second compared two predictions in microseconds — a timing-dependent
+    // choice, asserted only because the margin is two orders of magnitude:
+    // 17 witnesses are ~0.1 µs at the model's prices, and the recompute side
+    // is the ≥ 10 µs a whole service execution was just measured to take.
     assert!(recompute.starts_with("Recompute "), "{recompute}");
+    assert!(
+        recompute.contains("maintain_pred_us=- recompute_pred_us=- measured_us="),
+        "{recompute}"
+    );
+    let predicted = |field: &str| -> f64 {
+        let rest = &maintain[maintain.find(field).expect(field) + field.len()..];
+        rest.split(' ').next().unwrap().parse().expect(field)
+    };
+    assert!(predicted("maintain_pred_us=") <= predicted("recompute_pred_us="));
     assert!(!recompute.contains("delta_rows="), "{recompute}");
     assert!(maintain.starts_with("Maintain "), "{maintain}");
     // The new set 10 pairs with the eight sets that hold element 1, both

@@ -1,5 +1,6 @@
 //! A counting global allocator for the suites that measure a code path at
-//! the allocator (`flat_results`, `packed_operands`): each includes this
+//! the allocator (`flat_results`, `packed_operands`,
+//! `incremental_maintenance`): each includes this
 //! file as a module, which installs the allocator for that test binary.
 //!
 //! The counters are per thread, so tests that run their work on the calling
