@@ -2,8 +2,22 @@
 //! bounded, per-client fair admission queue, drained by a dispatcher
 //! pool that executes commands through the shared grammar
 //! ([`mmjoin_service::command`]). This is the process's only admission
-//! queue and the dispatchers are its only request-running threads: the
-//! service runs a query on the dispatcher that popped it.
+//! queue and the dispatchers are its only computing threads: the service
+//! runs a query on the dispatcher that popped it.
+//!
+//! # The warm path
+//!
+//! A `query` whose answer the result cache holds never reaches the queue:
+//! the reader that decoded it asks [`command::cached_answer`], and on a hit
+//! writes the reply there and then — no queue slot, no dispatcher wake, no
+//! compute token. Everything else (a miss, `explain`, `stats`, updates,
+//! lines that do not parse) is admitted or bounced as below. The queue,
+//! the quota and `dispatchers` ration *compute*, and a hit uses none: what
+//! a connection can spend without a slot is its own reader thread
+//! rendering a cached answer, bounded by `MAX_FRAME` and the write
+//! deadline. Answers are matched by `id`; requests pipelined on one
+//! connection are not ordered against each other (two dispatchers already
+//! meant that), and a hit may overtake an earlier miss.
 //!
 //! # Admission control
 //!
@@ -212,16 +226,22 @@ impl<T> FairQueue<T> {
     }
 }
 
-/// Front-end counters, all updated lock-free except the per-client map.
+/// Front-end counters, all updated lock-free: a reply takes no lock
+/// shared between connections. The per-client map is locked once per
+/// connection, to register its cell.
 #[derive(Default)]
 pub struct NetMetrics {
     connections: AtomicU64,
     requests: AtomicU64,
     served: AtomicU64,
+    served_inline: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_shutting_down: AtomicU64,
     max_queue_depth: AtomicU64,
-    per_client_served: Mutex<BTreeMap<u64, u64>>,
+    /// One cell per connection, shared with its [`Conn`]: whoever answers
+    /// counts there, and a snapshot reads every cell — exact at any
+    /// moment, also for jobs that outlive their connection's reader.
+    per_client_served: Mutex<BTreeMap<u64, Arc<AtomicU64>>>,
 }
 
 impl NetMetrics {
@@ -230,14 +250,19 @@ impl NetMetrics {
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    fn record_served(&self, client: u64) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        *self
-            .per_client_served
+    /// The cell a new connection counts its responses in.
+    fn register_client(&self, client: u64) -> Arc<AtomicU64> {
+        let cell = Arc::new(AtomicU64::new(0));
+        self.per_client_served
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(client)
-            .or_insert(0) += 1;
+            .insert(client, Arc::clone(&cell));
+        cell
+    }
+
+    fn record_served(&self, conn: &Conn) {
+        self.served.fetch_add(1, Ordering::Relaxed);
+        conn.served.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Zeroes every counter, including the per-client tallies and the
@@ -246,13 +271,19 @@ impl NetMetrics {
         self.connections.store(0, Ordering::Relaxed);
         self.requests.store(0, Ordering::Relaxed);
         self.served.store(0, Ordering::Relaxed);
+        self.served_inline.store(0, Ordering::Relaxed);
         self.rejected_overloaded.store(0, Ordering::Relaxed);
         self.rejected_shutting_down.store(0, Ordering::Relaxed);
         self.max_queue_depth.store(0, Ordering::Relaxed);
+        // A cell only the map still holds belongs to a connection that is
+        // gone; the others go on counting from zero.
         self.per_client_served
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+            .retain(|_, cell| {
+                cell.store(0, Ordering::Relaxed);
+                Arc::strong_count(cell) > 1
+            });
     }
 
     /// Point-in-time copy of every counter.
@@ -261,6 +292,7 @@ impl NetMetrics {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
+            served_inline: self.served_inline.load(Ordering::Relaxed),
             rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
             rejected_shutting_down: self.rejected_shutting_down.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
@@ -269,7 +301,8 @@ impl NetMetrics {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .iter()
-                .map(|(&k, &v)| (k, v))
+                .map(|(&client, cell)| (client, cell.load(Ordering::Relaxed)))
+                .filter(|&(_, served)| served > 0)
                 .collect(),
         }
     }
@@ -282,8 +315,12 @@ pub struct NetMetricsSnapshot {
     pub connections: u64,
     /// Frames decoded into requests (admitted or not).
     pub requests: u64,
-    /// Responses produced by dispatchers (Ok or Err).
+    /// Responses to requests that were not bounced (Ok or Err), whoever
+    /// wrote them: a dispatcher, or the connection's reader for a cache hit.
     pub served: u64,
+    /// Of those, the cache hits written by the reader that decoded the
+    /// request: replies that never queued.
+    pub served_inline: u64,
     /// Requests bounced with [`Status::Overloaded`].
     pub rejected_overloaded: u64,
     /// Requests bounced with [`Status::ShuttingDown`].
@@ -291,7 +328,8 @@ pub struct NetMetricsSnapshot {
     /// High-water mark of the admission queue — must never exceed the
     /// configured capacity.
     pub max_queue_depth: u64,
-    /// `(client id, responses served)` per connection, ascending id.
+    /// `(client id, responses served)` per connection that was served at
+    /// least one, ascending id.
     pub per_client_served: Vec<(u64, u64)>,
 }
 
@@ -305,11 +343,13 @@ impl NetMetricsSnapshot {
             .map(|(id, n)| format!("[{id},{n}]"))
             .collect();
         format!(
-            "{{\"connections\":{},\"requests\":{},\"served\":{},\"rejected_overloaded\":{},\
-             \"rejected_shutting_down\":{},\"max_queue_depth\":{},\"per_client_served\":[{}]}}",
+            "{{\"connections\":{},\"requests\":{},\"served\":{},\"served_inline\":{},\
+             \"rejected_overloaded\":{},\"rejected_shutting_down\":{},\
+             \"max_queue_depth\":{},\"per_client_served\":[{}]}}",
             self.connections,
             self.requests,
             self.served,
+            self.served_inline,
             self.rejected_overloaded,
             self.rejected_shutting_down,
             self.max_queue_depth,
@@ -322,12 +362,13 @@ impl std::fmt::Display for NetMetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "connections {}, requests {}, served {}, \
+            "connections {}, requests {}, served {} (inline {}), \
              rejected {} (overloaded {}, shutting-down {}), \
              max queue depth {}, clients {}",
             self.connections,
             self.requests,
             self.served,
+            self.served_inline,
             self.rejected_overloaded + self.rejected_shutting_down,
             self.rejected_overloaded,
             self.rejected_shutting_down,
@@ -344,6 +385,9 @@ struct Conn {
     write_deadline: Duration,
     /// The write half, `None` once a write has failed or timed out.
     writer: Mutex<Option<TcpStream>>,
+    /// Responses served to this client: its cell of
+    /// [`NetMetrics::per_client_served`].
+    served: Arc<AtomicU64>,
 }
 
 /// A socket under one deadline for a whole frame: `write_all` would
@@ -369,8 +413,17 @@ impl Write for Until<'_> {
 }
 
 impl Conn {
+    /// Whether replies can still be written: false once a write failed or
+    /// outlasted the deadline and the socket was shut down.
+    fn is_open(&self) -> bool {
+        self.writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
+    }
+
     /// Writes `resp` as one whole frame under the lock, so a dispatcher's
-    /// reply and the reader's bounce never interleave mid-frame. A write
+    /// reply and the reader's own never interleave mid-frame. A write
     /// that fails or outlasts the deadline kills the connection — both
     /// directions, which ends the reader — and every later reply for it is
     /// dropped: a client that pipelines and never reads holds no reply
@@ -397,7 +450,7 @@ struct Job {
     /// Root trace minted at the wire boundary (reader thread), if the
     /// global tracer is on and sampling picked this request. The
     /// dispatcher re-joins it across the queue hop and finishes it once
-    /// the response is built.
+    /// the response is written.
     ctx: Option<trace::Ctx>,
     /// When the reader admitted the request (start of the net queue
     /// wait).
@@ -575,6 +628,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Dur
             client: next_client,
             write_deadline,
             writer: Mutex::new(Some(write_half)),
+            served: shared.metrics.register_client(next_client),
         });
         next_client += 1;
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
@@ -589,13 +643,33 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Dur
     }
 }
 
-/// The one thread of a connection: decode frames, admit or bounce. A
-/// bounce is written here, an admitted job's reply by its dispatcher,
-/// both through [`Conn::reply`].
+/// Counts a response to a request that was not bounced, writes it and
+/// closes the request's trace — after the write, which is a `serialize`
+/// span of its own: what the socket costs is inside the trace. The caller
+/// still has `ctx` installed on this thread.
+fn deliver(shared: &Shared, conn: &Conn, ctx: Option<trace::Ctx>, resp: &WireResponse) {
+    shared.metrics.record_served(conn);
+    let write_span = trace::span(Stage::Serialize, "write-frame");
+    conn.reply(resp);
+    drop(write_span);
+    if let Some(ctx) = ctx {
+        Tracer::global().finish(ctx);
+    }
+}
+
+/// The one thread of a connection: decode frames; answer a cache hit,
+/// admit or bounce the rest. A hit and a bounce are written here, an
+/// admitted job's reply by its dispatcher, all through [`Conn::reply`].
 fn connection_loop(shared: &Shared, stream: TcpStream, conn: &Arc<Conn>) {
     let mut r = BufReader::new(stream);
-    // Clean EOF, mid-frame EOF and I/O errors all end the connection.
-    while let Ok(Some(payload)) = frame::read_frame(&mut r) {
+    // A connection cut off for not reading its replies is not read either:
+    // the socket is shut down, but requests it pipelined may still sit in
+    // the buffer, and nobody is there for their answers. Clean EOF,
+    // mid-frame EOF and I/O errors all end the connection too.
+    while conn.is_open() {
+        let Ok(Some(payload)) = frame::read_frame(&mut r) else {
+            break;
+        };
         let req = match WireRequest::decode(&payload) {
             Ok(req) => req,
             Err(e) => {
@@ -626,6 +700,20 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn: &Arc<Conn>) {
         // Mint the request's trace here, at the wire boundary: the queue
         // wait and every downstream stage hang off this root.
         let ctx = Tracer::global().start(&req.line);
+        // A hit needs no admission: fairness and quotas ration compute,
+        // and it uses none.
+        let installed = trace::install(ctx);
+        if let Some(body) = command::cached_answer(&shared.service, &req.line) {
+            shared.metrics.served_inline.fetch_add(1, Ordering::Relaxed);
+            let resp = WireResponse {
+                id: req.id,
+                status: Status::Ok,
+                body,
+            };
+            deliver(shared, conn, ctx, &resp);
+            continue;
+        }
+        drop(installed);
         let job = Job {
             id: req.id,
             line: req.line,
@@ -700,7 +788,7 @@ impl Frontend for NetFrontend<'_> {
 /// Dispatcher: pop a request, run it on this thread, reply; until the
 /// queue is closed *and* empty (the graceful-shutdown drain).
 fn dispatch_loop(shared: &Arc<Shared>) {
-    while let Some((client, job)) = shared.queue.pop() {
+    while let Some((_, job)) = shared.queue.pop() {
         // Rejoin the trace minted at the wire: the time since admission
         // is the net queue wait, recorded retroactively.
         trace::span_at(job.ctx, Stage::QueueWait, "net-queue", job.enqueued);
@@ -734,12 +822,8 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 }
             }
         };
+        deliver(shared, &job.conn, job.ctx, &resp);
         drop(installed);
-        if let Some(ctx) = job.ctx {
-            Tracer::global().finish(ctx);
-        }
-        shared.metrics.record_served(client);
-        job.conn.reply(&resp);
     }
 }
 
@@ -904,7 +988,8 @@ mod tests {
 
         let mut reads = Client::connect(server.addr()).unwrap();
         assert_eq!(reads.call("gen R Jokes 0.3").unwrap().status, Status::Ok);
-        // Cached from here on: every later answer costs only its rendering.
+        // Cached from here on: every later answer is a hit, rendered and
+        // written by the reader of the connection that asked.
         let big = reads.call(BIG).unwrap();
         assert!(big.body.len() > 2 << 20, "{} bytes", big.body.len());
         drop(big);
@@ -916,7 +1001,10 @@ mod tests {
         }
         let sent = Instant::now();
 
-        // Meanwhile the other client is answered, every time.
+        // Meanwhile the other client is answered, every time. The reader
+        // stuck in the write that nobody reads gives up at the deadline, and
+        // must then stop: the requests still in its buffer are 3 MiB of
+        // rendering each, for a socket that is shut.
         let mut latencies = Vec::new();
         while live() == 2 || latencies.len() < 200 {
             assert!(
@@ -932,11 +1020,15 @@ mod tests {
         let p99 = latencies[latencies.len() * 99 / 100];
         assert!(p99 < DEADLINE, "{} calls, p99 {p99:?}", latencies.len());
 
-        // Its queued jobs still run; their replies go nowhere and are kept
-        // nowhere. At 3 MiB a reply, a backlog would be 144 MiB.
-        while server.metrics().served < 2 + UNREAD as u64 + latencies.len() as u64 {
-            std::thread::yield_now();
-        }
+        // Its connection is gone, and nothing of its replies is kept: the
+        // few that fitted the socket buffers were written, the one cut off
+        // was dropped, the rest were never rendered. At 3 MiB a reply, a
+        // backlog would be 144 MiB.
+        let m = server.metrics();
+        assert!(
+            m.served < 2 + UNREAD as u64 + latencies.len() as u64,
+            "unread requests were answered after the cut-off: {m:?}"
+        );
         let grown = rss_kib().saturating_sub(before);
         assert!(grown < 32 << 10, "resident memory grew by {grown} KiB");
 

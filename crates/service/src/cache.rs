@@ -5,9 +5,10 @@
 //! [`crate::Catalog`]. Because the epoch is part of the key, an update
 //! never *serves* a stale result; the superseded entry just stops being
 //! addressable and is evicted by recency like any other cold entry.
-//! Cached rows are shared out as `Arc`s, so a hit is O(1) regardless of
-//! result size and hits are byte-identical to the cold execution that
-//! populated them.
+//! Cached rows, counts and stats are shared out as `Arc`s, so a hit is
+//! O(1) regardless of result size — a recency stamp and a reference-count
+//! bump per array, no heap copied under the lock every warm request takes —
+//! and hits are byte-identical to the cold execution that populated them.
 
 use crate::maintain::Supports;
 use crate::request::Request;
@@ -27,7 +28,7 @@ pub struct CacheEntry {
     /// Per-row witness counts; empty where the query family emits none.
     pub counts: Arc<Vec<u32>>,
     /// The stats of the execution that produced this result.
-    pub stats: ExecStats,
+    pub stats: Arc<ExecStats>,
     /// Whether a row limit cut the stream short.
     pub truncated: bool,
     /// Per-tuple support counts and the measured cost of building them,
@@ -74,7 +75,7 @@ impl From<CachedResult> for CacheEntry {
                 values: old.rows.concat(),
             }),
             counts: old.counts,
-            stats: old.stats,
+            stats: Arc::new(old.stats),
             truncated: old.truncated,
             support: old.support,
             maintained: old.maintained,
@@ -120,22 +121,27 @@ impl ResultCache {
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit. The canonical
-    /// `request` and `epochs` must match what the slot was filled with —
-    /// a key collision between distinct requests is answered as a miss.
+    /// Looks `key` up, counting a hit and refreshing its recency. The
+    /// canonical `request` and `epochs` must match what the slot was filled
+    /// with — a key collision between distinct requests is answered as a
+    /// miss. A miss is the caller's to count ([`ResultCache::record_miss`]),
+    /// once it goes on to compute the answer: a front end that only asks
+    /// whether the answer is here hands a miss on to a second lookup, and one
+    /// request must not count two.
     pub fn get(&mut self, key: u64, request: &Request, epochs: &[u64]) -> Option<CacheEntry> {
         self.tick += 1;
-        match self.slots.get_mut(&key) {
-            Some(slot) if slot.request == *request && slot.epochs == epochs => {
-                slot.stamp = self.tick;
-                self.hits += 1;
-                Some(slot.value.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+        let slot = self.slots.get_mut(&key)?;
+        if slot.request != *request || slot.epochs != epochs {
+            return None;
         }
+        slot.stamp = self.tick;
+        self.hits += 1;
+        Some(slot.value.clone())
+    }
+
+    /// Counts one lookup that found nothing and is being computed instead.
+    pub fn record_miss(&mut self) {
+        self.misses += 1;
     }
 
     /// Whether `key` would hit, without touching recency or the hit/miss
@@ -262,7 +268,7 @@ mod tests {
                 values: vec![tag, tag],
             }),
             counts: Arc::default(),
-            stats: ExecStats::new("test", 1),
+            stats: Arc::new(ExecStats::new("test", 1)),
             truncated: false,
             support: None,
             maintained: false,
@@ -277,8 +283,14 @@ mod tests {
         c.insert(key, req(tag), vec![1], result(tag));
     }
 
+    /// A lookup the way the query path does one: a miss is counted by
+    /// whoever goes on to compute.
     fn probe(c: &mut ResultCache, key: u64, tag: u32) -> Option<CacheEntry> {
-        c.get(key, &req(tag), &[1])
+        let found = c.get(key, &req(tag), &[1]);
+        if found.is_none() {
+            c.record_miss();
+        }
+        found
     }
 
     #[test]
@@ -288,6 +300,9 @@ mod tests {
         put(&mut c, 1, 1);
         let hit = probe(&mut c, 1, 1).unwrap();
         assert_eq!(hit.rows.row(0), [1, 1]);
+        assert_eq!(c.counters(), (1, 1, 0, 0));
+        // A lookup that only asks: the miss is for whoever computes.
+        assert!(c.get(7, &req(7), &[1]).is_none());
         assert_eq!(c.counters(), (1, 1, 0, 0));
     }
 

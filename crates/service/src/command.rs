@@ -10,7 +10,7 @@
 //! arrive and where answers go.
 
 use crate::metrics::MetricsSnapshot;
-use crate::{AtomSpec, MaintenanceReport, Request, Service};
+use crate::{AtomSpec, MaintenanceReport, Request, Response, Service};
 use mmjoin_executor::ExecutorStats;
 use mmjoin_obs::trace::{self, chrome_json, Stage, Tracer};
 use mmjoin_storage::io::read_edge_list;
@@ -640,9 +640,38 @@ fn run_trace(cmd: TraceCmd) -> Result<String, String> {
 fn run_query(service: &Service, request: Request, show: Option<usize>) -> Result<String, String> {
     let t0 = Instant::now();
     let response = service.query(request).map_err(|e| e.to_string())?;
-    let secs = t0.elapsed().as_secs_f64();
+    Ok(render_query(&response, t0.elapsed().as_secs_f64(), show))
+}
+
+/// The answer to `line` when it can be given without computing anything:
+/// `Some(body)` — the text [`run_line`] would return — only when the line
+/// parses as `query …` and the result cache holds its answer. Every other
+/// command, every parse error, unknown relation and miss is `None`, and
+/// the caller runs the line the usual way (which reports the error, or
+/// counts the miss, once). For a front end that answers a hit on the thread
+/// that read it instead of queueing it behind computations.
+///
+/// Only `query` lines are parsed here: `register` and `insert` build
+/// relations inside [`Command::parse`], and parsing those would be
+/// computing before admission.
+pub fn cached_answer(service: &Service, line: &str) -> Option<String> {
+    let mut tokens = line.split_whitespace();
+    if tokens.next()? != "query" {
+        return None;
+    }
+    let parse_span = trace::span(Stage::Parse, "command-parse");
+    let tokens: Vec<&str> = tokens.collect();
+    let (request, show) = parse_request(&tokens).ok()?;
+    drop(parse_span);
+    let t0 = Instant::now();
+    let response = service.query_cached(request)?;
+    Some(render_query(&response, t0.elapsed().as_secs_f64(), show))
+}
+
+/// The text of a query answer: the summary line, then up to `show` rows.
+fn render_query(response: &Response, secs: f64, show: Option<usize>) -> String {
     let _ser_span = trace::span(Stage::Serialize, "render-response");
-    let mut out = format!(
+    let out = format!(
         "ok rows {} engine {} cached {}{} {:.3}s{}",
         response.rows.len(),
         response.stats.engine,
@@ -659,26 +688,54 @@ fn run_query(service: &Service, request: Request, show: Option<usize>) -> Result
             ""
         }
     );
-    if let Some(max_rows) = show {
-        // Cells go straight into `out`; a family that emits no counts
-        // stores none, which reads as 0 for every row.
-        let counts = response.counts.iter().copied().chain(iter::repeat(0));
-        for (row, count) in response.rows.iter().zip(counts).take(max_rows) {
-            out.push_str("\n  (");
-            for (i, cell) in row.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{cell}");
+    let Some(max_rows) = show else {
+        return out;
+    };
+    // Rows are appended as bytes — digits and ASCII punctuation — and the
+    // whole is checked as UTF-8 once, not cell by cell.
+    let mut out = out.into_bytes();
+    let shown = max_rows.min(response.rows.len());
+    // A cell is at most ten digits and its separator; `\n  (` and `)` frame
+    // the row. Most cells are shorter: this reserves once, high.
+    out.reserve(shown * (response.rows.arity * 12 + 5));
+    // A family that emits no counts stores none, which reads as 0 for
+    // every row.
+    let counts = response.counts.iter().copied().chain(iter::repeat(0));
+    for (row, count) in response.rows.iter().zip(counts).take(shown) {
+        out.extend_from_slice(b"\n  (");
+        for (i, &cell) in row.iter().enumerate() {
+            if i > 0 {
+                out.extend_from_slice(b", ");
             }
-            out.push(')');
-            if count > 0 {
-                let _ = write!(out, " x{count}");
-            }
+            push_decimal(&mut out, cell);
         }
-        if response.rows.len() > max_rows {
-            let _ = write!(out, "\n  … {} more", response.rows.len() - max_rows);
+        out.push(b')');
+        if count > 0 {
+            out.extend_from_slice(b" x");
+            push_decimal(&mut out, count);
         }
     }
-    Ok(out)
+    let mut out = String::from_utf8(out).expect("ASCII appended to a string");
+    if response.rows.len() > shown {
+        let _ = write!(out, "\n  … {} more", response.rows.len() - shown);
+    }
+    out
+}
+
+/// Appends `n` in decimal: the digits go into a stack buffer from the
+/// right, without the `fmt` machinery a `write!` per cell goes through.
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 fn register_report(service: &Service, name: &str, rel: Relation) -> Result<String, String> {
@@ -923,6 +980,9 @@ pub const HELP: &str = "ok commands:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_api::{ExecStats, FlatRows};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn service() -> Service {
         let s = Service::with_default_registry();
@@ -1003,5 +1063,130 @@ mod tests {
         assert!(ans.starts_with("ok rows "), "{ans}");
         let err = run_line(&s, "query Q(x,z) :- R(x,y,w)").unwrap_err();
         assert!(err.contains("exactly 2 variables"), "{err}");
+    }
+
+    #[test]
+    fn cached_answer_is_the_hit_and_nothing_else() {
+        let s = service();
+        // Not cached yet; then exactly what `run_line` answers for a hit,
+        // up to the time it prints.
+        assert_eq!(cached_answer(&s, "query twopath R S show 3"), None);
+        let cold = run_line(&s, "query twopath R S").unwrap();
+        assert!(cold.contains("cached false"), "{cold}");
+        let untimed = |answer: &str| {
+            let (head, rows) = answer.split_once('\n').unwrap();
+            let timing = |t: &&str| t.starts_with(|c: char| c.is_ascii_digit()) && t.ends_with('s');
+            let head: Vec<&str> = head.split(' ').filter(|t| !timing(t)).collect();
+            format!("{}\n{rows}", head.join(" "))
+        };
+        let hit = cached_answer(&s, "  query  twopath R S show 3").expect("cached by now");
+        assert!(hit.contains("cached true"), "{hit}");
+        assert_eq!(
+            untimed(&hit),
+            untimed(&run_line(&s, "query twopath R S show 3").unwrap())
+        );
+        // Counted once each, as hits; the miss above was `run_line`'s.
+        let m = s.metrics();
+        assert_eq!((m.queries_served, m.cache_hits, m.errors), (3, 2, 0));
+        assert_eq!(s.cache_counters().0, 2, "hits");
+        assert_eq!(s.cache_counters().1, 1, "misses");
+
+        // Everything that is not a cached query is `None` and counts
+        // nothing: other commands (their parse is not even attempted),
+        // parse errors, unknown relations, misses.
+        for line in [
+            "explain twopath R S",
+            "stats",
+            "insert R 1,2",
+            "register T 1,2 nope",
+            "queryx twopath R S",
+            "query",
+            "query warp R S",
+            "query twopath R missing",
+            "query twopath S R",
+        ] {
+            assert_eq!(cached_answer(&s, line), None, "{line}");
+        }
+        assert_eq!(s.metrics(), m);
+        assert_eq!(s.cache_counters().1, 1, "a miss here is not counted");
+    }
+
+    #[test]
+    fn a_panicking_probe_costs_the_request_not_the_thread() {
+        let s = service();
+        run_line(&s, "query twopath R S").unwrap();
+        crate::service::tests::PROBE_PANICS.with(|armed| armed.set(true));
+        // The reader's question comes back unanswered, the dispatcher's
+        // run reports the panic…
+        assert_eq!(cached_answer(&s, "query twopath R S"), None);
+        let err = run_line(&s, "query twopath R S").unwrap_err();
+        assert_eq!(err, "internal error: probe told to panic");
+        crate::service::tests::PROBE_PANICS.with(|armed| armed.set(false));
+        // …counted once, and this thread serves the next request.
+        assert_eq!(s.metrics().errors, 1);
+        let hit = cached_answer(&s, "query twopath R S").expect("still cached");
+        assert!(hit.contains("cached true"), "{hit}");
+    }
+
+    /// The rows of `render_query` as they were written first: every cell
+    /// through `write!`.
+    fn render_with_fmt(response: &Response, secs: f64, show: Option<usize>) -> String {
+        let mut out = render_query(response, secs, None);
+        if let Some(max_rows) = show {
+            let counts = response.counts.iter().copied().chain(iter::repeat(0));
+            for (row, count) in response.rows.iter().zip(counts).take(max_rows) {
+                out.push_str("\n  (");
+                for (i, cell) in row.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    let _ = write!(out, "{sep}{cell}");
+                }
+                out.push(')');
+                if count > 0 {
+                    let _ = write!(out, " x{count}");
+                }
+            }
+            if response.rows.len() > max_rows {
+                let _ = write!(out, "\n  … {} more", response.rows.len() - max_rows);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hand-rolled row rendering prints what `format!` prints, over
+        /// random cells (every digit count), counts, arities and budgets.
+        #[test]
+        fn rows_render_as_fmt_renders_them(
+            arity in 1usize..5,
+            cells in proptest::collection::vec((0u32..11, 0u32..u32::MAX), 0..40),
+            counts in proptest::collection::vec(0u32..u32::MAX, 0..12),
+            show in 0usize..16,
+            flags in 0u8..8,
+        ) {
+            // A value of every magnitude: up to `digits` decimal digits.
+            let mut values: Vec<u32> = cells
+                .iter()
+                .map(|&(digits, v)| if digits == 10 { v } else { v % 10u32.pow(digits) })
+                .collect();
+            values.extend([0, u32::MAX]);
+            values.truncate(values.len() / arity * arity);
+            let response = Response {
+                rows: Arc::new(FlatRows { arity, values }),
+                counts: Arc::new(counts),
+                stats: Arc::new(ExecStats::new("MMJoin", 0)),
+                cached: flags & 1 != 0,
+                maintained: flags & 2 != 0,
+                truncated: flags & 4 != 0,
+                cache_key: 0,
+            };
+            for show in [None, Some(show), Some(usize::MAX)] {
+                prop_assert_eq!(
+                    render_query(&response, 0.0125, show),
+                    render_with_fmt(&response, 0.0125, show)
+                );
+            }
+        }
     }
 }

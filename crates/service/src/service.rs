@@ -107,8 +107,8 @@ pub struct Response {
     /// Per-row witness counts; empty where the family emits none.
     pub counts: Arc<Vec<u32>>,
     /// The stats of the execution that produced these rows (for a cache
-    /// hit: the original cold execution).
-    pub stats: ExecStats,
+    /// hit: the original cold execution's, shared with the entry).
+    pub stats: Arc<ExecStats>,
     /// Whether this response came from the result cache.
     pub cached: bool,
     /// Whether the serving cache entry was last refreshed by in-place
@@ -412,10 +412,39 @@ impl Service {
             None
         };
         let traced = trace::current_if_enabled();
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(self, request)))
-                .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))));
+        let result = isolated(|| match probe(self, request, true)? {
+            Probed::Hit(response) => Ok(response),
+            Probed::Miss(miss) => execute(self, miss),
+        });
         drop(minted);
+        self.observed(started, traced, result)
+    }
+
+    /// The answer to `request` if the result cache holds it, else `None`:
+    /// the probe of [`Service::query`] without the execution after it, for a
+    /// front end that answers a hit on the thread that read the request and
+    /// queues everything else. A hit is counted as [`Service::query`] counts
+    /// it; anything else — a miss, an unknown relation, a panic — counts
+    /// nothing here, because the caller hands the request to
+    /// [`Service::query`], which finds the same and counts it once.
+    pub fn query_cached(&self, request: Request) -> Option<Response> {
+        let started = Instant::now();
+        let Ok(Probed::Hit(response)) = isolated(|| probe(self, request, false)) else {
+            return None;
+        };
+        self.observed(started, trace::current_if_enabled(), Ok(response))
+            .ok()
+    }
+
+    /// Books one finished query and passes its result on: the latency
+    /// histogram, the hit or error counter, and the slow-query log
+    /// (`traced` is the trace it ran under, if any).
+    fn observed(
+        &self,
+        started: Instant,
+        traced: Option<trace::Ctx>,
+        result: Result<Response, ServiceError>,
+    ) -> Result<Response, ServiceError> {
         let latency = started.elapsed().as_secs_f64();
         match &result {
             Ok(response) => self.metrics.record_query(latency, response.cached),
@@ -725,7 +754,7 @@ fn maintain_entry(
         min_count,
         with_counts,
     )?;
-    value.stats = ExecStats::new(MAINTAINED_ENGINE, value.rows.len() as u64);
+    value.stats = Arc::new(ExecStats::new(MAINTAINED_ENGINE, value.rows.len() as u64));
     value.maintained = true;
     Some((value, (deltas.len(), crossed)))
 }
@@ -765,10 +794,10 @@ fn recompute_entry(
     let (values, counts) = support.rows(min_count, with_counts);
     let rows = FlatRows { arity: 2, values };
     Some(CacheEntry {
-        stats: ExecStats {
+        stats: Arc::new(ExecStats {
             rows: rows.len() as u64,
             ..stats
-        },
+        }),
         rows: Arc::new(rows),
         counts: Arc::new(counts),
         truncated: false,
@@ -854,9 +883,40 @@ fn build_query<'a>(
     Ok(query)
 }
 
-/// The query path proper; [`Service::query`] wraps it in panic isolation,
-/// the latency histogram and the slow-query log.
-fn process(service: &Service, request: Request) -> Result<Response, ServiceError> {
+/// Runs one half of the query path with a panic turned into
+/// [`ServiceError::Internal`]: it costs the request, not the thread —
+/// a net dispatcher, or a connection's only reader.
+fn isolated<T>(run: impl FnOnce() -> Result<T, ServiceError>) -> Result<T, ServiceError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))))
+}
+
+/// What [`probe`] found.
+enum Probed {
+    /// The cache held the answer.
+    Hit(Response),
+    /// It did not: everything [`execute`] needs to compute it.
+    Miss(Miss),
+}
+
+/// A canonical request resolved against the catalog, not in the cache.
+struct Miss {
+    request: Request,
+    /// The relations in `request.relation_names()` order, pinned with…
+    handles: Vec<Arc<Relation>>,
+    /// …their epochs at that moment.
+    epochs: Vec<u64>,
+    cache_key: u64,
+}
+
+/// First half of the query path: canonicalise → pin the relations → key →
+/// cache lookup. `executes` says the caller goes on to [`execute`] a miss,
+/// which is what counts it as one; a front end that only asks
+/// ([`Service::query_cached`]) leaves the counting to the lookup that
+/// follows its own.
+fn probe(service: &Service, request: Request, executes: bool) -> Result<Probed, ServiceError> {
+    #[cfg(test)]
+    tests::PROBE_PANICS.with(|armed| assert!(!armed.get(), "probe told to panic"));
     let request = request.canonical();
     let (handles, epochs) = resolve_handles(service, &request)?;
 
@@ -868,18 +928,31 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
     let fingerprint = request.fingerprint_assuming_canonical();
     let cache_key = cache_key(fingerprint, &epochs);
 
-    let probe_span = trace::span(Stage::CacheProbe, "result-cache");
-    if let Some(hit) = service
-        .cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(cache_key, &request, &epochs)
-    {
-        return Ok(Response::of(hit, true, cache_key));
+    let _probe_span = trace::span(Stage::CacheProbe, "result-cache");
+    let mut cache = service.cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = cache.get(cache_key, &request, &epochs) {
+        return Ok(Probed::Hit(Response::of(hit, true, cache_key)));
     }
+    if executes {
+        cache.record_miss();
+    }
+    Ok(Probed::Miss(Miss {
+        request,
+        handles,
+        epochs,
+        cache_key,
+    }))
+}
 
-    drop(probe_span);
-
+/// Second half: plan → execute → cache fill, for a request [`probe`] did
+/// not find.
+fn execute(service: &Service, miss: Miss) -> Result<Response, ServiceError> {
+    let Miss {
+        request,
+        handles,
+        epochs,
+        cache_key,
+    } = miss;
     let plan_span = trace::span(Stage::Plan, "select-engine");
     let query = build_query(&request.spec, &handles)?;
 
@@ -906,13 +979,13 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
     let entry = CacheEntry {
         rows: Arc::new(sink.rows),
         counts: Arc::new(sink.counts),
-        stats,
+        stats: Arc::new(stats),
         truncated,
         support: None,
         maintained: false,
     };
     // The one copy of the entry a miss makes: a bump of each array's
-    // reference count and the stats.
+    // reference count.
     let response = Response::of(entry.clone(), false, cache_key);
     let displaced = service
         .cache
@@ -926,8 +999,16 @@ fn process(service: &Service, request: Request) -> Result<Response, ServiceError
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Armed by a test to make the next [`probe`]s on its thread panic:
+        /// the one fault the reader path of a front end can be handed that
+        /// no request text produces.
+        pub(crate) static PROBE_PANICS: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
 
     fn service() -> Service {
         Service::with_default_registry()

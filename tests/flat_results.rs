@@ -11,7 +11,7 @@
 
 use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig, Value};
 use mmjoin_api::{CountSink, ExecStats};
-use mmjoin_service::{CachedResult, ResultCache};
+use mmjoin_service::{CacheEntry, CachedResult, ResultCache};
 use std::sync::Arc;
 
 #[path = "support/counting_alloc.rs"]
@@ -248,4 +248,36 @@ fn the_per_row_literal_converts_to_one_flat_entry() {
     assert_eq!(hit.rows.values, [1, 2, 3, 4]);
     assert_eq!(hit.rows.iter().nth(1), Some(&[3, 4][..]));
     assert_eq!(cache.bytes(), 16 + 8);
+}
+
+/// A hit under the cache lock — the one lock every warm request on every
+/// reader thread takes — is a recency stamp and a reference-count bump per
+/// shared part: nothing is allocated, whatever the stats carry (here a
+/// planned chain's `PlanStats` with its steps), and nothing is freed when
+/// the hit is dropped while the entry lives.
+#[test]
+fn a_cache_hit_allocates_nothing() {
+    let service = Service::with_default_registry();
+    service.register("R", overlapping(40));
+    let cold = service.query(Request::chain(["R", "R", "R"])).unwrap();
+    let plan = cold.stats.plan.as_ref().expect("MMJoin's record");
+    assert!(!plan.steps.is_empty() && !cold.stats.engine.is_empty());
+
+    let request = Request::chain(["R", "R", "R"]).canonical();
+    let mut cache = ResultCache::new(4);
+    let entry = CacheEntry {
+        rows: Arc::clone(&cold.rows),
+        counts: Arc::clone(&cold.counts),
+        stats: Arc::clone(&cold.stats),
+        truncated: false,
+        support: None,
+        maintained: false,
+    };
+    cache.insert(7, request.clone(), vec![1, 1, 1], entry);
+    let (hit, probe) = tallied(usize::MAX, || cache.get(7, &request, &[1, 1, 1]));
+    let hit = hit.expect("a hit");
+    assert_eq!(probe.allocs, 0, "{probe:?}");
+    assert!(Arc::ptr_eq(&hit.stats, &cold.stats) && Arc::ptr_eq(&hit.rows, &cold.rows));
+    let ((), dropped) = tallied(usize::MAX, || drop(hit));
+    assert_eq!((dropped.allocs, dropped.frees), (0, 0), "{dropped:?}");
 }

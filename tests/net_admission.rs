@@ -7,10 +7,12 @@
 //! jobs before the server stops.
 //!
 //! The admission queue is the only queue and its dispatchers the only
-//! threads that run requests, so the second half pins that down with a
-//! probe engine: a query runs on the thread that took it off the queue,
+//! threads that compute, so the second half pins that down with a probe
+//! engine: a query runs on the thread that took it off the queue,
 //! `dispatchers` is exactly the number in flight, and an engine panic
-//! costs one request, not a dispatcher.
+//! costs one request, not a dispatcher. A cache hit computes nothing and
+//! never queues: the reader of its connection answers it, while the only
+//! dispatcher is busy and without a slot of a queue that is full.
 //!
 //! The last three tests are the census of what a connection costs the
 //! server: one thread while it lives, no thread and no descriptor after
@@ -280,9 +282,13 @@ fn shutdown_drains_admitted_work_then_refuses_new_work() {
         assert!(resp.body.starts_with("ok rows "), "{}", resp.body);
     }
 
-    // New work on the still-open connection is refused, not queued.
-    let refused = a.call("stats").unwrap();
-    assert_eq!(refused.status, Status::ShuttingDown, "{}", refused.body);
+    // New work on the still-open connection is refused, not queued — and
+    // so is a request whose answer is cached by now: past the latch the
+    // reader answers nothing, hit or not.
+    for line in ["stats", &cold_query(1)] {
+        let refused = a.call(line).unwrap();
+        assert_eq!(refused.status, Status::ShuttingDown, "{}", refused.body);
+    }
 
     let m = server.metrics();
     assert!(m.rejected_shutting_down >= 1);
@@ -336,6 +342,20 @@ impl Engine for Probe {
 /// A service whose only engine is the probe, uncached so that every
 /// request executes, behind a server with `dispatchers` dispatchers.
 fn probe_server(dispatchers: usize, hold: Duration) -> (Arc<Service>, Server, Arc<ProbeLog>) {
+    let net = NetConfig {
+        dispatchers,
+        ..NetConfig::default()
+    };
+    probe_server_with(0, net, hold)
+}
+
+/// The same with a result cache of `cache_capacity` entries and every
+/// front-end knob given.
+fn probe_server_with(
+    cache_capacity: usize,
+    net: NetConfig,
+    hold: Duration,
+) -> (Arc<Service>, Server, Arc<ProbeLog>) {
     let log = Arc::new(ProbeLog::default());
     let mut registry = EngineRegistry::new();
     registry.register(Box::new(Probe {
@@ -345,20 +365,160 @@ fn probe_server(dispatchers: usize, hold: Duration) -> (Arc<Service>, Server, Ar
     let service = Arc::new(Service::new(
         registry,
         ServiceConfig {
-            cache_capacity: 0,
+            cache_capacity,
             ..ServiceConfig::default()
         },
     ));
     service.register("R", Relation::from_edges([(0, 0), (1, 0)]));
-    let server = serve(
-        Arc::clone(&service),
-        NetConfig {
-            dispatchers,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let server = serve(Arc::clone(&service), net).unwrap();
     (service, server, log)
+}
+
+/// A probe request no other shares a fingerprint with: a miss, every time.
+fn cold_probe(i: u32) -> String {
+    format!("query twopath R R limit {i} engine Probe")
+}
+
+#[test]
+fn a_hit_is_answered_by_its_reader_and_a_miss_by_the_dispatcher() {
+    const HOLD: Duration = Duration::from_millis(300);
+    let net = NetConfig {
+        dispatchers: 1,
+        ..NetConfig::default()
+    };
+    let (_service, server, log) = probe_server_with(16, net, HOLD);
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    // The miss executes, on the dispatcher; the repeat executes nothing.
+    let cold = c.call(PROBE).unwrap();
+    assert!(cold.body.contains("cached false"), "{}", cold.body);
+    let dispatcher = log.threads.lock().unwrap()[0];
+    assert_ne!(dispatcher, std::thread::current().id());
+    let warm = c.call(PROBE).unwrap();
+    assert!(warm.body.contains("cached true"), "{}", warm.body);
+    assert_eq!(*log.threads.lock().unwrap(), [dispatcher]);
+
+    // Who wrote that answer: hold the only dispatcher inside the engine
+    // with another connection's miss, and ask again. The hit comes back
+    // while the engine is still running, so the dispatcher did not write
+    // it — which leaves the connection's own reader.
+    let mut other = Client::connect(server.addr()).unwrap();
+    let slow = other.send(&cold_probe(1)).unwrap();
+    while log.in_flight.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
+    let warm = c.call(PROBE).unwrap();
+    assert!(warm.body.contains("cached true"), "{}", warm.body);
+    assert_eq!(
+        log.in_flight.load(Ordering::Relaxed),
+        1,
+        "answered while the only dispatcher was busy"
+    );
+    assert_eq!(other.recv().unwrap().id, slow);
+    assert_eq!(*log.threads.lock().unwrap(), [dispatcher, dispatcher]);
+
+    let m = server.metrics();
+    assert_eq!((m.served, m.served_inline), (4, 2), "{m:?}");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn hits_take_no_slot_and_do_not_delay_a_cold_query() {
+    const HOLD: Duration = Duration::from_millis(20);
+    const COLD: u32 = 9;
+    // One dispatcher and a queue of one: if a hit took a slot, the client
+    // pipelining them would be bounced at once — and so would the other.
+    let net = NetConfig {
+        queue_capacity: 1,
+        dispatchers: 1,
+        ..NetConfig::default()
+    };
+    let (_service, server, _log) = probe_server_with(64, net, HOLD);
+    let addr = server.addr();
+    let mut quiet = Client::connect(addr).unwrap();
+    assert_eq!(quiet.call(PROBE).unwrap().status, Status::Ok);
+
+    // The quiet client's cold queries, one at a time: median latency.
+    let mut next_cold = 0;
+    let mut cold_median = |client: &mut Client| {
+        let mut took: Vec<Duration> = (0..COLD)
+            .map(|_| {
+                next_cold += 1;
+                let asked = Instant::now();
+                let resp = client.call(&cold_probe(next_cold)).unwrap();
+                assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+                assert!(resp.body.contains("cached false"), "{}", resp.body);
+                asked.elapsed()
+            })
+            .collect();
+        took.sort();
+        took[took.len() / 2]
+    };
+    let solo = cold_median(&mut quiet);
+
+    let stop = AtomicU64::new(0);
+    let (loaded, hits) = std::thread::scope(|scope| {
+        // Hits as fast as one connection takes them, 32 in flight.
+        let hammer = scope.spawn(|| {
+            let mut c = Client::connect(addr).unwrap();
+            let mut hits = 0u64;
+            while stop.load(Ordering::Relaxed) == 0 {
+                for _ in 0..32 {
+                    c.send(PROBE).unwrap();
+                }
+                for _ in 0..32 {
+                    let resp = c.recv().unwrap();
+                    assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+                    assert!(resp.body.contains("cached true"), "{}", resp.body);
+                    hits += 1;
+                }
+            }
+            hits
+        });
+        let loaded = cold_median(&mut quiet);
+        stop.store(1, Ordering::Relaxed);
+        (loaded, hammer.join().unwrap())
+    });
+    assert!(
+        loaded < 2 * solo,
+        "a cold query took {loaded:?} beside {hits} hits, {solo:?} alone"
+    );
+    let m = server.metrics();
+    assert_eq!(m.rejected_overloaded, 0, "{m:?}");
+    assert_eq!(m.served_inline, hits, "{m:?}");
+    assert!(
+        hits > 10 * COLD as u64,
+        "{hits} hits beside {COLD} cold queries"
+    );
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_panic_behind_a_reader_side_miss_costs_one_request() {
+    let net = NetConfig {
+        dispatchers: 1,
+        ..NetConfig::default()
+    };
+    let (service, server, _log) = probe_server_with(16, net, Duration::ZERO);
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.call(PROBE).unwrap().status, Status::Ok);
+
+    // The reader finds no cached answer and queues the request; the engine
+    // panics on the dispatcher; the answer says so…
+    let boom = c.call(PROBE_PANIC).unwrap();
+    assert_eq!(boom.status, Status::Err, "{}", boom.body);
+    assert!(boom.body.starts_with("internal error: "), "{}", boom.body);
+    assert_eq!(service.metrics().errors, 1);
+    // …and both threads of this connection's path go on: a hit from the
+    // reader, a miss from the dispatcher.
+    let warm = c.call(PROBE).unwrap();
+    assert!(warm.body.contains("cached true"), "{}", warm.body);
+    let cold = c.call(&cold_probe(1)).unwrap();
+    assert!(cold.body.contains("cached false"), "{}", cold.body);
+    server.shutdown();
+    server.wait();
 }
 
 #[test]
@@ -537,13 +697,20 @@ fn shown(body: &str) -> Option<&str> {
     body.split_once('\n').map(|(_, rows)| rows)
 }
 
+/// The first `n` of the rows a `show` answer prints.
+fn first_rows(body: &str, n: usize) -> Vec<&str> {
+    let rows = shown(body).expect("rows shown");
+    rows.lines().take(n).collect()
+}
+
 #[test]
 fn replies_and_bounces_on_one_connection_never_interleave() {
     const CLIENTS: usize = 8;
     const PIPELINED: usize = 40;
+    const SHOWN: usize = 4000;
     // ~40 KiB a reply: far more than one segment, so two writers on one
     // socket without the lock would cut into each other's frames.
-    const LINE: &str = "query twopath R R show 4000";
+    const HIT: &str = "query twopath R R show 4000";
 
     let service = Arc::new(Service::with_default_registry());
     let server = serve(
@@ -559,14 +726,28 @@ fn replies_and_bounces_on_one_connection_never_interleave() {
     let addr = server.addr();
     let mut setup = Client::connect(addr).unwrap();
     assert_eq!(setup.call(GEN).unwrap().status, Status::Ok);
-    let first = setup.call(LINE).unwrap().body;
-    let expected = shown(&first).expect("rows shown");
+    let first = setup.call(HIT).unwrap().body;
+    assert!(first.len() >= 40 << 10, "{} bytes", first.len());
+    let expected = first_rows(&first, SHOWN);
+    assert_eq!(expected.len(), SHOWN);
+    let expected = &expected;
 
+    // Three kinds of frame on every connection: the cached line, answered
+    // by the connection's reader; lines nobody asked before (a `limit` of
+    // their own each, past the rows shown, so the same 4000 rows lead the
+    // answer), computed and answered by a dispatcher; and, with more of
+    // those pipelined than the quota admits, the reader's bounces.
     std::thread::scope(|scope| {
-        for _ in 0..CLIENTS {
+        for client in 0..CLIENTS {
             scope.spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                let mut waiting: Vec<u64> = (0..PIPELINED).map(|_| c.send(LINE).unwrap()).collect();
+                let mut waiting: Vec<u64> = (0..PIPELINED)
+                    .map(|i| {
+                        let limit = SHOWN + 1 + client * PIPELINED + i;
+                        let cold = format!("query twopath R R limit {limit} show {SHOWN}");
+                        c.send(if i % 2 == 0 { &cold } else { HIT }).unwrap()
+                    })
+                    .collect();
                 while !waiting.is_empty() {
                     // A frame cut into by another would fail to decode, or
                     // decode into an id never sent or rows never computed.
@@ -574,7 +755,7 @@ fn replies_and_bounces_on_one_connection_never_interleave() {
                     let at = waiting.iter().position(|&id| id == resp.id);
                     waiting.swap_remove(at.expect("an id sent and not yet answered"));
                     match resp.status {
-                        Status::Ok => assert_eq!(shown(&resp.body), Some(expected)),
+                        Status::Ok => assert!(first_rows(&resp.body, SHOWN) == *expected),
                         Status::Overloaded => {}
                         other => panic!("unexpected status {other} ({})", resp.body),
                     }
@@ -582,9 +763,12 @@ fn replies_and_bounces_on_one_connection_never_interleave() {
             });
         }
     });
-    // Both kinds of writer were at work on the same connections.
+    // All three kinds of writer were at work on the same connections: the
+    // set-up connection accounts for two dispatcher-written replies.
     let m = server.metrics();
-    assert!(m.rejected_overloaded > 0 && m.served > 2, "{m:?}");
+    let hits = (CLIENTS * PIPELINED / 2) as u64;
+    assert_eq!(m.served_inline, hits, "{m:?}");
+    assert!(m.rejected_overloaded > 0 && m.served > hits + 2, "{m:?}");
     server.shutdown();
     server.wait();
 }

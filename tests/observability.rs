@@ -420,7 +420,8 @@ fn net_transport_traces_and_answers_stats_net() {
     let last = client.call("trace last 10").unwrap();
     assert!(last.body.contains("net-queue"), "{}", last.body);
     assert!(last.body.contains("\"traceEvents\""), "{}", last.body);
-    // One admission queue, so exactly one queue-wait span per request.
+    // One admission queue, so exactly one queue-wait span per request that
+    // queued — every one so far.
     for trace in tracer.last(usize::MAX) {
         let waits: Vec<&str> = trace
             .spans
@@ -430,6 +431,47 @@ fn net_transport_traces_and_answers_stats_net() {
             .collect();
         assert_eq!(waits, ["net-queue"], "{}", trace.render());
     }
+
+    // The same query again is a hit: answered by the connection's reader, so
+    // its trace has no queue-wait at all — parse, probe, render, and the
+    // frame write, which is inside the trace. The trace is closed after the
+    // reply is on the wire, so the client may be here first.
+    let warm = client.call("query chain R S T").unwrap();
+    assert!(warm.body.contains("cached true"), "{}", warm.body);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let hit = loop {
+        let mut asked: Vec<_> = tracer.last(usize::MAX);
+        asked.retain(|t| t.label == "query chain R S T");
+        if asked.len() == 2 {
+            break asked.pop().unwrap();
+        }
+        assert!(std::time::Instant::now() < deadline, "the hit's trace");
+        std::thread::yield_now();
+    };
+    let root = hit.root().expect("root span").id;
+    let mut under_root: Vec<(Stage, &str)> = hit
+        .spans
+        .iter()
+        .filter(|s| s.parent == root)
+        .map(|s| (s.stage, s.label.as_ref()))
+        .collect();
+    under_root.sort_by_key(|&(_, label)| label);
+    assert_eq!(
+        under_root,
+        [
+            (Stage::Parse, "command-parse"),
+            (Stage::Serialize, "render-response"),
+            (Stage::CacheProbe, "result-cache"),
+            (Stage::Serialize, "write-frame"),
+        ],
+        "{}",
+        hit.render()
+    );
+    assert_eq!(hit.spans.len(), 5, "{}", hit.render());
+    let net = client.call("stats net").unwrap();
+    assert!(net.body.contains("served 5 (inline 1)"), "{}", net.body);
+    let json = client.call("stats net --json").unwrap();
+    assert!(json.body.contains("\"served_inline\":1"), "{}", json.body);
 
     let reset = client.call("stats reset").unwrap();
     assert!(reset.body.starts_with("ok stats reset"), "{}", reset.body);

@@ -41,7 +41,7 @@ fn a_star_is_routed_by_its_own_full_join() {
 
     let response = service.query(Request::star(["A", "B", "C"])).unwrap();
     assert_eq!(response.stats.engine, "MMJoin");
-    assert_eq!(response.stats.plan.unwrap().kind, planned.kind);
+    assert_eq!(response.stats.plan.as_ref().unwrap().kind, planned.kind);
     assert_eq!(response.rows.len(), 40 * 216);
     assert_eq!(explain(&service, "star A B C")[0], "engine MMJoin (routed)");
 }
@@ -129,8 +129,12 @@ fn explain_prints_the_record_the_run_returns() {
         );
         let response = service.query(request).unwrap();
         assert_eq!(response.stats.engine, "MMJoin", "{line}");
-        let ran = response.stats.plan.expect("MMJoin returns its record");
-        assert_eq!(decision(&ran), decision(&planned), "{line}");
+        let ran = response
+            .stats
+            .plan
+            .as_ref()
+            .expect("MMJoin returns its record");
+        assert_eq!(decision(ran), decision(&planned), "{line}");
     }
 
     // A 3-chain: the first contraction joins two base relations and is
@@ -152,7 +156,7 @@ fn explain_prints_the_record_the_run_returns() {
         lines.iter().map(|l| l.trim_start()).collect::<Vec<_>>()
     );
     let response = service.query(Request::chain(names)).unwrap();
-    let ran = response.stats.plan.unwrap();
+    let ran = response.stats.plan.as_ref().unwrap();
     assert_eq!(
         (ran.full_join, ran.estimated_out),
         (planned.full_join, planned.estimated_out)
