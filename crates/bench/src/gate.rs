@@ -118,12 +118,46 @@ pub fn check_chains(table: &Table) -> Result<(), String> {
     Ok(())
 }
 
-/// Gates the `saturation` target: the 16-client TCP storm must produce
-/// zero answers diverging from serial replay, the admission queue's
-/// high-water mark must respect its bound (bounded memory), and an
-/// update storm on one catalog shard must not degrade reader p99 on
-/// another shard relative to the single-lock baseline.
+/// Gates the `saturation` target: [`check_saturation_invariants`], and
+/// cached reads of one relation must not notice an update storm on
+/// another: under the storm they keep at least ¼ of the no-storm read
+/// rate with p99.9 under 1 ms, and at least 20 updates must have landed
+/// for the phase to have measured a storm at all.
 pub fn check_saturation(table: &Table) -> Result<(), String> {
+    check_saturation_invariants(table)?;
+    let number = |key: &str, header: &str| {
+        cell(table, key, header)
+            .and_then(|c| c.trim().trim_end_matches("us").parse::<f64>().ok())
+            .ok_or_else(|| format!("saturation table has no {header} for `{key}`"))
+    };
+    let updates = number("reads storm", "updates")?;
+    if updates < 20.0 {
+        return Err(format!(
+            "only {updates} updates landed during the storm phase — it measured no storm"
+        ));
+    }
+    let alone = number("reads baseline", "qps")?;
+    let stormed = number("reads storm", "qps")?;
+    if stormed < alone / 4.0 {
+        return Err(format!(
+            "reads of B fell from {alone:.0}/s to {stormed:.0}/s under a storm on A — \
+             writers are stalling readers"
+        ));
+    }
+    let tail = number("reads storm", "p99.9")?;
+    if tail > 1000.0 {
+        return Err(format!(
+            "reader p99.9 under the storm is {tail:.0}us, over the 1 ms bound"
+        ));
+    }
+    Ok(())
+}
+
+/// The `saturation` clauses that do not depend on timing, so a debug
+/// build can hold them too: the 16-client TCP storm must produce zero
+/// answers diverging from serial replay, and the admission queue's
+/// high-water mark must respect its bound (bounded memory).
+pub fn check_saturation_invariants(table: &Table) -> Result<(), String> {
     let wrong = cell(table, "saturation", "wrong").ok_or("saturation table has no wrong column")?;
     if wrong != "0" {
         return Err(format!(
@@ -139,21 +173,6 @@ pub fn check_saturation(table: &Table) -> Result<(), String> {
     if used > cap {
         return Err(format!(
             "admission queue reached depth {used}, exceeding its bound {cap}"
-        ));
-    }
-    let p99 = |key: &str| {
-        cell(table, key, "p99")
-            .and_then(|c| c.trim().trim_end_matches("us").parse::<f64>().ok())
-            .ok_or_else(|| format!("saturation table has no p99 for `{key}`"))
-    };
-    let single = p99("reads shards=1")?;
-    let sharded = p99("reads shards=8")?;
-    // 20% slack for scheduler noise, plus an absolute floor so two
-    // already-tiny tails (an uncontended host) can never fail on noise.
-    if sharded > single * 1.2 && sharded > 500.0 {
-        return Err(format!(
-            "sharded reader p99 {sharded:.0}us degraded vs single-lock baseline \
-             {single:.0}us — cross-shard updates are stalling readers"
         ));
     }
     Ok(())
@@ -616,6 +635,50 @@ mod tests {
             ],
         )]);
         assert!(check_crossover(&small).is_ok());
+    }
+
+    fn saturation_table(baseline_qps: &str, storm_qps: &str, p999: &str, updates: &str) -> Table {
+        let mut t = Table::new(
+            "saturation",
+            ["phase", "qps", "p99.9", "wrong", "depth", "updates"]
+                .map(String::from)
+                .to_vec(),
+        );
+        t.push_row(
+            "saturation",
+            ["900", "80us", "0", "8/8", "-"].map(String::from).to_vec(),
+        );
+        t.push_row(
+            "reads baseline",
+            [baseline_qps, "3.0us", "-", "-", "0"]
+                .map(String::from)
+                .to_vec(),
+        );
+        t.push_row(
+            "reads storm",
+            [storm_qps, p999, "-", "-", updates]
+                .map(String::from)
+                .to_vec(),
+        );
+        t
+    }
+
+    #[test]
+    fn saturation_gate_storm_clauses() {
+        assert!(check_saturation(&saturation_table("1000000", "900000", "3.1us", "150")).is_ok());
+        // The parent's shared lock: reads collapse to ~1 % under the storm.
+        let err =
+            check_saturation(&saturation_table("1000000", "10000", "80.0us", "150")).unwrap_err();
+        assert!(err.contains("stalling"), "{err}");
+        let err = check_saturation(&saturation_table("1000000", "900000", "1500.0us", "150"))
+            .unwrap_err();
+        assert!(err.contains("1 ms"), "{err}");
+        let err =
+            check_saturation(&saturation_table("1000000", "900000", "3.1us", "3")).unwrap_err();
+        assert!(err.contains("no storm"), "{err}");
+        // The timing-free clauses ignore the storm rows entirely.
+        let slow = saturation_table("1000000", "10000", "1500.0us", "3");
+        assert!(check_saturation_invariants(&slow).is_ok());
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! $ mmjoin-netd --addr 127.0.0.1:7878 --dispatchers 4 --queue 64
-//! mmjoin-netd listening on 127.0.0.1:7878 (4 dispatchers, queue 64, quota 16, 8 shards)
+//! mmjoin-netd listening on 127.0.0.1:7878 (4 dispatchers, queue 64, quota 16)
 //! ```
 //!
 //! `--dispatchers <n>` is how many requests run at once (each runs on
 //! the dispatcher thread that took it off the admission queue),
 //! `--queue <n>` how many may wait, `--quota <n>` how many of those one
-//! connection may hold, `--shards <n>` the catalog's lock stripes. An
-//! unknown flag or a value that does not parse prints the usage line and
-//! exits with status 2.
+//! connection may hold. An unknown flag or a value that does not parse
+//! prints the usage line and exits with status 2.
 //!
 //! Drive it with `mmjoin-cli` (same command grammar as `mmjoin-serve`).
 //! Send the `shutdown` command to stop it gracefully: admitted queries
@@ -48,11 +47,7 @@ fn main() {
     let trace_out = flags.text("--trace-out");
     let trace_sample = flags.count("--trace-sample");
 
-    let mut config = flags.service_config();
-    if let Some(shards) = flags.count("--shards") {
-        config.catalog_shards = shards;
-    }
-    let shards = config.catalog_shards;
+    let config = flags.service_config();
 
     let tracer = Tracer::global();
     if trace_out.is_some() || trace_sample.is_some() || config.slow_query_us > 0 {
@@ -78,7 +73,7 @@ fn main() {
     };
     // The "listening" line is the readiness signal scripts wait for.
     println!(
-        "mmjoin-netd listening on {} ({dispatchers} dispatchers, queue {queue}, quota {}, {shards} shards)",
+        "mmjoin-netd listening on {} ({dispatchers} dispatchers, queue {queue}, quota {})",
         server.addr(),
         if quota == 0 {
             (queue / 4).max(1)

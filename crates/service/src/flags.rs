@@ -51,7 +51,6 @@ pub const NETD: FlagSet = FlagSet {
         ("--dispatchers", Kind::Count),
         ("--queue", Kind::Count),
         ("--quota", Kind::Count),
-        ("--shards", Kind::Count),
         ("--trace-sample", Kind::Count),
     ],
 };
@@ -227,7 +226,7 @@ mod tests {
         let f = NETD
             .parse(args(
                 "--addr 127.0.0.1:7979 --dispatchers 2 --threads 2 --queue 8 --quota 2 \
-                 --shards 4 --trace-sample 10 --calibrate",
+                 --trace-sample 10 --calibrate",
             ))
             .unwrap();
         assert_eq!(f.text("--addr"), Some("127.0.0.1:7979"));
@@ -235,7 +234,6 @@ mod tests {
         assert_eq!(f.count("--threads"), Some(2));
         assert_eq!(f.count("--queue"), Some(8));
         assert_eq!(f.count("--quota"), Some(2));
-        assert_eq!(f.count("--shards"), Some(4));
         assert_eq!(f.count("--trace-sample"), Some(10));
         assert!(f.is_set("--calibrate"));
     }

@@ -55,7 +55,7 @@ pub mod roster;
 pub mod service;
 
 pub use cache::{CacheEntry, CachedResult, ResultCache};
-pub use catalog::{Catalog, CatalogEntry, ShardedCatalog, StagedUpdate};
+pub use catalog::{Catalog, CatalogEntry, StagedUpdate};
 pub use command::{Command, ParseError};
 pub use error::ServiceError;
 pub use maintain::{DeltaResult, MaintenancePolicy, MaintenanceReport};

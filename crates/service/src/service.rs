@@ -5,7 +5,7 @@
 //! however many threads an in-process caller brings).
 
 use crate::cache::{CacheEntry, ResultCache};
-use crate::catalog::{ShardedCatalog, StagedUpdate};
+use crate::catalog::{Catalog, StagedUpdate};
 use crate::error::ServiceError;
 use crate::maintain::{
     decide, delta_cost, two_path_delta, Crossings, Decision, DeltaResult, DropReason,
@@ -49,12 +49,6 @@ pub struct ServiceConfig {
     pub thread_budget: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Catalog lock stripes (min 1). Relations hash to a shard by name;
-    /// each shard has its own `RwLock` and epoch counter, so updates to
-    /// one shard never block readers (or invalidate cache entries) of
-    /// another. `1` degenerates to the old single-lock catalog — the
-    /// baseline the saturation benchmark compares against.
-    pub catalog_shards: usize,
     /// Configuration shared by the router, `explain` (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
@@ -87,7 +81,6 @@ impl Default for ServiceConfig {
             workers: 0,
             thread_budget: 0,
             cache_capacity: 256,
-            catalog_shards: 8,
             join_config: JoinConfig::default(),
             maintenance: MaintenancePolicy::default(),
             slow_query_us: 0,
@@ -163,7 +156,7 @@ pub struct Service {
     registry: EngineRegistry,
     planner: Planner,
     policy: MaintenancePolicy,
-    catalog: ShardedCatalog,
+    catalog: Catalog,
     cache: Mutex<ResultCache>,
     /// Lock-free since PR 7: every instrument is atomic, so recording
     /// needs no mutex (and can never poison).
@@ -227,7 +220,7 @@ impl Service {
             registry,
             planner: Planner::new(config.join_config.clone()),
             policy: config.maintenance.clone(),
-            catalog: ShardedCatalog::new(config.catalog_shards),
+            catalog: Catalog::new(),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             metrics: ServiceMetrics::new(),
             slow_query_us: config.slow_query_us,
@@ -269,8 +262,8 @@ impl Service {
         self.planner.config.exec().budget()
     }
 
-    /// Registers (or replaces) a named relation. Returns the shard epoch
-    /// of the new entry.
+    /// Registers (or replaces) a named relation. Returns the epoch of the
+    /// new entry.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> u64 {
         self.catalog.register(name, relation)
     }
@@ -353,26 +346,15 @@ impl Service {
         self.catalog.remove(name)
     }
 
-    /// Current catalog-wide epoch (the sum of the per-shard counters).
+    /// Current catalog-wide epoch: the count of effective catalog writes.
     pub fn catalog_epoch(&self) -> u64 {
         self.catalog.epoch()
     }
 
-    /// Number of catalog lock stripes.
-    pub fn catalog_shards(&self) -> usize {
-        self.catalog.shard_count()
-    }
-
-    /// The shard index `name` hashes to (stable across runs — tests and
-    /// benches use it to place relations on distinct shards).
-    pub fn shard_of(&self, name: &str) -> usize {
-        self.catalog.shard_of(name)
-    }
-
     /// The current epoch of a relation's catalog entry, if registered.
-    /// Updates to relations on *other* shards never change it.
+    /// Updates to *other* relations never change it.
     pub fn relation_epoch(&self, name: &str) -> Option<u64> {
-        self.catalog.entry_epoch(name)
+        self.catalog.get(name).map(|entry| entry.epoch)
     }
 
     /// Registered relation names, sorted.
@@ -382,7 +364,7 @@ impl Service {
 
     /// A relation as currently registered.
     pub fn relation(&self, name: &str) -> Option<Arc<Relation>> {
-        self.catalog.relation(name)
+        self.catalog.get(name).map(|entry| entry.relation)
     }
 
     /// A snapshot of a relation's current tuples (for read-modify-write
@@ -825,9 +807,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Resolves a canonical request's relation names to shared handles and
-/// their epochs — the query's *pinned epoch vector* — by briefly
-/// read-locking the touched catalog shards (see [`ShardedCatalog::pin`]),
-/// then releases them: execution must not block catalog writers.
+/// their epochs — the query's *pinned epoch vector* — under one brief
+/// catalog read guard (see [`Catalog::pin`]): execution must not block
+/// catalog writers.
 fn resolve_handles(
     service: &Service,
     request: &Request,

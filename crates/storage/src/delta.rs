@@ -16,14 +16,6 @@
 use crate::relation::Relation;
 use crate::{Edge, Value};
 
-/// When the normalized delta is at least this fraction of the base
-/// relation, [`Relation::apply_delta`] rebuilds from scratch (global
-/// re-sort); below it, the new edge list is produced by a linear merge of
-/// the already-sorted base with the sorted delta. Both paths end in the
-/// same CSR construction; the threshold only decides how the merged edge
-/// list is obtained.
-pub const REBUILD_FRACTION: f64 = 0.25;
-
 /// A staged batch of tuple inserts and deletes against one relation.
 ///
 /// Within one batch, deletes win: a tuple both inserted and deleted nets
@@ -166,30 +158,16 @@ impl Relation {
     /// Applies an already-normalized delta, returning the updated relation
     /// with both CSR indexes rebuilt.
     ///
-    /// Small deltas (below [`REBUILD_FRACTION`] of the base) take a merge
-    /// path: the base edge list is already sorted, so the new list is a
-    /// single linear merge — `O(N + |Δ| log |Δ|)` instead of the
-    /// `O(N log N)` full re-sort. Large deltas fall back to the full
-    /// rebuild, which is cheaper than merging when most tuples move.
+    /// The base edge list and both halves of the delta are sorted, so the
+    /// new list is one linear merge, `O(N + |Δ|)` whatever the delta's
+    /// size, and the CSR build behind it is linear too.
     /// Value domains never shrink below the base's: downstream consumers
     /// (dense matrix backends) may hold the old domain shape.
     pub fn apply_normalized(&self, delta: &NormalizedDelta) -> Relation {
         if delta.is_empty() {
             return self.clone();
         }
-        let merged = if (delta.len() as f64) < REBUILD_FRACTION * self.len().max(1) as f64 {
-            merge_edges(self.edges(), &delta.inserts, &delta.deletes)
-        } else {
-            let mut edges: Vec<Edge> = self
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| delta.deletes.binary_search(e).is_err())
-                .chain(delta.inserts.iter().copied())
-                .collect();
-            edges.sort_unstable();
-            edges
-        };
+        let merged = merge_edges(self.edges(), &delta.inserts, &delta.deletes);
         // Only an insert can grow a domain.
         let inserted = delta.inserts.iter();
         let x_domain = inserted
@@ -286,11 +264,11 @@ mod tests {
 
     #[test]
     fn merge_path_equals_rebuild_path() {
-        // A base big enough that a 2-tuple delta takes the merge path and
-        // a 60-tuple delta takes the rebuild path; both must agree with
-        // building from scratch.
+        // Deltas from a few tuples to more than the whole base (the last
+        // deletes every base tuple and inserts more than it held) must
+        // agree with building from scratch.
         let base = rel(&(0..100u32).map(|i| (i, i % 7)).collect::<Vec<_>>());
-        for delta_size in [2u32, 60] {
+        for delta_size in [2u32, 60, 250] {
             let mut delta = RelationDelta::new();
             for j in 0..delta_size {
                 delta.insert(200 + j, j % 5);
@@ -298,6 +276,9 @@ mod tests {
             }
             let incremental = base.apply_delta(&delta);
             let norm = delta.normalize(&base);
+            if delta_size > 100 {
+                assert!(norm.inserts.len() > base.len() && norm.deletes.len() == base.len());
+            }
             let reference: Vec<Edge> = base
                 .edges()
                 .iter()

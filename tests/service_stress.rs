@@ -185,37 +185,88 @@ fn readers_see_consistent_epochs_under_updates() {
     assert_eq!(service.metrics().errors, 0);
 }
 
-/// Shard snapshot isolation: a storm of updates to relation `hot` must
-/// be invisible to concurrent readers of relation `cold` on a
-/// *different* catalog shard — `cold`'s pinned epoch never moves, its
-/// cache entry keeps hitting, and its readers never block behind the
-/// writer (they all complete while the writer is still running).
+/// Two writers racing on one relation: each applies 200 disjoint
+/// single-edge inserts, querying between them. Every apply runs outside
+/// the catalog lock and installs only if the epoch it read is still
+/// current, so the loser of a round re-applies on the winner's relation:
+/// no insert is lost, each lands exactly once (one epoch each), and the
+/// refreshed cache entry equals a recompute. A barrier starts each pair
+/// of inserts together, so most rounds have a loser.
 #[test]
-fn updates_to_one_shard_never_touch_another() {
+fn racing_writers_on_one_relation_lose_no_insert() {
+    const PER_WRITER: u32 = 200;
+    let service = Service::with_config(ServiceConfig {
+        thread_budget: 2,
+        ..ServiceConfig::default()
+    });
+    // Wide enough that an apply outlasts the barrier's wake-up skew; each
+    // `y` has one `x`, so the two-path stays ten pairs.
+    let base = || Relation::from_edges((0..20_000u32).map(|j| (j % 10, j)));
+    service.register("g", base());
+    service.query(Request::two_path("g", "g")).unwrap();
+    let start_epoch = service.relation_epoch("g").unwrap();
+    let edge = |writer: u32, k: u32| (100 + writer * PER_WRITER + k, k % 30);
+    let round = std::sync::Barrier::new(2);
+
+    std::thread::scope(|scope| {
+        for writer in 0..2 {
+            let (service, round) = (&service, &round);
+            scope.spawn(move || {
+                for k in 0..PER_WRITER {
+                    round.wait();
+                    let report = service.insert("g", [edge(writer, k)]).unwrap();
+                    assert_eq!(report.inserted, 1, "writer {writer} insert {k}");
+                    service.query(Request::two_path("g", "g")).unwrap();
+                }
+            });
+        }
+    });
+
+    let g = service.relation("g").unwrap();
+    for writer in 0..2 {
+        for k in 0..PER_WRITER {
+            let (x, y) = edge(writer, k);
+            assert!(g.contains(x, y), "writer {writer} insert {k} was lost");
+        }
+    }
+    assert_eq!(g.len(), base().len() + 2 * PER_WRITER as usize);
+    assert_eq!(
+        service.relation_epoch("g").unwrap() - start_epoch,
+        2 * PER_WRITER as u64,
+        "every insert is one effective write"
+    );
+
+    let fresh = Service::with_default_registry();
+    fresh.register("g", Relation::from_edges(g.edges().iter().copied()));
+    let recomputed = sorted(&fresh.query(Request::two_path("g", "g")).unwrap().rows);
+    let served = service.query(Request::two_path("g", "g")).unwrap();
+    assert_eq!(sorted(&served.rows), recomputed);
+    assert_eq!(service.metrics().errors, 0);
+}
+
+/// Relation isolation: a storm of updates to relation `hot` must be
+/// invisible to concurrent readers of relation `cold` — `cold`'s pinned
+/// epoch never moves, its cache entry keeps hitting, and its readers
+/// never block behind the writer (they all complete while the writer is
+/// still running).
+#[test]
+fn updates_to_one_relation_never_touch_another() {
     let service = Service::with_config(ServiceConfig {
         thread_budget: 4,
-        catalog_shards: 8,
         ..ServiceConfig::default()
     });
 
-    // Pick names on provably distinct shards.
-    let hot = "hot".to_string();
-    let cold = (0..)
-        .map(|i| format!("cold{i}"))
-        .find(|n| service.shard_of(n) != service.shard_of(&hot))
-        .unwrap();
-    service.register(&hot, shared_relation());
-    service.register(&cold, client_relation(3, 5));
+    let (hot, cold) = ("hot", "cold");
+    service.register(hot, shared_relation());
+    service.register(cold, client_relation(3, 5));
 
     // Warm `cold`'s cache entry and pin its expected state.
-    let baseline = sorted(&service.query(Request::two_path(&cold, &cold)).unwrap().rows);
-    let cold_epoch = service.relation_epoch(&cold).unwrap();
+    let baseline = sorted(&service.query(Request::two_path(cold, cold)).unwrap().rows);
+    let cold_epoch = service.relation_epoch(cold).unwrap();
 
     let writer_running = std::sync::atomic::AtomicBool::new(true);
     std::thread::scope(|scope| {
         let service = &service;
-        let cold = &cold;
-        let hot = &hot;
         let baseline = &baseline;
         let writer_running = &writer_running;
 
@@ -235,10 +286,10 @@ fn updates_to_one_shard_never_touch_another() {
                 scope.spawn(move || {
                     for _ in 0..30 {
                         let resp = service.query(Request::two_path(cold, cold)).unwrap();
-                        // Never invalidated by the other shard's storm…
+                        // Never invalidated by the other relation's storm…
                         assert!(
                             resp.cached,
-                            "cold entry was invalidated by updates to another shard"
+                            "cold entry was invalidated by updates to another relation"
                         );
                         // …never a different epoch's rows…
                         assert_eq!(&sorted(&resp.rows), baseline);
@@ -258,7 +309,7 @@ fn updates_to_one_shard_never_touch_another() {
 
     // The storm moved `hot`'s epoch (≥ 20 effective updates) and left
     // `cold`'s untouched.
-    assert!(service.relation_epoch(&hot).unwrap() >= 21);
-    assert_eq!(service.relation_epoch(&cold), Some(cold_epoch));
+    assert!(service.relation_epoch(hot).unwrap() >= 21);
+    assert_eq!(service.relation_epoch(cold), Some(cold_epoch));
     assert_eq!(service.metrics().errors, 0);
 }
