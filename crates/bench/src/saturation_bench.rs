@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 /// Concurrent TCP clients in the saturation phase (the acceptance
 /// criterion asks for ≥ 16).
 pub const CLIENTS: usize = 16;
-/// Admission-queue bound during saturation — deliberately smaller than
-/// the client count so backpressure is exercised, not just configured.
+/// How many readers may wait for a compute slot during saturation —
+/// deliberately smaller than the client count so backpressure is
+/// exercised, not just configured.
 pub const QUEUE_CAPACITY: usize = 8;
 
 /// Per-client relation: disjoint across clients so each client's serial
@@ -109,7 +110,6 @@ fn run_saturation() -> SaturationOutcome {
         Arc::clone(&service),
         NetConfig {
             queue_capacity: QUEUE_CAPACITY,
-            per_client_quota: 2,
             dispatchers: 4,
             ..NetConfig::default()
         },

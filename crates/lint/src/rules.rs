@@ -413,49 +413,48 @@ fn rule_span_alloc(f: &SourceFile, out: &mut Outcome) {
     }
     let (flat, line_of) = flatten(f);
     let bytes = flat.as_bytes();
-    for pat in ["span(", "span_at("] {
-        let mut from = 0;
-        while let Some(pos) = flat[from..].find(pat) {
-            let at = from + pos;
-            from = at + pat.len();
-            // Word boundary on the `s` — rejects `respan(` but accepts
-            // `trace::span(`.
-            if at > 0 {
-                let before = bytes[at - 1] as char;
-                if before.is_alphanumeric() || before == '_' {
-                    continue;
-                }
-            }
-            let open = at + pat.len() - 1;
-            let Some(end) = skip_balanced(bytes, open) else {
-                continue;
-            };
-            let args = &flat[open..end];
-            // Only obs span sites take a Stage; anything else named
-            // `span` is not ours to police.
-            if !args.contains("Stage::") {
+    let pat = "span(";
+    let mut from = 0;
+    while let Some(pos) = flat[from..].find(pat) {
+        let at = from + pos;
+        from = at + pat.len();
+        // Word boundary on the `s` — rejects `respan(` but accepts
+        // `trace::span(`.
+        if at > 0 {
+            let before = bytes[at - 1] as char;
+            if before.is_alphanumeric() || before == '_' {
                 continue;
             }
-            let idx = line_of[at];
-            if f.lines[idx].in_test {
-                continue;
-            }
-            for banned in SPAN_BANNED {
-                if args.contains(banned) {
-                    push(
-                        out,
-                        f,
-                        idx,
-                        "span-alloc",
-                        format!(
-                            "`{}` evaluated eagerly in a span-site argument; disabled \
-                             tracing must cost one relaxed atomic — move it behind a \
-                             `span_dyn` closure",
-                            banned.trim_matches(|c| c == '.' || c == '(')
-                        ),
-                    );
-                    break;
-                }
+        }
+        let open = at + pat.len() - 1;
+        let Some(end) = skip_balanced(bytes, open) else {
+            continue;
+        };
+        let args = &flat[open..end];
+        // Only obs span sites take a Stage; anything else named
+        // `span` is not ours to police.
+        if !args.contains("Stage::") {
+            continue;
+        }
+        let idx = line_of[at];
+        if f.lines[idx].in_test {
+            continue;
+        }
+        for banned in SPAN_BANNED {
+            if args.contains(banned) {
+                push(
+                    out,
+                    f,
+                    idx,
+                    "span-alloc",
+                    format!(
+                        "`{}` evaluated eagerly in a span-site argument; disabled \
+                         tracing must cost one relaxed atomic — move it behind a \
+                         `span_dyn` closure",
+                        banned.trim_matches(|c| c == '.' || c == '(')
+                    ),
+                );
+                break;
             }
         }
     }

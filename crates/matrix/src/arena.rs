@@ -4,9 +4,10 @@
 //! product; allocating (and faulting in) that slab per call costs more
 //! than the packing itself for mid-sized products. [`with_scratch`]
 //! leases a buffer from a small per-thread pool instead: repeat products
-//! on the same caller thread — the common shape for both the net
-//! dispatchers and the executor's pool — reuse warm, already-faulted
-//! memory with zero synchronization.
+//! on the same caller thread — the common shape for both a served
+//! connection's reader, which runs its requests itself, and the
+//! executor's pool — reuse warm, already-faulted memory with zero
+//! synchronization.
 //!
 //! The pool is deliberately tiny and bounded: at most [`POOL_SLOTS`]
 //! buffers per thread, and buffers larger than [`MAX_POOLED_LEN`] floats

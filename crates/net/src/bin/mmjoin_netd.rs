@@ -2,18 +2,22 @@
 //!
 //! ```text
 //! $ mmjoin-netd --addr 127.0.0.1:7878 --dispatchers 4 --queue 64
-//! mmjoin-netd listening on 127.0.0.1:7878 (4 dispatchers, queue 64, quota 16)
+//! mmjoin-netd listening on 127.0.0.1:7878 (4 dispatchers, queue 64)
 //! ```
 //!
-//! `--dispatchers <n>` is how many requests run at once (each runs on
-//! the dispatcher thread that took it off the admission queue),
-//! `--queue <n>` how many may wait, `--quota <n>` how many of those one
-//! connection may hold. An unknown flag or a value that does not parse
-//! prints the usage line and exits with status 2.
+//! Each connection is one thread, which runs its requests one at a time
+//! (and waits for the next connection when its own ends, up to
+//! `--dispatchers` threads).
+//! `--dispatchers <n>` is how many requests are computed at once (a
+//! cache hit is not computed and needs no slot), `--queue <n>` how many
+//! connections may wait for a slot before a request is bounced
+//! OVERLOADED. An unknown flag or a value that does not parse prints the
+//! usage line and exits with status 2.
 //!
 //! Drive it with `mmjoin-cli` (same command grammar as `mmjoin-serve`).
-//! Send the `shutdown` command to stop it gracefully: admitted queries
-//! finish and are answered, new ones get a SHUTTING-DOWN status.
+//! Send the `shutdown` command to stop it gracefully: requests holding or
+//! waiting for a slot finish and are answered, new ones get a
+//! SHUTTING-DOWN status.
 //!
 //! Observability flags:
 //! - `--trace-out <path>` — enable tracing and, after shutdown, write
@@ -42,7 +46,6 @@ fn main() {
     let flags = flags::NETD.parse_env();
     let defaults = NetConfig::default();
     let queue = flags.count("--queue").unwrap_or(defaults.queue_capacity);
-    let quota = flags.count("--quota").unwrap_or(defaults.per_client_quota);
     let dispatchers = flags.count("--dispatchers").unwrap_or(defaults.dispatchers);
     let trace_out = flags.text("--trace-out");
     let trace_sample = flags.count("--trace-sample");
@@ -61,7 +64,6 @@ fn main() {
         NetConfig {
             addr: flags.text("--addr").unwrap_or("127.0.0.1:7878").into(),
             queue_capacity: queue,
-            per_client_quota: quota,
             dispatchers,
         },
     ) {
@@ -73,13 +75,8 @@ fn main() {
     };
     // The "listening" line is the readiness signal scripts wait for.
     println!(
-        "mmjoin-netd listening on {} ({dispatchers} dispatchers, queue {queue}, quota {})",
+        "mmjoin-netd listening on {} ({dispatchers} dispatchers, queue {queue})",
         server.addr(),
-        if quota == 0 {
-            (queue / 4).max(1)
-        } else {
-            quota
-        },
     );
     server.wait();
     if let Some(path) = trace_out {

@@ -12,11 +12,12 @@
 //!   with a status byte distinguishing success, errors, admission
 //!   rejections ([`wire::Status::Overloaded`]) and drain mode
 //!   ([`wire::Status::ShuttingDown`]).
-//! * [`server`] — thread-per-connection readers feeding a bounded
-//!   [`server::FairQueue`] (global capacity + per-client quota,
-//!   round-robin dispatch), a dispatcher pool executing commands via
-//!   the shared grammar, and graceful shutdown that drains every
-//!   admitted job.
+//! * [`server`] — one thread per connection (kept for the next one
+//!   when it ends, up to the slot count), which runs each request to its
+//!   answer through the shared grammar after taking one of a fixed number
+//!   of compute slots (granted in ticket order, with a bounded number of
+//!   waiters; a cache hit takes none), and graceful shutdown that drains
+//!   every request holding or waiting for a slot.
 //! * [`client`] — a blocking client with request/response and
 //!   pipelined modes.
 //!
@@ -29,5 +30,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use server::{serve, Admission, FairQueue, NetConfig, NetMetricsSnapshot, Server};
+pub use server::{serve, NetConfig, NetMetricsSnapshot, Server};
 pub use wire::{Status, WireRequest, WireResponse};

@@ -1,53 +1,41 @@
-//! The concurrent TCP server: thread-per-connection readers feeding a
-//! bounded, per-client fair admission queue, drained by a dispatcher
-//! pool that executes commands through the shared grammar
-//! ([`mmjoin_service::command`]). This is the process's only admission
-//! queue and the dispatchers are its only computing threads: the service
-//! runs a query on the dispatcher that popped it.
+//! The concurrent TCP server: one thread per connection, which reads a
+//! request, runs it to its answer through the shared grammar
+//! ([`mmjoin_service::command`]) and writes the reply. There is no other
+//! thread that computes and no queue between threads; what bounds the work
+//! in flight is a set of compute slots. A thread whose connection ends
+//! waits for the next one, up to `dispatchers` of them.
 //!
-//! # The warm path
+//! # Admission
 //!
-//! A `query` whose answer the result cache holds never reaches the queue:
-//! the reader that decoded it asks [`command::cached_answer`], and on a hit
-//! writes the reply there and then — no queue slot, no dispatcher wake, no
-//! compute token. Everything else (a miss, `explain`, `stats`, updates,
-//! lines that do not parse) is admitted or bounced as below. The queue,
-//! the quota and `dispatchers` ration *compute*, and a hit uses none: what
-//! a connection can spend without a slot is its own reader thread
-//! rendering a cached answer, bounded by `MAX_FRAME` and the write
-//! deadline. Answers are matched by `id`; requests pipelined on one
-//! connection are not ordered against each other (two dispatchers already
-//! meant that), and a hit may overtake an earlier miss.
+//! A `query` whose answer the result cache holds is answered with no slot:
+//! a hit computes nothing. A miss, and every other command, first takes one
+//! of [`NetConfig::dispatchers`] slots, granted in ticket order — a command
+//! other than `query` before it is even parsed, because `register` and
+//! `insert` build relations while parsing. A reader that finds no slot free
+//! waits its turn, unless [`NetConfig::queue_capacity`] readers are waiting
+//! already: then the request is answered [`Status::Overloaded`] at once, so
+//! backpressure reaches the client at network latency. A bounced request
+//! never ran; the client resends it.
 //!
-//! # Admission control
+//! # Order and fairness
 //!
-//! The queue has a hard global capacity (bounded memory) *and* a
-//! per-client quota. A request that would exceed either bound is
-//! answered [`Status::Overloaded`] immediately from the reader thread —
-//! it never waits in line — so backpressure reaches the client at
-//! network latency, not at queue-drain latency.
-//!
-//! # Fairness
-//!
-//! Admitted jobs are kept in per-client FIFOs and dispatched
-//! round-robin across clients: a client with 50 queued commands and a
-//! client with 1 alternate, so the chatty client cannot starve the
-//! quiet one at dispatch; the quota stops it from starving them at
-//! admission.
+//! A connection has one reader, so it runs one request at a time, in the
+//! order they were sent; requests it pipelines wait in its socket. It holds
+//! at most one ticket, so the tickets take the waiting clients in turn.
 //!
 //! # Shutdown
 //!
-//! `shutdown` (the command, or [`Server::shutdown`]) flips a flag,
-//! closes the queue in *drain* mode — every already-admitted job still
-//! executes and its answer is delivered — and unblocks the accept loop.
-//! New requests are answered [`Status::ShuttingDown`].
+//! `shutdown` (the command, or [`Server::shutdown`]) flips a flag and
+//! unblocks the accept loop. Every reader that holds or waits for a slot
+//! finishes its request and delivers the answer; requests read after the
+//! flag are answered [`Status::ShuttingDown`].
 
 use crate::frame;
 use crate::wire::{Status, WireRequest, WireResponse};
 use mmjoin_obs::trace::{self, Stage, Tracer};
-use mmjoin_service::command::{self, Command, Frontend};
+use mmjoin_service::command::{self, Frontend};
 use mmjoin_service::Service;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long writing one reply frame may take before the connection is
-/// given up: what a client that stops reading can cost the thread writing
-/// to it.
+/// given up: what a client that stops reading can cost its reader.
 const REPLY_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Pause before retrying a failed `accept`: a persistent error (`EMFILE`
@@ -69,14 +56,11 @@ const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 pub struct NetConfig {
     /// Bind address; use port 0 to let the OS pick (tests).
     pub addr: String,
-    /// Global admission-queue capacity — the bound on queued work.
+    /// How many readers may wait for a compute slot; a request that would
+    /// be one more is answered [`Status::Overloaded`].
     pub queue_capacity: usize,
-    /// Per-client cap on queued jobs; `0` defaults to a quarter of the
-    /// global capacity (min 1). This is what keeps one chatty client
-    /// from monopolising admission.
-    pub per_client_quota: usize,
-    /// Dispatcher threads. Each pops one request and runs it to its
-    /// answer, so this is the number of requests in flight.
+    /// Compute slots: the number of requests computed at once. A cache hit
+    /// takes none.
     pub dispatchers: usize,
 }
 
@@ -85,144 +69,86 @@ impl Default for NetConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 64,
-            per_client_quota: 0,
             dispatchers: 4,
         }
     }
 }
 
-/// Why the queue refused an item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Global capacity or the client's quota is exhausted.
-    Overloaded,
-    /// The queue is closed (server draining for shutdown).
-    ShuttingDown,
-}
-
-struct FairState<T> {
-    queues: HashMap<u64, VecDeque<T>>,
-    /// Clients with at least one queued item, in dispatch rotation.
-    order: VecDeque<u64>,
-    len: usize,
-    closed: bool,
-}
-
-/// Bounded multi-producer queue with per-client FIFOs and round-robin
-/// dispatch. `close()` switches it to drain mode: pushes fail with
-/// [`Admission::ShuttingDown`], pops keep succeeding until empty, then
-/// return `None` (which is the dispatcher-pool exit signal).
-pub struct FairQueue<T> {
-    state: Mutex<FairState<T>>,
-    available: Condvar,
+/// The compute slots, granted in ticket order: a reader that finds none
+/// free takes the next ticket and waits for its turn.
+struct Slots {
+    tickets: Mutex<Tickets>,
+    turn: Condvar,
+    slots: usize,
+    /// Most readers that may wait at once.
     capacity: usize,
-    quota: usize,
 }
 
-impl<T> FairQueue<T> {
-    /// `quota == 0` defaults to `capacity / 4` (min 1).
-    pub fn new(capacity: usize, quota: usize) -> Self {
-        let capacity = capacity.max(1);
-        let quota = if quota == 0 {
-            (capacity / 4).max(1)
-        } else {
-            quota.min(capacity)
-        };
+struct Tickets {
+    /// The next ticket to hand out.
+    next: u64,
+    /// Every ticket below this one has been granted its slot.
+    granted: u64,
+    /// Slots held.
+    held: usize,
+}
+
+/// A held slot, given back when dropped — on unwind too.
+struct Slot<'a>(&'a Slots);
+
+impl Slots {
+    fn new(slots: usize, capacity: usize) -> Self {
         Self {
-            state: Mutex::new(FairState {
-                queues: HashMap::new(),
-                order: VecDeque::new(),
-                len: 0,
-                closed: false,
+            tickets: Mutex::new(Tickets {
+                next: 0,
+                granted: 0,
+                held: 0,
             }),
-            available: Condvar::new(),
+            turn: Condvar::new(),
+            slots: slots.max(1),
             capacity,
-            quota,
         }
     }
 
-    /// Global capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Per-client admission quota.
-    pub fn quota(&self) -> usize {
-        self.quota
-    }
-
-    /// Admits one item for `client`, returning the queue depth after
-    /// the push (for high-water-mark metrics).
-    pub fn push(&self, client: u64, item: T) -> Result<usize, Admission> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.closed {
-            return Err(Admission::ShuttingDown);
-        }
-        if st.len >= self.capacity {
-            return Err(Admission::Overloaded);
-        }
-        let q = st.queues.entry(client).or_default();
-        if q.len() >= self.quota {
-            return Err(Admission::Overloaded);
-        }
-        let newly_active = q.is_empty();
-        q.push_back(item);
-        if newly_active {
-            st.order.push_back(client);
-        }
-        st.len += 1;
-        let depth = st.len;
-        drop(st);
-        self.available.notify_one();
-        Ok(depth)
-    }
-
-    /// Takes the next item round-robin across clients, blocking while
-    /// the queue is open but empty. `None` means closed *and* drained.
-    pub fn pop(&self) -> Option<(u64, T)> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(client) = st.order.pop_front() {
-                let q = st.queues.get_mut(&client).expect("client in rotation");
-                let item = q.pop_front().expect("rotation implies non-empty");
-                if q.is_empty() {
-                    st.queues.remove(&client);
-                } else {
-                    st.order.push_back(client);
-                }
-                st.len -= 1;
-                return Some((client, item));
-            }
-            if st.closed {
+    /// Takes a slot, waiting in ticket order; `None` when `capacity`
+    /// readers are waiting already. The wait is the request's `queue-wait`
+    /// span; its depth, this reader included, goes to `metrics`.
+    fn acquire(&self, metrics: &NetMetrics) -> Option<Slot<'_>> {
+        let _wait = trace::span(Stage::QueueWait, "compute-token");
+        let mut t = self.tickets.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = t.next;
+        let waiting = ticket - t.granted;
+        if waiting > 0 || t.held == self.slots {
+            if waiting >= self.capacity as u64 {
                 return None;
             }
-            st = self
-                .available
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            metrics
+                .max_queue_depth
+                .fetch_max(waiting + 1, Ordering::Relaxed);
         }
+        t.next += 1;
+        while t.granted != ticket || t.held == self.slots {
+            t = self.turn.wait(t).unwrap_or_else(PoisonError::into_inner);
+        }
+        t.granted += 1;
+        t.held += 1;
+        // Two slots given back before the first waiter woke: the next one
+        // may have checked too early, and must look again.
+        if t.granted < t.next && t.held < self.slots {
+            self.turn.notify_all();
+        }
+        Some(Slot(self))
     }
+}
 
-    /// Switches to drain mode and wakes every blocked `pop`.
-    pub fn close(&self) {
-        self.state
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0
+            .tickets
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.available.notify_all();
-    }
-
-    /// Items currently queued (all clients).
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+            .held -= 1;
+        self.0.turn.notify_all();
     }
 }
 
@@ -234,22 +160,15 @@ pub struct NetMetrics {
     connections: AtomicU64,
     requests: AtomicU64,
     served: AtomicU64,
-    served_inline: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_shutting_down: AtomicU64,
     max_queue_depth: AtomicU64,
-    /// One cell per connection, shared with its [`Conn`]: whoever answers
-    /// counts there, and a snapshot reads every cell — exact at any
-    /// moment, also for jobs that outlive their connection's reader.
+    /// One cell per connection, shared with its reader, which counts its
+    /// answers there; a snapshot reads every cell, exact at any moment.
     per_client_served: Mutex<BTreeMap<u64, Arc<AtomicU64>>>,
 }
 
 impl NetMetrics {
-    fn record_depth(&self, depth: usize) {
-        self.max_queue_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
     /// The cell a new connection counts its responses in.
     fn register_client(&self, client: u64) -> Arc<AtomicU64> {
         let cell = Arc::new(AtomicU64::new(0));
@@ -260,18 +179,12 @@ impl NetMetrics {
         cell
     }
 
-    fn record_served(&self, conn: &Conn) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        conn.served.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Zeroes every counter, including the per-client tallies and the
-    /// queue-depth high-water mark (`stats reset`).
+    /// waiting-readers high-water mark (`stats reset`).
     pub fn reset(&self) {
         self.connections.store(0, Ordering::Relaxed);
         self.requests.store(0, Ordering::Relaxed);
         self.served.store(0, Ordering::Relaxed);
-        self.served_inline.store(0, Ordering::Relaxed);
         self.rejected_overloaded.store(0, Ordering::Relaxed);
         self.rejected_shutting_down.store(0, Ordering::Relaxed);
         self.max_queue_depth.store(0, Ordering::Relaxed);
@@ -292,7 +205,6 @@ impl NetMetrics {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
-            served_inline: self.served_inline.load(Ordering::Relaxed),
             rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
             rejected_shutting_down: self.rejected_shutting_down.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
@@ -315,18 +227,14 @@ pub struct NetMetricsSnapshot {
     pub connections: u64,
     /// Frames decoded into requests (admitted or not).
     pub requests: u64,
-    /// Responses to requests that were not bounced (Ok or Err), whoever
-    /// wrote them: a dispatcher, or the connection's reader for a cache hit.
+    /// Responses to requests that were not bounced (Ok or Err).
     pub served: u64,
-    /// Of those, the cache hits written by the reader that decoded the
-    /// request: replies that never queued.
-    pub served_inline: u64,
     /// Requests bounced with [`Status::Overloaded`].
     pub rejected_overloaded: u64,
     /// Requests bounced with [`Status::ShuttingDown`].
     pub rejected_shutting_down: u64,
-    /// High-water mark of the admission queue — must never exceed the
-    /// configured capacity.
+    /// High-water mark of readers waiting for a compute slot — must never
+    /// exceed the configured `queue_capacity`.
     pub max_queue_depth: u64,
     /// `(client id, responses served)` per connection that was served at
     /// least one, ascending id.
@@ -343,13 +251,12 @@ impl NetMetricsSnapshot {
             .map(|(id, n)| format!("[{id},{n}]"))
             .collect();
         format!(
-            "{{\"connections\":{},\"requests\":{},\"served\":{},\"served_inline\":{},\
+            "{{\"connections\":{},\"requests\":{},\"served\":{},\
              \"rejected_overloaded\":{},\"rejected_shutting_down\":{},\
              \"max_queue_depth\":{},\"per_client_served\":[{}]}}",
             self.connections,
             self.requests,
             self.served,
-            self.served_inline,
             self.rejected_overloaded,
             self.rejected_shutting_down,
             self.max_queue_depth,
@@ -362,13 +269,12 @@ impl std::fmt::Display for NetMetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "connections {}, requests {}, served {} (inline {}), \
+            "connections {}, requests {}, served {}, \
              rejected {} (overloaded {}, shutting-down {}), \
              max queue depth {}, clients {}",
             self.connections,
             self.requests,
             self.served,
-            self.served_inline,
             self.rejected_overloaded + self.rejected_shutting_down,
             self.rejected_overloaded,
             self.rejected_shutting_down,
@@ -378,13 +284,12 @@ impl std::fmt::Display for NetMetricsSnapshot {
     }
 }
 
-/// One connection, shared by its reader thread and by every queued
-/// [`Job`] it admitted: whoever produced a response writes it.
+/// One connection, owned by its reader: the only thread that reads or
+/// writes the socket.
 struct Conn {
     client: u64,
+    stream: TcpStream,
     write_deadline: Duration,
-    /// The write half, `None` once a write has failed or timed out.
-    writer: Mutex<Option<TcpStream>>,
     /// Responses served to this client: its cell of
     /// [`NetMetrics::per_client_served`].
     served: Arc<AtomicU64>,
@@ -413,90 +318,66 @@ impl Write for Until<'_> {
 }
 
 impl Conn {
-    /// Whether replies can still be written: false once a write failed or
-    /// outlasted the deadline and the socket was shut down.
-    fn is_open(&self) -> bool {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
-    }
-
-    /// Writes `resp` as one whole frame under the lock, so a dispatcher's
-    /// reply and the reader's own never interleave mid-frame. A write
-    /// that fails or outlasts the deadline kills the connection — both
-    /// directions, which ends the reader — and every later reply for it is
-    /// dropped: a client that pipelines and never reads holds no reply
-    /// backlog and blocks a writer at most once.
-    fn reply(&self, resp: &WireResponse) {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(stream) = writer.as_ref() else {
-            return;
-        };
+    /// Writes `resp` as one frame; false if the connection is dead. A
+    /// write that fails or outlasts the deadline kills it — both
+    /// directions — and the reader stops, so a client that pipelines and
+    /// never reads holds no reply backlog and blocks its reader at most
+    /// once.
+    fn reply(&self, resp: &WireResponse) -> bool {
         let mut until = Until {
-            stream,
+            stream: &self.stream,
             deadline: Instant::now() + self.write_deadline,
         };
-        if frame::write_frame(&mut until, &resp.encode()).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            *writer = None;
+        let sent = frame::write_frame(&mut until, &resp.encode()).is_ok();
+        if !sent {
+            let _ = self.stream.shutdown(Shutdown::Both);
         }
+        sent
     }
-}
-
-struct Job {
-    id: u64,
-    line: String,
-    /// Root trace minted at the wire boundary (reader thread), if the
-    /// global tracer is on and sampling picked this request. The
-    /// dispatcher re-joins it across the queue hop and finishes it once
-    /// the response is written.
-    ctx: Option<trace::Ctx>,
-    /// When the reader admitted the request (start of the net queue
-    /// wait).
-    enqueued: Instant,
-    conn: Arc<Conn>,
 }
 
 struct Shared {
     service: Arc<Service>,
-    queue: FairQueue<Job>,
+    slots: Slots,
     shutdown: AtomicBool,
     addr: SocketAddr,
     metrics: NetMetrics,
-    /// The live connections by client id, each with its reader thread. A
-    /// reader that ends removes its own entry; [`Server::wait`] unblocks
-    /// and joins the ones still parked on an idle socket.
-    conns: Mutex<HashMap<u64, Live>>,
+    /// The live connections by client id, each a clone of its socket: a
+    /// reader removes its connection's entry when done with it, and
+    /// [`Server::wait`] shuts down the read half of the ones left.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Readers without a connection, and the connections handed to them.
+    idle: Mutex<Idle>,
+    handed: Condvar,
 }
 
-/// A registry entry: a live connection and the thread reading it.
-struct Live {
-    conn: Arc<Conn>,
-    reader: JoinHandle<()>,
+struct Idle {
+    readers: usize,
+    conns: Vec<Conn>,
 }
 
 impl Shared {
-    /// Idempotent: first caller closes the queue (drain mode) and pokes
-    /// the accept loop awake with a throwaway connection.
+    /// Idempotent: the first caller flips the latch and pokes the accept
+    /// loop awake with a throwaway connection.
     fn begin_shutdown(&self) {
-        // lint:allow(seqcst): the shutdown latch orders the queue close
-        // and the wake-up poke against every accept/conn-loop load; a
-        // weaker swap could let a racing accept miss drain mode.
+        // lint:allow(seqcst): the shutdown latch orders the wake-up poke
+        // against every accept/conn-loop load; a weaker swap could let a
+        // racing accept miss drain mode.
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.queue.close();
         let _ = TcpStream::connect(self.addr);
     }
 }
 
-/// A running server: the accept loop plus dispatcher pool. Dropping the
-/// handle does NOT stop the server — call [`Server::shutdown`] (or send
-/// the `shutdown` command) and then [`Server::wait`].
+/// A running server: the accept loop and a reader per connection.
+/// Dropping the handle does NOT stop the server — call
+/// [`Server::shutdown`] (or send the `shutdown` command) and then
+/// [`Server::wait`].
 pub struct Server {
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    /// The accept loop, which returns the reader threads it started.
+    accept: JoinHandle<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -522,35 +403,39 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Joins the accept loop and dispatcher pool, then the connection
-    /// threads. Returns only after every admitted job has been executed
-    /// and its answer *written to the socket* — the dispatchers joined
-    /// first did the writing — so a caller may exit the process
-    /// immediately afterwards without cutting off replies.
+    /// Joins the accept loop, then every reader: each is unblocked if it
+    /// is parked on an idle socket or waits for a connection, and one that
+    /// holds or waits for a slot first runs its request and writes the
+    /// answer. So this returns only after every admitted request's answer
+    /// is *on the socket*, and a caller may exit the process immediately
+    /// afterwards.
     pub fn wait(self) {
-        for t in self.threads {
-            let _ = t.join();
+        let readers = self.accept.join().unwrap_or_default();
+        for stream in self
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+        {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        // Unblock the readers still parked on idle connections. The map is
-        // taken out first: an ending reader locks it to remove itself.
-        let conns = std::mem::take(
-            &mut *self
-                .shared
-                .conns
+        // Taken so that no idle reader is between its latch check and its
+        // wait: each either sees the latch or is woken here.
+        drop(
+            self.shared
+                .idle
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
         );
-        for Live { conn, reader } in conns.into_values() {
-            if let Some(stream) = &*conn.writer.lock().unwrap_or_else(PoisonError::into_inner) {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
+        self.shared.handed.notify_all();
+        for reader in readers {
             let _ = reader.join();
         }
     }
 }
 
-/// Binds, spawns the accept loop and `config.dispatchers` dispatcher
-/// threads, and returns immediately.
+/// Binds, spawns the accept loop and returns immediately.
 pub fn serve(service: Arc<Service>, config: NetConfig) -> io::Result<Server> {
     serve_with_deadline(service, config, REPLY_WRITE_DEADLINE)
 }
@@ -564,29 +449,31 @@ fn serve_with_deadline(
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         service,
-        queue: FairQueue::new(config.queue_capacity, config.per_client_quota),
+        slots: Slots::new(config.dispatchers, config.queue_capacity),
         shutdown: AtomicBool::new(false),
         addr,
         metrics: NetMetrics::default(),
         conns: Mutex::new(HashMap::new()),
+        idle: Mutex::new(Idle {
+            readers: 0,
+            conns: Vec::new(),
+        }),
+        handed: Condvar::new(),
     });
-
-    let mut threads = Vec::new();
-    for _ in 0..config.dispatchers.max(1) {
+    let accept = {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || dispatch_loop(&shared)));
-    }
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &shared, write_deadline)
-        }));
-    }
-    Ok(Server { shared, threads })
+        std::thread::spawn(move || accept_loop(&listener, &shared, write_deadline))
+    };
+    Ok(Server { shared, accept })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Duration) {
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    write_deadline: Duration,
+) -> Vec<JoinHandle<()>> {
     let mut next_client: u64 = 0;
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -595,7 +482,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Dur
                 // `begin_shutdown` so a failed accept after the latch
                 // flips always terminates the loop.
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
+                    return readers;
                 }
                 std::thread::sleep(ACCEPT_RETRY_PAUSE);
                 continue;
@@ -614,62 +501,109 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, write_deadline: Dur
                 }
                 .encode(),
             );
-            return;
+            return readers;
         }
         // Replies are whole frames in one write each; sending them at once
         // is all there is to gain. A socket that refuses the option still
         // works, only slower.
         let _ = stream.set_nodelay(true);
-        // Without a write half there is nobody to answer: hang up.
-        let Ok(write_half) = stream.try_clone() else {
+        // Without a handle for `Server::wait` to unblock it, a reader could
+        // outlive the server: hang up.
+        let Ok(registered) = stream.try_clone() else {
             continue;
         };
-        let conn = Arc::new(Conn {
-            client: next_client,
-            write_deadline,
-            writer: Mutex::new(Some(write_half)),
-            served: shared.metrics.register_client(next_client),
-        });
+        let client = next_client;
         next_client += 1;
+        let conn = Conn {
+            client,
+            stream,
+            write_deadline,
+            served: shared.metrics.register_client(client),
+        };
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        // Registered under the lock the reader takes to remove itself, so
-        // even a connection that ends at once is removed after it is added.
-        let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        let reader = {
-            let (shared, conn) = (Arc::clone(shared), Arc::clone(&conn));
-            std::thread::spawn(move || connection_loop(&shared, stream, &conn))
-        };
-        conns.insert(conn.client, Live { conn, reader });
+        // Registered before any reader has it, so even a connection that
+        // ends at once is removed after it is added.
+        shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(client, registered);
+        let mut idle = shared.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        if idle.readers > idle.conns.len() {
+            idle.conns.push(conn);
+            drop(idle);
+            shared.handed.notify_one();
+        } else {
+            drop(idle);
+            // A finished reader's handle is dropped, which lets its thread go.
+            readers.retain(|reader| !reader.is_finished());
+            let shared = Arc::clone(shared);
+            readers.push(std::thread::spawn(move || reader_loop(&shared, conn)));
+        }
     }
 }
 
-/// Counts a response to a request that was not bounced, writes it and
-/// closes the request's trace — after the write, which is a `serialize`
-/// span of its own: what the socket costs is inside the trace. The caller
-/// still has `ctx` installed on this thread.
-fn deliver(shared: &Shared, conn: &Conn, ctx: Option<trace::Ctx>, resp: &WireResponse) {
-    shared.metrics.record_served(conn);
-    let write_span = trace::span(Stage::Serialize, "write-frame");
-    conn.reply(resp);
-    drop(write_span);
-    if let Some(ctx) = ctx {
-        Tracer::global().finish(ctx);
+/// A reader thread: serves a connection, then waits for the next one the
+/// accept loop hands it. At most `dispatchers` readers wait, and a reader
+/// that would be one more ends instead. They are kept because computation
+/// runs on them: a thread that lives on keeps its allocator arena and its
+/// matrix scratch warm, where a thread per connection grew peak memory
+/// for clients that reconnect often (DESIGN, "Admission control").
+fn reader_loop(shared: &Shared, mut conn: Conn) {
+    loop {
+        connection_loop(shared, &conn);
+        drop(conn);
+        let mut idle = shared.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        if idle.readers >= shared.slots.slots {
+            return;
+        }
+        idle.readers += 1;
+        conn = loop {
+            if let Some(conn) = idle.conns.pop() {
+                idle.readers -= 1;
+                break conn;
+            }
+            // Read under the lock `Server::wait` takes, after the latch is
+            // set, before it wakes idle readers: the lock orders the two.
+            if shared.shutdown.load(Ordering::Relaxed) {
+                return;
+            }
+            idle = shared
+                .handed
+                .wait(idle)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
     }
 }
 
-/// The one thread of a connection: decode frames; answer a cache hit,
-/// admit or bounce the rest. A hit and a bounce are written here, an
-/// admitted job's reply by its dispatcher, all through [`Conn::reply`].
-fn connection_loop(shared: &Shared, stream: TcpStream, conn: &Arc<Conn>) {
-    let mut r = BufReader::new(stream);
-    // A connection cut off for not reading its replies is not read either:
-    // the socket is shut down, but requests it pipelined may still sit in
-    // the buffer, and nobody is there for their answers. Clean EOF,
-    // mid-frame EOF and I/O errors all end the connection too.
-    while conn.is_open() {
-        let Ok(Some(payload)) = frame::read_frame(&mut r) else {
-            break;
-        };
+/// Takes a connection out of the registry when its reader is done with
+/// it, however that ends.
+struct Registered<'a> {
+    shared: &'a Shared,
+    client: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.client);
+    }
+}
+
+/// One connection's requests: decode a frame, run it to its answer, write
+/// the reply; until EOF, an I/O error, or a reply that could not be
+/// written — then requests the client pipelined may still sit in the
+/// buffer, and nobody is there for their answers.
+fn connection_loop(shared: &Shared, conn: &Conn) {
+    let _registered = Registered {
+        shared,
+        client: conn.client,
+    };
+    let mut r = BufReader::new(&conn.stream);
+    while let Ok(Some(payload)) = frame::read_frame(&mut r) {
         let req = match WireRequest::decode(&payload) {
             Ok(req) => req,
             Err(e) => {
@@ -683,92 +617,76 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn: &Arc<Conn>) {
             }
         };
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // lint:allow(seqcst): same latch as `begin_shutdown`; requests
-        // that raced past accept are rejected, never half-served.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shared
-                .metrics
-                .rejected_shutting_down
-                .fetch_add(1, Ordering::Relaxed);
-            conn.reply(&WireResponse {
-                id: req.id,
-                status: Status::ShuttingDown,
-                body: "server is draining; no new work accepted".into(),
-            });
-            continue;
-        }
-        // Mint the request's trace here, at the wire boundary: the queue
-        // wait and every downstream stage hang off this root.
-        let ctx = Tracer::global().start(&req.line);
-        // A hit needs no admission: fairness and quotas ration compute,
-        // and it uses none.
-        let installed = trace::install(ctx);
-        if let Some(body) = command::cached_answer(&shared.service, &req.line) {
-            shared.metrics.served_inline.fetch_add(1, Ordering::Relaxed);
-            let resp = WireResponse {
-                id: req.id,
-                status: Status::Ok,
-                body,
-            };
-            deliver(shared, conn, ctx, &resp);
-            continue;
-        }
-        drop(installed);
-        let job = Job {
-            id: req.id,
-            line: req.line,
-            ctx,
-            enqueued: Instant::now(),
-            conn: Arc::clone(conn),
-        };
-        match shared.queue.push(conn.client, job) {
-            Ok(depth) => shared.metrics.record_depth(depth),
-            Err(Admission::Overloaded) => {
-                if let Some(ctx) = ctx {
-                    Tracer::global().discard(ctx);
-                }
-                shared
-                    .metrics
-                    .rejected_overloaded
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.reply(&WireResponse {
-                    id: req.id,
-                    status: Status::Overloaded,
-                    body: format!(
-                        "admission queue full (capacity {}, per-client quota {}); retry",
-                        shared.queue.capacity(),
-                        shared.queue.quota()
-                    ),
-                });
-            }
-            Err(Admission::ShuttingDown) => {
-                if let Some(ctx) = ctx {
-                    Tracer::global().discard(ctx);
-                }
-                shared
-                    .metrics
-                    .rejected_shutting_down
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.reply(&WireResponse {
-                    id: req.id,
-                    status: Status::ShuttingDown,
-                    body: "server is draining; no new work accepted".into(),
-                });
-            }
+        if !answer(shared, conn, req) {
+            break;
         }
     }
-    // Dropping the entry drops this thread's own handle; jobs still queued
-    // keep the `Conn`, and with it the socket, until they are answered.
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&conn.client);
 }
 
-/// The TCP server's transport counters, surfaced to the shared command
-/// grammar: `stats net` and `stats reset` work over the wire without
-/// the service crate depending on this one.
+/// Runs one request and writes its reply; false once the connection is
+/// dead.
+fn answer(shared: &Shared, conn: &Conn, req: WireRequest) -> bool {
+    // lint:allow(seqcst): same latch as `begin_shutdown`; requests read
+    // after it are rejected, never half-served.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        shared
+            .metrics
+            .rejected_shutting_down
+            .fetch_add(1, Ordering::Relaxed);
+        return conn.reply(&WireResponse {
+            id: req.id,
+            status: Status::ShuttingDown,
+            body: "server is draining; no new work accepted".into(),
+        });
+    }
+    // The request's trace starts here, at the wire boundary, and is closed
+    // once its reply is on the socket: the write is inside it.
+    let ctx = Tracer::global().start(&req.line);
+    let installed = trace::install(ctx);
+    let admit = || shared.slots.acquire(&shared.metrics);
+    let Some(answer) =
+        command::run_line_with(&shared.service, &req.line, &NetFrontend(shared), admit)
+    else {
+        drop(installed);
+        if let Some(ctx) = ctx {
+            Tracer::global().discard(ctx);
+        }
+        shared
+            .metrics
+            .rejected_overloaded
+            .fetch_add(1, Ordering::Relaxed);
+        return conn.reply(&WireResponse {
+            id: req.id,
+            status: Status::Overloaded,
+            body: format!(
+                "{} requests already wait for a compute slot; retry",
+                shared.slots.capacity
+            ),
+        });
+    };
+    let (status, body) = match answer {
+        Ok(body) => (Status::Ok, body),
+        Err(body) => (Status::Err, body),
+    };
+    shared.metrics.served.fetch_add(1, Ordering::Relaxed);
+    conn.served.fetch_add(1, Ordering::Relaxed);
+    let write_span = trace::span(Stage::Serialize, "write-frame");
+    let sent = conn.reply(&WireResponse {
+        id: req.id,
+        status,
+        body,
+    });
+    drop(write_span);
+    drop(installed);
+    if let Some(ctx) = ctx {
+        Tracer::global().finish(ctx);
+    }
+    sent
+}
+
+/// The TCP server's side of the shared command grammar: `stats net` and
+/// `stats reset` reach its counters, and `shutdown` stops it, without the
+/// service crate depending on this one.
 struct NetFrontend<'a>(&'a Shared);
 
 impl Frontend for NetFrontend<'_> {
@@ -783,47 +701,9 @@ impl Frontend for NetFrontend<'_> {
     fn reset_stats(&self) {
         self.0.metrics.reset();
     }
-}
 
-/// Dispatcher: pop a request, run it on this thread, reply; until the
-/// queue is closed *and* empty (the graceful-shutdown drain).
-fn dispatch_loop(shared: &Arc<Shared>) {
-    while let Some((_, job)) = shared.queue.pop() {
-        // Rejoin the trace minted at the wire: the time since admission
-        // is the net queue wait, recorded retroactively.
-        trace::span_at(job.ctx, Stage::QueueWait, "net-queue", job.enqueued);
-        let installed = trace::install(job.ctx);
-        let parse_span = trace::span(Stage::Parse, "command-parse");
-        let parsed = Command::parse(&job.line);
-        drop(parse_span);
-        let resp = match parsed {
-            Err(e) => WireResponse {
-                id: job.id,
-                status: Status::Err,
-                body: e.to_string(),
-            },
-            Ok(cmd) => {
-                let is_shutdown = matches!(cmd, Command::Shutdown);
-                let result = command::execute_with(&shared.service, cmd, &NetFrontend(shared));
-                if is_shutdown {
-                    shared.begin_shutdown();
-                }
-                match result {
-                    Ok(body) => WireResponse {
-                        id: job.id,
-                        status: Status::Ok,
-                        body,
-                    },
-                    Err(body) => WireResponse {
-                        id: job.id,
-                        status: Status::Err,
-                        body,
-                    },
-                }
-            }
-        };
-        deliver(shared, &job.conn, job.ctx, &resp);
-        drop(installed);
+    fn shutdown(&self) {
+        self.0.begin_shutdown();
     }
 }
 
@@ -832,63 +712,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fair_queue_round_robins_across_clients() {
-        let q: FairQueue<u32> = FairQueue::new(16, 8);
-        for item in [10, 11, 12] {
-            q.push(1, item).unwrap();
-        }
-        q.push(2, 20).unwrap();
-        for item in [30, 31] {
-            q.push(3, item).unwrap();
-        }
-        let order: Vec<(u64, u32)> = (0..6).map(|_| q.pop().unwrap()).collect();
-        assert_eq!(
-            order,
-            vec![(1, 10), (2, 20), (3, 30), (1, 11), (3, 31), (1, 12)],
-            "dispatch must alternate clients, not drain client 1 first"
-        );
-    }
-
-    #[test]
-    fn fair_queue_enforces_capacity_and_quota() {
-        let q: FairQueue<u32> = FairQueue::new(8, 2);
-        // Per-client quota trips first.
-        q.push(1, 0).unwrap();
-        q.push(1, 1).unwrap();
-        assert_eq!(q.push(1, 2), Err(Admission::Overloaded));
-        // Other clients still have room…
-        for c in 2..=4u64 {
-            q.push(c, 0).unwrap();
-            q.push(c, 1).unwrap();
-        }
-        // …until the global bound trips for everyone.
-        assert_eq!(q.len(), 8);
-        assert_eq!(q.push(9, 0), Err(Admission::Overloaded));
-        // Draining one slot reopens admission for an under-quota client.
-        q.pop().unwrap();
-        q.push(9, 0).unwrap();
-    }
-
-    #[test]
-    fn fair_queue_close_drains_then_ends() {
-        let q: FairQueue<u32> = FairQueue::new(4, 4);
-        q.push(1, 1).unwrap();
-        q.push(1, 2).unwrap();
-        q.close();
-        assert_eq!(q.push(1, 3), Err(Admission::ShuttingDown));
-        assert_eq!(q.pop(), Some((1, 1)));
-        assert_eq!(q.pop(), Some((1, 2)));
-        assert_eq!(q.pop(), None, "closed + empty ends the pop loop");
-    }
-
-    #[test]
-    fn fair_queue_pop_blocks_until_push() {
-        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(4, 4));
-        let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(7, 42).unwrap();
-        assert_eq!(popper.join().unwrap(), Some((7, 42)));
+    fn slots_are_granted_in_ticket_order_to_a_bounded_line() {
+        const WAITERS: usize = 3;
+        let slots = Slots::new(1, WAITERS);
+        let metrics = NetMetrics::default();
+        let depth = || metrics.max_queue_depth.load(Ordering::Relaxed) as usize;
+        let order = Mutex::new(Vec::new());
+        let held = slots.acquire(&metrics).expect("a free slot");
+        assert_eq!(depth(), 0, "a free slot is taken without waiting");
+        std::thread::scope(|scope| {
+            for waiter in 0..WAITERS {
+                let (slots, metrics, order) = (&slots, &metrics, &order);
+                scope.spawn(move || {
+                    let _slot = slots.acquire(metrics).expect("room to wait");
+                    order.lock().unwrap().push(waiter);
+                });
+                // The next waiter takes its ticket only once this one holds
+                // its own.
+                while depth() <= waiter {
+                    std::thread::yield_now();
+                }
+            }
+            // The line is full: one more is refused at once.
+            assert!(slots.acquire(&metrics).is_none());
+            drop(held);
+        });
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
+        assert_eq!(depth(), WAITERS);
+        // Every slot came back.
+        assert!(slots.acquire(&metrics).is_some());
     }
 
     #[test]
@@ -943,12 +795,7 @@ mod tests {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let live = conns.values().next().expect("the live connection");
-        let writer = live.conn.writer.lock().unwrap();
-        assert!(
-            writer.as_ref().unwrap().nodelay().unwrap(),
-            "accepted socket"
-        );
-        drop(writer);
+        assert!(live.nodelay().unwrap(), "accepted socket");
         drop(conns);
         server.shutdown();
         server.wait();
@@ -973,8 +820,6 @@ mod tests {
         let server = serve_with_deadline(
             service,
             NetConfig {
-                queue_capacity: 2 * UNREAD,
-                per_client_quota: UNREAD,
                 dispatchers: 2,
                 ..NetConfig::default()
             },

@@ -5,10 +5,11 @@
 //!
 //! - [`trace`]: per-request span trees. A trace id is minted at the
 //!   wire/REPL boundary ([`Tracer::begin`] / [`Tracer::start`]) and
-//!   propagated through the net admission queue, its dispatchers,
-//!   plan-compose wavefronts, and executor task grants via a
-//!   thread-local [`Ctx`]. Finished traces export as Chrome trace-event
-//!   JSON (load in `chrome://tracing` or Perfetto).
+//!   carried in a thread-local [`Ctx`] on the thread that runs the
+//!   request — a connection's reader, or the REPL loop — and across
+//!   plan-compose wavefronts and executor task grants. Finished traces
+//!   export as Chrome trace-event JSON (load in `chrome://tracing` or
+//!   Perfetto).
 //! - [`metrics`]: named atomic counters/gauges plus log-bucketed
 //!   [`Histogram`]s whose p50/p99 cover **all-time** samples (replacing
 //!   sliding-window rings) within a documented relative-error bound.
@@ -32,6 +33,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, Registry};
 pub use trace::{
-    current, install, set_current, span, span_at, span_dyn, Ctx, Installed, RootGuard, Span,
-    SpanGuard, Stage, Trace, Tracer,
+    current, install, set_current, span, span_dyn, Ctx, Installed, RootGuard, Span, SpanGuard,
+    Stage, Trace, Tracer,
 };

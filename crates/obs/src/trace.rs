@@ -391,23 +391,8 @@ impl Tracer {
     /// Appends a finished span to an open trace. Spans arriving after
     /// their trace finished (e.g. a straggler task) are dropped.
     pub fn record(&self, ctx: Ctx, stage: Stage, label: Cow<'static, str>, start: Instant) {
-        let end = Instant::now();
-        self.record_range(ctx, stage, label, start, end);
-    }
-
-    /// Records a span with an explicit `[start, end]` range — used for
-    /// retroactive spans like queue wait, where the interval is known
-    /// only once the job is dequeued.
-    pub fn record_range(
-        &self,
-        ctx: Ctx,
-        stage: Stage,
-        label: Cow<'static, str>,
-        start: Instant,
-        end: Instant,
-    ) {
         let id = self.mint_id();
-        self.record_span(ctx, id, stage, label, start, end);
+        self.record_span(ctx, id, stage, label, start, Instant::now());
     }
 
     /// Records a span under a pre-minted id (span guards mint their id
@@ -706,18 +691,6 @@ pub fn span_dyn(stage: Stage, label: impl FnOnce() -> String) -> SpanGuard {
     open_span(stage, Cow::Owned(label()))
 }
 
-/// Records a retroactive span `[start, now]` under `ctx` — for
-/// intervals that are only known after the fact, like queue wait.
-#[inline]
-pub fn span_at(ctx: Option<Ctx>, stage: Stage, label: &'static str, start: Instant) {
-    let Some(ctx) = ctx else { return };
-    let tracer = Tracer::global();
-    if !tracer.enabled() {
-        return;
-    }
-    tracer.record(ctx, stage, Cow::Borrowed(label), start);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,10 +785,9 @@ mod tests {
         with_global(|| {
             let tracer = Tracer::global();
             let ctx = tracer.start("wire request").unwrap();
-            // Simulate the queue hop: record a retroactive wait span.
-            let t0 = Instant::now();
-            span_at(Some(ctx), Stage::QueueWait, "net-queue", t0);
-            // Worker installs the ctx and records a child.
+            // Nothing is current until the ctx is installed; then a span
+            // lands under its root.
+            assert!(current().is_none());
             let _inst = install(Some(ctx));
             {
                 let _exec = span(Stage::Exec, "");
@@ -823,7 +795,6 @@ mod tests {
             drop(_inst);
             tracer.finish(ctx);
             let t = tracer.spans_of(ctx.trace).unwrap();
-            assert!(t.spans.iter().any(|s| s.stage == Stage::QueueWait));
             assert!(t.spans.iter().any(|s| s.stage == Stage::Exec));
             assert_eq!(t.root().unwrap().label, "wire request");
         });

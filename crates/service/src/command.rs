@@ -10,7 +10,8 @@
 //! arrive and where answers go.
 
 use crate::metrics::MetricsSnapshot;
-use crate::{AtomSpec, MaintenanceReport, Request, Response, Service};
+use crate::service::panic_message;
+use crate::{AtomSpec, MaintenanceReport, Request, Response, Service, ServiceError};
 use mmjoin_executor::ExecutorStats;
 use mmjoin_obs::trace::{self, chrome_json, Stage, Tracer};
 use mmjoin_storage::io::read_edge_list;
@@ -250,6 +251,9 @@ pub trait Frontend {
     }
     /// Zeroes the transport counters as part of `stats reset`.
     fn reset_stats(&self) {}
+    /// Stops the transport once work in flight is drained (`shutdown`).
+    /// The REPL has nothing to stop: it ends its loop on the command.
+    fn shutdown(&self) {}
 }
 
 /// The frontend of transports without one (REPL, tests, direct calls).
@@ -265,7 +269,8 @@ pub fn execute(service: &Service, cmd: Command) -> Result<String, String> {
 }
 
 /// Runs one command against the service, with `frontend` answering for
-/// the transport in `stats net` / `stats reset`.
+/// the transport in `stats net` / `stats reset` and stopping it on
+/// `shutdown`.
 pub fn execute_with(
     service: &Service,
     cmd: Command,
@@ -338,12 +343,15 @@ pub fn execute_with(
             Ok(format!("ok {}", lines.join("\n  ")))
         }
         Command::Quit => Ok("ok bye".into()),
-        Command::Shutdown => Ok("ok shutting down".into()),
+        Command::Shutdown => {
+            frontend.shutdown();
+            Ok("ok shutting down".into())
+        }
     }
 }
 
-/// Parses one line end to end and executes it — the convenience every
-/// transport dispatcher calls. Parse errors come back as the same
+/// Parses one line end to end and executes it — the convenience of the
+/// REPL and of in-process callers. Parse errors come back as the same
 /// `Err(String)` shape as execution errors (with the offending token).
 pub fn run_line(service: &Service, line: &str) -> Result<String, String> {
     let cmd = Command::parse(line).map_err(|e| e.to_string())?;
@@ -643,29 +651,56 @@ fn run_query(service: &Service, request: Request, show: Option<usize>) -> Result
     Ok(render_query(&response, t0.elapsed().as_secs_f64(), show))
 }
 
-/// The answer to `line` when it can be given without computing anything:
-/// `Some(body)` — the text [`run_line`] would return — only when the line
-/// parses as `query …` and the result cache holds its answer. Every other
-/// command, every parse error, unknown relation and miss is `None`, and
-/// the caller runs the line the usual way (which reports the error, or
-/// counts the miss, once). For a front end that answers a hit on the thread
-/// that read it instead of queueing it behind computations.
+/// Runs one line for a front end that rations computation: what
+/// [`run_line`] does, with `admit` asked for a compute slot before anything
+/// is computed, and the slot held until the answer is computed. A `query`
+/// line is parsed and probed first and asks only if it misses
+/// ([`Service::query_with`]): a hit is answered without a slot. Any other
+/// line asks before it is parsed, because `register` and `insert` build
+/// relations while parsing. `None`: `admit` refused, and nothing ran.
 ///
-/// Only `query` lines are parsed here: `register` and `insert` build
-/// relations inside [`Command::parse`], and parsing those would be
-/// computing before admission.
-pub fn cached_answer(service: &Service, line: &str) -> Option<String> {
-    let mut tokens = line.split_whitespace();
-    if tokens.next()? != "query" {
-        return None;
-    }
-    let parse_span = trace::span(Stage::Parse, "command-parse");
-    let tokens: Vec<&str> = tokens.collect();
-    let (request, show) = parse_request(&tokens).ok()?;
-    drop(parse_span);
-    let t0 = Instant::now();
-    let response = service.query_cached(request)?;
-    Some(render_query(&response, t0.elapsed().as_secs_f64(), show))
+/// A panic anywhere in it — parse, execution, rendering — costs this line,
+/// not the caller's thread: it is answered `internal error: …`, and the
+/// slot is given back on the way out.
+pub fn run_line_with<T>(
+    service: &Service,
+    line: &str,
+    frontend: &dyn Frontend,
+    admit: impl FnOnce() -> Option<T>,
+) -> Option<Result<String, String>> {
+    let run = || {
+        let mut tokens = line.split_whitespace();
+        if tokens.next() != Some("query") {
+            let _slot = admit()?;
+            let parse_span = trace::span(Stage::Parse, "command-parse");
+            let parsed = Command::parse(line);
+            drop(parse_span);
+            return Some(
+                parsed
+                    .map_err(|e| e.to_string())
+                    .and_then(|cmd| execute_with(service, cmd, frontend)),
+            );
+        }
+        let parse_span = trace::span(Stage::Parse, "command-parse");
+        let parsed = parse_request(&tokens.collect::<Vec<_>>());
+        drop(parse_span);
+        let (request, show) = match parsed {
+            Ok(parsed) => parsed,
+            Err(e) => return Some(Err(e.to_string())),
+        };
+        let t0 = Instant::now();
+        let response = service.query_with(request, admit)?;
+        Some(
+            response
+                .map(|r| render_query(&r, t0.elapsed().as_secs_f64(), show))
+                .map_err(|e| e.to_string()),
+        )
+    };
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        Some(Err(
+            ServiceError::Internal(panic_message(payload)).to_string()
+        ))
+    })
 }
 
 /// The text of a query answer: the summary line, then up to `show` rows.
@@ -1065,67 +1100,109 @@ mod tests {
         assert!(err.contains("exactly 2 variables"), "{err}");
     }
 
+    /// `run_line_with` over `s`, counting how often it asks for a slot and
+    /// granting one when `grant` says so.
+    fn asking(
+        s: &Service,
+        line: &str,
+        grant: bool,
+        asked: &mut u32,
+    ) -> Option<Result<String, String>> {
+        run_line_with(s, line, &NoFrontend, || {
+            *asked += 1;
+            grant.then_some(())
+        })
+    }
+
     #[test]
-    fn cached_answer_is_the_hit_and_nothing_else() {
+    fn a_slot_is_asked_for_by_what_computes_and_only_by_that() {
         let s = service();
-        // Not cached yet; then exactly what `run_line` answers for a hit,
-        // up to the time it prints.
-        assert_eq!(cached_answer(&s, "query twopath R S show 3"), None);
-        let cold = run_line(&s, "query twopath R S").unwrap();
+        let mut asked = 0;
+        // A miss asks; refused, it runs nothing and counts nothing, and
+        // admitted, it is `run_line`'s answer.
+        assert_eq!(
+            asking(&s, "query twopath R S show 3", false, &mut asked),
+            None
+        );
+        assert_eq!(asked, 1);
+        assert_eq!((s.metrics().queries_served, s.cache_counters().1), (0, 0));
+        let cold = asking(&s, "query twopath R S", true, &mut asked)
+            .unwrap()
+            .unwrap();
         assert!(cold.contains("cached false"), "{cold}");
+        assert_eq!(asked, 2);
+        // A hit asks for nothing: exactly what `run_line` answers, up to the
+        // time it prints.
         let untimed = |answer: &str| {
             let (head, rows) = answer.split_once('\n').unwrap();
             let timing = |t: &&str| t.starts_with(|c: char| c.is_ascii_digit()) && t.ends_with('s');
             let head: Vec<&str> = head.split(' ').filter(|t| !timing(t)).collect();
             format!("{}\n{rows}", head.join(" "))
         };
-        let hit = cached_answer(&s, "  query  twopath R S show 3").expect("cached by now");
+        let hit = asking(&s, "  query  twopath R S show 3", false, &mut asked)
+            .unwrap()
+            .unwrap();
         assert!(hit.contains("cached true"), "{hit}");
         assert_eq!(
             untimed(&hit),
             untimed(&run_line(&s, "query twopath R S show 3").unwrap())
         );
-        // Counted once each, as hits; the miss above was `run_line`'s.
+        assert_eq!(asked, 2);
         let m = s.metrics();
         assert_eq!((m.queries_served, m.cache_hits, m.errors), (3, 2, 0));
-        assert_eq!(s.cache_counters().0, 2, "hits");
         assert_eq!(s.cache_counters().1, 1, "misses");
 
-        // Everything that is not a cached query is `None` and counts
-        // nothing: other commands (their parse is not even attempted),
-        // parse errors, unknown relations, misses.
+        // A query that does not parse or names no relation is answered
+        // without a slot; every other command asks before it is parsed.
+        for line in ["query", "query warp R S"] {
+            let err = asking(&s, line, false, &mut asked).unwrap().unwrap_err();
+            assert_eq!(err, run_line(&s, line).unwrap_err());
+        }
+        assert_eq!(asked, 2);
+        let err = asking(&s, "query twopath R missing", false, &mut asked).unwrap();
+        assert!(err.unwrap_err().contains("missing"));
         for line in [
             "explain twopath R S",
             "stats",
             "insert R 1,2",
             "register T 1,2 nope",
-            "queryx twopath R S",
-            "query",
-            "query warp R S",
-            "query twopath R missing",
-            "query twopath S R",
         ] {
-            assert_eq!(cached_answer(&s, line), None, "{line}");
+            assert_eq!(asking(&s, line, false, &mut asked), None, "{line}");
         }
-        assert_eq!(s.metrics(), m);
-        assert_eq!(s.cache_counters().1, 1, "a miss here is not counted");
+        assert_eq!(asked, 6);
+        let err = asking(&s, "register T 1,2 nope", true, &mut asked).unwrap();
+        assert!(err.unwrap_err().contains("`nope`"));
     }
 
     #[test]
     fn a_panicking_probe_costs_the_request_not_the_thread() {
+        /// A slot whose release is counted.
+        struct Slot<'a>(&'a std::cell::Cell<u32>);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let released = std::cell::Cell::new(0);
+        let slot = || Some(Slot(&released));
+
         let s = service();
         run_line(&s, "query twopath R S").unwrap();
         crate::service::tests::PROBE_PANICS.with(|armed| armed.set(true));
-        // The reader's question comes back unanswered, the dispatcher's
-        // run reports the panic…
-        assert_eq!(cached_answer(&s, "query twopath R S"), None);
-        let err = run_line(&s, "query twopath R S").unwrap_err();
-        assert_eq!(err, "internal error: probe told to panic");
+        // Inside the service the panic is the query's error…
+        let err = run_line_with(&s, "query twopath R S", &NoFrontend, slot).unwrap();
+        assert_eq!(err.unwrap_err(), "internal error: probe told to panic");
         crate::service::tests::PROBE_PANICS.with(|armed| armed.set(false));
-        // …counted once, and this thread serves the next request.
         assert_eq!(s.metrics().errors, 1);
-        let hit = cached_answer(&s, "query twopath R S").expect("still cached");
-        assert!(hit.contains("cached true"), "{hit}");
+        // …and outside it, the line's: a relation too large to allocate
+        // panics while the command holds its slot, which is given back.
+        let err = run_line_with(&s, "gen X DBLP 1e300", &NoFrontend, slot).unwrap();
+        assert!(err.unwrap_err().starts_with("internal error: "));
+        assert_eq!(released.get(), 1);
+        // This thread serves the next request.
+        let hit = run_line_with(&s, "query twopath R S", &NoFrontend, slot).unwrap();
+        assert!(hit.unwrap().contains("cached true"));
+        assert_eq!(released.get(), 1, "a hit takes no slot");
     }
 
     /// The rows of `render_query` as they were written first: every cell

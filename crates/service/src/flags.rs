@@ -50,7 +50,6 @@ pub const NETD: FlagSet = FlagSet {
         ("--addr", Kind::Text),
         ("--dispatchers", Kind::Count),
         ("--queue", Kind::Count),
-        ("--quota", Kind::Count),
         ("--trace-sample", Kind::Count),
     ],
 };
@@ -169,6 +168,12 @@ mod tests {
             SERVE.parse(args("--queue 8")).unwrap_err(),
             "unknown flag `--queue`"
         );
+        // The per-client quota is gone: a connection waits for one slot
+        // at most.
+        assert_eq!(
+            NETD.parse(args("--queue 8 --quota 2")).unwrap_err(),
+            "unknown flag `--quota`"
+        );
         assert_eq!(
             NETD.parse(args("stray")).unwrap_err(),
             "unknown flag `stray`"
@@ -225,7 +230,7 @@ mod tests {
     fn netd_line_parses() {
         let f = NETD
             .parse(args(
-                "--addr 127.0.0.1:7979 --dispatchers 2 --threads 2 --queue 8 --quota 2 \
+                "--addr 127.0.0.1:7979 --dispatchers 2 --threads 2 --queue 8 \
                  --trace-sample 10 --calibrate",
             ))
             .unwrap();
@@ -233,7 +238,6 @@ mod tests {
         assert_eq!(f.count("--dispatchers"), Some(2));
         assert_eq!(f.count("--threads"), Some(2));
         assert_eq!(f.count("--queue"), Some(8));
-        assert_eq!(f.count("--quota"), Some(2));
         assert_eq!(f.count("--trace-sample"), Some(10));
         assert!(f.is_set("--calibrate"));
     }

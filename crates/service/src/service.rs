@@ -1,8 +1,9 @@
 //! The join service: the query path tying catalog + planner + cache +
 //! registry together. It owns no request thread and no queue — a query
 //! runs on the thread that calls [`Service::query`]; how many run at once
-//! is the caller's business (the TCP front end's dispatcher count, or
-//! however many threads an in-process caller brings).
+//! is the caller's business (the TCP front end's compute slots, which
+//! [`Service::query_with`] asks for, or however many threads an
+//! in-process caller brings).
 
 use crate::cache::{CacheEntry, ResultCache};
 use crate::catalog::{Catalog, StagedUpdate};
@@ -21,7 +22,7 @@ use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_storage::{Edge, Relation, RelationDelta, Value};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Construction-time service configuration.
 #[derive(Debug, Clone)]
@@ -378,8 +379,25 @@ impl Service {
     ///
     /// A panicking engine fails this query with
     /// [`ServiceError::Internal`] and nothing else: the caller's thread —
-    /// a net dispatcher, say — survives to serve the next one.
+    /// a connection's reader, say — survives to serve the next one.
     pub fn query(&self, request: Request) -> Result<Response, ServiceError> {
+        self.query_with(request, || Some(()))
+            .unwrap_or_else(|| unreachable!("a miss admitted unconditionally was refused"))
+    }
+
+    /// [`Service::query`] with an admission step between the probe and the
+    /// execution of a miss, for a front end that rations computation. A hit
+    /// is answered at once. A miss calls `admit` and executes only if it
+    /// returns `Some`; what it returned — a compute slot — is held until the
+    /// execution ends, and dropped then, also on a panic. `None` means the
+    /// miss was refused: nothing executed and nothing counted. Time spent in
+    /// `admit` is waiting, not service: it stays out of the latency
+    /// histogram.
+    pub fn query_with<T>(
+        &self,
+        request: Request,
+        admit: impl FnOnce() -> Option<T>,
+    ) -> Option<Result<Response, ServiceError>> {
         let started = Instant::now();
         // With a slow-query threshold armed and no trace on this thread,
         // mint one — bypassing sampling — so the span tree exists if this
@@ -394,28 +412,25 @@ impl Service {
             None
         };
         let traced = trace::current_if_enabled();
-        let result = isolated(|| match probe(self, request, true)? {
-            Probed::Hit(response) => Ok(response),
-            Probed::Miss(miss) => execute(self, miss),
+        let mut waited = Duration::ZERO;
+        let result = isolated(|| match probe(self, request)? {
+            Probed::Hit(response) => Ok(Some(response)),
+            Probed::Miss(miss) => {
+                let asked = Instant::now();
+                let Some(_admitted) = admit() else {
+                    return Ok(None);
+                };
+                waited = asked.elapsed();
+                self.cache
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .record_miss();
+                execute(self, miss).map(Some)
+            }
         });
         drop(minted);
-        self.observed(started, traced, result)
-    }
-
-    /// The answer to `request` if the result cache holds it, else `None`:
-    /// the probe of [`Service::query`] without the execution after it, for a
-    /// front end that answers a hit on the thread that read the request and
-    /// queues everything else. A hit is counted as [`Service::query`] counts
-    /// it; anything else — a miss, an unknown relation, a panic — counts
-    /// nothing here, because the caller hands the request to
-    /// [`Service::query`], which finds the same and counts it once.
-    pub fn query_cached(&self, request: Request) -> Option<Response> {
-        let started = Instant::now();
-        let Ok(Probed::Hit(response)) = isolated(|| probe(self, request, false)) else {
-            return None;
-        };
-        self.observed(started, trace::current_if_enabled(), Ok(response))
-            .ok()
+        let result = result.transpose()?;
+        Some(self.observed(started + waited, traced, result))
     }
 
     /// Books one finished query and passes its result on: the latency
@@ -796,7 +811,7 @@ fn recompute_entry(
 }
 
 /// Best-effort text of a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -865,9 +880,9 @@ fn build_query<'a>(
     Ok(query)
 }
 
-/// Runs one half of the query path with a panic turned into
+/// Runs the query path with a panic turned into
 /// [`ServiceError::Internal`]: it costs the request, not the thread —
-/// a net dispatcher, or a connection's only reader.
+/// a connection's reader, say.
 fn isolated<T>(run: impl FnOnce() -> Result<T, ServiceError>) -> Result<T, ServiceError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
         .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload))))
@@ -892,11 +907,9 @@ struct Miss {
 }
 
 /// First half of the query path: canonicalise → pin the relations → key →
-/// cache lookup. `executes` says the caller goes on to [`execute`] a miss,
-/// which is what counts it as one; a front end that only asks
-/// ([`Service::query_cached`]) leaves the counting to the lookup that
-/// follows its own.
-fn probe(service: &Service, request: Request, executes: bool) -> Result<Probed, ServiceError> {
+/// cache lookup. A hit is counted here; a miss is counted by the caller
+/// once it is admitted to [`execute`].
+fn probe(service: &Service, request: Request) -> Result<Probed, ServiceError> {
     #[cfg(test)]
     tests::PROBE_PANICS.with(|armed| assert!(!armed.get(), "probe told to panic"));
     let request = request.canonical();
@@ -914,9 +927,6 @@ fn probe(service: &Service, request: Request, executes: bool) -> Result<Probed, 
     let mut cache = service.cache.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(hit) = cache.get(cache_key, &request, &epochs) {
         return Ok(Probed::Hit(Response::of(hit, true, cache_key)));
-    }
-    if executes {
-        cache.record_miss();
     }
     Ok(Probed::Miss(Miss {
         request,

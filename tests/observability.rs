@@ -53,7 +53,7 @@ fn composed_chain_query_trace_covers_every_stage() {
     let tracer = Tracer::global();
     let service = chain_service();
 
-    // The REPL/dispatcher pattern: root at the boundary, then the shared
+    // The REPL/reader pattern: root at the boundary, then the shared
     // command layer does the rest.
     let line = "query chain R S T";
     let root = tracer.begin(line).expect("tracing is on");
@@ -414,14 +414,14 @@ fn net_transport_traces_and_answers_stats_net() {
     assert!(json.body.contains("\"per_client_served\""), "{}", json.body);
 
     // `trace last <n>` over the wire exports every retained trace —
-    // including the chain query's, which crossed the net queue.
+    // including the chain query's, which waited for a compute slot.
     // (`trace last` alone would return only the most recent finished
     // trace: the `stats` command right before it.)
     let last = client.call("trace last 10").unwrap();
-    assert!(last.body.contains("net-queue"), "{}", last.body);
+    assert!(last.body.contains("compute-token"), "{}", last.body);
     assert!(last.body.contains("\"traceEvents\""), "{}", last.body);
-    // One admission queue, so exactly one queue-wait span per request that
-    // queued — every one so far.
+    // One place to wait, so exactly one queue-wait span per request that
+    // took a slot — every one so far: a miss and three other commands.
     for trace in tracer.last(usize::MAX) {
         let waits: Vec<&str> = trace
             .spans
@@ -429,13 +429,13 @@ fn net_transport_traces_and_answers_stats_net() {
             .filter(|s| s.stage == Stage::QueueWait)
             .map(|s| s.label.as_ref())
             .collect();
-        assert_eq!(waits, ["net-queue"], "{}", trace.render());
+        assert_eq!(waits, ["compute-token"], "{}", trace.render());
     }
 
-    // The same query again is a hit: answered by the connection's reader, so
-    // its trace has no queue-wait at all — parse, probe, render, and the
-    // frame write, which is inside the trace. The trace is closed after the
-    // reply is on the wire, so the client may be here first.
+    // The same query again is a hit: it takes no slot, so its trace has no
+    // queue-wait at all — parse, probe, render, and the frame write, which
+    // is inside the trace. The trace is closed after the reply is on the
+    // wire, so the client may be here first.
     let warm = client.call("query chain R S T").unwrap();
     assert!(warm.body.contains("cached true"), "{}", warm.body);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -469,9 +469,9 @@ fn net_transport_traces_and_answers_stats_net() {
     );
     assert_eq!(hit.spans.len(), 5, "{}", hit.render());
     let net = client.call("stats net").unwrap();
-    assert!(net.body.contains("served 5 (inline 1)"), "{}", net.body);
+    assert!(net.body.contains("served 5,"), "{}", net.body);
     let json = client.call("stats net --json").unwrap();
-    assert!(json.body.contains("\"served_inline\":1"), "{}", json.body);
+    assert!(json.body.contains("\"served\":6"), "{}", json.body);
 
     let reset = client.call("stats reset").unwrap();
     assert!(reset.body.starts_with("ok stats reset"), "{}", reset.body);
