@@ -25,7 +25,7 @@ impl HashJoinEngine {
         // growing hash set (deliberately *not* pre-sized: Postgres cannot
         // know |OUT| either).
         let mut seen: HashSet<(Value, Value)> = HashSet::new();
-        for &(z, y) in s.edges() {
+        for (z, y) in s.tuples() {
             if (y as usize) >= r.y_domain() {
                 continue;
             }
@@ -81,7 +81,7 @@ impl SystemXEngine {
     pub fn join_project(&self, r: &Relation, s: &Relation) -> Vec<(Value, Value)> {
         let estimate = r.full_join_size(s).min(16_000_000) as usize;
         let mut seen: HashSet<(Value, Value)> = HashSet::with_capacity(estimate);
-        for &(z, y) in s.edges() {
+        for (z, y) in s.tuples() {
             if (y as usize) >= r.y_domain() {
                 continue;
             }

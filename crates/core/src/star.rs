@@ -40,7 +40,7 @@ use crate::optimizer::{heavy_core_cost, F32_KERNEL};
 use crate::two_path::{self, phase, Operands, Product};
 use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
-use mmjoin_storage::{Relation, RelationBuilder, Value};
+use mmjoin_storage::{Relation, Value};
 use mmjoin_wcoj::{
     full_join_count, star_full_join_for_each, star_join_project_flat, ProjectionAccumulator,
 };
@@ -351,29 +351,23 @@ fn price(
 
 /// Builds the `R⁻j` substitute: tuples with a light head.
 fn build_minus(relations: &[Relation], j: usize, delta2: u32) -> Relation {
-    let mut minus = RelationBuilder::with_domains(relations[j].x_domain(), relations[j].y_domain());
-    for &(x, y) in relations[j].edges() {
-        if relations[j].x_degree(x) <= delta2 as usize {
-            minus.push(x, y);
-        }
-    }
-    minus.build()
+    let r = &relations[j];
+    let kept = r
+        .tuples()
+        .filter(|&(x, _)| r.x_degree(x) <= delta2 as usize);
+    Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
 }
 
 /// Builds the `R⋄j` substitute: tuples whose `y` is light in all other
 /// relations.
 fn build_diamond(relations: &[Relation], j: usize, delta1: u32) -> Relation {
-    let mut diamond =
-        RelationBuilder::with_domains(relations[j].x_domain(), relations[j].y_domain());
-    for &(x, y) in relations[j].edges() {
-        let light_elsewhere = relations.iter().enumerate().all(|(i, ri)| {
+    let r = &relations[j];
+    let kept = r.tuples().filter(|&(_, y)| {
+        relations.iter().enumerate().all(|(i, ri)| {
             i == j || (y as usize) >= ri.y_domain() || ri.y_degree(y) <= delta1 as usize
-        });
-        if light_elsewhere {
-            diamond.push(x, y);
-        }
-    }
-    diamond.build()
+        })
+    });
+    Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
 }
 
 /// Steps 1–2: for each `j`, join with `R⁻j` (light heads) and `R⋄j`

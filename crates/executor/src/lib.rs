@@ -428,32 +428,6 @@ impl Executor {
         let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(parts)).collect();
         self.map(parts, chunks.len(), |i| f(chunks[i]))
     }
-
-    /// Runs two closures, potentially in parallel, returning both results.
-    pub fn fork_join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        let fa = Mutex::new(Some(fa));
-        let fb = Mutex::new(Some(fb));
-        let ra: Mutex<Option<A>> = Mutex::new(None);
-        let rb: Mutex<Option<B>> = Mutex::new(None);
-        self.run(2, 2, |i| {
-            if i == 0 {
-                let f = lock(&fa).take().expect("fork task runs once");
-                *lock(&ra) = Some(f());
-            } else {
-                let f = lock(&fb).take().expect("join task runs once");
-                *lock(&rb) = Some(f());
-            }
-        });
-        let a = lock(&ra).take().expect("fork arm completed");
-        let b = lock(&rb).take().expect("join arm completed");
-        (a, b)
-    }
 }
 
 impl Drop for Executor {
@@ -546,13 +520,6 @@ mod tests {
             assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
         }
         assert!(exec.map_chunks(4, &[] as &[u64], |_| 0u64).is_empty());
-    }
-
-    #[test]
-    fn fork_join_returns_both_arms() {
-        let exec = Executor::new(2);
-        let (a, b) = exec.fork_join(|| "left".to_string(), || 42u64);
-        assert_eq!((a.as_str(), b), ("left", 42));
     }
 
     #[test]

@@ -389,13 +389,6 @@ impl CostModel {
         s1 + slope * (c - c1 as f64)
     }
 
-    /// The measured per-core speedup curve `(cores, speedup)`; empty when
-    /// the samples cover fewer than two core counts (see
-    /// [`CostModel::speedup`] for the fallback).
-    pub fn parallel_curve(&self) -> &[(usize, f64)] {
-        &self.curve
-    }
-
     /// Highest core count among the samples — the parallelism this
     /// calibration actually measured. Consumers use it to detect a stale
     /// single-core manifest when a larger thread budget is configured.
@@ -591,13 +584,6 @@ impl CostModel {
         scaled * self.speedup(best.cores) / self.speedup(cores)
     }
 
-    /// Predicted seconds to *construct* the two heavy matrices of Algorithm 1
-    /// (allocation + one pass over the heavy pairs; `C` in Eq. (1)).
-    pub fn construction_cost(&self, u: usize, v: usize, w: usize) -> f64 {
-        let cells = (u as f64 * v as f64) + (v as f64 * w as f64);
-        cells * (self.constants.t_alloc / 8.0 + self.constants.t_seq)
-    }
-
     /// All samples (for reporting / Figure 3 reproduction).
     pub fn samples(&self) -> &[Sample] {
         &self.samples
@@ -660,15 +646,6 @@ mod tests {
         // u*v*w == 8e6 == 200^3: should pick the p=200 sample.
         let t = m.estimate(800, 100, 100, 1);
         assert!((t - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn construction_cost_positive_and_monotone() {
-        let m = flat_model();
-        let small = m.construction_cost(10, 10, 10);
-        let big = m.construction_cost(100, 100, 100);
-        assert!(small > 0.0);
-        assert!(big > small);
     }
 
     #[test]
@@ -776,7 +753,6 @@ mod tests {
         let want = 1.0 + (10.0 / 3.0 - 1.0) / 3.0;
         assert!((s2 - want).abs() < 1e-9, "got {s2}, want {want}");
         assert_eq!(m.speedup(1), 1.0);
-        assert_eq!(m.parallel_curve().len(), 2);
         // And the estimates flow through the measured curve: a 2-core
         // estimate sits strictly between the 1- and 4-core ones.
         let (t1, t2, t4) = (
@@ -799,7 +775,6 @@ mod tests {
             }],
             SystemConstants::default(),
         );
-        assert!(m.parallel_curve().is_empty());
         assert!((m.speedup(4) - 3.4).abs() < 1e-9);
         assert_eq!(m.max_cores(), 1);
     }
@@ -836,7 +811,7 @@ mod tests {
         .unwrap();
         let legacy = CostModel::load(&path).unwrap();
         assert_eq!(legacy.max_cores(), 4);
-        assert!(!legacy.parallel_curve().is_empty());
+        assert!((legacy.speedup(4) - 1.0 / 0.3).abs() < 1e-9);
         // A malformed cores line is rejected, like any other bad line.
         std::fs::write(
             &path,

@@ -13,7 +13,7 @@
 //! Readers hold the read lock only to copy `Arc`s and epochs; one guard
 //! is a consistent cut over any set of names. Writers do their relation
 //! work — normalizing a delta, merging it, rebuilding the CSR indexes,
-//! comparing edges — with no lock held, then take the write lock to
+//! comparing tuples — with no lock held, then take the write lock to
 //! install the result *only if the entry's epoch is still the one they
 //! read*. If it moved, they go round again on the newer relation: the
 //! loser of a same-relation race pays one more apply, and one writer
@@ -115,7 +115,8 @@ impl Catalog {
         let relation = Arc::new(relation);
         loop {
             let current = self.get(name).ok_or_else(|| unknown(name))?;
-            if current.relation.edges() == relation.edges() {
+            let (old, new) = (&current.relation, &relation);
+            if old.len() == new.len() && old.tuples().eq(new.tuples()) {
                 return Ok(current.epoch);
             }
             if let Some(epoch) = self.install(name, current.epoch, Arc::clone(&relation))? {

@@ -371,7 +371,11 @@ impl Service {
     /// A snapshot of a relation's current tuples (for read-modify-write
     /// updates).
     pub fn relation_edges(&self, name: &str) -> Option<Vec<(Value, Value)>> {
-        self.relation(name).map(|r| r.edges().to_vec())
+        self.relation(name).map(|r| {
+            let mut edges = Vec::with_capacity(r.len());
+            edges.extend(r.tuples());
+            edges
+        })
     }
 
     /// Answers `request` on the calling thread: canonicalize → resolve →

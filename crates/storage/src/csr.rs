@@ -124,27 +124,10 @@ impl CsrIndex {
         })
     }
 
-    /// Iterator over all keys in the domain (including empty rows).
-    pub fn iter_all(&self) -> impl Iterator<Item = (Value, &[Value])> + '_ {
-        (0..self.num_keys()).map(move |k| (k as Value, self.neighbors(k as Value)))
-    }
-
     /// True if `(key, value)` is present, via binary search on the row.
     #[inline]
     pub fn contains(&self, key: Value, value: Value) -> bool {
         self.neighbors(key).binary_search(&value).is_ok()
-    }
-
-    /// Flat access to the neighbor buffer (used by zero-copy matrix packing).
-    #[inline]
-    pub fn raw_neighbors(&self) -> &[Value] {
-        &self.neighbors
-    }
-
-    /// Flat access to the offsets buffer.
-    #[inline]
-    pub fn raw_offsets(&self) -> &[usize] {
-        &self.offsets
     }
 }
 
@@ -236,25 +219,6 @@ pub fn adaptive_intersect_count(a: &[Value], b: &[Value]) -> usize {
     } else {
         intersect_count(short, long)
     }
-}
-
-/// Writes the intersection of two sorted slices into `out`, returning the
-/// number of elements written. `out` is cleared first.
-pub fn intersect_into(a: &[Value], b: &[Value], out: &mut Vec<Value>) -> usize {
-    out.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.len()
 }
 
 /// True iff sorted slice `sub` is a subset of sorted slice `sup`.
@@ -388,9 +352,6 @@ mod tests {
         assert_eq!(intersect_count(&a, &b), 3);
         assert_eq!(gallop_intersect_count(&a, &b), 3);
         assert_eq!(adaptive_intersect_count(&a, &b), 3);
-        let mut out = Vec::new();
-        assert_eq!(intersect_into(&a, &b, &mut out), 3);
-        assert_eq!(out, vec![3, 5, 13]);
     }
 
     #[test]

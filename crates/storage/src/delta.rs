@@ -61,16 +61,6 @@ impl RelationDelta {
         self
     }
 
-    /// Staged inserts, as given (not yet normalized).
-    pub fn inserts(&self) -> &[Edge] {
-        &self.inserts
-    }
-
-    /// Staged deletes, as given (not yet normalized).
-    pub fn deletes(&self) -> &[Edge] {
-        &self.deletes
-    }
-
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
@@ -158,16 +148,16 @@ impl Relation {
     /// Applies an already-normalized delta, returning the updated relation
     /// with both CSR indexes rebuilt.
     ///
-    /// The base edge list and both halves of the delta are sorted, so the
-    /// new list is one linear merge, `O(N + |Δ|)` whatever the delta's
-    /// size, and the CSR build behind it is linear too.
+    /// The base tuples and both halves of the delta are sorted, so the new
+    /// list is one linear merge, `O(N + |Δ|)` whatever the delta's size,
+    /// and the CSR build behind it is linear too.
     /// Value domains never shrink below the base's: downstream consumers
     /// (dense matrix backends) may hold the old domain shape.
     pub fn apply_normalized(&self, delta: &NormalizedDelta) -> Relation {
         if delta.is_empty() {
             return self.clone();
         }
-        let merged = merge_edges(self.edges(), &delta.inserts, &delta.deletes);
+        let merged = merge_edges(self, &delta.inserts, &delta.deletes);
         // Only an insert can grow a domain.
         let inserted = delta.inserts.iter();
         let x_domain = inserted
@@ -178,23 +168,33 @@ impl Relation {
     }
 }
 
-/// Merges a sorted base edge list with sorted inserts while dropping
-/// sorted deletes, in one linear pass. All three inputs are sorted; the
-/// output is sorted and contains no duplicates because the normalized
-/// inserts are disjoint from the base and the deletes are a subset of it.
-fn merge_edges(base: &[Edge], inserts: &[Edge], deletes: &[Edge]) -> Vec<Edge> {
+/// Merges a base relation's tuples with sorted inserts while dropping
+/// sorted deletes, in one linear pass over its `x → [y]` rows. All three
+/// inputs are sorted; the output is sorted and contains no duplicates
+/// because the normalized inserts are disjoint from the base and the
+/// deletes are a subset of it. A row no insert or delete reaches is copied
+/// whole, without a comparison per tuple.
+fn merge_edges(base: &Relation, inserts: &[Edge], deletes: &[Edge]) -> Vec<Edge> {
     let mut out = Vec::with_capacity(base.len() + inserts.len() - deletes.len());
     let (mut i, mut d) = (0usize, 0usize);
-    for &edge in base {
-        while i < inserts.len() && inserts[i] < edge {
-            out.push(inserts[i]);
-            i += 1;
-        }
-        if d < deletes.len() && deletes[d] == edge {
-            d += 1;
+    for (x, ys) in base.by_x().iter_nonempty() {
+        let untouched =
+            inserts.get(i).is_none_or(|e| e.0 > x) && deletes.get(d).is_none_or(|e| e.0 > x);
+        if untouched {
+            out.extend(ys.iter().map(|&y| (x, y)));
             continue;
         }
-        out.push(edge);
+        for edge in ys.iter().map(|&y| (x, y)) {
+            while i < inserts.len() && inserts[i] < edge {
+                out.push(inserts[i]);
+                i += 1;
+            }
+            if d < deletes.len() && deletes[d] == edge {
+                d += 1;
+                continue;
+            }
+            out.push(edge);
+        }
     }
     out.extend_from_slice(&inserts[i..]);
     out

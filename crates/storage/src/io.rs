@@ -91,7 +91,7 @@ pub fn read_edge_list(reader: impl Read) -> Result<Relation, IoError> {
 /// Writes a relation as a tab-separated edge list (round-trips through
 /// [`read_edge_list`]).
 pub fn write_edge_list(r: &Relation, mut writer: impl Write) -> std::io::Result<()> {
-    for &(x, y) in r.edges() {
+    for (x, y) in r.tuples() {
         writeln!(writer, "{x}\t{y}")?;
     }
     Ok(())

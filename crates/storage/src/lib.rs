@@ -4,11 +4,12 @@
 //! *Fast Join Project Query Evaluation using Matrix Multiplication*
 //! (Deep, Hu, Koutris — SIGMOD 2020):
 //!
-//! * [`Relation`] — an immutable binary relation `R(x, y)` stored as a
-//!   deduplicated, sorted edge list together with CSR adjacency indexes in
-//!   *both* directions (`x → [y]` and `y → [x]`). This is the paper's
-//!   requirement (§5, "Indexing relations") that every relation be stored
-//!   once per index order with sorted neighbor lists.
+//! * [`Relation`] — an immutable binary relation `R(x, y)` stored as CSR
+//!   adjacency indexes in *both* directions (`x → [y]` and `y → [x]`) beside
+//!   the deduplicated, sorted edge list it was built from, all shared by
+//!   clones and transposes. This is the paper's requirement (§5, "Indexing
+//!   relations") that every relation be stored once per index order with
+//!   sorted neighbor lists.
 //! * [`CsrIndex`] — the compressed-sparse-row index itself.
 //! * [`stats`] — the degree-threshold indexes `sum(xδ)`, `sum(yδ)`,
 //!   `cdfx(yδ)` and `count(wδ)` that the cost-based optimizer (Algorithm 3)
@@ -20,8 +21,8 @@
 //! * [`packed`] — a relation's adjacency as bit-packed rows, built once per
 //!   relation value by the first Boolean heavy core that reads it.
 //! * [`delta`] — the mutable data path: batched [`RelationDelta`]
-//!   inserts/deletes, normalized against a base relation and applied via a
-//!   merge-or-rebuild compaction producing a fresh indexed [`Relation`].
+//!   inserts/deletes, normalized against a base relation and applied by one
+//!   linear merge producing a fresh indexed [`Relation`].
 //!
 //! Values are dense `u32` identifiers ([`Value`]); dictionary encoding is the
 //! responsibility of loaders/generators (`mmjoin-datagen`).

@@ -12,9 +12,13 @@
 //!   when `(ids[i], y)` is a tuple, `ids` being the active `x`s ascending.
 //!
 //! A form lives exactly as long as the relation value: a clone shares it,
-//! and anything that makes a *new* relation (an applied delta, a transpose,
-//! a semi-join reduction) starts unpacked. Relations are immutable, so there
-//! is nothing to invalidate. A form holds `rows · ⌈cols/64⌉` words:
+//! and anything that makes a *new* relation (an applied delta, a semi-join
+//! reduction) starts unpacked. So does a transpose, although it shares its
+//! origin's indexes: it is made afresh by every chain step that reads one,
+//! and so would pack afresh too — which no served step does, since the
+//! steps that read a transposed base relation all expand. Relations are
+//! immutable, so there is nothing to invalidate. A form holds
+//! `rows · ⌈cols/64⌉` words:
 //! `active_x · ⌈y_domain/64⌉` `x`-major, `y_domain · ⌈active_x/64⌉`
 //! `y`-major.
 

@@ -1,5 +1,7 @@
-//! Binary relations with two-directional CSR indexes and — built by the
-//! first query that multiplies them — their bit-packed rows ([`crate::packed`]).
+//! Binary relations: two CSR indexes, the tuple list they were built from,
+//! and — built by the first query that multiplies them — their bit-packed
+//! rows ([`crate::packed`]). All four sit behind `Arc`s, so a clone and a
+//! transpose copy none of them.
 
 use crate::csr::CsrIndex;
 use crate::packed::PackedForms;
@@ -14,22 +16,21 @@ use std::sync::{Arc, OnceLock};
 /// worst-case-optimal join runs. All per-value degree lookups are O(1), and
 /// so are the active-value counts.
 ///
-/// A relation value also owns its packed forms ([`Relation::packed`]) and
-/// its transpose ([`Relation::as_transposed`]): empty until a query reads
-/// them, shared by clones, and never carried over to a relation derived from
-/// this one.
+/// A clone bumps reference counts and nothing more: it shares the indexes,
+/// the tuple list and the packed forms ([`Relation::packed`]), which are
+/// empty until a query reads them and never carried over to a relation
+/// derived from this one. A transpose shares the indexes too.
 #[derive(Debug, Clone)]
 pub struct Relation {
-    /// Deduplicated tuples, sorted by `(x, y)`.
-    edges: Vec<Edge>,
     /// `x → sorted [y]`; shared with the transpose, whose `y` index it is.
     by_x: Arc<CsrIndex>,
     /// `y → sorted [x]`.
     by_y: Arc<CsrIndex>,
+    /// The tuples sorted by `(x, y)`: the list a constructor was handed, or
+    /// — for a transpose — `by_x` flattened by the first [`Relation::edges`].
+    edges: Arc<OnceLock<Vec<Edge>>>,
     /// Bit-packed rows, built on first use.
     packed: Arc<PackedForms>,
-    /// `Rᵀ`, built on first use.
-    transpose: Arc<OnceLock<Relation>>,
 }
 
 impl Relation {
@@ -62,16 +63,15 @@ impl Relation {
     /// Panics on an edge out of order, repeated, or outside the domains.
     pub fn from_sorted_edges(x_domain: usize, y_domain: usize, edges: Vec<Edge>) -> Self {
         let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(x_domain, y_domain, &edges);
-        Self::from_parts(edges, Arc::new(by_x), Arc::new(by_y))
+        Self::from_parts(Arc::new(by_x), Arc::new(by_y), OnceLock::from(edges))
     }
 
-    fn from_parts(edges: Vec<Edge>, by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>) -> Self {
+    fn from_parts(by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>, edges: OnceLock<Vec<Edge>>) -> Self {
         Self {
-            edges,
             by_x,
             by_y,
+            edges: Arc::new(edges),
             packed: Arc::default(),
-            transpose: Arc::default(),
         }
     }
 
@@ -82,19 +82,31 @@ impl Relation {
     /// Number of tuples `N` (after deduplication).
     #[inline]
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.by_x.num_edges()
     }
 
     /// True if the relation has no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
-    /// The deduplicated tuples, sorted by `(x, y)`.
-    #[inline]
+    /// The deduplicated tuples, sorted by `(x, y)`, as one slice. A
+    /// transpose flattens its `x` index into it on the first call; a pass
+    /// over the tuples reads [`Relation::tuples`] instead.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        self.edges.get_or_init(|| {
+            let mut edges = Vec::with_capacity(self.len());
+            edges.extend(self.tuples());
+            edges
+        })
+    }
+
+    /// The deduplicated tuples in ascending `(x, y)` order, read off the
+    /// `x → [y]` rows.
+    pub fn tuples(&self) -> impl Iterator<Item = Edge> + '_ {
+        let rows = self.by_x.iter_nonempty();
+        rows.flat_map(|(x, ys)| ys.iter().map(move |&y| (x, y)))
     }
 
     /// Size of the dense `x` domain (`max x + 1`, or the explicit domain).
@@ -177,26 +189,12 @@ impl Relation {
 
     /// The same relation with its columns swapped: `Rᵀ(y, x) = R(x, y)`.
     ///
-    /// O(N) with no re-sorting or re-indexing — the transposed edge list
-    /// falls out of the `y → [x]` index in sorted order, and the two CSR
-    /// indexes, shared with `self`, simply trade places.
+    /// O(1): the two CSR indexes, shared with `self`, trade places. The
+    /// transpose packs its own forms, and flattens its edge list only if
+    /// [`Relation::edges`] asks for it.
     pub fn transposed(&self) -> Relation {
-        let mut edges = Vec::with_capacity(self.len());
-        for (y, xs) in self.by_y.iter_nonempty() {
-            for &x in xs {
-                edges.push((y, x));
-            }
-        }
-        Relation::from_parts(edges, Arc::clone(&self.by_y), Arc::clone(&self.by_x))
-    }
-
-    /// [`Relation::transposed`], built by the first call and kept as long
-    /// as this relation value (a clone shares it): a chain step that joins
-    /// on this relation's `x` column reads it instead of copying the
-    /// relation per query. It packs its own forms, and a relation derived
-    /// from this one starts without it.
-    pub fn as_transposed(&self) -> &Relation {
-        self.transpose.get_or_init(|| self.transposed())
+        let (by_x, by_y) = (Arc::clone(&self.by_y), Arc::clone(&self.by_x));
+        Relation::from_parts(by_x, by_y, OnceLock::new())
     }
 
     /// Semi-join reduction for the 2-path query `R(x,y) ⋈ S(z,y)`: returns
@@ -205,9 +203,9 @@ impl Relation {
     /// preprocessing before Algorithm 1 runs.
     pub fn reduce_pair(r: &Relation, s: &Relation) -> (Relation, Relation) {
         let keep = |of: &Relation, other: &Relation| {
-            let edges = of.edges.iter().copied();
-            let kept =
-                edges.filter(|&(_, y)| (y as usize) < other.y_domain() && other.y_degree(y) > 0);
+            let kept = of
+                .tuples()
+                .filter(|&(_, y)| (y as usize) < other.y_domain() && other.y_degree(y) > 0);
             Relation::from_sorted_edges(of.x_domain(), of.y_domain(), kept.collect())
         };
         (keep(r, s), keep(s, r))
@@ -237,8 +235,9 @@ impl Relation {
             .iter()
             .map(|r| {
                 let r = r.as_ref();
-                let kept = r.edges().iter().copied();
-                let kept = kept.filter(|&(_, y)| (y as usize) < dom && alive[y as usize]);
+                let kept = r
+                    .tuples()
+                    .filter(|&(_, y)| (y as usize) < dom && alive[y as usize]);
                 Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
             })
             .collect()
@@ -300,16 +299,6 @@ impl RelationBuilder {
             self.y_domain = self.y_domain.max(y as usize + 1);
         }
         self.edges.push((x, y));
-    }
-
-    /// Number of tuples pushed so far (before deduplication).
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True if no tuples were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
     }
 
     /// Finalizes: sorts, deduplicates, and builds both CSR indexes.
@@ -444,21 +433,25 @@ pub(crate) mod tests {
         assert_eq!(t.xs_of(0), r.ys_of(0));
         // The indexes trade places without being copied.
         assert!(std::ptr::eq(t.by_x(), r.by_y()) && std::ptr::eq(t.by_y(), r.by_x()));
-        // Involution: transposing twice restores the original.
-        assert_eq!(t.transposed().edges(), r.edges());
+        // Involution: transposing twice restores the original indexes.
+        let back = t.transposed();
+        assert!(std::ptr::eq(back.by_x(), r.by_x()) && std::ptr::eq(back.by_y(), r.by_y()));
+        assert_eq!(back.edges(), r.edges());
     }
 
     #[test]
-    fn as_transposed_is_built_once_and_shared_by_clones() {
+    fn a_transposes_edges_are_built_once_and_shared_by_clones() {
         let r = rel(&[(0, 5), (0, 7), (1, 5), (3, 2)]);
-        let t = r.as_transposed();
-        assert_eq!(t.edges(), r.transposed().edges());
-        assert!(std::ptr::eq(t, r.as_transposed()));
-        assert!(std::ptr::eq(t, r.clone().as_transposed()));
-        // A derived relation starts without one.
-        let next = r.apply_delta(RelationDelta::new().insert(4, 4));
-        assert_eq!(next.as_transposed().len(), 5);
-        assert_eq!(t.len(), 4);
+        let t = r.transposed();
+        let twin = t.clone();
+        assert_eq!(t.edges(), &[(2, 3), (5, 0), (5, 1), (7, 0)]);
+        assert!(std::ptr::eq(t.edges(), twin.edges()));
+        assert!(t.tuples().eq(t.edges().iter().copied()));
+        // A clone shares the list a constructor was handed.
+        assert!(std::ptr::eq(r.edges(), r.clone().edges()));
+        // A derived relation has its own.
+        let next = t.apply_delta(RelationDelta::new().insert(4, 4));
+        assert_eq!((next.len(), t.len()), (5, 4));
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use star::{
     full_join_count, star_full_join_for_each, star_join_project, star_join_project_flat,
     two_path_for_each, ProjectionAccumulator,
 };
-pub use triangle::{batch_filter_exists, batch_filter_witnesses};
+pub use triangle::batch_filter_exists;

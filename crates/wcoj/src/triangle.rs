@@ -8,7 +8,7 @@
 //! kernel. Total cost `O(C · min(deg))`, i.e. the `O(N · C^{1/2})` bound of
 //! §3.3 in the worst case.
 
-use mmjoin_storage::csr::{adaptive_intersect_count, intersect_into};
+use mmjoin_storage::csr::adaptive_intersect_count;
 use mmjoin_storage::{Relation, Value};
 
 /// For each request `(a, b)` in `batch`, reports whether
@@ -35,33 +35,6 @@ pub fn batch_filter_exists(r: &Relation, s: &Relation, batch: &[(Value, Value)])
         .collect()
 }
 
-/// For each request `(a, b)` in `batch`, returns the actual witness set
-/// `π_y (R(a,y) ⋈ S(b,y))` — the non-projecting variant `Q̄ab(y)` of §2.1.
-pub fn batch_filter_witnesses(
-    r: &Relation,
-    s: &Relation,
-    batch: &[(Value, Value)],
-) -> Vec<Vec<Value>> {
-    let mut scratch = Vec::new();
-    batch
-        .iter()
-        .map(|&(a, b)| {
-            let ys_a = if (a as usize) < r.x_domain() {
-                r.ys_of(a)
-            } else {
-                &[]
-            };
-            let ys_b = if (b as usize) < s.x_domain() {
-                s.ys_of(b)
-            } else {
-                &[]
-            };
-            intersect_into(ys_a, ys_b, &mut scratch);
-            scratch.clone()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn witnesses_basic() {
-        let r = rel(&[(0, 1), (0, 2), (0, 3)]);
-        let s = rel(&[(5, 2), (5, 3), (5, 9)]);
-        let out = batch_filter_witnesses(&r, &s, &[(0, 5)]);
-        assert_eq!(out, vec![vec![2, 3]]);
-    }
-
-    #[test]
     fn out_of_domain_requests_are_false() {
         let r = rel(&[(0, 1)]);
         let s = rel(&[(0, 1)]);
@@ -100,7 +65,6 @@ mod tests {
         let r = rel(&[(0, 1)]);
         let s = rel(&[(0, 1)]);
         assert!(batch_filter_exists(&r, &s, &[]).is_empty());
-        assert!(batch_filter_witnesses(&r, &s, &[]).is_empty());
     }
 
     proptest! {
@@ -113,9 +77,9 @@ mod tests {
             let r = rel(&r_edges);
             let s = rel(&s_edges);
             let ex = batch_filter_exists(&r, &s, &batch);
-            let wit = batch_filter_witnesses(&r, &s, &batch);
-            for (e, w) in ex.iter().zip(&wit) {
-                prop_assert_eq!(*e, !w.is_empty());
+            for (&e, &(a, b)) in ex.iter().zip(&batch) {
+                let witness = r_edges.iter().any(|&(x, y)| x == a && s_edges.contains(&(b, y)));
+                prop_assert_eq!(e, witness);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Boolean set-intersection API with request batching (§3.3, Figure 6).
 //!
 //! ```sh
-//! cargo run --release -p mmjoin-integration --example api_batching
+//! cargo run --release -p mmjoin --example api_batching
 //! ```
 //!
 //! Simulates an API answering "have authors a and b ever co-authored?"

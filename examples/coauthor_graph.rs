@@ -2,7 +2,7 @@
 //! (the §1 "Graph Analytics" application).
 //!
 //! ```sh
-//! cargo run --release -p mmjoin-integration --example coauthor_graph
+//! cargo run --release -p mmjoin --example coauthor_graph
 //! ```
 //!
 //! The DBLP-like relation `R(author, paper)` defines the implicit view

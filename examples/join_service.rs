@@ -3,7 +3,7 @@
 //! engine routing do their jobs.
 //!
 //! ```sh
-//! cargo run --release -p mmjoin-integration --example join_service
+//! cargo run --release -p mmjoin --example join_service
 //! ```
 
 use mmjoin::{Relation, Request, Service, ServiceError};

@@ -1,7 +1,7 @@
 //! Quickstart: the unified Query/Engine/Sink front door.
 //!
 //! ```sh
-//! cargo run --release -p mmjoin-integration --example quickstart
+//! cargo run --release -p mmjoin --example quickstart
 //! ```
 //!
 //! Builds a small social-network relation (Example 1 of the paper), asks

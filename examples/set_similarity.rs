@@ -3,7 +3,7 @@
 //! Query/Engine front door.
 //!
 //! ```sh
-//! cargo run --release -p mmjoin-integration --example set_similarity
+//! cargo run --release -p mmjoin --example set_similarity
 //! ```
 //!
 //! Runs every registered similarity engine on a dense document–token

@@ -9,8 +9,9 @@
 //! memory cap is checked before anything is packed; (e) a query over packed
 //! relations allocates its product, its output and O(1) more — which is
 //! also how the suite holds that the per-pair builder (`HeavyIndex`, whose
-//! vectors are sized by the domains) does not run on the served path; (f) the
-//! transpose a chain step reads is memoised by the same rule.
+//! vectors are sized by the domains) does not run on the served path; (f) a
+//! relation is shared, never copied: a clone, a registration and the
+//! transpose a chain step reads copy no edge array.
 
 use mmjoin::{
     plan_query, HeavyBackend, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query,
@@ -436,18 +437,40 @@ fn a_reuse_query_allocates_the_product_the_output_and_a_constant() {
     assert_eq!(reuse_costs[0], reuse_costs[1], "independent of |R| + |S|");
 }
 
-/// (f) The transpose is memoised the same way. A chain step that joins on a
-/// relation's `x` column reads `Relation::as_transposed`: the first chain
-/// over a registered relation copies its edges once, the second — the
-/// result cache is off, the engine runs again — makes no block the size of
-/// a base relation, and an effective update (a new relation value) is what
-/// brings the copy back.
+/// Tuples of the base relations (f) copies nothing of.
+const N: u32 = 1 << 14;
+/// Their edge array, the first block a copy of their tuples allocates;
+/// every index, intermediate and bitmap of (f) is smaller.
+const EDGE_ARRAY: usize = 8 * N as usize;
+
+/// (f) A relation is shared, never copied: a clone, a transpose, a transpose
+/// transposed back and a registration of a clone allocate no block the size
+/// of its edge array.
 #[test]
-fn a_chain_transposes_a_registered_relation_once() {
-    const N: u32 = 1 << 14;
-    /// A base relation's edge array, the first thing a transpose allocates;
-    /// every intermediate, index and bitmap of this chain is smaller.
-    const BIG: usize = 8 * N as usize;
+fn a_relation_is_shared_not_copied() {
+    let r = Relation::from_edges((0..N).map(|e| (e % 64, e / 2)));
+    assert_eq!(r.len(), N as usize);
+    let service = Service::with_default_registry();
+    let copies_nothing = |what: &str, f: &dyn Fn()| {
+        let tally = tallied(EDGE_ARRAY, f).1;
+        assert_eq!(tally.big, 0, "{what} copied the edge array: {tally:?}");
+    };
+    copies_nothing("a clone", &|| drop(r.clone()));
+    copies_nothing("a transpose", &|| drop(r.transposed()));
+    copies_nothing("a double transpose", &|| drop(r.transposed().transposed()));
+    copies_nothing("a registration", &|| {
+        service.register("R", r.clone());
+    });
+    assert_eq!(service.relation_edges("R").as_deref(), Some(r.edges()));
+}
+
+/// (f) A chain step that joins on a relation's `x` column reads its
+/// transpose, which copies nothing: no chain — the first over registered
+/// relations, the second (the result cache is off, the engine runs again),
+/// or one after an effective update — allocates a block the size of a base
+/// relation's edge array.
+#[test]
+fn no_chain_copies_a_registered_relation() {
     let service = Service::with_config(ServiceConfig {
         cache_capacity: 0,
         join_config: served(20.0, 1),
@@ -467,21 +490,20 @@ fn a_chain_transposes_a_registered_relation_once() {
         response.expect("the chain runs")
     };
 
-    let (first, cold) = tallied(BIG, chain);
+    let (first, cold) = tallied(EDGE_ARRAY, chain);
     let rows: Vec<(Value, Value)> = first.rows.iter().map(|row| (row[0], row[1])).collect();
     assert_eq!(rows, expected);
     assert!(!rows.is_empty());
-    assert!(cold.big >= 1, "something was transposed: {cold:?}");
-    let (again, warm) = tallied(BIG, chain);
+    assert_eq!(cold.big, 0, "the first chain: {cold:?}");
+    let (again, warm) = tallied(EDGE_ARRAY, chain);
     assert!(!again.cached);
     assert_eq!(again.rows, first.rows);
-    assert_eq!(warm.big, 0, "no copy of a base relation: {warm:?}");
+    assert_eq!(warm.big, 0, "the second chain: {warm:?}");
 
     for name in ["Mid", "Tail"] {
         service.insert(name, [(70, 70)]).expect("registered");
     }
-    let (after, rebuilt) = tallied(BIG, chain);
+    let (after, updated) = tallied(EDGE_ARRAY, chain);
     assert_eq!(after.rows, first.rows, "(70, 70) joins nothing");
-    assert_eq!(rebuilt.big, cold.big, "new relation values: {rebuilt:?}");
-    assert_eq!(tallied(BIG, chain).1.big, 0);
+    assert_eq!(updated.big, 0, "new relation values: {updated:?}");
 }

@@ -9,7 +9,7 @@ use mmjoin_core::{
     JoinConfig, MmJoinEngine,
 };
 use mmjoin_ssj::{unordered_ssj, SsjAlgorithm};
-use mmjoin_storage::{Relation, Value};
+use mmjoin_storage::{Relation, RelationBuilder, Value};
 use mmjoin_wcoj::star_join_project;
 use proptest::prelude::*;
 
@@ -151,6 +151,32 @@ proptest! {
             star_join_project_mm(&rels, &cfg),
             star_join_project(&rels)
         );
+    }
+
+    /// A transpose shares its relation's indexes and copies nothing: on
+    /// random relations with empty rows and domains looser than their
+    /// tuples, its edge list is the relation's swapped and sorted, flattened
+    /// once and shared by its clones; `tuples()` walks the same list; and
+    /// transposing back returns the very same indexes.
+    #[test]
+    fn a_transpose_shares_the_relations_indexes(
+        edges in proptest::collection::vec((0u32..12, 0u32..20), 0..60),
+        slack in (0usize..4, 0usize..70),
+    ) {
+        let mut b = RelationBuilder::with_domains(12 + slack.0, 20 + slack.1);
+        edges.iter().for_each(|&(x, y)| b.push(x, y));
+        let r = b.build();
+        prop_assert!(r.tuples().eq(r.edges().iter().copied()));
+        let mut swapped: Vec<(Value, Value)> = r.edges().iter().map(|&(x, y)| (y, x)).collect();
+        swapped.sort_unstable();
+        let t = r.transposed();
+        let twin = t.clone();
+        prop_assert_eq!(t.edges(), &swapped[..]);
+        prop_assert!(std::ptr::eq(t.edges(), twin.edges()), "flattened twice");
+        prop_assert!(t.tuples().eq(swapped.iter().copied()));
+        let back = t.transposed();
+        prop_assert!(std::ptr::eq(back.by_x(), r.by_x()) && std::ptr::eq(back.by_y(), r.by_y()));
+        prop_assert_eq!(back.edges(), r.edges());
     }
 
     /// The unified Engine front door and the free functions agree.
