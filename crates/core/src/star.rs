@@ -1,6 +1,29 @@
 //! MMJoin for star queries `Q*_k(x1,…,xk) = R1(x1,y), …, Rk(xk,y)` (§3.2).
 //!
-//! Tuples of each relation are split three ways with thresholds `Δ1, Δ2`:
+//! A star is planned like an existence two-path (see [`crate::two_path`]):
+//! line 2 of Algorithm 3 on the star's exact full join, and past it
+//! *everything heavy* — `Δ1 = Δ2 = 0` — if that heavy core fits the memory
+//! cap, expansion if not. Nothing is light then: the answer is the heavy
+//! core's output as it leaves the extractor, sorted and distinct, one flat
+//! buffer of `k` values per row — no accumulator, no sort.
+//!
+//! The heavy core multiplies two *grouped-variable* matrices: rows of `V`
+//! are the distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W` over the
+//! remaining variables, columns are the heavy `y`; `V · Wᵀ` is the heavy
+//! output. Each leg is read as two bit matrices built from its CSR rows —
+//! heavy heads × heavy columns, and the heavy heads under each column — and
+//! the rows of `V` grow one leg at a time: a prefix's candidates are the
+//! heads under any column it reaches, and a candidate's columns AND-ed with
+//! the prefix's are the longer half-tuple's, never empty. Prefixes and
+//! candidates ascend, so the rows do too, and the product's set cells,
+//! walked row-major, *are* the output sorted. A star only reads whether a
+//! witness exists, so [`HeavyBackend::Auto`] multiplies the bit rows and the
+//! `DenseF32` pin runs SGEMM on f32 operands filled from the same bits. The
+//! cap is checked on the exact bytes of `V`, `W` and the product; a forced
+//! core over it runs the whole star as expansion.
+//!
+//! A forced partition (`delta_override`) splits each relation's tuples
+//! three ways with thresholds `Δ1, Δ2`:
 //!
 //! * `R⁻i` — tuples whose head `xi` is light (`deg ≤ Δ2`);
 //! * `R⋄i` — tuples whose `y` is light (`deg ≤ Δ1`) in **all other**
@@ -8,26 +31,11 @@
 //! * `R⁺i` — the rest.
 //!
 //! Steps 1–2 run the WCOJ star join `k` times, substituting `R⁻j` (then
-//! `R⋄j`) for one relation at a time, and project. Step 3 packs the
-//! all-heavy tuples into two *grouped-variable* matrices: rows of `V` are
-//! distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W` over the remaining
-//! variables, columns are the `y` values heavy in ≥ 2 relations (those are
-//! exactly the witnesses steps 1–2 can miss); `V · Wᵀ` enumerates the heavy
-//! output.
-//!
-//! Correctness: an output tuple with witness `y` is found in step 1 if some
-//! head is light, in step 2 if `y` is light in all-but-one relation, and
-//! otherwise every head is heavy and `y` is heavy in ≥ 2 relations — step 3.
-//!
-//! The heavy core is the two-path's (see [`crate::two_path`]): a star only
-//! reads whether a witness exists, so [`HeavyBackend::Auto`] multiplies
-//! bit-packed operands over the Boolean semiring and the `DenseF32` pin runs
-//! SGEMM on the same cells. Half-tuples are numbered in ascending
-//! lexicographic order, so the product's set cells, walked row-major, *are*
-//! the heavy output sorted and distinct. At `Δ1 = Δ2 = 0` nothing is light:
-//! no substitute is built, no light step runs, and the heavy output is the
-//! answer as it leaves the extractor — no accumulator, no sort. Rows leave
-//! as one flat buffer, `k` values per row.
+//! `R⋄j`) for one relation at a time, and project; step 3 is the heavy core
+//! over the heavy heads and the `y` heavy in ≥ 2 relations. An output tuple
+//! with witness `y` is found in step 1 if some head is light, in step 2 if
+//! `y` is light in all-but-one relation, and otherwise every head is heavy
+//! and `y` is heavy in ≥ 2 relations — step 3.
 //!
 //! A matrix-partitioned run records the two-path's five phases —
 //! `partition`, `light`, `build`, `product`, `extract` — as `step` spans and
@@ -39,6 +47,7 @@ use crate::config::JoinConfig;
 use crate::optimizer::{heavy_core_cost, F32_KERNEL};
 use crate::two_path::{self, phase, Operands, Product};
 use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
+use mmjoin_matrix::bitmat::ones;
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, Value};
 use mmjoin_wcoj::{
@@ -117,30 +126,30 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     };
 
     let k = reduced.len();
-    let split = k.div_ceil(2);
     let boolean = config.heavy_backend.is_boolean(false);
     let (threads, exec) = (config.effective_threads(), config.exec());
     let mut secs = PhaseSecs::default();
     let mut acc = ProjectionAccumulator::new(k);
 
     let core = phase("partition", &mut secs.partition, || {
-        HeavyCore::partition(reduced, delta1, delta2)
+        HeavyCols::partition(reduced, delta1, delta2)
     });
     // Nothing is light at Δ1 = Δ2 = 0: every substitute would be empty.
     phase("light", &mut secs.light, || {
         if (delta1, delta2) != (0, 0) {
-            light_steps(reduced, delta1, delta2, config, &mut acc);
+            light_steps(reduced, delta1, delta2, &mut acc);
         }
     });
-    // Every matrix plan records all five phases, whichever of them run.
+    // Every matrix plan records all five phases, whichever of them run —
+    // unless its core is over the cap and it expands instead.
     let built = phase("build", &mut secs.build, || {
-        core.build(split, boolean, config.matrix_cell_cap)
+        core.build(boolean, config.matrix_cell_cap)
     });
     // The planner's bounds give way to what was built.
     stats.heavy_core_matrix = Some(built.is_some());
     stats.heavy_dims = built
         .as_ref()
-        .map(|built| (built.a.rows(), core.cols, built.b.rows()));
+        .map(|built| (built.v.len(), core.cols, built.w.len()));
     stats.heavy_backend = built.as_ref().map(|built| {
         if boolean {
             built.orientation.name()
@@ -148,20 +157,20 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
             F32_KERNEL
         }
     });
+    if built.is_none() && core.cols > 0 {
+        // Over the cap: the whole star runs as expansion instead.
+        return (star_join_project_flat(reduced), stats);
+    }
     let product = phase("product", &mut secs.product, || {
-        let Some(built) = built else {
-            // Memory guard: cross products per heavy y, deduplicated by
-            // the accumulator. Correct at any size, no dense allocation.
-            core.enumerate(&mut |tuple| acc.push(tuple));
-            return None;
-        };
-        let product = built.operands.multiply(built.orientation, exec, threads);
-        Some((built.a, built.b, product))
+        built.map(|built| {
+            let product = built.operands.multiply(built.orientation, exec, threads);
+            (product, built.v, built.w)
+        })
     });
     let out = phase("extract", &mut secs.extract, || {
-        let heavy = product.map_or_else(Vec::new, |(a, b, product)| heavy_rows(&product, &a, &b));
-        // Nothing from the light steps or the guard: the heavy rows are the
-        // answer, already sorted and distinct.
+        let heavy = product.map_or_else(Vec::new, |(product, v, w)| heavy_rows(&product, &v, &w));
+        // Nothing from the light steps: the heavy rows are the answer,
+        // already sorted and distinct.
         if acc.is_empty() {
             return heavy;
         }
@@ -174,59 +183,40 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     (out, stats)
 }
 
-/// Algorithm 3 for a semi-join-reduced star: line 2, then the cheapest of
-/// everything-heavy (`Δ1 = Δ2 = 0`, priced from the degree counts alone)
-/// and a geometric grid of `Δ = Δ1 = Δ2` candidates (the boundary regime of
-/// §3.1 case 2). Each candidate costs `O(k·(N + |dom(y)|))` to price. The
-/// record's heavy core `(rows of V, heavy y columns, rows of W)` carries
-/// upper bounds on the row counts from the degree counts (the run reports
-/// the interned ones), and no kernel when no matrix would be built (an empty
-/// core, or one over the memory cap).
+/// Algorithm 3 for a semi-join-reduced star, as the two-path runs it for an
+/// existence query: line 2 on the star's exact full join, then
+/// everything-heavy (`Δ1 = Δ2 = 0`) if that core fits the memory cap, and
+/// expansion if it does not. The record's heavy core `(rows of V, heavy y
+/// columns, rows of W)` carries upper bounds on the row counts (the run
+/// reports the exact ones). A forced `delta_override` is recorded unpriced,
+/// like a forced two-path; the run fills in the rest.
 fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
+    if let Some((delta1, delta2)) = config.delta_override {
+        return PlanStats::partitioned(delta1, delta2);
+    }
     let n = relations.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
     let full_join = full_join_count(relations);
     let estimated_out = estimate_star_output(relations, full_join, n);
-    let plan = |partition: Option<(u32, u32, Priced)>| {
-        let mut stats = match partition {
-            None => PlanStats::wcoj(),
-            Some((delta1, delta2, priced)) => PlanStats {
-                heavy_dims: Some(priced.dims),
-                heavy_core_matrix: Some(priced.kernel.is_some()),
-                heavy_backend: priced.kernel,
-                predicted_light_secs: Some(priced.light),
-                predicted_heavy_secs: Some(priced.heavy),
-                ..PlanStats::partitioned(delta1, delta2)
-            },
-        };
-        stats.full_join = Some(full_join);
-        stats.estimated_out = Some(estimated_out);
-        stats
-    };
-    if let Some((delta1, delta2)) = config.delta_override {
-        let priced = price(relations, delta1, delta2, estimated_out, config);
-        return plan(Some((delta1, delta2, priced)));
-    }
     // Line 2, star flavour: join already output-like.
-    if full_join as f64 <= config.fallback_factor(false) * n as f64 {
-        return plan(None);
-    }
-    let max_deg = relations
-        .iter()
-        .flat_map(|r| r.by_y().iter_nonempty().map(|(_, l)| l.len()))
-        .max()
-        .unwrap_or(1) as u32;
-    // Everything-heavy first: it wins ties.
-    let mut best = (0u32, price(relations, 0, 0, estimated_out, config));
-    let mut delta = 1u32;
-    while delta <= max_deg.saturating_mul(2) {
-        let priced = price(relations, delta, delta, estimated_out, config);
-        if priced.total() < best.1.total() {
-            best = (delta, priced);
-        }
-        delta = delta.saturating_mul(2);
-    }
-    let (delta, priced) = best;
-    plan(Some((delta, delta, priced)))
+    let all_heavy = if full_join as f64 <= config.fallback_factor(false) * n as f64 {
+        None
+    } else {
+        price_all_heavy(relations, estimated_out, config)
+    };
+    let mut stats = match all_heavy {
+        None => PlanStats::wcoj(),
+        Some((dims, heavy, kernel)) => PlanStats {
+            heavy_dims: Some(dims),
+            heavy_core_matrix: Some(true),
+            heavy_backend: Some(kernel),
+            predicted_light_secs: Some(0.0),
+            predicted_heavy_secs: Some(heavy),
+            ..PlanStats::partitioned(0, 0)
+        },
+    };
+    stats.full_join = Some(full_join);
+    stats.estimated_out = Some(estimated_out);
+    stats
 }
 
 /// `|OUT|` of a star, as §5 estimates a two-path's: the geometric mean of
@@ -243,110 +233,37 @@ fn estimate_star_output(relations: &[Relation], full_join: u64, n: u64) -> u64 {
     (lower * upper).sqrt().round() as u64
 }
 
-/// One priced `(Δ1, Δ2)`.
-#[derive(Debug, Clone, Copy)]
-struct Priced {
-    light: f64,
-    heavy: f64,
-    dims: (usize, usize, usize),
-    kernel: Option<&'static str>,
-}
-
-impl Priced {
-    fn total(&self) -> f64 {
-        self.light + self.heavy
-    }
-}
-
-/// A light-step or fallback witness costs far more than one dense insert:
-/// leapfrog advancement, the product odometer and the accumulator's
-/// amortised sort add up to roughly an order of magnitude over `TI`.
-const WITNESS_FACTOR: f64 = 12.0;
-
-/// Predicted work at `(Δ1, Δ2)`: the exact sizes of the `2k`
-/// light-substituted joins of steps 1–2, and step 3 priced as the two-path
-/// prices its heavy core ([`heavy_core_cost`]: product, operand fill,
-/// allocation, scan, emit) plus one insert per cell for numbering the
-/// half-tuples. A core that is over the memory cap is priced as the
-/// enumeration that replaces it.
-fn price(
+/// The everything-heavy core priced from the degree counts, as the two-path
+/// prices its heavy core ([`heavy_core_cost`]): every `y` the legs share is a
+/// column, `V`'s set cells are the grouped full join `Σ_y Π_{i ≤ ⌈k/2⌉}
+/// deg_i(y)` and its rows at most that many and at most the product of the
+/// group's head domains; `W` likewise. `None` when that core is over the
+/// cap.
+fn price_all_heavy(
     relations: &[Relation],
-    delta1: u32,
-    delta2: u32,
     estimated_out: u64,
     config: &JoinConfig,
-) -> Priced {
-    let k = relations.len();
-    let split = k.div_ceil(2);
-    let consts = config.cost_model.constants;
+) -> Option<((usize, usize, usize), f64, &'static str)> {
+    let (group_v, group_w) = relations.split_at(relations.len().div_ceil(2));
     let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
-    let (mut light_join, mut heavy_join) = (0f64, 0f64);
-    let (mut nnz_a, mut nnz_b, mut cols) = (0f64, 0f64, 0usize);
-    // Per relation under one y: degree and heavy-head degree.
-    let (mut degs, mut heavy_degs) = (vec![0f64; k], vec![0f64; k]);
+    let (mut nnz_v, mut nnz_w, mut cols) = (0f64, 0f64, 0usize);
     for y in 0..ydom as Value {
-        for (i, r) in relations.iter().enumerate() {
-            let xs = r.xs_of(y);
-            degs[i] = xs.len() as f64;
-            heavy_degs[i] = if delta2 == 0 {
-                degs[i]
-            } else {
-                xs.iter()
-                    .filter(|&&x| r.x_degree(x) > delta2 as usize)
-                    .count() as f64
-            };
-        }
-        if degs.contains(&0.0) {
-            continue;
-        }
-        let product: f64 = degs.iter().product();
-        for j in 0..k {
-            // Step 1: the R⁻j-substituted join.
-            light_join += product / degs[j] * (degs[j] - heavy_degs[j]);
-            // Step 2: the R⋄j one — y must be light in all i ≠ j.
-            if (0..k).all(|i| i == j || degs[i] <= delta1 as f64) {
-                light_join += product;
-            }
-        }
-        // Step 3: y heavy in ≥ 2 relations, under a heavy head in each.
-        if degs.iter().filter(|&&d| d > delta1 as f64).count() >= 2 && !heavy_degs.contains(&0.0) {
+        let cells = |group: &[Relation]| group.iter().map(|r| r.y_degree(y) as f64).product();
+        let (v, w): (f64, f64) = (cells(group_v), cells(group_w));
+        if v * w > 0.0 {
             cols += 1;
-            let (a, b) = heavy_degs.split_at(split);
-            nnz_a += a.iter().product::<f64>();
-            nnz_b += b.iter().product::<f64>();
-            heavy_join += heavy_degs.iter().product::<f64>();
+            nnz_v += v;
+            nnz_w += w;
         }
     }
-    // Rows are distinct half-tuples: no more than the cells, nor than the
-    // head domains allow.
     let rows = |nnz: f64, group: &[Relation]| {
         let domains: f64 = group.iter().map(|r| r.active_x_count() as f64).product();
         nnz.min(domains) as usize
     };
-    let dims = (
-        rows(nnz_a, &relations[..split]),
-        cols,
-        rows(nnz_b, &relations[split..]),
-    );
+    let dims = (rows(nnz_v, group_v), cols, rows(nnz_w, group_w));
     let boolean = config.heavy_backend.is_boolean(false);
-    let matrix = heavy_core_cost(config, boolean, dims, nnz_a, nnz_b, estimated_out as f64);
-    let (heavy, kernel) = match matrix {
-        Some((cost, kernel)) => (cost + consts.t_insert * (nnz_a + nnz_b), Some(kernel)),
-        None => (consts.t_insert * WITNESS_FACTOR * heavy_join, None),
-    };
-    // The 2k substitutes are each built from one relation's tuples.
-    let tuples: usize = relations.iter().map(|r| r.len()).sum();
-    let substitutes = if (delta1, delta2) == (0, 0) {
-        0.0
-    } else {
-        consts.t_insert * 2.0 * tuples as f64
-    };
-    Priced {
-        light: consts.t_insert * WITNESS_FACTOR * light_join + substitutes,
-        heavy,
-        dims,
-        kernel,
-    }
+    heavy_core_cost(config, boolean, dims, nnz_v, nnz_w, estimated_out as f64)
+        .map(|(heavy, kernel)| (dims, heavy, kernel))
 }
 
 /// Builds the `R⁻j` substitute: tuples with a light head.
@@ -370,337 +287,216 @@ fn build_diamond(relations: &[Relation], j: usize, delta1: u32) -> Relation {
     Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
 }
 
-/// Steps 1–2: for each `j`, join with `R⁻j` (light heads) and `R⋄j`
-/// (`y` light everywhere else) substituted. The `2k` substituted group
-/// joins are independent, so with parallelism they run as executor tasks
-/// each collecting into a private buffer, merged in job order.
-fn light_steps(
-    relations: &[Relation],
-    delta1: u32,
-    delta2: u32,
-    config: &JoinConfig,
-    acc: &mut ProjectionAccumulator,
-) {
-    let k = relations.len();
-    let substitute = |t: usize| {
-        if t.is_multiple_of(2) {
-            build_minus(relations, t / 2, delta2)
-        } else {
-            build_diamond(relations, t / 2, delta1)
-        }
-    };
-    let threads = config.effective_threads();
-    if threads <= 1 {
-        for t in 0..2 * k {
-            join_substituted(relations, t / 2, &substitute(t), |tuple| acc.push(tuple));
-        }
-        return;
-    }
-    // The executor tasks can't share the accumulator.
-    let flats = config.exec().map(threads, 2 * k, |t| {
-        let mut flat: Vec<Value> = Vec::new();
-        join_substituted(relations, t / 2, &substitute(t), |tuple| {
-            flat.extend_from_slice(tuple)
-        });
-        flat
-    });
-    for flat in flats {
-        for tuple in flat.chunks_exact(k) {
-            acc.push(tuple);
+/// Steps 1–2, serially into `acc`: for each `j`, the star join with `R⁻j`
+/// (light heads) and then `R⋄j` (`y` light everywhere else) substituted.
+/// Only a forced partition has light steps.
+fn light_steps(relations: &[Relation], delta1: u32, delta2: u32, acc: &mut ProjectionAccumulator) {
+    for j in 0..relations.len() {
+        let substitutes = [
+            build_minus(relations, j, delta2),
+            build_diamond(relations, j, delta1),
+        ];
+        for substitute in substitutes.iter().filter(|s| !s.is_empty()) {
+            let mut working: Vec<&Relation> = relations.iter().collect();
+            working[j] = substitute;
+            star_full_join_for_each(&working, |_, tuple| acc.push(tuple));
         }
     }
 }
 
-/// The full star join with `substitute` in place of relation `j`.
-fn join_substituted(
-    relations: &[Relation],
-    j: usize,
-    substitute: &Relation,
-    mut f: impl FnMut(&[Value]),
-) {
-    if substitute.is_empty() {
-        return;
-    }
-    let mut working: Vec<&Relation> = relations.iter().collect();
-    working[j] = substitute;
-    star_full_join_for_each(&working, |_, tuple| f(tuple));
-}
-
-/// Step 3's partition: the heavy `y` columns and, per relation, the
-/// heavy-head sublist under each of them — computed once.
-struct HeavyCore {
-    /// Heavy columns: `y` heavier than `Δ1` in ≥ 2 relations and under a
-    /// heavy head in every relation (any other column is all zero).
+/// Step 3's partition, as bits: the heavy `y` columns — heavier than `Δ1`
+/// in ≥ 2 legs and under a heavy head in every leg (any other column is all
+/// zero) — and each leg's share of them.
+struct HeavyCols {
     cols: usize,
-    /// One per relation.
-    lists: Vec<HeavyLists>,
+    legs: Vec<HeavyLeg>,
 }
 
-/// The heads heavier than `Δ2` of one relation under each heavy column, in
-/// CSR form; a column's heads ascend.
-struct HeavyLists {
-    offsets: Vec<usize>,
+/// One leg's heads heavier than `Δ2` that reach a heavy column, ascending,
+/// and the two bit matrices the half-tuples are grown from.
+struct HeavyLeg {
     heads: Vec<Value>,
+    /// `heads × columns`: the heavy columns each head reaches.
+    reach: BitMatrix,
+    /// `columns × heads`: the heads under each heavy column.
+    under: BitMatrix,
 }
 
-impl HeavyLists {
-    fn of(&self, col: usize) -> &[Value] {
-        &self.heads[self.offsets[col]..self.offsets[col + 1]]
-    }
-}
-
-impl HeavyCore {
+impl HeavyCols {
     fn partition(relations: &[Relation], delta1: u32, delta2: u32) -> Self {
+        let heavy_head = |r: &Relation, x: Value| r.x_degree(x) > delta2 as usize;
         let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
-        let mut lists: Vec<HeavyLists> = relations
-            .iter()
-            .map(|_| HeavyLists {
-                offsets: vec![0],
-                heads: Vec::new(),
-            })
-            .collect();
-        let mut cols = 0;
+        let (mut col_of, mut ys) = (vec![-1i32; ydom], Vec::new());
         for y in 0..ydom as Value {
             let heavy_in = relations
                 .iter()
                 .filter(|r| r.y_degree(y) > delta1 as usize)
                 .count();
-            if heavy_in < 2 {
-                continue;
+            if heavy_in >= 2
+                && relations
+                    .iter()
+                    .all(|r| r.xs_of(y).iter().any(|&x| heavy_head(r, x)))
+            {
+                col_of[y as usize] = ys.len() as i32;
+                ys.push(y);
             }
-            for (r, l) in relations.iter().zip(&mut lists) {
-                let heads = r.xs_of(y).iter();
-                l.heads
-                    .extend(heads.filter(|&&x| r.x_degree(x) > delta2 as usize));
-            }
-            let empty = lists.iter().any(|l| l.heads.len() == l.offsets[cols]);
-            for l in &mut lists {
-                if empty {
-                    l.heads.truncate(l.offsets[cols]);
-                } else {
-                    l.offsets.push(l.heads.len());
+        }
+        let cols = ys.len();
+        // Monotone maps over ascending CSR rows: `from_adjacency` fills each
+        // matrix a word at a time, as `HeavyIndex` fills the two-path's.
+        let legs = relations
+            .iter()
+            .map(|r| {
+                let reaches = |ys_x: &[Value]| {
+                    ys_x.iter()
+                        .any(|&y| col_of.get(y as usize).is_some_and(|&c| c >= 0))
+                };
+                let heads: Vec<Value> = r
+                    .by_x()
+                    .iter_nonempty()
+                    .filter(|&(x, ys_x)| heavy_head(r, x) && reaches(ys_x))
+                    .map(|(x, _)| x)
+                    .collect();
+                let mut row_of = vec![-1i32; r.x_domain()];
+                for (i, &x) in heads.iter().enumerate() {
+                    row_of[x as usize] = i as i32;
                 }
-            }
-            cols += usize::from(!empty);
-        }
-        Self { cols, lists }
+                HeavyLeg {
+                    reach: BitMatrix::from_adjacency(heads.len(), cols, &col_of, |i| {
+                        r.ys_of(heads[i])
+                    }),
+                    under: BitMatrix::from_adjacency(cols, heads.len(), &row_of, |c| {
+                        r.xs_of(ys[c])
+                    }),
+                    heads,
+                }
+            })
+            .collect();
+        Self { cols, legs }
     }
 
-    /// The heavy output by cross products per heavy column, duplicates
-    /// included — what runs when no matrix is built.
-    fn enumerate(&self, f: &mut impl FnMut(&[Value])) {
-        for col in 0..self.cols {
-            let lists: Vec<&[Value]> = self.lists.iter().map(|l| l.of(col)).collect();
-            cross_product_emit(&lists, f);
-        }
-    }
-
-    /// The operands of `V · Wᵀ` over `lists[..split]` and `lists[split..]`.
-    /// `None` when there is no core, when a group's half-tuples cannot be
-    /// numbered in 64 bits, or when the cells plus the matrices of the
-    /// representation that runs would take more than `4 · cell_cap` bytes.
-    fn build(&self, split: usize, boolean: bool, cell_cap: usize) -> Option<Built> {
+    /// The operands of `V · Wᵀ` over the first `⌈k/2⌉` legs and the rest:
+    /// `W` transposed only for row-OR, or both filled into f32 for SGEMM.
+    /// `None` when there is no heavy column, or when the rows, or the exact
+    /// bytes of the operands and the product in the representation that
+    /// runs, are over `4 · cell_cap`.
+    fn build(&self, boolean: bool, cell_cap: usize) -> Option<Built> {
         if self.cols == 0 {
             return None;
         }
-        let (group_a, group_b) = self.lists.split_at(split);
-        let cells = |group: &[HeavyLists]| {
-            (0..self.cols).fold(0u64, |sum, col| {
-                let product = group
-                    .iter()
-                    .fold(1u64, |p, l| p.saturating_mul(l.of(col).len() as u64));
-                sum.saturating_add(product)
-            })
-        };
-        // Checked before anything sized by the cells is allocated: 24 bytes
-        // a cell (its key, its coordinates) while the half-tuples are
-        // numbered, then the matrices, with a group's cell count standing
-        // in for its (no larger) row count.
-        let (u, v, w) = (cells(group_a), self.cols, cells(group_b));
-        let cap_bytes = 4.0 * cell_cap as f64;
-        let numbering = 24.0 * (u as f64 + w as f64);
-        if numbering > cap_bytes {
-            return None;
-        }
-        let (u, w) = (u as usize, w as usize);
-        let matrices = if boolean {
-            BitProductPlan::choose(u, v, w, u as f64, w as f64).bytes as f64
+        let cap = cell_cap.saturating_mul(4);
+        let (group_v, group_w) = self.legs.split_at(self.legs.len().div_ceil(2));
+        let (v, v_bits) = half_tuples(group_v, self.cols, cap)?;
+        let (w, w_bits) = half_tuples(group_w, self.cols, cap)?;
+        let (m, k, n) = (v.len(), self.cols, w.len());
+        let plan = BitProductPlan::choose(
+            m,
+            k,
+            n,
+            v_bits.count_ones() as f64,
+            w_bits.count_ones() as f64,
+        );
+        let bytes = if boolean {
+            plan.bytes
         } else {
-            let (u, v, w) = (u as f64, v as f64, w as f64);
-            4.0 * (u * v + v * w + u * w)
+            4 * (m * k + k * n + m * n)
         };
-        if numbering + matrices > cap_bytes {
+        if bytes > cap {
             return None;
         }
-        let (a, b) = (intern(group_a, self.cols)?, intern(group_b, self.cols)?);
-        let orientation = BitProductPlan::choose(
-            a.rows(),
-            self.cols,
-            b.rows(),
-            a.cells.len() as f64,
-            b.cells.len() as f64,
-        )
-        .orientation;
-        // Both kinds are filled from the same cells; `W` is stored as the
-        // product reads it: transposed, except for AND-any.
-        let (v_cells, w_cells) = (a.cells.iter().copied(), b.cells.iter().copied());
-        let wt_cells = b.cells.iter().map(|&(row, col)| (col, row));
-        let (u, v, w) = (a.rows(), self.cols, b.rows());
         let operands = if boolean {
-            let m2 = match orientation {
-                Orientation::RowOr => bit_matrix(v, w, wt_cells),
-                Orientation::AndAny => bit_matrix(w, v, w_cells),
+            let right = match plan.orientation {
+                Orientation::RowOr => w_bits.transposed(),
+                Orientation::AndAny => w_bits,
             };
-            Operands::Bit(bit_matrix(u, v, v_cells), m2)
+            Operands::Bit(v_bits, right)
         } else {
-            Operands::F32(f32_matrix(u, v, v_cells), f32_matrix(v, w, wt_cells))
+            let cell = |bits: &BitMatrix, i, j| f32::from(u8::from(bits.get(i, j)));
+            Operands::F32(
+                DenseMatrix::from_fn(m, k, |i, c| cell(&v_bits, i, c)),
+                DenseMatrix::from_fn(k, n, |c, j| cell(&w_bits, j, c)),
+            )
         };
         Some(Built {
-            a,
-            b,
+            v,
+            w,
             operands,
-            orientation,
+            orientation: plan.orientation,
         })
     }
 }
 
-fn bit_matrix(rows: usize, cols: usize, cells: impl Iterator<Item = (usize, usize)>) -> BitMatrix {
-    let mut m = BitMatrix::zeros(rows, cols);
-    cells.for_each(|(i, j)| m.set(i, j));
-    m
-}
-
-fn f32_matrix(
-    rows: usize,
-    cols: usize,
-    cells: impl Iterator<Item = (usize, usize)>,
-) -> DenseMatrix {
-    let mut m = DenseMatrix::zeros(rows, cols);
-    cells.for_each(|(i, j)| m.set(i, j, 1.0));
-    m
+/// The rows of one operand of `V · Wᵀ`: the distinct half-tuples over
+/// `group` whose heads share a heavy column, in ascending lexicographic
+/// order, and the columns each one's heads all reach. Grown one leg at a
+/// time from the empty prefix, which reaches every column: a prefix's
+/// candidates are the leg's heads under any column it reaches (those
+/// columns' masks OR-ed), and a candidate's row AND-ed with the prefix's is
+/// the longer half-tuple's — never empty, as the candidate sits under one of
+/// the prefix's columns. Prefixes are taken in order and candidates ascend,
+/// so the rows ascend. `None` once a leg's rows take more than `budget`
+/// bytes.
+fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRows, BitMatrix)> {
+    let stride = cols.div_ceil(64);
+    let mut words = vec![!0u64; stride];
+    words[stride - 1] >>= (64 - cols % 64) % 64;
+    let mut rows = FlatRows::default();
+    for leg in group {
+        let mut next = FlatRows {
+            arity: rows.arity + 1,
+            values: Vec::new(),
+        };
+        let mut next_words = Vec::new();
+        let mut candidates = vec![0u64; leg.heads.len().div_ceil(64)];
+        for (p, prefix) in words.chunks_exact(stride).enumerate() {
+            candidates.fill(0);
+            for c in ones(prefix) {
+                let mask = leg.under.row_words(c);
+                candidates.iter_mut().zip(mask).for_each(|(to, m)| *to |= m);
+            }
+            for h in ones(&candidates) {
+                next.values.extend_from_slice(rows.row(p));
+                next.values.push(leg.heads[h]);
+                let reach = leg.reach.row_words(h);
+                next_words.extend(prefix.iter().zip(reach).map(|(a, b)| a & b));
+            }
+            if 8 * next_words.len() > budget {
+                return None;
+            }
+        }
+        (rows, words) = (next, next_words);
+    }
+    let bits = BitMatrix::from_words(rows.len(), cols, words);
+    Some((rows, bits))
 }
 
 /// What the build phase hands to the product and the extraction.
 struct Built {
-    a: Side,
-    b: Side,
+    /// The half-tuples of `V`'s rows, in order.
+    v: FlatRows,
+    /// The half-tuples of `W`'s rows, in order.
+    w: FlatRows,
     operands: Operands,
     /// How a Boolean product runs (unread by SGEMM).
     orientation: Orientation,
 }
 
-/// One operand's worth of the heavy core: the distinct half-tuples of a
-/// group of relations in ascending lexicographic order — the operand's
-/// rows — and the cells they occupy.
-struct Side {
-    /// Relations in the group: values per half-tuple.
-    arity: usize,
-    /// The half-tuples, row after row.
-    tuples: Vec<Value>,
-    /// `(row, heavy column)` of every set cell, each once, row-major.
-    cells: Vec<(usize, usize)>,
-}
-
-impl Side {
-    fn rows(&self) -> usize {
-        self.tuples.len() / self.arity
-    }
-
-    fn tuple(&self, row: usize) -> &[Value] {
-        &self.tuples[row * self.arity..(row + 1) * self.arity]
-    }
-}
-
-/// Numbers the distinct half-tuples of `group` in ascending lexicographic
-/// order without hashing: every head becomes its rank among its relation's
-/// distinct heavy heads, a cell becomes the integer `rank₁ ‖ … ‖ rank_g ‖
-/// column` (bit fields, most significant first), and sorting those integers
-/// puts the cells row-major with equal half-tuples adjacent. `None` when
-/// the fields do not fit 64 bits.
-fn intern(group: &[HeavyLists], cols: usize) -> Option<Side> {
-    let bits_for = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
-    // Per relation: distinct heavy heads ascending, `head → rank` by direct
-    // address, and the width of a rank.
-    let ranked: Vec<(Vec<Value>, Vec<u32>, u32)> = group
-        .iter()
-        .map(|l| {
-            let domain = l.heads.iter().max().map_or(0, |&x| x as usize + 1);
-            let mut rank_of = vec![u32::MAX; domain];
-            for &x in &l.heads {
-                rank_of[x as usize] = 0;
-            }
-            let mut distinct = Vec::new();
-            for (x, rank) in rank_of.iter_mut().enumerate() {
-                if *rank == 0 {
-                    *rank = distinct.len() as u32;
-                    distinct.push(x as Value);
-                }
-            }
-            let bits = bits_for(distinct.len());
-            (distinct, rank_of, bits)
-        })
-        .collect();
-    let col_bits = bits_for(cols);
-    if ranked.iter().map(|r| r.2).sum::<u32>() + col_bits > u64::BITS {
-        return None;
-    }
-
-    // Column by column the odometer runs the first relation slowest, so a
-    // column's keys ascend: the sort below merges `cols` sorted runs.
-    let mut keys: Vec<u64> = Vec::new();
-    let (mut prefixes, mut next) = (Vec::new(), Vec::new());
-    for col in 0..cols {
-        prefixes.clear();
-        prefixes.push(0u64);
-        for (l, (_, rank_of, bits)) in group.iter().zip(&ranked) {
-            next.clear();
-            for &p in &prefixes {
-                let ranks = l.of(col).iter().map(|&x| rank_of[x as usize] as u64);
-                next.extend(ranks.map(|rank| p << bits | rank));
-            }
-            std::mem::swap(&mut prefixes, &mut next);
-        }
-        keys.extend(prefixes.iter().map(|&p| p << col_bits | col as u64));
-    }
-    keys.sort();
-
-    let arity = group.len();
-    let (mut tuples, mut cells) = (Vec::new(), Vec::with_capacity(keys.len()));
-    let mut last = None;
-    for &key in &keys {
-        let (mut half, col) = (key >> col_bits, key & ((1 << col_bits) - 1));
-        if last != Some(half) {
-            last = Some(half);
-            // A new row: decode the ranks back into heads.
-            let at = tuples.len();
-            tuples.resize(at + arity, 0);
-            for (slot, (distinct, _, bits)) in tuples[at..].iter_mut().zip(&ranked).rev() {
-                *slot = distinct[(half & ((1 << bits) - 1)) as usize];
-                half >>= bits;
-            }
-        }
-        cells.push((tuples.len() / arity - 1, col as usize));
-    }
-    Some(Side {
-        arity,
-        tuples,
-        cells,
-    })
-}
-
 /// The heavy output from the product's set cells, row-major: ascending
 /// half-tuples on both sides, so sorted and distinct — one flat buffer.
-fn heavy_rows(product: &Product, a: &Side, b: &Side) -> Vec<Value> {
+fn heavy_rows(product: &Product, v: &FlatRows, w: &FlatRows) -> Vec<Value> {
     let rows = match product {
         Product::Bit(c) => c.count_ones(),
         Product::F32(c) => c.entries_at_least(0.5).count(),
     };
-    let mut flat = vec![0 as Value; rows * (a.arity + b.arity)];
-    let mut slots = flat.chunks_exact_mut(a.arity + b.arity);
+    let arity = v.arity + w.arity;
+    let mut flat = vec![0 as Value; rows * arity];
+    let mut slots = flat.chunks_exact_mut(arity);
     // Value by value: a row is a handful of them, too short for memcpy.
     let mut emit = |i: usize, j: usize| {
         let slot = slots.next().expect("one slot per set cell");
-        let values = a.tuple(i).iter().chain(b.tuple(j));
+        let values = v.values[i * v.arity..(i + 1) * v.arity]
+            .iter()
+            .chain(&w.values[j * w.arity..(j + 1) * w.arity]);
         slot.iter_mut()
             .zip(values)
             .for_each(|(to, &from)| *to = from);
@@ -710,34 +506,6 @@ fn heavy_rows(product: &Product, a: &Side, b: &Side) -> Vec<Value> {
         Product::F32(c) => c.entries_at_least(0.5).for_each(|(i, j, _)| emit(i, j)),
     }
     flat
-}
-
-/// Emits every tuple of the Cartesian product of `lists` via an odometer.
-fn cross_product_emit(lists: &[&[Value]], f: &mut impl FnMut(&[Value])) {
-    let k = lists.len();
-    if lists.iter().any(|l| l.is_empty()) {
-        return;
-    }
-    let mut idx = vec![0usize; k];
-    let mut tuple = vec![0 as Value; k];
-    'outer: loop {
-        for i in 0..k {
-            tuple[i] = lists[i][idx[i]];
-        }
-        f(&tuple);
-        let mut d = k;
-        loop {
-            if d == 0 {
-                break 'outer;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < lists[d].len() {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -863,28 +631,24 @@ mod tests {
         assert!(star_join_project_mm(&disjoint, &config).is_empty());
     }
 
-    /// Half-tuples are numbered in lexicographic order whatever order the
-    /// columns list them in, and every cell is kept once.
+    /// The half-tuples come out in lexicographic order whatever order the
+    /// columns list their heads in, each once, with every column its heads
+    /// share.
     #[test]
-    fn interning_numbers_half_tuples_in_ascending_order() {
-        let lists = |columns: &[&[Value]]| HeavyLists {
-            offsets: columns
-                .iter()
-                .scan(0, |end, c| {
-                    *end += c.len();
-                    Some(*end)
-                })
-                .fold(vec![0], |mut offsets, end| {
-                    offsets.push(end);
-                    offsets
-                }),
-            heads: columns.concat(),
-        };
-        // Two columns; the second repeats (9, 4) and adds smaller tuples.
-        let group = [lists(&[&[9, 70], &[2, 9]]), lists(&[&[4], &[1, 4]])];
-        let side = intern(&group, 2).unwrap();
-        assert_eq!(side.tuples, [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
-        assert_eq!(side.cells, [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]);
+    fn half_tuples_grow_in_ascending_order() {
+        // Columns 0 and 1; the second repeats (9, 4) and adds smaller tuples.
+        let first = rel(&[(9, 0), (70, 0), (2, 1), (9, 1)]);
+        let second = rel(&[(4, 0), (1, 1), (4, 1)]);
+        let core = HeavyCols::partition(&[first, second], 0, 0);
+        assert_eq!(core.cols, 2);
+        let (rows, bits) = half_tuples(&core.legs, core.cols, usize::MAX).unwrap();
+        assert_eq!(rows.values, [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
+        assert_eq!(
+            bits.iter_ones().collect::<Vec<_>>(),
+            [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]
+        );
+        // Five rows of one word each do not fit 39 bytes.
+        assert!(half_tuples(&core.legs, core.cols, 39).is_none());
     }
 
     #[test]

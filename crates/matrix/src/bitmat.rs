@@ -187,6 +187,30 @@ impl BitMatrix {
         m
     }
 
+    /// A `rows × cols` matrix over `words`: row after row, `⌈cols/64⌉`
+    /// words each, the padding bits zero.
+    ///
+    /// # Panics
+    /// Panics if `words` is not `rows · ⌈cols/64⌉` long.
+    pub fn from_words(rows: usize, cols: usize, words: Vec<u64>) -> Self {
+        let stride = BitRows::new(rows, cols, &words).stride;
+        Self {
+            rows,
+            cols,
+            stride,
+            words,
+        }
+    }
+
+    /// The transpose, `cols × rows`.
+    pub fn transposed(&self) -> Self {
+        let mut t = Self::zeros(self.cols, self.rows);
+        for (i, j) in self.iter_ones() {
+            t.set(j, i);
+        }
+        t
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -266,12 +290,7 @@ impl BitMatrix {
 
     /// Iterator over set bit coordinates `(row, col)`, row-major.
     pub fn iter_ones(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.rows).flat_map(move |i| {
-            self.row_words(i)
-                .iter()
-                .enumerate()
-                .flat_map(move |(wk, &w)| BitIter(w).map(move |b| (i, wk * 64 + b)))
-        })
+        (0..self.rows).flat_map(move |i| ones(self.row_words(i)).map(move |j| (i, j)))
     }
 
     /// The set bits as `(row_ids[i], col_ids[j])` pairs, row-major — so
@@ -377,6 +396,13 @@ impl<'a> BitRows<'a> {
     }
 }
 
+/// Positions of the set bits of a row of `words`, ascending: bit `b` of
+/// word `wk` is `64 · wk + b`.
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let bits = |(wk, &w): (usize, &u64)| BitIter(w).map(move |b| wk * 64 + b);
+    words.iter().enumerate().flat_map(bits)
+}
+
 /// Iterates set-bit positions of one word.
 struct BitIter(u64);
 
@@ -438,14 +464,6 @@ mod tests {
             }
         }
         m
-    }
-
-    fn transposed(m: &BitMatrix) -> BitMatrix {
-        let mut t = BitMatrix::zeros(m.cols(), m.rows());
-        for (i, j) in m.iter_ones() {
-            t.set(j, i);
-        }
-        t
     }
 
     /// The product one bit at a time.
@@ -566,7 +584,7 @@ mod tests {
                 let a = random(&mut rng, m, k, density);
                 let b = random(&mut rng, k, n, density);
                 let want = per_bit(&a, &b);
-                let bt = transposed(&b);
+                let bt = b.transposed();
                 assert_eq!(
                     a.product(&b, Orientation::RowOr),
                     want,
@@ -637,7 +655,7 @@ mod tests {
                 want.iter_ones().collect::<Vec<_>>(),
                 [(0, 0), (1, 1), (3, 0), (3, 1), (3, 2)]
             );
-            let bt = transposed(&b);
+            let bt = b.transposed();
             assert_eq!(
                 a.view().product(b.view(), Orientation::RowOr),
                 want,
@@ -669,7 +687,7 @@ mod tests {
                     }
                 }
             }
-            let bt = transposed(&b);
+            let bt = b.transposed();
             let foreign: Vec<u64> = (0..6).flat_map(|i| a.row_words(i).to_vec()).collect();
             let a_view = BitRows::new(6, ka, &foreign);
             assert_eq!(a_view.product(b.view(), Orientation::RowOr), want);

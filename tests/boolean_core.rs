@@ -9,10 +9,11 @@
 //! compared with is not.
 //!
 //! The star section does the same for the grouped-variable core of §3.2 —
-//! same kernels, fed by one interning routine — and for how a star's rows
-//! leave the engine: one flat buffer through `emit_flat`, in order.
+//! same kernels, fed by the same AND-ed half-tuple rows — and for how a
+//! star's rows leave the engine: one flat buffer through `emit_flat`, in
+//! order.
 
-use mmjoin_api::{emit_flat, Engine, ForEachSink, LimitSink, Query, Sink, VecSink};
+use mmjoin_api::{emit_flat, Engine, ForEachSink, LimitSink, PlanKind, Query, Sink, VecSink};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{
     star_join_project_mm_with_stats, two_path_join_project_with_stats, HeavyBackend, JoinConfig,
@@ -193,7 +194,7 @@ fn assert_star_cores_agree(rels: &[Relation], deltas: (u32, u32)) -> Option<&'st
         return None;
     }
     let (bit_stats, f32_stats) = (bit_stats.unwrap(), f32_stats.unwrap());
-    // One interning routine feeds both kinds of operand: same shape, same
+    // The same half-tuple rows feed both kinds of operand: same shape, same
     // verdict on whether a matrix ran — except that nothing fits a zero cap.
     assert_eq!(bit_stats.heavy_dims, f32_stats.heavy_dims);
     assert_eq!(bit_stats.heavy_core_matrix, f32_stats.heavy_core_matrix);
@@ -231,8 +232,8 @@ fn star_cores_agree_for_three_to_five_relations() {
     );
 }
 
-/// A star's rows do not depend on the thread count: the light steps fan out
-/// over the executor, the heavy core does not.
+/// A star's rows do not depend on the thread count: the light steps and
+/// the Boolean core run on the calling thread whatever the budget.
 #[test]
 fn star_is_identical_at_every_thread_count() {
     let rels = coin_star(3, 20, 60, 4, 31);
@@ -249,6 +250,32 @@ fn star_is_identical_at_every_thread_count() {
             let (rows, _) = star_join_project_mm_with_stats(&rels, &config);
             assert_eq!(rows, serial, "{deltas:?} threads={threads}");
         }
+    }
+}
+
+/// The cap counts the exact bytes of `V`, `W` and the product, not the
+/// grouped full join: 40 sets a leg over 200 shared elements put all 200
+/// columns under each of `V`'s 1560 rows (312 000 set cells), so a 2 MB
+/// budget holds even the f32 core (1.5 MB), though not 24 bytes a cell.
+#[test]
+fn a_dense_star_multiplies_within_its_exact_bytes() {
+    let rels: Vec<Relation> = [40u32, 39, 38]
+        .into_iter()
+        .map(|sets| Relation::from_edges((0..sets).flat_map(|x| (0..200).map(move |y| (x, y)))))
+        .collect();
+    let expected = star_join_project(&rels);
+    for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+        let config = JoinConfig {
+            heavy_backend: backend,
+            matrix_cell_cap: 500_000,
+            ..JoinConfig::default()
+        };
+        let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+        assert_eq!(rows, expected, "{backend:?}");
+        let stats = stats.unwrap();
+        assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
+        assert_eq!(stats.heavy_core_matrix, Some(true), "{backend:?}");
+        assert_eq!(stats.heavy_dims, Some((1560, 200, 38)), "{backend:?}");
     }
 }
 
@@ -374,7 +401,8 @@ proptest! {
     }
 
     /// Whatever the star planner picks by itself, with either kernel priced,
-    /// the answer is the reference's.
+    /// the answer is the reference's — and what it picks is everything
+    /// heavy or expansion, never a mixed partition.
     #[test]
     fn optimizer_chosen_star_plans_agree(
         sets in 2u32..14,
@@ -382,16 +410,27 @@ proptest! {
         keep in 1u32..12,
         seed in any::<u32>(),
     ) {
-        let rels = coin_star(3, sets, elems, keep, seed);
-        let expected = star_join_project(&rels);
-        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-            let config = JoinConfig {
-                heavy_backend: backend,
-                wcoj_fallback_factor: 1.0,
-                ..JoinConfig::default()
-            };
-            let (rows, _) = star_join_project_mm_with_stats(&rels, &config);
-            prop_assert_eq!(&rows, &expected);
+        for k in [3, 4] {
+            let rels = coin_star(k, sets, elems, keep, seed);
+            let expected = star_join_project(&rels);
+            for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
+                let config = JoinConfig {
+                    heavy_backend: backend,
+                    wcoj_fallback_factor: 1.0,
+                    ..JoinConfig::default()
+                };
+                let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+                prop_assert_eq!(&rows, &expected);
+                let plan = stats.unwrap();
+                prop_assert!(
+                    matches!(
+                        (plan.kind, plan.delta1, plan.delta2),
+                        (PlanKind::Wcoj, None, None)
+                            | (PlanKind::MatrixPartitioned, Some(0), Some(0))
+                    ),
+                    "k={} {:?}: {:?}", k, backend, plan
+                );
+            }
         }
     }
 
