@@ -47,6 +47,6 @@ pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;
 pub use sink::{
-    emit_counted_pairs, emit_flat, emit_pairs, CountSink, DeltaSink, FlatRows, ForEachSink,
-    LimitSink, PairSink, Sink, VecSink,
+    emit_counted_pairs, emit_flat, emit_pairs, flatten_pairs, CountSink, DeltaSink, FlatRows,
+    ForEachSink, LimitSink, PairSink, Sink, VecSink,
 };

@@ -4,10 +4,12 @@ use mmjoin_storage::Value;
 
 /// Receives query output rows as the engine produces them.
 ///
-/// Engines call [`Sink::begin`] once with the output arity, then
-/// [`Sink::row`] (or [`Sink::counted_row`] for counting queries) once per
-/// distinct output row. Sinks that ignore counts get the plain row; sinks
-/// that ignore rows entirely (e.g. [`CountSink`]) never allocate.
+/// Engines call [`Sink::begin`] once with the output arity, then hand over
+/// their finished answer whole through [`Sink::take_rows`] (the
+/// `emit_*` functions do both); rows can also arrive one at a time through
+/// [`Sink::row`] (or [`Sink::counted_row`] for counting queries). Sinks
+/// that ignore counts get the plain row; sinks that ignore rows entirely
+/// (e.g. [`CountSink`]) never allocate.
 pub trait Sink {
     /// Called once before the first row with the output arity.
     fn begin(&mut self, arity: usize) {
@@ -34,22 +36,25 @@ pub trait Sink {
         true
     }
 
-    /// Many uncounted rows at once: `flat` holds whole rows of `arity`
-    /// values back to back. Takes them in order until the sink stops
-    /// wanting rows and returns how many it took. The default is the
-    /// per-row loop; [`VecSink`] overrides it with one copy, so a buffer
-    /// handed to [`emit_flat`] reaches it without a call or an allocation
-    /// per row.
-    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
-        let mut rows = 0;
-        for row in flat.chunks_exact(arity) {
+    /// A finished answer handed over whole: `rows`, and — for a counted
+    /// answer — one witness count per row in `counts` (empty otherwise).
+    /// Takes rows in order until the sink stops wanting them and returns how
+    /// many it took. The default is the per-row loop, for sinks that keep
+    /// nothing; a sink that stores rows ([`VecSink`]) keeps the buffers
+    /// themselves, so the engine's write is the answer's only one.
+    fn take_rows(&mut self, rows: FlatRows, counts: Vec<u32>) -> u64 {
+        let mut taken = 0;
+        for (i, row) in rows.iter().enumerate() {
             if !self.wants_more() {
                 break;
             }
-            self.row(row);
-            rows += 1;
+            match counts.get(i) {
+                Some(&count) => self.counted_row(row, count),
+                None => self.row(row),
+            }
+            taken += 1;
         }
-        rows
+        taken
     }
 }
 
@@ -127,7 +132,10 @@ impl Sink for VecSink {
     }
 
     fn row(&mut self, row: &[Value]) {
-        self.flat_rows(row.len(), row);
+        self.rows.values.extend_from_slice(row);
+        if !self.counts.is_empty() {
+            self.counts.push(0);
+        }
     }
 
     fn counted_row(&mut self, row: &[Value], count: u32) {
@@ -138,12 +146,22 @@ impl Sink for VecSink {
         self.counts.push(count);
     }
 
-    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
-        self.rows.values.extend_from_slice(flat);
-        if !self.counts.is_empty() {
+    fn take_rows(&mut self, rows: FlatRows, counts: Vec<u32>) -> u64 {
+        let taken = rows.len() as u64;
+        if self.rows.values.is_empty() && self.counts.is_empty() {
+            // Nothing stored yet: the handed buffers become the store.
+            (self.rows, self.counts) = (rows, counts);
+            return taken;
+        }
+        let before = self.rows.len();
+        self.rows.values.extend_from_slice(&rows.values);
+        if !counts.is_empty() {
+            self.counts.resize(before, 0);
+            self.counts.extend(counts);
+        } else if !self.counts.is_empty() {
             self.counts.resize(self.rows.len(), 0);
         }
-        (flat.len() / arity) as u64
+        taken
     }
 }
 
@@ -175,6 +193,13 @@ impl Sink for PairSink {
     fn row(&mut self, row: &[Value]) {
         self.pairs.push((row[0], row[1]));
     }
+
+    fn take_rows(&mut self, rows: FlatRows, _counts: Vec<u32>) -> u64 {
+        assert_eq!(rows.arity, 2, "PairSink requires arity-2 output");
+        // One pass at the exact size: the flat values regrouped as pairs.
+        self.pairs.extend(rows.iter().map(|r| (r[0], r[1])));
+        rows.len() as u64
+    }
 }
 
 /// Counts rows without storing them — the "how big is the output" sink.
@@ -202,6 +227,12 @@ impl Sink for CountSink {
         self.rows += 1;
         self.witness_total += count as u64;
     }
+
+    fn take_rows(&mut self, rows: FlatRows, counts: Vec<u32>) -> u64 {
+        self.rows += rows.len() as u64;
+        self.witness_total += counts.iter().map(|&c| c as u64).sum::<u64>();
+        rows.len() as u64
+    }
 }
 
 /// Bounds an inner sink to at most `limit` rows — the `LIMIT` adapter.
@@ -209,9 +240,12 @@ impl Sink for CountSink {
 /// Rows beyond the limit are dropped, and [`Sink::wants_more`] turns
 /// `false` once the quota is reached so cooperative engines stop
 /// *emitting* early. Note the bound applies to the output stream: the
-/// current engines materialise their full result before streaming it,
-/// so a limit saves emission and everything downstream of the sink (row
-/// copies, caching, transport) but not the join computation itself.
+/// current engines materialise their full result before handing it over,
+/// so a limit saves what happens downstream of the sink (caching,
+/// transport) but not the join computation itself. A handed-over buffer
+/// is cut in place — [`Sink::take_rows`] truncates it to the rows that fit
+/// and passes it on — so a limited answer is never copied either; its
+/// buffer keeps the full answer's capacity until its owner shrinks it.
 #[derive(Debug, Clone)]
 pub struct LimitSink<S: Sink> {
     inner: S,
@@ -271,80 +305,89 @@ impl<S: Sink> Sink for LimitSink<S> {
         self.emitted < self.limit && self.inner.wants_more()
     }
 
-    fn flat_rows(&mut self, arity: usize, flat: &[Value]) -> u64 {
+    fn take_rows(&mut self, mut rows: FlatRows, mut counts: Vec<u32>) -> u64 {
         let room = usize::try_from(self.limit - self.emitted).unwrap_or(usize::MAX);
-        let fits = room.min(flat.len() / arity);
-        let taken = self.inner.flat_rows(arity, &flat[..fits * arity]);
+        if rows.len() > room {
+            rows.values.truncate(room * rows.arity);
+            counts.truncate(room);
+        }
+        let taken = self.inner.take_rows(rows, counts);
         self.emitted += taken;
         taken
     }
 }
 
-/// Streams materialised pairs into `sink` (calling [`Sink::begin`] with
-/// arity 2 first), stopping as soon as the sink stops wanting rows.
-/// Returns the number of rows emitted — the shared emission loop every
-/// pair-producing engine uses. The pairs go through [`Sink::flat_rows`] a
-/// stack buffer at a time, so a flat store takes them without a call per
-/// row.
-pub fn emit_pairs(sink: &mut dyn Sink, pairs: &[(Value, Value)]) -> u64 {
-    const CHUNK: usize = 512;
-    sink.begin(2);
-    let mut flat = [0; 2 * CHUNK];
-    let mut rows = 0u64;
-    for chunk in pairs.chunks(CHUNK) {
-        for (cell, &(a, b)) in flat.chunks_exact_mut(2).zip(chunk) {
-            cell.copy_from_slice(&[a, b]);
-        }
-        let taken = sink.flat_rows(2, &flat[..2 * chunk.len()]);
-        rows += taken;
-        if taken < chunk.len() as u64 {
-            break;
-        }
+/// `pairs` as the flat array of their values, `a, b` after `a, b`: the
+/// same allocation, reread as twice as many values — nothing is copied.
+pub fn flatten_pairs(pairs: Vec<(Value, Value)>) -> Vec<Value> {
+    // A pair is two values back to back, `.0` first, with no padding, and
+    // aligned as one value: the layout facts the reinterpretation rests on.
+    const _: () = {
+        assert!(size_of::<(Value, Value)>() == 2 * size_of::<Value>());
+        assert!(align_of::<(Value, Value)>() == align_of::<Value>());
+        assert!(std::mem::offset_of!((Value, Value), 0) == 0);
+        assert!(std::mem::offset_of!((Value, Value), 1) == size_of::<Value>());
+    };
+    if pairs.capacity() == 0 {
+        return Vec::new();
     }
-    rows
+    let mut pairs = std::mem::ManuallyDrop::new(pairs);
+    let (ptr, len, cap) = (pairs.as_mut_ptr(), pairs.len(), pairs.capacity());
+    // SAFETY: `ptr` comes from a `Vec<(Value, Value)>` that is never used or
+    // dropped again (`ManuallyDrop`), so the new `Vec` is the allocation's
+    // only owner. By the asserts above a pair is two initialised values at
+    // offsets 0 and `size_of::<Value>()` with no padding, so the first
+    // `2 * len` values are initialised; the block of `cap` pairs is exactly
+    // `2 * cap` values, and the alignment is the same, so the layout the
+    // allocator is handed back on drop is the one it allocated (`cap > 0`:
+    // the pointer is a real allocation, not `Vec`'s dangling one).
+    unsafe { Vec::from_raw_parts(ptr.cast::<Value>(), 2 * len, 2 * cap) }
 }
 
-/// Streams `(a, b, count)` triples into `sink` (arity 2). With
-/// `counted`, rows go through [`Sink::counted_row`]; otherwise the count
-/// is dropped and plain [`Sink::row`] is used (the unordered-similarity
-/// contract). Stops early when the sink stops wanting rows; returns the
-/// emitted row count.
+/// Hands materialised pairs to `sink` (calling [`Sink::begin`] with arity 2
+/// first) as one flat buffer — the pairs' own allocation, reread by
+/// [`flatten_pairs`] — and returns the number of rows it took. The shared
+/// emission path of every pair-producing engine: a storing sink keeps the
+/// engine's buffer, so the answer is written once.
+pub fn emit_pairs(sink: &mut dyn Sink, pairs: Vec<(Value, Value)>) -> u64 {
+    emit_flat(sink, 2, flatten_pairs(pairs))
+}
+
+/// Hands `(a, b, count)` triples to `sink` (arity 2) as one flat buffer of
+/// pairs and, with `counted`, one of their counts, both filled in one pass
+/// at their exact sizes; without `counted` the counts are dropped (the
+/// unordered-similarity contract). Returns the number of rows the sink took.
 pub fn emit_counted_pairs(
     sink: &mut dyn Sink,
     triples: &[(Value, Value, u32)],
     counted: bool,
 ) -> u64 {
     sink.begin(2);
-    let mut rows = 0u64;
+    let mut values = Vec::with_capacity(2 * triples.len());
+    let mut counts = Vec::with_capacity(if counted { triples.len() } else { 0 });
     for &(a, b, count) in triples {
-        if !sink.wants_more() {
-            break;
-        }
+        values.extend([a, b]);
         if counted {
-            sink.counted_row(&[a, b], count);
-        } else {
-            sink.row(&[a, b]);
+            counts.push(count);
         }
-        rows += 1;
     }
-    rows
+    sink.take_rows(FlatRows { arity: 2, values }, counts)
 }
 
-/// Streams a flat row buffer — `arity` values per row, rows back to back —
-/// into `sink`, stopping early when the sink stops wanting rows; returns the
-/// emitted row count. The whole buffer goes to [`Sink::flat_rows`] in one
-/// call: what a sink keeps, it copies out of the buffer itself.
+/// Hands a flat row buffer — `arity` values per row, rows back to back — to
+/// `sink` whole through [`Sink::take_rows`] and returns the number of rows
+/// it took: a storing sink keeps the buffer, a bounding one cuts it.
 ///
 /// # Panics
 /// Panics if `arity` is 0 or does not divide the buffer.
-pub fn emit_flat(sink: &mut dyn Sink, arity: usize, flat: &[Value]) -> u64 {
+pub fn emit_flat(sink: &mut dyn Sink, arity: usize, values: Vec<Value>) -> u64 {
     assert!(
-        arity > 0 && flat.len().is_multiple_of(arity),
+        arity > 0 && values.len().is_multiple_of(arity),
         "{} values are not rows of arity {arity}",
-        flat.len()
+        values.len()
     );
     sink.begin(arity);
-    sink.flat_rows(arity, flat)
+    sink.take_rows(FlatRows { arity, values }, Vec::new())
 }
 
 /// Accumulates signed deltas of arity-2 rows: the support counts behind
@@ -457,16 +500,51 @@ mod tests {
 
     #[test]
     fn vec_sink_leaves_counts_empty_until_a_row_carries_one() {
+        let flat = |values: Vec<Value>| FlatRows { arity: 2, values };
         let mut s = VecSink::new();
         s.begin(2);
         s.row(&[1, 2]);
-        assert_eq!(s.flat_rows(2, &[3, 4, 5, 6]), 2);
+        assert_eq!(s.take_rows(flat(vec![3, 4, 5, 6]), Vec::new()), 2);
         assert!(s.counts.is_empty());
         assert_eq!(s.counted_pairs(), vec![(1, 2, 0), (3, 4, 0), (5, 6, 0)]);
         s.counted_row(&[7, 8], 2);
-        s.flat_rows(2, &[9, 9]);
-        assert_eq!(s.counts, vec![0, 0, 0, 2, 0]);
+        s.take_rows(flat(vec![9, 9]), Vec::new());
+        s.row(&[8, 8]);
+        s.take_rows(flat(vec![6, 6, 5, 5]), vec![3, 4]);
+        assert_eq!(s.counts, vec![0, 0, 0, 2, 0, 0, 3, 4]);
+        let mut late = VecSink::new();
+        late.begin(2);
+        late.row(&[1, 1]);
+        late.take_rows(flat(vec![2, 2]), vec![9]);
+        assert_eq!(late.counts, vec![0, 9], "earlier rows read as uncounted");
         assert_eq!(VecSink::new().rows.len(), 0, "arity unknown before `begin`");
+    }
+
+    #[test]
+    fn an_empty_vec_sink_keeps_the_buffers_it_is_handed() {
+        let values: Vec<Value> = (0..1000).collect();
+        let counts: Vec<u32> = (0..500).collect();
+        let (v, c) = (values.as_ptr(), counts.as_ptr());
+        let mut s = VecSink::new();
+        assert_eq!(s.take_rows(FlatRows { arity: 2, values }, counts), 500);
+        assert!(std::ptr::eq(s.rows.values.as_ptr(), v), "values adopted");
+        assert!(std::ptr::eq(s.counts.as_ptr(), c), "counts adopted");
+        assert_eq!((s.rows.arity, s.rows.len(), s.counts[499]), (2, 500, 499));
+    }
+
+    #[test]
+    fn flattening_pairs_rereads_their_allocation() {
+        let mut pairs: Vec<(Value, Value)> = Vec::with_capacity(7);
+        pairs.extend([(1, 2), (3, 4), (5, 6)]);
+        let at = pairs.as_ptr().cast::<Value>();
+        let flat = flatten_pairs(pairs);
+        assert_eq!(flat, [1, 2, 3, 4, 5, 6]);
+        assert!(std::ptr::eq(flat.as_ptr(), at));
+        assert_eq!(flat.capacity(), 14);
+        assert!(flatten_pairs(Vec::new()).is_empty());
+        let mut grown = flatten_pairs(vec![(7, 8)]);
+        grown.extend(0..100);
+        assert_eq!(grown[..3], [7, 8, 0], "the allocator takes the block back");
     }
 
     #[test]
@@ -516,43 +594,83 @@ mod tests {
 
     #[test]
     fn emit_flat_streams_rows_until_the_sink_has_enough() {
-        let flat = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+        let flat = vec![1, 2, 3, 4, 5, 6, 7, 8, 9];
         let mut all = VecSink::new();
-        assert_eq!(emit_flat(&mut all, 3, &flat), 3);
+        assert_eq!(emit_flat(&mut all, 3, flat.clone()), 3);
         assert_eq!(all.rows.arity, 3);
         assert_eq!(all.rows.values, flat);
         assert_eq!(all.rows.iter().nth(2), Some(&[7, 8, 9][..]));
         let mut two = LimitSink::new(VecSink::new(), 2);
-        assert_eq!(emit_flat(&mut two, 3, &flat), 2);
+        assert_eq!(emit_flat(&mut two, 3, flat.clone()), 2);
         assert!(two.limit_reached());
         assert_eq!(two.into_inner().rows.values, flat[..6]);
-        assert_eq!(emit_flat(&mut CountSink::new(), 5, &[]), 0);
+        assert_eq!(emit_flat(&mut CountSink::new(), 5, Vec::new()), 0);
+        // A sink that keeps nothing takes the rows one at a time.
+        let mut seen = Vec::new();
+        let mut each = LimitSink::new(ForEachSink(|row: &[Value], _| seen.push(row[0])), 2);
+        assert_eq!(emit_flat(&mut each, 3, flat), 2);
+        assert_eq!(seen, [1, 4]);
     }
 
     #[test]
-    fn emit_pairs_cuts_through_chunks_at_the_limit() {
-        // More pairs than one stack buffer holds, limits inside the first
-        // chunk, on its edge and inside the second.
+    fn emit_pairs_cuts_the_handed_buffer_at_the_limit() {
         let pairs: Vec<(Value, Value)> = (0..1300).map(|i| (i, i + 1)).collect();
         let mut all = VecSink::new();
-        assert_eq!(emit_pairs(&mut all, &pairs), 1300);
+        let at = pairs.as_ptr().cast::<Value>();
+        assert_eq!(emit_pairs(&mut all, pairs.clone()), 1300);
         assert_eq!(all.pairs(), pairs);
-        for limit in [0usize, 7, 512, 513, 1300, 5000] {
+        let mut kept = VecSink::new();
+        emit_pairs(&mut kept, pairs);
+        assert!(std::ptr::eq(kept.rows.values.as_ptr(), at), "no copy");
+        let pairs = kept.pairs();
+        for limit in [0usize, 1, 1300, 1305] {
             let mut cut = LimitSink::new(VecSink::new(), limit as u64);
             let want = limit.min(pairs.len());
-            assert_eq!(emit_pairs(&mut cut, &pairs), want as u64);
+            assert_eq!(emit_pairs(&mut cut, pairs.clone()), want as u64);
             assert_eq!(cut.limit_reached(), limit <= pairs.len());
-            assert_eq!(cut.into_inner().pairs(), pairs[..want]);
+            let inner = cut.into_inner();
+            assert_eq!(inner.pairs(), pairs[..want]);
+            assert_eq!(inner.rows.values.len(), 2 * want);
         }
         let mut counted = CountSink::new();
-        assert_eq!(emit_pairs(&mut counted, &pairs), 1300);
+        assert_eq!(emit_pairs(&mut counted, pairs.clone()), 1300);
         assert_eq!(counted.rows, 1300);
+        let mut regrouped = PairSink::new();
+        assert_eq!(emit_pairs(&mut regrouped, pairs.clone()), 1300);
+        assert_eq!(regrouped.into_pairs(), pairs);
+    }
+
+    #[test]
+    fn counted_triples_arrive_as_two_exact_buffers() {
+        let triples: Vec<(Value, Value, u32)> = (0..300).map(|i| (i, i + 1, i % 7)).collect();
+        let mut all = VecSink::new();
+        assert_eq!(emit_counted_pairs(&mut all, &triples, true), 300);
+        assert_eq!(all.counted_pairs(), triples);
+        assert_eq!(all.rows.values.capacity(), 600);
+        assert_eq!(all.counts.capacity(), 300);
+        let mut dropped = VecSink::new();
+        emit_counted_pairs(&mut dropped, &triples, false);
+        assert!(dropped.counts.is_empty() && dropped.rows.len() == 300);
+        let mut cut = LimitSink::new(VecSink::new(), 5);
+        assert_eq!(emit_counted_pairs(&mut cut, &triples, true), 5);
+        assert_eq!(cut.into_inner().counted_pairs(), triples[..5]);
+        let mut totals = CountSink::new();
+        emit_counted_pairs(&mut totals, &triples, true);
+        let witnesses: u64 = triples.iter().map(|t| t.2 as u64).sum();
+        assert_eq!((totals.rows, totals.witness_total), (300, witnesses));
+        let mut deltas = DeltaSink::new();
+        emit_counted_pairs(&mut deltas, &triples[..3], true);
+        assert_eq!(
+            deltas.into_deltas(),
+            vec![((0, 1), 1), ((1, 2), 1), ((2, 3), 2)],
+            "the per-row default: a count of 0 weighs 1"
+        );
     }
 
     #[test]
     #[should_panic(expected = "not rows of arity 2")]
     fn emit_flat_rejects_a_ragged_buffer() {
-        emit_flat(&mut CountSink::new(), 2, &[1, 2, 3]);
+        emit_flat(&mut CountSink::new(), 2, vec![1, 2, 3]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ macro_rules! two_path_engine {
                         ..
                     } => {
                         let pairs = self.join_project(r, s);
-                        let rows = emit_pairs(sink, &pairs);
+                        let rows = emit_pairs(sink, pairs);
                         Ok(ExecStats::new($name, rows))
                     }
                     _ => Err(self.unsupported(query)),
@@ -72,7 +72,7 @@ impl Engine for HashDedupStarEngine {
         match query {
             Query::Star { relations } => {
                 let flat = self.star_join_project_flat(relations);
-                let rows = emit_flat(sink, relations.len(), &flat);
+                let rows = emit_flat(sink, relations.len(), flat);
                 Ok(ExecStats::new(Engine::name(self), rows))
             }
             _ => Err(self.unsupported(query)),
@@ -107,12 +107,12 @@ impl Engine for ExpandDedupEngine {
                 ..
             } => {
                 let pairs = self.join_project(r, s);
-                let rows = emit_pairs(sink, &pairs);
+                let rows = emit_pairs(sink, pairs);
                 Ok(ExecStats::new(Engine::name(self), rows))
             }
             Query::Star { relations } => {
                 let flat = self.star_join_project_flat(relations);
-                let rows = emit_flat(sink, relations.len(), &flat);
+                let rows = emit_flat(sink, relations.len(), flat);
                 Ok(ExecStats::new(Engine::name(self), rows))
             }
             _ => Err(self.unsupported(query)),

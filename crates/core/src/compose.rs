@@ -226,7 +226,7 @@ fn execute_composed(
                     mats[left] = None;
                     mats[right] = None;
                     record_step(&mut step_stats[nsteps - 1], pairs.len(), &prim);
-                    rows = emit_pairs(sink, &pairs);
+                    rows = emit_pairs(sink, pairs);
                     final_primitive = prim;
                     streamed = true;
                     break;
@@ -392,7 +392,7 @@ fn run_final_stage(
                 })
                 .collect();
             let (flat, prim) = star_join_project_mm_flat(&oriented_legs, config);
-            let rows = emit_flat(sink, graph.output_arity(), &flat);
+            let rows = emit_flat(sink, graph.output_arity(), flat);
             Ok((rows, prim))
         }
     }
@@ -429,24 +429,27 @@ fn semijoin(
     Relation::from_sorted_edges(target.x_domain(), target.y_domain(), kept.collect())
 }
 
-/// Emits a column selection of `rel` into `sink` in sorted output order.
+/// Emits a column selection of `rel` into `sink` in sorted output order,
+/// as one buffer filled at its exact size.
 fn project_stream(rel: &Relation, cols: ProjCols, sink: &mut dyn Sink) -> u64 {
     let heads = |index: &CsrIndex| index.iter_nonempty().map(|(v, _)| v).collect();
+    fn pairs(len: usize, rows: impl Iterator<Item = [Value; 2]>) -> Vec<Value> {
+        let mut flat = Vec::with_capacity(2 * len);
+        rows.for_each(|row| flat.extend(row));
+        flat
+    }
     let (arity, flat): (usize, Vec<Value>) = match cols {
-        ProjCols::Ab => (2, rel.tuples().flat_map(|(a, b)| [a, b]).collect()),
+        ProjCols::Ab => (2, pairs(rel.len(), rel.tuples().map(|(a, b)| [a, b]))),
         // Sorted by (b, a): walk the inverted index.
         ProjCols::Ba => {
             let by_b = rel.by_y().iter_nonempty();
-            (
-                2,
-                by_b.flat_map(|(b, xs)| xs.iter().flat_map(move |&a| [b, a]))
-                    .collect(),
-            )
+            let rows = by_b.flat_map(|(b, xs)| xs.iter().map(move |&a| [b, a]));
+            (2, pairs(rel.len(), rows))
         }
         ProjCols::A => (1, heads(rel.by_x())),
         ProjCols::B => (1, heads(rel.by_y())),
     };
-    emit_flat(sink, arity, &flat)
+    emit_flat(sink, arity, flat)
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ fn plan_then_run(
             ..
         } => {
             let (pairs, plan) = two_path::plan_then_run(r, s, config, run);
-            (sink.map_or(0, |sink| emit_pairs(sink, &pairs)), plan)
+            (sink.map_or(0, |sink| emit_pairs(sink, pairs)), plan)
         }
         Query::TwoPath {
             r, s, min_count, ..
@@ -66,7 +66,7 @@ fn plan_then_run(
         }
         Query::Star { ref relations } => {
             let (flat, plan) = star::plan_then_run(relations, config, run);
-            let rows = sink.map_or(0, |sink| emit_flat(sink, relations.len(), &flat));
+            let rows = sink.map_or(0, |sink| emit_flat(sink, relations.len(), flat));
             (rows, plan)
         }
         Query::General { ref graph } => compose::plan_then_run(graph, config, sink)?,
@@ -89,7 +89,7 @@ fn plan_then_run(
                 .filter(|&(a, b, count)| a != b && count as usize == r.x_degree(a))
                 .map(|(a, b, _)| (a, b))
                 .collect();
-            (sink.map_or(0, |sink| emit_pairs(sink, &pairs)), plan)
+            (sink.map_or(0, |sink| emit_pairs(sink, pairs)), plan)
         }
     })
 }

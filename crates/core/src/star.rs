@@ -46,7 +46,7 @@
 use crate::config::JoinConfig;
 use crate::optimizer::{heavy_core_cost, F32_KERNEL};
 use crate::two_path::{self, phase, Operands, Product};
-use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
+use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, Value};
@@ -111,7 +111,7 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     }
     if let [r, s] = relations {
         let (pairs, stats) = two_path::plan_then_run(r.as_ref(), s.as_ref(), config, run);
-        return (pairs.into_iter().flat_map(|(x, z)| [x, z]).collect(), stats);
+        return (flatten_pairs(pairs), stats);
     }
     let reduced = &Relation::reduce_star(relations);
     if reduced.iter().any(|r| r.is_empty()) {

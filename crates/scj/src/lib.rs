@@ -123,7 +123,7 @@ impl Engine for ContainmentEngine {
         out.dedup();
         Ok(ExecStats::new(
             self.name(),
-            mmjoin_api::emit_pairs(sink, &out),
+            mmjoin_api::emit_pairs(sink, out),
         ))
     }
 }

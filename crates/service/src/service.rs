@@ -969,9 +969,11 @@ fn execute(service: &Service, miss: Miss) -> Result<Response, ServiceError> {
         service.metrics.record_operands(plan);
     }
 
-    // Pairs arrive a chunk at a time: give back what doubling over-reserved
-    // rather than cache it.
+    // The sink kept the engine's own buffers: a limit cut them in place, and
+    // an engine that grew one by doubling left room past the answer. Give
+    // that back rather than cache it (a no-op on an exact buffer).
     sink.rows.values.shrink_to_fit();
+    sink.counts.shrink_to_fit();
     let entry = CacheEntry {
         rows: Arc::new(sink.rows),
         counts: Arc::new(sink.counts),

@@ -180,7 +180,7 @@ impl Engine for SimilarityEngine {
             let pairs = self.pairs_unordered(r, c);
             return Ok(ExecStats::new(
                 self.name(),
-                mmjoin_api::emit_pairs(sink, &pairs),
+                mmjoin_api::emit_pairs(sink, pairs),
             ));
         }
         // Ordered: the non-MM algorithms discover pairs without counts, so

@@ -43,7 +43,7 @@ impl Engine for WcojEngine {
             Query::Star { relations } => star_join_project_flat(relations),
             _ => return Err(self.unsupported(query)),
         };
-        let rows = emit_flat(sink, query.output_arity(), &flat);
+        let rows = emit_flat(sink, query.output_arity(), flat);
         Ok(ExecStats::new(self.name(), rows).with_plan(PlanStats {
             kind: PlanKind::Wcoj,
             ..PlanStats::wcoj()

@@ -434,8 +434,9 @@ proptest! {
         }
     }
 
-    /// `emit_flat` is the per-row emission loop it replaced: same rows, same
-    /// count, same early stop — for any arity, any rows, any limit.
+    /// Handing `emit_flat` the whole buffer is the per-row emission loop it
+    /// replaced: same rows, same count, same early stop — for any arity, any
+    /// rows, any limit.
     #[test]
     fn emit_flat_equals_row_by_row_emission(
         arity in 1usize..7,
@@ -455,12 +456,12 @@ proptest! {
             emitted += 1;
         }
         let mut by_flat = LimitSink::new(VecSink::new(), limit);
-        prop_assert_eq!(emit_flat(&mut by_flat, arity, &flat), emitted);
+        prop_assert_eq!(emit_flat(&mut by_flat, arity, flat.clone()), emitted);
         let (by_row, by_flat) = (by_row.into_inner(), by_flat.into_inner());
         prop_assert_eq!(by_flat.rows.arity, arity);
         prop_assert_eq!(by_flat.rows, by_row.rows);
         let mut unlimited = VecSink::new();
-        prop_assert_eq!(emit_flat(&mut unlimited, arity, &flat), rows.len() as u64);
+        prop_assert_eq!(emit_flat(&mut unlimited, arity, flat), rows.len() as u64);
         prop_assert_eq!(unlimited.rows.to_rows(), rows);
     }
 }

@@ -1,8 +1,9 @@
 //! The flat result store, measured at the allocator: a result travels from
 //! the engine's buffer to the cache entry to the `Response` as one flat
-//! array, so what serving adds on top of the engine is a number of
-//! allocations that does not depend on `|OUT|` — when the answer is
-//! stored, when its entry is evicted, and when an update patches it.
+//! array — the engine's own buffer, handed over, never copied — so what
+//! serving adds on top of the engine is a number of allocations and of
+//! bytes that does not depend on `|OUT|` — when the answer is stored, when
+//! its entry is evicted, and when an update patches it.
 //!
 //! The allocator's counters (`support/counting_alloc.rs`) are per thread, and
 //! every service here runs its queries on the calling thread with serial
@@ -10,7 +11,7 @@
 //! runner.
 
 use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig, Value};
-use mmjoin_api::{CountSink, ExecStats};
+use mmjoin_api::{CountSink, ExecStats, QueryGraph};
 use mmjoin_service::{CacheEntry, CachedResult, ResultCache};
 use std::sync::Arc;
 
@@ -23,10 +24,21 @@ fn overlapping(sets: u32) -> Relation {
     Relation::from_edges((0..sets).flat_map(|x| [(x, 0), (x, 1)]))
 }
 
-/// Allocations a cold `request` costs on top of the engine run it
-/// contains: the same query on the same engine into a sink that stores
-/// nothing is the baseline. Also returns the response.
-fn serving_allocs(service: &Service, request: Request, query: &Query<'_>) -> (Response, u64) {
+/// The three legs of a chain `A(a, b), B(b, c), C(c, d)` whose answer is
+/// all `sets²` pairs `(a, d)`: `A` maps every `a` to 0 and 1, `B` is the
+/// identity on them, `C` maps each back to every `d`.
+fn chain_legs(sets: u32) -> [Relation; 3] {
+    [
+        overlapping(sets),
+        Relation::from_edges([(0, 0), (1, 1)]),
+        Relation::from_edges((0..sets).flat_map(|d| [(0, d), (1, d)])),
+    ]
+}
+
+/// What a cold `request` asks of the allocator on top of the engine run it
+/// contains — allocations and bytes: the same query on the same engine into
+/// a sink that stores nothing is the baseline. Also returns the response.
+fn serving_allocs(service: &Service, request: Request, query: &Query<'_>) -> (Response, u64, u64) {
     let (response, served) = tallied(usize::MAX, || service.query(request).unwrap());
     assert!(!response.cached);
     let (rows, engine) = tallied(usize::MAX, || {
@@ -38,12 +50,38 @@ fn serving_allocs(service: &Service, request: Request, query: &Query<'_>) -> (Re
         sink.rows
     });
     assert_eq!(rows, response.rows.len() as u64);
-    (response, served.allocs.saturating_sub(engine.allocs))
+    let allocs = served.allocs.saturating_sub(engine.allocs);
+    let bytes = served.bytes.saturating_sub(engine.bytes);
+    (response, allocs, bytes)
 }
 
 /// Growth doublings of two arrays, the entry, the cache slot, the request's
 /// names, the stats — whatever it is, it is this much at any `|OUT|`.
 const SERVING_ALLOCS: u64 = 32;
+
+/// The bytes of those allocations: the answer itself is the engine's buffer,
+/// so none of them is the size of the answer (at least 160 kB below).
+const SERVING_BYTES: u64 = 4 << 10;
+
+/// Checks what `serving_allocs` measured at a small and a large `|OUT|`:
+/// a bounded overhead, the same at both sizes.
+fn assert_flat_overhead(costs: &[(usize, u64, u64)]) {
+    for &(rows, allocs, bytes) in costs {
+        assert!(rows >= 20_000);
+        assert!(
+            allocs <= SERVING_ALLOCS,
+            "{allocs} allocations to store {rows} rows"
+        );
+        assert!(bytes <= SERVING_BYTES, "{bytes} bytes to store {rows} rows");
+    }
+    let &[(_, small_allocs, small_bytes), (_, large_allocs, large_bytes)] = costs else {
+        panic!("two sizes");
+    };
+    // Four times the rows: a couple more doublings of a small array at most,
+    // and not a byte that follows the answer.
+    assert!(large_allocs <= small_allocs + 4, "{costs:?}");
+    assert!(large_bytes <= small_bytes + 512, "{costs:?}");
+}
 
 #[test]
 fn a_cold_two_path_allocates_the_same_at_any_output_size() {
@@ -56,22 +94,16 @@ fn a_cold_two_path_allocates_the_same_at_any_output_size() {
         // as cold as the served one.
         service.register(name, overlapping(sets));
         let query = Query::two_path(&r, &r).build().unwrap();
-        let (response, allocs) = serving_allocs(&service, Request::two_path(name, name), &query);
+        let request = Request::two_path(name, name);
+        let (response, allocs, bytes) = serving_allocs(&service, request, &query);
         assert_eq!(response.rows.len(), (sets * sets) as usize);
-        assert!(response.rows.len() >= 20_000);
         assert!(
             response.counts.is_empty(),
             "an uncounted family stores none"
         );
-        assert!(
-            allocs <= SERVING_ALLOCS,
-            "{allocs} allocations to store {} rows",
-            response.rows.len()
-        );
-        costs.push(allocs);
+        costs.push((response.rows.len(), allocs, bytes));
     }
-    // Four times the rows: a couple more doublings at most.
-    assert!(costs[1] <= costs[0] + 4, "{costs:?}");
+    assert_flat_overhead(&costs);
 }
 
 #[test]
@@ -81,22 +113,34 @@ fn a_cold_star_allocates_the_same_at_any_output_size() {
     for (tag, legs) in [("s", [30u32, 28, 26]), ("l", [48, 46, 44])] {
         let rels: Vec<Relation> = legs.iter().map(|&n| overlapping(n)).collect();
         let names: Vec<String> = (0..3).map(|i| format!("{tag}{i}")).collect();
-        for (name, rel) in names.iter().zip(&rels) {
-            service.register(name.clone(), rel.clone());
+        for (name, &n) in names.iter().zip(&legs) {
+            service.register(name.clone(), overlapping(n));
         }
         let query = Query::star(&rels).build().unwrap();
-        let (response, allocs) = serving_allocs(&service, Request::star(&names), &query);
+        let (response, allocs, bytes) = serving_allocs(&service, Request::star(&names), &query);
         assert_eq!(response.rows.len() as u32, legs.iter().product::<u32>());
-        assert!(response.rows.len() >= 20_000);
         assert_eq!(response.rows.arity, 3);
-        assert!(
-            allocs <= SERVING_ALLOCS,
-            "{allocs} allocations to store {} rows",
-            response.rows.len()
-        );
-        costs.push(allocs);
+        costs.push((response.rows.len(), allocs, bytes));
     }
-    assert!(costs[1] <= costs[0] + 4, "{costs:?}");
+    assert_flat_overhead(&costs);
+}
+
+#[test]
+fn a_cold_chain_allocates_the_same_at_any_output_size() {
+    let service = Service::with_default_registry();
+    let mut costs = Vec::new();
+    for (tag, sets) in [("s", 150u32), ("l", 300)] {
+        let rels = chain_legs(sets);
+        let names: Vec<String> = ["A", "B", "C"].map(|leg| format!("{tag}{leg}")).into();
+        for (name, rel) in names.iter().zip(chain_legs(sets)) {
+            service.register(name.clone(), rel);
+        }
+        let query = Query::general(QueryGraph::chain(&rels).unwrap()).unwrap();
+        let (response, allocs, bytes) = serving_allocs(&service, Request::chain(&names), &query);
+        assert_eq!(response.rows.len(), (sets * sets) as usize);
+        costs.push((response.rows.len(), allocs, bytes));
+    }
+    assert_flat_overhead(&costs);
 }
 
 #[test]
@@ -196,6 +240,9 @@ fn a_one_edge_insert_patches_a_large_entry_in_place() {
     assert!(after.rows.iter().eq(expected));
 }
 
+/// A limit cuts the engine's buffer in place, and the service gives back
+/// the capacity past the cut: the cached entry holds exactly its rows, and
+/// `CacheEntry::bytes`, which counts lengths, is its true heap size.
 #[test]
 fn a_limit_cuts_through_the_bulk_path() {
     let service = Service::with_default_registry();
@@ -203,17 +250,23 @@ fn a_limit_cuts_through_the_bulk_path() {
     for name in ["A", "B", "C"] {
         service.register(name, r.clone());
     }
-    // 1600 pairs and 64 000 triples; limits inside the first pair chunk,
-    // past it, at the full answer and beyond it.
+    for (name, rel) in ["CA", "CB", "CC"].into_iter().zip(chain_legs(40)) {
+        service.register(name, rel);
+    }
+    // 1600 pairs, 64 000 triples and 1600 pairs; limits at nothing, one
+    // row, the full answer and beyond it.
     for (request, total) in [
         (Request::two_path("A", "B"), 1600usize),
         (Request::star(["A", "B", "C"]), 64_000),
+        (Request::chain(["CA", "CB", "CC"]), 1600),
     ] {
         let full = service.query(request.clone()).unwrap();
         assert_eq!(full.rows.len(), total);
         assert!(!full.truncated);
-        for limit in [0usize, 1, 511, 513, 700, total, total + 5] {
+        for limit in [0usize, 1, total, total + 5] {
+            let (_, before) = service.cache_size();
             let cut = service.query(request.clone().limit(limit as u64)).unwrap();
+            let (_, after) = service.cache_size();
             let kept = limit.min(total);
             assert_eq!(cut.rows.len(), kept, "limit {limit}");
             assert_eq!(cut.truncated, limit <= total, "limit {limit}");
@@ -223,6 +276,11 @@ fn a_limit_cuts_through_the_bulk_path() {
             if kept > 0 {
                 assert_eq!(cut.rows.row(kept - 1), full.rows.row(kept - 1));
             }
+            let values = &cut.rows.values;
+            assert_eq!(values.capacity(), values.len(), "limit {limit}");
+            assert_eq!(cut.counts.capacity(), cut.counts.len());
+            let held = std::mem::size_of::<Value>() * values.capacity();
+            assert_eq!(after - before, held, "limit {limit}: bytes() is exact");
         }
     }
 }

@@ -18,10 +18,15 @@ pub struct Tally {
     pub frees: u64,
     /// Fresh blocks (`alloc`, not `realloc`) of at least `BIG` bytes.
     pub big: u64,
+    /// Bytes asked for: each `alloc`'s size, and what each `realloc` grows
+    /// a block by (a shrink asks for nothing).
+    pub bytes: u64,
 }
 
 thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocs: 0, frees: 0, big: 0 }) };
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { allocs: 0, frees: 0, big: 0, bytes: 0 })
+    };
     static BIG: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
@@ -47,6 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         bump(|t| {
             t.allocs += 1;
             t.big += (layout.size() >= big) as u64;
+            t.bytes += layout.size() as u64;
         });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
@@ -61,7 +67,10 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: `GlobalAlloc::realloc`'s contract is the caller's to keep.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(|t| t.allocs += 1);
+        bump(|t| {
+            t.allocs += 1;
+            t.bytes += new_size.saturating_sub(layout.size()) as u64;
+        });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -83,6 +92,7 @@ pub fn tallied<T>(big: usize, f: impl FnOnce() -> T) -> (T, Tally) {
         allocs: after.allocs - before.allocs,
         frees: after.frees - before.frees,
         big: after.big - before.big,
+        bytes: after.bytes - before.bytes,
     };
     (value, tally)
 }
