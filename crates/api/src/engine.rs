@@ -172,6 +172,12 @@ pub struct PlanStats {
     /// Measured seconds per phase, beside the two predictions
     /// (matrix-partitioned runs only).
     pub measured_phase_secs: Option<PhaseSecs>,
+    /// For a Boolean heavy core that ran: the product rows filled through
+    /// the right operand's universal mask — left rows holding a `y` that
+    /// every column has, set full without testing a pair. Why a product
+    /// took microseconds; it decides nothing. `None` before a run and for
+    /// SGEMM or expansion.
+    pub rows_filled: Option<usize>,
     /// For composed (general-query) plans: one record per plan step, in
     /// plan order, the output-producing stage last. Empty for
     /// single-primitive plans. The primitive fields above then describe
@@ -196,6 +202,7 @@ impl PlanStats {
             predicted_light_secs: None,
             predicted_heavy_secs: None,
             measured_phase_secs: None,
+            rows_filled: None,
             steps: Vec::new(),
         }
     }

@@ -15,8 +15,9 @@ use mmjoin::{
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
-use mmjoin_matrix::{matmul_parallel, BitMatrix, DenseMatrix};
+use mmjoin_matrix::{matmul_parallel, BitMatrix, BitRows, DenseMatrix, Orientation};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
+use mmjoin_storage::{PackedForm, PackedRows};
 
 /// The roster the paper's figures are reproduced with: the serving roster
 /// on `cores` threads, but with MMJoin's heavy core pinned to f32 SGEMM —
@@ -439,6 +440,11 @@ pub fn fig8(scale: f64) -> Table {
 /// product wins by an order of magnitude (row-OR is itself sparse in its
 /// left operand); below that expansion — which is what the optimizer picks
 /// for such a block — overtakes it.
+///
+/// Last, the served core's product over dense shapes with no universal
+/// element — random, and 2 and 8 communities — in both orientations: the
+/// relations' packed rows under the right one's (empty) universal mask, so
+/// what these rows time is the per-row mask test on top of the plain loop.
 pub fn ablation_matrix_backends(scale: f64) -> Table {
     let mut t = Table::new(
         "Ablation: heavy-core backend (Jokes dataset; sparse 2048³ blocks)",
@@ -489,7 +495,53 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
             );
         }
     }
+    let (sets, elems) = (176u32, 4000u32);
+    for (shape, communities, keep_of_16) in [
+        ("random", 1, 4),
+        ("2-community", 2, 12),
+        ("8-community", 8, 12),
+    ] {
+        // Set `x` holds elements of its own community only, each by a
+        // seeded coin: no element is in every set.
+        let relation = |salt: u32| {
+            let coin = move |x: u32, y: u32| {
+                (x.wrapping_mul(0x9E37_79B1) ^ y.wrapping_mul(0x85EB_CA6B) ^ salt)
+                    .wrapping_mul(0xC2B2_AE35)
+                    >> 28
+            };
+            Relation::from_edges((0..sets).flat_map(move |x| {
+                (0..elems)
+                    .filter(move |&y| y % communities == x % communities && coin(x, y) < keep_of_16)
+                    .map(move |y| (x, y))
+            }))
+        };
+        let (r, s) = (relation(1), relation(2));
+        let (left, _) = r.packed(PackedForm::XMajor);
+        for (orientation, form) in [
+            (Orientation::RowOr, PackedForm::YMajor),
+            (Orientation::AndAny, PackedForm::XMajor),
+        ] {
+            let (right, _) = s.packed(form);
+            let ((product, filled), secs) = timed_median(3, 31, || {
+                packed_view(left).product(packed_view(right), orientation, right.universal())
+            });
+            assert_eq!(filled, 0, "{shape}: no row meets an empty mask");
+            t.push_row(
+                format!("{}, {shape} dense {sets}×{elems}", orientation.name()),
+                // To 0.1 us: the sweep compares these across builds.
+                vec![
+                    format!("{:.1}us", secs * 1e6),
+                    product.count_ones().to_string(),
+                ],
+            );
+        }
+    }
     t
+}
+
+/// A relation's packed rows as the view the Boolean kernels multiply.
+fn packed_view(p: &PackedRows) -> BitRows<'_> {
+    BitRows::new(p.rows(), p.cols(), p.words())
 }
 
 /// Plan report (beyond the paper): what MMJoin's optimizer decided per

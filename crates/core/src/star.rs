@@ -19,8 +19,10 @@
 //! walked row-major, *are* the output sorted. A star only reads whether a
 //! witness exists, so [`HeavyBackend::Auto`] multiplies the bit rows and the
 //! `DenseF32` pin runs SGEMM on f32 operands filled from the same bits. The
-//! cap is checked on the exact bytes of `V`, `W` and the product; a forced
-//! core over it runs the whole star as expansion.
+//! Boolean product takes the AND of `W`'s rows as its universal mask: a `V`
+//! row holding a column every `W` row holds meets every `W` row, and is set
+//! full untested. The cap is checked on the exact bytes of `V`, `W` and the
+//! product; a forced core over it runs the whole star as expansion.
 //!
 //! A forced partition (`delta_override`) splits each relation's tuples
 //! three ways with thresholds `Δ1, Δ2`:
@@ -45,7 +47,7 @@
 
 use crate::config::JoinConfig;
 use crate::optimizer::{heavy_core_cost, F32_KERNEL};
-use crate::two_path::{self, phase, Operands, Product};
+use crate::two_path::{self, phase, product_phase, Operands, Product};
 use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
@@ -161,12 +163,18 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         // Over the cap: the whole star runs as expansion instead.
         return (star_join_project_flat(reduced), stats);
     }
-    let product = phase("product", &mut secs.product, || {
-        built.map(|built| {
-            let product = built.operands.multiply(built.orientation, exec, threads);
-            (product, built.v, built.w)
-        })
+    let rows = built.as_ref().map_or(0, |built| built.v.len());
+    let (product, filled) = product_phase(&mut secs.product, rows, || match built {
+        Some(built) => {
+            let (product, filled) =
+                built
+                    .operands
+                    .multiply(built.orientation, &built.universal, exec, threads);
+            (Some((product, built.v, built.w)), filled)
+        }
+        None => (None, None),
     });
+    stats.rows_filled = filled;
     let out = phase("extract", &mut secs.extract, || {
         let heavy = product.map_or_else(Vec::new, |(product, v, w)| heavy_rows(&product, &v, &w));
         // Nothing from the light steps: the heavy rows are the answer,
@@ -404,6 +412,13 @@ impl HeavyCols {
         if bytes > cap {
             return None;
         }
+        // `V`'s rows that hold a column every `W` row has reach every `W`
+        // row: the AND of `W`'s rows is its universal mask.
+        let mut universal = all_columns(k);
+        for j in 0..n {
+            let row = w_bits.row_words(j);
+            universal.iter_mut().zip(row).for_each(|(u, w)| *u &= w);
+        }
         let operands = if boolean {
             let right = match plan.orientation {
                 Orientation::RowOr => w_bits.transposed(),
@@ -422,6 +437,7 @@ impl HeavyCols {
             w,
             operands,
             orientation: plan.orientation,
+            universal,
         })
     }
 }
@@ -438,8 +454,7 @@ impl HeavyCols {
 /// bytes.
 fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRows, BitMatrix)> {
     let stride = cols.div_ceil(64);
-    let mut words = vec![!0u64; stride];
-    words[stride - 1] >>= (64 - cols % 64) % 64;
+    let mut words = all_columns(cols);
     let mut rows = FlatRows::default();
     for leg in group {
         let mut next = FlatRows {
@@ -470,6 +485,13 @@ fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRo
     Some((rows, bits))
 }
 
+/// One bit row with all of `cols > 0` columns set, the padding zero.
+fn all_columns(cols: usize) -> Vec<u64> {
+    let mut words = vec![!0u64; cols.div_ceil(64)];
+    words[cols.div_ceil(64) - 1] >>= (64 - cols % 64) % 64;
+    words
+}
+
 /// What the build phase hands to the product and the extraction.
 struct Built {
     /// The half-tuples of `V`'s rows, in order.
@@ -479,33 +501,69 @@ struct Built {
     operands: Operands,
     /// How a Boolean product runs (unread by SGEMM).
     orientation: Orientation,
+    /// The heavy columns every row of `W` has (unread by SGEMM).
+    universal: Vec<u64>,
 }
 
 /// The heavy output from the product's set cells, row-major: ascending
-/// half-tuples on both sides, so sorted and distinct — one flat buffer.
+/// half-tuples on both sides, so sorted and distinct — one flat buffer of
+/// exactly its rows.
 fn heavy_rows(product: &Product, v: &FlatRows, w: &FlatRows) -> Vec<Value> {
-    let rows = match product {
-        Product::Bit(c) => c.count_ones(),
-        Product::F32(c) => c.entries_at_least(0.5).count(),
+    let c = match product {
+        Product::Bit(c) => c,
+        Product::F32(c) => {
+            // The SGEMM pin: cell by cell through the dense scan.
+            let rows = c.entries_at_least(0.5).count();
+            let mut flat = Vec::with_capacity(rows * (v.arity + w.arity));
+            for (i, j, _) in c.entries_at_least(0.5) {
+                flat.extend_from_slice(v.row(i));
+                flat.extend_from_slice(w.row(j));
+            }
+            return flat;
+        }
     };
-    let arity = v.arity + w.arity;
-    let mut flat = vec![0 as Value; rows * arity];
-    let mut slots = flat.chunks_exact_mut(arity);
-    // Value by value: a row is a handful of them, too short for memcpy.
-    let mut emit = |i: usize, j: usize| {
-        let slot = slots.next().expect("one slot per set cell");
-        let values = v.values[i * v.arity..(i + 1) * v.arity]
-            .iter()
-            .chain(&w.values[j * w.arity..(j + 1) * w.arity]);
-        slot.iter_mut()
-            .zip(values)
-            .for_each(|(to, &from)| *to = from);
-    };
-    match product {
-        Product::Bit(c) => c.iter_ones().for_each(|(i, j)| emit(i, j)),
-        Product::F32(c) => c.entries_at_least(0.5).for_each(|(i, j, _)| emit(i, j)),
+    let mut flat = vec![0 as Value; c.count_ones() * (v.arity + w.arity)];
+    // The splits of k = 3 and 4 at fixed arities; past them, the same body
+    // at the runtime arity.
+    match (v.arity, w.arity) {
+        (2, 1) => write_rows::<2, 1>(c, v, w, &mut flat),
+        (2, 2) => write_rows::<2, 2>(c, v, w, &mut flat),
+        _ => write_rows::<0, 0>(c, v, w, &mut flat),
     }
     flat
+}
+
+/// Writes row `(i, j)` of every set bit of `c`, row-major, into `flat`: `V`'s
+/// half-tuple `i`, then `W`'s `j`. Each row of `c` is walked a word at a
+/// time. With the arities known at compile time (`VA`, `WA` nonzero) a row
+/// is a few moves — no per-row `memcpy` call; `0, 0` reads them from `v`
+/// and `w`.
+fn write_rows<const VA: usize, const WA: usize>(
+    c: &BitMatrix,
+    v: &FlatRows,
+    w: &FlatRows,
+    flat: &mut [Value],
+) {
+    let (va, wa) = if VA == 0 {
+        (v.arity, w.arity)
+    } else {
+        (VA, WA)
+    };
+    debug_assert_eq!((va, wa), (v.arity, w.arity));
+    let mut slots = flat.chunks_exact_mut(va + wa);
+    for (i, v_row) in v.values.chunks_exact(va).enumerate() {
+        for (wk, &word) in c.row_words(i).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let j = wk * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = slots.next().expect("one slot per set cell");
+                let (head, tail) = slot.split_at_mut(va);
+                head.copy_from_slice(v_row);
+                tail.copy_from_slice(&w.values[j * wa..(j + 1) * wa]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -593,6 +651,7 @@ mod tests {
         assert!(stats.measured_phase_secs.is_some());
         let planned_half = PlanStats {
             measured_phase_secs: None,
+            rows_filled: None,
             heavy_backend: plan.heavy_backend,
             ..stats
         };

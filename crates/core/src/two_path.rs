@@ -20,7 +20,9 @@
 //! built here but read from the relation's memoised packed rows
 //! (`mmjoin_storage::packed`, packed by the first query that needs them) in
 //! raw `y` coordinates — no partition, no light pass, no per-pair operand
-//! ([`packed_core`]). The compact per-pair builder ([`HeavyIndex`]) serves
+//! ([`packed_core`]) — and multiplied under `S`'s memoised universal mask,
+//! which fills every row of `R` holding a `y` that all of `S`'s sets hold.
+//! The compact per-pair builder ([`HeavyIndex`]) serves
 //! forced partitions (`delta_override`, the test and ablation pin that runs
 //! the bit and f32 cores on identical cells) and SGEMM.
 //!
@@ -71,6 +73,25 @@ pub(crate) fn phase<T>(label: &'static str, secs: &mut f64, f: impl FnOnce() -> 
     let out = f();
     *secs += start.elapsed().as_secs_f64();
     out
+}
+
+/// The `product` phase ([`phase`]) of a heavy core with `rows` left rows:
+/// `f` returns the product and, when it is Boolean, the rows its universal
+/// mask filled — kept in the span's label, `product rows_filled=F/M`, so a
+/// trace says why a product took microseconds.
+pub(crate) fn product_phase<T>(
+    secs: &mut f64,
+    rows: usize,
+    f: impl FnOnce() -> (T, Option<usize>),
+) -> (T, Option<usize>) {
+    let mut span = trace::span(Stage::Step, "product");
+    let start = Instant::now();
+    let (out, filled) = f();
+    *secs += start.elapsed().as_secs_f64();
+    if let Some(filled) = filled {
+        span.relabel(|| format!("product rows_filled={filled}/{rows}"));
+    }
+    (out, filled)
 }
 
 /// [`two_path_join_project`] plus the plan record of the run: one planning
@@ -155,13 +176,22 @@ pub(crate) fn plan_then_run(
             }
         })
     });
-    let product = phase("product", &mut secs.product, || {
-        if operands.is_none() && !heavy.is_degenerate() {
-            // Memory guard: the heavy core is evaluated combinatorially.
-            heavy_expansion_fallback(r, s, &heavy, &mut out);
+    let rows = heavy.heavy_x.len();
+    let (product, filled) = product_phase(&mut secs.product, rows, || match operands {
+        // A forced partition's right operand has no memoised mask.
+        Some(operands) => {
+            let (product, filled) = operands.multiply(bit_plan.orientation, &[], exec, threads);
+            (Some(product), filled)
         }
-        operands.map(|operands| operands.multiply(bit_plan.orientation, exec, threads))
+        None => {
+            if !heavy.is_degenerate() {
+                // Memory guard: the heavy core is evaluated combinatorially.
+                heavy_expansion_fallback(r, s, &heavy, &mut out);
+            }
+            (None, None)
+        }
     });
+    stats.rows_filled = filled;
     phase("extract", &mut secs.extract, || {
         match product {
             Some(Product::Bit(prod)) => {
@@ -204,8 +234,11 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value,
     fn view(p: &PackedRows) -> BitRows<'_> {
         BitRows::new(p.rows(), p.cols(), p.words())
     }
-    let product = phase("product", &mut secs.product, || {
-        view(left).product(view(right), core.bit.orientation)
+    // `S`'s mask: the `y` every `z` has.
+    let (product, filled) = product_phase(&mut secs.product, left.rows(), || {
+        let (product, filled) =
+            view(left).product(view(right), core.bit.orientation, right.universal());
+        (product, Some(filled))
     });
     let pairs = phase("extract", &mut secs.extract, || {
         product.mapped_ones(left.ids(), right.ids())
@@ -216,6 +249,7 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value,
     stats.heavy_backend = Some(core.bit.orientation.name());
     stats.heavy_operands = Some([built_left, built_right].map(|built| operand_source(!built)));
     stats.measured_phase_secs = Some(secs);
+    stats.rows_filled = filled;
     pairs
 }
 
@@ -307,16 +341,30 @@ pub(crate) enum Operands {
 
 impl Operands {
     /// The heavy product: the Boolean one on the calling thread in
-    /// `orientation`, SGEMM over the executor.
+    /// `orientation` under the right operand's `universal` mask (see
+    /// [`BitRows::product`]), with the rows that mask filled; SGEMM over
+    /// the executor, which reads no mask.
     pub(crate) fn multiply(
         self,
         orientation: Orientation,
+        universal: &[u64],
         exec: &Executor,
         threads: usize,
-    ) -> Product {
+    ) -> (Product, Option<usize>) {
         match self {
-            Operands::Bit(m1, m2) => Product::Bit(m1.product(&m2, orientation)),
-            Operands::F32(m1, m2) => Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)),
+            Operands::Bit(m1, m2) => {
+                let inner = match orientation {
+                    Orientation::RowOr => m2.rows(),
+                    Orientation::AndAny => m2.cols(),
+                };
+                assert_eq!(m1.cols(), inner, "inner dimensions must agree");
+                let (product, filled) = m1.view().product(m2.view(), orientation, universal);
+                (Product::Bit(product), Some(filled))
+            }
+            Operands::F32(m1, m2) => (
+                Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)),
+                None,
+            ),
         }
     }
 }

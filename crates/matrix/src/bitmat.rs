@@ -24,6 +24,16 @@
 //! Padding bits past `cols` in the last word of a row are always zero —
 //! every constructor and kernel keeps that, and AND-any relies on it.
 //!
+//! Both orientations take the right operand's **universal mask**: the inner
+//! coordinates that every one of the `n` output columns has. A row of `A`
+//! with a bit in it reaches every column — any `x` with such a `y` meets
+//! every `z` — so its result row is set full and its pairs are never
+//! tested; every other row runs the loop above unchanged. The mask is an
+//! argument, not a second kernel: an empty one (`&[]`) is a plain product.
+//! On dense inputs it is the common case — a relation's mask is memoised
+//! with its packed rows (`mmjoin_storage::packed`), a star's is the AND of
+//! its `W` rows.
+//!
 //! The kernels read their operands through [`BitRows`], a borrowed view, so
 //! an operand that outlives the query — a relation's memoised packed rows —
 //! is multiplied where it lies. Two such operands need not agree on the
@@ -267,20 +277,20 @@ impl BitMatrix {
         self.product(other, Orientation::RowOr)
     }
 
-    /// Boolean product on the calling thread. `other` is `k×n` for
-    /// [`Orientation::RowOr`] and the transposed `n×k` for
-    /// [`Orientation::AndAny`]; the result is `m×n` either way.
+    /// Boolean product on the calling thread, with no universal mask.
+    /// `other` is `k×n` for [`Orientation::RowOr`] and the transposed `n×k`
+    /// for [`Orientation::AndAny`]; the result is `m×n` either way.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree ([`BitRows::product`] is the
-    /// kernel without that requirement).
+    /// kernel without that requirement, and with a mask).
     pub fn product(&self, other: &BitMatrix, orientation: Orientation) -> BitMatrix {
         let inner = match orientation {
             Orientation::RowOr => other.rows,
             Orientation::AndAny => other.cols,
         };
         assert_eq!(self.cols, inner, "inner dimensions must agree");
-        self.view().product(other.view(), orientation)
+        self.view().product(other.view(), orientation, &[]).0
     }
 
     /// Number of set bits in the whole matrix.
@@ -306,7 +316,13 @@ impl BitMatrix {
         for (i, &x) in row_ids.iter().enumerate() {
             for (wk, &w) in self.row_words(i).iter().enumerate() {
                 let ids = &col_ids[wk * 64..];
-                out.extend(BitIter(w).map(|b| (x, ids[b])));
+                if w == !0 {
+                    // A full word — the common case in a row the mask
+                    // filled — is 64 contiguous ids.
+                    out.extend(ids[..64].iter().map(|&z| (x, z)));
+                } else {
+                    out.extend(BitIter(w).map(|b| (x, ids[b])));
+                }
             }
         }
         out
@@ -353,19 +369,40 @@ impl<'a> BitRows<'a> {
     }
 
     /// Boolean product on the calling thread, over the inner coordinates
-    /// both operands have. `self` is `m×k`; `other` is `k'×n` for
-    /// [`Orientation::RowOr`] — bit `j < min(k, k')` of a row of `self`
-    /// selects row `j` of `other` — and the transposed `n×k'` for
-    /// [`Orientation::AndAny`]. The result is `m×n` either way.
-    pub fn product(self, other: BitRows<'_>, orientation: Orientation) -> BitMatrix {
+    /// both operands have, and the number of rows `universal` filled.
+    /// `self` is `m×k`; `other` is `k'×n` for [`Orientation::RowOr`] — bit
+    /// `j < min(k, k')` of a row of `self` selects row `j` of `other` — and
+    /// the transposed `n×k'` for [`Orientation::AndAny`]. The result is
+    /// `m×n` either way.
+    ///
+    /// `universal` is a word mask over `other`'s inner coordinates `0..k'`
+    /// (shorter is fine: missing words are empty). The caller sets bit `y`
+    /// only if every one of the `n` columns has `y`: a row of `self` that
+    /// meets the mask is then set full without testing its pairs.
+    pub fn product(
+        self,
+        other: BitRows<'_>,
+        orientation: Orientation,
+        universal: &[u64],
+    ) -> (BitMatrix, usize) {
         let n = match orientation {
             Orientation::RowOr => other.cols,
             Orientation::AndAny => other.rows,
         };
         let mut c = BitMatrix::zeros(self.rows, n);
         if c.stride == 0 {
-            return c;
+            return (c, 0);
         }
+        let full_last = !0u64 >> ((64 - n % 64) % 64);
+        let mut filled = 0;
+        // Only the mask's nonzero words that a row of `self` has are
+        // tested: an empty mask costs a row nothing.
+        let hi = universal
+            .iter()
+            .rposition(|&u| u != 0)
+            .map_or(0, |h| (h + 1).min(self.stride));
+        let lo = universal[..hi].iter().position(|&u| u != 0).unwrap_or(hi);
+        let universal = &universal[lo..hi];
         // Row-OR: the words of a row of `A` that hold a bit `< inner`, the
         // last of them masked down to it.
         let inner = self.cols.min(other.rows);
@@ -374,6 +411,13 @@ impl<'a> BitRows<'a> {
         let common = self.stride.min(other.stride);
         for (i, c_row) in c.words.chunks_exact_mut(c.stride).enumerate() {
             let a_row = self.row_words(i);
+            // Bits of `a_row` past `k'` meet only the mask's zero padding.
+            if a_row[lo..hi].iter().zip(universal).any(|(a, u)| a & u != 0) {
+                c_row.fill(!0);
+                c_row[c_row.len() - 1] = full_last;
+                filled += 1;
+                continue;
+            }
             match orientation {
                 Orientation::RowOr => {
                     for (wk, &aw) in a_row[..a_words].iter().enumerate() {
@@ -392,7 +436,7 @@ impl<'a> BitRows<'a> {
                 Orientation::AndAny => and_any_row(&a_row[..common], other, c_row),
             }
         }
-        c
+        (c, filled)
     }
 }
 
@@ -422,7 +466,10 @@ impl Iterator for BitIter {
 /// AND-any for one row of `A` — cut to the words `Bᵀ`'s rows have too —
 /// against every row of `Bᵀ`: bit `j` of the result is set when the two rows
 /// share a set bit. Only `A`'s nonzero word range is scanned, and a pair
-/// stops at its first intersecting [`AND_BLOCK`]-word block.
+/// stops at its first intersecting [`AND_BLOCK`]-word block. Inlined into
+/// the row loop: with the mask test beside it, a call per row cost dense
+/// random operands ~7 % of their product.
+#[inline(always)]
 fn and_any_row(a_row: &[u64], bt: BitRows<'_>, c_row: &mut [u64]) {
     let Some(lo) = a_row.iter().position(|&w| w != 0) else {
         return;
@@ -657,13 +704,13 @@ mod tests {
             );
             let bt = b.transposed();
             assert_eq!(
-                a.view().product(b.view(), Orientation::RowOr),
-                want,
+                a.view().product(b.view(), Orientation::RowOr, &[]),
+                (want.clone(), 0),
                 "row-or {ka}/{kb}"
             );
             assert_eq!(
-                a.view().product(bt.view(), Orientation::AndAny),
-                want,
+                a.view().product(bt.view(), Orientation::AndAny, &[]),
+                (want, 0),
                 "and-any {ka}/{kb}"
             );
         }
@@ -690,8 +737,151 @@ mod tests {
             let bt = b.transposed();
             let foreign: Vec<u64> = (0..6).flat_map(|i| a.row_words(i).to_vec()).collect();
             let a_view = BitRows::new(6, ka, &foreign);
-            assert_eq!(a_view.product(b.view(), Orientation::RowOr), want);
-            assert_eq!(a_view.product(bt.view(), Orientation::AndAny), want);
+            assert_eq!(a_view.product(b.view(), Orientation::RowOr, &[]).0, want);
+            assert_eq!(a_view.product(bt.view(), Orientation::AndAny, &[]).0, want);
+        }
+    }
+
+    /// The product over the ids both sides have, one bit at a time.
+    fn per_bit_common(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
+        let common = a.cols().min(b.rows());
+        let mut c = BitMatrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                if (0..common).any(|k| a.get(i, k) && b.get(k, j)) {
+                    c.set(i, j);
+                }
+            }
+        }
+        c
+    }
+
+    /// The inner ids of `b` (`k × n`) that every column has, as words.
+    fn universal_of(b: &BitMatrix) -> Vec<u64> {
+        let mut mask = vec![0u64; b.rows().div_ceil(64)];
+        for k in (0..b.rows()).filter(|&k| (0..b.cols()).all(|j| b.get(k, j))) {
+            mask[k / 64] |= 1 << (k % 64);
+        }
+        mask
+    }
+
+    /// `a · b` in both orientations under `mask`, checked against the
+    /// per-bit product: the same bits, and the same count of filled rows
+    /// from either kernel — the rows of `a` that meet the mask.
+    fn check_masked(a: &BitMatrix, b: &BitMatrix, mask: &[u64]) -> usize {
+        let want = per_bit_common(a, b);
+        let meets = (0..a.rows())
+            .filter(|&i| a.row_words(i).iter().zip(mask).any(|(x, u)| x & u != 0))
+            .count();
+        let filled = if b.cols() == 0 { 0 } else { meets };
+        let bt = b.transposed();
+        let (rows, cols) = (a.rows(), (a.cols(), b.rows(), b.cols()));
+        assert_eq!(
+            a.view().product(b.view(), Orientation::RowOr, mask),
+            (want.clone(), filled),
+            "row-or {rows} × {cols:?}"
+        );
+        assert_eq!(
+            a.view().product(bt.view(), Orientation::AndAny, mask),
+            (want, filled),
+            "and-any {rows} × {cols:?}"
+        );
+        filled
+    }
+
+    /// A masked product is the plain one, in both orientations, over output
+    /// and inner widths on both sides of a word, with the mask exact, empty,
+    /// or cut down to part of the universal ids — and rows that do and do
+    /// not meet it. A universal id past the left side's domain fills
+    /// nothing; a full row keeps its padding zero.
+    #[test]
+    fn a_masked_product_equals_the_per_bit_reference() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let widths = [1usize, 63, 64, 65, 130];
+        let (mut filled, mut rows) = (0, 0);
+        for &n in &widths {
+            for &k in &widths {
+                for (ka, kb) in [(k, k), (k, k + 70), (k + 70, k)] {
+                    let a = random(&mut rng, 7, ka, 0.04);
+                    let mut b = random(&mut rng, kb, n, 0.3);
+                    // Universal ids: the first, one at the last id both have,
+                    // and one past the left side's domain when there is one.
+                    for y in [0, ka.min(kb) - 1, kb - 1] {
+                        (0..n).for_each(|j| b.set(y, j));
+                    }
+                    let mask = universal_of(&b);
+                    filled += check_masked(&a, &b, &mask);
+                    rows += 7;
+                    check_masked(&a, &b, &[]);
+                    // Any subset of the universal ids is a valid mask: its
+                    // first word, or only the ids past the left side's
+                    // domain, which no row of `a` has.
+                    check_masked(&a, &b, &mask[..1]);
+                    let mut past = mask.clone();
+                    for y in 0..ka.min(64 * past.len()) {
+                        past[y / 64] &= !(1 << (y % 64));
+                    }
+                    assert_eq!(check_masked(&a, &b, &past), 0);
+                    let full = a.view().product(b.view(), Orientation::RowOr, &mask).0;
+                    assert!(
+                        n.is_multiple_of(64)
+                            || (0..7)
+                                .all(|i| full.row_words(i)[n.div_ceil(64) - 1] >> (n % 64) == 0),
+                        "padding stays zero"
+                    );
+                }
+            }
+        }
+        assert!(
+            0 < filled && filled < rows,
+            "{filled} of {rows} rows filled"
+        );
+        // An all-ones right operand: every id is universal, every nonempty
+        // row of `a` is filled and an empty one is not.
+        let mut a = random(&mut rng, 5, 130, 0.02);
+        (0..130).for_each(|k| a.set(1, k));
+        let a = BitMatrix::from_words(6, 130, [a.words.clone(), vec![0; 3]].concat());
+        let mut b = BitMatrix::zeros(130, 65);
+        (0..130).for_each(|k| (0..65).for_each(|j| b.set(k, j)));
+        let all = universal_of(&b);
+        assert_eq!(all, [!0, !0, 3]);
+        let nonempty = (0..6)
+            .filter(|&i| a.row_words(i).iter().any(|&w| w != 0))
+            .count();
+        assert_eq!(check_masked(&a, &b, &all), nonempty);
+        assert_eq!(nonempty, 5);
+        // No output column: nothing to fill.
+        assert_eq!(check_masked(&a, &BitMatrix::zeros(130, 0), &all), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random shapes and densities, a random set of forced universal ids
+        /// on the right and a random subset of them as the mask.
+        #[test]
+        fn masked_products_match_the_reference(
+            m in 1usize..9,
+            ka in 1usize..150,
+            kb in 1usize..150,
+            n in 0usize..140,
+            universal in proptest::collection::vec(0usize..150, 0..4),
+            keep in proptest::prelude::any::<u32>(),
+            seed in proptest::prelude::any::<u32>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed.into());
+            let keep = u64::from(keep) << 32 | u64::from(keep);
+            let a = random(&mut rng, m, ka, 0.05);
+            let mut b = random(&mut rng, kb, n, 0.2);
+            for y in universal.into_iter().filter(|&y| y < kb) {
+                (0..n).for_each(|j| b.set(y, j));
+            }
+            let mask: Vec<u64> = universal_of(&b)
+                .into_iter()
+                .enumerate()
+                .map(|(w, u)| u & keep.rotate_left(w as u32))
+                .collect();
+            check_masked(&a, &b, &mask);
         }
     }
 

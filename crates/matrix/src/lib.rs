@@ -20,7 +20,8 @@
 //! * [`arena`] — reusable thread-local scratch buffers backing the
 //!   scheduler's packing slabs.
 //! * [`bitmat`] — bit-packed boolean matrices and their product over the
-//!   Boolean semiring, in two orientations picked from the operand counts:
+//!   Boolean semiring, in two orientations picked from the operand counts,
+//!   each filling the rows that meet the right operand's universal mask:
 //!   the heavy core of every existence-only join-project (an extension over the paper's prototype,
 //!   which always ran SGEMM; counting queries still do).
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of

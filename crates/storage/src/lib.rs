@@ -18,8 +18,9 @@
 //!   partitioned light passes and the counting joins (§6's `dedup` vector,
 //!   improved with epoch counters so it never needs an O(N) clear between
 //!   groups), and the sort-based alternative.
-//! * [`packed`] — a relation's adjacency as bit-packed rows, built once per
-//!   relation value by the first Boolean heavy core that reads it.
+//! * [`packed`] — a relation's adjacency as bit-packed rows, with its
+//!   universal mask (the `y` every set holds), built once per relation value
+//!   by the first Boolean heavy core that reads it.
 //! * [`delta`] — the mutable data path: batched [`RelationDelta`]
 //!   inserts/deletes, normalized against a base relation and applied by one
 //!   linear merge producing a fresh indexed [`Relation`].

@@ -17,8 +17,15 @@
 //! origin's indexes: it is made afresh by every chain step that reads one,
 //! and so would pack afresh too — which no served step does, since the
 //! steps that read a transposed base relation all expand. Relations are
-//! immutable, so there is nothing to invalidate. A form holds
-//! `rows · ⌈cols/64⌉` words:
+//! immutable, so there is nothing to invalidate.
+//!
+//! Each form also carries the relation's **universal mask**: bit `y` is set
+//! when `y`'s degree equals the number of active `x` — every set contains
+//! `y`. It is read off the `by_y` degrees in `O(y_domain)` while the form is
+//! packed, and a Boolean product that has this relation on its right fills
+//! the row of any left row that meets it, untested (`mmjoin_matrix::bitmat`).
+//!
+//! A form holds `rows · ⌈cols/64⌉` words plus `⌈y_domain/64⌉` for the mask:
 //! `active_x · ⌈y_domain/64⌉` `x`-major, `y_domain · ⌈active_x/64⌉`
 //! `y`-major.
 
@@ -37,12 +44,13 @@ pub enum PackedForm {
 }
 
 /// One packed form of a relation: a row-major bit matrix, `stride` words a
-/// row, every bit past `cols` zero.
+/// row, every bit past `cols` zero, and the relation's universal mask.
 pub struct PackedRows {
     ids: Vec<Value>,
     rows: usize,
     cols: usize,
     words: Vec<u64>,
+    universal: Vec<u64>,
 }
 
 impl PackedRows {
@@ -70,6 +78,12 @@ impl PackedRows {
     /// The rows, one after another.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The `y` ids every active `x` has, `⌈y_domain/64⌉` words: bit `y` is
+    /// set when `y`'s degree is the relation's active-`x` count.
+    pub fn universal(&self) -> &[u64] {
+        &self.universal
     }
 }
 
@@ -116,14 +130,15 @@ impl Relation {
         self.packed_forms().slot(form).get().is_some()
     }
 
-    /// Words `form` takes once packed — known from the counts alone, so a
-    /// memory cap can be checked before anything is packed.
+    /// Words `form` takes once packed, its universal mask included — known
+    /// from the counts alone, so a memory cap can be checked before
+    /// anything is packed.
     pub fn packed_words(&self, form: PackedForm) -> usize {
         let (rows, cols) = match form {
             PackedForm::XMajor => (self.active_x_count(), self.y_domain()),
             PackedForm::YMajor => (self.y_domain(), self.active_x_count()),
         };
-        rows * cols.div_ceil(64)
+        rows * cols.div_ceil(64) + self.y_domain().div_ceil(64)
     }
 
     /// Bytes of the forms packed so far (0 for an unpacked relation).
@@ -154,6 +169,7 @@ fn pack_x_major(r: &Relation) -> PackedRows {
         rows,
         cols,
         words,
+        universal: universal(r),
     }
 }
 
@@ -174,7 +190,20 @@ fn pack_y_major(r: &Relation) -> PackedRows {
         rows,
         cols,
         words,
+        universal: universal(r),
     }
+}
+
+/// The universal mask: one pass over the `by_y` degrees.
+fn universal(r: &Relation) -> Vec<u64> {
+    let active = r.active_x_count();
+    let mut mask = vec![0u64; r.y_domain().div_ceil(64)];
+    for y in 0..r.y_domain() {
+        if r.y_degree(y as Value) == active {
+            mask[y / 64] |= 1u64 << (y % 64);
+        }
+    }
+    mask
 }
 
 #[cfg(test)]
@@ -205,7 +234,10 @@ mod tests {
         }
         // Padding past the domain stays zero.
         assert!(p.words().chunks(2).all(|row| row[1] >> 6 == 0));
-        assert_eq!(p.words().len(), r.packed_words(PackedForm::XMajor));
+        assert_eq!(
+            p.words().len() + p.universal().len(),
+            r.packed_words(PackedForm::XMajor)
+        );
     }
 
     #[test]
@@ -219,7 +251,72 @@ mod tests {
                 assert_eq!(bit(p, y, rank), r.contains(x, y as Value), "({x}, {y})");
             }
         }
-        assert_eq!(p.words().len(), r.packed_words(PackedForm::YMajor));
+        assert_eq!(
+            p.words().len() + p.universal().len(),
+            r.packed_words(PackedForm::YMajor)
+        );
+    }
+
+    /// The mask is `{y : deg(y) = active x}`, brute force, on relations
+    /// with and without universal ids — over domains on both sides of a
+    /// word, with an unused tail — and both forms carry the same one.
+    #[test]
+    fn the_universal_mask_is_every_y_all_active_x_share() {
+        let mut b = RelationBuilder::with_domains(40, 200);
+        for x in [1u32, 7, 30] {
+            for y in [0u32, 63, 64, 129] {
+                b.push(x, y);
+            }
+            b.push(x, x + 100);
+        }
+        b.push(7, 5);
+        let relations = [sample(), b.build(), Relation::from_edges([(0, 3)])];
+        for r in &relations {
+            let active = r.active_x_count();
+            let want: Vec<usize> = (0..r.y_domain())
+                .filter(|&y| {
+                    (0..r.x_domain() as Value)
+                        .all(|x| r.x_degree(x) == 0 || r.contains(x, y as Value))
+                })
+                .collect();
+            assert!(want.iter().all(|&y| r.y_degree(y as Value) == active));
+            for form in [PackedForm::XMajor, PackedForm::YMajor] {
+                let (p, _) = r.packed(form);
+                assert_eq!(p.universal().len(), r.y_domain().div_ceil(64));
+                let got: Vec<usize> = (0..64 * p.universal().len())
+                    .filter(|&y| p.universal()[y / 64] >> (y % 64) & 1 == 1)
+                    .collect();
+                assert_eq!(got, want, "{form:?}");
+            }
+        }
+        // `sample()` has no `y` every set holds; the built one has four.
+        let ids = |r: &Relation| r.packed(PackedForm::XMajor).0.universal().to_vec();
+        assert_eq!(ids(&relations[0]), [0, 0]);
+        assert_eq!(ids(&relations[1]), [1 | 1 << 63, 1, 1 << 1, 0]);
+        assert_eq!(ids(&relations[2]), [1 << 3]);
+    }
+
+    /// The mask is built with its form, once, and lives exactly as long:
+    /// a clone reads the same words, a relation a delta made starts
+    /// without it and builds its own.
+    #[test]
+    fn the_mask_is_built_once_and_shared_and_a_delta_starts_without_it() {
+        let r = Relation::from_edges([(0, 1), (0, 2), (4, 2), (4, 70)]);
+        let twin = r.clone();
+        let mask = r.packed(PackedForm::XMajor).0.universal();
+        assert_eq!(mask, [1 << 2, 0]);
+        assert!(std::ptr::eq(
+            mask,
+            twin.packed(PackedForm::XMajor).0.universal()
+        ));
+        let updated = r.apply_delta(RelationDelta::new().insert(4, 1));
+        assert!(!updated.is_packed(PackedForm::XMajor));
+        assert_eq!(updated.packed_bytes(), 0);
+        assert_eq!(
+            updated.packed(PackedForm::YMajor).0.universal(),
+            [1 << 1 | 1 << 2, 0]
+        );
+        assert_eq!(r.packed(PackedForm::XMajor).0.universal(), [1 << 2, 0]);
     }
 
     #[test]
@@ -240,9 +337,10 @@ mod tests {
             twin.packed(PackedForm::XMajor).0
         ));
         assert!(!r.is_packed(PackedForm::YMajor));
-        assert_eq!(r.packed_bytes(), 8 * 3 * 2);
+        // Each form: its rows, and the two words of the mask over 70 `y`s.
+        assert_eq!(r.packed_bytes(), 8 * (3 * 2 + 2));
         r.packed(PackedForm::YMajor);
-        assert_eq!(r.packed_bytes(), 8 * (3 * 2 + 70));
+        assert_eq!(r.packed_bytes(), 8 * (3 * 2 + 2 + 70 + 2));
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! same kernels, fed by the same AND-ed half-tuple rows — and for how a
 //! star's rows leave the engine: one flat buffer through `emit_flat`, in
 //! order.
+//!
+//! The universal-mask section checks the fill: a dense two-path and star
+//! whose every row meets an element all right-hand sets hold, and
+//! community-structured ones whose rows never do, each against the
+//! reference under both orientations.
 
 use mmjoin_api::{emit_flat, Engine, ForEachSink, LimitSink, PlanKind, Query, Sink, VecSink};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
@@ -20,7 +25,8 @@ use mmjoin_core::{
     MmJoinEngine,
 };
 use mmjoin_executor::Executor;
-use mmjoin_storage::{Relation, Value};
+use mmjoin_matrix::{BitRows, Orientation};
+use mmjoin_storage::{PackedForm, PackedRows, Relation, Value};
 use mmjoin_wcoj::star_join_project;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -339,6 +345,131 @@ fn a_limited_star_gets_the_first_rows_and_no_more() {
             sink.0.into_inner().rows.values,
             all.rows.values[..3 * limit as usize]
         );
+    }
+}
+
+/// `rel` with `y` added to every set: an element every set holds.
+fn with_universal(rel: &Relation, y: Value) -> Relation {
+    let xs: Vec<Value> = rel.by_x().iter_nonempty().map(|(x, _)| x).collect();
+    Relation::from_edges(rel.tuples().chain(xs.into_iter().map(|x| (x, y))))
+}
+
+/// `sets` sets in `communities` communities: set `x` holds, by the seeded
+/// coin, only elements of its own community (`y ≡ x` mod `communities`) —
+/// dense within one, and no element is in every set.
+fn community_relation(sets: u32, elems: u32, communities: u32, seed: u32) -> Relation {
+    let rel = coin_relation(sets, elems, 12, seed);
+    Relation::from_edges(
+        rel.tuples()
+            .filter(|&(x, y)| x % communities == y % communities),
+    )
+}
+
+/// The served two-path's core under both orientations: `R`'s `x`-major rows
+/// times each form of `S`, under `S`'s universal mask, equals expansion and
+/// fills the same rows; the served run — everything heavy, from the packed
+/// rows, once line 2 is out of the way — agrees and records that count.
+/// Returns it and `R`'s row count.
+fn assert_masked_two_path(r: &Relation, s: &Relation) -> (usize, usize) {
+    let expected = ExpandDedupEngine::serial().join_project(r, s);
+    fn view(p: &PackedRows) -> BitRows<'_> {
+        BitRows::new(p.rows(), p.cols(), p.words())
+    }
+    let (left, _) = r.packed(PackedForm::XMajor);
+    let mut filled = Vec::new();
+    for (form, orientation) in [
+        (PackedForm::YMajor, Orientation::RowOr),
+        (PackedForm::XMajor, Orientation::AndAny),
+    ] {
+        let (right, _) = s.packed(form);
+        let (product, rows) = view(left).product(view(right), orientation, right.universal());
+        let pairs = product.mapped_ones(left.ids(), right.ids());
+        assert_eq!(pairs, expected, "{orientation:?}");
+        filled.push(rows);
+    }
+    assert_eq!(filled[0], filled[1]);
+    let config = JoinConfig {
+        wcoj_fallback_factor: 1.0,
+        ..JoinConfig::default()
+    };
+    let (rows, stats) = two_path_join_project_with_stats(r, s, &config);
+    assert_eq!(rows, expected);
+    let stats = stats.unwrap();
+    assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
+    assert_eq!(stats.rows_filled, Some(filled[0]));
+    (filled[0], left.rows())
+}
+
+/// A dense two-path whose every left row holds an element all of `S`'s
+/// sets hold is filled row by row, in either orientation; with the
+/// element taken out of one set of `S` nothing is, and the answer is
+/// the same product tested pair by pair.
+#[test]
+fn a_row_through_a_universal_element_is_filled() {
+    let r = with_universal(&coin_relation(70, 150, 8, 3), 77);
+    for s_sets in [40, 300] {
+        let s = with_universal(&coin_relation(s_sets, 150, 8, 4), 77);
+        assert_eq!(assert_masked_two_path(&r, &s), (70, 70));
+        // Element 77 gone from set 0 of `S`: no longer universal.
+        let broken = Relation::from_edges(s.tuples().filter(|&edge| edge != (0, 77)));
+        assert_eq!(broken.len(), s.len() - 1);
+        let filled = assert_masked_two_path(&r, &broken).0;
+        assert!(filled < 70, "{filled} rows filled");
+    }
+}
+
+/// Community-structured dense inputs, 2 and 8 communities: no element is
+/// in every set, so no row is filled and every pair is tested — the same
+/// answer in either orientation.
+#[test]
+fn community_rows_never_meet_a_universal_element() {
+    for communities in [2, 8] {
+        let r = community_relation(64, 400, communities, 11);
+        let s = community_relation(96, 400, communities, 12);
+        assert_eq!(assert_masked_two_path(&r, &s).0, 0, "{communities}");
+        assert!(s
+            .packed(PackedForm::XMajor)
+            .0
+            .universal()
+            .iter()
+            .all(|&w| w == 0));
+    }
+}
+
+/// The star's mask is the AND of `W`'s rows. k = 3 stars in shapes that
+/// run row-OR and AND-any, every leg holding element 0 in every set: every
+/// row of `V` is filled. The same legs in communities: none is. Each
+/// equals the reference with either kernel and under the cap's fallback.
+#[test]
+fn a_star_fills_the_rows_that_meet_every_w_row() {
+    let mut kernels = std::collections::BTreeSet::new();
+    for (sets, elems, seed) in [([40u32, 39, 12], 200, 5u32), ([12, 12, 300], 8, 6)] {
+        let rels: Vec<Relation> = sets
+            .iter()
+            .zip(seed..)
+            .map(|(&n, seed)| with_universal(&coin_relation(n, elems, 8, seed), 0))
+            .collect();
+        kernels.extend(assert_star_cores_agree(&rels, (0, 0)));
+        for config in [forced(HeavyBackend::Auto, (0, 0)), JoinConfig::default()] {
+            let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+            assert_eq!(rows, star_join_project(&rels));
+            let stats = stats.unwrap();
+            let (v_rows, _, _) = stats.heavy_dims.unwrap();
+            assert_eq!(stats.rows_filled, Some(v_rows), "{sets:?}");
+        }
+    }
+    assert_eq!(
+        kernels.into_iter().collect::<Vec<_>>(),
+        ["bit and-any", "bit row-or"]
+    );
+    for communities in [2, 8] {
+        let rels: Vec<Relation> = (0..3)
+            .map(|i| community_relation(24 + i, 64, communities, 20 + i))
+            .collect();
+        assert!(assert_star_cores_agree(&rels, (0, 0)).is_some());
+        let (_, stats) =
+            star_join_project_mm_with_stats(&rels, &forced(HeavyBackend::Auto, (0, 0)));
+        assert_eq!(stats.unwrap().rows_filled, Some(0), "{communities}");
     }
 }
 

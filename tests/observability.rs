@@ -175,8 +175,13 @@ fn matrix_plans_open_exec_into_their_five_phases() {
         }
         under_exec
     };
-    assert_eq!(phases_of("query twopath Dense Dense", "MMJoin"), PHASES);
-    assert_eq!(phases_of("query star Leg Leg Leg", "MMJoin"), PHASES);
+    // Every `y` is in every set, so the universal mask fills every row of
+    // the product, and the product's label says so.
+    let mut phases = PHASES.map(String::from);
+    phases[3] = "product rows_filled=60/60".into();
+    assert_eq!(phases_of("query twopath Dense Dense", "MMJoin"), phases);
+    phases[3] = "product rows_filled=900/900".into();
+    assert_eq!(phases_of("query star Leg Leg Leg", "MMJoin"), phases);
     // Pinned onto MMJoin, so that the engine's own optimizer — not the
     // service's engine choice — is what declines to partition.
     assert_eq!(
@@ -196,6 +201,7 @@ fn matrix_plans_open_exec_into_their_five_phases() {
     let measured = plan.measured_phase_secs.expect("phases measured");
     assert!(measured.build > 0.0 && measured.product > 0.0 && measured.extract > 0.0);
     assert!(plan.predicted_heavy_secs.is_some());
+    assert_eq!(plan.rows_filled, Some(60));
 
     let explained = command::run_line(&service, "explain twopath Dense Dense").unwrap();
     assert!(explained.contains("heavy core bit"), "{explained}");
@@ -208,6 +214,7 @@ fn matrix_plans_open_exec_into_their_five_phases() {
     let plan = response.stats.plan.as_ref().expect("a star plan");
     assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
     assert_eq!(plan.heavy_dims, Some((900, 8, 30)));
+    assert_eq!(plan.rows_filled, Some(900));
     assert_eq!(plan.heavy_core_matrix, Some(true));
     assert!(plan.heavy_backend.unwrap().starts_with("bit "));
     assert_eq!(plan.estimated_out, Some(27_000));

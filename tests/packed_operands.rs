@@ -425,8 +425,9 @@ fn a_reuse_query_allocates_the_product_the_output_and_a_constant() {
         assert_eq!(built(&stats.unwrap()), 0);
         assert_eq!(reuse.big, 2, "the product and the output: {reuse:?}");
         assert!(reuse.allocs <= 6, "{reuse:?}");
-        // Packing is the difference: ids and words of each form.
-        assert_eq!(first.allocs, reuse.allocs + 4, "{first:?} vs {reuse:?}");
+        // Packing is the difference: ids, words and universal mask of each
+        // form.
+        assert_eq!(first.allocs, reuse.allocs + 6, "{first:?} vs {reuse:?}");
         reuse_costs.push(reuse.allocs);
         let ((by_compact, _), per_pair) =
             tallied(BIG, || two_path_join_project_with_stats(&r, &s, &compact()));
