@@ -11,7 +11,7 @@
 //!
 //! * [`scan`] — line-oriented tokenizer separating code from comments,
 //!   strings and test regions;
-//! * [`rules`] — the six rule passes plus the
+//! * [`rules`] — the seven rule passes plus the
 //!   `// lint:allow(<rule>): <reason>` escape hatch;
 //! * [`report`] — the JSON artifact CI uploads and `ci/check_lint.py`
 //!   validates;

@@ -11,6 +11,7 @@
 //! | `span-alloc`     | no `Instant::now()` or heap allocation evaluated eagerly at a span-site call outside `crates/obs` — disabled tracing must cost one relaxed atomic (use `span_dyn` for lazy labels) |
 //! | `seqcst`         | `Ordering::SeqCst` needs an inline justification (`lint:allow`) — the workspace default is the weakest ordering that is argued correct |
 //! | `static-mut`     | `static mut` needs an inline justification (`lint:allow`) — it is almost always a bug waiting for Miri |
+//! | `edges-slice`    | no `.edges()` outside tests, `crates/bench` and `benchmark/` — served code walks `Relation::tuples()`, and one `edges()` call makes a relation keep a flattened copy of its tuples, 8 B an edge |
 //!
 //! Any finding can be suppressed in place with
 //! `// lint:allow(<rule>): <reason>` on the offending line or the
@@ -55,6 +56,11 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "static-mut",
         summary: "static mut needs an inline lint:allow justification",
+    },
+    RuleInfo {
+        name: "edges-slice",
+        summary: "no .edges() outside tests, crates/bench and benchmark/; served code walks \
+                  Relation::tuples(), and an edges() call keeps 8 B an edge resident",
     },
 ];
 
@@ -102,6 +108,7 @@ pub fn check_file(f: &SourceFile) -> Outcome {
     rule_span_alloc(f, &mut out);
     rule_needs_justification(f, &mut out, "seqcst", "SeqCst", false);
     rule_needs_justification(f, &mut out, "static-mut", "static mut", true);
+    rule_edges_slice(f, &mut out);
     out
 }
 
@@ -494,6 +501,33 @@ fn rule_needs_justification(
     }
 }
 
+// ---------------------------------------------------------------- rule 7
+
+/// `Relation::edges()` flattens the relation's tuples into a slice the
+/// relation then keeps: a served path that calls it once holds 8 B an edge
+/// for as long as the relation lives. Tests and the benchmark code may.
+fn rule_edges_slice(f: &SourceFile, out: &mut Outcome) {
+    if is_test_path(&f.path)
+        || f.path.starts_with("crates/bench/")
+        || f.path.starts_with("benchmark/")
+    {
+        return;
+    }
+    for (idx, line) in f.lines.iter().enumerate() {
+        if !line.in_test && line.code.contains(".edges()") {
+            push(
+                out,
+                f,
+                idx,
+                "edges-slice",
+                "`.edges()` makes the relation keep a flattened copy of its tuples \
+                 (8 B an edge); walk `Relation::tuples()` instead"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,6 +666,25 @@ mod tests {
         let bad = findings("crates/x/src/lib.rs", src);
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].rule, "static-mut");
+    }
+
+    #[test]
+    fn edges_slice_flagged_outside_tests_and_benchmarks() {
+        let src = "fn f(r: &Relation) -> usize {\n    r.edges().len()\n}\n";
+        let bad = findings("crates/service/src/lib.rs", src);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert_eq!((bad[0].rule, bad[0].line), ("edges-slice", 2));
+        for exempt in [
+            "tests/suite.rs",
+            "crates/bench/src/lib.rs",
+            "benchmark/trajectory/src/harness.rs",
+        ] {
+            assert!(findings(exempt, src).is_empty(), "{exempt}");
+        }
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn f(r: &Relation) { r.edges(); }\n}\n";
+        assert!(findings("crates/x/src/lib.rs", in_test).is_empty());
+        let tuples = "fn f(r: &Relation) -> usize {\n    r.tuples().count()\n}\n";
+        assert!(findings("crates/x/src/lib.rs", tuples).is_empty());
     }
 
     #[test]

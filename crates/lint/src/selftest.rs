@@ -106,6 +106,15 @@ const CASES: &[Case] = &[
         fixed_src: "// lint:allow(static-mut): seeded self-test exercising the escape hatch.\nstatic mut COUNTER: u64 = 0;\n",
         fixed_records_allowance: true,
     },
+    Case {
+        name: "edges() slice on a served path",
+        path: "crates/seed/src/lib.rs",
+        src: "fn first(r: &Relation) -> Option<Edge> {\n    r.edges().first().copied()\n}\n",
+        rule: "edges-slice",
+        expect_lines: &[2],
+        fixed_src: "fn first(r: &Relation) -> Option<Edge> {\n    r.tuples().next()\n}\n",
+        fixed_records_allowance: false,
+    },
 ];
 
 /// Runs every seeded case; returns a human summary or the first failure.

@@ -3,8 +3,9 @@
 //! Keyed by `(canonical query fingerprint, epochs of the referenced
 //! relations)` — see [`crate::Request::fingerprint`] and
 //! [`crate::Catalog`]. Because the epoch is part of the key, an update
-//! never *serves* a stale result; the superseded entry just stops being
-//! addressable and is evicted by recency like any other cold entry.
+//! never *serves* a stale result. The service drains the entries over a
+//! relation it replaces or removes ([`ResultCache::drain_referencing`]),
+//! so a superseded entry does not sit in memory until recency reaches it.
 //! Cached rows, counts and stats are shared out as `Arc`s, so a hit is
 //! O(1) regardless of result size — a recency stamp and a reference-count
 //! bump per array, no heap copied under the lock every warm request takes —

@@ -4,11 +4,11 @@
 //! Registration pays the indexing cost **once** (the CSR indexes inside
 //! [`Relation`]; the statistics a plan needs, the engine reads off them
 //! per query) and every update replaces the whole entry under a new
-//! epoch. Epochs make cache invalidation free: the result cache keys on
+//! epoch. Epochs make cache invalidation safe: the result cache keys on
 //! `(fingerprint, epochs of referenced relations)`, so a stale entry is
-//! simply never looked up again and ages out of the LRU — and an update
-//! to relation `A` leaves `B`'s entry epoch, hence `B`'s cache entries,
-//! untouched.
+//! never served, and the service frees the entries over a replaced
+//! relation as it replaces it — while an update to relation `A` leaves
+//! `B`'s entry epoch, hence `B`'s cache entries, untouched.
 //!
 //! Readers hold the read lock only to copy `Arc`s and epochs; one guard
 //! is a consistent cut over any set of names. Writers do their relation
@@ -248,6 +248,17 @@ impl Catalog {
     /// Registered names, sorted.
     pub fn names(&self) -> Vec<String> {
         self.read().entries.keys().cloned().collect()
+    }
+
+    /// Heap bytes the registered relations hold
+    /// ([`Relation::heap_bytes`]), summed.
+    pub fn heap_bytes(&self) -> usize {
+        let state = self.read();
+        state
+            .entries
+            .values()
+            .map(|e| e.relation.heap_bytes())
+            .sum()
     }
 }
 

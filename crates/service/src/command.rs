@@ -116,7 +116,8 @@ pub enum StatsScope {
     Net,
     /// `stats executor` — the shared intra-query pool.
     Executor,
-    /// `stats cache` — the result cache's own counters.
+    /// `stats cache` — the result cache's own counters and what it holds,
+    /// beside the bytes of the registered relations.
     Cache,
 }
 
@@ -512,7 +513,6 @@ fn run_stats(
     json: bool,
     frontend: &dyn Frontend,
 ) -> Result<String, String> {
-    let cache = || (service.cache_counters(), service.cache_size());
     if json {
         let body = match scope {
             StatsScope::Service => service_json(&service.metrics()),
@@ -520,13 +520,13 @@ fn run_stats(
                 .net_stats_json()
                 .ok_or("no network front end attached (stats net needs mmjoin-netd)")?,
             StatsScope::Executor => executor_json(&service.executor_stats()),
-            StatsScope::Cache => cache_json(cache()),
+            StatsScope::Cache => cache_json(service),
             StatsScope::All => {
                 let mut body = format!(
                     "{{\"service\":{},\"executor\":{},\"cache\":{}",
                     service_json(&service.metrics()),
                     executor_json(&service.executor_stats()),
-                    cache_json(cache()),
+                    cache_json(service),
                 );
                 if let Some(net) = frontend.net_stats_json() {
                     body.push_str(&format!(",\"net\":{net}"));
@@ -545,11 +545,8 @@ fn run_stats(
             .ok_or_else(|| "no network front end attached (stats net needs mmjoin-netd)".into()),
         StatsScope::Executor => Ok(format!("ok {}", service.executor_stats())),
         StatsScope::Cache => {
-            let ((hits, misses, evictions, invalidations), (entries, bytes)) = cache();
-            Ok(format!(
-                "ok cache hits {hits}, misses {misses}, evictions {evictions}, \
-                 invalidations {invalidations}, entries {entries}, bytes {bytes}"
-            ))
+            let fields = cache_fields(service).map(|(name, value)| format!("{name} {value}"));
+            Ok(format!("ok cache {}", fields.join(", ")))
         }
     }
 }
@@ -596,18 +593,27 @@ fn executor_json(e: &ExecutorStats) -> String {
     )
 }
 
-/// The result-cache counters and what it holds — entries, and the bytes
-/// of their result arrays — as a JSON object.
-fn cache_json(
-    ((hits, misses, evictions, invalidations), (entries, bytes)): (
-        (u64, u64, u64, u64),
-        (usize, usize),
-    ),
-) -> String {
-    format!(
-        "{{\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
-         \"invalidations\":{invalidations},\"entries\":{entries},\"bytes\":{bytes}}}"
-    )
+/// The result cache's counters and what it holds — entries, and the bytes
+/// of their result arrays — then the bytes the catalog's relations hold,
+/// named as `stats cache` prints them.
+fn cache_fields(service: &Service) -> [(&'static str, u64); 7] {
+    let (hits, misses, evictions, invalidations) = service.cache_counters();
+    let (entries, bytes) = service.cache_size();
+    [
+        ("hits", hits),
+        ("misses", misses),
+        ("evictions", evictions),
+        ("invalidations", invalidations),
+        ("entries", entries as u64),
+        ("bytes", bytes as u64),
+        ("catalog_bytes", service.catalog_bytes() as u64),
+    ]
+}
+
+/// [`cache_fields`] as a JSON object.
+fn cache_json(service: &Service) -> String {
+    let fields = cache_fields(service).map(|(name, value)| format!("\"{name}\":{value}"));
+    format!("{{{}}}", fields.join(","))
 }
 
 /// Executes a `trace …` subcommand against the global tracer.
@@ -1077,6 +1083,48 @@ mod tests {
         assert!(err.contains("missing"), "{err}");
         let err = run_line(&s, "nonsense").unwrap_err();
         assert!(err.contains("`nonsense`"), "{err}");
+    }
+
+    #[test]
+    fn stats_cache_reports_the_catalogs_bytes_beside_the_caches() {
+        let s = service();
+        let held = |s: &Service| {
+            let names = s.relation_names();
+            let sum = names.iter().map(|n| s.relation(n).unwrap().heap_bytes());
+            sum.sum::<usize>()
+        };
+        let before = held(&s);
+        assert!(before > 0);
+        assert_eq!(s.catalog_bytes(), before);
+        let text = run_line(&s, "stats cache").unwrap();
+        assert!(
+            text.ends_with(&format!("entries 0, bytes 0, catalog_bytes {before}")),
+            "{text}"
+        );
+
+        run_line(&s, "query twopath R S").unwrap();
+        let (entries, bytes) = s.cache_size();
+        assert_eq!(entries, 1);
+        let after = held(&s);
+        let json = run_line(&s, "stats cache --json").unwrap();
+        assert!(
+            json.ends_with(&format!(
+                "\"entries\":1,\"bytes\":{bytes},\"catalog_bytes\":{after}}}"
+            )),
+            "{json}"
+        );
+
+        // Replacing `R` frees its entry and counts it as an invalidation.
+        run_line(&s, "register R 0,0 1,0").unwrap();
+        let text = run_line(&s, "stats cache").unwrap();
+        assert!(
+            text.contains("invalidations 1, entries 0, bytes 0"),
+            "{text}"
+        );
+        assert!(
+            text.ends_with(&format!("catalog_bytes {}", held(&s))),
+            "{text}"
+        );
     }
 
     #[test]

@@ -264,15 +264,40 @@ impl Service {
     }
 
     /// Registers (or replaces) a named relation. Returns the epoch of the
-    /// new entry.
+    /// new entry. The epoch moves even when the tuples are the ones already
+    /// registered, so whatever is asked next misses; the cached results
+    /// over the name it replaced are freed at once.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> u64 {
-        self.catalog.register(name, relation)
+        let name = name.into();
+        let epoch = self.catalog.register(name.as_str(), relation);
+        self.free_cached(&name);
+        epoch
     }
 
-    /// Replaces an existing relation (bumping its epoch, which makes all
-    /// cached results over it unreachable).
+    /// Replaces an existing relation. A replacement with other tuples bumps
+    /// its epoch and frees the cached results over it; one with the same
+    /// tuples changes nothing, and its cached results stay.
     pub fn update(&self, name: &str, relation: Relation) -> Result<u64, ServiceError> {
-        self.catalog.update(name, relation)
+        let before = self.relation_epoch(name.trim());
+        let epoch = self.catalog.update(name, relation)?;
+        if before != Some(epoch) {
+            self.free_cached(name);
+        }
+        Ok(epoch)
+    }
+
+    /// Drains every cached result over `name` — an epoch the catalog no
+    /// longer holds keys all of them, so no request can reach them again —
+    /// and frees them once the cache lock is released. They count as
+    /// `invalidations`. A miss that pinned the old epoch and finishes after
+    /// this can still insert one such entry; LRU removes it in time.
+    fn free_cached(&self, name: &str) {
+        let drained = self
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain_referencing(name.trim());
+        drop(drained);
     }
 
     /// Stages a batch of tuple inserts, maintaining affected cached
@@ -342,9 +367,14 @@ impl Service {
         Ok(report)
     }
 
-    /// Removes a relation from the catalog.
+    /// Removes a relation from the catalog and frees the cached results
+    /// over it.
     pub fn remove(&self, name: &str) -> bool {
-        self.catalog.remove(name)
+        let removed = self.catalog.remove(name);
+        if removed {
+            self.free_cached(name);
+        }
+        removed
     }
 
     /// Current catalog-wide epoch: the count of effective catalog writes.
@@ -557,6 +587,12 @@ impl Service {
     pub fn cache_size(&self) -> (usize, usize) {
         let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         (cache.len(), cache.bytes())
+    }
+
+    /// Heap bytes of the registered relations: indexes, packed forms and
+    /// any flattened edge list ([`Relation::heap_bytes`]).
+    pub fn catalog_bytes(&self) -> usize {
+        self.catalog.heap_bytes()
     }
 
     /// The engine registry this service executes on.

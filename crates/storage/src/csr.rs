@@ -83,6 +83,12 @@ impl CsrIndex {
         (by_x, by_y)
     }
 
+    /// Heap bytes of the offsets and the neighbor lists, from their
+    /// lengths.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.neighbors[..])
+    }
+
     /// Number of keys in the (dense) domain.
     #[inline]
     pub fn num_keys(&self) -> usize {

@@ -5,11 +5,11 @@
 //! (Deep, Hu, Koutris — SIGMOD 2020):
 //!
 //! * [`Relation`] — an immutable binary relation `R(x, y)` stored as CSR
-//!   adjacency indexes in *both* directions (`x → [y]` and `y → [x]`) beside
-//!   the deduplicated, sorted edge list it was built from, all shared by
-//!   clones and transposes. This is the paper's requirement (§5, "Indexing
-//!   relations") that every relation be stored once per index order with
-//!   sorted neighbor lists.
+//!   adjacency indexes in *both* directions (`x → [y]` and `y → [x]`),
+//!   shared by clones and transposes, and nothing else: the tuple list it
+//!   was built from is dropped once they are. This is the paper's
+//!   requirement (§5, "Indexing relations") that every relation be stored
+//!   once per index order with sorted neighbor lists.
 //! * [`CsrIndex`] — the compressed-sparse-row index itself.
 //! * [`stats`] — the degree-threshold indexes `sum(xδ)`, `sum(yδ)`,
 //!   `cdfx(yδ)` and `count(wδ)` that the cost-based optimizer (Algorithm 3)

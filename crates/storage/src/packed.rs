@@ -149,6 +149,18 @@ impl Relation {
             .map(|form| 8 * self.packed_words(form))
             .sum()
     }
+
+    /// [`Relation::packed_bytes`] plus each packed form's id list: all
+    /// the heap its forms hold.
+    pub(crate) fn packed_heap_bytes(&self) -> usize {
+        let forms = self.packed_forms();
+        let ids = [&forms.x_major, &forms.y_major]
+            .into_iter()
+            .filter_map(OnceLock::get)
+            .map(|rows| std::mem::size_of_val(rows.ids()))
+            .sum::<usize>();
+        self.packed_bytes() + ids
+    }
 }
 
 fn pack_x_major(r: &Relation) -> PackedRows {

@@ -1,7 +1,9 @@
-//! Binary relations: two CSR indexes, the tuple list they were built from,
-//! and — built by the first query that multiplies them — their bit-packed
-//! rows ([`crate::packed`]). All four sit behind `Arc`s, so a clone and a
-//! transpose copy none of them.
+//! Binary relations: two CSR indexes and — built by the first query that
+//! multiplies them — their bit-packed rows ([`crate::packed`]). Both sit
+//! behind `Arc`s, so a clone and a transpose copy neither. A relation keeps
+//! no list of its tuples: every pass reads them off the `x` index
+//! ([`Relation::tuples`]), and [`Relation::edges`] flattens them into a
+//! slice only when a caller asks for one.
 
 use crate::csr::CsrIndex;
 use crate::packed::PackedForms;
@@ -14,20 +16,22 @@ use std::sync::{Arc, OnceLock};
 /// and `y → [x]`) with sorted neighbor lists, satisfying the paper's §5
 /// requirement that relations be "indexed over the variables" before any
 /// worst-case-optimal join runs. All per-value degree lookups are O(1), and
-/// so are the active-value counts.
+/// so are the active-value counts. The tuple list a constructor was handed
+/// is dropped once the indexes are built.
 ///
 /// A clone bumps reference counts and nothing more: it shares the indexes,
-/// the tuple list and the packed forms ([`Relation::packed`]), which are
-/// empty until a query reads them and never carried over to a relation
-/// derived from this one. A transpose shares the indexes too.
+/// the flattened edge list if [`Relation::edges`] made one, and the packed
+/// forms ([`Relation::packed`]), which are empty until a query reads them
+/// and never carried over to a relation derived from this one. A transpose
+/// shares the indexes too.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// `x → sorted [y]`; shared with the transpose, whose `y` index it is.
     by_x: Arc<CsrIndex>,
     /// `y → sorted [x]`.
     by_y: Arc<CsrIndex>,
-    /// The tuples sorted by `(x, y)`: the list a constructor was handed, or
-    /// — for a transpose — `by_x` flattened by the first [`Relation::edges`].
+    /// The tuples sorted by `(x, y)`, `by_x` flattened by the first
+    /// [`Relation::edges`]; empty until then.
     edges: Arc<OnceLock<Vec<Edge>>>,
     /// Bit-packed rows, built on first use.
     packed: Arc<PackedForms>,
@@ -58,19 +62,20 @@ impl Relation {
     /// already sorted by `(x, y)` and distinct — what a join step, a merge
     /// or a filter of a relation's own edges leaves behind — in
     /// `O(N + domains)`: no sort, both indexes in one pass over the edges.
+    /// Every constructor ends here, and `edges` is dropped on the way out.
     ///
     /// # Panics
     /// Panics on an edge out of order, repeated, or outside the domains.
     pub fn from_sorted_edges(x_domain: usize, y_domain: usize, edges: Vec<Edge>) -> Self {
         let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(x_domain, y_domain, &edges);
-        Self::from_parts(Arc::new(by_x), Arc::new(by_y), OnceLock::from(edges))
+        Self::from_indexes(Arc::new(by_x), Arc::new(by_y))
     }
 
-    fn from_parts(by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>, edges: OnceLock<Vec<Edge>>) -> Self {
+    fn from_indexes(by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>) -> Self {
         Self {
             by_x,
             by_y,
-            edges: Arc::new(edges),
+            edges: Arc::default(),
             packed: Arc::default(),
         }
     }
@@ -91,9 +96,11 @@ impl Relation {
         self.len() == 0
     }
 
-    /// The deduplicated tuples, sorted by `(x, y)`, as one slice. A
-    /// transpose flattens its `x` index into it on the first call; a pass
-    /// over the tuples reads [`Relation::tuples`] instead.
+    /// The deduplicated tuples, sorted by `(x, y)`, as one slice: the first
+    /// call flattens the `x` index into a list of `8·N` bytes, which the
+    /// relation and its clones then keep. Served code reads
+    /// [`Relation::tuples`] instead, which holds nothing; mmjoin-lint's
+    /// `edges-slice` rule keeps it that way outside tests and benchmarks.
     pub fn edges(&self) -> &[Edge] {
         self.edges.get_or_init(|| {
             let mut edges = Vec::with_capacity(self.len());
@@ -193,8 +200,19 @@ impl Relation {
     /// transpose packs its own forms, and flattens its edge list only if
     /// [`Relation::edges`] asks for it.
     pub fn transposed(&self) -> Relation {
-        let (by_x, by_y) = (Arc::clone(&self.by_y), Arc::clone(&self.by_x));
-        Relation::from_parts(by_x, by_y, OnceLock::new())
+        Relation::from_indexes(Arc::clone(&self.by_y), Arc::clone(&self.by_x))
+    }
+
+    /// Heap bytes the relation holds, from lengths alone: its two indexes,
+    /// the packed forms built so far (ids, rows and universal mask), and
+    /// the edge list if [`Relation::edges`] has flattened one. Memory a
+    /// clone or a transpose shares is counted again for each.
+    pub fn heap_bytes(&self) -> usize {
+        let edges = self
+            .edges
+            .get()
+            .map_or(0, |e| std::mem::size_of_val(&e[..]));
+        self.by_x.heap_bytes() + self.by_y.heap_bytes() + self.packed_heap_bytes() + edges
     }
 
     /// Semi-join reduction for the 2-path query `R(x,y) ⋈ S(z,y)`: returns
@@ -447,11 +465,51 @@ pub(crate) mod tests {
         assert_eq!(t.edges(), &[(2, 3), (5, 0), (5, 1), (7, 0)]);
         assert!(std::ptr::eq(t.edges(), twin.edges()));
         assert!(t.tuples().eq(t.edges().iter().copied()));
-        // A clone shares the list a constructor was handed.
+        // A clone shares the list the first call flattened.
         assert!(std::ptr::eq(r.edges(), r.clone().edges()));
         // A derived relation has its own.
         let next = t.apply_delta(RelationDelta::new().insert(4, 4));
         assert_eq!((next.len(), t.len()), (5, 4));
+    }
+
+    #[test]
+    fn no_constructor_keeps_an_edge_list_until_edges_is_called() {
+        let tuples: Vec<Edge> = (0..300u32).map(|i| (i % 17, (i * 7) % 41)).collect();
+        let built = rel(&tuples);
+        let from_sorted = Relation::from_sorted_edges(20, 50, built.tuples().collect());
+        let delta = RelationDelta::new()
+            .insert(19, 49)
+            .delete(3, built.ys_of(3)[0])
+            .normalize(&built);
+        let applied = built.apply_normalized(&delta);
+        let transposed = built.transposed();
+        for (what, r) in [
+            ("builder", built),
+            ("from_sorted_edges", from_sorted),
+            ("apply_normalized", applied),
+            ("transposed", transposed),
+        ] {
+            assert!(r.edges.get().is_none(), "{what} kept an edge list");
+            let before = r.heap_bytes();
+            let twin = r.clone();
+            assert!(r.edges().iter().copied().eq(r.tuples()), "{what}");
+            assert_eq!(r.heap_bytes(), before + 8 * r.len(), "{what}");
+            assert!(std::ptr::eq(r.edges(), twin.edges()), "{what}");
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_indexes_packed_forms_and_the_edge_list() {
+        use crate::PackedForm;
+        // x ∈ 0..3 (4 keys with the empty x = 3 row), y ∈ 0..70.
+        let r = Relation::from_sorted_edges(4, 70, vec![(0, 0), (0, 69), (1, 5), (2, 5)]);
+        let indexes = (5 + 71) * std::mem::size_of::<usize>() + 2 * 4 * 4;
+        assert_eq!(r.heap_bytes(), indexes);
+        r.packed(PackedForm::XMajor);
+        // 3 rows of 2 words, a 2-word mask, 3 ids.
+        assert_eq!(r.heap_bytes(), indexes + 8 * (3 * 2 + 2) + 4 * 3);
+        r.edges();
+        assert_eq!(r.heap_bytes(), indexes + 8 * (3 * 2 + 2) + 4 * 3 + 8 * 4);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! also how the suite holds that the per-pair builder (`HeavyIndex`, whose
 //! vectors are sized by the domains) does not run on the served path; (f) a
 //! relation is shared, never copied: a clone, a registration and the
-//! transpose a chain step reads copy no edge array.
+//! transpose a chain step reads copy no edge array, and no constructor keeps
+//! one.
 
 use mmjoin::{
     plan_query, HeavyBackend, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query,
-    Relation, Request, Service, ServiceConfig, Value,
+    Relation, RelationDelta, Request, Service, ServiceConfig, Value,
 };
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::two_path_join_project_with_stats;
@@ -463,6 +464,41 @@ fn a_relation_is_shared_not_copied() {
         service.register("R", r.clone());
     });
     assert_eq!(service.relation_edges("R").as_deref(), Some(r.edges()));
+}
+
+/// (f) Nor does a relation keep the tuple list it was built from: what each
+/// constructor returns — the builder, sorted edges, an applied delta, a
+/// semi-join reduction, a transpose — holds no block the size of its edge
+/// array until `edges()` flattens one, which dropping it then frees.
+#[test]
+fn construction_retains_no_edge_array() {
+    let r = Relation::from_edges((0..N).map(|e| (e % 64, e / 2)));
+    let sorted = || {
+        let mut edges = Vec::with_capacity(r.len());
+        edges.extend(r.tuples());
+        Relation::from_sorted_edges(r.x_domain(), r.y_domain(), edges)
+    };
+    let mut delta = RelationDelta::new();
+    delta.insert(70, 0);
+    let builds: [(&str, &dyn Fn() -> Relation); 5] = [
+        ("the builder", &|| Relation::from_edges(r.tuples())),
+        ("sorted edges", &sorted),
+        ("an applied delta", &|| r.apply_delta(&delta)),
+        ("a reduction", &|| {
+            Relation::reduce_star(&[&r, &r]).remove(0)
+        }),
+        ("a transpose", &|| r.transposed()),
+    ];
+    for (what, build) in builds {
+        let built = build();
+        assert!(built.len() >= N as usize, "{what}");
+        let freed = tallied(EDGE_ARRAY, || drop(built)).1;
+        assert_eq!(freed.big_frees, 0, "{what} kept an edge array: {freed:?}");
+        let built = build();
+        built.edges();
+        let freed = tallied(EDGE_ARRAY, || drop(built)).1;
+        assert_eq!(freed.big_frees, 1, "{what}, flattened: {freed:?}");
+    }
 }
 
 /// (f) A chain step that joins on a relation's `x` column reads its

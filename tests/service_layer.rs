@@ -136,6 +136,96 @@ fn unrelated_update_keeps_cache_warm() {
     assert!(!fresh.cached, "own update must invalidate");
 }
 
+/// The pairs `(x, z)` of `R(x, y) ⋈ S(z, y)`, ascending.
+fn reference_two_path(r: &[(Value, Value)], s: &[(Value, Value)]) -> Vec<(Value, Value)> {
+    let mut pairs: Vec<(Value, Value)> = r
+        .iter()
+        .flat_map(|&(x, y)| s.iter().filter(move |e| e.1 == y).map(move |e| (x, e.0)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Replacing or removing a relation frees the cached results over it at
+/// once — and only those — and counts them as invalidations; an update
+/// that changes no tuple keeps them.
+#[test]
+fn a_replaced_relations_cached_results_are_freed_at_once() {
+    let service = Service::with_default_registry();
+    let r_edges: Vec<(Value, Value)> = (0..40).map(|i| (i % 9, i % 7)).collect();
+    let s_edges: Vec<(Value, Value)> = (0..40).map(|i| (i % 5, (i * 3) % 7)).collect();
+    service.register("R", Relation::from_edges(r_edges.clone()));
+    service.register("S", Relation::from_edges(s_edges.clone()));
+    let (rr, ss, rs) = (
+        Request::two_path("R", "R"),
+        Request::two_path("S", "S"),
+        Request::two_path("R", "S"),
+    );
+    let star = Request::star(["S", "S"]);
+    let bytes_of = |requests: &[&Request]| -> usize {
+        let answers = requests.iter().map(|&q| service.query(q.clone()).unwrap());
+        answers
+            .map(|a| 4 * (a.rows.values.len() + a.counts.len()))
+            .sum()
+    };
+    let fill = |requests: &[&Request]| {
+        for q in requests {
+            service.query((*q).clone()).unwrap();
+        }
+    };
+    let sorted = |request: &Request| {
+        let answer = service.query(request.clone()).unwrap();
+        let mut rows: Vec<(Value, Value)> = answer.rows.iter().map(|r| (r[0], r[1])).collect();
+        rows.sort_unstable();
+        (answer.cached, rows)
+    };
+    let invalidations = || service.cache_counters().3;
+    fill(&[&rr, &ss, &rs, &star]);
+    let (entries, bytes) = service.cache_size();
+    assert_eq!(entries, 4);
+    let over_r = bytes_of(&[&rr, &rs]);
+
+    // Registering `R` again, even with the same tuples, frees both entries
+    // over it and nothing else.
+    service.register("R", Relation::from_edges(r_edges.clone()));
+    assert_eq!(service.cache_size(), (2, bytes - over_r));
+    assert_eq!(invalidations(), 2);
+    assert!(service.query(ss.clone()).unwrap().cached);
+    assert_eq!(
+        sorted(&rr),
+        (false, reference_two_path(&r_edges, &r_edges)),
+        "the next query over R misses and answers afresh"
+    );
+
+    // An update with the same tuples keeps the epoch and the entries.
+    fill(&[&rs]);
+    let (epoch, held) = (service.relation_epoch("S"), service.cache_size());
+    service
+        .update("S", Relation::from_edges(s_edges.clone()))
+        .unwrap();
+    assert_eq!(service.relation_epoch("S"), epoch);
+    assert_eq!((service.cache_size(), invalidations()), (held, 2));
+    assert!(service.query(star.clone()).unwrap().cached);
+
+    // One that changes a tuple frees the three entries over `S`.
+    let over_s = bytes_of(&[&ss, &rs, &star]);
+    let mut s_next = s_edges.clone();
+    s_next.push((9, 1));
+    service
+        .update("S", Relation::from_edges(s_next.clone()))
+        .unwrap();
+    assert_eq!(service.cache_size(), (held.0 - 3, held.1 - over_s));
+    assert_eq!(invalidations(), 5);
+    assert_eq!(sorted(&rs), (false, reference_two_path(&r_edges, &s_next)));
+
+    // Removing `R` frees what is left over it: `R ⋈ R` and `R ⋈ S`.
+    assert!(service.remove("R"));
+    assert_eq!(invalidations(), 7);
+    assert_eq!(service.cache_size().0, 0);
+    assert!(service.query(rr).is_err());
+}
+
 fn name_strategy() -> impl Strategy<Value = String> {
     prop::sample::select(vec![
         "R".to_string(),

@@ -18,6 +18,8 @@ pub struct Tally {
     pub frees: u64,
     /// Fresh blocks (`alloc`, not `realloc`) of at least `BIG` bytes.
     pub big: u64,
+    /// Blocks of at least `BIG` bytes freed (`dealloc`).
+    pub big_frees: u64,
     /// Bytes asked for: each `alloc`'s size, and what each `realloc` grows
     /// a block by (a shrink asks for nothing).
     pub bytes: u64,
@@ -25,7 +27,7 @@ pub struct Tally {
 
 thread_local! {
     static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { allocs: 0, frees: 0, big: 0, bytes: 0 })
+        Cell::new(Tally { allocs: 0, frees: 0, big: 0, big_frees: 0, bytes: 0 })
     };
     static BIG: Cell<usize> = const { Cell::new(usize::MAX) };
 }
@@ -60,7 +62,11 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: `GlobalAlloc::dealloc`'s contract is the caller's to keep.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(|t| t.frees += 1);
+        let big = BIG.try_with(Cell::get).unwrap_or(usize::MAX);
+        bump(|t| {
+            t.frees += 1;
+            t.big_frees += (layout.size() >= big) as u64;
+        });
         // SAFETY: the caller's contract, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -80,8 +86,8 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Runs `f`, returning its value and what this thread asked of the
-/// allocator meanwhile. Fresh blocks of at least `big` bytes are counted
-/// apart.
+/// allocator meanwhile. Fresh blocks of at least `big` bytes, and frees
+/// of such blocks, are counted apart.
 pub fn tallied<T>(big: usize, f: impl FnOnce() -> T) -> (T, Tally) {
     BIG.with(|b| b.set(big));
     let before = TALLY.with(Cell::get);
@@ -92,6 +98,7 @@ pub fn tallied<T>(big: usize, f: impl FnOnce() -> T) -> (T, Tally) {
         allocs: after.allocs - before.allocs,
         frees: after.frees - before.frees,
         big: after.big - before.big,
+        big_frees: after.big_frees - before.big_frees,
         bytes: after.bytes - before.bytes,
     };
     (value, tally)
