@@ -37,6 +37,7 @@ pub mod engine;
 pub mod ir;
 pub mod query;
 pub mod registry;
+pub mod rows;
 pub mod sink;
 
 pub use engine::{
@@ -47,6 +48,6 @@ pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;
 pub use sink::{
-    emit_counted_pairs, emit_flat, emit_pairs, flatten_pairs, CountSink, DeltaSink, FlatRows,
-    ForEachSink, LimitSink, PairSink, Sink, VecSink,
+    emit_counted_pairs, emit_flat, emit_pairs, emit_rows, flatten_pairs, CountSink, DeltaSink,
+    FlatRows, ForEachSink, LimitSink, PairSink, Sink, VecSink,
 };

@@ -1,5 +1,6 @@
 //! Streaming output visitors.
 
+pub use crate::rows::FlatRows;
 use mmjoin_storage::Value;
 
 /// Receives query output rows as the engine produces them.
@@ -58,45 +59,6 @@ pub trait Sink {
     }
 }
 
-/// Rows stored as one flat array — `arity` values per row, rows back to
-/// back. What [`VecSink`] collects, and what the service caches and serves
-/// without ever taking it apart.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct FlatRows {
-    /// Values per row, as announced by the engine.
-    pub arity: usize,
-    /// The rows' values, in emission order.
-    pub values: Vec<Value>,
-}
-
-impl FlatRows {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.values.len().checked_div(self.arity).unwrap_or(0)
-    }
-
-    /// Whether there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Row `i`.
-    pub fn row(&self, i: usize) -> &[Value] {
-        &self.values[i * self.arity..][..self.arity]
-    }
-
-    /// The rows in order, each a slice of the flat array.
-    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
-        self.values.chunks_exact(self.arity.max(1))
-    }
-
-    /// One `Vec` per row — for callers that compare against the
-    /// row-of-rows reference functions.
-    pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        self.iter().map(<[Value]>::to_vec).collect()
-    }
-}
-
 /// Materialises every row (and count).
 #[derive(Debug, Default, Clone)]
 pub struct VecSink {
@@ -128,11 +90,11 @@ impl VecSink {
 
 impl Sink for VecSink {
     fn begin(&mut self, arity: usize) {
-        self.rows.arity = arity;
+        self.rows.set_arity(arity);
     }
 
     fn row(&mut self, row: &[Value]) {
-        self.rows.values.extend_from_slice(row);
+        self.rows.values_mut().extend_from_slice(row);
         if !self.counts.is_empty() {
             self.counts.push(0);
         }
@@ -142,19 +104,20 @@ impl Sink for VecSink {
         // Rows that came without a count before this one read as 0.
         let uncounted = self.rows.len().saturating_sub(self.counts.len());
         self.counts.extend(std::iter::repeat_n(0, uncounted));
-        self.rows.values.extend_from_slice(row);
+        self.rows.values_mut().extend_from_slice(row);
         self.counts.push(count);
     }
 
     fn take_rows(&mut self, rows: FlatRows, counts: Vec<u32>) -> u64 {
         let taken = rows.len() as u64;
-        if self.rows.values.is_empty() && self.counts.is_empty() {
-            // Nothing stored yet: the handed buffers become the store.
+        if self.rows.is_empty() && self.counts.is_empty() {
+            // Nothing stored yet: the handed buffers — flat rows or product
+            // cells — become the store.
             (self.rows, self.counts) = (rows, counts);
             return taken;
         }
         let before = self.rows.len();
-        self.rows.values.extend_from_slice(&rows.values);
+        self.rows.values_mut().extend(rows.into_values());
         if !counts.is_empty() {
             self.counts.resize(before, 0);
             self.counts.extend(counts);
@@ -195,7 +158,7 @@ impl Sink for PairSink {
     }
 
     fn take_rows(&mut self, rows: FlatRows, _counts: Vec<u32>) -> u64 {
-        assert_eq!(rows.arity, 2, "PairSink requires arity-2 output");
+        assert_eq!(rows.arity(), 2, "PairSink requires arity-2 output");
         // One pass at the exact size: the flat values regrouped as pairs.
         self.pairs.extend(rows.iter().map(|r| (r[0], r[1])));
         rows.len() as u64
@@ -229,6 +192,7 @@ impl Sink for CountSink {
     }
 
     fn take_rows(&mut self, rows: FlatRows, counts: Vec<u32>) -> u64 {
+        // A product's rows are counted, never written.
         self.rows += rows.len() as u64;
         self.witness_total += counts.iter().map(|&c| c as u64).sum::<u64>();
         rows.len() as u64
@@ -245,7 +209,9 @@ impl Sink for CountSink {
 /// transport) but not the join computation itself. A handed-over buffer
 /// is cut in place — [`Sink::take_rows`] truncates it to the rows that fit
 /// and passes it on — so a limited answer is never copied either; its
-/// buffer keeps the full answer's capacity until its owner shrinks it.
+/// buffer keeps the full answer's capacity until its owner shrinks it. A
+/// handed-over product is cut by writing exactly the rows that fit, at
+/// their exact size ([`FlatRows::truncate`]).
 #[derive(Debug, Clone)]
 pub struct LimitSink<S: Sink> {
     inner: S,
@@ -308,7 +274,7 @@ impl<S: Sink> Sink for LimitSink<S> {
     fn take_rows(&mut self, mut rows: FlatRows, mut counts: Vec<u32>) -> u64 {
         let room = usize::try_from(self.limit - self.emitted).unwrap_or(usize::MAX);
         if rows.len() > room {
-            rows.values.truncate(room * rows.arity);
+            rows.truncate(room);
             counts.truncate(room);
         }
         let taken = self.inner.take_rows(rows, counts);
@@ -371,23 +337,26 @@ pub fn emit_counted_pairs(
             counts.push(count);
         }
     }
-    sink.take_rows(FlatRows { arity: 2, values }, counts)
+    sink.take_rows(FlatRows::new(2, values), counts)
 }
 
 /// Hands a flat row buffer — `arity` values per row, rows back to back — to
-/// `sink` whole through [`Sink::take_rows`] and returns the number of rows
-/// it took: a storing sink keeps the buffer, a bounding one cuts it.
+/// `sink` whole ([`emit_rows`]).
 ///
 /// # Panics
 /// Panics if `arity` is 0 or does not divide the buffer.
 pub fn emit_flat(sink: &mut dyn Sink, arity: usize, values: Vec<Value>) -> u64 {
-    assert!(
-        arity > 0 && values.len().is_multiple_of(arity),
-        "{} values are not rows of arity {arity}",
-        values.len()
-    );
-    sink.begin(arity);
-    sink.take_rows(FlatRows { arity, values }, Vec::new())
+    assert!(arity > 0, "rows of arity 0");
+    emit_rows(sink, FlatRows::new(arity, values))
+}
+
+/// Hands `rows` — flat or product cells — to `sink` whole through
+/// [`Sink::take_rows`] (calling [`Sink::begin`] with their arity first) and
+/// returns the number of rows it took: a storing sink keeps them as they
+/// are, a bounding one cuts them.
+pub fn emit_rows(sink: &mut dyn Sink, rows: FlatRows) -> u64 {
+    sink.begin(rows.arity());
+    sink.take_rows(rows, Vec::new())
 }
 
 /// Accumulates signed deltas of arity-2 rows: the support counts behind
@@ -488,19 +457,23 @@ mod tests {
         s.begin(2);
         s.row(&[1, 2]);
         s.counted_row(&[3, 4], 7);
-        assert_eq!(s.rows.arity, 2);
+        assert_eq!(s.rows.arity(), 2);
         assert_eq!(s.pairs(), vec![(1, 2), (3, 4)]);
         assert_eq!(s.counted_pairs(), vec![(1, 2, 0), (3, 4, 7)]);
         assert_eq!(s.rows.len(), 2);
         assert!(!s.rows.is_empty());
-        assert_eq!(s.rows.values, [1, 2, 3, 4], "one flat array, no row boxes");
+        assert_eq!(
+            s.rows.values(),
+            [1, 2, 3, 4],
+            "one flat array, no row boxes"
+        );
         assert_eq!(s.rows.row(1), [3, 4]);
         assert_eq!(s.rows.to_rows(), vec![vec![1, 2], vec![3, 4]]);
     }
 
     #[test]
     fn vec_sink_leaves_counts_empty_until_a_row_carries_one() {
-        let flat = |values: Vec<Value>| FlatRows { arity: 2, values };
+        let flat = |values: Vec<Value>| FlatRows::new(2, values);
         let mut s = VecSink::new();
         s.begin(2);
         s.row(&[1, 2]);
@@ -526,10 +499,10 @@ mod tests {
         let counts: Vec<u32> = (0..500).collect();
         let (v, c) = (values.as_ptr(), counts.as_ptr());
         let mut s = VecSink::new();
-        assert_eq!(s.take_rows(FlatRows { arity: 2, values }, counts), 500);
-        assert!(std::ptr::eq(s.rows.values.as_ptr(), v), "values adopted");
+        assert_eq!(s.take_rows(FlatRows::new(2, values), counts), 500);
+        assert!(std::ptr::eq(s.rows.values().as_ptr(), v), "values adopted");
         assert!(std::ptr::eq(s.counts.as_ptr(), c), "counts adopted");
-        assert_eq!((s.rows.arity, s.rows.len(), s.counts[499]), (2, 500, 499));
+        assert_eq!((s.rows.arity(), s.rows.len(), s.counts[499]), (2, 500, 499));
     }
 
     #[test]
@@ -597,13 +570,13 @@ mod tests {
         let flat = vec![1, 2, 3, 4, 5, 6, 7, 8, 9];
         let mut all = VecSink::new();
         assert_eq!(emit_flat(&mut all, 3, flat.clone()), 3);
-        assert_eq!(all.rows.arity, 3);
-        assert_eq!(all.rows.values, flat);
+        assert_eq!(all.rows.arity(), 3);
+        assert_eq!(all.rows.values(), flat);
         assert_eq!(all.rows.iter().nth(2), Some(&[7, 8, 9][..]));
         let mut two = LimitSink::new(VecSink::new(), 2);
         assert_eq!(emit_flat(&mut two, 3, flat.clone()), 2);
         assert!(two.limit_reached());
-        assert_eq!(two.into_inner().rows.values, flat[..6]);
+        assert_eq!(two.into_inner().rows.values(), &flat[..6]);
         assert_eq!(emit_flat(&mut CountSink::new(), 5, Vec::new()), 0);
         // A sink that keeps nothing takes the rows one at a time.
         let mut seen = Vec::new();
@@ -621,7 +594,7 @@ mod tests {
         assert_eq!(all.pairs(), pairs);
         let mut kept = VecSink::new();
         emit_pairs(&mut kept, pairs);
-        assert!(std::ptr::eq(kept.rows.values.as_ptr(), at), "no copy");
+        assert!(std::ptr::eq(kept.rows.values().as_ptr(), at), "no copy");
         let pairs = kept.pairs();
         for limit in [0usize, 1, 1300, 1305] {
             let mut cut = LimitSink::new(VecSink::new(), limit as u64);
@@ -630,7 +603,7 @@ mod tests {
             assert_eq!(cut.limit_reached(), limit <= pairs.len());
             let inner = cut.into_inner();
             assert_eq!(inner.pairs(), pairs[..want]);
-            assert_eq!(inner.rows.values.len(), 2 * want);
+            assert_eq!(inner.rows.values().len(), 2 * want);
         }
         let mut counted = CountSink::new();
         assert_eq!(emit_pairs(&mut counted, pairs.clone()), 1300);
@@ -646,8 +619,8 @@ mod tests {
         let mut all = VecSink::new();
         assert_eq!(emit_counted_pairs(&mut all, &triples, true), 300);
         assert_eq!(all.counted_pairs(), triples);
-        assert_eq!(all.rows.values.capacity(), 600);
         assert_eq!(all.counts.capacity(), 300);
+        assert_eq!(std::mem::take(&mut all.rows).into_values().capacity(), 600);
         let mut dropped = VecSink::new();
         emit_counted_pairs(&mut dropped, &triples, false);
         assert!(dropped.counts.is_empty() && dropped.rows.len() == 300);

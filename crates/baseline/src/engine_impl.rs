@@ -196,7 +196,7 @@ mod tests {
             let mut sink = VecSink::new();
             e.execute(&q, &mut sink).unwrap();
             assert_eq!(sink.rows.to_rows(), reference, "{}", e.name());
-            assert_eq!(sink.rows.arity, 3);
+            assert_eq!(sink.rows.arity(), 3);
         }
     }
 

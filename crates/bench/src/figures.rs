@@ -12,6 +12,7 @@ use mmjoin::{
     default_registry, registry_with_config, CountSink, Engine, EngineRegistry, ExecStats,
     HeavyBackend, JoinConfig, MmJoinEngine, PlanKind, Query, Relation,
 };
+use mmjoin_api::{flatten_pairs, FlatRows};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_bsi::{random_workload, simulate_batching, BsiStrategy};
 use mmjoin_datagen::DatasetKind;
@@ -479,14 +480,16 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
         let left = Relation::from_edges(pairs.iter().copied());
         let right = Relation::from_edges(pairs.iter().map(|&(k, j)| (j, k)));
         // Each to the sorted pair list a join returns (median of three).
-        let ids: Vec<u32> = (0..p as u32).collect();
-        let (boolean, bit_secs) =
-            timed_median(1, 3, || bits.bool_product(&bits).mapped_ones(&ids, &ids));
+        let ids = || FlatRows::new(1, (0..p as u32).collect());
+        let (boolean, bit_secs) = timed_median(1, 3, || {
+            let words = bits.bool_product(&bits).into_words();
+            FlatRows::product(words, ids(), ids()).into_values()
+        });
         let (expanded, expand_secs) = timed_median(1, 3, || {
             ExpandDedupEngine::serial().join_project(&left, &right)
         });
-        let out = boolean.len();
-        assert_eq!(expanded, boolean);
+        let out = expanded.len();
+        assert_eq!(flatten_pairs(expanded), boolean);
         let density = format!("{:.1}%", per_mille as f64 * 100.0 / 1024.0);
         for (name, secs) in [("bit row-OR", bit_secs), ("expansion", expand_secs)] {
             t.push_row(

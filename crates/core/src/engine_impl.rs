@@ -17,7 +17,7 @@ use crate::plan::plan_general;
 use crate::MmJoinEngine;
 use crate::{star, two_path};
 use mmjoin_api::{
-    emit_counted_pairs, emit_flat, emit_pairs, Engine, EngineError, ExecStats, PlanStats, Query,
+    emit_counted_pairs, emit_pairs, emit_rows, Engine, EngineError, ExecStats, PlanStats, Query,
     Sink,
 };
 
@@ -54,8 +54,11 @@ fn plan_then_run(
             with_counts: false,
             ..
         } => {
-            let (pairs, plan) = two_path::plan_then_run(r, s, config, run);
-            (sink.map_or(0, |sink| emit_pairs(sink, pairs)), plan)
+            let (rows, plan) = two_path::plan_then_run(r, s, config, run);
+            (
+                sink.map_or(0, |sink| emit_rows(sink, rows.into_rows())),
+                plan,
+            )
         }
         Query::TwoPath {
             r, s, min_count, ..
@@ -65,9 +68,8 @@ fn plan_then_run(
             (rows, plan)
         }
         Query::Star { ref relations } => {
-            let (flat, plan) = star::plan_then_run(relations, config, run);
-            let rows = sink.map_or(0, |sink| emit_flat(sink, relations.len(), flat));
-            (rows, plan)
+            let (rows, plan) = star::plan_then_run(relations, config, run);
+            (sink.map_or(0, |sink| emit_rows(sink, rows)), plan)
         }
         Query::General { ref graph } => compose::plan_then_run(graph, config, sink)?,
         Query::SimilarityJoin { r, c, ordered } => {
@@ -207,7 +209,7 @@ mod tests {
         let stats = engine.execute(&q, &mut sink).unwrap();
         let expected = star_join_project_mm(&rels, &JoinConfig::default());
         assert_eq!(sink.rows.to_rows(), expected);
-        assert_eq!(sink.rows.arity, 3);
+        assert_eq!(sink.rows.arity(), 3);
         assert!(stats.plan.is_some());
     }
 

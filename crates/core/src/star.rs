@@ -4,8 +4,10 @@
 //! line 2 of Algorithm 3 on the star's exact full join, and past it
 //! *everything heavy* — `Δ1 = Δ2 = 0` — if that heavy core fits the memory
 //! cap, expansion if not. Nothing is light then: the answer is the heavy
-//! core's output as it leaves the extractor, sorted and distinct, one flat
-//! buffer of `k` values per row — no accumulator, no sort.
+//! core's product itself, handed to the sink as its cells
+//! ([`FlatRows::product`]) — no accumulator, no sort, and no row written
+//! until one is read; its cells, walked row-major, are the rows sorted and
+//! distinct.
 //!
 //! The heavy core multiplies two *grouped-variable* matrices: rows of `V`
 //! are the distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W` over the
@@ -47,8 +49,8 @@
 
 use crate::config::JoinConfig;
 use crate::optimizer::{heavy_core_cost, F32_KERNEL};
-use crate::two_path::{self, phase, product_phase, Operands, Product};
-use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
+use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, Operands};
+use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
 use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
 use mmjoin_storage::{Relation, Value};
@@ -72,8 +74,7 @@ pub fn star_join_project_mm_with_stats<R: AsRef<Relation>>(
     config: &JoinConfig,
 ) -> (Vec<Vec<Value>>, Option<PlanStats>) {
     let (values, stats) = star_join_project_mm_flat(relations, config);
-    let arity = relations.len();
-    (FlatRows { arity, values }.to_rows(), stats)
+    (FlatRows::new(relations.len(), values).to_rows(), stats)
 }
 
 /// The star engine: the sorted distinct tuples as one flat buffer,
@@ -84,50 +85,53 @@ pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
     relations: &[R],
     config: &JoinConfig,
 ) -> (Vec<Value>, Option<PlanStats>) {
-    let (flat, stats) = plan_then_run(relations, config, true);
-    (flat, Some(stats))
+    let (rows, stats) = plan_then_run(relations, config, true);
+    (rows.into_values(), Some(stats))
 }
 
 /// Plans the star over `relations` — the decision record `explain` prints —
 /// and, if `run`, evaluates it as planned, on the semi-join-reduced legs the
 /// plan was priced on, returning the rows and the record with the run's half
-/// filled in. One leg has nothing to decide, two are their two-path, and a
-/// join that is empty (an empty leg, or no `y` common to all) is the
-/// expansion of nothing.
+/// filled in — the Boolean core's product as its cells
+/// ([`FlatRows::product`]), any other plan's rows flat. One leg has nothing
+/// to decide, two are their two-path, and a join that is empty (an empty
+/// leg, or no `y` common to all) is the expansion of nothing.
 pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     relations: &[R],
     config: &JoinConfig,
     run: bool,
-) -> (Vec<Value>, PlanStats) {
+) -> (FlatRows, PlanStats) {
     assert!(
         !relations.is_empty(),
         "star query needs at least one relation"
     );
+    let k = relations.len();
+    let none = || FlatRows::new(k, Vec::new());
     if relations.iter().any(|r| r.as_ref().is_empty()) {
-        return (Vec::new(), PlanStats::wcoj());
+        return (none(), PlanStats::wcoj());
     }
     if let [r] = relations {
         // Nothing to decide, and nothing worth skipping.
         let heads = r.as_ref().by_x().iter_nonempty().map(|(x, _)| x);
-        return (heads.collect(), PlanStats::wcoj());
+        return (FlatRows::new(1, heads.collect()), PlanStats::wcoj());
     }
     if let [r, s] = relations {
-        let (pairs, stats) = two_path::plan_then_run(r.as_ref(), s.as_ref(), config, run);
-        return (flatten_pairs(pairs), stats);
+        let (rows, stats) = two_path::plan_then_run(r.as_ref(), s.as_ref(), config, run);
+        return (rows.into_rows(), stats);
     }
     let reduced = &Relation::reduce_star(relations);
     if reduced.iter().any(|r| r.is_empty()) {
-        return (Vec::new(), PlanStats::wcoj());
+        return (none(), PlanStats::wcoj());
     }
     let mut stats = plan_reduced(reduced, config);
     if !run {
-        return (Vec::new(), stats);
+        return (none(), stats);
     }
+    let expand = || FlatRows::new(k, star_join_project_flat(reduced));
     let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
-        return (star_join_project_flat(reduced), stats);
+        return (expand(), stats);
     };
 
-    let k = reduced.len();
     let boolean = config.heavy_backend.is_boolean(false);
     let (threads, exec) = (config.effective_threads(), config.exec());
     let mut secs = PhaseSecs::default();
@@ -161,7 +165,7 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     });
     if built.is_none() && core.cols > 0 {
         // Over the cap: the whole star runs as expansion instead.
-        return (star_join_project_flat(reduced), stats);
+        return (expand(), stats);
     }
     let rows = built.as_ref().map_or(0, |built| built.v.len());
     let (product, filled) = product_phase(&mut secs.product, rows, || match built {
@@ -175,18 +179,26 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         None => (None, None),
     });
     stats.rows_filled = filled;
-    let out = phase("extract", &mut secs.extract, || {
-        let heavy = product.map_or_else(Vec::new, |(product, v, w)| heavy_rows(&product, &v, &w));
-        // Nothing from the light steps: the heavy rows are the answer,
-        // already sorted and distinct.
+    let extract = || {
+        // Ascending half-tuples on both sides, row-major cells: sorted,
+        // distinct rows.
+        let heavy = product.map_or_else(none, |(product, v, w)| {
+            FlatRows::product(product.into_bits().into_words(), v, w)
+        });
+        // Nothing from the light steps: the heavy rows are the answer — the
+        // Boolean product as it stands.
         if acc.is_empty() {
-            return heavy;
+            if boolean {
+                return heavy;
+            }
+            return FlatRows::new(k, heavy.into_values());
         }
-        for tuple in heavy.chunks_exact(k) {
+        for tuple in heavy.into_values().chunks_exact(k) {
             acc.push(tuple);
         }
-        acc.finish()
-    });
+        FlatRows::new(k, acc.finish())
+    };
+    let out = extract_phase(&mut secs.extract, extract, extract_label);
     stats.measured_phase_secs = Some(secs);
     (out, stats)
 }
@@ -455,13 +467,10 @@ impl HeavyCols {
 fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRows, BitMatrix)> {
     let stride = cols.div_ceil(64);
     let mut words = all_columns(cols);
-    let mut rows = FlatRows::default();
+    // The half-tuples, `arity` values each; the empty prefix is one row.
+    let (mut rows, mut arity) = (Vec::new(), 0);
     for leg in group {
-        let mut next = FlatRows {
-            arity: rows.arity + 1,
-            values: Vec::new(),
-        };
-        let mut next_words = Vec::new();
+        let (mut next, mut next_words) = (Vec::new(), Vec::new());
         let mut candidates = vec![0u64; leg.heads.len().div_ceil(64)];
         for (p, prefix) in words.chunks_exact(stride).enumerate() {
             candidates.fill(0);
@@ -470,8 +479,8 @@ fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRo
                 candidates.iter_mut().zip(mask).for_each(|(to, m)| *to |= m);
             }
             for h in ones(&candidates) {
-                next.values.extend_from_slice(rows.row(p));
-                next.values.push(leg.heads[h]);
+                next.extend_from_slice(&rows[p * arity..(p + 1) * arity]);
+                next.push(leg.heads[h]);
                 let reach = leg.reach.row_words(h);
                 next_words.extend(prefix.iter().zip(reach).map(|(a, b)| a & b));
             }
@@ -479,8 +488,9 @@ fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRo
                 return None;
             }
         }
-        (rows, words) = (next, next_words);
+        (rows, words, arity) = (next, next_words, arity + 1);
     }
+    let rows = FlatRows::new(arity, rows);
     let bits = BitMatrix::from_words(rows.len(), cols, words);
     Some((rows, bits))
 }
@@ -503,67 +513,6 @@ struct Built {
     orientation: Orientation,
     /// The heavy columns every row of `W` has (unread by SGEMM).
     universal: Vec<u64>,
-}
-
-/// The heavy output from the product's set cells, row-major: ascending
-/// half-tuples on both sides, so sorted and distinct — one flat buffer of
-/// exactly its rows.
-fn heavy_rows(product: &Product, v: &FlatRows, w: &FlatRows) -> Vec<Value> {
-    let c = match product {
-        Product::Bit(c) => c,
-        Product::F32(c) => {
-            // The SGEMM pin: cell by cell through the dense scan.
-            let rows = c.entries_at_least(0.5).count();
-            let mut flat = Vec::with_capacity(rows * (v.arity + w.arity));
-            for (i, j, _) in c.entries_at_least(0.5) {
-                flat.extend_from_slice(v.row(i));
-                flat.extend_from_slice(w.row(j));
-            }
-            return flat;
-        }
-    };
-    let mut flat = vec![0 as Value; c.count_ones() * (v.arity + w.arity)];
-    // The splits of k = 3 and 4 at fixed arities; past them, the same body
-    // at the runtime arity.
-    match (v.arity, w.arity) {
-        (2, 1) => write_rows::<2, 1>(c, v, w, &mut flat),
-        (2, 2) => write_rows::<2, 2>(c, v, w, &mut flat),
-        _ => write_rows::<0, 0>(c, v, w, &mut flat),
-    }
-    flat
-}
-
-/// Writes row `(i, j)` of every set bit of `c`, row-major, into `flat`: `V`'s
-/// half-tuple `i`, then `W`'s `j`. Each row of `c` is walked a word at a
-/// time. With the arities known at compile time (`VA`, `WA` nonzero) a row
-/// is a few moves — no per-row `memcpy` call; `0, 0` reads them from `v`
-/// and `w`.
-fn write_rows<const VA: usize, const WA: usize>(
-    c: &BitMatrix,
-    v: &FlatRows,
-    w: &FlatRows,
-    flat: &mut [Value],
-) {
-    let (va, wa) = if VA == 0 {
-        (v.arity, w.arity)
-    } else {
-        (VA, WA)
-    };
-    debug_assert_eq!((va, wa), (v.arity, w.arity));
-    let mut slots = flat.chunks_exact_mut(va + wa);
-    for (i, v_row) in v.values.chunks_exact(va).enumerate() {
-        for (wk, &word) in c.row_words(i).iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let j = wk * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let slot = slots.next().expect("one slot per set cell");
-                let (head, tail) = slot.split_at_mut(va);
-                head.copy_from_slice(v_row);
-                tail.copy_from_slice(&w.values[j * wa..(j + 1) * wa]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -701,7 +650,7 @@ mod tests {
         let core = HeavyCols::partition(&[first, second], 0, 0);
         assert_eq!(core.cols, 2);
         let (rows, bits) = half_tuples(&core.legs, core.cols, usize::MAX).unwrap();
-        assert_eq!(rows.values, [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
+        assert_eq!(rows.values(), [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
         assert_eq!(
             bits.iter_ones().collect::<Vec<_>>(),
             [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]

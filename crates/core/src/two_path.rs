@@ -31,7 +31,9 @@
 //! otherwise all of `a`, `c`, `b` are heavy → matrix. The three part outputs
 //! may overlap, so assembly sorts and deduplicates (output-sized work) —
 //! except at `Δ1 = Δ2 = 0`, where nothing is light: the passes are skipped
-//! and the heavy pairs leave the extractor sorted and distinct.
+//! and the heavy product's cells, walked row-major, are the pairs sorted
+//! and distinct — the packed core hands the product itself to the sink
+//! ([`FlatRows::product`]), and a pair is written only when it is read.
 //!
 //! The counting variant ([`two_path_with_counts`]) rearranges the passes so
 //! that every pair's witnesses are counted against *disjoint* witness sets,
@@ -45,7 +47,7 @@
 
 use crate::config::JoinConfig;
 use crate::optimizer::{choose_thresholds_for, operand_source, PackedCore, PlanChoice, F32_KERNEL};
-use mmjoin_api::{PhaseSecs, PlanStats};
+use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
 use mmjoin_matrix::{
@@ -94,6 +96,63 @@ pub(crate) fn product_phase<T>(
     (out, filled)
 }
 
+/// The `extract` phase ([`phase`]): `f` returns the rows, and the span is
+/// relabelled `label(&rows)`, what it kept ([`extract_label`]).
+pub(crate) fn extract_phase<T>(
+    secs: &mut f64,
+    f: impl FnOnce() -> T,
+    label: impl FnOnce(&T) -> String,
+) -> T {
+    let mut span = trace::span(Stage::Step, "extract");
+    let start = Instant::now();
+    let rows = f();
+    *secs += start.elapsed().as_secs_f64();
+    span.relabel(|| label(&rows));
+    rows
+}
+
+/// The `extract` label of `rows`: `extract cells rows=N bytes=B` for a
+/// product kept as its cells, `extract flat rows=N` for rows written out.
+pub(crate) fn extract_label(rows: &FlatRows) -> String {
+    if rows.is_product() {
+        format!(
+            "extract cells rows={} bytes={}",
+            rows.len(),
+            rows.heap_bytes()
+        )
+    } else {
+        format!("extract flat rows={}", rows.len())
+    }
+}
+
+/// A two-path's rows as its run leaves them.
+pub(crate) enum PathRows {
+    /// Sorted distinct pairs: an expansion, or a forced partition.
+    Pairs(Vec<(Value, Value)>),
+    /// The packed core's product ([`FlatRows::product`]).
+    Product(FlatRows),
+}
+
+impl PathRows {
+    /// The rows as the sink takes them: the pairs' own buffer, or the
+    /// product as it is.
+    pub(crate) fn into_rows(self) -> FlatRows {
+        match self {
+            PathRows::Pairs(pairs) => FlatRows::new(2, flatten_pairs(pairs)),
+            PathRows::Product(rows) => rows,
+        }
+    }
+
+    /// The rows as pairs, for a caller that builds on them (a chain step
+    /// makes a relation of them): a product writes its rows out.
+    pub(crate) fn into_pairs(self) -> Vec<(Value, Value)> {
+        match self {
+            PathRows::Pairs(pairs) => pairs,
+            PathRows::Product(rows) => rows.into_pairs(),
+        }
+    }
+}
+
 /// [`two_path_join_project`] plus the plan record of the run: one planning
 /// pass ([`plan_two_path`]) whose record the run then fills in, so the
 /// statistics describe exactly what ran (empty inputs report no plan).
@@ -105,32 +164,33 @@ pub fn two_path_join_project_with_stats(
     if r.is_empty() || s.is_empty() {
         return (Vec::new(), None);
     }
-    let (pairs, stats) = plan_then_run(r, s, config, true);
-    (pairs, Some(stats))
+    let (rows, stats) = plan_then_run(r, s, config, true);
+    (rows.into_pairs(), Some(stats))
 }
 
 /// Plans the existence two-path ([`plan_two_path`]) and, if `run`,
-/// evaluates it as planned, returning the pairs and the record with the
+/// evaluates it as planned, returning the rows and the record with the
 /// run's half filled in.
 pub(crate) fn plan_then_run(
     r: &Relation,
     s: &Relation,
     config: &JoinConfig,
     run: bool,
-) -> (Vec<(Value, Value)>, PlanStats) {
+) -> (PathRows, PlanStats) {
     let mut stats = plan_two_path(r, s, config, false);
     if !run {
-        return (Vec::new(), stats);
+        return (PathRows::Pairs(Vec::new()), stats);
     }
     let (threads, exec) = (config.effective_threads(), config.exec());
-    let expand = || ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec);
+    let expand =
+        || PathRows::Pairs(ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec));
     let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
         return (expand(), stats);
     };
     let boolean = config.heavy_backend.is_boolean(false);
     if boolean && config.delta_override.is_none() {
-        let pairs = packed_core(r, s, &mut stats);
-        return (pairs, stats);
+        let rows = packed_core(r, s, &mut stats);
+        return (PathRows::Product(rows), stats);
     }
     let mut secs = PhaseSecs::default();
 
@@ -192,28 +252,28 @@ pub(crate) fn plan_then_run(
         }
     });
     stats.rows_filled = filled;
-    phase("extract", &mut secs.extract, || {
-        match product {
-            Some(Product::Bit(prod)) => {
-                // Ascending ids, row-major bits: sorted, distinct pairs.
-                let pairs = prod.mapped_ones(&heavy.heavy_x, &heavy.heavy_z);
-                if out.is_empty() {
-                    out = pairs;
-                    return;
-                }
-                out.extend(pairs);
+    let ids = |ids: &[Value]| FlatRows::new(1, ids.to_vec());
+    let out = extract_phase(
+        &mut secs.extract,
+        || {
+            // Ascending ids, row-major cells: sorted, distinct pairs — to
+            // merge with the light passes' unless those found nothing.
+            let heavy_pairs = product.map_or_else(Vec::new, |product| {
+                let words = product.into_bits().into_words();
+                FlatRows::product(words, ids(&heavy.heavy_x), ids(&heavy.heavy_z)).into_pairs()
+            });
+            if out.is_empty() {
+                return heavy_pairs;
             }
-            Some(Product::F32(prod)) => out.extend(
-                prod.entries_at_least(0.5)
-                    .map(|(i, j, _)| (heavy.heavy_x[i], heavy.heavy_z[j])),
-            ),
-            None => {}
-        }
-        out.sort_unstable();
-        out.dedup();
-    });
+            out.extend(heavy_pairs);
+            out.sort_unstable();
+            out.dedup();
+            out
+        },
+        |out| format!("extract flat rows={}", out.len()),
+    );
     stats.measured_phase_secs = Some(secs);
-    (out, stats)
+    (PathRows::Pairs(out), stats)
 }
 
 /// The optimizer-chosen existence plan — every value heavy — multiplied
@@ -221,9 +281,11 @@ pub(crate) fn plan_then_run(
 /// on the left, `S` in the form the orientation reads on the right, joined
 /// on raw `y` ids. Whichever query first reads a form packs it (the `build`
 /// phase); every later one over the same relation value finds it there.
-/// The pairs leave the extractor sorted and distinct. Fills in the run's
-/// half of `stats`; all five phases are recorded, the first two empty.
-fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value, Value)> {
+/// The answer is the product itself, kept as its cells (sorted, distinct
+/// rows on read) unless flat rows are smaller ([`FlatRows::product`]).
+/// Fills in the run's half of `stats`; all five phases are recorded, the
+/// first two empty.
+fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> FlatRows {
     let core = PackedCore::of(r, s);
     let mut secs = PhaseSecs::default();
     phase("partition", &mut secs.partition, || ());
@@ -240,9 +302,12 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value,
             view(left).product(view(right), core.bit.orientation, right.universal());
         (product, Some(filled))
     });
-    let pairs = phase("extract", &mut secs.extract, || {
-        product.mapped_ones(left.ids(), right.ids())
-    });
+    let ids = |p: &PackedRows| FlatRows::new(1, p.ids().to_vec());
+    let rows = extract_phase(
+        &mut secs.extract,
+        || FlatRows::product(product.into_words(), ids(left), ids(right)),
+        extract_label,
+    );
     stats.heavy_dims = Some(core.dims);
     stats.light_tuples = Some((0, 0));
     stats.heavy_core_matrix = Some(true);
@@ -250,7 +315,7 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> Vec<(Value,
     stats.heavy_operands = Some([built_left, built_right].map(|built| operand_source(!built)));
     stats.measured_phase_secs = Some(secs);
     stats.rows_filled = filled;
-    pairs
+    rows
 }
 
 /// Evaluates the 2-path query with exact per-pair witness counts,
@@ -373,6 +438,23 @@ impl Operands {
 pub(crate) enum Product {
     Bit(BitMatrix),
     F32(DenseMatrix),
+}
+
+impl Product {
+    /// The product's set cells as bits: an SGEMM product's cells of at
+    /// least one witness.
+    pub(crate) fn into_bits(self) -> BitMatrix {
+        match self {
+            Product::Bit(bits) => bits,
+            Product::F32(c) => {
+                let mut bits = BitMatrix::zeros(c.rows(), c.cols());
+                for (i, j, _) in c.entries_at_least(0.5) {
+                    bits.set(i, j);
+                }
+                bits
+            }
+        }
+    }
 }
 
 /// One planning pass for the two-path over `r`, `s` — the threshold

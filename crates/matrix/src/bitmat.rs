@@ -303,29 +303,9 @@ impl BitMatrix {
         (0..self.rows).flat_map(move |i| ones(self.row_words(i)).map(move |j| (i, j)))
     }
 
-    /// The set bits as `(row_ids[i], col_ids[j])` pairs, row-major — so
-    /// with both id lists ascending the pairs come out sorted and distinct,
-    /// and a join's heavy output needs no sort.
-    ///
-    /// # Panics
-    /// Panics if the id lists do not match the matrix shape.
-    pub fn mapped_ones(&self, row_ids: &[u32], col_ids: &[u32]) -> Vec<(u32, u32)> {
-        assert_eq!(row_ids.len(), self.rows, "one id per row");
-        assert_eq!(col_ids.len(), self.cols, "one id per column");
-        let mut out = Vec::with_capacity(self.count_ones());
-        for (i, &x) in row_ids.iter().enumerate() {
-            for (wk, &w) in self.row_words(i).iter().enumerate() {
-                let ids = &col_ids[wk * 64..];
-                if w == !0 {
-                    // A full word — the common case in a row the mask
-                    // filled — is 64 contiguous ids.
-                    out.extend(ids[..64].iter().map(|&z| (x, z)));
-                } else {
-                    out.extend(BitIter(w).map(|b| (x, ids[b])));
-                }
-            }
-        }
-        out
+    /// The words, row after row, `⌈cols/64⌉` each, the padding bits zero.
+    pub fn into_words(self) -> Vec<u64> {
+        self.words
     }
 }
 
@@ -583,21 +563,6 @@ mod tests {
     #[should_panic(expected = "step back")]
     fn from_adjacency_rejects_a_step_back_into_a_stored_word() {
         let _ = BitMatrix::from_adjacency(1, 130, &[64, 3], |_| &[0, 1]);
-    }
-
-    #[test]
-    fn mapped_ones_are_sorted_pairs() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = random(&mut rng, 9, 150, 0.3);
-        let row_ids: Vec<u32> = (0..9).map(|i| 10 + 3 * i).collect();
-        let col_ids: Vec<u32> = (0..150).map(|j| 7 * j).collect();
-        let got = m.mapped_ones(&row_ids, &col_ids);
-        let want: Vec<(u32, u32)> = m
-            .iter_ones()
-            .map(|(i, j)| (row_ids[i], col_ids[j]))
-            .collect();
-        assert_eq!(got, want);
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
     }
 
     #[test]

@@ -19,12 +19,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A materialised query result as the cache stores it and responses share
-/// it: two flat arrays, so holding or dropping one costs the same however
-/// many rows it has.
+/// it: the rows — flat, or a Boolean core's product cells — and a flat
+/// array of counts, so holding or dropping one costs the same however many
+/// rows it has.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// The rows, in the engine's emission order (maintained entries:
-    /// sorted canonical order) — the buffer the engine's sink filled.
+    /// sorted canonical order) — what the engine handed its sink: its flat
+    /// buffer, or its product's cells.
     pub rows: Arc<FlatRows>,
     /// Per-row witness counts; empty where the query family emits none.
     pub counts: Arc<Vec<u32>>,
@@ -42,12 +44,13 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Heap bytes of the result arrays — values, counts, and a pair plus a
-    /// count per supported tuple — from their lengths alone.
+    /// Heap bytes of the result arrays — the rows, flat or product cells
+    /// ([`FlatRows::heap_bytes`]), counts, and a pair plus a count per
+    /// supported tuple.
     pub fn bytes(&self) -> usize {
         let support = self.support.as_ref().map_or(0, |s| s.result.len());
-        let words = self.rows.values.len() + self.counts.len() + 3 * support;
-        words * std::mem::size_of::<Value>()
+        let words = self.counts.len() + 3 * support;
+        self.rows.heap_bytes() + words * std::mem::size_of::<Value>()
     }
 }
 
@@ -71,10 +74,7 @@ pub struct CachedResult {
 impl From<CachedResult> for CacheEntry {
     fn from(old: CachedResult) -> Self {
         Self {
-            rows: Arc::new(FlatRows {
-                arity: old.arity,
-                values: old.rows.concat(),
-            }),
+            rows: Arc::new(FlatRows::new(old.arity, old.rows.concat())),
             counts: old.counts,
             stats: Arc::new(old.stats),
             truncated: old.truncated,
@@ -264,10 +264,7 @@ mod tests {
 
     fn result(tag: u32) -> CacheEntry {
         CacheEntry {
-            rows: Arc::new(FlatRows {
-                arity: 2,
-                values: vec![tag, tag],
-            }),
+            rows: Arc::new(FlatRows::new(2, vec![tag, tag])),
             counts: Arc::default(),
             stats: Arc::new(ExecStats::new("test", 1)),
             truncated: false,
@@ -396,10 +393,7 @@ mod tests {
     #[test]
     fn bytes_follow_inserts_evictions_and_drains() {
         let entry = |rows: u32, counted: bool| CacheEntry {
-            rows: Arc::new(FlatRows {
-                arity: 2,
-                values: (0..2 * rows).collect(),
-            }),
+            rows: Arc::new(FlatRows::new(2, (0..2 * rows).collect())),
             counts: Arc::new(if counted {
                 vec![1; rows as usize]
             } else {

@@ -239,6 +239,14 @@ impl Catalog {
             .collect()
     }
 
+    /// The current epoch of each of `names`, `None` where unregistered,
+    /// read under one guard.
+    pub fn epochs_of(&self, names: &[&str]) -> Vec<Option<u64>> {
+        let state = self.read();
+        let epoch = |name: &&str| state.entries.get(*name).map(|e| e.epoch);
+        names.iter().map(epoch).collect()
+    }
+
     /// The catalog-wide epoch: the count of effective
     /// register / update / remove operations.
     pub fn epoch(&self) -> u64 {

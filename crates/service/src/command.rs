@@ -736,13 +736,16 @@ fn render_query(response: &Response, secs: f64, show: Option<usize>) -> String {
     // whole is checked as UTF-8 once, not cell by cell.
     let mut out = out.into_bytes();
     let shown = max_rows.min(response.rows.len());
+    let arity = response.rows.arity();
     // A cell is at most ten digits and its separator; `\n  (` and `)` frame
     // the row. Most cells are shorter: this reserves once, high.
-    out.reserve(shown * (response.rows.arity * 12 + 5));
+    out.reserve(shown * (arity * 12 + 5));
     // A family that emits no counts stores none, which reads as 0 for
-    // every row.
+    // every row. Only the shown rows are read: a product answer writes
+    // those alone.
     let counts = response.counts.iter().copied().chain(iter::repeat(0));
-    for (row, count) in response.rows.iter().zip(counts).take(shown) {
+    let values = response.rows.first(shown);
+    for (row, count) in values.chunks_exact(arity.max(1)).zip(counts) {
         out.extend_from_slice(b"\n  (");
         for (i, &cell) in row.iter().enumerate() {
             if i > 0 {
@@ -1298,7 +1301,7 @@ mod tests {
             values.extend([0, u32::MAX]);
             values.truncate(values.len() / arity * arity);
             let response = Response {
-                rows: Arc::new(FlatRows { arity, values }),
+                rows: Arc::new(FlatRows::new(arity, values)),
                 counts: Arc::new(counts),
                 stats: Arc::new(ExecStats::new("MMJoin", 0)),
                 cached: flags & 1 != 0,

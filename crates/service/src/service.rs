@@ -95,7 +95,7 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Output rows, in the engine's emission order, as one flat array
-    /// (`rows.arity` values per row). Shared with the cache, so a hit
+    /// (`rows.arity()` values per row). Shared with the cache, so a hit
     /// returns the *same* buffer the cold run's sink filled.
     pub rows: Arc<FlatRows>,
     /// Per-row witness counts; empty where the family emits none.
@@ -290,7 +290,7 @@ impl Service {
     /// longer holds keys all of them, so no request can reach them again —
     /// and frees them once the cache lock is released. They count as
     /// `invalidations`. A miss that pinned the old epoch and finishes after
-    /// this can still insert one such entry; LRU removes it in time.
+    /// this inserts nothing ([`execute`] checks the epochs it pinned).
     fn free_cached(&self, name: &str) {
         let drained = self
             .cache
@@ -785,7 +785,7 @@ fn maintain_entry(
     min_count: u32,
 ) -> Option<(CacheEntry, (usize, Crossings))> {
     let crossed = Arc::make_mut(&mut value.support.as_mut()?.result).patch(
-        &mut Arc::make_mut(&mut value.rows).values,
+        Arc::make_mut(&mut value.rows).values_mut(),
         Arc::make_mut(&mut value.counts),
         deltas,
         min_count,
@@ -829,7 +829,7 @@ fn recompute_entry(
         .ok()?;
     let support = DeltaResult::from_signed(&sink.into_deltas());
     let (values, counts) = support.rows(min_count, with_counts);
-    let rows = FlatRows { arity: 2, values };
+    let rows = FlatRows::new(2, values);
     Some(CacheEntry {
         stats: Arc::new(ExecStats {
             rows: rows.len() as u64,
@@ -1008,7 +1008,7 @@ fn execute(service: &Service, miss: Miss) -> Result<Response, ServiceError> {
     // The sink kept the engine's own buffers: a limit cut them in place, and
     // an engine that grew one by doubling left room past the answer. Give
     // that back rather than cache it (a no-op on an exact buffer).
-    sink.rows.values.shrink_to_fit();
+    sink.rows.shrink_to_fit();
     sink.counts.shrink_to_fit();
     let entry = CacheEntry {
         rows: Arc::new(sink.rows),
@@ -1021,13 +1021,19 @@ fn execute(service: &Service, miss: Miss) -> Result<Response, ServiceError> {
     // The one copy of the entry a miss makes: a bump of each array's
     // reference count.
     let response = Response::of(entry.clone(), false, cache_key);
-    let displaced = service
-        .cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(cache_key, request, epochs, entry);
-    // The LRU victim is freed here, with the cache lock released: its
-    // rows must not stall another query's probe.
+    let mut cache = service.cache.lock().unwrap_or_else(PoisonError::into_inner);
+    // Cached only while its relations are the ones it was computed on: a
+    // `register`, `update`, delta or `remove` that moved one since the pin
+    // has drained the name already, and an entry under the old epochs could
+    // never be reached. Read under the cache lock, the epochs cannot move
+    // before the insert without a drain after it — no writer holds the
+    // catalog lock while it takes the cache lock.
+    let current = service.catalog.epochs_of(&request.relation_names());
+    let live = current.into_iter().eq(epochs.iter().copied().map(Some));
+    // The LRU victim is freed after the lock is released: its rows must not
+    // stall another query's probe.
+    let displaced = live.then(|| cache.insert(cache_key, request, epochs, entry));
+    drop(cache);
     drop(displaced);
     Ok(response)
 }
@@ -1177,6 +1183,30 @@ pub(crate) mod tests {
         assert_ne!(before.cache_key, after.cache_key);
     }
 
+    /// A miss whose relation is replaced between its pin and its insert
+    /// answers with the rows it computed on the pinned relation, and caches
+    /// nothing: an entry under the old epoch could never be reached.
+    #[test]
+    fn a_miss_that_finishes_after_a_replacement_caches_nothing() {
+        let s = service();
+        s.register("R", tiny());
+        let expected = s.query(Request::two_path("R", "R")).unwrap().rows;
+        s.register("R", tiny());
+        let Probed::Miss(miss) = probe(&s, Request::two_path("R", "R")).unwrap() else {
+            panic!("a re-registered relation is cold");
+        };
+        s.register("R", Relation::from_edges([(0, 0)]));
+        let invalidations = s.cache_counters().3;
+        let response = execute(&s, miss).unwrap();
+        assert_eq!(response.rows, expected, "the pinned relation's answer");
+        assert_eq!(s.cache_size().0, 0, "nothing cached under a dead epoch");
+        assert_eq!(s.cache_counters().3, invalidations, "and nothing to drain");
+        // The live relation is computed and cached as usual.
+        let live = s.query(Request::two_path("R", "R")).unwrap();
+        assert_eq!((live.cached, live.rows.len()), (false, 1));
+        assert_eq!(s.cache_size().0, 1);
+    }
+
     #[test]
     fn limit_truncates_and_keys_separately() {
         let s = service();
@@ -1186,7 +1216,7 @@ pub(crate) mod tests {
         assert!(!limited.cached, "different fingerprint, no false hit");
         assert!(limited.truncated);
         assert_eq!(limited.rows.len(), 2);
-        assert_eq!(limited.rows.values, full.rows.values[..4]);
+        assert_eq!(limited.rows.values(), &full.rows.values()[..4]);
         // The limited entry is cached under its own key.
         let again = s.query(Request::two_path("R", "R").limit(2)).unwrap();
         assert!(again.cached);
@@ -1198,12 +1228,12 @@ pub(crate) mod tests {
         let s = service();
         s.register("R", tiny());
         let star = s.query(Request::star(["R", "R", "R"])).unwrap();
-        assert_eq!(star.rows.arity, 3);
+        assert_eq!(star.rows.arity(), 3);
         assert!(!star.rows.is_empty());
         let sim = s.query(Request::similarity("R", 1)).unwrap();
-        assert_eq!(sim.rows.arity, 2);
+        assert_eq!(sim.rows.arity(), 2);
         let scj = s.query(Request::containment("R")).unwrap();
-        assert_eq!(scj.rows.arity, 2);
+        assert_eq!(scj.rows.arity(), 2);
     }
 
     #[test]
@@ -1527,7 +1557,7 @@ pub(crate) mod tests {
 
         let cold = s.query(Request::chain(["R", "S", "T"])).unwrap();
         assert!(!cold.cached);
-        assert_eq!(cold.rows.arity, 2);
+        assert_eq!(cold.rows.arity(), 2);
         assert_eq!(cold.stats.engine, "MMJoin");
 
         // Isomorphic rewrite (different variable numbering) hits the

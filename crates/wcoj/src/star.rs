@@ -105,7 +105,7 @@ pub fn full_join_count<R: AsRef<Relation>>(relations: &[R]) -> u64 {
 /// is validated against.
 pub fn star_join_project<R: AsRef<Relation>>(relations: &[R]) -> Vec<Vec<Value>> {
     let (arity, values) = (relations.len(), star_join_project_flat(relations));
-    FlatRows { arity, values }.to_rows()
+    FlatRows::new(arity, values).to_rows()
 }
 
 /// [`star_join_project`] as one flat buffer, `relations.len()` values per

@@ -99,7 +99,7 @@ fn star_query_through_registry() {
     for e in engines {
         let mut sink = VecSink::new();
         e.execute(&q, &mut sink).unwrap();
-        assert_eq!(sink.rows.arity, 3, "{}", e.name());
+        assert_eq!(sink.rows.arity(), 3, "{}", e.name());
         match &reference {
             None => reference = Some(sink.rows),
             Some(r0) => assert_eq!(&sink.rows, r0, "{}", e.name()),

@@ -17,8 +17,15 @@
 //! whose every row meets an element all right-hand sets hold, and
 //! community-structured ones whose rows never do, each against the
 //! reference under both orientations.
+//!
+//! The product-answer section reads a Boolean core's answer kept as its
+//! product's cells every way the service reads one — `len`, prefixes around
+//! a word, a cut, the whole — against the same rows written out flat.
 
-use mmjoin_api::{emit_flat, Engine, ForEachSink, LimitSink, PlanKind, Query, Sink, VecSink};
+use mmjoin_api::{
+    emit_flat, flatten_pairs, Engine, FlatRows, ForEachSink, LimitSink, PlanKind, Query, Sink,
+    VecSink,
+};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{
     star_join_project_mm_with_stats, two_path_join_project_with_stats, HeavyBackend, JoinConfig,
@@ -342,10 +349,154 @@ fn a_limited_star_gets_the_first_rows_and_no_more() {
         assert_eq!(stats.rows, limit);
         assert_eq!(sink.1, limit, "emission went on past the limit");
         assert_eq!(
-            sink.0.into_inner().rows.values,
-            all.rows.values[..3 * limit as usize]
+            sink.0.into_inner().rows.values(),
+            &all.rows.values()[..3 * limit as usize]
         );
     }
+}
+
+/// `p`'s row ids as a one-column row list.
+fn ids(p: &PackedRows) -> FlatRows {
+    FlatRows::new(1, p.ids().to_vec())
+}
+
+/// Asserts that `rows` — a product answer, or flat rows the smaller-form
+/// rule chose — reads as `reference`, `arity` values a row, every way the
+/// service reads an answer: `len`; the first `n` rows around a word's 64
+/// and all of them, written for the call or from the whole answer; a cut,
+/// which keeps a product's rows flat at their exact size; the whole
+/// answer; its values by
+/// value; and equality with the flat rows, either way round. A product is
+/// never larger than those flat rows.
+fn assert_reads_as(rows: &FlatRows, arity: usize, reference: &[Value]) {
+    let n = reference.len() / arity;
+    assert_eq!(
+        (rows.arity(), rows.len(), rows.is_empty()),
+        (arity, n, n == 0)
+    );
+    let flat = FlatRows::new(arity, reference.to_vec());
+    if rows.is_product() {
+        assert!(rows.heap_bytes() <= flat.heap_bytes(), "{n} rows");
+    }
+    let prefixes = [0, 1, 63, 64, 65, n];
+    for first in prefixes {
+        let at = first.min(n) * arity;
+        assert_eq!(&*rows.first(first), &reference[..at], "first {first}");
+        let mut cut = rows.clone();
+        cut.truncate(first);
+        assert_eq!(cut.values(), &reference[..at], "truncate {first}");
+        if rows.is_product() && first < n {
+            assert!(
+                !cut.is_product() && cut.heap_bytes() == 4 * at,
+                "cut {first}"
+            );
+        }
+    }
+    assert_eq!(rows.clone().into_values(), reference);
+    assert!(rows.iter().eq(reference.chunks_exact(arity)));
+    for first in prefixes {
+        let at = first.min(n) * arity;
+        assert_eq!(&*rows.first(first), &reference[..at], "first {first}, read");
+    }
+    assert_eq!(*rows, flat, "equal across forms");
+    assert_eq!(flat, *rows, "either way round");
+}
+
+/// A two-path's cells in both orientations, at output widths on both sides
+/// of a word and past two: the product of the packed forms the served core
+/// multiplies, kept as its cells where the rule keeps it.
+#[test]
+fn a_two_path_product_reads_as_its_rows_at_every_width() {
+    fn view(p: &PackedRows) -> BitRows<'_> {
+        BitRows::new(p.rows(), p.cols(), p.words())
+    }
+    for width in [1u32, 63, 64, 65, 130] {
+        let r = coin_relation(9, 24, 6, width);
+        let s = coin_relation(width, 24, 6, width + 1);
+        let expected = flatten_pairs(ExpandDedupEngine::serial().join_project(&r, &s));
+        let (left, _) = r.packed(PackedForm::XMajor);
+        for (form, orientation) in [
+            (PackedForm::YMajor, Orientation::RowOr),
+            (PackedForm::XMajor, Orientation::AndAny),
+        ] {
+            let (right, _) = s.packed(form);
+            let (product, _) = view(left).product(view(right), orientation, right.universal());
+            let rows = FlatRows::product(product.into_words(), ids(left), ids(right));
+            // Nine dense rows: one word a row outweighs the pairs it holds
+            // only at width 1.
+            assert_eq!(rows.is_product(), width > 1, "{width} {orientation:?}");
+            assert_reads_as(&rows, 2, &expected);
+        }
+        // Both orientations of the query, as the engine serves it.
+        for (a, b) in [(&r, &s), (&s, &r)] {
+            let mut sink = VecSink::new();
+            let query = Query::two_path(a, b).build().unwrap();
+            MmJoinEngine::serial().execute(&query, &mut sink).unwrap();
+            let expected = flatten_pairs(ExpandDedupEngine::serial().join_project(a, b));
+            assert_reads_as(&sink.rows, 2, &expected);
+        }
+    }
+}
+
+/// Rows filled through the universal mask are cells like any other, and a
+/// product with no set cell is no rows.
+#[test]
+fn filled_and_empty_products_read_as_their_rows() {
+    let r = with_universal(&coin_relation(70, 150, 8, 3), 77);
+    let s = with_universal(&coin_relation(40, 150, 8, 4), 77);
+    let mut sink = VecSink::new();
+    let stats = MmJoinEngine::serial()
+        .execute(&Query::two_path(&r, &s).build().unwrap(), &mut sink)
+        .unwrap();
+    assert_eq!(stats.plan.unwrap().rows_filled, Some(70));
+    assert!(sink.rows.is_product());
+    let expected = flatten_pairs(ExpandDedupEngine::serial().join_project(&r, &s));
+    assert_eq!(expected.len(), 2 * 70 * 40);
+    assert_reads_as(&sink.rows, 2, &expected);
+    let ten = FlatRows::new(1, (0..10).collect());
+    let empty = FlatRows::product(vec![0; 10], ten.clone(), ten);
+    assert_reads_as(&empty, 2, &[]);
+    assert!(!empty.is_product(), "no rows are smaller than any cells");
+}
+
+/// Stars of 3, 4 and 5 legs: `V`'s and `W`'s half-tuples at arities
+/// (2, 1), (2, 2) and (3, 2), the first two at compile-time arities, the
+/// last at runtime ones.
+#[test]
+fn star_products_read_as_their_rows() {
+    for (k, sets, keep) in [(3u32, 14, 9), (4, 9, 9), (5, 6, 9)] {
+        let rels = coin_star(k, sets, 40, keep, 200 + k);
+        let mut sink = VecSink::new();
+        let query = Query::star(&rels).build().unwrap();
+        let stats = MmJoinEngine::serial().execute(&query, &mut sink).unwrap();
+        let plan = stats.plan.unwrap();
+        assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)), "k={k}");
+        assert!(sink.rows.is_product(), "k={k}");
+        assert_reads_as(&sink.rows, k as usize, &star_join_project(&rels).concat());
+    }
+}
+
+/// The smaller form is kept: a product whose set cells are few is written
+/// out flat at once, and one whose rows outweigh its words stays cells.
+#[test]
+fn a_sparse_product_is_kept_flat() {
+    let hundred = || FlatRows::new(1, (0..100).collect());
+    // 100 × 100 cells in 200 words: 1600 bytes of words and 800 of ids.
+    let mut words = vec![0u64; 200];
+    words[0] = 0b101;
+    words[199] = 1 << 35;
+    let sparse = FlatRows::product(words, hundred(), hundred());
+    assert!(!sparse.is_product());
+    assert_eq!(sparse.values(), [0, 0, 0, 2, 99, 99]);
+    assert_eq!(sparse.heap_bytes(), 24);
+    // 30 cells in each word of rows 0 to 4: 300 pairs are 2400 bytes, as
+    // many as the cells take.
+    let mut words = vec![0u64; 200];
+    words.iter_mut().take(10).for_each(|w| *w = (1 << 30) - 1);
+    let dense = FlatRows::product(words, hundred(), hundred());
+    assert!(dense.is_product() && dense.len() == 300);
+    assert_eq!(dense.heap_bytes(), 8 * 200 + 4 * 200);
+    assert_eq!((dense.row(0), dense.row(299)), (&[0, 0][..], &[4, 93][..]));
 }
 
 /// `rel` with `y` added to every set: an element every set holds.
@@ -383,8 +534,8 @@ fn assert_masked_two_path(r: &Relation, s: &Relation) -> (usize, usize) {
     ] {
         let (right, _) = s.packed(form);
         let (product, rows) = view(left).product(view(right), orientation, right.universal());
-        let pairs = product.mapped_ones(left.ids(), right.ids());
-        assert_eq!(pairs, expected, "{orientation:?}");
+        let cells = FlatRows::product(product.into_words(), ids(left), ids(right));
+        assert_reads_as(&cells, 2, &flatten_pairs(expected.clone()));
         filled.push(rows);
     }
     assert_eq!(filled[0], filled[1]);
@@ -589,7 +740,7 @@ proptest! {
         let mut by_flat = LimitSink::new(VecSink::new(), limit);
         prop_assert_eq!(emit_flat(&mut by_flat, arity, flat.clone()), emitted);
         let (by_row, by_flat) = (by_row.into_inner(), by_flat.into_inner());
-        prop_assert_eq!(by_flat.rows.arity, arity);
+        prop_assert_eq!(by_flat.rows.arity(), arity);
         prop_assert_eq!(by_flat.rows, by_row.rows);
         let mut unlimited = VecSink::new();
         prop_assert_eq!(emit_flat(&mut unlimited, arity, flat), rows.len() as u64);

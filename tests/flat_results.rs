@@ -1,9 +1,10 @@
-//! The flat result store, measured at the allocator: a result travels from
-//! the engine's buffer to the cache entry to the `Response` as one flat
-//! array — the engine's own buffer, handed over, never copied — so what
-//! serving adds on top of the engine is a number of allocations and of
-//! bytes that does not depend on `|OUT|` — when the answer is stored, when
-//! its entry is evicted, and when an update patches it.
+//! The result store, measured at the allocator: a result travels from the
+//! engine to the cache entry to the `Response` as the engine handed it — its
+//! own flat buffer, or a Boolean core's product kept as its cells — never
+//! copied, so what serving adds on top of the engine is a number of
+//! allocations and of bytes that does not depend on `|OUT|` — when the
+//! answer is stored, shown, cut by a limit or evicted, and when an update
+//! patches it.
 //!
 //! The allocator's counters (`support/counting_alloc.rs`) are per thread, and
 //! every service here runs its queries on the calling thread with serial
@@ -12,6 +13,7 @@
 
 use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig, Value};
 use mmjoin_api::{CountSink, ExecStats, QueryGraph};
+use mmjoin_service::command::run_line;
 use mmjoin_service::{CacheEntry, CachedResult, ResultCache};
 use std::sync::Arc;
 
@@ -119,7 +121,7 @@ fn a_cold_star_allocates_the_same_at_any_output_size() {
         let query = Query::star(&rels).build().unwrap();
         let (response, allocs, bytes) = serving_allocs(&service, Request::star(&names), &query);
         assert_eq!(response.rows.len() as u32, legs.iter().product::<u32>());
-        assert_eq!(response.rows.arity, 3);
+        assert_eq!(response.rows.arity(), 3);
         costs.push((response.rows.len(), allocs, bytes));
     }
     assert_flat_overhead(&costs);
@@ -143,31 +145,113 @@ fn a_cold_chain_allocates_the_same_at_any_output_size() {
     assert_flat_overhead(&costs);
 }
 
+/// A matrix answer is served as its product: through the REPL grammar, a
+/// cold two-path and star over relations the Boolean core multiplies cache
+/// the product's cells, and `show 20` on the hit writes the twenty rows it
+/// prints and nothing of the rest. Both ask the allocator for the same bytes
+/// at either `|OUT|` — the cold one on top of its engine run.
+#[test]
+fn a_served_and_shown_matrix_answer_allocates_the_same_at_any_output_size() {
+    let service = Service::with_default_registry();
+    let mut costs = Vec::new();
+    for (tag, sets, star_sets) in [("s", 150u32, 30u32), ("l", 300, 60)] {
+        let two = format!("{tag}R");
+        service.register(two.clone(), overlapping(sets));
+        let legs: Vec<String> = (0..3).map(|i| format!("{tag}{i}")).collect();
+        for leg in &legs {
+            service.register(leg.clone(), overlapping(star_sets));
+        }
+        let r = overlapping(sets);
+        let rels: Vec<Relation> = (0..3).map(|_| overlapping(star_sets)).collect();
+        let two_path = Query::two_path(&r, &r).build().unwrap();
+        let star = Query::star(&rels).build().unwrap();
+        for (line, query, rows) in [
+            (format!("query twopath {two} {two}"), &two_path, sets * sets),
+            (
+                format!("query star {}", legs.join(" ")),
+                &star,
+                star_sets.pow(3),
+            ),
+        ] {
+            let (cold, served) = tallied(usize::MAX, || run_line(&service, &line).unwrap());
+            assert!(cold.starts_with(&format!("ok rows {rows} engine MMJoin cached false")));
+            let ((), engine) = tallied(usize::MAX, || {
+                let mut sink = CountSink::new();
+                service
+                    .registry()
+                    .execute("MMJoin", query, &mut sink)
+                    .unwrap();
+                assert_eq!(sink.rows, rows as u64);
+            });
+            let (entries, held) = service.cache_size();
+            assert!(
+                held < 4 * rows as usize,
+                "{line}: {held} bytes for {rows} rows"
+            );
+            let (shown, show) = tallied(usize::MAX, || {
+                run_line(&service, &format!("{line} show 20")).unwrap()
+            });
+            assert!(shown.contains("cached true"), "{shown}");
+            assert_eq!(shown.lines().count(), 22, "{shown}");
+            assert!(shown.ends_with(&format!("… {} more", rows - 20)), "{shown}");
+            assert_eq!(
+                service.cache_size(),
+                (entries, held),
+                "show wrote only its rows"
+            );
+            costs.push((line, served.bytes.saturating_sub(engine.bytes), show.bytes));
+        }
+    }
+    let (small, large) = costs.split_at(2);
+    for ((_, small_served, small_show), (line, served, show)) in small.iter().zip(large) {
+        assert!(*served <= SERVING_BYTES, "{line}: {served} bytes");
+        // The first query of the service pays its one-time allocations.
+        assert!(*served <= small_served + 512, "{line}: {costs:?}");
+        // The printed line counts the rows not shown: a digit more.
+        assert!(show.abs_diff(*small_show) <= 64, "{line}: {costs:?}");
+    }
+}
+
+/// An evicted entry is freed in a constant number of blocks, whatever its
+/// size: flat rows (two relations whose join is its output, expanded) and a
+/// product's cells (two dense relations).
 #[test]
 fn evicting_an_entry_frees_the_same_at_any_output_size() {
     // A one-entry cache: the probe query displaces whatever came before
     // it, and frees it before returning.
-    let frees_evicting = |sets: u32| {
+    let frees_evicting = |victim: Relation, rows: usize, product: bool| {
         let service = Service::with_config(ServiceConfig {
             cache_capacity: 1,
             ..ServiceConfig::default()
         });
-        service.register("victim", overlapping(sets));
+        service.register("victim", victim);
         service.register("probe", overlapping(2));
-        let rows = service
+        let answer = service
             .query(Request::two_path("victim", "victim"))
             .unwrap()
-            .rows
-            .len();
-        assert_eq!(rows, (sets * sets) as usize);
+            .rows;
+        assert_eq!((answer.len(), answer.is_product()), (rows, product));
+        drop(answer);
         let (_, tally) = tallied(usize::MAX, || {
             service.query(Request::two_path("probe", "probe")).unwrap();
         });
         assert_eq!(service.cache_counters().2, 1, "one eviction");
         tally.frees
     };
-    let (small, large) = (frees_evicting(3), frees_evicting(200));
-    assert!(large <= small + 2, "{large} frees against {small}");
+    // Sets in tens, each ten sharing one element: 100 pairs a ten.
+    let tens = |sets: u32| Relation::from_edges((0..sets).map(|x| (x, x / 10)));
+    for (small, large) in [
+        (
+            frees_evicting(tens(10), 100, false),
+            frees_evicting(tens(16_000), 160_000, false),
+        ),
+        (
+            frees_evicting(overlapping(50), 2500, true),
+            frees_evicting(overlapping(200), 40_000, true),
+        ),
+    ] {
+        assert!(large <= small + 2, "{large} frees against {small}");
+    }
 }
 
 /// `sets` sets sharing element 0 — `sets²` pairs from `sets` edges, so
@@ -196,7 +280,7 @@ fn a_one_edge_insert_patches_a_large_entry_in_place() {
     let values_bytes = {
         let response = service.query(request.clone()).unwrap();
         assert!(response.maintained && response.rows.len() == 40_003);
-        std::mem::size_of_val(&response.rows.values[..])
+        std::mem::size_of_val(response.rows.values())
     };
 
     // The cache holds the only reference: five rows enter, no block the
@@ -221,10 +305,10 @@ fn a_one_edge_insert_patches_a_large_entry_in_place() {
     // A response still reads the rows: they are copied once — one block the
     // size of the flat array — and the response keeps what it was given.
     let held = service.query(request.clone()).unwrap();
-    let rows_held = held.rows.values.to_vec();
+    let rows_held = held.rows.values().to_vec();
     let ((), shared) = tallied(values_bytes, || insert(&service, sets + 300));
     assert_eq!(shared.big, 1, "exactly the values are copied, exactly once");
-    assert_eq!(held.rows.values, rows_held);
+    assert_eq!(held.rows.values(), &rows_held[..]);
 
     // Maintained == recomputed, in canonical order.
     let after = service.query(request.clone()).unwrap();
@@ -240,9 +324,12 @@ fn a_one_edge_insert_patches_a_large_entry_in_place() {
     assert!(after.rows.iter().eq(expected));
 }
 
-/// A limit cuts the engine's buffer in place, and the service gives back
+/// A limit cuts the engine's rows in place — flat rows by truncation, a
+/// product by writing exactly the rows that fit — and the service gives back
 /// the capacity past the cut: the cached entry holds exactly its rows, and
-/// `CacheEntry::bytes`, which counts lengths, is its true heap size.
+/// `CacheEntry::bytes` is its true heap size. An answer the limit does not
+/// cut is kept as the engine handed it: the two-path and the star as their
+/// product's cells, smaller than their rows, the chain flat.
 #[test]
 fn a_limit_cuts_through_the_bulk_path() {
     let service = Service::with_default_registry();
@@ -255,13 +342,14 @@ fn a_limit_cuts_through_the_bulk_path() {
     }
     // 1600 pairs, 64 000 triples and 1600 pairs; limits at nothing, one
     // row, the full answer and beyond it.
-    for (request, total) in [
-        (Request::two_path("A", "B"), 1600usize),
-        (Request::star(["A", "B", "C"]), 64_000),
-        (Request::chain(["CA", "CB", "CC"]), 1600),
+    for (request, total, product) in [
+        (Request::two_path("A", "B"), 1600usize, true),
+        (Request::star(["A", "B", "C"]), 64_000, true),
+        (Request::chain(["CA", "CB", "CC"]), 1600, false),
     ] {
         let full = service.query(request.clone()).unwrap();
         assert_eq!(full.rows.len(), total);
+        assert_eq!(full.rows.is_product(), product);
         assert!(!full.truncated);
         for limit in [0usize, 1, total, total + 5] {
             let (_, before) = service.cache_size();
@@ -271,15 +359,16 @@ fn a_limit_cuts_through_the_bulk_path() {
             assert_eq!(cut.rows.len(), kept, "limit {limit}");
             assert_eq!(cut.truncated, limit <= total, "limit {limit}");
             assert_eq!(cut.stats.rows, kept as u64);
-            let arity = full.rows.arity;
-            assert_eq!(cut.rows.values, &full.rows.values[..kept * arity]);
-            if kept > 0 {
-                assert_eq!(cut.rows.row(kept - 1), full.rows.row(kept - 1));
+            let arity = full.rows.arity();
+            assert_eq!(cut.rows.first(kept), full.rows.first(kept));
+            let (held, flat) = (cut.rows.heap_bytes(), 4 * kept * arity);
+            if kept < total || !product {
+                assert!(!cut.rows.is_product(), "limit {limit}");
+                assert_eq!(held, flat, "limit {limit}: exact capacity");
+            } else {
+                assert!(cut.rows.is_product() && held < flat, "limit {limit}");
             }
-            let values = &cut.rows.values;
-            assert_eq!(values.capacity(), values.len(), "limit {limit}");
             assert_eq!(cut.counts.capacity(), cut.counts.len());
-            let held = std::mem::size_of::<Value>() * values.capacity();
             assert_eq!(after - before, held, "limit {limit}: bytes() is exact");
         }
     }
@@ -302,8 +391,8 @@ fn the_per_row_literal_converts_to_one_flat_entry() {
     let mut cache = ResultCache::new(1);
     assert!(cache.insert(7, request.clone(), vec![1, 1], old).is_none());
     let hit = cache.get(7, &request, &[1, 1]).expect("a hit");
-    assert_eq!((hit.rows.arity, hit.rows.len()), (2, 2));
-    assert_eq!(hit.rows.values, [1, 2, 3, 4]);
+    assert_eq!((hit.rows.arity(), hit.rows.len()), (2, 2));
+    assert_eq!(hit.rows.values(), [1, 2, 3, 4]);
     assert_eq!(hit.rows.iter().nth(1), Some(&[3, 4][..]));
     assert_eq!(cache.bytes(), 16 + 8);
 }

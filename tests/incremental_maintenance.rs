@@ -343,7 +343,7 @@ proptest! {
                 let got = service.query(request.clone()).unwrap();
                 prop_assert!(got.cached);
                 let (rows, counts) = expected_entry(&model, &model, *min_count, *with_counts);
-                prop_assert_eq!(&got.rows.values, &rows, "min {}", min_count);
+                prop_assert_eq!(got.rows.values(), &rows[..], "min {}", min_count);
                 prop_assert_eq!(&*got.counts, &counts, "min {}", min_count);
             }
         }
@@ -433,11 +433,15 @@ fn patching_copies_only_what_a_response_still_reads() {
     assert_eq!(service.insert("R", [(3, 1)]).unwrap().recomputed, 1);
 
     let before = service.query(request.clone()).unwrap();
-    let (rows_before, counts_before) = (before.rows.values.clone(), (*before.counts).clone());
+    let (rows_before, counts_before) = (before.rows.values().to_vec(), (*before.counts).clone());
     // (0,1) gives set 0 a second element shared with set 2 and a second
     // witness for (0,0): rows enter and a count changes.
     assert_eq!(service.insert("R", [(0, 1)]).unwrap().maintained, 1);
-    assert_eq!(before.rows.values, rows_before, "the response's rows moved");
+    assert_eq!(
+        before.rows.values(),
+        rows_before,
+        "the response's rows moved"
+    );
     assert_eq!(*before.counts, counts_before, "the response's counts moved");
 
     let after = service.query(request.clone()).unwrap();
@@ -445,7 +449,7 @@ fn patching_copies_only_what_a_response_still_reads() {
     assert!(!Arc::ptr_eq(&before.rows, &after.rows));
     let model: BTreeSet<Edge> = [(0, 0), (0, 1), (1, 0), (2, 1), (3, 1)].into();
     let (rows, counts) = expected_entry(&model, &model, 1, true);
-    assert_eq!((&after.rows.values, &*after.counts), (&rows, &counts));
+    assert_eq!((after.rows.values(), &*after.counts), (&rows[..], &counts));
     assert!(rows.len() > rows_before.len());
 
     // Nothing but the cache holds the entry now: the next patch reuses the
@@ -455,7 +459,8 @@ fn patching_copies_only_what_a_response_still_reads() {
     assert_eq!(service.delete("R", [(0, 1)]).unwrap().maintained, 1);
     let patched = service.query(request).unwrap();
     assert_eq!(
-        patched.rows.values, rows_before,
+        patched.rows.values(),
+        rows_before,
         "the delete undoes the insert"
     );
     assert_eq!(Arc::as_ptr(&patched.rows), rows_at, "rows were copied");
@@ -511,8 +516,8 @@ fn every_batch_class_agrees_with_recompute_and_reference() {
                     "{kind:?} {what}"
                 );
                 assert_eq!(
-                    (&got.rows.values, &*got.counts),
-                    (&want.0, &want.1),
+                    (got.rows.values(), &*got.counts),
+                    (&want.0[..], &want.1),
                     "{kind:?} {what}"
                 );
             }

@@ -176,11 +176,16 @@ fn matrix_plans_open_exec_into_their_five_phases() {
         under_exec
     };
     // Every `y` is in every set, so the universal mask fills every row of
-    // the product, and the product's label says so.
+    // the product, and the product's label says so. The answer is that
+    // product: the extract label counts its rows and the bytes of its words
+    // and row lists — 60 rows of one word and 60 + 60 ids; 900 rows of one
+    // word, 900 pairs and 30 ids.
     let mut phases = PHASES.map(String::from);
     phases[3] = "product rows_filled=60/60".into();
+    phases[4] = format!("extract cells rows=3600 bytes={}", 8 * 60 + 4 * 120);
     assert_eq!(phases_of("query twopath Dense Dense", "MMJoin"), phases);
     phases[3] = "product rows_filled=900/900".into();
+    phases[4] = format!("extract cells rows=27000 bytes={}", 8 * 900 + 4 * 1830);
     assert_eq!(phases_of("query star Leg Leg Leg", "MMJoin"), phases);
     // Pinned onto MMJoin, so that the engine's own optimizer — not the
     // service's engine choice — is what declines to partition.

@@ -402,8 +402,9 @@ fn a_core_over_the_cap_packs_nothing_and_expands() {
     assert_eq!(r.packed_bytes() + s.packed_bytes(), 0);
 }
 
-/// (e) A query over packed relations allocates the product, the output and
-/// O(1) more, whatever `|R| + |S|` — in particular none of the per-pair
+/// (e) A query over packed relations allocates the product — its words and
+/// the two id lists its answer keeps — the output and O(1) more, whatever
+/// `|R| + |S|` — in particular none of the per-pair
 /// builder's domain-sized vectors, which is how this holds that
 /// `HeavyIndex::build` / `build_bit_matrices` stay off the served path: run
 /// on the same relations (the forced partition), they show on the same
@@ -424,7 +425,16 @@ fn a_reuse_query_allocates_the_product_the_output_and_a_constant() {
             tallied(BIG, || two_path_join_project_with_stats(&r, &s, &config));
         assert_eq!(again, rows);
         assert_eq!(built(&stats.unwrap()), 0);
-        assert_eq!(reuse.big, 2, "the product and the output: {reuse:?}");
+        // The id lists are one value a row of `R` and of `S`: big blocks
+        // only at the larger scale.
+        let lists = [r.active_x_count(), s.active_x_count()];
+        let big_lists = lists.iter().filter(|&&n| 4 * n >= BIG).count() as u64;
+        assert_eq!(big_lists, if scale == 1 { 0 } else { 2 });
+        assert_eq!(
+            reuse.big,
+            2 + big_lists,
+            "the product, its id lists and the output: {reuse:?}"
+        );
         assert!(reuse.allocs <= 6, "{reuse:?}");
         // Packing is the difference: ids, words and universal mask of each
         // form.

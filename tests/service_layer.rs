@@ -54,7 +54,7 @@ fn concurrent_smoke_all_families() {
                     let got = service.query(request.clone()).expect("warm query");
                     assert_eq!(got.rows, expected.rows, "{request:?}");
                     assert_eq!(got.counts, expected.counts, "{request:?}");
-                    assert_eq!(got.rows.arity, expected.rows.arity);
+                    assert_eq!(got.rows.arity(), expected.rows.arity());
                 }
             });
         }
@@ -166,7 +166,7 @@ fn a_replaced_relations_cached_results_are_freed_at_once() {
     let bytes_of = |requests: &[&Request]| -> usize {
         let answers = requests.iter().map(|&q| service.query(q.clone()).unwrap());
         answers
-            .map(|a| 4 * (a.rows.values.len() + a.counts.len()))
+            .map(|a| a.rows.heap_bytes() + 4 * a.counts.len())
             .sum()
     };
     let fill = |requests: &[&Request]| {
