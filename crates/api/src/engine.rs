@@ -144,13 +144,14 @@ pub struct PlanStats {
     /// the heavy core is enumerated combinatorially).
     pub heavy_core_matrix: Option<bool>,
     /// The kernel of the heavy core: `"bit row-or"` or `"bit and-any"`
-    /// (Boolean product — existence queries) or `"f32"` (SGEMM — counting
-    /// queries, or pinned). Planning names the one the thresholds were
-    /// priced for; the run decides the orientation again on the exact
-    /// partition and records the one that ran.
+    /// (Boolean product — existence queries), `"bit popcount"` (counting
+    /// queries) or `"f32"` (SGEMM — pinned, or a forced counting
+    /// partition). Planning names the one the thresholds were priced for;
+    /// the run decides the orientation again on the exact partition and
+    /// records the one that ran.
     pub heavy_backend: Option<&'static str>,
     /// For a heavy core multiplied from the relations' memoised packed rows
-    /// (an optimizer-chosen existence two-path): whether the left and the
+    /// (an optimizer-chosen two-path under the default backend): whether the left and the
     /// right operand are packed by this query or reused — as found when
     /// planning, as it happened after a run. It explains a predicted (and
     /// measured) heavy cost that differs between two runs of one query; it

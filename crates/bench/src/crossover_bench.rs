@@ -119,8 +119,8 @@ pub fn crossover_experiment(scale: f64, trials: usize, threads: usize) -> Table 
 /// the build machine happens to be.
 pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: usize) -> Table {
     let kernel = active_kernel();
-    // The sweep runs existence queries: the factor line 2 reads for them.
-    let derived = config.fallback_factor(false);
+    // The factor line 2 reads.
+    let derived = config.fallback_factor();
 
     let mut t = Table::new(
         format!("Crossover misprediction sweep (kernel {kernel}, derived factor {derived:.1})"),

@@ -24,8 +24,8 @@ use mmjoin_storage::{PackedForm, PackedRows};
 /// on `cores` threads, but with MMJoin's heavy core pinned to f32 SGEMM —
 /// the paper's prototype multiplies with SGEMM (Eigen/MKL) for every query,
 /// and its numbers are what these tables are compared against. (Without the
-/// pin an existence query would run the Boolean bit product; counting
-/// queries run SGEMM either way.)
+/// pin an existence query would run the Boolean bit product and a counting
+/// one AND-popcount.)
 fn paper_registry(cores: usize) -> EngineRegistry {
     registry_with_config(&JoinConfig {
         threads: cores,
@@ -436,7 +436,8 @@ pub fn fig8(scale: f64) -> Table {
 /// Ablation (beyond the paper): the heavy core of the 2-path join on a
 /// dense dataset with SGEMM pinned (the paper's prototype) and with the
 /// default, which multiplies this existence query over the Boolean
-/// semiring — then, at the matrix level, the row-OR bit product against
+/// semiring; the same pair for the join with witness counts, whose default
+/// is AND-popcount — then, at the matrix level, the row-OR bit product against
 /// plain expansion on sparse square blocks. From 0.5% density up the bit
 /// product wins by an order of magnitude (row-OR is itself sparse in its
 /// left operand); below that expansion — which is what the optimizer picks
@@ -453,18 +454,33 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
     );
     let r = dataset(DatasetKind::Jokes, scale);
     let q = Query::two_path(&r, &r).build().unwrap();
-    let backend_cfg = |backend| JoinConfig {
-        heavy_backend: backend,
-        ..JoinConfig::default()
-    };
-    for (name, cfg) in [
-        ("f32 GEMM (pinned)", backend_cfg(HeavyBackend::DenseF32)),
-        ("bit product (default)", backend_cfg(HeavyBackend::Auto)),
+    // The same join with witness counts: its default is AND-popcount, over
+    // the packed rows the existence run left.
+    let counted = Query::two_path(&r, &r).with_counts().build().unwrap();
+    let mut rows = Vec::new();
+    for (name, heavy_backend, query) in [
+        ("f32 GEMM (pinned)", HeavyBackend::DenseF32, &q),
+        ("bit product (default)", HeavyBackend::Auto, &q),
+        (
+            "counts: f32 GEMM (pinned)",
+            HeavyBackend::DenseF32,
+            &counted,
+        ),
+        (
+            "counts: bit popcount (default)",
+            HeavyBackend::Auto,
+            &counted,
+        ),
     ] {
-        let engine = MmJoinEngine::new(cfg);
-        let (stats, secs) = run_counted(&engine, &q);
+        let engine = MmJoinEngine::new(JoinConfig {
+            heavy_backend,
+            ..JoinConfig::default()
+        });
+        let (stats, secs) = run_counted(&engine, query);
+        rows.push(stats.rows);
         t.push_row(name, vec![fmt_secs(secs), stats.rows.to_string()]);
     }
+    assert_eq!(rows[2], rows[3], "both kernels count the same pairs");
     let p = 2048usize;
     for per_mille in [1u64, 5, 20] {
         // A multiplicative hash as the coin: the same block on every run.

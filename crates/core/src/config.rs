@@ -7,23 +7,22 @@ use std::sync::Arc;
 /// Which kernel evaluates the heavy-core product of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HeavyBackend {
-    /// The semiring the query needs: the Boolean bit product when only the
-    /// existence of a witness is read (plain join-project, chain steps),
-    /// f32 SGEMM when witness counts are (counting, similarity,
-    /// containment, the maintenance recompute).
+    /// Bit kernels over the relations' memoised packed rows, for either
+    /// semiring: the Boolean product when only the existence of a witness
+    /// is read (plain join-project, stars, chain steps), AND-popcount when
+    /// witness counts are (counting, similarity, containment, the
+    /// maintenance recompute).
     #[default]
     Auto,
-    /// Pin f32 SGEMM for existence queries too — the paper's prototype;
-    /// the figure reproductions and the ablation bench use it.
+    /// Pin f32 SGEMM for every query — the paper's prototype; the figure
+    /// reproductions and the ablation bench use it.
     DenseF32,
 }
 
 impl HeavyBackend {
-    /// Whether the heavy core of a query that does (`counting`) or does not
-    /// read witness counts multiplies over the Boolean semiring; it is f32
-    /// SGEMM otherwise.
-    pub fn is_boolean(self, counting: bool) -> bool {
-        !counting && self == HeavyBackend::Auto
+    /// Whether the heavy core runs a bit kernel; it is f32 SGEMM otherwise.
+    pub fn is_boolean(self) -> bool {
+        self == HeavyBackend::Auto
     }
 }
 
@@ -57,7 +56,8 @@ pub struct JoinConfig {
     /// Memory cap on the heavy core, in f32 cells: the two operands and the
     /// product may take `4 · matrix_cell_cap` bytes *in the representation
     /// that runs* (`u·v + v·w + u·w` cells of 4 bytes for SGEMM, 1 bit per
-    /// cell for the Boolean product, which therefore fits 32× the shape).
+    /// cell for the bit kernels, which therefore fit 32× the shape;
+    /// AND-popcount writes no product matrix).
     /// The optimizer does not pick a partition over it, and a forced one
     /// evaluates its heavy core combinatorially instead of allocating.
     pub matrix_cell_cap: usize,
@@ -133,9 +133,9 @@ impl JoinConfig {
     /// contributes the analytic curve only until a cores sweep is
     /// installed.
     ///
-    /// The stored factor is the one for queries whose heavy core is SGEMM;
+    /// The stored factor is the one for a heavy core that is SGEMM;
     /// [`Self::fallback_factor`] is what line 2 reads, and moves it for the
-    /// Boolean core.
+    /// bit kernels.
     pub fn install_measured_model(&mut self, model: CostModel) {
         if let Some(factor) = self.sgemm_crossover(&model) {
             self.wcoj_fallback_factor = factor;
@@ -143,22 +143,22 @@ impl JoinConfig {
         self.cost_model = model;
     }
 
-    /// Algorithm 3 line 2's factor for a query that does (`counting`) or
-    /// does not read witness counts.
+    /// Algorithm 3 line 2's factor, one for every query this configuration
+    /// plans.
     ///
-    /// A query whose heavy core is SGEMM reads `wcoj_fallback_factor` as it
-    /// stands. The Boolean core makes the matrix path several times cheaper,
-    /// so an existence query crosses over earlier — but only a *measured*
-    /// model says by how much: the factor is then scaled by the ratio of the
-    /// two crossovers derived from that model (Boolean: base
-    /// [`Self::BOOLEAN_CROSSOVER_F`], shifted by the measured bit-product
-    /// rate and damped by [`Self::BOOLEAN_PRODUCT_FRACTION`]; no thread term,
-    /// the bit product runs on the calling thread). Scaling keeps a factor
-    /// forced to `0` or `∞` forced. Under the analytic default model both
-    /// kinds of query read the paper's factor unchanged.
-    pub fn fallback_factor(&self, counting: bool) -> f64 {
+    /// Under [`HeavyBackend::DenseF32`] line 2 reads `wcoj_fallback_factor`
+    /// as it stands. The bit kernels make the matrix path several times
+    /// cheaper, so under [`HeavyBackend::Auto`] a query crosses over earlier
+    /// — but only a *measured* model says by how much: the factor is then
+    /// scaled by the ratio of the two crossovers derived from that model
+    /// (Boolean: base [`Self::BOOLEAN_CROSSOVER_F`], shifted by the measured
+    /// bit-word rate and damped by [`Self::BOOLEAN_PRODUCT_FRACTION`]; no
+    /// thread term, the bit kernels run on the calling thread). Scaling
+    /// keeps a factor forced to `0` or `∞` forced. Under the analytic
+    /// default model both backends read the paper's factor unchanged.
+    pub fn fallback_factor(&self) -> f64 {
         let factor = self.wcoj_fallback_factor;
-        if !self.heavy_backend.is_boolean(counting) || self.cost_model.kernel() == "analytic" {
+        if !self.heavy_backend.is_boolean() || self.cost_model.kernel() == "analytic" {
             return factor;
         }
         let boolean = damped_crossover(
@@ -243,13 +243,11 @@ mod tests {
         assert_eq!(c.heavy_backend, HeavyBackend::Auto);
     }
 
+    /// One kernel family per backend, whatever the query reads.
     #[test]
-    fn auto_means_bit_for_existence_and_f32_for_counts() {
-        assert!(HeavyBackend::Auto.is_boolean(false));
-        assert!(!HeavyBackend::DenseF32.is_boolean(false));
-        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-            assert!(!backend.is_boolean(true), "{backend:?}: counts need SGEMM");
-        }
+    fn auto_means_bit_kernels_and_the_pin_means_sgemm() {
+        assert!(HeavyBackend::Auto.is_boolean());
+        assert!(!HeavyBackend::DenseF32.is_boolean());
     }
 
     #[test]
@@ -351,16 +349,15 @@ mod tests {
         assert!(par.wcoj_fallback_factor < serial.wcoj_fallback_factor);
     }
 
-    /// Line 2 reads the stored factor for an SGEMM-cored query and, under a
-    /// measured model only, a lower one for the Boolean core — derived from
+    /// Line 2 reads the stored factor under the SGEMM pin and, under a
+    /// measured model only, a lower one for the bit kernels — derived from
     /// the bit rate, blind to the thread count, and still forced when the
     /// stored factor is.
     #[test]
     fn fallback_factor_moves_only_the_boolean_core_and_only_when_measured() {
         use mmjoin_matrix::cost::{Sample, SystemConstants};
         let mut c = JoinConfig::default();
-        assert_eq!(c.fallback_factor(false), 20.0);
-        assert_eq!(c.fallback_factor(true), 20.0);
+        assert_eq!(c.fallback_factor(), 20.0);
 
         // Reference GEMM speed, 3× at 8 cores, bit product 4× the reference.
         let p = 512usize;
@@ -381,18 +378,17 @@ mod tests {
                 ..JoinConfig::default()
             };
             c.install_measured_model(model.clone());
-            assert_eq!(c.fallback_factor(true), c.wcoj_fallback_factor);
-            assert!((c.fallback_factor(false) - boolean).abs() < 1e-9);
+            assert!((c.fallback_factor() - boolean).abs() < 1e-9);
             sgemm.push(c.wcoj_fallback_factor);
-            // Pinning SGEMM for existence queries pins its crossover too.
+            // Pinning SGEMM pins its crossover too.
             c.heavy_backend = HeavyBackend::DenseF32;
-            assert_eq!(c.fallback_factor(false), c.wcoj_fallback_factor);
+            assert_eq!(c.fallback_factor(), c.wcoj_fallback_factor);
             c.heavy_backend = HeavyBackend::Auto;
         }
         assert!(sgemm[1] < sgemm[0], "threads move the SGEMM crossover only");
         for forced in [0.0, f64::INFINITY] {
             c.wcoj_fallback_factor = forced;
-            assert_eq!(c.fallback_factor(false), forced);
+            assert_eq!(c.fallback_factor(), forced);
         }
     }
 

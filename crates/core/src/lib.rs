@@ -12,9 +12,9 @@
 //!   `Q(x, z) = R(x, y), S(z, y)`: degree-based partitioning into light and
 //!   heavy parts, worst-case-optimal expansion for the light parts, matrix
 //!   multiplication for the heavy core — over the Boolean semiring
-//!   (bit-packed) when only existence is read, f32 SGEMM for the counting
-//!   variant that reports `|ys(x) ∩ ys(z)|` per output pair (the similarity
-//!   joins build on it).
+//!   (bit-packed) when only existence is read, AND-popcount over the same
+//!   bit rows for the counting variant that reports `|ys(x) ∩ ys(z)|` per
+//!   output pair (the similarity joins build on it); f32 SGEMM when pinned.
 //! * [`star`] — the §3.2 generalisation to star queries `Q*_k`.
 //! * [`plan`] / [`compose`] — the decomposing planner and executor for
 //!   general acyclic join-project queries (`Query::General`): a
@@ -22,8 +22,8 @@
 //!   2-path steps, semijoin reductions and one final star step, ordered
 //!   by the §5 estimates.
 //! * [`estimate`] — the §5 output-size estimator.
-//! * [`optimizer`] — Algorithm 3, the cost-based search for the degree
-//!   thresholds `Δ1, Δ2` driven by the calibrated matmul cost model.
+//! * [`optimizer`] — Algorithm 3: line 2, then the everything-heavy core
+//!   (`Δ1 = Δ2 = 0`) priced by the calibrated cost model, or expansion.
 //! * [`engine_impl`] — the [`Engine`](mmjoin_api::Engine) implementation
 //!   covering all four workload families (2-path, star, similarity join,
 //!   containment join), and [`plan_query`]: its planning half on its own,
@@ -77,9 +77,7 @@ pub use compose::execute_general;
 pub use config::{HeavyBackend, JoinConfig};
 pub use engine_impl::plan_query;
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
-pub use optimizer::{
-    choose_thresholds, choose_thresholds_for, prefers_wcoj, ExecutionPlan, PlanChoice,
-};
+pub use optimizer::{choose_thresholds, prefers_wcoj, ExecutionPlan, PlanChoice};
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};
 pub use star::{star_join_project_mm, star_join_project_mm_flat, star_join_project_mm_with_stats};
 pub use two_path::{

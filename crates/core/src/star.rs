@@ -132,7 +132,7 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         return (expand(), stats);
     };
 
-    let boolean = config.heavy_backend.is_boolean(false);
+    let boolean = config.heavy_backend.is_boolean();
     let (threads, exec) = (config.effective_threads(), config.exec());
     let mut secs = PhaseSecs::default();
     let mut acc = ProjectionAccumulator::new(k);
@@ -218,7 +218,7 @@ fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
     let full_join = full_join_count(relations);
     let estimated_out = estimate_star_output(relations, full_join, n);
     // Line 2, star flavour: join already output-like.
-    let all_heavy = if full_join as f64 <= config.fallback_factor(false) * n as f64 {
+    let all_heavy = if full_join as f64 <= config.fallback_factor() * n as f64 {
         None
     } else {
         price_all_heavy(relations, estimated_out, config)
@@ -281,7 +281,7 @@ fn price_all_heavy(
         nnz.min(domains) as usize
     };
     let dims = (rows(nnz_v, group_v), cols, rows(nnz_w, group_w));
-    let boolean = config.heavy_backend.is_boolean(false);
+    let boolean = config.heavy_backend.is_boolean();
     heavy_core_cost(config, boolean, dims, nnz_v, nnz_w, estimated_out as f64)
         .map(|(heavy, kernel)| (dims, heavy, kernel))
 }

@@ -12,19 +12,20 @@
 //! * **Heavy core** (step 2): `x`, `z` values heavier than `Δ2` joined
 //!   through `y` values heavier than `Δ1` *in both relations* are packed
 //!   into rectangular 0/1 matrices and multiplied — over the Boolean
-//!   semiring (bit-packed operands, [`BitMatrix`]) when only the existence
-//!   of a witness is read, as f32 SGEMM when the witness counts are.
+//!   semiring (bit-packed operands, [`BitMatrix`]) or as f32 SGEMM.
 //!
-//! An existence plan the optimizer chose is always `Δ1 = Δ2 = 0`, and then
-//! each operand is one relation's adjacency and nothing else: it is not
-//! built here but read from the relation's memoised packed rows
-//! (`mmjoin_storage::packed`, packed by the first query that needs them) in
-//! raw `y` coordinates — no partition, no light pass, no per-pair operand
-//! ([`packed_core`]) — and multiplied under `S`'s memoised universal mask,
-//! which fills every row of `R` holding a `y` that all of `S`'s sets hold.
-//! The compact per-pair builder ([`HeavyIndex`]) serves
+//! A plan the optimizer chose is always `Δ1 = Δ2 = 0`, and under
+//! [`HeavyBackend::Auto`] each operand is then one relation's adjacency and
+//! nothing else: it is not built here but read from the relation's memoised
+//! packed rows (`mmjoin_storage::packed`, packed by the first query that
+//! needs them) in raw `y` coordinates — no partition, no light pass, no
+//! per-pair operand. An existence query multiplies them ([`packed_core`])
+//! under `S`'s memoised universal mask, which fills every row of `R` holding
+//! a `y` that all of `S`'s sets hold; a counting query takes
+//! `popcount(R[x] & S[z])` over both relations' `x`-major rows
+//! ([`popcount_core`]). The compact per-pair builder ([`HeavyIndex`]) serves
 //! forced partitions (`delta_override`, the test and ablation pin that runs
-//! the bit and f32 cores on identical cells) and SGEMM.
+//! the bit and f32 cores on identical cells) and the SGEMM pin.
 //!
 //! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
 //! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
@@ -35,18 +36,20 @@
 //! and distinct — the packed core hands the product itself to the sink
 //! ([`FlatRows::product`]), and a pair is written only when it is read.
 //!
-//! The counting variant ([`two_path_with_counts`]) rearranges the passes so
-//! that every pair's witnesses are counted against *disjoint* witness sets,
-//! yielding exact `|ys(x) ∩ ys(z)|` multiplicities — the quantity the
-//! similarity joins (§4) threshold and sort on.
+//! The counting variant ([`two_path_with_counts`]) yields exact
+//! `|ys(x) ∩ ys(z)|` multiplicities — the quantity the similarity joins (§4)
+//! threshold and sort on. Under SGEMM it rearranges the passes so that every
+//! pair's witnesses are counted against *disjoint* witness sets.
 //!
-//! A matrix-partitioned existence run records its five phases —
+//! A matrix-partitioned run records its five phases —
 //! `partition`, `light`, `build`, `product`, `extract` — as `step` spans
 //! and as [`PlanStats::measured_phase_secs`], beside the optimizer's two
 //! predictions.
+//!
+//! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 
 use crate::config::JoinConfig;
-use crate::optimizer::{choose_thresholds_for, operand_source, PackedCore, PlanChoice, F32_KERNEL};
+use crate::optimizer::{choose_plan, operand_source, PackedCore, PlanChoice, F32_KERNEL};
 use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
@@ -187,7 +190,7 @@ pub(crate) fn plan_then_run(
     let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
         return (expand(), stats);
     };
-    let boolean = config.heavy_backend.is_boolean(false);
+    let boolean = config.heavy_backend.is_boolean();
     if boolean && config.delta_override.is_none() {
         let rows = packed_core(r, s, &mut stats);
         return (PathRows::Product(rows), stats);
@@ -197,12 +200,7 @@ pub(crate) fn plan_then_run(
     let heavy = phase("partition", &mut secs.partition, || {
         HeavyIndex::build(r, s, delta1, delta2)
     });
-    if heavy.is_degenerate() && config.delta_override.is_none() {
-        // The indexes bound the heavy sides from above; the exact partition
-        // came out with an empty one. It would run as pure expansion, so
-        // run — and report — the expansion plan.
-        return (expand(), expansion_instead(&stats));
-    }
+    debug_assert_common_y(config, &heavy);
     record_partition(&mut stats, r, s, &heavy);
     let bit_plan = heavy.bit_plan();
     let (bytes, kernel) = if boolean {
@@ -286,20 +284,13 @@ pub(crate) fn plan_then_run(
 /// Fills in the run's half of `stats`; all five phases are recorded, the
 /// first two empty.
 fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> FlatRows {
-    let core = PackedCore::of(r, s);
+    let core = PackedCore::of(r, s, false);
+    let orientation = core.bit.expect("an existence core multiplies").orientation;
     let mut secs = PhaseSecs::default();
-    phase("partition", &mut secs.partition, || ());
-    phase("light", &mut secs.light, || ());
-    let ((left, built_left), (right, built_right)) = phase("build", &mut secs.build, || {
-        (r.packed(PackedForm::XMajor), s.packed(core.right))
-    });
-    fn view(p: &PackedRows) -> BitRows<'_> {
-        BitRows::new(p.rows(), p.cols(), p.words())
-    }
+    let (left, right) = pack_operands(r, s, &core, &mut secs, stats);
     // `S`'s mask: the `y` every `z` has.
     let (product, filled) = product_phase(&mut secs.product, left.rows(), || {
-        let (product, filled) =
-            view(left).product(view(right), core.bit.orientation, right.universal());
+        let (product, filled) = view(left).product(view(right), orientation, right.universal());
         (product, Some(filled))
     });
     let ids = |p: &PackedRows| FlatRows::new(1, p.ids().to_vec());
@@ -308,14 +299,79 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> FlatRows {
         || FlatRows::product(product.into_words(), ids(left), ids(right)),
         extract_label,
     );
-    stats.heavy_dims = Some(core.dims);
-    stats.light_tuples = Some((0, 0));
-    stats.heavy_core_matrix = Some(true);
-    stats.heavy_backend = Some(core.bit.orientation.name());
-    stats.heavy_operands = Some([built_left, built_right].map(|built| operand_source(!built)));
     stats.measured_phase_secs = Some(secs);
     stats.rows_filled = filled;
     rows
+}
+
+/// The optimizer-chosen counting plan — every value heavy — over both
+/// relations' memoised `x`-major rows ([`PackedCore`]): the witness count
+/// of `(x, z)` is `popcount(R[x] & S[z])` over the two rows' common words
+/// ([`BitRows::and_popcount`]), exact, and the triples come out sorted with
+/// no count below `max(min_count, 1)`. The kernel writes them as it goes,
+/// so the `extract` phase is empty. Fills in the run's half of `stats`.
+fn popcount_core(
+    r: &Relation,
+    s: &Relation,
+    min_count: u32,
+    stats: &mut PlanStats,
+) -> Vec<(Value, Value, u32)> {
+    let core = PackedCore::of(r, s, true);
+    let mut secs = PhaseSecs::default();
+    let (left, right) = pack_operands(r, s, &core, &mut secs, stats);
+    let triples = phase("product", &mut secs.product, || {
+        let (xs, zs) = (left.ids(), right.ids());
+        let mut triples = Vec::new();
+        view(left).and_popcount(view(right), min_count, |i, j, count| {
+            triples.push((xs[i], zs[j], count))
+        });
+        triples
+    });
+    let triples = extract_phase(
+        &mut secs.extract,
+        || triples,
+        |triples| format!("extract flat rows={}", triples.len()),
+    );
+    stats.measured_phase_secs = Some(secs);
+    triples
+}
+
+/// A relation's packed rows as the view the bit kernels read.
+fn view(p: &PackedRows) -> BitRows<'_> {
+    BitRows::new(p.rows(), p.cols(), p.words())
+}
+
+/// The first three phases of a packed core — nothing to partition, nothing
+/// light, and the two forms packed here or found packed — and the record
+/// of the core's shape, kernel and operands.
+fn pack_operands<'a>(
+    r: &'a Relation,
+    s: &'a Relation,
+    core: &PackedCore,
+    secs: &mut PhaseSecs,
+    stats: &mut PlanStats,
+) -> (&'a PackedRows, &'a PackedRows) {
+    phase("partition", &mut secs.partition, || ());
+    phase("light", &mut secs.light, || ());
+    let ((left, built_left), (right, built_right)) = phase("build", &mut secs.build, || {
+        (r.packed(PackedForm::XMajor), s.packed(core.right))
+    });
+    stats.heavy_dims = Some(core.dims);
+    stats.light_tuples = Some((0, 0));
+    stats.heavy_core_matrix = Some(true);
+    stats.heavy_backend = Some(core.kernel());
+    stats.heavy_operands = Some([built_left, built_right].map(|built| operand_source(!built)));
+    (left, right)
+}
+
+/// Past line 2 an optimizer-chosen `Δ1 = Δ2 = 0` has a `y` common to both
+/// relations, so no heavy side of its partition is empty; only a forced
+/// partition may be degenerate.
+fn debug_assert_common_y(config: &JoinConfig, heavy: &HeavyIndex) {
+    debug_assert!(
+        config.delta_override.is_some() || !heavy.is_degenerate(),
+        "an optimizer-chosen partition with an empty heavy side"
+    );
 }
 
 /// Evaluates the 2-path query with exact per-pair witness counts,
@@ -356,43 +412,30 @@ pub(crate) fn plan_then_run_counts(
     if !run {
         return (Vec::new(), stats);
     }
-    // Expansion is the partition with everything light.
-    let (mut delta1, mut delta2) = (
-        stats.delta1.unwrap_or(u32::MAX),
-        stats.delta2.unwrap_or(u32::MAX),
-    );
-    let mut heavy = if delta1 == u32::MAX {
-        HeavyIndex::empty()
-    } else {
-        HeavyIndex::build(r, s, delta1, delta2)
+    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
+        // Expansion is the partition with everything light.
+        let none = HeavyIndex::empty();
+        return (
+            count_passes(r, s, u32::MAX, min_count, &none, None, config),
+            stats,
+        );
     };
-    if delta1 != u32::MAX && heavy.is_degenerate() && config.delta_override.is_none() {
-        // As in the existence path: an optimizer-chosen partition whose
-        // exact heavy side is empty is the expansion plan, and says so.
-        (delta1, delta2, heavy) = (u32::MAX, u32::MAX, HeavyIndex::empty());
-        stats = expansion_instead(&stats);
+    if config.heavy_backend.is_boolean() && config.delta_override.is_none() {
+        let triples = popcount_core(r, s, min_count, &mut stats);
+        return (triples, stats);
     }
-
+    // SGEMM: the pin, or a forced partition.
+    let heavy = HeavyIndex::build(r, s, delta1, delta2);
+    debug_assert_common_y(config, &heavy);
     let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
-    if delta1 != u32::MAX {
-        record_partition(&mut stats, r, s, &heavy);
-        stats.heavy_core_matrix = Some(use_matrix);
-        stats.heavy_backend = Some(F32_KERNEL);
-    }
-    let prod = if use_matrix {
+    record_partition(&mut stats, r, s, &heavy);
+    stats.heavy_core_matrix = Some(use_matrix);
+    stats.heavy_backend = Some(F32_KERNEL);
+    let prod = use_matrix.then(|| {
         let (m1, m2) = heavy.build_dense_matrices(r, s);
-        Some(matmul_parallel_on(
-            config.exec(),
-            &m1,
-            &m2,
-            config.effective_threads(),
-        ))
-    } else {
-        None
-    };
-
-    let mut out = count_passes(r, s, delta2, min_count, &heavy, prod.as_ref(), config);
-    out.sort_unstable();
+        matmul_parallel_on(config.exec(), &m1, &m2, config.effective_threads())
+    });
+    let out = count_passes(r, s, delta2, min_count, &heavy, prod.as_ref(), config);
     (out, stats)
 }
 
@@ -474,13 +517,13 @@ pub(crate) fn plan_two_path(
     if let Some((d1, d2)) = config.delta_override {
         return PlanStats::partitioned(d1, d2);
     }
-    let plan = choose_thresholds_for(r, s, config, counting);
+    let plan = choose_plan(r, s, config, counting);
     let mut stats = match plan.choice {
         PlanChoice::Wcoj => PlanStats::wcoj(),
         PlanChoice::Mm { delta1, delta2 } => PlanStats {
             heavy_backend: plan.heavy_kernel,
             heavy_operands: plan.heavy_operands,
-            predicted_light_secs: Some(plan.predicted_light),
+            predicted_light_secs: Some(0.0),
             predicted_heavy_secs: Some(plan.predicted_heavy),
             ..PlanStats::partitioned(delta1, delta2)
         },
@@ -488,17 +531,6 @@ pub(crate) fn plan_two_path(
     stats.full_join = Some(plan.estimate.full_join);
     stats.estimated_out = Some(plan.estimate.estimate);
     stats
-}
-
-/// The record of a run whose optimizer-chosen partition came out with an
-/// empty heavy side on the exact index (the threshold indexes bound it from
-/// above): it runs as pure expansion, and says so.
-fn expansion_instead(planned: &PlanStats) -> PlanStats {
-    PlanStats {
-        full_join: planned.full_join,
-        estimated_out: planned.estimated_out,
-        ..PlanStats::wcoj()
-    }
 }
 
 /// Records the true (adjacency-pruned) partition shape: the heavy
@@ -797,7 +829,7 @@ fn heavy_expansion_fallback(
 }
 
 /// Counting passes L1/L2/L3 (see module docs): exact multiplicities with
-/// disjoint witness partitions.
+/// disjoint witness partitions, sorted.
 #[allow(clippy::too_many_arguments)]
 fn count_passes(
     r: &Relation,
@@ -943,7 +975,7 @@ fn count_passes(
 
     let groups_r: Vec<(Value, &[Value])> = r.by_x().iter_nonempty().collect();
     let groups_s: Vec<(Value, &[Value])> = s.by_x().iter_nonempty().collect();
-    if threads <= 1 {
+    let mut out = if threads <= 1 {
         let mut out = Vec::new();
         l1(&groups_r, &mut out);
         l2(&groups_s, &mut out);
@@ -966,7 +998,9 @@ fn count_passes(
             out
         });
         results.concat()
-    }
+    };
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]
@@ -1050,8 +1084,8 @@ mod tests {
                 let stats = stats.unwrap();
                 assert_eq!(stats.heavy_core_matrix, Some(true));
                 let kernel = stats.heavy_backend.unwrap();
-                assert_eq!(kernel.starts_with("bit "), backend.is_boolean(false));
-                assert_eq!(kernel == F32_KERNEL, !backend.is_boolean(false));
+                assert_eq!(kernel.starts_with("bit "), backend.is_boolean());
+                assert_eq!(kernel == F32_KERNEL, !backend.is_boolean());
                 assert!(stats.measured_phase_secs.is_some());
             }
         }

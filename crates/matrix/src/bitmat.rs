@@ -418,6 +418,44 @@ impl<'a> BitRows<'a> {
         }
         (c, filled)
     }
+
+    /// Witness counts on the calling thread: for row `i` of `self` (`m×k`)
+    /// and row `j` of `other` (`n×k'`, the layout AND-any reads), the inner
+    /// coordinates both rows hold — `popcount(self[i] & other[j])` over the
+    /// words both rows have. `emit(i, j, count)` is called in ascending
+    /// `(i, j)` order for every count of at least `max(min_count, 1)`, so
+    /// no zero count is ever emitted. Counts are exact at any `k`.
+    pub fn and_popcount(
+        self,
+        other: BitRows<'_>,
+        min_count: u32,
+        mut emit: impl FnMut(usize, usize, u32),
+    ) {
+        let min_count = min_count.max(1);
+        let common = self.stride.min(other.stride);
+        if common == 0 {
+            return;
+        }
+        for (i, a_row) in self.words.chunks_exact(self.stride).enumerate() {
+            let a_row = &a_row[..common];
+            // Only the nonzero word range of `a_row` can meet a row of `other`.
+            let Some(lo) = a_row.iter().position(|&w| w != 0) else {
+                continue;
+            };
+            let hi = a_row.iter().rposition(|&w| w != 0).map_or(lo, |h| h + 1);
+            let a_row = &a_row[lo..hi];
+            for (j, b_row) in other.words.chunks_exact(other.stride).enumerate() {
+                let count: u32 = a_row
+                    .iter()
+                    .zip(&b_row[lo..hi])
+                    .map(|(a, b)| (a & b).count_ones())
+                    .sum();
+                if count >= min_count {
+                    emit(i, j, count);
+                }
+            }
+        }
+    }
 }
 
 /// Positions of the set bits of a row of `words`, ascending: bit `b` of
@@ -874,6 +912,35 @@ mod tests {
         // Bytes follow the layout: 8·(m·⌈k/64⌉ + right operand + m·⌈n/64⌉).
         assert_eq!(dense.bytes, 8 * (176 * 55 + 176 * 55 + 176 * 3));
         assert_eq!(sparse.bytes, 8 * 3 * 5000 * 79);
+    }
+
+    /// AND-popcount equals the per-bit count over the ids both sides have,
+    /// at inner widths on both sides of a word and of each other, and emits
+    /// exactly the pairs at or above the threshold, in ascending order.
+    #[test]
+    fn and_popcount_equals_the_per_bit_count() {
+        let mut rng = StdRng::seed_from_u64(35);
+        for (ka, kb) in [(63, 63), (64, 65), (130, 63), (1, 200), (0, 5)] {
+            let a = random(&mut rng, 9, ka, 0.4);
+            let b = random(&mut rng, 7, kb, 0.4);
+            for min_count in 0..4 {
+                let mut want = Vec::new();
+                for i in 0..9 {
+                    for j in 0..7 {
+                        let count = (0..ka.min(kb))
+                            .filter(|&k| a.get(i, k) && b.get(j, k))
+                            .count();
+                        if count as u32 >= min_count.max(1) {
+                            want.push((i, j, count as u32));
+                        }
+                    }
+                }
+                let mut got = Vec::new();
+                a.view()
+                    .and_popcount(b.view(), min_count, |i, j, c| got.push((i, j, c)));
+                assert_eq!(got, want, "{ka} × {kb}, min {min_count}");
+            }
+        }
     }
 
     #[test]

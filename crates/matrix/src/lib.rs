@@ -22,8 +22,8 @@
 //! * [`bitmat`] — bit-packed boolean matrices and their product over the
 //!   Boolean semiring, in two orientations picked from the operand counts,
 //!   each filling the rows that meet the right operand's universal mask:
-//!   the heavy core of every existence-only join-project (an extension over the paper's prototype,
-//!   which always ran SGEMM; counting queries still do).
+//!   the heavy core of every join-project, with AND-popcount for counts
+//!   (the paper's prototype always ran SGEMM; the `DenseF32` pin still does).
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.

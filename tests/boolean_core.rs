@@ -21,6 +21,12 @@
 //! The product-answer section reads a Boolean core's answer kept as its
 //! product's cells every way the service reads one — `len`, prefixes around
 //! a word, a cut, the whole — against the same rows written out flat.
+//!
+//! The popcount section checks the counting core, AND-popcount over both
+//! relations' `x`-major rows, against witness counts by brute force: `y`
+//! domains whose strides differ, self-joins, every `min_count` from 0 to 3
+//! (no zero count is ever written), pairs with no common `y`, and rows
+//! through a universal `y`.
 
 use mmjoin_api::{
     emit_flat, flatten_pairs, Engine, FlatRows, ForEachSink, LimitSink, PlanKind, Query, Sink,
@@ -28,14 +34,15 @@ use mmjoin_api::{
 };
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{
-    star_join_project_mm_with_stats, two_path_join_project_with_stats, HeavyBackend, JoinConfig,
-    MmJoinEngine,
+    star_join_project_mm_with_stats, two_path_join_project_with_stats, two_path_with_counts_stats,
+    HeavyBackend, JoinConfig, MmJoinEngine,
 };
 use mmjoin_executor::Executor;
 use mmjoin_matrix::{BitRows, Orientation};
 use mmjoin_storage::{PackedForm, PackedRows, Relation, Value};
 use mmjoin_wcoj::star_join_project;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn forced(backend: HeavyBackend, deltas: (u32, u32)) -> JoinConfig {
@@ -624,6 +631,108 @@ fn a_star_fills_the_rows_that_meet_every_w_row() {
     }
 }
 
+/// Witness counts of `r ⋈ s` by nested loops over the tuples: every
+/// `(x, z)` with at least `max(min_count, 1)` common `y`, ascending.
+fn brute_counts(r: &Relation, s: &Relation, min_count: u32) -> Vec<(Value, Value, u32)> {
+    let mut counts: BTreeMap<(Value, Value), u32> = BTreeMap::new();
+    for (x, y) in r.tuples() {
+        for (z, _) in s.tuples().filter(|&(_, y2)| y2 == y) {
+            *counts.entry((x, z)).or_default() += 1;
+        }
+    }
+    counts
+        .into_iter()
+        .filter(|&(_, count)| count >= min_count.max(1))
+        .map(|((x, z), count)| (x, z, count))
+        .collect()
+}
+
+/// The served counting two-path past line 2 — AND-popcount over both
+/// relations' `x`-major rows — equals the brute-force counts at every
+/// `min_count` from 0 to 3, writes no zero count, and records its kernel
+/// and its shape: `(active x, min y domain, active z)`.
+fn assert_popcount_counts(r: &Relation, s: &Relation) {
+    let config = JoinConfig {
+        wcoj_fallback_factor: 0.0,
+        ..JoinConfig::default()
+    };
+    for min_count in 0..4 {
+        let (got, stats) = two_path_with_counts_stats(r, s, min_count, &config);
+        assert!(got.iter().all(|&(_, _, count)| count > 0), "a zero count");
+        assert_eq!(got, brute_counts(r, s, min_count), "min_count {min_count}");
+        let stats = stats.unwrap();
+        assert_eq!(stats.heavy_backend, Some("bit popcount"));
+        assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
+        let dims = (
+            r.active_x_count(),
+            r.y_domain().min(s.y_domain()),
+            s.active_x_count(),
+        );
+        assert_eq!(stats.heavy_dims, Some(dims));
+    }
+}
+
+/// `sets` sets over `elems` elements by the seeded coin, set 0 holding the
+/// last element so that the `y` domain is exactly `elems`.
+fn coin_over(sets: u32, elems: u32, seed: u32) -> Relation {
+    let rel = coin_relation(sets, elems, 8, seed);
+    Relation::from_edges(rel.tuples().chain([(0, elems - 1)]))
+}
+
+/// `y` domains of 63, 64, 65 and 130 on either side — packed strides of
+/// one, two and three words that differ between the two operands — and
+/// each relation joined with itself.
+#[test]
+fn popcount_counts_across_mismatched_y_domains_and_self_joins() {
+    let domains = [63, 64, 65, 130];
+    for (i, &ry) in domains.iter().enumerate() {
+        let r = coin_over(30, ry, 40 + i as u32);
+        assert_eq!(r.y_domain(), ry as usize);
+        assert_popcount_counts(&r, &r);
+        for (j, &sy) in domains.iter().enumerate() {
+            let s = coin_over(25, sy, 50 + j as u32);
+            assert_popcount_counts(&r, &s);
+        }
+    }
+}
+
+/// Pairs with no common `y` get no triple: sets in four communities share
+/// elements only within one, and two relations over disjoint halves of one
+/// domain — which line 2 sends to expansion — meet in no row of the kernel.
+#[test]
+fn popcount_writes_nothing_for_pairs_with_no_common_y() {
+    let r = community_relation(40, 130, 4, 7);
+    assert_popcount_counts(&r, &r);
+    let counts = brute_counts(&r, &r, 1);
+    assert!(counts.iter().all(|&(x, z, _)| x % 4 == z % 4));
+
+    let low = Relation::from_edges((0..20u32).flat_map(|x| (0..64u32).map(move |y| (x, y))));
+    let high = Relation::from_edges((0..20u32).flat_map(|x| (64..130u32).map(move |y| (x, y))));
+    let (left, _) = low.packed(PackedForm::XMajor);
+    let (right, _) = high.packed(PackedForm::XMajor);
+    fn view(p: &PackedRows) -> BitRows<'_> {
+        BitRows::new(p.rows(), p.cols(), p.words())
+    }
+    let mut written = 0;
+    view(left).and_popcount(view(right), 0, |_, _, _| written += 1);
+    assert_eq!(written, 0);
+    let (triples, stats) = two_path_with_counts_stats(&low, &high, 0, &JoinConfig::default());
+    assert!(triples.is_empty());
+    assert_eq!(stats.unwrap().kind, PlanKind::Wcoj);
+}
+
+/// Rows through an element every set holds — on one side, on both — count
+/// it like any other: popcount reads no universal mask.
+#[test]
+fn popcount_counts_rows_through_a_universal_y() {
+    let r = with_universal(&coin_relation(50, 150, 6, 8), 77);
+    let s = with_universal(&coin_relation(40, 150, 6, 9), 77);
+    let plain = coin_relation(40, 150, 6, 9);
+    for (a, b) in [(&r, &s), (&r, &plain), (&plain, &r), (&r, &r)] {
+        assert_popcount_counts(a, b);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -662,6 +771,25 @@ proptest! {
             };
             let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
             prop_assert_eq!(&rows, &expected);
+        }
+    }
+
+    /// Random relations, any `min_count`: the counting core's triples are
+    /// the brute-force counts.
+    #[test]
+    fn popcount_counts_equal_brute_force_on_random_relations(
+        r_edges in proptest::collection::vec((0u32..40, 0u32..150), 1..400),
+        s_edges in proptest::collection::vec((0u32..90, 0u32..130), 1..400),
+    ) {
+        let r: Relation = Relation::from_edges(r_edges);
+        let s: Relation = Relation::from_edges(s_edges);
+        let config = JoinConfig {
+            wcoj_fallback_factor: 0.0,
+            ..JoinConfig::default()
+        };
+        for min_count in 0..4 {
+            let (got, _) = two_path_with_counts_stats(&r, &s, min_count, &config);
+            prop_assert_eq!(got, brute_counts(&r, &s, min_count));
         }
     }
 

@@ -575,6 +575,64 @@ fn every_batch_class_agrees_with_recompute_and_reference() {
     }
 }
 
+/// A counting answer over a pair past line 2 is recomputed by AND-popcount
+/// over the relation's `x`-major rows — the record says `bit popcount` —
+/// and after every random batch of inserts and deletes (present and
+/// absent tuples, some past either domain, mixed in one delta) the served
+/// answer, a from-scratch counting execution and the nested-loop reference
+/// agree, counts included.
+#[test]
+fn a_recompute_past_line_two_counts_by_popcount() {
+    let base = generate(DatasetKind::Jokes, 0.03, 35);
+    let (x_dom, y_dom) = (base.x_domain() as u64, base.y_domain() as u64);
+    let service = maintaining_service();
+    service.register("R", base.clone());
+    let request = Request::two_path_counts("R", "R", 2);
+    let kernel = |response: &Response| response.stats.plan.as_ref().unwrap().heavy_backend;
+    assert_eq!(
+        kernel(&service.query(request.clone()).unwrap()),
+        Some("bit popcount")
+    );
+
+    let mut model: BTreeSet<Edge> = base.edges().iter().copied().collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let mut recomputes = 0;
+    for round in 0..12 {
+        let mut batch = Vec::new();
+        for _ in 0..1 + next(40) {
+            let edge = (next(x_dom + 2) as Value, next(y_dom + 2) as Value);
+            batch.push((edge.0, edge.1, next(2) as u32));
+        }
+        apply_to_model(&mut model, &batch);
+        let report = service.apply_delta("R", &delta_of(&batch)).unwrap();
+        let got = service.query(request.clone()).unwrap();
+        assert!(got.cached, "round {round}: the update kept the entry");
+        if report.recomputed > 0 {
+            recomputes += 1;
+            assert_eq!(kernel(&got), Some("bit popcount"), "round {round}");
+        }
+        let current = service.relation("R").unwrap();
+        let want = expected_entry_grouped(&model, &model, 2, true);
+        assert_eq!(
+            recomputed(&current, &current).rows(2, true),
+            want,
+            "round {round}"
+        );
+        assert_eq!(
+            (got.rows.values(), &*got.counts),
+            (&want.0[..], &want.1),
+            "round {round}"
+        );
+    }
+    assert!(recomputes > 0, "the first touch recomputes");
+}
+
 /// One edge against a relation whose domains hold a million values: the
 /// refresh — delta joins and patch — makes no block that grows with a
 /// domain (the dense sums would be 4 MB, the scatter's counters 8 MB).
