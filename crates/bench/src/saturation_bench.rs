@@ -43,9 +43,10 @@ const SHARED_REGISTER: &str = "register shared 0,1 1,2 2,3 3,4 4,0 5,1 6,2 7,3 8
      10,5 11,6 12,7 13,8 14,9 15,5 16,6 17,7 18,8 19,9";
 
 /// One client's command script: register, cold/warm full-row queries,
-/// a staged insert with cache maintenance, a delete, a star query, and
-/// reads of the shared relation. `show 100000` dumps every row so the
-/// replay comparison covers actual tuples, not just counts.
+/// a staged insert (which drops the cached results over the client's
+/// relation), a delete, a star query, and reads of the shared relation.
+/// `show 100000` dumps every row so the replay comparison covers actual
+/// tuples, not just counts.
 fn client_script(i: usize) -> Vec<String> {
     let r = format!("r{i}");
     let edges = client_edges(i);

@@ -15,11 +15,12 @@
 //!   Algorithm 3's line 2, between `MMJoin` and their specialists).
 //! * [`ResultCache`] — an LRU keyed by `(fingerprint, relation epochs)`,
 //!   so repeats are O(1) and updates can never serve stale rows.
-//! * [`maintain`] — incremental view maintenance: staged relation deltas
-//!   ([`Service::apply_delta`]) patch affected cached results in place
-//!   via signed delta joins over per-tuple support counts
-//!   ([`DeltaResult`]), with a cost-driven maintain / recompute /
-//!   invalidate decision per entry ([`MaintenancePolicy`]).
+//! * [`maintain`] — what a staged relation delta ([`Service::apply_delta`])
+//!   does to the cached results over it: by default they are dropped and
+//!   recomputed when next read; opted in ([`MaintenancePolicy::enabled`]),
+//!   they are patched in place via signed delta joins over per-tuple
+//!   support counts ([`DeltaResult`]), with a cost-driven maintain /
+//!   recompute / invalidate decision per entry.
 //! * [`Service`] — the query path over all of the above, run on the
 //!   calling thread (the service owns no request thread and no queue),
 //!   reporting per-query [`ExecStats`](mmjoin_api::ExecStats) and

@@ -53,8 +53,10 @@ pub struct ServiceConfig {
     /// Configuration shared by the router, `explain` (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
-    /// Incremental-maintenance policy for the result cache under
-    /// [`Service::apply_delta`] updates.
+    /// What an update ([`Service::apply_delta`]) does to the cached
+    /// results over the relation it changes. The default drops them, and
+    /// the next request for one recomputes it; [`MaintenancePolicy::enabled`]
+    /// maintains them in place where the cost estimate says it pays off.
     pub maintenance: MaintenancePolicy,
     /// Slow-query threshold in microseconds; `0` disables the slow-query
     /// log. A query whose latency crosses the threshold bumps the
@@ -291,18 +293,21 @@ impl Service {
     /// and frees them once the cache lock is released. They count as
     /// `invalidations`. A miss that pinned the old epoch and finishes after
     /// this inserts nothing ([`execute`] checks the epochs it pinned).
-    fn free_cached(&self, name: &str) {
+    /// Returns how many it freed.
+    fn free_cached(&self, name: &str) -> usize {
         let drained = self
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .drain_referencing(name.trim());
-        drop(drained);
+        drained.len()
     }
 
-    /// Stages a batch of tuple inserts, maintaining affected cached
-    /// results instead of invalidating them where the cost estimate says
-    /// it pays off. See [`Service::apply_delta`].
+    /// Stages a batch of tuple inserts. Under the default policy the cached
+    /// results over `name` are dropped, and the next request for one
+    /// recomputes it; with [`ServiceConfig::maintenance`] enabled they are
+    /// maintained where the cost estimate says it pays off. See
+    /// [`Service::apply_delta`].
     pub fn insert(
         &self,
         name: &str,
@@ -311,8 +316,8 @@ impl Service {
         self.apply_delta(name, &RelationDelta::inserting(edges))
     }
 
-    /// Stages a batch of tuple deletes; the cached-result counterpart of
-    /// [`Service::insert`].
+    /// Stages a batch of tuple deletes; the counterpart of
+    /// [`Service::insert`], with the same effect on the cache.
     pub fn delete(
         &self,
         name: &str,
@@ -325,11 +330,19 @@ impl Service {
     ///
     /// The batch is normalized against the current relation (no-op
     /// batches change nothing — not even the epoch) and merged into a
-    /// fresh indexed [`Relation`]. Every cached result over the relation
-    /// is then refreshed per the maintain / recompute / invalidate
-    /// decision rule (see [`crate::maintain`]): two-path entries are
-    /// patched in place via delta joins over their per-tuple support
-    /// counts, upgraded by an eager counting re-execution, or dropped.
+    /// fresh indexed [`Relation`]. Then every cached result over the
+    /// relation is drained from the cache:
+    ///
+    /// * under the default policy (maintenance off) the drained entries are
+    ///   freed once the cache lock is released, as [`Service::register`]
+    ///   frees them, and count as `invalidated` with reason `disabled`. No
+    ///   entry is priced or touched; whichever is asked for again is
+    ///   recomputed by the normal miss path;
+    /// * with maintenance enabled each entry is refreshed per the maintain /
+    ///   recompute / invalidate decision rule (see [`crate::maintain`]):
+    ///   two-path entries are patched in place via delta joins over their
+    ///   per-tuple support counts, upgraded by an eager counting
+    ///   re-execution, or dropped.
     pub fn apply_delta(
         &self,
         name: &str,
@@ -347,21 +360,28 @@ impl Service {
             return Ok(report);
         }
         let name = name.trim();
-        let _span = trace::span_dyn(Stage::Maintain, || format!("update {name}"));
-        let drained = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain_referencing(name);
-        for (_, request, epochs, value) in drained {
-            match refresh_entry(self, name, &staged, request, epochs, value) {
-                Decision::Maintain => report.maintained += 1,
-                Decision::Recompute => report.recomputed += 1,
-                Decision::Invalidate(reason) => {
-                    report.invalidated += 1;
-                    report.dropped[reason as usize] += 1;
+        let mut span = trace::span_dyn(Stage::Maintain, || format!("update {name}"));
+        if self.policy.enabled {
+            let drained = self
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .drain_referencing(name);
+            for (_, request, epochs, value) in drained {
+                match refresh_entry(self, name, &staged, request, epochs, value) {
+                    Decision::Maintain => report.maintained += 1,
+                    Decision::Recompute => report.recomputed += 1,
+                    Decision::Invalidate(reason) => {
+                        report.invalidated += 1;
+                        report.dropped[reason as usize] += 1;
+                    }
                 }
             }
+        } else {
+            let dropped = self.free_cached(name);
+            report.invalidated = dropped;
+            report.dropped[DropReason::Disabled as usize] = dropped;
+            span.relabel(|| format!("update {name}: dropped {dropped}"));
         }
         self.metrics.record_update(&report);
         Ok(report)
@@ -1054,6 +1074,14 @@ pub(crate) mod tests {
         Service::with_default_registry()
     }
 
+    /// A service that maintains its cached results under updates.
+    fn maintaining() -> Service {
+        Service::with_config(ServiceConfig {
+            maintenance: MaintenancePolicy::enabled(),
+            ..ServiceConfig::default()
+        })
+    }
+
     fn tiny() -> Relation {
         Relation::from_edges([(0, 0), (1, 0), (2, 1), (2, 0)])
     }
@@ -1292,7 +1320,11 @@ pub(crate) mod tests {
         // cold executions, updates, and metrics alike.
         let mut registry = crate::roster::registry_with_config(&JoinConfig::default());
         registry.register(Box::new(Grenade));
-        let s = Service::new(registry, ServiceConfig::default());
+        let config = ServiceConfig {
+            maintenance: MaintenancePolicy::enabled(),
+            ..ServiceConfig::default()
+        };
+        let s = Service::new(registry, config);
         s.register("R", tiny());
         s.register("S", Relation::from_edges([(5, 0), (6, 1)]));
         let cached = s.query(Request::two_path("R", "R")).unwrap();
@@ -1322,7 +1354,7 @@ pub(crate) mod tests {
         // Poison the cache mutex the hard way — panic while holding it —
         // then drive every path that acquires it. (Metrics are atomic
         // and cannot poison.)
-        let s = service();
+        let s = maintaining();
         s.register("R", tiny());
         let warm = s.query(Request::two_path("R", "R")).unwrap();
         std::thread::scope(|scope| {
@@ -1343,7 +1375,7 @@ pub(crate) mod tests {
 
     #[test]
     fn update_churn_is_visible_in_metrics() {
-        let s = service();
+        let s = maintaining();
         s.register("R", tiny());
         s.query(Request::two_path("R", "R")).unwrap();
         s.query(Request::star(["R", "R"])).unwrap();
@@ -1369,7 +1401,7 @@ pub(crate) mod tests {
 
     #[test]
     fn insert_recomputes_then_maintains() {
-        let s = service();
+        let s = maintaining();
         s.register("R", tiny());
         let cold = s.query(Request::two_path("R", "R")).unwrap();
         assert!(!cold.cached);
@@ -1404,7 +1436,7 @@ pub(crate) mod tests {
 
     #[test]
     fn delete_below_support_maintains_correctly() {
-        let s = service();
+        let s = maintaining();
         s.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 1)]));
         s.query(Request::two_path("R", "R")).unwrap();
         s.insert("R", [(2, 0)]).unwrap(); // builds support (recompute)
@@ -1422,7 +1454,7 @@ pub(crate) mod tests {
 
     #[test]
     fn counting_two_path_maintains_counts() {
-        let s = service();
+        let s = maintaining();
         s.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 1)]));
         s.query(Request::two_path_counts("R", "R", 2)).unwrap();
         s.insert("R", [(2, 0)]).unwrap();
@@ -1461,10 +1493,7 @@ pub(crate) mod tests {
 
     #[test]
     fn disabled_maintenance_invalidates() {
-        let s = Service::with_config(ServiceConfig {
-            maintenance: MaintenancePolicy::disabled(),
-            ..ServiceConfig::default()
-        });
+        let s = service();
         s.register("R", tiny());
         s.query(Request::two_path("R", "R")).unwrap();
         let report = s.insert("R", [(7, 1)]).unwrap();
@@ -1480,7 +1509,7 @@ pub(crate) mod tests {
         let s = Service::with_config(ServiceConfig {
             maintenance: MaintenancePolicy {
                 recompute_budget: 1,
-                ..MaintenancePolicy::default()
+                ..MaintenancePolicy::enabled()
             },
             ..ServiceConfig::default()
         });
@@ -1498,7 +1527,7 @@ pub(crate) mod tests {
 
     #[test]
     fn non_maintainable_entries_invalidate() {
-        let s = service();
+        let s = maintaining();
         s.register("R", tiny());
         // Star, limited, and pinned entries cannot be patched.
         s.query(Request::star(["R", "R"])).unwrap();
@@ -1525,7 +1554,7 @@ pub(crate) mod tests {
 
     #[test]
     fn maintained_entry_only_affects_updated_relation() {
-        let s = service();
+        let s = maintaining();
         s.register("R", tiny());
         s.register("S", Relation::from_edges([(5, 0), (6, 1)]));
         s.query(Request::two_path("R", "S")).unwrap();

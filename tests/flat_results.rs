@@ -11,7 +11,9 @@
 //! engines, so the tests do not disturb each other under the parallel test
 //! runner.
 
-use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig, Value};
+use mmjoin::{
+    MaintenancePolicy, Query, Relation, Request, Response, Service, ServiceConfig, Value,
+};
 use mmjoin_api::{CountSink, ExecStats, QueryGraph};
 use mmjoin_service::command::run_line;
 use mmjoin_service::{CacheEntry, CachedResult, ResultCache};
@@ -261,7 +263,10 @@ fn evicting_an_entry_frees_the_same_at_any_output_size() {
 /// capacity. From there on an update patches arrays that have room, and a
 /// one-edge insert on element 1 moves the same few rows whatever `sets` is.
 fn maintained(sets: Value) -> (Service, Request) {
-    let service = Service::with_default_registry();
+    let service = Service::with_config(ServiceConfig {
+        maintenance: MaintenancePolicy::enabled(),
+        ..ServiceConfig::default()
+    });
     service.register("R", Relation::from_edges((0..sets).map(|x| (x, 0))));
     let request = Request::two_path("R", "R");
     service.query(request.clone()).unwrap();

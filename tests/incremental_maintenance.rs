@@ -11,13 +11,22 @@
 //! both sides promise). Against a from-scratch *refresh* — the counting
 //! execution an eager recompute runs — the patched entry must be equal
 //! outright: rows, counts, row order and supports.
+//!
+//! Maintenance is opt-in ([`MaintenancePolicy::enabled`]); under the default
+//! an update drops the cached results over its relation. Two tests hold
+//! that path: `an_update_under_the_default_drops_what_it_touches` (what one
+//! update drains, frees and counts) and the oracle that holds whichever
+//! policy runs, `default_policy_answers_equal_reference_after_every_update`
+//! (every answer after any interleaving of updates equals nested loops over
+//! the updated relations).
 
 use mmjoin::{
-    default_registry, DeltaResult, DeltaSink, MaintenancePolicy, Query, Relation, RelationDelta,
-    Request, Response, Service, ServiceConfig, Value,
+    default_registry, DeltaResult, DeltaSink, MaintenancePolicy, Query, QuerySpec, Relation,
+    RelationDelta, Request, Response, Service, ServiceConfig, Value,
 };
 use mmjoin_datagen::{generate, DatasetKind};
-use mmjoin_service::maintain::two_path_delta;
+use mmjoin_obs::trace::{Stage, Tracer};
+use mmjoin_service::maintain::{two_path_delta, DropReason};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -28,8 +37,13 @@ use counting_alloc::tallied;
 
 type Edge = (Value, Value);
 
+/// A service that maintains its cached results under updates (the
+/// default drops them).
 fn maintaining_service() -> Service {
-    Service::with_default_registry()
+    Service::with_config(ServiceConfig {
+        maintenance: MaintenancePolicy::enabled(),
+        ..ServiceConfig::default()
+    })
 }
 
 fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
@@ -134,6 +148,45 @@ fn visible_rows(
         visible().flat_map(|(&(x, z), _)| [x, z]).collect(),
         visible().filter(|_| with_counts).map(|(_, &c)| c).collect(),
     )
+}
+
+/// Checks a served two-path answer against nested loops over the named edge
+/// sets: the same rows, each with its count where the request counts, or —
+/// under a limit — `min(limit, |answer|)` distinct rows of it.
+fn assert_reference(got: &Response, request: &Request, models: &BTreeMap<&str, BTreeSet<Edge>>) {
+    let QuerySpec::TwoPath {
+        r,
+        s,
+        with_counts,
+        min_count,
+    } = &request.spec
+    else {
+        panic!("{request:?} is not a two-path");
+    };
+    let (rows, counts) = expected_entry(
+        &models[r.as_str()],
+        &models[s.as_str()],
+        (*min_count).max(1),
+        *with_counts,
+    );
+    let counted = |rows: &[Value], counts: &[u32]| -> Vec<(Vec<Value>, u32)> {
+        let counts = counts.iter().copied().chain(std::iter::repeat(0));
+        let mut all: Vec<_> = rows.chunks(2).map(<[Value]>::to_vec).zip(counts).collect();
+        all.sort();
+        all
+    };
+    let want = counted(&rows, &counts);
+    let served = counted(got.rows.values(), &got.counts);
+    let expected_counts = if *with_counts { got.rows.len() } else { 0 };
+    assert_eq!(got.counts.len(), expected_counts, "{request:?}");
+    match request.limit {
+        None => assert_eq!(served, want, "{request:?}"),
+        Some(limit) => {
+            assert_eq!(served.len(), want.len().min(limit as usize), "{request:?}");
+            assert!(served.windows(2).all(|w| w[0] < w[1]), "{request:?}");
+            assert!(served.iter().all(|row| want.contains(row)), "{request:?}");
+        }
+    }
 }
 
 /// What `recompute_entry` builds: the counting join run into a
@@ -349,18 +402,70 @@ proptest! {
         }
     }
 
-    /// The maintained service agrees with the invalidate-everything
-    /// baseline (which always recomputes) query for query.
+    /// The default policy's oracle, which holds whatever an update does to
+    /// the cache: after every step of a random interleaving of inserts and
+    /// deletes over `R` and `S`, every two-path answer — self and cross,
+    /// plain, counting, at a `min_count`, under a limit — equals nested loops
+    /// over the model, and the update dropped exactly the entries over the
+    /// relation it changed.
+    #[test]
+    fn default_policy_answers_equal_reference_after_every_update(
+        r_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
+        s_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
+        steps in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((0u32..7, 0u32..5, 0u32..2), 1..6)),
+            1..8,
+        ),
+    ) {
+        let mut models: BTreeMap<&str, BTreeSet<Edge>> = BTreeMap::from([
+            ("R", r_base.into_iter().collect()),
+            ("S", s_base.into_iter().collect()),
+        ]);
+        let service = Service::with_default_registry();
+        for (name, edges) in &models {
+            service.register(*name, Relation::from_edges(edges.iter().copied()));
+        }
+        let requests = [
+            Request::two_path("R", "R"),
+            Request::two_path("R", "S"),
+            Request::two_path("S", "R"),
+            Request::two_path_counts("R", "S", 1),
+            Request::two_path_counts("R", "R", 2),
+            Request::two_path_counts("S", "R", 3),
+            Request::two_path("R", "S").limit(3),
+            Request::two_path_counts("S", "S", 1).limit(2),
+        ];
+        for request in &requests {
+            let got = service.query(request.clone()).unwrap();
+            assert_reference(&got, request, &models);
+        }
+        for (on_r, batch) in &steps {
+            let name = if *on_r { "R" } else { "S" };
+            let report = service.apply_delta(name, &delta_of(batch)).unwrap();
+            apply_to_model(models.get_mut(name).unwrap(), batch);
+            let over = requests
+                .iter()
+                .filter(|q| q.relation_names().contains(&name))
+                .count();
+            let dropped = if report.is_noop() { 0 } else { over };
+            prop_assert_eq!(report.invalidated, dropped, "{:?}", report);
+            prop_assert_eq!(report.maintained + report.recomputed, 0);
+            for request in &requests {
+                let got = service.query(request.clone()).unwrap();
+                assert_reference(&got, request, &models);
+            }
+        }
+    }
+
+    /// The maintained service agrees with the default, invalidating
+    /// service (which always recomputes) query for query.
     #[test]
     fn maintain_and_invalidate_policies_agree(
         base in prop::collection::vec((0u32..6, 0u32..5), 1..16),
         batch in prop::collection::vec((0u32..8, 0u32..6, 0u32..2), 1..8),
     ) {
         let maintained = maintaining_service();
-        let baseline = Service::with_config(ServiceConfig {
-            maintenance: MaintenancePolicy::disabled(),
-            ..ServiceConfig::default()
-        });
+        let baseline = Service::with_default_registry();
         for service in [&maintained, &baseline] {
             service.register("R", Relation::from_edges(base.iter().copied()));
             service.query(Request::two_path("R", "R")).unwrap();
@@ -370,6 +475,113 @@ proptest! {
         let b = baseline.query(Request::two_path("R", "R")).unwrap();
         prop_assert_eq!(sorted_rows(&a), sorted_rows(&b));
     }
+}
+
+/// Under the default policy an update drops the cached results over its
+/// relation and touches nothing else. Per insert and per delete: the entries
+/// over `R` leave the cache at once and their bytes with them, each counts
+/// as an invalidation with reason `disabled`, no entry is refreshed (the
+/// update's span says what it dropped and has no child), the entries over
+/// `S` alone keep hitting, and the next query over `R` misses and answers
+/// what nested loops over the updated relations answer.
+///
+/// The one test of this file that traces: the tracer is process-global, and
+/// no other test here mints a trace.
+#[test]
+fn an_update_under_the_default_drops_what_it_touches() {
+    let sets = |n: u32| -> BTreeSet<Edge> { (0..40u32).map(|i| (i % n, i % 5)).collect() };
+    let mut models = BTreeMap::from([("R", sets(8)), ("S", sets(7))]);
+    let service = Service::with_default_registry();
+    for (name, edges) in &models {
+        service.register(*name, Relation::from_edges(edges.iter().copied()));
+    }
+    let elsewhere = [
+        Request::two_path("S", "S"),
+        Request::two_path_counts("S", "S", 2),
+    ];
+    let over_r = [
+        Request::two_path("R", "R"),
+        Request::two_path("R", "S"),
+        Request::two_path_counts("S", "R", 2),
+        Request::two_path("R", "S").limit(3),
+    ];
+    let star = Request::star(["R", "S"]);
+    for request in &elsewhere {
+        assert!(!service.query(request.clone()).unwrap().cached);
+    }
+    let (entries, bytes) = service.cache_size();
+    assert_eq!(entries, elsewhere.len());
+
+    let tracer = Tracer::global();
+    tracer.set_enabled(true);
+    for (line, edge, insert) in [
+        ("insert R 40,0", (40, 0), true),
+        ("delete R 0,0", (0, 0), false),
+    ] {
+        for request in over_r.iter().chain([&star]) {
+            service.query(request.clone()).unwrap();
+        }
+        let dropped = over_r.len() + 1;
+        assert_eq!(service.cache_size().0, entries + dropped);
+        let invalidations = service.cache_counters().3;
+
+        let root = tracer.begin(line).expect("tracing is on");
+        let report = if insert {
+            service.insert("R", [edge]).unwrap()
+        } else {
+            service.delete("R", [edge]).unwrap()
+        };
+        drop(root);
+        let model = models.get_mut("R").unwrap();
+        assert!(if insert {
+            model.insert(edge)
+        } else {
+            model.remove(&edge)
+        });
+
+        assert_eq!(report.inserted + report.deleted, 1, "{line}");
+        assert_eq!((report.maintained, report.recomputed), (0, 0), "{line}");
+        assert_eq!(report.invalidated, dropped, "{line}");
+        assert_eq!(report.dropped[DropReason::Disabled as usize], dropped);
+        assert_eq!(report.dropped.iter().sum::<usize>(), dropped);
+        assert_eq!(
+            service.cache_size(),
+            (entries, bytes),
+            "{line}: freed at once"
+        );
+        assert_eq!(service.cache_counters().3, invalidations + dropped as u64);
+
+        let trace = tracer.last(1).pop().expect("the update's trace");
+        assert_eq!(trace.label, line);
+        let update = trace
+            .spans
+            .iter()
+            .find(|s| s.stage == Stage::Maintain)
+            .expect("the update's span");
+        assert_eq!(update.label, format!("update R: dropped {dropped}"));
+        assert!(
+            trace.spans.iter().all(|s| s.parent != update.id),
+            "no entry was refreshed: {:?}",
+            trace.spans
+        );
+        assert!(!trace.spans.iter().any(|s| s.label == "refresh-entry"));
+
+        for request in &elsewhere {
+            assert!(service.query(request.clone()).unwrap().cached, "{line}");
+        }
+        for request in &over_r {
+            let got = service.query(request.clone()).unwrap();
+            assert!(!got.cached && !got.maintained, "{line}: {request:?}");
+            assert_reference(&got, request, &models);
+        }
+        let star_rows = sorted_rows(&service.query(star.clone()).unwrap());
+        let pairs = sorted_rows(&service.query(Request::two_path("R", "S")).unwrap());
+        assert_eq!(star_rows, pairs, "{line}: a two-leg star is the two-path");
+    }
+    tracer.set_enabled(false);
+    let metrics = service.metrics();
+    assert_eq!(metrics.invalidated_by[DropReason::Disabled as usize], 10);
+    assert_eq!((metrics.maintained, metrics.recomputed), (0, 0));
 }
 
 /// The delete-below-support edge case, pinned deterministically: an

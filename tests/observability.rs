@@ -6,7 +6,7 @@
 //! The tracer is process-global, so every test serializes on one lock
 //! and leaves the tracer disabled and empty behind itself.
 
-use mmjoin::{Relation, Service};
+use mmjoin::{MaintenancePolicy, Relation, Service, ServiceConfig};
 use mmjoin_obs::trace::{Stage, Tracer};
 use mmjoin_service::command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -31,7 +31,10 @@ fn teardown() {
 }
 
 fn chain_service() -> Service {
-    let service = Service::with_default_registry();
+    chain_relations(Service::with_default_registry())
+}
+
+fn chain_relations(service: Service) -> Service {
     service.register(
         "R",
         Relation::from_edges((0..40u32).map(|i| (i % 8, i % 5))),
@@ -241,7 +244,10 @@ fn matrix_plans_open_exec_into_their_five_phases() {
 fn maintain_spans_name_predicted_and_actual_work() {
     let _guard = with_tracer();
     let tracer = Tracer::global();
-    let service = chain_service();
+    let service = chain_relations(Service::with_config(ServiceConfig {
+        maintenance: MaintenancePolicy::enabled(),
+        ..ServiceConfig::default()
+    }));
     command::run_line(&service, "query twopath R R").unwrap();
 
     // First touch recomputes (no supports yet), the second update patches.

@@ -15,8 +15,8 @@
 //! one.
 
 use mmjoin::{
-    plan_query, HeavyBackend, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query,
-    Relation, RelationDelta, Request, Service, ServiceConfig, Value,
+    plan_query, HeavyBackend, JoinConfig, MaintenancePolicy, OperandSource, PackedForm, PlanKind,
+    PlanStats, Query, Relation, RelationDelta, Request, Service, ServiceConfig, Value,
 };
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::two_path_join_project_with_stats;
@@ -243,12 +243,19 @@ fn explain(service: &Service, a: &str, b: &str) -> String {
 /// the cache refreshed an answer over it by recomputing, a counting query
 /// that packs the new value's `x`-major rows — and a no-op keeps the forms.
 /// Once with the result cache off, so that every query runs the engine, and
-/// once with it on.
+/// with it on, both maintaining the cache and dropping what an update
+/// touches (the default).
 #[test]
 fn updates_never_leave_a_stale_form() {
-    for cache_capacity in [0, 64] {
+    for (cache_capacity, maintenance) in [
+        (0, MaintenancePolicy::default()),
+        (64, MaintenancePolicy::enabled()),
+        (64, MaintenancePolicy::default()),
+    ] {
+        let on = maintenance.enabled;
         let service = Service::with_config(ServiceConfig {
             cache_capacity,
+            maintenance,
             join_config: served(0.0, 1),
             ..ServiceConfig::default()
         });
@@ -310,7 +317,7 @@ fn updates_never_leave_a_stale_form() {
             }
             .unwrap();
             assert_eq!(report.inserted + report.deleted, usize::from(effective));
-            let step = format!("cache {cache_capacity}, step {i}");
+            let step = format!("cache {cache_capacity}, maintenance {on}, step {i}");
             if effective && report.recomputed == 0 {
                 assert_eq!(packed(name), 0, "{step}: a new relation value");
                 let side = if which == 0 { "built/" } else { "/built" };

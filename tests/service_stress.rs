@@ -8,9 +8,17 @@
 //! must come out of the storm fully functional — no poisoned lock, no
 //! deadlock, warm cache intact.
 
-use mmjoin::{JoinConfig, Relation, Request, Service, ServiceConfig, ServiceError};
+use mmjoin::{
+    JoinConfig, MaintenancePolicy, Relation, Request, Service, ServiceConfig, ServiceError,
+};
 
 const CLIENTS: u32 = 4;
+
+/// Every test runs its storm twice: once maintaining the cached results an
+/// update touches, and once under the default, which drops them.
+fn policies() -> [MaintenancePolicy; 2] {
+    [MaintenancePolicy::enabled(), MaintenancePolicy::default()]
+}
 
 fn client_relation(i: u32, salt: u32) -> Relation {
     Relation::from_edges(
@@ -76,8 +84,13 @@ fn concurrent_clients_match_serial_replay() {
         })
         .collect();
 
-    for threads in [1usize, 2, 8] {
+    let storms = [1usize, 2, 8]
+        .into_iter()
+        .flat_map(|t| policies().map(|p| (t, p)));
+    for (threads, maintenance) in storms {
+        let on = maintenance.enabled;
         let service = Service::with_config(ServiceConfig {
+            maintenance,
             thread_budget: 8,
             join_config: JoinConfig {
                 threads,
@@ -95,7 +108,8 @@ fn concurrent_clients_match_serial_replay() {
                     let got = run_client_ops(service, i);
                     assert_eq!(
                         got, expected[i as usize],
-                        "client {i} diverged from its serial replay (threads={threads})"
+                        "client {i} diverged from its serial replay \
+                         (threads={threads}, maintenance {on})"
                     );
                 });
             }
@@ -106,7 +120,10 @@ fn concurrent_clients_match_serial_replay() {
         let m = service.metrics();
         // The only errors are the CLIENTS deliberate unknown-relation
         // probes after each client removed its own relation.
-        assert_eq!(m.errors, CLIENTS as u64, "threads={threads}");
+        assert_eq!(
+            m.errors, CLIENTS as u64,
+            "threads={threads}, maintenance {on}"
+        );
         assert!(m.queries_served >= (CLIENTS as u64) * 7);
         let warm = service
             .query(Request::two_path("shared", "shared"))
@@ -126,7 +143,14 @@ fn concurrent_clients_match_serial_replay() {
 /// epoch (serial replay of the update sequence), never a torn mix.
 #[test]
 fn readers_see_consistent_epochs_under_updates() {
+    for maintenance in policies() {
+        readers_see_consistent_epochs_under_updates_under(maintenance);
+    }
+}
+
+fn readers_see_consistent_epochs_under_updates_under(maintenance: MaintenancePolicy) {
     let service = Service::with_config(ServiceConfig {
+        maintenance,
         thread_budget: 4,
         join_config: JoinConfig {
             threads: 2,
@@ -194,8 +218,15 @@ fn readers_see_consistent_epochs_under_updates() {
 /// of inserts together, so most rounds have a loser.
 #[test]
 fn racing_writers_on_one_relation_lose_no_insert() {
+    for maintenance in policies() {
+        racing_writers_on_one_relation_lose_no_insert_under(maintenance);
+    }
+}
+
+fn racing_writers_on_one_relation_lose_no_insert_under(maintenance: MaintenancePolicy) {
     const PER_WRITER: u32 = 200;
     let service = Service::with_config(ServiceConfig {
+        maintenance,
         thread_budget: 2,
         ..ServiceConfig::default()
     });
@@ -251,7 +282,14 @@ fn racing_writers_on_one_relation_lose_no_insert() {
 /// still running).
 #[test]
 fn updates_to_one_relation_never_touch_another() {
+    for maintenance in policies() {
+        updates_to_one_relation_never_touch_another_under(maintenance);
+    }
+}
+
+fn updates_to_one_relation_never_touch_another_under(maintenance: MaintenancePolicy) {
     let service = Service::with_config(ServiceConfig {
+        maintenance,
         thread_budget: 4,
         ..ServiceConfig::default()
     });
