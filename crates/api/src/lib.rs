@@ -23,8 +23,7 @@
 //!   only count, sample, or forward results never pay for full
 //!   materialisation. [`VecSink`], [`PairSink`] and [`CountSink`] are the
 //!   stock adapters; [`LimitSink`] bounds any of them and signals early
-//!   termination through [`Sink::wants_more`]; [`DeltaSink`] accumulates
-//!   signed row deltas for incremental view maintenance.
+//!   termination through [`Sink::wants_more`].
 //! * [`EngineRegistry`] maps names to boxed engines so tests, benchmarks
 //!   and services enumerate engines dynamically — no per-engine
 //!   hard-coding at call sites.
@@ -48,6 +47,6 @@ pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};
 pub use registry::EngineRegistry;
 pub use sink::{
-    emit_counted_pairs, emit_flat, emit_pairs, emit_rows, flatten_pairs, CountSink, DeltaSink,
-    FlatRows, ForEachSink, LimitSink, PairSink, Sink, VecSink,
+    emit_counted_pairs, emit_flat, emit_pairs, emit_rows, flatten_pairs, CountSink, FlatRows,
+    ForEachSink, LimitSink, PairSink, Sink, VecSink,
 };

@@ -359,80 +359,6 @@ pub fn emit_rows(sink: &mut dyn Sink, rows: FlatRows) -> u64 {
     sink.take_rows(rows, Vec::new())
 }
 
-/// Accumulates signed deltas of arity-2 rows: the support counts behind
-/// incremental view maintenance.
-///
-/// Each emitted row contributes `max(count, 1)` to that row's delta, so a
-/// counting execution run into a `DeltaSink` drains to every output pair
-/// with its witness count — the supports a cached result is maintained
-/// from. (The *update* deltas are not accumulated here: the service's
-/// `two_path_delta` emits them coalesced and in order.)
-///
-/// Emissions are appended to one flat buffer — no allocation per row —
-/// and sorted and coalesced once, by
-/// [`into_deltas`](DeltaSink::into_deltas).
-#[derive(Debug, Clone, Default)]
-pub struct DeltaSink {
-    deltas: Vec<((Value, Value), i64)>,
-}
-
-impl DeltaSink {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to `row` directly, without going through the engine
-    /// emission path (hand-computed, possibly negative, join terms).
-    pub fn add(&mut self, row: &[Value], delta: i64) {
-        assert_eq!(row.len(), 2, "DeltaSink requires arity-2 rows");
-        if delta != 0 {
-            self.deltas.push(((row[0], row[1]), delta));
-        }
-    }
-
-    /// Consumes the sink: the distinct rows in ascending order, each with
-    /// the sum of its deltas, without the rows that cancelled to zero.
-    pub fn into_deltas(self) -> Vec<((Value, Value), i64)> {
-        let mut deltas = self.deltas;
-        deltas.sort_unstable_by_key(|&(row, _)| row);
-        deltas.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 += next.1;
-            }
-            same
-        });
-        deltas.retain(|&(_, delta)| delta != 0);
-        deltas
-    }
-
-    /// Number of emissions buffered so far (equal rows are not merged
-    /// until [`into_deltas`](DeltaSink::into_deltas)).
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// True when nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-}
-
-impl Sink for DeltaSink {
-    fn begin(&mut self, arity: usize) {
-        assert_eq!(arity, 2, "DeltaSink requires arity-2 output, got {arity}");
-    }
-
-    fn row(&mut self, row: &[Value]) {
-        self.add(row, 1);
-    }
-
-    fn counted_row(&mut self, row: &[Value], count: u32) {
-        self.add(row, count.max(1) as i64);
-    }
-}
-
 /// Adapts a closure `FnMut(&[Value], u32)` into a [`Sink`]; the count is 0
 /// for uncounted rows.
 pub struct ForEachSink<F: FnMut(&[Value], u32)>(pub F);
@@ -631,13 +557,6 @@ mod tests {
         emit_counted_pairs(&mut totals, &triples, true);
         let witnesses: u64 = triples.iter().map(|t| t.2 as u64).sum();
         assert_eq!((totals.rows, totals.witness_total), (300, witnesses));
-        let mut deltas = DeltaSink::new();
-        emit_counted_pairs(&mut deltas, &triples[..3], true);
-        assert_eq!(
-            deltas.into_deltas(),
-            vec![((0, 1), 1), ((1, 2), 1), ((2, 3), 2)],
-            "the per-row default: a count of 0 weighs 1"
-        );
     }
 
     #[test]
@@ -650,49 +569,5 @@ mod tests {
     fn limit_sink_zero_limit_wants_nothing() {
         let s = LimitSink::new(CountSink::new(), 0);
         assert!(!s.wants_more());
-    }
-
-    #[test]
-    fn delta_sink_accumulates_signed_counts() {
-        let mut s = DeltaSink::new();
-        s.row(&[0, 3]); // emitted out of order: the drain sorts
-        s.add(&[0, 3], -1);
-        s.add(&[0, 3], -1); // net -1
-        s.counted_row(&[0, 1], 2); // +2
-        s.row(&[0, 2]); // +1
-        s.add(&[0, 1], -1); // net +1
-        assert_eq!(s.len(), 6, "emissions are buffered, not merged");
-        assert_eq!(
-            s.into_deltas(),
-            vec![((0, 1), 1), ((0, 2), 1), ((0, 3), -1)]
-        );
-    }
-
-    #[test]
-    fn delta_sink_drops_cancelled_rows() {
-        let mut s = DeltaSink::new();
-        s.counted_row(&[7, 7], 3);
-        s.row(&[1, 1]);
-        s.add(&[7, 7], -3);
-        assert_eq!(s.into_deltas(), vec![((1, 1), 1)]);
-        assert!(DeltaSink::new().into_deltas().is_empty());
-    }
-
-    #[test]
-    fn delta_sink_uncounted_rows_weigh_one() {
-        // row() and counted_row(_, 1) must agree, so maintenance terms can
-        // come from either emission path.
-        let mut a = DeltaSink::new();
-        a.row(&[1, 2]);
-        let mut b = DeltaSink::new();
-        b.counted_row(&[1, 2], 1);
-        assert_eq!(a.into_deltas(), b.into_deltas());
-    }
-
-    #[test]
-    #[should_panic(expected = "arity-2")]
-    fn delta_sink_rejects_wrong_arity() {
-        let mut s = DeltaSink::new();
-        s.begin(3);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! targets: engines table2 plan fig3a fig3b fig4a fig4b fig4c fig4d fig4f
 //!          fig5a fig5b fig5c fig5d fig5g fig5h fig5e fig5f fig6a
-//!          fig6b fig6c fig6d fig7 fig8 ablation service updates chains
+//!          fig6b fig6c fig6d fig7 fig8 ablation service chains
 //!          saturation crossover all
 //! ```
 //!
@@ -27,8 +27,7 @@
 use mmjoin::default_registry;
 use mmjoin_bench::report::{json_string, Table};
 use mmjoin_bench::{
-    chains_bench, crossover_bench, figures, gate, saturation_bench, service_bench, updates_bench,
-    DEFAULT_SCALE,
+    chains_bench, crossover_bench, figures, gate, saturation_bench, service_bench, DEFAULT_SCALE,
 };
 use mmjoin_datagen::DatasetKind;
 
@@ -74,7 +73,7 @@ enum Output {
 
 /// Runs one target. Under `--gate`, `chains` and `crossover` — the
 /// targets whose gate thresholds read *timings* (baseline speedup,
-/// thread-scaling smoke; the service/updates gates threshold hit rates,
+/// thread-scaling smoke; the service gate thresholds hit rates,
 /// which are deterministic) — switch to one-warmup median-of-3
 /// measurements so a single scheduler hiccup cannot fake a perf
 /// regression. `threads` (`--threads`, default 8) is the intra-query
@@ -109,7 +108,6 @@ fn run(name: &str, scale: f64, gated: bool, threads: usize) -> Output {
         "ablation" => Output::Table(figures::ablation_matrix_backends(scale)),
         "service" => Output::Table(service_bench::service_experiment(scale)),
         "saturation" => Output::Table(saturation_bench::saturation_experiment(scale)),
-        "updates" => Output::Table(updates_bench::updates_experiment(scale)),
         "chains" => Output::Table(chains_bench::chains_experiment_trials(scale, trials)),
         "crossover" => Output::Table(crossover_bench::crossover_experiment(
             scale, trials, threads,
@@ -121,7 +119,7 @@ fn run(name: &str, scale: f64, gated: bool, threads: usize) -> Output {
     }
 }
 
-const ALL_TARGETS: [&str; 30] = [
+const ALL_TARGETS: [&str; 29] = [
     "engines",
     "table2",
     "plan",
@@ -148,7 +146,6 @@ const ALL_TARGETS: [&str; 30] = [
     "fig8",
     "ablation",
     "service",
-    "updates",
     "chains",
     "saturation",
     "crossover",

@@ -13,7 +13,6 @@ pub mod gate;
 pub mod report;
 pub mod saturation_bench;
 pub mod service_bench;
-pub mod updates_bench;
 
 use mmjoin_datagen::DatasetKind;
 use mmjoin_storage::Relation;

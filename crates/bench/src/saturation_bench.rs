@@ -65,17 +65,13 @@ fn client_script(i: usize) -> Vec<String> {
 /// Strips the non-deterministic decoration from a response body so
 /// concurrent transcripts compare equal to serial replays: wall-time
 /// tokens (`0.042s`), the `cached true/false` pair (cross-client cache
-/// warming is real sharing, not a wrong result), and the
-/// `(maintained)` marker that rides on cached-and-patched answers.
+/// warming is real sharing, not a wrong result), and epoch counters.
 fn normalize(body: &str) -> String {
     let mut out: Vec<&str> = Vec::new();
     let mut tokens = body.split_whitespace().peekable();
     while let Some(tok) = tokens.next() {
         if tok == "cached" {
             let _ = tokens.next(); // true/false
-            continue;
-        }
-        if tok == "(maintained)" {
             continue;
         }
         // Epoch counters are global to the shared server catalog, so the
@@ -390,7 +386,7 @@ mod tests {
     #[test]
     fn normalize_strips_decoration_only() {
         assert_eq!(
-            normalize("ok rows 10 engine MMJoin cached true (maintained) 0.042s"),
+            normalize("ok rows 10 engine MMJoin cached true 0.042s"),
             "ok rows 10 engine MMJoin"
         );
         assert_eq!(

@@ -10,8 +10,7 @@ pub enum HeavyBackend {
     /// Bit kernels over the relations' memoised packed rows, for either
     /// semiring: the Boolean product when only the existence of a witness
     /// is read (plain join-project, stars, chain steps), AND-popcount when
-    /// witness counts are (counting, similarity, containment, the
-    /// maintenance recompute).
+    /// witness counts are (counting, similarity, containment).
     #[default]
     Auto,
     /// Pin f32 SGEMM for every query — the paper's prototype; the figure

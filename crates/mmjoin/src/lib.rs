@@ -58,9 +58,9 @@
 //! ```
 
 pub use mmjoin_api::{
-    Atom, CountSink, DeltaSink, Engine, EngineError, EngineRegistry, ExecStats, FlatRows,
-    ForEachSink, LimitSink, OperandSource, PairSink, PhaseSecs, PlanKind, PlanStats, Query,
-    QueryError, QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
+    Atom, CountSink, Engine, EngineError, EngineRegistry, ExecStats, FlatRows, ForEachSink,
+    LimitSink, OperandSource, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError,
+    QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
     execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,
@@ -72,9 +72,8 @@ pub use mmjoin_executor::{Executor, ExecutorStats};
 /// log-bucketed histograms).
 pub use mmjoin_obs as obs;
 pub use mmjoin_service::{
-    default_registry, registry_with_config, AtomSpec, DeltaResult, MaintenancePolicy,
-    MaintenanceReport, MetricsSnapshot, QuerySpec, Request, Response, SelectionReason, Service,
-    ServiceConfig, ServiceError,
+    default_registry, registry_with_config, AtomSpec, MetricsSnapshot, QuerySpec, Request,
+    Response, SelectionReason, Service, ServiceConfig, ServiceError, UpdateReport,
 };
 pub use mmjoin_storage::{
     NormalizedDelta, PackedForm, Relation, RelationBuilder, RelationDelta, Value,

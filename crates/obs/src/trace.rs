@@ -41,7 +41,8 @@ pub enum Stage {
     /// One step of a composed plan (a join or semijoin, or the final
     /// projection stage).
     Step,
-    /// Incremental maintenance triggered by a relation update.
+    /// A relation update freeing the cached results over its relation
+    /// (labelled `update R: dropped N`).
     Maintain,
     /// Rendering the response string.
     Serialize,

@@ -11,7 +11,6 @@
 //! bump per array, no heap copied under the lock every warm request takes —
 //! and hits are byte-identical to the cold execution that populated them.
 
-use crate::maintain::Supports;
 use crate::request::Request;
 use mmjoin_api::{ExecStats, FlatRows};
 use mmjoin_storage::Value;
@@ -24,9 +23,8 @@ use std::sync::Arc;
 /// rows it has.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    /// The rows, in the engine's emission order (maintained entries:
-    /// sorted canonical order) — what the engine handed its sink: its flat
-    /// buffer, or its product's cells.
+    /// The rows, in the engine's emission order — what the engine handed
+    /// its sink: its flat buffer, or its product's cells.
     pub rows: Arc<FlatRows>,
     /// Per-row witness counts; empty where the query family emits none.
     pub counts: Arc<Vec<u32>>,
@@ -34,23 +32,13 @@ pub struct CacheEntry {
     pub stats: Arc<ExecStats>,
     /// Whether a row limit cut the stream short.
     pub truncated: bool,
-    /// Per-tuple support counts and the measured cost of building them,
-    /// present once the entry has been through the maintenance path — what
-    /// makes future updates patchable, and priceable.
-    pub support: Option<Supports>,
-    /// Whether this entry was last refreshed by an in-place delta patch
-    /// (as opposed to an execution, cold or eager).
-    pub maintained: bool,
 }
 
 impl CacheEntry {
     /// Heap bytes of the result arrays — the rows, flat or product cells
-    /// ([`FlatRows::heap_bytes`]), counts, and a pair plus a count per
-    /// supported tuple.
+    /// ([`FlatRows::heap_bytes`]), and the counts.
     pub fn bytes(&self) -> usize {
-        let support = self.support.as_ref().map_or(0, |s| s.result.len());
-        let words = self.counts.len() + 3 * support;
-        self.rows.heap_bytes() + words * std::mem::size_of::<Value>()
+        self.rows.heap_bytes() + self.counts.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -58,7 +46,9 @@ impl CacheEntry {
 /// benchmark (`benchmark/trajectory`, which a change to the system may not
 /// edit) fills a probe cache with this literal; goes with ROADMAP 1(a).
 /// Nothing in `crates/` constructs it — [`ResultCache::insert`] takes
-/// anything that converts into a [`CacheEntry`].
+/// anything that converts into a [`CacheEntry`]. `support` and `maintained`
+/// are the fields of an update path that is gone: `support` can only be
+/// `None`, and both are ignored.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct CachedResult {
@@ -67,7 +57,7 @@ pub struct CachedResult {
     pub counts: Arc<Vec<u32>>,
     pub stats: ExecStats,
     pub truncated: bool,
-    pub support: Option<Supports>,
+    pub support: Option<std::convert::Infallible>,
     pub maintained: bool,
 }
 
@@ -78,8 +68,6 @@ impl From<CachedResult> for CacheEntry {
             counts: old.counts,
             stats: Arc::new(old.stats),
             truncated: old.truncated,
-            support: old.support,
-            maintained: old.maintained,
         }
     }
 }
@@ -194,13 +182,11 @@ impl ResultCache {
     }
 
     /// Removes and returns every entry whose request references relation
-    /// `name` (already-canonical names match exactly). The maintenance
-    /// path patches the drained entries and re-inserts the survivors
-    /// under their post-update keys; anything not re-inserted is thereby
-    /// invalidated. Every drained slot counts as update-driven
-    /// `invalidations` churn (a re-inserted survivor is a *new* entry
-    /// under a new key) — distinct from capacity `evictions`.
-    pub fn drain_referencing(&mut self, name: &str) -> Vec<(u64, Request, Vec<u64>, CacheEntry)> {
+    /// `name` (already-canonical names match exactly), for the caller to
+    /// free once it has released whatever lock guards the cache. Every
+    /// drained slot counts as update-driven `invalidations` churn —
+    /// distinct from capacity `evictions`.
+    pub fn drain_referencing(&mut self, name: &str) -> Vec<CacheEntry> {
         let keys: Vec<u64> = self
             .slots
             .iter()
@@ -209,10 +195,7 @@ impl ResultCache {
             .collect();
         self.invalidations += keys.len() as u64;
         keys.into_iter()
-            .map(|key| {
-                let slot = self.slots.remove(&key).expect("key just enumerated");
-                (key, slot.request, slot.epochs, slot.value)
-            })
+            .map(|key| self.slots.remove(&key).expect("key just enumerated").value)
             .collect()
     }
 
@@ -268,8 +251,6 @@ mod tests {
             counts: Arc::default(),
             stats: Arc::new(ExecStats::new("test", 1)),
             truncated: false,
-            support: None,
-            maintained: false,
         }
     }
 
@@ -359,8 +340,7 @@ mod tests {
         c.insert(2, Request::similarity("S", 1), vec![2], result(2));
         let drained = c.drain_referencing("R");
         assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].0, 1, "key of the drained slot");
-        assert_eq!(drained[0].2, vec![1], "epochs travel with the slot");
+        assert_eq!(drained[0].rows.row(0), [1, 1], "the drained entry");
         assert_eq!(c.len(), 1);
         assert!(c.get(2, &Request::similarity("S", 1), &[2]).is_some());
         assert!(c.drain_referencing("R").is_empty(), "already drained");

@@ -34,17 +34,12 @@ pub struct CatalogEntry {
     pub epoch: u64,
 }
 
-/// The context of one applied delta batch, as the maintenance path needs
-/// it: the relation as it was (delta joins are expressed over the old
-/// state), both epochs, and the effective delta.
+/// One applied delta batch: the relation's epoch after it, and the
+/// effective delta.
 #[derive(Debug, Clone)]
 pub struct StagedUpdate {
-    /// The relation before the update.
-    pub old: Arc<Relation>,
-    /// Its epoch before the update.
-    pub old_epoch: u64,
-    /// The epoch after the update (`== old_epoch` for no-op batches).
-    pub new_epoch: u64,
+    /// The epoch after the update (the epoch before it for a no-op batch).
+    pub epoch: u64,
     /// The effective delta (empty for no-op batches).
     pub delta: NormalizedDelta,
 }
@@ -126,13 +121,10 @@ impl Catalog {
     }
 
     /// Applies a staged tuple batch to an existing relation, returning
-    /// the update context the maintenance path needs: the pre-update
-    /// relation and epoch, the post-update epoch, and the effective
-    /// (normalized) delta.
+    /// the post-update epoch and the effective (normalized) delta.
     ///
     /// A batch that normalizes to nothing is a complete no-op — no epoch
-    /// bump, `new_epoch == old_epoch` — which keeps every cached result
-    /// addressable.
+    /// bump — which keeps every cached result addressable.
     ///
     /// The install-by-epoch retry is unbounded and not fair: a writer
     /// whose apply takes milliseconds can lose round after round to a
@@ -150,7 +142,7 @@ impl Catalog {
         loop {
             let current = self.get(name).ok_or_else(|| unknown(name))?;
             let delta = delta.normalize(&current.relation);
-            let new_epoch = if delta.is_empty() {
+            let epoch = if delta.is_empty() {
                 current.epoch
             } else {
                 let next = Arc::new(current.relation.apply_normalized(&delta));
@@ -160,12 +152,7 @@ impl Catalog {
                     None => continue,
                 }
             };
-            return Ok(StagedUpdate {
-                old: current.relation,
-                old_epoch: current.epoch,
-                new_epoch,
-                delta,
-            });
+            return Ok(StagedUpdate { epoch, delta });
         }
     }
 
@@ -223,20 +210,6 @@ impl Catalog {
             epochs.push(entry.epoch);
         }
         Ok((handles, epochs))
-    }
-
-    /// [`Catalog::pin`] for maintenance paths that must observe missing
-    /// entries instead of erroring: per name, `Some((relation, epoch))`
-    /// or `None` if unregistered, read under the same one-guard cut.
-    pub fn snapshot(&self, names: &[&str]) -> Vec<Option<(Arc<Relation>, u64)>> {
-        let state = self.read();
-        names
-            .iter()
-            .map(|name| {
-                let entry = state.entries.get(*name)?;
-                Some((Arc::clone(&entry.relation), entry.epoch))
-            })
-            .collect()
     }
 
     /// The current epoch of each of `names`, `None` where unregistered,
@@ -316,17 +289,16 @@ mod tests {
     #[test]
     fn apply_delta_installs_and_reports_context() {
         let c = Catalog::new();
-        c.register("R", rel(&[(0, 0), (1, 0)]));
+        let before = c.register("R", rel(&[(0, 0), (1, 0)]));
         let mut delta = RelationDelta::new();
         delta.insert(2, 1).delete(1, 0);
         let staged = c.apply_delta("R", &delta).unwrap();
-        assert_eq!(staged.old.edges(), &[(0, 0), (1, 0)]);
-        assert!(staged.new_epoch > staged.old_epoch);
+        assert!(staged.epoch > before);
         assert_eq!(staged.delta.inserts, vec![(2, 1)]);
         assert_eq!(staged.delta.deletes, vec![(1, 0)]);
         let entry = c.get("R").unwrap();
         assert_eq!(entry.relation.edges(), &[(0, 0), (2, 1)]);
-        assert_eq!(entry.epoch, staged.new_epoch);
+        assert_eq!(entry.epoch, staged.epoch);
     }
 
     #[test]
@@ -339,7 +311,7 @@ mod tests {
         delta.insert(0, 0).delete(9, 9);
         let staged = c.apply_delta("R", &delta).unwrap();
         assert!(staged.delta.is_empty());
-        assert_eq!(staged.new_epoch, staged.old_epoch);
+        assert_eq!(staged.epoch, epoch);
         assert_eq!(c.epoch(), epoch);
         assert!(matches!(
             c.apply_delta("nope", &RelationDelta::new()),
@@ -392,8 +364,6 @@ mod tests {
             Err(ServiceError::UnknownRelation(_))
         ));
         assert!(c.remove("R"));
-        let snap = c.snapshot(&["R", "S"]);
-        assert!(snap[0].is_none());
-        assert_eq!(snap[1].as_ref().map(|(_, epoch)| *epoch), Some(2));
+        assert_eq!(c.epochs_of(&["R", "S"]), vec![None, Some(2)]);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::service::panic_message;
-use crate::{AtomSpec, MaintenanceReport, Request, Response, Service, ServiceError};
+use crate::{AtomSpec, Request, Response, Service, ServiceError, UpdateReport};
 use mmjoin_executor::ExecutorStats;
 use mmjoin_obs::trace::{self, chrome_json, Stage, Tracer};
 use mmjoin_storage::io::read_edge_list;
@@ -555,8 +555,7 @@ fn run_stats(
 fn service_json(m: &MetricsSnapshot) -> String {
     format!(
         "{{\"queries_served\":{},\"cache_hits\":{},\"cache_hit_rate\":{:.4},\"errors\":{},\
-         \"slow_queries\":{},\"updates\":{},\"maintained\":{},\"recomputed\":{},\
-         \"invalidated\":{},\"operand_packs\":{},\"operand_reuses\":{},\
+         \"slow_queries\":{},\"updates\":{},\"invalidated\":{},\"operand_packs\":{},\"operand_reuses\":{},\
          \"cache_invalidations\":{},\"mean_latency_us\":{},\"p50_latency_us\":{},\
          \"p99_latency_us\":{},\"max_latency_us\":{}}}",
         m.queries_served,
@@ -565,8 +564,6 @@ fn service_json(m: &MetricsSnapshot) -> String {
         m.errors,
         m.slow_queries,
         m.updates,
-        m.maintained,
-        m.recomputed,
         m.invalidated,
         m.operand_packs,
         m.operand_reuses,
@@ -713,15 +710,10 @@ pub fn run_line_with<T>(
 fn render_query(response: &Response, secs: f64, show: Option<usize>) -> String {
     let _ser_span = trace::span(Stage::Serialize, "render-response");
     let out = format!(
-        "ok rows {} engine {} cached {}{} {:.3}s{}",
+        "ok rows {} engine {} cached {} {:.3}s{}",
         response.rows.len(),
         response.stats.engine,
         response.cached,
-        if response.maintained {
-            " (maintained)"
-        } else {
-            ""
-        },
         secs,
         if response.truncated {
             " (limit reached)"
@@ -909,8 +901,8 @@ fn parse_edge_pairs(tokens: &[&str]) -> Result<Vec<Edge>, ParseError> {
 }
 
 /// Renders the outcome of an insert/delete batch: what changed and how
-/// each affected cached result was refreshed.
-fn delta_report(service: &Service, name: &str, report: &MaintenanceReport) -> String {
+/// many cached results over the relation it dropped.
+fn delta_report(service: &Service, name: &str, report: &UpdateReport) -> String {
     let tuples = service.relation(name).expect("relation exists").len();
     if report.is_noop() {
         return format!(
@@ -919,15 +911,8 @@ fn delta_report(service: &Service, name: &str, report: &MaintenanceReport) -> St
         );
     }
     format!(
-        "ok relation {name}: +{} -{} tuples (now {}), epoch {}, \
-         cache maintained {} recomputed {} invalidated {}",
-        report.inserted,
-        report.deleted,
-        tuples,
-        report.epoch,
-        report.maintained,
-        report.recomputed,
-        report.invalidated
+        "ok relation {name}: +{} -{} tuples (now {}), epoch {}, cache invalidated {}",
+        report.inserted, report.deleted, tuples, report.epoch, report.invalidated
     )
 }
 
@@ -1004,9 +989,7 @@ pub const HELP: &str = "ok commands:
   load <name> <path>                  whitespace edge-list file
   gen <name> <dataset> <scale>        synthetic Table-2 dataset (DBLP, RoadNet, Jokes, Words, Protein, Image)
   insert <name> <x,y> [<x,y> …]       staged delta: cached results over <name> are dropped
-                                      (maintained in place when maintenance is enabled)
-  delete <name> <x,y> [<x,y> …]       staged delta: as insert (deletions tracked via
-                                      support counts when maintenance is enabled)
+  delete <name> <x,y> [<x,y> …]       staged delta: as insert
   query twopath <R> <S> [counts] [min <c>] [limit <n>] [engine <E>] [show [n]]
   query star <R1> <R2> [… Rk] [limit <n>] [show [n]]
   query chain <R1> <R2> [… Rk] [limit <n>] [engine <E>] [show [n]]
@@ -1026,7 +1009,6 @@ pub const HELP: &str = "ok commands:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MaintenancePolicy, ServiceConfig};
     use mmjoin_api::{ExecStats, FlatRows};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -1133,31 +1115,15 @@ mod tests {
         );
     }
 
-    /// The fields of the first label in `text` that starts with `head`,
-    /// as `key=value` pairs in order.
-    fn label_fields<'a>(text: &'a str, head: &str) -> Vec<(&'a str, &'a str)> {
-        let at = text
-            .find(head)
-            .unwrap_or_else(|| panic!("no `{head}` in {text}"));
-        let line = text[at + head.len()..].lines().next().unwrap_or_default();
-        line.split_whitespace()
-            .map_while(|t| t.split_once('='))
-            .collect()
-    }
-
-    /// The service REPL's update script (CI runs it under the default, which
-    /// drops what an update touches) over a service that opts into
-    /// maintenance: the second insert is patched in place, the query after
-    /// it is served from the patched entry, and the refresh's span and
-    /// `stats` carry its prediction beside what it measured.
+    /// The service REPL's update script, the one CI pipes into
+    /// `mmjoin-serve`: each effective update drops the one cached result
+    /// over `R`, its span says so and has no child, and the next query
+    /// recomputes over the updated relation.
     ///
     /// The tracer is process-global; no other test of this crate traces.
     #[test]
-    fn an_enabled_policy_maintains_the_repl_scripts_updates() {
-        let s = Service::with_config(ServiceConfig {
-            maintenance: MaintenancePolicy::enabled(),
-            ..ServiceConfig::default()
-        });
+    fn the_repl_scripts_updates_drop_what_they_touch() {
+        let s = Service::with_default_registry();
         let tracer = Tracer::global();
         let mut out = Vec::new();
         for line in [
@@ -1181,57 +1147,31 @@ mod tests {
             drop(root);
         }
         run_line(&s, "trace off").unwrap();
-        let out = out.join("\n");
 
-        assert!(out.contains("cached true"), "{out}");
-        // Maintain against recompute is priced from a measurement: here 5
-        // witnesses, ~0.03 µs, against the ~10 µs a recompute just took.
+        let updates: Vec<&String> = out.iter().filter(|l| l.contains("tuples (now")).collect();
+        assert_eq!(updates.len(), 3, "{out:?}");
+        for line in updates {
+            assert!(line.ends_with(", cache invalidated 1"), "{line}");
+        }
+        let out = out.join("\n");
         assert!(
-            out.contains("cache maintained 1 recomputed 0 invalidated 0"),
+            out.contains("ok relation R: +1 -0 tuples (now 4), epoch 2,"),
             "{out}"
         );
-        assert!(out.contains("cached true (maintained)"), "{out}");
-        assert!(out.contains("cache hits"), "{out}");
-        let fields = label_fields(&out, "maintain Maintain R⋈R: ");
-        let keys: Vec<&str> = fields.iter().map(|&(k, _)| k).collect();
-        assert_eq!(
-            keys,
-            [
-                "delta_cost",
-                "recompute_cost",
-                "maintain_pred_us",
-                "recompute_pred_us",
-                "measured_us",
-                "out",
-                "delta_rows",
-                "entered",
-                "left"
-            ],
+        assert!(
+            out.contains("ok rows 8 engine MMJoin cached false"),
             "{out}"
         );
-        for (key, value) in &fields {
-            assert!(value.parse::<u64>().is_ok(), "{key}={value} in {out}");
-        }
-        let exact = |key: &str| fields.iter().find(|&&(k, _)| k == key).unwrap().1;
-        for (key, value) in [
-            ("delta_cost", "5"),
-            ("out", "13"),
-            ("delta_rows", "5"),
-            ("entered", "5"),
-            ("left", "0"),
-        ] {
-            assert_eq!(exact(key), value, "{key} in {out}");
-        }
-        let mispredict = out
-            .split("refresh mispredict p50 ")
-            .nth(1)
-            .unwrap_or_else(|| panic!("no mispredict in {out}"));
-        let words: Vec<&str> = mispredict.split_whitespace().take(5).collect();
-        assert!(matches!(words[..], [_, "p99", _, "over", "2,"]), "{out}");
-        for ratio in [words[0], words[2]] {
-            let ratio = ratio.strip_suffix('x').expect("a ratio ends in x");
-            assert!(ratio.parse::<f64>().is_ok(), "{ratio} in {out}");
-        }
+        assert!(
+            out.contains("ok rows 13 engine MMJoin cached false"),
+            "{out}"
+        );
+        assert!(!out.contains("rows 8 engine MMJoin cached true"), "{out}");
+        assert!(out.contains("maintain update R: dropped 1 "), "{out}");
+        assert!(
+            out.contains("updates 3 (invalidated 3), cache churn 3,"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1395,7 +1335,7 @@ mod tests {
             cells in proptest::collection::vec((0u32..11, 0u32..u32::MAX), 0..40),
             counts in proptest::collection::vec(0u32..u32::MAX, 0..12),
             show in 0usize..16,
-            flags in 0u8..8,
+            flags in 0u8..4,
         ) {
             // A value of every magnitude: up to `digits` decimal digits.
             let mut values: Vec<u32> = cells
@@ -1409,8 +1349,7 @@ mod tests {
                 counts: Arc::new(counts),
                 stats: Arc::new(ExecStats::new("MMJoin", 0)),
                 cached: flags & 1 != 0,
-                maintained: flags & 2 != 0,
-                truncated: flags & 4 != 0,
+                truncated: flags & 2 != 0,
                 cache_key: 0,
             };
             for show in [None, Some(show), Some(usize::MAX)] {

@@ -11,16 +11,13 @@
 //!   semantically equal requests share one 64-bit fingerprint.
 //! * [`Planner`] — engine routing: a per-request pin, else `MMJoin`,
 //!   which makes the paper's combinatorial-vs-matrix choice itself
-//!   (similarity and containment joins alone are still routed here, by
-//!   Algorithm 3's line 2, between `MMJoin` and their specialists).
+//!   (containment joins alone are still routed here, by Algorithm 3's
+//!   line 2, between `MMJoin` and `PRETTI`).
 //! * [`ResultCache`] — an LRU keyed by `(fingerprint, relation epochs)`,
-//!   so repeats are O(1) and updates can never serve stale rows.
-//! * [`maintain`] — what a staged relation delta ([`Service::apply_delta`])
-//!   does to the cached results over it: by default they are dropped and
-//!   recomputed when next read; opted in ([`MaintenancePolicy::enabled`]),
-//!   they are patched in place via signed delta joins over per-tuple
-//!   support counts ([`DeltaResult`]), with a cost-driven maintain /
-//!   recompute / invalidate decision per entry.
+//!   so repeats are O(1) and updates can never serve stale rows. A
+//!   staged relation delta ([`Service::apply_delta`]) frees the cached
+//!   results over its relation, and the next request for one recomputes
+//!   it.
 //! * [`Service`] — the query path over all of the above, run on the
 //!   calling thread (the service owns no request thread and no queue),
 //!   reporting per-query [`ExecStats`](mmjoin_api::ExecStats) and
@@ -48,7 +45,6 @@ pub mod catalog;
 pub mod command;
 pub mod error;
 pub mod flags;
-pub mod maintain;
 pub mod metrics;
 pub mod planner;
 pub mod request;
@@ -59,9 +55,8 @@ pub use cache::{CacheEntry, CachedResult, ResultCache};
 pub use catalog::{Catalog, CatalogEntry, StagedUpdate};
 pub use command::{Command, ParseError};
 pub use error::ServiceError;
-pub use maintain::{DeltaResult, MaintenancePolicy, MaintenanceReport};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use planner::{Planner, Selection, SelectionReason};
 pub use request::{AtomSpec, QuerySpec, Request};
 pub use roster::{default_registry, registry_with_config};
-pub use service::{Response, Service, ServiceConfig};
+pub use service::{Response, Service, ServiceConfig, UpdateReport};

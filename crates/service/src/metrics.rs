@@ -1,5 +1,5 @@
 //! Service-level metrics: queries served, cache hit rate, latency
-//! percentiles, and relation-update maintenance outcomes.
+//! percentiles, and what relation updates dropped.
 //!
 //! Since PR 7 the recorder is a façade over the [`mmjoin_obs`] metrics
 //! registry: every instrument is a named atomic (counter/gauge) or a
@@ -10,9 +10,9 @@
 //! bucket-midpoint approximations with relative error ≤ 1/16 (6.25%);
 //! count, sum/mean and max are exact.
 
-use crate::maintain::{DropReason, MaintenanceReport};
+use crate::service::UpdateReport;
 use mmjoin_api::{OperandSource, PlanStats};
-use mmjoin_obs::{Counter, Histogram, HistogramSnapshot, Registry};
+use mmjoin_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 /// Lock-free metrics recorder backed by a shared [`Registry`] (the
@@ -26,13 +26,7 @@ pub struct ServiceMetrics {
     errors: Arc<Counter>,
     slow: Arc<Counter>,
     updates: Arc<Counter>,
-    maintained: Arc<Counter>,
-    recomputed: Arc<Counter>,
     invalidated: Arc<Counter>,
-    /// `service.invalidated.<reason>`, indexed by [`DropReason`].
-    dropped: [Arc<Counter>; DropReason::ALL.len()],
-    /// `service.refresh_mispredict_x`, in hundredths.
-    refresh_mispredict: Arc<Histogram>,
     operand_packs: Arc<Counter>,
     operand_reuses: Arc<Counter>,
     latency_us: Arc<Histogram>,
@@ -54,12 +48,7 @@ impl ServiceMetrics {
             errors: registry.counter("service.errors"),
             slow: registry.counter("service.slow_queries"),
             updates: registry.counter("service.updates"),
-            maintained: registry.counter("service.maintained"),
-            recomputed: registry.counter("service.recomputed"),
             invalidated: registry.counter("service.invalidated"),
-            dropped: DropReason::ALL
-                .map(|reason| registry.counter(&format!("service.invalidated.{}", reason.name()))),
-            refresh_mispredict: registry.histogram("service.refresh_mispredict_x"),
             operand_packs: registry.counter("service.operand_packs"),
             operand_reuses: registry.counter("service.operand_reuses"),
             latency_us: registry.histogram("service.latency_us"),
@@ -93,22 +82,10 @@ impl ServiceMetrics {
         self.slow.inc();
     }
 
-    /// Records the maintenance outcome of one effective relation update.
-    pub fn record_update(&self, report: &MaintenanceReport) {
+    /// Records one effective relation update and the entries it dropped.
+    pub fn record_update(&self, report: &UpdateReport) {
         self.updates.inc();
-        self.maintained.add(report.maintained as u64);
-        self.recomputed.add(report.recomputed as u64);
         self.invalidated.add(report.invalidated as u64);
-        for (counter, &dropped) in self.dropped.iter().zip(&report.dropped) {
-            counter.add(dropped as u64);
-        }
-    }
-
-    /// Records one refresh that carried a prediction: the seconds the side
-    /// that ran took over the seconds it was priced at.
-    pub fn record_refresh(&self, measured_secs: f64, predicted_secs: f64) {
-        let ratio = measured_secs / predicted_secs.max(1e-9);
-        self.refresh_mispredict.record((ratio * 100.0) as u64);
     }
 
     /// Records where an executed plan's memoised heavy-core operands came
@@ -142,11 +119,9 @@ impl ServiceMetrics {
             errors: self.errors.get(),
             slow_queries: self.slow.get(),
             updates: self.updates.get(),
-            maintained: self.maintained.get(),
-            recomputed: self.recomputed.get(),
+            maintained: 0,
+            recomputed: 0,
             invalidated: self.invalidated.get(),
-            invalidated_by: std::array::from_fn(|reason| self.dropped[reason].get()),
-            refresh_mispredict: self.refresh_mispredict.snapshot(),
             operand_packs: self.operand_packs.get(),
             operand_reuses: self.operand_reuses.get(),
             cache_invalidations,
@@ -177,19 +152,15 @@ pub struct MetricsSnapshot {
     pub slow_queries: u64,
     /// Effective (non-no-op) relation updates applied.
     pub updates: u64,
-    /// Cache entries patched in place by delta maintenance.
+    /// Always 0: no update refreshes an entry in place. Kept because the
+    /// external benchmark harness (`benchmark/trajectory`) reads the field.
+    #[doc(hidden)]
     pub maintained: u64,
-    /// Cache entries eagerly re-executed during an update.
+    /// Always 0, like `maintained`, and kept for the same reader.
+    #[doc(hidden)]
     pub recomputed: u64,
     /// Cache entries dropped by updates.
     pub invalidated: u64,
-    /// `invalidated` by rule, indexed by [`DropReason`] (`as usize`).
-    pub invalidated_by: [u64; DropReason::ALL.len()],
-    /// `service.refresh_mispredict_x`: measured / predicted seconds, in
-    /// hundredths, of every refresh that ran with a prediction. The maintain
-    /// price has no fixed term, so a small delta against a small entry
-    /// reads far above 1 whatever the decision was worth.
-    pub refresh_mispredict: HistogramSnapshot,
     /// Heavy-core operands packed by the query that read them (once per
     /// relation value and form).
     pub operand_packs: u64,
@@ -198,8 +169,8 @@ pub struct MetricsSnapshot {
     /// Cache slots displaced by update-driven draining or `clear()` —
     /// the result cache's own churn counter (supplied to
     /// [`ServiceMetrics::snapshot`] by the caller holding the cache).
-    /// Unlike `invalidated` (entries that ended an update dropped), this
-    /// also counts slots whose refreshed successor was re-inserted.
+    /// Unlike `invalidated` (entries dropped by inserts and deletes), this
+    /// also counts the entries a `register` or `remove` freed.
     pub cache_invalidations: u64,
     /// `cache_hits / queries_served` (0 when idle).
     pub cache_hit_rate: f64,
@@ -218,32 +189,17 @@ pub struct MetricsSnapshot {
 
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The rules that dropped entries, e.g. `[limit 46]`.
-        let by: Vec<String> = DropReason::ALL
-            .iter()
-            .zip(self.invalidated_by)
-            .filter(|&(_, n)| n > 0)
-            .map(|(reason, n)| format!("{} {n}", reason.name()))
-            .collect();
         write!(
             f,
             "served {} (cache hits {}, {:.1}%), errors {}, \
-             updates {} (maintained {}, recomputed {}, invalidated {} [{}]), \
-             refresh mispredict p50 {:.2}x p99 {:.2}x over {}, \
-             cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}, \
+             updates {} (invalidated {}), cache churn {}, latency mean {}us p50 {}us p99 {}us max {}us, slow {}, \
              operands packed {} reused {}",
             self.queries_served,
             self.cache_hits,
             self.cache_hit_rate * 100.0,
             self.errors,
             self.updates,
-            self.maintained,
-            self.recomputed,
             self.invalidated,
-            by.join(", "),
-            self.refresh_mispredict.p50 as f64 / 100.0,
-            self.refresh_mispredict.p99 as f64 / 100.0,
-            self.refresh_mispredict.count,
             self.cache_invalidations,
             self.mean_latency_us,
             self.p50_latency_us,
@@ -298,29 +254,21 @@ mod tests {
     #[test]
     fn update_counters_accumulate() {
         let m = ServiceMetrics::new();
-        m.record_update(&MaintenanceReport {
-            epoch: 2,
-            inserted: 1,
-            deleted: 0,
-            maintained: 2,
-            recomputed: 1,
-            invalidated: 3,
-            dropped: [0, 2, 0, 0, 0, 0, 1],
-        });
-        m.record_refresh(3e-3, 2e-3);
-        let s = m.snapshot(0);
-        assert_eq!(
-            (s.updates, s.maintained, s.recomputed, s.invalidated),
-            (1, 2, 1, 3)
-        );
-        assert!(format!("{s}").contains("maintained 2"));
+        for invalidated in [3, 0] {
+            m.record_update(&UpdateReport {
+                epoch: 2,
+                inserted: 1,
+                deleted: 0,
+                invalidated,
+            });
+        }
+        let s = m.snapshot(5);
+        assert_eq!((s.updates, s.invalidated), (2, 3));
+        assert_eq!((s.maintained, s.recomputed), (0, 0));
         assert!(
-            format!("{s}").contains("invalidated 3 [limit 2, failed 1])"),
+            format!("{s}").contains("updates 2 (invalidated 3), cache churn 5,"),
             "{s}"
         );
-        assert_eq!(s.invalidated_by[DropReason::Limit as usize], 2);
-        assert_eq!(s.refresh_mispredict.count, 1);
-        assert!(format!("{s}").contains("mispredict p50 1.50x"), "{s}");
     }
 
     #[test]

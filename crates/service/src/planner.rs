@@ -6,11 +6,12 @@
 //! or a general query anywhere else would only decide the same thing twice.
 //! The service therefore routes and does not estimate: a per-request pin
 //! wins, otherwise `MMJoin` takes the query and reports its decision in
-//! [`PlanStats`](mmjoin_api::PlanStats). The one exception is similarity
-//! and containment joins, whose combinatorial path is a different
-//! algorithm (`SizeAware++`, `PRETTI`) that `MMJoin` does not contain: for
-//! those the service still applies line 2 on its own to pick between the
-//! specialist and `MMJoin`.
+//! [`PlanStats`](mmjoin_api::PlanStats). The one exception is the
+//! containment join, whose combinatorial path is a different algorithm
+//! (`PRETTI`) that `MMJoin` does not contain: for it the service still
+//! applies line 2 on its own to pick between `PRETTI` and `MMJoin`. A
+//! similarity join goes to `MMJoin` like the rest: measured on `fig5a`
+//! (DBLP), `MMJoin` answers it faster than `SizeAware++` at every `c`.
 
 use crate::error::ServiceError;
 use mmjoin_api::{Engine, EngineRegistry, Query};
@@ -25,8 +26,8 @@ pub(crate) const PLANNING_ENGINE: &str = "MMJoin";
 pub enum SelectionReason {
     /// The request pinned the engine by name.
     Pinned,
-    /// The family's route: `MMJoin`, or — for a similarity or containment
-    /// join whose full join is output-like — the combinatorial specialist.
+    /// The family's route: `MMJoin`, or — for a containment join whose
+    /// full join is output-like — `PRETTI`.
     Routed,
     /// The routed engine is not registered (or does not support this
     /// query); the first registered engine that does ran instead.
@@ -45,8 +46,7 @@ pub struct Selection {
 /// Routes a query to a registered engine.
 #[derive(Debug, Clone, Default)]
 pub struct Planner {
-    /// The configuration line 2 reads for similarity and containment joins
-    /// (and, in a [`Service`](crate::Service), the one its `MMJoin` plans
+    /// The configuration line 2 reads for containment joins (and, in a [`Service`](crate::Service), the one its `MMJoin` plans
     /// with).
     pub config: JoinConfig,
 }
@@ -80,17 +80,15 @@ impl Planner {
             }
             return selected(engine, SelectionReason::Pinned);
         }
-        // Algorithm 3's line 2, for the two families whose combinatorial
-        // path is an engine of its own.
+        // Algorithm 3's line 2, for the one family whose combinatorial path
+        // is an engine of its own.
         let specialist = match query {
-            Query::SimilarityJoin { r, .. } => Some((*r, "SizeAware++")),
-            Query::ContainmentJoin { r } => Some((*r, "PRETTI")),
+            Query::ContainmentJoin { r } if prefers_wcoj(r, r, &self.config).0 => {
+                registry.get("PRETTI")
+            }
             _ => None,
-        };
-        let specialist = specialist
-            .filter(|(r, _)| prefers_wcoj(r, r, &self.config).0)
-            .and_then(|(_, name)| registry.get(name))
-            .filter(|engine| engine.supports(query));
+        }
+        .filter(|engine| engine.supports(query));
         // `MMJoin` serves every family, so the lookup settles it: a general
         // query it cannot lower fails in `execute` with the planner's
         // reason, not here with a second planning pass.
@@ -163,7 +161,7 @@ mod tests {
     /// A star crosses over where the Boolean core does: under a measured
     /// model at the bit kernels' factor, below the paper's 20. That is the
     /// one line-2 factor, so a similarity join over the same relation —
-    /// counted by AND-popcount — crosses over with it.
+    /// counted by AND-popcount — crosses over with it, inside `MMJoin`.
     #[test]
     fn a_star_crosses_over_where_the_boolean_core_does() {
         use mmjoin_matrix::cost::{Sample, SystemConstants};
@@ -193,10 +191,13 @@ mod tests {
         assert_eq!(selection.unwrap().engine, "MMJoin");
         let plan = plan_query(&similarity, &config).unwrap();
         assert_eq!(plan.heavy_backend, Some("bit popcount"));
-        // Under the paper's factor both stay on the combinatorial side.
+        // Under the paper's factor both stay on the combinatorial side, and
+        // the similarity join is still `MMJoin`'s to plan.
         let paper = Planner::new(JoinConfig::default());
         let selection = paper.select(&default_registry(1), &similarity, None);
-        assert_eq!(selection.unwrap().engine, "SizeAware++");
+        assert_eq!(selection.unwrap().engine, "MMJoin");
+        let plan = plan_query(&similarity, &JoinConfig::default()).unwrap();
+        assert_eq!(plan.kind, PlanKind::Wcoj);
     }
 
     #[test]
@@ -225,16 +226,16 @@ mod tests {
         ));
     }
 
-    /// Line 2 in the service: the combinatorial path of these two families
-    /// is an engine of its own.
+    /// Line 2 in the service: the combinatorial path of a containment join
+    /// is an engine of its own. A similarity join's is `MMJoin`'s expansion.
     #[test]
-    fn similarity_and_containment_choose_specialists_when_sparse() {
-        for (r, similarity, containment) in [
-            (sparse(), "SizeAware++", "PRETTI"),
-            (dense(), "MMJoin", "MMJoin"),
+    fn only_containment_chooses_a_specialist_when_sparse() {
+        for (r, containment, plan) in [
+            (sparse(), "PRETTI", PlanKind::Wcoj),
+            (dense(), "MMJoin", PlanKind::MatrixPartitioned),
         ] {
             let q = Query::similarity(&r, 2).build().unwrap();
-            assert_eq!(routed(&q).0, similarity);
+            assert_eq!(routed(&q), ("MMJoin".to_string(), plan));
             let q = Query::containment(&r).build().unwrap();
             assert_eq!(routed(&q).0, containment);
         }

@@ -6,17 +6,13 @@
 //! in-process caller brings).
 
 use crate::cache::{CacheEntry, ResultCache};
-use crate::catalog::{Catalog, StagedUpdate};
+use crate::catalog::Catalog;
 use crate::error::ServiceError;
-use crate::maintain::{
-    decide, delta_cost, two_path_delta, Crossings, Decision, DeltaResult, DropReason,
-    MaintenancePolicy, MaintenanceReport, Supports,
-};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::planner::{Planner, SelectionReason, PLANNING_ENGINE};
 use crate::request::{Fnv1a, QuerySpec, Request};
 use mmjoin_api::ir::{Atom, QueryGraph};
-use mmjoin_api::{DeltaSink, EngineRegistry, ExecStats, FlatRows, LimitSink, Query, VecSink};
+use mmjoin_api::{EngineRegistry, ExecStats, FlatRows, LimitSink, Query, VecSink};
 use mmjoin_core::{plan_query, JoinConfig};
 use mmjoin_executor::{Executor, ExecutorStats};
 use mmjoin_obs::trace::{self, Stage, Tracer};
@@ -53,11 +49,6 @@ pub struct ServiceConfig {
     /// Configuration shared by the router, `explain` (and by
     /// [`Service::with_config`]'s default registry).
     pub join_config: JoinConfig,
-    /// What an update ([`Service::apply_delta`]) does to the cached
-    /// results over the relation it changes. The default drops them, and
-    /// the next request for one recomputes it; [`MaintenancePolicy::enabled`]
-    /// maintains them in place where the cost estimate says it pays off.
-    pub maintenance: MaintenancePolicy,
     /// Slow-query threshold in microseconds; `0` disables the slow-query
     /// log. A query whose latency crosses the threshold bumps the
     /// `slow_queries` counter and, when the global tracer is enabled,
@@ -85,7 +76,6 @@ impl Default for ServiceConfig {
             thread_budget: 0,
             cache_capacity: 256,
             join_config: JoinConfig::default(),
-            maintenance: MaintenancePolicy::default(),
             slow_query_us: 0,
             calibrate_cost: false,
             calibration_path: None,
@@ -107,9 +97,6 @@ pub struct Response {
     pub stats: Arc<ExecStats>,
     /// Whether this response came from the result cache.
     pub cached: bool,
-    /// Whether the serving cache entry was last refreshed by in-place
-    /// delta maintenance rather than an execution (implies `cached`).
-    pub maintained: bool,
     /// Whether the row limit was reached (the stream *may* have been cut
     /// short; an output of exactly `limit` rows also reports `true`).
     pub truncated: bool,
@@ -125,10 +112,30 @@ impl Response {
             counts: entry.counts,
             stats: entry.stats,
             cached,
-            maintained: entry.maintained,
             truncated: entry.truncated,
             cache_key,
         }
+    }
+}
+
+/// What one update ([`Service::apply_delta`]) changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateReport {
+    /// The relation's epoch after the update (unchanged for no-op
+    /// batches).
+    pub epoch: u64,
+    /// Effective tuples inserted (after normalization).
+    pub inserted: usize,
+    /// Effective tuples deleted (after normalization).
+    pub deleted: usize,
+    /// Cached results over the relation that the update freed.
+    pub invalidated: usize,
+}
+
+impl UpdateReport {
+    /// True when the batch changed nothing (no epoch bump happened).
+    pub fn is_noop(&self) -> bool {
+        self.inserted == 0 && self.deleted == 0
     }
 }
 
@@ -137,8 +144,8 @@ impl Response {
 /// Every mutex/rwlock acquisition recovers from poisoning via
 /// `unwrap_or_else(PoisonError::into_inner)`: a panicking engine already
 /// fails its own query (see [`Service::query`]), and the guarded state
-/// stays valid across a panic — the cache is epoch-keyed (a half-finished
-/// refresh is merely unreachable), metrics are plain counters, and the
+/// stays valid across a panic — the cache is epoch-keyed (an entry under
+/// a moved epoch is merely unreachable), metrics are plain counters, and the
 /// catalog commits entries atomically — so abandoning the whole service
 /// over a poisoned lock would turn one bad query into a permanent outage.
 ///
@@ -158,7 +165,6 @@ impl Response {
 pub struct Service {
     registry: EngineRegistry,
     planner: Planner,
-    policy: MaintenancePolicy,
     catalog: Catalog,
     cache: Mutex<ResultCache>,
     /// Lock-free since PR 7: every instrument is atomic, so recording
@@ -222,7 +228,6 @@ impl Service {
         Self {
             registry,
             planner: Planner::new(config.join_config.clone()),
-            policy: config.maintenance.clone(),
             catalog: Catalog::new(),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             metrics: ServiceMetrics::new(),
@@ -303,16 +308,12 @@ impl Service {
         drained.len()
     }
 
-    /// Stages a batch of tuple inserts. Under the default policy the cached
-    /// results over `name` are dropped, and the next request for one
-    /// recomputes it; with [`ServiceConfig::maintenance`] enabled they are
-    /// maintained where the cost estimate says it pays off. See
-    /// [`Service::apply_delta`].
+    /// Stages a batch of tuple inserts; see [`Service::apply_delta`].
     pub fn insert(
         &self,
         name: &str,
         edges: impl IntoIterator<Item = Edge>,
-    ) -> Result<MaintenanceReport, ServiceError> {
+    ) -> Result<UpdateReport, ServiceError> {
         self.apply_delta(name, &RelationDelta::inserting(edges))
     }
 
@@ -322,7 +323,7 @@ impl Service {
         &self,
         name: &str,
         edges: impl IntoIterator<Item = Edge>,
-    ) -> Result<MaintenanceReport, ServiceError> {
+    ) -> Result<UpdateReport, ServiceError> {
         self.apply_delta(name, &RelationDelta::deleting(edges))
     }
 
@@ -331,58 +332,29 @@ impl Service {
     /// The batch is normalized against the current relation (no-op
     /// batches change nothing — not even the epoch) and merged into a
     /// fresh indexed [`Relation`]. Then every cached result over the
-    /// relation is drained from the cache:
-    ///
-    /// * under the default policy (maintenance off) the drained entries are
-    ///   freed once the cache lock is released, as [`Service::register`]
-    ///   frees them, and count as `invalidated` with reason `disabled`. No
-    ///   entry is priced or touched; whichever is asked for again is
-    ///   recomputed by the normal miss path;
-    /// * with maintenance enabled each entry is refreshed per the maintain /
-    ///   recompute / invalidate decision rule (see [`crate::maintain`]):
-    ///   two-path entries are patched in place via delta joins over their
-    ///   per-tuple support counts, upgraded by an eager counting
-    ///   re-execution, or dropped.
+    /// relation is freed, as [`Service::register`] frees them, and counts
+    /// as `invalidated`: no entry is refreshed, and whichever is asked for
+    /// again is recomputed by the normal miss path.
     pub fn apply_delta(
         &self,
         name: &str,
         delta: &RelationDelta,
-    ) -> Result<MaintenanceReport, ServiceError> {
+    ) -> Result<UpdateReport, ServiceError> {
         let staged = self.catalog.apply_delta(name, delta)?;
-        let mut report = MaintenanceReport {
-            epoch: staged.new_epoch,
+        let mut report = UpdateReport {
+            epoch: staged.epoch,
             inserted: staged.delta.inserts.len(),
             deleted: staged.delta.deletes.len(),
-            ..MaintenanceReport::default()
+            invalidated: 0,
         };
-        if staged.delta.is_empty() {
+        if report.is_noop() {
             // Nothing changed: cached entries stay addressable as-is.
             return Ok(report);
         }
         let name = name.trim();
         let mut span = trace::span_dyn(Stage::Maintain, || format!("update {name}"));
-        if self.policy.enabled {
-            let drained = self
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .drain_referencing(name);
-            for (_, request, epochs, value) in drained {
-                match refresh_entry(self, name, &staged, request, epochs, value) {
-                    Decision::Maintain => report.maintained += 1,
-                    Decision::Recompute => report.recomputed += 1,
-                    Decision::Invalidate(reason) => {
-                        report.invalidated += 1;
-                        report.dropped[reason as usize] += 1;
-                    }
-                }
-            }
-        } else {
-            let dropped = self.free_cached(name);
-            report.invalidated = dropped;
-            report.dropped[DropReason::Disabled as usize] = dropped;
-            span.relabel(|| format!("update {name}: dropped {dropped}"));
-        }
+        report.invalidated = self.free_cached(name);
+        span.relabel(|| format!("update {name}: dropped {}", report.invalidated));
         self.metrics.record_update(&report);
         Ok(report)
     }
@@ -621,10 +593,6 @@ impl Service {
     }
 }
 
-/// Engine name reported by cache entries refreshed via delta patching
-/// (no engine ran; the rows come from the maintained support counts).
-const MAINTAINED_ENGINE: &str = "delta-maintain";
-
 /// Combines the canonical request fingerprint with the epochs of the
 /// referenced relations into the result-cache key.
 fn cache_key(fingerprint: u64, epochs: &[u64]) -> u64 {
@@ -634,240 +602,6 @@ fn cache_key(fingerprint: u64, epochs: &[u64]) -> u64 {
         h.u64(epoch);
     }
     h.finish()
-}
-
-/// Refreshes one drained cache entry after `name` was updated: decides
-/// maintain / recompute / invalidate, performs the chosen refresh, and
-/// re-inserts the survivor under its post-update key. Returns what
-/// actually happened (a failed maintain or recompute degrades to
-/// invalidation — the cache must never serve doubtful rows).
-fn refresh_entry(
-    service: &Service,
-    name: &str,
-    staged: &StagedUpdate,
-    request: Request,
-    old_epochs: Vec<u64>,
-    value: CacheEntry,
-) -> Decision {
-    // Only two-path entries are maintainable: their output pairs have
-    // well-defined per-tuple supports. Limits truncate the support set
-    // and pins promise a specific engine's stats/order — both drop.
-    let QuerySpec::TwoPath {
-        r,
-        s,
-        with_counts,
-        min_count,
-    } = &request.spec
-    else {
-        return Decision::Invalidate(DropReason::Family);
-    };
-    if request.limit.is_some() {
-        return Decision::Invalidate(DropReason::Limit);
-    }
-    if request.engine.is_some() {
-        return Decision::Invalidate(DropReason::Pinned);
-    }
-    let (r_name, s_name, with_counts, min_count) = (r.clone(), s.clone(), *with_counts, *min_count);
-    let mut span = trace::span(Stage::Maintain, "refresh-entry");
-
-    // Resolve the post-update state, verifying (a) the entry was current
-    // *before* this update — a slot left over from older epochs must not
-    // be resurrected by patching — and (b) the updated relation is still
-    // at *this* update's epoch: a concurrent later update means our
-    // staged delta no longer describes the old→current transition, so
-    // patching with it would produce rows missing the later changes.
-    // (Patched entries inserted under superseded epochs are merely
-    // unreachable; this check prevents one keyed at the *latest* epochs
-    // from carrying stale data.)
-    let (r_new, s_new, new_epochs) = {
-        let snap = service.catalog.snapshot(&[&r_name, &s_name]);
-        let (Some((r_rel, r_epoch)), Some((s_rel, s_epoch))) = (snap[0].clone(), snap[1].clone())
-        else {
-            return Decision::Invalidate(DropReason::Stale);
-        };
-        for (entry_epoch, n) in [(r_epoch, r_name.as_str()), (s_epoch, s_name.as_str())] {
-            if n == name && entry_epoch != staged.new_epoch {
-                return Decision::Invalidate(DropReason::Stale);
-            }
-        }
-        let pre = |epoch: u64, n: &str| if n == name { staged.old_epoch } else { epoch };
-        let expected_pre = vec![pre(r_epoch, &r_name), pre(s_epoch, &s_name)];
-        if old_epochs != expected_pre {
-            return Decision::Invalidate(DropReason::Stale);
-        }
-        (r_rel, s_rel, vec![r_epoch, s_epoch])
-    };
-    let delta_on_r = r_name == name;
-    let delta_on_s = s_name == name;
-    let r_old: &Relation = if delta_on_r { &staged.old } else { &r_new };
-
-    // Both refreshes priced in seconds. Maintain: every witness of the
-    // delta joins is an insert into its group's sums and at worst one
-    // emitted row, and the patch passes over the entry. Recompute: what
-    // building this entry's supports took, scaled to the relations as
-    // they are now.
-    let d_cost = delta_cost(&staged.delta, r_old, &s_new, delta_on_r, delta_on_s);
-    let recompute_cost = r_new.full_join_size(&s_new) + (r_new.len() + s_new.len()) as u64;
-    let constants = &service.planner.config.cost_model.constants;
-    let predicted = value.support.as_ref().map(|support| {
-        let per_witness = constants.t_insert + constants.t_alloc;
-        (
-            per_witness * d_cost as f64 + constants.t_seq * support.result.len() as f64,
-            support.built_secs * recompute_cost as f64 / support.built_cost.max(1) as f64,
-        )
-    });
-
-    let decision = decide(predicted, recompute_cost, &service.policy);
-    let out_before = value.rows.len();
-    let started = Instant::now();
-    let (refreshed, patched) = match decision {
-        Decision::Maintain => maintain_entry(
-            value,
-            &two_path_delta(&staged.delta, r_old, &s_new, delta_on_r, delta_on_s),
-            with_counts,
-            min_count,
-        )
-        .unzip(),
-        Decision::Recompute => (
-            recompute_entry(
-                service,
-                &r_new,
-                &s_new,
-                (recompute_cost, predicted.map(|(_, recompute)| recompute)),
-                with_counts,
-                min_count,
-            ),
-            None,
-        ),
-        Decision::Invalidate(_) => (None, None),
-    };
-    let measured = started.elapsed().as_secs_f64();
-    let out = refreshed.as_ref().map_or(out_before, |r| r.rows.len());
-    let outcome = match refreshed {
-        Some(result) => {
-            let key = cache_key(request.fingerprint_assuming_canonical(), &new_epochs);
-            let displaced = service
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key, request, new_epochs, result);
-            // Freed here, with the cache lock released.
-            drop(displaced);
-            decision
-        }
-        None if matches!(decision, Decision::Invalidate(_)) => decision,
-        None => Decision::Invalidate(DropReason::Failed),
-    };
-    let ran = predicted.and_then(|(maintain, recompute)| match outcome {
-        Decision::Maintain => Some(maintain),
-        Decision::Recompute => Some(recompute),
-        Decision::Invalidate(_) => None,
-    });
-    if let Some(predicted) = ran {
-        service.metrics.record_refresh(measured, predicted);
-    }
-    // Predicted work and time beside what was done, for `trace tree`.
-    span.relabel(|| {
-        let micros = |secs: f64| format!("{:.0}", secs * 1e6);
-        let (maintain, recompute) =
-            predicted.map_or(("-".into(), "-".into()), |(m, r)| (micros(m), micros(r)));
-        let mut label = format!(
-            "{outcome:?} {r_name}⋈{s_name}: delta_cost={d_cost} \
-             recompute_cost={recompute_cost} maintain_pred_us={maintain} \
-             recompute_pred_us={recompute} measured_us={} out={out}",
-            micros(measured),
-        );
-        if outcome != decision {
-            label.push_str(&format!(" ({decision:?} failed)"));
-        }
-        if let Some((delta_rows, crossed)) = patched {
-            label.push_str(&format!(
-                " delta_rows={delta_rows} entered={} left={}",
-                crossed.entered, crossed.left
-            ));
-        }
-        label
-    });
-    outcome
-}
-
-/// Patches a support-carrying entry with the signed delta of its join
-/// ([`two_path_delta`]: ascending, coalesced), in place: `value` is the
-/// drained entry itself, so when the cache held the only reference to its
-/// arrays nothing is copied, and when a [`Response`] still shares them
-/// `Arc::make_mut` copies the flat array first and the response keeps
-/// reading the rows it was given. Returns the entry and, for its span, the
-/// number of delta rows applied and the rows that entered/left.
-fn maintain_entry(
-    mut value: CacheEntry,
-    deltas: &[((Value, Value), i64)],
-    with_counts: bool,
-    min_count: u32,
-) -> Option<(CacheEntry, (usize, Crossings))> {
-    let crossed = Arc::make_mut(&mut value.support.as_mut()?.result).patch(
-        Arc::make_mut(&mut value.rows).values_mut(),
-        Arc::make_mut(&mut value.counts),
-        deltas,
-        min_count,
-        with_counts,
-    )?;
-    value.stats = Arc::new(ExecStats::new(MAINTAINED_ENGINE, value.rows.len() as u64));
-    value.maintained = true;
-    Some((value, (deltas.len(), crossed)))
-}
-
-/// Eagerly re-executes a two-path entry as a counting join, building the
-/// support structure that makes *future* updates maintainable, and times
-/// itself: that measurement, with the `recompute_cost` it was taken at, is
-/// what the next update prices a recompute of this entry from. One sample
-/// can only be inflated (a cold first touch, a preempted thread), so when
-/// the entry had a price — `previous`, at today's mass — the lower stands.
-fn recompute_entry(
-    service: &Service,
-    r_new: &Relation,
-    s_new: &Relation,
-    (recompute_cost, previous): (u64, Option<f64>),
-    with_counts: bool,
-    min_count: u32,
-) -> Option<CacheEntry> {
-    let started = Instant::now();
-    let query = Query::TwoPath {
-        r: r_new,
-        s: s_new,
-        with_counts: true,
-        min_count: 1,
-    };
-    query.validate().ok()?;
-    let selection = service
-        .planner
-        .select(&service.registry, &query, None)
-        .ok()?;
-    let mut sink = DeltaSink::new();
-    let stats = service
-        .registry
-        .execute(&selection.engine, &query, &mut sink)
-        .ok()?;
-    let support = DeltaResult::from_signed(&sink.into_deltas());
-    let (values, counts) = support.rows(min_count, with_counts);
-    let rows = FlatRows::new(2, values);
-    Some(CacheEntry {
-        stats: Arc::new(ExecStats {
-            rows: rows.len() as u64,
-            ..stats
-        }),
-        rows: Arc::new(rows),
-        counts: Arc::new(counts),
-        truncated: false,
-        support: Some(Supports {
-            result: Arc::new(support),
-            built_secs: started
-                .elapsed()
-                .as_secs_f64()
-                .min(previous.unwrap_or(f64::INFINITY)),
-            built_cost: recompute_cost,
-        }),
-        maintained: false,
-    })
 }
 
 /// Best-effort text of a panic payload.
@@ -1035,8 +769,6 @@ fn execute(service: &Service, miss: Miss) -> Result<Response, ServiceError> {
         counts: Arc::new(sink.counts),
         stats: Arc::new(stats),
         truncated,
-        support: None,
-        maintained: false,
     };
     // The one copy of the entry a miss makes: a bump of each array's
     // reference count.
@@ -1072,14 +804,6 @@ pub(crate) mod tests {
 
     fn service() -> Service {
         Service::with_default_registry()
-    }
-
-    /// A service that maintains its cached results under updates.
-    fn maintaining() -> Service {
-        Service::with_config(ServiceConfig {
-            maintenance: MaintenancePolicy::enabled(),
-            ..ServiceConfig::default()
-        })
     }
 
     fn tiny() -> Relation {
@@ -1211,28 +935,52 @@ pub(crate) mod tests {
         assert_ne!(before.cache_key, after.cache_key);
     }
 
-    /// A miss whose relation is replaced between its pin and its insert
-    /// answers with the rows it computed on the pinned relation, and caches
-    /// nothing: an entry under the old epoch could never be reached.
+    /// A miss whose relation is replaced — registered again, or changed by
+    /// an insert or a delete — between its pin and its insert answers with
+    /// the rows it computed on the pinned relation, and caches nothing: an
+    /// entry under the old epoch could never be reached.
     #[test]
     fn a_miss_that_finishes_after_a_replacement_caches_nothing() {
-        let s = service();
-        s.register("R", tiny());
-        let expected = s.query(Request::two_path("R", "R")).unwrap().rows;
-        s.register("R", tiny());
-        let Probed::Miss(miss) = probe(&s, Request::two_path("R", "R")).unwrap() else {
-            panic!("a re-registered relation is cold");
-        };
-        s.register("R", Relation::from_edges([(0, 0)]));
-        let invalidations = s.cache_counters().3;
-        let response = execute(&s, miss).unwrap();
-        assert_eq!(response.rows, expected, "the pinned relation's answer");
-        assert_eq!(s.cache_size().0, 0, "nothing cached under a dead epoch");
-        assert_eq!(s.cache_counters().3, invalidations, "and nothing to drain");
-        // The live relation is computed and cached as usual.
-        let live = s.query(Request::two_path("R", "R")).unwrap();
-        assert_eq!((live.cached, live.rows.len()), (false, 1));
-        assert_eq!(s.cache_size().0, 1);
+        for what in ["register", "insert", "delete"] {
+            let s = service();
+            s.register("R", tiny());
+            let expected = s.query(Request::two_path("R", "R")).unwrap().rows;
+            s.register("R", tiny());
+            let Probed::Miss(miss) = probe(&s, Request::two_path("R", "R")).unwrap() else {
+                panic!("a re-registered relation is cold");
+            };
+            match what {
+                "register" => {
+                    s.register("R", Relation::from_edges([(0, 0)]));
+                }
+                "insert" => assert_eq!(s.insert("R", [(9, 0)]).unwrap().inserted, 1),
+                _ => assert_eq!(s.delete("R", [(2, 1)]).unwrap().deleted, 1),
+            }
+            let invalidations = s.cache_counters().3;
+            let response = execute(&s, miss).unwrap();
+            assert_eq!(
+                response.rows, expected,
+                "{what}: the pinned relation's answer"
+            );
+            assert_eq!(
+                s.cache_size().0,
+                0,
+                "{what}: nothing cached under a dead epoch"
+            );
+            assert_eq!(
+                s.cache_counters().3,
+                invalidations,
+                "{what}: nothing to drain"
+            );
+            // The live relation is computed and cached as usual.
+            let fresh = service();
+            fresh.register("R", Relation::from_edges(s.relation_edges("R").unwrap()));
+            let want = fresh.query(Request::two_path("R", "R")).unwrap();
+            let live = s.query(Request::two_path("R", "R")).unwrap();
+            assert!(!live.cached, "{what}");
+            assert_eq!(sorted_rows(&live), sorted_rows(&want), "{what}");
+            assert_eq!(s.cache_size().0, 1, "{what}");
+        }
     }
 
     #[test]
@@ -1320,11 +1068,7 @@ pub(crate) mod tests {
         // cold executions, updates, and metrics alike.
         let mut registry = crate::roster::registry_with_config(&JoinConfig::default());
         registry.register(Box::new(Grenade));
-        let config = ServiceConfig {
-            maintenance: MaintenancePolicy::enabled(),
-            ..ServiceConfig::default()
-        };
-        let s = Service::new(registry, config);
+        let s = Service::new(registry, ServiceConfig::default());
         s.register("R", tiny());
         s.register("S", Relation::from_edges([(5, 0), (6, 1)]));
         let cached = s.query(Request::two_path("R", "R")).unwrap();
@@ -1341,12 +1085,13 @@ pub(crate) mod tests {
         // …cold queries still execute…
         let cold = s.query(Request::two_path("S", "S")).unwrap();
         assert!(!cold.cached);
-        // …updates still maintain, and metrics still answer.
+        // …updates still apply, and metrics still answer.
         let report = s.insert("R", [(9, 0)]).unwrap();
-        assert_eq!(report.inserted, 1);
+        assert_eq!((report.inserted, report.invalidated), (1, 1));
+        assert!(!s.query(Request::two_path("R", "R")).unwrap().cached);
         let m = s.metrics();
         assert_eq!(m.errors, 1);
-        assert!(m.queries_served >= 3);
+        assert!(m.queries_served >= 4);
     }
 
     #[test]
@@ -1354,7 +1099,7 @@ pub(crate) mod tests {
         // Poison the cache mutex the hard way — panic while holding it —
         // then drive every path that acquires it. (Metrics are atomic
         // and cannot poison.)
-        let s = maintaining();
+        let s = service();
         s.register("R", tiny());
         let warm = s.query(Request::two_path("R", "R")).unwrap();
         std::thread::scope(|scope| {
@@ -1368,111 +1113,44 @@ pub(crate) mod tests {
         let hit = s.query(Request::two_path("R", "R")).unwrap();
         assert!(hit.cached, "poisoned cache still serves its entries");
         assert_eq!(hit.rows, warm.rows);
-        s.insert("R", [(7, 1)]).unwrap();
+        assert_eq!(s.insert("R", [(7, 1)]).unwrap().invalidated, 1);
+        assert_eq!(
+            s.cache_size(),
+            (0, 0),
+            "the update drained the poisoned cache"
+        );
         assert!(s.metrics().queries_served >= 2);
         assert!(s.cache_counters().0 >= 1);
     }
 
     #[test]
     fn update_churn_is_visible_in_metrics() {
-        let s = maintaining();
+        let s = service();
         s.register("R", tiny());
+        s.register("S", tiny());
         s.query(Request::two_path("R", "R")).unwrap();
         s.query(Request::star(["R", "R"])).unwrap();
-        // One maintainable entry (recomputed) + one star entry (dropped):
-        // both count as cache churn, only the star one as `invalidated`.
+        s.query(Request::two_path("S", "S")).unwrap();
+        // Both entries over R are dropped, whatever their family; S's stays.
         let report = s.insert("R", [(8, 1)]).unwrap();
-        assert_eq!(report.recomputed + report.maintained, 1);
-        assert_eq!(report.invalidated, 1);
+        assert_eq!(report.invalidated, 2);
+        // Replacing S drains its entry too: churn, but not an update.
+        s.register("S", tiny());
         let m = s.metrics();
-        assert_eq!(m.invalidated, 1);
-        assert_eq!(m.cache_invalidations, 2, "drained slots are churn");
-        assert_eq!(s.cache_counters().3, 2);
-        assert!(format!("{m}").contains("cache churn 2"));
+        assert_eq!((m.updates, m.invalidated), (1, 2));
+        assert_eq!(m.cache_invalidations, 3, "drained slots are churn");
+        assert_eq!(s.cache_counters().3, 3);
+        assert!(
+            format!("{m}").contains("updates 1 (invalidated 2), cache churn 3,"),
+            "{m}"
+        );
     }
 
-    /// Sorted copy of response rows (maintained entries serve canonical
-    /// sorted order; engines serve emission order).
+    /// Sorted copy of response rows (engines serve emission order).
     fn sorted_rows(response: &Response) -> Vec<&[Value]> {
         let mut rows: Vec<&[Value]> = response.rows.iter().collect();
         rows.sort();
         rows
-    }
-
-    #[test]
-    fn insert_recomputes_then_maintains() {
-        let s = maintaining();
-        s.register("R", tiny());
-        let cold = s.query(Request::two_path("R", "R")).unwrap();
-        assert!(!cold.cached);
-
-        // First delta: the entry has no support counts yet, so it is
-        // eagerly recomputed (upgrade), keeping the cache warm.
-        let report = s.insert("R", [(3, 1)]).unwrap();
-        assert_eq!(report.inserted, 1);
-        assert_eq!(report.recomputed, 1);
-        assert_eq!(report.maintained, 0);
-        let warm = s.query(Request::two_path("R", "R")).unwrap();
-        assert!(warm.cached && !warm.maintained);
-
-        // Second delta: support exists and the delta is cheap → in-place
-        // maintenance.
-        let report = s.insert("R", [(4, 0)]).unwrap();
-        assert_eq!(report.maintained, 1);
-        let maintained = s.query(Request::two_path("R", "R")).unwrap();
-        assert!(maintained.cached && maintained.maintained);
-        assert_eq!(maintained.stats.engine, MAINTAINED_ENGINE);
-
-        // Ground truth: a fresh service over the final relation.
-        let fresh = service();
-        fresh.register(
-            "R",
-            Relation::from_edges([(0, 0), (1, 0), (2, 1), (2, 0), (3, 1), (4, 0)]),
-        );
-        let expected = fresh.query(Request::two_path("R", "R")).unwrap();
-        assert_eq!(sorted_rows(&maintained), sorted_rows(&expected));
-        assert_eq!(s.metrics().maintained, 1);
-    }
-
-    #[test]
-    fn delete_below_support_maintains_correctly() {
-        let s = maintaining();
-        s.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 1)]));
-        s.query(Request::two_path("R", "R")).unwrap();
-        s.insert("R", [(2, 0)]).unwrap(); // builds support (recompute)
-        let report = s.delete("R", [(1, 1)]).unwrap();
-        assert_eq!(report.deleted, 1);
-        assert_eq!(report.maintained, 1);
-        let maintained = s.query(Request::two_path("R", "R")).unwrap();
-        assert!(maintained.maintained);
-
-        let fresh = service();
-        fresh.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (2, 0)]));
-        let expected = fresh.query(Request::two_path("R", "R")).unwrap();
-        assert_eq!(sorted_rows(&maintained), sorted_rows(&expected));
-    }
-
-    #[test]
-    fn counting_two_path_maintains_counts() {
-        let s = maintaining();
-        s.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 1)]));
-        s.query(Request::two_path_counts("R", "R", 2)).unwrap();
-        s.insert("R", [(2, 0)]).unwrap();
-        s.delete("R", [(1, 1)]).unwrap();
-        let maintained = s.query(Request::two_path_counts("R", "R", 2)).unwrap();
-        assert!(maintained.maintained);
-
-        let fresh = service();
-        fresh.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (2, 0)]));
-        let expected = fresh.query(Request::two_path_counts("R", "R", 2)).unwrap();
-        assert_eq!(sorted_rows(&maintained), sorted_rows(&expected));
-        // Counts travel with the rows: compare as (row, count) multisets.
-        fn pair_counts(r: &Response) -> Vec<(&[Value], u32)> {
-            let mut v: Vec<_> = r.rows.iter().zip(r.counts.iter().copied()).collect();
-            v.sort();
-            v
-        }
-        assert_eq!(pair_counts(&maintained), pair_counts(&expected));
     }
 
     #[test]
@@ -1489,91 +1167,6 @@ pub(crate) mod tests {
         assert_eq!(s.catalog_epoch(), epoch, "no-op batches never bump");
         let warm = s.query(Request::two_path("R", "R")).unwrap();
         assert!(warm.cached, "no-op update must not cold-start the cache");
-    }
-
-    #[test]
-    fn disabled_maintenance_invalidates() {
-        let s = service();
-        s.register("R", tiny());
-        s.query(Request::two_path("R", "R")).unwrap();
-        let report = s.insert("R", [(7, 1)]).unwrap();
-        assert_eq!(report.invalidated, 1);
-        assert_eq!(report.dropped[DropReason::Disabled as usize], 1);
-        assert_eq!(report.maintained + report.recomputed, 0);
-        let next = s.query(Request::two_path("R", "R")).unwrap();
-        assert!(!next.cached, "baseline policy must recompute from scratch");
-    }
-
-    #[test]
-    fn over_budget_recompute_invalidates_and_says_so() {
-        let s = Service::with_config(ServiceConfig {
-            maintenance: MaintenancePolicy {
-                recompute_budget: 1,
-                ..MaintenancePolicy::enabled()
-            },
-            ..ServiceConfig::default()
-        });
-        s.register("R", tiny());
-        s.query(Request::two_path("R", "R")).unwrap();
-        // No supports yet, so the only refresh is a recompute — which the
-        // budget forbids.
-        let report = s.insert("R", [(7, 1)]).unwrap();
-        assert_eq!(report.dropped[DropReason::OverBudget as usize], 1);
-        assert_eq!(
-            s.metrics().invalidated_by[DropReason::OverBudget as usize],
-            1
-        );
-    }
-
-    #[test]
-    fn non_maintainable_entries_invalidate() {
-        let s = maintaining();
-        s.register("R", tiny());
-        // Star, limited, and pinned entries cannot be patched.
-        s.query(Request::star(["R", "R"])).unwrap();
-        s.query(Request::two_path("R", "R").limit(2)).unwrap();
-        s.query(Request::two_path("R", "R").on_engine("WCOJ"))
-            .unwrap();
-        let report = s.insert("R", [(9, 0)]).unwrap();
-        assert_eq!(report.invalidated, 3);
-        assert_eq!(report.recomputed + report.maintained, 0);
-        // Each drop names its rule, in the report and in `stats`.
-        for reason in [DropReason::Family, DropReason::Limit, DropReason::Pinned] {
-            assert_eq!(report.dropped[reason as usize], 1, "{reason:?}");
-        }
-        assert_eq!(report.dropped.iter().sum::<usize>(), report.invalidated);
-        assert!(
-            s.metrics()
-                .to_string()
-                .contains("invalidated 3 [family 1, limit 1, pinned 1]"),
-            "{}",
-            s.metrics()
-        );
-        assert!(!s.query(Request::star(["R", "R"])).unwrap().cached);
-    }
-
-    #[test]
-    fn maintained_entry_only_affects_updated_relation() {
-        let s = maintaining();
-        s.register("R", tiny());
-        s.register("S", Relation::from_edges([(5, 0), (6, 1)]));
-        s.query(Request::two_path("R", "S")).unwrap();
-        s.query(Request::two_path("S", "S")).unwrap();
-        // Updating R refreshes R⋈S but leaves S⋈S untouched and warm.
-        let report = s.insert("R", [(8, 1)]).unwrap();
-        assert_eq!(report.recomputed, 1, "only the R⋈S entry is affected");
-        assert!(s.query(Request::two_path("S", "S")).unwrap().cached);
-
-        let rs = s.query(Request::two_path("R", "S")).unwrap();
-        assert!(rs.cached);
-        let fresh = service();
-        fresh.register(
-            "R",
-            Relation::from_edges([(0, 0), (1, 0), (2, 1), (2, 0), (8, 1)]),
-        );
-        fresh.register("S", Relation::from_edges([(5, 0), (6, 1)]));
-        let expected = fresh.query(Request::two_path("R", "S")).unwrap();
-        assert_eq!(sorted_rows(&rs), sorted_rows(&expected));
     }
 
     #[test]

@@ -7,11 +7,8 @@
 //! inserts already present and deletes of absent tuples drop out — and
 //! then [applied](Relation::apply_delta) to produce a fresh `Relation`.
 //!
-//! Normalization is what makes *incremental view maintenance* sound: the
-//! surviving tuples form a signed delta (`+1` per genuine insert, `−1`
-//! per genuine delete) whose join contributions can be added to a cached
-//! result's per-tuple support counts without ever double-counting, per
-//! the identity `(R+ΔR) ⋈ (S+ΔS) = R⋈S + ΔR⋈S + R⋈ΔS + ΔR⋈ΔS`.
+//! Normalization makes the effective size of a batch exact: a batch that
+//! normalizes to nothing changes nothing, not even the relation's epoch.
 
 use crate::relation::Relation;
 use crate::{Edge, Value};
@@ -126,15 +123,6 @@ impl NormalizedDelta {
     /// Effective tuples touched (`|Δ⁺| + |Δ⁻|`).
     pub fn len(&self) -> usize {
         self.inserts.len() + self.deletes.len()
-    }
-
-    /// The delta as signed tuples: `+1` per insert, `−1` per delete — the
-    /// form the maintenance identity consumes.
-    pub fn signed(&self) -> impl Iterator<Item = (Value, Value, i64)> + '_ {
-        self.inserts
-            .iter()
-            .map(|&(x, y)| (x, y, 1i64))
-            .chain(self.deletes.iter().map(|&(x, y)| (x, y, -1i64)))
     }
 }
 
@@ -303,18 +291,6 @@ mod tests {
         let shrunk = grown.apply_delta(RelationDelta::new().delete(9, 2));
         assert_eq!(shrunk.x_domain(), 10);
         assert_eq!(shrunk.edges(), base.edges());
-    }
-
-    #[test]
-    fn signed_iterates_inserts_then_deletes() {
-        let base = rel(&[(0, 0)]);
-        let norm = RelationDelta::inserting([(1, 1)])
-            .normalize(&base)
-            .signed()
-            .collect::<Vec<_>>();
-        assert_eq!(norm, vec![(1, 1, 1)]);
-        let norm = RelationDelta::deleting([(0, 0)]).normalize(&base);
-        assert_eq!(norm.signed().collect::<Vec<_>>(), vec![(0, 0, -1)]);
     }
 
     #[test]

@@ -3,17 +3,14 @@
 //! own flat buffer, or a Boolean core's product kept as its cells — never
 //! copied, so what serving adds on top of the engine is a number of
 //! allocations and of bytes that does not depend on `|OUT|` — when the
-//! answer is stored, shown, cut by a limit or evicted, and when an update
-//! patches it.
+//! answer is stored, shown, cut by a limit or evicted.
 //!
 //! The allocator's counters (`support/counting_alloc.rs`) are per thread, and
 //! every service here runs its queries on the calling thread with serial
 //! engines, so the tests do not disturb each other under the parallel test
 //! runner.
 
-use mmjoin::{
-    MaintenancePolicy, Query, Relation, Request, Response, Service, ServiceConfig, Value,
-};
+use mmjoin::{Query, Relation, Request, Response, Service, ServiceConfig};
 use mmjoin_api::{CountSink, ExecStats, QueryGraph};
 use mmjoin_service::command::run_line;
 use mmjoin_service::{CacheEntry, CachedResult, ResultCache};
@@ -256,79 +253,6 @@ fn evicting_an_entry_frees_the_same_at_any_output_size() {
     }
 }
 
-/// `sets` sets sharing element 0 — `sets²` pairs from `sets` edges, so
-/// nothing about the relation is anywhere near the size of the answer —
-/// queried, then taken through the first-touch recompute and one patch
-/// that lets rows enter, which grows every array past its exact-fit
-/// capacity. From there on an update patches arrays that have room, and a
-/// one-edge insert on element 1 moves the same few rows whatever `sets` is.
-fn maintained(sets: Value) -> (Service, Request) {
-    let service = Service::with_config(ServiceConfig {
-        maintenance: MaintenancePolicy::enabled(),
-        ..ServiceConfig::default()
-    });
-    service.register("R", Relation::from_edges((0..sets).map(|x| (x, 0))));
-    let request = Request::two_path("R", "R");
-    service.query(request.clone()).unwrap();
-    assert_eq!(service.insert("R", [(0, 1)]).unwrap().recomputed, 1);
-    assert_eq!(
-        service.insert("R", [(sets + 100, 1)]).unwrap().maintained,
-        1
-    );
-    (service, request)
-}
-
-#[test]
-fn a_one_edge_insert_patches_a_large_entry_in_place() {
-    let sets = 200;
-    let (service, request) = maintained(sets);
-    let values_bytes = {
-        let response = service.query(request.clone()).unwrap();
-        assert!(response.maintained && response.rows.len() == 40_003);
-        std::mem::size_of_val(response.rows.values())
-    };
-
-    // The cache holds the only reference: five rows enter, no block the
-    // size of the answer is allocated ...
-    let insert = |service: &Service, x: Value| {
-        let report = service.insert("R", [(x, 1)]).unwrap();
-        assert_eq!((report.maintained, report.recomputed), (1, 0));
-    };
-    let ((), sole) = tallied(values_bytes, || insert(&service, sets + 200));
-    assert_eq!(sole.big, 0, "a sole owner is patched where it is");
-    // ... and the same update against an entry a sixteenth the size asks
-    // the allocator as often: the count does not follow `|OUT|`.
-    let (small, _) = maintained(sets / 4);
-    let ((), baseline) = tallied(usize::MAX, || insert(&small, sets / 4 + 200));
-    assert!(
-        sole.allocs <= baseline.allocs + 4,
-        "{} allocations against {} on a small entry",
-        sole.allocs,
-        baseline.allocs
-    );
-
-    // A response still reads the rows: they are copied once — one block the
-    // size of the flat array — and the response keeps what it was given.
-    let held = service.query(request.clone()).unwrap();
-    let rows_held = held.rows.values().to_vec();
-    let ((), shared) = tallied(values_bytes, || insert(&service, sets + 300));
-    assert_eq!(shared.big, 1, "exactly the values are copied, exactly once");
-    assert_eq!(held.rows.values(), &rows_held[..]);
-
-    // Maintained == recomputed, in canonical order.
-    let after = service.query(request.clone()).unwrap();
-    assert_eq!(after.rows.len(), rows_held.len() / 2 + 7);
-    let fresh = Service::with_default_registry();
-    fresh.register(
-        "R",
-        Relation::from_edges(service.relation_edges("R").unwrap()),
-    );
-    let recomputed = fresh.query(request).unwrap();
-    let mut expected: Vec<&[Value]> = recomputed.rows.iter().collect();
-    expected.sort_unstable();
-    assert!(after.rows.iter().eq(expected));
-}
-
 /// A limit cuts the engine's rows in place — flat rows by truncation, a
 /// product by writing exactly the rows that fit — and the service gives back
 /// the capacity past the cut: the cached entry holds exactly its rows, and
@@ -422,8 +346,6 @@ fn a_cache_hit_allocates_nothing() {
         counts: Arc::clone(&cold.counts),
         stats: Arc::clone(&cold.stats),
         truncated: false,
-        support: None,
-        maintained: false,
     };
     cache.insert(7, request.clone(), vec![1, 1, 1], entry);
     let (hit, probe) = tallied(usize::MAX, || cache.get(7, &request, &[1, 1, 1]));

@@ -1,50 +1,25 @@
-//! Property tests for the incremental-maintenance path: across random
-//! insert/delete interleavings, delta-maintained cached results must be
-//! identical to recomputing from scratch over the final relation — same
-//! rows, same witness counts — including the delete-below-support edge
-//! case where removing the last witness of an output pair must remove
-//! the pair itself.
+//! Properties of the update path: an insert or delete frees the cached
+//! results over its relation, and whatever is asked next is computed over
+//! the updated relation. Across random insert/delete interleavings every
+//! answer — plain, counting, at a `min_count`, under a limit — equals
+//! nested loops over the model of the relations, including the
+//! delete-below-support edge case, where removing the last witness of an
+//! output pair must remove the pair itself.
 //!
-//! Maintained entries serve rows in canonical sorted order while a fresh
-//! engine execution uses its own emission order, so against a cold service
-//! rows are compared as sorted sequences (the multiset-of-rows contract
-//! both sides promise). Against a from-scratch *refresh* — the counting
-//! execution an eager recompute runs — the patched entry must be equal
-//! outright: rows, counts, row order and supports.
-//!
-//! Maintenance is opt-in ([`MaintenancePolicy::enabled`]); under the default
-//! an update drops the cached results over its relation. Two tests hold
-//! that path: `an_update_under_the_default_drops_what_it_touches` (what one
-//! update drains, frees and counts) and the oracle that holds whichever
-//! policy runs, `default_policy_answers_equal_reference_after_every_update`
-//! (every answer after any interleaving of updates equals nested loops over
-//! the updated relations).
+//! A fresh engine execution serves rows in its own emission order, so rows
+//! are compared as sorted sequences (the multiset-of-rows contract every
+//! engine promises).
 
 use mmjoin::{
-    default_registry, DeltaResult, DeltaSink, MaintenancePolicy, Query, QuerySpec, Relation,
-    RelationDelta, Request, Response, Service, ServiceConfig, Value,
+    default_registry, Query, QuerySpec, Relation, RelationDelta, Request, Response, Service, Value,
+    VecSink,
 };
 use mmjoin_datagen::{generate, DatasetKind};
 use mmjoin_obs::trace::{Stage, Tracer};
-use mmjoin_service::maintain::{two_path_delta, DropReason};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-#[path = "support/counting_alloc.rs"]
-mod counting_alloc;
-use counting_alloc::tallied;
 
 type Edge = (Value, Value);
-
-/// A service that maintains its cached results under updates (the
-/// default drops them).
-fn maintaining_service() -> Service {
-    Service::with_config(ServiceConfig {
-        maintenance: MaintenancePolicy::enabled(),
-        ..ServiceConfig::default()
-    })
-}
 
 fn sorted_rows(response: &Response) -> Vec<Vec<Value>> {
     let mut rows = response.rows.to_rows();
@@ -94,10 +69,10 @@ fn apply_to_model(model: &mut BTreeSet<Edge>, batch: &[Op]) {
     }
 }
 
-/// The rows a refreshed `π(R ⋈ S)` entry must serve for `request`-style
-/// parameters, from the edge sets alone: supports by nested loops, the
-/// visible pairs in ascending order as one flat array, and their counts
-/// (none for an uncounted request).
+/// The answer `π(R ⋈ S)` must give for `request`-style parameters, from
+/// the edge sets alone: supports by nested loops, the visible pairs in
+/// ascending order as one flat array, and their counts (none for an
+/// uncounted request).
 fn expected_entry(
     r: &BTreeSet<Edge>,
     s: &BTreeSet<Edge>,
@@ -116,9 +91,8 @@ fn expected_entry(
 }
 
 /// [`expected_entry`] for relations too large for nested loops: `S` grouped
-/// by `y` first. The same shape as the code under test, so only
-/// `every_batch_class_agrees_with_recompute_and_reference` uses it, after
-/// checking it against the nested loops.
+/// by `y` first. Its tests check it against the nested loops on a sample
+/// before they trust it.
 fn expected_entry_grouped(
     r: &BTreeSet<Edge>,
     s: &BTreeSet<Edge>,
@@ -189,103 +163,47 @@ fn assert_reference(got: &Response, request: &Request, models: &BTreeMap<&str, B
     }
 }
 
-/// What `recompute_entry` builds: the counting join run into a
-/// `DeltaSink`, sorted and coalesced into supports.
-fn recomputed(r: &Relation, s: &Relation) -> DeltaResult {
+/// A served answer as [`expected_entry`] writes one: pairs ascending, one
+/// flat array, and their counts.
+fn ascending(rows: &[Value], counts: &[u32]) -> (Vec<Value>, Vec<u32>) {
+    let counts = counts
+        .iter()
+        .copied()
+        .map(Some)
+        .chain(std::iter::repeat(None));
+    let mut all: Vec<(&[Value], Option<u32>)> = rows.chunks(2).zip(counts).collect();
+    all.sort_unstable();
+    (
+        all.iter()
+            .flat_map(|(row, _)| row.iter().copied())
+            .collect(),
+        all.iter().filter_map(|&(_, count)| count).collect(),
+    )
+}
+
+/// A from-scratch execution of `π(R ⋈ S)` on the engine the service routes
+/// to, outside any service or cache.
+fn executed(
+    r: &Relation,
+    s: &Relation,
+    min_count: u32,
+    with_counts: bool,
+) -> (Vec<Value>, Vec<u32>) {
     let query = Query::TwoPath {
         r,
         s,
-        with_counts: true,
-        min_count: 1,
+        with_counts,
+        min_count,
     };
-    let mut sink = DeltaSink::new();
+    let mut sink = VecSink::new();
     default_registry(1)
         .execute("MMJoin", &query, &mut sink)
-        .expect("counting two-path");
-    DeltaResult::from_signed(&sink.into_deltas())
-}
-
-/// One cache entry's maintained state, patched in place step by step.
-struct Entry {
-    min_count: u32,
-    with_counts: bool,
-    support: DeltaResult,
-    rows: Vec<Value>,
-    counts: Vec<u32>,
-}
-
-/// Every `min_count` × `with_counts` entry over `r ⋈ s`, freshly built.
-fn entries(r: &Relation, s: &Relation) -> Vec<Entry> {
-    let support = recomputed(r, s);
-    let mut all = Vec::new();
-    for min_count in 1..=3 {
-        for with_counts in [false, true] {
-            let (rows, counts) = support.rows(min_count, with_counts);
-            all.push(Entry {
-                min_count,
-                with_counts,
-                support: support.clone(),
-                rows,
-                counts,
-            });
-        }
-    }
-    all
+        .expect("two-path");
+    ascending(sink.rows.values(), &sink.counts)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The patch itself, below the service: after every step of a random
-    /// interleaving of updates to `R` and to `S`, each in-place entry —
-    /// `π(R ⋈ S)`, and the self join `π(R ⋈ R)` whose updates hit both
-    /// sides, the `ΔR ⋈ ΔS` cross term inside `ΔR ⋈ R_after` — equals a
-    /// from-scratch
-    /// recompute in supports, rows, counts and row order, at every
-    /// `min_count` × `with_counts`. Small domains keep supports crossing
-    /// the thresholds in both directions.
-    #[test]
-    fn patched_entry_equals_recompute(
-        r_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
-        s_base in prop::collection::vec((0u32..6, 0u32..4), 1..16),
-        steps in prop::collection::vec(
-            (any::<bool>(), prop::collection::vec((0u32..7, 0u32..5, 0u32..2), 1..6)),
-            1..8,
-        ),
-    ) {
-        let mut r = Relation::from_edges(r_base);
-        let mut s = Relation::from_edges(s_base);
-        let mut cross = entries(&r, &s);
-        let mut selfjoin = entries(&r, &r);
-        for (on_r, batch) in &steps {
-            let old = if *on_r { r.clone() } else { s.clone() };
-            let norm = delta_of(batch).normalize(&old);
-            let new = old.apply_normalized(&norm);
-            if *on_r { r = new } else { s = new }
-
-            let r_old = if *on_r { old } else { r.clone() };
-            let deltas = two_path_delta(&norm, &r_old, &s, *on_r, !*on_r);
-            let mut patches = vec![(&mut cross, deltas, recomputed(&r, &s))];
-            if *on_r {
-                let deltas = two_path_delta(&norm, &r_old, &r, true, true);
-                patches.push((&mut selfjoin, deltas, recomputed(&r, &r)));
-            }
-            for (entries, deltas, fresh) in patches {
-                for e in entries.iter_mut() {
-                    let before = e.rows.len() / 2;
-                    let crossed = e
-                        .support
-                        .patch(&mut e.rows, &mut e.counts, &deltas, e.min_count, e.with_counts);
-                    let crossed = crossed.expect("normalized deltas never go negative");
-                    prop_assert_eq!(&e.support, &fresh);
-                    let (rows, counts) = fresh.rows(e.min_count, e.with_counts);
-                    prop_assert_eq!(before + crossed.entered - crossed.left, rows.len() / 2);
-                    prop_assert_eq!(&e.rows, &rows, "min {} counts {}", e.min_count, e.with_counts);
-                    prop_assert_eq!(&e.counts, &counts);
-                }
-            }
-        }
-    }
 
     /// The storage layer alone: applying random delta batches yields
     /// exactly the model set, independent of merge-vs-rebuild path.
@@ -307,103 +225,7 @@ proptest! {
         }
     }
 
-    /// The full service path: after every random batch, the maintained
-    /// cached results (plain and counting two-path self joins) are
-    /// identical to a from-scratch service over the final relation.
-    #[test]
-    fn maintained_results_equal_recompute(
-        base in prop::collection::vec((0u32..8, 0u32..6), 1..24),
-        batches in prop::collection::vec(
-            prop::collection::vec((0u32..10, 0u32..7, 0u32..2), 1..8),
-            1..4,
-        ),
-    ) {
-        let service = maintaining_service();
-        service.register("R", Relation::from_edges(base.iter().copied()));
-        let plain = Request::two_path("R", "R");
-        let counting = Request::two_path_counts("R", "R", 1);
-        // Populate the cache so there is something to maintain.
-        service.query(plain.clone()).unwrap();
-        service.query(counting.clone()).unwrap();
-
-        let mut model: BTreeSet<Edge> = base.into_iter().collect();
-        for batch in &batches {
-            service.apply_delta("R", &delta_of(batch)).unwrap();
-            apply_to_model(&mut model, batch);
-
-            // The catalog relation matches the model exactly.
-            let expected: Vec<Edge> = model.iter().copied().collect();
-            prop_assert_eq!(service.relation_edges("R").unwrap(), expected);
-
-            // Cached (maintained or eagerly recomputed) answers equal a
-            // cold service over the final state.
-            let reference = maintaining_service();
-            reference.register("R", Relation::from_edges(model.iter().copied()));
-            let got_plain = service.query(plain.clone()).unwrap();
-            let want_plain = reference.query(plain.clone()).unwrap();
-            prop_assert!(got_plain.cached, "update must keep the entry warm");
-            prop_assert_eq!(sorted_rows(&got_plain), sorted_rows(&want_plain));
-
-            let got_counts = service.query(counting.clone()).unwrap();
-            let want_counts = reference.query(counting.clone()).unwrap();
-            prop_assert_eq!(
-                sorted_counted_rows(&got_counts),
-                sorted_counted_rows(&want_counts),
-                "witness counts must survive maintenance"
-            );
-        }
-    }
-
-    /// The served entry, at every reachable `min_count` × `with_counts`:
-    /// once an update has refreshed it (first touch recomputes, later ones
-    /// patch in place), the response is exactly the canonical entry over
-    /// the model — same rows in the same order, same counts.
-    #[test]
-    fn served_entries_are_canonical_after_every_update(
-        base in prop::collection::vec((0u32..6, 0u32..4), 1..20),
-        batches in prop::collection::vec(
-            prop::collection::vec((0u32..7, 0u32..5, 0u32..2), 1..6),
-            1..6,
-        ),
-    ) {
-        let service = maintaining_service();
-        service.register("R", Relation::from_edges(base.iter().copied()));
-        let requests = [
-            (Request::two_path("R", "R"), 1, false),
-            (Request::two_path_counts("R", "R", 1), 1, true),
-            (Request::two_path_counts("R", "R", 2), 2, true),
-            (Request::two_path_counts("R", "R", 3), 3, true),
-        ];
-        for (request, _, _) in &requests {
-            service.query(request.clone()).unwrap();
-        }
-        let mut model: BTreeSet<Edge> = base.into_iter().collect();
-        let mut refreshed = false;
-        for batch in &batches {
-            let report = service.apply_delta("R", &delta_of(batch)).unwrap();
-            apply_to_model(&mut model, batch);
-            if report.is_noop() {
-                continue;
-            }
-            prop_assert_eq!(
-                report.maintained + report.recomputed,
-                requests.len(),
-                "{:?}", report
-            );
-            prop_assert_eq!(report.maintained > 0, refreshed, "first touch recomputes");
-            refreshed = true;
-            for (request, min_count, with_counts) in &requests {
-                let got = service.query(request.clone()).unwrap();
-                prop_assert!(got.cached);
-                let (rows, counts) = expected_entry(&model, &model, *min_count, *with_counts);
-                prop_assert_eq!(got.rows.values(), &rows[..], "min {}", min_count);
-                prop_assert_eq!(&*got.counts, &counts, "min {}", min_count);
-            }
-        }
-    }
-
-    /// The default policy's oracle, which holds whatever an update does to
-    /// the cache: after every step of a random interleaving of inserts and
+    /// The oracle of the update path: after every step of a random interleaving of inserts and
     /// deletes over `R` and `S`, every two-path answer — self and cross,
     /// plain, counting, at a `min_count`, under a limit — equals nested loops
     /// over the model, and the update dropped exactly the entries over the
@@ -449,7 +271,6 @@ proptest! {
                 .count();
             let dropped = if report.is_noop() { 0 } else { over };
             prop_assert_eq!(report.invalidated, dropped, "{:?}", report);
-            prop_assert_eq!(report.maintained + report.recomputed, 0);
             for request in &requests {
                 let got = service.query(request.clone()).unwrap();
                 assert_reference(&got, request, &models);
@@ -457,30 +278,12 @@ proptest! {
         }
     }
 
-    /// The maintained service agrees with the default, invalidating
-    /// service (which always recomputes) query for query.
-    #[test]
-    fn maintain_and_invalidate_policies_agree(
-        base in prop::collection::vec((0u32..6, 0u32..5), 1..16),
-        batch in prop::collection::vec((0u32..8, 0u32..6, 0u32..2), 1..8),
-    ) {
-        let maintained = maintaining_service();
-        let baseline = Service::with_default_registry();
-        for service in [&maintained, &baseline] {
-            service.register("R", Relation::from_edges(base.iter().copied()));
-            service.query(Request::two_path("R", "R")).unwrap();
-            service.apply_delta("R", &delta_of(&batch)).unwrap();
-        }
-        let a = maintained.query(Request::two_path("R", "R")).unwrap();
-        let b = baseline.query(Request::two_path("R", "R")).unwrap();
-        prop_assert_eq!(sorted_rows(&a), sorted_rows(&b));
-    }
 }
 
-/// Under the default policy an update drops the cached results over its
-/// relation and touches nothing else. Per insert and per delete: the entries
-/// over `R` leave the cache at once and their bytes with them, each counts
-/// as an invalidation with reason `disabled`, no entry is refreshed (the
+/// An update drops the cached results over its relation and touches
+/// nothing else. Per insert and per delete: the entries over `R` leave the
+/// cache at once and their bytes with them, each counts as an
+/// invalidation, no entry is refreshed (the
 /// update's span says what it dropped and has no child), the entries over
 /// `S` alone keep hitting, and the next query over `R` misses and answers
 /// what nested loops over the updated relations answer.
@@ -540,10 +343,7 @@ fn an_update_under_the_default_drops_what_it_touches() {
         });
 
         assert_eq!(report.inserted + report.deleted, 1, "{line}");
-        assert_eq!((report.maintained, report.recomputed), (0, 0), "{line}");
         assert_eq!(report.invalidated, dropped, "{line}");
-        assert_eq!(report.dropped[DropReason::Disabled as usize], dropped);
-        assert_eq!(report.dropped.iter().sum::<usize>(), dropped);
         assert_eq!(
             service.cache_size(),
             (entries, bytes),
@@ -564,14 +364,13 @@ fn an_update_under_the_default_drops_what_it_touches() {
             "no entry was refreshed: {:?}",
             trace.spans
         );
-        assert!(!trace.spans.iter().any(|s| s.label == "refresh-entry"));
 
         for request in &elsewhere {
             assert!(service.query(request.clone()).unwrap().cached, "{line}");
         }
         for request in &over_r {
             let got = service.query(request.clone()).unwrap();
-            assert!(!got.cached && !got.maintained, "{line}: {request:?}");
+            assert!(!got.cached, "{line}: {request:?}");
             assert_reference(&got, request, &models);
         }
         let star_rows = sorted_rows(&service.query(star.clone()).unwrap());
@@ -580,27 +379,26 @@ fn an_update_under_the_default_drops_what_it_touches() {
     }
     tracer.set_enabled(false);
     let metrics = service.metrics();
-    assert_eq!(metrics.invalidated_by[DropReason::Disabled as usize], 10);
-    assert_eq!((metrics.maintained, metrics.recomputed), (0, 0));
+    assert_eq!((metrics.updates, metrics.invalidated), (2, 10));
 }
 
 /// The delete-below-support edge case, pinned deterministically: an
 /// output pair must survive exactly as long as it has a witness.
 #[test]
 fn delete_below_support_edge_case() {
-    let service = maintaining_service();
+    let service = Service::with_default_registry();
     // Sets 0 and 1 share elements {0, 1}: pair (0,1) has support 2.
     service.register("R", Relation::from_edges([(0, 0), (0, 1), (1, 0), (1, 1)]));
     let request = Request::two_path_counts("R", "R", 1);
     service.query(request.clone()).unwrap();
-
-    // Build the support structure (first touch recomputes), then delete
-    // one witness: (0,1)/(1,0) drop to support 1 but survive.
     service.insert("R", [(2, 0)]).unwrap();
+    service.query(request.clone()).unwrap();
+
+    // Delete one witness: (0,1)/(1,0) drop to support 1 but survive.
     let report = service.delete("R", [(1, 1)]).unwrap();
-    assert_eq!(report.maintained, 1, "the counting entry is patched");
+    assert_eq!(report.invalidated, 1, "the counting entry is dropped");
     let after_one = service.query(request.clone()).unwrap();
-    assert!(after_one.maintained);
+    assert!(!after_one.cached);
     let rows = sorted_counted_rows(&after_one);
     assert!(
         rows.contains(&(vec![0, 1], 1)),
@@ -609,10 +407,8 @@ fn delete_below_support_edge_case() {
 
     // Delete the last shared element: the pair's support hits zero and it
     // disappears, while each set keeps its self-pair.
-    let report = service.delete("R", [(1, 0)]).unwrap();
-    assert_eq!(report.maintained, 1);
+    service.delete("R", [(1, 0)]).unwrap();
     let after_two = service.query(request.clone()).unwrap();
-    assert!(after_two.maintained);
     let rows = sorted_counted_rows(&after_two);
     assert!(
         !rows
@@ -623,7 +419,7 @@ fn delete_below_support_edge_case() {
     assert!(rows.contains(&(vec![0, 0], 2)), "{rows:?}");
 
     // Ground truth: set 1 is now empty; only sets 0 and 2 remain.
-    let reference = maintaining_service();
+    let reference = Service::with_default_registry();
     reference.register("R", Relation::from_edges([(0, 0), (0, 1), (2, 0)]));
     let expected = reference.query(request).unwrap();
     assert_eq!(
@@ -632,72 +428,20 @@ fn delete_below_support_edge_case() {
     );
 }
 
-/// Copy-on-write: a `Response` taken before an update shares the entry's
-/// buffers, so patching must leave it reading the rows it was given; with
-/// no response alive the entry's own buffers are patched where they are.
-#[test]
-fn patching_copies_only_what_a_response_still_reads() {
-    let service = maintaining_service();
-    service.register("R", Relation::from_edges([(0, 0), (1, 0), (2, 1)]));
-    let request = Request::two_path_counts("R", "R", 1);
-    service.query(request.clone()).unwrap();
-    // First touch builds the supports; from here on updates patch.
-    assert_eq!(service.insert("R", [(3, 1)]).unwrap().recomputed, 1);
-
-    let before = service.query(request.clone()).unwrap();
-    let (rows_before, counts_before) = (before.rows.values().to_vec(), (*before.counts).clone());
-    // (0,1) gives set 0 a second element shared with set 2 and a second
-    // witness for (0,0): rows enter and a count changes.
-    assert_eq!(service.insert("R", [(0, 1)]).unwrap().maintained, 1);
-    assert_eq!(
-        before.rows.values(),
-        rows_before,
-        "the response's rows moved"
-    );
-    assert_eq!(*before.counts, counts_before, "the response's counts moved");
-
-    let after = service.query(request.clone()).unwrap();
-    assert!(after.maintained);
-    assert!(!Arc::ptr_eq(&before.rows, &after.rows));
-    let model: BTreeSet<Edge> = [(0, 0), (0, 1), (1, 0), (2, 1), (3, 1)].into();
-    let (rows, counts) = expected_entry(&model, &model, 1, true);
-    assert_eq!((after.rows.values(), &*after.counts), (&rows[..], &counts));
-    assert!(rows.len() > rows_before.len());
-
-    // Nothing but the cache holds the entry now: the next patch reuses the
-    // allocations instead of copying them.
-    let (rows_at, counts_at) = (Arc::as_ptr(&after.rows), Arc::as_ptr(&after.counts));
-    drop((before, after));
-    assert_eq!(service.delete("R", [(0, 1)]).unwrap().maintained, 1);
-    let patched = service.query(request).unwrap();
-    assert_eq!(
-        patched.rows.values(),
-        rows_before,
-        "the delete undoes the insert"
-    );
-    assert_eq!(Arc::as_ptr(&patched.rows), rows_at, "rows were copied");
-    assert_eq!(
-        Arc::as_ptr(&patched.counts),
-        counts_at,
-        "counts were copied"
-    );
-}
-
 /// Every batch class of the served benchmark — one edge, a handful, a bulk
 /// delta and one the size of the relation — inserted and then deleted
-/// again on a dense and on a skewed generated relation. After every batch
-/// the maintained answer, a from-scratch counting execution and the
-/// witness-by-witness reference agree row for row and count for count.
-/// The first touch recomputes for want of supports, and the closing batch —
-/// which deletes all but a few tuples, so its delta joins are the whole old
-/// result while a recompute has almost nothing to read — must recompute on
-/// price, supports and all.
+/// again on a dense and on a skewed generated relation. Each update drops
+/// the entries over the relation, so the first read after it is `cached
+/// false`; that answer, a from-scratch execution outside the service and
+/// the witness-by-witness reference agree row for row and count for count,
+/// and the next read is served from the cache. The closing batch deletes
+/// all but three tuples.
 #[test]
 fn every_batch_class_agrees_with_recompute_and_reference() {
     for (kind, scale) in [(DatasetKind::Jokes, 0.05), (DatasetKind::Words, 0.03)] {
         let base = generate(kind, scale, 22);
         let (x_dom, y_dom) = (base.x_domain() as u64, base.y_domain() as u64);
-        let service = maintaining_service();
+        let service = Service::with_default_registry();
         service.register("R", base.clone());
         let requests = [
             (Request::two_path("R", "R"), 1, false),
@@ -717,26 +461,26 @@ fn every_batch_class_agrees_with_recompute_and_reference() {
         }
         let check = |model: &BTreeSet<Edge>, what: &str| {
             let current = service.relation("R").unwrap();
-            let fresh = recomputed(&current, &current);
             for (request, min_count, with_counts) in &requests {
                 let got = service.query(request.clone()).unwrap();
-                assert!(got.cached, "{kind:?} {what}: the update kept the entry");
+                assert!(!got.cached, "{kind:?} {what}: the update dropped the entry");
                 let want = expected_entry_grouped(model, model, *min_count, *with_counts);
                 assert_eq!(
-                    fresh.rows(*min_count, *with_counts),
+                    executed(&current, &current, *min_count, *with_counts),
                     want,
                     "{kind:?} {what}"
                 );
                 assert_eq!(
-                    (got.rows.values(), &*got.counts),
-                    (&want.0[..], &want.1),
+                    ascending(got.rows.values(), &got.counts),
+                    want,
                     "{kind:?} {what}"
                 );
+                let again = service.query(request.clone()).unwrap();
+                assert!(again.cached, "{kind:?} {what}: the recompute was cached");
             }
         };
 
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        let (mut maintained, mut recomputed_entries) = (0, 0);
         for class in [1usize, 8, 64, 2048] {
             // Absent tuples, some of them past either domain.
             let mut batch = BTreeSet::new();
@@ -762,42 +506,30 @@ fn every_batch_class_agrees_with_recompute_and_reference() {
                 }
                 .unwrap();
                 assert_eq!(report.inserted + report.deleted, class);
-                assert_eq!(report.maintained + report.recomputed, requests.len());
-                maintained += report.maintained;
-                recomputed_entries += report.recomputed;
+                assert_eq!(report.invalidated, requests.len());
                 check(&model, &format!("batch of {class}, insert {insert}"));
             }
         }
-        // The first touch recomputes for want of supports. Which of the
-        // later refreshes patch compares a prediction with a measurement, so
-        // only the one with orders of magnitude to spare is asserted: the
-        // 1-edge delete that follows (tens of witnesses, under a microsecond
-        // at the model's prices, against the milliseconds the first touch
-        // just measured for the whole join).
-        assert!(recomputed_entries >= requests.len(), "{kind:?}");
-        assert!(maintained >= requests.len(), "{kind:?}: {maintained}");
 
         let doomed: Vec<Edge> = model.iter().copied().skip(3).collect();
         model.retain(|edge| !doomed.contains(edge));
         let report = service.delete("R", doomed).unwrap();
-        // The same margin the other way: every witness of the old result
-        // against a recompute over three tuples.
-        assert_eq!(report.recomputed, requests.len(), "{kind:?}: {report:?}");
+        assert_eq!(report.invalidated, requests.len(), "{kind:?}: {report:?}");
         check(&model, "all but three tuples deleted");
     }
 }
 
-/// A counting answer over a pair past line 2 is recomputed by AND-popcount
+/// A counting answer over a pair past line 2 is computed by AND-popcount
 /// over the relation's `x`-major rows — the record says `bit popcount` —
 /// and after every random batch of inserts and deletes (present and
-/// absent tuples, some past either domain, mixed in one delta) the served
-/// answer, a from-scratch counting execution and the nested-loop reference
-/// agree, counts included.
+/// absent tuples, some past either domain, mixed in one delta) the update
+/// drops it, and the recomputed answer, a from-scratch execution and the
+/// nested-loop reference agree, counts included.
 #[test]
 fn a_recompute_past_line_two_counts_by_popcount() {
     let base = generate(DatasetKind::Jokes, 0.03, 35);
     let (x_dom, y_dom) = (base.x_domain() as u64, base.y_domain() as u64);
-    let service = maintaining_service();
+    let service = Service::with_default_registry();
     service.register("R", base.clone());
     let request = Request::two_path_counts("R", "R", 2);
     let kernel = |response: &Response| response.stats.plan.as_ref().unwrap().heavy_backend;
@@ -824,51 +556,19 @@ fn a_recompute_past_line_two_counts_by_popcount() {
         apply_to_model(&mut model, &batch);
         let report = service.apply_delta("R", &delta_of(&batch)).unwrap();
         let got = service.query(request.clone()).unwrap();
-        assert!(got.cached, "round {round}: the update kept the entry");
-        if report.recomputed > 0 {
+        assert_eq!(got.cached, report.is_noop(), "round {round}: {report:?}");
+        if !got.cached {
             recomputes += 1;
             assert_eq!(kernel(&got), Some("bit popcount"), "round {round}");
         }
         let current = service.relation("R").unwrap();
         let want = expected_entry_grouped(&model, &model, 2, true);
+        assert_eq!(executed(&current, &current, 2, true), want, "round {round}");
         assert_eq!(
-            recomputed(&current, &current).rows(2, true),
+            ascending(got.rows.values(), &got.counts),
             want,
             "round {round}"
         );
-        assert_eq!(
-            (got.rows.values(), &*got.counts),
-            (&want.0[..], &want.1),
-            "round {round}"
-        );
     }
-    assert!(recomputes > 0, "the first touch recomputes");
-}
-
-/// One edge against a relation whose domains hold a million values: the
-/// refresh — delta joins and patch — makes no block that grows with a
-/// domain (the dense sums would be 4 MB, the scatter's counters 8 MB).
-#[test]
-fn a_one_edge_refresh_allocates_nothing_per_domain_value() {
-    const DOMAIN: usize = 1_000_000;
-    // 500 sets spread over the domain, five to an element.
-    let edges: Vec<Edge> = (0..500).map(|i| (i * 1999, (i % 100) * 9973)).collect();
-    let r = Relation::from_sorted_edges(DOMAIN, DOMAIN, edges);
-    let mut entry = recomputed(&r, &r);
-    let (mut rows, mut counts) = entry.rows(1, true);
-
-    let norm = RelationDelta::inserting([(777_777, 9973)]).normalize(&r);
-    let after = r.apply_normalized(&norm);
-    let ((deltas, crossed), tally) = tallied(64 << 10, || {
-        let deltas = two_path_delta(&norm, &r, &after, true, true);
-        let crossed = entry.patch(&mut rows, &mut counts, &deltas, 1, true);
-        (deltas, crossed)
-    });
-    // The new set joins the five that hold its element, both ways round,
-    // and itself.
-    assert_eq!(deltas.len(), 11);
-    assert_eq!(crossed.map(|c| (c.entered, c.left)), Some((11, 0)));
-    assert_eq!(entry, recomputed(&after, &after));
-    assert_eq!(tally.big, 0, "{tally:?}");
-    assert!(tally.allocs <= 24, "{tally:?}");
+    assert!(recomputes > 0, "an effective update drops the answer");
 }

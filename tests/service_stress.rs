@@ -8,17 +8,9 @@
 //! must come out of the storm fully functional — no poisoned lock, no
 //! deadlock, warm cache intact.
 
-use mmjoin::{
-    JoinConfig, MaintenancePolicy, Relation, Request, Service, ServiceConfig, ServiceError,
-};
+use mmjoin::{JoinConfig, Relation, Request, Service, ServiceConfig, ServiceError};
 
 const CLIENTS: u32 = 4;
-
-/// Every test runs its storm twice: once maintaining the cached results an
-/// update touches, and once under the default, which drops them.
-fn policies() -> [MaintenancePolicy; 2] {
-    [MaintenancePolicy::enabled(), MaintenancePolicy::default()]
-}
 
 fn client_relation(i: u32, salt: u32) -> Relation {
     Relation::from_edges(
@@ -38,7 +30,7 @@ fn sorted(rows: &mmjoin::FlatRows) -> Vec<Vec<u32>> {
 
 /// One client's full op script against `service`, returning the sorted
 /// rows of every query it issued (in script order). The script mixes
-/// cold and warm queries, delta maintenance, every query family, and a
+/// cold and warm queries, inserts and deletes, every query family, and a
 /// relation removal.
 fn run_client_ops(service: &Service, i: u32) -> Vec<Vec<Vec<u32>>> {
     let r = format!("r{i}");
@@ -84,13 +76,8 @@ fn concurrent_clients_match_serial_replay() {
         })
         .collect();
 
-    let storms = [1usize, 2, 8]
-        .into_iter()
-        .flat_map(|t| policies().map(|p| (t, p)));
-    for (threads, maintenance) in storms {
-        let on = maintenance.enabled;
+    for threads in [1usize, 2, 8] {
         let service = Service::with_config(ServiceConfig {
-            maintenance,
             thread_budget: 8,
             join_config: JoinConfig {
                 threads,
@@ -109,7 +96,7 @@ fn concurrent_clients_match_serial_replay() {
                     assert_eq!(
                         got, expected[i as usize],
                         "client {i} diverged from its serial replay \
-                         (threads={threads}, maintenance {on})"
+                         (threads={threads})"
                     );
                 });
             }
@@ -120,10 +107,7 @@ fn concurrent_clients_match_serial_replay() {
         let m = service.metrics();
         // The only errors are the CLIENTS deliberate unknown-relation
         // probes after each client removed its own relation.
-        assert_eq!(
-            m.errors, CLIENTS as u64,
-            "threads={threads}, maintenance {on}"
-        );
+        assert_eq!(m.errors, CLIENTS as u64, "threads={threads}");
         assert!(m.queries_served >= (CLIENTS as u64) * 7);
         let warm = service
             .query(Request::two_path("shared", "shared"))
@@ -143,14 +127,7 @@ fn concurrent_clients_match_serial_replay() {
 /// epoch (serial replay of the update sequence), never a torn mix.
 #[test]
 fn readers_see_consistent_epochs_under_updates() {
-    for maintenance in policies() {
-        readers_see_consistent_epochs_under_updates_under(maintenance);
-    }
-}
-
-fn readers_see_consistent_epochs_under_updates_under(maintenance: MaintenancePolicy) {
     let service = Service::with_config(ServiceConfig {
-        maintenance,
         thread_budget: 4,
         join_config: JoinConfig {
             threads: 2,
@@ -214,19 +191,12 @@ fn readers_see_consistent_epochs_under_updates_under(maintenance: MaintenancePol
 /// the catalog lock and installs only if the epoch it read is still
 /// current, so the loser of a round re-applies on the winner's relation:
 /// no insert is lost, each lands exactly once (one epoch each), and the
-/// refreshed cache entry equals a recompute. A barrier starts each pair
+/// served answer equals a recompute. A barrier starts each pair
 /// of inserts together, so most rounds have a loser.
 #[test]
 fn racing_writers_on_one_relation_lose_no_insert() {
-    for maintenance in policies() {
-        racing_writers_on_one_relation_lose_no_insert_under(maintenance);
-    }
-}
-
-fn racing_writers_on_one_relation_lose_no_insert_under(maintenance: MaintenancePolicy) {
     const PER_WRITER: u32 = 200;
     let service = Service::with_config(ServiceConfig {
-        maintenance,
         thread_budget: 2,
         ..ServiceConfig::default()
     });
@@ -282,14 +252,7 @@ fn racing_writers_on_one_relation_lose_no_insert_under(maintenance: MaintenanceP
 /// still running).
 #[test]
 fn updates_to_one_relation_never_touch_another() {
-    for maintenance in policies() {
-        updates_to_one_relation_never_touch_another_under(maintenance);
-    }
-}
-
-fn updates_to_one_relation_never_touch_another_under(maintenance: MaintenancePolicy) {
     let service = Service::with_config(ServiceConfig {
-        maintenance,
         thread_budget: 4,
         ..ServiceConfig::default()
     });
@@ -309,7 +272,7 @@ fn updates_to_one_relation_never_touch_another_under(maintenance: MaintenancePol
         let writer_running = &writer_running;
 
         // Writer: continuous inserts to `hot` (each bumps its epoch and
-        // churns the maintenance machinery) until readers are done.
+        // drops `hot`'s cached results) until readers are done.
         scope.spawn(move || {
             for step in 0..200u32 {
                 service.insert(hot, [(100 + step, step % 30)]).unwrap();
