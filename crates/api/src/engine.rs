@@ -122,6 +122,37 @@ impl fmt::Display for OperandSource {
     }
 }
 
+/// Algorithm 3 line 2 under the bit kernels: the two prices it compared,
+/// both from exact counts. The heavy core runs when its price is below
+/// expansion's; a tie, or a core over the memory cap, expands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineTwoPrices {
+    /// Expansion's price: `t_insert` per tuple of the exact full join.
+    pub expand_secs: f64,
+    /// The everything-heavy core's price; `None` when it is over the cap.
+    pub core_secs: Option<f64>,
+}
+
+impl fmt::Display for LineTwoPrices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Three significant digits below 100 µs: a tiny join's two sides
+        // differ in nanoseconds.
+        let us = |secs: f64| {
+            let us = secs * 1e6;
+            let decimals = [100.0, 10.0, 1.0].iter().filter(|&&at| us < at).count();
+            format!("{us:.decimals$}us")
+        };
+        write!(f, "line 2: expand {}", us(self.expand_secs))?;
+        match self.core_secs {
+            None => write!(f, ", core over cap"),
+            Some(core) => {
+                let sign = if core < self.expand_secs { '>' } else { '≤' };
+                write!(f, " {sign} core {}", us(core))
+            }
+        }
+    }
+}
+
 /// The one record of a cost-based decision: what Algorithm 3 chose and
 /// predicted (the half `explain` prints, filled by planning) and what the
 /// run then built and measured (filled by execution). Engines that do not
@@ -154,8 +185,9 @@ pub struct PlanStats {
     /// (an optimizer-chosen two-path under the default backend): whether the left and the
     /// right operand are packed by this query or reused — as found when
     /// planning, as it happened after a run. It explains a predicted (and
-    /// measured) heavy cost that differs between two runs of one query; it
-    /// decides nothing. `None` for operands built per query.
+    /// measured) heavy cost that differs between two runs of one query,
+    /// and with it a line 2 that went the other way. `None` for operands
+    /// built per query.
     pub heavy_operands: Option<[OperandSource; 2]>,
     /// Tuples handled by the light (expansion) passes per input relation:
     /// `(input size − heavy tuple mass)` for `(R, S)`.
@@ -166,6 +198,11 @@ pub struct PlanStats {
     pub full_join: Option<u64>,
     /// The optimizer's output-size estimate, when one was computed.
     pub estimated_out: Option<u64>,
+    /// Line 2's two prices, whichever won; `None` under the SGEMM pin
+    /// (whose line 2 compares `|OUT⋈|` with `F · N`), for a forced
+    /// partition, and for a composed plan until its run fills in its final
+    /// primitive's.
+    pub line_two: Option<LineTwoPrices>,
     /// Predicted light-part seconds at the chosen thresholds.
     pub predicted_light_secs: Option<f64>,
     /// Predicted heavy-part seconds at the chosen thresholds.
@@ -200,6 +237,7 @@ impl PlanStats {
             light_tuples: None,
             full_join: None,
             estimated_out: None,
+            line_two: None,
             predicted_light_secs: None,
             predicted_heavy_secs: None,
             measured_phase_secs: None,
@@ -308,14 +346,16 @@ impl PlanStats {
     /// The `plan:` line of a single primitive: the choice, the heavy core
     /// it was priced for (with its shape, where planning bounds it, and
     /// whether its operands are packed already, where they are memoised),
-    /// the two predictions and the estimates they rest on.
+    /// the two predictions, the estimates they rest on, and both sides of
+    /// line 2.
     fn fmt_primitive(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let estimates = self.full_join.zip(self.estimated_out);
         if self.kind == PlanKind::Wcoj {
             write!(f, "plan: expand (WCOJ)")?;
-            return estimates.map_or(Ok(()), |(full_join, out)| {
-                write!(f, " — full join {full_join} is output-like (est out {out})")
-            });
+            if let Some((full_join, out)) = estimates {
+                write!(f, " — full join {full_join} is output-like (est out {out})")?;
+            }
+            return self.fmt_line_two(f);
         }
         write!(f, "plan: matrix-partitioned")?;
         if let Some((d1, d2)) = self.delta1.zip(self.delta2) {
@@ -339,7 +379,13 @@ impl PlanStats {
         if let Some((full_join, out)) = estimates {
             write!(f, " — full join {full_join}, est out {out}")?;
         }
-        Ok(())
+        self.fmt_line_two(f)
+    }
+
+    /// `; line 2: …`, where the record has line 2's two prices.
+    fn fmt_line_two(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.line_two
+            .map_or(Ok(()), |prices| write!(f, "; {prices}"))
     }
 }
 

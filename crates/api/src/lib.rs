@@ -40,8 +40,8 @@ pub mod rows;
 pub mod sink;
 
 pub use engine::{
-    Engine, EngineError, ExecStats, NamedPlan, NodeSource, OperandSource, PhaseSecs, PlanKind,
-    PlanStats, StepNode, StepStats,
+    Engine, EngineError, ExecStats, LineTwoPrices, NamedPlan, NodeSource, OperandSource, PhaseSecs,
+    PlanKind, PlanStats, StepNode, StepStats,
 };
 pub use ir::{Atom, QueryGraph, Var};
 pub use query::{Query, QueryError, QueryFamily};

@@ -1,7 +1,7 @@
 //! The cost-model misprediction experiment behind `experiments crossover`.
 //!
-//! Algorithm 3's line-2 short-circuit decides between the combinatorial
-//! WCOJ plan and the partitioned matrix plan; a cost model calibrated
+//! Algorithm 3's line 2 decides between the combinatorial WCOJ plan and
+//! the matrix plan by comparing their prices; a cost model calibrated
 //! against the wrong kernel moves that crossover and silently picks the
 //! slower strategy. This experiment measures the crossover directly: a
 //! family of hub instances whose `full join / N` ratio sweeps across the
@@ -27,18 +27,19 @@
 
 use crate::report::Table;
 use crate::timed_median;
-use mmjoin::{CountSink, Engine, JoinConfig, MmJoinEngine, Query, Relation};
+use mmjoin::{CountSink, Engine, JoinConfig, MmJoinEngine, PackedForm, Query, Relation};
 use mmjoin_core::{choose_thresholds, PlanChoice};
 use mmjoin_matrix::{
     active_kernel, matmul_parallel_with_kernel, matmul_with_kernel, CostModel, DenseMatrix, Kernel,
 };
 
-/// Multipliers applied to the *derived* crossover factor to build the
-/// sweep grid. Centering the grid on the model's own crossover (instead
-/// of a fixed factor list) guarantees the sweep brackets it — points at
-/// 8× and ⅛× stay on opposite sides even though hub-instance dedup makes
-/// the realized `full join / N` ratio track the requested one only
-/// within about 2×.
+/// Multipliers applied to the *priced* crossover — the `full join / N`
+/// ratio at which line 2 changes sides on the hub family ([`priced_crossover`])
+/// — to build the sweep grid. Centering the grid on the planner's own
+/// crossover (instead of a fixed factor list) guarantees the sweep brackets
+/// it — points at 8× and ⅛× stay on opposite sides even though hub-instance
+/// dedup makes the realized `full join / N` ratio track the requested one
+/// only within about 2×.
 const FACTOR_MULTIPLIERS: [f64; 8] = [8.0, 4.0, 2.0, 1.3, 0.77, 0.5, 0.25, 0.125];
 
 /// Square sizes for the kernel-speedup rows (the same orders the cost
@@ -82,6 +83,38 @@ fn hub_instance(sets: u32, deg: u32, factor: f64) -> Relation {
     Relation::from_edges(edges)
 }
 
+/// The requested `full join / N` ratio, between 1 and `cap`, at which
+/// line 2 under `config` turns from expansion to the matrix on the hub
+/// instances of `sets · deg` edges, found by bisecting on the planner's own
+/// decision. Both packed forms are built first, as the timed runs find them.
+fn priced_crossover(config: &JoinConfig, sets: u32, deg: u32, cap: f64) -> f64 {
+    let picks_matrix = |factor: f64| {
+        let r = hub_instance(sets, deg, factor);
+        r.packed(PackedForm::XMajor);
+        r.packed(PackedForm::YMajor);
+        matches!(
+            choose_thresholds(&r, &r, config).choice,
+            PlanChoice::Mm { .. }
+        )
+    };
+    let (mut lo, mut hi) = (1.0f64, cap.max(1.0));
+    if picks_matrix(lo) {
+        return lo;
+    }
+    if !picks_matrix(hi) {
+        return hi;
+    }
+    for _ in 0..10 {
+        let mid = (lo * hi).sqrt();
+        if picks_matrix(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (lo * hi).sqrt()
+}
+
 /// Times the two-path self-join of `r` under `config` (median of
 /// `trials`, one warmup) without materialising the output.
 fn time_strategy(r: &Relation, config: &JoinConfig, trials: usize) -> f64 {
@@ -115,15 +148,25 @@ pub fn crossover_experiment(scale: f64, trials: usize, threads: usize) -> Table 
 }
 
 /// The sweep body, parameterised on the (already recalibrated) config so
-/// tests can pin `wcoj_fallback_factor` instead of depending on how fast
-/// the build machine happens to be.
+/// tests can keep the analytic model instead of depending on how fast the
+/// build machine happens to be.
 pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: usize) -> Table {
     let kernel = active_kernel();
-    // The factor line 2 reads.
-    let derived = config.fallback_factor();
+    // The realized ratio is capped near `sets` (each element's degree is
+    // at most the set count), so keep `sets` comfortably above the
+    // crossover times the largest multiplier's dedup slack.
+    let sets = ((4800.0 * scale).round() as u32).max(400);
+    let deg = 16u32;
+    // Beyond factor ≈ ½√N the universe is so small that edge dedup
+    // saturates it (every cell filled) and the realized ratio *falls*
+    // as the requested one rises — those instances are degenerate
+    // near-complete graphs, not points near the crossover. Cap the grid
+    // at the saturation bound and drop the duplicate rows the cap makes.
+    let saturation_cap = 0.5 * ((sets * deg) as f64).sqrt();
+    let priced = priced_crossover(&config, sets, deg, saturation_cap);
 
     let mut t = Table::new(
-        format!("Crossover misprediction sweep (kernel {kernel}, derived factor {derived:.1})"),
+        format!("Crossover misprediction sweep (kernel {kernel}, priced crossover {priced:.1})"),
         vec![
             "point".into(),
             "N".into(),
@@ -137,37 +180,26 @@ pub fn crossover_sweep(config: JoinConfig, scale: f64, trials: usize, threads: u
         ],
     );
 
-    // The realized ratio is capped near `sets` (each element's degree is
-    // at most the set count), so keep `sets` comfortably above the
-    // derived factor's clamp ceiling times the largest multiplier's
-    // dedup slack.
-    let sets = ((4800.0 * scale).round() as u32).max(400);
-    let deg = 16u32;
-    // Beyond factor ≈ ½√N the universe is so small that edge dedup
-    // saturates it (every cell filled) and the realized ratio *falls*
-    // as the requested one rises — those instances are degenerate
-    // near-complete graphs, not points near the crossover. Cap the grid
-    // at the saturation bound and drop the duplicate rows the cap makes.
-    let saturation_cap = 0.5 * ((sets * deg) as f64).sqrt();
     let force = |factor: f64| JoinConfig {
         wcoj_fallback_factor: factor,
         ..config.clone()
     };
     let mut prev_factor = f64::NAN;
     for mult in FACTOR_MULTIPLIERS {
-        let factor = (derived * mult).min(saturation_cap);
+        let factor = (priced * mult).min(saturation_cap);
         if factor == prev_factor {
             continue;
         }
         prev_factor = factor;
         let r = hub_instance(sets, deg, factor);
+        let t_wcoj = time_strategy(&r, &force(f64::INFINITY), trials);
+        let t_mm = time_strategy(&r, &force(0.0), trials);
+        // Planned as the timed runs found the relation: packed.
         let plan = choose_thresholds(&r, &r, &config);
         let predicted = match plan.choice {
             PlanChoice::Wcoj => "wcoj",
             PlanChoice::Mm { .. } => "mm",
         };
-        let t_wcoj = time_strategy(&r, &force(f64::INFINITY), trials);
-        let t_mm = time_strategy(&r, &force(0.0), trials);
         let (winner, t_best) = if t_wcoj <= t_mm {
             ("wcoj", t_wcoj)
         } else {
@@ -286,7 +318,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_has_both_prediction_kinds_and_gemm_rows() {
-        // Pin the crossover (skip calibration) so the grid — and hence
+        // The analytic model (no calibration) so the grid — and hence
         // which predictions appear — doesn't depend on machine speed.
         let t = crossover_sweep(JoinConfig::default(), 0.05, 1, 2);
         // The saturation cap may merge the top grid points, but the

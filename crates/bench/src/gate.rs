@@ -213,7 +213,7 @@ pub fn check_crossover(table: &Table) -> Result<(), String> {
     if !(saw.0 && saw.1) {
         return Err(format!(
             "sweep predicted only {} — the factor grid no longer brackets \
-             the derived crossover",
+             the priced crossover",
             if saw.0 { "wcoj" } else { "mm" }
         ));
     }

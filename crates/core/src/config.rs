@@ -1,7 +1,7 @@
 //! Execution configuration for the MMJoin engine.
 
 use mmjoin_executor::Executor;
-use mmjoin_matrix::{CostModel, REFERENCE_BIT_WORD_SECS};
+use mmjoin_matrix::CostModel;
 use std::sync::Arc;
 
 /// Which kernel evaluates the heavy-core product of Algorithm 1.
@@ -45,9 +45,13 @@ pub struct JoinConfig {
     /// Force the degree thresholds `(Δ1, Δ2)` instead of running the
     /// optimizer — used by tests and the ablation benchmarks.
     pub delta_override: Option<(u32, u32)>,
-    /// Algorithm 3 line 2: when the full join size is at most this factor
-    /// times the input size, skip partitioning entirely and run the plain
-    /// WCOJ + dedup plan. The paper uses 20.
+    /// Algorithm 3 line 2's factor `F`. Under [`HeavyBackend::DenseF32`]
+    /// it is the paper's test: a full join of at most `F` times the input
+    /// size runs the plain WCOJ + dedup plan (the paper uses 20). Under
+    /// [`HeavyBackend::Auto`] line 2 compares expansion's price with the bit
+    /// core's, and `F` scales expansion's (`JoinConfig::expansion_scale`):
+    /// neutral at its default, the matrix whenever its core fits at `0`,
+    /// expansion at `∞`.
     pub wcoj_fallback_factor: f64,
     /// Heavy-core multiplication kernel; leave it on
     /// [`HeavyBackend::Auto`] outside ablations and paper reproductions.
@@ -104,12 +108,13 @@ impl JoinConfig {
         }
     }
 
-    /// Installs a measured cost model and re-derives the strategy
+    /// Installs a measured cost model and re-derives the SGEMM pin's
     /// crossover from it.
     ///
-    /// The Algorithm 3 line-2 short-circuit (`wcoj_fallback_factor`) encodes
-    /// "the matrix path only pays off once the full join is ≳ F× the input".
-    /// The paper's F = 20 assumes the analytic reference throughput; a
+    /// Under [`HeavyBackend::DenseF32`] Algorithm 3 line 2 is the paper's
+    /// test `|OUT⋈| ≤ F · N` (`F` = `wcoj_fallback_factor`): "the matrix
+    /// path only pays off once the full join is ≳ F× the input". The
+    /// paper's F = 20 assumes the analytic reference throughput; a
     /// calibrated model reporting [`CostModel::speed_vs_reference`] = r
     /// shifts the crossover by the matrix path's *effective* speedup. Only
     /// part of that path is kernel time — partitioning, adjacency
@@ -132,9 +137,10 @@ impl JoinConfig {
     /// contributes the analytic curve only until a cores sweep is
     /// installed.
     ///
-    /// The stored factor is the one for a heavy core that is SGEMM;
-    /// [`Self::fallback_factor`] is what line 2 reads, and moves it for the
-    /// bit kernels.
+    /// Under [`HeavyBackend::Auto`] line 2 compares two prices instead, and
+    /// the model moves them through its measured `t_insert` and bit-word
+    /// rate; the factor stored here is where `JoinConfig::expansion_scale`
+    /// reads 1.
     pub fn install_measured_model(&mut self, model: CostModel) {
         if let Some(factor) = self.sgemm_crossover(&model) {
             self.wcoj_fallback_factor = factor;
@@ -142,37 +148,25 @@ impl JoinConfig {
         self.cost_model = model;
     }
 
-    /// Algorithm 3 line 2's factor, one for every query this configuration
-    /// plans.
-    ///
-    /// Under [`HeavyBackend::DenseF32`] line 2 reads `wcoj_fallback_factor`
-    /// as it stands. The bit kernels make the matrix path several times
-    /// cheaper, so under [`HeavyBackend::Auto`] a query crosses over earlier
-    /// — but only a *measured* model says by how much: the factor is then
-    /// scaled by the ratio of the two crossovers derived from that model
-    /// (Boolean: base [`Self::BOOLEAN_CROSSOVER_F`], shifted by the measured
-    /// bit-word rate and damped by [`Self::BOOLEAN_PRODUCT_FRACTION`]; no
-    /// thread term, the bit kernels run on the calling thread). Scaling
-    /// keeps a factor forced to `0` or `∞` forced. Under the analytic
-    /// default model both backends read the paper's factor unchanged.
-    pub fn fallback_factor(&self) -> f64 {
-        let factor = self.wcoj_fallback_factor;
-        if !self.heavy_backend.is_boolean() || self.cost_model.kernel() == "analytic" {
-            return factor;
-        }
-        let boolean = damped_crossover(
-            Self::BOOLEAN_CROSSOVER_F,
-            Self::BOOLEAN_PRODUCT_FRACTION,
-            REFERENCE_BIT_WORD_SECS / self.cost_model.bit_word_secs(),
-        );
-        match (boolean, self.sgemm_crossover(&self.cost_model)) {
-            (Some(boolean), Some(sgemm)) => factor * boolean / sgemm,
-            _ => factor,
-        }
+    /// How far `wcoj_fallback_factor` moves line 2 under the bit kernels: the
+    /// factor expansion's price is multiplied by. It is `1` at the factor
+    /// this configuration's model stands for — the paper's 20 under the
+    /// analytic model, [`Self::install_measured_model`]'s under a measured
+    /// one — so the default decides by the two prices alone; `∞` at a
+    /// factor of 0 (the matrix whenever its core fits) and `0` at `∞`
+    /// (expansion).
+    pub(crate) fn expansion_scale(&self) -> f64 {
+        let neutral = if self.cost_model.kernel() == "analytic" {
+            None
+        } else {
+            self.sgemm_crossover(&self.cost_model)
+        };
+        neutral.unwrap_or(20.0) / self.wcoj_fallback_factor
     }
 
     /// The SGEMM path's crossover under `model` at this configuration's
-    /// thread count (see [`Self::install_measured_model`]).
+    /// thread count (see [`Self::install_measured_model`]); `None` for a
+    /// speed that is not a positive finite number.
     fn sgemm_crossover(&self, model: &CostModel) -> Option<f64> {
         let cores = self.effective_threads();
         let par = if cores > 1 {
@@ -180,11 +174,11 @@ impl JoinConfig {
         } else {
             1.0
         };
-        damped_crossover(
-            Self::MEASURED_CROSSOVER_F,
-            Self::MM_GEMM_FRACTION,
-            model.speed_vs_reference() * par,
-        )
+        let speed = model.speed_vs_reference() * par;
+        let fraction = Self::MM_GEMM_FRACTION;
+        (speed.is_finite() && speed > 0.0).then(|| {
+            (Self::MEASURED_CROSSOVER_F * (fraction / speed + 1.0 - fraction)).clamp(2.0, 200.0)
+        })
     }
 
     /// Fraction of the matrix-path runtime that is GEMM kernel time at
@@ -193,40 +187,17 @@ impl JoinConfig {
     /// far a measured kernel speed moves the strategy crossover.
     pub const MM_GEMM_FRACTION: f64 = 0.25;
 
-    /// The crossover factor this implementation exhibits at reference
-    /// kernel throughput, measured with `experiments crossover` on the
-    /// dense-hub reference family (the scalar-kernel sweep times the two
-    /// forced strategies to a dead tie near `full join / N ≈ 46`; the
-    /// reference throughput sits below that box's scalar kernel, which
-    /// scales the measured tie back up by the calibration ratio). It is
-    /// ~3× the paper's analytic F = 20 (which stays as the uncalibrated
-    /// default) because the partitioned plan's light path — threshold
-    /// indexes plus hash inserts — costs several× a plain WCOJ probe per
-    /// tuple, so the matrix plan only pays off once the heavy core
-    /// dominates outright.
+    /// The crossover factor the SGEMM path exhibits at reference kernel
+    /// throughput, measured with `experiments crossover` on the dense-hub
+    /// reference family (the scalar-kernel sweep timed the two forced
+    /// strategies to a dead tie near `full join / N ≈ 46`; the reference
+    /// throughput sits below that box's scalar kernel, which scales the
+    /// measured tie back up by the calibration ratio). It is ~3× the
+    /// paper's analytic F = 20 (which stays as the uncalibrated default)
+    /// because the partitioned plan's light path — threshold indexes plus
+    /// hash inserts — costs several× a plain WCOJ probe per tuple, so the
+    /// matrix plan only pays off once the heavy core dominates outright.
     pub const MEASURED_CROSSOVER_F: f64 = 62.0;
-
-    /// Fraction of the existence matrix path's runtime that is Boolean
-    /// product time at crossover-scale inputs (the rest is operand
-    /// construction and pair extraction): 0.28–0.30 on the dense-hub family
-    /// at `N` from 19 k to 77 k.
-    pub const BOOLEAN_PRODUCT_FRACTION: f64 = 0.3;
-
-    /// [`Self::MEASURED_CROSSOVER_F`] for the Boolean core, at the reference
-    /// bit-product rate: the two forced strategies of an existence query tie
-    /// near `full join / N ≈ 7` at `N = 19 k` and near `13` at `N = 77 k`
-    /// (the everything-heavy product grows with the square of the domain,
-    /// expansion with the full join, so the tie drifts up with `√N`); 10
-    /// keeps the misprediction gate inside its 25 % at both sizes.
-    pub const BOOLEAN_CROSSOVER_F: f64 = 10.0;
-}
-
-/// A base crossover factor moved by a kernel running `speed`× its reference
-/// rate, when only `kernel_fraction` of the matrix path is kernel time
-/// (Amdahl); `None` for a speed that is not a positive finite number.
-fn damped_crossover(base: f64, kernel_fraction: f64, speed: f64) -> Option<f64> {
-    (speed.is_finite() && speed > 0.0)
-        .then(|| (base * (kernel_fraction / speed + 1.0 - kernel_fraction)).clamp(2.0, 200.0))
 }
 
 #[cfg(test)]
@@ -348,15 +319,15 @@ mod tests {
         assert!(par.wcoj_fallback_factor < serial.wcoj_fallback_factor);
     }
 
-    /// Line 2 reads the stored factor under the SGEMM pin and, under a
-    /// measured model only, a lower one for the bit kernels — derived from
-    /// the bit rate, blind to the thread count, and still forced when the
-    /// stored factor is.
+    /// Under the bit kernels the factor scales expansion's price: neutral at
+    /// the default and after a measured model is installed — whatever its
+    /// bit-word rate or thread count, which move the prices themselves —
+    /// and still forcing at `0` and `∞`.
     #[test]
-    fn fallback_factor_moves_only_the_boolean_core_and_only_when_measured() {
+    fn the_factor_is_neutral_unless_moved_and_still_forces() {
         use mmjoin_matrix::cost::{Sample, SystemConstants};
-        let mut c = JoinConfig::default();
-        assert_eq!(c.fallback_factor(), 20.0);
+        use mmjoin_matrix::REFERENCE_BIT_WORD_SECS;
+        assert_eq!(JoinConfig::default().expansion_scale(), 1.0);
 
         // Reference GEMM speed, 3× at 8 cores, bit product 4× the reference.
         let p = 512usize;
@@ -367,27 +338,20 @@ mod tests {
             SystemConstants::default(),
         )
         .with_bit_word_secs(REFERENCE_BIT_WORD_SECS / 4.0);
-        let boolean = JoinConfig::BOOLEAN_CROSSOVER_F
-            * (JoinConfig::BOOLEAN_PRODUCT_FRACTION / 4.0 + 1.0
-                - JoinConfig::BOOLEAN_PRODUCT_FRACTION);
-        let mut sgemm = Vec::new();
         for threads in [1, 8] {
-            c = JoinConfig {
+            let mut c = JoinConfig {
                 threads,
                 ..JoinConfig::default()
             };
             c.install_measured_model(model.clone());
-            assert!((c.fallback_factor() - boolean).abs() < 1e-9);
-            sgemm.push(c.wcoj_fallback_factor);
-            // Pinning SGEMM pins its crossover too.
-            c.heavy_backend = HeavyBackend::DenseF32;
-            assert_eq!(c.fallback_factor(), c.wcoj_fallback_factor);
-            c.heavy_backend = HeavyBackend::Auto;
-        }
-        assert!(sgemm[1] < sgemm[0], "threads move the SGEMM crossover only");
-        for forced in [0.0, f64::INFINITY] {
-            c.wcoj_fallback_factor = forced;
-            assert_eq!(c.fallback_factor(), forced);
+            assert!((c.expansion_scale() - 1.0).abs() < 1e-12, "{c:?}");
+            let installed = c.wcoj_fallback_factor;
+            c.wcoj_fallback_factor = installed / 2.0;
+            assert!((c.expansion_scale() - 2.0).abs() < 1e-12);
+            c.wcoj_fallback_factor = 0.0;
+            assert_eq!(c.expansion_scale(), f64::INFINITY);
+            c.wcoj_fallback_factor = f64::INFINITY;
+            assert_eq!(c.expansion_scale(), 0.0);
         }
     }
 

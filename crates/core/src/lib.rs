@@ -22,8 +22,9 @@
 //!   2-path steps, semijoin reductions and one final star step, ordered
 //!   by the §5 estimates.
 //! * [`estimate`] — the §5 output-size estimator.
-//! * [`optimizer`] — Algorithm 3: line 2, then the everything-heavy core
-//!   (`Δ1 = Δ2 = 0`) priced by the calibrated cost model, or expansion.
+//! * [`optimizer`] — Algorithm 3: line 2 compares expansion's price with
+//!   the everything-heavy core's (`Δ1 = Δ2 = 0`), both from exact counts
+//!   at the cost model's rates.
 //! * [`engine_impl`] — the [`Engine`](mmjoin_api::Engine) implementation
 //!   covering all four workload families (2-path, star, similarity join,
 //!   containment join), and [`plan_query`]: its planning half on its own,
@@ -77,7 +78,7 @@ pub use compose::execute_general;
 pub use config::{HeavyBackend, JoinConfig};
 pub use engine_impl::plan_query;
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
-pub use optimizer::{choose_thresholds, prefers_wcoj, ExecutionPlan, PlanChoice};
+pub use optimizer::{choose_thresholds, ExecutionPlan, PlanChoice};
 pub use plan::{plan_general, FinalStage, GeneralPlan, PlanError, PlanNode, PlanStep, ProjCols};
 pub use star::{star_join_project_mm, star_join_project_mm_flat, star_join_project_mm_with_stats};
 pub use two_path::{

@@ -1,31 +1,33 @@
 //! Algorithm 3 — the cost-based optimizer's choice for a two-path.
 //!
-//! Line 2 decides first: when the full join is no larger than `F·N` (`F`
-//! being [`JoinConfig::fallback_factor`], the paper's 20 by default), plain
-//! expansion beats any partitioning — that test is [`prefers_wcoj`] on its
-//! own, for callers that only choose between engines. Past it the plan is
-//! *everything heavy* (`Δ1 = Δ2 = 0`) if that heavy core fits the memory
-//! cap, and expansion if it does not. No threshold index is built and no
-//! `(Δ1, Δ2)` grid is searched: a mixed partition lost to the better of
-//! those two on every instance measured (DESIGN.md, "Algorithm 3"), and it
-//! runs only when forced (`delta_override`).
+//! Line 2 decides between plain expansion and an *everything-heavy* plan
+//! (`Δ1 = Δ2 = 0`). Under [`HeavyBackend::Auto`] it compares two prices,
+//! both from exact counts the relations hold (`line_two`): expansion's,
+//! `t_insert` per tuple of the exact full join `|OUT⋈|`, and the bit core's
+//! (`PackedCore`: its word operations at the bit-word rate, the build of
+//! any operand not packed yet, its allocation, the product scan and, for
+//! counting, popcount's emit). The core runs when it is cheaper; a tie, or a
+//! core over the memory cap, expands. [`JoinConfig::wcoj_fallback_factor`]
+//! scales expansion's price: neutral at its default, and still forcing the
+//! matrix at 0 and expansion at `∞`. Under the [`HeavyBackend::DenseF32`]
+//! pin line 2 is the paper's fixed test `|OUT⋈| ≤ F · N`, and the core is
+//! SGEMM over f32 operands filled per query, priced as a star's. No
+//! threshold index is built and no `(Δ1, Δ2)` grid is searched: a mixed
+//! partition lost to the better of those two plans on every instance
+//! measured (DESIGN.md, "Algorithm 3"), and it runs only when forced
+//! (`delta_override`).
 //!
-//! The heavy core is priced for the kernel that will run. Under
-//! [`HeavyBackend::Auto`] its operands are the relations' memoised packed
-//! rows ([`PackedCore`]): an existence query multiplies them over the
-//! Boolean semiring, a counting one takes `popcount(R[x] & S[z])` over both
-//! relations' `x`-major rows. The cap is checked against their real size
-//! before anything is packed, and the build term is charged only for a
-//! relation not packed yet — which moves the prediction, never the choice.
-//! Under the [`HeavyBackend::DenseF32`] pin the core is SGEMM over f32
-//! operands filled per query, priced as a star's.
+//! Under `Auto` the core's operands are the relations' memoised packed rows:
+//! an existence query multiplies them over the Boolean semiring, a counting
+//! one takes `popcount(R[x] & S[z])` over both relations' `x`-major rows. The
+//! cap is checked against their real size before anything is packed.
 //!
 //! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 //! [`HeavyBackend::DenseF32`]: crate::config::HeavyBackend::DenseF32
 
 use crate::config::JoinConfig;
 use crate::estimate::{estimate_output_size, OutputEstimate};
-use mmjoin_api::OperandSource;
+use mmjoin_api::{LineTwoPrices, OperandSource};
 use mmjoin_matrix::{BitProductPlan, Orientation};
 use mmjoin_storage::{PackedForm, Relation};
 
@@ -33,7 +35,7 @@ use mmjoin_storage::{PackedForm, Relation};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanChoice {
     /// Full join + dedup via the combinatorial WCOJ path (Algorithm 3
-    /// line 3): the join is output-like already.
+    /// line 3): expansion is the cheaper side of line 2.
     Wcoj,
     /// Partitioned plan with the chosen degree thresholds.
     Mm {
@@ -49,12 +51,16 @@ pub enum PlanChoice {
 pub struct ExecutionPlan {
     /// Chosen strategy.
     pub choice: PlanChoice,
-    /// The output estimate that drove the choice.
+    /// The output estimate, with the exact full join line 2 rests on.
     pub estimate: OutputEstimate,
+    /// Line 2's two prices under the bit kernels, whichever won; `None`
+    /// under the SGEMM pin.
+    pub line_two: Option<LineTwoPrices>,
     /// Predicted heavy-core seconds (0 for WCOJ); nothing is light in an
     /// everything-heavy plan.
     pub predicted_heavy: f64,
-    /// Number of heavy cores priced: 0 when line 2 decided, 1 otherwise.
+    /// Number of heavy cores priced: 1, except under the SGEMM pin when
+    /// its fixed test decided.
     pub iterations: usize,
     /// The heavy-core kernel the plan was priced for — `"bit row-or"` /
     /// `"bit and-any"` ([`Orientation::name`]), `"bit popcount"` or
@@ -77,16 +83,36 @@ pub(crate) const F32_KERNEL: &str = "f32";
 /// [`BitRows::and_popcount`]: mmjoin_matrix::BitRows::and_popcount
 pub(crate) const POPCOUNT_KERNEL: &str = "bit popcount";
 
-/// Algorithm 3 line 2 on its own: whether the full join is output-like
-/// (`|OUT⋈| ≤ F · N`, `F` being [`JoinConfig::fallback_factor`]), so that
-/// plain expansion beats any partitioning, together with the §5 estimate it
-/// rests on. Costs two passes over the domains, which is all a caller
-/// choosing between a combinatorial and a matrix-capable engine needs.
-pub fn prefers_wcoj(r: &Relation, s: &Relation, config: &JoinConfig) -> (bool, OutputEstimate) {
-    let estimate = estimate_output_size(r, s);
-    let n = r.len().max(s.len()).max(1) as f64;
-    let wcoj = (estimate.full_join as f64) <= config.fallback_factor() * n;
-    (wcoj, estimate)
+/// Algorithm 3 line 2 for a join whose exact full join is `full_join` over
+/// inputs of at most `n` tuples, with `price` the everything-heavy core's
+/// price and kernel (`None` over the cap): line 2's two prices (under the
+/// bit kernels) and the core, if it runs. Under the bit kernels the core
+/// runs when it is cheaper than expansion, `t_insert` per full-join tuple
+/// scaled by [`JoinConfig::expansion_scale`]; under the SGEMM pin when the
+/// full join is over `F · N`. Two-paths and stars both decide here.
+pub(crate) fn line_two(
+    config: &JoinConfig,
+    full_join: u64,
+    n: usize,
+    price: impl FnOnce() -> Option<(f64, &'static str)>,
+) -> (Option<LineTwoPrices>, Option<(f64, &'static str)>) {
+    if !config.heavy_backend.is_boolean() {
+        let output_like = full_join as f64 <= config.wcoj_fallback_factor * n.max(1) as f64;
+        return (None, if output_like { None } else { price() });
+    }
+    // Expansion of nothing costs nothing — unless a factor below 0 sends
+    // even an empty join to the core, as the paper's test did.
+    let expand_secs = match config.expansion_scale() {
+        scale if scale < 0.0 => f64::INFINITY,
+        _ if full_join == 0 => 0.0,
+        scale => config.cost_model.constants.t_insert * full_join as f64 * scale,
+    };
+    let core = price();
+    let prices = LineTwoPrices {
+        expand_secs,
+        core_secs: core.map(|(secs, _)| secs),
+    };
+    (Some(prices), core.filter(|&(secs, _)| secs < expand_secs))
 }
 
 /// Runs Algorithm 3 for the existence-only 2-path query over `r`, `s`
@@ -95,50 +121,46 @@ pub fn choose_thresholds(r: &Relation, s: &Relation, config: &JoinConfig) -> Exe
     choose_plan(r, s, config, false)
 }
 
-/// Algorithm 3 for the 2-path over `r`, `s`: line 2, then everything heavy
-/// priced for the kernel `config` runs on a query that does (`counting`)
-/// or does not read witness counts — or expansion, when that core is over
-/// the cap.
+/// Algorithm 3 for the 2-path over `r`, `s`: line 2 between expansion and
+/// everything heavy, priced for the kernel `config` runs on a query that
+/// does (`counting`) or does not read witness counts.
 pub(crate) fn choose_plan(
     r: &Relation,
     s: &Relation,
     config: &JoinConfig,
     counting: bool,
 ) -> ExecutionPlan {
-    let (wcoj, estimate) = prefers_wcoj(r, s, config);
+    let estimate = estimate_output_size(r, s);
+    let out_est = estimate.estimate.max(1) as f64;
+    let (mut iterations, mut operands) = (0, None);
+    let (line_two, core) = line_two(config, estimate.full_join, r.len().max(s.len()), || {
+        iterations = 1;
+        if config.heavy_backend.is_boolean() {
+            let core = PackedCore::of(r, s, counting);
+            let sources = core.sources(r, s);
+            operands = Some(sources);
+            core.cost(config, sources, [r.len(), s.len()], out_est)
+        } else {
+            // Every active value is heavy and every tuple an operand cell.
+            let dims = (
+                r.active_x_count(),
+                r.active_y_count().min(s.active_y_count()),
+                s.active_x_count(),
+            );
+            let (nnz1, nnz2) = (r.len() as f64, s.len() as f64);
+            heavy_core_cost(config, false, dims, nnz1, nnz2, out_est)
+        }
+    });
     let mut plan = ExecutionPlan {
         choice: PlanChoice::Wcoj,
         estimate,
+        line_two,
         predicted_heavy: 0.0,
-        iterations: 0,
+        iterations,
         heavy_kernel: None,
         heavy_operands: None,
     };
-    // Line 2: small full join ⇒ plain WCOJ plan.
-    if wcoj {
-        return plan;
-    }
-    plan.iterations = 1;
-    let out_est = estimate.estimate.max(1) as f64;
-    let (priced, operands) = if config.heavy_backend.is_boolean() {
-        let core = PackedCore::of(r, s, counting);
-        let sources = core.sources(r, s);
-        let priced = core.cost(config, sources, [r.len(), s.len()], out_est);
-        (priced, Some(sources))
-    } else {
-        // Every active value is heavy and every tuple an operand cell.
-        let dims = (
-            r.active_x_count(),
-            r.active_y_count().min(s.active_y_count()),
-            s.active_x_count(),
-        );
-        let (nnz1, nnz2) = (r.len() as f64, s.len() as f64);
-        (
-            heavy_core_cost(config, false, dims, nnz1, nnz2, out_est),
-            None,
-        )
-    };
-    if let Some((heavy, kernel)) = priced {
+    if let Some((heavy, kernel)) = core {
         plan.choice = PlanChoice::Mm {
             delta1: 0,
             delta2: 0,
@@ -378,12 +400,17 @@ mod tests {
 
     #[test]
     fn sparse_instance_picks_wcoj() {
-        // Perfect matching: full join == N, way under 20·N.
+        // Perfect matching: full join == N, and the core's words cost more.
         let edges: Vec<(Value, Value)> = (0..100).map(|i| (i, i)).collect();
         let r = rel(&edges);
         let plan = choose_thresholds(&r, &r, &JoinConfig::default());
         assert_eq!(plan.choice, PlanChoice::Wcoj);
-        assert_eq!(plan.iterations, 0);
+        assert_eq!(plan.iterations, 1, "line 2 prices the core");
+        let prices = plan.line_two.unwrap();
+        assert!(
+            prices.core_secs.unwrap() >= prices.expand_secs,
+            "{prices:?}"
+        );
     }
 
     /// 60 sets over 4 shared elements: full join = 4·60² = 14400 >> 20·240.
@@ -410,34 +437,106 @@ mod tests {
         }
     }
 
+    /// The shape the paper's `F = 20` sent to expansion: `|OUT⋈| / N = 15`,
+    /// a dense core of a few words. Its price is far below expansion's, so
+    /// line 2 takes the matrix for existence and counting alike; the SGEMM
+    /// pin keeps the paper's test, and expands.
     #[test]
-    fn fallback_factor_respected() {
-        // Full join is 20x input (3·400 vs 60 tuples): default factor 20
-        // keeps WCOJ; factor 5 switches to MM.
-        let r = clique(20, 3, 10);
-        let default_plan = choose_thresholds(&r, &r, &JoinConfig::default());
-        assert_eq!(default_plan.choice, PlanChoice::Wcoj);
-        let tight_plan = choose_thresholds(&r, &r, &with_factor(5.0));
-        assert!(matches!(tight_plan.choice, PlanChoice::Mm { .. }));
+    fn a_dense_pair_under_twenty_times_its_input_takes_the_cheaper_core() {
+        let r = clique(15, 40, 1);
+        let (full_join, n) = (9_000u64, r.len() as u64);
+        assert!((10 * n..20 * n).contains(&full_join));
+        for counting in [false, true] {
+            let plan = choose_plan(&r, &r, &JoinConfig::default(), counting);
+            assert_eq!(plan.estimate.full_join, full_join);
+            assert!(matches!(plan.choice, PlanChoice::Mm { .. }), "{plan:?}");
+            let prices = plan.line_two.unwrap();
+            assert_eq!(prices.core_secs, Some(plan.predicted_heavy));
+            assert!(plan.predicted_heavy < prices.expand_secs, "{prices:?}");
+        }
+        let pinned = JoinConfig {
+            heavy_backend: HeavyBackend::DenseF32,
+            ..JoinConfig::default()
+        };
+        let plan = choose_thresholds(&r, &r, &pinned);
+        assert_eq!((plan.choice, plan.line_two), (PlanChoice::Wcoj, None));
+        assert_eq!(plan.iterations, 0, "the pin's fixed test decided");
     }
 
-    /// Line 2 on its own gives the verdict and the estimate the full
-    /// optimizer starts from, for either kind of query.
+    /// A DBLP-like pair: 3 000 sets of 3 elements from a 3 000-wide domain,
+    /// every element in 3 sets — `|OUT⋈| / N = 3`, and a core of millions of
+    /// bit words for 27 000 full-join tuples. Expansion is cheaper, for
+    /// existence and counting alike.
     #[test]
-    fn prefers_wcoj_is_line_two_of_choose_thresholds() {
-        let r = clique(20, 3, 10);
-        for config in [JoinConfig::default(), with_factor(5.0), with_factor(0.0)] {
-            let (wcoj, estimate) = prefers_wcoj(&r, &r, &config);
+    fn a_sparse_wide_pair_stays_on_expansion() {
+        let edges: Vec<(Value, Value)> = (0..3000)
+            .flat_map(|x| (0..3).map(move |j| (x, (7 * x + 1009 * j) % 3000)))
+            .collect();
+        let r = rel(&edges);
+        for counting in [false, true] {
+            let plan = choose_plan(&r, &r, &JoinConfig::default(), counting);
+            assert_eq!(plan.estimate.full_join, 27_000);
+            let core = PackedCore::of(&r, &r, counting);
+            let words = core
+                .bit
+                .map_or((3000 * 3000 * 3000usize.div_ceil(64)) as f64, |bit| {
+                    bit.words
+                });
+            assert!(words > 10.0 * 27_000.0, "{words}");
+            assert_eq!(plan.choice, PlanChoice::Wcoj, "{plan:?}");
+            let prices = plan.line_two.unwrap();
+            assert!(prices.core_secs.unwrap() > prices.expand_secs, "{prices:?}");
+        }
+    }
+
+    /// The factor scales expansion's price and nothing else: at `0` the
+    /// matrix runs whenever its core fits (even the matching, where it
+    /// loses), at `∞` expansion always does (even the clique, where it
+    /// loses), for existence and counting.
+    #[test]
+    fn a_factor_of_zero_or_infinity_still_forces() {
+        let matching = rel(&(0..100).map(|i| (i, i)).collect::<Vec<_>>());
+        for r in [matching, clique(60, 4, 1)] {
             for counting in [false, true] {
-                let plan = choose_plan(&r, &r, &config, counting);
-                assert_eq!(wcoj, plan.choice == PlanChoice::Wcoj);
-                assert_eq!(estimate, plan.estimate);
+                let plan = |factor| choose_plan(&r, &r, &with_factor(factor), counting);
+                assert!(matches!(plan(0.0).choice, PlanChoice::Mm { .. }));
+                assert_eq!(plan(0.0).line_two.unwrap().expand_secs, f64::INFINITY);
+                assert_eq!(plan(f64::INFINITY).choice, PlanChoice::Wcoj);
+                assert_eq!(plan(f64::INFINITY).line_two.unwrap().expand_secs, 0.0);
             }
         }
-        assert_eq!(
-            prefers_wcoj(&r, &r, &JoinConfig::default()).1.full_join,
-            1200
-        );
+        // A join with no tuple expands at any factor.
+        let (a, b) = (rel(&[(0, 0)]), rel(&[(0, 1)]));
+        let plan = choose_thresholds(&a, &b, &with_factor(0.0));
+        assert_eq!(plan.choice, PlanChoice::Wcoj);
+    }
+
+    /// Line 2 compares the two prices it records: `t_insert` per full-join
+    /// tuple times the factor's scale, and the core's; a higher `t_insert`
+    /// or a lower factor moves only expansion's, a slower bit-word rate only
+    /// the core's.
+    #[test]
+    fn line_two_records_the_prices_it_compared() {
+        let r = clique(20, 3, 10);
+        let base = choose_thresholds(&r, &r, &JoinConfig::default());
+        let prices = base.line_two.unwrap();
+        let t_insert = JoinConfig::default().cost_model.constants.t_insert;
+        assert!((prices.expand_secs - t_insert * 1200.0).abs() < 1e-15);
+        let halved = choose_thresholds(&r, &r, &with_factor(10.0))
+            .line_two
+            .unwrap();
+        assert!((halved.expand_secs - 2.0 * prices.expand_secs).abs() < 1e-15);
+        assert_eq!(halved.core_secs, prices.core_secs);
+        let mut slow = JoinConfig::default();
+        slow.cost_model = slow.cost_model.with_bit_word_secs(1e-6);
+        let slowed = choose_thresholds(&r, &r, &slow);
+        assert_eq!(slowed.line_two.unwrap().expand_secs, prices.expand_secs);
+        assert!(slowed.line_two.unwrap().core_secs > prices.core_secs);
+        for plan in [base, slowed] {
+            let prices = plan.line_two.unwrap();
+            let matrix = matches!(plan.choice, PlanChoice::Mm { .. });
+            assert_eq!(matrix, prices.core_secs.unwrap() < prices.expand_secs);
+        }
     }
 
     /// The record names the heavy-core kernel a plan dispatches to, and

@@ -1,10 +1,10 @@
 //! MMJoin for star queries `Q*_k(x1,…,xk) = R1(x1,y), …, Rk(xk,y)` (§3.2).
 //!
 //! A star is planned like an existence two-path (see [`crate::two_path`]):
-//! line 2 of Algorithm 3 on the star's exact full join, and past it
-//! *everything heavy* — `Δ1 = Δ2 = 0` — if that heavy core fits the memory
-//! cap, expansion if not. Nothing is light then: the answer is the heavy
-//! core's product itself, handed to the sink as its cells
+//! line 2 of Algorithm 3 weighs expansion of the star's exact full join
+//! against the *everything-heavy* core — `Δ1 = Δ2 = 0` — and runs the core
+//! when it is cheaper and fits the memory cap. Nothing is light then: the
+//! answer is the heavy core's product itself, handed to the sink as its cells
 //! ([`FlatRows::product`]) — no accumulator, no sort, and no row written
 //! until one is read; its cells, walked row-major, are the rows sorted and
 //! distinct.
@@ -48,7 +48,7 @@
 //! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 
 use crate::config::JoinConfig;
-use crate::optimizer::{heavy_core_cost, F32_KERNEL};
+use crate::optimizer::{heavy_core_cost, line_two, F32_KERNEL};
 use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, Operands};
 use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
@@ -204,9 +204,10 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
 }
 
 /// Algorithm 3 for a semi-join-reduced star, as the two-path runs it for an
-/// existence query: line 2 on the star's exact full join, then
-/// everything-heavy (`Δ1 = Δ2 = 0`) if that core fits the memory cap, and
-/// expansion if it does not. The record's heavy core `(rows of V, heavy y
+/// existence query: line 2 ([`line_two`]) between expansion of the star's
+/// exact full join and the everything-heavy (`Δ1 = Δ2 = 0`) core built for
+/// this query ([`price_all_heavy`]) — expansion when that core is over the
+/// memory cap. The record's heavy core `(rows of V, heavy y
 /// columns, rows of W)` carries upper bounds on the row counts (the run
 /// reports the exact ones). A forced `delta_override` is recorded unpriced,
 /// like a forced two-path; the run fills in the rest.
@@ -217,15 +218,15 @@ fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
     let n = relations.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
     let full_join = full_join_count(relations);
     let estimated_out = estimate_star_output(relations, full_join, n);
-    // Line 2, star flavour: join already output-like.
-    let all_heavy = if full_join as f64 <= config.fallback_factor() * n as f64 {
-        None
-    } else {
-        price_all_heavy(relations, estimated_out, config)
-    };
+    let mut dims = (0, 0, 0);
+    let (line_two, all_heavy) = line_two(config, full_join, n as usize, || {
+        let priced = price_all_heavy(relations, estimated_out, config)?;
+        dims = priced.0;
+        Some((priced.1, priced.2))
+    });
     let mut stats = match all_heavy {
         None => PlanStats::wcoj(),
-        Some((dims, heavy, kernel)) => PlanStats {
+        Some((heavy, kernel)) => PlanStats {
             heavy_dims: Some(dims),
             heavy_core_matrix: Some(true),
             heavy_backend: Some(kernel),
@@ -236,6 +237,7 @@ fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
     };
     stats.full_join = Some(full_join);
     stats.estimated_out = Some(estimated_out);
+    stats.line_two = line_two;
     stats
 }
 
@@ -637,6 +639,58 @@ mod tests {
             PlanStats::wcoj()
         );
         assert!(star_join_project_mm(&disjoint, &config).is_empty());
+    }
+
+    /// Line 2 of a star is the two-path's: expansion's price against the
+    /// core built for the query. Four sets over 40 elements in each of
+    /// three legs have `|OUT⋈| / N = 16` — expansion under the paper's
+    /// `F = 20`, which the SGEMM pin keeps — and a core of a few words, so
+    /// the star multiplies. A DBLP-like star (3 000 sets of 3 from a 3 000
+    /// wide domain, `|OUT⋈| / N = 9`) has a core of tens of thousands of
+    /// rows for 81 000 full-join tuples, and expands. A factor of `0` or
+    /// `∞` forces either.
+    #[test]
+    fn a_star_takes_the_cheaper_side_of_line_two() {
+        let dense = vec![clique(4, 40, 0); 3];
+        let wide = rel(&(0..3000)
+            .flat_map(|x| (0..3).map(move |j| (x, (7 * x + 1009 * j) % 3000)))
+            .collect::<Vec<_>>());
+        let wide = vec![wide; 3];
+        let config = JoinConfig::default();
+        let dense_plan = plan_reduced(&dense, &config);
+        assert_eq!(dense_plan.full_join, Some(16 * 160));
+        assert_eq!(dense_plan.kind, PlanKind::MatrixPartitioned);
+        let prices = dense_plan.line_two.unwrap();
+        assert_eq!(prices.core_secs, dense_plan.predicted_heavy_secs);
+        assert!(prices.core_secs.unwrap() < prices.expand_secs, "{prices:?}");
+        let pinned = JoinConfig {
+            heavy_backend: crate::config::HeavyBackend::DenseF32,
+            ..JoinConfig::default()
+        };
+        let pinned_plan = plan_reduced(&dense, &pinned);
+        assert_eq!(
+            (pinned_plan.kind, pinned_plan.line_two),
+            (PlanKind::Wcoj, None)
+        );
+
+        let wide_plan = plan_reduced(&wide, &config);
+        assert_eq!(wide_plan.full_join, Some(9 * 9000));
+        assert_eq!(wide_plan.kind, PlanKind::Wcoj);
+        let prices = wide_plan.line_two.unwrap();
+        assert!(prices.core_secs.unwrap() > prices.expand_secs, "{prices:?}");
+
+        for (factor, kind) in [
+            (0.0, PlanKind::MatrixPartitioned),
+            (f64::INFINITY, PlanKind::Wcoj),
+        ] {
+            let forced = JoinConfig {
+                wcoj_fallback_factor: factor,
+                ..JoinConfig::default()
+            };
+            for rels in [&dense, &wide] {
+                assert_eq!(plan_reduced(rels, &forced).kind, kind, "{factor}");
+            }
+        }
     }
 
     /// The half-tuples come out in lexicographic order whatever order the

@@ -530,6 +530,7 @@ pub(crate) fn plan_two_path(
     };
     stats.full_join = Some(plan.estimate.full_join);
     stats.estimated_out = Some(plan.estimate.estimate);
+    stats.line_two = plan.line_two;
     stats
 }
 

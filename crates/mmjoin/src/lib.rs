@@ -59,8 +59,8 @@
 
 pub use mmjoin_api::{
     Atom, CountSink, Engine, EngineError, EngineRegistry, ExecStats, FlatRows, ForEachSink,
-    LimitSink, OperandSource, PairSink, PhaseSecs, PlanKind, PlanStats, Query, QueryError,
-    QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
+    LimitSink, LineTwoPrices, OperandSource, PairSink, PhaseSecs, PlanKind, PlanStats, Query,
+    QueryError, QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
     execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,

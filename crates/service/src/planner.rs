@@ -8,14 +8,15 @@
 //! wins, otherwise `MMJoin` takes the query and reports its decision in
 //! [`PlanStats`](mmjoin_api::PlanStats). The one exception is the
 //! containment join, whose combinatorial path is a different algorithm
-//! (`PRETTI`) that `MMJoin` does not contain: for it the service still
-//! applies line 2 on its own to pick between `PRETTI` and `MMJoin`. A
+//! (`PRETTI`) that `MMJoin` does not contain: it goes to `PRETTI` when
+//! `MMJoin`'s own plan for it ([`plan_query`]) is expansion, so the route
+//! and the engine's line 2 are one decision. A
 //! similarity join goes to `MMJoin` like the rest: measured on `fig5a`
 //! (DBLP), `MMJoin` answers it faster than `SizeAware++` at every `c`.
 
 use crate::error::ServiceError;
-use mmjoin_api::{Engine, EngineRegistry, Query};
-use mmjoin_core::{prefers_wcoj, JoinConfig};
+use mmjoin_api::{Engine, EngineRegistry, PlanKind, Query};
+use mmjoin_core::{plan_query, JoinConfig};
 
 /// Registry name of the engine that plans: where unpinned queries are
 /// routed, and the one whose decision record `explain` can print.
@@ -26,8 +27,8 @@ pub(crate) const PLANNING_ENGINE: &str = "MMJoin";
 pub enum SelectionReason {
     /// The request pinned the engine by name.
     Pinned,
-    /// The family's route: `MMJoin`, or — for a containment join whose
-    /// full join is output-like — `PRETTI`.
+    /// The family's route: `MMJoin`, or — for a containment join `MMJoin`
+    /// would expand — `PRETTI`.
     Routed,
     /// The routed engine is not registered (or does not support this
     /// query); the first registered engine that does ran instead.
@@ -80,12 +81,11 @@ impl Planner {
             }
             return selected(engine, SelectionReason::Pinned);
         }
-        // Algorithm 3's line 2, for the one family whose combinatorial path
-        // is an engine of its own.
+        // `MMJoin`'s line 2, for the one family whose combinatorial path is
+        // an engine of its own.
+        let expands = || plan_query(query, &self.config).is_ok_and(|p| p.kind == PlanKind::Wcoj);
         let specialist = match query {
-            Query::ContainmentJoin { r } if prefers_wcoj(r, r, &self.config).0 => {
-                registry.get("PRETTI")
-            }
+            Query::ContainmentJoin { .. } if expands() => registry.get("PRETTI"),
             _ => None,
         }
         .filter(|engine| engine.supports(query));
@@ -158,46 +158,104 @@ mod tests {
         assert_eq!(routed(&q), ("MMJoin".to_string(), PlanKind::Wcoj));
     }
 
-    /// A star crosses over where the Boolean core does: under a measured
-    /// model at the bit kernels' factor, below the paper's 20. That is the
-    /// one line-2 factor, so a similarity join over the same relation —
-    /// counted by AND-popcount — crosses over with it, inside `MMJoin`.
+    /// A star and both set joins cross over where line 2's prices do: a
+    /// measured model moves them through its rates, not through the factor.
+    /// 20 sets over 3 elements — a full join exactly 20× the input — have
+    /// cores far cheaper than expansion at the reference bit-word rate, and
+    /// far dearer at a rate 10⁴× slower; the containment join goes to
+    /// `PRETTI` exactly when `MMJoin` would expand it.
     #[test]
-    fn a_star_crosses_over_where_the_boolean_core_does() {
+    fn a_star_and_the_set_joins_cross_over_where_line_two_prices_do() {
         use mmjoin_matrix::cost::{Sample, SystemConstants};
-        use mmjoin_matrix::{CostModel, REFERENCE_GFLOPS};
+        use mmjoin_matrix::{CostModel, REFERENCE_BIT_WORD_SECS, REFERENCE_GFLOPS};
         let p = 512usize;
         let seconds = 2.0 * (p as f64).powi(3) / (REFERENCE_GFLOPS * 1e9);
-        let model = CostModel::from_samples(
-            vec![Sample {
+        let measured = |bit_word_secs| {
+            let sample = Sample {
                 p,
                 cores: 1,
                 seconds,
-            }],
-            SystemConstants::default(),
-        );
-        let mut config = JoinConfig::default();
-        config.install_measured_model(model);
-        assert!(config.fallback_factor() < 20.0, "{config:?}");
-        // 20 sets over 3 elements: the full join is exactly 20× the input.
+            };
+            let model = CostModel::from_samples(vec![sample], SystemConstants::default())
+                .with_bit_word_secs(bit_word_secs);
+            let mut config = JoinConfig::default();
+            config.install_measured_model(model);
+            config
+        };
         let r = Relation::from_edges((0..20u32).flat_map(|x| (0..3u32).map(move |y| (x, y))));
         let rels = [&r, &r, &r];
         let star = Query::star(&rels).build().unwrap();
-        let plan = plan_query(&star, &config).unwrap();
-        assert_eq!(plan.kind, PlanKind::MatrixPartitioned);
         let similarity = Query::similarity(&r, 2).build().unwrap();
-        let planner = Planner::new(config.clone());
-        let selection = planner.select(&default_registry(1), &similarity, None);
-        assert_eq!(selection.unwrap().engine, "MMJoin");
-        let plan = plan_query(&similarity, &config).unwrap();
-        assert_eq!(plan.heavy_backend, Some("bit popcount"));
-        // Under the paper's factor both stay on the combinatorial side, and
-        // the similarity join is still `MMJoin`'s to plan.
-        let paper = Planner::new(JoinConfig::default());
-        let selection = paper.select(&default_registry(1), &similarity, None);
-        assert_eq!(selection.unwrap().engine, "MMJoin");
-        let plan = plan_query(&similarity, &JoinConfig::default()).unwrap();
-        assert_eq!(plan.kind, PlanKind::Wcoj);
+        let containment = Query::containment(&r).build().unwrap();
+        for (config, kind, specialist) in [
+            (
+                measured(REFERENCE_BIT_WORD_SECS),
+                PlanKind::MatrixPartitioned,
+                "MMJoin",
+            ),
+            (
+                measured(REFERENCE_BIT_WORD_SECS * 1e4),
+                PlanKind::Wcoj,
+                "PRETTI",
+            ),
+        ] {
+            let planner = Planner::new(config.clone());
+            let route = |q: &Query<'_>| {
+                let selection = planner.select(&default_registry(1), q, None).unwrap();
+                (selection.engine, plan_query(q, &config).unwrap().kind)
+            };
+            assert_eq!(route(&star), ("MMJoin".to_string(), kind));
+            assert_eq!(route(&similarity), ("MMJoin".to_string(), kind));
+            assert_eq!(route(&containment), (specialist.to_string(), kind));
+            let plan = plan_query(&similarity, &config).unwrap();
+            let prices = plan.line_two.unwrap();
+            assert_eq!(
+                kind == PlanKind::MatrixPartitioned,
+                prices.core_secs.unwrap() < prices.expand_secs
+            );
+        }
+    }
+
+    /// The containment route and `MMJoin`'s plan are one decision, on every
+    /// shape and under every factor and backend: `PRETTI` exactly when the
+    /// plan is expansion.
+    #[test]
+    fn the_containment_route_is_the_engines_line_two() {
+        let mid = Relation::from_edges((0..15u32).flat_map(|x| (0..40u32).map(move |y| (x, y))));
+        let wide = Relation::from_edges(
+            (0..3000u32).flat_map(|x| (0..3u32).map(move |j| (x, (7 * x + 1009 * j) % 3000))),
+        );
+        let forced = |factor| JoinConfig {
+            wcoj_fallback_factor: factor,
+            ..JoinConfig::default()
+        };
+        let pinned = JoinConfig {
+            heavy_backend: mmjoin_core::HeavyBackend::DenseF32,
+            ..JoinConfig::default()
+        };
+        let configs = [
+            JoinConfig::default(),
+            forced(0.0),
+            forced(f64::INFINITY),
+            pinned,
+        ];
+        let mut seen = (false, false);
+        for r in [sparse(), dense(), mid, wide] {
+            let q = Query::containment(&r).build().unwrap();
+            for config in &configs {
+                let selection = Planner::new(config.clone())
+                    .select(&default_registry(1), &q, None)
+                    .unwrap();
+                let expands = plan_query(&q, config).unwrap().kind == PlanKind::Wcoj;
+                assert_eq!(selection.engine == "PRETTI", expands, "{config:?}");
+                if expands {
+                    seen.0 = true;
+                } else {
+                    seen.1 = true;
+                }
+            }
+        }
+        assert_eq!(seen, (true, true));
     }
 
     #[test]

@@ -1268,7 +1268,8 @@ pub(crate) mod tests {
             "D",
             Relation::from_edges((0..30u32).flat_map(|x| (0..8u32).map(move |y| (x, y)))),
         );
-        s.register("R", tiny());
+        // A matching: its star's full join is its input.
+        s.register("R", Relation::from_edges((0..50u32).map(|i| (i, i))));
         let text = s
             .explain(Request::star(["D", "D", "D"]))
             .unwrap()
@@ -1282,6 +1283,7 @@ pub(crate) mod tests {
             "{text}"
         );
         assert!(text.contains("full join 216000, est out 27000"), "{text}");
+        assert!(text.contains("; line 2: expand 540us > core "), "{text}");
         let plan = s.query(Request::star(["D", "D", "D"])).unwrap();
         let plan = plan.stats.plan.as_ref().unwrap();
         assert_eq!((plan.delta1, plan.delta2), (Some(0), Some(0)));
@@ -1293,7 +1295,8 @@ pub(crate) mod tests {
             .unwrap()
             .join("\n");
         assert!(text.contains("plan: expand (WCOJ)"), "{text}");
-        assert!(text.contains("full join 28"), "{text}");
+        assert!(text.contains("full join 50 is output-like"), "{text}");
+        assert!(text.contains("; line 2: expand 0.125us ≤ core "), "{text}");
         let text = s.explain(Request::star(["D", "D"])).unwrap().join("\n");
         assert!(text.contains("plan: matrix-partitioned"), "{text}");
         assert!(!text.contains('×'), "{text}");

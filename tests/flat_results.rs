@@ -237,11 +237,13 @@ fn evicting_an_entry_frees_the_same_at_any_output_size() {
         assert_eq!(service.cache_counters().2, 1, "one eviction");
         tally.frees
     };
-    // Sets in tens, each ten sharing one element: 100 pairs a ten.
+    // Sets in tens, each ten sharing one element: 100 pairs a ten. Below
+    // about a hundred tens the product's few words are priced under the
+    // 100 scatters a ten costs, and the answer would be product cells.
     let tens = |sets: u32| Relation::from_edges((0..sets).map(|x| (x, x / 10)));
     for (small, large) in [
         (
-            frees_evicting(tens(10), 100, false),
+            frees_evicting(tens(1_000), 10_000, false),
             frees_evicting(tens(16_000), 160_000, false),
         ),
         (

@@ -70,6 +70,7 @@ fn decision(plan: &PlanStats) -> impl PartialEq + std::fmt::Debug {
         plan.heavy_backend.map(|kernel| kernel.starts_with("bit ")),
         (plan.full_join, plan.estimated_out),
         (plan.predicted_light_secs, plan.predicted_heavy_secs),
+        plan.line_two,
     )
 }
 
@@ -122,11 +123,20 @@ fn explain_prints_the_record_the_run_returns() {
     for (line, query, request, kind) in cases {
         let planned = plan_query(&query, &config).unwrap();
         assert_eq!(planned.kind, kind, "{line}");
+        let explained = explain(&service, line);
+        assert_eq!(explained[2..], [planned.to_string()], "{line}");
+        // Both sides of line 2, the cheaper one taken.
+        let prices = planned.line_two.expect("line 2 priced both sides");
+        let core = prices.core_secs.expect("every core here fits");
         assert_eq!(
-            explain(&service, line)[2..],
-            [planned.to_string()],
-            "{line}"
+            core < prices.expand_secs,
+            kind == PlanKind::MatrixPartitioned
         );
+        let sign = if kind == PlanKind::Wcoj { '≤' } else { '>' };
+        let (text, printed) = (&explained[2], prices.to_string());
+        assert!(text.ends_with(&format!("; {printed}")), "{text}");
+        assert!(printed.starts_with("line 2: expand "), "{printed}");
+        assert!(printed.contains(&format!("us {sign} core ")), "{printed}");
         let response = service.query(request).unwrap();
         assert_eq!(response.stats.engine, "MMJoin", "{line}");
         let ran = response
@@ -201,7 +211,7 @@ fn display_keeps_the_strings_operators_grep_for() {
         "{star}"
     );
     assert!(
-        star.ends_with("us) — full join 216000, est out 27000"),
+        star.ends_with("us) — full join 216000, est out 27000; line 2: expand 540us > core 14.2us"),
         "{star}"
     );
     // The star of CI's REPL step: 30, 28 and 26 sets over elements 0 and 1.
@@ -216,13 +226,29 @@ fn display_keeps_the_strings_operators_grep_for() {
         "{pair}"
     );
     assert!(!pair.contains('×'), "{pair}");
-    let tiny = Relation::from_edges([(0, 0), (1, 0), (2, 1), (2, 0)]);
-    assert_eq!(
-        plan(&[&tiny, &tiny, &tiny]).unwrap().to_string(),
-        "plan: expand (WCOJ) — full join 28 is output-like (est out 22)"
+    let matching = Relation::from_edges((0..50u32).map(|i| (i, i)));
+    let star = plan(&[&matching, &matching, &matching])
+        .unwrap()
+        .to_string();
+    assert!(
+        star.starts_with(
+            "plan: expand (WCOJ) — full join 50 is output-like (est out 50); \
+             line 2: expand 0.125us ≤ core "
+        ),
+        "{star}"
     );
+    // A core over the memory cap is said so.
+    let capped = JoinConfig {
+        matrix_cell_cap: 0,
+        ..JoinConfig::default()
+    };
+    let over = plan_query(&Query::star(&[&leg, &leg, &leg]).build().unwrap(), &capped);
+    assert!(over
+        .unwrap()
+        .to_string()
+        .ends_with("is output-like (est out 27000); line 2: expand 540us, core over cap"),);
 
-    let chain = [&tiny, &tiny, &tiny];
+    let chain = [&matching, &matching, &matching];
     let graph = QueryGraph::chain(&chain).unwrap();
     let composed = plan_query(&Query::General { graph }, &config).unwrap();
     let text = composed.to_string();

@@ -519,9 +519,11 @@ fn construction_retains_no_edge_array() {
 /// relation's edge array.
 #[test]
 fn no_chain_copies_a_registered_relation() {
+    // Every step expands: a step that multiplied would pack a form, which
+    // after the update below is as large as an edge array.
     let service = Service::with_config(ServiceConfig {
         cache_capacity: 0,
-        join_config: served(20.0, 1),
+        join_config: served(f64::INFINITY, 1),
         ..ServiceConfig::default()
     });
     let head = Relation::from_edges((0..8).map(|i| (i, i)));
