@@ -182,12 +182,14 @@ pub struct PlanStats {
     /// records the one that ran.
     pub heavy_backend: Option<&'static str>,
     /// For a heavy core multiplied from the relations' memoised packed rows
-    /// (an optimizer-chosen two-path under the default backend): whether the left and the
-    /// right operand are packed by this query or reused — as found when
-    /// planning, as it happened after a run. It explains a predicted (and
-    /// measured) heavy cost that differs between two runs of one query,
-    /// and with it a line 2 that went the other way. `None` for operands
-    /// built per query.
+    /// (an optimizer-chosen two-path or star under the default backend):
+    /// whether the left and the right operand are packed by this query or
+    /// reused — as found when planning, as it happened after a run. A
+    /// star's left operand is `V`'s legs and its right `W`'s: reused when
+    /// every leg of the group was packed before the query. It explains a
+    /// predicted (and measured) heavy cost that differs between two runs of
+    /// one query, and with it a line 2 that went the other way. `None` for
+    /// operands built per query.
     pub heavy_operands: Option<[OperandSource; 2]>,
     /// Tuples handled by the light (expansion) passes per input relation:
     /// `(input size − heavy tuple mass)` for `(R, S)`.
@@ -370,7 +372,14 @@ impl PlanStats {
             write!(f, " {rows_a} × {heavy_y} × {rows_b}")?;
         }
         if let Some([left, right]) = self.heavy_operands {
-            write!(f, ", operands {left}/{right}")?;
+            // After a shape, the shape's operands; after a kernel alone, a
+            // second item.
+            let lead = if self.heavy_dims.is_some() {
+                " over"
+            } else {
+                ","
+            };
+            write!(f, "{lead} operands {left}/{right}")?;
         }
         if let Some((light, heavy)) = self.predicted_light_secs.zip(self.predicted_heavy_secs) {
             let (light, heavy) = (light * 1e6, heavy * 1e6);

@@ -147,8 +147,7 @@ pub(crate) fn choose_plan(
                 r.active_y_count().min(s.active_y_count()),
                 s.active_x_count(),
             );
-            let (nnz1, nnz2) = (r.len() as f64, s.len() as f64);
-            heavy_core_cost(config, false, dims, nnz1, nnz2, out_est)
+            f32_core_cost(config, dims, r.len() as f64, out_est)
         }
     });
     let mut plan = ExecutionPlan {
@@ -172,17 +171,19 @@ pub(crate) fn choose_plan(
     plan
 }
 
-/// Lines 12–13: cost of a heavy core over `u × v × w` with `nnz1` / `nnz2`
-/// set cells in the two operands, built for this query alone, and the
-/// kernel it is the cost of — or `None` when the core would be empty or
-/// over the memory cap (such a partition runs no matrix). Shared by the
-/// two-path's SGEMM pin and the star planner.
-pub(crate) fn heavy_core_cost(
+/// Lines 12–13: cost of a heavy core multiplied by SGEMM over `u × v × w`
+/// f32 operands with `nnz1` set cells on the left, filled for this query
+/// alone, and its kernel — or `None` when the core would be empty or over
+/// the memory cap (such a partition runs no matrix). The GEMM term is
+/// priced by its *effective* work — the kernel skips zero rows of M1, so
+/// the madds executed are ≈ nnz(M1)·w — plus the zero-branch scan of M1,
+/// the (calloc-cheap) matrix allocations, the extraction scan of all u·w
+/// cells (the paper's `Tm·(u·v + u·w)`), and the rows written. Shared by
+/// the two-path's and the star's SGEMM pin.
+pub(crate) fn f32_core_cost(
     config: &JoinConfig,
-    boolean: bool,
     (u, v, w): (usize, usize, usize),
     nnz1: f64,
-    nnz2: f64,
     out_est: f64,
 ) -> Option<(f64, &'static str)> {
     if u == 0 || v == 0 || w == 0 {
@@ -190,47 +191,29 @@ pub(crate) fn heavy_core_cost(
     }
     let consts = config.cost_model.constants;
     let (uf, vf, wf) = (u as f64, v as f64, w as f64);
-    let (nnz1, nnz2) = (nnz1.min(uf * vf), nnz2.min(vf * wf));
-    if boolean {
-        // Every tuple is walked and every byte allocated; the product is the
-        // answer, so no row is written.
-        let bit = BitProductPlan::choose(u, v, w, nnz1, nnz2);
-        let product_words = uf * (wf / 64.0).ceil();
-        let cost = bit_core_cost(
-            config,
-            bit.words,
-            product_words,
-            [bit.bytes, bit.bytes],
-            nnz1 + nnz2,
-            0.0,
-        )?;
-        Some((cost, bit.orientation.name()))
-    } else {
-        // The GEMM term is priced by its *effective* work — the kernel
-        // skips zero rows of M1, so the madds executed are ≈ nnz(M1)·w
-        // — plus the zero-branch scan of M1, the (calloc-cheap) matrix
-        // allocations, the extraction scan of all u·w cells (the paper's
-        // `Tm·(u·v + u·w)`), and the rows written.
-        let cells = uf * vf + vf * wf + uf * wf;
-        let cap_bytes = config.matrix_cell_cap.saturating_mul(4);
-        (4.0 * cells <= cap_bytes as f64).then(|| {
-            let cost = config
-                .cost_model
-                .estimate_effective(nnz1 * wf, config.effective_threads())
-                + consts.t_seq * (uf * vf + uf * wf)
-                + 0.1e-9 * cells
-                + consts.t_insert * (uf * wf).min(out_est);
-            (cost, F32_KERNEL)
-        })
-    }
+    let nnz1 = nnz1.min(uf * vf);
+    let cells = uf * vf + vf * wf + uf * wf;
+    let cap_bytes = config.matrix_cell_cap.saturating_mul(4);
+    (4.0 * cells <= cap_bytes as f64).then(|| {
+        let cost = config
+            .cost_model
+            .estimate_effective(nnz1 * wf, config.effective_threads())
+            + consts.t_seq * (uf * vf + uf * wf)
+            + 0.1e-9 * cells
+            + consts.t_insert * (uf * wf).min(out_est);
+        (cost, F32_KERNEL)
+    })
 }
 
 /// A bit core's price once its work is known: `None` when `bytes` — its
-/// operands and product — are over the cap, else `words` word operations,
-/// one pass over the `build_nnz` tuples of the operands this query fills,
-/// `fresh_bytes` allocated zeroed (`Tm` is per 32 bytes), one scan of the
-/// `product_words` words of the product, and `emit` for the rows it writes.
-fn bit_core_cost(
+/// operands and product — are over the cap, else its fixed set-up (`t_setup`:
+/// allocations, spans, kernel start), `words` word operations, one pass over
+/// the `build_nnz` tuples of the operands this query fills, `fresh_bytes`
+/// allocated zeroed (`Tm` is per 32 bytes), one scan of the `product_words`
+/// words of the product, and `emit` for the rows it writes. The fixed term
+/// sends a join of a few tuples to expansion, whose price is a few
+/// nanoseconds there.
+pub(crate) fn bit_core_cost(
     config: &JoinConfig,
     words: f64,
     product_words: f64,
@@ -240,7 +223,8 @@ fn bit_core_cost(
 ) -> Option<f64> {
     let consts = config.cost_model.constants;
     (bytes <= config.matrix_cell_cap.saturating_mul(4)).then(|| {
-        config.cost_model.estimate_bit_product(words)
+        consts.t_setup
+            + config.cost_model.estimate_bit_product(words)
             + consts.t_seq * build_nnz
             + consts.t_alloc * fresh_bytes as f64 / 32.0
             + consts.t_seq * product_words
@@ -486,6 +470,21 @@ mod tests {
             assert_eq!(plan.choice, PlanChoice::Wcoj, "{plan:?}");
             let prices = plan.line_two.unwrap();
             assert!(prices.core_secs.unwrap() > prices.expand_secs, "{prices:?}");
+        }
+    }
+
+    /// A join of a few tuples expands: the core's fixed set-up alone is
+    /// dearer than expanding them, for existence and counting.
+    #[test]
+    fn a_join_of_four_tuples_expands() {
+        let tiny = rel(&[(0, 0), (1, 0), (2, 1), (2, 0)]);
+        let t_setup = JoinConfig::default().cost_model.constants.t_setup;
+        for counting in [false, true] {
+            let plan = choose_plan(&tiny, &tiny, &JoinConfig::default(), counting);
+            assert_eq!(plan.choice, PlanChoice::Wcoj, "{plan:?}");
+            let prices = plan.line_two.unwrap();
+            assert!(prices.core_secs.unwrap() > t_setup, "{prices:?}");
+            assert!(prices.expand_secs < t_setup, "{prices:?}");
         }
     }
 

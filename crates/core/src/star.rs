@@ -1,30 +1,22 @@
 //! MMJoin for star queries `Q*_k(x1,…,xk) = R1(x1,y), …, Rk(xk,y)` (§3.2).
 //!
-//! A star is planned like an existence two-path (see [`crate::two_path`]):
-//! line 2 of Algorithm 3 weighs expansion of the star's exact full join
-//! against the *everything-heavy* core — `Δ1 = Δ2 = 0` — and runs the core
-//! when it is cheaper and fits the memory cap. Nothing is light then: the
-//! answer is the heavy core's product itself, handed to the sink as its cells
-//! ([`FlatRows::product`]) — no accumulator, no sort, and no row written
-//! until one is read; its cells, walked row-major, are the rows sorted and
-//! distinct.
+//! A star is planned like an existence two-path ([`crate::two_path`]): line
+//! 2 of Algorithm 3 weighs expansion of the exact full join against the
+//! *everything-heavy* core (`Δ1 = Δ2 = 0`), priced from the legs' `by_y`
+//! degrees alone ([`counts`]); no leg is copied, and the semi-join reduction
+//! is a mask of the `y`s every leg holds. The answer is the core's product,
+//! handed to the sink as its cells ([`FlatRows::product`]): sorted, distinct.
 //!
-//! The heavy core multiplies two *grouped-variable* matrices: rows of `V`
-//! are the distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W` over the
-//! remaining variables, columns are the heavy `y`; `V · Wᵀ` is the heavy
-//! output. Each leg is read as two bit matrices built from its CSR rows —
-//! heavy heads × heavy columns, and the heavy heads under each column — and
-//! the rows of `V` grow one leg at a time: a prefix's candidates are the
-//! heads under any column it reaches, and a candidate's columns AND-ed with
-//! the prefix's are the longer half-tuple's, never empty. Prefixes and
-//! candidates ascend, so the rows do too, and the product's set cells,
-//! walked row-major, *are* the output sorted. A star only reads whether a
-//! witness exists, so [`HeavyBackend::Auto`] multiplies the bit rows and the
-//! `DenseF32` pin runs SGEMM on f32 operands filled from the same bits. The
-//! Boolean product takes the AND of `W`'s rows as its universal mask: a `V`
-//! row holding a column every `W` row holds meets every `W` row, and is set
-//! full untested. The cap is checked on the exact bytes of `V`, `W` and the
-//! product; a forced core over it runs the whole star as expansion.
+//! The core multiplies *grouped-variable* matrices over raw `y` columns:
+//! rows of `V` are the distinct half-tuples over `x1..x(k−1)`
+//! ([`half_tuples`]), rows of `W` the last leg's heads. Every leg is read as
+//! its memoised packed forms (`mmjoin_storage::packed`), packed by the first
+//! query that reads them and shared by every later one. `W` is the last
+//! leg's forms as they lie — `y`-major for row-OR, `x`-major for AND-any,
+//! its universal mask filling every `V` row with a `y` all its heads have —
+//! so it is never built; at the paper's `k = 3`, `V` has `⌈k/2⌉` legs.
+//! [`HeavyBackend::Auto`] multiplies bits, the `DenseF32` pin f32 operands
+//! filled from them; a core over the cap runs the star as expansion.
 //!
 //! A forced partition (`delta_override`) splits each relation's tuples
 //! three ways with thresholds `Δ1, Δ2`:
@@ -35,11 +27,12 @@
 //! * `R⁺i` — the rest.
 //!
 //! Steps 1–2 run the WCOJ star join `k` times, substituting `R⁻j` (then
-//! `R⋄j`) for one relation at a time, and project; step 3 is the heavy core
-//! over the heavy heads and the `y` heavy in ≥ 2 relations. An output tuple
-//! with witness `y` is found in step 1 if some head is light, in step 2 if
-//! `y` is light in all-but-one relation, and otherwise every head is heavy
-//! and `y` is heavy in ≥ 2 relations — step 3.
+//! `R⋄j`) for one relation at a time, and project; step 3 is the core over
+//! the heavy heads and the `y` heavy in ≥ 2 relations ([`columns`]; `W`'s
+//! light heads stay, and a row they add the light steps find too). An output
+//! tuple with witness `y` is found in step 1 if some head is light, in step 2
+//! if `y` is light in all-but-one relation, and otherwise every head is
+//! heavy and `y` is heavy in ≥ 2 relations — step 3.
 //!
 //! A matrix-partitioned run records the two-path's five phases —
 //! `partition`, `light`, `build`, `product`, `extract` — as `step` spans and
@@ -48,15 +41,13 @@
 //! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
 
 use crate::config::JoinConfig;
-use crate::optimizer::{heavy_core_cost, line_two, F32_KERNEL};
-use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, Operands};
-use mmjoin_api::{FlatRows, PhaseSecs, PlanStats};
+use crate::optimizer::{bit_core_cost, f32_core_cost, line_two, operand_source, F32_KERNEL};
+use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, view, Product};
+use mmjoin_api::{FlatRows, OperandSource, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
-use mmjoin_matrix::{BitMatrix, BitProductPlan, DenseMatrix, Orientation};
-use mmjoin_storage::{Relation, Value};
-use mmjoin_wcoj::{
-    full_join_count, star_full_join_for_each, star_join_project_flat, ProjectionAccumulator,
-};
+use mmjoin_matrix::{matmul_parallel_on, BitMatrix, BitProductPlan, DenseMatrix, Orientation};
+use mmjoin_storage::{PackedForm, PackedRows, Relation, Value};
+use mmjoin_wcoj::{star_full_join_for_each, star_join_project_flat, ProjectionAccumulator};
 
 /// Evaluates `π_{x1..xk}(R1 ⋈ … ⋈ Rk)` with the §3.2 algorithm, returning
 /// sorted distinct tuples.
@@ -90,9 +81,8 @@ pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
 }
 
 /// Plans the star over `relations` — the decision record `explain` prints —
-/// and, if `run`, evaluates it as planned, on the semi-join-reduced legs the
-/// plan was priced on, returning the rows and the record with the run's half
-/// filled in — the Boolean core's product as its cells
+/// and, if `run`, evaluates it as planned, returning the rows and the record
+/// with the run's half filled in — the Boolean core's product as its cells
 /// ([`FlatRows::product`]), any other plan's rows flat. One leg has nothing
 /// to decide, two are their two-path, and a join that is empty (an empty
 /// leg, or no `y` common to all) is the expansion of nothing.
@@ -119,72 +109,65 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         let (rows, stats) = two_path::plan_then_run(r.as_ref(), s.as_ref(), config, run);
         return (rows.into_rows(), stats);
     }
-    let reduced = &Relation::reduce_star(relations);
-    if reduced.iter().any(|r| r.is_empty()) {
+    let legs: Vec<&Relation> = relations.iter().map(AsRef::as_ref).collect();
+    let (full_join, nnz_v, common) = counts(&legs);
+    if full_join == 0 {
         return (none(), PlanStats::wcoj());
     }
-    let mut stats = plan_reduced(reduced, config);
+    let mut stats = plan_legs(&legs, (full_join, nnz_v, &common), config);
     if !run {
         return (none(), stats);
     }
-    let expand = || FlatRows::new(k, star_join_project_flat(reduced));
+    let expand = || FlatRows::new(k, star_join_project_flat(&legs));
     let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
         return (expand(), stats);
     };
 
     let boolean = config.heavy_backend.is_boolean();
-    let (threads, exec) = (config.effective_threads(), config.exec());
     let mut secs = PhaseSecs::default();
     let mut acc = ProjectionAccumulator::new(k);
 
-    let core = phase("partition", &mut secs.partition, || {
-        HeavyCols::partition(reduced, delta1, delta2)
+    let cols = phase("partition", &mut secs.partition, || {
+        columns(&legs, common, delta1)
     });
     // Nothing is light at Δ1 = Δ2 = 0: every substitute would be empty.
     phase("light", &mut secs.light, || {
         if (delta1, delta2) != (0, 0) {
-            light_steps(reduced, delta1, delta2, &mut acc);
+            light_steps(&legs, delta1, delta2, &mut acc);
         }
     });
     // Every matrix plan records all five phases, whichever of them run —
     // unless its core is over the cap and it expands instead.
+    let heavy = cols.iter().any(|&w| w != 0);
     let built = phase("build", &mut secs.build, || {
-        core.build(boolean, config.matrix_cell_cap)
+        let cap = config.matrix_cell_cap;
+        heavy.then(|| build(&legs, &cols, delta2, boolean, cap))?
     });
     // The planner's bounds give way to what was built.
     stats.heavy_core_matrix = Some(built.is_some());
     stats.heavy_dims = built
         .as_ref()
-        .map(|built| (built.v.len(), core.cols, built.w.len()));
-    stats.heavy_backend = built.as_ref().map(|built| {
-        if boolean {
-            built.orientation.name()
-        } else {
-            F32_KERNEL
-        }
-    });
-    if built.is_none() && core.cols > 0 {
+        .map(|built| (built.v.len(), built.v_bits.cols(), built.w.x.rows()));
+    stats.heavy_backend = built.as_ref().map(|built| built.kernel);
+    stats.heavy_operands = built.as_ref().map(|built| built.sources);
+    if built.is_none() && heavy {
         // Over the cap: the whole star runs as expansion instead.
         return (expand(), stats);
     }
     let rows = built.as_ref().map_or(0, |built| built.v.len());
     let (product, filled) = product_phase(&mut secs.product, rows, || match built {
         Some(built) => {
-            let (product, filled) =
-                built
-                    .operands
-                    .multiply(built.orientation, &built.universal, exec, threads);
-            (Some((product, built.v, built.w)), filled)
+            let (words, filled) = built.multiply(&cols, config);
+            let w = FlatRows::new(1, built.w.x.ids().to_vec());
+            (Some((words, built.v, w)), filled)
         }
         None => (None, None),
     });
     stats.rows_filled = filled;
     let extract = || {
-        // Ascending half-tuples on both sides, row-major cells: sorted,
-        // distinct rows.
-        let heavy = product.map_or_else(none, |(product, v, w)| {
-            FlatRows::product(product.into_bits().into_words(), v, w)
-        });
+        // Ascending half-tuples and heads, row-major cells: sorted, distinct
+        // rows.
+        let heavy = product.map_or_else(none, |(words, v, w)| FlatRows::product(words, v, w));
         // Nothing from the light steps: the heavy rows are the answer — the
         // Boolean product as it stands.
         if acc.is_empty() {
@@ -203,38 +186,54 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     (out, stats)
 }
 
-/// Algorithm 3 for a semi-join-reduced star, as the two-path runs it for an
-/// existence query: line 2 ([`line_two`]) between expansion of the star's
-/// exact full join and the everything-heavy (`Δ1 = Δ2 = 0`) core built for
-/// this query ([`price_all_heavy`]) — expansion when that core is over the
-/// memory cap. The record's heavy core `(rows of V, heavy y
-/// columns, rows of W)` carries upper bounds on the row counts (the run
-/// reports the exact ones). A forced `delta_override` is recorded unpriced,
-/// like a forced two-path; the run fills in the rest.
-fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
+/// One zipped pass over each leg's `by_y` degrees (`CsrIndex::degrees`):
+/// the full join `Σ_y Π_i deg_i(y)`, `V`'s set cells `Σ_y Π_{i<k} deg_i(y)`
+/// over the `y`s every leg holds, and those `y`s as a mask over the raw ids
+/// all forms have. Sums are `f64`, exact up to `2^53`.
+fn counts(legs: &[&Relation]) -> (u64, f64, Vec<u64>) {
+    let (w, group_v) = legs.split_last().expect("a star has legs");
+    let mut cells = vec![1.0f64; width(legs)];
+    for r in group_v {
+        let degrees = r.by_y().degrees().map(f64::from);
+        cells.iter_mut().zip(degrees).for_each(|(c, d)| *c *= d);
+    }
+    let mut common = vec![0u64; cells.len().div_ceil(64)];
+    let (mut full_join, mut nnz_v) = (0.0, 0.0);
+    for (y, (v, w)) in cells.iter().zip(w.by_y().degrees()).enumerate() {
+        if v * f64::from(w) > 0.0 {
+            common[y / 64] |= 1 << (y % 64);
+            nnz_v += v;
+            full_join += v * f64::from(w);
+        }
+    }
+    (full_join as u64, nnz_v, common)
+}
+
+/// The raw `y` columns every leg's forms have.
+fn width(legs: &[&Relation]) -> usize {
+    legs.iter().map(|r| r.y_domain()).min().unwrap_or(0)
+}
+
+/// Algorithm 3 for a star, as for an existence two-path: line 2
+/// ([`line_two`]) between expansion of the exact full join and the
+/// everything-heavy core ([`price_all_heavy`]), whose record bounds `V`'s
+/// rows (the run reports them exactly). A forced `delta_override` is
+/// recorded unpriced; the run fills in the rest.
+fn plan_legs(legs: &[&Relation], counts: (u64, f64, &[u64]), config: &JoinConfig) -> PlanStats {
     if let Some((delta1, delta2)) = config.delta_override {
         return PlanStats::partitioned(delta1, delta2);
     }
-    let n = relations.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
-    let full_join = full_join_count(relations);
-    let estimated_out = estimate_star_output(relations, full_join, n);
-    let mut dims = (0, 0, 0);
+    let (full_join, nnz_v, common) = counts;
+    let n = legs.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
+    let estimated_out = estimate_star_output(legs, full_join, n);
+    let mut core = None;
     let (line_two, all_heavy) = line_two(config, full_join, n as usize, || {
-        let priced = price_all_heavy(relations, estimated_out, config)?;
-        dims = priced.0;
-        Some((priced.1, priced.2))
+        let plan = price_all_heavy(legs, nnz_v, common, estimated_out, config)?;
+        let price = plan.predicted_heavy_secs.zip(plan.heavy_backend);
+        core = Some(plan);
+        price
     });
-    let mut stats = match all_heavy {
-        None => PlanStats::wcoj(),
-        Some((heavy, kernel)) => PlanStats {
-            heavy_dims: Some(dims),
-            heavy_core_matrix: Some(true),
-            heavy_backend: Some(kernel),
-            predicted_light_secs: Some(0.0),
-            predicted_heavy_secs: Some(heavy),
-            ..PlanStats::partitioned(0, 0)
-        },
-    };
+    let mut stats = all_heavy.and(core).unwrap_or_else(PlanStats::wcoj);
     stats.full_join = Some(full_join);
     stats.estimated_out = Some(estimated_out);
     stats.line_two = line_two;
@@ -245,9 +244,9 @@ fn plan_reduced(relations: &[Relation], config: &JoinConfig) -> PlanStats {
 /// the tightest bounds the counts give. Below, every head value occurs in
 /// some output tuple and `|OUT⋈| ≤ N·|OUT|^{1−1/k}` (Proposition 1); above,
 /// the output is a subset of the head domains' product and of the full join.
-fn estimate_star_output(relations: &[Relation], full_join: u64, n: u64) -> u64 {
-    let k = relations.len() as f64;
-    let heads = relations.iter().map(|r| r.active_x_count() as f64);
+fn estimate_star_output(legs: &[&Relation], full_join: u64, n: u64) -> u64 {
+    let k = legs.len() as f64;
+    let heads = legs.iter().map(|r| r.active_x_count() as f64);
     let lower = (full_join as f64 / n as f64)
         .powf(k / (k - 1.0))
         .max(heads.clone().fold(1.0, f64::max));
@@ -255,266 +254,257 @@ fn estimate_star_output(relations: &[Relation], full_join: u64, n: u64) -> u64 {
     (lower * upper).sqrt().round() as u64
 }
 
-/// The everything-heavy core priced from the degree counts, as the two-path
-/// prices its heavy core ([`heavy_core_cost`]): every `y` the legs share is a
-/// column, `V`'s set cells are the grouped full join `Σ_y Π_{i ≤ ⌈k/2⌉}
-/// deg_i(y)` and its rows at most that many and at most the product of the
-/// group's head domains; `W` likewise. `None` when that core is over the
-/// cap.
+/// The everything-heavy core's record: `V`'s `nnz_v` set cells bound its
+/// rows, as does the product of its legs' heads; `W` is the last leg's
+/// heads. The bit core runs over raw `y` columns and packs only legs not
+/// packed yet (as `PackedCore`); the SGEMM pin fills f32 operands over the
+/// `common` `y`s. `None` over the cap.
 fn price_all_heavy(
-    relations: &[Relation],
+    legs: &[&Relation],
+    nnz_v: f64,
+    common: &[u64],
     estimated_out: u64,
     config: &JoinConfig,
-) -> Option<((usize, usize, usize), f64, &'static str)> {
-    let (group_v, group_w) = relations.split_at(relations.len().div_ceil(2));
-    let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
-    let (mut nnz_v, mut nnz_w, mut cols) = (0f64, 0f64, 0usize);
-    for y in 0..ydom as Value {
-        let cells = |group: &[Relation]| group.iter().map(|r| r.y_degree(y) as f64).product();
-        let (v, w): (f64, f64) = (cells(group_v), cells(group_w));
-        if v * w > 0.0 {
-            cols += 1;
-            nnz_v += v;
-            nnz_w += w;
+) -> Option<PlanStats> {
+    let (w, group_v) = legs.split_last()?;
+    let heads: f64 = group_v.iter().map(|r| r.active_x_count() as f64).product();
+    let (m, n) = (nnz_v.min(heads) as usize, w.active_x_count());
+    let record = |dims, (secs, kernel), operands| PlanStats {
+        heavy_dims: Some(dims),
+        heavy_core_matrix: Some(true),
+        heavy_backend: Some(kernel),
+        heavy_operands: operands,
+        predicted_light_secs: Some(0.0),
+        predicted_heavy_secs: Some(secs),
+        ..PlanStats::partitioned(0, 0)
+    };
+    if !config.heavy_backend.is_boolean() {
+        let dims = (m, ones(common).count(), n);
+        let price = f32_core_cost(config, dims, nnz_v, estimated_out as f64)?;
+        return Some(record(dims, price, None));
+    }
+    let k = width(legs);
+    let plan = BitProductPlan::choose(m, k, n, nnz_v, w.len() as f64);
+    // `V` and the product on top of the forms; growing `V` walks its set
+    // cells, packing a form its relation's tuples.
+    let own = 8 * m * (k.div_ceil(64) + n.div_ceil(64));
+    let [bytes, fresh, tuples] = forms(legs);
+    let secs = bit_core_cost(
+        config,
+        plan.words,
+        (m * n.div_ceil(64)) as f64,
+        [bytes + own, fresh + own],
+        nnz_v + tuples as f64,
+        0.0,
+    )?;
+    let price = (secs, plan.orientation.name());
+    Some(record((m, k, n), price, Some(sources(legs))))
+}
+
+/// A star reads every leg in both forms.
+const FORMS: [PackedForm; 2] = [PackedForm::XMajor, PackedForm::YMajor];
+
+/// Over each leg once, however often the star names it: the bytes of its
+/// forms, of the forms not packed yet, and the tuples packing those walks.
+fn forms(legs: &[&Relation]) -> [usize; 3] {
+    let mut totals = [0; 3];
+    for (i, &r) in legs.iter().enumerate() {
+        let first = !legs[..i].iter().any(|&seen| std::ptr::eq(seen, r));
+        for form in FORMS.into_iter().filter(|_| first) {
+            let (bytes, fresh) = (8 * r.packed_words(form), !r.is_packed(form));
+            totals[0] += bytes;
+            totals[1] += bytes * usize::from(fresh);
+            totals[2] += r.len() * usize::from(fresh);
         }
     }
-    let rows = |nnz: f64, group: &[Relation]| {
-        let domains: f64 = group.iter().map(|r| r.active_x_count() as f64).product();
-        nnz.min(domains) as usize
-    };
-    let dims = (rows(nnz_v, group_v), cols, rows(nnz_w, group_w));
-    let boolean = config.heavy_backend.is_boolean();
-    heavy_core_cost(config, boolean, dims, nnz_v, nnz_w, estimated_out as f64)
-        .map(|(heavy, kernel)| (dims, heavy, kernel))
+    totals
 }
 
-/// Builds the `R⁻j` substitute: tuples with a light head.
-fn build_minus(relations: &[Relation], j: usize, delta2: u32) -> Relation {
-    let r = &relations[j];
-    let kept = r
-        .tuples()
-        .filter(|&(x, _)| r.x_degree(x) <= delta2 as usize);
-    Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
-}
-
-/// Builds the `R⋄j` substitute: tuples whose `y` is light in all other
-/// relations.
-fn build_diamond(relations: &[Relation], j: usize, delta1: u32) -> Relation {
-    let r = &relations[j];
-    let kept = r.tuples().filter(|&(_, y)| {
-        relations.iter().enumerate().all(|(i, ri)| {
-            i == j || (y as usize) >= ri.y_domain() || ri.y_degree(y) <= delta1 as usize
-        })
-    });
-    Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
+/// Whether `V`'s legs, and `W`'s, are all packed in both forms already.
+fn sources(legs: &[&Relation]) -> [OperandSource; 2] {
+    let (v, w) = legs.split_at(legs.len() - 1);
+    [v, w].map(|group| operand_source(forms(group)[1] == 0))
 }
 
 /// Steps 1–2, serially into `acc`: for each `j`, the star join with `R⁻j`
-/// (light heads) and then `R⋄j` (`y` light everywhere else) substituted.
-/// Only a forced partition has light steps.
-fn light_steps(relations: &[Relation], delta1: u32, delta2: u32, acc: &mut ProjectionAccumulator) {
-    for j in 0..relations.len() {
+/// (light heads) and then `R⋄j` (`y` light in every other leg)
+/// substituted. Only a forced partition has light steps.
+fn light_steps(legs: &[&Relation], delta1: u32, delta2: u32, acc: &mut ProjectionAccumulator) {
+    let light = |deg: usize, delta: u32| deg <= delta as usize;
+    for (j, &r) in legs.iter().enumerate() {
+        let light_elsewhere = |y: Value| {
+            let mut others = legs.iter().enumerate().filter(|&(i, _)| i != j);
+            others.all(|(_, o)| (y as usize) >= o.y_domain() || light(o.y_degree(y), delta1))
+        };
+        let substitute = |keep: &dyn Fn(Value, Value) -> bool| {
+            let kept = r.tuples().filter(|&(x, y)| keep(x, y)).collect();
+            Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept)
+        };
         let substitutes = [
-            build_minus(relations, j, delta2),
-            build_diamond(relations, j, delta1),
+            substitute(&|x, _| light(r.x_degree(x), delta2)),
+            substitute(&|_, y| light_elsewhere(y)),
         ];
         for substitute in substitutes.iter().filter(|s| !s.is_empty()) {
-            let mut working: Vec<&Relation> = relations.iter().collect();
+            let mut working = legs.to_vec();
             working[j] = substitute;
             star_full_join_for_each(&working, |_, tuple| acc.push(tuple));
         }
     }
 }
 
-/// Step 3's partition, as bits: the heavy `y` columns — heavier than `Δ1`
-/// in ≥ 2 legs and under a heavy head in every leg (any other column is all
-/// zero) — and each leg's share of them.
-struct HeavyCols {
-    cols: usize,
-    legs: Vec<HeavyLeg>,
-}
-
-/// One leg's heads heavier than `Δ2` that reach a heavy column, ascending,
-/// and the two bit matrices the half-tuples are grown from.
-struct HeavyLeg {
-    heads: Vec<Value>,
-    /// `heads × columns`: the heavy columns each head reaches.
-    reach: BitMatrix,
-    /// `columns × heads`: the heads under each heavy column.
-    under: BitMatrix,
-}
-
-impl HeavyCols {
-    fn partition(relations: &[Relation], delta1: u32, delta2: u32) -> Self {
-        let heavy_head = |r: &Relation, x: Value| r.x_degree(x) > delta2 as usize;
-        let ydom = relations.iter().map(|r| r.y_domain()).min().unwrap_or(0);
-        let (mut col_of, mut ys) = (vec![-1i32; ydom], Vec::new());
-        for y in 0..ydom as Value {
-            let heavy_in = relations
-                .iter()
-                .filter(|r| r.y_degree(y) > delta1 as usize)
-                .count();
-            if heavy_in >= 2
-                && relations
-                    .iter()
-                    .all(|r| r.xs_of(y).iter().any(|&x| heavy_head(r, x)))
-            {
-                col_of[y as usize] = ys.len() as i32;
-                ys.push(y);
-            }
-        }
-        let cols = ys.len();
-        // Monotone maps over ascending CSR rows: `from_adjacency` fills each
-        // matrix a word at a time, as `HeavyIndex` fills the two-path's.
-        let legs = relations
-            .iter()
-            .map(|r| {
-                let reaches = |ys_x: &[Value]| {
-                    ys_x.iter()
-                        .any(|&y| col_of.get(y as usize).is_some_and(|&c| c >= 0))
-                };
-                let heads: Vec<Value> = r
-                    .by_x()
-                    .iter_nonempty()
-                    .filter(|&(x, ys_x)| heavy_head(r, x) && reaches(ys_x))
-                    .map(|(x, _)| x)
-                    .collect();
-                let mut row_of = vec![-1i32; r.x_domain()];
-                for (i, &x) in heads.iter().enumerate() {
-                    row_of[x as usize] = i as i32;
-                }
-                HeavyLeg {
-                    reach: BitMatrix::from_adjacency(heads.len(), cols, &col_of, |i| {
-                        r.ys_of(heads[i])
-                    }),
-                    under: BitMatrix::from_adjacency(cols, heads.len(), &row_of, |c| {
-                        r.xs_of(ys[c])
-                    }),
-                    heads,
-                }
-            })
-            .collect();
-        Self { cols, legs }
+/// Step 3's columns: the `common` `y`s, at a forced `Δ1 > 0` only those
+/// heavier than `Δ1` in ≥ 2 legs.
+fn columns(legs: &[&Relation], mut cols: Vec<u64>, delta1: u32) -> Vec<u64> {
+    if delta1 == 0 {
+        return cols;
     }
+    for y in ones(&cols.clone()) {
+        let heavy = |r: &&&Relation| r.y_degree(y as Value) > delta1 as usize;
+        if legs.iter().filter(heavy).count() < 2 {
+            cols[y / 64] &= !(1 << (y % 64));
+        }
+    }
+    cols
+}
 
-    /// The operands of `V · Wᵀ` over the first `⌈k/2⌉` legs and the rest:
-    /// `W` transposed only for row-OR, or both filled into f32 for SGEMM.
-    /// `None` when there is no heavy column, or when the rows, or the exact
-    /// bytes of the operands and the product in the representation that
-    /// runs, are over `4 · cell_cap`.
-    fn build(&self, boolean: bool, cell_cap: usize) -> Option<Built> {
-        if self.cols == 0 {
-            return None;
-        }
-        let cap = cell_cap.saturating_mul(4);
-        let (group_v, group_w) = self.legs.split_at(self.legs.len().div_ceil(2));
-        let (v, v_bits) = half_tuples(group_v, self.cols, cap)?;
-        let (w, w_bits) = half_tuples(group_w, self.cols, cap)?;
-        let (m, k, n) = (v.len(), self.cols, w.len());
-        let plan = BitProductPlan::choose(
-            m,
-            k,
-            n,
-            v_bits.count_ones() as f64,
-            w_bits.count_ones() as f64,
-        );
-        let bytes = if boolean {
-            plan.bytes
-        } else {
-            4 * (m * k + k * n + m * n)
-        };
-        if bytes > cap {
-            return None;
-        }
-        // `V`'s rows that hold a column every `W` row has reach every `W`
-        // row: the AND of `W`'s rows is its universal mask.
-        let mut universal = all_columns(k);
-        for j in 0..n {
-            let row = w_bits.row_words(j);
-            universal.iter_mut().zip(row).for_each(|(u, w)| *u &= w);
-        }
-        let operands = if boolean {
-            let right = match plan.orientation {
-                Orientation::RowOr => w_bits.transposed(),
-                Orientation::AndAny => w_bits,
-            };
-            Operands::Bit(v_bits, right)
-        } else {
-            let cell = |bits: &BitMatrix, i, j| f32::from(u8::from(bits.get(i, j)));
-            Operands::F32(
-                DenseMatrix::from_fn(m, k, |i, c| cell(&v_bits, i, c)),
-                DenseMatrix::from_fn(k, n, |c, j| cell(&w_bits, j, c)),
-            )
-        };
-        Some(Built {
-            v,
-            w,
-            operands,
-            orientation: plan.orientation,
-            universal,
+/// A leg's two memoised forms.
+#[derive(Clone, Copy)]
+struct Forms<'a> {
+    x: &'a PackedRows,
+    y: &'a PackedRows,
+}
+
+/// What the build phase hands to the product and the extraction.
+struct Built<'a> {
+    /// The half-tuples of `V`'s rows, in order, and the rows.
+    v: FlatRows,
+    v_bits: BitMatrix,
+    /// `W`: the last leg's forms.
+    w: Forms<'a>,
+    /// How a Boolean product runs (unread by SGEMM), and the kernel's name.
+    orientation: Orientation,
+    kernel: &'static str,
+    /// Whether `V`'s and `W`'s legs were packed before this query.
+    sources: [OperandSource; 2],
+}
+
+/// The build phase: the legs' forms, packed here or found packed, and `V`
+/// grown from them under the masks. `None` when the exact bytes of the
+/// forms (checked before any is packed), `V` and the product in the
+/// representation that runs are over `4 · cell_cap`.
+fn build<'a>(
+    legs: &[&'a Relation],
+    cols: &[u64],
+    delta2: u32,
+    boolean: bool,
+    cell_cap: usize,
+) -> Option<Built<'a>> {
+    let budget = cell_cap.saturating_mul(4).checked_sub(forms(legs)[0])?;
+    let sources = sources(legs);
+    let forms: Vec<Forms> = legs
+        .iter()
+        .map(|r| Forms {
+            x: r.packed(PackedForm::XMajor).0,
+            y: r.packed(PackedForm::YMajor).0,
         })
+        .collect();
+    let (w, group_v) = forms.split_last()?;
+    let (v, v_bits) = half_tuples(group_v, delta2, (cols, width(legs)), budget)?;
+    let (m, k, n) = (v.len(), v_bits.cols(), w.x.rows());
+    let nnz_w = legs[legs.len() - 1].len() as f64;
+    let plan = BitProductPlan::choose(m, k, n, v_bits.count_ones() as f64, nnz_w);
+    let (kernel, bytes) = match ones(cols).count() {
+        _ if boolean => (
+            plan.orientation.name(),
+            8 * m * (k.div_ceil(64) + n.div_ceil(64)),
+        ),
+        k => (F32_KERNEL, 4 * (m * k + k * n + m * n)),
+    };
+    (bytes <= budget).then_some(Built {
+        v,
+        v_bits,
+        w: *w,
+        orientation: plan.orientation,
+        kernel,
+        sources,
+    })
+}
+
+impl Built<'_> {
+    /// The product's words, `V`'s rows by `W`'s, and the rows `W`'s universal
+    /// mask filled; SGEMM's f32 operands hold the masked columns `cols`.
+    fn multiply(&self, cols: &[u64], config: &JoinConfig) -> (Vec<u64>, Option<usize>) {
+        let (v, w) = (&self.v_bits, self.w);
+        if config.heavy_backend.is_boolean() {
+            let right = match self.orientation {
+                Orientation::RowOr => w.y,
+                Orientation::AndAny => w.x,
+            };
+            let left = v.view();
+            let (c, filled) = left.product(view(right), self.orientation, right.universal());
+            return (c.into_words(), Some(filled));
+        }
+        let ys: Vec<usize> = ones(cols).collect();
+        let bit = |row: &[u64], y: usize| f32::from(u8::from(row[y / 64] >> (y % 64) & 1 == 1));
+        let a = DenseMatrix::from_fn(v.rows(), ys.len(), |i, c| bit(v.row_words(i), ys[c]));
+        let b = DenseMatrix::from_fn(ys.len(), w.x.rows(), |c, j| bit(w.x.row(j), ys[c]));
+        let c = matmul_parallel_on(config.exec(), &a, &b, config.effective_threads());
+        (Product::F32(c).into_bits().into_words(), None)
     }
 }
 
-/// The rows of one operand of `V · Wᵀ`: the distinct half-tuples over
-/// `group` whose heads share a heavy column, in ascending lexicographic
-/// order, and the columns each one's heads all reach. Grown one leg at a
-/// time from the empty prefix, which reaches every column: a prefix's
-/// candidates are the leg's heads under any column it reaches (those
-/// columns' masks OR-ed), and a candidate's row AND-ed with the prefix's is
-/// the longer half-tuple's — never empty, as the candidate sits under one of
-/// the prefix's columns. Prefixes are taken in order and candidates ascend,
-/// so the rows ascend. `None` once a leg's rows take more than `budget`
-/// bytes.
-fn half_tuples(group: &[HeavyLeg], cols: usize, budget: usize) -> Option<(FlatRows, BitMatrix)> {
-    let stride = cols.div_ceil(64);
-    let mut words = all_columns(cols);
+/// `V`'s rows: the distinct half-tuples over `group` whose heads share a
+/// column of `mask` (`cols` wide), ascending, with the columns they share.
+/// Grown a leg at a time from the empty prefix, which has every masked
+/// column: a prefix's candidates are the heads under any of its columns
+/// (those `y`-major rows OR-ed; at a forced `Δ2 > 0`, the heavier), and a
+/// candidate's `x`-major row AND the prefix's is the longer half-tuple's —
+/// never empty, so a head that reaches no masked `y` is never one. Each
+/// leg's rows are counted first, then checked against `budget` bytes (`None`
+/// when over) and allocated once.
+fn half_tuples(
+    group: &[Forms],
+    delta2: u32,
+    (mask, cols): (&[u64], usize),
+    budget: usize,
+) -> Option<(FlatRows, BitMatrix)> {
+    let stride = mask.len();
+    let mut words = mask.to_vec();
     // The half-tuples, `arity` values each; the empty prefix is one row.
     let (mut rows, mut arity) = (Vec::new(), 0);
     for leg in group {
-        let (mut next, mut next_words) = (Vec::new(), Vec::new());
-        let mut candidates = vec![0u64; leg.heads.len().div_ceil(64)];
-        for (p, prefix) in words.chunks_exact(stride).enumerate() {
-            candidates.fill(0);
+        let reach = leg.y.stride();
+        // Every head, or at a forced `Δ2 > 0` those of more tuples.
+        let mut heads = vec![!0u64; reach];
+        let degree = |h: usize| leg.x.row(h).iter().map(|w| w.count_ones()).sum::<u32>();
+        for h in (0..leg.x.rows()).filter(|&h| delta2 > 0 && degree(h) <= delta2) {
+            heads[h / 64] &= !(1 << (h % 64));
+        }
+        let mut candidates = vec![0u64; words.len() / stride * reach];
+        let prefixes = words.chunks_exact(stride);
+        for (prefix, to) in prefixes.clone().zip(candidates.chunks_exact_mut(reach)) {
             for c in ones(prefix) {
-                let mask = leg.under.row_words(c);
-                candidates.iter_mut().zip(mask).for_each(|(to, m)| *to |= m);
+                to.iter_mut().zip(leg.y.row(c)).for_each(|(to, m)| *to |= m);
             }
-            for h in ones(&candidates) {
+            to.iter_mut().zip(&heads).for_each(|(to, h)| *to &= h);
+        }
+        let count: usize = candidates.iter().map(|w| w.count_ones() as usize).sum();
+        if 8 * count * stride > budget {
+            return None;
+        }
+        let mut next = Vec::with_capacity(count * (arity + 1));
+        let mut next_words = Vec::with_capacity(count * stride);
+        for (p, (prefix, heads)) in prefixes.zip(candidates.chunks_exact(reach)).enumerate() {
+            for h in ones(heads) {
                 next.extend_from_slice(&rows[p * arity..(p + 1) * arity]);
-                next.push(leg.heads[h]);
-                let reach = leg.reach.row_words(h);
-                next_words.extend(prefix.iter().zip(reach).map(|(a, b)| a & b));
-            }
-            if 8 * next_words.len() > budget {
-                return None;
+                next.push(leg.x.ids()[h]);
+                next_words.extend(prefix.iter().zip(leg.x.row(h)).map(|(a, b)| a & b));
             }
         }
         (rows, words, arity) = (next, next_words, arity + 1);
     }
-    let rows = FlatRows::new(arity, rows);
-    let bits = BitMatrix::from_words(rows.len(), cols, words);
-    Some((rows, bits))
-}
-
-/// One bit row with all of `cols > 0` columns set, the padding zero.
-fn all_columns(cols: usize) -> Vec<u64> {
-    let mut words = vec![!0u64; cols.div_ceil(64)];
-    words[cols.div_ceil(64) - 1] >>= (64 - cols % 64) % 64;
-    words
-}
-
-/// What the build phase hands to the product and the extraction.
-struct Built {
-    /// The half-tuples of `V`'s rows, in order.
-    v: FlatRows,
-    /// The half-tuples of `W`'s rows, in order.
-    w: FlatRows,
-    operands: Operands,
-    /// How a Boolean product runs (unread by SGEMM).
-    orientation: Orientation,
-    /// The heavy columns every row of `W` has (unread by SGEMM).
-    universal: Vec<u64>,
+    let bits = BitMatrix::from_words(words.len() / stride, cols, words);
+    Some((FlatRows::new(arity, rows), bits))
 }
 
 #[cfg(test)]
@@ -657,7 +647,7 @@ mod tests {
             .collect::<Vec<_>>());
         let wide = vec![wide; 3];
         let config = JoinConfig::default();
-        let dense_plan = plan_reduced(&dense, &config);
+        let dense_plan = plan_then_run(&dense, &config, false).1;
         assert_eq!(dense_plan.full_join, Some(16 * 160));
         assert_eq!(dense_plan.kind, PlanKind::MatrixPartitioned);
         let prices = dense_plan.line_two.unwrap();
@@ -667,13 +657,13 @@ mod tests {
             heavy_backend: crate::config::HeavyBackend::DenseF32,
             ..JoinConfig::default()
         };
-        let pinned_plan = plan_reduced(&dense, &pinned);
+        let pinned_plan = plan_then_run(&dense, &pinned, false).1;
         assert_eq!(
             (pinned_plan.kind, pinned_plan.line_two),
             (PlanKind::Wcoj, None)
         );
 
-        let wide_plan = plan_reduced(&wide, &config);
+        let wide_plan = plan_then_run(&wide, &config, false).1;
         assert_eq!(wide_plan.full_join, Some(9 * 9000));
         assert_eq!(wide_plan.kind, PlanKind::Wcoj);
         let prices = wide_plan.line_two.unwrap();
@@ -688,29 +678,52 @@ mod tests {
                 ..JoinConfig::default()
             };
             for rels in [&dense, &wide] {
-                assert_eq!(plan_reduced(rels, &forced).kind, kind, "{factor}");
+                assert_eq!(plan_then_run(rels, &forced, false).1.kind, kind, "{factor}");
             }
         }
     }
 
     /// The half-tuples come out in lexicographic order whatever order the
     /// columns list their heads in, each once, with every column its heads
-    /// share.
+    /// share — and a head that reaches no masked column is none of them.
     #[test]
     fn half_tuples_grow_in_ascending_order() {
-        // Columns 0 and 1; the second repeats (9, 4) and adds smaller tuples.
-        let first = rel(&[(9, 0), (70, 0), (2, 1), (9, 1)]);
-        let second = rel(&[(4, 0), (1, 1), (4, 1)]);
-        let core = HeavyCols::partition(&[first, second], 0, 0);
-        assert_eq!(core.cols, 2);
-        let (rows, bits) = half_tuples(&core.legs, core.cols, usize::MAX).unwrap();
+        // Columns 0 and 1 (2 is masked off); the second repeats (9, 4) and
+        // adds smaller tuples, and its head 6 reaches only column 2.
+        let first = rel(&[(9, 0), (70, 0), (2, 1), (9, 1), (3, 2)]);
+        let second = rel(&[(4, 0), (1, 1), (4, 1), (6, 2)]);
+        let forms = [&first, &second].map(|r| Forms {
+            x: r.packed(PackedForm::XMajor).0,
+            y: r.packed(PackedForm::YMajor).0,
+        });
+        let mask = [0b011];
+        let (rows, bits) = half_tuples(&forms, 0, (&mask, 3), usize::MAX).unwrap();
         assert_eq!(rows.values(), [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
         assert_eq!(
             bits.iter_ones().collect::<Vec<_>>(),
             [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]
         );
+        // A forced `Δ2 = 1` keeps each leg to its heads of two tuples.
+        let (rows, _) = half_tuples(&forms, 1, (&mask, 3), usize::MAX).unwrap();
+        assert_eq!(rows.values(), [9, 4]);
         // Five rows of one word each do not fit 39 bytes.
-        assert!(half_tuples(&core.legs, core.cols, 39).is_none());
+        assert!(half_tuples(&forms, 0, (&mask, 3), 39).is_none());
+    }
+
+    /// The star of a 4-tuple relation (full join 28) expands: the core's
+    /// fixed set-up is dearer than the whole expansion.
+    #[test]
+    fn a_star_of_four_tuples_expands() {
+        let tiny = rel(&[(0, 0), (1, 0), (2, 1), (2, 0)]);
+        let rels = [&tiny, &tiny, &tiny];
+        let (_, plan) = plan_then_run(&rels, &JoinConfig::default(), false);
+        assert_eq!((plan.kind, plan.full_join), (PlanKind::Wcoj, Some(28)));
+        let prices = plan.line_two.unwrap();
+        assert!(prices.core_secs.unwrap() > prices.expand_secs, "{prices:?}");
+        assert_eq!(
+            star_join_project_mm(&rels, &JoinConfig::default()),
+            star_join_project(&rels)
+        );
     }
 
     #[test]
@@ -740,8 +753,56 @@ mod tests {
         assert_eq!(star_join_project_mm(&rels, &cfg), star_join_project(&rels));
     }
 
+    /// The everything-heavy core over `legs`' memoised forms, run in
+    /// `orientation` whatever the build chose: its rows, flat.
+    fn core_rows(legs: &[&Relation], orientation: Orientation) -> Vec<Value> {
+        let cols = counts(legs).2;
+        if cols.iter().all(|&w| w == 0) {
+            return Vec::new();
+        }
+        let config = JoinConfig::default();
+        let mut built = build(legs, &cols, 0, true, config.matrix_cell_cap).unwrap();
+        built.orientation = orientation;
+        let (words, _) = built.multiply(&cols, &config);
+        let w = FlatRows::new(1, built.w.x.ids().to_vec());
+        FlatRows::product(words, built.v, w).into_values()
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Stars multiplied from the legs' memoised forms equal the WCOJ
+        /// reference in both orientations, and so does the engine forced
+        /// onto the core: `k = 3` (a one-leg `W`, read as it lies) and
+        /// `k = 4` (a grown `W`), legs over different `y` domains with
+        /// unused ids past their tuples, heads and `y`s that join nothing,
+        /// and stars with no common `y` at all.
+        #[test]
+        fn stars_from_memoised_forms_match_the_reference(
+            legs in proptest::collection::vec(
+                (1u32..30, proptest::collection::vec((0u32..12, 0u32..40), 1..50)),
+                3..5,
+            ),
+        ) {
+            let rels: Vec<Relation> = legs
+                .iter()
+                .map(|(ys, edges)| {
+                    let mut b = mmjoin_storage::RelationBuilder::with_domains(12, *ys as usize + 3);
+                    edges.iter().for_each(|&(x, y)| b.push(x, y % ys));
+                    b.build()
+                })
+                .collect();
+            let legs: Vec<&Relation> = rels.iter().collect();
+            let expected: Vec<Value> = star_join_project(&rels).concat();
+            for orientation in [Orientation::RowOr, Orientation::AndAny] {
+                prop_assert_eq!(&core_rows(&legs, orientation), &expected);
+            }
+            let forced = JoinConfig {
+                wcoj_fallback_factor: 0.0,
+                ..JoinConfig::default()
+            };
+            prop_assert_eq!(star_join_project_mm_flat(&rels, &forced).0, expected);
+        }
 
         #[test]
         fn k3_always_matches_reference(

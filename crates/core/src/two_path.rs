@@ -337,7 +337,7 @@ fn popcount_core(
 }
 
 /// A relation's packed rows as the view the bit kernels read.
-fn view(p: &PackedRows) -> BitRows<'_> {
+pub(crate) fn view(p: &PackedRows) -> BitRows<'_> {
     BitRows::new(p.rows(), p.cols(), p.words())
 }
 

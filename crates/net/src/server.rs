@@ -35,6 +35,7 @@ use crate::wire::{Status, WireRequest, WireResponse};
 use mmjoin_obs::trace::{self, Stage, Tracer};
 use mmjoin_service::command::{self, Frontend};
 use mmjoin_service::Service;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -290,26 +291,48 @@ struct Conn {
     client: u64,
     stream: TcpStream,
     write_deadline: Duration,
+    /// Whether the socket's write timeout is not `write_deadline`, which
+    /// accept sets: a frame that took more than one write left it at what
+    /// remained of its deadline (or setting it failed).
+    shortened: Cell<bool>,
     /// Responses served to this client: its cell of
     /// [`NetMetrics::per_client_served`].
     served: Arc<AtomicU64>,
 }
 
 /// A socket under one deadline for a whole frame: `write_all` would
-/// restart a standing socket timeout at every partial write.
+/// restart a standing socket timeout at every partial write. The frame's
+/// first write runs under the socket's standing timeout, the whole
+/// deadline, with no system call to set it; only a write after a partial
+/// one sets what is left, and the next frame's first write sets the whole
+/// deadline back.
 struct Until<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
+    conn: &'a Conn,
+    /// Set by the frame's first write.
+    deadline: Option<Instant>,
 }
 
 impl Write for Until<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
+        let (conn, now) = (self.conn, Instant::now());
+        match self.deadline {
+            None => {
+                self.deadline = Some(now + conn.write_deadline);
+                if conn.shortened.get() {
+                    conn.stream.set_write_timeout(Some(conn.write_deadline))?;
+                    conn.shortened.set(false);
+                }
+            }
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(now);
+                if left.is_zero() {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                conn.shortened.set(true);
+                conn.stream.set_write_timeout(Some(left))?;
+            }
         }
-        self.stream.set_write_timeout(Some(left))?;
-        self.stream.write(buf)
+        (&conn.stream).write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -325,8 +348,8 @@ impl Conn {
     /// once.
     fn reply(&self, resp: &WireResponse) -> bool {
         let mut until = Until {
-            stream: &self.stream,
-            deadline: Instant::now() + self.write_deadline,
+            conn: self,
+            deadline: None,
         };
         let sent = frame::write_frame(&mut until, &resp.encode()).is_ok();
         if !sent {
@@ -514,10 +537,13 @@ fn accept_loop(
         };
         let client = next_client;
         next_client += 1;
+        // The standing timeout every reply's first write runs under.
+        let shortened = stream.set_write_timeout(Some(write_deadline)).is_err();
         let conn = Conn {
             client,
             stream,
             write_deadline,
+            shortened: Cell::new(shortened),
             served: shared.metrics.register_client(client),
         };
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);

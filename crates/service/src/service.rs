@@ -1279,7 +1279,7 @@ pub(crate) mod tests {
             "{text}"
         );
         assert!(
-            text.contains(" 900 × 8 × 30 (predicted light 0us"),
+            text.contains(" 900 × 8 × 30 over operands built/built (predicted light 0us"),
             "{text}"
         );
         assert!(text.contains("full join 216000, est out 27000"), "{text}");

@@ -183,15 +183,13 @@ impl Relation {
     }
 
     /// The size of the *full join* `R(x,y) ⋈ S(z,y)` before projection:
-    /// `Σ_y deg_R(y) · deg_S(y)`. Computed in one linear pass — the paper
-    /// notes this is computable during the indexing pass (§5).
+    /// `Σ_y deg_R(y) · deg_S(y)` over the `y` ids both domains have — the
+    /// count the paper computes "during the indexing pass" (§5), read off
+    /// the indexes in one zipped pass over the two `by_y` degree arrays
+    /// ([`CsrIndex::degrees`]), which the compiler vectorises.
     pub fn full_join_size(&self, other: &Relation) -> u64 {
-        let dom = self.y_domain().min(other.y_domain());
-        let mut total = 0u64;
-        for y in 0..dom as Value {
-            total += self.y_degree(y) as u64 * other.y_degree(y) as u64;
-        }
-        total
+        let pairs = self.by_y.degrees().zip(other.by_y.degrees());
+        pairs.map(|(a, b)| u64::from(a) * u64::from(b)).sum()
     }
 
     /// The same relation with its columns swapped: `Rᵀ(y, x) = R(x, y)`.
@@ -227,38 +225,6 @@ impl Relation {
             Relation::from_sorted_edges(of.x_domain(), of.y_domain(), kept.collect())
         };
         (keep(r, s), keep(s, r))
-    }
-
-    /// Semi-join reduction for a star query over `k` relations joined on `y`:
-    /// keeps only tuples whose `y` appears in *every* relation.
-    ///
-    /// Generic over owned (`&[Relation]`) and borrowed (`&[&Relation]`)
-    /// slices so callers holding `Arc<Relation>` handles never clone.
-    pub fn reduce_star<R: AsRef<Relation>>(relations: &[R]) -> Vec<Relation> {
-        assert!(!relations.is_empty());
-        let dom = relations
-            .iter()
-            .map(|r| r.as_ref().y_domain())
-            .min()
-            .unwrap_or(0);
-        let mut alive = vec![true; dom];
-        for r in relations {
-            for (y, live) in alive.iter_mut().enumerate() {
-                if r.as_ref().y_degree(y as Value) == 0 {
-                    *live = false;
-                }
-            }
-        }
-        relations
-            .iter()
-            .map(|r| {
-                let r = r.as_ref();
-                let kept = r
-                    .tuples()
-                    .filter(|&(_, y)| (y as usize) < dom && alive[y as usize]);
-                Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept.collect())
-            })
-            .collect()
     }
 }
 
@@ -419,6 +385,36 @@ pub(crate) mod tests {
         assert_eq!(r.full_join_size(&s), 4);
     }
 
+    /// The zipped pass equals `Σ_y deg_R(y) · deg_S(y)` by brute force —
+    /// every tuple pair that meets on a `y` — over `y` domains of every
+    /// relative size, unused ids in both, and empty relations.
+    #[test]
+    fn full_join_size_equals_brute_force_over_mismatched_domains() {
+        let mut state = 0x9e37_79b9u32;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) % bound.max(1)
+        };
+        for case in 0..300 {
+            let relation = |next: &mut dyn FnMut(u32) -> u32| {
+                let (xd, yd) = (1 + next(30), next(150));
+                let mut b =
+                    RelationBuilder::with_domains(xd as usize, yd as usize + next(70) as usize);
+                for _ in 0..next(200) * u32::from(yd > 0) {
+                    b.push(next(xd), next(yd));
+                }
+                b.build()
+            };
+            let (r, s) = (relation(&mut next), relation(&mut next));
+            let brute = r
+                .tuples()
+                .flat_map(|(_, y)| s.tuples().filter(move |&(_, z)| z == y))
+                .count() as u64;
+            assert_eq!(r.full_join_size(&s), brute, "case {case}");
+            assert_eq!(s.full_join_size(&r), brute, "case {case}");
+        }
+    }
+
     #[test]
     fn reduce_pair_drops_dangling() {
         let r = rel(&[(0, 0), (1, 5)]); // y=5 absent from s
@@ -426,18 +422,6 @@ pub(crate) mod tests {
         let (r2, s2) = Relation::reduce_pair(&r, &s);
         assert_eq!(r2.edges(), &[(0, 0)]);
         assert_eq!(s2.edges(), &[(9, 0)]);
-    }
-
-    #[test]
-    fn reduce_star_keeps_common_y() {
-        let a = rel(&[(0, 0), (1, 1), (2, 2)]);
-        let b = rel(&[(0, 0), (1, 1)]);
-        let c = rel(&[(3, 1), (4, 2)]);
-        let reduced = Relation::reduce_star(&[a, b, c]);
-        // only y=1 appears in all three
-        assert_eq!(reduced[0].edges(), &[(1, 1)]);
-        assert_eq!(reduced[1].edges(), &[(1, 1)]);
-        assert_eq!(reduced[2].edges(), &[(3, 1)]);
     }
 
     #[test]
@@ -503,23 +487,13 @@ pub(crate) mod tests {
         use crate::PackedForm;
         // x ∈ 0..3 (4 keys with the empty x = 3 row), y ∈ 0..70.
         let r = Relation::from_sorted_edges(4, 70, vec![(0, 0), (0, 69), (1, 5), (2, 5)]);
-        let indexes = (5 + 71) * std::mem::size_of::<usize>() + 2 * 4 * 4;
+        let indexes = (5 + 71) * 4 + 2 * 4 * 4;
         assert_eq!(r.heap_bytes(), indexes);
         r.packed(PackedForm::XMajor);
         // 3 rows of 2 words, a 2-word mask, 3 ids.
         assert_eq!(r.heap_bytes(), indexes + 8 * (3 * 2 + 2) + 4 * 3);
         r.edges();
         assert_eq!(r.heap_bytes(), indexes + 8 * (3 * 2 + 2) + 4 * 3 + 8 * 4);
-    }
-
-    #[test]
-    fn reduce_star_accepts_borrowed_slices() {
-        let a = rel(&[(0, 0), (1, 1)]);
-        let b = rel(&[(5, 1)]);
-        let by_ref = Relation::reduce_star(&[&a, &b]);
-        let by_val = Relation::reduce_star(&[a.clone(), b.clone()]);
-        assert_eq!(by_ref[0].edges(), by_val[0].edges());
-        assert_eq!(by_ref[1].edges(), &[(5, 1)]);
     }
 
     #[test]

@@ -194,6 +194,38 @@ fn explain_prints_the_record_the_run_returns() {
     }
 }
 
+/// A star's `explain` is its run: over legs of different `y` domains whose
+/// every head also holds a `y` no other leg has, the line `explain` prints
+/// is the record the query returns, its measurements aside — shape, kernel,
+/// operands and both prices of line 2. A second star over the same legs in
+/// another order is planned and run on operands the first one packed.
+#[test]
+fn a_stars_explain_equals_its_run() {
+    let leg = |sets: u32, spare: u32| {
+        let tuples = (0..sets).flat_map(move |x| [(x, 0), (x, 1 + x % 3), (x, 9 + spare + x)]);
+        Relation::from_edges(tuples)
+    };
+    let service = Service::with_default_registry();
+    service.register("A", leg(12, 0));
+    service.register("B", leg(10, 5));
+    service.register("C", leg(9, 40));
+    for (names, operands) in [(["A", "B", "C"], "built"), (["B", "A", "C"], "reused")] {
+        let explained = explain(&service, &format!("star {}", names.join(" ")));
+        let shape = format!(" over operands {operands}/{operands} (");
+        assert!(explained[2].contains(&shape), "{explained:?}");
+        let response = service.query(Request::star(names)).unwrap();
+        let mut ran = response
+            .stats
+            .plan
+            .clone()
+            .expect("MMJoin returns its record");
+        assert!(ran.measured_phase_secs.take().is_some(), "{names:?}");
+        ran.rows_filled = None;
+        assert_eq!(explained[2..], [ran.to_string()], "{names:?}");
+        assert_eq!(response.rows.len(), 12 * 10 * 9);
+    }
+}
+
 /// `Display` keeps the strings CI and `tests/observability.rs` grep for.
 #[test]
 fn display_keeps_the_strings_operators_grep_for() {
@@ -207,11 +239,11 @@ fn display_keeps_the_strings_operators_grep_for() {
         "{star}"
     );
     assert!(
-        star.contains(" 900 × 8 × 30 (predicted light 0us, heavy "),
+        star.contains(" 900 × 8 × 30 over operands built/built (predicted light 0us, heavy "),
         "{star}"
     );
     assert!(
-        star.ends_with("us) — full join 216000, est out 27000; line 2: expand 540us > core 14.2us"),
+        star.ends_with("us) — full join 216000, est out 27000; line 2: expand 540us > core 14.9us"),
         "{star}"
     );
     // The star of CI's REPL step: 30, 28 and 26 sets over elements 0 and 1.

@@ -19,8 +19,9 @@ use mmjoin::{
     Relation, RelationDelta, Request, Service, ServiceConfig, Value,
 };
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
-use mmjoin_core::two_path_join_project_with_stats;
+use mmjoin_core::{star_join_project_mm_with_stats, two_path_join_project_with_stats};
 use mmjoin_service::command;
+use mmjoin_wcoj::star_join_project;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Barrier;
@@ -206,6 +207,39 @@ fn a_relation_is_packed_once_however_many_queries_read_it() {
     let reused = 2 - built(&stats.unwrap());
     assert!(reused >= 1);
     assert_eq!(fresh(&hub).packed_bytes(), 0);
+}
+
+/// (b) Stars read their legs' forms the same way: the first star over
+/// three legs packs each in both forms, and every later star over them —
+/// in another order, naming one leg twice — packs nothing, reads the same
+/// rows and reports its operands reused.
+#[test]
+fn a_star_packs_each_leg_once_however_many_stars_read_it() {
+    let legs = [
+        coin(24, 0, 20, 0, 11, 41),
+        coin(20, 1, 22, 0, 11, 42),
+        coin(18, 0, 18, 2, 11, 43),
+    ];
+    let config = served(0.0, 1);
+    let star = |order: [usize; 3]| {
+        let rels = order.map(|i| &legs[i]);
+        let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+        assert_eq!(rows, star_join_project(&rels), "{order:?}");
+        let stats = stats.unwrap();
+        assert_eq!(stats.kind, PlanKind::MatrixPartitioned, "{order:?}");
+        stats.heavy_operands.expect("a memoised core")
+    };
+    assert_eq!(star([0, 1, 2]), [OperandSource::Built; 2]);
+    assert!(legs.iter().all(|r| forms_packed(r) == 2));
+    let words = |r: &Relation| r.packed(PackedForm::XMajor).0.words().as_ptr();
+    let first: Vec<_> = legs.iter().map(words).collect();
+    for order in [[2, 0, 1], [1, 2, 0], [0, 0, 2], [2, 1, 1]] {
+        assert_eq!(star(order), [OperandSource::Reused; 2], "{order:?}");
+    }
+    assert_eq!(legs.iter().map(words).collect::<Vec<_>>(), first);
+    // A two-path over two of the legs finds their forms too.
+    let (_, stats) = two_path_join_project_with_stats(&legs[0], &legs[1], &config);
+    assert_eq!(built(&stats.unwrap()), 0);
 }
 
 /// (b) Two threads touch a fresh relation at once: each form is packed by
@@ -495,9 +529,7 @@ fn construction_retains_no_edge_array() {
         ("the builder", &|| Relation::from_edges(r.tuples())),
         ("sorted edges", &sorted),
         ("an applied delta", &|| r.apply_delta(&delta)),
-        ("a reduction", &|| {
-            Relation::reduce_star(&[&r, &r]).remove(0)
-        }),
+        ("a reduction", &|| Relation::reduce_pair(&r, &r).0),
         ("a transpose", &|| r.transposed()),
     ];
     for (what, build) in builds {
