@@ -8,13 +8,12 @@
 //! handed to the sink as its cells ([`FlatRows::product`]): sorted, distinct.
 //!
 //! The core multiplies *grouped-variable* matrices over raw `y` columns:
-//! rows of `V` are the distinct half-tuples over `x1..x(k−1)`
-//! ([`half_tuples`]), rows of `W` the last leg's heads. Every leg is read as
-//! its memoised packed forms (`mmjoin_storage::packed`), packed by the first
-//! query that reads them and shared by every later one. `W` is the last
-//! leg's forms as they lie — `y`-major for row-OR, `x`-major for AND-any,
-//! its universal mask filling every `V` row with a `y` all its heads have —
-//! so it is never built; at the paper's `k = 3`, `V` has `⌈k/2⌉` legs.
+//! rows of `V` are the distinct half-tuples over `x1..x⌈k/2⌉`, rows of `W`
+//! over the rest ([`half_tuples`]), grown from the legs' memoised packed
+//! forms (`mmjoin_storage::packed`) — packed by the first query that reads
+//! them and shared by every later one. A one-leg `W` (`k = 3`) is its forms
+//! as they lie — `y`-major for row-OR, `x`-major for AND-any, its universal
+//! mask filling every `V` row with a `y` all its heads have — never built.
 //! [`HeavyBackend::Auto`] multiplies bits, the `DenseF32` pin f32 operands
 //! filled from them; a core over the cap runs the star as expansion.
 //!
@@ -110,11 +109,11 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         return (rows.into_rows(), stats);
     }
     let legs: Vec<&Relation> = relations.iter().map(AsRef::as_ref).collect();
-    let (full_join, nnz_v, common) = counts(&legs);
+    let (full_join, nnz, common) = counts(&legs);
     if full_join == 0 {
         return (none(), PlanStats::wcoj());
     }
-    let mut stats = plan_legs(&legs, (full_join, nnz_v, &common), config);
+    let mut stats = plan_legs(&legs, (full_join, nnz, &common), config);
     if !run {
         return (none(), stats);
     }
@@ -145,9 +144,7 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     });
     // The planner's bounds give way to what was built.
     stats.heavy_core_matrix = Some(built.is_some());
-    stats.heavy_dims = built
-        .as_ref()
-        .map(|built| (built.v.len(), built.v_bits.cols(), built.w.x.rows()));
+    stats.heavy_dims = built.as_ref().map(|built| built.dims);
     stats.heavy_backend = built.as_ref().map(|built| built.kernel);
     stats.heavy_operands = built.as_ref().map(|built| built.sources);
     if built.is_none() && heavy {
@@ -158,8 +155,7 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
     let (product, filled) = product_phase(&mut secs.product, rows, || match built {
         Some(built) => {
             let (words, filled) = built.multiply(&cols, config);
-            let w = FlatRows::new(1, built.w.x.ids().to_vec());
-            (Some((words, built.v, w)), filled)
+            (Some((words, built.v, built.w.heads())), filled)
         }
         None => (None, None),
     });
@@ -187,26 +183,36 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
 }
 
 /// One zipped pass over each leg's `by_y` degrees (`CsrIndex::degrees`):
-/// the full join `Σ_y Π_i deg_i(y)`, `V`'s set cells `Σ_y Π_{i<k} deg_i(y)`
-/// over the `y`s every leg holds, and those `y`s as a mask over the raw ids
-/// all forms have. Sums are `f64`, exact up to `2^53`.
-fn counts(legs: &[&Relation]) -> (u64, f64, Vec<u64>) {
-    let (w, group_v) = legs.split_last().expect("a star has legs");
-    let mut cells = vec![1.0f64; width(legs)];
-    for r in group_v {
-        let degrees = r.by_y().degrees().map(f64::from);
-        cells.iter_mut().zip(degrees).for_each(|(c, d)| *c *= d);
-    }
-    let mut common = vec![0u64; cells.len().div_ceil(64)];
-    let (mut full_join, mut nnz_v) = (0.0, 0.0);
-    for (y, (v, w)) in cells.iter().zip(w.by_y().degrees()).enumerate() {
-        if v * f64::from(w) > 0.0 {
+/// the full join `Σ_y Π_i deg_i(y)`, the set cells of `V` and of `W` (the
+/// sum over each one's legs, [`halves`]) over the `y`s every leg holds, and
+/// those `y`s as a mask over the raw ids all forms have. Sums are `f64`,
+/// exact up to `2^53`.
+fn counts(legs: &[&Relation]) -> (u64, [f64; 2], Vec<u64>) {
+    let cells = |group: &[&Relation]| {
+        let mut cells = vec![1.0f64; width(legs)];
+        for r in group {
+            let degrees = r.by_y().degrees().map(f64::from);
+            cells.iter_mut().zip(degrees).for_each(|(c, d)| *c *= d);
+        }
+        cells
+    };
+    let (group_v, group_w) = halves(legs);
+    let (v, w) = (cells(group_v), cells(group_w));
+    let mut common = vec![0u64; v.len().div_ceil(64)];
+    let (mut full_join, mut nnz) = (0.0, [0.0; 2]);
+    for (y, (v, w)) in v.into_iter().zip(w).enumerate() {
+        if v * w > 0.0 {
             common[y / 64] |= 1 << (y % 64);
-            nnz_v += v;
-            full_join += v * f64::from(w);
+            (nnz[0], nnz[1], full_join) = (nnz[0] + v, nnz[1] + w, full_join + v * w);
         }
     }
-    (full_join as u64, nnz_v, common)
+    (full_join as u64, nnz, common)
+}
+
+/// `V`'s legs and `W`'s: the first `⌈k/2⌉` and the rest, as §3.2 groups
+/// them.
+fn halves<T>(legs: &[T]) -> (&[T], &[T]) {
+    legs.split_at(legs.len().div_ceil(2))
 }
 
 /// The raw `y` columns every leg's forms have.
@@ -219,16 +225,20 @@ fn width(legs: &[&Relation]) -> usize {
 /// everything-heavy core ([`price_all_heavy`]), whose record bounds `V`'s
 /// rows (the run reports them exactly). A forced `delta_override` is
 /// recorded unpriced; the run fills in the rest.
-fn plan_legs(legs: &[&Relation], counts: (u64, f64, &[u64]), config: &JoinConfig) -> PlanStats {
+fn plan_legs(
+    legs: &[&Relation],
+    counts: (u64, [f64; 2], &[u64]),
+    config: &JoinConfig,
+) -> PlanStats {
     if let Some((delta1, delta2)) = config.delta_override {
         return PlanStats::partitioned(delta1, delta2);
     }
-    let (full_join, nnz_v, common) = counts;
+    let (full_join, nnz, common) = counts;
     let n = legs.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
     let estimated_out = estimate_star_output(legs, full_join, n);
     let mut core = None;
     let (line_two, all_heavy) = line_two(config, full_join, n as usize, || {
-        let plan = price_all_heavy(legs, nnz_v, common, estimated_out, config)?;
+        let plan = price_all_heavy(legs, nnz, common, estimated_out, config)?;
         let price = plan.predicted_heavy_secs.zip(plan.heavy_backend);
         core = Some(plan);
         price
@@ -254,51 +264,74 @@ fn estimate_star_output(legs: &[&Relation], full_join: u64, n: u64) -> u64 {
     (lower * upper).sqrt().round() as u64
 }
 
-/// The everything-heavy core's record: `V`'s `nnz_v` set cells bound its
-/// rows, as does the product of its legs' heads; `W` is the last leg's
-/// heads. The bit core runs over raw `y` columns and packs only legs not
-/// packed yet (as `PackedCore`); the SGEMM pin fills f32 operands over the
-/// `common` `y`s. `None` over the cap.
+/// The everything-heavy core's record: the set cells of `V` and `W` bound
+/// their rows, as do the products of their legs' heads; a one-leg `W` is
+/// every head of its leg. Both backends grow the operands from the legs'
+/// forms and pack only legs not packed yet (as `PackedCore`); the bit core
+/// runs over raw `y` columns, the SGEMM pin fills f32 operands over the
+/// `common` `y`s. `None` when the forms and [`core_bytes`] are over the cap.
 fn price_all_heavy(
     legs: &[&Relation],
-    nnz_v: f64,
+    [nnz_v, nnz_w]: [f64; 2],
     common: &[u64],
     estimated_out: u64,
     config: &JoinConfig,
 ) -> Option<PlanStats> {
-    let (w, group_v) = legs.split_last()?;
-    let heads: f64 = group_v.iter().map(|r| r.active_x_count() as f64).product();
-    let (m, n) = (nnz_v.min(heads) as usize, w.active_x_count());
-    let record = |dims, (secs, kernel), operands| PlanStats {
+    let (group_v, group_w) = halves(legs);
+    let rows = |nnz: f64, group: &[&Relation]| {
+        let heads: f64 = group.iter().map(|r| r.active_x_count() as f64).product();
+        nnz.min(heads) as usize
+    };
+    // A one-leg `W` is read whole; a grown one walks its set cells.
+    let (n, nnz_w, grown) = match group_w {
+        [w] => (w.active_x_count(), w.len() as f64, 0.0),
+        _ => (rows(nnz_w, group_w), nnz_w, nnz_w),
+    };
+    let (m, k) = (rows(nnz_v, group_v), width(legs));
+    let record = |dims, (secs, kernel)| PlanStats {
         heavy_dims: Some(dims),
         heavy_core_matrix: Some(true),
         heavy_backend: Some(kernel),
-        heavy_operands: operands,
+        heavy_operands: Some(sources(legs)),
         predicted_light_secs: Some(0.0),
         predicted_heavy_secs: Some(secs),
         ..PlanStats::partitioned(0, 0)
     };
-    if !config.heavy_backend.is_boolean() {
-        let dims = (m, ones(common).count(), n);
-        let price = f32_core_cost(config, dims, nnz_v, estimated_out as f64)?;
-        return Some(record(dims, price, None));
-    }
-    let k = width(legs);
-    let plan = BitProductPlan::choose(m, k, n, nnz_v, w.len() as f64);
-    // `V` and the product on top of the forms; growing `V` walks its set
-    // cells, packing a form its relation's tuples.
-    let own = 8 * m * (k.div_ceil(64) + n.div_ceil(64));
+    let boolean = config.heavy_backend.is_boolean();
+    let c = ones(common).count();
     let [bytes, fresh, tuples] = forms(legs);
+    let own = core_bytes((m, k, n), c, boolean, group_w.len() > 1);
+    if !boolean {
+        let consts = config.cost_model.constants;
+        let packing = consts.t_seq * tuples as f64 + consts.t_alloc * fresh as f64 / 32.0;
+        let (secs, kernel) = f32_core_cost(config, (m, c, n), nnz_v, estimated_out as f64)?;
+        let fits = bytes + own <= config.matrix_cell_cap.saturating_mul(4);
+        return fits.then(|| record((m, k, n), (secs + packing, kernel)));
+    }
+    let plan = BitProductPlan::choose(m, k, n, nnz_v, nnz_w);
+    // Growing `V` walks its set cells, packing a form its relation's tuples.
     let secs = bit_core_cost(
         config,
         plan.words,
         (m * n.div_ceil(64)) as f64,
         [bytes + own, fresh + own],
-        nnz_v + tuples as f64,
+        nnz_v + grown + tuples as f64,
         0.0,
     )?;
-    let price = (secs, plan.orientation.name());
-    Some(record((m, k, n), price, Some(sources(legs))))
+    Some(record((m, k, n), (secs, plan.orientation.name())))
+}
+
+/// A core's bytes beside the forms: `V`'s bit rows (`m × k`), a grown `W`'s
+/// and their transpose, and the bit product or the SGEMM pin's f32 operands
+/// over the `c` masked columns.
+fn core_bytes((m, k, n): (usize, usize, usize), c: usize, boolean: bool, grown: bool) -> usize {
+    let w = usize::from(grown) * 8 * (n * k.div_ceil(64) + k * n.div_ceil(64));
+    let product = if boolean {
+        8 * m * n.div_ceil(64)
+    } else {
+        4 * (m * c + c * n + m * n)
+    };
+    8 * m * k.div_ceil(64) + w + product
 }
 
 /// A star reads every leg in both forms.
@@ -322,7 +355,7 @@ fn forms(legs: &[&Relation]) -> [usize; 3] {
 
 /// Whether `V`'s legs, and `W`'s, are all packed in both forms already.
 fn sources(legs: &[&Relation]) -> [OperandSource; 2] {
-    let (v, w) = legs.split_at(legs.len() - 1);
+    let (v, w) = halves(legs);
     [v, w].map(|group| operand_source(forms(group)[1] == 0))
 }
 
@@ -367,11 +400,34 @@ fn columns(legs: &[&Relation], mut cols: Vec<u64>, delta1: u32) -> Vec<u64> {
     cols
 }
 
-/// A leg's two memoised forms.
-#[derive(Clone, Copy)]
-struct Forms<'a> {
-    x: &'a PackedRows,
-    y: &'a PackedRows,
+/// A leg's `x`- and `y`-major forms, packed by their first reader.
+fn packed(r: &Relation) -> [&PackedRows; 2] {
+    FORMS.map(|form| r.packed(form).0)
+}
+
+/// `W`: one leg's forms as they lie, or the half-tuples grown over its legs,
+/// their rows and the `y`s every row has (its universal mask).
+enum Right<'a> {
+    Leg([&'a PackedRows; 2]),
+    Grown(FlatRows, BitMatrix, Vec<u64>),
+}
+
+impl Right<'_> {
+    /// The half-tuples of the rows, in order.
+    fn heads(self) -> FlatRows {
+        match self {
+            Right::Leg([x, _]) => FlatRows::new(1, x.ids().to_vec()),
+            Right::Grown(heads, ..) => heads,
+        }
+    }
+
+    /// Row `j`: the `y`s its heads share.
+    fn row(&self, j: usize) -> &[u64] {
+        match self {
+            Right::Leg([x, _]) => x.row(j),
+            Right::Grown(_, rows, _) => rows.row_words(j),
+        }
+    }
 }
 
 /// What the build phase hands to the product and the extraction.
@@ -379,19 +435,20 @@ struct Built<'a> {
     /// The half-tuples of `V`'s rows, in order, and the rows.
     v: FlatRows,
     v_bits: BitMatrix,
-    /// `W`: the last leg's forms.
-    w: Forms<'a>,
-    /// How a Boolean product runs (unread by SGEMM), and the kernel's name.
+    w: Right<'a>,
+    /// How a Boolean product runs (unread by SGEMM), the kernel's name and
+    /// the shape, over raw `y` columns for either kernel.
     orientation: Orientation,
     kernel: &'static str,
+    dims: (usize, usize, usize),
     /// Whether `V`'s and `W`'s legs were packed before this query.
     sources: [OperandSource; 2],
 }
 
 /// The build phase: the legs' forms, packed here or found packed, and `V`
-/// grown from them under the masks. `None` when the exact bytes of the
-/// forms (checked before any is packed), `V` and the product in the
-/// representation that runs are over `4 · cell_cap`.
+/// (and a `W` of more than one leg) grown from them under the masks. `None`
+/// when the exact bytes of the forms (checked before any is packed) and
+/// [`core_bytes`] are over `4 · cell_cap`.
 fn build<'a>(
     legs: &[&'a Relation],
     cols: &[u64],
@@ -401,69 +458,85 @@ fn build<'a>(
 ) -> Option<Built<'a>> {
     let budget = cell_cap.saturating_mul(4).checked_sub(forms(legs)[0])?;
     let sources = sources(legs);
-    let forms: Vec<Forms> = legs
-        .iter()
-        .map(|r| Forms {
-            x: r.packed(PackedForm::XMajor).0,
-            y: r.packed(PackedForm::YMajor).0,
-        })
-        .collect();
-    let (w, group_v) = forms.split_last()?;
-    let (v, v_bits) = half_tuples(group_v, delta2, (cols, width(legs)), budget)?;
-    let (m, k, n) = (v.len(), v_bits.cols(), w.x.rows());
-    let nnz_w = legs[legs.len() - 1].len() as f64;
-    let plan = BitProductPlan::choose(m, k, n, v_bits.count_ones() as f64, nnz_w);
-    let (kernel, bytes) = match ones(cols).count() {
-        _ if boolean => (
-            plan.orientation.name(),
-            8 * m * (k.div_ceil(64) + n.div_ceil(64)),
-        ),
-        k => (F32_KERNEL, 4 * (m * k + k * n + m * n)),
+    let forms: Vec<_> = legs.iter().map(|r| packed(r)).collect();
+    let (group_v, group_w) = halves(&forms);
+    let mask = (cols, width(legs));
+    let (v, v_bits) = half_tuples(group_v, delta2, mask, budget)?;
+    let (w, n, nnz_w) = match *group_w {
+        [w] => (Right::Leg(w), w[0].rows(), legs[legs.len() - 1].len()),
+        _ => {
+            let (heads, rows) = half_tuples(group_w, delta2, mask, budget)?;
+            let (n, nnz_w) = (heads.len(), rows.count_ones());
+            // The `y`s every row has, none when there is no row.
+            let mut universal = if n > 0 { cols.to_vec() } else { Vec::new() };
+            for j in 0..n {
+                let row = rows.row_words(j);
+                universal.iter_mut().zip(row).for_each(|(u, w)| *u &= w);
+            }
+            (Right::Grown(heads, rows, universal), n, nnz_w)
+        }
     };
-    (bytes <= budget).then_some(Built {
+    let (m, k) = (v.len(), v_bits.cols());
+    let plan = BitProductPlan::choose(m, k, n, v_bits.count_ones() as f64, nnz_w as f64);
+    let c = ones(cols).count();
+    let kernel = if boolean {
+        plan.orientation.name()
+    } else {
+        F32_KERNEL
+    };
+    let grown = matches!(w, Right::Grown(..));
+    (core_bytes((m, k, n), c, boolean, grown) <= budget).then_some(Built {
         v,
         v_bits,
-        w: *w,
+        w,
         orientation: plan.orientation,
         kernel,
+        dims: (m, k, n),
         sources,
     })
 }
 
 impl Built<'_> {
     /// The product's words, `V`'s rows by `W`'s, and the rows `W`'s universal
-    /// mask filled; SGEMM's f32 operands hold the masked columns `cols`.
+    /// mask filled (row-OR reads a grown `W` transposed); SGEMM's f32
+    /// operands hold the masked columns `cols`.
     fn multiply(&self, cols: &[u64], config: &JoinConfig) -> (Vec<u64>, Option<usize>) {
-        let (v, w) = (&self.v_bits, self.w);
+        let (v, n) = (&self.v_bits, self.dims.2);
         if config.heavy_backend.is_boolean() {
-            let right = match self.orientation {
-                Orientation::RowOr => w.y,
-                Orientation::AndAny => w.x,
+            let transposed;
+            let (right, universal) = match (&self.w, self.orientation) {
+                (Right::Leg([_, y]), Orientation::RowOr) => (view(y), y.universal()),
+                (Right::Leg([x, _]), Orientation::AndAny) => (view(x), x.universal()),
+                (Right::Grown(_, rows, all), Orientation::AndAny) => (rows.view(), &all[..]),
+                (Right::Grown(_, rows, all), Orientation::RowOr) => {
+                    transposed = rows.transposed();
+                    (transposed.view(), &all[..])
+                }
             };
-            let left = v.view();
-            let (c, filled) = left.product(view(right), self.orientation, right.universal());
+            let (c, filled) = v.view().product(right, self.orientation, universal);
             return (c.into_words(), Some(filled));
         }
         let ys: Vec<usize> = ones(cols).collect();
         let bit = |row: &[u64], y: usize| f32::from(u8::from(row[y / 64] >> (y % 64) & 1 == 1));
         let a = DenseMatrix::from_fn(v.rows(), ys.len(), |i, c| bit(v.row_words(i), ys[c]));
-        let b = DenseMatrix::from_fn(ys.len(), w.x.rows(), |c, j| bit(w.x.row(j), ys[c]));
+        let b = DenseMatrix::from_fn(ys.len(), n, |c, j| bit(self.w.row(j), ys[c]));
         let c = matmul_parallel_on(config.exec(), &a, &b, config.effective_threads());
         (Product::F32(c).into_bits().into_words(), None)
     }
 }
 
-/// `V`'s rows: the distinct half-tuples over `group` whose heads share a
-/// column of `mask` (`cols` wide), ascending, with the columns they share.
-/// Grown a leg at a time from the empty prefix, which has every masked
+/// An operand's rows: the distinct half-tuples over `group` whose heads
+/// share a column of `mask` (`cols` wide), ascending, with the columns they
+/// share. Grown a leg at a time from the empty prefix, which has every masked
 /// column: a prefix's candidates are the heads under any of its columns
-/// (those `y`-major rows OR-ed; at a forced `Δ2 > 0`, the heavier), and a
-/// candidate's `x`-major row AND the prefix's is the longer half-tuple's —
-/// never empty, so a head that reaches no masked `y` is never one. Each
-/// leg's rows are counted first, then checked against `budget` bytes (`None`
-/// when over) and allocated once.
+/// ([`under`]; at a forced `Δ2 > 0`, the heavier), and a candidate's
+/// `x`-major row AND the prefix's is the longer half-tuple's — never empty,
+/// so a head that reaches no masked `y` is never one. A leg's candidates
+/// are found twice into one buffer every prefix reuses: counted, so its
+/// rows are checked against `budget` bytes (`None` when over) and allocated
+/// once, then filled.
 fn half_tuples(
-    group: &[Forms],
+    group: &[[&PackedRows; 2]],
     delta2: u32,
     (mask, cols): (&[u64], usize),
     budget: usize,
@@ -472,33 +545,33 @@ fn half_tuples(
     let mut words = mask.to_vec();
     // The half-tuples, `arity` values each; the empty prefix is one row.
     let (mut rows, mut arity) = (Vec::new(), 0);
-    for leg in group {
-        let reach = leg.y.stride();
+    for &[x, y] in group {
         // Every head, or at a forced `Δ2 > 0` those of more tuples.
-        let mut heads = vec![!0u64; reach];
-        let degree = |h: usize| leg.x.row(h).iter().map(|w| w.count_ones()).sum::<u32>();
-        for h in (0..leg.x.rows()).filter(|&h| delta2 > 0 && degree(h) <= delta2) {
+        let mut heads = vec![!0u64; y.stride()];
+        let degree = |h: usize| x.row(h).iter().map(|w| w.count_ones()).sum::<u32>();
+        for h in (0..x.rows()).filter(|&h| delta2 > 0 && degree(h) <= delta2) {
             heads[h / 64] &= !(1 << (h % 64));
         }
-        let mut candidates = vec![0u64; words.len() / stride * reach];
-        let prefixes = words.chunks_exact(stride);
-        for (prefix, to) in prefixes.clone().zip(candidates.chunks_exact_mut(reach)) {
-            for c in ones(prefix) {
-                to.iter_mut().zip(leg.y.row(c)).for_each(|(to, m)| *to |= m);
-            }
-            to.iter_mut().zip(&heads).for_each(|(to, h)| *to &= h);
+        let mut candidates = vec![0u64; y.stride()];
+        let mut count = 0;
+        for prefix in words.chunks_exact(stride) {
+            under(y, prefix, &heads, &mut candidates);
+            count += candidates
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
         }
-        let count: usize = candidates.iter().map(|w| w.count_ones() as usize).sum();
         if 8 * count * stride > budget {
             return None;
         }
         let mut next = Vec::with_capacity(count * (arity + 1));
         let mut next_words = Vec::with_capacity(count * stride);
-        for (p, (prefix, heads)) in prefixes.zip(candidates.chunks_exact(reach)).enumerate() {
-            for h in ones(heads) {
+        for (p, prefix) in words.chunks_exact(stride).enumerate() {
+            under(y, prefix, &heads, &mut candidates);
+            for h in ones(&candidates) {
                 next.extend_from_slice(&rows[p * arity..(p + 1) * arity]);
-                next.push(leg.x.ids()[h]);
-                next_words.extend(prefix.iter().zip(leg.x.row(h)).map(|(a, b)| a & b));
+                next.push(x.ids()[h]);
+                next_words.extend(prefix.iter().zip(x.row(h)).map(|(a, b)| a & b));
             }
         }
         (rows, words, arity) = (next, next_words, arity + 1);
@@ -507,12 +580,23 @@ fn half_tuples(
     Some((FlatRows::new(arity, rows), bits))
 }
 
+/// The heads of `heads` under any column of `prefix` — those rows of the
+/// `y`-major form `y` OR-ed — into `to`.
+fn under(y: &PackedRows, prefix: &[u64], heads: &[u64], to: &mut [u64]) {
+    to.fill(0);
+    for c in ones(prefix) {
+        to.iter_mut().zip(y.row(c)).for_each(|(to, m)| *to |= m);
+    }
+    to.iter_mut().zip(heads).for_each(|(to, h)| *to &= h);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmjoin_api::PlanKind;
     use mmjoin_wcoj::star_join_project;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn rel(edges: &[(Value, Value)]) -> Relation {
         Relation::from_edges(edges.iter().copied())
@@ -598,16 +682,23 @@ mod tests {
         };
         assert_eq!(planned_half, plan);
 
-        // The pin prices and runs SGEMM on the same cells.
+        // The pin prices and runs SGEMM on the same cells, over the masked
+        // columns, from the same forms: its run's record is its plan's too.
         let pinned = JoinConfig {
             heavy_backend: crate::config::HeavyBackend::DenseF32,
             ..JoinConfig::default()
         };
-        assert_eq!(
-            plan_then_run(&rels, &pinned, false).1.heavy_backend,
-            Some("f32")
-        );
-        assert_eq!(star_join_project_mm(&rels, &pinned), rows);
+        let (_, pinned_plan) = plan_then_run(&rels, &pinned, false);
+        assert_eq!(pinned_plan.heavy_backend, Some("f32"));
+        assert_eq!(pinned_plan.heavy_dims, Some((600, 8, 10)));
+        assert_eq!(pinned_plan.heavy_operands, Some([OperandSource::Reused; 2]));
+        let (pinned_rows, pinned_stats) = star_join_project_mm_with_stats(&rels, &pinned);
+        assert_eq!(pinned_rows, rows);
+        let pinned_run = PlanStats {
+            measured_phase_secs: None,
+            ..pinned_stats.unwrap()
+        };
+        assert_eq!(pinned_run, pinned_plan);
     }
 
     /// Line 2, and the degenerate shapes with nothing of their own to decide.
@@ -692,10 +783,7 @@ mod tests {
         // adds smaller tuples, and its head 6 reaches only column 2.
         let first = rel(&[(9, 0), (70, 0), (2, 1), (9, 1), (3, 2)]);
         let second = rel(&[(4, 0), (1, 1), (4, 1), (6, 2)]);
-        let forms = [&first, &second].map(|r| Forms {
-            x: r.packed(PackedForm::XMajor).0,
-            y: r.packed(PackedForm::YMajor).0,
-        });
+        let forms = [&first, &second].map(packed);
         let mask = [0b011];
         let (rows, bits) = half_tuples(&forms, 0, (&mask, 3), usize::MAX).unwrap();
         assert_eq!(rows.values(), [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
@@ -764,24 +852,42 @@ mod tests {
         let mut built = build(legs, &cols, 0, true, config.matrix_cell_cap).unwrap();
         built.orientation = orientation;
         let (words, _) = built.multiply(&cols, &config);
-        let w = FlatRows::new(1, built.w.x.ids().to_vec());
-        FlatRows::product(words, built.v, w).into_values()
+        FlatRows::product(words, built.v, built.w.heads()).into_values()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// `counts`' full join is the enumeration's length, and its mask
+        /// the `y`s the enumeration finds a witness at.
+        #[test]
+        fn count_matches_enumeration(
+            r_edges in proptest::collection::vec((0u32..15, 0u32..15), 0..40),
+            s_edges in proptest::collection::vec((0u32..15, 0u32..12), 0..40),
+            t_edges in proptest::collection::vec((0u32..15, 0u32..9), 0..40),
+        ) {
+            let rels = [rel(&r_edges), rel(&s_edges), rel(&t_edges)];
+            let (mut n, mut ys) = (0u64, BTreeSet::new());
+            star_full_join_for_each(&rels, |y, _| {
+                n += 1;
+                ys.insert(y as usize);
+            });
+            let (full_join, _, common) = counts(&[&rels[0], &rels[1], &rels[2]]);
+            prop_assert_eq!(full_join, n);
+            prop_assert_eq!(ones(&common).collect::<BTreeSet<_>>(), ys);
+        }
+
         /// Stars multiplied from the legs' memoised forms equal the WCOJ
         /// reference in both orientations, and so does the engine forced
-        /// onto the core: `k = 3` (a one-leg `W`, read as it lies) and
-        /// `k = 4` (a grown `W`), legs over different `y` domains with
+        /// onto the core: `k = 3` (a one-leg `W`, read as it lies), `k = 4`
+        /// and `5` (a grown `W`), legs over different `y` domains with
         /// unused ids past their tuples, heads and `y`s that join nothing,
         /// and stars with no common `y` at all.
         #[test]
         fn stars_from_memoised_forms_match_the_reference(
             legs in proptest::collection::vec(
                 (1u32..30, proptest::collection::vec((0u32..12, 0u32..40), 1..50)),
-                3..5,
+                3..6,
             ),
         ) {
             let rels: Vec<Relation> = legs

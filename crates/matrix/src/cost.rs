@@ -71,13 +71,6 @@ pub struct SystemConstants {
     pub t_alloc: f64,
     /// `TI`: average random access + insert cost per element.
     pub t_insert: f64,
-    /// Fixed cost of running one bit heavy core, whatever its size: its
-    /// allocations, its phases' spans and clock reads, and the kernel's
-    /// set-up. Not micro-benchmarked and not saved with a model: measured
-    /// once, as what a 4-tuple bit core takes beyond the expansion of the
-    /// same join (0.80 µs against 0.44 µs, best of 2 000 runs on a 2-vCPU
-    /// x86-64 host) — expansion's price has no fixed term either.
-    pub t_setup: f64,
 }
 
 impl Default for SystemConstants {
@@ -90,14 +83,12 @@ impl Default for SystemConstants {
             t_seq: 1.0e-9,
             t_alloc: 4.0e-9,
             t_insert: 2.5e-9,
-            t_setup: 0.4e-6,
         }
     }
 }
 
 impl SystemConstants {
-    /// Micro-benchmarks the three per-element constants on the current
-    /// machine; `t_setup` keeps its default.
+    /// Micro-benchmarks the three constants on the current machine.
     ///
     /// Each micro-bench gets a warmup pass and is then timed three times,
     /// keeping the median — the same discipline as `bench::timed_median`.
@@ -138,7 +129,6 @@ impl SystemConstants {
             t_seq: t_seq.max(1e-11),
             t_alloc: t_alloc.max(1e-11),
             t_insert: t_insert.max(1e-11),
-            ..Self::default()
         }
     }
 }
@@ -503,7 +493,6 @@ impl CostModel {
                         t_seq: next()?,
                         t_alloc: next()?,
                         t_insert: next()?,
-                        ..SystemConstants::default()
                     };
                 }
                 Some("bitword") => {

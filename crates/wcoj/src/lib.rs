@@ -21,7 +21,7 @@ pub mod triangle;
 pub use engine::WcojEngine;
 pub use leapfrog::{leapfrog_intersect, LeapfrogIter};
 pub use star::{
-    full_join_count, star_full_join_for_each, star_join_project, star_join_project_flat,
-    two_path_for_each, ProjectionAccumulator,
+    star_full_join_for_each, star_join_project, star_join_project_flat, two_path_for_each,
+    ProjectionAccumulator,
 };
 pub use triangle::batch_filter_exists;

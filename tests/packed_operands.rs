@@ -437,6 +437,40 @@ fn a_core_over_the_cap_packs_nothing_and_expands() {
     assert_eq!(r.packed_bytes() + s.packed_bytes(), 0);
 }
 
+/// (d) A star whose middle leg is wide and mostly joins nothing: its heads
+/// off the common `y`s never become candidates, and what the core asks of
+/// the allocator per query stays within the cap's bytes beside the forms —
+/// no buffer of every prefix by every head of the leg (here 2 000 × 1 563
+/// words, 25 MB, against a 3 MB cap).
+#[test]
+fn a_wide_star_leg_that_mostly_joins_nothing_stays_within_the_cap() {
+    // 2 000 heads on two of the common `y` 0..4 each, then 8 heads on them
+    // and 100 000 on `y` 4..64, which no other leg holds, then 8 heads.
+    let first = Relation::from_edges((0..2000).flat_map(|x| [(x, x % 4), (x, (x + 1) % 4)]));
+    let common = (0..8).map(|x| (x, x % 4));
+    let wide = Relation::from_edges(common.clone().chain((8..100_008).map(|x| (x, 4 + x % 60))));
+    let last = Relation::from_edges(common);
+    let rels = [&first, &wide, &last];
+    let config = JoinConfig {
+        matrix_cell_cap: 3 << 18,
+        ..served(0.0, 1)
+    };
+    let expected: Vec<Value> = star_join_project(&rels).concat();
+    let run = || mmjoin_core::star_join_project_mm_flat(&rels, &config);
+    let (rows, stats) = run();
+    assert_eq!(rows, expected);
+    assert_eq!(stats.unwrap().heavy_core_matrix, Some(true));
+    let forms: usize = rels.iter().map(|r| r.packed_bytes()).sum();
+    let ((again, stats), asked) = tallied(usize::MAX, run);
+    assert_eq!(again, expected);
+    assert_eq!(
+        stats.unwrap().heavy_operands,
+        Some([OperandSource::Reused; 2])
+    );
+    let budget = 4 * config.matrix_cell_cap - forms;
+    assert!(asked.bytes <= budget as u64, "{asked:?}, {budget} bytes");
+}
+
 /// (e) A query over packed relations allocates the product — its words and
 /// the two id lists its answer keeps — the output and O(1) more, whatever
 /// `|R| + |S|` — in particular none of the per-pair
