@@ -20,7 +20,9 @@ A snapshot that is a JSON *object* is a `trajectory` result file
 per-seed ``script_hash`` of every workload, and per seed a ``parent`` and
 a ``change`` set as ``benchmark/compare.py collect`` writes them. Those
 are checked for that shape, for both sets of a seed having measured the
-same scripts, and for zero failed operations.
+same scripts, and for zero failed operations. An optional ``revision``
+block (BENCH_39.json on) repeats the measurement on a revised change: its
+seeds' sets and its ``traced_alternations`` lists are checked the same way.
 
 The check fails if any snapshot is malformed, or if the trajectory is
 missing a required snapshot (BENCH_8.json must exist and carry the
@@ -118,31 +120,74 @@ def check_crossover(path: str, entry, require_par: bool) -> None:
             fail(f"{path}: {key} has malformed thread budget {budget!r}")
 
 
+def check_runs(path: str, where: str, runs, hashes_of) -> None:
+    """Runs, each of a script the header names (`hashes_of(run header)` maps
+    workloads to hashes), with zero failed operations."""
+    if not isinstance(runs, list) or not runs:
+        fail(f"{path}: {where} has no runs")
+    for run in runs:
+        head = run.get("header", {}) if isinstance(run, dict) else {}
+        hashes = hashes_of(head)
+        if not isinstance(hashes, dict):
+            fail(f"{path}: header has no script_hash for {where} seed {head.get('seed')}")
+        if "metrics" not in run or hashes.get(head.get("workload")) != head.get("script_hash"):
+            fail(f"{path}: {where} holds a run of another script")
+        if run.get("failed"):
+            fail(f"{path}: {where} {head['workload']} has failed operations")
+
+
+def check_sides(path: str, where: str, sets, hashes: dict) -> None:
+    """A seed's `parent` and `change` sets, both non-empty, of its scripts."""
+    for side in ("parent", "change"):
+        runs = sets.get(side, {}).get("runs") if isinstance(sets, dict) else None
+        check_runs(path, f"{where}.{side}", runs, lambda _: hashes)
+
+
 def check_trajectory(path: str, doc: dict) -> None:
-    """A `compare.py collect` pair file: header + {seed: {parent, change}}."""
+    """A `compare.py collect` pair file: header + {seed: {parent, change}},
+    and optionally a ``revision`` block: the same measurement repeated on a
+    revised change, with its own commits, seeds and ``traced_alternations``
+    (lists of single traced runs per side), all of the header's scripts."""
     header = doc.get("header")
     if not isinstance(header, dict):
         fail(f"{path}: trajectory file has no header object")
     for key in ("parent_commit", "change_commit", "host_cores", "script_hash"):
         if key not in header:
             fail(f"{path}: header lacks {key!r}")
-    seeds = [key for key in doc if key != "header"]
+    seeds = [key for key in doc if key not in ("header", "revision")]
     if not seeds:
         fail(f"{path}: no result sets")
     for seed in seeds:
         hashes = header["script_hash"].get(seed)
         if not isinstance(hashes, dict):
             fail(f"{path}: header has no script_hash for {seed}")
-        for side in ("parent", "change"):
-            runs = doc[seed].get(side, {}).get("runs")
-            if not runs:
-                fail(f"{path}: {seed}.{side} has no runs")
-            for run in runs:
-                head = run.get("header", {})
-                if "metrics" not in run or hashes.get(head.get("workload")) != head.get("script_hash"):
-                    fail(f"{path}: {seed}.{side} holds a run of another script")
-                if run.get("failed"):
-                    fail(f"{path}: {seed}.{side} {head['workload']} has failed operations")
+        check_sides(path, seed, doc[seed], hashes)
+    if "revision" not in doc:
+        return
+    revision = doc["revision"]
+    if not isinstance(revision, dict):
+        fail(f"{path}: revision is not an object")
+    for key in ("parent_commit", "change_commit"):
+        if key not in revision:
+            fail(f"{path}: revision lacks {key!r}")
+    traced = revision.get("traced_alternations", {})
+    if not isinstance(traced, dict):
+        fail(f"{path}: revision.traced_alternations is not an object")
+    rest = ("what", "parent_commit", "change_commit", "traced_alternations")
+    seeds = [key for key in revision if key not in rest]
+    if not seeds and not traced:
+        fail(f"{path}: revision has no result sets")
+    for seed in seeds:
+        hashes = header["script_hash"].get(seed)
+        if not isinstance(hashes, dict):
+            fail(f"{path}: header has no script_hash for revision.{seed}")
+        check_sides(path, f"revision.{seed}", revision[seed], hashes)
+    # A traced run carries its seed, and is held to that seed's scripts.
+    def of_its_seed(head: dict):
+        return header["script_hash"].get(f"seed{head.get('seed')}")
+
+    for name, runs in traced.items():
+        check_runs(path, f"revision.traced_alternations.{name}", runs, of_its_seed)
 
 
 def main() -> None:

@@ -18,6 +18,12 @@
 //! group by the cheaper of §6's two strategies — sort the appended values,
 //! or mark them in a dense buffer (here a bitmap over `dom z`).
 //!
+//! **Cost.** A group's size, `Σ_y |L_S[y]|`, is read from `S`'s offsets as
+//! the walk reaches its `x`; nothing is sized ahead of the walk. The sort
+//! strategy appends the lists with `CsrIndex::gather`, one fixed-width move
+//! per short list: a copy loop per list costs a mispredicted exit each,
+//! which on relations that fit in L2 is more than their values cost.
+//!
 //! **Order.** `x` groups ascend and each group leaves in ascending `z`, so
 //! the output is sorted and distinct as it is written: nothing sorts it
 //! afterwards, and parallel workers, who own contiguous `x` ranges, are
@@ -26,14 +32,12 @@
 use mmjoin_executor::Executor;
 use mmjoin_storage::dedup::sort_dedup;
 use mmjoin_storage::{Relation, Value};
+use std::ops::Range;
 
 /// A group expanding to more than `dom z / BITMAP_FRACTION` values marks
 /// them in the bitmap: walking its `dom z / 64` words then costs less than
 /// sorting the values would. Below it, a group pays nothing per domain.
 const BITMAP_FRACTION: usize = 32;
-
-/// One active `x` of `R` with its sorted `y` list.
-type Group<'a> = (Value, &'a [Value]);
 
 /// The Lemma-2 combinatorial output-sensitive engine (`Non-MMJoin`).
 #[derive(Debug, Clone)]
@@ -85,23 +89,13 @@ impl ExpandDedupEngine {
         }
     }
 
-    /// `Σ_y |L_S[y]|` over one group's `ys`: the values it expands to
-    /// before deduplication.
-    fn expansion(ys: &[Value], s: &Relation) -> usize {
-        Self::lists(ys, s).map(<[Value]>::len).sum()
-    }
-
-    /// `S`'s inverted lists for `ys` (none past `S`'s `y` domain).
-    fn lists<'a>(ys: &'a [Value], s: &'a Relation) -> impl Iterator<Item = &'a [Value]> {
-        let known = ys.iter().filter(|&&y| (y as usize) < s.y_domain());
-        known.map(|&y| s.xs_of(y))
-    }
-
-    /// Expands one `x` group of `expansion` values through `S`'s inverted
-    /// lists, appending its distinct `(x, z)` pairs to `out` in ascending
-    /// `z`. `bitmap` covers `dom z` and is all zero between calls.
+    /// Expands one `x` group of `expansion` values (its `ys`' inverted
+    /// lists in `S`, read from `S`'s offsets), appending its distinct
+    /// `(x, z)` pairs to `out` in ascending `z`. `bitmap` covers `dom z` and
+    /// is all zero between calls.
     fn expand_group(
-        (x, ys): Group<'_>,
+        x: Value,
+        ys: &[Value],
         expansion: usize,
         s: &Relation,
         bitmap: &mut [u64],
@@ -110,13 +104,15 @@ impl ExpandDedupEngine {
     ) {
         if expansion <= s.x_domain() / BITMAP_FRACTION {
             scratch.clear();
-            Self::lists(ys, s).for_each(|zs| scratch.extend_from_slice(zs));
+            s.by_y().gather(ys, expansion, scratch);
             sort_dedup(scratch);
             out.extend(scratch.iter().map(|&z| (x, z)));
             return;
         }
         let (mut lo, mut hi) = (usize::MAX, 0);
-        for zs in Self::lists(ys, s) {
+        // `ys` ascends: the ones inside `S`'s `y` domain are a prefix.
+        let known = ys.partition_point(|&y| (y as usize) < s.y_domain());
+        for zs in ys[..known].iter().map(|&y| s.xs_of(y)) {
             // Lists are sorted: their ends bound the words they touch.
             let (Some(&first), Some(&last)) = (zs.first(), zs.last()) else {
                 continue;
@@ -145,14 +141,19 @@ impl ExpandDedupEngine {
         }
     }
 
-    /// Expands consecutive `groups`, each with its expansion size, on one
-    /// thread, with one bitmap and one scratch list for all of them.
-    fn expand_groups(groups: &[(Group<'_>, usize)], s: &Relation) -> Vec<(Value, Value)> {
+    /// Expands the `x` groups of `R` in `xs` on one thread, with one bitmap
+    /// and one scratch list for all of them.
+    fn expand_range(r: &Relation, s: &Relation, xs: Range<usize>) -> Vec<(Value, Value)> {
         let mut bitmap = vec![0u64; s.x_domain().div_ceil(64)];
         let mut scratch = Vec::new();
         let mut out = Vec::new();
-        for &(group, size) in groups {
-            Self::expand_group(group, size, s, &mut bitmap, &mut scratch, &mut out);
+        let lists = s.by_y();
+        for x in xs.map(|x| x as Value) {
+            let ys = r.ys_of(x);
+            let size = lists.rows_len(ys);
+            if size > 0 {
+                Self::expand_group(x, ys, size, s, &mut bitmap, &mut scratch, &mut out);
+            }
         }
         debug_assert!(bitmap.iter().all(|&word| word == 0), "emission clears");
         out
@@ -173,31 +174,30 @@ impl ExpandDedupEngine {
         s: &Relation,
         exec: &Executor,
     ) -> Vec<(Value, Value)> {
-        let groups = r.by_x().iter_nonempty();
-        let groups: Vec<(Group<'_>, usize)> = groups
-            .map(|group| (group, Self::expansion(group.1, s)))
-            .collect();
         let out = if self.threads <= 1 {
-            Self::expand_groups(&groups, s)
+            Self::expand_range(r, s, 0..r.x_domain())
         } else {
             // One contiguous range of `x` groups per worker — disjoint, so
             // no dedup across workers, and ascending, so their outputs
             // concatenate into the answer — cut where the expansion sizes
-            // sum to equal shares: a few prolific heads do not make one
-            // range the straggler.
-            let total: usize = groups.iter().map(|&(_, size)| size).sum();
-            let share = total.div_ceil(self.threads).max(1);
+            // (read from `S`'s offsets; their total is the full join) sum
+            // to equal shares: a few prolific heads do not make one range
+            // the straggler. The walk stops at the last cut.
+            let share = (r.full_join_size(s) as usize).div_ceil(self.threads).max(1);
             let mut cuts = vec![0];
-            let mut done = 0;
-            for (i, &(_, size)) in groups.iter().enumerate() {
-                if done >= cuts.len() * share {
-                    cuts.push(i);
+            let (mut done, lists) = (0, s.by_y());
+            for (x, ys) in r.by_x().iter_nonempty() {
+                if cuts.len() == self.threads {
+                    break;
                 }
-                done += size;
+                if done >= cuts.len() * share {
+                    cuts.push(x as usize);
+                }
+                done += lists.rows_len(ys);
             }
-            cuts.push(groups.len());
+            cuts.push(r.x_domain());
             let parts = exec.map(self.threads, cuts.len() - 1, |i| {
-                Self::expand_groups(&groups[cuts[i]..cuts[i + 1]], s)
+                Self::expand_range(r, s, cuts[i]..cuts[i + 1])
             });
             parts.concat()
         };
@@ -258,6 +258,34 @@ mod tests {
         }
     }
 
+    /// Groups reading the lists that end `S`'s `y`-major array — the last
+    /// `GATHER_WIDTH` values, which the gather copies exactly rather than a
+    /// full width — expand like any other, at any number of workers.
+    #[test]
+    fn the_last_lists_of_s_expand_exactly() {
+        // `y` lists one to three `z`s of a 4000-wide domain, so the last
+        // `y`s' lists end the array; every `x` reads some of the `y`s after
+        // it, and the last `y`.
+        let lists = (0..20u32).flat_map(|y| (0..1 + y % 3).map(move |i| (y * 37 + i * 311, y)));
+        let s = rel(&lists.chain([(3999, 0)]).collect::<Vec<_>>());
+        let reads = |x: u32| {
+            (x..20)
+                .step_by(1 + x as usize % 4)
+                .chain([19])
+                .map(move |y| (x, y))
+        };
+        let r = rel(&(0..20).flat_map(reads).collect::<Vec<_>>());
+        assert!(s.len() > mmjoin_storage::csr::GATHER_WIDTH && r.y_degree(19) == 20);
+        let sorts = |x: Value| s.by_y().rows_len(r.ys_of(x)) <= s.x_domain() / BITMAP_FRACTION;
+        assert!((0..20).all(sorts), "every group takes the gather");
+
+        let expected = SortMergeEngine.join_project(&r, &s);
+        for threads in [1, 2, 3, 8] {
+            let got = ExpandDedupEngine::parallel(threads).join_project(&r, &s);
+            assert_eq!(got, expected, "threads={threads}");
+        }
+    }
+
     #[test]
     fn star_k3_matches_wcoj_reference() {
         let r1 = rel(&[(0, 0), (1, 0), (2, 1)]);
@@ -306,9 +334,8 @@ mod tests {
             let s = rel(&s_edges.chain([(z_domain - 1, 12)]).collect::<Vec<_>>());
             let hub = (0..12).map(|y| (40, y));
             let r = rel(&r_edges.into_iter().chain(hub).chain([(41, 12)]).collect::<Vec<_>>());
-            let sorts = |x: Value| {
-                ExpandDedupEngine::expansion(r.ys_of(x), &s) <= s.x_domain() / BITMAP_FRACTION
-            };
+            let sorts =
+                |x: Value| s.by_y().rows_len(r.ys_of(x)) <= s.x_domain() / BITMAP_FRACTION;
             prop_assert!(sorts(41) && !sorts(40));
 
             let expected = SortMergeEngine.join_project(&r, &s);

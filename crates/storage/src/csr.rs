@@ -2,6 +2,10 @@
 
 use crate::{Edge, Value};
 
+/// How many values [`CsrIndex::gather`] moves per row whatever the row's
+/// length: eight `u32`s, one 32-byte move.
+pub const GATHER_WIDTH: usize = 8;
+
 /// A CSR (compressed sparse row) index mapping each key in a dense domain
 /// `0..num_keys` to a sorted slice of neighbor values.
 ///
@@ -142,6 +146,61 @@ impl CsrIndex {
             .iter()
             .zip(starts)
             .map(|(end, start)| end - start)
+    }
+
+    /// `offsets[key]` and `offsets[key + 1]`, or `None` past the domain.
+    #[inline]
+    fn row_bounds(&self, key: Value) -> Option<(usize, usize)> {
+        match self.offsets.get(key as usize..)? {
+            [start, end, ..] => Some((*start as usize, *end as usize)),
+            _ => None,
+        }
+    }
+
+    /// How many values [`CsrIndex::gather`] appends for `keys`: their rows'
+    /// lengths summed, read from the offsets alone; a key past the domain
+    /// adds nothing.
+    #[inline]
+    pub fn rows_len(&self, keys: &[Value]) -> usize {
+        let bounds = keys.iter().filter_map(|&key| self.row_bounds(key));
+        bounds.map(|(start, end)| end - start).sum()
+    }
+
+    /// Appends the rows of `keys`, in key order, to `out`, skipping keys
+    /// past the domain; `len` is how many values they hold
+    /// ([`CsrIndex::rows_len`]).
+    ///
+    /// Each row is copied [`GATHER_WIDTH`] values wide into slack past the
+    /// end of what is written, and the write position then advances by the
+    /// row's true length: a short row costs one fixed-width move, not a
+    /// loop whose exit the branch predictor misses once per row. A row
+    /// longer than that copies the rest of itself; one that starts within
+    /// [`GATHER_WIDTH`] of the end of the neighbor array is copied exactly.
+    ///
+    /// # Panics
+    /// Panics if the rows hold more than `len` values (and, with debug
+    /// assertions, fewer).
+    pub fn gather(&self, keys: &[Value], len: usize, out: &mut Vec<Value>) {
+        const W: usize = GATHER_WIDTH;
+        let mut at = out.len();
+        out.resize(at + len + W, 0);
+        for &key in keys {
+            let Some((start, end)) = self.row_bounds(key) else {
+                continue;
+            };
+            let row = end - start;
+            if start + W <= self.neighbors.len() {
+                out[at..at + W].copy_from_slice(&self.neighbors[start..start + W]);
+                if row > W {
+                    out[at + W..at + row].copy_from_slice(&self.neighbors[start + W..end]);
+                }
+            } else {
+                out[at..at + row].copy_from_slice(&self.neighbors[start..end]);
+            }
+            at += row;
+        }
+        debug_assert_eq!(at + W, out.len(), "`len` is the rows' length");
+        out.truncate(at);
     }
 
     /// Iterator over `(key, neighbors)` for all keys with non-empty rows.
@@ -322,6 +381,51 @@ mod tests {
         assert!(idx.contains(1, 4));
         assert!(!idx.contains(1, 5));
         assert!(!idx.contains(0, 4));
+    }
+
+    /// The gather equals the rows' concatenation on random indexes whose
+    /// rows range from empty to several times the copy width, over keys
+    /// drawn with repeats and past the domain — and the rows in the array's
+    /// last [`GATHER_WIDTH`] slots, which are copied exactly, are always
+    /// among them.
+    #[test]
+    fn gather_equals_the_concatenated_rows() {
+        let mut state = 0x9e37_79b9u32;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) % bound
+        };
+        for case in 0..300 {
+            let keys = 1 + next(30);
+            let mut edges = Vec::new();
+            for key in 0..keys {
+                // Most rows short, some empty, some past three copy widths.
+                let len = [next(4), 0, next(3 * GATHER_WIDTH as u32 + 2)][next(3) as usize];
+                edges.extend((0..len).map(|v| (key, v * 3 + next(3))));
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            let index = CsrIndex::pair_from_sorted_edges(keys as usize, 128, &edges).0;
+            let tail = edges.len().saturating_sub(GATHER_WIDTH);
+            let mut picks: Vec<Value> = edges[tail..].iter().map(|&(key, _)| key).collect();
+            picks.extend((0..next(20)).map(|_| next(keys + 3)));
+            picks.push(picks.first().copied().unwrap_or(0));
+            let prefix = vec![7; next(3) as usize];
+            let mut out = prefix.clone();
+            index.gather(&picks, index.rows_len(&picks), &mut out);
+            let mut expected = prefix;
+            for &key in picks.iter().filter(|&&key| key < keys) {
+                expected.extend_from_slice(index.neighbors(key));
+            }
+            assert_eq!(out, expected, "case {case}: keys {picks:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn gather_refuses_a_short_length() {
+        let index = by_x(2, &[(0, 1), (0, 2), (1, 3)]);
+        index.gather(&[0, 1], 2, &mut Vec::new());
     }
 
     #[test]

@@ -139,6 +139,12 @@ impl Relation {
         self.packed_forms().slot(form).get().is_some()
     }
 
+    /// Whether `other` holds this relation's packed forms — it is this
+    /// relation or a clone of it — so that packing either packs both.
+    pub fn shares_packed_forms(&self, other: &Relation) -> bool {
+        std::ptr::eq(self.packed_forms(), other.packed_forms())
+    }
+
     /// Words `form` takes once packed, its universal mask included — known
     /// from the counts alone, so a memory cap can be checked before
     /// anything is packed.
@@ -357,6 +363,12 @@ mod tests {
             r.packed(PackedForm::XMajor).0,
             twin.packed(PackedForm::XMajor).0
         ));
+        assert!(twin.shares_packed_forms(&r) && r.shares_packed_forms(&r));
+        assert!(
+            !sample().shares_packed_forms(&r),
+            "an equal relation does not"
+        );
+        assert!(!r.transposed().shares_packed_forms(&r));
         assert!(!r.is_packed(PackedForm::YMajor));
         // Each form: its rows, and the two words of the mask over 70 `y`s.
         assert_eq!(r.packed_bytes(), 8 * (3 * 2 + 2));

@@ -243,7 +243,7 @@ fn display_keeps_the_strings_operators_grep_for() {
         "{star}"
     );
     assert!(
-        star.ends_with("us) — full join 216000, est out 27000; line 2: expand 540us > core 14.9us"),
+        star.ends_with("us) — full join 216000, est out 27000; line 2: expand 540us > core 15.1us"),
         "{star}"
     );
     // The star of CI's REPL step: 30, 28 and 26 sets over elements 0 and 1.

@@ -87,7 +87,14 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f`, returning its value and what this thread asked of the
 /// allocator meanwhile. Fresh blocks of at least `big` bytes, and frees
 /// of such blocks, are counted apart.
+///
+/// The process-wide lazy globals a query may reach (the executor, whose
+/// first use spawns its workers, and the tracer) are initialised before
+/// the window opens: whichever test thread reaches them first would
+/// otherwise count their allocations as its own.
 pub fn tallied<T>(big: usize, f: impl FnOnce() -> T) -> (T, Tally) {
+    mmjoin::Executor::global();
+    mmjoin::obs::trace::Tracer::global();
     BIG.with(|b| b.set(big));
     let before = TALLY.with(Cell::get);
     let value = f();
