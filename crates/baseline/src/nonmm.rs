@@ -19,25 +19,91 @@
 //! or mark them in a dense buffer (here a bitmap over `dom z`).
 //!
 //! **Cost.** A group's size, `Σ_y |L_S[y]|`, is read from `S`'s offsets as
-//! the walk reaches its `x`; nothing is sized ahead of the walk. The sort
-//! strategy appends the lists with `CsrIndex::gather`, one fixed-width move
-//! per short list: a copy loop per list costs a mispredicted exit each,
-//! which on relations that fit in L2 is more than their values cost.
+//! the walk reaches its `x`; nothing is sized ahead of the walk. Both
+//! strategies append the lists with `CsrIndex::gather`, one fixed-width
+//! move per short list: a loop per list costs a mispredicted exit each,
+//! which on relations that fit in L2 is more than their values cost. The
+//! bitmap is marked from the gathered values, and a group of one list
+//! (already sorted and distinct) or two (one merge) is not sorted at all.
 //!
 //! **Order.** `x` groups ascend and each group leaves in ascending `z`, so
 //! the output is sorted and distinct as it is written: nothing sorts it
 //! afterwards, and parallel workers, who own contiguous `x` ranges, are
 //! simply concatenated.
+//!
+//! **Outputs.** The same walk writes either `(x, z)` pairs
+//! ([`ExpandDedupEngine::join_project`]) or the answer as a relation
+//! ([`ExpandDedupEngine::join_project_rows`]): each group's `z`s become row
+//! `x` of a [`RowWriter`], which checks the order and counts the `z`
+//! degrees once the rows are written, so a chain step hands the next step
+//! its rows with no pair vector and no index build between them.
 
 use mmjoin_executor::Executor;
 use mmjoin_storage::dedup::sort_dedup;
-use mmjoin_storage::{Relation, Value};
+use mmjoin_storage::{CsrIndex, Relation, RowWriter, Value};
 use std::ops::Range;
 
 /// A group expanding to more than `dom z / BITMAP_FRACTION` values marks
 /// them in the bitmap: walking its `dom z / 64` words then costs less than
 /// sorting the values would. Below it, a group pays nothing per domain.
 const BITMAP_FRACTION: usize = 32;
+
+/// Where the expansion writes each `x` group's distinct `z`s, ascending.
+trait Groups {
+    /// A group's values, sorted and distinct.
+    fn extend(&mut self, x: Value, zs: &[Value]);
+    /// The next value of a group.
+    fn push(&mut self, x: Value, z: Value);
+    /// Group `x` is written.
+    fn end(&mut self, x: Value);
+}
+
+impl Groups for Vec<(Value, Value)> {
+    #[inline]
+    fn extend(&mut self, x: Value, zs: &[Value]) {
+        Extend::extend(self, zs.iter().map(|&z| (x, z)));
+    }
+
+    #[inline]
+    fn push(&mut self, x: Value, z: Value) {
+        Vec::push(self, (x, z));
+    }
+
+    #[inline]
+    fn end(&mut self, _: Value) {}
+}
+
+impl Groups for RowWriter {
+    #[inline]
+    fn extend(&mut self, _: Value, zs: &[Value]) {
+        self.values().extend_from_slice(zs);
+    }
+
+    #[inline]
+    fn push(&mut self, _: Value, z: Value) {
+        self.values().push(z);
+    }
+
+    #[inline]
+    fn end(&mut self, x: Value) {
+        self.end_row(x);
+    }
+}
+
+/// Appends the union of the sorted, distinct `a` and `b` to `out`, sorted
+/// and distinct: one merge, each step taking the smaller head and passing
+/// every list whose head it took.
+fn union(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&y), Some(&z)) = (a.get(i), b.get(j)) {
+        out.push(y.min(z));
+        i += usize::from(y <= z);
+        j += usize::from(z <= y);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
 
 /// The Lemma-2 combinatorial output-sensitive engine (`Non-MMJoin`).
 #[derive(Debug, Clone)]
@@ -89,74 +155,141 @@ impl ExpandDedupEngine {
         }
     }
 
-    /// Expands one `x` group of `expansion` values (its `ys`' inverted
-    /// lists in `S`, read from `S`'s offsets), appending its distinct
-    /// `(x, z)` pairs to `out` in ascending `z`. `bitmap` covers `dom z` and
-    /// is all zero between calls.
-    fn expand_group(
+    /// Expands one `x` group of `expansion` values — its `ys`' inverted
+    /// lists in `S`, `S`'s `y` index `lists` — by the sort strategy, and
+    /// writes the distinct `z`s to `out` in ascending order. One list is
+    /// already the answer and two are unioned in one merge; more are
+    /// gathered into `scratch`, sorted and deduped.
+    fn sort_group(
         x: Value,
         ys: &[Value],
         expansion: usize,
-        s: &Relation,
+        lists: &CsrIndex,
+        scratch: &mut Vec<Value>,
+        out: &mut impl Groups,
+    ) {
+        match *ys {
+            [y] => out.extend(x, lists.neighbors(y)),
+            [a, b] if (b as usize) < lists.num_keys() => {
+                scratch.clear();
+                union(lists.neighbors(a), lists.neighbors(b), scratch);
+                out.extend(x, scratch);
+            }
+            _ => {
+                scratch.clear();
+                lists.gather(ys, expansion, scratch);
+                sort_dedup(scratch);
+                out.extend(x, scratch);
+            }
+        }
+        out.end(x);
+    }
+
+    /// Expands one `x` group of `expansion` values by the bitmap strategy:
+    /// gathers its `ys`' inverted lists in `S` (`S`'s `y` index `lists`)
+    /// into `scratch`, marks them in `bitmap`, which covers `dom z` and is
+    /// all zero between calls, then writes the distinct `z`s to `out` in
+    /// ascending order, clearing the words it reads.
+    fn bitmap_group(
+        x: Value,
+        ys: &[Value],
+        expansion: usize,
+        lists: &CsrIndex,
         bitmap: &mut [u64],
         scratch: &mut Vec<Value>,
-        out: &mut Vec<(Value, Value)>,
+        out: &mut impl Groups,
     ) {
-        if expansion <= s.x_domain() / BITMAP_FRACTION {
-            scratch.clear();
-            s.by_y().gather(ys, expansion, scratch);
-            sort_dedup(scratch);
-            out.extend(scratch.iter().map(|&z| (x, z)));
-            return;
+        // Marking from one gathered array, not list by list: a sparse
+        // group's lists are a few values each, and a loop per list costs
+        // more than the marks.
+        scratch.clear();
+        lists.gather(ys, expansion, scratch);
+        let (mut lo, mut hi) = (Value::MAX, 0);
+        for &z in scratch.iter() {
+            bitmap[z as usize / 64] |= 1 << (z % 64);
+            (lo, hi) = (lo.min(z), hi.max(z));
         }
-        let (mut lo, mut hi) = (usize::MAX, 0);
-        // `ys` ascends: the ones inside `S`'s `y` domain are a prefix.
-        let known = ys.partition_point(|&y| (y as usize) < s.y_domain());
-        for zs in ys[..known].iter().map(|&y| s.xs_of(y)) {
-            // Lists are sorted: their ends bound the words they touch.
-            let (Some(&first), Some(&last)) = (zs.first(), zs.last()) else {
-                continue;
-            };
-            lo = lo.min(first as usize / 64);
-            hi = hi.max(last as usize / 64);
-            // A dense list sets many bits of one word in a row: gather them
-            // in a register, not through a load and a store per bit.
-            let (mut at, mut bits) = (first as usize / 64, 0u64);
-            for &z in zs {
-                let word = z as usize / 64;
-                if word != at {
-                    bitmap[at] |= bits;
-                    (at, bits) = (word, 0);
-                }
-                bits |= 1 << (z % 64);
-            }
-            bitmap[at] |= bits;
-        }
-        for (i, word) in bitmap.iter_mut().enumerate().take(hi + 1).skip(lo) {
+        let first = lo / 64;
+        for (i, word) in (first..).zip(&mut bitmap[first as usize..=hi as usize / 64]) {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                out.push((x, i as Value * 64 + bits.trailing_zeros()));
+                out.push(x, i * 64 + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
+        out.end(x);
     }
 
-    /// Expands the `x` groups of `R` in `xs` on one thread, with one bitmap
-    /// and one scratch list for all of them.
-    fn expand_range(r: &Relation, s: &Relation, xs: Range<usize>) -> Vec<(Value, Value)> {
+    /// Expands the `x` groups of `R` in `xs` on one thread into `out`, with
+    /// one bitmap and one scratch list for all of them. A group expanding
+    /// to at most `dom z / BITMAP_FRACTION` values is sorted, a larger one
+    /// marked in the bitmap; its size is read from `S`'s offsets.
+    fn expand_range<G: Groups>(r: &Relation, s: &Relation, xs: Range<usize>, mut out: G) -> G {
         let mut bitmap = vec![0u64; s.x_domain().div_ceil(64)];
         let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        let lists = s.by_y();
+        let (rows, lists, sorted) = (r.by_x(), s.by_y(), s.x_domain() / BITMAP_FRACTION);
         for x in xs.map(|x| x as Value) {
-            let ys = r.ys_of(x);
-            let size = lists.rows_len(ys);
-            if size > 0 {
-                Self::expand_group(x, ys, size, s, &mut bitmap, &mut scratch, &mut out);
+            let ys = rows.neighbors(x);
+            match lists.rows_len(ys) {
+                0 => {}
+                size if size <= sorted => {
+                    Self::sort_group(x, ys, size, lists, &mut scratch, &mut out);
+                }
+                size => {
+                    Self::bitmap_group(x, ys, size, lists, &mut bitmap, &mut scratch, &mut out);
+                }
             }
         }
         debug_assert!(bitmap.iter().all(|&word| word == 0), "emission clears");
         out
+    }
+
+    /// The cuts between the `x` ranges of `R` the workers expand — range
+    /// `i` is `cuts[i]..cuts[i + 1]`: one contiguous range of `x` groups
+    /// each — disjoint, so no dedup across workers, and ascending, so their
+    /// outputs concatenate into the answer — cut where the expansion sizes
+    /// (read from `S`'s offsets; their total is the full join) sum to equal
+    /// shares: a few prolific heads do not make one range the straggler.
+    /// The walk stops at the last cut.
+    fn cuts(&self, r: &Relation, s: &Relation) -> Vec<usize> {
+        if self.threads <= 1 {
+            return vec![0, r.x_domain()];
+        }
+        let share = (r.full_join_size(s) as usize).div_ceil(self.threads).max(1);
+        let mut cuts = vec![0];
+        let (mut done, lists) = (0, s.by_y());
+        for (x, ys) in r.by_x().iter_nonempty() {
+            if cuts.len() == self.threads {
+                break;
+            }
+            if done >= cuts.len() * share {
+                cuts.push(x as usize);
+            }
+            done += lists.rows_len(ys);
+        }
+        cuts.push(r.x_domain());
+        cuts
+    }
+
+    /// Expands `R`'s groups over [`ExpandDedupEngine::cuts`]' ranges, each
+    /// into the output `out` makes for it: on this thread when there is one
+    /// range, else one executor task a range.
+    fn expand<G: Groups + Send>(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        exec: &Executor,
+        out: impl Fn(Range<usize>) -> G + Sync,
+    ) -> Vec<G> {
+        let cuts = self.cuts(r, s);
+        let run = |i: usize| {
+            let xs = cuts[i]..cuts[i + 1];
+            Self::expand_range(r, s, xs.clone(), out(xs))
+        };
+        if cuts.len() == 2 {
+            return vec![run(0)];
+        }
+        exec.map(self.threads, cuts.len() - 1, run)
     }
 }
 
@@ -174,35 +307,24 @@ impl ExpandDedupEngine {
         s: &Relation,
         exec: &Executor,
     ) -> Vec<(Value, Value)> {
-        let out = if self.threads <= 1 {
-            Self::expand_range(r, s, 0..r.x_domain())
+        let mut parts = self.expand(r, s, exec, |_| Vec::new());
+        let out = if parts.len() == 1 {
+            parts.pop().expect("one part")
         } else {
-            // One contiguous range of `x` groups per worker — disjoint, so
-            // no dedup across workers, and ascending, so their outputs
-            // concatenate into the answer — cut where the expansion sizes
-            // (read from `S`'s offsets; their total is the full join) sum
-            // to equal shares: a few prolific heads do not make one range
-            // the straggler. The walk stops at the last cut.
-            let share = (r.full_join_size(s) as usize).div_ceil(self.threads).max(1);
-            let mut cuts = vec![0];
-            let (mut done, lists) = (0, s.by_y());
-            for (x, ys) in r.by_x().iter_nonempty() {
-                if cuts.len() == self.threads {
-                    break;
-                }
-                if done >= cuts.len() * share {
-                    cuts.push(x as usize);
-                }
-                done += lists.rows_len(ys);
-            }
-            cuts.push(r.x_domain());
-            let parts = exec.map(self.threads, cuts.len() - 1, |i| {
-                Self::expand_range(r, s, cuts[i]..cuts[i + 1])
-            });
             parts.concat()
         };
         debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
         out
+    }
+
+    /// `π_{x,z}(R ⋈ S)` as a relation over `dom x × dom z`, written as its
+    /// `x` rows with its `z` degrees ([`RowWriter`]); its `z` index is built
+    /// only if something reads it. Equal to
+    /// `Relation::from_sorted_edges` of [`Self::join_project_on`]'s pairs.
+    pub fn join_project_rows(&self, r: &Relation, s: &Relation, exec: &Executor) -> Relation {
+        let z_domain = s.x_domain();
+        let parts = self.expand(r, s, exec, |xs| RowWriter::new(xs, z_domain));
+        RowWriter::finish(parts)
     }
 }
 
@@ -284,6 +406,59 @@ mod tests {
             let got = ExpandDedupEngine::parallel(threads).join_project(&r, &s);
             assert_eq!(got, expected, "threads={threads}");
         }
+    }
+
+    /// Every way a group expands — one list as it lies, two unioned in a
+    /// merge, more gathered and sorted, or marked in the bitmap — gives the
+    /// reference's pairs, and the same rows written as a relation.
+    #[test]
+    fn every_group_strategy_expands_exactly() {
+        // `y` lists of one to five `z`s; `y`s `2k` and `2k + 1` start at
+        // the same `z`, so their union drops a repeat.
+        let lists = (0..40u32).flat_map(|y| (0..1 + y % 5).map(move |i| (y / 2 * 13 + i * 29, y)));
+        let s = rel(&lists.collect::<Vec<_>>());
+        // Groups of one list, of two (overlapping, disjoint, one `y` past
+        // `S`'s domain), of five, of every list, and of nothing `S` has.
+        let groups: [&[Value]; 8] = [
+            &[3],
+            &[39],
+            &[4, 5],
+            &[7, 30],
+            &[12, 45],
+            &[1, 9, 17, 25, 33],
+            &(0..40).collect::<Vec<_>>(),
+            &[50],
+        ];
+        let tuples = groups
+            .iter()
+            .zip(0..)
+            .flat_map(|(ys, x)| ys.iter().map(move |&y| (x, y)));
+        let r = rel(&tuples.collect::<Vec<_>>());
+        let sorted = s.x_domain() / BITMAP_FRACTION;
+        let size = |x: Value| s.by_y().rows_len(r.ys_of(x));
+        assert!(size(4) <= sorted && size(6) > sorted, "both strategies run");
+
+        let expected = SortMergeEngine.join_project(&r, &s);
+        for threads in [1, 2, 3] {
+            let engine = ExpandDedupEngine::parallel(threads);
+            assert_eq!(engine.join_project(&r, &s), expected, "threads={threads}");
+            let rows = engine.join_project_rows(&r, &s, engine.exec());
+            assert!(
+                rows.tuples().eq(expected.iter().copied()),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn union_of_two_sorted_lists() {
+        let mut out = vec![9];
+        union(&[1, 4, 6, 10], &[2, 4, 10, 12, 13], &mut out);
+        assert_eq!(out, [9, 1, 2, 4, 6, 10, 12, 13]);
+        out.clear();
+        union(&[], &[3], &mut out);
+        union(&[5, 7], &[], &mut out);
+        assert_eq!(out, [3, 5, 7]);
     }
 
     #[test]

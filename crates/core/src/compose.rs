@@ -9,6 +9,19 @@
 //! is streamed straight into the sink, skipping the final
 //! re-materialisation.
 //!
+//! A join step writes its answer as the relation the next step reads,
+//! with no pair vector between them: expansion appends each `x` group's
+//! distinct `z`s as row `x` of a [`mmjoin_storage::RowWriter`], and the bit
+//! core writes its product's rows the same way; the writer then checks the
+//! rows and counts the `z` degrees in flat passes over the values, instead
+//! of the pair vector and the two-index build a step used to pay for. The
+//! intermediate's `z → [x]` index is built only if
+//! a later step reads it (the next join on its other column, the bit core's
+//! packed form); a chain whose next step expands from its `x` rows, and
+//! plans from its degrees, never builds it. Only a forced partition
+//! (`delta_override`, the SGEMM pin) still makes pairs, which go through
+//! [`Relation::from_sorted_edges`].
+//!
 //! Independent steps of the plan DAG run **concurrently**: execution
 //! proceeds in topological wavefronts — every step whose inputs are
 //! materialised runs as a task on the shared executor (which each step's
@@ -19,7 +32,9 @@
 use crate::config::JoinConfig;
 use crate::plan::{plan_general, FinalStage, GeneralPlan, PlanStep, ProjCols};
 use crate::star::star_join_project_mm_flat;
-use crate::two_path::{plan_two_path, two_path_join_project_with_stats};
+use crate::two_path::{
+    plan_two_path, two_path_join_project_with_stats, two_path_relation_with_stats,
+};
 use mmjoin_api::ir::{QueryGraph, Var};
 use mmjoin_api::{
     emit_flat, emit_pairs, EngineError, NodeSource, PlanStats, Sink, StepNode, StepStats,
@@ -211,14 +226,7 @@ fn execute_composed(
                     plan.final_stage,
                     FinalStage::Project { node, cols: ProjCols::Ab } if node == result
                 ) {
-                    let l = oriented(
-                        mats[left].as_ref().expect("left materialised"),
-                        plan.nodes[left].b == on,
-                    );
-                    let r = oriented(
-                        mats[right].as_ref().expect("right materialised"),
-                        plan.nodes[right].b == on,
-                    );
+                    let (l, r) = join_operands(plan, &mats, left, right, on);
                     let step_span =
                         trace::span_dyn(Stage::Step, || format!("join v{on} (final, streamed)"));
                     let (pairs, prim) = two_path_join_project_with_stats(&l, &r, config);
@@ -348,19 +356,11 @@ fn run_step(
             result,
             ..
         } => {
-            let l = oriented(
-                mats[left].as_ref().expect("left materialised"),
-                plan.nodes[left].b == on,
-            );
-            let r = oriented(
-                mats[right].as_ref().expect("right materialised"),
-                plan.nodes[right].b == on,
-            );
-            let (pairs, primitive) = two_path_join_project_with_stats(&l, &r, config);
-            // The step's pairs are sorted and distinct as they stand.
+            let (l, r) = join_operands(plan, mats, left, right, on);
+            let (relation, primitive) = two_path_relation_with_stats(&l, &r, config);
             StepResult {
                 node: result,
-                relation: Relation::from_sorted_edges(l.x_domain(), r.x_domain(), pairs),
+                relation,
                 primitive,
             }
         }
@@ -396,6 +396,22 @@ fn run_final_stage(
             Ok((rows, prim))
         }
     }
+}
+
+/// A join step's two materialised inputs, each with the join variable `on`
+/// in its `y` column ([`oriented`]).
+fn join_operands<'a>(
+    plan: &GeneralPlan,
+    mats: &'a [Option<Cow<'_, Relation>>],
+    left: usize,
+    right: usize,
+    on: Var,
+) -> (Cow<'a, Relation>, Cow<'a, Relation>) {
+    let operand = |node: usize| {
+        let rel = mats[node].as_ref().expect("join input materialised");
+        oriented(rel, plan.nodes[node].b == on)
+    };
+    (operand(left), operand(right))
 }
 
 /// `rel` with the join variable in the `y` column: itself when it already
@@ -456,7 +472,7 @@ fn project_stream(rel: &Relation, cols: ProjCols, sink: &mut dyn Sink) -> u64 {
 mod tests {
     use super::*;
     use mmjoin_api::ir::Atom;
-    use mmjoin_api::{LimitSink, VecSink};
+    use mmjoin_api::{LimitSink, PlanKind, VecSink};
 
     fn rel(edges: &[(Value, Value)]) -> Relation {
         Relation::from_edges(edges.iter().copied())
@@ -703,5 +719,150 @@ mod tests {
         assert!(stats.steps[..3].iter().all(|s| s.op == "join"));
         assert_eq!(stats.steps[3].op, "project");
         assert!(stats.steps.iter().all(|s| s.actual_rows.is_some()));
+    }
+
+    /// Runs `graph`'s plan one step at a time in plan order, its last join
+    /// streamed when [`execute_composed`] would stream it, and returns the
+    /// answer with a clone of every intermediate: a clone shares its
+    /// relation's indexes, so it shows which of them the later steps built.
+    fn run_keeping_intermediates(
+        graph: &QueryGraph<'_>,
+        config: &JoinConfig,
+    ) -> (Vec<Vec<Value>>, Vec<Relation>) {
+        let plan = plan_general(graph).unwrap();
+        let mut mats: Vec<Option<Cow<'_, Relation>>> = vec![None; plan.nodes.len()];
+        for (i, atom) in graph.atoms().iter().enumerate() {
+            mats[i] = Some(Cow::Borrowed(atom.relation));
+        }
+        let mut kept = Vec::new();
+        for idx in 0..plan.steps.len() {
+            if let (
+                &PlanStep::Join {
+                    left,
+                    right,
+                    on,
+                    result,
+                    ..
+                },
+                true,
+            ) = (&plan.steps[idx], idx + 1 == plan.steps.len())
+            {
+                if matches!(
+                    plan.final_stage,
+                    FinalStage::Project { node, cols: ProjCols::Ab } if node == result
+                ) {
+                    let (l, r) = join_operands(&plan, &mats, left, right, on);
+                    let (pairs, _) = two_path_join_project_with_stats(&l, &r, config);
+                    return (pairs.into_iter().map(|(a, b)| vec![a, b]).collect(), kept);
+                }
+            }
+            let step = run_step(&plan, idx, &mats, config);
+            kept.push(step.relation.clone());
+            mats[step.node] = Some(Cow::Owned(step.relation));
+        }
+        let mut sink = VecSink::new();
+        run_final_stage(&plan, &mats, graph, config, &mut sink).unwrap();
+        (sink.rows.to_rows(), kept)
+    }
+
+    /// `r`'s tuples through [`Relation::from_sorted_edges`]: both indexes
+    /// built whole, the reference a written intermediate must equal.
+    fn rebuilt(r: &Relation) -> Relation {
+        Relation::from_sorted_edges(r.x_domain(), r.y_domain(), r.tuples().collect())
+    }
+
+    #[test]
+    fn a_light_chain_leaves_its_intermediates_y_index_unbuilt() {
+        // Two `y`s per `x` over 1 009 ids: every step expands, and the last
+        // one streams, reading the intermediate's `x` rows and `y` degrees.
+        let rels: Vec<Relation> = (0..3u32)
+            .map(|r| {
+                let row =
+                    move |i: u32| [(i, i * (3 + r) % 1009), (i, (i * (5 + 2 * r) + 1) % 1009)];
+                Relation::from_edges((0..1000u32).flat_map(row))
+            })
+            .collect();
+        let graph = QueryGraph::chain(&rels).unwrap();
+        let mut sink = VecSink::new();
+        let (_, stats) = execute_general(&graph, &JoinConfig::default(), &mut sink).unwrap();
+        assert!(stats.steps.iter().all(|s| s.kind == Some(PlanKind::Wcoj)));
+        let (rows, kept) = run_keeping_intermediates(&graph, &JoinConfig::default());
+        assert_eq!(rows, naive(&graph));
+        assert_eq!(sink.rows.to_rows(), rows);
+        let [step] = &kept[..] else {
+            panic!("one intermediate, then the streamed step");
+        };
+        assert_eq!(step.indexes_built(), (true, false));
+        // Unbuilt, the `y` index holds its offsets and no neighbor list.
+        assert_eq!(
+            step.heap_bytes() + 4 * step.len(),
+            rebuilt(step).heap_bytes()
+        );
+    }
+
+    #[test]
+    fn a_chain_step_reading_an_intermediate_on_its_y_column_builds_that_index() {
+        // `R0(v0, v1) R1(v2, v1) R2(v3, v2) R3(v3, v4)`: the first step
+        // joins `R2` and `R3` on `v3`, the second reads that answer's `v2`
+        // column — its `y` index, which the second step builds.
+        let rels: Vec<Relation> = (0..4u32)
+            .map(|r| {
+                Relation::from_edges((0..70u32).map(|i| ((i * (7 + r)) % 13, (i * (5 + r)) % 11)))
+            })
+            .collect();
+        let atom = |i: usize, x, y| Atom {
+            relation: &rels[i],
+            x,
+            y,
+        };
+        let atoms = vec![atom(0, 0, 1), atom(1, 2, 1), atom(2, 3, 2), atom(3, 3, 4)];
+        let graph = QueryGraph::new(atoms, vec![0, 4]).unwrap();
+        let plan = plan_general(&graph).unwrap();
+        let PlanStep::Join { result, .. } = plan.steps[0] else {
+            panic!("a chain's steps join");
+        };
+        assert!(
+            matches!(plan.steps[1], PlanStep::Join { left, right, .. } if result == left || result == right)
+        );
+        let (rows, kept) = run_keeping_intermediates(&graph, &JoinConfig::default());
+        assert_eq!(rows, naive(&graph));
+        assert_eq!(run(&graph), rows);
+        assert_eq!(kept[0].indexes_built(), (true, true));
+        let reference = rebuilt(&kept[0]);
+        assert_eq!(kept[0].by_y(), reference.by_y());
+        // The built index holds a copy of the offsets the degrees read.
+        let copy = 4 * (kept[0].y_domain() + 1);
+        assert_eq!(kept[0].heap_bytes(), reference.heap_bytes() + copy);
+    }
+
+    #[test]
+    fn a_chain_whose_steps_multiply_writes_each_product_as_rows() {
+        // Four dense 16 × 16 blocks on the diagonal, one id in five missing:
+        // both joins of the 3-hop chain take the bit core, so both
+        // intermediates are products written as rows.
+        let rels: Vec<Relation> = (0..3u32)
+            .map(|r| {
+                let cells = (0..64u32).flat_map(|x| (0..64u32).map(move |y| (x, y)));
+                Relation::from_edges(
+                    cells.filter(|&(x, y)| x / 16 == y / 16 && (x * 7 + y * 3 + r) % 5 != 0),
+                )
+            })
+            .collect();
+        let graph = QueryGraph::chain(&rels).unwrap();
+        let mut sink = VecSink::new();
+        let (_, stats) = execute_general(&graph, &JoinConfig::default(), &mut sink).unwrap();
+        let joins = &stats.steps[..2];
+        assert!(joins
+            .iter()
+            .all(|s| s.kind == Some(PlanKind::MatrixPartitioned)));
+        let expected = naive(&graph);
+        assert_eq!(sink.rows.to_rows(), expected);
+        let (rows, kept) = run_keeping_intermediates(&graph, &JoinConfig::default());
+        assert_eq!(rows, expected);
+        for step in &kept {
+            let reference = rebuilt(step);
+            assert_eq!(step.by_x(), reference.by_x());
+            assert_eq!(step.by_y(), reference.by_y());
+        }
     }
 }

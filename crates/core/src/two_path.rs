@@ -57,7 +57,7 @@ use mmjoin_matrix::{
     matmul_parallel_on, BitMatrix, BitProductPlan, BitRows, DenseMatrix, Orientation,
 };
 use mmjoin_obs::trace::{self, Stage};
-use mmjoin_storage::{DedupBuffer, PackedForm, PackedRows, Relation, Value};
+use mmjoin_storage::{DedupBuffer, PackedForm, PackedRows, Relation, RowWriter, Value};
 use std::time::Instant;
 
 /// Evaluates `π_{x,z}(R ⋈ S)` returning sorted distinct pairs.
@@ -128,6 +128,29 @@ pub(crate) fn extract_label(rows: &FlatRows) -> String {
     }
 }
 
+/// What a two-path's run writes its answer as: rows for a sink
+/// ([`PathRows`]), or a relation for the next step of a chain — the
+/// expansion's rows and the product's cells written as `x` rows, its `z`
+/// index left for a reader to build ([`RowWriter`]).
+pub(crate) trait PathOut: Sized {
+    /// Expansion's answer.
+    fn expanded(engine: ExpandDedupEngine, r: &Relation, s: &Relation, exec: &Executor) -> Self;
+    /// The packed core's product: `left.len()` bit rows of
+    /// `⌈right.len()/64⌉` words, cell `(i, j)` the pair
+    /// `(left[i], right[j])`; both id lists ascend.
+    fn product(
+        words: Vec<u64>,
+        left: &[Value],
+        right: &[Value],
+        r: &Relation,
+        s: &Relation,
+    ) -> Self;
+    /// A forced partition's sorted, distinct pairs.
+    fn pairs(pairs: Vec<(Value, Value)>, r: &Relation, s: &Relation) -> Self;
+    /// The `extract` span's label.
+    fn label(&self) -> String;
+}
+
 /// A two-path's rows as its run leaves them.
 pub(crate) enum PathRows {
     /// Sorted distinct pairs: an expansion, or a forced partition.
@@ -146,13 +169,81 @@ impl PathRows {
         }
     }
 
-    /// The rows as pairs, for a caller that builds on them (a chain step
-    /// makes a relation of them): a product writes its rows out.
-    pub(crate) fn into_pairs(self) -> Vec<(Value, Value)> {
+    /// The rows as pairs: a product writes its rows out.
+    fn into_pairs(self) -> Vec<(Value, Value)> {
         match self {
             PathRows::Pairs(pairs) => pairs,
             PathRows::Product(rows) => rows.into_pairs(),
         }
+    }
+}
+
+impl PathOut for PathRows {
+    fn expanded(engine: ExpandDedupEngine, r: &Relation, s: &Relation, exec: &Executor) -> Self {
+        PathRows::Pairs(engine.join_project_on(r, s, exec))
+    }
+
+    /// The product kept as its cells ([`FlatRows::product`]).
+    fn product(
+        words: Vec<u64>,
+        left: &[Value],
+        right: &[Value],
+        _: &Relation,
+        _: &Relation,
+    ) -> Self {
+        let ids = |ids: &[Value]| FlatRows::new(1, ids.to_vec());
+        PathRows::Product(FlatRows::product(words, ids(left), ids(right)))
+    }
+
+    fn pairs(pairs: Vec<(Value, Value)>, _: &Relation, _: &Relation) -> Self {
+        PathRows::Pairs(pairs)
+    }
+
+    fn label(&self) -> String {
+        match self {
+            PathRows::Pairs(pairs) => format!("extract flat rows={}", pairs.len()),
+            PathRows::Product(rows) => extract_label(rows),
+        }
+    }
+}
+
+/// A chain step's answer: a relation over `dom x × dom z`.
+impl PathOut for Relation {
+    fn expanded(engine: ExpandDedupEngine, r: &Relation, s: &Relation, exec: &Executor) -> Self {
+        engine.join_project_rows(r, s, exec)
+    }
+
+    /// The product's cells, walked row-major, are the rows in order: each
+    /// bit row is written as the `x` row of its left id.
+    fn product(
+        words: Vec<u64>,
+        left: &[Value],
+        right: &[Value],
+        r: &Relation,
+        s: &Relation,
+    ) -> Self {
+        let mut rows = RowWriter::new(0..r.x_domain(), s.x_domain());
+        let stride = right.len().div_ceil(64).max(1);
+        for (&x, row) in left.iter().zip(words.chunks_exact(stride)) {
+            for (k, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    rows.values()
+                        .push(right[k * 64 + bits.trailing_zeros() as usize]);
+                    bits &= bits - 1;
+                }
+            }
+            rows.end_row(x);
+        }
+        RowWriter::finish(vec![rows])
+    }
+
+    fn pairs(pairs: Vec<(Value, Value)>, r: &Relation, s: &Relation) -> Self {
+        Relation::from_sorted_edges(r.x_domain(), s.x_domain(), pairs)
+    }
+
+    fn label(&self) -> String {
+        format!("extract flat rows={}", self.len())
     }
 }
 
@@ -171,6 +262,25 @@ pub fn two_path_join_project_with_stats(
     (rows.into_pairs(), Some(stats))
 }
 
+/// A chain step's two-path: [`two_path_join_project_with_stats`]'s answer
+/// as the relation over `dom x × dom z` the next step reads, written as its
+/// `x` rows by the expansion or from the product's cells, with its `z`
+/// degrees and no `z` index until something reads one. A forced partition's
+/// pairs go through [`Relation::from_sorted_edges`].
+pub(crate) fn two_path_relation_with_stats(
+    r: &Relation,
+    s: &Relation,
+    config: &JoinConfig,
+) -> (Relation, Option<PlanStats>) {
+    if r.is_empty() || s.is_empty() {
+        let none = Relation::from_sorted_edges(r.x_domain(), s.x_domain(), Vec::new());
+        return (none, None);
+    }
+    let mut stats = plan_two_path(r, s, config, false);
+    let relation = run_planned(r, s, config, &mut stats);
+    (relation, Some(stats))
+}
+
 /// Plans the existence two-path ([`plan_two_path`]) and, if `run`,
 /// evaluates it as planned, returning the rows and the record with the
 /// run's half filled in.
@@ -184,24 +294,48 @@ pub(crate) fn plan_then_run(
     if !run {
         return (PathRows::Pairs(Vec::new()), stats);
     }
+    let rows = run_planned(r, s, config, &mut stats);
+    (rows, stats)
+}
+
+/// Evaluates the existence two-path as `stats` planned it, writing its
+/// answer as `O`, and fills in the run's half of `stats`.
+fn run_planned<O: PathOut>(
+    r: &Relation,
+    s: &Relation,
+    config: &JoinConfig,
+    stats: &mut PlanStats,
+) -> O {
     let (threads, exec) = (config.effective_threads(), config.exec());
-    let expand =
-        || PathRows::Pairs(ExpandDedupEngine::parallel(threads).join_project_on(r, s, exec));
     let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
-        return (expand(), stats);
+        return O::expanded(ExpandDedupEngine::parallel(threads), r, s, exec);
     };
-    let boolean = config.heavy_backend.is_boolean();
-    if boolean && config.delta_override.is_none() {
-        let rows = packed_core(r, s, &mut stats);
-        return (PathRows::Product(rows), stats);
+    if config.heavy_backend.is_boolean() && config.delta_override.is_none() {
+        return packed_core(r, s, stats);
     }
+    O::pairs(partitioned(r, s, config, delta1, delta2, stats), r, s)
+}
+
+/// A forced partition (`delta_override`) or the SGEMM pin, run: the light
+/// passes, and the heavy core on operands built for this query. Returns
+/// the sorted, distinct pairs and fills in the run's half of `stats`.
+fn partitioned(
+    r: &Relation,
+    s: &Relation,
+    config: &JoinConfig,
+    delta1: u32,
+    delta2: u32,
+    stats: &mut PlanStats,
+) -> Vec<(Value, Value)> {
+    let (threads, exec) = (config.effective_threads(), config.exec());
+    let boolean = config.heavy_backend.is_boolean();
     let mut secs = PhaseSecs::default();
 
     let heavy = phase("partition", &mut secs.partition, || {
         HeavyIndex::build(r, s, delta1, delta2)
     });
     debug_assert_common_y(config, &heavy);
-    record_partition(&mut stats, r, s, &heavy);
+    record_partition(stats, r, s, &heavy);
     let bit_plan = heavy.bit_plan();
     let (bytes, kernel) = if boolean {
         (bit_plan.bytes, bit_plan.orientation.name())
@@ -271,7 +405,7 @@ pub(crate) fn plan_then_run(
         |out| format!("extract flat rows={}", out.len()),
     );
     stats.measured_phase_secs = Some(secs);
-    (PathRows::Pairs(out), stats)
+    out
 }
 
 /// The optimizer-chosen existence plan — every value heavy — multiplied
@@ -279,11 +413,11 @@ pub(crate) fn plan_then_run(
 /// on the left, `S` in the form the orientation reads on the right, joined
 /// on raw `y` ids. Whichever query first reads a form packs it (the `build`
 /// phase); every later one over the same relation value finds it there.
-/// The answer is the product itself, kept as its cells (sorted, distinct
-/// rows on read) unless flat rows are smaller ([`FlatRows::product`]).
-/// Fills in the run's half of `stats`; all five phases are recorded, the
-/// first two empty.
-fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> FlatRows {
+/// The answer is the product, as `O` takes it ([`PathOut::product`]): for
+/// a sink, kept as its cells (sorted, distinct rows on read) unless flat
+/// rows are smaller ([`FlatRows::product`]). Fills in the run's half of
+/// `stats`; all five phases are recorded, the first two empty.
+fn packed_core<O: PathOut>(r: &Relation, s: &Relation, stats: &mut PlanStats) -> O {
     let core = PackedCore::of(r, s, false);
     let orientation = core.bit.expect("an existence core multiplies").orientation;
     let mut secs = PhaseSecs::default();
@@ -293,11 +427,10 @@ fn packed_core(r: &Relation, s: &Relation, stats: &mut PlanStats) -> FlatRows {
         let (product, filled) = view(left).product(view(right), orientation, right.universal());
         (product, Some(filled))
     });
-    let ids = |p: &PackedRows| FlatRows::new(1, p.ids().to_vec());
     let rows = extract_phase(
         &mut secs.extract,
-        || FlatRows::product(product.into_words(), ids(left), ids(right)),
-        extract_label,
+        || O::product(product.into_words(), left.ids(), right.ids(), r, s),
+        O::label,
     );
     stats.measured_phase_secs = Some(secs);
     stats.rows_filled = filled;

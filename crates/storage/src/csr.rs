@@ -1,6 +1,7 @@
 //! Compressed-sparse-row adjacency index with sorted neighbor lists.
 
 use crate::{Edge, Value};
+use std::sync::OnceLock;
 
 /// How many values [`CsrIndex::gather`] moves per row whatever the row's
 /// length: eight `u32`s, one 32-byte move.
@@ -67,15 +68,6 @@ impl CsrIndex {
             y_offsets[y as usize + 1] += 1;
             prev = Some((x, y));
         }
-        // Row lengths → row starts, counting the non-empty rows on the way.
-        let prefix_sums = |offsets: &mut [u32]| {
-            let mut nonempty = 0;
-            for k in 1..offsets.len() {
-                nonempty += usize::from(offsets[k] > 0);
-                offsets[k] += offsets[k - 1];
-            }
-            nonempty
-        };
         let x_nonempty = prefix_sums(&mut x_offsets);
         let y_nonempty = prefix_sums(&mut y_offsets);
         let mut xs = vec![0 as Value; edges.len()];
@@ -95,6 +87,38 @@ impl CsrIndex {
             nonempty: y_nonempty,
         };
         (by_x, by_y)
+    }
+
+    /// The index over `offsets` (`offsets[k]..offsets[k + 1]` delimits
+    /// key `k`'s row) and `neighbors`, with `nonempty` non-empty rows.
+    pub(crate) fn from_parts(offsets: Vec<u32>, neighbors: Vec<Value>, nonempty: usize) -> Self {
+        debug_assert_eq!(
+            offsets.last().map(|&end| end as usize),
+            Some(neighbors.len())
+        );
+        Self {
+            offsets,
+            neighbors,
+            nonempty,
+        }
+    }
+
+    /// The transpose of this index — every `(k, v)` as `(v, k)` — over
+    /// `offsets`, its rows' bounds (`nonempty` of them non-empty), which a
+    /// caller counted with this index's rows. A stable counting scatter:
+    /// keys ascend, so every row comes out sorted and distinct with no
+    /// per-row sort.
+    pub(crate) fn transposed_over(&self, offsets: Vec<u32>, nonempty: usize) -> CsrIndex {
+        let keys = offsets.len() - 1;
+        let mut cursor = offsets[..keys].to_vec();
+        let mut neighbors = vec![0 as Value; self.num_edges()];
+        for (k, row) in self.iter_nonempty() {
+            for &v in row {
+                neighbors[cursor[v as usize] as usize] = k;
+                cursor[v as usize] += 1;
+            }
+        }
+        CsrIndex::from_parts(offsets, neighbors, nonempty)
     }
 
     /// Heap bytes of the offsets and the neighbor lists, from their
@@ -141,11 +165,7 @@ impl CsrIndex {
     /// [`CsrIndex::degree`] calls is not.
     #[inline]
     pub fn degrees(&self) -> impl Iterator<Item = u32> + Clone + '_ {
-        let starts = &self.offsets[..self.num_keys()];
-        self.offsets[1..]
-            .iter()
-            .zip(starts)
-            .map(|(end, start)| end - start)
+        degrees(&self.offsets)
     }
 
     /// `offsets[key]` and `offsets[key + 1]`, or `None` past the domain.
@@ -218,11 +238,152 @@ impl CsrIndex {
     }
 }
 
+/// Row lengths → row starts, in place: entry `k + 1` holds key `k`'s row
+/// length on the way in and the row's end on the way out (entry 0 is 0).
+/// Returns the number of non-empty rows.
+pub(crate) fn prefix_sums(offsets: &mut [u32]) -> usize {
+    let mut nonempty = 0;
+    for k in 1..offsets.len() {
+        nonempty += usize::from(offsets[k] > 0);
+        offsets[k] += offsets[k - 1];
+    }
+    nonempty
+}
+
+/// One of a relation's two indexes: built whole, or — the index a relation
+/// written row by row does not write ([`crate::RowWriter`]) — its degrees
+/// alone, its neighbor lists scattered from the relation's other index by
+/// the first read of a row ([`LazyIndex::rows`]). Degree reads never build
+/// them.
+#[derive(Debug)]
+pub(crate) enum LazyIndex {
+    /// Offsets and neighbor lists, from construction.
+    Built(CsrIndex),
+    /// Offsets and non-empty count from construction; the index, over a
+    /// copy of the offsets, from the first read of a row.
+    Deferred {
+        offsets: Vec<u32>,
+        nonempty: usize,
+        rows: OnceLock<CsrIndex>,
+    },
+}
+
+impl LazyIndex {
+    /// An index of degrees only, over `offsets` with `nonempty` non-empty
+    /// rows: its rows are built on first read.
+    pub(crate) fn deferred(offsets: Vec<u32>, nonempty: usize) -> Self {
+        LazyIndex::Deferred {
+            offsets,
+            nonempty,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// The index, if its neighbor lists exist.
+    #[inline]
+    fn built(&self) -> Option<&CsrIndex> {
+        match self {
+            LazyIndex::Built(index) => Some(index),
+            LazyIndex::Deferred { rows, .. } => rows.get(),
+        }
+    }
+
+    /// Whether the neighbor lists exist.
+    pub(crate) fn is_built(&self) -> bool {
+        self.built().is_some()
+    }
+
+    /// The whole index: built, or scattered now from `other`, the
+    /// relation's other index, whose rows are this one's transposed.
+    ///
+    /// # Panics
+    /// Panics if neither index is built (no constructor leaves both so).
+    #[inline]
+    pub(crate) fn rows(&self, other: &LazyIndex) -> &CsrIndex {
+        match self {
+            LazyIndex::Built(index) => index,
+            LazyIndex::Deferred {
+                offsets,
+                nonempty,
+                rows,
+            } => rows.get_or_init(|| {
+                let other = other.built().expect("one index of a relation is built");
+                other.transposed_over(offsets.clone(), *nonempty)
+            }),
+        }
+    }
+
+    /// Every key's row bounds: `offsets[k]..offsets[k + 1]` is key `k`'s.
+    #[inline]
+    fn offsets(&self) -> &[u32] {
+        match self {
+            LazyIndex::Built(index) => &index.offsets,
+            LazyIndex::Deferred { offsets, .. } => offsets,
+        }
+    }
+
+    /// Number of keys in the domain.
+    #[inline]
+    pub(crate) fn num_keys(&self) -> usize {
+        self.offsets().len() - 1
+    }
+
+    /// Number of pairs.
+    #[inline]
+    pub(crate) fn num_edges(&self) -> usize {
+        let offsets = self.offsets();
+        offsets[offsets.len() - 1] as usize
+    }
+
+    /// Number of keys with a non-empty row.
+    #[inline]
+    pub(crate) fn num_nonempty(&self) -> usize {
+        match self {
+            LazyIndex::Built(index) => index.nonempty,
+            LazyIndex::Deferred { nonempty, .. } => *nonempty,
+        }
+    }
+
+    /// Degree of `key`.
+    #[inline]
+    pub(crate) fn degree(&self, key: Value) -> usize {
+        let (offsets, k) = (self.offsets(), key as usize);
+        (offsets[k + 1] - offsets[k]) as usize
+    }
+
+    /// Every key's degree, in key order ([`CsrIndex::degrees`]).
+    #[inline]
+    pub(crate) fn degrees(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        degrees(self.offsets())
+    }
+
+    /// Heap bytes: the index; while it is deferred, its offsets, and the
+    /// index over their copy once a read has built it.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            LazyIndex::Built(index) => index.heap_bytes(),
+            LazyIndex::Deferred { offsets, rows, .. } => {
+                size_of_val(&offsets[..]) + rows.get().map_or(0, CsrIndex::heap_bytes)
+            }
+        }
+    }
+}
+
+/// The rows' lengths, from adjacent offsets.
+#[inline]
+fn degrees(offsets: &[u32]) -> impl Iterator<Item = u32> + Clone + '_ {
+    let starts = &offsets[..offsets.len() - 1];
+    offsets[1..]
+        .iter()
+        .zip(starts)
+        .map(|(end, start)| end - start)
+}
+
 #[cfg(test)]
 impl CsrIndex {
     /// The construction this file had before edges arrived sorted: scatter
     /// arbitrary `(key, neighbor)` pairs, then sort and dedup every row. Kept
-    /// as the reference [`CsrIndex::pair_from_sorted_edges`] must equal.
+    /// as the reference the written rows and the scatter must equal.
     pub(crate) fn from_pairs(num_keys: usize, pairs: &[(Value, Value)]) -> Self {
         let mut rows: Vec<Vec<Value>> = vec![Vec::new(); num_keys];
         for &(k, v) in pairs {

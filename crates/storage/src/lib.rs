@@ -11,6 +11,9 @@
 //!   requirement (§5, "Indexing relations") that every relation be stored
 //!   once per index order with sorted neighbor lists.
 //! * [`CsrIndex`] — the compressed-sparse-row index itself.
+//! * [`RowWriter`] — a relation written as `x` rows in order, its `y`
+//!   degrees counted once the rows are in and its `y` index built on first
+//!   read: how a chain step hands its answer to the next step.
 //! * [`stats`] — the degree-threshold indexes `sum(xδ)`, `sum(yδ)`,
 //!   `cdfx(yδ)` and `count(wδ)` that the cost-based optimizer (Algorithm 3)
 //!   queries by binary search.
@@ -35,6 +38,7 @@ pub mod io;
 pub mod packed;
 pub mod relation;
 pub mod stats;
+pub mod writer;
 
 pub use csr::CsrIndex;
 pub use dedup::DedupBuffer;
@@ -42,6 +46,7 @@ pub use delta::{NormalizedDelta, RelationDelta};
 pub use packed::{PackedForm, PackedRows};
 pub use relation::{Relation, RelationBuilder};
 pub use stats::{DegreeHistogram, ThresholdIndexes};
+pub use writer::RowWriter;
 
 /// A dictionary-encoded attribute value. All algorithms in this workspace
 /// operate over dense `u32` id spaces, exactly like the paper's C++

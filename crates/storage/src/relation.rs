@@ -3,9 +3,11 @@
 //! behind `Arc`s, so a clone and a transpose copy neither. A relation keeps
 //! no list of its tuples: every pass reads them off the `x` index
 //! ([`Relation::tuples`]), and [`Relation::edges`] flattens them into a
-//! slice only when a caller asks for one.
+//! slice only when a caller asks for one. A relation written row by row
+//! ([`crate::RowWriter`]) holds one index as its degrees only until a row of
+//! it is read.
 
-use crate::csr::CsrIndex;
+use crate::csr::{CsrIndex, LazyIndex};
 use crate::packed::PackedForms;
 use crate::{Edge, Value};
 use std::sync::{Arc, OnceLock};
@@ -17,7 +19,12 @@ use std::sync::{Arc, OnceLock};
 /// requirement that relations be "indexed over the variables" before any
 /// worst-case-optimal join runs. All per-value degree lookups are O(1), and
 /// so are the active-value counts. The tuple list a constructor was handed
-/// is dropped once the indexes are built.
+/// is dropped once the indexes are built. A relation a
+/// [`crate::RowWriter`] wrote — a chain step's answer — has its `y → [x]`
+/// index's degrees at once and its neighbor lists from the first read of
+/// them ([`Relation::by_y`], [`Relation::xs_of`], [`Relation::transposed`]'s
+/// `by_x`, a packed form): a chain whose next step reads only its `x` rows
+/// never builds them.
 ///
 /// A clone bumps reference counts and nothing more: it shares the indexes,
 /// the flattened edge list if [`Relation::edges`] made one, and the packed
@@ -27,9 +34,9 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// `x → sorted [y]`; shared with the transpose, whose `y` index it is.
-    by_x: Arc<CsrIndex>,
+    by_x: Arc<LazyIndex>,
     /// `y → sorted [x]`.
-    by_y: Arc<CsrIndex>,
+    by_y: Arc<LazyIndex>,
     /// The tuples sorted by `(x, y)`, `by_x` flattened by the first
     /// [`Relation::edges`]; empty until then.
     edges: Arc<OnceLock<Vec<Edge>>>,
@@ -62,16 +69,20 @@ impl Relation {
     /// already sorted by `(x, y)` and distinct — what a join step, a merge
     /// or a filter of a relation's own edges leaves behind — in
     /// `O(N + domains)`: no sort, both indexes in one pass over the edges.
-    /// Every constructor ends here, and `edges` is dropped on the way out.
+    /// Every constructor but a chain step's ([`crate::RowWriter`]) ends
+    /// here, and `edges` is dropped on the way out.
     ///
     /// # Panics
     /// Panics on an edge out of order, repeated, or outside the domains.
     pub fn from_sorted_edges(x_domain: usize, y_domain: usize, edges: Vec<Edge>) -> Self {
         let (by_x, by_y) = CsrIndex::pair_from_sorted_edges(x_domain, y_domain, &edges);
-        Self::from_indexes(Arc::new(by_x), Arc::new(by_y))
+        Self::from_indexes(
+            Arc::new(LazyIndex::Built(by_x)),
+            Arc::new(LazyIndex::Built(by_y)),
+        )
     }
 
-    fn from_indexes(by_x: Arc<CsrIndex>, by_y: Arc<CsrIndex>) -> Self {
+    pub(crate) fn from_indexes(by_x: Arc<LazyIndex>, by_y: Arc<LazyIndex>) -> Self {
         Self {
             by_x,
             by_y,
@@ -112,7 +123,7 @@ impl Relation {
     /// The deduplicated tuples in ascending `(x, y)` order, read off the
     /// `x → [y]` rows.
     pub fn tuples(&self) -> impl Iterator<Item = Edge> + '_ {
-        let rows = self.by_x.iter_nonempty();
+        let rows = self.by_x().iter_nonempty();
         rows.flat_map(|(x, ys)| ys.iter().map(move |&y| (x, y)))
     }
 
@@ -128,28 +139,38 @@ impl Relation {
         self.by_y.num_keys()
     }
 
-    /// CSR index `x → sorted [y]`.
+    /// CSR index `x → sorted [y]`, built from the `y` index by the first
+    /// call if the relation was written `y` row by `y` row (a transpose of
+    /// a chain step's answer).
     #[inline]
     pub fn by_x(&self) -> &CsrIndex {
-        &self.by_x
+        self.by_x.rows(&self.by_y)
     }
 
-    /// CSR index `y → sorted [x]`.
+    /// CSR index `y → sorted [x]`, built from the `x` index by the first
+    /// call if a [`crate::RowWriter`] wrote the relation.
     #[inline]
     pub fn by_y(&self) -> &CsrIndex {
-        &self.by_y
+        self.by_y.rows(&self.by_x)
+    }
+
+    /// Whether the `x` index and the `y` index have their neighbor lists:
+    /// both do unless a [`crate::RowWriter`] wrote the relation (or its transpose)
+    /// and nothing has read the index it left unbuilt.
+    pub fn indexes_built(&self) -> (bool, bool) {
+        (self.by_x.is_built(), self.by_y.is_built())
     }
 
     /// Sorted `y`-neighbors of `x = a` (the set `π_y σ_{x=a} R`).
     #[inline]
     pub fn ys_of(&self, x: Value) -> &[Value] {
-        self.by_x.neighbors(x)
+        self.by_x().neighbors(x)
     }
 
     /// Sorted `x`-neighbors of `y = b` (the inverted list `L[b]`).
     #[inline]
     pub fn xs_of(&self, y: Value) -> &[Value] {
-        self.by_y.neighbors(y)
+        self.by_y().neighbors(y)
     }
 
     /// Degree of an `x` value.
@@ -167,7 +188,7 @@ impl Relation {
     /// Membership test via binary search.
     #[inline]
     pub fn contains(&self, x: Value, y: Value) -> bool {
-        self.by_x.contains(x, y)
+        self.by_x().contains(x, y)
     }
 
     /// Number of distinct `x` values that occur in at least one tuple.
@@ -186,7 +207,8 @@ impl Relation {
     /// `Σ_y deg_R(y) · deg_S(y)` over the `y` ids both domains have — the
     /// count the paper computes "during the indexing pass" (§5), read off
     /// the indexes in one zipped pass over the two `by_y` degree arrays
-    /// ([`CsrIndex::degrees`]), which the compiler vectorises.
+    /// ([`CsrIndex::degrees`]), which the compiler vectorises. Reads no
+    /// neighbor list, so it builds no index.
     pub fn full_join_size(&self, other: &Relation) -> u64 {
         let pairs = self.by_y.degrees().zip(other.by_y.degrees());
         pairs.map(|(a, b)| u64::from(a) * u64::from(b)).sum()
@@ -201,10 +223,12 @@ impl Relation {
         Relation::from_indexes(Arc::clone(&self.by_y), Arc::clone(&self.by_x))
     }
 
-    /// Heap bytes the relation holds, from lengths alone: its two indexes,
-    /// the packed forms built so far (ids, rows and universal mask), and
-    /// the edge list if [`Relation::edges`] has flattened one. Memory a
-    /// clone or a transpose shares is counted again for each.
+    /// Heap bytes the relation holds, from lengths alone: its two indexes
+    /// (a deferred one's offsets, and once a read has built it, the index
+    /// over their copy), the packed forms built so far (ids, rows and
+    /// universal mask), and the edge list if [`Relation::edges`] has
+    /// flattened one. Memory a clone or a transpose shares is counted again
+    /// for each.
     pub fn heap_bytes(&self) -> usize {
         let edges = self
             .edges

@@ -8,6 +8,7 @@ use mmjoin_datagen::DatasetKind;
 use mmjoin_matrix::{matmul, matmul_parallel, DenseMatrix};
 use mmjoin_scj::{set_containment_join, ScjAlgorithm};
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
+use mmjoin_storage::Relation;
 
 const SEED: u64 = 1234;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -83,6 +84,38 @@ fn nonmm_parallel_consistency() {
             serial,
             "threads={t}"
         );
+    }
+}
+
+/// A chain step's intermediate — the expansion written as `x` rows with
+/// its `z` degrees — is identical at every thread count: offsets, neighbor
+/// lists, non-empty counts and degrees. Every third `x` of `R` has a row,
+/// and the last few have none, so the workers' ranges are cut next to
+/// empty groups and the last range ends in them.
+#[test]
+fn intermediate_rows_parallel_consistency() {
+    let exec = mmjoin_executor::Executor::new(8);
+    for kind in [DatasetKind::Dblp, DatasetKind::Words] {
+        let s = mmjoin_datagen::generate(kind, 0.03, SEED);
+        let spaced = s.tuples().map(|(x, y)| (3 * x + 1, y)).collect();
+        let r = Relation::from_sorted_edges(3 * s.x_domain() + 4, s.y_domain(), spaced);
+        let serial = ExpandDedupEngine::serial().join_project_rows(&r, &s, &exec);
+        let pairs = ExpandDedupEngine::serial().join_project(&r, &s);
+        let reference = Relation::from_sorted_edges(r.x_domain(), s.x_domain(), pairs);
+        assert_eq!(serial.by_x(), reference.by_x(), "{kind:?}");
+        for &t in &[1, 2, 3, 8] {
+            let rows = ExpandDedupEngine::parallel(t).join_project_rows(&r, &s, &exec);
+            assert_eq!(rows.indexes_built(), (true, false), "{kind:?} threads={t}");
+            assert_eq!(rows.by_x(), serial.by_x(), "{kind:?} threads={t}");
+            let degrees = |rel: &Relation| -> Vec<usize> {
+                (0..rel.y_domain() as u32)
+                    .map(|z| rel.y_degree(z))
+                    .collect()
+            };
+            assert_eq!(degrees(&rows), degrees(&reference), "{kind:?} threads={t}");
+            assert_eq!(rows.active_y_count(), reference.active_y_count());
+            assert_eq!(rows.by_y(), reference.by_y(), "{kind:?} threads={t}");
+        }
     }
 }
 
