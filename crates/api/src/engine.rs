@@ -171,18 +171,18 @@ pub struct PlanStats {
     /// planner's upper bounds (a two-path plans without them).
     pub heavy_dims: Option<(usize, usize, usize)>,
     /// Whether the heavy core is evaluated by matrix multiplication
-    /// (`false`: the partition is degenerate or over the memory cap, so
-    /// the heavy core is enumerated combinatorially).
+    /// (`false`: the core is over the memory cap — or, in the paper's
+    /// prototype, a heavy side is empty — so it is expanded instead).
     pub heavy_core_matrix: Option<bool>,
     /// The kernel of the heavy core: `"bit row-or"` or `"bit and-any"`
     /// (Boolean product — existence queries), `"bit popcount"` (counting
-    /// queries) or `"f32"` (SGEMM — pinned, or a forced counting
-    /// partition). Planning names the one the thresholds were priced for;
-    /// the run decides the orientation again on the exact partition and
-    /// records the one that ran.
+    /// queries) or `"f32"` (SGEMM — the paper's prototype in the experiment
+    /// harness). Planning names the one the plan was priced for; the run
+    /// decides the orientation again on the exact operands and records the
+    /// one that ran.
     pub heavy_backend: Option<&'static str>,
     /// For a heavy core multiplied from the relations' memoised packed rows
-    /// (an optimizer-chosen two-path or star under the default backend):
+    /// (an optimizer-chosen two-path or star):
     /// whether the left and the right operand are packed by this query or
     /// reused — as found when planning, as it happened after a run. A
     /// star's left operand is `V`'s legs and its right `W`'s: reused when
@@ -200,10 +200,9 @@ pub struct PlanStats {
     pub full_join: Option<u64>,
     /// The optimizer's output-size estimate, when one was computed.
     pub estimated_out: Option<u64>,
-    /// Line 2's two prices, whichever won; `None` under the SGEMM pin
-    /// (whose line 2 compares `|OUT⋈|` with `F · N`), for a forced
-    /// partition, and for a composed plan until its run fills in its final
-    /// primitive's.
+    /// Line 2's two prices, whichever won; `None` for the paper's prototype
+    /// (whose line 2 compares `|OUT⋈|` with `F · N`) and for a composed
+    /// plan until its run fills in its final primitive's.
     pub line_two: Option<LineTwoPrices>,
     /// Predicted light-part seconds at the chosen thresholds.
     pub predicted_light_secs: Option<f64>,
@@ -473,8 +472,8 @@ impl From<QueryError> for EngineError {
 ///
 /// One object, one front door: every workload family an engine supports is
 /// reachable through [`Engine::execute`]. Execution configuration (thread
-/// counts, cost models, threshold overrides) lives in the engine value
-/// itself, not in the query.
+/// counts, cost models, line 2's factor) lives in the engine value itself,
+/// not in the query.
 pub trait Engine: Send + Sync {
     /// Registry / report name. Must be unique within a registry.
     fn name(&self) -> &str;

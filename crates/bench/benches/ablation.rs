@@ -3,7 +3,8 @@
 //! threshold sensitivity, dedup strategy).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmjoin_core::{two_path_join_project, HeavyBackend, JoinConfig};
+use mmjoin_bench::paper::MMJoin;
+use mmjoin_core::{two_path_join_project, JoinConfig};
 use mmjoin_datagen::DatasetKind;
 use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 
@@ -46,12 +47,9 @@ fn heavy_backend_ablation(c: &mut Criterion) {
     let r = mmjoin_datagen::generate(DatasetKind::Protein, SCALE, SEED);
     let mut g = c.benchmark_group("heavy_backend_protein");
     g.bench_function("f32_gemm", |b| {
-        // The paper's prototype: SGEMM pinned for an existence query.
-        let cfg = JoinConfig {
-            heavy_backend: HeavyBackend::DenseF32,
-            ..JoinConfig::default()
-        };
-        b.iter(|| two_path_join_project(&r, &r, &cfg));
+        // The paper's prototype: SGEMM for an existence query.
+        let prototype = MMJoin::default();
+        b.iter(|| prototype.two_path(&r, &r));
     });
     g.bench_function("bitmatrix", |b| {
         // The default: an existence query multiplies bits.
@@ -74,8 +72,8 @@ fn threshold_sensitivity(c: &mut Criterion) {
     let mut g = c.benchmark_group("threshold_sensitivity_jokes");
     for delta in [1u32, 8, 64, 100_000] {
         g.bench_with_input(BenchmarkId::from_parameter(delta), &delta, |b, &d| {
-            let cfg = JoinConfig::with_deltas(d, d);
-            b.iter(|| two_path_join_project(&r, &r, &cfg));
+            let prototype = MMJoin::at((d, d));
+            b.iter(|| prototype.two_path(&r, &r));
         });
     }
     // The optimizer's pick, for comparison against the grid.

@@ -6,18 +6,18 @@ use mmjoin_api::{Engine, PairSink, Query};
 use mmjoin_baseline::fulljoin::{HashJoinEngine, SortMergeEngine};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_baseline::setintersect::SetIntersectEngine;
-use mmjoin_core::{HeavyBackend, JoinConfig, MmJoinEngine};
+use mmjoin_bench::paper::MMJoin;
+use mmjoin_core::JoinConfig;
 use mmjoin_datagen::DatasetKind;
 
 const SCALE: f64 = 0.08;
 const SEED: u64 = 2020;
 
 /// MMJoin as the paper's prototype ran it: SGEMM for the heavy core of
-/// these existence queries too (the default would be the bit product).
-fn paper_mmjoin(threads: usize) -> MmJoinEngine {
-    MmJoinEngine::new(JoinConfig {
+/// these existence queries too (the served engine multiplies bits).
+fn paper_mmjoin(threads: usize) -> MMJoin {
+    MMJoin::new(JoinConfig {
         threads,
-        heavy_backend: HeavyBackend::DenseF32,
         ..JoinConfig::default()
     })
 }

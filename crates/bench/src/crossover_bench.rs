@@ -13,7 +13,7 @@
 //! The table also carries two `gemm n=…` rows timing the dispatched GEMM
 //! kernel against the scalar fallback on the same shapes the cost model
 //! samples; under `--features simd` the gate requires the ≥ 1.25×
-//! speedup that justifies shifting the crossover at all. `par n=… t=…`
+//! speedup that justifies the feature at all. `par n=… t=…`
 //! rows time
 //! the tiled multi-core scheduler against the serial kernel at the
 //! requested thread counts and record whether the products are
@@ -133,11 +133,10 @@ fn time_strategy(r: &Relation, config: &JoinConfig, trials: usize) -> f64 {
 /// Runs the crossover sweep plus the kernel-speedup and
 /// parallel-scheduler rows. `trials` is the measured-run count per point
 /// (the gate uses 3; interactive runs 1); `threads` is the intra-query
-/// budget whose cores axis the calibration sweeps. Calibrates against
-/// the dispatched kernel, then re-derives the crossover exactly the way
-/// a `--calibrate --threads n` service would: the measured multi-core
-/// curve damps the derived factor, so the sweep exercises the same
-/// crossover the planner would actually use at that budget.
+/// budget whose cores axis the calibration sweeps. Installs a measured
+/// model exactly the way a `--calibrate --threads n` service would, so
+/// the sweep exercises the prices the planner would actually compare at
+/// that budget.
 pub fn crossover_experiment(scale: f64, trials: usize, threads: usize) -> Table {
     let mut config = JoinConfig {
         threads,

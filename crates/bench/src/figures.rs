@@ -6,11 +6,12 @@
 //! engine) instead of hard-coding engine constructors, so newly registered
 //! engines show up in the experiment tables automatically.
 
+use crate::paper;
 use crate::report::{fmt_secs, Table};
 use crate::{core_grid, dataset, star_dataset, timed, timed_median, SEED};
 use mmjoin::{
-    default_registry, registry_with_config, CountSink, Engine, EngineRegistry, ExecStats,
-    HeavyBackend, JoinConfig, MmJoinEngine, PlanKind, Query, Relation,
+    default_registry, CountSink, Engine, EngineRegistry, ExecStats, JoinConfig, MmJoinEngine,
+    PlanKind, Query, Relation,
 };
 use mmjoin_api::{flatten_pairs, FlatRows};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
@@ -21,17 +22,19 @@ use mmjoin_ssj::{unordered_ssj, SizeAwarePPOpts, SsjAlgorithm};
 use mmjoin_storage::{PackedForm, PackedRows};
 
 /// The roster the paper's figures are reproduced with: the serving roster
-/// on `cores` threads, but with MMJoin's heavy core pinned to f32 SGEMM —
-/// the paper's prototype multiplies with SGEMM (Eigen/MKL) for every query,
-/// and its numbers are what these tables are compared against. (Without the
-/// pin an existence query would run the Boolean bit product and a counting
-/// one AND-popcount.)
+/// on `cores` threads, with `MMJoin` replaced by the paper's prototype
+/// ([`paper::MMJoin`]) — line 2's `|OUT⋈| ≤ 20·N` test and SGEMM for every
+/// heavy core, as the paper's numbers were measured. The other engines are
+/// the served ones: the SSJ engines' heavy step runs the served popcount
+/// core.
 fn paper_registry(cores: usize) -> EngineRegistry {
-    registry_with_config(&JoinConfig {
+    let config = JoinConfig {
         threads: cores,
-        heavy_backend: HeavyBackend::DenseF32,
         ..JoinConfig::default()
-    })
+    };
+    let mut registry = mmjoin::registry_with_config(&config);
+    registry.register(Box::new(paper::MMJoin::new(config)));
+    registry
 }
 
 /// Runs `query` on `engine`, returning `(stats, seconds)` without
@@ -434,10 +437,10 @@ pub fn fig8(scale: f64) -> Table {
 }
 
 /// Ablation (beyond the paper): the heavy core of the 2-path join on a
-/// dense dataset with SGEMM pinned (the paper's prototype) and with the
-/// default, which multiplies this existence query over the Boolean
-/// semiring; the same pair for the join with witness counts, whose default
-/// is AND-popcount — then, at the matrix level, the row-OR bit product against
+/// dense dataset run by the paper's prototype (SGEMM, [`paper::MMJoin`])
+/// and by the served engine, which multiplies this existence query over
+/// the Boolean semiring; the same pair for the join with witness counts,
+/// whose served core is AND-popcount — then, at the matrix level, the row-OR bit product against
 /// plain expansion on sparse square blocks. From 0.5% density up the bit
 /// product wins by an order of magnitude (row-OR is itself sparse in its
 /// left operand); below that expansion — which is what the optimizer picks
@@ -458,25 +461,14 @@ pub fn ablation_matrix_backends(scale: f64) -> Table {
     // the packed rows the existence run left.
     let counted = Query::two_path(&r, &r).with_counts().build().unwrap();
     let mut rows = Vec::new();
-    for (name, heavy_backend, query) in [
-        ("f32 GEMM (pinned)", HeavyBackend::DenseF32, &q),
-        ("bit product (default)", HeavyBackend::Auto, &q),
-        (
-            "counts: f32 GEMM (pinned)",
-            HeavyBackend::DenseF32,
-            &counted,
-        ),
-        (
-            "counts: bit popcount (default)",
-            HeavyBackend::Auto,
-            &counted,
-        ),
+    let (prototype, served) = (paper::MMJoin::default(), MmJoinEngine::default());
+    for (name, engine, query) in [
+        ("f32 GEMM (paper)", &prototype as &dyn Engine, &q),
+        ("bit product (default)", &served, &q),
+        ("counts: f32 GEMM (paper)", &prototype, &counted),
+        ("counts: bit popcount (default)", &served, &counted),
     ] {
-        let engine = MmJoinEngine::new(JoinConfig {
-            heavy_backend,
-            ..JoinConfig::default()
-        });
-        let (stats, secs) = run_counted(&engine, query);
+        let (stats, secs) = run_counted(engine, query);
         rows.push(stats.rows);
         t.push_row(name, vec![fmt_secs(secs), stats.rows.to_string()]);
     }

@@ -10,6 +10,7 @@ pub mod chains_bench;
 pub mod crossover_bench;
 pub mod figures;
 pub mod gate;
+pub mod paper;
 pub mod report;
 pub mod saturation_bench;
 pub mod service_bench;

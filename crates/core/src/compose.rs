@@ -18,9 +18,7 @@
 //! intermediate's `z → [x]` index is built only if
 //! a later step reads it (the next join on its other column, the bit core's
 //! packed form); a chain whose next step expands from its `x` rows, and
-//! plans from its degrees, never builds it. Only a forced partition
-//! (`delta_override`, the SGEMM pin) still makes pairs, which go through
-//! [`Relation::from_sorted_edges`].
+//! plans from its degrees, never builds it.
 //!
 //! Independent steps of the plan DAG run **concurrently**: execution
 //! proceeds in topological wavefronts — every step whose inputs are

@@ -179,17 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_override_is_reported_verbatim() {
-        let r = clique(10, 4);
-        let engine = MmJoinEngine::new(JoinConfig::with_deltas(3, 5));
-        let q = Query::two_path(&r, &r).build().unwrap();
-        let mut sink = CountSink::new();
-        let plan = engine.execute(&q, &mut sink).unwrap().plan.unwrap();
-        assert_eq!((plan.delta1, plan.delta2), (Some(3), Some(5)));
-        assert!(plan.light_tuples.is_some());
-    }
-
-    #[test]
     fn counting_query_streams_counts() {
         let r = clique(6, 3);
         let engine = MmJoinEngine::serial();

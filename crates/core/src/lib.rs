@@ -9,12 +9,11 @@
 //! (plan choice, chosen `(Δ1, Δ2)`, heavy/light split) back.
 //!
 //! * [`two_path`] — Algorithm 1 for the 2-path query
-//!   `Q(x, z) = R(x, y), S(z, y)`: degree-based partitioning into light and
-//!   heavy parts, worst-case-optimal expansion for the light parts, matrix
-//!   multiplication for the heavy core — over the Boolean semiring
-//!   (bit-packed) when only existence is read, AND-popcount over the same
-//!   bit rows for the counting variant that reports `|ys(x) ∩ ys(z)|` per
-//!   output pair (the similarity joins build on it); f32 SGEMM when pinned.
+//!   `Q(x, z) = R(x, y), S(z, y)`: worst-case-optimal expansion, or the
+//!   everything-heavy core multiplied over the relations' memoised bit rows
+//!   — over the Boolean semiring when only existence is read, AND-popcount
+//!   for the counting variant that reports `|ys(x) ∩ ys(z)|` per output
+//!   pair (the similarity joins build on it).
 //! * [`star`] — the §3.2 generalisation to star queries `Q*_k`.
 //! * [`plan`] / [`compose`] — the decomposing planner and executor for
 //!   general acyclic join-project queries (`Query::General`): a
@@ -75,7 +74,7 @@ pub mod star;
 pub mod two_path;
 
 pub use compose::execute_general;
-pub use config::{HeavyBackend, JoinConfig};
+pub use config::JoinConfig;
 pub use engine_impl::plan_query;
 pub use estimate::{estimate_from_parts, estimate_output_size, OutputEstimate};
 pub use optimizer::{choose_thresholds, ExecutionPlan, PlanChoice};
@@ -89,12 +88,12 @@ pub use two_path::{
 /// The packaged MMJoin engine: Algorithm 1 + Algorithm 3 behind the
 /// unified [`Engine`](mmjoin_api::Engine) trait (see [`engine_impl`]).
 ///
-/// Execution configuration — threads, cost model, threshold overrides —
+/// Execution configuration — threads, cost model, line 2's factor —
 /// lives here, not in the query; the same engine value serves every
 /// workload family.
 #[derive(Debug, Clone, Default)]
 pub struct MmJoinEngine {
-    /// Execution configuration (threads, cost model, overrides).
+    /// Execution configuration (threads, cost model, line 2's factor).
     pub config: JoinConfig,
 }
 

@@ -1,29 +1,22 @@
 //! Algorithm 3 — the cost-based optimizer's choice for a two-path.
 //!
 //! Line 2 decides between plain expansion and an *everything-heavy* plan
-//! (`Δ1 = Δ2 = 0`). Under [`HeavyBackend::Auto`] it compares two prices,
-//! both from exact counts the relations hold (`line_two`): expansion's,
-//! `t_insert` per tuple of the exact full join `|OUT⋈|`, and the bit core's
-//! (`PackedCore`: its word operations at the bit-word rate, the build of
-//! any operand not packed yet, its allocation, the product scan and, for
-//! counting, popcount's emit). The core runs when it is cheaper; a tie, or a
-//! core over the memory cap, expands. [`JoinConfig::wcoj_fallback_factor`]
-//! scales expansion's price: neutral at its default, and still forcing the
-//! matrix at 0 and expansion at `∞`. Under the [`HeavyBackend::DenseF32`]
-//! pin line 2 is the paper's fixed test `|OUT⋈| ≤ F · N`, and the core is
-//! SGEMM over f32 operands filled per query, priced as a star's. No
-//! threshold index is built and no `(Δ1, Δ2)` grid is searched: a mixed
-//! partition lost to the better of those two plans on every instance
-//! measured (DESIGN.md, "Algorithm 3"), and it runs only when forced
-//! (`delta_override`).
+//! (`Δ1 = Δ2 = 0`) by comparing two prices, both from exact counts the
+//! relations hold (`line_two`): expansion's, `t_insert` per tuple of the
+//! exact full join `|OUT⋈|`, and the bit core's (`PackedCore`: its word
+//! operations at the bit-word rate, the build of any operand not packed
+//! yet, its allocation, the product scan and, for counting, popcount's
+//! emit). The core runs when it is cheaper; a tie, or a core over the
+//! memory cap, expands. [`JoinConfig::wcoj_fallback_factor`] scales
+//! expansion's price: neutral at its default, and still forcing the matrix
+//! at 0 and expansion at `∞`. No threshold index is built and no
+//! `(Δ1, Δ2)` grid is searched: a mixed partition lost to the better of
+//! those two plans on every instance measured (DESIGN.md, "Algorithm 3").
 //!
-//! Under `Auto` the core's operands are the relations' memoised packed rows:
-//! an existence query multiplies them over the Boolean semiring, a counting
+//! The core's operands are the relations' memoised packed rows: an
+//! existence query multiplies them over the Boolean semiring, a counting
 //! one takes `popcount(R[x] & S[z])` over both relations' `x`-major rows. The
 //! cap is checked against their real size before anything is packed.
-//!
-//! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
-//! [`HeavyBackend::DenseF32`]: crate::config::HeavyBackend::DenseF32
 
 use crate::config::JoinConfig;
 use crate::estimate::{estimate_output_size, OutputEstimate};
@@ -53,29 +46,23 @@ pub struct ExecutionPlan {
     pub choice: PlanChoice,
     /// The output estimate, with the exact full join line 2 rests on.
     pub estimate: OutputEstimate,
-    /// Line 2's two prices under the bit kernels, whichever won; `None`
-    /// under the SGEMM pin.
+    /// Line 2's two prices, whichever won.
     pub line_two: Option<LineTwoPrices>,
     /// Predicted heavy-core seconds (0 for WCOJ); nothing is light in an
     /// everything-heavy plan.
     pub predicted_heavy: f64,
-    /// Number of heavy cores priced: 1, except under the SGEMM pin when
-    /// its fixed test decided.
+    /// Number of heavy cores priced: line 2 prices one.
     pub iterations: usize,
     /// The heavy-core kernel the plan was priced for — `"bit row-or"` /
-    /// `"bit and-any"` ([`Orientation::name`]), `"bit popcount"` or
-    /// `"f32"`; `None` for WCOJ.
+    /// `"bit and-any"` ([`Orientation::name`]) or `"bit popcount"`; `None`
+    /// for WCOJ.
     ///
     /// [`Orientation::name`]: mmjoin_matrix::Orientation::name
     pub heavy_kernel: Option<&'static str>,
-    /// For a bit core over the relations' memoised packed rows: whether
-    /// each operand is packed already ([`PackedCore::sources`]); `None`
-    /// otherwise.
+    /// Whether each operand of the core is packed already
+    /// ([`PackedCore::sources`]); `None` for WCOJ.
     pub heavy_operands: Option<[OperandSource; 2]>,
 }
-
-/// [`ExecutionPlan::heavy_kernel`] of a heavy core multiplied by SGEMM.
-pub(crate) const F32_KERNEL: &str = "f32";
 
 /// [`ExecutionPlan::heavy_kernel`] of a counting core over bit rows
 /// ([`BitRows::and_popcount`]).
@@ -85,21 +72,15 @@ pub(crate) const POPCOUNT_KERNEL: &str = "bit popcount";
 
 /// Algorithm 3 line 2 for a join whose exact full join is `full_join` over
 /// inputs of at most `n` tuples, with `price` the everything-heavy core's
-/// price and kernel (`None` over the cap): line 2's two prices (under the
-/// bit kernels) and the core, if it runs. Under the bit kernels the core
-/// runs when it is cheaper than expansion, `t_insert` per full-join tuple
-/// scaled by [`JoinConfig::expansion_scale`]; under the SGEMM pin when the
-/// full join is over `F · N`. Two-paths and stars both decide here.
+/// price and kernel (`None` over the cap): line 2's two prices and the
+/// core, if it runs — when it is cheaper than expansion, `t_insert` per
+/// full-join tuple scaled by [`JoinConfig::expansion_scale`]. Two-paths and
+/// stars both decide here.
 pub(crate) fn line_two(
     config: &JoinConfig,
     full_join: u64,
-    n: usize,
     price: impl FnOnce() -> Option<(f64, &'static str)>,
-) -> (Option<LineTwoPrices>, Option<(f64, &'static str)>) {
-    if !config.heavy_backend.is_boolean() {
-        let output_like = full_join as f64 <= config.wcoj_fallback_factor * n.max(1) as f64;
-        return (None, if output_like { None } else { price() });
-    }
+) -> (LineTwoPrices, Option<(f64, &'static str)>) {
     // Expansion of nothing costs nothing — unless a factor below 0 sends
     // even an empty join to the core, as the paper's test did.
     let expand_secs = match config.expansion_scale() {
@@ -112,7 +93,7 @@ pub(crate) fn line_two(
         expand_secs,
         core_secs: core.map(|(secs, _)| secs),
     };
-    (Some(prices), core.filter(|&(secs, _)| secs < expand_secs))
+    (prices, core.filter(|&(secs, _)| secs < expand_secs))
 }
 
 /// Runs Algorithm 3 for the existence-only 2-path query over `r`, `s`
@@ -122,8 +103,8 @@ pub fn choose_thresholds(r: &Relation, s: &Relation, config: &JoinConfig) -> Exe
 }
 
 /// Algorithm 3 for the 2-path over `r`, `s`: line 2 between expansion and
-/// everything heavy, priced for the kernel `config` runs on a query that
-/// does (`counting`) or does not read witness counts.
+/// everything heavy, priced for the bit kernel of a query that does
+/// (`counting`) or does not read witness counts.
 pub(crate) fn choose_plan(
     r: &Relation,
     s: &Relation,
@@ -132,30 +113,17 @@ pub(crate) fn choose_plan(
 ) -> ExecutionPlan {
     let estimate = estimate_output_size(r, s);
     let out_est = estimate.estimate.max(1) as f64;
-    let (mut iterations, mut operands) = (0, None);
-    let (line_two, core) = line_two(config, estimate.full_join, r.len().max(s.len()), || {
-        iterations = 1;
-        if config.heavy_backend.is_boolean() {
-            let core = PackedCore::of(r, s, counting);
-            let sources = core.sources(r, s);
-            operands = Some(sources);
-            core.cost(config, sources, [r.len(), s.len()], out_est)
-        } else {
-            // Every active value is heavy and every tuple an operand cell.
-            let dims = (
-                r.active_x_count(),
-                r.active_y_count().min(s.active_y_count()),
-                s.active_x_count(),
-            );
-            f32_core_cost(config, dims, r.len() as f64, out_est)
-        }
+    let core = PackedCore::of(r, s, counting);
+    let sources = core.sources(r, s);
+    let (line_two, core) = line_two(config, estimate.full_join, || {
+        core.cost(config, sources, [r.len(), s.len()], out_est)
     });
     let mut plan = ExecutionPlan {
         choice: PlanChoice::Wcoj,
         estimate,
-        line_two,
+        line_two: Some(line_two),
         predicted_heavy: 0.0,
-        iterations,
+        iterations: 1,
         heavy_kernel: None,
         heavy_operands: None,
     };
@@ -166,43 +134,9 @@ pub(crate) fn choose_plan(
         };
         plan.predicted_heavy = heavy;
         plan.heavy_kernel = Some(kernel);
-        plan.heavy_operands = operands;
+        plan.heavy_operands = Some(sources);
     }
     plan
-}
-
-/// Lines 12–13: cost of a heavy core multiplied by SGEMM over `u × v × w`
-/// f32 operands with `nnz1` set cells on the left, filled for this query
-/// alone, and its kernel — or `None` when the core would be empty or over
-/// the memory cap (such a partition runs no matrix). The GEMM term is
-/// priced by its *effective* work — the kernel skips zero rows of M1, so
-/// the madds executed are ≈ nnz(M1)·w — plus the zero-branch scan of M1,
-/// the (calloc-cheap) matrix allocations, the extraction scan of all u·w
-/// cells (the paper's `Tm·(u·v + u·w)`), and the rows written. Shared by
-/// the two-path's and the star's SGEMM pin.
-pub(crate) fn f32_core_cost(
-    config: &JoinConfig,
-    (u, v, w): (usize, usize, usize),
-    nnz1: f64,
-    out_est: f64,
-) -> Option<(f64, &'static str)> {
-    if u == 0 || v == 0 || w == 0 {
-        return None;
-    }
-    let consts = config.cost_model.constants;
-    let (uf, vf, wf) = (u as f64, v as f64, w as f64);
-    let nnz1 = nnz1.min(uf * vf);
-    let cells = uf * vf + vf * wf + uf * wf;
-    let cap_bytes = config.matrix_cell_cap.saturating_mul(4);
-    (4.0 * cells <= cap_bytes as f64).then(|| {
-        let cost = config
-            .cost_model
-            .estimate_effective(nnz1 * wf, config.effective_threads())
-            + consts.t_seq * (uf * vf + uf * wf)
-            + 0.1e-9 * cells
-            + consts.t_insert * (uf * wf).min(out_est);
-        (cost, F32_KERNEL)
-    })
 }
 
 /// Fixed cost of running one bit heavy core, whatever its size: its
@@ -364,7 +298,6 @@ impl PackedCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HeavyBackend;
     use mmjoin_storage::{Relation, Value};
 
     fn rel(edges: &[(Value, Value)]) -> Relation {
@@ -430,8 +363,7 @@ mod tests {
 
     /// The shape the paper's `F = 20` sent to expansion: `|OUT⋈| / N = 15`,
     /// a dense core of a few words. Its price is far below expansion's, so
-    /// line 2 takes the matrix for existence and counting alike; the SGEMM
-    /// pin keeps the paper's test, and expands.
+    /// line 2 takes the matrix for existence and counting alike.
     #[test]
     fn a_dense_pair_under_twenty_times_its_input_takes_the_cheaper_core() {
         let r = clique(15, 40, 1);
@@ -445,13 +377,6 @@ mod tests {
             assert_eq!(prices.core_secs, Some(plan.predicted_heavy));
             assert!(plan.predicted_heavy < prices.expand_secs, "{prices:?}");
         }
-        let pinned = JoinConfig {
-            heavy_backend: HeavyBackend::DenseF32,
-            ..JoinConfig::default()
-        };
-        let plan = choose_thresholds(&r, &r, &pinned);
-        assert_eq!((plan.choice, plan.line_two), (PlanChoice::Wcoj, None));
-        assert_eq!(plan.iterations, 0, "the pin's fixed test decided");
     }
 
     /// A DBLP-like pair: 3 000 sets of 3 elements from a 3 000-wide domain,
@@ -552,18 +477,16 @@ mod tests {
         let r = rel(&edges);
         let plan = choose_thresholds(&r, &r, &JoinConfig::default());
         assert_eq!(plan.heavy_kernel, None, "WCOJ runs no heavy core");
-        let pinned = JoinConfig {
-            heavy_backend: HeavyBackend::DenseF32,
-            ..with_factor(0.0)
-        };
-        let plan = choose_thresholds(&r, &r, &pinned);
-        assert_eq!(plan.heavy_kernel, Some(F32_KERNEL));
+        let forced = with_factor(0.0);
+        let plan = choose_thresholds(&r, &r, &forced);
+        assert!(plan.heavy_kernel.unwrap().starts_with("bit "), "{plan:?}");
+        let plan = choose_plan(&r, &r, &forced, true);
+        assert_eq!(plan.heavy_kernel, Some(POPCOUNT_KERNEL));
     }
 
-    /// One instance, three prices: under `Auto` the existence variant is
-    /// priced for the Boolean product and the counting variant for
-    /// AND-popcount; under the SGEMM pin both are one SGEMM price. Past
-    /// line 2 every one of them is everything heavy.
+    /// One instance, two prices: the existence variant is priced for the
+    /// Boolean product and the counting variant for AND-popcount. Past line
+    /// 2 both are everything heavy.
     #[test]
     fn existence_and_counting_variants_are_priced_for_different_kernels() {
         for (r, factor) in [
@@ -582,18 +505,7 @@ mod tests {
                 existence.predicted_heavy != counting.predicted_heavy,
                 "{existence:?} vs {counting:?}"
             );
-            let pinned = JoinConfig {
-                heavy_backend: HeavyBackend::DenseF32,
-                ..config
-            };
-            let [pinned_existence, pinned_counting] =
-                [false, true].map(|counting| choose_plan(&r, &r, &pinned, counting));
-            assert_eq!(pinned_counting.heavy_kernel, Some(F32_KERNEL));
-            assert_eq!(
-                pinned_existence.predicted_heavy,
-                pinned_counting.predicted_heavy
-            );
-            for plan in [existence, counting, pinned_existence, pinned_counting] {
+            for plan in [existence, counting] {
                 let all_heavy = PlanChoice::Mm {
                     delta1: 0,
                     delta2: 0,
@@ -624,38 +536,25 @@ mod tests {
     #[test]
     fn no_partition_is_returned_over_the_memory_cap() {
         let r = clique(60, 4, 1);
-        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-            for counting in [false, true] {
-                let config = JoinConfig {
-                    matrix_cell_cap: 0,
-                    heavy_backend: backend,
-                    ..JoinConfig::default()
-                };
-                let plan = choose_plan(&r, &r, &config, counting);
-                assert_eq!(plan.choice, PlanChoice::Wcoj, "{backend:?} {counting}");
-                assert_eq!(plan.iterations, 1, "the core was priced and rejected");
-            }
+        for counting in [false, true] {
+            let config = JoinConfig {
+                matrix_cell_cap: 0,
+                ..JoinConfig::default()
+            };
+            let plan = choose_plan(&r, &r, &config, counting);
+            assert_eq!(plan.choice, PlanChoice::Wcoj, "{counting}");
+            assert_eq!(plan.iterations, 1, "the core was priced and rejected");
         }
-        // The bit cores fit where f32 does not: 60×4 + 4×60 + 60×60 cells
-        // are 16 k bytes of f32, but two 480-byte packed forms (and a
-        // 480-byte product) of bits.
+        // Two 480-byte packed forms and a 480-byte product fit 2 048 bytes.
         let config = JoinConfig {
             matrix_cell_cap: 512,
             ..JoinConfig::default()
-        };
-        let pinned = JoinConfig {
-            heavy_backend: HeavyBackend::DenseF32,
-            ..config.clone()
         };
         for counting in [false, true] {
             assert!(matches!(
                 choose_plan(&r, &r, &config, counting).choice,
                 PlanChoice::Mm { .. }
             ));
-            assert_eq!(
-                choose_plan(&r, &r, &pinned, counting).choice,
-                PlanChoice::Wcoj
-            );
         }
     }
 

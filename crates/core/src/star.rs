@@ -14,39 +14,20 @@
 //! them and shared by every later one. A one-leg `W` (`k = 3`) is its forms
 //! as they lie — `y`-major for row-OR, `x`-major for AND-any, its universal
 //! mask filling every `V` row with a `y` all its heads have — never built.
-//! [`HeavyBackend::Auto`] multiplies bits, the `DenseF32` pin f32 operands
-//! filled from them; a core over the cap runs the star as expansion.
+//! The product is Boolean; a core over the cap runs the star as expansion.
 //!
-//! A forced partition (`delta_override`) splits each relation's tuples
-//! three ways with thresholds `Δ1, Δ2`:
-//!
-//! * `R⁻i` — tuples whose head `xi` is light (`deg ≤ Δ2`);
-//! * `R⋄i` — tuples whose `y` is light (`deg ≤ Δ1`) in **all other**
-//!   relations;
-//! * `R⁺i` — the rest.
-//!
-//! Steps 1–2 run the WCOJ star join `k` times, substituting `R⁻j` (then
-//! `R⋄j`) for one relation at a time, and project; step 3 is the core over
-//! the heavy heads and the `y` heavy in ≥ 2 relations ([`columns`]; `W`'s
-//! light heads stay, and a row they add the light steps find too). An output
-//! tuple with witness `y` is found in step 1 if some head is light, in step 2
-//! if `y` is light in all-but-one relation, and otherwise every head is
-//! heavy and `y` is heavy in ≥ 2 relations — step 3.
-//!
-//! A matrix-partitioned run records the two-path's five phases —
-//! `partition`, `light`, `build`, `product`, `extract` — as `step` spans and
-//! as [`PlanStats::measured_phase_secs`], beside the planner's predictions.
-//!
-//! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
+//! A matrix run records the two-path's five phases — `partition`, `light`,
+//! `build`, `product`, `extract` — as `step` spans and as
+//! [`PlanStats::measured_phase_secs`], beside the planner's predictions.
 
 use crate::config::JoinConfig;
-use crate::optimizer::{bit_core_cost, f32_core_cost, line_two, operand_source, F32_KERNEL};
-use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, view, Product};
+use crate::optimizer::{bit_core_cost, line_two, operand_source};
+use crate::two_path::{self, extract_label, extract_phase, phase, product_phase, view};
 use mmjoin_api::{FlatRows, OperandSource, PhaseSecs, PlanStats};
 use mmjoin_matrix::bitmat::ones;
-use mmjoin_matrix::{matmul_parallel_on, BitMatrix, BitProductPlan, DenseMatrix, Orientation};
+use mmjoin_matrix::{BitMatrix, BitProductPlan, Orientation};
 use mmjoin_storage::{PackedForm, PackedRows, Relation, Value};
-use mmjoin_wcoj::{star_full_join_for_each, star_join_project_flat, ProjectionAccumulator};
+use mmjoin_wcoj::star_join_project_flat;
 
 /// Evaluates `π_{x1..xk}(R1 ⋈ … ⋈ Rk)` with the §3.2 algorithm, returning
 /// sorted distinct tuples.
@@ -81,8 +62,8 @@ pub fn star_join_project_mm_flat<R: AsRef<Relation>>(
 
 /// Plans the star over `relations` — the decision record `explain` prints —
 /// and, if `run`, evaluates it as planned, returning the rows and the record
-/// with the run's half filled in — the Boolean core's product as its cells
-/// ([`FlatRows::product`]), any other plan's rows flat. One leg has nothing
+/// with the run's half filled in — the core's product as its cells
+/// ([`FlatRows::product`]), expansion's rows flat. One leg has nothing
 /// to decide, two are their two-path, and a join that is empty (an empty
 /// leg, or no `y` common to all) is the expansion of nothing.
 pub(crate) fn plan_then_run<R: AsRef<Relation>>(
@@ -118,65 +99,32 @@ pub(crate) fn plan_then_run<R: AsRef<Relation>>(
         return (none(), stats);
     }
     let expand = || FlatRows::new(k, star_join_project_flat(&legs));
-    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
+    if stats.delta1.is_none() {
         return (expand(), stats);
-    };
-
-    let boolean = config.heavy_backend.is_boolean();
+    }
+    // Nothing to partition and nothing light; all five phases are recorded.
     let mut secs = PhaseSecs::default();
-    let mut acc = ProjectionAccumulator::new(k);
-
-    let cols = phase("partition", &mut secs.partition, || {
-        columns(&legs, common, delta1)
-    });
-    // Nothing is light at Δ1 = Δ2 = 0: every substitute would be empty.
-    phase("light", &mut secs.light, || {
-        if (delta1, delta2) != (0, 0) {
-            light_steps(&legs, delta1, delta2, &mut acc);
-        }
-    });
-    // Every matrix plan records all five phases, whichever of them run —
-    // unless its core is over the cap and it expands instead.
-    let heavy = cols.iter().any(|&w| w != 0);
+    phase("partition", &mut secs.partition, || ());
+    phase("light", &mut secs.light, || ());
     let built = phase("build", &mut secs.build, || {
-        let cap = config.matrix_cell_cap;
-        heavy.then(|| build(&legs, &cols, delta2, boolean, cap))?
+        build(&legs, &common, config.matrix_cell_cap)
     });
     // The planner's bounds give way to what was built.
     stats.heavy_core_matrix = Some(built.is_some());
     stats.heavy_dims = built.as_ref().map(|built| built.dims);
-    stats.heavy_backend = built.as_ref().map(|built| built.kernel);
+    stats.heavy_backend = built.as_ref().map(|built| built.orientation.name());
     stats.heavy_operands = built.as_ref().map(|built| built.sources);
-    if built.is_none() && heavy {
+    let Some(built) = built else {
         // Over the cap: the whole star runs as expansion instead.
         return (expand(), stats);
-    }
-    let rows = built.as_ref().map_or(0, |built| built.v.len());
-    let (product, filled) = product_phase(&mut secs.product, rows, || match built {
-        Some(built) => {
-            let (words, filled) = built.multiply(&cols, config);
-            (Some((words, built.v, built.w.heads())), filled)
-        }
-        None => (None, None),
+    };
+    let (words, filled) = product_phase(&mut secs.product, built.v.len(), || {
+        let (words, filled) = built.multiply();
+        (words, Some(filled))
     });
     stats.rows_filled = filled;
-    let extract = || {
-        // Ascending half-tuples and heads, row-major cells: sorted, distinct
-        // rows.
-        let heavy = product.map_or_else(none, |(words, v, w)| FlatRows::product(words, v, w));
-        // Nothing from the light steps: the heavy rows are the answer — the
-        // Boolean product as it stands.
-        if acc.is_empty() {
-            if boolean {
-                return heavy;
-            }
-            return FlatRows::new(k, heavy.into_values());
-        }
-        for tuple in heavy.into_values().chunks_exact(k) {
-            acc.push(tuple);
-        }
-        FlatRows::new(k, acc.finish())
-    };
+    // Ascending half-tuples and heads, row-major cells: sorted, distinct rows.
+    let extract = || FlatRows::product(words, built.v, built.w.heads());
     let out = extract_phase(&mut secs.extract, extract, extract_label);
     stats.measured_phase_secs = Some(secs);
     (out, stats)
@@ -223,22 +171,18 @@ fn width(legs: &[&Relation]) -> usize {
 /// Algorithm 3 for a star, as for an existence two-path: line 2
 /// ([`line_two`]) between expansion of the exact full join and the
 /// everything-heavy core ([`price_all_heavy`]), whose record bounds `V`'s
-/// rows (the run reports them exactly). A forced `delta_override` is
-/// recorded unpriced; the run fills in the rest.
+/// rows (the run reports them exactly).
 fn plan_legs(
     legs: &[&Relation],
     counts: (u64, [f64; 2], &[u64]),
     config: &JoinConfig,
 ) -> PlanStats {
-    if let Some((delta1, delta2)) = config.delta_override {
-        return PlanStats::partitioned(delta1, delta2);
-    }
     let (full_join, nnz, common) = counts;
     let n = legs.iter().map(|r| r.len()).max().unwrap_or(1).max(1) as u64;
     let estimated_out = estimate_star_output(legs, full_join, n);
     let mut core = None;
-    let (line_two, all_heavy) = line_two(config, full_join, n as usize, || {
-        let plan = price_all_heavy(legs, nnz, common, estimated_out, config)?;
+    let (line_two, all_heavy) = line_two(config, full_join, || {
+        let plan = price_all_heavy(legs, nnz, common, config)?;
         let price = plan.predicted_heavy_secs.zip(plan.heavy_backend);
         core = Some(plan);
         price
@@ -246,7 +190,7 @@ fn plan_legs(
     let mut stats = all_heavy.and(core).unwrap_or_else(PlanStats::wcoj);
     stats.full_join = Some(full_join);
     stats.estimated_out = Some(estimated_out);
-    stats.line_two = line_two;
+    stats.line_two = Some(line_two);
     stats
 }
 
@@ -266,15 +210,14 @@ fn estimate_star_output(legs: &[&Relation], full_join: u64, n: u64) -> u64 {
 
 /// The everything-heavy core's record: the set cells of `V` and `W` bound
 /// their rows, as do the products of their legs' heads; a one-leg `W` is
-/// every head of its leg. Both backends grow the operands from the legs'
-/// forms and pack only legs not packed yet (as `PackedCore`); the bit core
-/// runs over raw `y` columns, the SGEMM pin fills f32 operands over the
-/// `common` `y`s. `None` when the forms and [`core_bytes`] are over the cap.
+/// every head of its leg. The operands are grown from the legs' forms, and
+/// only legs not packed yet are charged their packing (as `PackedCore`);
+/// the core runs over raw `y` columns. `None` when the forms and
+/// [`core_bytes`] are over the cap.
 fn price_all_heavy(
     legs: &[&Relation],
     [nnz_v, nnz_w]: [f64; 2],
     common: &[u64],
-    estimated_out: u64,
     config: &JoinConfig,
 ) -> Option<PlanStats> {
     let (group_v, group_w) = halves(legs);
@@ -288,26 +231,8 @@ fn price_all_heavy(
         _ => (rows(nnz_w, group_w), nnz_w, nnz_w),
     };
     let (m, k) = (rows(nnz_v, group_v), width(legs));
-    let record = |dims, (secs, kernel)| PlanStats {
-        heavy_dims: Some(dims),
-        heavy_core_matrix: Some(true),
-        heavy_backend: Some(kernel),
-        heavy_operands: Some(sources(legs)),
-        predicted_light_secs: Some(0.0),
-        predicted_heavy_secs: Some(secs),
-        ..PlanStats::partitioned(0, 0)
-    };
-    let boolean = config.heavy_backend.is_boolean();
-    let c = ones(common).count();
     let [bytes, fresh, tuples] = forms(legs);
-    let own = core_bytes((m, k, n), c, boolean, group_w.len() > 1);
-    if !boolean {
-        let consts = config.cost_model.constants;
-        let packing = consts.t_seq * tuples as f64 + consts.t_alloc * fresh as f64 / 32.0;
-        let (secs, kernel) = f32_core_cost(config, (m, c, n), nnz_v, estimated_out as f64)?;
-        let fits = bytes + own <= config.matrix_cell_cap.saturating_mul(4);
-        return fits.then(|| record((m, k, n), (secs + packing, kernel)));
-    }
+    let own = core_bytes((m, k, n), group_w.len() > 1);
     let plan = BitProductPlan::choose(m, k, n, nnz_v, nnz_w);
     let grown_words = grown_words(group_v, common) + grown_words(group_w, common);
     // Growing `V` walks its set cells, packing a form its relation's tuples.
@@ -319,7 +244,15 @@ fn price_all_heavy(
         nnz_v + grown + tuples as f64,
         0.0,
     )?;
-    Some(record((m, k, n), (secs, plan.orientation.name())))
+    Some(PlanStats {
+        heavy_dims: Some((m, k, n)),
+        heavy_core_matrix: Some(true),
+        heavy_backend: Some(plan.orientation.name()),
+        heavy_operands: Some(sources(legs)),
+        predicted_light_secs: Some(0.0),
+        predicted_heavy_secs: Some(secs),
+        ..PlanStats::partitioned(0, 0)
+    })
 }
 
 /// The words [`half_tuples`] ORs growing the rows over `group`, none for a
@@ -348,16 +281,10 @@ fn grown_words(group: &[&Relation], common: &[u64]) -> f64 {
 }
 
 /// A core's bytes beside the forms: `V`'s bit rows (`m × k`), a grown `W`'s
-/// and their transpose, and the bit product or the SGEMM pin's f32 operands
-/// over the `c` masked columns.
-fn core_bytes((m, k, n): (usize, usize, usize), c: usize, boolean: bool, grown: bool) -> usize {
+/// and their transpose, and the product.
+fn core_bytes((m, k, n): (usize, usize, usize), grown: bool) -> usize {
     let w = usize::from(grown) * 8 * (n * k.div_ceil(64) + k * n.div_ceil(64));
-    let product = if boolean {
-        8 * m * n.div_ceil(64)
-    } else {
-        4 * (m * c + c * n + m * n)
-    };
-    8 * m * k.div_ceil(64) + w + product
+    8 * m * k.div_ceil(64) + w + 8 * m * n.div_ceil(64)
 }
 
 /// A star reads every leg in both forms.
@@ -386,47 +313,6 @@ fn sources(legs: &[&Relation]) -> [OperandSource; 2] {
     [v, w].map(|group| operand_source(forms(group)[1] == 0))
 }
 
-/// Steps 1–2, serially into `acc`: for each `j`, the star join with `R⁻j`
-/// (light heads) and then `R⋄j` (`y` light in every other leg)
-/// substituted. Only a forced partition has light steps.
-fn light_steps(legs: &[&Relation], delta1: u32, delta2: u32, acc: &mut ProjectionAccumulator) {
-    let light = |deg: usize, delta: u32| deg <= delta as usize;
-    for (j, &r) in legs.iter().enumerate() {
-        let light_elsewhere = |y: Value| {
-            let mut others = legs.iter().enumerate().filter(|&(i, _)| i != j);
-            others.all(|(_, o)| (y as usize) >= o.y_domain() || light(o.y_degree(y), delta1))
-        };
-        let substitute = |keep: &dyn Fn(Value, Value) -> bool| {
-            let kept = r.tuples().filter(|&(x, y)| keep(x, y)).collect();
-            Relation::from_sorted_edges(r.x_domain(), r.y_domain(), kept)
-        };
-        let substitutes = [
-            substitute(&|x, _| light(r.x_degree(x), delta2)),
-            substitute(&|_, y| light_elsewhere(y)),
-        ];
-        for substitute in substitutes.iter().filter(|s| !s.is_empty()) {
-            let mut working = legs.to_vec();
-            working[j] = substitute;
-            star_full_join_for_each(&working, |_, tuple| acc.push(tuple));
-        }
-    }
-}
-
-/// Step 3's columns: the `common` `y`s, at a forced `Δ1 > 0` only those
-/// heavier than `Δ1` in ≥ 2 legs.
-fn columns(legs: &[&Relation], mut cols: Vec<u64>, delta1: u32) -> Vec<u64> {
-    if delta1 == 0 {
-        return cols;
-    }
-    for y in ones(&cols.clone()) {
-        let heavy = |r: &&&Relation| r.y_degree(y as Value) > delta1 as usize;
-        if legs.iter().filter(heavy).count() < 2 {
-            cols[y / 64] &= !(1 << (y % 64));
-        }
-    }
-    cols
-}
-
 /// A leg's `x`- and `y`-major forms, packed by their first reader.
 fn packed(r: &Relation) -> [&PackedRows; 2] {
     FORMS.map(|form| r.packed(form).0)
@@ -447,14 +333,6 @@ impl Right<'_> {
             Right::Grown(heads, ..) => heads,
         }
     }
-
-    /// Row `j`: the `y`s its heads share.
-    fn row(&self, j: usize) -> &[u64] {
-        match self {
-            Right::Leg([x, _]) => x.row(j),
-            Right::Grown(_, rows, _) => rows.row_words(j),
-        }
-    }
 }
 
 /// What the build phase hands to the product and the extraction.
@@ -463,10 +341,8 @@ struct Built<'a> {
     v: FlatRows,
     v_bits: BitMatrix,
     w: Right<'a>,
-    /// How a Boolean product runs (unread by SGEMM), the kernel's name and
-    /// the shape, over raw `y` columns for either kernel.
+    /// How the product runs, and its shape over raw `y` columns.
     orientation: Orientation,
-    kernel: &'static str,
     dims: (usize, usize, usize),
     /// Whether `V`'s and `W`'s legs were packed before this query.
     sources: [OperandSource; 2],
@@ -476,23 +352,17 @@ struct Built<'a> {
 /// (and a `W` of more than one leg) grown from them under the masks. `None`
 /// when the exact bytes of the forms (checked before any is packed) and
 /// [`core_bytes`] are over `4 · cell_cap`.
-fn build<'a>(
-    legs: &[&'a Relation],
-    cols: &[u64],
-    delta2: u32,
-    boolean: bool,
-    cell_cap: usize,
-) -> Option<Built<'a>> {
+fn build<'a>(legs: &[&'a Relation], cols: &[u64], cell_cap: usize) -> Option<Built<'a>> {
     let budget = cell_cap.saturating_mul(4).checked_sub(forms(legs)[0])?;
     let sources = sources(legs);
     let forms: Vec<_> = legs.iter().map(|r| packed(r)).collect();
     let (group_v, group_w) = halves(&forms);
     let mask = (cols, width(legs));
-    let (v, v_bits) = half_tuples(group_v, delta2, mask, budget)?;
+    let (v, v_bits) = half_tuples(group_v, mask, budget)?;
     let (w, n, nnz_w) = match *group_w {
         [w] => (Right::Leg(w), w[0].rows(), legs[legs.len() - 1].len()),
         _ => {
-            let (heads, rows) = half_tuples(group_w, delta2, mask, budget)?;
+            let (heads, rows) = half_tuples(group_w, mask, budget)?;
             let (n, nnz_w) = (heads.len(), rows.count_ones());
             // The `y`s every row has, none when there is no row.
             let mut universal = if n > 0 { cols.to_vec() } else { Vec::new() };
@@ -505,19 +375,12 @@ fn build<'a>(
     };
     let (m, k) = (v.len(), v_bits.cols());
     let plan = BitProductPlan::choose(m, k, n, v_bits.count_ones() as f64, nnz_w as f64);
-    let c = ones(cols).count();
-    let kernel = if boolean {
-        plan.orientation.name()
-    } else {
-        F32_KERNEL
-    };
     let grown = matches!(w, Right::Grown(..));
-    (core_bytes((m, k, n), c, boolean, grown) <= budget).then_some(Built {
+    (core_bytes((m, k, n), grown) <= budget).then_some(Built {
         v,
         v_bits,
         w,
         orientation: plan.orientation,
-        kernel,
         dims: (m, k, n),
         sources,
     })
@@ -525,30 +388,23 @@ fn build<'a>(
 
 impl Built<'_> {
     /// The product's words, `V`'s rows by `W`'s, and the rows `W`'s universal
-    /// mask filled (row-OR reads a grown `W` transposed); SGEMM's f32
-    /// operands hold the masked columns `cols`.
-    fn multiply(&self, cols: &[u64], config: &JoinConfig) -> (Vec<u64>, Option<usize>) {
-        let (v, n) = (&self.v_bits, self.dims.2);
-        if config.heavy_backend.is_boolean() {
-            let transposed;
-            let (right, universal) = match (&self.w, self.orientation) {
-                (Right::Leg([_, y]), Orientation::RowOr) => (view(y), y.universal()),
-                (Right::Leg([x, _]), Orientation::AndAny) => (view(x), x.universal()),
-                (Right::Grown(_, rows, all), Orientation::AndAny) => (rows.view(), &all[..]),
-                (Right::Grown(_, rows, all), Orientation::RowOr) => {
-                    transposed = rows.transposed();
-                    (transposed.view(), &all[..])
-                }
-            };
-            let (c, filled) = v.view().product(right, self.orientation, universal);
-            return (c.into_words(), Some(filled));
-        }
-        let ys: Vec<usize> = ones(cols).collect();
-        let bit = |row: &[u64], y: usize| f32::from(u8::from(row[y / 64] >> (y % 64) & 1 == 1));
-        let a = DenseMatrix::from_fn(v.rows(), ys.len(), |i, c| bit(v.row_words(i), ys[c]));
-        let b = DenseMatrix::from_fn(ys.len(), n, |c, j| bit(self.w.row(j), ys[c]));
-        let c = matmul_parallel_on(config.exec(), &a, &b, config.effective_threads());
-        (Product::F32(c).into_bits().into_words(), None)
+    /// mask filled (row-OR reads a grown `W` transposed).
+    fn multiply(&self) -> (Vec<u64>, usize) {
+        let transposed;
+        let (right, universal) = match (&self.w, self.orientation) {
+            (Right::Leg([_, y]), Orientation::RowOr) => (view(y), y.universal()),
+            (Right::Leg([x, _]), Orientation::AndAny) => (view(x), x.universal()),
+            (Right::Grown(_, rows, all), Orientation::AndAny) => (rows.view(), &all[..]),
+            (Right::Grown(_, rows, all), Orientation::RowOr) => {
+                transposed = rows.transposed();
+                (transposed.view(), &all[..])
+            }
+        };
+        let (c, filled) = self
+            .v_bits
+            .view()
+            .product(right, self.orientation, universal);
+        (c.into_words(), filled)
     }
 }
 
@@ -556,15 +412,14 @@ impl Built<'_> {
 /// share a column of `mask` (`cols` wide), ascending, with the columns they
 /// share. Grown a leg at a time from the empty prefix, which has every masked
 /// column: a prefix's candidates are the heads under any of its columns
-/// ([`under`]; at a forced `Δ2 > 0`, the heavier), and a candidate's
-/// `x`-major row AND the prefix's is the longer half-tuple's — never empty,
-/// so a head that reaches no masked `y` is never one. A leg's candidates
+/// ([`under`]), and a candidate's `x`-major row AND the prefix's is the
+/// longer half-tuple's — never empty, so a head that reaches no masked `y`
+/// is never one. A leg's candidates
 /// are found twice into one buffer every prefix reuses: counted, so its
 /// rows are checked against `budget` bytes (`None` when over) and allocated
 /// once, then filled.
 fn half_tuples(
     group: &[[&PackedRows; 2]],
-    delta2: u32,
     (mask, cols): (&[u64], usize),
     budget: usize,
 ) -> Option<(FlatRows, BitMatrix)> {
@@ -573,16 +428,10 @@ fn half_tuples(
     // The half-tuples, `arity` values each; the empty prefix is one row.
     let (mut rows, mut arity) = (Vec::new(), 0);
     for &[x, y] in group {
-        // Every head, or at a forced `Δ2 > 0` those of more tuples.
-        let mut heads = vec![!0u64; y.stride()];
-        let degree = |h: usize| x.row(h).iter().map(|w| w.count_ones()).sum::<u32>();
-        for h in (0..x.rows()).filter(|&h| delta2 > 0 && degree(h) <= delta2) {
-            heads[h / 64] &= !(1 << (h % 64));
-        }
         let mut candidates = vec![0u64; y.stride()];
         let mut count = 0;
         for prefix in words.chunks_exact(stride) {
-            under(y, prefix, &heads, &mut candidates);
+            under(y, prefix, &mut candidates);
             count += candidates
                 .iter()
                 .map(|w| w.count_ones() as usize)
@@ -594,7 +443,7 @@ fn half_tuples(
         let mut next = Vec::with_capacity(count * (arity + 1));
         let mut next_words = Vec::with_capacity(count * stride);
         for (p, prefix) in words.chunks_exact(stride).enumerate() {
-            under(y, prefix, &heads, &mut candidates);
+            under(y, prefix, &mut candidates);
             for h in ones(&candidates) {
                 next.extend_from_slice(&rows[p * arity..(p + 1) * arity]);
                 next.push(x.ids()[h]);
@@ -607,21 +456,20 @@ fn half_tuples(
     Some((FlatRows::new(arity, rows), bits))
 }
 
-/// The heads of `heads` under any column of `prefix` — those rows of the
-/// `y`-major form `y` OR-ed — into `to`.
-fn under(y: &PackedRows, prefix: &[u64], heads: &[u64], to: &mut [u64]) {
+/// The heads under any column of `prefix` — those rows of the `y`-major
+/// form `y` OR-ed — into `to`.
+fn under(y: &PackedRows, prefix: &[u64], to: &mut [u64]) {
     to.fill(0);
     for c in ones(prefix) {
         to.iter_mut().zip(y.row(c)).for_each(|(to, m)| *to |= m);
     }
-    to.iter_mut().zip(heads).for_each(|(to, h)| *to &= h);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmjoin_api::PlanKind;
-    use mmjoin_wcoj::star_join_project;
+    use mmjoin_wcoj::{star_full_join_for_each, star_join_project};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -639,16 +487,11 @@ mod tests {
         rel(&edges)
     }
 
-    #[test]
-    fn k3_matches_reference_forced_deltas() {
-        let r1 = clique(10, 5, 0);
-        let r2 = clique(8, 5, 0);
-        let r3 = clique(9, 5, 0);
-        let rels = vec![r1, r2, r3];
-        let expected = star_join_project(&rels);
-        for (d1, d2) in [(1, 1), (2, 2), (1, 3), (4, 2), (50, 50)] {
-            let cfg = JoinConfig::with_deltas(d1, d2);
-            assert_eq!(star_join_project_mm(&rels, &cfg), expected, "Δ=({d1},{d2})");
+    /// Line 2 forced each way: the core whenever it fits, and expansion.
+    fn forced(factor: f64) -> JoinConfig {
+        JoinConfig {
+            wcoj_fallback_factor: factor,
+            ..JoinConfig::default()
         }
     }
 
@@ -672,8 +515,12 @@ mod tests {
             clique(4, 3, 0),
         ];
         let expected = star_join_project(&rels);
-        let cfg = JoinConfig::with_deltas(1, 1);
-        assert_eq!(star_join_project_mm(&rels, &cfg), expected);
+        for factor in [0.0, f64::INFINITY] {
+            let (rows, stats) = star_join_project_mm_with_stats(&rels, &forced(factor));
+            assert_eq!(rows, expected, "{factor}");
+            let matrix = stats.unwrap().kind == PlanKind::MatrixPartitioned;
+            assert_eq!(matrix, factor == 0.0);
+        }
     }
 
     /// Past line 2 a dense star is everything-heavy: priced from the degree
@@ -708,24 +555,6 @@ mod tests {
             ..stats
         };
         assert_eq!(planned_half, plan);
-
-        // The pin prices and runs SGEMM on the same cells, over the masked
-        // columns, from the same forms: its run's record is its plan's too.
-        let pinned = JoinConfig {
-            heavy_backend: crate::config::HeavyBackend::DenseF32,
-            ..JoinConfig::default()
-        };
-        let (_, pinned_plan) = plan_then_run(&rels, &pinned, false);
-        assert_eq!(pinned_plan.heavy_backend, Some("f32"));
-        assert_eq!(pinned_plan.heavy_dims, Some((600, 8, 10)));
-        assert_eq!(pinned_plan.heavy_operands, Some([OperandSource::Reused; 2]));
-        let (pinned_rows, pinned_stats) = star_join_project_mm_with_stats(&rels, &pinned);
-        assert_eq!(pinned_rows, rows);
-        let pinned_run = PlanStats {
-            measured_phase_secs: None,
-            ..pinned_stats.unwrap()
-        };
-        assert_eq!(pinned_run, pinned_plan);
     }
 
     /// Line 2, and the degenerate shapes with nothing of their own to decide.
@@ -752,9 +581,9 @@ mod tests {
     /// Line 2 of a star is the two-path's: expansion's price against the
     /// core built for the query. Four sets over 40 elements in each of
     /// three legs have `|OUT⋈| / N = 16` — expansion under the paper's
-    /// `F = 20`, which the SGEMM pin keeps — and a core of a few words, so
-    /// the star multiplies. A DBLP-like star (3 000 sets of 3 from a 3 000
-    /// wide domain, `|OUT⋈| / N = 9`) has a core of tens of thousands of
+    /// `F = 20` — and a core of a few words, so the star multiplies. A
+    /// DBLP-like star (3 000 sets of 3 from a 3 000 wide domain,
+    /// `|OUT⋈| / N = 9`) has a core of tens of thousands of
     /// rows for 81 000 full-join tuples, and expands. A factor of `0` or
     /// `∞` forces either.
     #[test]
@@ -771,15 +600,6 @@ mod tests {
         let prices = dense_plan.line_two.unwrap();
         assert_eq!(prices.core_secs, dense_plan.predicted_heavy_secs);
         assert!(prices.core_secs.unwrap() < prices.expand_secs, "{prices:?}");
-        let pinned = JoinConfig {
-            heavy_backend: crate::config::HeavyBackend::DenseF32,
-            ..JoinConfig::default()
-        };
-        let pinned_plan = plan_then_run(&dense, &pinned, false).1;
-        assert_eq!(
-            (pinned_plan.kind, pinned_plan.line_two),
-            (PlanKind::Wcoj, None)
-        );
 
         let wide_plan = plan_then_run(&wide, &config, false).1;
         assert_eq!(wide_plan.full_join, Some(9 * 9000));
@@ -791,12 +611,9 @@ mod tests {
             (0.0, PlanKind::MatrixPartitioned),
             (f64::INFINITY, PlanKind::Wcoj),
         ] {
-            let forced = JoinConfig {
-                wcoj_fallback_factor: factor,
-                ..JoinConfig::default()
-            };
             for rels in [&dense, &wide] {
-                assert_eq!(plan_then_run(rels, &forced, false).1.kind, kind, "{factor}");
+                let plan = plan_then_run(rels, &forced(factor), false).1;
+                assert_eq!(plan.kind, kind, "{factor}");
             }
         }
     }
@@ -812,17 +629,14 @@ mod tests {
         let second = rel(&[(4, 0), (1, 1), (4, 1), (6, 2)]);
         let forms = [&first, &second].map(packed);
         let mask = [0b011];
-        let (rows, bits) = half_tuples(&forms, 0, (&mask, 3), usize::MAX).unwrap();
+        let (rows, bits) = half_tuples(&forms, (&mask, 3), usize::MAX).unwrap();
         assert_eq!(rows.values(), [2, 1, 2, 4, 9, 1, 9, 4, 70, 4]);
         assert_eq!(
             bits.iter_ones().collect::<Vec<_>>(),
             [(0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)]
         );
-        // A forced `Δ2 = 1` keeps each leg to its heads of two tuples.
-        let (rows, _) = half_tuples(&forms, 1, (&mask, 3), usize::MAX).unwrap();
-        assert_eq!(rows.values(), [9, 4]);
         // Five rows of one word each do not fit 39 bytes.
-        assert!(half_tuples(&forms, 0, (&mask, 3), 39).is_none());
+        assert!(half_tuples(&forms, (&mask, 3), 39).is_none());
     }
 
     /// Growing `V` ORs a leg's whole `y`-major row for each set cell of
@@ -884,15 +698,17 @@ mod tests {
         assert!(star_join_project_mm(&[r, empty], &JoinConfig::default()).is_empty());
     }
 
+    /// A core over the cap is not run: the star expands instead.
     #[test]
     fn memory_cap_fallback_matches() {
         let rels = vec![clique(10, 4, 0), clique(9, 4, 0), clique(8, 4, 0)];
         let cfg = JoinConfig {
-            delta_override: Some((1, 1)),
             matrix_cell_cap: 0,
-            ..JoinConfig::default()
+            ..forced(0.0)
         };
-        assert_eq!(star_join_project_mm(&rels, &cfg), star_join_project(&rels));
+        let (rows, stats) = star_join_project_mm_with_stats(&rels, &cfg);
+        assert_eq!(rows, star_join_project(&rels));
+        assert_eq!(stats.unwrap().kind, PlanKind::Wcoj);
     }
 
     /// The everything-heavy core over `legs`' memoised forms, run in
@@ -902,10 +718,9 @@ mod tests {
         if cols.iter().all(|&w| w == 0) {
             return Vec::new();
         }
-        let config = JoinConfig::default();
-        let mut built = build(legs, &cols, 0, true, config.matrix_cell_cap).unwrap();
+        let mut built = build(legs, &cols, JoinConfig::default().matrix_cell_cap).unwrap();
         built.orientation = orientation;
-        let (words, _) = built.multiply(&cols, &config);
+        let (words, _) = built.multiply();
         FlatRows::product(words, built.v, built.w.heads()).into_values()
     }
 
@@ -957,11 +772,7 @@ mod tests {
             for orientation in [Orientation::RowOr, Orientation::AndAny] {
                 prop_assert_eq!(&core_rows(&legs, orientation), &expected);
             }
-            let forced = JoinConfig {
-                wcoj_fallback_factor: 0.0,
-                ..JoinConfig::default()
-            };
-            prop_assert_eq!(star_join_project_mm_flat(&rels, &forced).0, expected);
+            prop_assert_eq!(star_join_project_mm_flat(&rels, &forced(0.0)).0, expected);
         }
 
         #[test]
@@ -969,15 +780,14 @@ mod tests {
             e1 in proptest::collection::vec((0u32..10, 0u32..8), 1..40),
             e2 in proptest::collection::vec((0u32..10, 0u32..8), 1..40),
             e3 in proptest::collection::vec((0u32..10, 0u32..8), 1..40),
-            d1 in 1u32..5,
-            d2 in 1u32..5,
         ) {
             let rels = vec![rel(&e1), rel(&e2), rel(&e3)];
-            let cfg = JoinConfig::with_deltas(d1, d2);
-            prop_assert_eq!(
-                star_join_project_mm(&rels, &cfg),
-                star_join_project(&rels)
-            );
+            for factor in [0.0, 20.0, f64::INFINITY] {
+                prop_assert_eq!(
+                    star_join_project_mm(&rels, &forced(factor)),
+                    star_join_project(&rels)
+                );
+            }
         }
     }
 }

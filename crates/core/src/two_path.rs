@@ -1,61 +1,41 @@
 //! Algorithm 1 — MMJoin evaluation of the 2-path query
 //! `Q(x, z) = R(x, y), S(z, y)`.
 //!
-//! The relation tuples are partitioned by degree with thresholds `Δ1`
-//! (join variable `y`) and `Δ2` (head variables `x`, `z`):
+//! Line 2 of Algorithm 3 ([`crate::optimizer`]) picks one of two plans:
 //!
-//! * **Light passes** (worst-case-optimal expansion, §3.1 step 1): pass A
-//!   walks every `x` group of `R`; a light `x` expands all its `y`s, a heavy
-//!   `x` expands only `y`s that are light in `S`. Pass B is symmetric from
-//!   the `S` side with `y`s light in `R`. Per-group deduplication uses the
-//!   epoch-stamped dense buffer of §6.
-//! * **Heavy core** (step 2): `x`, `z` values heavier than `Δ2` joined
-//!   through `y` values heavier than `Δ1` *in both relations* are packed
-//!   into rectangular 0/1 matrices and multiplied — over the Boolean
-//!   semiring (bit-packed operands, [`BitMatrix`]) or as f32 SGEMM.
+//! * **Expansion** (worst-case-optimal, §3.1 step 1): each `x` group of `R`
+//!   expands through `S`'s inverted lists, deduplicated per group
+//!   ([`ExpandDedupEngine`]); the counting variant reads each pair's
+//!   witness count off the same per-group buffer ([`count_expansion`]).
+//! * **Everything heavy** (`Δ1 = Δ2 = 0`, step 2): nothing is light, so there
+//!   is no partition and no light pass. Each operand is one relation's
+//!   adjacency, read from the relation's memoised packed rows
+//!   (`mmjoin_storage::packed`, packed by the first query that needs them)
+//!   in raw `y` coordinates. An existence query multiplies them over the
+//!   Boolean semiring ([`packed_core`]) under `S`'s memoised universal mask,
+//!   which fills every row of `R` holding a `y` that all of `S`'s sets hold;
+//!   a counting query takes `popcount(R[x] & S[z])` over both relations'
+//!   `x`-major rows ([`popcount_core`]).
 //!
-//! A plan the optimizer chose is always `Δ1 = Δ2 = 0`, and under
-//! [`HeavyBackend::Auto`] each operand is then one relation's adjacency and
-//! nothing else: it is not built here but read from the relation's memoised
-//! packed rows (`mmjoin_storage::packed`, packed by the first query that
-//! needs them) in raw `y` coordinates — no partition, no light pass, no
-//! per-pair operand. An existence query multiplies them ([`packed_core`])
-//! under `S`'s memoised universal mask, which fills every row of `R` holding
-//! a `y` that all of `S`'s sets hold; a counting query takes
-//! `popcount(R[x] & S[z])` over both relations' `x`-major rows
-//! ([`popcount_core`]). The compact per-pair builder ([`HeavyIndex`]) serves
-//! forced partitions (`delta_override`, the test and ablation pin that runs
-//! the bit and f32 cores on identical cells) and the SGEMM pin.
-//!
-//! Coverage of an output pair `(a, c)` with witness `b`: `a` light → pass A;
-//! `c` light → pass B; `b` light in `S` → pass A; `b` light in `R` → pass B;
-//! otherwise all of `a`, `c`, `b` are heavy → matrix. The three part outputs
-//! may overlap, so assembly sorts and deduplicates (output-sized work) —
-//! except at `Δ1 = Δ2 = 0`, where nothing is light: the passes are skipped
-//! and the heavy product's cells, walked row-major, are the pairs sorted
-//! and distinct — the packed core hands the product itself to the sink
-//! ([`FlatRows::product`]), and a pair is written only when it is read.
-//!
-//! The counting variant ([`two_path_with_counts`]) yields exact
+//! The heavy product's cells, walked row-major, are the pairs sorted and
+//! distinct: the packed core hands the product itself to the sink
+//! ([`FlatRows::product`]), and a pair is written only when it is read. The
+//! counting variant ([`two_path_with_counts`]) yields exact
 //! `|ys(x) ∩ ys(z)|` multiplicities — the quantity the similarity joins (§4)
-//! threshold and sort on. Under SGEMM it rearranges the passes so that every
-//! pair's witnesses are counted against *disjoint* witness sets.
+//! threshold and sort on.
 //!
-//! A matrix-partitioned run records its five phases —
-//! `partition`, `light`, `build`, `product`, `extract` — as `step` spans
-//! and as [`PlanStats::measured_phase_secs`], beside the optimizer's two
-//! predictions.
-//!
-//! [`HeavyBackend::Auto`]: crate::config::HeavyBackend::Auto
+//! A matrix run records its five phases — `partition`, `light`, `build`,
+//! `product`, `extract` — as `step` spans and as
+//! [`PlanStats::measured_phase_secs`], beside the optimizer's predictions.
+//! The paper's own prototype — SGEMM at any `(Δ1, Δ2)` — lives in the
+//! experiment harness (`mmjoin_bench::paper`).
 
 use crate::config::JoinConfig;
-use crate::optimizer::{choose_plan, operand_source, PackedCore, PlanChoice, F32_KERNEL};
+use crate::optimizer::{choose_plan, operand_source, PackedCore, PlanChoice};
 use mmjoin_api::{flatten_pairs, FlatRows, PhaseSecs, PlanStats};
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_executor::Executor;
-use mmjoin_matrix::{
-    matmul_parallel_on, BitMatrix, BitProductPlan, BitRows, DenseMatrix, Orientation,
-};
+use mmjoin_matrix::BitRows;
 use mmjoin_obs::trace::{self, Stage};
 use mmjoin_storage::{DedupBuffer, PackedForm, PackedRows, Relation, RowWriter, Value};
 use std::time::Instant;
@@ -145,15 +125,13 @@ pub(crate) trait PathOut: Sized {
         r: &Relation,
         s: &Relation,
     ) -> Self;
-    /// A forced partition's sorted, distinct pairs.
-    fn pairs(pairs: Vec<(Value, Value)>, r: &Relation, s: &Relation) -> Self;
     /// The `extract` span's label.
     fn label(&self) -> String;
 }
 
 /// A two-path's rows as its run leaves them.
 pub(crate) enum PathRows {
-    /// Sorted distinct pairs: an expansion, or a forced partition.
+    /// Expansion's sorted distinct pairs.
     Pairs(Vec<(Value, Value)>),
     /// The packed core's product ([`FlatRows::product`]).
     Product(FlatRows),
@@ -195,10 +173,6 @@ impl PathOut for PathRows {
         PathRows::Product(FlatRows::product(words, ids(left), ids(right)))
     }
 
-    fn pairs(pairs: Vec<(Value, Value)>, _: &Relation, _: &Relation) -> Self {
-        PathRows::Pairs(pairs)
-    }
-
     fn label(&self) -> String {
         match self {
             PathRows::Pairs(pairs) => format!("extract flat rows={}", pairs.len()),
@@ -238,10 +212,6 @@ impl PathOut for Relation {
         RowWriter::finish(vec![rows])
     }
 
-    fn pairs(pairs: Vec<(Value, Value)>, r: &Relation, s: &Relation) -> Self {
-        Relation::from_sorted_edges(r.x_domain(), s.x_domain(), pairs)
-    }
-
     fn label(&self) -> String {
         format!("extract flat rows={}", self.len())
     }
@@ -265,8 +235,7 @@ pub fn two_path_join_project_with_stats(
 /// A chain step's two-path: [`two_path_join_project_with_stats`]'s answer
 /// as the relation over `dom x × dom z` the next step reads, written as its
 /// `x` rows by the expansion or from the product's cells, with its `z`
-/// degrees and no `z` index until something reads one. A forced partition's
-/// pairs go through [`Relation::from_sorted_edges`].
+/// degrees and no `z` index until something reads one.
 pub(crate) fn two_path_relation_with_stats(
     r: &Relation,
     s: &Relation,
@@ -306,106 +275,11 @@ fn run_planned<O: PathOut>(
     config: &JoinConfig,
     stats: &mut PlanStats,
 ) -> O {
-    let (threads, exec) = (config.effective_threads(), config.exec());
-    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
-        return O::expanded(ExpandDedupEngine::parallel(threads), r, s, exec);
-    };
-    if config.heavy_backend.is_boolean() && config.delta_override.is_none() {
-        return packed_core(r, s, stats);
+    if stats.delta1.is_none() {
+        let engine = ExpandDedupEngine::parallel(config.effective_threads());
+        return O::expanded(engine, r, s, config.exec());
     }
-    O::pairs(partitioned(r, s, config, delta1, delta2, stats), r, s)
-}
-
-/// A forced partition (`delta_override`) or the SGEMM pin, run: the light
-/// passes, and the heavy core on operands built for this query. Returns
-/// the sorted, distinct pairs and fills in the run's half of `stats`.
-fn partitioned(
-    r: &Relation,
-    s: &Relation,
-    config: &JoinConfig,
-    delta1: u32,
-    delta2: u32,
-    stats: &mut PlanStats,
-) -> Vec<(Value, Value)> {
-    let (threads, exec) = (config.effective_threads(), config.exec());
-    let boolean = config.heavy_backend.is_boolean();
-    let mut secs = PhaseSecs::default();
-
-    let heavy = phase("partition", &mut secs.partition, || {
-        HeavyIndex::build(r, s, delta1, delta2)
-    });
-    debug_assert_common_y(config, &heavy);
-    record_partition(stats, r, s, &heavy);
-    let bit_plan = heavy.bit_plan();
-    let (bytes, kernel) = if boolean {
-        (bit_plan.bytes, bit_plan.orientation.name())
-    } else {
-        (4 * heavy.cells(), F32_KERNEL)
-    };
-    let use_matrix = !heavy.is_degenerate() && bytes <= config.matrix_cell_cap.saturating_mul(4);
-    stats.heavy_core_matrix = Some(use_matrix);
-    stats.heavy_backend = Some(kernel);
-
-    // Nothing is light at Δ1 = Δ2 = 0: no pass has anything to expand.
-    let all_heavy = delta1 == 0 && delta2 == 0;
-    let mut out = phase("light", &mut secs.light, || {
-        if all_heavy {
-            Vec::new()
-        } else {
-            light_passes(r, s, delta1, delta2, threads, exec)
-        }
-    });
-
-    // Every matrix plan records all five phases, whichever of them run.
-    let operands = phase("build", &mut secs.build, || {
-        use_matrix.then(|| {
-            if boolean {
-                let (m1, m2) = heavy.build_bit_matrices(r, s, bit_plan.orientation);
-                Operands::Bit(m1, m2)
-            } else {
-                let (m1, m2) = heavy.build_dense_matrices(r, s);
-                Operands::F32(m1, m2)
-            }
-        })
-    });
-    let rows = heavy.heavy_x.len();
-    let (product, filled) = product_phase(&mut secs.product, rows, || match operands {
-        // A forced partition's right operand has no memoised mask.
-        Some(operands) => {
-            let (product, filled) = operands.multiply(bit_plan.orientation, &[], exec, threads);
-            (Some(product), filled)
-        }
-        None => {
-            if !heavy.is_degenerate() {
-                // Memory guard: the heavy core is evaluated combinatorially.
-                heavy_expansion_fallback(r, s, &heavy, &mut out);
-            }
-            (None, None)
-        }
-    });
-    stats.rows_filled = filled;
-    let ids = |ids: &[Value]| FlatRows::new(1, ids.to_vec());
-    let out = extract_phase(
-        &mut secs.extract,
-        || {
-            // Ascending ids, row-major cells: sorted, distinct pairs — to
-            // merge with the light passes' unless those found nothing.
-            let heavy_pairs = product.map_or_else(Vec::new, |product| {
-                let words = product.into_bits().into_words();
-                FlatRows::product(words, ids(&heavy.heavy_x), ids(&heavy.heavy_z)).into_pairs()
-            });
-            if out.is_empty() {
-                return heavy_pairs;
-            }
-            out.extend(heavy_pairs);
-            out.sort_unstable();
-            out.dedup();
-            out
-        },
-        |out| format!("extract flat rows={}", out.len()),
-    );
-    stats.measured_phase_secs = Some(secs);
-    out
+    packed_core(r, s, stats)
 }
 
 /// The optimizer-chosen existence plan — every value heavy — multiplied
@@ -497,16 +371,6 @@ fn pack_operands<'a>(
     (left, right)
 }
 
-/// Past line 2 an optimizer-chosen `Δ1 = Δ2 = 0` has a `y` common to both
-/// relations, so no heavy side of its partition is empty; only a forced
-/// partition may be degenerate.
-fn debug_assert_common_y(config: &JoinConfig, heavy: &HeavyIndex) {
-    debug_assert!(
-        config.delta_override.is_some() || !heavy.is_degenerate(),
-        "an optimizer-chosen partition with an empty heavy side"
-    );
-}
-
 /// Evaluates the 2-path query with exact per-pair witness counts,
 /// returning sorted `(x, z, count)` triples with `count >= min_count`.
 pub fn two_path_with_counts(
@@ -545,98 +409,18 @@ pub(crate) fn plan_then_run_counts(
     if !run {
         return (Vec::new(), stats);
     }
-    let (Some(delta1), Some(delta2)) = (stats.delta1, stats.delta2) else {
-        // Expansion is the partition with everything light.
-        let none = HeavyIndex::empty();
-        return (
-            count_passes(r, s, u32::MAX, min_count, &none, None, config),
-            stats,
-        );
+    let triples = if stats.delta1.is_none() {
+        count_expansion(r, s, min_count, config)
+    } else {
+        popcount_core(r, s, min_count, &mut stats)
     };
-    if config.heavy_backend.is_boolean() && config.delta_override.is_none() {
-        let triples = popcount_core(r, s, min_count, &mut stats);
-        return (triples, stats);
-    }
-    // SGEMM: the pin, or a forced partition.
-    let heavy = HeavyIndex::build(r, s, delta1, delta2);
-    debug_assert_common_y(config, &heavy);
-    let use_matrix = !heavy.is_degenerate() && heavy.cells() <= config.matrix_cell_cap;
-    record_partition(&mut stats, r, s, &heavy);
-    stats.heavy_core_matrix = Some(use_matrix);
-    stats.heavy_backend = Some(F32_KERNEL);
-    let prod = use_matrix.then(|| {
-        let (m1, m2) = heavy.build_dense_matrices(r, s);
-        matmul_parallel_on(config.exec(), &m1, &m2, config.effective_threads())
-    });
-    let out = count_passes(r, s, delta2, min_count, &heavy, prod.as_ref(), config);
-    (out, stats)
+    (triples, stats)
 }
 
-/// The heavy operands in the representation that multiplies them.
-pub(crate) enum Operands {
-    /// Bit-packed; the right operand in the layout of the orientation that
-    /// will multiply it.
-    Bit(BitMatrix, BitMatrix),
-    F32(DenseMatrix, DenseMatrix),
-}
-
-impl Operands {
-    /// The heavy product: the Boolean one on the calling thread in
-    /// `orientation` under the right operand's `universal` mask (see
-    /// [`BitRows::product`]), with the rows that mask filled; SGEMM over
-    /// the executor, which reads no mask.
-    pub(crate) fn multiply(
-        self,
-        orientation: Orientation,
-        universal: &[u64],
-        exec: &Executor,
-        threads: usize,
-    ) -> (Product, Option<usize>) {
-        match self {
-            Operands::Bit(m1, m2) => {
-                let inner = match orientation {
-                    Orientation::RowOr => m2.rows(),
-                    Orientation::AndAny => m2.cols(),
-                };
-                assert_eq!(m1.cols(), inner, "inner dimensions must agree");
-                let (product, filled) = m1.view().product(m2.view(), orientation, universal);
-                (Product::Bit(product), Some(filled))
-            }
-            Operands::F32(m1, m2) => (
-                Product::F32(matmul_parallel_on(exec, &m1, &m2, threads)),
-                None,
-            ),
-        }
-    }
-}
-
-/// The heavy product, before extraction.
-pub(crate) enum Product {
-    Bit(BitMatrix),
-    F32(DenseMatrix),
-}
-
-impl Product {
-    /// The product's set cells as bits: an SGEMM product's cells of at
-    /// least one witness.
-    pub(crate) fn into_bits(self) -> BitMatrix {
-        match self {
-            Product::Bit(bits) => bits,
-            Product::F32(c) => {
-                let mut bits = BitMatrix::zeros(c.rows(), c.cols());
-                for (i, j, _) in c.entries_at_least(0.5) {
-                    bits.set(i, j);
-                }
-                bits
-            }
-        }
-    }
-}
-
-/// One planning pass for the two-path over `r`, `s` — the threshold
-/// override, or Algorithm 3 — as the decision record the run starts from
-/// and `explain` prints. `counting` says whether witness counts are read,
-/// which decides the heavy-core kernel and therefore its price.
+/// One planning pass for the two-path over `r`, `s` — Algorithm 3 — as
+/// the decision record the run starts from and `explain` prints.
+/// `counting` says whether witness counts are read, which decides the
+/// heavy-core kernel and therefore its price.
 pub(crate) fn plan_two_path(
     r: &Relation,
     s: &Relation,
@@ -644,11 +428,8 @@ pub(crate) fn plan_two_path(
     counting: bool,
 ) -> PlanStats {
     if r.is_empty() || s.is_empty() {
-        // Nothing joins: expansion of nothing, whatever the override says.
+        // Nothing joins: expansion of nothing.
         return PlanStats::wcoj();
-    }
-    if let Some((d1, d2)) = config.delta_override {
-        return PlanStats::partitioned(d1, d2);
     }
     let plan = choose_plan(r, s, config, counting);
     let mut stats = match plan.choice {
@@ -667,480 +448,57 @@ pub(crate) fn plan_two_path(
     stats
 }
 
-/// Records the true (adjacency-pruned) partition shape: the heavy
-/// factor-matrix dimensions and the tuple mass left to the light passes.
-fn record_partition(stats: &mut PlanStats, r: &Relation, s: &Relation, heavy: &HeavyIndex) {
-    stats.heavy_dims = Some((
-        heavy.heavy_x.len(),
-        heavy.heavy_y.len(),
-        heavy.heavy_z.len(),
-    ));
-    let (heavy_r, heavy_s) = heavy.tuple_mass;
-    stats.light_tuples = Some((r.len() as u64 - heavy_r, s.len() as u64 - heavy_s));
-}
-
-/// Index of heavy values and their dense matrix coordinates: the compact
-/// operands of one `(R, S, Δ1, Δ2)`, built per query — for SGEMM, and for a
-/// Boolean core at a forced partition.
-pub(crate) struct HeavyIndex {
-    /// Heavy `x` values (rows of `M1`), ascending.
-    pub heavy_x: Vec<Value>,
-    /// Heavy `y` values — heavier than `Δ1` in *both* relations (inner
-    /// dimension), ascending.
-    pub heavy_y: Vec<Value>,
-    /// Heavy `z` values (columns of `M2`), ascending.
-    pub heavy_z: Vec<Value>,
-    /// `x value → row`, `-1` when not heavy.
-    x_row: Vec<i32>,
-    /// `y value → inner index`, `-1` when not heavy-in-both.
-    y_col: Vec<i32>,
-    /// `z value → column`, `-1` when not heavy.
-    z_col: Vec<i32>,
-    /// Tuples of `(R, S)` whose head value is heavy — an upper bound on the
-    /// set bits of the two heavy operands.
-    tuple_mass: (u64, u64),
-}
-
-impl HeavyIndex {
-    fn empty() -> Self {
-        Self {
-            heavy_x: Vec::new(),
-            heavy_y: Vec::new(),
-            heavy_z: Vec::new(),
-            x_row: Vec::new(),
-            y_col: Vec::new(),
-            z_col: Vec::new(),
-            tuple_mass: (0, 0),
-        }
-    }
-
-    fn build(r: &Relation, s: &Relation, delta1: u32, delta2: u32) -> Self {
-        let ydom = r.y_domain().min(s.y_domain());
-        let mut y_col = vec![-1i32; r.y_domain().max(s.y_domain())];
-        let mut heavy_y = Vec::new();
-        for y in 0..ydom as Value {
-            if r.y_degree(y) > delta1 as usize && s.y_degree(y) > delta1 as usize {
-                y_col[y as usize] = heavy_y.len() as i32;
-                heavy_y.push(y);
-            }
-        }
-        // Heavy x: degree above Δ2 *and* adjacent to ≥1 heavy-in-both y
-        // (rows with no heavy y are all-zero; dropping them shrinks M1).
-        let mut tuple_mass = (0u64, 0u64);
-        let mut x_row = vec![-1i32; r.x_domain()];
-        let mut heavy_x = Vec::new();
-        for (x, ys) in r.by_x().iter_nonempty() {
-            if ys.len() > delta2 as usize
-                && ys
-                    .iter()
-                    .any(|&y| y_col.get(y as usize).is_some_and(|&c| c >= 0))
-            {
-                x_row[x as usize] = heavy_x.len() as i32;
-                heavy_x.push(x);
-                tuple_mass.0 += ys.len() as u64;
-            }
-        }
-        let mut z_col = vec![-1i32; s.x_domain()];
-        let mut heavy_z = Vec::new();
-        for (z, ys) in s.by_x().iter_nonempty() {
-            if ys.len() > delta2 as usize
-                && ys
-                    .iter()
-                    .any(|&y| y_col.get(y as usize).is_some_and(|&c| c >= 0))
-            {
-                z_col[z as usize] = heavy_z.len() as i32;
-                heavy_z.push(z);
-                tuple_mass.1 += ys.len() as u64;
-            }
-        }
-        Self {
-            heavy_x,
-            heavy_y,
-            heavy_z,
-            x_row,
-            y_col,
-            z_col,
-            tuple_mass,
-        }
-    }
-
-    fn is_degenerate(&self) -> bool {
-        self.heavy_x.is_empty() || self.heavy_y.is_empty() || self.heavy_z.is_empty()
-    }
-
-    /// Total dense cells the two factor matrices and the product would use.
-    fn cells(&self) -> usize {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        u * v + v * w + u * w
-    }
-
-    /// How the Boolean heavy product should run on the exact partition.
-    fn bit_plan(&self) -> BitProductPlan {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let (nnz1, nnz2) = self.tuple_mass;
-        BitProductPlan::choose(
-            u,
-            v,
-            w,
-            (nnz1 as f64).min((u * v) as f64),
-            (nnz2 as f64).min((v * w) as f64),
-        )
-    }
-
-    #[inline]
-    fn y_is_heavy(&self, y: Value) -> bool {
-        self.y_col.get(y as usize).is_some_and(|&c| c >= 0)
-    }
-
-    #[inline]
-    fn x_row_of(&self, x: Value) -> Option<usize> {
-        let r = *self.x_row.get(x as usize)?;
-        (r >= 0).then_some(r as usize)
-    }
-
-    #[inline]
-    fn z_is_heavy(&self, z: Value) -> bool {
-        self.z_col.get(z as usize).is_some_and(|&c| c >= 0)
-    }
-
-    fn build_dense_matrices(&self, r: &Relation, s: &Relation) -> (DenseMatrix, DenseMatrix) {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let mut m1 = DenseMatrix::zeros(u, v);
-        for (row, &x) in self.heavy_x.iter().enumerate() {
-            for &y in r.ys_of(x) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m1.set(row, c as usize, 1.0);
-                    }
-                }
-            }
-        }
-        let mut m2 = DenseMatrix::zeros(v, w);
-        for (col, &z) in self.heavy_z.iter().enumerate() {
-            for &y in s.ys_of(z) {
-                if let Some(&c) = self.y_col.get(y as usize) {
-                    if c >= 0 {
-                        m2.set(c as usize, col, 1.0);
-                    }
-                }
-            }
-        }
-        (m1, m2)
-    }
-
-    /// The Boolean operands, a word at a time straight from the CSR rows:
-    /// `M1` (`x`-major over heavy `y`) and `M2` in the layout `orientation`
-    /// multiplies — `y`-major over heavy `z` from `S`'s inverted lists for
-    /// row-OR, `z`-major over heavy `y` (the transpose) for AND-any.
-    fn build_bit_matrices(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        orientation: Orientation,
-    ) -> (BitMatrix, BitMatrix) {
-        let (u, v, w) = (self.heavy_x.len(), self.heavy_y.len(), self.heavy_z.len());
-        let m1 = BitMatrix::from_adjacency(u, v, &self.y_col, |i| r.ys_of(self.heavy_x[i]));
-        let m2 = match orientation {
-            Orientation::RowOr => {
-                BitMatrix::from_adjacency(v, w, &self.z_col, |k| s.xs_of(self.heavy_y[k]))
-            }
-            Orientation::AndAny => {
-                BitMatrix::from_adjacency(w, v, &self.y_col, |j| s.ys_of(self.heavy_z[j]))
-            }
-        };
-        (m1, m2)
-    }
-}
-
-/// Light passes A (R side) and B (S side), optionally parallel over groups.
-///
-/// The passes partition the light witnesses so almost no pair is emitted
-/// twice: pass A owns every pair whose `x` is light plus heavy-`x` pairs
-/// through `y`s light in `S`; pass B only ever emits heavy-`x` pairs, and
-/// only through `y`s heavy in `S` (anything else pass A already found).
-/// In the degenerate all-light configuration pass B does no work at all,
-/// which keeps MMJoin's fallback within noise of the plain combinatorial
-/// engine.
-fn light_passes(
+/// The counting expansion: each `x` group of `R` expands through `S`'s
+/// inverted lists, and each `z` it reaches is written with its witness
+/// count, read off the group's dedup buffer — exact `(x, z, count)` triples
+/// with `count >= min_count`, sorted (groups ascend, and each group's `z`s
+/// are sorted as it ends). Groups are chunked over the executor when the
+/// configuration has more than one thread.
+fn count_expansion(
     r: &Relation,
     s: &Relation,
-    delta1: u32,
-    delta2: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Vec<(Value, Value)> {
-    let pass_a = |groups: &[(Value, &[Value])], out: &mut Vec<(Value, Value)>| {
-        let mut dedup = DedupBuffer::new(s.x_domain());
-        for &(a, ys) in groups {
-            let a_light = ys.len() <= delta2 as usize;
-            dedup.clear();
-            for &y in ys {
-                if (y as usize) >= s.y_domain() {
-                    continue;
-                }
-                if a_light || s.y_degree(y) <= delta1 as usize {
-                    for &z in s.xs_of(y) {
-                        if dedup.insert(z) {
-                            out.push((a, z));
-                        }
-                    }
-                }
-            }
-        }
-    };
-    let pass_b = |groups: &[(Value, &[Value])], out: &mut Vec<(Value, Value)>| {
-        let mut dedup = DedupBuffer::new(r.x_domain());
-        for &(c, ys) in groups {
-            let c_light = ys.len() <= delta2 as usize;
-            dedup.clear();
-            for &y in ys {
-                if (y as usize) >= r.y_domain() || s.y_degree(y) <= delta1 as usize {
-                    continue; // y light in S: pass A covered every x.
-                }
-                if c_light || r.y_degree(y) <= delta1 as usize {
-                    for &x in r.xs_of(y) {
-                        // Light x: pass A expanded all of its ys already.
-                        if r.x_degree(x) > delta2 as usize && dedup.insert(x) {
-                            out.push((x, c));
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    let groups_a: Vec<(Value, &[Value])> = r.by_x().iter_nonempty().collect();
-    let groups_b: Vec<(Value, &[Value])> = s.by_x().iter_nonempty().collect();
-    if threads <= 1 {
-        let mut out = Vec::new();
-        pass_a(&groups_a, &mut out);
-        pass_b(&groups_b, &mut out);
-        out
-    } else {
-        // Both passes are chunked into one task list so A- and B-side
-        // work interleaves on the shared pool instead of running as two
-        // barriers. Chunking depends only on `threads` → deterministic.
-        let chunk_a = groups_a.len().div_ceil(threads).max(1);
-        let chunk_b = groups_b.len().div_ceil(threads).max(1);
-        let chunks_a: Vec<&[(Value, &[Value])]> = groups_a.chunks(chunk_a).collect();
-        let chunks_b: Vec<&[(Value, &[Value])]> = groups_b.chunks(chunk_b).collect();
-        let na = chunks_a.len();
-        let results = exec.map(threads, na + chunks_b.len(), |i| {
-            let mut out = Vec::new();
-            if i < na {
-                pass_a(chunks_a[i], &mut out);
-            } else {
-                pass_b(chunks_b[i - na], &mut out);
-            }
-            out
-        });
-        results.concat()
-    }
-}
-
-/// Combinatorial evaluation of the heavy core when the matrices would not
-/// fit in the configured memory cap: expand heavy `x` through heavy `y`.
-fn heavy_expansion_fallback(
-    r: &Relation,
-    s: &Relation,
-    heavy: &HeavyIndex,
-    out: &mut Vec<(Value, Value)>,
-) {
-    let mut dedup = DedupBuffer::new(s.x_domain());
-    for &x in &heavy.heavy_x {
-        dedup.clear();
-        for &y in r.ys_of(x) {
-            if !heavy.y_is_heavy(y) {
-                continue;
-            }
-            for &z in s.xs_of(y) {
-                if dedup.insert(z) {
-                    out.push((x, z));
-                }
-            }
-        }
-    }
-}
-
-/// Counting passes L1/L2/L3 (see module docs): exact multiplicities with
-/// disjoint witness partitions, sorted.
-#[allow(clippy::too_many_arguments)]
-fn count_passes(
-    r: &Relation,
-    s: &Relation,
-    delta2: u32,
     min_count: u32,
-    heavy: &HeavyIndex,
-    prod: Option<&DenseMatrix>,
     config: &JoinConfig,
 ) -> Vec<(Value, Value, u32)> {
     let (threads, exec) = (config.effective_threads(), config.exec());
-    let is_light_head_r = |deg: usize| deg <= delta2 as usize || delta2 == u32::MAX;
-    // When no matrix product is available (memory cap, degenerate core),
-    // pass L3 must expand *every* y — heavy-in-both witnesses included —
-    // otherwise those counts would be lost.
-    let skip_heavy_y = prod.is_some();
-
-    // Pass L1: light x — full expansion, exact counts for (x, *).
-    let l1 = |groups: &[(Value, &[Value])], out: &mut Vec<(Value, Value, u32)>| {
-        let mut dedup = DedupBuffer::new(s.x_domain());
-        let mut touched: Vec<Value> = Vec::new();
-        for &(a, ys) in groups {
-            if !is_light_head_r(ys.len()) {
-                continue;
-            }
-            dedup.clear();
-            touched.clear();
-            for &y in ys {
-                if (y as usize) >= s.y_domain() {
-                    continue;
-                }
-                for &z in s.xs_of(y) {
-                    if dedup.insert(z) {
-                        touched.push(z);
-                    }
-                }
-            }
-            for &z in &touched {
-                let m = dedup.multiplicity(z);
-                if m >= min_count {
-                    out.push((a, z, m));
-                }
-            }
-        }
-    };
-
-    // Pass L2: light z — full expansion from the S side; emit only pairs
-    // whose x is heavy (light x already exact in L1).
-    let l2 = |groups: &[(Value, &[Value])], out: &mut Vec<(Value, Value, u32)>| {
-        let mut dedup = DedupBuffer::new(r.x_domain());
-        let mut touched: Vec<Value> = Vec::new();
-        for &(c, ys) in groups {
-            if !is_light_head_r(ys.len()) {
-                continue;
-            }
-            dedup.clear();
-            touched.clear();
-            for &y in ys {
-                if (y as usize) >= r.y_domain() {
-                    continue;
-                }
-                for &x in r.xs_of(y) {
-                    if dedup.insert(x) {
-                        touched.push(x);
-                    }
-                }
-            }
-            for &x in &touched {
-                if is_light_head_r(r.x_degree(x)) {
-                    continue; // covered exactly by L1
-                }
-                let m = dedup.multiplicity(x);
-                if m >= min_count {
-                    out.push((x, c, m));
-                }
-            }
-        }
-    };
-
-    // Pass L3: heavy x — expand only non-heavy-in-both y; combine with the
-    // matrix row for heavy z; skip light z (covered by L2).
-    let l3 = |groups: &[(Value, &[Value])], out: &mut Vec<(Value, Value, u32)>| {
-        let mut dedup = DedupBuffer::new(s.x_domain());
-        let mut touched: Vec<Value> = Vec::new();
-        for &(a, ys) in groups {
-            if is_light_head_r(ys.len()) {
-                continue;
-            }
-            dedup.clear();
-            touched.clear();
-            for &y in ys {
-                if (y as usize) >= s.y_domain() || (skip_heavy_y && heavy.y_is_heavy(y)) {
-                    continue;
-                }
-                for &z in s.xs_of(y) {
-                    if dedup.insert(z) {
-                        touched.push(z);
-                    }
-                }
-            }
-            match (heavy.x_row_of(a), prod) {
-                (Some(row), Some(m)) => {
-                    // Scan all heavy z columns: matrix + light-witness counts.
-                    for (j, &z) in heavy.heavy_z.iter().enumerate() {
-                        let total = m.get(row, j) as u32 + dedup.multiplicity(z);
-                        if total >= min_count && total > 0 {
-                            out.push((a, z, total));
-                        }
-                    }
-                    // Heavy-head z values *without* a matrix column (no
-                    // heavy-in-both y adjacent) have no matrix witnesses:
-                    // the expansion count is already exact for them.
-                    for &z in &touched {
-                        if heavy.z_is_heavy(z) || is_light_head_r(s.x_degree(z)) {
-                            continue; // column scan / L2 covers these
-                        }
-                        let mult = dedup.multiplicity(z);
-                        if mult >= min_count {
-                            out.push((a, z, mult));
-                        }
-                    }
-                }
-                _ => {
-                    // No matrix row (or matrix disabled): expansion was the
-                    // complete witness set for heavy z partners.
-                    for &z in &touched {
-                        if !heavy.z_is_heavy(z) {
-                            // z light head ⇒ L2 covers; z heavy-but-rowless
-                            // still counts here.
-                            if is_light_head_r(s.x_degree(z)) {
-                                continue;
-                            }
-                        }
-                        let m = dedup.multiplicity(z);
-                        if m >= min_count {
-                            out.push((a, z, m));
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    let groups_r: Vec<(Value, &[Value])> = r.by_x().iter_nonempty().collect();
-    let groups_s: Vec<(Value, &[Value])> = s.by_x().iter_nonempty().collect();
-    let mut out = if threads <= 1 {
+    let expand = |groups: &[(Value, &[Value])]| {
         let mut out = Vec::new();
-        l1(&groups_r, &mut out);
-        l2(&groups_s, &mut out);
-        l3(&groups_r, &mut out);
-        out
-    } else {
-        let chunk_r = groups_r.len().div_ceil(threads).max(1);
-        let chunk_s = groups_s.len().div_ceil(threads).max(1);
-        let chunks_r: Vec<&[(Value, &[Value])]> = groups_r.chunks(chunk_r).collect();
-        let chunks_s: Vec<&[(Value, &[Value])]> = groups_s.chunks(chunk_s).collect();
-        let nr = chunks_r.len();
-        let results = exec.map(threads, nr + chunks_s.len(), |i| {
-            let mut out = Vec::new();
-            if i < nr {
-                l1(chunks_r[i], &mut out);
-                l3(chunks_r[i], &mut out);
-            } else {
-                l2(chunks_s[i - nr], &mut out);
+        let mut dedup = DedupBuffer::new(s.x_domain());
+        let mut touched: Vec<Value> = Vec::new();
+        for &(x, ys) in groups {
+            dedup.clear();
+            touched.clear();
+            for &y in ys.iter().filter(|&&y| (y as usize) < s.y_domain()) {
+                for &z in s.xs_of(y) {
+                    if dedup.insert(z) {
+                        touched.push(z);
+                    }
+                }
             }
-            out
-        });
-        results.concat()
+            touched.sort_unstable();
+            for &z in &touched {
+                let count = dedup.multiplicity(z);
+                if count >= min_count {
+                    out.push((x, z, count));
+                }
+            }
+        }
+        out
     };
-    out.sort_unstable();
-    out
+    let groups: Vec<(Value, &[Value])> = r.by_x().iter_nonempty().collect();
+    if threads <= 1 {
+        return expand(&groups);
+    }
+    let chunks: Vec<_> = groups
+        .chunks(groups.len().div_ceil(threads).max(1))
+        .collect();
+    exec.map(threads, chunks.len(), |i| expand(chunks[i]))
+        .concat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HeavyBackend;
     use mmjoin_baseline::fulljoin::SortMergeEngine;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -1152,8 +510,8 @@ mod tests {
     /// Brute-force pair counts.
     fn brute_counts(r: &Relation, s: &Relation) -> BTreeMap<(Value, Value), u32> {
         let mut m = BTreeMap::new();
-        for &(x, y) in r.edges() {
-            for &(z, y2) in s.edges() {
+        for (x, y) in r.tuples() {
+            for (z, y2) in s.tuples() {
                 if y == y2 {
                     *m.entry((x, z)).or_insert(0) += 1;
                 }
@@ -1172,20 +530,16 @@ mod tests {
         rel(&edges)
     }
 
-    #[test]
-    fn matches_reference_with_forced_deltas() {
-        let r = rel(&[(0, 0), (0, 1), (1, 0), (2, 1), (3, 2), (3, 0)]);
-        let s = rel(&[(5, 0), (6, 1), (7, 0), (7, 2), (8, 1)]);
-        let expected = SortMergeEngine.join_project(&r, &s);
-        for (d1, d2) in [(1, 1), (1, 2), (2, 1), (3, 3), (100, 100)] {
-            let cfg = JoinConfig::with_deltas(d1, d2);
-            assert_eq!(
-                two_path_join_project(&r, &s, &cfg),
-                expected,
-                "Δ1={d1} Δ2={d2}"
-            );
+    /// Line 2 forced each way: the bit core whenever it fits, and expansion.
+    fn forced(factor: f64, threads: usize) -> JoinConfig {
+        JoinConfig {
+            wcoj_fallback_factor: factor,
+            threads,
+            ..JoinConfig::default()
         }
     }
+
+    const BOTH_SIDES: [f64; 2] = [0.0, f64::INFINITY];
 
     #[test]
     fn matches_reference_with_optimizer() {
@@ -1198,31 +552,6 @@ mod tests {
             two_path_join_project(&r, &r, &cfg),
             SortMergeEngine.join_project(&r, &r)
         );
-    }
-
-    /// Every back end, at a mixed partition and with everything heavy
-    /// (where the Boolean core skips the light passes and the sort).
-    #[test]
-    fn every_backend_matches_at_mixed_and_all_heavy_partitions() {
-        let r = clique_relation(10, 5);
-        let expected = SortMergeEngine.join_project(&r, &r);
-        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-            for deltas in [(2, 2), (0, 0)] {
-                let cfg = JoinConfig {
-                    heavy_backend: backend,
-                    delta_override: Some(deltas),
-                    ..JoinConfig::default()
-                };
-                let (out, stats) = two_path_join_project_with_stats(&r, &r, &cfg);
-                assert_eq!(out, expected, "{backend:?} {deltas:?}");
-                let stats = stats.unwrap();
-                assert_eq!(stats.heavy_core_matrix, Some(true));
-                let kernel = stats.heavy_backend.unwrap();
-                assert_eq!(kernel.starts_with("bit "), backend.is_boolean());
-                assert_eq!(kernel == F32_KERNEL, !backend.is_boolean());
-                assert!(stats.measured_phase_secs.is_some());
-            }
-        }
     }
 
     /// The degenerate-partition regression: every `z` degree is 300 and
@@ -1277,18 +606,17 @@ mod tests {
         }
     }
 
+    /// A core over the cap is not run: the join expands instead.
     #[test]
     fn memory_cap_fallback_matches() {
         let r = clique_relation(10, 5);
         let cfg = JoinConfig {
-            delta_override: Some((2, 2)),
-            matrix_cell_cap: 0, // force the combinatorial heavy path
-            ..JoinConfig::default()
+            matrix_cell_cap: 0,
+            ..forced(0.0, 1)
         };
-        assert_eq!(
-            two_path_join_project(&r, &r, &cfg),
-            SortMergeEngine.join_project(&r, &r)
-        );
+        let (out, stats) = two_path_join_project_with_stats(&r, &r, &cfg);
+        assert_eq!(out, SortMergeEngine.join_project(&r, &r));
+        assert_eq!(stats.unwrap().kind, mmjoin_api::PlanKind::Wcoj);
     }
 
     #[test]
@@ -1298,29 +626,28 @@ mod tests {
             edges.push(((i * 7) % 80, (i * 13) % 50));
         }
         let r = rel(&edges);
-        let serial = two_path_join_project(&r, &r, &JoinConfig::with_deltas(3, 3));
-        for threads in [2, 4, 8] {
-            let cfg = JoinConfig {
-                threads,
-                delta_override: Some((3, 3)),
-                ..JoinConfig::default()
-            };
-            assert_eq!(
-                two_path_join_project(&r, &r, &cfg),
-                serial,
-                "threads={threads}"
-            );
+        for factor in BOTH_SIDES {
+            let serial = two_path_join_project(&r, &r, &forced(factor, 1));
+            let counted = two_path_with_counts(&r, &r, 2, &forced(factor, 1));
+            for threads in [2, 4, 8] {
+                let cfg = forced(factor, threads);
+                let label = format!("factor={factor} threads={threads}");
+                assert_eq!(two_path_join_project(&r, &r, &cfg), serial, "{label}");
+                assert_eq!(two_path_with_counts(&r, &r, 2, &cfg), counted, "{label}");
+            }
         }
     }
 
     #[test]
     fn counts_exact_on_clique() {
         let r = clique_relation(8, 4);
-        let got = two_path_with_counts(&r, &r, 1, &JoinConfig::with_deltas(2, 2));
         let brute = brute_counts(&r, &r);
-        assert_eq!(got.len(), brute.len());
-        for (x, z, c) in got {
-            assert_eq!(brute[&(x, z)], c, "pair ({x},{z})");
+        for factor in BOTH_SIDES {
+            let got = two_path_with_counts(&r, &r, 1, &forced(factor, 1));
+            assert_eq!(got.len(), brute.len());
+            for (x, z, c) in got {
+                assert_eq!(brute[&(x, z)], c, "pair ({x},{z})");
+            }
         }
     }
 
@@ -1328,11 +655,13 @@ mod tests {
     fn counts_min_count_filters() {
         // (0,1) share 3 elements; (0,2) share 1.
         let r = rel(&[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)]);
-        let got = two_path_with_counts(&r, &r, 3, &JoinConfig::with_deltas(1, 1));
-        let pairs: Vec<(Value, Value)> = got.iter().map(|&(x, z, _)| (x, z)).collect();
-        assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
-        for &(_, _, c) in &got {
-            assert!(c >= 3);
+        for factor in BOTH_SIDES {
+            let got = two_path_with_counts(&r, &r, 3, &forced(factor, 1));
+            let pairs: Vec<(Value, Value)> = got.iter().map(|&(x, z, _)| (x, z)).collect();
+            assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+            for &(_, _, c) in &got {
+                assert!(c >= 3);
+            }
         }
     }
 
@@ -1347,45 +676,27 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// All threshold choices must produce the reference result.
-        #[test]
-        fn any_deltas_match_reference(
-            r_edges in proptest::collection::vec((0u32..20, 0u32..15), 1..80),
-            s_edges in proptest::collection::vec((0u32..20, 0u32..15), 1..80),
-            d1 in 1u32..8,
-            d2 in 1u32..8,
-            threads in 1usize..3,
-        ) {
-            let r = rel(&r_edges);
-            let s = rel(&s_edges);
-            let cfg = JoinConfig {
-                threads,
-                delta_override: Some((d1, d2)),
-                ..JoinConfig::default()
-            };
-            prop_assert_eq!(
-                two_path_join_project(&r, &s, &cfg),
-                SortMergeEngine.join_project(&r, &s)
-            );
-        }
-
-        /// Counting variant is exact for every pair, at any thresholds.
+        /// The served counting expansion (line 2 forced to expansion) is
+        /// exact for every pair at every thread count and every
+        /// `min_count`, and writes no zero count.
         #[test]
         fn counts_always_exact(
             r_edges in proptest::collection::vec((0u32..15, 0u32..12), 1..60),
             s_edges in proptest::collection::vec((0u32..15, 0u32..12), 1..60),
-            d1 in 1u32..6,
-            d2 in 1u32..6,
+            threads in 1usize..4,
+            min_count in 0u32..4,
         ) {
             let r = rel(&r_edges);
             let s = rel(&s_edges);
-            let cfg = JoinConfig::with_deltas(d1, d2);
-            let got = two_path_with_counts(&r, &s, 1, &cfg);
-            let brute = brute_counts(&r, &s);
-            prop_assert_eq!(got.len(), brute.len());
-            for (x, z, c) in got {
-                prop_assert_eq!(brute[&(x, z)], c);
-            }
+            let (got, stats) =
+                two_path_with_counts_stats(&r, &s, min_count, &forced(f64::INFINITY, threads));
+            prop_assert_eq!(stats.unwrap().kind, mmjoin_api::PlanKind::Wcoj);
+            let expected: Vec<(Value, Value, u32)> = brute_counts(&r, &s)
+                .into_iter()
+                .filter(|&(_, c)| c >= min_count.max(1))
+                .map(|((x, z), c)| (x, z, c))
+                .collect();
+            prop_assert_eq!(got, expected);
         }
     }
 }

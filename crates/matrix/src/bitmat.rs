@@ -75,8 +75,8 @@ impl Orientation {
 /// The orientation a Boolean product `m×k · k×n` should run in, with the
 /// work and memory that choice implies. A planner prices a candidate with
 /// this function on the counts it has — exact ones for a two-path over the
-/// relations' memoised rows, bounds for a star or a forced partition, where
-/// the engine calls it again on the exact cells and runs what that says.
+/// relations' memoised rows, bounds for a star, where the engine calls it
+/// again on the exact cells and runs what that says.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitProductPlan {
     /// The cheaper orientation.
@@ -148,53 +148,6 @@ impl BitMatrix {
             stride,
             words: vec![0; rows * stride],
         }
-    }
-
-    /// Builds a matrix a word at a time straight from CSR adjacency rows:
-    /// row `i` gets a bit at column `col_of[v]` for every value `v` of
-    /// `adjacency(i)` that has one (a negative or missing entry has none).
-    /// With sorted rows and a monotone map — heavy values numbered in
-    /// ascending order — the columns of a row ascend, so each word is
-    /// assembled in a register and stored whole: no branch on where words
-    /// change, no read of the matrix.
-    ///
-    /// # Panics
-    /// Panics if `col_of` names a column `>= cols`, or if a row's columns
-    /// step back into an earlier word.
-    pub fn from_adjacency<'a>(
-        rows: usize,
-        cols: usize,
-        col_of: &[i32],
-        adjacency: impl Fn(usize) -> &'a [u32],
-    ) -> Self {
-        assert!(
-            col_of.iter().all(|&c| c < 0 || (c as usize) < cols),
-            "column map exceeds {cols} columns"
-        );
-        let mut m = Self::zeros(rows, cols);
-        if m.stride == 0 {
-            return m;
-        }
-        for (i, out) in m.words.chunks_exact_mut(m.stride).enumerate() {
-            let (mut at, mut acc, mut ascending) = (0usize, 0u64, true);
-            for &v in adjacency(i) {
-                let Some(c) = col_of
-                    .get(v as usize)
-                    .and_then(|&c| usize::try_from(c).ok())
-                else {
-                    continue;
-                };
-                let word = c / 64;
-                // Checked once per row: a panic path here costs the loop
-                // half its speed.
-                ascending &= word >= at;
-                acc = if word == at { acc } else { 0 } | 1u64 << (c % 64);
-                at = word;
-                out[at] = acc;
-            }
-            assert!(ascending, "row {i}: columns step back into a stored word");
-        }
-        m
     }
 
     /// A `rows × cols` matrix over `words`: row after row, `⌈cols/64⌉`
@@ -568,39 +521,6 @@ mod tests {
         }
         let got: Vec<_> = m.iter_ones().collect();
         assert_eq!(got, coords);
-    }
-
-    #[test]
-    fn from_adjacency_equals_per_bit_set() {
-        // Values 0..8 map to columns spread over three words; 3 and 9 have
-        // no column.
-        let col_of = [0, 63, 64, -1, 65, 70, 128, 129];
-        let lists: [&[u32]; 4] = [&[0, 1, 2, 7], &[], &[1, 3, 4, 4, 5, 9], &[6]];
-        let built = BitMatrix::from_adjacency(4, 130, &col_of, |i| lists[i]);
-        let mut want = BitMatrix::zeros(4, 130);
-        for (i, list) in lists.iter().enumerate() {
-            for &v in *list {
-                if let Some(&c) = col_of.get(v as usize).filter(|&&c| c >= 0) {
-                    want.set(i, c as usize);
-                }
-            }
-        }
-        assert_eq!(built, want);
-        assert_eq!(built.count_ones(), 8);
-        let none = BitMatrix::from_adjacency(3, 0, &[], |_| &[1, 2]);
-        assert_eq!(none.count_ones(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "column map exceeds")]
-    fn from_adjacency_rejects_a_column_in_the_padding() {
-        let _ = BitMatrix::from_adjacency(1, 70, &[70], |_| &[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "step back")]
-    fn from_adjacency_rejects_a_step_back_into_a_stored_word() {
-        let _ = BitMatrix::from_adjacency(1, 130, &[64, 3], |_| &[0, 1]);
     }
 
     #[test]

@@ -23,10 +23,7 @@ use std::path::Path;
 use std::time::Instant;
 
 /// The analytic reference throughput (GFLOP/s, single core) that
-/// [`CostModel::analytic_default`] assumes. [`CostModel::speed_vs_reference`]
-/// reports measured speed relative to this, which is what
-/// `JoinConfig::install_measured_model` uses to re-derive the
-/// combinatorial/matrix crossover.
+/// [`CostModel::analytic_default`] assumes.
 pub const REFERENCE_GFLOPS: f64 = 20.0;
 
 /// Seconds per word operation of the Boolean product that
@@ -314,7 +311,7 @@ impl CostModel {
     /// `{2, 4, workers} ∩ (1, workers]` at `p = 512` to fit the measured
     /// parallel-speedup curve. Takes well under a second, which is enough
     /// to place the dispatched kernel's real throughput *and* its real
-    /// multi-core scaling, and re-derive the strategy crossover.
+    /// multi-core scaling.
     pub fn calibrate_quick(workers: usize) -> Self {
         let budget = workers.max(1);
         let mut points = vec![(128usize, 1usize), (256, 1), (512, 1)];
@@ -394,26 +391,6 @@ impl CostModel {
     /// single-core manifest when a larger thread budget is configured.
     pub fn max_cores(&self) -> usize {
         self.samples.iter().map(|s| s.cores).max().unwrap_or(1)
-    }
-
-    /// Measured effective single-core throughput divided by the analytic
-    /// reference ([`REFERENCE_GFLOPS`]). `> 1.0` means this machine's
-    /// dispatched kernel is faster than the default model assumes, so
-    /// matrix plans become profitable earlier (the crossover shifts toward
-    /// smaller instances).
-    pub fn speed_vs_reference(&self) -> f64 {
-        let single: Vec<&Sample> = self.samples.iter().filter(|s| s.cores == 1).collect();
-        let pool: Vec<&Sample> = if single.is_empty() {
-            self.samples.iter().collect()
-        } else {
-            single
-        };
-        // Use the largest sample per the pool — small products are
-        // dominated by fixed overheads, not kernel throughput.
-        let best = pool.iter().max_by_key(|s| s.p).expect("non-empty samples");
-        let flops = 2.0 * (best.p as f64).powi(3);
-        let gflops = flops / best.seconds / 1.0e9 / self.speedup(best.cores);
-        gflops / REFERENCE_GFLOPS
     }
 
     /// Persists the model as a small text manifest (one line per sample)
@@ -559,31 +536,6 @@ impl CostModel {
         scaled * self.speedup(best.cores) / self.speedup(cores)
     }
 
-    /// Predicted seconds for a GEMM that will execute `madds` effective
-    /// multiply-adds on `cores` workers. The blocked kernel skips zero
-    /// entries of the left operand, so for 0/1 adjacency matrices the
-    /// effective work is `nnz(A) · w`, often far below `u·v·w` — pricing
-    /// the dense product would bias Algorithm 3 away from profitable plans.
-    pub fn estimate_effective(&self, madds: f64, cores: usize) -> f64 {
-        if madds <= 0.0 {
-            return 0.0;
-        }
-        let best = self
-            .samples
-            .iter()
-            .min_by(|s1, s2| {
-                let key = |s: &Sample| {
-                    let core_gap = (s.cores as f64 - cores as f64).abs();
-                    let work_gap = ((s.p as f64).powi(3).ln() - madds.ln()).abs();
-                    core_gap * 1000.0 + work_gap
-                };
-                key(s1).total_cmp(&key(s2))
-            })
-            .expect("non-empty samples");
-        let scaled = best.seconds * madds / (best.p as f64).powi(3);
-        scaled * self.speedup(best.cores) / self.speedup(cores)
-    }
-
     /// All samples (for reporting / Figure 3 reproduction).
     pub fn samples(&self) -> &[Sample] {
         &self.samples
@@ -714,14 +666,6 @@ mod tests {
     fn kernel_tags_are_stable() {
         assert_eq!(CostModel::analytic_default().kernel(), "analytic");
         assert_eq!(flat_model().kernel(), "injected");
-    }
-
-    #[test]
-    fn analytic_speed_ratio_is_unity() {
-        // The analytic default samples are generated at exactly
-        // REFERENCE_GFLOPS, so the ratio must come back as 1.
-        let r = CostModel::analytic_default().speed_vs_reference();
-        assert!((r - 1.0).abs() < 1e-9, "got {r}");
     }
 
     #[test]

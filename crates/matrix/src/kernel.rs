@@ -23,8 +23,7 @@
 //! routes through it, so engines and the parallel tile scheduler's bands
 //! all hit the same microkernel. All kernels skip zero entries of
 //! `A` per register-tile row — adjacency matrices are sparse-ish 0/1 and
-//! the skip is a large practical win the cost model prices via
-//! `estimate_effective`.
+//! the skip is a large practical win.
 //!
 //! Products of 0/1 adjacency matrices are bit-identical across every
 //! kernel: all intermediates are small integers, exact in `f32`, and FMA

@@ -23,7 +23,8 @@
 //!   Boolean semiring, in two orientations picked from the operand counts,
 //!   each filling the rows that meet the right operand's universal mask:
 //!   the heavy core of every join-project, with AND-popcount for counts
-//!   (the paper's prototype always ran SGEMM; the `DenseF32` pin still does).
+//!   (the paper's prototype always ran SGEMM; `mmjoin_bench::paper`, which
+//!   the figures run, still does).
 //! * [`cost`] — the calibrated matmul cost estimator `M̂(u, v, w, co)` of
 //!   Table 1 / Algorithm 3, built by measuring this crate's own kernel at a
 //!   few sizes and interpolating, exactly as §5 describes.

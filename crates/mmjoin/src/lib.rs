@@ -63,8 +63,7 @@ pub use mmjoin_api::{
     QueryError, QueryFamily, QueryGraph, Sink, StepStats, Var, VecSink,
 };
 pub use mmjoin_core::{
-    execute_general, plan_general, plan_query, GeneralPlan, HeavyBackend, JoinConfig, MmJoinEngine,
-    PlanError,
+    execute_general, plan_general, plan_query, GeneralPlan, JoinConfig, MmJoinEngine, PlanError,
 };
 pub use mmjoin_executor::{Executor, ExecutorStats};
 /// Observability: the process-global [`obs::Tracer`](mmjoin_obs::trace::Tracer)

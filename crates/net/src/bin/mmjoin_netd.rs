@@ -30,9 +30,10 @@
 //! - `--threads <n>` — intra-query thread budget; engines request the
 //!   whole budget per query (`0` = machine parallelism; absent keeps
 //!   engines serial).
-//! - `--calibrate` — measure the dispatched GEMM kernel at startup,
-//!   sweeping the cores axis up to the thread budget, and re-derive the
-//!   planner's combinatorial/matrix crossover from it.
+//! - `--calibrate` — measure the cost model's rates at startup (the
+//!   dispatched GEMM kernel, sweeping the cores axis up to the thread
+//!   budget, the system constants and the bit-word rate); line 2 then
+//!   prices both sides with them, and its factor stays as it is.
 //! - `--calibration <path>` — cache the measurement across restarts
 //!   (implies `--calibrate`; a stale kernel tag, or a cores axis short
 //!   of the configured budget, forces a re-measure).

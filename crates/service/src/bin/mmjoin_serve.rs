@@ -20,9 +20,10 @@
 //! Commands run one at a time on the main thread. Run with
 //! `--threads <n>` to grant an intra-query thread budget (engines then
 //! request the whole budget per query; default keeps engines serial),
-//! `--calibrate` to measure the dispatched GEMM kernel at startup —
-//! sweeping the cores axis up to the thread budget — and re-derive the
-//! planner's strategy crossover from it, and `--calibration <path>` to
+//! `--calibrate` to measure the cost model's rates at startup — the
+//! dispatched GEMM kernel, sweeping the cores axis up to the thread
+//! budget, the system constants and the bit-word rate — which line 2 then
+//! prices both sides with, and `--calibration <path>` to
 //! cache that measurement across restarts (stale kernel tags, or a
 //! cores axis short of the configured budget, force a re-measure). An
 //! unknown flag or a value that does not parse prints the usage line and

@@ -217,7 +217,7 @@ mod tests {
     }
 
     /// The containment route and `MMJoin`'s plan are one decision, on every
-    /// shape and under every factor and backend: `PRETTI` exactly when the
+    /// shape and under every factor: `PRETTI` exactly when the
     /// plan is expansion.
     #[test]
     fn the_containment_route_is_the_engines_line_two() {
@@ -229,16 +229,7 @@ mod tests {
             wcoj_fallback_factor: factor,
             ..JoinConfig::default()
         };
-        let pinned = JoinConfig {
-            heavy_backend: mmjoin_core::HeavyBackend::DenseF32,
-            ..JoinConfig::default()
-        };
-        let configs = [
-            JoinConfig::default(),
-            forced(0.0),
-            forced(f64::INFINITY),
-            pinned,
-        ];
+        let configs = [JoinConfig::default(), forced(0.0), forced(f64::INFINITY)];
         let mut seen = (false, false);
         for r in [sparse(), dense(), mid, wide] {
             let q = Query::containment(&r).build().unwrap();

@@ -57,11 +57,13 @@ pub struct ServiceConfig {
     /// one itself (bypassing sampling) so the tree is available if the
     /// query turns out slow.
     pub slow_query_us: u64,
-    /// Calibrate the matmul cost model against the dispatched GEMM kernel
-    /// at startup (`CostModel::calibrate_quick`) and re-derive the
-    /// combinatorial/matrix crossover from the measurement
-    /// (`JoinConfig::install_measured_model`). Costs tens of milliseconds
-    /// once; off by default so unit tests stay deterministic.
+    /// Measure the cost model's rates on this machine at startup
+    /// (`CostModel::calibrate_quick`: the GEMM samples, the system
+    /// constants and the bit-word rate) and install them
+    /// (`JoinConfig::install_measured_model`), so line 2 prices both sides
+    /// at the measured rates; `wcoj_fallback_factor` is left as it is.
+    /// Costs tens of milliseconds once; off by default so unit tests stay
+    /// deterministic.
     pub calibrate_cost: bool,
     /// Cost-model manifest path. With [`ServiceConfig::calibrate_cost`]:
     /// load a matching manifest instead of re-measuring (a stale kernel
@@ -257,7 +259,7 @@ impl Service {
             config.join_config.executor = Some(Arc::new(Executor::new(config.thread_budget)));
         }
         // Calibrate before building the roster so engines and planner see
-        // the same measured model and re-derived crossover.
+        // the same measured model.
         apply_calibration(&mut config);
         let registry = crate::roster::registry_with_config(&config.join_config);
         Self::new(registry, config)
@@ -843,7 +845,8 @@ pub(crate) mod tests {
             cfg.cost_model.kernel(),
             mmjoin_matrix::active_kernel().name()
         );
-        assert!(cfg.wcoj_fallback_factor >= 2.0 && cfg.wcoj_fallback_factor <= 200.0);
+        // Calibration moves the rates only, never line 2's factor.
+        assert_eq!(cfg.wcoj_fallback_factor, 20.0);
         let saved = mmjoin_matrix::CostModel::load(&path).unwrap();
         assert_eq!(saved.kernel(), mmjoin_matrix::active_kernel().name());
         drop(s);

@@ -198,8 +198,7 @@ impl CsrIndex {
     /// [`GATHER_WIDTH`] of the end of the neighbor array is copied exactly.
     ///
     /// # Panics
-    /// Panics if the rows hold more than `len` values (and, with debug
-    /// assertions, fewer).
+    /// Panics if the rows do not hold exactly `len` values.
     pub fn gather(&self, keys: &[Value], len: usize, out: &mut Vec<Value>) {
         const W: usize = GATHER_WIDTH;
         let mut at = out.len();
@@ -219,7 +218,9 @@ impl CsrIndex {
             }
             at += row;
         }
-        debug_assert_eq!(at + W, out.len(), "`len` is the rows' length");
+        // One compare a call: a `len` too short would leave values of the
+        // rows in the slack, and the answer would keep them.
+        assert_eq!(at + W, out.len(), "`len` is the rows' length");
         out.truncate(at);
     }
 

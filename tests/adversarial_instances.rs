@@ -1,6 +1,7 @@
 //! Adversarial and boundary instances: shapes engineered to stress each
-//! partition of Algorithm 1 (all-light, all-heavy, maximally skewed,
-//! degenerate domains), checked across engines.
+//! side of line 2 (all-light, all-heavy, maximally skewed, degenerate
+//! domains), checked across engines. The paper prototype's forced
+//! partitions are checked on the same shapes in `crates/bench`.
 
 use mmjoin_api::{Engine, PairSink, Query};
 use mmjoin_baseline::fulljoin::SortMergeEngine;
@@ -27,15 +28,27 @@ fn assert_all_engines_agree(r: &Relation, s: &Relation, label: &str) {
         e.execute(&query, &mut sink).unwrap();
         assert_eq!(sink.pairs, reference, "{label}: {}", e.name());
     }
-    // Forced extreme thresholds must also agree.
-    for (d1, d2) in [(1, 1), (1, 1000), (1000, 1), (1000, 1000)] {
-        let cfg = JoinConfig::with_deltas(d1, d2);
+    // Line 2 forced either way, and a core over the cap, must also agree.
+    for cfg in sides() {
         assert_eq!(
             two_path_join_project(r, s, &cfg),
             reference,
-            "{label}: Δ=({d1},{d2})"
+            "{label}: {cfg:?}"
         );
     }
+}
+
+/// Line 2 forced onto the core, onto expansion, and the core over the cap.
+fn sides() -> [JoinConfig; 3] {
+    let factor = |wcoj_fallback_factor| JoinConfig {
+        wcoj_fallback_factor,
+        ..JoinConfig::default()
+    };
+    let capped = JoinConfig {
+        matrix_cell_cap: 0,
+        ..factor(0.0)
+    };
+    [factor(0.0), factor(f64::INFINITY), capped]
 }
 
 /// One single `y` value shared by everything: the heaviest possible core.
@@ -81,10 +94,13 @@ fn shared_spine_private_tails() {
     }
     let r = rel(&edges);
     assert_all_engines_agree(&r, &r, "spine");
-    let counts = two_path_with_counts(&r, &r, 1, &JoinConfig::with_deltas(2, 2));
-    for &(a, b, c) in &counts {
-        let expected = if a == b { 2 } else { 1 };
-        assert_eq!(c, expected, "pair ({a},{b})");
+    for cfg in sides() {
+        let counts = two_path_with_counts(&r, &r, 1, &cfg);
+        assert_eq!(counts.len(), 150 * 150);
+        for &(a, b, c) in &counts {
+            let expected = if a == b { 2 } else { 1 };
+            assert_eq!(c, expected, "pair ({a},{b})");
+        }
     }
 }
 
@@ -134,23 +150,25 @@ fn mixed_block_instance() {
     let r = rel(&edges);
     assert_all_engines_agree(&r, &r, "mixed-block");
     // Counting variant: spot check one heavy-light pair.
-    let counts = two_path_with_counts(&r, &r, 1, &JoinConfig::with_deltas(5, 5));
-    let get = |a: Value, b: Value| {
-        counts
-            .iter()
-            .find(|&&(x, z, _)| x == a && z == b)
-            .map(|&(_, _, c)| c)
-    };
-    assert_eq!(
-        get(0, 100),
-        Some(1),
-        "heavy set 0 meets light set 100 via one element"
-    );
-    assert_eq!(
-        get(0, 1),
-        Some(10),
-        "heavy pair shares all 10 core elements"
-    );
+    for cfg in sides() {
+        let counts = two_path_with_counts(&r, &r, 1, &cfg);
+        let get = |a: Value, b: Value| {
+            counts
+                .iter()
+                .find(|&&(x, z, _)| x == a && z == b)
+                .map(|&(_, _, c)| c)
+        };
+        assert_eq!(
+            get(0, 100),
+            Some(1),
+            "heavy set 0 meets light set 100 via one element"
+        );
+        assert_eq!(
+            get(0, 1),
+            Some(10),
+            "heavy pair shares all 10 core elements"
+        );
+    }
 }
 
 /// Self-loops in graph form ((v, v) edges) are legal tuples and must not
@@ -161,8 +179,8 @@ fn self_loop_tuples() {
     assert_all_engines_agree(&r, &r, "self-loops");
 }
 
-/// Duplicate-free invariant: no engine may emit a pair twice even when all
-/// three discovery paths (light-A, light-B, matrix) see the same pair.
+/// Duplicate-free invariant: no plan may emit a pair twice, whichever side
+/// of line 2 runs.
 #[test]
 fn no_duplicate_output_pairs() {
     let mut edges = Vec::new();
@@ -172,11 +190,12 @@ fn no_duplicate_output_pairs() {
         }
     }
     let r = rel(&edges);
-    for (d1, d2) in [(1, 1), (3, 3), (7, 2), (2, 7)] {
-        let out = two_path_join_project(&r, &r, &JoinConfig::with_deltas(d1, d2));
+    for cfg in sides() {
+        let out = two_path_join_project(&r, &r, &cfg);
         let mut dedup = out.clone();
         dedup.dedup();
-        assert_eq!(out.len(), dedup.len(), "duplicates at Δ=({d1},{d2})");
+        assert_eq!(out.len(), 30 * 30);
+        assert_eq!(out.len(), dedup.len(), "duplicates under {cfg:?}");
         assert!(
             out.windows(2).all(|w| w[0] < w[1]),
             "output must be strictly sorted"

@@ -2,8 +2,8 @@
 //! vs materialisation, query-builder validation, and ExecStats contents.
 
 use mmjoin::{
-    default_registry, CountSink, Engine, EngineError, EngineRegistry, ForEachSink, PairSink,
-    PlanKind, Query, QueryError, VecSink,
+    default_registry, CountSink, EngineError, EngineRegistry, ForEachSink, PairSink, PlanKind,
+    Query, QueryError, VecSink,
 };
 use mmjoin_core::{JoinConfig, MmJoinEngine};
 use mmjoin_datagen::DatasetKind;
@@ -197,21 +197,18 @@ fn exec_stats_report_plan_for_mmjoin_runs() {
         }
         PlanKind::Wcoj => panic!("dense Jokes data should take the matrix plan"),
     }
-
-    // A forced override must surface verbatim.
-    let engine = MmJoinEngine::new(JoinConfig::with_deltas(4, 7));
-    let mut sink = CountSink::new();
-    let stats = Engine::execute(&engine, &q, &mut sink).unwrap();
-    let plan = stats.plan.unwrap();
-    assert_eq!((plan.delta1, plan.delta2), (Some(4), Some(7)));
 }
 
 #[test]
 fn registry_replacement_is_latest_wins() {
     let mut registry = default_registry(1);
     let before = registry.len();
-    // Re-register MMJoin with a forced-threshold configuration.
-    registry.register(Box::new(MmJoinEngine::new(JoinConfig::with_deltas(2, 2))));
+    // Re-register MMJoin with line 2 forced onto the core.
+    let forced = JoinConfig {
+        wcoj_fallback_factor: 0.0,
+        ..JoinConfig::default()
+    };
+    registry.register(Box::new(MmJoinEngine::new(forced)));
     assert_eq!(
         registry.len(),
         before,
@@ -221,9 +218,10 @@ fn registry_replacement_is_latest_wins() {
     let q = Query::two_path(&r, &r).build().unwrap();
     let mut sink = CountSink::new();
     let stats = registry.execute("MMJoin", &q, &mut sink).unwrap();
+    // The roster's MMJoin expands a join this small.
     assert_eq!(
-        stats.plan.unwrap().delta1,
-        Some(2),
+        stats.plan.unwrap().kind,
+        PlanKind::MatrixPartitioned,
         "replacement engine must serve"
     );
 }

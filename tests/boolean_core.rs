@@ -1,12 +1,9 @@
-//! The Boolean heavy core against the two things it must equal: the f32
-//! core it replaces for existence queries, and plain expansion.
-//!
-//! Every case forces the partition (`delta_override`), so the three
-//! evaluations see the same `(Δ1, Δ2)` and differ only in how the heavy
-//! block is multiplied: bit product, SGEMM, or — with the memory cap at
-//! zero — the combinatorial fallback. CI runs this suite on both feature
-//! legs: the bit kernel is the same portable code on each, the SGEMM it is
-//! compared with is not.
+//! The served Boolean heavy core against plain expansion: line 2 forced onto
+//! the everything-heavy core (a factor of 0), forced onto expansion (`∞`),
+//! and the core over a zero memory cap, which expands instead — the same
+//! rows each time. The paper prototype's SGEMM at forced partitions is
+//! checked against the same three in `crates/bench/tests/paper_prototype.rs`;
+//! CI runs both suites on both feature legs.
 //!
 //! The star section does the same for the grouped-variable core of §3.2 —
 //! same kernels, fed by the same AND-ed half-tuple rows — and for how a
@@ -35,7 +32,7 @@ use mmjoin_api::{
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{
     star_join_project_mm_with_stats, two_path_join_project_with_stats, two_path_with_counts_stats,
-    HeavyBackend, JoinConfig, MmJoinEngine,
+    JoinConfig, MmJoinEngine,
 };
 use mmjoin_executor::Executor;
 use mmjoin_matrix::{BitRows, Orientation};
@@ -45,42 +42,44 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn forced(backend: HeavyBackend, deltas: (u32, u32)) -> JoinConfig {
+/// Line 2 forced onto the core (`0`) or onto expansion (`∞`).
+fn factor(wcoj_fallback_factor: f64) -> JoinConfig {
     JoinConfig {
-        heavy_backend: backend,
-        delta_override: Some(deltas),
+        wcoj_fallback_factor,
         ..JoinConfig::default()
     }
 }
 
-/// Asserts bit core == f32 core == capped fallback == expansion on `(r, s)`
-/// at `deltas`; returns the heavy dims the bit run reported.
-fn assert_cores_agree(r: &Relation, s: &Relation, deltas: (u32, u32)) -> (usize, usize, usize) {
+/// The everything-heavy core whenever it fits.
+fn core() -> JoinConfig {
+    factor(0.0)
+}
+
+/// Asserts bit core == capped fallback == expansion on `(r, s)`; returns
+/// the heavy dims the core reported, `(0, 0, 0)` when the join expands.
+fn assert_cores_agree(r: &Relation, s: &Relation) -> (usize, usize, usize) {
     let expected = ExpandDedupEngine::serial().join_project(r, s);
-    let (bit, bit_stats) =
-        two_path_join_project_with_stats(r, s, &forced(HeavyBackend::Auto, deltas));
-    let (f32_out, f32_stats) =
-        two_path_join_project_with_stats(r, s, &forced(HeavyBackend::DenseF32, deltas));
+    let (bit, bit_stats) = two_path_join_project_with_stats(r, s, &core());
     let capped = JoinConfig {
         matrix_cell_cap: 0,
-        ..forced(HeavyBackend::Auto, deltas)
+        ..core()
     };
     let (fallback, capped_stats) = two_path_join_project_with_stats(r, s, &capped);
-    assert_eq!(bit, expected, "bit core at {deltas:?}");
-    assert_eq!(f32_out, expected, "f32 core at {deltas:?}");
-    assert_eq!(fallback, expected, "capped fallback at {deltas:?}");
+    let (expanded, _) = two_path_join_project_with_stats(r, s, &factor(f64::INFINITY));
+    assert_eq!(bit, expected, "bit core");
+    assert_eq!(fallback, expected, "capped fallback");
+    assert_eq!(expanded, expected, "expansion");
     if r.is_empty() || s.is_empty() {
         assert!(bit_stats.is_none());
         return (0, 0, 0);
     }
-    let (bit_stats, f32_stats) = (bit_stats.unwrap(), f32_stats.unwrap());
+    assert_eq!(capped_stats.unwrap().kind, PlanKind::Wcoj);
+    let bit_stats = bit_stats.unwrap();
+    if bit_stats.kind == PlanKind::Wcoj {
+        return (0, 0, 0);
+    }
     assert!(bit_stats.heavy_backend.unwrap().starts_with("bit "));
-    assert_eq!(f32_stats.heavy_backend, Some("f32"));
-    // Same partition, and the same verdict on whether a matrix ran — except
-    // that nothing fits under a zero cap.
-    assert_eq!(bit_stats.heavy_dims, f32_stats.heavy_dims);
-    assert_eq!(bit_stats.heavy_core_matrix, f32_stats.heavy_core_matrix);
-    assert_eq!(capped_stats.unwrap().heavy_core_matrix, Some(false));
+    assert_eq!(bit_stats.heavy_core_matrix, Some(true));
     bit_stats.heavy_dims.unwrap()
 }
 
@@ -109,15 +108,13 @@ fn cores_agree_across_word_and_block_width_boundaries() {
         // Wide output, narrow inner: row-OR over `⌈width/64⌉`-word rows.
         let r = coin_relation(9, 24, 6, width);
         let s = coin_relation(width, 24, 5, width + 1);
-        let (u, v, w) = assert_cores_agree(&r, &s, (0, 0));
+        let (u, v, w) = assert_cores_agree(&r, &s);
         assert!(u > 0 && v > 0 && w as u32 >= width * 9 / 10, "{width}");
-        assert_cores_agree(&r, &s, (2, 3));
         // Wide inner, narrow output: AND-any over `⌈width/64⌉`-word rows,
         // sparse enough that some pairs scan to the end without a witness.
         let r = coin_relation(9, width, 2, width + 2);
         let s = coin_relation(11, width, 2, width + 3);
-        assert_cores_agree(&r, &s, (0, 0));
-        assert_cores_agree(&r, &s, (1, 1));
+        assert_cores_agree(&r, &s);
     }
 }
 
@@ -127,61 +124,50 @@ fn cores_agree_on_mismatched_domains_and_empty_heavy_sides() {
     // differ too.
     let r = Relation::from_edges((0..300u32).map(|i| (i % 7, i % 90)));
     let s = Relation::from_edges((0..200u32).map(|i| (i % 23, (i * 3) % 40)));
-    for deltas in [(0, 0), (1, 1), (3, 2), (2, 9)] {
-        assert_cores_agree(&r, &s, deltas);
-        assert_cores_agree(&s, &r, deltas);
-    }
-    // Thresholds above every degree: each heavy side in turn is empty.
-    for deltas in [(1000, 0), (0, 1000), (1000, 1000)] {
-        let (u, v, w) = assert_cores_agree(&r, &s, deltas);
-        assert!(u == 0 || v == 0 || w == 0, "{deltas:?}");
-    }
-    // Disjoint elements: nothing joins, and nothing is heavy in both.
+    assert_eq!(assert_cores_agree(&r, &s), (7, 40, 23));
+    assert_eq!(assert_cores_agree(&s, &r), (23, 40, 7));
+    // Disjoint elements: nothing joins, and the join expands.
     let far = Relation::from_edges((0..50u32).map(|i| (i % 5, 500 + i)));
-    assert_eq!(assert_cores_agree(&r, &far, (0, 0)), (0, 0, 0));
+    assert_eq!(assert_cores_agree(&r, &far), (0, 0, 0));
     let empty = Relation::from_edges(std::iter::empty());
-    assert_cores_agree(&r, &empty, (0, 0));
+    assert_cores_agree(&r, &empty);
 }
 
-/// The cap counts bytes of the representation that runs: one budget lets
-/// the bit core multiply where the f32 core must fall back.
+/// The cap counts bytes of the representation that runs: 40×200×40 is
+/// 17.6 k f32 cells, 70 k bytes, but two packed forms and a product of
+/// 3.2 k bytes of bits, which fit a 2 000-cell (8 000-byte) budget.
 #[test]
 fn byte_cap_trips_per_representation() {
     let r = coin_relation(40, 200, 8, 7);
     let expected = ExpandDedupEngine::serial().join_project(&r, &r);
-    // 40×200×40: 17.6 k f32 cells = 70 k bytes; as bits, 3.2 k bytes.
-    let budget = |backend| JoinConfig {
+    let budget = JoinConfig {
         matrix_cell_cap: 2_000,
-        ..forced(backend, (0, 0))
+        ..core()
     };
-    let (bit, bit_stats) = two_path_join_project_with_stats(&r, &r, &budget(HeavyBackend::Auto));
-    let (f32_out, f32_stats) =
-        two_path_join_project_with_stats(&r, &r, &budget(HeavyBackend::DenseF32));
+    let (bit, bit_stats) = two_path_join_project_with_stats(&r, &r, &budget);
     assert_eq!(bit, expected);
-    assert_eq!(f32_out, expected);
     assert_eq!(bit_stats.unwrap().heavy_core_matrix, Some(true));
-    assert_eq!(f32_stats.unwrap().heavy_core_matrix, Some(false));
 }
 
 /// The rows do not depend on the thread count: the Boolean core runs on the
-/// calling thread whatever the budget, and at a mixed partition the light
-/// passes around it are chunked over the executor.
+/// calling thread whatever the budget, and expansion is chunked over the
+/// executor.
 #[test]
 fn bit_core_is_identical_at_every_thread_count() {
     let r = coin_relation(700, 900, 3, 11);
     let s = coin_relation(650, 900, 3, 12);
     let budget = Executor::global().budget();
-    for deltas in [(0, 0), (40, 60)] {
-        let serial = two_path_join_project_with_stats(&r, &s, &forced(HeavyBackend::Auto, deltas));
-        assert_eq!(serial.1.as_ref().unwrap().heavy_core_matrix, Some(true));
+    let serial = two_path_join_project_with_stats(&r, &s, &core());
+    assert_eq!(serial.1.as_ref().unwrap().heavy_core_matrix, Some(true));
+    for side in [0.0, f64::INFINITY] {
         for threads in [1, 2, budget, 7] {
             let config = JoinConfig {
                 threads,
                 executor: Some(Arc::new(Executor::new(threads))),
-                ..forced(HeavyBackend::Auto, deltas)
+                ..factor(side)
             };
             let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
-            assert_eq!(rows, serial.0, "{deltas:?} threads={threads}");
+            assert_eq!(rows, serial.0, "factor={side} threads={threads}");
         }
     }
 }
@@ -193,44 +179,36 @@ fn coin_star(k: u32, sets: u32, elems: u32, keep_of_16: u32, seed: u32) -> Vec<R
         .collect()
 }
 
-/// Asserts bit core == f32 core == capped fallback == the WCOJ reference on
-/// the star over `rels` at `deltas`, rows and order; returns the Boolean
-/// kernel that ran, if a matrix did.
-fn assert_star_cores_agree(rels: &[Relation], deltas: (u32, u32)) -> Option<&'static str> {
+/// Asserts bit core == capped fallback == expansion == the WCOJ reference
+/// on the star over `rels`, rows and order; returns the Boolean kernel that
+/// ran, if a matrix did.
+fn assert_star_cores_agree(rels: &[Relation]) -> Option<&'static str> {
     let expected = star_join_project(rels);
-    let (bit, bit_stats) =
-        star_join_project_mm_with_stats(rels, &forced(HeavyBackend::Auto, deltas));
-    let (f32_out, f32_stats) =
-        star_join_project_mm_with_stats(rels, &forced(HeavyBackend::DenseF32, deltas));
+    let (bit, bit_stats) = star_join_project_mm_with_stats(rels, &core());
     let capped = JoinConfig {
         matrix_cell_cap: 0,
-        ..forced(HeavyBackend::Auto, deltas)
+        ..core()
     };
     let (fallback, capped_stats) = star_join_project_mm_with_stats(rels, &capped);
-    assert_eq!(bit, expected, "bit core at {deltas:?}");
-    assert_eq!(f32_out, expected, "f32 core at {deltas:?}");
-    assert_eq!(fallback, expected, "capped fallback at {deltas:?}");
+    let (expanded, _) = star_join_project_mm_with_stats(rels, &factor(f64::INFINITY));
+    assert_eq!(bit, expected, "bit core");
+    assert_eq!(fallback, expected, "capped fallback");
+    assert_eq!(expanded, expected, "expansion");
     if expected.is_empty() {
         return None;
     }
-    let (bit_stats, f32_stats) = (bit_stats.unwrap(), f32_stats.unwrap());
-    // The same half-tuple rows feed both kinds of operand: same shape, same
-    // verdict on whether a matrix ran — except that nothing fits a zero cap.
-    assert_eq!(bit_stats.heavy_dims, f32_stats.heavy_dims);
-    assert_eq!(bit_stats.heavy_core_matrix, f32_stats.heavy_core_matrix);
-    assert_eq!(capped_stats.unwrap().heavy_core_matrix, Some(false));
-    assert!(bit_stats.measured_phase_secs.is_some());
+    let bit_stats = bit_stats.unwrap();
+    assert_ne!(capped_stats.unwrap().heavy_core_matrix, Some(true));
     if bit_stats.heavy_core_matrix != Some(true) {
         return None;
     }
+    assert!(bit_stats.measured_phase_secs.is_some());
     assert!(bit_stats.heavy_backend.unwrap().starts_with("bit "));
-    assert_eq!(f32_stats.heavy_backend, Some("f32"));
     bit_stats.heavy_backend
 }
 
-/// k = 3, 4 (packed tuples) and 5 (the wide-tuple path of the accumulator),
-/// sparse and dense enough for either orientation of the Boolean product,
-/// with everything heavy, mixed partitions, and everything light.
+/// k = 3, 4 and 5, sparse and dense enough for either orientation of the
+/// Boolean product.
 #[test]
 fn star_cores_agree_for_three_to_five_relations() {
     let mut kernels = std::collections::BTreeSet::new();
@@ -242,9 +220,7 @@ fn star_cores_agree_for_three_to_five_relations() {
     ] {
         let rels = coin_star(k, sets, elems, keep, 100 + k);
         assert!(!star_join_project(&rels).is_empty());
-        for deltas in [(0, 0), (2, 3), (1, 1), (4, 2), (500, 500)] {
-            kernels.extend(assert_star_cores_agree(&rels, deltas));
-        }
+        kernels.extend(assert_star_cores_agree(&rels));
     }
     assert_eq!(
         kernels.into_iter().collect::<Vec<_>>(),
@@ -252,23 +228,22 @@ fn star_cores_agree_for_three_to_five_relations() {
     );
 }
 
-/// A star's rows do not depend on the thread count: the light steps and
-/// the Boolean core run on the calling thread whatever the budget.
+/// A star's rows do not depend on the thread count: the Boolean core runs
+/// on the calling thread whatever the budget.
 #[test]
 fn star_is_identical_at_every_thread_count() {
     let rels = coin_star(3, 20, 60, 4, 31);
-    for deltas in [(0, 0), (3, 3)] {
-        let (serial, _) =
-            star_join_project_mm_with_stats(&rels, &forced(HeavyBackend::Auto, deltas));
-        assert!(!serial.is_empty());
+    let (serial, _) = star_join_project_mm_with_stats(&rels, &core());
+    assert!(!serial.is_empty());
+    for side in [0.0, f64::INFINITY] {
         for threads in [1, 2, 4] {
             let config = JoinConfig {
                 threads,
                 executor: Some(Arc::new(Executor::new(threads))),
-                ..forced(HeavyBackend::Auto, deltas)
+                ..factor(side)
             };
             let (rows, _) = star_join_project_mm_with_stats(&rels, &config);
-            assert_eq!(rows, serial, "{deltas:?} threads={threads}");
+            assert_eq!(rows, serial, "factor={side} threads={threads}");
         }
     }
 }
@@ -276,37 +251,33 @@ fn star_is_identical_at_every_thread_count() {
 /// The cap counts the exact bytes of `V`, `W` and the product, not the
 /// grouped full join: 40 sets a leg over 200 shared elements put all 200
 /// columns under each of `V`'s 1560 rows (312 000 set cells), so a 2 MB
-/// budget holds even the f32 core (1.5 MB), though not 24 bytes a cell.
+/// budget holds the core, though not 24 bytes a cell.
 #[test]
 fn a_dense_star_multiplies_within_its_exact_bytes() {
     let rels: Vec<Relation> = [40u32, 39, 38]
         .into_iter()
         .map(|sets| Relation::from_edges((0..sets).flat_map(|x| (0..200).map(move |y| (x, y)))))
         .collect();
-    let expected = star_join_project(&rels);
-    for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-        let config = JoinConfig {
-            heavy_backend: backend,
-            matrix_cell_cap: 500_000,
-            ..JoinConfig::default()
-        };
-        let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
-        assert_eq!(rows, expected, "{backend:?}");
-        let stats = stats.unwrap();
-        assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
-        assert_eq!(stats.heavy_core_matrix, Some(true), "{backend:?}");
-        assert_eq!(stats.heavy_dims, Some((1560, 200, 38)), "{backend:?}");
-    }
+    let config = JoinConfig {
+        matrix_cell_cap: 500_000,
+        ..JoinConfig::default()
+    };
+    let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
+    assert_eq!(rows, star_join_project(&rels));
+    let stats = stats.unwrap();
+    assert_eq!((stats.delta1, stats.delta2), (Some(0), Some(0)));
+    assert_eq!(stats.heavy_core_matrix, Some(true));
+    assert_eq!(stats.heavy_dims, Some((1560, 200, 38)));
 }
 
 /// With everything heavy the rows go from the extractor to the sink: each
-/// one arrives strictly above the one before it, for either kernel.
+/// one arrives strictly above the one before it.
 #[test]
 fn everything_heavy_star_emits_in_ascending_order() {
     let rels = coin_star(4, 8, 30, 6, 77);
     let query = Query::star(&rels).build().unwrap();
-    for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-        let engine = MmJoinEngine::new(forced(backend, (0, 0)));
+    {
+        let engine = MmJoinEngine::new(core());
         let mut last: Option<Vec<Value>> = None;
         let mut seen = 0u64;
         let mut sink = ForEachSink(|row: &[Value], _| {
@@ -597,7 +568,7 @@ fn community_rows_never_meet_a_universal_element() {
 /// The star's mask is the AND of `W`'s rows. k = 3 stars in shapes that
 /// run row-OR and AND-any, every leg holding element 0 in every set: every
 /// row of `V` is filled. The same legs in communities: none is. Each
-/// equals the reference with either kernel and under the cap's fallback.
+/// equals the reference on the core, under the cap's fallback and expanded.
 #[test]
 fn a_star_fills_the_rows_that_meet_every_w_row() {
     let mut kernels = std::collections::BTreeSet::new();
@@ -607,8 +578,8 @@ fn a_star_fills_the_rows_that_meet_every_w_row() {
             .zip(seed..)
             .map(|(&n, seed)| with_universal(&coin_relation(n, elems, 8, seed), 0))
             .collect();
-        kernels.extend(assert_star_cores_agree(&rels, (0, 0)));
-        for config in [forced(HeavyBackend::Auto, (0, 0)), JoinConfig::default()] {
+        kernels.extend(assert_star_cores_agree(&rels));
+        for config in [core(), JoinConfig::default()] {
             let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
             assert_eq!(rows, star_join_project(&rels));
             let stats = stats.unwrap();
@@ -624,9 +595,8 @@ fn a_star_fills_the_rows_that_meet_every_w_row() {
         let rels: Vec<Relation> = (0..3)
             .map(|i| community_relation(24 + i, 64, communities, 20 + i))
             .collect();
-        assert!(assert_star_cores_agree(&rels, (0, 0)).is_some());
-        let (_, stats) =
-            star_join_project_mm_with_stats(&rels, &forced(HeavyBackend::Auto, (0, 0)));
+        assert!(assert_star_cores_agree(&rels).is_some());
+        let (_, stats) = star_join_project_mm_with_stats(&rels, &core());
         assert_eq!(stats.unwrap().rows_filled, Some(0), "{communities}");
     }
 }
@@ -736,23 +706,19 @@ fn popcount_counts_rows_through_a_universal_y() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random relations, random forced thresholds (everything-heavy
-    /// included): bit core == f32 core == capped fallback == expansion.
+    /// Random relations: bit core == capped fallback == expansion.
     #[test]
     fn cores_agree_on_random_relations(
         r_edges in proptest::collection::vec((0u32..40, 0u32..150), 0..400),
         s_edges in proptest::collection::vec((0u32..90, 0u32..130), 0..400),
-        d1 in 0u32..6,
-        d2 in 0u32..8,
     ) {
         let r: Relation = Relation::from_edges(r_edges);
         let s: Relation = Relation::from_edges(s_edges);
-        assert_cores_agree(&r, &s, (d1, d2));
-        assert_cores_agree(&r, &s, (0, 0));
+        assert_cores_agree(&r, &s);
     }
 
-    /// Whatever the optimizer picks by itself, with either kernel priced,
-    /// the answer is the expansion's.
+    /// Whatever the optimizer picks by itself, the answer is the
+    /// expansion's.
     #[test]
     fn optimizer_chosen_plans_agree(
         sets in 2u32..40,
@@ -763,15 +729,8 @@ proptest! {
         let r = coin_relation(sets, elems, keep, seed);
         let s = coin_relation(sets + 3, elems, keep, seed ^ 0x5bd1);
         let expected: Vec<(Value, Value)> = ExpandDedupEngine::serial().join_project(&r, &s);
-        for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-            let config = JoinConfig {
-                heavy_backend: backend,
-                wcoj_fallback_factor: 1.0,
-                ..JoinConfig::default()
-            };
-            let (rows, _) = two_path_join_project_with_stats(&r, &s, &config);
-            prop_assert_eq!(&rows, &expected);
-        }
+        let (rows, _) = two_path_join_project_with_stats(&r, &s, &factor(1.0));
+        prop_assert_eq!(&rows, &expected);
     }
 
     /// Random relations, any `min_count`: the counting core's triples are
@@ -793,25 +752,22 @@ proptest! {
         }
     }
 
-    /// Random stars, random forced thresholds (everything-heavy included):
-    /// bit core == f32 core == capped fallback == the WCOJ reference.
+    /// Random stars: bit core == capped fallback == expansion == the WCOJ
+    /// reference.
     #[test]
     fn star_cores_agree_on_random_relations(
         e1 in proptest::collection::vec((0u32..9, 0u32..12), 1..50),
         e2 in proptest::collection::vec((0u32..11, 0u32..12), 1..50),
         e3 in proptest::collection::vec((0u32..7, 0u32..12), 1..50),
         e4 in proptest::collection::vec((0u32..5, 0u32..12), 1..40),
-        d1 in 0u32..5,
-        d2 in 0u32..5,
     ) {
         let rels: Vec<Relation> = [e1, e2, e3, e4].into_iter().map(Relation::from_edges).collect();
-        assert_star_cores_agree(&rels[..3], (d1, d2));
-        assert_star_cores_agree(&rels, (d1, d2));
-        assert_star_cores_agree(&rels, (0, 0));
+        assert_star_cores_agree(&rels[..3]);
+        assert_star_cores_agree(&rels);
     }
 
-    /// Whatever the star planner picks by itself, with either kernel priced,
-    /// the answer is the reference's — and what it picks is everything
+    /// Whatever the star planner picks by itself, the answer is the
+    /// reference's — and what it picks is everything
     /// heavy or expansion, never a mixed partition.
     #[test]
     fn optimizer_chosen_star_plans_agree(
@@ -823,24 +779,17 @@ proptest! {
         for k in [3, 4] {
             let rels = coin_star(k, sets, elems, keep, seed);
             let expected = star_join_project(&rels);
-            for backend in [HeavyBackend::Auto, HeavyBackend::DenseF32] {
-                let config = JoinConfig {
-                    heavy_backend: backend,
-                    wcoj_fallback_factor: 1.0,
-                    ..JoinConfig::default()
-                };
-                let (rows, stats) = star_join_project_mm_with_stats(&rels, &config);
-                prop_assert_eq!(&rows, &expected);
-                let plan = stats.unwrap();
-                prop_assert!(
-                    matches!(
-                        (plan.kind, plan.delta1, plan.delta2),
-                        (PlanKind::Wcoj, None, None)
-                            | (PlanKind::MatrixPartitioned, Some(0), Some(0))
-                    ),
-                    "k={} {:?}: {:?}", k, backend, plan
-                );
-            }
+            let (rows, stats) = star_join_project_mm_with_stats(&rels, &factor(1.0));
+            prop_assert_eq!(&rows, &expected);
+            let plan = stats.unwrap();
+            prop_assert!(
+                matches!(
+                    (plan.kind, plan.delta1, plan.delta2),
+                    (PlanKind::Wcoj, None, None)
+                        | (PlanKind::MatrixPartitioned, Some(0), Some(0))
+                ),
+                "k={}: {:?}", k, plan
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! per-engine hard-coding here.
 
 use mmjoin::{default_registry, Engine, EngineRegistry, PairSink, Query, VecSink};
-use mmjoin_core::{two_path_with_counts, HeavyBackend, JoinConfig, MmJoinEngine};
+use mmjoin_core::{two_path_with_counts, JoinConfig, MmJoinEngine};
 use mmjoin_datagen::DatasetKind;
 use mmjoin_storage::{Relation, Value};
 
@@ -49,12 +49,19 @@ fn registry_under_test() -> EngineRegistry {
         ("MMJoin(2 threads)", threads_cfg(2)),
         ("MMJoin(3 threads)", threads_cfg(3)),
         ("MMJoin(8 threads)", threads_cfg(8)),
-        // The roster default multiplies existence queries as bits; pin
-        // SGEMM too so each kernel is compared with every other engine.
+        // Line 2 forced either way, so the core and the expansion are each
+        // compared with every other engine whatever the roster picks.
         (
-            "MMJoin(f32)",
+            "MMJoin(core)",
             JoinConfig {
-                heavy_backend: HeavyBackend::DenseF32,
+                wcoj_fallback_factor: 0.0,
+                ..JoinConfig::default()
+            },
+        ),
+        (
+            "MMJoin(expand)",
+            JoinConfig {
+                wcoj_fallback_factor: f64::INFINITY,
                 ..JoinConfig::default()
             },
         ),

@@ -2,21 +2,19 @@
 //! existence two-path multiplies the bit rows memoised on its `Relation`s
 //! (`mmjoin_storage::packed`) instead of building operands per pair.
 //!
-//! (a) the memoised path equals expansion and the compact per-pair core on
-//! relations whose domains disagree in every way; (b) a relation value is
-//! packed once per form, whoever asks and however often; (c) an update can
-//! never leave a stale form behind, because it makes a new relation; (d) the
-//! memory cap is checked before anything is packed; (e) a query over packed
-//! relations allocates its product, its output and O(1) more — which is
-//! also how the suite holds that the per-pair builder (`HeavyIndex`, whose
-//! vectors are sized by the domains) does not run on the served path; (f) a
+//! (a) the memoised path equals expansion on relations whose domains
+//! disagree in every way; (b) a relation value is packed once per form,
+//! whoever asks and however often; (c) an update can never leave a stale
+//! form behind, because it makes a new relation; (d) the memory cap is
+//! checked before anything is packed; (e) a query over packed relations
+//! allocates its product, its output and O(1) more; (f) a
 //! relation is shared, never copied: a clone, a registration and the
 //! transpose a chain step reads copy no edge array, and no constructor keeps
 //! one.
 
 use mmjoin::{
-    plan_query, HeavyBackend, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query,
-    Relation, RelationDelta, Request, Service, ServiceConfig, Value,
+    plan_query, JoinConfig, OperandSource, PackedForm, PlanKind, PlanStats, Query, Relation,
+    RelationDelta, Request, Service, ServiceConfig, Value,
 };
 use mmjoin_baseline::nonmm::ExpandDedupEngine;
 use mmjoin_core::{star_join_project_mm_with_stats, two_path_join_project_with_stats};
@@ -38,11 +36,6 @@ fn served(factor: f64, threads: usize) -> JoinConfig {
         threads,
         ..JoinConfig::default()
     }
-}
-
-/// Everything heavy by fiat: the compact per-pair core on the same cells.
-fn compact() -> JoinConfig {
-    JoinConfig::with_deltas(0, 0)
 }
 
 /// `sets` sets starting at `x0` over `elems` elements starting at `y0`,
@@ -83,12 +76,10 @@ fn built(stats: &PlanStats) -> usize {
         .count()
 }
 
-/// Memoised == expansion == compact on `(r, s)`, serial and on two threads;
-/// returns the kernel the memoised path ran, if it multiplied.
+/// Memoised == expansion on `(r, s)`, serial and on two threads; returns
+/// the kernel the memoised path ran, if it multiplied.
 fn assert_memoised_agrees(r: &Relation, s: &Relation, factor: f64) -> Option<&'static str> {
     let expected = ExpandDedupEngine::serial().join_project(r, s);
-    let (by_compact, _) = two_path_join_project_with_stats(r, s, &compact());
-    assert_eq!(by_compact, expected, "compact core");
     let mut kernel = None;
     for threads in [1, 2] {
         // Each thread count packs for itself.
@@ -426,15 +417,6 @@ fn a_core_over_the_cap_packs_nothing_and_expands() {
             assert_eq!(r.packed_bytes() + s.packed_bytes(), 0, "cap {cap}");
         }
     }
-    // The SGEMM pin never reads the packed rows.
-    let pinned = JoinConfig {
-        heavy_backend: HeavyBackend::DenseF32,
-        ..served(0.0, 1)
-    };
-    let (rows, stats) = two_path_join_project_with_stats(&r, &s, &pinned);
-    assert_eq!(rows, expected);
-    assert_eq!(stats.unwrap().heavy_operands, None);
-    assert_eq!(r.packed_bytes() + s.packed_bytes(), 0);
 }
 
 /// (d) A star whose middle leg is wide and mostly joins nothing: its heads
@@ -509,11 +491,6 @@ fn a_reuse_query_allocates_the_product_the_output_and_a_constant() {
         // form.
         assert_eq!(first.allocs, reuse.allocs + 6, "{first:?} vs {reuse:?}");
         reuse_costs.push(reuse.allocs);
-        let ((by_compact, _), per_pair) =
-            tallied(BIG, || two_path_join_project_with_stats(&r, &s, &compact()));
-        assert_eq!(by_compact, rows);
-        // Its two operands and its `y` map, at the least.
-        assert!(per_pair.big >= reuse.big + 3, "{per_pair:?}");
     }
     assert_eq!(reuse_costs[0], reuse_costs[1], "independent of |R| + |S|");
 }
